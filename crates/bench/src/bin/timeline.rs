@@ -1,11 +1,13 @@
 //! Visualize the wavefront schedule: run a tiled SOR on the simulated
-//! cluster with event tracing and print an ASCII Gantt chart per processor,
+//! cluster with an observability registry attached and print an ASCII
+//! Gantt chart per processor, drawn from the recorded virtual-time spans,
 //! for both rectangular and cone (non-rectangular) tilings. The earlier
 //! drain of the wavefront under the cone tiling is directly visible.
 
 use std::sync::Arc;
 use tilecc::matrices;
-use tilecc_cluster::{render_gantt, EngineOptions, MachineModel};
+use tilecc_bench::gantt::render_gantt;
+use tilecc_cluster::{EngineOptions, MachineModel, MetricsRegistry, VirtAcc};
 use tilecc_loopnest::kernels;
 use tilecc_parcode::{execute_opts, ExecMode, ParallelPlan};
 use tilecc_tiling::TilingTransform;
@@ -13,26 +15,25 @@ use tilecc_tiling::TilingTransform;
 fn show(label: &str, h: tilecc_linalg::RMat) {
     let alg = kernels::sor_skewed(24, 36, 1.1);
     let plan = Arc::new(ParallelPlan::new(alg, TilingTransform::new(h).unwrap(), Some(2)).unwrap());
+    let reg = MetricsRegistry::new();
     let res = execute_opts(
         plan,
         MachineModel::fast_ethernet_p3(),
         ExecMode::TimingOnly,
         EngineOptions {
-            trace: true,
+            obs: Some(reg.clone()),
             ..Default::default()
         },
     )
-    .expect("perfect-substrate trace run cannot fail");
+    .expect("perfect-substrate observed run cannot fail");
+    let ranks = res.report.local_times.len();
     println!("== {label}: makespan {:.5} s ==", res.makespan());
-    print!("{}", render_gantt(&res.report.traces, 100));
+    print!("{}", render_gantt(&reg.spans(), ranks, 100));
     let horizon = res.makespan();
-    let avg_util: f64 = res
-        .report
-        .traces
-        .iter()
-        .map(|t| t.utilization(horizon))
+    let avg_util: f64 = (0..ranks)
+        .map(|r| reg.rank_metrics(r).virt_get(VirtAcc::Compute) / horizon)
         .sum::<f64>()
-        / res.report.traces.len() as f64;
+        / ranks as f64;
     println!("average utilization: {:.1}%\n", avg_util * 100.0);
 }
 

@@ -6,6 +6,7 @@
 //! and non-rectangular tilings on the modelled cluster, prints the series,
 //! and writes a JSON record under `results/`.
 
+pub mod gantt;
 pub mod harness;
 
 use std::path::Path;

@@ -2597,4 +2597,16 @@ boundary = 0.25
         let e = run_cli(&args(&["run", p.to_str(), "--rect", "4,4"])).unwrap_err();
         assert!(e.0.contains("3-dimensional"), "{e}");
     }
+
+    #[test]
+    fn out_of_range_mapping_dimension_is_a_typed_error() {
+        // Plan construction reports the bad dimension instead of panicking.
+        let adi = format!(
+            "{}/../../examples/kernels/adi.tk",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let e = run_cli(&args(&["run", &adi, "--rect", "2,4,4", "--map", "7"])).unwrap_err();
+        let typed = tilecc_tiling::TilingError::MappingOutOfRange { m: 7, dim: 3 };
+        assert!(e.0.contains(&typed.to_string()), "{e}");
+    }
 }

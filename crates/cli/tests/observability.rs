@@ -4,6 +4,7 @@
 //! phase kinds — and a `RunReport` whose per-rank compute + wait + comm
 //! split reproduces that rank's virtual makespan within tolerance.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use tilecc_cli::run_cli;
 use tilecc_cluster::obs::json::{self, Json};
 
@@ -14,13 +15,17 @@ fn sor_nest() -> String {
     )
 }
 
-/// Self-cleaning temp path.
+/// Self-cleaning temp path, unique per call: the tests of this file run
+/// on parallel threads of one process, so a per-process name would let
+/// one test's `Drop` delete another's file.
 struct TempFile(std::path::PathBuf);
 
 impl TempFile {
     fn new(tag: &str) -> Self {
-        let path = std::env::temp_dir().join(format!("tilecc-obs-{}-{tag}", std::process::id()));
-        TempFile(path)
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let name = format!("tilecc-obs-{}-{n}-{tag}", std::process::id());
+        TempFile(std::env::temp_dir().join(name))
     }
     fn to_str(&self) -> &str {
         self.0.to_str().unwrap()

@@ -1,8 +1,8 @@
 //! Cluster-wide observability: structured span tracing, a per-rank metrics
 //! registry, and Chrome-trace/Perfetto export.
 //!
-//! The virtual-time [`crate::trace`] module answers *"what does the modelled
-//! machine do?"*; this module answers *"where do the ranks actually spend
+//! Every span carries both clocks, so this one recorder answers *"what
+//! does the modelled machine do?"* and *"where do the ranks actually spend
 //! their time?"* — and makes both inspectable outside the process:
 //!
 //! * [`MetricsRegistry`] — one lock-free slot of atomic counters, gauges and

@@ -1,13 +1,14 @@
-//! The TCP cluster backend: the [`Comm`] contract over real sockets.
+//! The TCP cluster backend: the [`crate::Comm`] contract over real sockets.
 //!
 //! Where the threaded engine moves [`Envelope`]s through in-process
 //! channels, this backend serializes every message through the TCMP wire
 //! format ([`crate::wire`]) and moves it over localhost (or cross-machine)
-//! TCP connections. The virtual-clock arithmetic, the reliability sublayer
-//! ([`crate::reliability`]), and the fault-injection decisions are shared
-//! with the threaded engine, so for the same program the two backends
-//! produce **bitwise-identical data, identical virtual clocks, and
-//! identical logical counters** — faulty runs included. `ready_at` travels
+//! TCP connections. The endpoint is the threaded engine's [`RankCore`] —
+//! virtual-clock arithmetic, reliability sublayer, fault injection and
+//! in-process recovery written once — over a socket [`TcpLink`], so for the
+//! same program the two backends produce **bitwise-identical data,
+//! identical virtual clocks, and identical logical counters** — faulty runs
+//! included. `ready_at` travels
 //! as an `f64` bit pattern and fault decisions are pure hashes of
 //! `(seed, link, seq, attempt)`, so nothing depends on real-time races.
 //!
@@ -39,24 +40,21 @@
 //!   rendezvous (control) connection, and the driver supervises them with
 //!   a heartbeat-fed deadlock watchdog mirroring the threaded engine's.
 
-use crate::comm::{Comm, CommAbort, CommStats, Envelope, Restored};
+use crate::comm::{CommStats, Envelope, Restored};
 use crate::error::{CommError, RunError};
-use crate::fault::{FaultPlan, RankStall};
 use crate::model::MachineModel;
-use crate::obs::{
-    Counter, GaugeId, HistId, Phase, RankMetrics, RankObs, SpanEdge, StatsSnapshot, VirtAcc,
+use crate::obs::{GaugeId, HistId, RankMetrics, RankObs, StatsSnapshot};
+use crate::rank::{
+    new_replay_logs, run_rank, CkptState, Link, RankCore, RankEnd, ReplayLogs, RunShared,
 };
-use crate::reliability::{retransmit_pauses, Admit, LinkSeq, ReplayLog};
+use crate::reliability::{LinkSeq, ReplayLog};
 use crate::threaded::{
-    collect, install_quiet_panic_hook, new_replay_logs, panic_message, CkptState, CommScheme,
-    EngineOptions, Monitor, RankEnd, RankPhase, RecoveryCtl, ReplayLogs, RunReport, ABORT_GRACE,
-    COLLECT_POLL, RECV_POLL,
+    collect, install_quiet_panic_hook, EngineOptions, Monitor, RankPhase, RunReport, ABORT_GRACE,
+    COLLECT_POLL,
 };
-use crate::trace::{Event, Trace};
 use crate::wire::{self, Frame, FrameKind};
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
@@ -365,61 +363,28 @@ fn connect_mesh(
 // The endpoint
 // ---------------------------------------------------------------------------
 
-/// Everything needed to assemble a [`TcpComm`] besides the sockets.
-struct TcpCommConfig {
-    rank: usize,
-    size: usize,
-    model: MachineModel,
-    scheme: CommScheme,
-    fault: Option<Arc<FaultPlan>>,
-    trace: bool,
-    obs: Option<RankObs>,
-    connect_ns: u64,
-    /// Sender-side replay-log matrix (`Some` only with a recovery policy;
-    /// shared across ranks in-process, this rank's row only in a worker).
-    replay_logs: Option<ReplayLogs>,
-    /// Crash-recovery mode (`None` = a crash fails the run).
-    recovery: Option<TcpRecovery>,
-}
-
-/// How a [`TcpComm`] endpoint recovers from a crash.
-enum TcpRecovery {
-    /// In-process ranks rewind in place from an in-memory checkpoint —
-    /// exactly the threaded engine's mechanism (shared [`RecoveryCtl`]).
-    InProcess(RecoveryCtl),
-    /// A worker process checkpoints to a file and recovers by respawn: the
-    /// driver restarts the world, the respawned processes restore their
-    /// files and re-synchronize over `RESUME` frames.
-    Worker(WorkerRecovery),
-}
-
-/// Worker-process recovery state (see [`TcpRecovery::Worker`]).
-struct WorkerRecovery {
-    /// Checkpoint cadence requested from the executor.
-    interval: u64,
+/// Worker-process checkpointing (see [`run_worker`]): the checkpoint file,
+/// `CKPT_ACK` frames, the `RESUME` barrier and the kill hook. A worker
+/// recovers by respawn: the driver restarts the world, the respawned
+/// processes restore their files and re-synchronize over `RESUME` frames.
+struct WorkerCkpt {
     /// Checkpoint file, atomically replaced each interval.
     path: PathBuf,
-    /// Resume state restored from the file, consumed once by the executor.
-    resume: Option<Restored>,
     /// Whether this process was respawned into an existing run (`--resume`):
     /// gates the resume barrier and disarms the kill hook.
     resume_run: bool,
-    /// Re-execution send frontier per link, from each peer's `RESUME`
-    /// frame: sends below it redo the virtual accounting but skip the
-    /// physical push (the peer consumed them before its checkpoint).
-    resend_skip: Vec<u64>,
     /// Receives `(peer, frontier)` from reader threads when peers announce
     /// `RESUME`; the resume barrier drains one entry per peer.
-    resume_rx: Option<Receiver<(usize, u64)>>,
+    resume_rx: Receiver<(usize, u64)>,
     /// Checkpoints taken by this process (drives the kill hook).
     ckpts_taken: u64,
     /// Test hook: SIGKILL this process at its N-th checkpoint.
     kill_at: Option<u64>,
 }
 
-/// Recovery handles given to a reader thread: the replay-log row it trims
-/// and replays, the writer queue it injects replays into, and the resume
-/// channel it signals the barrier through.
+/// Recovery handles given to a worker's reader thread: the replay-log row
+/// it trims and replays, the writer queue it injects replays into, and the
+/// resume channel it signals the barrier through.
 struct ReaderCtl {
     logs: ReplayLogs,
     resume_tx: Sender<(usize, u64)>,
@@ -431,90 +396,75 @@ struct ReaderCtl {
     peer: usize,
 }
 
-/// The socket-backed [`Comm`] endpoint.
-///
-/// Virtual-clock arithmetic, fault injection, and reliability bookkeeping
-/// mirror [`crate::ThreadedComm`] operation for operation, so both
-/// backends yield identical clocks and counters; only the substrate
-/// differs — outgoing envelopes are encoded to TCMP frames on the calling
-/// thread (measured as `serialize_ns`) and queued to per-peer writer
-/// threads, while per-peer reader threads decode arrivals (measured as
-/// `deserialize_ns`) into the receive path.
-///
-/// Constructed by [`run_cluster_tcp`] (in-process ranks) and
-/// [`run_worker`] (one rank of a multi-process run).
-pub struct TcpComm {
+/// The socket [`Link`]: outgoing envelopes are encoded to TCMP frames on
+/// the calling thread (measured as `serialize_ns`) and queued to per-peer
+/// writer threads, while per-peer reader threads decode arrivals (measured
+/// as `deserialize_ns`) into the receive path.
+pub struct TcpLink {
     rank: usize,
-    size: usize,
-    model: MachineModel,
-    scheme: CommScheme,
-    clock: f64,
-    comm_lane: f64,
-    lane_busy: f64,
-    stats: CommStats,
-    trace: Option<Trace>,
     /// Pre-encoded frames to each peer's writer thread.
     writers: Vec<Option<SyncSender<Vec<u8>>>>,
-    /// Decoded envelopes from each peer's reader thread.
-    rxs: Vec<Option<Receiver<Envelope>>>,
-    /// Per-peer buffers of arrived-but-unmatched messages (tag matching).
-    pending: Vec<Vec<Envelope>>,
-    monitor: Arc<Monitor>,
-    fault: Option<Arc<FaultPlan>>,
-    crash_at: Option<f64>,
-    stall: Option<RankStall>,
-    links: LinkSeq,
-    holdback: Vec<Option<Envelope>>,
-    obs: Option<RankObs>,
     /// Per-peer writer-queue depth (frames queued, not yet written): bumped
     /// on every enqueue, decremented by the writer thread per frame drained.
     /// Feeds the `writer_queue_depth` gauge (current value + high-water).
     writer_depth: Vec<Arc<AtomicU64>>,
-    /// Sender-side replay logs (`Some` only with a recovery policy).
-    replay_logs: Option<ReplayLogs>,
-    /// Crash-recovery state (`Some` only with a recovery policy).
-    recovery: Option<TcpRecovery>,
+    writer_handles: Vec<JoinHandle<()>>,
+    /// Decoded envelopes from each peer's reader thread.
+    rxs: Vec<Option<Receiver<Envelope>>>,
+    /// Worker-process checkpointing (`None` for in-process ranks).
+    worker: Option<WorkerCkpt>,
 }
 
-impl TcpComm {
-    fn build(
-        cfg: TcpCommConfig,
+/// The socket-backed [`Comm`] endpoint: the shared [`RankCore`] over a
+/// [`TcpLink`], so its clocks and counters are the threaded engine's by
+/// construction. Constructed by [`run_cluster_tcp`] (in-process ranks) and
+/// [`run_worker`] (one rank of a multi-process run).
+pub type TcpComm = RankCore<TcpLink>;
+
+impl TcpLink {
+    /// Spawn a writer and a reader thread per connected peer. `worker`
+    /// arms worker-mode checkpointing over the run's replay logs.
+    fn new(
+        rank: usize,
         peers: Vec<Option<TcpStream>>,
-        monitor: Arc<Monitor>,
-    ) -> (TcpComm, Vec<JoinHandle<()>>) {
-        let size = cfg.size;
-        let metrics = cfg.obs.as_ref().map(|o| o.metrics());
-        let mut writers: Vec<Option<SyncSender<Vec<u8>>>> = (0..size).map(|_| None).collect();
-        let mut rxs: Vec<Option<Receiver<Envelope>>> = (0..size).map(|_| None).collect();
-        let writer_depth: Vec<Arc<AtomicU64>> =
-            (0..size).map(|_| Arc::new(AtomicU64::new(0))).collect();
-        let mut writer_handles = Vec::new();
-        // Worker-mode recovery: reader threads signal each peer's `RESUME`
-        // frontier through this channel to the resume barrier.
-        let mut recovery = cfg.recovery;
-        let resume_tx = match &mut recovery {
-            Some(TcpRecovery::Worker(w)) => {
-                let (tx, rx) = channel();
-                w.resume_rx = Some(rx);
-                Some(tx)
-            }
-            _ => None,
+        metrics: Option<Arc<RankMetrics>>,
+        connect_ns: u64,
+        worker: Option<(&WorkerCkptConfig, ReplayLogs)>,
+    ) -> TcpLink {
+        let size = peers.len();
+        // Worker-mode readers signal each peer's `RESUME` frontier through
+        // this channel to the resume barrier.
+        let (resume_tx, resume_rx) = channel();
+        let logs = worker.as_ref().map(|(_, logs)| logs.clone());
+        let mut link = TcpLink {
+            rank,
+            writers: (0..size).map(|_| None).collect(),
+            writer_depth: (0..size).map(|_| Arc::new(AtomicU64::new(0))).collect(),
+            writer_handles: Vec::new(),
+            rxs: (0..size).map(|_| None).collect(),
+            worker: worker.map(|(ck, _)| WorkerCkpt {
+                path: ck.path.clone(),
+                resume_run: ck.resume,
+                resume_rx,
+                ckpts_taken: 0,
+                kill_at: kill_at_from_env(rank),
+            }),
         };
         for (peer, stream) in peers.into_iter().enumerate() {
             let Some(stream) = stream else { continue };
             let read_half = stream.try_clone().expect("socket clone");
             let (out_tx, out_rx) = sync_channel::<Vec<u8>>(SEND_QUEUE_FRAMES);
             let (in_tx, in_rx) = channel::<Envelope>();
-            let depth = writer_depth[peer].clone();
+            let depth = link.writer_depth[peer].clone();
             let writer = thread::Builder::new()
-                .name(format!("tilecc-tcp-w{}-{}", cfg.rank, peer))
+                .name(format!("tilecc-tcp-w{rank}-{peer}"))
                 .spawn(move || {
                     let mut stream = stream;
-                    // An empty buffer is the close sentinel from the
-                    // endpoint's `Drop`: reader threads also hold a sender
-                    // (replay injection), so channel closure alone cannot
-                    // signal the flush. The sentinel is never counted in
-                    // the depth gauge, so only real frames decrement it.
+                    // An empty buffer is the close sentinel from the link's
+                    // `Drop`: reader threads also hold a sender (replay
+                    // injection), so channel closure alone cannot signal
+                    // the flush. The sentinel is never counted in the depth
+                    // gauge, so only real frames decrement it.
                     while let Ok(buf) = out_rx.recv() {
                         if buf.is_empty() {
                             break;
@@ -535,217 +485,150 @@ impl TcpComm {
             // Worker-mode readers also service recovery frames: `CKPT_ACK`
             // trims our replay log, `RESUME` injects replays into the
             // peer's writer queue ahead of any fresh sends.
-            let ctl = match (&cfg.replay_logs, &resume_tx) {
-                (Some(logs), Some(tx)) => Some(ReaderCtl {
-                    logs: logs.clone(),
-                    resume_tx: tx.clone(),
-                    out_tx: out_tx.clone(),
-                    out_depth: writer_depth[peer].clone(),
-                    rank: cfg.rank,
-                    peer,
-                }),
-                _ => None,
-            };
+            let ctl = logs.clone().map(|logs| ReaderCtl {
+                logs,
+                resume_tx: resume_tx.clone(),
+                out_tx: out_tx.clone(),
+                out_depth: link.writer_depth[peer].clone(),
+                rank,
+                peer,
+            });
             thread::Builder::new()
-                .name(format!("tilecc-tcp-r{}-{}", cfg.rank, peer))
+                .name(format!("tilecc-tcp-r{rank}-{peer}"))
                 .spawn(move || reader_loop(read_half, in_tx, reader_metrics, ctl))
                 .expect("failed to spawn tcp reader thread");
-            writers[peer] = Some(out_tx);
-            rxs[peer] = Some(in_rx);
-            writer_handles.push(writer);
+            link.writers[peer] = Some(out_tx);
+            link.rxs[peer] = Some(in_rx);
+            link.writer_handles.push(writer);
         }
-        if let Some(o) = &cfg.obs {
-            o.gauge_set(GaugeId::ConnectNs, cfg.connect_ns);
+        if let Some(m) = &metrics {
+            m.gauge(GaugeId::ConnectNs).set(connect_ns);
         }
-        let comm = TcpComm {
-            rank: cfg.rank,
-            size,
-            model: cfg.model,
-            scheme: cfg.scheme,
-            clock: 0.0,
-            comm_lane: 0.0,
-            lane_busy: 0.0,
-            stats: CommStats::default(),
-            trace: cfg.trace.then(Trace::default),
-            writers,
-            rxs,
-            pending: (0..size).map(|_| Vec::new()).collect(),
-            monitor,
-            crash_at: cfg.fault.as_ref().and_then(|fp| fp.crash_time(cfg.rank)),
-            stall: cfg.fault.as_ref().and_then(|fp| fp.stall_of(cfg.rank)),
-            fault: cfg.fault,
-            links: LinkSeq::new(size),
-            holdback: (0..size).map(|_| None).collect(),
-            obs: cfg.obs,
-            writer_depth,
-            replay_logs: cfg.replay_logs,
-            recovery,
-        };
-        (comm, writer_handles)
+        link
     }
 
-    /// Fire any virtual-time-triggered faults (identical to the threaded
-    /// engine: a stall jumps the clock once, a crash panics).
-    fn fault_tick(&mut self) {
-        if let Some(stall) = self.stall {
-            if self.clock >= stall.at {
-                self.stall = None;
-                self.clock += stall.duration;
-                self.stats.wait_time += stall.duration;
-                if let Some(o) = &self.obs {
-                    o.virt_add(VirtAcc::Stall, stall.duration);
-                }
-            }
-        }
-        if let Some(at) = self.crash_at {
-            if self.clock >= at {
-                std::panic::panic_any(crate::threaded::InjectedCrash {
-                    rank: self.rank,
-                    at,
-                    clock: self.clock,
-                });
-            }
-        }
-    }
-
-    /// Encode one envelope and queue it to the peer's writer thread.
-    fn push_link(&self, to: usize, env: &Envelope) -> Result<(), CommError> {
-        self.monitor.bump();
-        let t0 = self.obs.as_ref().map(|o| o.now_ns());
-        let buf = wire::encode_envelope(self.rank as u32, env);
-        if let (Some(o), Some(t0)) = (&self.obs, t0) {
-            o.observe(HistId::SerializeNs, o.now_ns().saturating_sub(t0));
-        }
+    /// Queue one encoded frame to `to`'s writer thread. Returns `false`
+    /// when the writer is gone.
+    fn queue(&self, to: usize, buf: Vec<u8>) -> bool {
+        let writer = self.writers[to].as_ref().expect("no link to peer");
         // Count the frame before enqueueing so the writer thread can never
         // decrement below zero, then roll back on a failed enqueue.
         self.writer_depth[to].fetch_add(1, Ordering::Relaxed);
-        if self.writers[to]
-            .as_ref()
-            .expect("no link to peer")
-            .send(buf)
-            .is_err()
-        {
+        let queued = writer.send(buf).is_ok();
+        if !queued {
             self.writer_depth[to].fetch_sub(1, Ordering::Relaxed);
-            return Err(if self.monitor.aborted() {
-                CommError::Aborted
-            } else {
-                CommError::PeerDisconnected { rank: to }
-            });
         }
-        if let Some(o) = &self.obs {
-            o.gauge_set(
-                GaugeId::WriterQueueDepth,
-                self.writer_depth[to].load(Ordering::Relaxed),
-            );
+        queued
+    }
+}
+
+impl Link for TcpLink {
+    fn push(&self, to: usize, env: Envelope, obs: Option<&RankObs>) -> bool {
+        let t0 = obs.map(|o| o.now_ns());
+        let buf = wire::encode_envelope(self.rank as u32, &env);
+        if let (Some(o), Some(t0)) = (obs, t0) {
+            o.observe(HistId::SerializeNs, o.now_ns().saturating_sub(t0));
         }
-        Ok(())
+        let queued = self.queue(to, buf);
+        if let (true, Some(o)) = (queued, obs) {
+            let depth = self.writer_depth[to].load(Ordering::Relaxed);
+            o.gauge_set(GaugeId::WriterQueueDepth, depth);
+        }
+        queued
     }
 
-    /// Queue a *redundant* envelope (duplicate copy or released reorder
-    /// hold). A peer that already exited is not an error — see
-    /// `ThreadedComm::push_link_redundant`.
-    fn push_link_redundant(&self, to: usize, env: &Envelope) -> Result<(), CommError> {
-        match self.push_link(to, env) {
-            Ok(())
-            | Err(CommError::PeerDisconnected { .. })
-            | Err(CommError::Disconnected { .. }) => Ok(()),
-            Err(e) => Err(e),
-        }
+    fn poll(&self, from: usize, timeout: Duration) -> Result<Envelope, RecvTimeoutError> {
+        let rx = self.rxs[from].as_ref().expect("no link from peer");
+        rx.recv_timeout(timeout)
     }
 
-    /// Release every held-back (reorder-injected) envelope.
-    fn flush_holdbacks(&mut self) -> Result<(), CommError> {
-        for to in 0..self.size {
-            if let Some(env) = self.holdback[to].take() {
-                self.push_link_redundant(to, &env)?;
-            }
-        }
-        Ok(())
+    fn closed(peer: usize) -> CommError {
+        CommError::PeerDisconnected { rank: peer }
     }
 
-    /// The next in-sequence envelope from `from`, suppressing duplicates
-    /// and re-sequencing out-of-order arrivals — the socket twin of the
-    /// threaded engine's receive loop.
-    fn next_in_order(&mut self, from: usize, tag: i64) -> Result<Envelope, CommError> {
-        if let Some(env) = self.links.take_ready(from) {
-            return Ok(env);
+    /// A worker persists the checkpoint — endpoint snapshot plus its own
+    /// outgoing replay-log row — then acknowledges the consumed envelopes
+    /// with a `CKPT_ACK` per peer.
+    fn persist(
+        &mut self,
+        rank: usize,
+        ckpt: &CkptState,
+        logs: &ReplayLogs,
+        links: &LinkSeq,
+    ) -> Option<u64> {
+        let w = self.worker.as_mut()?;
+        let row: Vec<(u64, Vec<Envelope>)> = (0..logs.len())
+            .map(|to| {
+                let log = logs[rank][to].lock().expect("replay log poisoned");
+                (log.base(), log.items().cloned().collect())
+            })
+            .collect();
+        let bytes = encode_ckpt(ckpt, &row);
+        if let Err(e) = write_ckpt_file(&w.path, &bytes) {
+            // A failed write must not kill the run: the previous
+            // checkpoint (or a fresh start) still recovers it.
+            eprintln!("tilecc worker {rank}: checkpoint write failed: {e}");
         }
-        self.monitor
-            .set(self.rank, RankPhase::Blocked { from, tag });
-        let result = loop {
-            let rx = self.rxs[from].as_ref().expect("no link from peer");
-            match rx.recv_timeout(RECV_POLL) {
-                Ok(env) => {
-                    self.monitor.bump();
-                    match self.links.admit(from, env) {
-                        Admit::Deliver(env) => break Ok(env),
-                        Admit::Duplicate => {
-                            self.stats.duplicates_suppressed += 1;
-                            if let Some(o) = &self.obs {
-                                o.add(Counter::DupsSuppressed, 1);
-                            }
-                        }
-                        Admit::Buffered => {}
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.monitor.aborted() {
-                        break Err(CommError::Aborted);
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    break Err(if self.monitor.aborted() {
-                        CommError::Aborted
-                    } else {
-                        CommError::PeerDisconnected { rank: from }
-                    });
-                }
-            }
-        };
-        self.monitor.set(self.rank, RankPhase::Running);
-        result
+        w.ckpts_taken += 1;
+        // Test hook: hard-kill this process at its N-th checkpoint (first
+        // life only — a respawn must not re-fire the kill).
+        let kill = !w.resume_run && w.kill_at == Some(w.ckpts_taken);
+        for peer in (0..self.writers.len()).filter(|&p| p != rank) {
+            let mut frame = Frame::control(FrameKind::CkptAck, rank as u32);
+            frame.seq = links.expect_of(peer);
+            self.queue(peer, frame.encode());
+        }
+        if kill {
+            kill_self();
+        }
+        Some(bytes.len() as u64)
     }
+}
 
-    /// Restart-the-world synchronization for a resumed worker: announce
-    /// this rank's restored receive frontier to every peer (`RESUME`), then
-    /// wait for every peer's announcement. Reader threads queue the logged
-    /// replays *before* signalling, and the writer queue is FIFO, so every
-    /// replayed envelope reaches a peer ahead of any fresh send.
-    fn worker_resume_barrier(&mut self) -> Result<(), CommError> {
-        let size = self.size;
-        let rank = self.rank;
-        let expects: Vec<u64> = (0..size).map(|p| self.links.expect_of(p)).collect();
-        let Some(TcpRecovery::Worker(w)) = self.recovery.as_mut() else {
-            return Ok(());
-        };
-        if !w.resume_run {
-            return Ok(());
+impl Drop for TcpLink {
+    fn drop(&mut self) {
+        // Release the writer threads: they flush what is queued, then send
+        // FIN; readers drain to end-of-stream. With recovery active the
+        // reader threads hold queue senders too (replay injection), so
+        // dropping this link's senders does not close the channels — hand
+        // every writer the explicit flush-and-exit sentinel instead.
+        for tx in self.writers.iter().flatten() {
+            let _ = tx.send(Vec::new());
         }
-        for (peer, writer) in self.writers.iter().enumerate() {
-            if peer == rank {
-                continue;
-            }
-            let mut frame = Frame::control(FrameKind::Resume, rank as u32);
-            frame.seq = expects[peer];
-            self.writer_depth[peer].fetch_add(1, Ordering::Relaxed);
-            writer
-                .as_ref()
-                .expect("no link to peer")
-                .send(frame.encode())
-                .map_err(|_| CommError::PeerDisconnected { rank: peer })?;
+        for h in self.writer_handles.drain(..) {
+            let _ = h.join();
         }
-        let rx = w
-            .resume_rx
-            .as_ref()
-            .expect("worker recovery has a resume channel");
-        for _ in 0..size.saturating_sub(1) {
-            let (peer, frontier) = rx.recv_timeout(HANDSHAKE_TIMEOUT).map_err(|_| {
-                transport_error("resume barrier", "timed out waiting for peer RESUME frames")
-            })?;
-            w.resend_skip[peer] = frontier;
-        }
-        Ok(())
     }
+}
+
+/// Restart-the-world synchronization for a resumed worker: announce this
+/// rank's restored receive frontier to every peer (`RESUME`), then wait
+/// for every peer's announcement, which sets the re-execution send
+/// frontier. Reader threads queue the logged replays *before* signalling,
+/// and the writer queue is FIFO, so every replayed envelope reaches a peer
+/// ahead of any fresh send.
+fn worker_resume_barrier(comm: &mut TcpComm) -> Result<(), CommError> {
+    let rank = comm.rank;
+    let (Some(w), Some(rec)) = (&comm.link.worker, &mut comm.recovery) else {
+        return Ok(());
+    };
+    if !w.resume_run {
+        return Ok(());
+    }
+    for peer in (0..comm.size).filter(|&p| p != rank) {
+        let mut frame = Frame::control(FrameKind::Resume, rank as u32);
+        frame.seq = comm.links.expect_of(peer);
+        if !comm.link.queue(peer, frame.encode()) {
+            return Err(CommError::PeerDisconnected { rank: peer });
+        }
+    }
+    for _ in 0..comm.size.saturating_sub(1) {
+        let (peer, frontier) = w.resume_rx.recv_timeout(HANDSHAKE_TIMEOUT).map_err(|_| {
+            transport_error("resume barrier", "timed out waiting for peer RESUME frames")
+        })?;
+        rec.resend_skip[peer] = frontier;
+    }
+    Ok(())
 }
 
 /// Reader-thread body: decode frames off one peer socket into the receive
@@ -816,553 +699,6 @@ fn reader_loop(
     }
 }
 
-impl Comm for TcpComm {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn try_send_tagged(
-        &mut self,
-        to: usize,
-        tag: i64,
-        payload: Vec<f64>,
-        nominal_bytes: usize,
-    ) -> Result<(), CommError> {
-        assert!(to != self.rank, "send to self is not supported");
-        self.fault_tick();
-        let wall_t0 = self.obs.as_ref().map(|o| o.now_ns());
-        let virt_t0 = self.clock;
-        let seq = self.links.assign(to);
-        // Recovery re-execution: a send the receiver already holds redoes
-        // every virtual charge and counter but skips the physical push —
-        // in-process below the crash-time frontier, worker mode below the
-        // peer's announced `RESUME` frontier.
-        let skip_physical = match &self.recovery {
-            Some(TcpRecovery::InProcess(r)) => seq < r.resend_skip[to],
-            Some(TcpRecovery::Worker(w)) => seq < w.resend_skip[to],
-            None => false,
-        };
-
-        if let Some(fault) = self.fault.clone() {
-            for pause in
-                retransmit_pauses(&fault, &self.model, self.rank, to, tag, seq, nominal_bytes)?
-            {
-                self.stats.retransmissions += 1;
-                self.stats.retrans_time += pause;
-                match self.scheme {
-                    CommScheme::Blocking => {
-                        self.clock += pause;
-                        if let Some(o) = &self.obs {
-                            o.virt_add(VirtAcc::Retrans, pause);
-                        }
-                    }
-                    CommScheme::Overlapped => {
-                        let lane_start = self.comm_lane.max(self.clock);
-                        self.comm_lane = lane_start + pause;
-                        self.lane_busy += pause;
-                    }
-                }
-                if let Some(o) = &self.obs {
-                    o.add(Counter::FaultDrops, 1);
-                    o.add(Counter::Retransmits, 1);
-                    // Modelled backoff latency, in virtual nanoseconds; a
-                    // histogram, so it never perturbs the clock partition.
-                    o.observe(HistId::RetransNs, (pause * 1e9) as u64);
-                }
-            }
-        }
-
-        let send_cost = match self.scheme {
-            CommScheme::Blocking => self.model.send_cost(nominal_bytes),
-            CommScheme::Overlapped => 0.0,
-        };
-        self.clock += send_cost;
-        let ready_at = match self.scheme {
-            CommScheme::Blocking => self.clock + self.model.wire_latency,
-            CommScheme::Overlapped => {
-                let lane_start = self.comm_lane.max(self.clock);
-                let lane_end = lane_start + self.model.send_cost(nominal_bytes);
-                self.comm_lane = lane_end;
-                self.lane_busy += self.model.send_cost(nominal_bytes);
-                lane_end + self.model.wire_latency
-            }
-        };
-        let mut env = Envelope {
-            payload,
-            tag,
-            ready_at,
-            seq,
-            bytes: nominal_bytes,
-        };
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += nominal_bytes as u64;
-        if let Some(tr) = &mut self.trace {
-            tr.events.push(Event::Send {
-                at: self.clock,
-                to,
-                bytes: nominal_bytes,
-                tag,
-            });
-        }
-        if let Some(o) = &self.obs {
-            o.add(Counter::MessagesSent, 1);
-            o.add(Counter::BytesSent, nominal_bytes as u64);
-            o.virt_add(VirtAcc::Send, send_cost);
-        }
-
-        let (duplicate, reorder) = match &self.fault {
-            Some(f) if f.perturbs_links() => {
-                if let Some(extra) = f.delayed(self.rank, to, seq) {
-                    env.ready_at += extra;
-                    if let Some(o) = &self.obs {
-                        o.add(Counter::FaultDelays, 1);
-                    }
-                }
-                let (dup, reord) = (
-                    f.duplicated(self.rank, to, seq),
-                    f.reordered(self.rank, to, seq),
-                );
-                if let Some(o) = &self.obs {
-                    if dup {
-                        o.add(Counter::FaultDups, 1);
-                    }
-                    if reord {
-                        o.add(Counter::FaultReorders, 1);
-                    }
-                }
-                (dup, reord)
-            }
-            _ => (false, false),
-        };
-        // Retain the primary copy (post delay perturbation, so a replay
-        // reproduces the receiver's wait bitwise) until the receiver's
-        // checkpoint acknowledges it. Only log-extending sends are
-        // recorded: a skipped in-process re-execution send below the crash
-        // frontier is already retained, while a resumed worker's skipped
-        // sends past its own checkpoint frontier extend the row restored
-        // from the file and must be logged even though the peer holds them.
-        if let Some(logs) = &self.replay_logs {
-            let mut log = logs[self.rank][to].lock().expect("replay log poisoned");
-            if env.seq == log.high() {
-                log.record(env.clone());
-            }
-        }
-        if !skip_physical {
-            if reorder {
-                if duplicate {
-                    self.push_link(to, &env)?;
-                }
-                if let Some(prev) = self.holdback[to].take() {
-                    self.push_link_redundant(to, &prev)?;
-                }
-                self.holdback[to] = Some(env);
-            } else {
-                if duplicate {
-                    self.push_link(to, &env)?;
-                    self.push_link_redundant(to, &env)?;
-                } else {
-                    self.push_link(to, &env)?;
-                }
-                if let Some(prev) = self.holdback[to].take() {
-                    self.push_link_redundant(to, &prev)?;
-                }
-            }
-        }
-        if let Some(wall_t0) = wall_t0 {
-            let virt_t1 = self.clock;
-            let outstanding = self.holdback.iter().filter(|h| h.is_some()).count() as u64;
-            if let Some(o) = &mut self.obs {
-                o.gauge_set(GaugeId::OutstandingSends, outstanding);
-                o.edge_span(
-                    Phase::Send,
-                    wall_t0,
-                    (virt_t0, virt_t1),
-                    nominal_bytes as u64,
-                    SpanEdge {
-                        peer: to as u32,
-                        tag,
-                        seq,
-                    },
-                );
-            }
-        }
-        Ok(())
-    }
-
-    fn try_recv_tagged(&mut self, from: usize, tag: i64) -> Result<Vec<f64>, CommError> {
-        assert!(from != self.rank, "recv from self is not supported");
-        self.fault_tick();
-        self.flush_holdbacks()?;
-        let wall_t0 = self.obs.as_ref().map(|o| o.now_ns());
-        let start = self.clock;
-        let env = if let Some(pos) = self.pending[from].iter().position(|e| e.tag == tag) {
-            self.pending[from].remove(pos)
-        } else {
-            loop {
-                let env = self.next_in_order(from, tag)?;
-                if env.tag == tag {
-                    break env;
-                }
-                self.pending[from].push(env);
-            }
-        };
-        if env.ready_at > self.clock {
-            let waited = env.ready_at - self.clock;
-            self.stats.wait_time += waited;
-            self.clock = env.ready_at;
-            if let Some(o) = &self.obs {
-                o.virt_add(VirtAcc::Wait, waited);
-            }
-        }
-        let ready = self.clock;
-        if self.scheme == CommScheme::Blocking {
-            self.clock += self.model.recv_overhead;
-            if let Some(o) = &self.obs {
-                o.virt_add(VirtAcc::RecvOverhead, self.model.recv_overhead);
-            }
-        }
-        self.stats.messages_received += 1;
-        self.stats.bytes_received += env.bytes as u64;
-        if let Some(tr) = &mut self.trace {
-            tr.events.push(Event::Recv {
-                start,
-                ready,
-                end: self.clock,
-                from,
-                tag,
-            });
-        }
-        if let Some(wall_t0) = wall_t0 {
-            let virt_t1 = self.clock;
-            let pending_depth = self.pending.iter().map(|p| p.len()).sum::<usize>() as u64;
-            let reseq_depth = self.links.resequence_depth();
-            if let Some(o) = &mut self.obs {
-                o.add(Counter::MessagesReceived, 1);
-                o.add(Counter::BytesReceived, env.bytes as u64);
-                o.observe(HistId::RecvWaitNs, o.now_ns().saturating_sub(wall_t0));
-                o.gauge_set(GaugeId::PendingDepth, pending_depth);
-                o.gauge_set(GaugeId::ResequenceDepth, reseq_depth);
-                o.edge_span(
-                    Phase::Recv,
-                    wall_t0,
-                    (start, virt_t1),
-                    env.bytes as u64,
-                    SpanEdge {
-                        peer: from as u32,
-                        tag,
-                        seq: env.seq,
-                    },
-                );
-            }
-        }
-        Ok(env.payload)
-    }
-
-    fn drain_sends(&mut self) -> f64 {
-        let overshoot = (self.comm_lane - self.clock).max(0.0);
-        let hidden = (self.lane_busy - overshoot).max(0.0);
-        if let Some(o) = &self.obs {
-            if overshoot > 0.0 {
-                o.virt_add(VirtAcc::Drain, overshoot);
-            }
-            if hidden > 0.0 {
-                o.virt_add(VirtAcc::OverlapHidden, hidden);
-            }
-        }
-        self.clock += overshoot;
-        self.comm_lane = self.clock;
-        self.lane_busy = 0.0;
-        overshoot
-    }
-
-    fn advance_compute(&mut self, iters: u64) {
-        self.fault_tick();
-        let dt = self.model.compute_cost(iters);
-        let start = self.clock;
-        self.clock += dt;
-        self.stats.compute_time += dt;
-        if let Some(tr) = &mut self.trace {
-            tr.events.push(Event::Compute {
-                start,
-                end: self.clock,
-                iters,
-            });
-        }
-        if let Some(o) = &self.obs {
-            o.virt_add(VirtAcc::Compute, dt);
-        }
-    }
-
-    fn local_time(&self) -> f64 {
-        self.clock
-    }
-
-    fn model(&self) -> &MachineModel {
-        &self.model
-    }
-
-    fn stats(&self) -> CommStats {
-        self.stats
-    }
-
-    fn obs(&mut self) -> Option<&mut RankObs> {
-        self.obs.as_mut()
-    }
-
-    fn recovery_interval(&self) -> Option<u64> {
-        match &self.recovery {
-            Some(TcpRecovery::InProcess(r)) => Some(r.interval),
-            Some(TcpRecovery::Worker(w)) => Some(w.interval),
-            None => None,
-        }
-    }
-
-    fn checkpoint(&mut self, chain_pos: u64, app: &[u8]) {
-        if self.recovery.is_none() {
-            return;
-        }
-        // Snapshot observability state *before* counting the checkpoint, so
-        // a restore followed by a re-checkpoint at the same position counts
-        // it exactly once — like the fault-free run.
-        let (counters, virts) = match &self.obs {
-            Some(o) => {
-                let m = o.metrics();
-                (
-                    Some(Counter::ALL.iter().map(|&c| m.get(c)).collect()),
-                    Some(VirtAcc::ALL.iter().map(|&a| m.virt_get(a)).collect()),
-                )
-            }
-            None => (None, None),
-        };
-        let ckpt = CkptState {
-            chain_pos,
-            app: app.to_vec(),
-            clock: self.clock,
-            comm_lane: self.comm_lane,
-            lane_busy: self.lane_busy,
-            stats: self.stats,
-            next: self.links.next_frontier(),
-            expect: self.links.expect_frontier(),
-            pending: self.pending.clone(),
-            trace_len: self.trace.as_ref().map_or(0, |t| t.events.len()),
-            counters,
-            virts,
-        };
-        // Transport-level write accounting: the in-process path snapshots
-        // only the application state, worker mode persists the full encoded
-        // checkpoint file.
-        let mut ckpt_bytes = app.len() as u64;
-        match self.recovery.as_mut().expect("recovery checked above") {
-            TcpRecovery::InProcess(rec) => {
-                // In-process ranks share the log matrix: acknowledge the
-                // consumed envelopes by trimming the incoming logs directly.
-                if let Some(logs) = &self.replay_logs {
-                    for from in 0..self.size {
-                        if from != self.rank {
-                            logs[from][self.rank]
-                                .lock()
-                                .expect("replay log poisoned")
-                                .trim_below(self.links.expect_of(from));
-                        }
-                    }
-                }
-                rec.ckpt = Some(ckpt);
-            }
-            TcpRecovery::Worker(w) => {
-                // A worker persists the checkpoint — endpoint snapshot plus
-                // its own outgoing replay-log row — then acknowledges the
-                // consumed envelopes with a `CKPT_ACK` per peer.
-                let row: Vec<(u64, Vec<Envelope>)> = (0..self.size)
-                    .map(|to| match &self.replay_logs {
-                        Some(logs) if to != self.rank => {
-                            let log = logs[self.rank][to].lock().expect("replay log poisoned");
-                            (log.base(), log.items().cloned().collect())
-                        }
-                        _ => (0, Vec::new()),
-                    })
-                    .collect();
-                let bytes = encode_ckpt(&ckpt, &row);
-                ckpt_bytes = bytes.len() as u64;
-                if let Err(e) = write_ckpt_file(&w.path, &bytes) {
-                    // A failed write must not kill the run: the previous
-                    // checkpoint (or a fresh start) still recovers it.
-                    eprintln!("tilecc worker {}: checkpoint write failed: {e}", self.rank);
-                }
-                w.ckpts_taken += 1;
-                for (peer, writer) in self.writers.iter().enumerate() {
-                    if peer == self.rank {
-                        continue;
-                    }
-                    let mut frame = Frame::control(FrameKind::CkptAck, self.rank as u32);
-                    frame.seq = self.links.expect_of(peer);
-                    if let Some(writer) = writer {
-                        self.writer_depth[peer].fetch_add(1, Ordering::Relaxed);
-                        if writer.send(frame.encode()).is_err() {
-                            self.writer_depth[peer].fetch_sub(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                // Test hook: hard-kill this process at its N-th checkpoint
-                // (first life only — a respawn must not re-fire the kill).
-                if !w.resume_run && w.kill_at == Some(w.ckpts_taken) {
-                    kill_self();
-                }
-            }
-        }
-        if let Some(o) = &self.obs {
-            o.add(Counter::Checkpoints, 1);
-            o.add(Counter::CkptWrites, 1);
-            o.add(Counter::CkptBytes, ckpt_bytes);
-            if let Some(logs) = &self.replay_logs {
-                let depth: u64 = (0..self.size)
-                    .filter(|&to| to != self.rank)
-                    .map(|to| {
-                        logs[self.rank][to]
-                            .lock()
-                            .expect("replay log poisoned")
-                            .len() as u64
-                    })
-                    .sum();
-                o.gauge_set(GaugeId::ReplayLogDepth, depth);
-            }
-        }
-    }
-
-    fn try_restore(&mut self) -> Option<Restored> {
-        // Only in-process ranks restore in place; a worker recovers at the
-        // process level (its crash reaches the driver, which restarts the
-        // world with `--resume`).
-        match &self.recovery {
-            Some(TcpRecovery::InProcess(rec)) => rec.ckpt.as_ref()?,
-            _ => return None,
-        };
-        // Consume one unit of the run-wide restore budget.
-        {
-            let Some(TcpRecovery::InProcess(rec)) = &self.recovery else {
-                unreachable!("matched above");
-            };
-            loop {
-                let left = rec.budget.load(Ordering::SeqCst);
-                if left == 0 {
-                    return None;
-                }
-                if rec
-                    .budget
-                    .compare_exchange(left, left - 1, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    break;
-                }
-            }
-        }
-        // Crash-time reorder holds may contain envelopes the receiver still
-        // needs; release them before rewinding (their seq numbers lie past
-        // the checkpoint frontier, so re-execution will skip re-pushing).
-        let _ = self.flush_holdbacks();
-        let clock_crash = self.clock;
-        let next_crash = self.links.next_frontier();
-        let expect_crash = self.links.expect_frontier();
-
-        let Some(TcpRecovery::InProcess(rec)) = self.recovery.as_mut() else {
-            unreachable!("matched above");
-        };
-        let ckpt = rec.ckpt.as_ref().expect("checked above");
-        self.clock = ckpt.clock;
-        self.comm_lane = ckpt.comm_lane;
-        self.lane_busy = ckpt.lane_busy;
-        self.stats = ckpt.stats;
-        self.links.rewind(&ckpt.next, &ckpt.expect);
-        self.pending = ckpt.pending.clone();
-        if let Some(tr) = &mut self.trace {
-            tr.events.truncate(ckpt.trace_len);
-        }
-        if let Some(o) = &self.obs {
-            let m = o.metrics();
-            if let Some(counters) = &ckpt.counters {
-                for (&c, &v) in Counter::ALL.iter().zip(counters) {
-                    m.set(c, v);
-                }
-            }
-            if let Some(virts) = &ckpt.virts {
-                for (&a, &v) in VirtAcc::ALL.iter().zip(virts) {
-                    m.virt_set(a, v);
-                }
-            }
-        }
-        // Re-inject the lost in-flight window from the peers' replay logs:
-        // everything consumed between the checkpoint and the crash.
-        if let Some(logs) = &self.replay_logs {
-            for from in 0..self.size {
-                if from != self.rank {
-                    let replayed = logs[from][self.rank]
-                        .lock()
-                        .expect("replay log poisoned")
-                        .range(ckpt.expect[from], expect_crash[from]);
-                    for env in replayed {
-                        self.links.reinject(from, env);
-                    }
-                }
-            }
-        }
-        rec.resend_skip = next_crash;
-        rec.debt += clock_crash - ckpt.clock;
-        rec.used += 1;
-        let (chain_pos, app) = (ckpt.chain_pos, ckpt.app.clone());
-        let used = rec.used;
-        self.stats.recoveries = used;
-        // The crash fired; a restored rank does not re-crash.
-        self.crash_at = None;
-        if let Some(o) = &self.obs {
-            o.add(Counter::Recoveries, 1);
-        }
-        self.monitor.bump();
-        Some(Restored { chain_pos, app })
-    }
-
-    fn resume_state(&mut self) -> Option<Restored> {
-        match self.recovery.as_mut() {
-            Some(TcpRecovery::Worker(w)) => w.resume.take(),
-            _ => None,
-        }
-    }
-
-    fn settle_recovery(&mut self) -> f64 {
-        // Worker-mode recovery carries no debt: a respawned process resumes
-        // its checkpointed clock and never rewinds a live one.
-        let Some(TcpRecovery::InProcess(rec)) = self.recovery.as_mut() else {
-            return 0.0;
-        };
-        let debt = rec.debt;
-        rec.debt = 0.0;
-        if debt > 0.0 {
-            self.clock += debt;
-            self.stats.recovery_time += debt;
-            if let Some(o) = &self.obs {
-                o.virt_add(VirtAcc::Recovery, debt);
-            }
-        }
-        debt
-    }
-}
-
-impl Drop for TcpComm {
-    fn drop(&mut self) {
-        let _ = self.flush_holdbacks();
-        // Release the writer threads: they flush what is queued, then send
-        // FIN; readers drain to end-of-stream. With recovery active the
-        // reader threads hold queue senders too (replay injection), so
-        // dropping this endpoint's senders does not close the channels —
-        // hand every writer the explicit flush-and-exit sentinel instead.
-        for tx in self.writers.iter().flatten() {
-            let _ = tx.send(Vec::new());
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // In-process runner
 // ---------------------------------------------------------------------------
@@ -1388,106 +724,38 @@ where
     // The coordinator keeps the control sockets alive until the run ends.
     let coordinator = thread::spawn(move || rendezvous.coordinate(size, HANDSHAKE_TIMEOUT));
 
-    let scheme = options.scheme;
-    let fault = options.fault.clone().map(Arc::new);
-    // In-process recovery mirrors the threaded engine exactly: a shared
-    // replay-log matrix and a run-wide restore budget.
-    let recovery_opts = options.recovery;
-    let replay_logs = recovery_opts.map(|_| new_replay_logs(size));
-    let recovery_budget = recovery_opts.map(|r| Arc::new(AtomicU64::new(r.max_recoveries)));
-    let monitor = Arc::new(Monitor::new(size));
+    let shared = RunShared::new(size, model, &options);
     let f = Arc::new(f);
     let (done_tx, done_rx) = channel();
     for rank in 0..size {
-        let f = f.clone();
-        let monitor_for_rank = monitor.clone();
-        let done = done_tx.clone();
-        let fault = fault.clone();
-        let obs = options
-            .obs
-            .as_ref()
-            .map(|reg| RankObs::new(reg.clone(), rank));
-        let trace = options.trace;
+        let (f, done, shared) = (f.clone(), done_tx.clone(), shared.clone());
         let rdv_addr = rdv_addr.clone();
-        let rank_logs = replay_logs.clone();
-        let rank_budget = recovery_budget.clone();
         thread::Builder::new()
             .name(format!("tilecc-tcp-rank-{rank}"))
             .spawn(move || {
                 let connect_t0 = Instant::now();
-                let mesh = match connect_mesh(rank, size, &rdv_addr, "127.0.0.1:0") {
-                    Ok(mesh) => mesh,
+                let (end, clock, stats) = match connect_mesh(rank, size, &rdv_addr, "127.0.0.1:0") {
+                    Ok(mesh) => {
+                        // Keep the control socket open for the run's duration
+                        // so the coordinator's accept bookkeeping stays simple.
+                        let _control = mesh.control;
+                        let metrics = shared.obs.as_ref().map(|reg| reg.rank_metrics(rank));
+                        let connect_ns = connect_t0.elapsed().as_nanos() as u64;
+                        let link = TcpLink::new(rank, mesh.peers, metrics, connect_ns, None);
+                        run_rank(shared.core(rank, link), |comm| f(comm))
+                    }
                     Err(error) => {
-                        monitor_for_rank.set(rank, RankPhase::Done);
-                        let _ = done.send((
-                            rank,
-                            RankEnd::CommFail(error),
-                            0.0,
-                            CommStats::default(),
-                            Trace::default(),
-                        ));
-                        return;
+                        shared.monitor.set(rank, RankPhase::Done);
+                        (RankEnd::CommFail(error), 0.0, CommStats::default())
                     }
                 };
-                // Keep the control socket open for the run's duration so the
-                // coordinator's accept bookkeeping stays simple.
-                let _control = mesh.control;
-                let (mut comm, writer_handles) = TcpComm::build(
-                    TcpCommConfig {
-                        rank,
-                        size,
-                        model,
-                        scheme,
-                        fault,
-                        trace,
-                        obs,
-                        connect_ns: connect_t0.elapsed().as_nanos() as u64,
-                        replay_logs: rank_logs,
-                        recovery: recovery_opts.map(|r| {
-                            TcpRecovery::InProcess(RecoveryCtl {
-                                interval: r.interval.max(1),
-                                budget: rank_budget.clone().expect("budget set with recovery"),
-                                ckpt: None,
-                                resend_skip: vec![0; size],
-                                debt: 0.0,
-                                used: 0,
-                            })
-                        }),
-                    },
-                    mesh.peers,
-                    monitor_for_rank.clone(),
-                );
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let r = f(&mut comm);
-                    // Charge the accumulated recovery debt once, at the end:
-                    // every message timestamp stayed bitwise fault-free, and
-                    // the final clock is fault-free time + recovery time.
-                    comm.settle_recovery();
-                    r
-                }));
-                monitor_for_rank.set(rank, RankPhase::Done);
-                let end = match outcome {
-                    Ok(r) => RankEnd::Ok(r),
-                    Err(payload) => match payload.downcast::<CommAbort>() {
-                        Ok(abort) => RankEnd::CommFail(abort.error),
-                        Err(payload) => RankEnd::Panic(panic_message(payload.as_ref())),
-                    },
-                };
-                let (clock, stats) = (comm.clock, comm.stats);
-                let trace = comm.trace.take().unwrap_or_default();
-                // Close our endpoint: writers flush + FIN, blocked peers
-                // observe end-of-stream instead of hanging.
-                drop(comm);
-                for h in writer_handles {
-                    let _ = h.join();
-                }
-                let _ = done.send((rank, end, clock, stats, trace));
+                let _ = done.send((rank, end, clock, stats));
             })
             .expect("failed to spawn tcp rank thread");
     }
     drop(done_tx);
 
-    let result = collect(size, monitor, done_rx, &options);
+    let result = collect(size, &shared.monitor, done_rx, &options);
     let _ = coordinator.join();
     result
 }
@@ -1507,8 +775,9 @@ pub struct WorkerConfig {
     pub rendezvous: String,
     /// Machine model, which must match the driver's.
     pub model: MachineModel,
-    /// Engine options; `scheme`, `fault`, `trace`, and `obs` apply
-    /// (watchdog fields are the driver's job in the multi-process model).
+    /// Engine options; `scheme`, `fault` and `obs` apply (watchdog fields
+    /// are the driver's job in the multi-process model, and `ckpt` replaces
+    /// `recovery`).
     pub options: EngineOptions,
     /// Local address (`host:port`, usually port 0) to bind the mesh
     /// listener on; loopback by default.
@@ -1797,8 +1066,7 @@ impl<'a> CkptCursor<'a> {
     }
 }
 
-/// Deserialize a worker checkpoint; the inverse of [`encode_ckpt`]. The
-/// worker's trace restarts empty on respawn, so `trace_len` is zero.
+/// Deserialize a worker checkpoint; the inverse of [`encode_ckpt`].
 #[allow(clippy::type_complexity)]
 fn decode_ckpt(bytes: &[u8]) -> Result<(CkptState, Vec<(u64, Vec<Envelope>)>), String> {
     let mut c = CkptCursor { buf: bytes, at: 0 };
@@ -1889,7 +1157,6 @@ fn decode_ckpt(bytes: &[u8]) -> Result<(CkptState, Vec<(u64, Vec<Envelope>)>), S
             next,
             expect,
             pending,
-            trace_len: 0,
             counters,
             virts,
         },
@@ -2027,108 +1294,62 @@ where
     // Keep the original control handle alive too (dropping a clone does not
     // close the socket, but be explicit about ownership).
     let _control_keepalive = mesh.control;
-    let monitor = Arc::new(Monitor::new(cfg.size));
-    let stop = Arc::new(AtomicBool::new(false));
-    let obs = cfg.options.obs.as_ref().map(|reg| {
+    // Worker checkpoints replace the in-process recovery policy: no restore
+    // happens in place (the budget is zero), the driver respawns instead.
+    let shared = RunShared {
+        recovery: cfg.ckpt.as_ref().map(|ck| {
+            let logs = new_replay_logs(cfg.size);
+            (ck.interval.max(1), Arc::new(AtomicU64::new(0)), logs)
+        }),
+        ..RunShared::new(cfg.size, cfg.model, &cfg.options)
+    };
+    let metrics = shared.obs.as_ref().map(|reg| {
         // Force the registry to the full world size so per-rank exports
         // index consistently even though only our slot is written.
         let _ = reg.rank_metrics(cfg.size.saturating_sub(1));
-        RankObs::new(reg.clone(), rank)
+        reg.rank_metrics(rank)
     });
+    let stop = Arc::new(AtomicBool::new(false));
     let heartbeat = spawn_heartbeat(
         rank,
         control.clone(),
-        monitor.clone(),
+        shared.monitor.clone(),
         stop.clone(),
         cfg.heartbeat,
-        obs.as_ref().map(|o| o.metrics()),
+        metrics.clone(),
     );
-    // Checkpointing: load any previous checkpoint file up front (resumed
-    // runs), seed this rank's replay-log row from it, and arm the kill
-    // hook on first lives only.
-    let mut resume_data = None;
-    let (replay_logs, recovery) = match &cfg.ckpt {
-        Some(ck) => {
-            let logs = new_replay_logs(cfg.size);
-            // A missing file is fine: the process died before its first
-            // checkpoint and resumes from position zero with zero frontiers.
-            if ck.resume {
-                if let Ok(bytes) = std::fs::read(&ck.path) {
-                    match decode_ckpt(&bytes) {
-                        Ok(data) => resume_data = Some(data),
-                        Err(detail) => {
-                            return Err(RunError::Comm {
-                                rank,
-                                error: transport_error("checkpoint restore", detail),
-                            })
-                        }
-                    }
+    // A respawned worker loads its previous checkpoint file up front and
+    // seeds this rank's replay-log row from it before any reader thread can
+    // serve a peer's `RESUME`. A missing file is fine: the process died
+    // before its first checkpoint and resumes from position zero.
+    let mut resume = None;
+    if let (Some(ck), Some((_, _, logs))) = (&cfg.ckpt, &shared.recovery) {
+        if let Some(bytes) = ck.resume.then(|| std::fs::read(&ck.path).ok()).flatten() {
+            let (ckpt, row) = decode_ckpt(&bytes).map_err(|detail| RunError::Comm {
+                rank,
+                error: transport_error("checkpoint restore", detail),
+            })?;
+            for (to, (base, items)) in row.into_iter().enumerate() {
+                if to != rank {
+                    *logs[rank][to].lock().expect("replay log poisoned") =
+                        ReplayLog::restore(base, items);
                 }
             }
-            if let Some((_, row)) = &resume_data {
-                for (to, (base, items)) in row.iter().enumerate() {
-                    if to != rank {
-                        *logs[rank][to].lock().expect("replay log poisoned") =
-                            ReplayLog::restore(*base, items.clone());
-                    }
-                }
-            }
-            let recovery = TcpRecovery::Worker(WorkerRecovery {
-                interval: ck.interval.max(1),
-                path: ck.path.clone(),
-                resume: resume_data.as_ref().map(|(ckpt, _)| Restored {
-                    chain_pos: ckpt.chain_pos,
-                    app: ckpt.app.clone(),
-                }),
-                resume_run: ck.resume,
-                resend_skip: vec![0; cfg.size],
-                resume_rx: None,
-                ckpts_taken: 0,
-                kill_at: kill_at_from_env(rank),
-            });
-            (Some(logs), Some(recovery))
+            resume = Some(ckpt);
         }
-        None => (None, None),
-    };
-    let (mut comm, writer_handles) = TcpComm::build(
-        TcpCommConfig {
-            rank,
-            size: cfg.size,
-            model: cfg.model,
-            scheme: cfg.options.scheme,
-            fault: cfg.options.fault.clone().map(Arc::new),
-            trace: cfg.options.trace,
-            obs,
-            connect_ns,
-            replay_logs,
-            recovery,
-        },
-        mesh.peers,
-        monitor.clone(),
-    );
-    if let Some((ckpt, _)) = resume_data {
-        // Rewind the fresh endpoint onto the checkpoint: clock, lanes,
-        // statistics, reliability frontiers, tag-matching buffers, and the
-        // observability counters — the resumed run continues bitwise.
-        comm.clock = ckpt.clock;
-        comm.comm_lane = ckpt.comm_lane;
-        comm.lane_busy = ckpt.lane_busy;
-        comm.stats = ckpt.stats;
-        comm.links.rewind(&ckpt.next, &ckpt.expect);
-        comm.pending = ckpt.pending;
-        if let Some(o) = &comm.obs {
-            let m = o.metrics();
-            if let Some(counters) = &ckpt.counters {
-                for (&c, &v) in Counter::ALL.iter().zip(counters) {
-                    m.set(c, v);
-                }
-            }
-            if let Some(virts) = &ckpt.virts {
-                for (&a, &v) in VirtAcc::ALL.iter().zip(virts) {
-                    m.virt_set(a, v);
-                }
-            }
-        }
+    }
+    let worker = cfg.ckpt.as_ref().zip(shared.recovery.as_ref());
+    let worker = worker.map(|(ck, (_, _, logs))| (ck, logs.clone()));
+    let link = TcpLink::new(rank, mesh.peers, metrics, connect_ns, worker);
+    let mut comm = shared.core(rank, link);
+    if let (Some(ckpt), Some(rec)) = (resume, comm.recovery.as_mut()) {
+        // Hand the resume state to the executor and rewind the fresh
+        // endpoint onto the checkpoint — the resumed run continues bitwise.
+        rec.resume = Some(Restored {
+            chain_pos: ckpt.chain_pos,
+            app: ckpt.app.clone(),
+        });
+        comm.rewind(&ckpt);
     }
     if let Some(ck) = &cfg.ckpt {
         comm.stats.recoveries = ck.recovered;
@@ -2138,59 +1359,35 @@ where
             comm.crash_at = None;
         }
     }
-    comm.worker_resume_barrier()
-        .map_err(|error| RunError::Comm { rank, error })?;
-    let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
-    monitor.set(rank, RankPhase::Done);
-    let (clock, stats) = (comm.clock, comm.stats);
-    // Flush our endpoint (writers drain + FIN) before reporting.
-    drop(comm);
-    for h in writer_handles {
-        let _ = h.join();
-    }
+    worker_resume_barrier(&mut comm).map_err(|error| RunError::Comm { rank, error })?;
+    let (end, clock, stats) = run_rank(comm, f);
     stop.store(true, Ordering::Relaxed);
     let _ = heartbeat.join();
-    match outcome {
-        Ok(r) => Ok((r, clock, stats, WorkerHandle { rank, control })),
-        Err(payload) => {
-            let error = match payload.downcast::<CommAbort>() {
-                Ok(abort) => RunError::Comm {
-                    rank,
-                    error: abort.error,
-                },
-                Err(payload) => RunError::RankPanicked {
-                    rank,
-                    payload: panic_message(payload.as_ref()),
-                },
-            };
-            let mut frame = Frame::control(FrameKind::Error, rank as u32);
-            match &error {
-                RunError::Comm { error: e, .. } => {
-                    frame.seq = 2;
-                    let (tag, nominal, aux) = encode_comm_error(e);
-                    frame.tag = tag;
-                    frame.nominal = nominal;
-                    frame.ready_at = aux;
-                    frame.payload = e.to_string().into_bytes();
-                }
-                RunError::RankPanicked { payload, .. } => {
-                    // The bare panic payload: the driver re-wraps it in a
-                    // `RankPanicked` carrying the rank, so sending the
-                    // rendered error would double the prefix.
-                    frame.seq = 1;
-                    frame.payload = payload.clone().into_bytes();
-                }
-                other => {
-                    frame.seq = 1;
-                    frame.payload = other.to_string().into_bytes();
-                }
-            }
-            if let Ok(mut control) = control.lock() {
-                let _ = wire::write_frame(&mut *control, &frame);
-            }
-            Err(error)
+    let mut frame = Frame::control(FrameKind::Error, rank as u32);
+    let error = match end {
+        RankEnd::Ok(r) => return Ok((r, clock, stats, WorkerHandle { rank, control })),
+        RankEnd::CommFail(error) => {
+            frame.seq = 2;
+            let (tag, nominal, aux) = encode_comm_error(&error);
+            frame.tag = tag;
+            frame.nominal = nominal;
+            frame.ready_at = aux;
+            frame.payload = error.to_string().into_bytes();
+            RunError::Comm { rank, error }
         }
+        RankEnd::Panic(payload) => {
+            // The bare panic payload: the driver re-wraps it in a
+            // `RankPanicked` carrying the rank, so sending the rendered
+            // error would double the prefix.
+            frame.seq = 1;
+            frame.payload = payload.clone().into_bytes();
+            RunError::RankPanicked { rank, payload }
+        }
+    };
+    if let Ok(mut control) = control.lock() {
+        let _ = wire::write_frame(&mut *control, &frame);
     }
+    Err(error)
 }
 
 /// One worker's successful outcome as seen by the driver.
@@ -2561,8 +1758,7 @@ pub fn collect_workers_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threaded::{InjectedCrash, RecoveryOptions};
-    use std::panic::resume_unwind;
+    use crate::{Comm, Counter, VirtAcc};
 
     #[test]
     fn comm_error_codes_round_trip() {
@@ -2620,7 +1816,6 @@ mod tests {
             next: vec![0, 9],
             expect: vec![0, 8],
             pending: vec![Vec::new(), vec![env(5)]],
-            trace_len: 0,
             counters: Some(vec![11; Counter::ALL.len()]),
             virts: Some(vec![0.5; VirtAcc::ALL.len()]),
         };
@@ -2643,122 +1838,6 @@ mod tests {
         // Truncation is an error, never a panic.
         assert!(decode_ckpt(&bytes[..bytes.len() - 3]).is_err());
         assert!(decode_ckpt(b"TCKQ").is_err());
-    }
-
-    /// The threaded recovery suite's ring, over sockets: checkpoints every
-    /// `recovery_interval` rounds and restores from injected crashes.
-    fn resilient_ring(comm: &mut TcpComm, rounds: u64) -> f64 {
-        let k = comm.recovery_interval().unwrap_or(u64::MAX);
-        let mut pos = 0u64;
-        let mut acc = (comm.rank() + 1) as f64;
-        loop {
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                let (r, n) = (comm.rank(), comm.size());
-                let mut acc = acc;
-                for round in pos..rounds {
-                    if round % k == 0 {
-                        comm.checkpoint(round, &acc.to_bits().to_le_bytes());
-                    }
-                    comm.advance_compute(10 + r as u64);
-                    comm.send_tagged((r + 1) % n, round as i64, vec![acc, acc * 0.5], 16);
-                    let got = comm.recv_tagged((r + n - 1) % n, round as i64);
-                    acc += got[0] * 0.25 + got[1];
-                }
-                acc
-            }));
-            match attempt {
-                Ok(v) => return v,
-                Err(payload) => {
-                    if payload.downcast_ref::<InjectedCrash>().is_some() {
-                        if let Some(res) = comm.try_restore() {
-                            pos = res.chain_pos;
-                            acc = f64::from_bits(u64::from_le_bytes(
-                                res.app[..8].try_into().expect("8-byte app snapshot"),
-                            ));
-                            continue;
-                        }
-                    }
-                    resume_unwind(payload);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn injected_crash_recovers_in_process_tcp_bitwise() {
-        let model = MachineModel::fast_ethernet_p3();
-        let run = |fault: Option<FaultPlan>, recovery: Option<RecoveryOptions>| {
-            run_cluster_tcp(
-                3,
-                model,
-                EngineOptions {
-                    fault,
-                    recovery,
-                    ..EngineOptions::default()
-                },
-                |comm| resilient_ring(comm, 9),
-            )
-        };
-        let clean = run(None, None).unwrap();
-        let crash_at = clean.makespan() * 0.5;
-        let recovered = run(
-            Some(FaultPlan::default().with_crash(1, crash_at)),
-            Some(RecoveryOptions {
-                interval: 3,
-                max_recoveries: 1,
-            }),
-        )
-        .unwrap();
-        for r in 0..3 {
-            assert_eq!(
-                clean.results[r].to_bits(),
-                recovered.results[r].to_bits(),
-                "rank {r} data"
-            );
-            // The settle step adds the recovery debt once at the end, so
-            // the identity is exact in floating point, not just to 1e-9.
-            assert_eq!(
-                (clean.local_times[r] + recovered.stats[r].recovery_time).to_bits(),
-                recovered.local_times[r].to_bits(),
-                "rank {r} clock"
-            );
-        }
-        assert_eq!(recovered.stats[1].recoveries, 1);
-        assert!(recovered.stats[1].recovery_time > 0.0);
-        assert_eq!(recovered.stats[0].recoveries, 0);
-    }
-
-    #[test]
-    fn crash_overlapping_chaos_recovers_the_checksum_over_tcp() {
-        let model = MachineModel::fast_ethernet_p3();
-        let clean = run_cluster_tcp(3, model, EngineOptions::default(), |comm| {
-            resilient_ring(comm, 9)
-        })
-        .unwrap();
-        let crash_at = clean.makespan() * 0.4;
-        let chaotic = run_cluster_tcp(
-            3,
-            model,
-            EngineOptions {
-                fault: Some(FaultPlan::chaos(0xC0FFEE, 0.3).with_crash(1, crash_at)),
-                recovery: Some(RecoveryOptions {
-                    interval: 3,
-                    max_recoveries: 2,
-                }),
-                ..EngineOptions::default()
-            },
-            |comm| resilient_ring(comm, 9),
-        )
-        .unwrap();
-        // Chaos perturbs clocks (retransmission charges) but never data.
-        for r in 0..3 {
-            assert_eq!(
-                clean.results[r].to_bits(),
-                chaotic.results[r].to_bits(),
-                "rank {r} data"
-            );
-        }
-        assert!(chaotic.stats[1].recoveries >= 1);
     }
 
     #[test]

@@ -27,15 +27,17 @@
 //!   blocked ranks, and optionally enforces a wall-clock cap
 //!   ([`RunError::WallTimeout`]) so a wedged run can never hang the caller
 //!   forever.
+//!
+//! Everything a rank does to its virtual clock lives in the shared
+//! [`RankCore`]; this module supplies its in-process [`ChannelLink`], the
+//! run options and report, and the watchdog both engines share.
 
-use crate::comm::{Comm, CommAbort, CommStats, Envelope, Restored};
+use crate::comm::{CommAbort, CommStats, Envelope};
 use crate::error::{CommError, RunError};
-use crate::fault::{FaultPlan, RankStall};
+use crate::fault::FaultPlan;
 use crate::model::MachineModel;
-use crate::obs::{Counter, GaugeId, HistId, MetricsRegistry, Phase, RankObs, SpanEdge, VirtAcc};
-use crate::reliability::{retransmit_pauses, Admit, LinkSeq, ReplayLog};
-use crate::trace::{Event, Trace};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use crate::obs::{MetricsRegistry, RankObs};
+use crate::rank::{run_rank, Link, RankCore, RankEnd, RunShared};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, Once};
@@ -61,8 +63,6 @@ pub struct RunReport<R> {
     pub local_times: Vec<f64>,
     /// Per-rank statistics.
     pub stats: Vec<CommStats>,
-    /// Per-rank event traces (empty unless tracing was enabled).
-    pub traces: Vec<Trace>,
 }
 
 impl<R> RunReport<R> {
@@ -168,14 +168,12 @@ impl Default for RecoveryOptions {
     }
 }
 
-/// Engine options: communication scheme, tracing, fault injection and the
-/// watchdog configuration.
+/// Engine options: communication scheme, fault injection, crash recovery,
+/// the watchdog configuration and observability.
 #[derive(Clone, Debug)]
 pub struct EngineOptions {
     /// Communication scheme in force (see [`CommScheme`]).
     pub scheme: CommScheme,
-    /// Record per-rank [`Trace`] event logs.
-    pub trace: bool,
     /// Deterministic fault-injection plan (`None` = perfect substrate).
     pub fault: Option<FaultPlan>,
     /// Crash-recovery policy (`None` = a crash fails the run).
@@ -198,7 +196,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             scheme: CommScheme::default(),
-            trace: false,
             fault: None,
             recovery: None,
             wall_timeout: default_wall_timeout(),
@@ -228,65 +225,6 @@ pub struct InjectedCrash {
     pub at: f64,
     /// Virtual clock when the crash fired.
     pub clock: f64,
-}
-
-/// Shared sender-side replay logs: `logs[from][to]` retains the envelopes
-/// `from` pushed to `to` until `to`'s checkpoint acknowledges them.
-pub(crate) type ReplayLogs = Arc<Vec<Vec<Mutex<ReplayLog>>>>;
-
-/// A replay-log matrix for a world of `size` ranks (diagonal unused).
-pub(crate) fn new_replay_logs(size: usize) -> ReplayLogs {
-    Arc::new(
-        (0..size)
-            .map(|_| (0..size).map(|_| Mutex::new(ReplayLog::new())).collect())
-            .collect(),
-    )
-}
-
-/// One rank's checkpoint: everything needed to rewind the endpoint to a
-/// chain position and re-execute deterministically from there. Shared with
-/// the in-process TCP engine, which recovers at the same level.
-pub(crate) struct CkptState {
-    /// Chain position the checkpoint was taken at.
-    pub(crate) chain_pos: u64,
-    /// Opaque application snapshot (LDS values + logical counters).
-    pub(crate) app: Vec<u8>,
-    pub(crate) clock: f64,
-    pub(crate) comm_lane: f64,
-    pub(crate) lane_busy: f64,
-    pub(crate) stats: CommStats,
-    /// Outgoing sequence frontier per link.
-    pub(crate) next: Vec<u64>,
-    /// Incoming expected-sequence frontier per link.
-    pub(crate) expect: Vec<u64>,
-    /// Arrived-but-unmatched envelopes (MPI tag-matching buffers).
-    pub(crate) pending: Vec<Vec<Envelope>>,
-    /// Trace length, so restore can truncate re-executed events.
-    pub(crate) trace_len: usize,
-    /// Observability counter values at the checkpoint (`None` without obs).
-    pub(crate) counters: Option<Vec<u64>>,
-    /// Virtual-accumulator values at the checkpoint (`None` without obs).
-    pub(crate) virts: Option<Vec<f64>>,
-}
-
-/// Per-rank recovery state, shared by the threaded and in-process TCP
-/// engines.
-pub(crate) struct RecoveryCtl {
-    /// Checkpoint cadence requested from the executor.
-    pub(crate) interval: u64,
-    /// Run-wide remaining-restores budget, shared across ranks.
-    pub(crate) budget: Arc<AtomicU64>,
-    /// Latest checkpoint (overwritten each interval).
-    pub(crate) ckpt: Option<CkptState>,
-    /// Re-execution send frontier per outgoing link: sends with
-    /// `seq < resend_skip[to]` redo all virtual accounting but skip the
-    /// physical push — the receiver already holds those envelopes (either
-    /// delivered pre-crash or re-injected from the replay log).
-    pub(crate) resend_skip: Vec<u64>,
-    /// Virtual seconds rewound over, re-charged once at settle time.
-    pub(crate) debt: f64,
-    /// Restores performed by this rank.
-    pub(crate) used: u64,
 }
 
 /// What a rank is doing, as seen by the watchdog (and, in the
@@ -355,653 +293,34 @@ impl Monitor {
     }
 }
 
-/// Communication endpoint handed to each SPMD thread.
-pub struct ThreadedComm {
-    rank: usize,
-    size: usize,
-    model: MachineModel,
-    scheme: CommScheme,
-    clock: f64,
-    /// Per-rank NIC lane for the overlapped scheme: the virtual time the
-    /// lane finishes its last queued injection. Sends serialize on the lane
-    /// (`max(lane, clock) + send_cost`) instead of charging the CPU clock;
-    /// [`Comm::drain_sends`] max-merges the lane back into the clock.
-    comm_lane: f64,
-    /// Lane busy time accumulated since the last drain (for the
-    /// `overlap_hidden` accounting).
-    lane_busy: f64,
-    stats: CommStats,
-    trace: Option<Trace>,
+/// The in-process [`Link`]: one `std::sync::mpsc` channel per directed
+/// rank pair.
+pub struct ChannelLink {
     /// `txs[to]`: channel to each peer (slot `rank` unused).
     txs: Vec<Option<Sender<Envelope>>>,
     /// `rxs[from]`: channel from each peer.
     rxs: Vec<Option<Receiver<Envelope>>>,
-    /// Per-peer buffers of arrived-but-unmatched messages (MPI-style tag
-    /// matching).
-    pending: Vec<Vec<Envelope>>,
-    /// Shared watchdog state.
-    monitor: Arc<Monitor>,
-    /// Fault plan, if any.
-    fault: Option<Arc<FaultPlan>>,
-    /// This rank's injected crash time, if any.
-    crash_at: Option<f64>,
-    /// This rank's injected stall, if any (cleared once fired).
-    stall: Option<RankStall>,
-    /// Reliability layer: per-link sequence state (duplicate suppression,
-    /// re-sequencing) shared with the TCP transport.
-    links: LinkSeq,
-    /// Reorder injection: at most one held-back envelope per outgoing link,
-    /// released after the next message on that link (or at the next
-    /// blocking receive / rank exit, so a hold can never cause deadlock).
-    holdback: Vec<Option<Envelope>>,
-    /// Observability handle (`None` unless the run has a registry attached).
-    /// Buffered spans flush to the registry when the endpoint drops, which
-    /// happens in the rank thread before its outcome is reported.
-    obs: Option<RankObs>,
-    /// Shared sender-side replay logs (`Some` only with a recovery policy).
-    replay_logs: Option<ReplayLogs>,
-    /// Checkpoint/restore state (`Some` only with a recovery policy).
-    recovery: Option<RecoveryCtl>,
 }
 
-impl ThreadedComm {
-    /// Fire any virtual-time-triggered faults for this rank: a stall jumps
-    /// the clock forward once; a crash panics (contained by the engine).
-    fn fault_tick(&mut self) {
-        if let Some(stall) = self.stall {
-            if self.clock >= stall.at {
-                self.stall = None;
-                self.clock += stall.duration;
-                self.stats.wait_time += stall.duration;
-                if let Some(o) = &self.obs {
-                    o.virt_add(VirtAcc::Stall, stall.duration);
-                }
-            }
-        }
-        if let Some(at) = self.crash_at {
-            if self.clock >= at {
-                std::panic::panic_any(InjectedCrash {
-                    rank: self.rank,
-                    at,
-                    clock: self.clock,
-                });
-            }
-        }
+impl Link for ChannelLink {
+    fn push(&self, to: usize, env: Envelope, _obs: Option<&RankObs>) -> bool {
+        let tx = self.txs[to].as_ref().expect("no channel to peer");
+        tx.send(env).is_ok()
     }
 
-    /// Inject one envelope into a link.
-    fn push_link(&self, to: usize, env: Envelope) -> Result<(), CommError> {
-        self.monitor.bump();
-        self.txs[to]
-            .as_ref()
-            .expect("no channel to peer")
-            .send(env)
-            .map_err(|_| {
-                if self.monitor.aborted() {
-                    CommError::Aborted
-                } else {
-                    CommError::Disconnected { peer: to }
-                }
-            })
+    fn poll(&self, from: usize, timeout: Duration) -> Result<Envelope, RecvTimeoutError> {
+        let rx = self.rxs[from].as_ref().expect("no channel from peer");
+        rx.recv_timeout(timeout)
     }
 
-    /// Inject a *redundant* envelope — a duplicate copy or a released
-    /// reorder hold whose payload has already been (or will be) delivered by
-    /// a primary copy. A receiver that exited in the meantime simply never
-    /// sees it: erroring here would make the run outcome depend on the
-    /// real-time race between this push and the peer's exit.
-    fn push_link_redundant(&self, to: usize, env: Envelope) -> Result<(), CommError> {
-        match self.push_link(to, env) {
-            Ok(()) | Err(CommError::Disconnected { .. }) => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Release every held-back (reorder-injected) envelope. Called before
-    /// any blocking receive and at rank exit so a hold cannot deadlock. A
-    /// hold whose receiver already exited is dropped (see
-    /// [`Self::push_link_redundant`]).
-    fn flush_holdbacks(&mut self) -> Result<(), CommError> {
-        for to in 0..self.size {
-            if let Some(env) = self.holdback[to].take() {
-                self.push_link_redundant(to, env)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The next in-sequence envelope from `from`: suppresses duplicates and
-    /// re-sequences out-of-order arrivals by sequence number, waking
-    /// periodically to honour a watchdog abort. `tag` is only for the
-    /// watchdog's diagnostics.
-    fn next_in_order(&mut self, from: usize, tag: i64) -> Result<Envelope, CommError> {
-        if let Some(env) = self.links.take_ready(from) {
-            return Ok(env);
-        }
-        self.monitor
-            .set(self.rank, RankPhase::Blocked { from, tag });
-        let result = loop {
-            let rx = self.rxs[from].as_ref().expect("no channel from peer");
-            match rx.recv_timeout(RECV_POLL) {
-                Ok(env) => {
-                    self.monitor.bump();
-                    match self.links.admit(from, env) {
-                        Admit::Deliver(env) => break Ok(env),
-                        Admit::Duplicate => {
-                            self.stats.duplicates_suppressed += 1;
-                            if let Some(o) = &self.obs {
-                                o.add(Counter::DupsSuppressed, 1);
-                            }
-                        }
-                        Admit::Buffered => {}
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.monitor.aborted() {
-                        break Err(CommError::Aborted);
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // After a watchdog abort, peers unwind and drop their
-                    // channels; that disconnect is fallout, not a cause.
-                    break Err(if self.monitor.aborted() {
-                        CommError::Aborted
-                    } else {
-                        CommError::Disconnected { peer: from }
-                    });
-                }
-            }
-        };
-        self.monitor.set(self.rank, RankPhase::Running);
-        result
+    fn closed(peer: usize) -> CommError {
+        CommError::Disconnected { peer }
     }
 }
 
-impl Comm for ThreadedComm {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn try_send_tagged(
-        &mut self,
-        to: usize,
-        tag: i64,
-        payload: Vec<f64>,
-        nominal_bytes: usize,
-    ) -> Result<(), CommError> {
-        assert!(to != self.rank, "send to self is not supported");
-        self.fault_tick();
-        let wall_t0 = self.obs.as_ref().map(|o| o.now_ns());
-        let virt_t0 = self.clock;
-        let seq = self.links.assign(to);
-        // Recovery re-execution: a send the receiver already holds (below
-        // the crash-time frontier) redoes every virtual charge and counter
-        // but must not be pushed again — see `RecoveryCtl::resend_skip`.
-        let skip_physical = self
-            .recovery
-            .as_ref()
-            .is_some_and(|r| seq < r.resend_skip[to]);
-
-        // Reliability layer: simulate stop-and-wait ARQ over the lossy link.
-        // Each dropped attempt charges the sender's clock the injection cost
-        // plus an exponential backoff before the retransmission.
-        if let Some(fault) = self.fault.clone() {
-            for pause in
-                retransmit_pauses(&fault, &self.model, self.rank, to, tag, seq, nominal_bytes)?
-            {
-                self.stats.retransmissions += 1;
-                self.stats.retrans_time += pause;
-                match self.scheme {
-                    CommScheme::Blocking => {
-                        self.clock += pause;
-                        if let Some(o) = &self.obs {
-                            o.virt_add(VirtAcc::Retrans, pause);
-                        }
-                    }
-                    // Overlapped: the NIC retries in the background, so the
-                    // backoff occupies the comm lane, not the CPU clock —
-                    // it surfaces as Drain time if the lane overshoots.
-                    CommScheme::Overlapped => {
-                        let lane_start = self.comm_lane.max(self.clock);
-                        self.comm_lane = lane_start + pause;
-                        self.lane_busy += pause;
-                    }
-                }
-                if let Some(o) = &self.obs {
-                    o.add(Counter::FaultDrops, 1);
-                    o.add(Counter::Retransmits, 1);
-                    // Modelled backoff latency, in virtual nanoseconds; a
-                    // histogram, so it never perturbs the clock partition.
-                    o.observe(HistId::RetransNs, (pause * 1e9) as u64);
-                }
-            }
-        }
-
-        let send_cost = match self.scheme {
-            CommScheme::Blocking => self.model.send_cost(nominal_bytes),
-            // Background transfer: injection off the CPU.
-            CommScheme::Overlapped => 0.0,
-        };
-        self.clock += send_cost;
-        let ready_at = match self.scheme {
-            CommScheme::Blocking => self.clock + self.model.wire_latency,
-            CommScheme::Overlapped => {
-                // Sends serialize on the rank's NIC lane: each injection
-                // starts when both the lane and the CPU have reached it.
-                let lane_start = self.comm_lane.max(self.clock);
-                let lane_end = lane_start + self.model.send_cost(nominal_bytes);
-                self.comm_lane = lane_end;
-                self.lane_busy += self.model.send_cost(nominal_bytes);
-                lane_end + self.model.wire_latency
-            }
-        };
-        let mut env = Envelope {
-            payload,
-            tag,
-            ready_at,
-            seq,
-            bytes: nominal_bytes,
-        };
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += nominal_bytes as u64;
-        if let Some(tr) = &mut self.trace {
-            tr.events.push(Event::Send {
-                at: self.clock,
-                to,
-                bytes: nominal_bytes,
-                tag,
-            });
-        }
-        if let Some(o) = &self.obs {
-            o.add(Counter::MessagesSent, 1);
-            o.add(Counter::BytesSent, nominal_bytes as u64);
-            o.virt_add(VirtAcc::Send, send_cost);
-        }
-
-        let (duplicate, reorder) = match &self.fault {
-            Some(f) if f.perturbs_links() => {
-                if let Some(extra) = f.delayed(self.rank, to, seq) {
-                    env.ready_at += extra;
-                    if let Some(o) = &self.obs {
-                        o.add(Counter::FaultDelays, 1);
-                    }
-                }
-                let (dup, reord) = (
-                    f.duplicated(self.rank, to, seq),
-                    f.reordered(self.rank, to, seq),
-                );
-                if let Some(o) = &self.obs {
-                    if dup {
-                        o.add(Counter::FaultDups, 1);
-                    }
-                    if reord {
-                        o.add(Counter::FaultReorders, 1);
-                    }
-                }
-                (dup, reord)
-            }
-            _ => (false, false),
-        };
-        if !skip_physical {
-            // Retain the primary copy (post delay perturbation, so a replay
-            // reproduces the receiver's wait bitwise) until the receiver's
-            // checkpoint acknowledges it.
-            if let Some(logs) = &self.replay_logs {
-                logs[self.rank][to]
-                    .lock()
-                    .expect("replay log poisoned")
-                    .record(env.clone());
-            }
-            if reorder {
-                // Hold this envelope so the next message on the link
-                // overtakes it. A duplicate copy delivers immediately and
-                // doubles as the primary copy; an already-held envelope is
-                // released first — at most one hold per link.
-                if duplicate {
-                    self.push_link(to, env.clone())?;
-                }
-                if let Some(prev) = self.holdback[to].take() {
-                    self.push_link_redundant(to, prev)?;
-                }
-                self.holdback[to] = Some(env);
-            } else {
-                if duplicate {
-                    self.push_link(to, env.clone())?;
-                    self.push_link_redundant(to, env)?;
-                } else {
-                    self.push_link(to, env)?;
-                }
-                if let Some(prev) = self.holdback[to].take() {
-                    self.push_link_redundant(to, prev)?;
-                }
-            }
-        }
-        if let Some(wall_t0) = wall_t0 {
-            let virt_t1 = self.clock;
-            let outstanding = self.holdback.iter().filter(|h| h.is_some()).count() as u64;
-            if let Some(o) = &mut self.obs {
-                o.gauge_set(GaugeId::OutstandingSends, outstanding);
-                o.edge_span(
-                    Phase::Send,
-                    wall_t0,
-                    (virt_t0, virt_t1),
-                    nominal_bytes as u64,
-                    SpanEdge {
-                        peer: to as u32,
-                        tag,
-                        seq,
-                    },
-                );
-            }
-        }
-        Ok(())
-    }
-
-    fn try_recv_tagged(&mut self, from: usize, tag: i64) -> Result<Vec<f64>, CommError> {
-        assert!(from != self.rank, "recv from self is not supported");
-        self.fault_tick();
-        // Anything we still hold must be released before blocking, or a
-        // reorder hold could manufacture a deadlock.
-        self.flush_holdbacks()?;
-        let wall_t0 = self.obs.as_ref().map(|o| o.now_ns());
-        let start = self.clock;
-        // Match against already-arrived messages first (MPI tag matching).
-        let env = if let Some(pos) = self.pending[from].iter().position(|e| e.tag == tag) {
-            self.pending[from].remove(pos)
-        } else {
-            loop {
-                let env = self.next_in_order(from, tag)?;
-                if env.tag == tag {
-                    break env;
-                }
-                // Arrived but not the requested message: buffer it. Its
-                // arrival does not advance the CPU clock (the NIC holds it).
-                self.pending[from].push(env);
-            }
-        };
-        if env.ready_at > self.clock {
-            let waited = env.ready_at - self.clock;
-            self.stats.wait_time += waited;
-            self.clock = env.ready_at;
-            if let Some(o) = &self.obs {
-                o.virt_add(VirtAcc::Wait, waited);
-            }
-        }
-        let ready = self.clock;
-        if self.scheme == CommScheme::Blocking {
-            self.clock += self.model.recv_overhead;
-            if let Some(o) = &self.obs {
-                o.virt_add(VirtAcc::RecvOverhead, self.model.recv_overhead);
-            }
-        }
-        self.stats.messages_received += 1;
-        self.stats.bytes_received += env.bytes as u64;
-        if let Some(tr) = &mut self.trace {
-            tr.events.push(Event::Recv {
-                start,
-                ready,
-                end: self.clock,
-                from,
-                tag,
-            });
-        }
-        if let Some(wall_t0) = wall_t0 {
-            let virt_t1 = self.clock;
-            let pending_depth = self.pending.iter().map(|p| p.len()).sum::<usize>() as u64;
-            let reseq_depth = self.links.resequence_depth();
-            if let Some(o) = &mut self.obs {
-                o.add(Counter::MessagesReceived, 1);
-                o.add(Counter::BytesReceived, env.bytes as u64);
-                o.observe(HistId::RecvWaitNs, o.now_ns().saturating_sub(wall_t0));
-                o.gauge_set(GaugeId::PendingDepth, pending_depth);
-                o.gauge_set(GaugeId::ResequenceDepth, reseq_depth);
-                o.edge_span(
-                    Phase::Recv,
-                    wall_t0,
-                    (start, virt_t1),
-                    env.bytes as u64,
-                    SpanEdge {
-                        peer: from as u32,
-                        tag,
-                        seq: env.seq,
-                    },
-                );
-            }
-        }
-        Ok(env.payload)
-    }
-
-    fn drain_sends(&mut self) -> f64 {
-        let overshoot = (self.comm_lane - self.clock).max(0.0);
-        let hidden = (self.lane_busy - overshoot).max(0.0);
-        if let Some(o) = &self.obs {
-            if overshoot > 0.0 {
-                o.virt_add(VirtAcc::Drain, overshoot);
-            }
-            if hidden > 0.0 {
-                o.virt_add(VirtAcc::OverlapHidden, hidden);
-            }
-        }
-        self.clock += overshoot;
-        self.comm_lane = self.clock;
-        self.lane_busy = 0.0;
-        overshoot
-    }
-
-    fn advance_compute(&mut self, iters: u64) {
-        self.fault_tick();
-        let dt = self.model.compute_cost(iters);
-        let start = self.clock;
-        self.clock += dt;
-        self.stats.compute_time += dt;
-        if let Some(tr) = &mut self.trace {
-            tr.events.push(Event::Compute {
-                start,
-                end: self.clock,
-                iters,
-            });
-        }
-        // The virtual accumulator only; the Compute *span* is recorded by
-        // the executor around the whole tile (kernel + this charge), so the
-        // two would double-count if both lived here.
-        if let Some(o) = &self.obs {
-            o.virt_add(VirtAcc::Compute, dt);
-        }
-    }
-
-    fn local_time(&self) -> f64 {
-        self.clock
-    }
-
-    fn model(&self) -> &MachineModel {
-        &self.model
-    }
-
-    fn stats(&self) -> CommStats {
-        self.stats
-    }
-
-    fn obs(&mut self) -> Option<&mut RankObs> {
-        self.obs.as_mut()
-    }
-
-    fn recovery_interval(&self) -> Option<u64> {
-        self.recovery.as_ref().map(|r| r.interval)
-    }
-
-    fn checkpoint(&mut self, chain_pos: u64, app: &[u8]) {
-        if self.recovery.is_none() {
-            return;
-        }
-        // Snapshot observability state *before* counting the checkpoint, so
-        // a restore followed by a re-checkpoint at the same position counts
-        // it exactly once — like the fault-free run.
-        let (counters, virts) = match &self.obs {
-            Some(o) => {
-                let m = o.metrics();
-                (
-                    Some(Counter::ALL.iter().map(|&c| m.get(c)).collect()),
-                    Some(VirtAcc::ALL.iter().map(|&a| m.virt_get(a)).collect()),
-                )
-            }
-            None => (None, None),
-        };
-        let ckpt = CkptState {
-            chain_pos,
-            app: app.to_vec(),
-            clock: self.clock,
-            comm_lane: self.comm_lane,
-            lane_busy: self.lane_busy,
-            stats: self.stats,
-            next: self.links.next_frontier(),
-            expect: self.links.expect_frontier(),
-            pending: self.pending.clone(),
-            trace_len: self.trace.as_ref().map_or(0, |t| t.events.len()),
-            counters,
-            virts,
-        };
-        // The checkpoint acknowledges everything this rank has consumed:
-        // senders may drop those envelopes from their replay logs.
-        if let Some(logs) = &self.replay_logs {
-            for from in 0..self.size {
-                if from != self.rank {
-                    logs[from][self.rank]
-                        .lock()
-                        .expect("replay log poisoned")
-                        .trim_below(self.links.expect_of(from));
-                }
-            }
-        }
-        self.recovery.as_mut().expect("recovery checked above").ckpt = Some(ckpt);
-        if let Some(o) = &self.obs {
-            o.add(Counter::Checkpoints, 1);
-            // Transport-level write accounting: in-process checkpoints cost
-            // exactly the serialized application bytes.
-            o.add(Counter::CkptWrites, 1);
-            o.add(Counter::CkptBytes, app.len() as u64);
-            if let Some(logs) = &self.replay_logs {
-                let depth: u64 = (0..self.size)
-                    .filter(|&to| to != self.rank)
-                    .map(|to| {
-                        logs[self.rank][to]
-                            .lock()
-                            .expect("replay log poisoned")
-                            .len() as u64
-                    })
-                    .sum();
-                o.gauge_set(GaugeId::ReplayLogDepth, depth);
-            }
-        }
-    }
-
-    fn try_restore(&mut self) -> Option<Restored> {
-        self.recovery.as_ref()?.ckpt.as_ref()?;
-        // Consume one unit of the run-wide restore budget.
-        {
-            let budget = &self.recovery.as_ref().expect("checked above").budget;
-            loop {
-                let left = budget.load(Ordering::SeqCst);
-                if left == 0 {
-                    return None;
-                }
-                if budget
-                    .compare_exchange(left, left - 1, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    break;
-                }
-            }
-        }
-        // Crash-time reorder holds may contain envelopes the receiver still
-        // needs; release them before rewinding (their seq numbers lie past
-        // the checkpoint frontier, so re-execution will skip re-pushing).
-        let _ = self.flush_holdbacks();
-        let clock_crash = self.clock;
-        let next_crash = self.links.next_frontier();
-        let expect_crash = self.links.expect_frontier();
-
-        let rec = self.recovery.as_mut().expect("checked above");
-        let ckpt = rec.ckpt.as_ref().expect("checked above");
-        self.clock = ckpt.clock;
-        self.comm_lane = ckpt.comm_lane;
-        self.lane_busy = ckpt.lane_busy;
-        self.stats = ckpt.stats;
-        self.links.rewind(&ckpt.next, &ckpt.expect);
-        self.pending = ckpt.pending.clone();
-        if let Some(tr) = &mut self.trace {
-            tr.events.truncate(ckpt.trace_len);
-        }
-        if let Some(o) = &self.obs {
-            let m = o.metrics();
-            if let Some(counters) = &ckpt.counters {
-                for (&c, &v) in Counter::ALL.iter().zip(counters) {
-                    m.set(c, v);
-                }
-            }
-            if let Some(virts) = &ckpt.virts {
-                for (&a, &v) in VirtAcc::ALL.iter().zip(virts) {
-                    m.virt_set(a, v);
-                }
-            }
-        }
-        // Re-inject the lost in-flight window from the peers' replay logs:
-        // everything consumed between the checkpoint and the crash.
-        if let Some(logs) = &self.replay_logs {
-            for from in 0..self.size {
-                if from != self.rank {
-                    let replayed = logs[from][self.rank]
-                        .lock()
-                        .expect("replay log poisoned")
-                        .range(ckpt.expect[from], expect_crash[from]);
-                    for env in replayed {
-                        self.links.reinject(from, env);
-                    }
-                }
-            }
-        }
-        rec.resend_skip = next_crash;
-        rec.debt += clock_crash - ckpt.clock;
-        rec.used += 1;
-        let (chain_pos, app) = (ckpt.chain_pos, ckpt.app.clone());
-        let used = rec.used;
-        self.stats.recoveries = used;
-        // The crash fired; a restored rank does not re-crash.
-        self.crash_at = None;
-        if let Some(o) = &self.obs {
-            o.add(Counter::Recoveries, 1);
-        }
-        self.monitor.bump();
-        Some(Restored { chain_pos, app })
-    }
-
-    fn settle_recovery(&mut self) -> f64 {
-        let Some(rec) = self.recovery.as_mut() else {
-            return 0.0;
-        };
-        let debt = rec.debt;
-        rec.debt = 0.0;
-        if debt > 0.0 {
-            self.clock += debt;
-            self.stats.recovery_time += debt;
-            if let Some(o) = &self.obs {
-                o.virt_add(VirtAcc::Recovery, debt);
-            }
-        }
-        debt
-    }
-}
-
-impl Drop for ThreadedComm {
-    fn drop(&mut self) {
-        // Release reorder holds so a finished rank never strands a message;
-        // failures are moot at this point (the peer is gone).
-        let _ = self.flush_holdbacks();
-    }
-}
+/// Communication endpoint handed to each SPMD thread: the shared
+/// [`RankCore`] over in-process channels.
+pub type ThreadedComm = RankCore<ChannelLink>;
 
 /// Run an SPMD program over `size` logical processes. The closure receives
 /// each process's [`ThreadedComm`]; its return values, final clocks and
@@ -1044,31 +363,8 @@ where
     .unwrap_or_else(|e| panic!("cluster run failed: {e}"))
 }
 
-/// How one rank thread ended.
-pub(crate) enum RankEnd<R> {
-    Ok(R),
-    CommFail(CommError),
-    Panic(String),
-}
-
-/// A collected rank outcome: how it ended, final clock, stats, trace.
-pub(crate) type RankSlot<R> = Option<(RankEnd<R>, f64, CommStats, Trace)>;
-
-/// Stringify a caught panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(c) = payload.downcast_ref::<InjectedCrash>() {
-        format!(
-            "injected crash at virtual time {:.6} (configured at {:.6})",
-            c.clock, c.at
-        )
-    } else if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
+/// A collected rank outcome: how it ended, final clock, stats.
+pub(crate) type RankSlot<R> = Option<(RankEnd<R>, f64, CommStats)>;
 
 /// Silence the default panic hook for the engine's sentinel payloads
 /// ([`CommAbort`] cascades and [`InjectedCrash`]es): they are expected
@@ -1090,8 +386,8 @@ pub(crate) fn install_quiet_panic_hook() {
     });
 }
 
-/// [`run_cluster`] with full engine options (scheme, tracing, fault
-/// injection, watchdog). This is the fallible entry point: one rank's panic
+/// [`run_cluster`] with full engine options (scheme, fault injection,
+/// recovery, watchdog, observability). This is the fallible entry point: one rank's panic
 /// is contained and reported as [`RunError::RankPanicked`], a cyclic
 /// schedule as [`RunError::Deadlock`], and a wedged run as
 /// [`RunError::WallTimeout`] — the process is never aborted and the call
@@ -1108,12 +404,7 @@ where
 {
     assert!(size > 0, "cluster needs at least one process");
     install_quiet_panic_hook();
-    let scheme = options.scheme;
-    let fault = options.fault.clone().map(Arc::new);
-    let replay_logs = options.recovery.map(|_| new_replay_logs(size));
-    let recovery_budget = options
-        .recovery
-        .map(|r| Arc::new(AtomicU64::new(r.max_recoveries)));
+    let shared = RunShared::new(size, model, &options);
     // Channel matrix: channels[from][to].
     let mut senders: Vec<Vec<Option<Sender<Envelope>>>> = (0..size)
         .map(|_| (0..size).map(|_| None).collect())
@@ -1132,77 +423,23 @@ where
         }
     }
 
-    let monitor = Arc::new(Monitor::new(size));
     let f = Arc::new(f);
-    let (done_tx, done_rx) = channel::<(usize, RankEnd<R>, f64, CommStats, Trace)>();
+    let (done_tx, done_rx) = channel();
     for (rank, (txs, rxs)) in senders.into_iter().zip(receivers).enumerate() {
         let f = f.clone();
-        let monitor_for_rank = monitor.clone();
         let done = done_tx.clone();
-        let mut comm = ThreadedComm {
-            rank,
-            size,
-            model,
-            scheme,
-            clock: 0.0,
-            comm_lane: 0.0,
-            lane_busy: 0.0,
-            stats: CommStats::default(),
-            trace: options.trace.then(Trace::default),
-            pending: (0..size).map(|_| Vec::new()).collect(),
-            monitor: monitor.clone(),
-            crash_at: fault.as_ref().and_then(|fp| fp.crash_time(rank)),
-            stall: fault.as_ref().and_then(|fp| fp.stall_of(rank)),
-            fault: fault.clone(),
-            links: LinkSeq::new(size),
-            holdback: (0..size).map(|_| None).collect(),
-            obs: options
-                .obs
-                .as_ref()
-                .map(|reg| RankObs::new(reg.clone(), rank)),
-            replay_logs: replay_logs.clone(),
-            recovery: options.recovery.map(|r| RecoveryCtl {
-                interval: r.interval.max(1),
-                budget: recovery_budget.clone().expect("budget set with recovery"),
-                ckpt: None,
-                resend_skip: vec![0; size],
-                debt: 0.0,
-                used: 0,
-            }),
-            txs,
-            rxs,
-        };
+        let comm = shared.core(rank, ChannelLink { txs, rxs });
         thread::Builder::new()
             .name(format!("tilecc-rank-{rank}"))
             .spawn(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let r = f(&mut comm);
-                    // Charge the accumulated recovery debt once, at the end:
-                    // every message timestamp stayed bitwise fault-free, and
-                    // the final clock is fault-free time + recovery time.
-                    comm.settle_recovery();
-                    r
-                }));
-                monitor_for_rank.set(rank, RankPhase::Done);
-                let end = match outcome {
-                    Ok(r) => RankEnd::Ok(r),
-                    Err(payload) => match payload.downcast::<CommAbort>() {
-                        Ok(abort) => RankEnd::CommFail(abort.error),
-                        Err(payload) => RankEnd::Panic(panic_message(payload.as_ref())),
-                    },
-                };
-                let (clock, stats) = (comm.clock, comm.stats);
-                let trace = comm.trace.take().unwrap_or_default();
-                // Disconnect this rank's channels so blocked peers unwind
-                // instead of hanging on a dead sender.
-                drop(comm);
-                let _ = done.send((rank, end, clock, stats, trace));
+                let (end, clock, stats) = run_rank(comm, |comm| f(comm));
+                let _ = done.send((rank, end, clock, stats));
             })
             .expect("failed to spawn rank thread");
     }
     drop(done_tx);
 
-    collect(size, monitor, done_rx, &options)
+    collect(size, &shared.monitor, done_rx, &options)
 }
 
 /// Collect rank outcomes while running the watchdog: wall-clock cap and
@@ -1210,8 +447,8 @@ where
 /// the in-process TCP runner ([`crate::tcp::run_cluster_tcp`]).
 pub(crate) fn collect<R>(
     size: usize,
-    monitor: Arc<Monitor>,
-    done_rx: Receiver<(usize, RankEnd<R>, f64, CommStats, Trace)>,
+    monitor: &Monitor,
+    done_rx: Receiver<(usize, RankEnd<R>, f64, CommStats)>,
     options: &EngineOptions,
 ) -> Result<RunReport<R>, RunError> {
     let started = Instant::now();
@@ -1222,8 +459,8 @@ pub(crate) fn collect<R>(
 
     while finished < size {
         match done_rx.recv_timeout(COLLECT_POLL) {
-            Ok((rank, end, clock, stats, trace)) => {
-                slots[rank] = Some((end, clock, stats, trace));
+            Ok((rank, end, clock, stats)) => {
+                slots[rank] = Some((end, clock, stats));
                 finished += 1;
                 stable = 0;
                 continue;
@@ -1292,9 +529,8 @@ pub(crate) fn collect<R>(
     let mut results = Vec::with_capacity(size);
     let mut local_times = Vec::with_capacity(size);
     let mut stats = Vec::with_capacity(size);
-    let mut traces = Vec::with_capacity(size);
     for (rank, slot) in slots.into_iter().enumerate() {
-        let Some((end, clock, st, tr)) = slot else {
+        let Some((end, clock, st)) = slot else {
             return Err(RunError::RankPanicked {
                 rank,
                 payload: "rank thread vanished without reporting".into(),
@@ -1305,7 +541,6 @@ pub(crate) fn collect<R>(
                 results.push(r);
                 local_times.push(clock);
                 stats.push(st);
-                traces.push(tr);
             }
             // primary_failure() above returned for panics and non-abort
             // comm failures; a stray Aborted still surfaces as an error.
@@ -1317,7 +552,6 @@ pub(crate) fn collect<R>(
         results,
         local_times,
         stats,
-        traces,
     })
 }
 
@@ -1326,15 +560,15 @@ pub(crate) fn collect<R>(
 /// finish (e.g. wedged in user compute code) are abandoned, never joined —
 /// the engine must not hang.
 fn drain_stragglers<R>(
-    done_rx: &Receiver<(usize, RankEnd<R>, f64, CommStats, Trace)>,
+    done_rx: &Receiver<(usize, RankEnd<R>, f64, CommStats)>,
     slots: &mut [RankSlot<R>],
     finished: &mut usize,
 ) {
     let deadline = Instant::now() + ABORT_GRACE;
     while *finished < slots.len() && Instant::now() < deadline {
         match done_rx.recv_timeout(COLLECT_POLL) {
-            Ok((rank, end, clock, stats, trace)) => {
-                slots[rank] = Some((end, clock, stats, trace));
+            Ok((rank, end, clock, stats)) => {
+                slots[rank] = Some((end, clock, stats));
                 *finished += 1;
             }
             Err(RecvTimeoutError::Timeout) => {}
@@ -1373,6 +607,7 @@ fn primary_failure<R>(slots: &[RankSlot<R>]) -> Option<RunError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Comm;
 
     #[test]
     fn single_rank_computes_locally() {
@@ -1507,6 +742,7 @@ mod tests {
 #[cfg(test)]
 mod overlap_tests {
     use super::*;
+    use crate::Comm;
 
     fn model() -> MachineModel {
         MachineModel {
@@ -1649,23 +885,35 @@ mod overlap_tests {
 }
 
 #[cfg(test)]
-mod trace_tests {
+mod obs_tests {
     use super::*;
+    use crate::{Comm, Counter, Phase, VirtAcc};
+
+    fn model() -> MachineModel {
+        MachineModel {
+            compute_per_iter: 1.0,
+            send_overhead: 2.0,
+            recv_overhead: 3.0,
+            wire_latency: 4.0,
+            per_byte: 0.5,
+        }
+    }
 
     #[test]
-    fn traces_record_all_phases() {
-        let model = MachineModel {
+    fn virtual_accumulators_split_compute_and_wait() {
+        let unit = MachineModel {
             compute_per_iter: 1.0,
             send_overhead: 1.0,
             recv_overhead: 1.0,
             wire_latency: 1.0,
             per_byte: 0.0,
         };
-        let report = run_cluster_opts(
+        let reg = MetricsRegistry::new();
+        run_cluster_opts(
             2,
-            model,
+            unit,
             EngineOptions {
-                trace: true,
+                obs: Some(reg.clone()),
                 ..EngineOptions::default()
             },
             |comm| {
@@ -1679,36 +927,12 @@ mod trace_tests {
             },
         )
         .unwrap();
-        assert_eq!(report.traces.len(), 2);
-        assert!((report.traces[0].compute_time() - 5.0).abs() < 1e-12);
-        assert!((report.traces[1].compute_time() - 3.0).abs() < 1e-12);
+        let (r0, r1) = (reg.rank_metrics(0), reg.rank_metrics(1));
+        assert_eq!(r0.virt_get(VirtAcc::Compute), 5.0);
+        assert_eq!(r1.virt_get(VirtAcc::Compute), 3.0);
         // Rank 1 waited for rank 0's message: 5 compute + 1 send + 1 wire = 7.
-        assert!((report.traces[1].wait_time() - 7.0).abs() < 1e-12);
-        let gantt = crate::trace::render_gantt(&report.traces, 60);
-        assert!(gantt.contains('#') && gantt.contains('s') && gantt.contains('r'));
-    }
-
-    #[test]
-    fn tracing_disabled_yields_empty_traces() {
-        let report = run_cluster(1, MachineModel::zero_comm(1.0), |comm| {
-            comm.advance_compute(1);
-        });
-        assert!(report.traces[0].events.is_empty());
-    }
-}
-
-#[cfg(test)]
-mod obs_tests {
-    use super::*;
-
-    fn model() -> MachineModel {
-        MachineModel {
-            compute_per_iter: 1.0,
-            send_overhead: 2.0,
-            recv_overhead: 3.0,
-            wire_latency: 4.0,
-            per_byte: 0.5,
-        }
+        assert_eq!(r1.virt_get(VirtAcc::Wait), 7.0);
+        assert_eq!(r0.virt_get(VirtAcc::Wait), 0.0);
     }
 
     #[test]
@@ -1818,6 +1042,7 @@ mod obs_tests {
 #[cfg(test)]
 mod failure_tests {
     use super::*;
+    use crate::Comm;
 
     fn zero() -> MachineModel {
         MachineModel::zero_comm(1.0)
@@ -2078,206 +1303,5 @@ mod failure_tests {
         .unwrap();
         assert_eq!(clean.results[0] + 10.0, stalled.results[0]);
         assert_eq!(stalled.results[1], stalled.results[0] + 100.0);
-    }
-}
-
-#[cfg(test)]
-mod recovery_tests {
-    use super::*;
-    use std::panic::resume_unwind;
-
-    /// A ring-exchange chain that checkpoints every `recovery_interval`
-    /// rounds and restores from injected crashes — the executor's recovery
-    /// loop in miniature. The app snapshot is the accumulator's bit pattern.
-    fn resilient_ring(comm: &mut ThreadedComm, rounds: u64) -> f64 {
-        let k = comm.recovery_interval().unwrap_or(u64::MAX);
-        let mut pos = 0u64;
-        let mut acc = (comm.rank() + 1) as f64;
-        loop {
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                let (r, n) = (comm.rank(), comm.size());
-                let mut acc = acc;
-                for round in pos..rounds {
-                    if round % k == 0 {
-                        comm.checkpoint(round, &acc.to_bits().to_le_bytes());
-                    }
-                    comm.advance_compute(10 + r as u64);
-                    comm.send_tagged((r + 1) % n, round as i64, vec![acc, acc * 0.5], 16);
-                    let got = comm.recv_tagged((r + n - 1) % n, round as i64);
-                    acc += got[0] * 0.25 + got[1];
-                }
-                acc
-            }));
-            match attempt {
-                Ok(v) => return v,
-                Err(payload) => {
-                    if payload.downcast_ref::<InjectedCrash>().is_some() {
-                        if let Some(res) = comm.try_restore() {
-                            pos = res.chain_pos;
-                            acc = f64::from_bits(u64::from_le_bytes(
-                                res.app[..8].try_into().expect("8-byte app snapshot"),
-                            ));
-                            continue;
-                        }
-                    }
-                    resume_unwind(payload);
-                }
-            }
-        }
-    }
-
-    fn run_ring(
-        fault: Option<FaultPlan>,
-        max_recoveries: u64,
-        obs: Option<Arc<MetricsRegistry>>,
-    ) -> Result<RunReport<f64>, RunError> {
-        run_cluster_opts(
-            3,
-            MachineModel::fast_ethernet_p3(),
-            EngineOptions {
-                fault,
-                recovery: Some(RecoveryOptions {
-                    interval: 3,
-                    max_recoveries,
-                }),
-                obs,
-                ..EngineOptions::default()
-            },
-            |comm| resilient_ring(comm, 9),
-        )
-    }
-
-    #[test]
-    fn injected_crash_recovers_bitwise() {
-        let clean = run_ring(None, 1, None).unwrap();
-        let crash = FaultPlan::default().with_crash(1, clean.makespan() * 0.5);
-        let rec = run_ring(Some(crash), 1, None).unwrap();
-        // Data bitwise identical to the fault-free run.
-        for (a, b) in clean.results.iter().zip(&rec.results) {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "data must survive a crash bitwise"
-            );
-        }
-        // The victim recovered exactly once; everyone else never rewound.
-        assert_eq!(rec.stats[1].recoveries, 1);
-        assert!(rec.stats[1].recovery_time > 0.0);
-        assert_eq!(rec.stats[0].recoveries, 0);
-        assert_eq!(rec.stats[2].recoveries, 0);
-        // Makespan excluding recovery is bitwise fault-free: the recovered
-        // clock is exactly the fault-free clock plus the settled debt.
-        for r in 0..3 {
-            let expected = clean.local_times[r] + rec.stats[r].recovery_time;
-            assert_eq!(
-                expected.to_bits(),
-                rec.local_times[r].to_bits(),
-                "rank {r}: {} + {} != {}",
-                clean.local_times[r],
-                rec.stats[r].recovery_time,
-                rec.local_times[r]
-            );
-        }
-        // Logical counters match the fault-free run.
-        for (c, f) in clean.stats.iter().zip(&rec.stats) {
-            assert_eq!(c.messages_sent, f.messages_sent);
-            assert_eq!(c.bytes_sent, f.bytes_sent);
-            assert_eq!(c.messages_received, f.messages_received);
-            assert_eq!(c.bytes_received, f.bytes_received);
-        }
-    }
-
-    #[test]
-    fn recovery_preserves_the_partition_identity() {
-        let clean = run_ring(None, 1, None).unwrap();
-        let reg = MetricsRegistry::new();
-        let crash = FaultPlan::default().with_crash(2, clean.makespan() * 0.4);
-        let rec = run_ring(Some(crash), 1, Some(reg.clone())).unwrap();
-        let obs_report = reg.run_report(&rec.local_times);
-        assert_eq!(obs_report.total(Counter::Recoveries), 1);
-        assert!(obs_report.total(Counter::Checkpoints) > 0);
-        for r in &obs_report.ranks {
-            assert!(
-                (r.compute + r.wait + r.comm + r.recovery - r.local_time).abs() < 1e-9,
-                "rank {}: {} + {} + {} + {} != {}",
-                r.rank,
-                r.compute,
-                r.wait,
-                r.comm,
-                r.recovery,
-                r.local_time
-            );
-        }
-        // Obs counters match a fault-free run with the same cadence (the
-        // rewind restores them before re-execution re-adds them).
-        let clean_reg = MetricsRegistry::new();
-        let clean2 = run_ring(None, 1, Some(clean_reg.clone())).unwrap();
-        let clean_report = clean_reg.run_report(&clean2.local_times);
-        assert_eq!(
-            clean_report.total(Counter::MessagesSent),
-            obs_report.total(Counter::MessagesSent)
-        );
-        assert_eq!(
-            clean_report.total(Counter::BytesReceived),
-            obs_report.total(Counter::BytesReceived)
-        );
-        assert_eq!(
-            clean_report.total(Counter::Checkpoints),
-            obs_report.total(Counter::Checkpoints)
-        );
-    }
-
-    #[test]
-    fn exhausted_recovery_budget_fails_the_run() {
-        let clean = run_ring(None, 1, None).unwrap();
-        let crash = FaultPlan::default().with_crash(1, clean.makespan() * 0.5);
-        let err = run_ring(Some(crash), 0, None).unwrap_err();
-        match err {
-            RunError::RankPanicked { rank, payload } => {
-                assert_eq!(rank, 1);
-                assert!(payload.contains("injected crash"), "{payload}");
-            }
-            other => panic!("expected RankPanicked, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn crash_overlapping_chaos_recovers_the_checksum() {
-        // Satellite: a rank crash overlapping 30% drop/dup/reorder on the
-        // same run must still reproduce the fault-free data bitwise.
-        let clean = run_ring(None, 1, None).unwrap();
-        let fault = FaultPlan::chaos(0xC0FFEE, 0.3).with_crash(1, clean.makespan() * 0.5);
-        let rec = run_ring(Some(fault), 1, None).unwrap();
-        for (a, b) in clean.results.iter().zip(&rec.results) {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "data must survive crash + chaos bitwise"
-            );
-        }
-        assert_eq!(rec.stats[1].recoveries, 1);
-        // And the recovered chaos run is itself deterministic.
-        let again = run_ring(
-            Some(FaultPlan::chaos(0xC0FFEE, 0.3).with_crash(1, clean.makespan() * 0.5)),
-            1,
-            None,
-        )
-        .unwrap();
-        assert_eq!(rec.results, again.results);
-        assert_eq!(rec.local_times, again.local_times);
-    }
-
-    #[test]
-    fn two_crashes_consume_the_shared_budget() {
-        let clean = run_ring(None, 2, None).unwrap();
-        let fault = FaultPlan::default()
-            .with_crash(0, clean.makespan() * 0.3)
-            .with_crash(2, clean.makespan() * 0.6);
-        let rec = run_ring(Some(fault), 2, None).unwrap();
-        for (a, b) in clean.results.iter().zip(&rec.results) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(rec.stats[0].recoveries, 1);
-        assert_eq!(rec.stats[2].recoveries, 1);
     }
 }

@@ -111,7 +111,7 @@ impl Pipeline {
         self.summarize(&res, &model, None)
     }
 
-    /// Timing-only run with full engine options (fault injection, tracing,
+    /// Timing-only run with full engine options (fault injection, recovery,
     /// observability) — the fallible counterpart of [`Pipeline::simulate`].
     pub fn simulate_opts(
         &self,

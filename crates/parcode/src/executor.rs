@@ -135,7 +135,7 @@ pub fn execute_with(
     .unwrap_or_else(|e| panic!("parallel execution failed: {e}"))
 }
 
-/// [`execute`] with full engine options (communication scheme, tracing,
+/// [`execute`] with full engine options (communication scheme, observability,
 /// fault injection, watchdog). This is the fallible entry point: engine
 /// failures — a rank panic, a deadlocked schedule, an unreachable peer —
 /// come back as [`RunError`]s with rank-level context.

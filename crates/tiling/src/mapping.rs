@@ -34,7 +34,9 @@ impl Distribution {
             Some(m) => m,
             None => longest_dimension(tiled)?,
         };
-        assert!(m < n, "mapping dimension out of range");
+        if m >= n {
+            return Err(TilingError::MappingOutOfRange { m, dim: n });
+        }
         let mut chains_map: HashMap<Vec<i64>, (i64, i64)> = HashMap::new();
         for tile in tiled.tiles() {
             let pid = project_pid(&tile, m);

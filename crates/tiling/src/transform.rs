@@ -31,6 +31,9 @@ pub enum TilingError {
     /// The exact polyhedral machinery under plan construction reported an
     /// error (coefficient overflow from user-authored bounds).
     Polytope(PolytopeError),
+    /// The requested mapping dimension `m` does not exist in a `dim`-
+    /// dimensional tiled space.
+    MappingOutOfRange { m: usize, dim: usize },
 }
 
 impl From<PolytopeError> for TilingError {
@@ -56,6 +59,10 @@ impl std::fmt::Display for TilingError {
                 )
             }
             TilingError::Polytope(e) => write!(f, "{e}"),
+            TilingError::MappingOutOfRange { m, dim } => write!(
+                f,
+                "mapping dimension {m} out of range for a {dim}-dimensional tiled space"
+            ),
         }
     }
 }
