@@ -29,11 +29,12 @@
 //! `perf --vec-bench [--test] [--out <path>]` compares the run-coalesced /
 //! batched hot paths of this PR against the per-point PR2 baselines
 //! (kept verbatim as `*_per_point` / `*_per_index` / `*_per_cell`): the
-//! interior compute loop, pack, unpack, and gather. Every path is first
-//! cross-checked bitwise against its baseline on the same tile, then timed
-//! with warmup + median-of-N wall-clock rounds. Results — wall-clock
-//! medians, virtual-model makespans, batched-point coverage, and machine
-//! info — go to `BENCH_PR7.json`. Acceptance: the batched interior compute
+//! interior compute loop, pack, unpack, and gather, plus the run-clamped
+//! gather of a boundary tile against the per-point `tile_iterations` walk.
+//! Every path is first cross-checked bitwise against its baseline on the
+//! same tile, then timed with warmup + median-of-N wall-clock rounds.
+//! Results — wall-clock medians, virtual-model makespans, batched-point
+//! coverage, and machine info — go to `BENCH_PR7.json`. Acceptance: the batched interior compute
 //! must beat the per-point loop by >= 1.5x on at least 4 of the 6 paper
 //! workloads. With `--test`, every path runs once (identity checks only)
 //! and no JSON is written.
@@ -65,9 +66,8 @@ use tilecc::matrices;
 use tilecc_cluster::{Counter, EngineOptions, MachineModel, MetricsRegistry};
 use tilecc_loopnest::{kernels, DataSpace};
 use tilecc_parcode::compiled::{
-    compute_tile_fast, compute_tile_fast_per_point, gather_tile_fast, gather_tile_per_cell,
-    pack_region, pack_region_per_index, tile_origin, unpack_region, unpack_region_per_index,
-    ComputeScratch,
+    compute_tile_fast, compute_tile_fast_per_point, gather_tile, gather_tile_per_cell, pack_region,
+    pack_region_per_index, tile_origin, unpack_region, unpack_region_per_index, ComputeScratch,
 };
 use tilecc_parcode::{execute_strategy, ExecMode, ExecStrategy, ParallelPlan};
 use tilecc_tiling::{insert_at, Lds, TilingTransform};
@@ -102,6 +102,21 @@ fn time_ns<F: FnMut()>(smoke: bool, inner: usize, mut f: F) -> f64 {
         reps += 1;
     }
     elapsed.as_nanos() as f64 / (reps as usize * inner) as f64
+}
+
+/// The first valid boundary (not space-interior) tile of any rank's
+/// chain: `(rank, tpos, tile)`.
+fn find_boundary(plan: &ParallelPlan) -> Option<(usize, i64, Vec<i64>)> {
+    for rank in 0..plan.num_procs() {
+        let (lo_t, hi_t) = plan.dist.chains[rank];
+        for t_abs in lo_t..=hi_t {
+            let tile = insert_at(&plan.dist.pids[rank], plan.m(), t_abs);
+            if plan.tiled.tile_valid(&tile) && !plan.tiled.tile_is_interior(&tile) {
+                return Some((rank, t_abs - lo_t, tile));
+            }
+        }
+    }
+    None
 }
 
 /// The first compute-interior tile of any rank's chain: `(rank, tpos, tile)`.
@@ -265,7 +280,7 @@ fn bench_workload(name: &str, plan: ParallelPlan, smoke: bool) -> (Vec<PathResul
     let compiled_ns = {
         let (lds, ds_global) = (&lds, &mut ds_global);
         time_ns(smoke, points, || {
-            gather_tile_fast(chain, lds, tpos, &origin, ds_global);
+            gather_tile(chain, lds, tpos, &origin, None, ds_global);
         })
     };
     let mut vals = vec![0.0f64; w];
@@ -781,7 +796,7 @@ fn vec_bench(out_path: &str, smoke: bool) {
         let mut ds_base = DataSpace::with_width(&blo, &bhi, w);
         let mut ds_opt = DataSpace::with_width(&blo, &bhi, w);
         gather_tile_per_cell(chain, &lds, tpos, &origin, &mut ds_base);
-        gather_tile_fast(chain, &lds, tpos, &origin, &mut ds_opt);
+        gather_tile(chain, &lds, tpos, &origin, None, &mut ds_opt);
         assert_eq!(
             ds_base.diff(&ds_opt),
             None,
@@ -796,12 +811,55 @@ fn vec_bench(out_path: &str, smoke: bool) {
         let optimized = {
             let (lds, ds) = (&lds, &mut ds_opt);
             wall_stat(smoke, points, || {
-                gather_tile_fast(chain, lds, tpos, &origin, ds);
+                gather_tile(chain, lds, tpos, &origin, None, ds);
             })
         };
         paths.push(VecPath {
             name: "gather",
             inner: points,
+            baseline,
+            optimized,
+        });
+
+        // --- boundary gather: run-clamped vs the per-point walk ------------
+        let (brank, btpos, btile) =
+            find_boundary(&plan).unwrap_or_else(|| panic!("{name}: no boundary tile"));
+        let (blo_t, bhi_t) = plan.dist.chains[brank];
+        let bchain = plan.compiled_for(bhi_t - blo_t + 1);
+        let borigin = tile_origin(t, &btile);
+        let space = plan.tiled.space();
+        let mut blds = Lds::with_width(plan.geo.clone(), plan.anchor(brank), bhi_t - blo_t + 1, w);
+        fill(&mut blds);
+        let walk = |lds: &Lds, ds: &mut DataSpace| {
+            let mut vals = vec![0.0f64; w];
+            for (jp, j) in plan.tiled.tile_iterations(&btile) {
+                lds.get_into(&lds.unrolled(btpos, &jp), &mut vals);
+                ds.set_all(&j, &vals);
+            }
+        };
+        let mut ds_base = DataSpace::with_width(&blo, &bhi, w);
+        let mut ds_opt = DataSpace::with_width(&blo, &bhi, w);
+        walk(&blds, &mut ds_base);
+        gather_tile(bchain, &blds, btpos, &borigin, Some(space), &mut ds_opt);
+        assert_eq!(
+            ds_base.diff(&ds_opt),
+            None,
+            "{name}: run-clamped boundary gather differs bitwise from the tile_iterations walk"
+        );
+        let bpoints = ds_base.num_written();
+        let baseline = {
+            let ds = &mut ds_base;
+            wall_stat(smoke, bpoints, || walk(&blds, ds))
+        };
+        let optimized = {
+            let (lds, ds) = (&blds, &mut ds_opt);
+            wall_stat(smoke, bpoints, || {
+                gather_tile(bchain, lds, btpos, &borigin, Some(space), ds);
+            })
+        };
+        paths.push(VecPath {
+            name: "gather_boundary",
+            inner: bpoints,
             baseline,
             optimized,
         });
@@ -852,10 +910,10 @@ fn vec_bench(out_path: &str, smoke: bool) {
         let np = paths.len();
         for (i, p) in paths.iter().enumerate() {
             if smoke {
-                println!("  {:<8} ok (smoke, {} iters)", p.name, p.inner);
+                println!("  {:<15} ok (smoke, {} iters)", p.name, p.inner);
             } else {
                 println!(
-                    "  {:<8} per-point {:>8.2} ns/iter  optimized {:>8.2} ns/iter  speedup {:>5.2}x  ({} iters)",
+                    "  {:<15} per-point {:>8.2} ns/iter  optimized {:>8.2} ns/iter  speedup {:>5.2}x  ({} iters)",
                     p.name,
                     p.baseline.median_ns,
                     p.optimized.median_ns,

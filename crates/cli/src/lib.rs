@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-use tilecc::{Pipeline, RunSummary, TuneOptions};
+use tilecc::{verify_against_sequential, Pipeline, RunSummary, TuneOptions};
 use tilecc_cluster::obs::json::Json;
 use tilecc_cluster::obs::RunReport as MetricsReport;
 use tilecc_cluster::{
@@ -1327,6 +1327,7 @@ fn tcp_driver(
     run_args: &[String],
     pipe: &Pipeline,
     opts: &Options,
+    reg: Option<&MetricsRegistry>,
     mut out: String,
 ) -> Result<String, CliError> {
     let size = pipe.num_procs();
@@ -1575,9 +1576,8 @@ fn tcp_driver(
                 parallel.set_all(j, vals);
             }
         }
-        let sequential = pipe.plan().algorithm.execute_sequential();
         (
-            Some(sequential.diff(&parallel).is_none()),
+            Some(verify_against_sequential(pipe.plan(), &parallel, reg)),
             Some(parallel.checksum()),
         )
     } else {
@@ -1618,8 +1618,16 @@ fn tcp_driver(
             let _ = writeln!(out, "stats      : {p}");
         }
     }
-    if let Some(p) = &opts.trace_out {
-        let _ = writeln!(out, "trace      : {p}.rank0 .. {p}.rank{}", size - 1);
+    if let (Some(p), Some(reg)) = (&opts.trace_out, reg) {
+        // Worker spans stay in the workers' files; the driver's own
+        // (lowering, plan, chain lowering, verify) go to the plain path.
+        std::fs::write(p, reg.chrome_trace())
+            .map_err(|e| CliError(format!("cannot write trace to `{p}`: {e}")))?;
+        let _ = writeln!(
+            out,
+            "trace      : {p} (driver), per-rank {p}.rank0 .. {p}.rank{}",
+            size - 1
+        );
     }
     if let Some(p) = &opts.metrics_out {
         // Every worker shipped its final absolute snapshot before its
@@ -1899,7 +1907,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                         return err("--connect is only meaningful together with --worker-rank");
                     }
                     if opts.backend == Backend::Tcp {
-                        return tcp_driver(path, &args[rest..], &pipe, &opts, out);
+                        return tcp_driver(path, &args[rest..], &pipe, &opts, reg.as_deref(), out);
                     }
                     if opts.ranks.is_some() {
                         return err("--ranks is only meaningful with --backend tcp");
@@ -2607,6 +2615,28 @@ boundary = 0.25
         );
         let e = run_cli(&args(&["run", &adi, "--rect", "2,4,4", "--map", "7"])).unwrap_err();
         let typed = tilecc_tiling::TilingError::MappingOutOfRange { m: 7, dim: 3 };
+        assert!(e.0.contains(&typed.to_string()), "{e}");
+    }
+
+    #[test]
+    fn oversized_tile_is_a_typed_error_without_walking_it() {
+        // A 400³ tile over ADI's 6×8×8 space would hold 64M lattice
+        // points; the volume budget rejects it before any walk.
+        let adi = format!(
+            "{}/../../examples/kernels/adi.tk",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let t0 = std::time::Instant::now();
+        let e = run_cli(&args(&["plan", &adi, "--rect", "400,400,400"])).unwrap_err();
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(2),
+            "rejection took {:?}",
+            t0.elapsed()
+        );
+        let typed = tilecc_tiling::TilingError::TileTooLarge {
+            volume: 64_000_000,
+            limit: tilecc_tiling::tile_space::TILE_VOLUME_FLOOR,
+        };
         assert!(e.0.contains(&typed.to_string()), "{e}");
     }
 }

@@ -55,6 +55,9 @@ pub enum Phase {
     Unpack,
     /// Writing a rank's LDS back into the global data space (driver-side).
     Gather,
+    /// Sequential reference execution and the bitwise diff against the
+    /// gathered data (driver-side, `--verify`).
+    Verify,
     /// Draining the rank's comm lane under the overlapped strategy: the
     /// residual send/transit time not hidden behind interior compute.
     Overlap,
@@ -73,6 +76,7 @@ impl Phase {
             Phase::Recv => "recv",
             Phase::Unpack => "unpack",
             Phase::Gather => "gather",
+            Phase::Verify => "verify",
             Phase::Overlap => "overlap",
         }
     }
@@ -91,6 +95,7 @@ impl Phase {
             Phase::Plan => 1,
             Phase::CompileChain => 2,
             Phase::Gather => 3,
+            Phase::Verify => 4,
         }
     }
 }

@@ -3,7 +3,7 @@
 //! results and simulated timings.
 
 use std::sync::Arc;
-use tilecc_cluster::{CommScheme, EngineOptions, MachineModel, MetricsRegistry, RunError};
+use tilecc_cluster::{CommScheme, EngineOptions, MachineModel, MetricsRegistry, Phase, RunError};
 use tilecc_linalg::RMat;
 use tilecc_loopnest::{Algorithm, DataSpace};
 use tilecc_parcode::{
@@ -184,6 +184,7 @@ impl Pipeline {
         backend: Backend,
         options: EngineOptions,
     ) -> Result<(RunSummary, DataSpace), RunError> {
+        let obs = options.obs.clone();
         let res = execute_backend(
             self.plan.clone(),
             model,
@@ -193,8 +194,7 @@ impl Pipeline {
             options,
         )?;
         let parallel = res.data.as_ref().expect("full mode returns data");
-        let sequential = self.plan.algorithm.execute_sequential();
-        let verified = sequential.diff(parallel).is_none();
+        let verified = verify_against_sequential(&self.plan, parallel, obs.as_deref());
         let summary = self.summarize(&res, &model, Some(verified));
         Ok((summary, res.data.unwrap()))
     }
@@ -251,6 +251,23 @@ impl Pipeline {
             local_times: res.report.local_times.clone(),
         }
     }
+}
+
+/// Run the plan's algorithm sequentially and compare it bitwise with the
+/// gathered `parallel` data, recording the whole step as one `verify`
+/// driver span when `obs` is given. Shared by in-process runs and the
+/// multi-process driver.
+pub fn verify_against_sequential(
+    plan: &ParallelPlan,
+    parallel: &DataSpace,
+    obs: Option<&MetricsRegistry>,
+) -> bool {
+    let t0 = obs.map(|r| r.now_ns());
+    let verified = plan.algorithm.execute_sequential().diff(parallel).is_none();
+    if let (Some(reg), Some(t0)) = (obs, t0) {
+        reg.driver_span(Phase::Verify, "verify", t0, parallel.num_written() as u64);
+    }
+    verified
 }
 
 #[cfg(test)]

@@ -50,7 +50,12 @@ pub fn is_lex_positive(v: &[i64]) -> bool {
 #[inline]
 pub fn div_floor(a: i64, b: i64) -> i64 {
     debug_assert!(b > 0, "div_floor requires a positive divisor");
-    a.div_euclid(b)
+    // Unit strides dominate real lattices; skip the hardware division.
+    if b == 1 {
+        a
+    } else {
+        a.div_euclid(b)
+    }
 }
 
 /// Ceiling division `⌈a / b⌉` for positive `b`.

@@ -128,23 +128,7 @@ impl LoopNest {
     /// overflow, `Ok(None)` if the space is empty or unbounded.
     #[allow(clippy::type_complexity)]
     pub fn try_bounding_box(&self) -> Result<Option<(Vec<i64>, Vec<i64>)>, PolytopeError> {
-        let mut lo = vec![0i64; self.dim];
-        let mut hi = vec![0i64; self.dim];
-        for k in 0..self.dim {
-            // Project onto variable k alone by eliminating all others.
-            let mut p = self.space.clone();
-            for v in (0..self.dim).rev() {
-                if v != k {
-                    p = p.eliminate(v)?;
-                }
-            }
-            let Some((l, h)) = p.integer_bounds(0, &[]) else {
-                return Ok(None);
-            };
-            lo[k] = l;
-            hi[k] = h;
-        }
-        Ok(Some((lo, hi)))
+        self.space.bounding_box()
     }
 
     /// Total number of integer points (exact, by scanning).

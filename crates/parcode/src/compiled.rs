@@ -18,8 +18,18 @@
 //! - The pack/unpack lattice walks of RECEIVE/SEND run once per plan, not
 //!   once per tile, leaving dense index-list copies in the hot loop.
 //! - The gather writes each owned cell straight into the global `DataSpace`
-//!   through precomputed relative offsets instead of re-running
-//!   `tile_iterations` and materializing per-point vectors.
+//!   through plan-time runs that are affine in the LDS cell, the target
+//!   cell and the iteration. A boundary tile cuts each run to the interval
+//!   its convex space admits ([`gather_spans`]), so no tile re-runs
+//!   `tile_iterations` or materializes per-point vectors.
+//!
+//! Lowering itself runs at integer speed: one lattice walk per table,
+//! `P'·j'` as `adj(H')·j' / det(H')` into a reused buffer
+//! ([`TilingTransform::p_prime_mul_into`]), walk coordinates in one flat
+//! `Vec`. The overlapped strategy's boundary/interior split is built on
+//! first use ([`CompiledChain::split`]) by a two-pointer merge over the
+//! lexicographically sorted walk, so the blocking strategies never pay
+//! for it.
 //!
 //! Offsets are exact wherever the checked path would succeed: for any two
 //! coordinates whose per-dimension addresses are in range, the difference of
@@ -29,7 +39,7 @@
 //! halo unpack cells that fall outside the allocation — writes the reference
 //! path's `Lds::set_all` silently drops — are marked [`SKIP`] at build time.
 
-use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use tilecc_linalg::vecops::div_floor;
 use tilecc_linalg::IMat;
 use tilecc_loopnest::{DataSpace, MultiKernel};
@@ -135,9 +145,17 @@ pub fn coalesce_runs(list: &[i64]) -> Vec<IndexRun> {
 }
 
 /// Factor the gather's `(dst, gather_rel)` pair into maximal joint affine
-/// runs covering every walk position exactly once, in order.
-fn coalesce_gather_runs(dst: &[i64], grel: &[i64]) -> Vec<GatherRun> {
+/// runs covering every walk position exactly once, in order. A run also
+/// keeps the iteration offset `j_off` advancing by one constant vector, so
+/// its iterations lie on a line and a convex space clips it to one
+/// interval (see [`gather_spans`]).
+fn coalesce_gather_runs(dst: &[i64], grel: &[i64], j_off: &[i64], n: usize) -> Vec<GatherRun> {
     debug_assert_eq!(dst.len(), grel.len());
+    let dj_same = |a: usize, b: usize| {
+        (0..n).all(|k| {
+            j_off[(b + 1) * n + k] - j_off[b * n + k] == j_off[(a + 1) * n + k] - j_off[a * n + k]
+        })
+    };
     let mut runs = Vec::new();
     let mut at = 0usize;
     while at < dst.len() {
@@ -151,6 +169,7 @@ fn coalesce_gather_runs(dst: &[i64], grel: &[i64]) -> Vec<GatherRun> {
             while at + len < dst.len()
                 && dst[at + len] - dst[at + len - 1] == src_step
                 && grel[at + len] - grel[at + len - 1] == dst_step
+                && dj_same(at, at + len - 1)
             {
                 len += 1;
             }
@@ -197,12 +216,11 @@ fn compute_runs_for(
             if (0..q).any(|dq| src_rel[b * q + dq] != src_rel[a * q + dq] + 1) {
                 break;
             }
-            let step: Vec<i64> = (0..n)
-                .map(|k| j_off[b * n + k] - j_off[a * n + k])
-                .collect();
             if len == 1 {
-                dj = step;
-            } else if dj != step {
+                for k in 0..n {
+                    dj[k] = j_off[b * n + k] - j_off[a * n + k];
+                }
+            } else if (0..n).any(|k| j_off[b * n + k] - j_off[a * n + k] != dj[k]) {
                 break;
             }
             len += 1;
@@ -242,6 +260,23 @@ fn compute_runs_for(
     runs
 }
 
+/// The overlapped strategy's boundary/interior split of the TTIS walk,
+/// built on first use by [`CompiledChain::split`].
+pub struct OverlapSplit {
+    /// Boundary-slab point indices (into the TTIS walk order), ascending:
+    /// the dependence closure of the union of the pack regions. Executing
+    /// these first makes every pack region ready to send before the
+    /// interior runs (the overlapped strategy's compute-boundary pass).
+    pub boundary_order: Vec<u32>,
+    /// The complementary private-interior point indices, ascending. No pack
+    /// region reads them, so they compute while sends are in flight.
+    pub interior_order: Vec<u32>,
+    /// Compute runs over `boundary_order` (the overlapped boundary pass).
+    pub boundary_runs: Vec<ComputeRun>,
+    /// Compute runs over `interior_order` (the overlapped interior pass).
+    pub interior_runs: Vec<ComputeRun>,
+}
+
 /// Plan-time lowering of one chain length's tile work to flat LDS indices.
 ///
 /// LDS extents — and therefore row-major weights — depend on the chain
@@ -277,27 +312,23 @@ pub struct CompiledChain {
     /// `comm.tile_deps`; empty for intra-processor dependences): halo cell
     /// of each region point at `tpos = 0`, or [`SKIP`].
     pub unpack_rel: Vec<Vec<i64>>,
-    /// Boundary-slab point indices (into the TTIS walk order), ascending:
-    /// the dependence closure of the union of the pack regions. Executing
-    /// these first makes every pack region ready to send before the
-    /// interior runs (the overlapped strategy's compute-boundary pass).
-    pub boundary_order: Vec<u32>,
-    /// The complementary private-interior point indices, ascending. No pack
-    /// region reads them, so they compute while sends are in flight.
-    pub interior_order: Vec<u32>,
     /// Affine runs of each `pack_rel` list (cover every position, in order).
     pub pack_runs: Vec<Vec<IndexRun>>,
     /// Affine runs of each `unpack_rel` list (cover exactly the non-[`SKIP`]
     /// positions, in order; SKIP cells split runs).
     pub unpack_runs: Vec<Vec<IndexRun>>,
-    /// Joint affine runs of the gather's `(dst, gather_rel)` lists.
+    /// Joint affine runs of the gather's `(dst, gather_rel, j_off)` lists.
     pub gather_runs: Vec<GatherRun>,
     /// Compute runs over the full TTIS walk ([`compute_tile_fast`]).
     pub compute_runs: Vec<ComputeRun>,
-    /// Compute runs over `boundary_order` (the overlapped boundary pass).
-    pub boundary_runs: Vec<ComputeRun>,
-    /// Compute runs over `interior_order` (the overlapped interior pass).
-    pub interior_runs: Vec<ComputeRun>,
+    /// TTIS coordinates `j'` of the walk, `n` per point, lexicographically
+    /// ascending (the lattice walk order).
+    coords: Vec<i64>,
+    /// Transformed dependences `d' = H'·d` (columns).
+    d_prime: IMat,
+    /// Lower corner of each processor dependence's pack region.
+    region_lo: Vec<Vec<i64>>,
+    split: OnceLock<OverlapSplit>,
 }
 
 impl CompiledChain {
@@ -325,7 +356,8 @@ impl CompiledChain {
         let chain_step = (v[m] / geo.c[m]) * weights[m];
         let q = comm.d_prime.cols();
         let lat = t.lattice();
-        let p_prime = t.p_prime();
+        let tile_points = tiled.full_tile_volume();
+        assert!(tile_points <= u32::MAX as usize, "tile too large to index");
 
         // Checked flat index of an owned/pack cell at tpos = 0: every
         // dimension must be in range (dimension m is then in range for the
@@ -343,29 +375,24 @@ impl CompiledChain {
             cell
         };
 
-        let mut dst = Vec::new();
-        let mut j_off = Vec::new();
-        let mut src_rel = Vec::new();
-        let mut gather_rel = Vec::new();
-        let mut coords: Vec<Vec<i64>> = Vec::new();
+        let mut dst = Vec::with_capacity(tile_points);
+        let mut j_off = Vec::with_capacity(tile_points * n);
+        let mut src_rel = Vec::with_capacity(tile_points * q);
+        let mut gather_rel = Vec::with_capacity(tile_points);
+        let mut coords = Vec::with_capacity(tile_points * n);
+        let mut off = vec![0i64; n];
         let mut g0 = vec![0i64; n];
         let zero = vec![0i64; n];
         lat.for_each_in_box(&zero, v, |jp| {
-            coords.push(jp.to_vec());
+            coords.extend_from_slice(jp);
             let cell = flat_checked(jp, "owned");
             assert!(cell + (num_tiles - 1) * chain_step < total_cells);
             dst.push(cell);
             // j = P·tile + P'·j'; both parts are integral (P is validated
             // integral, and lattice points satisfy j' = H'·z).
-            let off_j = p_prime.mul_ivec(jp);
-            let mut grel = 0i64;
-            for (k, r) in off_j.iter().enumerate() {
-                assert!(r.is_integer(), "P'·j' must be integral on the lattice");
-                let x = r.to_integer();
-                j_off.push(x);
-                grel += x * ds_weights[k];
-            }
-            gather_rel.push(grel);
+            t.p_prime_mul_into(jp, &mut off);
+            j_off.extend_from_slice(&off);
+            gather_rel.push(off.iter().zip(ds_weights).map(|(&x, &w)| x * w).sum());
             for dq in 0..q {
                 for k in 0..n {
                     g0[k] = jp[k] - comm.d_prime[(k, dq)];
@@ -373,8 +400,7 @@ impl CompiledChain {
                 src_rel.push(geo.flat_cell_signed(&g0, &weights));
             }
         });
-        let tile_points = dst.len();
-        assert_eq!(tile_points, tiled.full_tile_volume());
+        assert_eq!(dst.len(), tile_points);
 
         let pack_rel: Vec<Vec<i64>> = comm
             .proc_deps
@@ -422,69 +448,13 @@ impl CompiledChain {
             })
             .collect();
 
-        // Boundary/interior split for the overlapped strategy. The slab is
-        // the *dependence closure* of the union of the pack regions: every
-        // TTIS point some pack-region point transitively reads within the
-        // tile, not just the regions themselves — tiling validity gives
-        // `d' = H'·d ≥ 0`, so region points read *lower* lattice points and
-        // a region-only pass would execute them against stale cells.
-        // Because `d' ≥ 0` also makes the ascending lattice walk order a
-        // topological order, running the slab in walk order, then the
-        // interior in walk order, respects every intra-tile dependence:
-        // the closure is predecessor-closed, so no slab point reads an
-        // interior point.
-        assert!(tile_points <= u32::MAX as usize, "tile too large to index");
-        let index_of: BTreeMap<&[i64], usize> = coords
-            .iter()
-            .enumerate()
-            .map(|(i, jp)| (jp.as_slice(), i))
-            .collect();
-        let mut in_slab = vec![false; tile_points];
-        let mut work: Vec<usize> = Vec::new();
-        for dm in &comm.proc_deps {
-            let lo = comm.region_lo(dm, v);
-            for (i, jp) in coords.iter().enumerate() {
-                if !in_slab[i] && jp.iter().zip(&lo).all(|(&x, &l)| x >= l) {
-                    in_slab[i] = true;
-                    work.push(i);
-                }
-            }
-        }
-        let mut pred = vec![0i64; n];
-        while let Some(i) = work.pop() {
-            for dq in 0..q {
-                for k in 0..n {
-                    pred[k] = coords[i][k] - comm.d_prime[(k, dq)];
-                }
-                // `j' − d'` stays on the lattice (d' = H'·d), so box
-                // membership is exactly map membership.
-                if let Some(&p) = index_of.get(pred.as_slice()) {
-                    if !in_slab[p] {
-                        in_slab[p] = true;
-                        work.push(p);
-                    }
-                }
-            }
-        }
-        let boundary_order: Vec<u32> = (0..tile_points)
-            .filter(|&i| in_slab[i])
-            .map(|i| i as u32)
-            .collect();
-        let interior_order: Vec<u32> = (0..tile_points)
-            .filter(|&i| !in_slab[i])
-            .map(|i| i as u32)
-            .collect();
-        debug_assert_eq!(boundary_order.len() + interior_order.len(), tile_points);
-
         // Affine-run coalescing: every hot per-index loop below gets a
         // run-descriptor form computed once per plan, here.
         let pack_runs: Vec<Vec<IndexRun>> = pack_rel.iter().map(|l| coalesce_runs(l)).collect();
         let unpack_runs: Vec<Vec<IndexRun>> = unpack_rel.iter().map(|l| coalesce_runs(l)).collect();
-        let gather_runs = coalesce_gather_runs(&dst, &gather_rel);
+        let gather_runs = coalesce_gather_runs(&dst, &gather_rel, &j_off, n);
         let all: Vec<u32> = (0..tile_points as u32).collect();
         let compute_runs = compute_runs_for(&all, &dst, &src_rel, &j_off, q, n);
-        let boundary_runs = compute_runs_for(&boundary_order, &dst, &src_rel, &j_off, q, n);
-        let interior_runs = compute_runs_for(&interior_order, &dst, &src_rel, &j_off, q, n);
 
         CompiledChain {
             num_tiles,
@@ -498,14 +468,77 @@ impl CompiledChain {
             gather_rel,
             pack_rel,
             unpack_rel,
-            boundary_order,
-            interior_order,
             pack_runs,
             unpack_runs,
             gather_runs,
             compute_runs,
-            boundary_runs,
-            interior_runs,
+            coords,
+            d_prime: comm.d_prime.clone(),
+            region_lo: comm
+                .proc_deps
+                .iter()
+                .map(|dm| comm.region_lo(dm, v))
+                .collect(),
+            split: OnceLock::new(),
+        }
+    }
+
+    /// The boundary/interior split, built on the first call (only the
+    /// overlapped strategy asks for it).
+    pub fn split(&self) -> &OverlapSplit {
+        self.split.get_or_init(|| self.build_split())
+    }
+
+    /// The slab is the *dependence closure* of the union of the pack
+    /// regions: every TTIS point some pack-region point transitively reads
+    /// within the tile, not just the regions themselves — tiling validity
+    /// gives `d' = H'·d ≥ 0`, so region points read *lower* lattice points
+    /// and a region-only pass would execute them against stale cells.
+    /// Because `d' ≥ 0` and `d' ≠ 0` also make the ascending lattice walk a
+    /// topological order, running the slab in walk order, then the interior
+    /// in walk order, respects every intra-tile dependence: the closure is
+    /// predecessor-closed, so no slab point reads an interior point.
+    fn build_split(&self) -> OverlapSplit {
+        let (n, q, np) = (self.n, self.q, self.tile_points);
+        let pt = |i: usize| &self.coords[i * n..(i + 1) * n];
+        let mut in_slab: Vec<bool> = (0..np)
+            .map(|i| {
+                let jp = pt(i);
+                self.region_lo
+                    .iter()
+                    .any(|lo| jp.iter().zip(lo).all(|(&x, &l)| x >= l))
+            })
+            .collect();
+        // Closure in one reverse sweep: a point's predecessors `j' − d'`
+        // come earlier in the walk, so its slab flag is final when the
+        // sweep reaches it. The walk is sorted and translation by `−d'`
+        // keeps it sorted, so per dependence one pointer moving down the
+        // walk finds each predecessor (a two-pointer merge); `j' − d'` stays
+        // on the lattice, so box membership is exactly an equal coordinate.
+        let mut ptr = vec![np; q];
+        let mut pred = vec![0i64; n];
+        for i in (0..np).rev() {
+            for (dq, p) in ptr.iter_mut().enumerate() {
+                for k in 0..n {
+                    pred[k] = pt(i)[k] - self.d_prime[(k, dq)];
+                }
+                while *p > 0 && pt(*p - 1) > &pred[..] {
+                    *p -= 1;
+                }
+                if in_slab[i] && *p > 0 && pt(*p - 1) == &pred[..] {
+                    in_slab[*p - 1] = true;
+                }
+            }
+        }
+        let (boundary_order, interior_order): (Vec<u32>, Vec<u32>) =
+            (0..np as u32).partition(|&i| in_slab[i as usize]);
+        let runs =
+            |order: &[u32]| compute_runs_for(order, &self.dst, &self.src_rel, &self.j_off, q, n);
+        OverlapSplit {
+            boundary_runs: runs(&boundary_order),
+            interior_runs: runs(&interior_order),
+            boundary_order,
+            interior_order,
         }
     }
 
@@ -656,7 +689,7 @@ pub fn compute_tile_fast<K: MultiKernel + ?Sized>(
 }
 
 /// [`compute_tile_fast`] restricted to a precomputed run set
-/// ([`CompiledChain::boundary_runs`] / [`CompiledChain::interior_runs`]):
+/// ([`OverlapSplit::boundary_runs`] / [`OverlapSplit::interior_runs`]):
 /// the overlapped strategy's boundary and interior passes. Returns the
 /// number of points computed through the batch entry.
 pub fn compute_tile_fast_subset<K: MultiKernel + ?Sized>(
@@ -951,15 +984,81 @@ pub fn unpack_region_per_index(
     Ok(())
 }
 
-/// Single-pass gather of an interior tile's owned cells into the global
-/// data space. Joint unit-stride runs of the source and target lists
-/// become one block copy each (values and written flags); other runs fall
-/// back to per-cell writes.
-pub fn gather_tile_fast(
+/// Visit the in-space part of every gather run of the tile at `origin`,
+/// as `f(run, first, count)` over run-relative positions
+/// `first..first + count`. With `clamp = None` (an interior tile) every
+/// run is visited whole.
+///
+/// Along a run the iteration is `j(t) = origin + j_off[at] + t·dj` with a
+/// constant `dj` (see [`coalesce_gather_runs`]), so each constraint
+/// `a·j + b ≥ 0` of the convex space is `a·j(0) + b + t·(a·dj) ≥ 0`: a
+/// half-line in `t`. Their intersection with `[0, len)` is exactly the set
+/// of in-space points, solved per run in `i128` like [`Constraint::eval`].
+///
+/// [`Constraint::eval`]: tilecc_polytope::Constraint::eval
+pub fn gather_spans(
+    chain: &CompiledChain,
+    origin: &[i64],
+    clamp: Option<&Polyhedron>,
+    mut f: impl FnMut(&GatherRun, usize, usize),
+) {
+    let n = chain.n;
+    let Some(space) = clamp else {
+        for run in &chain.gather_runs {
+            f(run, 0, run.len as usize);
+        }
+        return;
+    };
+    let mut j0 = vec![0i64; n];
+    for run in &chain.gather_runs {
+        let at = run.at as usize;
+        for k in 0..n {
+            j0[k] = origin[k] + chain.j_off[at * n + k];
+        }
+        let (mut lo, mut hi) = (0i128, i128::from(run.len) - 1);
+        for c in space.constraints() {
+            let v0 = c.eval(&j0);
+            let slope: i128 = if run.len > 1 {
+                (0..n)
+                    .map(|k| {
+                        let dj = chain.j_off[(at + 1) * n + k] - chain.j_off[at * n + k];
+                        i128::from(c.coeff(k)) * i128::from(dj)
+                    })
+                    .sum()
+            } else {
+                0
+            };
+            match slope.signum() {
+                0 if v0 < 0 => hi = -1,
+                0 => {}
+                // v0 + t·slope ≥ 0  ⇔  t ≥ ⌈−v0 / slope⌉
+                1 => {
+                    lo = lo.max((-v0).div_euclid(slope) + i128::from((-v0).rem_euclid(slope) != 0))
+                }
+                // ⇔  t ≤ ⌊v0 / −slope⌋
+                _ => hi = hi.min(v0.div_euclid(-slope)),
+            }
+            if lo > hi {
+                break;
+            }
+        }
+        if lo <= hi {
+            f(run, lo as usize, (hi - lo + 1) as usize);
+        }
+    }
+}
+
+/// Gather a tile's owned cells into the global data space through the
+/// plan-time runs: joint unit-stride runs become one block copy each
+/// (values and written flags), other runs per-cell writes. A boundary tile
+/// passes the iteration space as `clamp`, which cuts each run to its
+/// in-space interval ([`gather_spans`]); an interior tile passes `None`.
+pub fn gather_tile(
     chain: &CompiledChain,
     lds: &Lds,
     tpos: i64,
     origin: &[i64],
+    clamp: Option<&Polyhedron>,
     ds: &mut DataSpace,
 ) {
     let w = lds.width();
@@ -967,20 +1066,20 @@ pub fn gather_tile_fast(
     let base = tpos * chain.chain_step;
     let gbase = ds.flat_cell_signed(origin);
     let vals = lds.values();
-    for run in &chain.gather_runs {
-        let (at, len) = (run.at as usize, run.len as usize);
+    gather_spans(chain, origin, clamp, |run, first, count| {
+        let at = run.at as usize + first;
         if run.src_step == 1 && run.dst_step == 1 {
             let src = (base + chain.dst[at]) as usize;
             let cell = (gbase + chain.gather_rel[at]) as usize;
-            ds.write_cells(cell, len, &vals[src * w..(src + len) * w]);
+            ds.write_cells(cell, count, &vals[src * w..(src + count) * w]);
         } else {
-            for i in at..at + len {
+            for i in at..at + count {
                 let src = (base + chain.dst[i]) as usize;
                 let cell = (gbase + chain.gather_rel[i]) as usize;
                 ds.write_cell(cell, &vals[src * w..(src + 1) * w]);
             }
         }
-    }
+    });
 }
 
 /// The PR2 per-cell gather loop, kept as the `--vec-bench` baseline.
@@ -1140,9 +1239,10 @@ mod tests {
 
                 // Partition: each side strictly ascending, union complete.
                 let mut side = vec![None; chain.tile_points];
+                let split = chain.split();
                 for (order, tag) in [
-                    (&chain.boundary_order, true),
-                    (&chain.interior_order, false),
+                    (&split.boundary_order, true),
+                    (&split.interior_order, false),
                 ] {
                     assert!(order.windows(2).all(|w| w[0] < w[1]), "case {case}");
                     for &i in order.iter() {
@@ -1175,7 +1275,7 @@ mod tests {
                 // slab points, so the interior never feeds a send.
                 let q = plan.comm.d_prime.cols();
                 let mut pred = vec![0i64; n];
-                for &i in chain.boundary_order.iter() {
+                for &i in split.boundary_order.iter() {
                     for dq in 0..q {
                         for k in 0..n {
                             pred[k] = coords[i as usize][k] - plan.comm.d_prime[(k, dq)];
@@ -1189,7 +1289,7 @@ mod tests {
                         }
                     }
                 }
-                if !chain.interior_order.is_empty() {
+                if !split.interior_order.is_empty() {
                     with_interior += 1;
                 }
             }
@@ -1206,14 +1306,14 @@ mod tests {
                         chain,
                         &origin,
                         space,
-                        &chain.boundary_order,
+                        &chain.split().boundary_order,
                         &mut j_buf,
                     );
                     let i = super::count_in_space_subset(
                         chain,
                         &origin,
                         space,
-                        &chain.interior_order,
+                        &chain.split().interior_order,
                         &mut j_buf,
                     );
                     let expect = plan.tiled.tile_iterations(&tile).count() as u64;

@@ -11,7 +11,8 @@
 
 use crate::compiled::{
     compute_tile_clamped, compute_tile_clamped_subset, compute_tile_fast, compute_tile_fast_subset,
-    count_in_space_subset, pack_region, tile_origin, unpack_region, CompiledChain, ComputeScratch,
+    count_in_space_subset, gather_spans, gather_tile, pack_region, tile_origin, unpack_region,
+    CompiledChain, ComputeScratch,
 };
 use crate::plan::ParallelPlan;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -21,6 +22,7 @@ use tilecc_cluster::{
     InjectedCrash, MachineModel, MetricsRegistry, Phase, RunError, RunReport,
 };
 use tilecc_loopnest::DataSpace;
+use tilecc_polytope::Polyhedron;
 use tilecc_tiling::{insert_at, Lds};
 
 /// Execution mode.
@@ -218,39 +220,60 @@ pub fn run_rank_body(
 /// values)` for every iteration in its valid tiles, read from its LDS. The
 /// multi-process worker serializes this list into its `RESULT` payload so
 /// the driver can rebuild the global [`DataSpace`] without sharing memory.
+/// Walks the same clamped gather runs as the in-process gather, in TTIS
+/// walk order.
 pub fn rank_data_points(
     plan: &ParallelPlan,
     rank: usize,
     out: &RankOutput,
 ) -> Vec<(Vec<i64>, Vec<f64>)> {
     let lds = out.lds.as_ref().expect("full mode returns the rank LDS");
-    let m = plan.m();
-    let w = plan.algorithm.width();
+    let (n, w) = (plan.dim(), plan.algorithm.width());
+    let vals = lds.values();
+    let mut points = Vec::new();
+    for_each_valid_tile(plan, rank, |_, chain, tpos, origin, clamp| {
+        let base = tpos * chain.chain_step;
+        gather_spans(chain, origin, clamp, |run, first, count| {
+            let at = run.at as usize + first;
+            for i in at..at + count {
+                let j = (0..n).map(|k| origin[k] + chain.j_off[i * n + k]).collect();
+                let cell = (base + chain.dst[i]) as usize;
+                points.push((j, vals[cell * w..(cell + 1) * w].to_vec()));
+            }
+        });
+    });
+    points
+}
+
+/// Call `f(tile, chain, tpos, origin, clamp)` for every valid tile of
+/// `rank`'s chain, where `clamp` is the iteration space for a boundary tile
+/// and `None` for an interior one — the shared tile walk of both gathers.
+fn for_each_valid_tile(
+    plan: &ParallelPlan,
+    rank: usize,
+    mut f: impl FnMut(&[i64], &CompiledChain, i64, &[i64], Option<&Polyhedron>),
+) {
     let pid = &plan.dist.pids[rank];
     let (lo_t, hi_t) = plan.dist.chains[rank];
-    let mut points = Vec::new();
-    let mut vals = vec![0.0f64; w];
+    let chain = plan.compiled_for(hi_t - lo_t + 1);
     for t_abs in lo_t..=hi_t {
-        let tpos = t_abs - lo_t;
-        let cur_tile = insert_at(pid, m, t_abs);
+        let cur_tile = insert_at(pid, plan.m(), t_abs);
         if !plan.tiled.tile_valid(&cur_tile) {
             continue;
         }
-        for (jp, j) in plan.tiled.tile_iterations(&cur_tile) {
-            let g = lds.unrolled(tpos, &jp);
-            lds.get_into(&g, &mut vals);
-            points.push((j, vals.clone()));
-        }
+        let origin = tile_origin(plan.tiled.transform(), &cur_tile);
+        let clamp = (!plan.tiled.tile_is_interior(&cur_tile)).then(|| plan.tiled.space());
+        f(&cur_tile, chain, t_abs - lo_t, &origin, clamp);
     }
-    points
 }
 
 /// Write every rank's LDS back to the global data space (the paper's
 /// `loc⁻¹` role), on the main thread.
 ///
-/// The compiled strategy bulk-copies interior tiles through the
-/// precomputed offsets and walks `tile_iterations` only for boundary
-/// tiles; the reference strategy re-walks every tile per point.
+/// The compiled strategies copy every tile through the plan-time gather
+/// runs, cutting a boundary tile's runs to their in-space intervals
+/// ([`gather_tile`]); only the reference strategy walks `tile_iterations`
+/// per point.
 fn gather(
     plan: &ParallelPlan,
     report: &RunReport<RankOutput>,
@@ -259,39 +282,28 @@ fn gather(
 ) -> DataSpace {
     let (lo, hi) = plan.algorithm.nest.bounding_box();
     let mut ds = DataSpace::with_width(&lo, &hi, plan.algorithm.width());
-    let t = plan.tiled.transform();
-    let m = plan.m();
-    let w = plan.algorithm.width();
-    let mut vals = vec![0.0f64; w];
+    let mut vals = vec![0.0f64; plan.algorithm.width()];
     for (rank, out) in report.results.iter().enumerate() {
         let rank_t0 = obs.map(|r| r.now_ns());
         let lds = out.lds.as_ref().expect("full mode returns the rank LDS");
-        let pid = &plan.dist.pids[rank];
-        let (lo_t, hi_t) = plan.dist.chains[rank];
-        let chain = plan.compiled_for(hi_t - lo_t + 1);
-        for t_abs in lo_t..=hi_t {
-            let tile_t0 = obs.map(|r| r.now_ns());
-            let tpos = t_abs - lo_t;
-            let cur_tile = insert_at(pid, m, t_abs);
-            if !plan.tiled.tile_valid(&cur_tile) {
-                continue;
-            }
-            if strategy != ExecStrategy::Reference && plan.tiled.tile_is_interior(&cur_tile) {
-                let origin = tile_origin(t, &cur_tile);
-                crate::compiled::gather_tile_fast(chain, lds, tpos, &origin, &mut ds);
-            } else {
-                for (jp, j) in plan.tiled.tile_iterations(&cur_tile) {
-                    let g = lds.unrolled(tpos, &jp);
-                    lds.get_into(&g, &mut vals);
+        let mut tile_t0 = rank_t0;
+        for_each_valid_tile(plan, rank, |tile, chain, tpos, origin, clamp| {
+            if strategy == ExecStrategy::Reference {
+                for (jp, j) in plan.tiled.tile_iterations(tile) {
+                    lds.get_into(&lds.unrolled(tpos, &jp), &mut vals);
                     ds.set_all(&j, &vals);
                 }
+            } else {
+                gather_tile(chain, lds, tpos, origin, clamp, &mut ds);
             }
             if let (Some(reg), Some(t0)) = (obs, tile_t0) {
+                let now = reg.now_ns();
                 reg.rank_metrics(rank)
                     .hist(HistId::GatherNs)
-                    .observe(reg.now_ns().saturating_sub(t0));
+                    .observe(now.saturating_sub(t0));
+                tile_t0 = Some(now);
             }
-        }
+        });
         if let (Some(reg), Some(t0)) = (obs, rank_t0) {
             reg.driver_span(Phase::Gather, "gather", t0, rank as u64);
         }
@@ -457,6 +469,7 @@ fn run_rank(
                     // regions, so after it every outgoing payload is final; the
                     // interior then computes while the sends ride the comm lane.
                     (_, ExecStrategy::Overlapped) => {
+                        let split = chain.split();
                         let origin = tile_origin(t, &cur_tile);
                         let space_interior =
                             mode == ExecMode::TimingOnly && plan.tiled.tile_is_interior(&cur_tile);
@@ -468,13 +481,13 @@ fn run_rank(
                         let b_v0 = comm.local_time();
                         let boundary_iters = match mode {
                             ExecMode::TimingOnly if space_interior => {
-                                chain.boundary_order.len() as u64
+                                split.boundary_order.len() as u64
                             }
                             ExecMode::TimingOnly => count_in_space_subset(
                                 chain,
                                 &origin,
                                 space,
-                                &chain.boundary_order,
+                                &split.boundary_order,
                                 &mut j_buf,
                             ),
                             ExecMode::Full if is_interior => {
@@ -485,9 +498,9 @@ fn run_rank(
                                     &origin,
                                     kernel.as_ref(),
                                     &mut scratch,
-                                    &chain.boundary_runs,
+                                    &split.boundary_runs,
                                 );
-                                chain.boundary_order.len() as u64
+                                split.boundary_order.len() as u64
                             }
                             ExecMode::Full => compute_tile_clamped_subset(
                                 chain,
@@ -498,7 +511,7 @@ fn run_rank(
                                 space,
                                 deps,
                                 &mut scratch,
-                                &chain.boundary_order,
+                                &split.boundary_order,
                             ),
                         };
                         comm.advance_compute(boundary_iters);
@@ -531,13 +544,13 @@ fn run_rank(
                         let i_v0 = comm.local_time();
                         let interior_iters = match mode {
                             ExecMode::TimingOnly if space_interior => {
-                                chain.interior_order.len() as u64
+                                split.interior_order.len() as u64
                             }
                             ExecMode::TimingOnly => count_in_space_subset(
                                 chain,
                                 &origin,
                                 space,
-                                &chain.interior_order,
+                                &split.interior_order,
                                 &mut j_buf,
                             ),
                             ExecMode::Full if is_interior => {
@@ -548,9 +561,9 @@ fn run_rank(
                                     &origin,
                                     kernel.as_ref(),
                                     &mut scratch,
-                                    &chain.interior_runs,
+                                    &split.interior_runs,
                                 );
-                                chain.interior_order.len() as u64
+                                split.interior_order.len() as u64
                             }
                             ExecMode::Full => compute_tile_clamped_subset(
                                 chain,
@@ -561,7 +574,7 @@ fn run_rank(
                                 space,
                                 deps,
                                 &mut scratch,
-                                &chain.interior_order,
+                                &split.interior_order,
                             ),
                         };
                         comm.advance_compute(interior_iters);
@@ -1010,6 +1023,55 @@ mod tests {
         }
         assert_eq!(compiled.total(Counter::ReferenceDispatches), 0);
         assert_eq!(reference.total(Counter::CompiledDispatches), 0);
+    }
+
+    /// The worker's `RESULT` cells come from the clamped gather runs; they
+    /// must list exactly the `tile_iterations` walk's points and values, in
+    /// walk order, for an LDS computed by either strategy.
+    #[test]
+    fn rank_data_points_match_the_tile_walk() {
+        let alg = kernels::sor_skewed(6, 9, 1.1);
+        let t = TilingTransform::new(RMat::from_fractions(&[
+            &[(1, 2), (0, 1), (0, 1)],
+            &[(0, 1), (1, 3), (0, 1)],
+            &[(-1, 4), (0, 1), (1, 4)],
+        ]))
+        .unwrap();
+        let plan = Arc::new(ParallelPlan::new(alg, t, Some(2)).unwrap());
+        let w = plan.algorithm.width();
+        for strategy in [ExecStrategy::Compiled, ExecStrategy::Reference] {
+            let res = execute_strategy(
+                plan.clone(),
+                MachineModel::fast_ethernet_p3(),
+                ExecMode::Full,
+                strategy,
+                EngineOptions::default(),
+            )
+            .unwrap();
+            for (rank, out) in res.report.results.iter().enumerate() {
+                let lds = out.lds.as_ref().unwrap();
+                let (lo_t, hi_t) = plan.dist.chains[rank];
+                let mut want = Vec::new();
+                for t_abs in lo_t..=hi_t {
+                    let tile = insert_at(&plan.dist.pids[rank], plan.m(), t_abs);
+                    if !plan.tiled.tile_valid(&tile) {
+                        continue;
+                    }
+                    for (jp, j) in plan.tiled.tile_iterations(&tile) {
+                        let mut vals = vec![0.0f64; w];
+                        lds.get_into(&lds.unrolled(t_abs - lo_t, &jp), &mut vals);
+                        want.push((j, vals));
+                    }
+                }
+                let got = rank_data_points(&plan, rank, out);
+                assert_eq!(got.len(), want.len(), "{strategy:?} rank {rank}");
+                for ((gj, gv), (wj, wv)) in got.iter().zip(&want) {
+                    assert_eq!(gj, wj, "{strategy:?} rank {rank}");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(gv), bits(wv), "{strategy:?} rank {rank} at {gj:?}");
+                }
+            }
+        }
     }
 
     #[test]

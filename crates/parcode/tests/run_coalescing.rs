@@ -10,13 +10,14 @@
 
 use std::sync::Arc;
 use tilecc_linalg::{IMat, RMat, Rational};
-use tilecc_loopnest::{kernels, Algorithm, Kernel, LoopNest};
+use tilecc_loopnest::{kernels, Algorithm, DataSpace, Kernel, LoopNest};
 use tilecc_parcode::compiled::{
-    coalesce_runs, CompiledChain, ComputeRun, IndexRun, CACHE_BLOCK, MIN_BATCH, SKIP,
+    coalesce_runs, gather_tile, tile_origin, CompiledChain, ComputeRun, IndexRun, CACHE_BLOCK,
+    MIN_BATCH, SKIP,
 };
 use tilecc_parcode::ParallelPlan;
 use tilecc_polytope::{Constraint, Polyhedron};
-use tilecc_tiling::{tiling_cone_rays, TilingTransform};
+use tilecc_tiling::{insert_at, tiling_cone_rays, Lds, TilingTransform};
 
 /// xorshift64* — the fuzz harness's generator, for seed-reproducible cases.
 struct G(u64);
@@ -160,6 +161,18 @@ fn check_plan(plan: &ParallelPlan, ctx: &str) -> usize {
             let (at, len) = (r.at as usize, r.len as usize);
             assert_eq!(at, gat, "{ctx}: gather runs leave a gap");
             gat = at + len;
+            // The clamped gather relies on each run being a line in
+            // iteration space: `j_off` advances by one constant vector.
+            let n = chain.n;
+            let dj: Vec<i64> = (0..n)
+                .map(|k| {
+                    if len > 1 {
+                        chain.j_off[(at + 1) * n + k] - chain.j_off[at * n + k]
+                    } else {
+                        0
+                    }
+                })
+                .collect();
             for t in 0..len {
                 assert_eq!(
                     chain.dst[at + t],
@@ -171,24 +184,80 @@ fn check_plan(plan: &ParallelPlan, ctx: &str) -> usize {
                     chain.gather_rel[at] + t as i64 * r.dst_step,
                     "{ctx}: gather target reconstruction"
                 );
+                for (k, &d) in dj.iter().enumerate() {
+                    assert_eq!(
+                        chain.j_off[(at + t) * n + k],
+                        chain.j_off[at * n + k] + t as i64 * d,
+                        "{ctx}: gather run not affine in j_off"
+                    );
+                }
             }
         }
         assert_eq!(gat, chain.tile_points, "{ctx}: gather runs incomplete");
         check_compute_runs(&walk, &chain.compute_runs, chain, &format!("{ctx} walk"));
+        let split = chain.split();
         check_compute_runs(
-            &chain.boundary_order,
-            &chain.boundary_runs,
+            &split.boundary_order,
+            &split.boundary_runs,
             chain,
             &format!("{ctx} boundary"),
         );
         check_compute_runs(
-            &chain.interior_order,
-            &chain.interior_runs,
+            &split.interior_order,
+            &split.interior_runs,
             chain,
             &format!("{ctx} interior"),
         );
     }
     skips
+}
+
+/// The run-clamped gather of every valid tile must equal the per-point
+/// `tile_iterations` walk bitwise, values and written flags, from an LDS
+/// filled with distinct values. Returns the number of boundary tiles.
+fn check_gather(plan: &ParallelPlan, ctx: &str) -> usize {
+    let w = plan.algorithm.width();
+    let (lo, hi) = plan.algorithm.nest.bounding_box();
+    let t = plan.tiled.transform();
+    let mut boundary = 0usize;
+    for rank in 0..plan.num_procs() {
+        let (lo_t, hi_t) = plan.dist.chains[rank];
+        let chain = plan.compiled_for(hi_t - lo_t + 1);
+        let mut lds = Lds::with_width(plan.geo.clone(), plan.anchor(rank), hi_t - lo_t + 1, w);
+        for (i, x) in lds.values_mut().iter_mut().enumerate() {
+            *x = 1.0 + i as f64 / 7.0;
+        }
+        let mut vals = vec![0.0f64; w];
+        for t_abs in lo_t..=hi_t {
+            let tile = insert_at(&plan.dist.pids[rank], plan.m(), t_abs);
+            if !plan.tiled.tile_valid(&tile) {
+                continue;
+            }
+            let tpos = t_abs - lo_t;
+            let interior = plan.tiled.tile_is_interior(&tile);
+            boundary += usize::from(!interior);
+            let mut want = DataSpace::with_width(&lo, &hi, w);
+            for (jp, j) in plan.tiled.tile_iterations(&tile) {
+                lds.get_into(&lds.unrolled(tpos, &jp), &mut vals);
+                want.set_all(&j, &vals);
+            }
+            let origin = tile_origin(t, &tile);
+            let clamp = (!interior).then(|| plan.tiled.space());
+            let mut got = DataSpace::with_width(&lo, &hi, w);
+            gather_tile(chain, &lds, tpos, &origin, clamp, &mut got);
+            assert_eq!(
+                want.diff(&got),
+                None,
+                "{ctx}: rank {rank} tile {tile:?}: clamped gather differs from the walk"
+            );
+            assert_eq!(
+                want.num_written(),
+                got.num_written(),
+                "{ctx}: tile {tile:?}"
+            );
+        }
+    }
+    boundary
 }
 
 /// [`coalesce_runs`] on random lists seeded with genuine affine stretches
@@ -283,6 +352,7 @@ fn paper_workload_runs_reconstruct_their_lists() {
     let mut batched_runs = 0usize;
     for (name, plan) in &plans {
         check_plan(plan, name);
+        assert!(check_gather(plan, name) > 0, "{name}: no boundary tile");
         let (lo_t, hi_t) = plan.dist.chains[0];
         let chain = plan.compiled_for(hi_t - lo_t + 1);
         batched_runs += chain.compute_runs.iter().filter(|r| r.batch > 0).count();
@@ -304,6 +374,7 @@ fn random_tilings_and_cut_spaces_reconstruct_their_lists() {
     let mut cone_cases = 0usize;
     let mut cut_cases = 0usize;
     let mut skip_positions = 0usize;
+    let mut boundary_tiles = 0usize;
     for case in 0..120 {
         let n = 3usize;
         let ext: Vec<i64> = (0..n).map(|_| g.range(4, 9)).collect();
@@ -398,7 +469,9 @@ fn random_tilings_and_cut_spaces_reconstruct_their_lists() {
         if cut {
             cut_cases += 1;
         }
-        skip_positions += check_plan(&plan, &format!("seed {seed:#x} case {case}"));
+        let ctx = format!("seed {seed:#x} case {case}");
+        skip_positions += check_plan(&plan, &ctx);
+        boundary_tiles += check_gather(&plan, &ctx);
     }
     assert!(valid >= 10, "only {valid} valid sampled plans");
     assert!(cone_cases >= 3, "only {cone_cases} tiling-cone plans");
@@ -406,5 +479,9 @@ fn random_tilings_and_cut_spaces_reconstruct_their_lists() {
     assert!(
         skip_positions > 0,
         "corpus never produced a SKIP unpack position"
+    );
+    assert!(
+        boundary_tiles >= 50,
+        "corpus produced only {boundary_tiles} boundary tiles"
     );
 }

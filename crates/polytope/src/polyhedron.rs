@@ -249,6 +249,29 @@ impl Polyhedron {
         Ok(p)
     }
 
+    /// Inclusive integer bounding box `(lo, hi)`, each variable projected
+    /// alone by eliminating all others: `Err` on coefficient overflow,
+    /// `Ok(None)` if the polyhedron is empty or unbounded.
+    #[allow(clippy::type_complexity)]
+    pub fn bounding_box(&self) -> Result<Option<(Vec<i64>, Vec<i64>)>, PolytopeError> {
+        let mut lo = vec![0i64; self.dim];
+        let mut hi = vec![0i64; self.dim];
+        for k in 0..self.dim {
+            let mut p = self.clone();
+            for v in (0..self.dim).rev() {
+                if v != k {
+                    p = p.eliminate(v)?;
+                }
+            }
+            let Some((l, h)) = p.integer_bounds(0, &[]) else {
+                return Ok(None);
+            };
+            lo[k] = l;
+            hi[k] = h;
+        }
+        Ok(Some((lo, hi)))
+    }
+
     /// Exact rational bounds of variable `k` given fixed values of *all other
     /// variables in `outer` being authoritative for indices `< k` only*:
     /// returns `(max lower, min upper)` as integers, i.e. the loop bounds

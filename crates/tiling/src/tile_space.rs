@@ -29,6 +29,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tilecc_linalg::IMat;
 use tilecc_polytope::{Constraint, LoopNestBounds, Polyhedron};
 
+/// The smallest tile-volume budget [`TiledSpace::new`] grants any space
+/// (2²¹ lattice points): tiles larger than the space itself stay legal up
+/// to here. Planning and a verified run of a 2²¹-point ADI tile take about
+/// one second on a 2-vCPU x86-64 VM.
+pub const TILE_VOLUME_FLOOR: i64 = 1 << 21;
+
 /// A tiled iteration space: transformation + original space + tile-space
 /// shadow with precomputed loop bounds.
 pub struct TiledSpace {
@@ -56,9 +62,10 @@ pub struct TiledSpace {
 }
 
 impl TiledSpace {
-    /// Tile `space` by `transform`. Fails only when the exact polyhedral
-    /// machinery overflows `i64` coefficients (user-authored spaces with
-    /// extreme bounds).
+    /// Tile `space` by `transform`. Fails when the tile volume exceeds the
+    /// space's budget ([`TilingError::TileTooLarge`]) or when the exact
+    /// polyhedral machinery overflows `i64` coefficients (user-authored
+    /// spaces with extreme bounds).
     pub fn new(transform: TilingTransform, space: Polyhedron) -> Result<Self, TilingError> {
         let n = transform.dim();
         assert_eq!(
@@ -66,6 +73,24 @@ impl TiledSpace {
             n,
             "space and transformation dimension mismatch"
         );
+        // Reject oversized tiles before anything walks one: a full tile's
+        // TTIS holds exactly |det P| lattice points. A tile may exceed the
+        // space (one tile covering everything is a legitimate plan), so the
+        // budget is 2ⁿ × the bounding-box points, but never below the
+        // fixed floor TILE_VOLUME_FLOOR.
+        let volume = transform.tile_size();
+        if let Some((lo, hi)) = space.bounding_box()? {
+            let limit = lo
+                .iter()
+                .zip(&hi)
+                .fold(1i64 << n.min(62), |acc, (&l, &h)| {
+                    acc.saturating_mul(h - l + 1)
+                })
+                .max(TILE_VOLUME_FLOOR);
+            if volume > limit {
+                return Err(TilingError::TileTooLarge { volume, limit });
+            }
+        }
         // Combined system over (j^S[0..n], j[0..n]).
         let mut combined = Polyhedron::universe(2 * n);
         for c in space.constraints() {
@@ -93,7 +118,7 @@ impl TiledSpace {
         let shadow = combined.project_onto_first(n)?.remove_redundant()?;
         let tile_bounds = LoopNestBounds::new(&shadow)?;
         let space_bounds = LoopNestBounds::new(&space)?;
-        let full_tile_volume = transform.ttis_points().count();
+        let full_tile_volume = usize::try_from(volume).expect("tile volume within the limit");
         let mut ts = TiledSpace {
             transform,
             space,

@@ -11,6 +11,7 @@
 //!   gives the traversal strides `c_k` and its sub-diagonal entries the
 //!   incremental offsets `a_kl`.
 
+use crate::tile_space::TILE_VOLUME_FLOOR;
 use tilecc_linalg::{column_hnf, IMat, Lattice, RMat, Rational};
 use tilecc_polytope::PolytopeError;
 
@@ -34,6 +35,12 @@ pub enum TilingError {
     /// The requested mapping dimension `m` does not exist in a `dim`-
     /// dimensional tiled space.
     MappingOutOfRange { m: usize, dim: usize },
+    /// The tile volume `|det P|` exceeds `limit`: `2ⁿ ×` the integer points
+    /// of the iteration space's bounding box, or the fixed floor
+    /// [`TILE_VOLUME_FLOOR`] if larger. Such a tile
+    /// covers far more than the whole space, and lowering would walk every
+    /// one of its lattice points.
+    TileTooLarge { volume: i64, limit: i64 },
 }
 
 impl From<PolytopeError> for TilingError {
@@ -62,6 +69,11 @@ impl std::fmt::Display for TilingError {
             TilingError::MappingOutOfRange { m, dim } => write!(
                 f,
                 "mapping dimension {m} out of range for a {dim}-dimensional tiled space"
+            ),
+            TilingError::TileTooLarge { volume, limit } => write!(
+                f,
+                "tile volume {volume} exceeds the limit {limit} (the larger of 2^n \
+                 times the iteration space's bounding-box points and {TILE_VOLUME_FLOOR})"
             ),
         }
     }
@@ -271,6 +283,28 @@ impl TilingTransform {
             .collect()
     }
 
+    /// The tile-relative iteration offset `P'·j'` in pure integer
+    /// arithmetic, `adj(H')·j' / det(H')`, written into `out`: the
+    /// allocation-free per-point product of plan-time lowering.
+    ///
+    /// # Panics
+    /// Panics (release builds too) if `j'` is not a TTIS lattice point,
+    /// i.e. the product is not integral.
+    pub fn p_prime_mul_into(&self, jp: &[i64], out: &mut [i64]) {
+        let n = self.dim();
+        let det = self.h_prime_det;
+        for (i, o) in out.iter_mut().enumerate().take(n) {
+            let num = (0..n).try_fold(0i64, |acc, k| {
+                self.p_prime_adj[(i, k)]
+                    .checked_mul(jp[k])
+                    .and_then(|x| acc.checked_add(x))
+            });
+            let num = num.expect("adj(H')·j' overflows i64");
+            assert!(num % det == 0, "P'·j' must be integral on the lattice");
+            *o = num / det;
+        }
+    }
+
     /// Transformed dependence vectors `D' = H'·D` (columns).
     pub fn transformed_deps(&self, deps: &IMat) -> IMat {
         self.h_prime.mul(deps)
@@ -394,6 +428,70 @@ mod tests {
             &[(0, 1), (0, 1), (1, 4)],
         ]);
         assert!(TilingTransform::new(h).is_ok());
+    }
+
+    /// The integer `P'·j'` must equal the `Rational` product on every TTIS
+    /// point of the paper's tilings, sparse lattices included.
+    #[test]
+    fn integer_p_prime_product_matches_rational() {
+        let paper = [
+            sor_hnr(2, 3, 4),
+            sor_hnr(4, 3, 5),
+            sor_hnr(3, 4, 2),
+            // Jacobi H_nr (§4.2), x = 2, y = z = 4.
+            RMat::from_fractions(&[
+                &[(1, 2), (-1, 4), (0, 1)],
+                &[(0, 1), (1, 4), (0, 1)],
+                &[(0, 1), (0, 1), (1, 4)],
+            ]),
+            // ADI H_nr1..3 (§4.3), factors 3, 4, 2.
+            RMat::from_fractions(&[
+                &[(1, 3), (-1, 3), (0, 1)],
+                &[(0, 1), (1, 4), (0, 1)],
+                &[(0, 1), (0, 1), (1, 2)],
+            ]),
+            RMat::from_fractions(&[
+                &[(1, 3), (0, 1), (-1, 3)],
+                &[(0, 1), (1, 4), (0, 1)],
+                &[(0, 1), (0, 1), (1, 2)],
+            ]),
+            RMat::from_fractions(&[
+                &[(1, 3), (-1, 3), (-1, 3)],
+                &[(0, 1), (1, 4), (0, 1)],
+                &[(0, 1), (0, 1), (1, 2)],
+            ]),
+            // A sparse TTIS lattice (det H' = 2).
+            RMat::from_fractions(&[&[(1, 2), (0, 1)], &[(1, 4), (1, 2)]]),
+        ];
+        let mut checked = 0usize;
+        for h in paper {
+            let t = TilingTransform::new(h).unwrap();
+            let mut out = vec![0i64; t.dim()];
+            for jp in t.ttis_points() {
+                t.p_prime_mul_into(&jp, &mut out);
+                let want: Vec<i64> = t
+                    .p_prime()
+                    .mul_ivec(&jp)
+                    .iter()
+                    .map(|r| {
+                        assert!(r.is_integer());
+                        r.to_integer()
+                    })
+                    .collect();
+                assert_eq!(out, want, "jp = {jp:?}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 100, "only {checked} points checked");
+    }
+
+    #[test]
+    #[should_panic(expected = "integral on the lattice")]
+    fn integer_p_prime_product_rejects_off_lattice_points() {
+        let h = RMat::from_fractions(&[&[(1, 2), (0, 1)], &[(1, 4), (1, 2)]]);
+        let t = TilingTransform::new(h).unwrap();
+        // (0, 1) is in the TTIS box but not on the H' = [[1,0],[1,2]] lattice.
+        t.p_prime_mul_into(&[0, 1], &mut [0, 0]);
     }
 
     #[test]
