@@ -4,18 +4,18 @@
 //! "tool which automatically generates MPI code":
 //!
 //! ```text
-//! tilecc parse  nest.tcc                          # inspect the parsed model
-//! tilecc cone   nest.tcc                          # tiling cone extreme rays
-//! tilecc plan   nest.tcc --tile "1/4,0,0;0,1/4,0;-1/4,0,1/4" [--map 2]
-//! tilecc run    nest.tcc --rect 4,4,4 [--verify] [--overlap]
-//! tilecc run    --kernel heat3d.tk --rect 4,4,4,4 # kernel-DSL stencils
-//! tilecc emit   nest.tcc --tile … > generated.c   # C/MPI source
+//! tilecc parse  sor.tk                            # inspect the parsed model
+//! tilecc cone   sor.tk                            # tiling cone extreme rays
+//! tilecc plan   sor.tk --tile "1/4,0,0;0,1/4,0;-1/4,0,1/4" [--map 2]
+//! tilecc run    sor.tk --rect 4,4,4 [--verify] [--overlap]
+//! tilecc run    --kernel heat3d.tk --rect 4,4,4,4 # explicit input spelling
+//! tilecc emit   sor.tk --tile … > generated.c     # C/MPI source
 //! ```
 //!
-//! Inputs are either `.tcc` nest files (single-array, paper §2.1 notation)
-//! or `.tk` kernel-DSL files (arbitrary uniform-dependence stencils, multi
-//! array; see `docs/kernel-dsl.md`). The extension selects the frontend;
-//! `--kernel <file>` is the explicit spelling for DSL files.
+//! Inputs are `.tk` kernel-DSL files (arbitrary uniform-dependence
+//! stencils, one or more arrays; see `docs/kernel-dsl.md`), parsed once and
+//! lowered both to the executable algorithm and, for `emit`, to C.
+//! `--kernel <file>` is an alias for the positional path.
 //!
 //! All logic lives in [`run_cli`] so it is directly testable; the binary is
 //! a thin wrapper.
@@ -33,7 +33,7 @@ use tilecc_cluster::{
     RankPhase, RankTelemetry, RecoveryOptions, Rendezvous, RunError, StatsSnapshot, VirtAcc,
     WorkerCkptConfig, WorkerConfig, WorkerReport,
 };
-use tilecc_frontend::{compile, lower, parse, Program};
+use tilecc_frontend::KernelProgram;
 use tilecc_linalg::{RMat, Rational};
 use tilecc_loopnest::{Algorithm, DataSpace};
 use tilecc_parcode::{
@@ -593,15 +593,15 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
     Ok(o)
 }
 
-fn load(path: &str) -> Result<Algorithm, CliError> {
+/// Parse a kernel file and lower it. Errors carry `line:col` and render a
+/// caret snippet.
+fn load(path: &str) -> Result<(KernelProgram, Algorithm), CliError> {
     let src = std::fs::read_to_string(path)
         .map_err(|e| CliError(format!("cannot read `{path}`: {e}")))?;
-    if path.ends_with(".tk") {
-        // Kernel DSL: errors carry line:col and render a caret snippet.
-        tilecc_frontend::compile_kernel(&src).map_err(|e| CliError(e.render(path, &src)))
-    } else {
-        compile(&src).map_err(|e| CliError(format!("{path}: {e}")))
-    }
+    let program =
+        tilecc_frontend::parse_kernel(&src).map_err(|e| CliError(e.render(path, &src)))?;
+    let alg = tilecc_frontend::tk::lower_kernel(&program);
+    Ok((program, alg))
 }
 
 /// The input file of a command: either the first positional argument or the
@@ -618,47 +618,48 @@ fn input_path(args: &[String]) -> Result<(&str, usize), CliError> {
     }
 }
 
-fn load_program(path: &str) -> Result<Program, CliError> {
-    let src = std::fs::read_to_string(path)
-        .map_err(|e| CliError(format!("cannot read `{path}`: {e}")))?;
-    parse(&src).map_err(|e| CliError(format!("{path}: {e}")))
-}
-
-/// Build the C kernel/boundary source from the parsed program. Skewed
-/// programs get a prelude computing the original coordinates `jo` via the
-/// inverse skewing matrix, since the generated code iterates in skewed
-/// coordinates.
-fn kernel_source(program: &Program) -> tilecc_parcode::KernelSource {
-    use std::fmt::Write as _;
-    let (coord, prelude) = match &program.skew {
-        None => ("j".to_string(), String::new()),
+/// Build the C kernel/boundary source from the parsed kernel: one C
+/// expression per array, `let` bindings computed once at the top of
+/// `kernel()`. The generated code iterates in skewed coordinates, so the
+/// prelude computes the original coordinates `jo` through the inverse
+/// skewing matrix (or aliases `j` when there is no skew).
+fn kernel_source(program: &KernelProgram) -> tilecc_parcode::KernelSource {
+    let n = program.dim();
+    let mut prelude = match &program.skew {
+        None => "    const long *jo = j;\n".to_string(),
         Some(rows) => {
-            let n = program.dim();
             let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-            let t = tilecc_linalg::IMat::from_rows(&refs);
-            let tinv = t.inverse().to_imat();
-            let mut pre = String::new();
-            let _ = writeln!(pre, "    long jo[{n}];");
-            for r in 0..n {
-                let terms: Vec<String> = (0..n)
-                    .filter(|&k| tinv[(r, k)] != 0)
-                    .map(|k| format!("({}L * j[{k}])", tinv[(r, k)]))
-                    .collect();
-                let rhs = if terms.is_empty() {
-                    "0".to_string()
-                } else {
-                    terms.join(" + ")
-                };
-                let _ = writeln!(pre, "    jo[{r}] = {rhs};");
-            }
-            pre.push_str("    (void)jo;");
-            ("jo".to_string(), pre)
+            let tinv = tilecc_linalg::IMat::from_rows(&refs).inverse().to_imat();
+            let coords: Vec<String> = (0..n)
+                .map(|r| {
+                    let terms: Vec<String> = (0..n)
+                        .filter(|&k| tinv[(r, k)] != 0)
+                        .map(|k| format!("({}L * j[{k}])", tinv[(r, k)]))
+                        .collect();
+                    if terms.is_empty() {
+                        "0".to_string()
+                    } else {
+                        terms.join(" + ")
+                    }
+                })
+                .collect();
+            format!("    const long jo[{n}] = {{{}}};\n", coords.join(", "))
         }
     };
+    prelude.push_str("    (void)jo;");
+    let mut body = vec![String::new(); program.width()];
+    for s in &program.stmts {
+        body[s.array] = program.c_expr(&s.rhs);
+    }
     tilecc_parcode::KernelSource {
         prelude,
-        body: program.body.to_c(&coord),
-        boundary: program.boundary.to_c(&coord),
+        lets: program.c_lets(),
+        body,
+        boundary: program
+            .arrays
+            .iter()
+            .map(|a| program.c_expr(&a.init))
+            .collect(),
     }
 }
 
@@ -1667,13 +1668,12 @@ fn fmt_matrix(m: &RMat) -> String {
     s
 }
 
-const USAGE: &str = "usage: tilecc <command> <nest.tcc|kernel.tk> [options]
+const USAGE: &str = "usage: tilecc <command> <kernel.tk> [options]
 
-Inputs are not limited to the built-in workloads: any `.tcc` nest file
-(single-array, paper notation) or `.tk` kernel-DSL file (arbitrary
-uniform-dependence stencils, multiple arrays, `let` bindings — see
-docs/kernel-dsl.md) compiles through the same pipeline and runs on every
-backend and strategy. The file extension selects the frontend.
+Inputs are not limited to the built-in workloads: any `.tk` kernel-DSL
+file (arbitrary uniform-dependence stencils, multiple arrays, `let`
+bindings — see docs/kernel-dsl.md) compiles through the same pipeline,
+runs on every backend and strategy, and emits as C/MPI.
 
 commands:
   parse <file>               inspect the parsed loop nest / kernel
@@ -1683,19 +1683,17 @@ commands:
   plan  <file> --tile|--rect print the derived parallelization plan
   run   <file> --tile|--rect simulate on the modelled cluster
   emit  <file> --tile|--rect emit a complete C/MPI program to stdout
-                              (`.tcc` nests only)
-  emit-skeleton <file> …      emit the paper-style code skeleton only
   report <metrics.json>       render a saved metrics file as a summary
-                              (works for runs of any workload, built-in,
-                              `.tcc`, or `.tk`)
+                              (works for runs of any workload, built-in
+                              or `.tk`)
   report <a> --diff <b>       compare two saved metrics files on the
                               deterministic subset (exit nonzero on any
                               mismatch)
 
 options:
-  --kernel <file.tk>          explicit input-file spelling for kernel-DSL
-                              files (equivalent to passing the path
-                              positionally): `tilecc run --kernel f.tk …`
+  --kernel <file.tk>          explicit input-file spelling (equivalent to
+                              passing the path positionally):
+                              `tilecc run --kernel f.tk …`
   --tile \"r11,r12;r21,r22\"   tiling matrix H (rows `;`, entries `,`, a/b);
                               for `tune`: a seed candidate that is always
                               evaluated (e.g. the paper's fixed H)
@@ -1784,7 +1782,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
         }
         "parse" => {
             let (path, _) = input_path(args)?;
-            let alg = load(path)?;
+            let (_, alg) = load(path)?;
             let _ = writeln!(out, "algorithm : {}", alg.name);
             let _ = writeln!(out, "dimension : {}", alg.nest.dim());
             let _ = writeln!(out, "components: {}", alg.width());
@@ -1797,7 +1795,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
         }
         "cone" => {
             let (path, _) = input_path(args)?;
-            let alg = load(path)?;
+            let (_, alg) = load(path)?;
             let rays = tiling_cone_rays(alg.nest.deps());
             let _ = writeln!(out, "tiling cone extreme rays:");
             for r in rays {
@@ -1807,7 +1805,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
         }
         "tune" => {
             let (path, rest) = input_path(args)?;
-            let alg = load(path)?;
+            let (_, alg) = load(path)?;
             let topts = parse_tune_options(&args[rest..], alg.nest.dim())?;
             let outcome = tilecc::tune_labeled(
                 &alg,
@@ -1849,7 +1847,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             }
             Ok(out)
         }
-        "plan" | "run" | "emit" | "emit-skeleton" => {
+        "plan" | "run" | "emit" => {
             let (path, rest) = input_path(args)?;
             let opts = parse_options(&args[rest..])?;
             // One registry per invocation when an artifact was requested;
@@ -1860,7 +1858,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                 || opts.stats_out.is_some())
             .then(MetricsRegistry::new);
             let lower_t0 = reg.as_ref().map(|r| r.now_ns());
-            let alg = load(path)?;
+            let (program, alg) = load(path)?;
             if let (Some(r), Some(t0)) = (&reg, lower_t0) {
                 r.driver_span(Phase::Lower, "lower", t0, alg.nest.num_points() as u64);
             }
@@ -1985,20 +1983,8 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                     Ok(out)
                 }
                 "emit" => {
-                    if path.ends_with(".tk") {
-                        return err("emit does not support `.tk` kernel DSL files yet \
-                             (multi-array C emission is future work); \
-                             use run/plan/tune, or emit-skeleton for the schedule shape");
-                    }
-                    let program = load_program(path)?;
-                    // Consistency: the pipeline compiled from the same file.
-                    let _ = lower(&program).map_err(|e| CliError(format!("{path}: {e}")))?;
-                    let srck = kernel_source(&program);
-                    out.push_str(&tilecc_parcode::emit_c_program(pipe.plan(), &srck));
-                    Ok(out)
-                }
-                "emit-skeleton" => {
-                    out.push_str(&pipe.emit_c("F(/* reads at LA[MAP(t, j - d')] */)"));
+                    let src = kernel_source(&program);
+                    out.push_str(&tilecc_parcode::emit_c_program(pipe.plan(), &src));
                     Ok(out)
                 }
                 _ => unreachable!(),
@@ -2032,19 +2018,20 @@ mod tests {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let id = COUNTER.fetch_add(1, Ordering::Relaxed);
         let path =
-            std::env::temp_dir().join(format!("tilecc-cli-test-{}-{id}.tcc", std::process::id()));
+            std::env::temp_dir().join(format!("tilecc-cli-test-{}-{id}.tk", std::process::id()));
         std::fs::write(&path, content).unwrap();
         TempNest(path)
     }
 
     const ADI_SRC: &str = r#"
+kernel adi
 param T = 6
 param N = 9
-for t = 1 to T
-for i = 1 to N
-for j = 1 to N
+iter t = 1 to T
+iter i = 1 to N
+iter j = 1 to N
+array X = 0.25
 X[t,i,j] = X[t-1,i,j] + 0.3*X[t-1,i-1,j] - 0.2*X[t-1,i,j-1]
-boundary = 0.25
 "#;
 
     fn args(v: &[&str]) -> Vec<String> {
@@ -2223,6 +2210,21 @@ boundary = 0.25
         let p = write_nest(ADI_SRC);
         let out = run_cli(&args(&["emit", p.to_str(), "--rect", "2,4,4"])).unwrap();
         assert!(out.contains("#include <mpi.h>"));
+    }
+
+    #[test]
+    fn old_nest_syntax_is_a_located_error() {
+        // The retired `for`/`boundary =` nest notation is not `.tk`: every
+        // command reports where it stops parsing instead of panicking.
+        let p = write_nest("param N = 4\nfor t = 1 to N\nA[t] = A[t-1] + 1\nboundary = 0.5\n");
+        for cmd in ["parse", "run", "emit"] {
+            let e = run_cli(&args(&[cmd, p.to_str(), "--rect", "2"])).unwrap_err();
+            assert!(
+                e.0.starts_with(&format!("{}:1:1: ", p.to_str())),
+                "{cmd}: {e}"
+            );
+            assert!(e.0.contains("  1 | param N = 4"), "{cmd}: {e}");
+        }
     }
 
     #[test]

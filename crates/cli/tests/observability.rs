@@ -9,10 +9,7 @@ use tilecc_cli::run_cli;
 use tilecc_cluster::obs::json::{self, Json};
 
 fn sor_nest() -> String {
-    format!(
-        "{}/../../examples/nests/sor.tcc",
-        env!("CARGO_MANIFEST_DIR")
-    )
+    format!("{}/../../examples/nests/sor.tk", env!("CARGO_MANIFEST_DIR"))
 }
 
 /// Self-cleaning temp path, unique per call: the tests of this file run

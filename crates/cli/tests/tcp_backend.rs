@@ -7,10 +7,7 @@
 use std::process::{Command, Output};
 
 fn sor_nest() -> String {
-    format!(
-        "{}/../../examples/nests/sor.tcc",
-        env!("CARGO_MANIFEST_DIR")
-    )
+    format!("{}/../../examples/nests/sor.tk", env!("CARGO_MANIFEST_DIR"))
 }
 
 /// Self-cleaning temp path prefix (per-worker artifacts append `.rankN`).

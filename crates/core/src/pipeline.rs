@@ -7,8 +7,8 @@ use tilecc_cluster::{CommScheme, EngineOptions, MachineModel, MetricsRegistry, P
 use tilecc_linalg::RMat;
 use tilecc_loopnest::{Algorithm, DataSpace};
 use tilecc_parcode::{
-    emit_c_mpi, execute, execute_backend, execute_opts, execute_strategy, Backend, ExecMode,
-    ExecStrategy, ExecutionResult, ParallelPlan,
+    execute, execute_backend, execute_opts, execute_strategy, Backend, ExecMode, ExecStrategy,
+    ExecutionResult, ParallelPlan,
 };
 use tilecc_tiling::{TilingError, TilingTransform};
 
@@ -222,11 +222,6 @@ impl Pipeline {
         self.run_verified_strategy(model, ExecStrategy::default(), options)
     }
 
-    /// Emit the C/MPI source for this plan.
-    pub fn emit_c(&self, kernel_expr: &str) -> String {
-        emit_c_mpi(&self.plan, kernel_expr)
-    }
-
     fn summarize(
         &self,
         res: &ExecutionResult,
@@ -377,8 +372,16 @@ mod tests {
             Some(0),
         )
         .unwrap();
-        let code = pipe.emit_c("0.25 * (a + b + c + d)");
+        let body = "0.25 * (read[0] + read[1] + read[2] + read[3])";
+        let code = tilecc_parcode::emit_c_program(
+            pipe.plan(),
+            &tilecc_parcode::KernelSource {
+                body: vec![body.into()],
+                boundary: vec!["1.0".into()],
+                ..Default::default()
+            },
+        );
         assert!(code.contains("MPI_Send"));
-        assert!(code.contains("0.25 * (a + b + c + d)"));
+        assert!(code.contains(&format!("out[0] = {body};")));
     }
 }

@@ -1,40 +1,33 @@
 //! # tilecc-frontend
 //!
-//! Textual frontend for the `tilecc` framework: parse loop nests written in
-//! a notation mirroring the paper's program model (§2.1) into executable
-//! [`Algorithm`](tilecc_loopnest::Algorithm) instances.
+//! Textual frontend for the `tilecc` framework: the `.tk` **kernel DSL**
+//! (module [`tk`]), which describes a uniform-dependence loop nest in the
+//! paper's program model (§2.1) and lowers it into an executable
+//! [`Algorithm`](tilecc_loopnest::Algorithm).
 //!
 //! ```text
 //! # Jacobi (paper §4.2), with its skewing matrix.
+//! kernel jacobi
 //! param T = 50
 //! param N = 100
+//! iter t = 1 to T
+//! iter i = 1 to N
+//! iter j = 1 to N
 //! skew = [1,0,0; 1,1,0; 1,0,1]
-//! for t = 1 to T
-//! for i = 1 to N
-//! for j = 1 to N
+//! array A = 1.0
 //! A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
-//! boundary = 1.0
 //! ```
 //!
-//! [`compile`] parses, validates (perfect nest, affine `max`/`min` bounds,
-//! single assignment, uniform lexicographically-positive dependencies,
-//! identity write reference) and lowers into a `LoopNest` + interpreted
-//! kernel, applying the skewing matrix if present.
-//!
-//! The crate also hosts the richer `.tk` **kernel DSL** (module [`tk`],
-//! entry point [`compile_kernel`]): multiple arrays with per-array initial
-//! expressions, `let` bindings, `bnd()`/`mod()` builtins, an optional
-//! pinned dependence order, and source-located (`line:col` + caret) errors.
-//! See `docs/kernel-dsl.md` for the language reference.
+//! [`parse_kernel`] validates the source (affine `max`/`min` bounds, one
+//! statement per array, uniform lexicographically-positive dependencies,
+//! identity write references, a unimodular skew) into a [`KernelProgram`];
+//! [`compile_kernel`] also lowers it. Kernels may declare several arrays
+//! with per-array initial expressions, `let` bindings, the `bnd()`/`mod()`
+//! builtins and a pinned dependence order; errors are source-located
+//! (`line:col` + caret). [`KernelProgram::c_expr`] renders expressions as
+//! C for the emitted MPI program. See `docs/kernel-dsl.md` for the
+//! language reference.
 
-pub mod ast;
-pub mod lexer;
-pub mod lower;
-pub mod parser;
 pub mod tk;
 
-pub use ast::{AffineExpr, Expr, Loop, Program};
-pub use lexer::ParseError;
-pub use lower::{compile, lower};
-pub use parser::parse;
 pub use tk::{compile_kernel, parse_kernel, KernelProgram, TkError};

@@ -299,6 +299,60 @@ impl KernelProgram {
         out
     }
 
+    /// C rendering of `e` for the emitted MPI program: original coordinates
+    /// come from a `long jo[]` array, reads from `read[dep*WIDTH + comp]`,
+    /// `let` bindings from `const double tk_<name>` locals, `bnd()` from the
+    /// C twin `tilecc_bnd` of the boundary hash and `mod` from the emitted
+    /// `fmod_pos`. Every operation is parenthesized, so C evaluates the tree
+    /// exactly as [`TkExpr::eval`] does, bit for bit.
+    pub fn c_expr(&self, e: &TkExpr) -> String {
+        let bin = |a: &TkExpr, op: &str, b: &TkExpr| {
+            format!("({} {op} {})", self.c_expr(a), self.c_expr(b))
+        };
+        match e {
+            // `{:?}` round-trips and always carries a `.` or an exponent.
+            TkExpr::Num(v) if v.is_sign_negative() => format!("({v:?})"),
+            TkExpr::Num(v) => format!("{v:?}"),
+            TkExpr::Coord(k) => format!("(double)jo[{k}]"),
+            TkExpr::LetRef(i) => format!("tk_{}", self.lets[*i].0),
+            TkExpr::Read { dep, comp } => format!("read[{dep}*WIDTH + {comp}]"),
+            TkExpr::Bnd => "tilecc_bnd(jo)".to_string(),
+            TkExpr::Mod(aff, m) => {
+                let mut terms: Vec<String> = aff
+                    .coeffs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c != 0)
+                    .map(|(k, c)| format!("{c}L * jo[{k}]"))
+                    .collect();
+                terms.push(format!("{}L", aff.constant));
+                format!("(double)fmod_pos({}, {m}L)", terms.join(" + "))
+            }
+            TkExpr::Neg(a) => format!("(-{})", self.c_expr(a)),
+            TkExpr::Add(a, b) => bin(a, "+", b),
+            TkExpr::Sub(a, b) => bin(a, "-", b),
+            TkExpr::Mul(a, b) => bin(a, "*", b),
+            TkExpr::Div(a, b) => bin(a, "/", b),
+        }
+    }
+
+    /// The `let` bindings as C statements, one `const double` each, in
+    /// source order (later bindings may use earlier ones). Unused bindings
+    /// are legal, so each is also cast to `void`.
+    pub fn c_lets(&self) -> String {
+        let decls: Vec<String> = self
+            .lets
+            .iter()
+            .map(|(name, e)| {
+                format!(
+                    "    const double tk_{name} = {};\n    (void)tk_{name};",
+                    self.c_expr(e)
+                )
+            })
+            .collect();
+        decls.join("\n")
+    }
+
     /// Precedence-aware expression rendering. `min_prec`: 1 = additive,
     /// 2 = multiplicative, 3 = unary/atom.
     fn expr(&self, e: &TkExpr, min_prec: u8) -> String {
@@ -335,5 +389,77 @@ impl KernelProgram {
         } else {
             s
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tk::parse_kernel;
+
+    #[test]
+    fn affine_eval_and_ops() {
+        let a = AffForm {
+            coeffs: vec![1, 2],
+            constant: -3,
+        };
+        assert_eq!(a.eval(&[5, 7]), 5 + 14 - 3);
+        let b = AffForm::var(2, 0);
+        assert_eq!(a.add(&b).eval(&[5, 7]), 21);
+        assert_eq!(a.sub(&b).eval(&[5, 7]), 11);
+        assert_eq!(a.scale(2).eval(&[5, 7]), 32);
+        assert_eq!(AffForm::constant(2, 4).eval(&[5, 7]), 4);
+    }
+
+    #[test]
+    fn expr_eval() {
+        // 0.5 * reads[0] + j[1] - 1, reading component 1 of a width-2 pair.
+        let e = TkExpr::Sub(
+            Box::new(TkExpr::Add(
+                Box::new(TkExpr::Mul(
+                    Box::new(TkExpr::Num(0.5)),
+                    Box::new(TkExpr::Read { dep: 0, comp: 1 }),
+                )),
+                Box::new(TkExpr::Coord(1)),
+            )),
+            Box::new(TkExpr::Num(1.0)),
+        );
+        assert_eq!(e.eval(&[9, 4], &[2.0, 6.0], &[], 2), 0.5 * 6.0 + 4.0 - 1.0);
+    }
+
+    #[test]
+    fn expr_to_c_renders_parenthesized() {
+        let p = parse_kernel(
+            "\
+kernel k
+param C = -2
+iter t = 1 to 4
+iter i = 1 to 4
+array A = bnd()
+array B = 1.0
+let s = mod(3*t - i + 1, 5)
+A[t,i] = 0.25*(A[t-1,i] + t) - -B[t-1,i-1]/s
+B[t,i] = B[t-1,i] + C
+",
+        )
+        .unwrap();
+        let c = |e: &TkExpr| p.c_expr(e);
+        assert_eq!(c(&p.arrays[0].init), "tilecc_bnd(jo)");
+        assert_eq!(c(&p.arrays[1].init), "1.0");
+        assert_eq!(
+            c(&p.lets[0].1),
+            "(double)fmod_pos(3L * jo[0] + -1L * jo[1] + 1L, 5L)"
+        );
+        assert_eq!(
+            c(&p.stmts[0].rhs),
+            "((0.25 * (read[0*WIDTH + 0] + (double)jo[0])) - \
+             ((-read[1*WIDTH + 1]) / tk_s))"
+        );
+        assert_eq!(c(&p.stmts[1].rhs), "(read[0*WIDTH + 1] + (-2.0))");
+        assert_eq!(
+            p.c_lets(),
+            "    const double tk_s = (double)fmod_pos(3L * jo[0] + -1L * jo[1] + 1L, 5L);\n    \
+             (void)tk_s;"
+        );
     }
 }

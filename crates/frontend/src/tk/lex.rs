@@ -1,8 +1,8 @@
 //! Tokenizer for the `.tk` kernel DSL.
 //!
-//! Unlike the `.tcc` nest-file lexer, every token carries a full
-//! line **and column** span so parse and lowering errors can point at the
-//! offending character with a caret snippet (see [`crate::tk::TkError`]).
+//! Every token carries a full line **and column** span so parse and
+//! lowering errors can point at the offending character with a caret
+//! snippet (see [`crate::tk::TkError`]).
 
 use crate::tk::error::TkError;
 use std::fmt;
@@ -152,7 +152,10 @@ pub fn tokenize(input: &str) -> Result<Vec<TkSpanned>, TkError> {
                     }
                     let lit = &text[i..=end];
                     let token = if is_float {
-                        TkToken::Float(lit.parse().map_err(|_| {
+                        // Overflow parses as `inf`; reject it like an
+                        // overflowing integer literal.
+                        let v = lit.parse::<f64>().ok().filter(|v| v.is_finite());
+                        TkToken::Float(v.ok_or_else(|| {
                             TkError::new(line, col, format!("invalid float literal `{lit}`"))
                         })?)
                     } else {
@@ -241,6 +244,54 @@ pub fn tokenize(input: &str) -> Result<Vec<TkSpanned>, TkError> {
 mod tests {
     use super::*;
 
+    fn toks(input: &str) -> Vec<TkToken> {
+        tokenize(input)
+            .unwrap()
+            .into_iter()
+            .map(|s| s.token)
+            .collect()
+    }
+
+    #[test]
+    fn tokenizes_for_line() {
+        assert_eq!(
+            toks("iter t = 1 to 10"),
+            vec![
+                TkToken::Keyword(TkKeyword::Iter),
+                TkToken::Ident("t".into()),
+                TkToken::Equals,
+                TkToken::Int(1),
+                TkToken::Keyword(TkKeyword::To),
+                TkToken::Int(10),
+                TkToken::Newline,
+                TkToken::Eof,
+            ]
+        );
+    }
+
+    #[test]
+    fn comments_and_blank_lines_are_skipped() {
+        assert_eq!(
+            toks("# a comment\n\nparam N = 5 # trailing\n"),
+            vec![
+                TkToken::Keyword(TkKeyword::Param),
+                TkToken::Ident("N".into()),
+                TkToken::Equals,
+                TkToken::Int(5),
+                TkToken::Newline,
+                TkToken::Eof,
+            ]
+        );
+    }
+
+    #[test]
+    fn bad_character_errors_with_line() {
+        // Comment-only and blank lines still count towards the line number.
+        let e = tokenize("kernel k\n# note\n\nA[t] = $").unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains('$'), "{e}");
+    }
+
     #[test]
     fn tokens_carry_columns() {
         let t = tokenize("iter t = 1 to T").unwrap();
@@ -258,6 +309,14 @@ mod tests {
         assert_eq!(t[0].token, TkToken::Keyword(TkKeyword::Kernel));
         assert_eq!(t[0].line, 3);
         assert_eq!(t[1].token, TkToken::Ident("demo".into()));
+    }
+
+    #[test]
+    fn floats_and_operators() {
+        let t = toks("A[t,i] = 0.25*(A[t-1,i+1])");
+        assert!(t.contains(&TkToken::Float(0.25)));
+        assert!(t.contains(&TkToken::LBracket));
+        assert!(t.contains(&TkToken::Star));
     }
 
     #[test]

@@ -829,6 +829,88 @@ A[t,i] = A[t-1,i] + 0.25*(A[t-1,i-1] - 2*A[t-1,i] + A[t-1,i+1])
         assert!(!p.deps_declared);
     }
 
+    const JACOBI: &str = "\
+# Jacobi over a 3-D space.
+kernel jacobi
+param T = 4
+param N = 6
+iter t = 1 to T
+iter i = 1 to N
+iter j = 1 to N
+array A = 1.5
+A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
+";
+
+    #[test]
+    fn parses_jacobi() {
+        let p = parse_kernel(JACOBI).unwrap();
+        assert_eq!(p.dim(), 3);
+        assert_eq!(p.arrays.len(), 1);
+        assert_eq!(p.arrays[0].name, "A");
+        assert_eq!(
+            p.deps,
+            vec![vec![1, 1, 0], vec![1, 0, 1], vec![1, -1, 0], vec![1, 0, -1]]
+        );
+        assert_eq!(p.arrays[0].init, TkExpr::Num(1.5));
+        assert!(p.skew.is_none());
+        // Bounds resolved: t in [1, 4].
+        assert_eq!(p.loops[0].lowers[0].eval(&[0, 0, 0]), 1);
+        assert_eq!(p.loops[0].uppers[0].eval(&[0, 0, 0]), 4);
+    }
+
+    #[test]
+    fn rejects_non_uniform_reference() {
+        // Index 2 depends on `t`, not only on `i`.
+        let src = "\
+kernel k
+iter t = 1 to 3
+iter i = 1 to 3
+array A = 0.0
+A[t,i] = A[t-1,t+i]
+";
+        let e = parse_kernel(src).unwrap_err();
+        assert!(e.message.contains("uniform"), "{e}");
+    }
+
+    #[test]
+    fn rejects_lex_negative_dependence() {
+        let src = "\
+kernel k
+iter t = 1 to 3
+iter i = 1 to 3
+array A = 0.0
+A[t,i] = A[t+1,i]
+";
+        let e = parse_kernel(src).unwrap_err();
+        assert!(e.message.contains("lexicographically"), "{e}");
+    }
+
+    #[test]
+    fn rejects_self_read() {
+        let src = "\
+kernel k
+iter t = 1 to 3
+iter i = 1 to 3
+array A = 0.0
+A[t,i] = A[t,i]
+";
+        let e = parse_kernel(src).unwrap_err();
+        assert!(e.message.contains("offset is zero"), "{e}");
+    }
+
+    #[test]
+    fn rejects_unknown_identifier() {
+        let src = "\
+kernel k
+iter t = 1 to Q
+array A = 0.0
+A[t] = A[t-1]
+";
+        let e = parse_kernel(src).unwrap_err();
+        assert!(e.message.contains("unknown identifier `Q`"), "{e}");
+        assert_eq!((e.line, e.col), (2, 15));
+    }
+
     #[test]
     fn declared_deps_pin_column_order() {
         let src = "\
@@ -920,5 +1002,88 @@ A[t,i] = A[t-1,i]*c + W
             },
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn parses_affine_bounds_with_max_min() {
+        let src = "\
+kernel k
+param N = 10
+iter t = 1 to N
+iter i = max(1, t - 2) to min(N, t + 2)
+array A = 0.0
+A[t,i] = A[t-1,i] + 1
+";
+        let p = parse_kernel(src).unwrap();
+        assert_eq!(p.loops[1].lowers.len(), 2);
+        assert_eq!(p.loops[1].uppers.len(), 2);
+        // The second lower bound is t − 2.
+        assert_eq!(p.loops[1].lowers[1].eval(&[7, 0]), 5);
+    }
+
+    #[test]
+    fn parses_skew_matrix() {
+        let src = "\
+kernel k
+param M = 3
+iter t = 1 to M
+iter i = 1 to M
+iter j = 1 to M
+skew = [1,0,0; 1,1,0; 2,0,1]
+array A = 0.0
+A[t,i,j] = A[t-1,i,j] + A[t,i-1,j] + A[t,i,j-1]
+";
+        let p = parse_kernel(src).unwrap();
+        assert_eq!(
+            p.skew,
+            Some(vec![vec![1, 0, 0], vec![1, 1, 0], vec![2, 0, 1]])
+        );
+    }
+
+    #[test]
+    fn duplicate_reads_share_a_dependence_column() {
+        let src = "\
+kernel k
+iter t = 1 to 3
+iter i = 1 to 3
+array A = 0.0
+A[t,i] = A[t-1,i] * A[t-1,i] + A[t-1,i-1]
+";
+        let p = parse_kernel(src).unwrap();
+        assert_eq!(p.deps.len(), 2);
+    }
+
+    #[test]
+    fn rejects_wrong_write_reference() {
+        let src = "\
+kernel k
+iter t = 1 to 3
+iter i = 1 to 3
+array A = 0.0
+A[i,t] = A[t-1,i]
+";
+        let e = parse_kernel(src).unwrap_err();
+        assert!(
+            e.message.contains("write reference must be the identity"),
+            "{e}"
+        );
+        assert_eq!(e.line, 5);
+    }
+
+    #[test]
+    fn body_may_use_coordinates_and_params() {
+        let src = "\
+kernel k
+param C = 7
+iter t = 1 to 3
+iter i = 1 to 3
+array A = 0.0
+A[t,i] = A[t-1,i] + 0.5*t + C
+";
+        let p = parse_kernel(src).unwrap();
+        assert_eq!(
+            p.stmts[0].rhs.eval(&[2, 1], &[1.0], &[], 1),
+            1.0 + 0.5 * 2.0 + 7.0
+        );
     }
 }

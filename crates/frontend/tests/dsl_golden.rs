@@ -167,6 +167,23 @@ A[i] = A[i-1] @ 2
 }
 
 #[test]
+fn overflowing_float_literal_is_located() {
+    // 401 digits before the point: parses as `inf` unless rejected.
+    let big = format!("1{}.5", "0".repeat(400));
+    let src = format!(
+        "\
+kernel bad
+param N = 8
+iter i = 1 to N
+array A = {big}
+A[i] = A[i-1]
+"
+    );
+    let rendered = expect_error(&src, 4, 11, "invalid float literal `1000");
+    assert!(rendered.starts_with("bad.tk:4:11: invalid float literal"));
+}
+
+#[test]
 fn missing_statement_for_declared_array() {
     let src = "\
 kernel bad

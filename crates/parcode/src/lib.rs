@@ -7,14 +7,12 @@
 //! mirroring the code the paper's tool generated.
 
 pub mod compiled;
-pub mod emitter;
 pub mod emitter_full;
 pub mod executor;
 pub mod plan;
 pub mod seqtiled;
 
 pub use compiled::CompiledChain;
-pub use emitter::emit_c_mpi;
 pub use emitter_full::{emit_c_program, KernelSource};
 pub use executor::{
     execute, execute_backend, execute_opts, execute_strategy, execute_with, rank_data_points,

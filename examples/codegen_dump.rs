@@ -6,14 +6,26 @@
 
 use tilecc::{matrices, Pipeline};
 use tilecc_loopnest::kernels;
+use tilecc_parcode::{emit_c_program, KernelSource};
 
 fn main() {
     let algorithm = kernels::sor_skewed(20, 40, 1.2);
     let pipeline = Pipeline::compile(algorithm, matrices::sor_nr(5, 10, 10), Some(2))
         .expect("tiling is legal for SOR");
 
-    let code = pipeline.emit_c("w4 * (LA[MAP(t, j0 - 1, j1, j2)] /* reads at j' - d'_q ... */)");
-    println!("{code}");
+    // The SOR body and boundary in C. The program iterates in skewed
+    // coordinates; the boundary hash is taken in the original ones, so
+    // the prelude applies the inverse of the skew [1,0,0; 1,1,0; 2,0,1].
+    let source = KernelSource {
+        prelude: "    const long jo[3] = {j[0], j[1] - j[0], j[2] - 2 * j[0]};\n    (void)jo;"
+            .into(),
+        body: vec![
+            "1.2 / 4.0 * (read[0] + read[1] + read[2] + read[3]) + (1.0 - 1.2) * read[4]".into(),
+        ],
+        boundary: vec!["tilecc_bnd(jo)".into()],
+        ..KernelSource::default()
+    };
+    println!("{}", emit_c_program(pipeline.plan(), &source));
 
     // Also show the derived compile-time objects the code embeds.
     let plan = pipeline.plan();
