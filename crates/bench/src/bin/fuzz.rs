@@ -30,6 +30,10 @@
 //! side-by-side with their hand-coded Rust kernels under the identical
 //! plan and must agree bitwise — data, makespan bits, and counters.
 //!
+//! In every mode, each case's sequential oracle (`execute_sequential`) is
+//! also compared bitwise against the run-based scan (`execute_scan`) that
+//! `verify` uses.
+//!
 //! Every failure path prints the RNG seed so regressions reproduce with
 //! `fuzz <seed>`. Found two real bugs during development (Fourier–Motzkin
 //! blowup on dense skewed systems; non-monotone minimum-successor message
@@ -42,7 +46,7 @@ use tilecc_cluster::{
     StatsSnapshot,
 };
 use tilecc_linalg::{IMat, RMat, Rational};
-use tilecc_loopnest::{Algorithm, Kernel, LoopNest};
+use tilecc_loopnest::{Algorithm, DataSpace, Kernel, LoopNest};
 use tilecc_parcode::{
     execute_backend, execute_opts, execute_strategy, execute_tiled_sequential, Backend, ExecMode,
     ExecStrategy, ParallelPlan,
@@ -85,6 +89,19 @@ fn fail(seed: u64, case: u64, what: &str) -> ! {
     eprintln!("FAILURE in case {case}: {what}");
     eprintln!("reproduce with: fuzz {seed}");
     std::process::exit(3);
+}
+
+/// The run-based sequential scan (what `verify` runs) must equal the
+/// per-point oracle `seq` bitwise.
+fn check_scan(alg: &Algorithm, seq: &DataSpace, seed: u64, case: u64) {
+    if let Some(bad) = alg.execute_scan().diff(seq) {
+        eprintln!("  SCAN MISMATCH at {bad:?}");
+        fail(
+            seed,
+            case,
+            "sequential scan differs from execute_sequential",
+        );
+    }
 }
 
 /// The shipped kernel-DSL corpus, embedded at compile time so the fuzzer
@@ -202,6 +219,7 @@ fn dsl_mode(seed: u64, cases: u64) -> ! {
             fail(seed, case, "corpus kernel deps not rectangularly tileable");
         }
         let seq = alg.execute_sequential();
+        check_scan(&alg, &seq, seed, case);
         let hand = hand_twin(name);
         let plan = match ParallelPlan::new(alg, t.clone(), Some(m)) {
             Ok(p) => Arc::new(p),
@@ -285,6 +303,7 @@ fn dsl_mode(seed: u64, cases: u64) -> ! {
         if let Some(hand) = hand {
             pair_cases += 1;
             let hand_seq = hand.execute_sequential();
+            check_scan(&hand, &hand_seq, seed, case);
             if let Some(bad) = hand_seq.diff(&seq) {
                 eprintln!("  HAND/DSL SEQUENTIAL MISMATCH at {bad:?}");
                 fail(seed, case, "DSL kernel differs from hand-coded sequential");
@@ -442,14 +461,15 @@ fn main() {
             // Draw from the auto-tuner's exact search space: every ordered
             // row choice from the tiling cone pool at this tile volume.
             let volume = factors.iter().product::<i64>();
-            let cands = tilecc::enumerate_candidates(&deps, volume);
+            let cands =
+                tilecc::enumerate_candidates(&deps, volume).expect("fuzz nests have n >= 2");
             if cands.is_empty() {
                 continue;
             }
             let idx = (g.next() % cands.len() as u64) as usize;
             cands[idx].h.clone()
         } else if use_cone {
-            let rays = tiling_cone_rays(&deps);
+            let rays = tiling_cone_rays(&deps).expect("fuzz nests have n >= 2");
             if rays.len() < n {
                 continue;
             }
@@ -496,6 +516,7 @@ fn main() {
         }
         let alg = Algorithm::new("p", LoopNest::new(space, deps), Arc::new(K));
         let seq = alg.execute_sequential();
+        check_scan(&alg, &seq, seed, case);
         let Ok(tsq) = tilecc_tiling::TiledSpace::new(t.clone(), alg.nest.space().clone()) else {
             continue;
         };

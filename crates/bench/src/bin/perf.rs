@@ -1252,7 +1252,8 @@ fn tune_bench(out_path: &str, smoke: bool) {
         let mut opts = TuneOptions::new(x * y * z, w.mapping_dim());
         opts.max_candidates = cap;
         opts.include = vec![fixed_h];
-        let out = tune_labeled(&alg, &opts, model, &w.label());
+        let out =
+            tune_labeled(&alg, &opts, model, &w.label()).expect("paper kernels have a tiling cone");
         let best = out
             .best()
             .unwrap_or_else(|| panic!("{name}: no candidate survived the tuner"));

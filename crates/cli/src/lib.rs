@@ -35,7 +35,7 @@ use tilecc_cluster::{
 };
 use tilecc_frontend::KernelProgram;
 use tilecc_linalg::{RMat, Rational};
-use tilecc_loopnest::{Algorithm, DataSpace};
+use tilecc_loopnest::{Algorithm, CountError, DataSpace};
 use tilecc_parcode::{
     rank_data_points, run_rank_body, Backend, ExecMode, ExecStrategy, RankOutput,
 };
@@ -1786,7 +1786,16 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             let _ = writeln!(out, "algorithm : {}", alg.name);
             let _ = writeln!(out, "dimension : {}", alg.nest.dim());
             let _ = writeln!(out, "components: {}", alg.width());
-            let _ = writeln!(out, "iterations: {}", alg.nest.num_points());
+            match alg.nest.num_points() {
+                Ok(points) => {
+                    let _ = writeln!(out, "iterations: {points}");
+                }
+                // Only the count gave up; the nest itself may still run.
+                Err(e @ CountError::TooManyRanges { .. }) => {
+                    let _ = writeln!(out, "iterations: not counted ({e})");
+                }
+                Err(e) => return err(format!("{path}: {e}")),
+            }
             let _ = writeln!(out, "dependence columns:");
             for q in 0..alg.nest.deps().cols() {
                 let _ = writeln!(out, "  d{q} = {:?}", alg.nest.deps().col(q));
@@ -1796,7 +1805,8 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
         "cone" => {
             let (path, _) = input_path(args)?;
             let (_, alg) = load(path)?;
-            let rays = tiling_cone_rays(alg.nest.deps());
+            let rays =
+                tiling_cone_rays(alg.nest.deps()).map_err(|e| CliError(format!("cone: {e}")))?;
             let _ = writeln!(out, "tiling cone extreme rays:");
             for r in rays {
                 let _ = writeln!(out, "  {r:?}");
@@ -1812,7 +1822,8 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                 &topts.opts,
                 MachineModel::fast_ethernet_p3(),
                 &alg.name,
-            );
+            )
+            .map_err(|e| CliError(format!("tune: {e}")))?;
             out.push_str(&outcome.report_top(topts.top));
             match outcome.best() {
                 None => return err("tune: no legal candidate survived"),
@@ -1860,7 +1871,9 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
             let lower_t0 = reg.as_ref().map(|r| r.now_ns());
             let (program, alg) = load(path)?;
             if let (Some(r), Some(t0)) = (&reg, lower_t0) {
-                r.driver_span(Phase::Lower, "lower", t0, alg.nest.num_points() as u64);
+                // A nest too large to count still runs; its span records 0.
+                let points = alg.nest.num_points().unwrap_or(0);
+                r.driver_span(Phase::Lower, "lower", t0, points);
             }
             let h = opts
                 .tile
@@ -1888,7 +1901,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                     let _ = writeln!(out, "H' = V*H    : {:?}", t.h_prime());
                     let _ = writeln!(out, "HNF(H')     : {:?}", t.hnf());
                     let _ = writeln!(out, "strides c   : {:?}", t.strides());
-                    let _ = writeln!(out, "tile size   : {}", t.tile_size());
+                    let _ = writeln!(out, "tile size   : {}", plan.tiled.full_tile_volume());
                     let _ = writeln!(out, "mapping dim : {}", plan.m());
                     let _ = writeln!(out, "processors  : {}", plan.num_procs());
                     let _ = writeln!(out, "CC          : {:?}", plan.comm.cc);
@@ -2640,5 +2653,94 @@ X[t,i,j] = X[t-1,i,j] + 0.3*X[t-1,i-1,j] - 0.2*X[t-1,i,j-1]
             limit: tilecc_tiling::tile_space::TILE_VOLUME_FLOOR,
         };
         assert!(e.0.contains(&typed.to_string()), "{e}");
+    }
+
+    #[test]
+    fn tile_volume_past_i64_is_a_typed_error() {
+        // (3·10⁹)³ lattice points per tile does not fit i64.
+        let jacobi = format!(
+            "{}/../../examples/kernels/jacobi.tk",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let rect = "3000000000,3000000000,3000000000";
+        for cmd in ["run", "plan"] {
+            let e = run_cli(&args(&[cmd, &jacobi, "--rect", rect])).unwrap_err();
+            let typed = tilecc_tiling::TilingError::TileTooLarge {
+                volume: i64::MAX,
+                limit: tilecc_tiling::tile_space::TILE_VOLUME_FLOOR,
+            };
+            assert!(e.0.contains(&typed.to_string()), "{cmd}: {e}");
+        }
+    }
+
+    #[test]
+    fn tune_and_cone_on_a_one_dimensional_kernel_are_typed_errors() {
+        let p = write_nest(
+            "kernel one\nparam N = 20\niter i = 1 to N\narray A = 1.0\nA[i] = 0.5*A[i-1]\n",
+        );
+        let typed = tilecc_tiling::TilingError::ConeDimension { dim: 1 }.to_string();
+        let e = run_cli(&args(&["tune", p.to_str(), "--volume", "10"])).unwrap_err();
+        assert!(e.0.contains(&typed), "{e}");
+        let e = run_cli(&args(&["cone", p.to_str()])).unwrap_err();
+        assert!(e.0.contains(&typed), "{e}");
+        // The kernel itself runs: only the cone is undefined in 1-D.
+        let out = run_cli(&args(&["run", p.to_str(), "--rect", "4", "--verify"])).unwrap();
+        assert!(out.contains("verified   : true"), "{out}");
+    }
+
+    #[test]
+    fn parse_of_a_huge_nest_is_a_typed_error_not_a_hang() {
+        let p = write_nest(
+            "kernel huge\nparam N = 4000000000000000000\niter t = 1 to N\n\
+             iter i = 1 to N\narray A = 1.0\nA[t,i] = 0.5*A[t-1,i] + 0.25*A[t,i-1]\n",
+        );
+        let t0 = std::time::Instant::now();
+        let e = run_cli(&args(&["parse", p.to_str()])).unwrap_err();
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(2),
+            "parse took {:?}",
+            t0.elapsed()
+        );
+        assert!(
+            e.0.contains(&tilecc_loopnest::CountError::Overflow.to_string()),
+            "{e}"
+        );
+        // Past the range cap rather than the count: a 2-D nest of short
+        // rows whose outer loop alone is far past the cap. Only the count
+        // gives up.
+        let p = write_nest(
+            "kernel tall\nparam N = 4000000000000000000\niter t = 1 to N\n\
+             iter i = 1 to 2\narray A = 1.0\nA[t,i] = 0.5*A[t-1,i] + 0.25*A[t,i-1]\n",
+        );
+        let out = run_cli(&args(&["parse", p.to_str()])).unwrap();
+        let typed = tilecc_loopnest::CountError::TooManyRanges {
+            limit: tilecc_loopnest::nest::MAX_COUNTED_RANGES,
+        };
+        assert!(
+            out.contains(&format!("iterations: not counted ({typed})")),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn a_nest_past_the_count_cap_plans_traced() {
+        // 1.1M rows of two points: past the range cap, yet small enough to
+        // plan. The traced `lower` span must not turn the uncounted nest
+        // into an error.
+        let p = write_nest(
+            "kernel tall\nparam N = 1100000\niter t = 1 to N\niter i = 1 to 2\n\
+             array A = 1.0\nA[t,i] = 0.5*A[t-1,i] + 0.25*A[t,i-1]\n",
+        );
+        let metrics = write_nest("");
+        let out = run_cli(&args(&[
+            "plan",
+            p.to_str(),
+            "--rect",
+            "100000,2",
+            "--metrics-out",
+            metrics.to_str(),
+        ]))
+        .unwrap();
+        assert!(out.contains("processors  : 2"), "{out}");
     }
 }

@@ -95,7 +95,7 @@ mod tests {
             adi_nr3(x, y, z),
         ] {
             let t = TilingTransform::new(h).unwrap();
-            assert_eq!(t.tile_size(), x * y * z);
+            assert_eq!(t.tile_size(), Ok(x * y * z));
         }
     }
 

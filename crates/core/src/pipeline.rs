@@ -249,16 +249,19 @@ impl Pipeline {
 }
 
 /// Run the plan's algorithm sequentially and compare it bitwise with the
-/// gathered `parallel` data, recording the whole step as one `verify`
-/// driver span when `obs` is given. Shared by in-process runs and the
-/// multi-process driver.
+/// gathered `parallel` data, recording the whole step (the sequential scan
+/// plus the diff) as one `verify` driver span when `obs` is given. Shared
+/// by in-process runs and the multi-process driver. The sequential side is
+/// the run-based [`Algorithm::execute_scan`](tilecc_loopnest::Algorithm::execute_scan),
+/// which tests and the fuzzer hold bitwise equal to the per-point oracle
+/// `execute_sequential`.
 pub fn verify_against_sequential(
     plan: &ParallelPlan,
     parallel: &DataSpace,
     obs: Option<&MetricsRegistry>,
 ) -> bool {
     let t0 = obs.map(|r| r.now_ns());
-    let verified = plan.algorithm.execute_sequential().diff(parallel).is_none();
+    let verified = plan.algorithm.execute_scan().diff(parallel).is_none();
     if let (Some(reg), Some(t0)) = (obs, t0) {
         reg.driver_span(Phase::Verify, "verify", t0, parallel.num_written() as u64);
     }

@@ -40,7 +40,7 @@ use std::fmt::Write as _;
 use tilecc_cluster::MachineModel;
 use tilecc_linalg::{column_hnf, IMat, RMat, Rational};
 use tilecc_loopnest::Algorithm;
-use tilecc_tiling::{candidate_rows, TilingTransform};
+use tilecc_tiling::{candidate_rows, TilingError, TilingTransform};
 
 /// One element of the tuner's raw search space.
 #[derive(Clone, Debug)]
@@ -221,10 +221,11 @@ impl TuneOutcome {
 /// with every ordered factorization of `volume·|det R|` into `n` positive
 /// factors. Deterministic order; no validity filtering (the tuner counts
 /// rejections, and the fuzzer feeds these through plan construction).
-pub fn enumerate_candidates(deps: &IMat, volume: i64) -> Vec<CandidateH> {
+/// A nest without a tiling cone (dimension below 2) is an error.
+pub fn enumerate_candidates(deps: &IMat, volume: i64) -> Result<Vec<CandidateH>, TilingError> {
     assert!(volume > 0, "tile volume must be positive");
     let n = deps.rows();
-    let pool = candidate_rows(deps);
+    let pool = candidate_rows(deps)?;
     let mut out = vec![];
     let mut pick = vec![0usize; n];
     permute_rows(&pool, n, &mut pick, 0, &mut |idx| {
@@ -244,7 +245,7 @@ pub fn enumerate_candidates(deps: &IMat, volume: i64) -> Vec<CandidateH> {
             });
         }
     });
-    out
+    Ok(out)
 }
 
 /// Visit every ordered selection of `k` distinct indices into `pool`.
@@ -309,8 +310,13 @@ fn canonical_key(h_prime: &IMat, v: &[i64], m: usize) -> Vec<i64> {
 /// Run the tuner: enumerate, filter, dedup, simulate, rank.
 ///
 /// The seeds in [`TuneOptions::include`] are evaluated first (and marked),
-/// so the returned winner's makespan is never worse than any seed's.
-pub fn tune(algorithm: &Algorithm, opts: &TuneOptions, model: MachineModel) -> TuneOutcome {
+/// so the returned winner's makespan is never worse than any seed's. A
+/// nest without a tiling cone (dimension below 2) is an error.
+pub fn tune(
+    algorithm: &Algorithm,
+    opts: &TuneOptions,
+    model: MachineModel,
+) -> Result<TuneOutcome, TilingError> {
     tune_labeled(algorithm, opts, model, "kernel")
 }
 
@@ -320,9 +326,9 @@ pub fn tune_labeled(
     opts: &TuneOptions,
     model: MachineModel,
     label: &str,
-) -> TuneOutcome {
+) -> Result<TuneOutcome, TilingError> {
     let deps = algorithm.nest.deps();
-    let pool = candidate_rows(deps);
+    let pool = candidate_rows(deps)?;
     let mut outcome = TuneOutcome {
         label: label.to_string(),
         volume: opts.volume,
@@ -362,7 +368,7 @@ pub fn tune_labeled(
     for h in &opts.include {
         consider(h.clone(), true, &mut outcome);
     }
-    for cand in enumerate_candidates(deps, opts.volume) {
+    for cand in enumerate_candidates(deps, opts.volume)? {
         consider(cand.h, false, &mut outcome);
     }
     for (t, included) in accepted {
@@ -394,7 +400,7 @@ pub fn tune_labeled(
                     .cmp(&canonical_key(&b.h_prime, &b.v, opts.m))
             })
     });
-    outcome
+    Ok(outcome)
 }
 
 /// Format `H` compactly: rows separated by `;`, entries as `num/den`.
@@ -484,9 +490,9 @@ mod tests {
     #[test]
     fn enumerated_candidates_hit_the_target_volume() {
         let deps = IMat::identity(3);
-        for cand in enumerate_candidates(&deps, 8) {
+        for cand in enumerate_candidates(&deps, 8).unwrap() {
             if let Ok(t) = TilingTransform::new(cand.h.clone()) {
-                assert_eq!(t.tile_size(), 8, "wrong volume for {:?}", cand.rows);
+                assert_eq!(t.tile_size(), Ok(8), "wrong volume for {:?}", cand.rows);
                 assert_eq!(t.v(), cand.factors.as_slice());
             }
         }
@@ -521,7 +527,7 @@ mod tests {
         let mut opts = TuneOptions::new(x * y * z, w.mapping_dim());
         opts.include = vec![w.tiling(Variant::Rect, x, y, z)];
         let model = MachineModel::fast_ethernet_p3();
-        let out = tune_labeled(&alg, &opts, model, &w.label());
+        let out = tune_labeled(&alg, &opts, model, &w.label()).unwrap();
         assert!(out.evaluated > 0, "no candidates survived");
         let best = out.best().unwrap();
         let seed = out.best_included().expect("seed must be evaluated");
@@ -536,7 +542,7 @@ mod tests {
         // Every evaluated candidate keeps the target volume.
         for c in &out.ranking {
             let t = TilingTransform::new(c.h.clone()).unwrap();
-            assert_eq!(t.tile_size(), opts.volume);
+            assert_eq!(t.tile_size(), Ok(opts.volume));
         }
     }
 
@@ -547,7 +553,7 @@ mod tests {
         let mut opts = TuneOptions::new(8, w.mapping_dim());
         opts.max_candidates = 16;
         opts.include = vec![w.tiling(Variant::AdiNr1, 2, 2, 2)];
-        let out = tune_labeled(&alg, &opts, MachineModel::fast_ethernet_p3(), &w.label());
+        let out = tune_labeled(&alg, &opts, MachineModel::fast_ethernet_p3(), &w.label()).unwrap();
         let json = out.to_json(0);
         assert!(json.contains("\"ranking\""));
         assert!(json.contains("\"makespan\""));

@@ -9,6 +9,10 @@
 //! keeps the exact per-point floating-point operation order. Batched results
 //! are therefore bitwise identical to the per-point path, which the fuzzer's
 //! three-way cross-check locks.
+//!
+//! Operations on constants are folded at lowering: `Const ⊕ Const` is
+//! evaluated once, the same IEEE operation on the same operands, so the
+//! result is bitwise what the per-point evaluation computed.
 
 use crate::tk::ast::{KernelProgram, TkExpr};
 use crate::tk::error::TkError;
@@ -16,6 +20,7 @@ use crate::tk::parse::parse_kernel;
 use std::cell::RefCell;
 use std::sync::Arc;
 use tilecc_linalg::IMat;
+use tilecc_loopnest::kernel::with_scratch;
 use tilecc_loopnest::kernels::boundary_value;
 use tilecc_loopnest::{Algorithm, LoopNest, MultiKernel};
 use tilecc_polytope::{Constraint, Polyhedron};
@@ -56,10 +61,12 @@ struct Tape {
 }
 
 impl Tape {
-    /// Scalar evaluation into `slots` (resized as needed).
+    /// Scalar evaluation into `slots`: scratch grown on first use and never
+    /// cleared, since every slot is written before it is read.
     fn eval(&self, j: &[i64], reads: &[f64], width: usize, slots: &mut Vec<f64>, out: &mut [f64]) {
-        slots.clear();
-        slots.resize(self.ops.len(), 0.0);
+        if slots.len() < self.ops.len() {
+            slots.resize(self.ops.len(), 0.0);
+        }
         for (s, op) in self.ops.iter().enumerate() {
             slots[s] = match op {
                 Op::Const(v) => *v,
@@ -101,8 +108,9 @@ impl Tape {
         slots: &mut Vec<f64>,
         out: &mut [f64],
     ) {
-        slots.clear();
-        slots.resize(self.ops.len() * count, 0.0);
+        if slots.len() < self.ops.len() * count {
+            slots.resize(self.ops.len() * count, 0.0);
+        }
         let w = width;
         for (s, op) in self.ops.iter().enumerate() {
             let base = s * count;
@@ -120,15 +128,15 @@ impl Tape {
                         slots[base + p] = reads[(dep * count + p) * w + comp];
                     }
                 }
-                Op::Bnd => {
-                    let mut j = j0.to_vec();
+                Op::Bnd => with_scratch(j0.len(), |j| {
+                    j.copy_from_slice(j0);
                     for p in 0..count {
-                        slots[base + p] = boundary_value(&j);
+                        slots[base + p] = boundary_value(j);
                         for (jk, d) in j.iter_mut().zip(dj) {
                             *jk += d;
                         }
                     }
-                }
+                }),
                 Op::Mod {
                     coeffs,
                     constant,
@@ -185,6 +193,7 @@ impl Tape {
 
 /// Tape builder: post-order walk; `let` bindings compile once (their result
 /// slot is shared by every reference, matching once-per-point semantics).
+/// Operations on constants are evaluated here.
 struct TapeBuilder {
     ops: Vec<Op>,
     let_slots: Vec<usize>,
@@ -192,7 +201,19 @@ struct TapeBuilder {
 
 impl TapeBuilder {
     fn push(&mut self, op: Op) -> usize {
-        self.ops.push(op);
+        let konst = |s: usize| match self.ops[s] {
+            Op::Const(v) => Some(v),
+            _ => None,
+        };
+        let folded = match op {
+            Op::Neg(a) => konst(a).map(|x| -x),
+            Op::Add(a, b) => konst(a).zip(konst(b)).map(|(x, y)| x + y),
+            Op::Sub(a, b) => konst(a).zip(konst(b)).map(|(x, y)| x - y),
+            Op::Mul(a, b) => konst(a).zip(konst(b)).map(|(x, y)| x * y),
+            Op::Div(a, b) => konst(a).zip(konst(b)).map(|(x, y)| x / y),
+            _ => None,
+        };
+        self.ops.push(folded.map_or(op, Op::Const));
         self.ops.len() - 1
     }
 
@@ -457,7 +478,7 @@ A[t,i] = A[t-1,i] + 1
 ";
         let alg = compile_kernel(src).unwrap();
         let expected: usize = (1..=6).map(|t| ((t + 2).min(6) - t + 1) as usize).sum();
-        assert_eq!(alg.nest.num_points(), expected);
+        assert_eq!(alg.nest.num_points(), Ok(expected as u64));
     }
 
     #[test]
@@ -475,7 +496,7 @@ A[t,i] = A[t-1,i] + 1
         let expected: usize = (1..=6i64)
             .map(|t| ((t + 2).min(6) - (t - 1).max(1) + 1) as usize)
             .sum();
-        assert_eq!(alg.nest.num_points(), expected);
+        assert_eq!(alg.nest.num_points(), Ok(expected as u64));
     }
 
     #[test]

@@ -1,0 +1,152 @@
+//! The per-point kernel paths allocate nothing once warm. A counting
+//! global allocator (std only) tallies this thread's allocations around
+//! the code under test:
+//!
+//! - `compute` and `initial` of a skewed `.tk` kernel (the skew adapter
+//!   over `TkKernel`) whose body and boundary read original coordinates
+//!   (`bnd()`, coordinates, `mod`);
+//! - the skew adapter over a hand-coded kernel;
+//! - the sequential scan `Algorithm::execute_scan`, whose allocations are
+//!   its fixed set-up alone: the same count for a nest with 4x the runs
+//!   and 8x the points.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use tilecc_frontend::compile_kernel;
+use tilecc_loopnest::kernels;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call forwards to the system allocator unchanged; the
+// const-initialized thread-local counter itself never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made by `f` on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+const SKEWED: &str = "\
+kernel probe
+param T = 4
+param N = 6
+iter t = 1 to T
+iter i = 1 to N
+iter j = 1 to N
+skew = [1,0,0; 1,1,0; 2,0,1]
+array A = bnd() + 0.5*i
+array B = mod(3*t - j, 7)
+A[t,i,j] = 0.25*(A[t,i-1,j] + A[t-1,i,j+1]) + bnd()*t + B[t-1,i,j]
+B[t,i,j] = B[t,i,j-1] - mod(5*i + j, 11)*0.125 + A[t-1,i+1,j]
+";
+
+#[test]
+fn tk_kernel_per_point_paths_do_not_allocate() {
+    let alg = compile_kernel(SKEWED).unwrap();
+    let k = &alg.kernel;
+    let (q, w) = (alg.nest.num_deps(), alg.width());
+    let reads: Vec<f64> = (0..q * w).map(|i| i as f64 * 0.5).collect();
+    let mut out = vec![0.0; w];
+    let mut j = vec![3i64, 9, 14];
+    // Warm-up grows the thread's tape scratch once.
+    k.compute(&j, &reads, &mut out);
+    k.initial(&j, &mut out);
+    let n = allocations(|| {
+        for s in 0..1000i64 {
+            j[2] = s - 500;
+            k.compute(&j, &reads, &mut out);
+            k.initial(&j, &mut out);
+        }
+    });
+    assert_eq!(n, 0, "skewed .tk kernel compute/initial allocated");
+}
+
+#[test]
+fn skewed_adapter_does_not_allocate() {
+    let alg = kernels::sor_skewed(4, 6, 1.1);
+    let k = &alg.kernel;
+    let q = alg.nest.num_deps();
+    let reads = vec![0.25; q];
+    let mut out = [0.0];
+    let mut j = [2i64, 5, 9];
+    k.compute(&j, &reads, &mut out);
+    let n = allocations(|| {
+        for s in 0..1000i64 {
+            j[1] = s;
+            k.compute(&j, &reads, &mut out);
+            k.initial(&j, &mut out);
+        }
+    });
+    assert_eq!(n, 0, "SkewedKernel compute/initial allocated");
+}
+
+/// Every dependence crosses a time step, so the scan batches whole rows
+/// through `compute_run`, and the body's `bnd()` maps each run.
+const BATCHED: &str = "\
+kernel jb
+param T = 4
+param N = 6
+iter t = 1 to T
+iter i = 1 to N
+iter j = 1 to N
+skew = [1,0,0; 1,1,0; 1,0,1]
+array A = bnd()
+A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1]) + 0.01*bnd()
+";
+
+#[test]
+fn scan_allocates_only_its_set_up() {
+    let sized = |src: &str, t: i64, n: i64| {
+        let src = src
+            .replace("param T = 4", &format!("param T = {t}"))
+            .replace("param N = 6", &format!("param N = {n}"));
+        compile_kernel(&src).unwrap()
+    };
+    for (small, large) in [
+        (sized(SKEWED, 4, 6), sized(SKEWED, 8, 12)),
+        (sized(BATCHED, 4, 6), sized(BATCHED, 8, 12)),
+        (
+            kernels::sor_skewed(4, 6, 1.1),
+            kernels::sor_skewed(8, 12, 1.1),
+        ),
+        (
+            kernels::jacobi_skewed(4, 6, 6),
+            kernels::jacobi_skewed(8, 12, 12),
+        ),
+    ] {
+        // Warm the kernel scratch at the largest batch either scan uses.
+        let _ = large.execute_scan();
+        let a = allocations(|| drop(small.execute_scan()));
+        let b = allocations(|| drop(large.execute_scan()));
+        assert_eq!(a, b, "{}: scan allocations grow with the nest", small.name);
+    }
+}

@@ -136,19 +136,29 @@ impl IMat {
 
     /// Matrix–vector product `self · v`.
     pub fn mul_vec(&self, v: &[i64]) -> Vec<i64> {
+        let mut out = vec![0i64; self.rows];
+        self.mul_vec_into(v, &mut out);
+        out
+    }
+
+    /// [`IMat::mul_vec`] into a caller-provided buffer (`out.len() ==
+    /// rows`): the same checked arithmetic, no allocation.
+    ///
+    /// # Panics
+    /// Panics on a dimension mismatch or `i64` overflow.
+    pub fn mul_vec_into(&self, v: &[i64], out: &mut [i64]) {
         assert_eq!(
             self.cols,
             v.len(),
             "dimension mismatch in matrix-vector product"
         );
-        (0..self.rows)
-            .map(|i| {
-                self.row(i).iter().zip(v).fold(0i64, |acc, (&a, &b)| {
-                    acc.checked_add(a.checked_mul(b).expect("imat mul_vec overflow"))
-                        .expect("imat mul_vec overflow")
-                })
-            })
-            .collect()
+        assert_eq!(out.len(), self.rows, "output length mismatch");
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = self.row(i).iter().zip(v).fold(0i64, |acc, (&a, &b)| {
+                acc.checked_add(a.checked_mul(b).expect("imat mul_vec overflow"))
+                    .expect("imat mul_vec overflow")
+            });
+        }
     }
 
     /// Determinant by fraction-free Bareiss elimination (exact).

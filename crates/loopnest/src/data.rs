@@ -162,6 +162,13 @@ impl DataSpace {
         self.written[cell..cell + count].fill(true);
     }
 
+    /// The value and written-flag buffers, split for a scan that reads
+    /// and writes cells by flat index (`vals` holds `width` values per
+    /// cell).
+    pub(crate) fn cells_mut(&mut self) -> (&mut [f64], &mut [bool]) {
+        (&mut self.vals, &mut self.written)
+    }
+
     /// Number of written cells.
     pub fn num_written(&self) -> usize {
         self.written.iter().filter(|&&w| w).count()

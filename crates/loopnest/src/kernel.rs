@@ -18,6 +18,45 @@ use crate::nest::LoopNest;
 use std::sync::Arc;
 use tilecc_linalg::IMat;
 
+/// Cache-block width (in points) of batched compute: chunks are clamped so
+/// one chunk's read/write windows total `(q+1)·CACHE_BLOCK·width` values
+/// (~(q+1)·4 KiB at width 1) and stay L1/L2-resident no matter how long
+/// the affine run is.
+pub const CACHE_BLOCK: usize = 512;
+
+/// Minimum safe batch width worth a `compute_run` dispatch; runs whose
+/// dependence lag allows fewer points per chunk fall back to the
+/// per-point loop (the dispatch would cost more than it saves).
+pub const MIN_BATCH: u32 = 4;
+
+/// Nest depth up to which [`with_scratch`] lends a stack buffer.
+const STACK_DIM: usize = 8;
+
+/// Call `f` with a zeroed `n`-entry coordinate buffer on the stack (on the
+/// heap only for nests deeper than eight).
+#[inline]
+pub fn with_scratch<R>(n: usize, f: impl FnOnce(&mut [i64]) -> R) -> R {
+    if n <= STACK_DIM {
+        f(&mut [0i64; STACK_DIM][..n])
+    } else {
+        f(&mut vec![0i64; n])
+    }
+}
+
+/// Call `f` with `t_inv · j`, computed with the checked arithmetic of
+/// [`IMat::mul_vec`] into a [`with_scratch`] buffer: the per-point
+/// coordinate map of [`SkewedKernel`].
+///
+/// # Panics
+/// Panics on `i64` overflow, like [`IMat::mul_vec`].
+#[inline]
+fn with_mapped<R>(t_inv: &IMat, j: &[i64], f: impl FnOnce(&mut [i64]) -> R) -> R {
+    with_scratch(j.len(), |buf| {
+        t_inv.mul_vec_into(j, buf);
+        f(buf)
+    })
+}
+
 /// Scalar (single-array) loop-body semantics.
 pub trait Kernel: Send + Sync {
     /// Compute the value written at iteration `j`. `reads[i]` is the value of
@@ -227,7 +266,8 @@ impl Algorithm {
 }
 
 /// Kernel adapter applying the inverse skewing before delegating, so the
-/// inner kernel always sees original coordinates.
+/// inner kernel always sees original coordinates. The map goes through a
+/// stack buffer, so the per-point paths allocate nothing.
 struct SkewedKernel {
     inner: Arc<dyn MultiKernel>,
     t_inv: IMat,
@@ -239,21 +279,21 @@ impl MultiKernel for SkewedKernel {
     }
 
     fn compute(&self, j: &[i64], reads: &[f64], out: &mut [f64]) {
-        let orig = self.t_inv.mul_vec(j);
-        self.inner.compute(&orig, reads, out);
+        with_mapped(&self.t_inv, j, |orig| self.inner.compute(orig, reads, out));
     }
 
     fn initial(&self, j: &[i64], out: &mut [f64]) {
-        let orig = self.t_inv.mul_vec(j);
-        self.inner.initial(&orig, out);
+        with_mapped(&self.t_inv, j, |orig| self.inner.initial(orig, out));
     }
 
     fn compute_run(&self, j0: &[i64], dj: &[i64], count: usize, reads: &[f64], out: &mut [f64]) {
         // T⁻¹ is linear, so the skewed run is an affine run in original
         // coordinates too: T⁻¹(j0 + p·dj) = T⁻¹j0 + p·(T⁻¹dj), exactly.
-        let o0 = self.t_inv.mul_vec(j0);
-        let od = self.t_inv.mul_vec(dj);
-        self.inner.compute_run(&o0, &od, count, reads, out);
+        with_mapped(&self.t_inv, j0, |o0| {
+            with_mapped(&self.t_inv, dj, |od| {
+                self.inner.compute_run(o0, od, count, reads, out)
+            })
+        });
     }
 }
 

@@ -10,7 +10,8 @@ pub mod data;
 pub mod kernel;
 pub mod kernels;
 pub mod nest;
+mod scan;
 
 pub use data::DataSpace;
 pub use kernel::{Algorithm, Kernel, MultiKernel};
-pub use nest::LoopNest;
+pub use nest::{CountError, LoopNest};

@@ -131,11 +131,66 @@ impl LoopNest {
         self.space.bounding_box()
     }
 
-    /// Total number of integer points (exact, by scanning).
-    pub fn num_points(&self) -> usize {
-        self.bounds().points().count()
+    /// Total number of integer points, exact: the lengths `h − a + 1` of
+    /// the innermost ranges, summed with overflow checks. Walks at most
+    /// [`MAX_COUNTED_RANGES`] ranges, so the count of a huge nest is a
+    /// typed error, not a hang.
+    pub fn num_points(&self) -> Result<u64, CountError> {
+        let bounds = self.try_bounds()?;
+        let mut runs = bounds.runs();
+        let (mut total, mut walked) = (0u64, 0u64);
+        while let Some((_, a, h)) = runs.next() {
+            walked += 1;
+            if walked > MAX_COUNTED_RANGES {
+                return Err(CountError::TooManyRanges {
+                    limit: MAX_COUNTED_RANGES,
+                });
+            }
+            let len = u64::try_from(i128::from(h) - i128::from(a) + 1)
+                .map_err(|_| CountError::Overflow)?;
+            total = total.checked_add(len).ok_or(CountError::Overflow)?;
+        }
+        Ok(total)
     }
 }
+
+/// Most innermost ranges [`LoopNest::num_points`] walks before it gives up.
+/// The cap bounds the time of the count itself (tens of milliseconds in a
+/// release build), not what the nest may do: a nest past it can still be
+/// planned and run, so callers that only report the count should carry on
+/// without it.
+pub const MAX_COUNTED_RANGES: u64 = 1 << 20;
+
+/// Why [`LoopNest::num_points`] could not count a nest.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CountError {
+    /// The loop bounds overflow `i64` coefficients.
+    Polytope(PolytopeError),
+    /// The nest has more than `limit` innermost ranges.
+    TooManyRanges { limit: u64 },
+    /// The point count exceeds `u64`.
+    Overflow,
+}
+
+impl From<PolytopeError> for CountError {
+    fn from(e: PolytopeError) -> Self {
+        CountError::Polytope(e)
+    }
+}
+
+impl std::fmt::Display for CountError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CountError::Polytope(e) => write!(f, "{e}"),
+            CountError::TooManyRanges { limit } => {
+                write!(f, "more than {limit} innermost loop ranges to count")
+            }
+            CountError::Overflow => write!(f, "iteration count exceeds 2^64"),
+        }
+    }
+}
+
+impl std::error::Error for CountError {}
 
 #[cfg(test)]
 mod tests {
@@ -149,7 +204,7 @@ mod tests {
 
     #[test]
     fn num_points_of_box() {
-        assert_eq!(box_nest().num_points(), 4 * 5);
+        assert_eq!(box_nest().num_points(), Ok(4 * 5));
     }
 
     #[test]

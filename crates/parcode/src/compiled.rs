@@ -51,16 +51,9 @@ use tilecc_tiling::{CommPlan, Lds, LdsGeometry, TiledSpace, TilingTransform};
 /// `Lds::set_all` does on the reference path.
 pub const SKIP: i64 = i64::MIN;
 
-/// Cache-block width (in points) of the batched interior compute: chunks
-/// are clamped so one chunk's read/write windows total
-/// `(q+1)·CACHE_BLOCK·width` values (~(q+1)·4 KiB at width 1) and stay
-/// L1/L2-resident no matter how long the affine run is.
-pub const CACHE_BLOCK: usize = 512;
-
-/// Minimum safe batch width worth a `compute_run` dispatch; runs whose
-/// dependence lag allows fewer points per chunk fall back to the
-/// per-point loop (the dispatch would cost more than it saves).
-pub const MIN_BATCH: u32 = 4;
+// The batch limits are shared with the sequential scan
+// (`Algorithm::execute_scan`), whose lag argument is the same.
+pub use tilecc_loopnest::kernel::{CACHE_BLOCK, MIN_BATCH};
 
 /// A maximal affine run inside a per-index cell list: positions
 /// `at..at+len` of the list hold cells `list[at] + t·step` (`0 ≤ t < len`).

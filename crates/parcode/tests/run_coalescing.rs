@@ -413,7 +413,7 @@ fn random_tilings_and_cut_spaces_reconstruct_their_lists() {
         let use_cone = g.next().is_multiple_of(2);
         let m = (g.next() % n as u64) as usize;
         let h = if use_cone {
-            let rays = tiling_cone_rays(&deps);
+            let rays = tiling_cone_rays(&deps).unwrap();
             if rays.len() < n {
                 continue;
             }

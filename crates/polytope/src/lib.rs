@@ -17,4 +17,4 @@ pub mod polyhedron;
 
 pub use constraint::Constraint;
 pub use error::PolytopeError;
-pub use polyhedron::{LoopNestBounds, PointIter, Polyhedron};
+pub use polyhedron::{LoopNestBounds, PointIter, Polyhedron, RunIter};

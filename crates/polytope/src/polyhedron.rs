@@ -286,24 +286,28 @@ impl Polyhedron {
         // the range is un-enumerable anyway and is reported as absent.
         let mut lo: Option<i128> = None;
         let mut hi: Option<i128> = None;
-        // Pad the point so eval_without can index every variable.
-        let mut x = vec![0i64; self.dim];
-        x[..k].copy_from_slice(&outer[..k]);
         for c in &self.constraints {
             debug_assert!(
                 c.coeffs()[k + 1..].iter().all(|&v| v == 0),
                 "integer_bounds requires inner variables to be eliminated"
             );
+            // Inner coefficients are zero, so the outer prefix alone gives
+            // `Σ_{i≠k} a_i·x_i + b` — no padded point, no allocation.
+            let rest = c.coeffs()[..k]
+                .iter()
+                .zip(outer)
+                .fold(c.constant() as i128, |acc, (&a, &v)| {
+                    acc + (a as i128) * (v as i128)
+                });
             let a = c.coeff(k) as i128;
             if a == 0 {
                 // Constraint only involves outer variables (or is a pure
                 // contradiction): if violated, the range is empty.
-                if c.eval_without(&x, k) < 0 {
+                if rest < 0 {
                     return None;
                 }
                 continue;
             }
-            let rest = c.eval_without(&x, k);
             if a > 0 {
                 // a·x_k + rest ≥ 0 ⇒ x_k ≥ ⌈-rest / a⌉
                 let b = (-rest).div_euclid(a) + i128::from((-rest).rem_euclid(a) != 0);
@@ -358,23 +362,36 @@ impl LoopNestBounds {
 
     /// Iterate the integer points in lexicographic order.
     pub fn points(&self) -> PointIter<'_> {
-        PointIter::new(self)
+        PointIter {
+            walk: Odometer::new(self),
+        }
+    }
+
+    /// Walk the innermost ranges in lexicographic order: one
+    /// `(outer, a, h)` per non-empty range `a ≤ x_{n−1} ≤ h` at the outer
+    /// point `outer` (levels `0..n−1`). Allocation-free per range.
+    pub fn runs(&self) -> RunIter<'_> {
+        RunIter {
+            walk: Odometer::new(self),
+            started: false,
+        }
     }
 }
 
-/// Lexicographic iterator over the integer points of a polyhedron, driven by
-/// [`LoopNestBounds`] — the executable analogue of the generated loop nest.
-pub struct PointIter<'a> {
+/// The lexicographic odometer shared by [`PointIter`] and [`RunIter`]:
+/// every level holds a value within its bounds given the levels outside
+/// it — the executable analogue of the generated loop nest.
+struct Odometer<'a> {
     bounds: &'a LoopNestBounds,
     point: Vec<i64>,
     hi: Vec<i64>,
     done: bool,
 }
 
-impl<'a> PointIter<'a> {
+impl<'a> Odometer<'a> {
     fn new(bounds: &'a LoopNestBounds) -> Self {
         let dim = bounds.dim();
-        let mut it = PointIter {
+        let mut it = Odometer {
             bounds,
             point: vec![0; dim],
             hi: vec![0; dim],
@@ -418,18 +435,18 @@ impl<'a> PointIter<'a> {
         }
     }
 
-    fn advance(&mut self) {
-        let dim = self.bounds.dim();
-        let mut k = dim;
+    /// Step the deepest of levels `0..levels` with room and rewind the
+    /// levels inside it; marks the walk done when none has room.
+    fn advance(&mut self, levels: usize) {
+        let mut k = levels;
         while k > 0 {
             k -= 1;
             if self.point[k] < self.hi[k] {
                 self.point[k] += 1;
-                if self.seek(k + 1) {
-                    return;
+                if !self.seek(k + 1) {
+                    // seek() already backtracked to exhaustion.
+                    self.done = true;
                 }
-                // seek() already backtracked to exhaustion.
-                self.done = true;
                 return;
             }
         }
@@ -437,16 +454,49 @@ impl<'a> PointIter<'a> {
     }
 }
 
+/// Lexicographic iterator over the integer points of a polyhedron, driven by
+/// [`LoopNestBounds`]. Yields one `Vec` per point; per-point hot loops walk
+/// [`LoopNestBounds::runs`] instead.
+pub struct PointIter<'a> {
+    walk: Odometer<'a>,
+}
+
 impl<'a> Iterator for PointIter<'a> {
     type Item = Vec<i64>;
 
     fn next(&mut self) -> Option<Vec<i64>> {
-        if self.done {
+        if self.walk.done {
             return None;
         }
-        let out = self.point.clone();
-        self.advance();
+        let out = self.walk.point.clone();
+        self.walk.advance(self.walk.bounds.dim());
         Some(out)
+    }
+}
+
+/// Lending walk over the innermost ranges of a polyhedron (see
+/// [`LoopNestBounds::runs`]).
+pub struct RunIter<'a> {
+    walk: Odometer<'a>,
+    started: bool,
+}
+
+impl<'a> RunIter<'a> {
+    /// The next innermost range as `(outer, a, h)`: every point
+    /// `(outer, x)` with `a ≤ x ≤ h` is in the polyhedron. `None` once the
+    /// walk is exhausted.
+    #[allow(clippy::should_implement_trait)] // lends `outer` from `self`
+    pub fn next(&mut self) -> Option<(&[i64], i64, i64)> {
+        let inner = self.walk.bounds.dim() - 1;
+        if self.started {
+            self.walk.advance(inner);
+        }
+        self.started = true;
+        if self.walk.done {
+            return None;
+        }
+        let w = &self.walk;
+        Some((&w.point[..inner], w.point[inner], w.hi[inner]))
     }
 }
 
@@ -556,6 +606,42 @@ mod tests {
         }
         assert_eq!(fast, slow);
         assert_eq!(fast.len(), 3 * 4 * 5);
+    }
+
+    /// Expanding every innermost range reproduces the point walk exactly,
+    /// including spaces whose FM shadow has empty integer columns.
+    #[test]
+    fn runs_expand_to_the_point_walk() {
+        let mut skewed = Polyhedron::universe(3);
+        skewed.add(Constraint::new(vec![1, 0, 0], -1));
+        skewed.add(Constraint::new(vec![-1, 0, 0], 3));
+        skewed.add(Constraint::new(vec![-1, 1, 0], -1));
+        skewed.add(Constraint::new(vec![1, -1, 0], 4));
+        skewed.add(Constraint::new(vec![-2, 0, 1], -1));
+        skewed.add(Constraint::new(vec![2, 0, -1], 5));
+        let mut holes = Polyhedron::universe(2);
+        holes.add(Constraint::new(vec![-3, 1], 0)); // y >= 3x
+        holes.add(Constraint::new(vec![3, -1], 1)); // y <= 3x + 1
+        holes.add(Constraint::new(vec![0, 1], 0));
+        holes.add(Constraint::new(vec![0, -1], 9));
+        let line = Polyhedron::from_box(&[-4], &[7]);
+        for p in [skewed, holes, line] {
+            let b = LoopNestBounds::new(&p).unwrap();
+            let mut expanded = vec![];
+            let mut runs = b.runs();
+            while let Some((outer, a, h)) = runs.next() {
+                assert!(a <= h);
+                for x in a..=h {
+                    let mut pt = outer.to_vec();
+                    pt.push(x);
+                    expanded.push(pt);
+                }
+            }
+            assert_eq!(expanded, b.points().collect::<Vec<_>>());
+        }
+        let mut empty = Polyhedron::from_box(&[0, 0], &[5, 5]);
+        empty.add(Constraint::new(vec![1, 1], -100));
+        assert!(LoopNestBounds::new(&empty).unwrap().runs().next().is_none());
     }
 
     #[test]

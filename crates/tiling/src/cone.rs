@@ -10,6 +10,7 @@
 //! extreme ray if it satisfies all constraints and its active set has rank
 //! `n−1`.
 
+use crate::TilingError;
 use tilecc_linalg::{gcd_i128, IMat, RMat, Rational};
 
 /// True iff `x·d ≥ 0` for every dependence column `d`.
@@ -110,21 +111,20 @@ fn nullspace_direction(rows: &[Vec<Rational>], n: usize) -> Option<Vec<i64>> {
 }
 
 /// Compute the extreme rays of the tiling cone of `deps` (columns). Rays are
-/// primitive integer vectors, deduplicated, sorted.
-///
-/// # Panics
-/// Panics if `n < 2` or the cone is not pointed enough to be spanned by
-/// dependence-orthogonal rays (does not happen for the paper's algorithms).
-pub fn tiling_cone_rays(deps: &IMat) -> Vec<Vec<i64>> {
+/// primitive integer vectors, deduplicated, sorted. A nest of dimension
+/// below 2 has no tiling cone: [`TilingError::ConeDimension`].
+pub fn tiling_cone_rays(deps: &IMat) -> Result<Vec<Vec<i64>>, TilingError> {
     let n = deps.rows();
     let q = deps.cols();
-    assert!(n >= 2, "tiling cone requires n >= 2");
+    if n < 2 {
+        return Err(TilingError::ConeDimension { dim: n });
+    }
     let dep_rows: Vec<Vec<Rational>> = (0..q)
         .map(|c| deps.col(c).iter().map(|&v| Rational::from_int(v)).collect())
         .collect();
     let mut rays: Vec<Vec<i64>> = vec![];
     if q < n - 1 {
-        return rays;
+        return Ok(rays);
     }
     // Enumerate (n−1)-subsets of constraints.
     let mut subset: Vec<usize> = (0..n - 1).collect();
@@ -142,7 +142,7 @@ pub fn tiling_cone_rays(deps: &IMat) -> Vec<Vec<i64>> {
         }
     }
     rays.sort();
-    rays
+    Ok(rays)
 }
 
 /// Advance `subset` to the next k-combination of `0..q`; false at the end.
@@ -176,10 +176,10 @@ fn is_extreme(x: &[i64], deps: &IMat) -> bool {
 /// rays (the communication-optimal directions of Hodzic/Shang) plus any
 /// coordinate unit vectors inside the cone (so rectangular and mixed tilings
 /// compete too — for SOR, `e_3` is in the cone but not extreme). Primitive,
-/// deduplicated, sorted.
-pub fn candidate_rows(deps: &IMat) -> Vec<Vec<i64>> {
+/// deduplicated, sorted; [`TilingError::ConeDimension`] below 2-D.
+pub fn candidate_rows(deps: &IMat) -> Result<Vec<Vec<i64>>, TilingError> {
     let n = deps.rows();
-    let mut rows = tiling_cone_rays(deps);
+    let mut rows = tiling_cone_rays(deps)?;
     for k in 0..n {
         let mut e = vec![0i64; n];
         e[k] = 1;
@@ -188,16 +188,19 @@ pub fn candidate_rows(deps: &IMat) -> Vec<Vec<i64>> {
         }
     }
     rows.sort();
-    rows
+    Ok(rows)
 }
 
 /// Rational matrix whose rows are the cone rays — the paper's matrix `C`.
-pub fn cone_matrix(deps: &IMat) -> RMat {
-    let rays = tiling_cone_rays(deps);
+///
+/// # Panics
+/// Panics if the cone has no extreme ray.
+pub fn cone_matrix(deps: &IMat) -> Result<RMat, TilingError> {
+    let rays = tiling_cone_rays(deps)?;
     assert!(!rays.is_empty(), "empty tiling cone");
-    RMat::from_fn(rays.len(), deps.rows(), |i, j| {
+    Ok(RMat::from_fn(rays.len(), deps.rows(), |i, j| {
         Rational::from_int(rays[i][j])
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -206,7 +209,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     fn ray_set(deps: &IMat) -> BTreeSet<Vec<i64>> {
-        tiling_cone_rays(deps).into_iter().collect()
+        tiling_cone_rays(deps).unwrap().into_iter().collect()
     }
 
     #[test]
@@ -235,7 +238,7 @@ mod tests {
     fn jacobi_cone_rays_are_valid_and_extreme() {
         // Skewed Jacobi dependencies (derived in tilecc-loopnest).
         let deps = IMat::from_rows(&[&[1, 1, 1, 1, 1], &[2, 0, 1, 1, 1], &[1, 1, 2, 0, 1]]);
-        let rays = tiling_cone_rays(&deps);
+        let rays = tiling_cone_rays(&deps).unwrap();
         assert!(rays.len() >= 3, "3-D pointed cone needs at least 3 rays");
         for r in &rays {
             assert!(in_tiling_cone(r, &deps), "{r:?} not in cone");
@@ -261,13 +264,18 @@ mod tests {
         // SOR: e_3 is in the cone but not extreme — the tuner pool must
         // include it alongside the four extreme rays.
         let deps = IMat::from_rows(&[&[1, 0, 1, 1, 0], &[1, 1, 0, 1, 0], &[2, 0, 2, 1, 1]]);
-        let rows: BTreeSet<Vec<i64>> = candidate_rows(&deps).into_iter().collect();
+        let rows: BTreeSet<Vec<i64>> = candidate_rows(&deps).unwrap().into_iter().collect();
         let mut expected = ray_set(&deps);
         expected.insert(vec![0, 0, 1]);
         assert_eq!(rows, expected);
         // Orthant cone: units coincide with the rays, no duplicates.
         let unit = IMat::identity(3);
-        assert_eq!(candidate_rows(&unit).len(), 3);
+        assert_eq!(candidate_rows(&unit).unwrap().len(), 3);
+        // One dimension has no cone: a typed error, not a panic.
+        assert_eq!(
+            candidate_rows(&IMat::from_rows(&[&[1]])),
+            Err(TilingError::ConeDimension { dim: 1 })
+        );
     }
 
     #[test]

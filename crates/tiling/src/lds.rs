@@ -343,7 +343,7 @@ mod tests {
                     count += 1;
                 }
             }
-            assert_eq!(count, 3 * t.tile_size() as usize);
+            assert_eq!(count, 3 * t.tile_size().unwrap() as usize);
             // Density: owned cells fill the non-halo sub-box exactly (these
             // transformations have unit strides, so the box is tight).
             let e = lds.geo.extents(3);

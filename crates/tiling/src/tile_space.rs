@@ -87,10 +87,13 @@ impl TiledSpace {
                     acc.saturating_mul(h - l + 1)
                 })
                 .max(TILE_VOLUME_FLOOR);
+            // A volume past i64 exceeds every limit.
+            let volume = *volume.as_ref().unwrap_or(&i64::MAX);
             if volume > limit {
                 return Err(TilingError::TileTooLarge { volume, limit });
             }
         }
+        let volume = volume?;
         // Combined system over (j^S[0..n], j[0..n]).
         let mut combined = Polyhedron::universe(2 * n);
         for c in space.constraints() {

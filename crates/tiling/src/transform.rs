@@ -41,6 +41,9 @@ pub enum TilingError {
     /// covers far more than the whole space, and lowering would walk every
     /// one of its lattice points.
     TileTooLarge { volume: i64, limit: i64 },
+    /// The tiling cone (and so the tuner's candidate rows) is defined for
+    /// nests of dimension 2 or more; `dim` is the nest's.
+    ConeDimension { dim: usize },
 }
 
 impl From<PolytopeError> for TilingError {
@@ -70,10 +73,21 @@ impl std::fmt::Display for TilingError {
                 f,
                 "mapping dimension {m} out of range for a {dim}-dimensional tiled space"
             ),
-            TilingError::TileTooLarge { volume, limit } => write!(
+            TilingError::TileTooLarge { volume, limit } => {
+                if *volume == i64::MAX {
+                    write!(f, "tile volume (past 2^63)")?;
+                } else {
+                    write!(f, "tile volume {volume}")?;
+                }
+                write!(
+                    f,
+                    " exceeds the limit {limit} (the larger of 2^n times the iteration \
+                     space's bounding-box points and {TILE_VOLUME_FLOOR})"
+                )
+            }
+            TilingError::ConeDimension { dim } => write!(
                 f,
-                "tile volume {volume} exceeds the limit {limit} (the larger of 2^n \
-                 times the iteration space's bounding-box points and {TILE_VOLUME_FLOOR})"
+                "the tiling cone needs a nest of dimension 2 or more, not {dim}"
             ),
         }
     }
@@ -220,11 +234,16 @@ impl TilingTransform {
     }
 
     /// Tile size `|det(P)| = 1/|det(H)|` (number of integer points per full
-    /// tile).
-    pub fn tile_size(&self) -> i64 {
+    /// tile). A size past `i64` is [`TilingError::TileTooLarge`], with the
+    /// volume saturated at `i64::MAX` and no limit yet (`i64::MAX`);
+    /// [`crate::TiledSpace::new`] fills in the space's limit.
+    pub fn tile_size(&self) -> Result<i64, TilingError> {
         let d = self.p.det().abs();
         assert!(d.is_integer(), "tile size must be integral");
-        d.to_integer()
+        i64::try_from(d.num()).map_err(|_| TilingError::TileTooLarge {
+            volume: i64::MAX,
+            limit: i64::MAX,
+        })
     }
 
     /// The tile containing iteration `j`: `j^S = ⌊H·j⌋`.
@@ -347,7 +366,7 @@ mod tests {
     #[test]
     fn rectangular_tiling_basics() {
         let t = TilingTransform::rectangular(&[4, 3, 5]).unwrap();
-        assert_eq!(t.tile_size(), 60);
+        assert_eq!(t.tile_size(), Ok(60));
         assert_eq!(t.v(), &[4, 3, 5]);
         assert_eq!(t.strides(), vec![1, 1, 1]);
         assert_eq!(t.tile_of(&[4, 2, 9]), vec![1, 0, 1]);
@@ -358,7 +377,7 @@ mod tests {
     fn sor_nr_tiling_derivations() {
         let t = TilingTransform::new(sor_hnr(4, 3, 5)).unwrap();
         assert_eq!(t.v(), &[4, 3, 5]);
-        assert_eq!(t.tile_size(), 60);
+        assert_eq!(t.tile_size(), Ok(60));
         // H' = V·H = [[1,0,0],[0,1,0],[-1,0,1]].
         assert_eq!(
             *t.h_prime(),
@@ -520,7 +539,7 @@ mod tests {
         let h = RMat::from_fractions(&[&[(1, 2), (1, 2)], &[(0, 1), (1, 2)]]);
         let t = TilingTransform::new(h).unwrap();
         assert_eq!(*t.h_prime(), IMat::from_rows(&[&[1, 1], &[0, 1]]));
-        assert_eq!(t.tile_size(), 4);
+        assert_eq!(t.tile_size(), Ok(4));
         // dense lattice (det H' = 1): strides 1.
         assert_eq!(t.strides(), vec![1, 1]);
         // A genuinely sparse TTIS lattice: H = [[1/2,0],[1/4,1/2]] gives
@@ -529,7 +548,7 @@ mod tests {
         let t2 = TilingTransform::new(h2).unwrap();
         assert_eq!(t2.v(), &[2, 4]);
         assert_eq!(*t2.h_prime(), IMat::from_rows(&[&[1, 0], &[1, 2]]));
-        assert_eq!(t2.tile_size(), 4);
+        assert_eq!(t2.tile_size(), Ok(4));
         assert_eq!(t2.strides(), vec![1, 2]);
         // 8 integer points in the [0,2)×[0,4) box, lattice index 2 ⇒ 4
         // TTIS points — exactly the tile size.

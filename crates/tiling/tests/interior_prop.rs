@@ -63,7 +63,7 @@ fn random_case(g: &mut G) -> Option<(Polyhedron, IMat, TilingTransform)> {
     }
     let factors: Vec<i64> = (0..n).map(|_| g.range(2, 4)).collect();
     let h = if g.next().is_multiple_of(2) {
-        let rays = tiling_cone_rays(&deps);
+        let rays = tiling_cone_rays(&deps).unwrap();
         if rays.len() < n {
             return None;
         }

@@ -115,7 +115,7 @@ fn random_tiling(g: &mut G, n: usize, deps: &IMat) -> Option<RMat> {
             }
         }));
     }
-    let rays = tiling_cone_rays(deps);
+    let rays = tiling_cone_rays(deps).unwrap();
     let mut chosen: Vec<Vec<i64>> = vec![];
     for ray in &rays {
         let mut cand = chosen.clone();

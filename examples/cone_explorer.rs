@@ -16,7 +16,7 @@ fn explore(name: &str, deps: &IMat, nr_rows: &[Vec<i64>], rect_rows: &[Vec<i64>]
     for q in 0..deps.cols() {
         println!("  d{q} = {:?}", deps.col(q));
     }
-    let rays = tiling_cone_rays(deps);
+    let rays = tiling_cone_rays(deps).expect("a 3-D nest has a tiling cone");
     println!("tiling cone extreme rays: {rays:?}");
     for r in nr_rows {
         let extreme = rays.contains(r);

@@ -42,7 +42,7 @@ fn main() {
     let algorithm = Algorithm::new("wave", nest, Arc::new(Wave));
 
     // Ask the framework for the tiling cone of this dependence pattern.
-    let rays = tiling_cone_rays(algorithm.nest.deps());
+    let rays = tiling_cone_rays(algorithm.nest.deps()).expect("a 2-D nest has a tiling cone");
     println!("tiling cone extreme rays: {rays:?}");
 
     // Build a legal tiling: rows scaled from cone members. The time-tile

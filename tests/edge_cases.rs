@@ -110,6 +110,6 @@ fn non_rectangular_unit_determinant_tiles() {
     // A cone tiling with tile size 1 — every lattice cell is one iteration.
     let alg = kernels::adi(3, 4);
     let t = TilingTransform::new(matrices::adi_nr3(1, 1, 1)).unwrap();
-    assert_eq!(t.tile_size(), 1);
+    assert_eq!(t.tile_size(), Ok(1));
     verify(alg, t, Some(0));
 }

@@ -109,7 +109,7 @@ fn random_space(rng: &mut Rng, n: usize) -> Polyhedron {
 fn tiling_for(deps: &IMat, factors: &[i64], use_cone: bool) -> Option<TilingTransform> {
     let n = deps.rows();
     let h = if use_cone {
-        let rays = tiling_cone_rays(deps);
+        let rays = tiling_cone_rays(deps).unwrap();
         if rays.len() < n {
             return None;
         }
