@@ -15,8 +15,8 @@
 use std::hint::black_box;
 use tilecc::matrices;
 use tilecc_bench::harness::Harness;
+use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::RMat;
-use tilecc_loopnest::kernels;
 use tilecc_parcode::ParallelPlan;
 use tilecc_tiling::{CommPlan, Lds, LdsGeometry, TiledSpace, TilingTransform};
 
@@ -32,7 +32,7 @@ fn strided_transform() -> TilingTransform {
 
 fn lds_ablation(h: &mut Harness) {
     let t = strided_transform();
-    let alg = kernels::adi(32, 32);
+    let alg = compile_kernel_with(corpus::ADI, &[("T", 32), ("N", 32)]).unwrap();
     let tiled = TiledSpace::new(t.clone(), alg.nest.space().clone()).unwrap();
     let plan = CommPlan::new(&tiled, alg.nest.deps(), 0);
     let geo = LdsGeometry::new(&t, &plan);
@@ -78,7 +78,7 @@ fn lds_ablation(h: &mut Harness) {
 }
 
 fn clamp_ablation(h: &mut Harness) {
-    let alg = kernels::sor_skewed(16, 24, 1.0);
+    let alg = compile_kernel_with(corpus::SOR, &[("M", 16), ("N", 24)]).unwrap();
     let t = TilingTransform::new(matrices::sor_nr(4, 10, 8)).unwrap();
     let tiled = TiledSpace::new(t, alg.nest.space().clone()).unwrap();
     let tiles: Vec<Vec<i64>> = tiled.tiles().collect();
@@ -101,7 +101,7 @@ fn clamp_ablation(h: &mut Harness) {
 fn mapping_ablation(h: &mut Harness) {
     for m in 0..3usize {
         h.bench(&format!("mapping_ablation/simulate_adi_mapdim/{m}"), || {
-            let alg = kernels::adi(24, 32);
+            let alg = compile_kernel_with(corpus::ADI, &[("T", 24), ("N", 32)]).unwrap();
             let t = TilingTransform::new(matrices::rect(5, 9, 9)).unwrap();
             let plan = std::sync::Arc::new(ParallelPlan::new(alg, t, Some(m)).unwrap());
             black_box(tilecc_parcode::execute(

@@ -28,11 +28,7 @@ fn fig5_fig6_sor(h: &mut Harness) {
 
 /// Figures 7 and 8 — Jacobi rect vs non-rect (reduced space T=12, I=J=24).
 fn fig7_fig8_jacobi(h: &mut Harness) {
-    let w = Workload::Jacobi {
-        t: 12,
-        i: 24,
-        j: 24,
-    };
+    let w = Workload::Jacobi { t: 12, n: 24 };
     for v in [Variant::Rect, Variant::NonRect] {
         h.bench(&format!("fig7_fig8_jacobi/simulate/{}", v.label()), || {
             black_box(measure(w, v, (4, 10, 10), model()));

@@ -8,8 +8,8 @@
 use std::hint::black_box;
 use tilecc::matrices;
 use tilecc_bench::harness::Harness;
+use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::{column_hnf, IMat, Lattice};
-use tilecc_loopnest::kernels;
 use tilecc_parcode::ParallelPlan;
 use tilecc_polytope::{Constraint, LoopNestBounds, Polyhedron};
 use tilecc_tiling::{TiledSpace, TilingTransform};
@@ -35,7 +35,7 @@ fn bench_hnf(h: &mut Harness) {
 
 fn bench_fourier_motzkin(h: &mut Harness) {
     // The SOR tile-space projection: 6 variables down to 3.
-    let alg = kernels::sor_skewed(50, 100, 1.0);
+    let alg = compile_kernel_with(corpus::SOR, &[("M", 50), ("N", 100)]).unwrap();
     let space = alg.nest.space().clone();
     let t = TilingTransform::new(matrices::sor_nr(13, 38, 25)).unwrap();
     h.bench("fm/tile_space_projection_sor", || {
@@ -72,7 +72,7 @@ fn bench_lattice_walk(h: &mut Harness) {
 }
 
 fn bench_tile_deps(h: &mut Harness) {
-    let alg = kernels::sor_skewed(30, 60, 1.0);
+    let alg = compile_kernel_with(corpus::SOR, &[("M", 30), ("N", 60)]).unwrap();
     let space = alg.nest.space().clone();
     let deps = alg.nest.deps().clone();
     let t = TilingTransform::new(matrices::sor_nr(8, 23, 15)).unwrap();
@@ -83,7 +83,7 @@ fn bench_tile_deps(h: &mut Harness) {
 }
 
 fn bench_loc_round_trip(h: &mut Harness) {
-    let alg = kernels::sor_skewed(10, 16, 1.0);
+    let alg = compile_kernel_with(corpus::SOR, &[("M", 10), ("N", 16)]).unwrap();
     let t = TilingTransform::new(matrices::sor_nr(3, 7, 5)).unwrap();
     let plan = ParallelPlan::new(alg, t, Some(2)).unwrap();
     let points: Vec<Vec<i64>> = plan.tiled.space_bounds().points().collect();
@@ -96,7 +96,7 @@ fn bench_loc_round_trip(h: &mut Harness) {
 }
 
 fn bench_point_scan(h: &mut Harness) {
-    let alg = kernels::sor_skewed(16, 24, 1.0);
+    let alg = compile_kernel_with(corpus::SOR, &[("M", 16), ("N", 24)]).unwrap();
     let bounds = LoopNestBounds::new(alg.nest.space()).unwrap();
     h.bench("polytope/scan_skewed_sor_space", || {
         black_box(bounds.points().count());

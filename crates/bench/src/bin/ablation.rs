@@ -10,8 +10,8 @@
 use std::sync::Arc;
 use tilecc::{matrices, measure, Variant, Workload};
 use tilecc_cluster::{CommScheme, MachineModel};
+use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::RMat;
-use tilecc_loopnest::kernels;
 use tilecc_parcode::{execute, ExecMode, ParallelPlan};
 use tilecc_tiling::{CommPlan, LdsGeometry, TiledSpace, TilingTransform};
 
@@ -20,7 +20,7 @@ fn main() {
 
     println!("== 1. Mapping-dimension choice (ADI T=64, N=48, tiles 8x12x12) ==");
     for m in 0..3usize {
-        let alg = kernels::adi(64, 48);
+        let alg = compile_kernel_with(corpus::ADI, &[("T", 64), ("N", 48)]).unwrap();
         let t = TilingTransform::new(matrices::rect(8, 12, 12)).unwrap();
         let plan = Arc::new(ParallelPlan::new(alg, t, Some(m)).unwrap());
         let tiles_along: Vec<i64> = (0..3)
@@ -67,7 +67,7 @@ fn main() {
         &[(0, 1), (0, 1), (1, 8)],
     ]))
     .unwrap();
-    let alg = kernels::adi(32, 32);
+    let alg = compile_kernel_with(corpus::ADI, &[("T", 32), ("N", 32)]).unwrap();
     let tiled = TiledSpace::new(t.clone(), alg.nest.space().clone()).unwrap();
     let plan = CommPlan::new(&tiled, alg.nest.deps(), 0);
     let geo = LdsGeometry::new(&t, &plan);
@@ -81,7 +81,7 @@ fn main() {
         naive as f64 / condensed as f64
     );
     println!("\n== 4. Communication overlap (future work [8]) — SOR M=40 N=60, tiles 11x26x10 ==");
-    let alg = kernels::sor_skewed(40, 60, 1.1);
+    let alg = compile_kernel_with(corpus::SOR, &[("M", 40), ("N", 60)]).unwrap();
     let t = TilingTransform::new(matrices::sor_nr(11, 26, 10)).unwrap();
     let plan = Arc::new(ParallelPlan::new(alg, t, Some(2)).unwrap());
     let blocking = tilecc_parcode::execute_with(

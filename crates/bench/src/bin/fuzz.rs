@@ -25,10 +25,11 @@
 //! random-space generator is replaced by the `examples/kernels/*.tk`
 //! corpus: every case compiles one kernel-DSL program through the
 //! frontend, draws a random rectangular tiling and mapping dimension, and
-//! runs the same three-way strategy cross-check; the four paper workloads
-//! (`sor`, `jacobi`, `adi`, `adi_paper`) are additionally executed
-//! side-by-side with their hand-coded Rust kernels under the identical
-//! plan and must agree bitwise — data, makespan bits, and counters.
+//! runs the same three-way strategy cross-check; the sequential data of the
+//! four paper workloads (`sor`, `jacobi`, `adi`, `adi_paper`) must
+//! additionally hash to the frozen fingerprints of the hand-coded Rust
+//! kernels they replaced (`tilecc_frontend::corpus::FROZEN`), at the file
+//! sizes and at the sizes `perf` benches them at.
 //!
 //! In every mode, each case's sequential oracle (`execute_sequential`) is
 //! also compared bitwise against the run-based scan (`execute_scan`) that
@@ -45,6 +46,7 @@ use tilecc_cluster::{
     Counter, EngineOptions, FaultPlan, MachineModel, MetricsRegistry, RecoveryOptions,
     StatsSnapshot,
 };
+use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::{IMat, RMat, Rational};
 use tilecc_loopnest::{Algorithm, DataSpace, Kernel, LoopNest};
 use tilecc_parcode::{
@@ -107,16 +109,10 @@ fn check_scan(alg: &Algorithm, seq: &DataSpace, seed: u64, case: u64) {
 /// The shipped kernel-DSL corpus, embedded at compile time so the fuzzer
 /// breaks the build if a corpus file goes missing or stops parsing.
 const DSL_CORPUS: &[(&str, &str)] = &[
-    ("sor", include_str!("../../../../examples/kernels/sor.tk")),
-    (
-        "jacobi",
-        include_str!("../../../../examples/kernels/jacobi.tk"),
-    ),
-    ("adi", include_str!("../../../../examples/kernels/adi.tk")),
-    (
-        "adi_paper",
-        include_str!("../../../../examples/kernels/adi_paper.tk"),
-    ),
+    ("sor", corpus::SOR),
+    ("jacobi", corpus::JACOBI),
+    ("adi", corpus::ADI),
+    ("adi_paper", corpus::ADI_PAPER),
     (
         "heat3d",
         include_str!("../../../../examples/kernels/heat3d.tk"),
@@ -143,29 +139,46 @@ const DSL_CORPUS: &[(&str, &str)] = &[
     ),
 ];
 
-/// The hand-coded Rust twin of a paper workload at the sizes its `.tk`
-/// file declares, or `None` for the DSL-only corpus kernels.
-fn hand_twin(name: &str) -> Option<Algorithm> {
-    use tilecc_loopnest::kernels;
-    match name {
-        "sor" => Some(kernels::sor_skewed(8, 12, 1.1)),
-        "jacobi" => Some(kernels::jacobi_skewed(6, 8, 8)),
-        "adi" => Some(kernels::adi(6, 8)),
-        "adi_paper" => Some(kernels::adi_paper(6, 8)),
-        _ => None,
-    }
+/// The frozen fingerprint of a paper workload at the sizes its `.tk`
+/// file declares, or `None` for the corpus kernels without one.
+fn frozen_hash(name: &str) -> Option<u64> {
+    corpus::FROZEN
+        .iter()
+        .find(|f| f.name == name && f.overrides.is_empty())
+        .map(|f| f.hash)
 }
 
 /// `--dsl`: fuzz the kernel-DSL corpus instead of random spaces. Each case
 /// compiles one `.tk` program, draws a random rectangular tiling and
 /// mapping dimension, and cross-checks all three execution strategies
-/// bitwise against sequential execution. Paper workloads are additionally
-/// raced against their hand-coded kernels under the identical plan: data,
-/// makespan bits, and every logical counter must agree.
+/// bitwise against sequential execution. The sequential data of the paper
+/// workloads must also match the frozen fingerprints of the hand-coded
+/// kernels they replaced ([`corpus::FROZEN`]), checked first at every
+/// recorded size and then on each case.
 fn dsl_mode(seed: u64, cases: u64) -> ! {
     let mut g = G(seed | 1);
+    for f in &corpus::FROZEN {
+        let ds = match compile_kernel_with(f.source, f.overrides) {
+            Ok(alg) => alg.execute_sequential(),
+            Err(e) => {
+                eprintln!("  corpus kernel `{}` failed to compile: {e}", f.name);
+                fail(seed, 0, "corpus kernel did not compile");
+            }
+        };
+        if ds.bit_hash() != f.hash || ds.num_written() != f.written {
+            eprintln!(
+                "  `{}` with {:?} lost its frozen fingerprint",
+                f.name, f.overrides
+            );
+            fail(
+                seed,
+                0,
+                "paper kernel differs from its frozen hand-coded hash",
+            );
+        }
+    }
     let mut per_kernel = vec![0u64; DSL_CORPUS.len()];
-    let mut pair_cases = 0u64;
+    let mut frozen_cases = 0u64;
     let mut vectorized_points = 0u64;
     let run =
         |plan: &Arc<ParallelPlan>, strat: ExecStrategy, reg: &Arc<MetricsRegistry>, case: u64| {
@@ -220,7 +233,16 @@ fn dsl_mode(seed: u64, cases: u64) -> ! {
         }
         let seq = alg.execute_sequential();
         check_scan(&alg, &seq, seed, case);
-        let hand = hand_twin(name);
+        if let Some(hash) = frozen_hash(name) {
+            frozen_cases += 1;
+            if seq.bit_hash() != hash {
+                fail(
+                    seed,
+                    case,
+                    "paper kernel differs from its frozen hand-coded hash",
+                );
+            }
+        }
         let plan = match ParallelPlan::new(alg, t.clone(), Some(m)) {
             Ok(p) => Arc::new(p),
             Err(e) => {
@@ -298,69 +320,6 @@ fn dsl_mode(seed: u64, cases: u64) -> ! {
             fail(seed, case, "DSL reference strategy reported batched points");
         }
         vectorized_points += rep_c.total(Counter::VectorizedPoints);
-        // Paper workloads: the DSL-compiled program must be bitwise
-        // indistinguishable from the hand-coded kernel under the same plan.
-        if let Some(hand) = hand {
-            pair_cases += 1;
-            let hand_seq = hand.execute_sequential();
-            check_scan(&hand, &hand_seq, seed, case);
-            if let Some(bad) = hand_seq.diff(&seq) {
-                eprintln!("  HAND/DSL SEQUENTIAL MISMATCH at {bad:?}");
-                fail(seed, case, "DSL kernel differs from hand-coded sequential");
-            }
-            let hand_plan = match ParallelPlan::new(hand, t.clone(), Some(m)) {
-                Ok(p) => Arc::new(p),
-                Err(e) => {
-                    eprintln!("  hand-twin planning failed: {e}");
-                    fail(seed, case, "planning failed on a hand-coded twin");
-                }
-            };
-            let reg_h = MetricsRegistry::new();
-            let hand_res = run(&hand_plan, ExecStrategy::Compiled, &reg_h, case);
-            if let Some(bad) = res
-                .data
-                .as_ref()
-                .unwrap()
-                .diff(hand_res.data.as_ref().unwrap())
-            {
-                eprintln!("  HAND/DSL PARALLEL MISMATCH at {bad:?}");
-                fail(
-                    seed,
-                    case,
-                    "DSL kernel differs from hand-coded parallel run",
-                );
-            }
-            if res.makespan().to_bits() != hand_res.makespan().to_bits() {
-                eprintln!(
-                    "  makespans: dsl {} hand {}",
-                    res.makespan(),
-                    hand_res.makespan()
-                );
-                fail(seed, case, "DSL/hand makespan bits differ");
-            }
-            let rep_h = reg_h.run_report(&hand_res.report.local_times);
-            for c in [
-                Counter::MessagesSent,
-                Counter::BytesSent,
-                Counter::MessagesReceived,
-                Counter::BytesReceived,
-                Counter::Tiles,
-                Counter::InteriorTiles,
-                Counter::BoundaryTiles,
-                Counter::Iterations,
-                Counter::VectorizedPoints,
-            ] {
-                if rep_c.total(c) != rep_h.total(c) {
-                    eprintln!(
-                        "  counter {}: dsl {} hand {}",
-                        c.name(),
-                        rep_c.total(c),
-                        rep_h.total(c)
-                    );
-                    fail(seed, case, "DSL/hand counter mismatch");
-                }
-            }
-        }
     }
     if cases >= DSL_CORPUS.len() as u64 {
         for (ki, count) in per_kernel.iter().enumerate() {
@@ -370,8 +329,8 @@ fn dsl_mode(seed: u64, cases: u64) -> ! {
             }
         }
     }
-    if pair_cases == 0 {
-        fail(seed, cases, "DSL/hand equivalence never checked");
+    if frozen_cases == 0 {
+        fail(seed, cases, "no case checked a frozen fingerprint");
     }
     if cases >= DSL_CORPUS.len() as u64 && vectorized_points == 0 {
         fail(
@@ -381,7 +340,7 @@ fn dsl_mode(seed: u64, cases: u64) -> ! {
         );
     }
     eprintln!(
-        "dsl cross-check: {cases} cases, {pair_cases} hand-twin races, \
+        "dsl cross-check: {cases} cases, {frozen_cases} frozen-hash checks, \
          {vectorized_points} batched points"
     );
     eprintln!("all {cases} cases passed (dsl corpus)");

@@ -273,26 +273,10 @@ pub fn sor_spaces() -> Vec<Workload> {
 /// The four Jacobi iteration spaces of Figure 7 (the first is Figure 8's).
 pub fn jacobi_spaces() -> Vec<Workload> {
     vec![
-        Workload::Jacobi {
-            t: 50,
-            i: 100,
-            j: 100,
-        },
-        Workload::Jacobi {
-            t: 50,
-            i: 200,
-            j: 200,
-        },
-        Workload::Jacobi {
-            t: 100,
-            i: 100,
-            j: 100,
-        },
-        Workload::Jacobi {
-            t: 100,
-            i: 200,
-            j: 200,
-        },
+        Workload::Jacobi { t: 50, n: 100 },
+        Workload::Jacobi { t: 50, n: 200 },
+        Workload::Jacobi { t: 100, n: 100 },
+        Workload::Jacobi { t: 100, n: 200 },
     ]
 }
 
@@ -399,10 +383,10 @@ pub fn run_sor(spaces: &[Workload], model: MachineModel, verbose: bool) -> Vec<S
 pub fn run_jacobi(spaces: &[Workload], model: MachineModel, verbose: bool) -> Vec<SeriesRecord> {
     let mut series = vec![];
     for &w in spaces {
-        let Workload::Jacobi { t, i, j } = w else {
+        let Workload::Jacobi { t, n } = w else {
             panic!("not Jacobi")
         };
-        let (y, z) = yz_grid(w, t + i - 1, t + j - 1);
+        let (y, z) = yz_grid(w, t + n - 1, t + n - 1);
         let factors = chain_sweep(t);
         let pts = sweep(
             w,

@@ -169,7 +169,14 @@ fn emitted_kernel_matches_lowered_kernel_bitwise() {
         [-(1 << 40), 5, 7],
         [1 << 58, 1 << 58, 1 << 58],
     ];
-    for name in ["sor", "adi_paper", "coupled", "gs_redblack"] {
+    for name in [
+        "sor",
+        "jacobi",
+        "adi",
+        "adi_paper",
+        "coupled",
+        "gs_redblack",
+    ] {
         let f = format!(
             "{}/../../examples/kernels/{name}.tk",
             env!("CARGO_MANIFEST_DIR")

@@ -6,8 +6,9 @@ use crate::analysis;
 use crate::matrices;
 use crate::pipeline::Pipeline;
 use tilecc_cluster::MachineModel;
+use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::RMat;
-use tilecc_loopnest::{kernels, Algorithm};
+use tilecc_loopnest::Algorithm;
 
 /// Tiling variant labels used across the experiments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,20 +64,22 @@ pub struct MeasuredPoint {
 pub enum Workload {
     /// SOR with skewed space sizes (M, N). Mapped along dimension 3 (`m=2`).
     Sor { m: i64, n: i64 },
-    /// Jacobi with space sizes (T, I, J). Mapped along dimension 1 (`m=0`).
-    Jacobi { t: i64, i: i64, j: i64 },
+    /// Jacobi with space sizes (T, N, N). Mapped along dimension 1 (`m=0`).
+    Jacobi { t: i64, n: i64 },
     /// ADI with space sizes (T, N). Mapped along dimension 1 (`m=0`).
     Adi { t: i64, n: i64 },
 }
 
 impl Workload {
-    /// The skewed (tileable) algorithm instance.
+    /// The skewed (tileable) algorithm instance, compiled from the paper
+    /// kernel's `.tk` source at this workload's sizes.
     pub fn algorithm(&self) -> Algorithm {
-        match *self {
-            Workload::Sor { m, n } => kernels::sor_skewed(m, n, 1.1),
-            Workload::Jacobi { t, i, j } => kernels::jacobi_skewed(t, i, j),
-            Workload::Adi { t, n } => kernels::adi(t, n),
-        }
+        let (source, params) = match *self {
+            Workload::Sor { m, n } => (corpus::SOR, [("M", m), ("N", n)]),
+            Workload::Jacobi { t, n } => (corpus::JACOBI, [("T", t), ("N", n)]),
+            Workload::Adi { t, n } => (corpus::ADI, [("T", t), ("N", n)]),
+        };
+        compile_kernel_with(source, &params).expect("the corpus kernels declare these parameters")
     }
 
     /// The paper's mapping dimension for this workload.
@@ -106,11 +109,9 @@ impl Workload {
         match (*self, variant) {
             (Workload::Sor { m, n }, Variant::Rect) => analysis::sor_t_rect(m, n, x, y, z),
             (Workload::Sor { m, n }, Variant::NonRect) => analysis::sor_t_nr(m, n, x, y, z),
-            (Workload::Jacobi { t, i, j }, Variant::Rect) => {
-                analysis::jacobi_t_rect(t, i, j, x, y, z)
-            }
-            (Workload::Jacobi { t, i, j }, Variant::NonRect) => {
-                analysis::jacobi_t_nr(t, i, j, x, y, z)
+            (Workload::Jacobi { t, n }, Variant::Rect) => analysis::jacobi_t_rect(t, n, n, x, y, z),
+            (Workload::Jacobi { t, n }, Variant::NonRect) => {
+                analysis::jacobi_t_nr(t, n, n, x, y, z)
             }
             (Workload::Adi { t, n }, Variant::Rect) => analysis::adi_t_rect(t, n, x, y, z),
             (Workload::Adi { t, n }, Variant::AdiNr1) => analysis::adi_t_nr1(t, n, x, y, z),
@@ -126,7 +127,7 @@ impl Workload {
     pub fn label(&self) -> String {
         match *self {
             Workload::Sor { m, n } => format!("SOR M={m} N={n}"),
-            Workload::Jacobi { t, i, j } => format!("Jacobi T={t} I={i} J={j}"),
+            Workload::Jacobi { t, n } => format!("Jacobi T={t} I={n} J={n}"),
             Workload::Adi { t, n } => format!("ADI T={t} N={n}"),
         }
     }
@@ -206,7 +207,7 @@ mod tests {
 
     #[test]
     fn probe_procs_matches_measure() {
-        let w = Workload::Jacobi { t: 6, i: 8, j: 8 };
+        let w = Workload::Jacobi { t: 6, n: 8 };
         let procs = probe_procs(w, Variant::Rect, (3, 4, 4));
         let pt = measure(
             w,

@@ -8,11 +8,12 @@
 //!
 //! ```
 //! use tilecc::{Pipeline, matrices};
-//! use tilecc_loopnest::kernels;
+//! use tilecc_frontend::{compile_kernel_with, corpus};
 //! use tilecc_cluster::MachineModel;
 //!
-//! // Skewed SOR, non-rectangular tiling from the tiling cone (§4.1).
-//! let alg = kernels::sor_skewed(4, 6, 1.1);
+//! // Skewed SOR (examples/kernels/sor.tk) at M=4, N=6, non-rectangular
+//! // tiling from the tiling cone (§4.1).
+//! let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap();
 //! let pipe = Pipeline::compile(alg, matrices::sor_nr(2, 3, 3), Some(2)).unwrap();
 //! let (summary, _data) = pipe.run_verified(MachineModel::fast_ethernet_p3());
 //! assert_eq!(summary.verified, Some(true));
@@ -21,9 +22,10 @@
 //! The crates underneath (re-exported here) implement every substrate from
 //! scratch: exact rational linear algebra and Hermite Normal Forms
 //! (`tilecc-linalg`), Fourier–Motzkin elimination (`tilecc-polytope`), the
-//! loop-nest model and the paper's three kernels (`tilecc-loopnest`), the
-//! tiling machinery (`tilecc-tiling`), an in-process message-passing cluster
-//! with virtual-time simulation (`tilecc-cluster`), and the SPMD program
+//! loop-nest model (`tilecc-loopnest`), the `.tk` kernel DSL whose corpus
+//! defines the paper's three kernels (`tilecc-frontend`), the tiling
+//! machinery (`tilecc-tiling`), an in-process message-passing cluster with
+//! virtual-time simulation (`tilecc-cluster`), and the SPMD program
 //! generator/executor plus a C/MPI emitter (`tilecc-parcode`).
 
 pub mod analysis;

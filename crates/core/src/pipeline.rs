@@ -271,11 +271,11 @@ pub fn verify_against_sequential(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tilecc_loopnest::kernels;
+    use tilecc_frontend::{compile_kernel_with, corpus};
 
     #[test]
     fn pipeline_runs_and_verifies_sor() {
-        let alg = kernels::sor_skewed(4, 6, 1.0);
+        let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap();
         let h = RMat::from_fractions(&[
             &[(1, 2), (0, 1), (0, 1)],
             &[(0, 1), (1, 3), (0, 1)],
@@ -291,7 +291,7 @@ mod tests {
 
     #[test]
     fn simulate_reports_consistent_speedup() {
-        let alg = kernels::adi(8, 12);
+        let alg = compile_kernel_with(corpus::ADI, &[("T", 8), ("N", 12)]).unwrap();
         let pipe = Pipeline::compile_transform(
             alg,
             tilecc_tiling::TilingTransform::rectangular(&[2, 6, 6]).unwrap(),
@@ -311,7 +311,7 @@ mod tests {
     #[test]
     fn faulty_pipeline_still_verifies() {
         use tilecc_cluster::FaultPlan;
-        let alg = kernels::sor_skewed(4, 6, 1.0);
+        let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap();
         let pipe = Pipeline::compile_transform(
             alg,
             tilecc_tiling::TilingTransform::rectangular(&[2, 3, 3]).unwrap(),
@@ -338,7 +338,7 @@ mod tests {
 
     #[test]
     fn overlapped_strategy_through_pipeline() {
-        let alg = kernels::adi(6, 8);
+        let alg = compile_kernel_with(corpus::ADI, &[("T", 6), ("N", 8)]).unwrap();
         let pipe = Pipeline::compile_transform(
             alg,
             tilecc_tiling::TilingTransform::rectangular(&[2, 4, 4]).unwrap(),
@@ -368,7 +368,7 @@ mod tests {
 
     #[test]
     fn emit_c_through_pipeline() {
-        let alg = kernels::jacobi_skewed(3, 4, 4);
+        let alg = compile_kernel_with(corpus::JACOBI, &[("T", 3), ("N", 4)]).unwrap();
         let pipe = Pipeline::compile_transform(
             alg,
             tilecc_tiling::TilingTransform::rectangular(&[2, 3, 3]).unwrap(),

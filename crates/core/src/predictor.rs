@@ -83,12 +83,12 @@ mod tests {
     use super::*;
     use crate::matrices;
     use std::sync::Arc;
-    use tilecc_loopnest::kernels;
+    use tilecc_frontend::{compile_kernel_with, corpus};
     use tilecc_parcode::{execute, ExecMode};
     use tilecc_tiling::TilingTransform;
 
     fn plan(h: tilecc_linalg::RMat, m: usize) -> Arc<ParallelPlan> {
-        let alg = kernels::sor_skewed(24, 36, 1.1);
+        let alg = compile_kernel_with(corpus::SOR, &[("M", 24), ("N", 36)]).unwrap();
         Arc::new(ParallelPlan::new(alg, TilingTransform::new(h).unwrap(), Some(m)).unwrap())
     }
 

@@ -21,13 +21,18 @@
 //! [`parse_kernel`] validates the source (affine `max`/`min` bounds, one
 //! statement per array, uniform lexicographically-positive dependencies,
 //! identity write references, a unimodular skew) into a [`KernelProgram`];
-//! [`compile_kernel`] also lowers it. Kernels may declare several arrays
+//! [`compile_kernel`] also lowers it, and [`compile_kernel_with`] first
+//! overrides `param` values by name — the way every caller sizes the
+//! paper's kernels, whose sources live in [`corpus`]. Kernels may declare several arrays
 //! with per-array initial expressions, `let` bindings, the `bnd()`/`mod()`
 //! builtins and a pinned dependence order; errors are source-located
 //! (`line:col` + caret). [`KernelProgram::c_expr`] renders expressions as
 //! C for the emitted MPI program. See `docs/kernel-dsl.md` for the
 //! language reference.
 
+pub mod corpus;
+#[cfg(test)]
+mod kernels;
 pub mod tk;
 
-pub use tk::{compile_kernel, parse_kernel, KernelProgram, TkError};
+pub use tk::{compile_kernel, compile_kernel_with, parse_kernel, KernelProgram, TkError};

@@ -6,7 +6,7 @@
 //! `parse(pretty(p)) == p` holds for every well-formed program — the
 //! round-trip tests lock this.
 
-use tilecc_loopnest::kernels::boundary_value;
+use tilecc_loopnest::kernel::boundary_value;
 
 /// Integer affine form over the loop variables:
 /// `Σ coeffs[k]·j_k + constant`.

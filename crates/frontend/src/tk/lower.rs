@@ -3,9 +3,9 @@
 //!
 //! Expressions are flattened into a flat instruction tape (one slot per AST
 //! node; `let` bindings compile once and are referenced by slot). The batch
-//! entry `compute_run` evaluates the tape op-at-a-time over the whole affine
-//! run, so interpreter dispatch is amortized across the run — the DSL
-//! analogue of the hand-written kernels' lane blocks — while each *point*
+//! entry `compute_run` evaluates the tape op-at-a-time over blocks of eight
+//! points held in `[f64; 8]` arrays, so interpreter dispatch is amortized
+//! across a block and each op is a register-wide loop, while each *point*
 //! keeps the exact per-point floating-point operation order. Batched results
 //! are therefore bitwise identical to the per-point path, which the fuzzer's
 //! three-way cross-check locks.
@@ -16,12 +16,11 @@
 
 use crate::tk::ast::{KernelProgram, TkExpr};
 use crate::tk::error::TkError;
-use crate::tk::parse::parse_kernel;
+use crate::tk::parse::parse_kernel_with;
 use std::cell::RefCell;
 use std::sync::Arc;
 use tilecc_linalg::IMat;
-use tilecc_loopnest::kernel::with_scratch;
-use tilecc_loopnest::kernels::boundary_value;
+use tilecc_loopnest::kernel::{boundary_value, with_scratch};
 use tilecc_loopnest::{Algorithm, LoopNest, MultiKernel};
 use tilecc_polytope::{Constraint, Polyhedron};
 
@@ -93,10 +92,13 @@ impl Tape {
         }
     }
 
-    /// Batched evaluation over the affine run `j0 + p·dj`, `0 ≤ p < count`.
-    /// Slot `s` of point `p` lives at `slots[s·count + p]`; per-point
-    /// operation order equals the scalar path's, so results are bitwise
-    /// identical point for point.
+    /// Batched evaluation over the affine run `j0 + p·dj`, `0 ≤ p < count`,
+    /// in blocks of [`LANES`] points: slot `s` of the block's lane `l` lives
+    /// at `blocks[s][l]`, so each op runs over one register-sized array and
+    /// the whole slot set stays in L1 however long the run is. Every lane
+    /// evaluates its point with the scalar path's exact operation order, so
+    /// results are bitwise identical point for point. A ragged last block
+    /// repeats the run's last read in its spare lanes and discards them.
     #[allow(clippy::too_many_arguments)]
     fn eval_run(
         &self,
@@ -105,90 +107,84 @@ impl Tape {
         count: usize,
         reads: &[f64],
         width: usize,
-        slots: &mut Vec<f64>,
+        blocks: &mut Vec<Block>,
         out: &mut [f64],
     ) {
-        if slots.len() < self.ops.len() * count {
-            slots.resize(self.ops.len() * count, 0.0);
+        if blocks.len() < self.ops.len() {
+            blocks.resize(self.ops.len(), [0.0; LANES]);
         }
         let w = width;
-        for (s, op) in self.ops.iter().enumerate() {
-            let base = s * count;
-            match op {
-                Op::Const(v) => slots[base..base + count].fill(*v),
-                Op::Coord(k) => {
-                    let mut v = j0[*k];
-                    for p in 0..count {
-                        slots[base + p] = v as f64;
-                        v += dj[*k];
+        for p0 in (0..count).step_by(LANES) {
+            // Spare lanes of a ragged last block repeat lane `last`'s read.
+            let last = (count - 1 - p0).min(LANES - 1);
+            let at = |k: usize, l: usize| j0[k] + (p0 + l) as i64 * dj[k];
+            for (s, op) in self.ops.iter().enumerate() {
+                blocks[s] = match op {
+                    Op::Const(v) => [*v; LANES],
+                    Op::Coord(k) => std::array::from_fn(|l| at(*k, l) as f64),
+                    Op::Read { dep, comp } => {
+                        let r = &reads[(dep * count + p0) * w + comp..];
+                        std::array::from_fn(|l| r[l.min(last) * w])
                     }
-                }
-                Op::Read { dep, comp } => {
-                    for p in 0..count {
-                        slots[base + p] = reads[(dep * count + p) * w + comp];
+                    Op::Bnd => with_scratch(j0.len(), |j| {
+                        std::array::from_fn(|l| {
+                            for (k, jk) in j.iter_mut().enumerate() {
+                                *jk = at(k, l);
+                            }
+                            boundary_value(j)
+                        })
+                    }),
+                    Op::Mod {
+                        coeffs,
+                        constant,
+                        modulus,
+                    } => {
+                        // The affine value steps by `c·dj` per lane, so its
+                        // residue steps by that residue: one division per
+                        // block, exactly `(c·j + constant).rem_euclid(m)`.
+                        let m = *modulus;
+                        let v = coeffs
+                            .iter()
+                            .enumerate()
+                            .map(|(k, &c)| c * at(k, 0))
+                            .sum::<i64>()
+                            + constant;
+                        let step: i64 = coeffs.iter().zip(dj).map(|(&c, &d)| c * d).sum();
+                        let (mut r, s) = (v.rem_euclid(m), step.rem_euclid(m));
+                        std::array::from_fn(|_| {
+                            let x = r as f64;
+                            // `(r + s) mod m` without overflowing near i64::MAX.
+                            r = if r >= m - s { r - (m - s) } else { r + s };
+                            x
+                        })
                     }
-                }
-                Op::Bnd => with_scratch(j0.len(), |j| {
-                    j.copy_from_slice(j0);
-                    for p in 0..count {
-                        slots[base + p] = boundary_value(j);
-                        for (jk, d) in j.iter_mut().zip(dj) {
-                            *jk += d;
-                        }
-                    }
-                }),
-                Op::Mod {
-                    coeffs,
-                    constant,
-                    modulus,
-                } => {
-                    let mut v: i64 =
-                        coeffs.iter().zip(j0).map(|(&c, &x)| c * x).sum::<i64>() + constant;
-                    let step: i64 = coeffs.iter().zip(dj).map(|(&c, &x)| c * x).sum();
-                    for p in 0..count {
-                        slots[base + p] = v.rem_euclid(*modulus) as f64;
-                        v += step;
-                    }
-                }
-                Op::Neg(a) => {
-                    let a = a * count;
-                    for p in 0..count {
-                        slots[base + p] = -slots[a + p];
-                    }
-                }
-                Op::Add(a, b) => {
-                    let (a, b) = (a * count, b * count);
-                    for p in 0..count {
-                        slots[base + p] = slots[a + p] + slots[b + p];
-                    }
-                }
-                Op::Sub(a, b) => {
-                    let (a, b) = (a * count, b * count);
-                    for p in 0..count {
-                        slots[base + p] = slots[a + p] - slots[b + p];
-                    }
-                }
-                Op::Mul(a, b) => {
-                    let (a, b) = (a * count, b * count);
-                    for p in 0..count {
-                        slots[base + p] = slots[a + p] * slots[b + p];
-                    }
-                }
-                Op::Div(a, b) => {
-                    let (a, b) = (a * count, b * count);
-                    for p in 0..count {
-                        slots[base + p] = slots[a + p] / slots[b + p];
-                    }
-                }
+                    Op::Neg(a) => blocks[*a].map(|x| -x),
+                    Op::Add(a, b) => zip(&blocks[*a], &blocks[*b], |x, y| x + y),
+                    Op::Sub(a, b) => zip(&blocks[*a], &blocks[*b], |x, y| x - y),
+                    Op::Mul(a, b) => zip(&blocks[*a], &blocks[*b], |x, y| x * y),
+                    Op::Div(a, b) => zip(&blocks[*a], &blocks[*b], |x, y| x / y),
+                };
             }
-        }
-        for (c, &s) in self.outputs.iter().enumerate() {
-            let sbase = s * count;
-            for p in 0..count {
-                out[p * w + c] = slots[sbase + p];
+            let n = LANES.min(count - p0);
+            for (c, &s) in self.outputs.iter().enumerate() {
+                for (l, v) in blocks[s][..n].iter().enumerate() {
+                    out[(p0 + l) * w + c] = *v;
+                }
             }
         }
     }
+}
+
+/// Points per block of [`Tape::eval_run`]: one `[f64; 8]` array per slot,
+/// which the optimizer keeps in vector registers.
+const LANES: usize = 8;
+
+type Block = [f64; LANES];
+
+/// Lane-wise `f(x[l], y[l])`.
+#[inline(always)]
+fn zip(x: &Block, y: &Block, f: impl Fn(f64, f64) -> f64) -> Block {
+    std::array::from_fn(|l| f(x[l], y[l]))
 }
 
 /// Tape builder: post-order walk; `let` bindings compile once (their result
@@ -257,8 +253,11 @@ impl TapeBuilder {
 }
 
 thread_local! {
-    /// Reusable slot scratch shared by all tape kernels on a thread.
+    /// Reusable slot scratch shared by all tape kernels on a thread: one
+    /// value per slot for the per-point path.
     static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// One lane block per slot for the batch path.
+    static BLOCKS: RefCell<Vec<Block>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The generated kernel: body tape + init tape.
@@ -290,7 +289,7 @@ impl MultiKernel for TkKernel {
         if count == 0 {
             return;
         }
-        SCRATCH.with(|s| {
+        BLOCKS.with(|s| {
             self.body
                 .eval_run(j0, dj, count, reads, self.width, &mut s.borrow_mut(), out);
         });
@@ -372,13 +371,28 @@ pub fn lower_kernel(p: &KernelProgram) -> Algorithm {
 
 /// Parse and lower in one step.
 pub fn compile_kernel(source: &str) -> Result<Algorithm, TkError> {
-    Ok(lower_kernel(&parse_kernel(source)?))
+    compile_kernel_with(source, &[])
+}
+
+/// Parse and lower with `param` values overridden by name, e.g. the SOR
+/// corpus kernel at the size `perf` benches it at:
+///
+/// ```
+/// use tilecc_frontend::{compile_kernel_with, corpus};
+/// let sor = compile_kernel_with(corpus::SOR, &[("M", 24), ("N", 32)]).unwrap();
+/// assert_eq!(sor.nest.num_points(), Ok(24 * 32 * 32));
+/// // A name the kernel does not declare is a located error.
+/// let e = compile_kernel_with(corpus::SOR, &[("Q", 3)]).unwrap_err();
+/// assert!(e.message.contains("no parameter `Q`"), "{e}");
+/// ```
+pub fn compile_kernel_with(source: &str, overrides: &[(&str, i64)]) -> Result<Algorithm, TkError> {
+    Ok(lower_kernel(&parse_kernel_with(source, overrides)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tilecc_loopnest::kernels;
+    use crate::tk::parse::parse_kernel;
 
     /// The six-point SOR body written in the DSL, sized like `sor(3, 4, w)`.
     const SOR_TK: &str = "\
@@ -394,40 +408,47 @@ array A = bnd()
 A[t,i,j] = 1.1/4*(A[t,i-1,j] + A[t,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1]) + (1 - 1.1)*A[t-1,i,j]
 ";
 
+    /// The DSL data space reproduces the removed hand-coded
+    /// `sor_skewed(3, 4, 1.1)` bit for bit: its recorded
+    /// [`DataSpace::bit_hash`](tilecc_loopnest::DataSpace::bit_hash).
     #[test]
     fn dsl_sor_is_bitwise_identical_to_hand_coded() {
-        let dsl = compile_kernel(SOR_TK).unwrap();
-        let hand = kernels::sor_skewed(3, 4, 1.1);
-        assert_eq!(dsl.nest.deps(), hand.nest.deps(), "dependence columns");
-        assert_eq!(dsl.nest.num_points(), hand.nest.num_points());
-        let a = dsl.execute_sequential();
-        let b = hand.execute_sequential();
-        assert_eq!(a.diff(&b), None, "data spaces differ");
+        let ds = compile_kernel(SOR_TK).unwrap().execute_sequential();
+        assert_eq!(ds.num_written(), 48);
+        assert_eq!(ds.bit_hash(), 0x9c82_b9af_61f1_87e4, "data spaces differ");
+    }
+
+    /// As above, against the removed hand-coded `adi_paper(3, 4)`.
+    #[test]
+    fn dsl_adi_paper_is_bitwise_identical_to_hand_coded() {
+        let dsl = compile_kernel_with(crate::corpus::ADI_PAPER, &[("T", 3), ("N", 4)]).unwrap();
+        assert_eq!(dsl.width(), 2);
+        let ds = dsl.execute_sequential();
+        assert_eq!(ds.num_written(), 48);
+        assert_eq!(ds.bit_hash(), 0x5c7e_f1f1_e345_e9dc, "data spaces differ");
     }
 
     #[test]
-    fn dsl_adi_paper_is_bitwise_identical_to_hand_coded() {
-        let src = "\
-kernel adi_paper
-param T = 3
-param N = 4
-iter t = 1 to T
-iter i = 1 to N
-iter j = 1 to N
-deps = (1,0,0), (1,1,0), (1,0,1)
-array X = bnd()
-array B = 2 + bnd()
-let a = 0.1 + mod(13*i + 7*j, 17)*0.01
-X[t,i,j] = X[t-1,i,j] + X[t-1,i,j-1]*a/B[t-1,i,j-1] - X[t-1,i-1,j]*a/B[t-1,i-1,j]
-B[t,i,j] = B[t-1,i,j] - a*a/B[t-1,i,j-1] - a*a/B[t-1,i-1,j]
-";
-        let dsl = compile_kernel(src).unwrap();
-        let hand = kernels::adi_paper(3, 4);
-        assert_eq!(dsl.width(), 2);
-        assert_eq!(dsl.nest.deps(), hand.nest.deps());
-        let a = dsl.execute_sequential();
-        let b = hand.execute_sequential();
-        assert_eq!(a.diff(&b), None, "data spaces differ");
+    fn an_unknown_override_is_a_located_error() {
+        let e = compile_kernel_with(crate::corpus::SOR, &[("M", 4), ("Q", 3)]).unwrap_err();
+        // Located at the kernel name, after the file's four comment lines.
+        assert_eq!((e.line, e.col), (5, 8), "{e}");
+        assert!(e.message.contains("no parameter `Q`"), "{e}");
+        let shown = e.render("sor.tk", crate::corpus::SOR);
+        assert!(
+            shown.contains("  5 | kernel sor\n    |        ^"),
+            "{shown}"
+        );
+    }
+
+    #[test]
+    fn overriding_a_bound_parameter_changes_only_the_space() {
+        let base = compile_kernel(crate::corpus::SOR).unwrap();
+        let small = compile_kernel_with(crate::corpus::SOR, &[("M", 3)]).unwrap();
+        assert_eq!(base.nest.num_points(), Ok(8 * 12 * 12));
+        assert_eq!(small.nest.num_points(), Ok(3 * 12 * 12));
+        // Same columns in the same (pinned) order.
+        assert_eq!(small.nest.deps(), base.nest.deps());
     }
 
     #[test]
@@ -526,10 +547,10 @@ skew = [1,0,0; 1,1,0; 1,0,1]
 array A = 1.0
 A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
 ";
-        // Same dependence pattern and computation as the built-in skewed
-        // Jacobi, except for boundary values: compare structure.
+        // Same dependence pattern and computation as the corpus Jacobi,
+        // except for boundary values: compare structure.
         let alg = compile_kernel(src).unwrap();
-        let builtin = kernels::jacobi_skewed(4, 6, 6);
+        let builtin = compile_kernel_with(crate::corpus::JACOBI, &[("T", 4), ("N", 6)]).unwrap();
         assert_eq!(alg.nest.num_points(), builtin.nest.num_points());
         let cols = |a: &Algorithm| {
             (0..a.nest.deps().cols())

@@ -1,8 +1,8 @@
 //! # The `.tk` kernel DSL
 //!
 //! A tiny textual language for *arbitrary* uniform-dependence stencils —
-//! the general input class of the paper's program model (§2.1), not just
-//! the six built-in workloads. A kernel declares iteration bounds, written
+//! the general input class of the paper's program model (§2.1), of which
+//! the paper's own workloads ([`crate::corpus`]) are instances. A kernel declares iteration bounds, written
 //! arrays with deterministic initial (boundary) expressions, optional
 //! skewing and an optional pinned dependence order, and one update
 //! statement per array:
@@ -37,5 +37,5 @@ pub mod parse;
 
 pub use ast::{AffForm, ArrayDecl, KernelProgram, Stmt, TkExpr, TkLoop};
 pub use error::TkError;
-pub use lower::{compile_kernel, lower_kernel, TkKernel};
+pub use lower::{compile_kernel, compile_kernel_with, lower_kernel, TkKernel};
 pub use parse::parse_kernel;

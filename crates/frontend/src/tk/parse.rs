@@ -36,8 +36,19 @@ use tilecc_linalg::IMat;
 
 /// Parse a complete kernel program from source text.
 pub fn parse_kernel(source: &str) -> Result<KernelProgram, TkError> {
+    parse_kernel_with(source, &[])
+}
+
+/// [`parse_kernel`] with `param` values overridden by name: each
+/// `(name, value)` replaces the value its `param` line declares, before
+/// any bound or expression reads it. Naming a parameter the kernel does
+/// not declare is an error located at the kernel name.
+pub(crate) fn parse_kernel_with(
+    source: &str,
+    overrides: &[(&str, i64)],
+) -> Result<KernelProgram, TkError> {
     let toks = tokenize(source)?;
-    Parser::new(&toks).program()
+    Parser::new(&toks).program(overrides)
 }
 
 struct Parser<'a> {
@@ -176,13 +187,13 @@ impl<'a> Parser<'a> {
 
     // -- program structure -------------------------------------------------
 
-    fn program(&mut self) -> Result<KernelProgram, TkError> {
+    fn program(&mut self, overrides: &[(&str, i64)]) -> Result<KernelProgram, TkError> {
         self.skip_newlines();
         self.expect(
             &TkToken::Keyword(TkKeyword::Kernel),
             "`kernel <name>` header",
         )?;
-        let (name, _, _) = self.ident("kernel name")?;
+        let (name, name_line, name_col) = self.ident("kernel name")?;
         self.expect_newline()?;
 
         // param lines.
@@ -197,7 +208,21 @@ impl<'a> Parser<'a> {
             self.expect(&TkToken::Equals, "`=`")?;
             let v = self.int("integer parameter value")?;
             self.expect_newline()?;
+            let v = overrides
+                .iter()
+                .find(|(o, _)| *o == pname)
+                .map_or(v, |&(_, o)| o);
             self.params.push((pname, v));
+        }
+        if let Some((o, _)) = overrides
+            .iter()
+            .find(|(o, _)| self.param_value(o).is_none())
+        {
+            return Err(TkError::new(
+                name_line,
+                name_col,
+                format!("kernel `{name}` has no parameter `{o}` to override"),
+            ));
         }
 
         // iter lines.

@@ -5,15 +5,15 @@
 //! - `compute` and `initial` of a skewed `.tk` kernel (the skew adapter
 //!   over `TkKernel`) whose body and boundary read original coordinates
 //!   (`bnd()`, coordinates, `mod`);
-//! - the skew adapter over a hand-coded kernel;
+//! - `compute`, `initial` and the lane-blocked `compute_run` of the
+//!   skewed corpus SOR kernel;
 //! - the sequential scan `Algorithm::execute_scan`, whose allocations are
 //!   its fixed set-up alone: the same count for a nest with 4x the runs
 //!   and 8x the points.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use tilecc_frontend::compile_kernel;
-use tilecc_loopnest::kernels;
+use tilecc_frontend::{compile_kernel, compile_kernel_with, corpus};
 
 struct Counting;
 
@@ -92,21 +92,25 @@ fn tk_kernel_per_point_paths_do_not_allocate() {
 
 #[test]
 fn skewed_adapter_does_not_allocate() {
-    let alg = kernels::sor_skewed(4, 6, 1.1);
+    let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap();
     let k = &alg.kernel;
     let q = alg.nest.num_deps();
-    let reads = vec![0.25; q];
-    let mut out = [0.0];
+    let count = 61;
+    let reads: Vec<f64> = (0..q * count).map(|i| 0.25 + i as f64 * 1e-3).collect();
+    let mut out = vec![0.0; count];
     let mut j = [2i64, 5, 9];
-    k.compute(&j, &reads, &mut out);
+    // Warm-up grows the thread's tape scratch and lane blocks once.
+    k.compute(&j, &reads[..q], &mut out[..1]);
+    k.compute_run(&j, &[0, 1, 2], count, &reads, &mut out);
     let n = allocations(|| {
         for s in 0..1000i64 {
             j[1] = s;
-            k.compute(&j, &reads, &mut out);
-            k.initial(&j, &mut out);
+            k.compute(&j, &reads[..q], &mut out[..1]);
+            k.initial(&j, &mut out[..1]);
+            k.compute_run(&j, &[0, 1, 2], count, &reads, &mut out);
         }
     });
-    assert_eq!(n, 0, "SkewedKernel compute/initial allocated");
+    assert_eq!(n, 0, "SkewedKernel compute/initial/compute_run allocated");
 }
 
 /// Every dependence crosses a time step, so the scan batches whole rows
@@ -125,23 +129,16 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1]) + 0.
 
 #[test]
 fn scan_allocates_only_its_set_up() {
-    let sized = |src: &str, t: i64, n: i64| {
-        let src = src
-            .replace("param T = 4", &format!("param T = {t}"))
-            .replace("param N = 6", &format!("param N = {n}"));
-        compile_kernel(&src).unwrap()
-    };
+    let sized =
+        |src: &str, t: i64, n: i64| compile_kernel_with(src, &[("T", t), ("N", n)]).unwrap();
     for (small, large) in [
         (sized(SKEWED, 4, 6), sized(SKEWED, 8, 12)),
         (sized(BATCHED, 4, 6), sized(BATCHED, 8, 12)),
         (
-            kernels::sor_skewed(4, 6, 1.1),
-            kernels::sor_skewed(8, 12, 1.1),
+            compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap(),
+            compile_kernel_with(corpus::SOR, &[("M", 8), ("N", 12)]).unwrap(),
         ),
-        (
-            kernels::jacobi_skewed(4, 6, 6),
-            kernels::jacobi_skewed(8, 12, 12),
-        ),
+        (sized(corpus::JACOBI, 4, 6), sized(corpus::JACOBI, 8, 12)),
     ] {
         // Warm the kernel scratch at the largest batch either scan uses.
         let _ = large.execute_scan();

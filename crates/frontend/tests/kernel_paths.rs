@@ -1,13 +1,19 @@
 //! The fast kernel paths against their oracles, bitwise:
 //!
 //! - the run-based sequential scan (`Algorithm::execute_scan`) against the
-//!   per-point `execute_sequential`, on every shipped `.tk` file;
+//!   per-point `execute_sequential`, on every shipped `.tk` file and on the
+//!   paper kernels at other sizes, skewed and unskewed;
 //! - a skewed `.tk` kernel's batched `compute_run` against its per-point
 //!   `compute`, far from the iteration space, where the skew adapter maps
-//!   negative and large coordinates.
+//!   negative and large coordinates;
+//! - the instruction tape (per point and lane-blocked) against the
+//!   tree-walking `TkExpr::eval`, on every shipped `.tk` file;
+//! - the paper kernels' sequential data against the frozen fingerprints of
+//!   the hand-coded Rust kernels they replaced.
 
 use std::path::Path;
 use tilecc_frontend::tk::{lower_kernel, parse_kernel};
+use tilecc_frontend::{compile_kernel, compile_kernel_with, corpus, KernelProgram};
 
 /// A skewed two-array kernel whose body and boundaries use every
 /// coordinate-dependent form: coordinates, `mod`, `bnd()`, a `let`, and a
@@ -124,4 +130,139 @@ fn skewed_compute_run_equals_per_point_compute() {
         }
     }
     assert_eq!(skewed, 11, "the probe + the ten skewed corpus files");
+}
+
+#[test]
+fn corpus_kernels_reproduce_the_frozen_hand_coded_hashes() {
+    for f in &corpus::FROZEN {
+        let ds = compile_kernel_with(f.source, f.overrides)
+            .unwrap()
+            .execute_sequential();
+        assert_eq!(ds.num_written(), f.written, "{} {:?}", f.name, f.overrides);
+        assert_eq!(
+            ds.bit_hash(),
+            f.hash,
+            "{} {:?}: data differs from the hand-coded kernel",
+            f.name,
+            f.overrides
+        );
+    }
+}
+
+/// Jacobi over `t × i × j` with an optional skew line: unequal `i` and `j`
+/// extents, which the corpus file (one `N`) cannot express.
+fn jacobi(t: i64, i: i64, j: i64, skew: &str) -> String {
+    format!(
+        "kernel jacobi\niter t = 1 to {t}\niter i = 1 to {i}\niter j = 1 to {j}\n{skew}\n\
+         array A = bnd()\n\
+         A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])\n"
+    )
+}
+
+#[test]
+fn scan_matches_oracle_on_the_paper_kernels() {
+    let mut unskewed_sor = parse_kernel(corpus::SOR).unwrap();
+    unskewed_sor.skew = None;
+    let heat1d = "\
+kernel heat1d
+iter t = 1 to 5
+iter i = 1 to 11
+skew = [1,0; 1,1]
+array A = bnd()
+A[t,i] = A[t-1,i] + 0.3*(A[t-1,i-1] - 2*A[t-1,i] + A[t-1,i+1])
+";
+    let wave4d = "\
+kernel wave4d
+iter t = 1 to 3
+iter x = 1 to 4
+iter y = 1 to 4
+iter z = 1 to 4
+array A = bnd()
+A[t,x,y,z] = 0.4*A[t-1,x,y,z] + 0.2*(A[t-1,x-1,y,z] + A[t-1,x,y-1,z] + A[t-1,x,y,z-1])
+";
+    for alg in [
+        lower_kernel(&unskewed_sor),
+        compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 7)]).unwrap(),
+        compile_kernel(&jacobi(3, 6, 9, "")).unwrap(),
+        compile_kernel(&jacobi(3, 6, 9, "skew = [1,0,0; 1,1,0; 1,0,1]")).unwrap(),
+        compile_kernel_with(corpus::ADI, &[("T", 3), ("N", 6)]).unwrap(),
+        compile_kernel_with(corpus::ADI_PAPER, &[("T", 3), ("N", 6)]).unwrap(),
+        compile_kernel(heat1d).unwrap(),
+        compile_kernel(wave4d).unwrap(),
+    ] {
+        let oracle = alg.execute_sequential();
+        let scan = alg.execute_scan();
+        assert_eq!(scan.diff(&oracle), None, "{}: scan differs", alg.name);
+        assert_eq!(scan.num_written(), oracle.num_written());
+    }
+}
+
+/// The tree-walking evaluation of one point: `let`s in order, then every
+/// statement (`init == false`) or every array's initial expression.
+fn tree_walk(p: &KernelProgram, j: &[i64], reads: &[f64], init: bool) -> Vec<f64> {
+    let w = p.width();
+    if init {
+        return p
+            .arrays
+            .iter()
+            .map(|a| a.init.eval(j, &[], &[], w))
+            .collect();
+    }
+    let mut lets = Vec::new();
+    for (_, e) in &p.lets {
+        let v = e.eval(j, reads, &lets, w);
+        lets.push(v);
+    }
+    let mut out = vec![0.0; w];
+    for s in &p.stmts {
+        out[s.array] = s.rhs.eval(j, reads, &lets, w);
+    }
+    out
+}
+
+#[test]
+fn tape_equals_tree_walking_eval_on_every_shipped_kernel() {
+    let files = corpus();
+    assert_eq!(files.len(), 15, "the probe + 10 kernels + 4 nests");
+    for (name, src) in files {
+        // Unskewed, so the kernel sees the coordinates `eval` sees.
+        let mut program = parse_kernel(&src).unwrap();
+        program.skew = None;
+        let alg = lower_kernel(&program);
+        let (n, q, w) = (alg.nest.dim(), alg.nest.num_deps(), alg.width());
+        let k = &alg.kernel;
+        let count = 19;
+        let reads: Vec<f64> = (0..q * w * count)
+            .map(|i| (i % 29) as f64 * 0.41 - 3.5)
+            .collect();
+        let dj: Vec<i64> = (0..n).map(|k| 1 - k as i64).collect();
+        for j0 in probe_points(n) {
+            let mut batch = vec![0.0; count * w];
+            k.compute_run(&j0, &dj, count, &reads, &mut batch);
+            for p in 0..count {
+                let j: Vec<i64> = j0.iter().zip(&dj).map(|(a, d)| a + p as i64 * d).collect();
+                let rd: Vec<f64> = (0..q)
+                    .flat_map(|i| {
+                        let at = (i * count + p) * w;
+                        reads[at..at + w].to_vec()
+                    })
+                    .collect();
+                let want = tree_walk(&program, &j, &rd, false);
+                let mut one = vec![0.0; w];
+                k.compute(&j, &rd, &mut one);
+                assert_eq!(bits(&one), bits(&want), "{name}: compute at {j:?}");
+                assert_eq!(
+                    bits(&batch[p * w..(p + 1) * w]),
+                    bits(&want),
+                    "{name}: point {p} of the run at {j0:?}"
+                );
+                k.initial(&j, &mut one);
+                assert_eq!(
+                    bits(&one),
+                    bits(&tree_walk(&program, &j, &[], true)),
+                    "{name}: initial at {j:?}"
+                );
+            }
+        }
+    }
 }

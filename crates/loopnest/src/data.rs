@@ -208,6 +208,32 @@ impl DataSpace {
         j
     }
 
+    /// FNV-1a hash over every written cell in flat order — its
+    /// coordinates, then each component's bit pattern — followed by the
+    /// written count: a compact fingerprint for bit-exact comparisons
+    /// against data spaces that are no longer at hand.
+    pub fn bit_hash(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for idx in 0..self.written.len() {
+            if self.written[idx] {
+                for c in self.unindex(idx) {
+                    eat(c as u64);
+                }
+                for v in &self.vals[idx * self.width..(idx + 1) * self.width] {
+                    eat(v.to_bits());
+                }
+            }
+        }
+        eat(self.num_written() as u64);
+        h
+    }
+
     /// A simple checksum over written cells (order-independent) used by
     /// benches to keep computations observable.
     pub fn checksum(&self) -> f64 {

@@ -57,6 +57,20 @@ fn with_mapped<R>(t_inv: &IMat, j: &[i64], f: impl FnOnce(&mut [i64]) -> R) -> R
     })
 }
 
+/// The `.tk` DSL's `bnd()`: a deterministic boundary value, a small,
+/// well-spread hash of the original coordinates `j`. Every frontend that
+/// evaluates `bnd()` calls this one definition, so boundary conditions are
+/// bitwise identical wherever a kernel runs.
+pub fn boundary_value(j: &[i64]) -> f64 {
+    let mut h: i64 = 17;
+    for (k, &v) in j.iter().enumerate() {
+        h = h
+            .wrapping_mul(31)
+            .wrapping_add(v.wrapping_mul(7 + k as i64));
+    }
+    ((h.rem_euclid(1009)) as f64) / 1009.0
+}
+
 /// Scalar (single-array) loop-body semantics.
 pub trait Kernel: Send + Sync {
     /// Compute the value written at iteration `j`. `reads[i]` is the value of

@@ -2,13 +2,13 @@
 //!
 //! The algorithm model of *"Compiling Tiled Iteration Spaces for Clusters"*
 //! (CLUSTER 2002): perfectly nested FOR-loops over convex iteration spaces
-//! with uniform constant dependencies (§2.1), unimodular skewing, a
-//! sequential reference executor, and the paper's three evaluation kernels
-//! (SOR, Jacobi, ADI integration — §4).
+//! with uniform constant dependencies (§2.1), unimodular skewing and a
+//! sequential reference executor. The paper's evaluation kernels (SOR,
+//! Jacobi, ADI integration — §4) are `.tk` sources compiled by
+//! `tilecc-frontend`.
 
 pub mod data;
 pub mod kernel;
-pub mod kernels;
 pub mod nest;
 mod scan;
 

@@ -1098,8 +1098,8 @@ pub fn gather_tile_per_cell(
 #[cfg(test)]
 mod tests {
     use crate::plan::ParallelPlan;
+    use tilecc_frontend::{compile_kernel, compile_kernel_with, corpus};
     use tilecc_linalg::{RMat, Rational};
-    use tilecc_loopnest::kernels;
     use tilecc_tiling::TilingTransform;
 
     /// xorshift64* — the same generator the fuzz harness uses, so failures
@@ -1119,6 +1119,19 @@ mod tests {
         }
     }
 
+    /// Skewed Jacobi over `5 × 7 × 6`: unequal `i` and `j` extents, which
+    /// the corpus file (one `N`) cannot express.
+    const JACOBI_RAGGED: &str = "\
+kernel jacobi
+iter t = 1 to 5
+iter i = 1 to 7
+iter j = 1 to 6
+skew = [1,0,0; 1,1,0; 1,0,1]
+deps = (1,1,0), (1,0,1), (1,-1,0), (1,0,-1)
+array A = bnd()
+A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
+";
+
     /// The boundary/interior split must partition the tile's TTIS points:
     /// no overlap, no gap, pack-region seeds on the boundary side, the
     /// boundary predecessor-closed under every `d'` column (so the slab
@@ -1134,9 +1147,9 @@ mod tests {
         for case in 0..100 {
             let which = g.range(0, 2);
             let alg = match which {
-                0 => kernels::sor_skewed(6, 9, 1.1),
-                1 => kernels::jacobi_skewed(5, 7, 6),
-                _ => kernels::adi(6, 8),
+                0 => compile_kernel_with(corpus::SOR, &[("M", 6), ("N", 9)]).unwrap(),
+                1 => compile_kernel(JACOBI_RAGGED).unwrap(),
+                _ => compile_kernel_with(corpus::ADI, &[("T", 6), ("N", 8)]).unwrap(),
             };
             let n = alg.nest.dim();
             let fs: Vec<i64> = (0..n).map(|_| g.range(2, 4)).collect();
@@ -1377,7 +1390,7 @@ mod tests {
     #[test]
     fn unpack_rejects_wrong_payload_sizes() {
         let plan = ParallelPlan::new(
-            kernels::jacobi_skewed(8, 12, 12),
+            compile_kernel_with(corpus::JACOBI, &[("T", 8), ("N", 12)]).unwrap(),
             TilingTransform::rectangular(&[2, 4, 4]).unwrap(),
             Some(1),
         )
@@ -1426,12 +1439,12 @@ mod tests {
     fn batched_compute_matches_per_point_bitwise() {
         for (alg, h, m) in [
             (
-                kernels::jacobi_skewed(8, 12, 12),
+                compile_kernel_with(corpus::JACOBI, &[("T", 8), ("N", 12)]).unwrap(),
                 TilingTransform::rectangular(&[2, 4, 4]).unwrap(),
                 1usize,
             ),
             (
-                kernels::adi_paper(8, 15),
+                compile_kernel_with(corpus::ADI_PAPER, &[("T", 8), ("N", 15)]).unwrap(),
                 TilingTransform::rectangular(&[3, 5, 5]).unwrap(),
                 1,
             ),

@@ -838,8 +838,8 @@ fn send_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tilecc_frontend::{compile_kernel_with, corpus};
     use tilecc_linalg::RMat;
-    use tilecc_loopnest::kernels;
     use tilecc_tiling::TilingTransform;
 
     fn check_against_sequential(plan: ParallelPlan) {
@@ -861,14 +861,14 @@ mod tests {
 
     #[test]
     fn sor_rectangular_end_to_end() {
-        let alg = kernels::sor_skewed(4, 6, 1.1);
+        let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap();
         let t = TilingTransform::rectangular(&[2, 3, 4]).unwrap();
         check_against_sequential(ParallelPlan::new(alg, t, Some(2)).unwrap());
     }
 
     #[test]
     fn sor_nonrectangular_end_to_end() {
-        let alg = kernels::sor_skewed(4, 6, 1.1);
+        let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap();
         let t = TilingTransform::new(RMat::from_fractions(&[
             &[(1, 2), (0, 1), (0, 1)],
             &[(0, 1), (1, 3), (0, 1)],
@@ -880,7 +880,7 @@ mod tests {
 
     #[test]
     fn timing_only_matches_full_makespan() {
-        let alg = kernels::adi(6, 8);
+        let alg = compile_kernel_with(corpus::ADI, &[("T", 6), ("N", 8)]).unwrap();
         let t = TilingTransform::rectangular(&[2, 4, 4]).unwrap();
         let plan = Arc::new(ParallelPlan::new(alg, t, Some(0)).unwrap());
         let model = MachineModel::fast_ethernet_p3();
@@ -894,7 +894,7 @@ mod tests {
     #[test]
     fn lossy_links_preserve_results_bitwise() {
         use tilecc_cluster::FaultPlan;
-        let alg = kernels::sor_skewed(4, 6, 1.1);
+        let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap();
         let t = TilingTransform::rectangular(&[2, 3, 4]).unwrap();
         let plan = Arc::new(ParallelPlan::new(alg, t, Some(2)).unwrap());
         let model = MachineModel::fast_ethernet_p3();
@@ -924,7 +924,7 @@ mod tests {
 
     #[test]
     fn observed_run_records_phases_and_partitions_clocks() {
-        let alg = kernels::sor_skewed(4, 6, 1.1);
+        let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap();
         let t = TilingTransform::rectangular(&[2, 3, 4]).unwrap();
         let reg = MetricsRegistry::new();
         let plan =
@@ -983,7 +983,7 @@ mod tests {
 
     #[test]
     fn compiled_and_reference_report_identical_logical_counters() {
-        let alg = kernels::adi(6, 8);
+        let alg = compile_kernel_with(corpus::ADI, &[("T", 6), ("N", 8)]).unwrap();
         let t = TilingTransform::rectangular(&[2, 4, 4]).unwrap();
         let plan = Arc::new(ParallelPlan::new(alg, t, Some(0)).unwrap());
         let model = MachineModel::fast_ethernet_p3();
@@ -1030,7 +1030,7 @@ mod tests {
     /// walk order, for an LDS computed by either strategy.
     #[test]
     fn rank_data_points_match_the_tile_walk() {
-        let alg = kernels::sor_skewed(6, 9, 1.1);
+        let alg = compile_kernel_with(corpus::SOR, &[("M", 6), ("N", 9)]).unwrap();
         let t = TilingTransform::new(RMat::from_fractions(&[
             &[(1, 2), (0, 1), (0, 1)],
             &[(0, 1), (1, 3), (0, 1)],
@@ -1077,7 +1077,7 @@ mod tests {
     #[test]
     fn crashed_rank_surfaces_as_run_error() {
         use tilecc_cluster::FaultPlan;
-        let alg = kernels::sor_skewed(4, 6, 1.1);
+        let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap();
         let t = TilingTransform::rectangular(&[2, 3, 4]).unwrap();
         let plan = Arc::new(ParallelPlan::new(alg, t, Some(2)).unwrap());
         let err = match execute_opts(
@@ -1104,13 +1104,13 @@ mod tests {
 #[cfg(test)]
 mod overlap_tests {
     use super::*;
+    use tilecc_frontend::{compile_kernel_with, corpus};
     use tilecc_linalg::RMat;
-    use tilecc_loopnest::kernels;
     use tilecc_tiling::TilingTransform;
 
     #[test]
     fn overlapped_scheme_verifies_and_is_no_slower() {
-        let alg = kernels::sor_skewed(6, 9, 1.1);
+        let alg = compile_kernel_with(corpus::SOR, &[("M", 6), ("N", 9)]).unwrap();
         let h = RMat::from_fractions(&[
             &[(1, 2), (0, 1), (0, 1)],
             &[(0, 1), (1, 3), (0, 1)],
@@ -1140,7 +1140,7 @@ mod overlap_tests {
 
     #[test]
     fn overlapped_strategy_matches_both_oracles_bitwise() {
-        let alg = kernels::sor_skewed(6, 9, 1.1);
+        let alg = compile_kernel_with(corpus::SOR, &[("M", 6), ("N", 9)]).unwrap();
         let h = RMat::from_fractions(&[
             &[(1, 2), (0, 1), (0, 1)],
             &[(0, 1), (1, 3), (0, 1)],
@@ -1185,9 +1185,18 @@ mod overlap_tests {
     #[test]
     fn overlapped_strategy_is_never_slower_than_blocking_compiled() {
         for (alg, tile) in [
-            (kernels::sor_skewed(6, 9, 1.1), vec![2, 3, 4]),
-            (kernels::jacobi_skewed(6, 8, 8), vec![2, 4, 4]),
-            (kernels::adi(6, 8), vec![2, 4, 4]),
+            (
+                compile_kernel_with(corpus::SOR, &[("M", 6), ("N", 9)]).unwrap(),
+                vec![2, 3, 4],
+            ),
+            (
+                compile_kernel_with(corpus::JACOBI, &[("T", 6), ("N", 8)]).unwrap(),
+                vec![2, 4, 4],
+            ),
+            (
+                compile_kernel_with(corpus::ADI, &[("T", 6), ("N", 8)]).unwrap(),
+                vec![2, 4, 4],
+            ),
         ] {
             let t = TilingTransform::rectangular(&tile).unwrap();
             let plan = Arc::new(ParallelPlan::new(alg, t, None).unwrap());
@@ -1219,7 +1228,7 @@ mod overlap_tests {
 
     #[test]
     fn overlapped_timing_only_matches_full_makespan() {
-        let alg = kernels::adi(6, 8);
+        let alg = compile_kernel_with(corpus::ADI, &[("T", 6), ("N", 8)]).unwrap();
         let t = TilingTransform::rectangular(&[2, 4, 4]).unwrap();
         let plan = Arc::new(ParallelPlan::new(alg, t, Some(0)).unwrap());
         let model = MachineModel::fast_ethernet_p3();
@@ -1245,7 +1254,7 @@ mod overlap_tests {
         // ADI's dependence closure leaves a genuine private interior
         // (SOR/Jacobi closures swallow the whole tile), so this run
         // exercises both split compute spans.
-        let alg = kernels::adi(6, 8);
+        let alg = compile_kernel_with(corpus::ADI, &[("T", 6), ("N", 8)]).unwrap();
         let t = TilingTransform::rectangular(&[2, 4, 4]).unwrap();
         let reg = MetricsRegistry::new();
         let plan =

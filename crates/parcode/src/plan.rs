@@ -231,11 +231,11 @@ pub fn unrolled_of(t: &TilingTransform, j: &[i64], anchor: &[i64]) -> Vec<i64> {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use tilecc_frontend::{compile_kernel_with, corpus};
     use tilecc_linalg::RMat;
-    use tilecc_loopnest::kernels;
 
     fn small_sor_plan(rect: bool) -> ParallelPlan {
-        let alg = kernels::sor_skewed(4, 6, 1.1);
+        let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap();
         let transform = if rect {
             TilingTransform::rectangular(&[2, 3, 4]).unwrap()
         } else {
@@ -276,7 +276,7 @@ mod tests {
 
     #[test]
     fn illegal_tiling_is_rejected() {
-        let alg = kernels::sor_skewed(4, 6, 1.1);
+        let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap();
         // A tiling row pointing against the dependence cone.
         let bad = TilingTransform::new(RMat::from_fractions(&[
             &[(1, 2), (0, 1), (0, 1)],

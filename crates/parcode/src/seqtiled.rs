@@ -47,12 +47,12 @@ pub fn execute_tiled_sequential(plan: &ParallelPlan) -> DataSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tilecc_frontend::{compile_kernel_with, corpus};
     use tilecc_linalg::RMat;
-    use tilecc_loopnest::kernels;
     use tilecc_tiling::TilingTransform;
 
     fn check(h: RMat) {
-        let alg = kernels::sor_skewed(4, 6, 1.1);
+        let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap();
         let untiled = alg.execute_sequential();
         let plan = ParallelPlan::new(alg, TilingTransform::new(h).unwrap(), Some(2)).unwrap();
         let tiled = execute_tiled_sequential(&plan);
@@ -95,7 +95,7 @@ mod tests {
                 &[(0, 1), (0, 1), (1, 4)],
             ]),
         ] {
-            let alg = kernels::adi(6, 8);
+            let alg = compile_kernel_with(corpus::ADI, &[("T", 6), ("N", 8)]).unwrap();
             let untiled = alg.execute_sequential();
             let plan = ParallelPlan::new(alg, TilingTransform::new(h).unwrap(), Some(0)).unwrap();
             let tiled = execute_tiled_sequential(&plan);

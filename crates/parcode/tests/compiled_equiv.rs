@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 use tilecc_cluster::{EngineOptions, MachineModel};
+use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::RMat;
-use tilecc_loopnest::kernels;
 use tilecc_parcode::{execute_strategy, ExecMode, ExecStrategy, ParallelPlan};
 use tilecc_tiling::TilingTransform;
 
@@ -26,7 +26,7 @@ fn plans() -> Vec<(&'static str, ParallelPlan)> {
         (
             "sor_rect",
             ParallelPlan::new(
-                kernels::sor_skewed(10, 14, 1.1),
+                compile_kernel_with(corpus::SOR, &[("M", 10), ("N", 14)]).unwrap(),
                 TilingTransform::rectangular(&[2, 3, 4]).unwrap(),
                 Some(2),
             )
@@ -35,7 +35,7 @@ fn plans() -> Vec<(&'static str, ParallelPlan)> {
         (
             "sor_nr",
             ParallelPlan::new(
-                kernels::sor_skewed(10, 14, 1.1),
+                compile_kernel_with(corpus::SOR, &[("M", 10), ("N", 14)]).unwrap(),
                 TilingTransform::new(sor_nr).unwrap(),
                 Some(2),
             )
@@ -44,7 +44,7 @@ fn plans() -> Vec<(&'static str, ParallelPlan)> {
         (
             "jacobi_rect",
             ParallelPlan::new(
-                kernels::jacobi_skewed(8, 12, 12),
+                compile_kernel_with(corpus::JACOBI, &[("T", 8), ("N", 12)]).unwrap(),
                 TilingTransform::rectangular(&[2, 4, 4]).unwrap(),
                 Some(1),
             )
@@ -53,7 +53,7 @@ fn plans() -> Vec<(&'static str, ParallelPlan)> {
         (
             "jacobi_nr",
             ParallelPlan::new(
-                kernels::jacobi_skewed(8, 12, 12),
+                compile_kernel_with(corpus::JACOBI, &[("T", 8), ("N", 12)]).unwrap(),
                 TilingTransform::new(jacobi_nr).unwrap(),
                 Some(1),
             )
@@ -62,7 +62,7 @@ fn plans() -> Vec<(&'static str, ParallelPlan)> {
         (
             "adi_rect",
             ParallelPlan::new(
-                kernels::adi(8, 12),
+                compile_kernel_with(corpus::ADI, &[("T", 8), ("N", 12)]).unwrap(),
                 TilingTransform::rectangular(&[2, 4, 4]).unwrap(),
                 Some(0),
             )
@@ -71,7 +71,7 @@ fn plans() -> Vec<(&'static str, ParallelPlan)> {
         (
             "adi_paper",
             ParallelPlan::new(
-                kernels::adi_paper(8, 15),
+                compile_kernel_with(corpus::ADI_PAPER, &[("T", 8), ("N", 15)]).unwrap(),
                 TilingTransform::rectangular(&[3, 5, 5]).unwrap(),
                 Some(1),
             )

@@ -9,8 +9,9 @@
 //! seed in the assertion message.
 
 use std::sync::Arc;
+use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::{IMat, RMat, Rational};
-use tilecc_loopnest::{kernels, Algorithm, DataSpace, Kernel, LoopNest};
+use tilecc_loopnest::{Algorithm, DataSpace, Kernel, LoopNest};
 use tilecc_parcode::compiled::{
     coalesce_runs, gather_tile, tile_origin, CompiledChain, ComputeRun, IndexRun, CACHE_BLOCK,
     MIN_BATCH, SKIP,
@@ -306,7 +307,7 @@ fn paper_workload_runs_reconstruct_their_lists() {
         (
             "sor_rect",
             ParallelPlan::new(
-                kernels::sor_skewed(10, 14, 1.1),
+                compile_kernel_with(corpus::SOR, &[("M", 10), ("N", 14)]).unwrap(),
                 TilingTransform::rectangular(&[2, 3, 4]).unwrap(),
                 Some(2),
             )
@@ -315,7 +316,7 @@ fn paper_workload_runs_reconstruct_their_lists() {
         (
             "sor_nr",
             ParallelPlan::new(
-                kernels::sor_skewed(10, 14, 1.1),
+                compile_kernel_with(corpus::SOR, &[("M", 10), ("N", 14)]).unwrap(),
                 TilingTransform::new(nr).unwrap(),
                 Some(2),
             )
@@ -324,7 +325,7 @@ fn paper_workload_runs_reconstruct_their_lists() {
         (
             "jacobi_rect",
             ParallelPlan::new(
-                kernels::jacobi_skewed(8, 12, 12),
+                compile_kernel_with(corpus::JACOBI, &[("T", 8), ("N", 12)]).unwrap(),
                 TilingTransform::rectangular(&[2, 4, 4]).unwrap(),
                 Some(1),
             )
@@ -333,7 +334,7 @@ fn paper_workload_runs_reconstruct_their_lists() {
         (
             "adi_rect",
             ParallelPlan::new(
-                kernels::adi(8, 12),
+                compile_kernel_with(corpus::ADI, &[("T", 8), ("N", 12)]).unwrap(),
                 TilingTransform::rectangular(&[2, 4, 4]).unwrap(),
                 Some(0),
             )
@@ -342,7 +343,7 @@ fn paper_workload_runs_reconstruct_their_lists() {
         (
             "adi_paper",
             ParallelPlan::new(
-                kernels::adi_paper(8, 15),
+                compile_kernel_with(corpus::ADI_PAPER, &[("T", 8), ("N", 15)]).unwrap(),
                 TilingTransform::rectangular(&[3, 5, 5]).unwrap(),
                 Some(1),
             )

@@ -5,11 +5,11 @@
 //! Run with: `cargo run --release --example codegen_dump`
 
 use tilecc::{matrices, Pipeline};
-use tilecc_loopnest::kernels;
+use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_parcode::{emit_c_program, KernelSource};
 
 fn main() {
-    let algorithm = kernels::sor_skewed(20, 40, 1.2);
+    let algorithm = compile_kernel_with(corpus::SOR, &[("M", 20), ("N", 40)]).unwrap();
     let pipeline = Pipeline::compile(algorithm, matrices::sor_nr(5, 10, 10), Some(2))
         .expect("tiling is legal for SOR");
 

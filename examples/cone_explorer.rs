@@ -6,8 +6,8 @@
 //! Run with: `cargo run --release --example cone_explorer`
 
 use tilecc::analysis;
+use tilecc_frontend::{compile_kernel, corpus};
 use tilecc_linalg::IMat;
-use tilecc_loopnest::kernels;
 use tilecc_tiling::{in_tiling_cone, tiling_cone_rays};
 
 fn explore(name: &str, deps: &IMat, nr_rows: &[Vec<i64>], rect_rows: &[Vec<i64>]) {
@@ -36,27 +36,28 @@ fn explore(name: &str, deps: &IMat, nr_rows: &[Vec<i64>], rect_rows: &[Vec<i64>]
 }
 
 fn main() {
+    let deps = |source: &str| {
+        compile_kernel(source)
+            .expect("corpus kernels compile")
+            .nest
+            .deps()
+            .clone()
+    };
     explore(
         "skewed SOR",
-        kernels::sor(4, 4, 1.0)
-            .skewed(&kernels::sor_skewing())
-            .nest
-            .deps(),
+        &deps(corpus::SOR),
         &[vec![1, 0, 0], vec![0, 1, 0], vec![-1, 0, 1]],
         &[vec![0, 0, 1]],
     );
     explore(
         "skewed Jacobi",
-        kernels::jacobi(4, 4, 4)
-            .skewed(&kernels::jacobi_skewing())
-            .nest
-            .deps(),
+        &deps(corpus::JACOBI),
         &[vec![2, -1, 0]],
         &[vec![1, 0, 0]],
     );
     explore(
         "ADI integration",
-        &kernels::adi_deps(),
+        &deps(corpus::ADI),
         &[vec![1, -1, -1]],
         &[vec![1, 0, 0]],
     );

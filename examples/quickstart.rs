@@ -6,12 +6,12 @@
 
 use tilecc::{matrices, Pipeline};
 use tilecc_cluster::MachineModel;
-use tilecc_loopnest::kernels;
+use tilecc_frontend::{compile_kernel_with, corpus};
 
 fn main() {
     // The SOR stencil over a 40×80×80 space, skewed so it can be tiled
     // rectangularly (all dependence components non-negative).
-    let algorithm = kernels::sor_skewed(40, 80, 1.2);
+    let algorithm = compile_kernel_with(corpus::SOR, &[("M", 40), ("N", 80)]).unwrap();
 
     // The paper's non-rectangular tiling H_nr (§4.1): rows parallel to the
     // tiling cone, factors x=11, y=31, z=20. Map chains along dimension 3.

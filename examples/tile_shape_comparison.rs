@@ -27,11 +27,7 @@ fn main() {
     }
 
     println!("\nJacobi (T=20, I=J=40), grid y=16, z=16, sweep x:");
-    let w = Workload::Jacobi {
-        t: 20,
-        i: 40,
-        j: 40,
-    };
+    let w = Workload::Jacobi { t: 20, n: 40 };
     for x in [3, 5, 10] {
         let r = measure(w, Variant::Rect, (x, 16, 16), model);
         let nr = measure(w, Variant::NonRect, (x, 16, 16), model);

@@ -5,8 +5,9 @@
 use std::sync::Arc;
 use tilecc::matrices;
 use tilecc_cluster::MachineModel;
+use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::IMat;
-use tilecc_loopnest::{kernels, Algorithm, Kernel, LoopNest};
+use tilecc_loopnest::{Algorithm, Kernel, LoopNest};
 use tilecc_parcode::{execute, ExecMode, ParallelPlan};
 use tilecc_polytope::Polyhedron;
 use tilecc_tiling::TilingTransform;
@@ -24,7 +25,7 @@ fn verify(alg: Algorithm, t: TilingTransform, m: Option<usize>) -> usize {
 fn one_tile_covers_the_whole_space() {
     // Tile larger than the space: exactly one tile, one processor, no
     // communication.
-    let alg = kernels::adi(4, 5);
+    let alg = compile_kernel_with(corpus::ADI, &[("T", 4), ("N", 5)]).unwrap();
     let t = TilingTransform::rectangular(&[100, 100, 100]).unwrap();
     let procs = verify(alg, t, Some(0));
     assert_eq!(procs, 1);
@@ -34,7 +35,7 @@ fn one_tile_covers_the_whole_space() {
 fn single_processor_chain() {
     // Grid dims fully covered by one tile each; only the chain dimension is
     // split: one processor, many tiles, all dependencies intra-chain.
-    let alg = kernels::adi(12, 5);
+    let alg = compile_kernel_with(corpus::ADI, &[("T", 12), ("N", 5)]).unwrap();
     let t = TilingTransform::rectangular(&[2, 100, 100]).unwrap();
     let procs = verify(alg, t, Some(0));
     assert_eq!(procs, 1);
@@ -43,7 +44,7 @@ fn single_processor_chain() {
 #[test]
 fn unit_tiles_maximize_communication() {
     // v = (1,1,1): every iteration is its own tile; heavy messaging.
-    let alg = kernels::adi(3, 4);
+    let alg = compile_kernel_with(corpus::ADI, &[("T", 3), ("N", 4)]).unwrap();
     let t = TilingTransform::rectangular(&[1, 1, 1]).unwrap();
     let procs = verify(alg, t, Some(0));
     assert_eq!(procs, 16);
@@ -77,7 +78,7 @@ fn single_point_space() {
 fn chain_of_length_one_per_processor() {
     // The mapping dimension has exactly one tile: the "chains" degenerate to
     // single tiles and all communication is inter-processor.
-    let alg = kernels::adi(2, 8);
+    let alg = compile_kernel_with(corpus::ADI, &[("T", 2), ("N", 8)]).unwrap();
     let t = TilingTransform::rectangular(&[4, 2, 2]).unwrap();
     // i, j ∈ [1, 8] with edge 2 ⇒ tile indices 0..=4 (5 per dim, the first
     // and last partially filled).
@@ -87,7 +88,7 @@ fn chain_of_length_one_per_processor() {
 
 #[test]
 fn asymmetric_extreme_aspect_ratio_tiles() {
-    let alg = kernels::sor_skewed(4, 10, 1.1);
+    let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 10)]).unwrap();
     for sizes in [[1, 30, 2], [8, 1, 40], [40, 40, 1]] {
         let t = TilingTransform::rectangular(&sizes).unwrap();
         verify(alg.clone(), t, None);
@@ -96,7 +97,7 @@ fn asymmetric_extreme_aspect_ratio_tiles() {
 
 #[test]
 fn zero_comm_model_single_tile_speedup_is_one() {
-    let alg = kernels::adi(4, 5);
+    let alg = compile_kernel_with(corpus::ADI, &[("T", 4), ("N", 5)]).unwrap();
     let t = TilingTransform::rectangular(&[100, 100, 100]).unwrap();
     let plan = Arc::new(ParallelPlan::new(alg, t, Some(0)).unwrap());
     let model = MachineModel::zero_comm(1e-6);
@@ -108,7 +109,7 @@ fn zero_comm_model_single_tile_speedup_is_one() {
 #[test]
 fn non_rectangular_unit_determinant_tiles() {
     // A cone tiling with tile size 1 — every lattice cell is one iteration.
-    let alg = kernels::adi(3, 4);
+    let alg = compile_kernel_with(corpus::ADI, &[("T", 3), ("N", 4)]).unwrap();
     let t = TilingTransform::new(matrices::adi_nr3(1, 1, 1)).unwrap();
     assert_eq!(t.tile_size(), Ok(1));
     verify(alg, t, Some(0));

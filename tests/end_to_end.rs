@@ -6,8 +6,9 @@
 use std::sync::Arc;
 use tilecc::{matrices, Pipeline};
 use tilecc_cluster::MachineModel;
+use tilecc_frontend::{compile_kernel, compile_kernel_with, corpus};
 use tilecc_linalg::{IMat, RMat, Rational};
-use tilecc_loopnest::{kernels, Algorithm, Kernel, LoopNest};
+use tilecc_loopnest::{Algorithm, Kernel, LoopNest};
 use tilecc_parcode::{execute, ExecMode, ParallelPlan};
 use tilecc_polytope::{Constraint, Polyhedron};
 use tilecc_tiling::TilingTransform;
@@ -43,7 +44,11 @@ fn sor_all_tilings() {
         (matrices::sor_nr(3, 3, 3), Some(2)),
         (matrices::rect(4, 4, 2), None),
     ] {
-        verify(kernels::sor_skewed(5, 7, 1.3), h, m);
+        verify(
+            compile_kernel_with(corpus::SOR, &[("M", 5), ("N", 7)]).unwrap(),
+            h,
+            m,
+        );
     }
 }
 
@@ -54,7 +59,11 @@ fn jacobi_all_tilings() {
         (matrices::jacobi_nr(2, 4, 4), Some(0)),
         (matrices::jacobi_nr(3, 6, 4), Some(0)),
     ] {
-        verify(kernels::jacobi_skewed(5, 8, 8), h, m);
+        verify(
+            compile_kernel_with(corpus::JACOBI, &[("T", 5), ("N", 8)]).unwrap(),
+            h,
+            m,
+        );
     }
 }
 
@@ -66,16 +75,24 @@ fn adi_all_four_tilings() {
         matrices::adi_nr2(2, 4, 4),
         matrices::adi_nr3(2, 4, 4),
     ] {
-        verify(kernels::adi(6, 9), h, Some(0));
+        verify(
+            compile_kernel_with(corpus::ADI, &[("T", 6), ("N", 9)]).unwrap(),
+            h,
+            Some(0),
+        );
     }
 }
 
 #[test]
 fn mapping_along_every_dimension_is_correct() {
     for m in 0..3 {
-        verify(kernels::adi(5, 8), matrices::rect(2, 3, 3), Some(m));
         verify(
-            kernels::sor_skewed(4, 6, 1.1),
+            compile_kernel_with(corpus::ADI, &[("T", 5), ("N", 8)]).unwrap(),
+            matrices::rect(2, 3, 3),
+            Some(m),
+        );
+        verify(
+            compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap(),
             matrices::sor_nr(2, 3, 3),
             Some(m),
         );
@@ -97,7 +114,11 @@ fn non_unit_stride_lattice_end_to_end() {
         "strides = {:?}",
         t.strides()
     );
-    verify(kernels::adi(6, 8), h, Some(0));
+    verify(
+        compile_kernel_with(corpus::ADI, &[("T", 6), ("N", 8)]).unwrap(),
+        h,
+        Some(0),
+    );
 }
 
 /// Dependence vectors longer than a tile edge produce tile-dependence
@@ -164,7 +185,7 @@ fn general_convex_space_end_to_end() {
 /// Timing-only and full modes must agree on all virtual-time quantities.
 #[test]
 fn timing_only_equals_full_timing() {
-    let alg = kernels::jacobi_skewed(5, 8, 8);
+    let alg = compile_kernel_with(corpus::JACOBI, &[("T", 5), ("N", 8)]).unwrap();
     let plan = Arc::new(
         ParallelPlan::new(
             alg,
@@ -190,7 +211,7 @@ fn timing_only_equals_full_timing() {
 #[test]
 fn repeated_runs_are_deterministic() {
     let mk = || {
-        let alg = kernels::sor_skewed(4, 6, 1.1);
+        let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap();
         Pipeline::compile(alg, matrices::sor_nr(2, 3, 3), Some(2)).unwrap()
     };
     let model = MachineModel::fast_ethernet_p3();
@@ -201,11 +222,32 @@ fn repeated_runs_are_deterministic() {
     assert_eq!(s1.bytes, s2.bytes);
 }
 
+/// Skewed 1-D heat over a 2-D (time × space) nest.
+const HEAT1D: &str = "\
+kernel heat1d
+iter t = 1 to 8
+iter i = 1 to 12
+skew = [1,0; 1,1]
+array A = bnd()
+A[t,i] = A[t-1,i] + 0.2*(A[t-1,i-1] - 2*A[t-1,i] + A[t-1,i+1])
+";
+
+/// A 4-D wavefront (3-D heat + time) with non-negative dependences.
+const WAVE4D: &str = "\
+kernel wave4d
+iter t = 1 to 4
+iter x = 1 to 5
+iter y = 1 to 5
+iter z = 1 to 5
+array A = bnd()
+A[t,x,y,z] = 0.4*A[t-1,x,y,z] + 0.2*(A[t-1,x-1,y,z] + A[t-1,x,y-1,z] + A[t-1,x,y,z-1])
+";
+
 /// 2-D nest (heat-1D): the framework is not 3-D specific.
 #[test]
 fn heat1d_two_dimensional_end_to_end() {
     for m in [Some(0), Some(1), None] {
-        let alg = kernels::heat1d_skewed(8, 12, 0.2);
+        let alg = compile_kernel(HEAT1D).unwrap();
         let seq = alg.execute_sequential();
         let plan = Arc::new(
             ParallelPlan::new(alg, TilingTransform::rectangular(&[3, 4]).unwrap(), m).unwrap(),
@@ -215,7 +257,7 @@ fn heat1d_two_dimensional_end_to_end() {
     }
     // Non-rectangular 2-D tiling with the second row parallel to the
     // heat-1D tiling-cone ray (2,−1).
-    let alg = kernels::heat1d_skewed(8, 12, 0.2);
+    let alg = compile_kernel(HEAT1D).unwrap();
     let seq = alg.execute_sequential();
     let h = RMat::from_fractions(&[&[(1, 3), (0, 1)], &[(1, 4), (-1, 8)]]);
     let plan = Arc::new(ParallelPlan::new(alg, TilingTransform::new(h).unwrap(), Some(1)).unwrap());
@@ -226,7 +268,7 @@ fn heat1d_two_dimensional_end_to_end() {
 /// 4-D nest: rectangular and skewed tilings over a 4-D wavefront.
 #[test]
 fn wave4d_four_dimensional_end_to_end() {
-    let alg = kernels::wave4d(4, 5);
+    let alg = compile_kernel(WAVE4D).unwrap();
     let seq = alg.execute_sequential();
     for h in [
         RMat::from_fractions(&[
@@ -264,7 +306,7 @@ fn adi_paper_multi_array_end_to_end() {
         matrices::adi_nr3(2, 4, 4),
         matrices::adi_nr1(3, 3, 4),
     ] {
-        let alg = kernels::adi_paper(6, 8);
+        let alg = compile_kernel_with(corpus::ADI_PAPER, &[("T", 6), ("N", 8)]).unwrap();
         assert_eq!(alg.width(), 2);
         let seq = alg.execute_sequential();
         let plan =

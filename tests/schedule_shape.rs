@@ -29,11 +29,7 @@ fn sor_non_rect_beats_rect_across_tile_sizes() {
 
 #[test]
 fn jacobi_non_rect_beats_rect_across_tile_sizes() {
-    let w = Workload::Jacobi {
-        t: 24,
-        i: 40,
-        j: 40,
-    };
+    let w = Workload::Jacobi { t: 24, n: 40 };
     for x in [3, 6, 12] {
         let r = measure(w, Variant::Rect, (x, 16, 16), model());
         let nr = measure(w, Variant::NonRect, (x, 16, 16), model());
