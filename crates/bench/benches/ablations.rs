@@ -15,9 +15,10 @@
 use std::hint::black_box;
 use tilecc::matrices;
 use tilecc_bench::harness::Harness;
+use tilecc_cluster::{EngineOptions, MachineModel};
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::RMat;
-use tilecc_parcode::ParallelPlan;
+use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
 use tilecc_tiling::{CommPlan, Lds, LdsGeometry, TiledSpace, TilingTransform};
 
 /// A tiling with non-unit strides so condensation actually compresses.
@@ -104,11 +105,17 @@ fn mapping_ablation(h: &mut Harness) {
             let alg = compile_kernel_with(corpus::ADI, &[("T", 24), ("N", 32)]).unwrap();
             let t = TilingTransform::new(matrices::rect(5, 9, 9)).unwrap();
             let plan = std::sync::Arc::new(ParallelPlan::new(alg, t, Some(m)).unwrap());
-            black_box(tilecc_parcode::execute(
-                plan,
-                tilecc_cluster::MachineModel::fast_ethernet_p3(),
-                tilecc_parcode::ExecMode::TimingOnly,
-            ));
+            black_box(
+                execute(
+                    plan,
+                    MachineModel::fast_ethernet_p3(),
+                    ExecMode::TimingOnly,
+                    ExecStrategy::Compiled,
+                    Backend::Threaded,
+                    EngineOptions::default(),
+                )
+                .unwrap(),
+            );
         });
     }
 }

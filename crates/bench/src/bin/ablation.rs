@@ -9,10 +9,10 @@
 
 use std::sync::Arc;
 use tilecc::{matrices, measure, Variant, Workload};
-use tilecc_cluster::{CommScheme, MachineModel};
+use tilecc_cluster::{CommScheme, EngineOptions, MachineModel};
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::RMat;
-use tilecc_parcode::{execute, ExecMode, ParallelPlan};
+use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
 use tilecc_tiling::{CommPlan, LdsGeometry, TiledSpace, TilingTransform};
 
 fn main() {
@@ -35,7 +35,15 @@ fn main() {
                 hi - lo + 1
             })
             .collect();
-        let res = execute(plan.clone(), model, ExecMode::TimingOnly);
+        let res = execute(
+            plan.clone(),
+            model,
+            ExecMode::TimingOnly,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions::default(),
+        )
+        .expect("parallel execution failed");
         println!(
             "  m = {m} (tile counts {:?}): {} procs, makespan {:.5} s",
             tiles_along,
@@ -66,7 +74,7 @@ fn main() {
         &[(0, 1), (1, 8), (0, 1)],
         &[(0, 1), (0, 1), (1, 8)],
     ]))
-    .unwrap();
+    .expect("parallel execution failed");
     let alg = compile_kernel_with(corpus::ADI, &[("T", 32), ("N", 32)]).unwrap();
     let tiled = TiledSpace::new(t.clone(), alg.nest.space().clone()).unwrap();
     let plan = CommPlan::new(&tiled, alg.nest.deps(), 0);
@@ -84,14 +92,30 @@ fn main() {
     let alg = compile_kernel_with(corpus::SOR, &[("M", 40), ("N", 60)]).unwrap();
     let t = TilingTransform::new(matrices::sor_nr(11, 26, 10)).unwrap();
     let plan = Arc::new(ParallelPlan::new(alg, t, Some(2)).unwrap());
-    let blocking = tilecc_parcode::execute_with(
+    let blocking = tilecc_parcode::execute(
         plan.clone(),
         model,
         ExecMode::TimingOnly,
-        CommScheme::Blocking,
-    );
-    let overlapped =
-        tilecc_parcode::execute_with(plan, model, ExecMode::TimingOnly, CommScheme::Overlapped);
+        ExecStrategy::Compiled,
+        Backend::Threaded,
+        EngineOptions {
+            scheme: CommScheme::Blocking,
+            ..EngineOptions::default()
+        },
+    )
+    .expect("parallel execution failed");
+    let overlapped = tilecc_parcode::execute(
+        plan,
+        model,
+        ExecMode::TimingOnly,
+        ExecStrategy::Compiled,
+        Backend::Threaded,
+        EngineOptions {
+            scheme: CommScheme::Overlapped,
+            ..EngineOptions::default()
+        },
+    )
+    .expect("parallel execution failed");
     println!("  blocking   makespan {:.5} s", blocking.makespan());
     println!(
         "  overlapped makespan {:.5} s ({:.1}% faster)",

@@ -50,8 +50,7 @@ use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::{IMat, RMat, Rational};
 use tilecc_loopnest::{Algorithm, DataSpace, Kernel, LoopNest};
 use tilecc_parcode::{
-    execute_backend, execute_opts, execute_strategy, execute_tiled_sequential, Backend, ExecMode,
-    ExecStrategy, ParallelPlan,
+    execute, execute_tiled_sequential, Backend, ExecMode, ExecStrategy, ParallelPlan,
 };
 use tilecc_polytope::{Constraint, Polyhedron};
 use tilecc_tiling::{tiling_cone_rays, TilingTransform};
@@ -74,15 +73,18 @@ impl G {
 
 struct K;
 impl Kernel for K {
-    fn compute(&self, j: &[i64], reads: &[f64]) -> f64 {
+    fn width(&self) -> usize {
+        1
+    }
+    fn compute(&self, j: &[i64], reads: &[f64], out: &mut [f64]) {
         let mut acc = 0.125 * (j[0] % 5) as f64;
         for (i, r) in reads.iter().enumerate() {
             acc += (0.2 + 0.1 * i as f64) * r;
         }
-        acc
+        out[0] = acc;
     }
-    fn initial(&self, j: &[i64]) -> f64 {
-        ((j.iter().sum::<i64>()).rem_euclid(97)) as f64 / 97.0
+    fn initial(&self, j: &[i64], out: &mut [f64]) {
+        out[0] = ((j.iter().sum::<i64>()).rem_euclid(97)) as f64 / 97.0;
     }
 }
 
@@ -182,11 +184,12 @@ fn dsl_mode(seed: u64, cases: u64) -> ! {
     let mut vectorized_points = 0u64;
     let run =
         |plan: &Arc<ParallelPlan>, strat: ExecStrategy, reg: &Arc<MetricsRegistry>, case: u64| {
-            match execute_strategy(
+            match execute(
                 plan.clone(),
                 MachineModel::fast_ethernet_p3(),
                 ExecMode::Full,
                 strat,
+                Backend::Threaded,
                 EngineOptions {
                     obs: Some(reg.clone()),
                     ..EngineOptions::default()
@@ -500,11 +503,12 @@ fn main() {
         // The compiled run records observability metrics so conservation
         // invariants can be checked below.
         let reg_c = MetricsRegistry::new();
-        let res = match execute_strategy(
+        let res = match execute(
             plan.clone(),
             MachineModel::fast_ethernet_p3(),
             ExecMode::Full,
             ExecStrategy::Compiled,
+            Backend::Threaded,
             EngineOptions {
                 obs: Some(reg_c.clone()),
                 ..EngineOptions::default()
@@ -541,11 +545,12 @@ fn main() {
         // (default) path; the per-point reference path must agree bitwise
         // with identical virtual time and traffic.
         let reg_r = MetricsRegistry::new();
-        let reference = match execute_strategy(
+        let reference = match execute(
             plan.clone(),
             MachineModel::fast_ethernet_p3(),
             ExecMode::Full,
             ExecStrategy::Reference,
+            Backend::Threaded,
             EngineOptions {
                 obs: Some(reg_r.clone()),
                 ..EngineOptions::default()
@@ -704,11 +709,12 @@ fn main() {
         // behind the interior must be a pure schedule change — same data,
         // same traffic, and never a later finish than blocking compiled.
         let reg_o = MetricsRegistry::new();
-        let overlapped = match execute_strategy(
+        let overlapped = match execute(
             plan.clone(),
             MachineModel::fast_ethernet_p3(),
             ExecMode::Full,
             ExecStrategy::Overlapped,
+            Backend::Threaded,
             EngineOptions {
                 obs: Some(reg_o.clone()),
                 ..EngineOptions::default()
@@ -783,7 +789,7 @@ fn main() {
             // sockets must be indistinguishable from the threaded run —
             // bitwise data, bitwise per-rank clocks, identical counters.
             tcp_cases += 1;
-            let tcp_res = match execute_backend(
+            let tcp_res = match execute(
                 plan.clone(),
                 MachineModel::fast_ethernet_p3(),
                 ExecMode::Full,
@@ -828,10 +834,12 @@ fn main() {
             // bitwise, retransmission accounting included.
             let fault_seed = seed ^ case.wrapping_mul(0x9E37_79B9);
             let chaos = FaultPlan::chaos(fault_seed, 0.3);
-            let threaded_f = match execute_opts(
+            let threaded_f = match execute(
                 plan.clone(),
                 MachineModel::fast_ethernet_p3(),
                 ExecMode::Full,
+                ExecStrategy::Compiled,
+                Backend::Threaded,
                 EngineOptions {
                     fault: Some(chaos.clone()),
                     ..EngineOptions::default()
@@ -843,7 +851,7 @@ fn main() {
                     fail(seed, case, "threaded backend failed under chaos");
                 }
             };
-            let tcp_f = match execute_backend(
+            let tcp_f = match execute(
                 plan.clone(),
                 MachineModel::fast_ethernet_p3(),
                 ExecMode::Full,
@@ -895,10 +903,12 @@ fn main() {
                 obs: Some(reg_f.clone()),
                 ..EngineOptions::default()
             };
-            let faulty = match execute_opts(
+            let faulty = match execute(
                 plan.clone(),
                 MachineModel::fast_ethernet_p3(),
                 ExecMode::Full,
+                ExecStrategy::Compiled,
+                Backend::Threaded,
                 options,
             ) {
                 Ok(r) => r,
@@ -945,11 +955,12 @@ fn main() {
             }
             // The overlapped schedule must survive the same chaos plan: its
             // in-flight sends go through the identical reliability layer.
-            let faulty_o = match execute_strategy(
+            let faulty_o = match execute(
                 plan.clone(),
                 MachineModel::fast_ethernet_p3(),
                 ExecMode::Full,
                 ExecStrategy::Overlapped,
+                Backend::Threaded,
                 EngineOptions {
                     fault: Some(FaultPlan::chaos(fault_seed, 0.3)),
                     ..EngineOptions::default()
@@ -991,10 +1002,12 @@ fn main() {
                 }),
                 ..EngineOptions::default()
             };
-            let rec = match execute_opts(
+            let rec = match execute(
                 plan.clone(),
                 MachineModel::fast_ethernet_p3(),
                 ExecMode::Full,
+                ExecStrategy::Compiled,
+                Backend::Threaded,
                 ropts(crash.clone()),
             ) {
                 Ok(r) => r,
@@ -1025,7 +1038,7 @@ fn main() {
             if plan.num_procs() <= 8 {
                 // The in-process TCP backend must recover identically:
                 // same data, same clocks, same recovery accounting.
-                let rec_tcp = match execute_backend(
+                let rec_tcp = match execute(
                     plan.clone(),
                     MachineModel::fast_ethernet_p3(),
                     ExecMode::Full,

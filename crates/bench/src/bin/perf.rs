@@ -72,7 +72,7 @@ use tilecc_parcode::compiled::{
     compute_tile_fast, compute_tile_fast_per_point, gather_tile, gather_tile_per_cell, pack_region,
     pack_region_per_index, tile_origin, unpack_region, unpack_region_per_index, ComputeScratch,
 };
-use tilecc_parcode::{execute_strategy, ExecMode, ExecStrategy, ParallelPlan};
+use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
 use tilecc_tiling::{insert_at, Lds, TilingTransform};
 
 struct PathResult {
@@ -176,7 +176,15 @@ fn bench_workload(name: &str, plan: ParallelPlan, smoke: bool) -> (Vec<PathResul
         let lds = &mut lds;
         let scratch = &mut scratch;
         time_ns(smoke, points, || {
-            compute_tile_fast(chain, lds, tpos, &origin, kernel.as_ref(), scratch);
+            compute_tile_fast(
+                chain,
+                lds,
+                tpos,
+                &origin,
+                kernel.as_ref(),
+                scratch,
+                &chain.compute_runs,
+            );
         })
     };
     let reference_ns = {
@@ -308,11 +316,12 @@ fn bench_workload(name: &str, plan: ParallelPlan, smoke: bool) -> (Vec<PathResul
     let plan = Arc::new(plan);
     let model = MachineModel::fast_ethernet_p3();
     let run = |strategy: ExecStrategy| {
-        execute_strategy(
+        execute(
             plan.clone(),
             model,
             ExecMode::Full,
             strategy,
+            Backend::Threaded,
             EngineOptions::default(),
         )
         .expect("execution failed")
@@ -386,14 +395,30 @@ fn obs_overhead(smoke: bool) {
         let disabled = &disabled;
         for _ in 0..runs {
             let r = time_ns(smoke, points, || {
-                compute_tile_fast(chain, lds, tpos, &origin, kernel, scratch);
+                compute_tile_fast(
+                    chain,
+                    lds,
+                    tpos,
+                    &origin,
+                    kernel,
+                    scratch,
+                    &chain.compute_runs,
+                );
             });
             let g = time_ns(smoke, points, || {
                 // The executor's per-tile pattern with obs off: one branch
                 // before the tile (timestamp capture skipped) and one after
                 // (histogram/span recording skipped).
                 let t0 = disabled.as_ref().map(|_| Instant::now());
-                compute_tile_fast(chain, lds, tpos, &origin, kernel, scratch);
+                compute_tile_fast(
+                    chain,
+                    lds,
+                    tpos,
+                    &origin,
+                    kernel,
+                    scratch,
+                    &chain.compute_runs,
+                );
                 if let Some(reg) = disabled.as_ref() {
                     reg.rank_metrics(rank); // never reached
                     let _ = t0;
@@ -413,11 +438,12 @@ fn obs_overhead(smoke: bool) {
     let plan = Arc::new(plan);
     let model = MachineModel::fast_ethernet_p3();
     let e2e = |obs: Option<Arc<MetricsRegistry>>| {
-        execute_strategy(
+        execute(
             plan.clone(),
             model,
             ExecMode::Full,
             ExecStrategy::Compiled,
+            Backend::Threaded,
             EngineOptions {
                 obs,
                 ..EngineOptions::default()
@@ -492,11 +518,12 @@ fn overlap_bench(out_path: &str) {
         let plan = Arc::new(plan);
         let run = |strategy: ExecStrategy| {
             let reg = MetricsRegistry::new();
-            let res = execute_strategy(
+            let res = execute(
                 plan.clone(),
                 model,
                 ExecMode::TimingOnly,
                 strategy,
+                Backend::Threaded,
                 EngineOptions {
                     obs: Some(reg.clone()),
                     ..EngineOptions::default()
@@ -687,7 +714,15 @@ fn vec_bench(out_path: &str, smoke: bool) {
         compute_tile_fast_per_point(chain, &mut lds, tpos, &origin, kernel, &mut scratch);
         let want: Vec<u64> = lds.values().iter().map(|v| v.to_bits()).collect();
         fill(&mut lds);
-        let batched = compute_tile_fast(chain, &mut lds, tpos, &origin, kernel, &mut scratch);
+        let batched = compute_tile_fast(
+            chain,
+            &mut lds,
+            tpos,
+            &origin,
+            kernel,
+            &mut scratch,
+            &chain.compute_runs,
+        );
         let got: Vec<u64> = lds.values().iter().map(|v| v.to_bits()).collect();
         assert_eq!(
             want, got,
@@ -712,7 +747,15 @@ fn vec_bench(out_path: &str, smoke: bool) {
         let optimized = {
             let (lds, scratch) = (&mut lds, &mut scratch);
             wall_stat(smoke, points, || {
-                compute_tile_fast(chain, lds, tpos, &origin, kernel, scratch);
+                compute_tile_fast(
+                    chain,
+                    lds,
+                    tpos,
+                    &origin,
+                    kernel,
+                    scratch,
+                    &chain.compute_runs,
+                );
             })
         };
         paths.push(VecPath {
@@ -870,11 +913,12 @@ fn vec_bench(out_path: &str, smoke: bool) {
         // --- end-to-end: virtual makespan + wall clock + batch coverage ---
         let plan = Arc::new(plan);
         let reg = MetricsRegistry::new();
-        let full = execute_strategy(
+        let full = execute(
             plan.clone(),
             model,
             ExecMode::Full,
             ExecStrategy::Compiled,
+            Backend::Threaded,
             EngineOptions {
                 obs: Some(reg.clone()),
                 ..EngineOptions::default()
@@ -895,11 +939,12 @@ fn vec_bench(out_path: &str, smoke: bool) {
             let mut best = Duration::MAX;
             for _ in 0..3 {
                 let t0 = Instant::now();
-                let _ = execute_strategy(
+                let _ = execute(
                     plan.clone(),
                     model,
                     ExecMode::Full,
                     ExecStrategy::Compiled,
+                    Backend::Threaded,
                     EngineOptions::default(),
                 )
                 .expect("execution failed");
@@ -1069,11 +1114,12 @@ fn dsl_bench(out_path: &str, smoke: bool) {
         let plan =
             Arc::new(ParallelPlan::new(alg, TilingTransform::new(h).unwrap(), Some(m)).unwrap());
         let run = || {
-            execute_strategy(
+            execute(
                 plan.clone(),
                 model,
                 ExecMode::Full,
                 ExecStrategy::Compiled,
+                Backend::Threaded,
                 EngineOptions::default(),
             )
             .expect("execution failed")

@@ -3,11 +3,9 @@
 //! runs on ~4, ~8, ~16, ~32 and ~64 processors, and report speedups for
 //! rectangular vs cone tiling under both communication schemes.
 
-use std::sync::Arc;
-use tilecc::{matrices, Workload};
-use tilecc_cluster::{CommScheme, MachineModel};
-use tilecc_parcode::{execute_with, ExecMode, ParallelPlan};
-use tilecc_tiling::TilingTransform;
+use tilecc::{matrices, Pipeline, Workload};
+use tilecc_cluster::{CommScheme, EngineOptions, MachineModel};
+use tilecc_parcode::{Backend, ExecStrategy};
 
 fn measure_with(
     w: Workload,
@@ -15,12 +13,20 @@ fn measure_with(
     scheme: CommScheme,
     model: MachineModel,
 ) -> (usize, f64) {
-    let alg = w.algorithm();
-    let plan = Arc::new(
-        ParallelPlan::new(alg, TilingTransform::new(h).unwrap(), Some(w.mapping_dim())).unwrap(),
-    );
-    let res = execute_with(plan, model, ExecMode::TimingOnly, scheme);
-    (res.report.results.len(), res.speedup(&model))
+    let pipe = Pipeline::compile(w.algorithm(), h, Some(w.mapping_dim()))
+        .expect("the scaling tilings are legal");
+    let s = pipe
+        .simulate(
+            model,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions {
+                scheme,
+                ..EngineOptions::default()
+            },
+        )
+        .expect("parallel execution failed");
+    (s.procs, s.speedup)
 }
 
 fn main() {

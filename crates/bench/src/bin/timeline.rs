@@ -9,17 +9,19 @@ use tilecc::matrices;
 use tilecc_bench::gantt::render_gantt;
 use tilecc_cluster::{EngineOptions, MachineModel, MetricsRegistry, VirtAcc};
 use tilecc_frontend::{compile_kernel_with, corpus};
-use tilecc_parcode::{execute_opts, ExecMode, ParallelPlan};
+use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
 use tilecc_tiling::TilingTransform;
 
 fn show(label: &str, h: tilecc_linalg::RMat) {
     let alg = compile_kernel_with(corpus::SOR, &[("M", 24), ("N", 36)]).unwrap();
     let plan = Arc::new(ParallelPlan::new(alg, TilingTransform::new(h).unwrap(), Some(2)).unwrap());
     let reg = MetricsRegistry::new();
-    let res = execute_opts(
+    let res = execute(
         plan,
         MachineModel::fast_ethernet_p3(),
         ExecMode::TimingOnly,
+        ExecStrategy::Compiled,
+        Backend::Threaded,
         EngineOptions {
             obs: Some(reg.clone()),
             ..Default::default()

@@ -28,17 +28,15 @@ use tilecc::{verify_against_sequential, Pipeline, RunSummary, TuneOptions};
 use tilecc_cluster::obs::json::Json;
 use tilecc_cluster::obs::RunReport as MetricsReport;
 use tilecc_cluster::{
-    collect_workers, collect_workers_observed, run_worker, CommError, CommScheme, CommStats,
-    Counter, EngineOptions, ExportClock, FaultPlan, MachineModel, MetricsRegistry, Phase,
-    RankPhase, RankTelemetry, RecoveryOptions, Rendezvous, RunError, StatsSnapshot, VirtAcc,
-    WorkerCkptConfig, WorkerConfig, WorkerReport,
+    collect_workers, run_worker, CommError, CommScheme, CommStats, Counter, EngineOptions,
+    ExportClock, FaultPlan, MachineModel, MetricsRegistry, Phase, RankPhase, RankTelemetry,
+    RecoveryOptions, Rendezvous, RunError, StatsSnapshot, VirtAcc, WorkerCkptConfig, WorkerConfig,
+    WorkerReport,
 };
 use tilecc_frontend::KernelProgram;
 use tilecc_linalg::{RMat, Rational};
 use tilecc_loopnest::{Algorithm, CountError, DataSpace};
-use tilecc_parcode::{
-    rank_data_points, run_rank_body, Backend, ExecMode, ExecStrategy, RankOutput,
-};
+use tilecc_parcode::{rank_data_points, run_rank, Backend, ExecMode, ExecStrategy, RankOutput};
 use tilecc_tiling::tiling_cone_rays;
 
 /// CLI error: message for the user, non-zero exit.
@@ -904,12 +902,12 @@ fn render_run_summary(
 }
 
 /// A TCP worker's decoded `RESULT` payload (see `docs/wire-protocol.md`,
-/// "Worker RESULT payload"): its comm statistics, iteration count, and — in
-/// full mode — the data points of the tiles it owns.
+/// "Worker RESULT payload"): its comm statistics and iteration count. The
+/// data points of the tiles it owns (full mode) go straight into the
+/// driver's data space.
 struct WorkerPayload {
     stats: CommStats,
     iterations: u64,
-    cells: Option<Vec<(Vec<i64>, Vec<f64>)>>,
 }
 
 /// Serialize a worker's `RESULT` payload. All fields little-endian; `f64`s
@@ -993,8 +991,15 @@ impl<'a> PayloadReader<'a> {
     }
 }
 
-/// Inverse of [`encode_worker_payload`].
-fn decode_worker_payload(buf: &[u8]) -> Result<WorkerPayload, String> {
+/// Inverse of [`encode_worker_payload`]: decode the statistics and write
+/// the cell table into `data`, the driver's global data space (`None` in a
+/// timing-only run, which carries no cells). Every cell is checked against
+/// `data` — the plan's dimension, width and bounding box — before anything
+/// is written, so a malformed payload is an error, never a panic.
+fn decode_worker_payload(
+    buf: &[u8],
+    data: Option<&mut DataSpace>,
+) -> Result<WorkerPayload, String> {
     let mut r = PayloadReader { buf, pos: 0 };
     let stats = CommStats {
         messages_sent: r.u64()?,
@@ -1010,63 +1015,57 @@ fn decode_worker_payload(buf: &[u8]) -> Result<WorkerPayload, String> {
         recovery_time: r.f64()?,
     };
     let iterations = r.u64()?;
-    let cells = match r.u8()? {
-        0 => None,
-        1 => {
+    match (r.u8()?, data) {
+        (0, _) => {}
+        (1, None) => return Err("cell table in a timing-only run".to_string()),
+        (1, Some(ds)) => {
             let n = r.u32()? as usize;
             let w = r.u32()? as usize;
-            let count = r.u64()? as usize;
-            // Reject sizes the remaining bytes cannot possibly hold before
-            // allocating anything.
-            let per = 8usize
-                .checked_mul(n + w)
-                .ok_or("cell size overflow".to_string())?;
-            if count
-                .checked_mul(per)
-                .is_none_or(|total| total > buf.len() - r.pos)
-            {
-                return Err(format!("cell table claims {count} cells of {per} bytes"));
+            let count = r.u64()?;
+            // An empty table may carry any sizes (the encoder writes zeros);
+            // cells must match the plan, so each one costs at least one
+            // coordinate on the wire and `count` is bounded by the buffer.
+            if count > 0 && (n, w) != (ds.dim(), ds.width()) {
+                return Err(format!(
+                    "cell table of {n}-d cells with {w} values, the plan has {}-d cells with {}",
+                    ds.dim(),
+                    ds.width()
+                ));
             }
-            let mut points = Vec::with_capacity(count);
+            let (mut j, mut vals) = (vec![0i64; ds.dim()], vec![0.0f64; ds.width()]);
             for _ in 0..count {
-                let mut j = Vec::with_capacity(n);
-                for _ in 0..n {
-                    j.push(r.i64()?);
+                for c in j.iter_mut() {
+                    *c = r.i64()?;
                 }
-                let mut vals = Vec::with_capacity(w);
-                for _ in 0..w {
-                    vals.push(r.f64()?);
+                for v in vals.iter_mut() {
+                    *v = r.f64()?;
                 }
-                points.push((j, vals));
+                if ds.index(&j).is_none() {
+                    return Err(format!("cell {j:?} outside the data space"));
+                }
+                ds.set_all(&j, &vals);
             }
-            Some(points)
         }
-        k => return Err(format!("unknown cell-table marker {k}")),
-    };
+        (k, _) => return Err(format!("unknown cell-table marker {k}")),
+    }
     if r.pos != buf.len() {
         return Err(format!(
             "{} trailing bytes after payload",
             buf.len() - r.pos
         ));
     }
-    Ok(WorkerPayload {
-        stats,
-        iterations,
-        cells,
-    })
+    Ok(WorkerPayload { stats, iterations })
 }
 
 /// The comm scheme, fault plan and execution mode implied by the run flags —
 /// identical for the worker, the driver, and the in-process path so every
 /// backend executes the same program.
 fn engine_setup(opts: &Options) -> (CommScheme, Option<FaultPlan>, ExecMode) {
-    // The overlapped strategy implies the overlapped scheme, mirroring
-    // `execute_backend`.
-    let scheme = if opts.overlap || opts.strategy == ExecStrategy::Overlapped {
+    let scheme = opts.strategy.comm_scheme(if opts.overlap {
         CommScheme::Overlapped
     } else {
         CommScheme::Blocking
-    };
+    });
     let fault = opts.fault_plan();
     let mode = if opts.verify || fault.is_some() {
         ExecMode::Full
@@ -1127,7 +1126,7 @@ fn tcp_worker(
     let plan = pipe.plan().clone();
     let strategy = opts.strategy;
     let (result, local_time, stats, handle): (RankOutput, f64, CommStats, _) =
-        run_worker(&cfg, move |comm| run_rank_body(&plan, comm, mode, strategy)).map_err(|e| {
+        run_worker(&cfg, move |comm| run_rank(&plan, comm, mode, strategy)).map_err(|e| {
             CliError(format!(
                 "worker rank {rank} failed: {e}\nranks implicated: {:?}",
                 e.ranks()
@@ -1502,17 +1501,13 @@ fn tcp_driver(
                 }
             }
         };
-        let collected = if want_obs {
-            collect_workers_observed(
-                controls,
-                Some(DRIVER_WALL_CAP),
-                true,
-                peer_timeout,
-                Some(&mut observer),
-            )
-        } else {
-            collect_workers(controls, Some(DRIVER_WALL_CAP), true, peer_timeout)
-        };
+        let collected = collect_workers(
+            controls,
+            Some(DRIVER_WALL_CAP),
+            true,
+            peer_timeout,
+            want_obs.then_some(&mut observer as &mut dyn FnMut(&[RankTelemetry])),
+        );
         match collected {
             Ok(r) => break (r, children),
             Err(e) => {
@@ -1556,49 +1551,28 @@ fn tcp_driver(
         }
     }
 
-    let mut payloads: Vec<WorkerPayload> = Vec::with_capacity(size);
+    let mut parallel = (mode == ExecMode::Full).then(|| {
+        let (lo, hi) = pipe.plan().algorithm.nest.bounding_box();
+        DataSpace::with_width(&lo, &hi, pipe.plan().algorithm.width())
+    });
+    let mut stats: Vec<CommStats> = Vec::with_capacity(size);
+    let mut total_iterations: u64 = 0;
     for rep in &reports {
-        payloads.push(decode_worker_payload(&rep.payload).map_err(|e| {
+        let p = decode_worker_payload(&rep.payload, parallel.as_mut()).map_err(|e| {
             CliError(format!(
                 "worker rank {} sent a malformed result payload: {e}",
                 rep.rank
             ))
-        })?);
+        })?;
+        stats.push(p.stats);
+        total_iterations += p.iterations;
     }
-    let total_iterations: u64 = payloads.iter().map(|p| p.iterations).sum();
+    let verified = parallel
+        .as_ref()
+        .map(|ds| verify_against_sequential(pipe.plan(), ds, reg));
     let local_times: Vec<f64> = reports.iter().map(|r| r.local_time).collect();
-    let makespan = local_times.iter().cloned().fold(0.0, f64::max);
-    let sequential_time = opts.model.compute_cost(total_iterations);
-    let (verified, checksum) = if mode == ExecMode::Full {
-        let (lo, hi) = pipe.plan().algorithm.nest.bounding_box();
-        let mut parallel = DataSpace::with_width(&lo, &hi, pipe.plan().algorithm.width());
-        for p in &payloads {
-            for (j, vals) in p.cells.as_deref().unwrap_or(&[]) {
-                parallel.set_all(j, vals);
-            }
-        }
-        (
-            Some(verify_against_sequential(pipe.plan(), &parallel, reg)),
-            Some(parallel.checksum()),
-        )
-    } else {
-        (None, None)
-    };
-    let summary = RunSummary {
-        procs: size,
-        iterations: total_iterations,
-        sequential_time,
-        makespan,
-        speedup: sequential_time / makespan,
-        bytes: payloads.iter().map(|p| p.stats.bytes_sent).sum(),
-        messages: payloads.iter().map(|p| p.stats.messages_sent).sum(),
-        verified,
-        retransmissions: payloads.iter().map(|p| p.stats.retransmissions).sum(),
-        duplicates_suppressed: payloads.iter().map(|p| p.stats.duplicates_suppressed).sum(),
-        recoveries: payloads.iter().map(|p| p.stats.recoveries).sum(),
-        recovery_time: payloads.iter().map(|p| p.stats.recovery_time).sum(),
-        local_times,
-    };
+    let summary = RunSummary::new(&opts.model, &stats, local_times, total_iterations, verified);
+    let checksum = parallel.as_ref().map(DataSpace::checksum);
     if opts.ckpt_dir.is_none() {
         // The driver created the checkpoint directory; a finished run has
         // no further use for it.
@@ -1927,15 +1901,10 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                         return err("--live/--stats-out stream worker telemetry and are only \
                              meaningful with --backend tcp");
                     }
-                    let scheme = if opts.overlap {
-                        CommScheme::Overlapped
-                    } else {
-                        CommScheme::Blocking
-                    };
-                    let fault = opts.fault_plan();
+                    let (scheme, fault, mode) = engine_setup(&opts);
                     let options = EngineOptions {
                         scheme,
-                        fault: fault.clone(),
+                        fault,
                         recovery: opts.recovery_options(),
                         obs: reg.clone(),
                         ..EngineOptions::default()
@@ -1946,19 +1915,18 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                             e.ranks()
                         ))
                     };
-                    let (summary, data) = if opts.verify || fault.is_some() {
-                        // Fault-injected runs go through the fallible engine
-                        // entry point so failures carry rank-level context.
-                        let (s, d) = pipe
-                            .run_verified_strategy(opts.model, opts.strategy, options)
-                            .map_err(run_err)?;
-                        (s, Some(d))
-                    } else {
-                        (
-                            pipe.simulate_strategy(opts.model, opts.strategy, options)
+                    let (summary, data) = match mode {
+                        ExecMode::Full => {
+                            let (s, d) = pipe
+                                .run_verified(opts.model, opts.strategy, Backend::Threaded, options)
+                                .map_err(run_err)?;
+                            (s, Some(d))
+                        }
+                        ExecMode::TimingOnly => (
+                            pipe.simulate(opts.model, opts.strategy, Backend::Threaded, options)
                                 .map_err(run_err)?,
                             None,
-                        )
+                        ),
                     };
                     render_run_summary(
                         &mut out,
@@ -2742,5 +2710,61 @@ X[t,i,j] = X[t-1,i,j] + 0.3*X[t-1,i-1,j] - 0.2*X[t-1,i,j-1]
         ]))
         .unwrap();
         assert!(out.contains("processors  : 2"), "{out}");
+    }
+
+    /// A `RESULT` payload whose cell table has the header `(n, w, count)`
+    /// followed by `cells`, as a worker would frame it.
+    fn payload_with_cells(n: u32, w: u32, count: u64, cells: &[(Vec<i64>, Vec<f64>)]) -> Vec<u8> {
+        let mut buf = encode_worker_payload(&CommStats::default(), 7, None);
+        buf.pop(); // the "no cell table" marker
+        buf.push(1);
+        buf.extend_from_slice(&n.to_le_bytes());
+        buf.extend_from_slice(&w.to_le_bytes());
+        buf.extend_from_slice(&count.to_le_bytes());
+        for (j, vals) in cells {
+            for c in j {
+                buf.extend_from_slice(&c.to_le_bytes());
+            }
+            for v in vals {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        buf
+    }
+
+    #[test]
+    fn result_payload_with_a_huge_empty_cell_table_is_an_error() {
+        // Zero-sized cells pass any size check against the bytes left, so
+        // the count alone must not drive an allocation.
+        let mut ds = DataSpace::with_width(&[0, 0], &[3, 3], 1);
+        let buf = payload_with_cells(0, 0, u64::MAX, &[]);
+        let e = decode_worker_payload(&buf, Some(&mut ds)).err().unwrap();
+        assert!(e.contains("the plan has 2-d cells with 1"), "{e}");
+        // Sizes of an empty table size nothing.
+        let empty = payload_with_cells(u32::MAX, u32::MAX, 0, &[]);
+        assert!(decode_worker_payload(&empty, Some(&mut ds)).is_ok());
+        assert_eq!(ds.num_written(), 0);
+    }
+
+    #[test]
+    fn result_payload_cells_of_the_wrong_shape_are_an_error() {
+        let mut ds = DataSpace::with_width(&[0, 0], &[3, 3], 2);
+        let good = payload_with_cells(2, 2, 1, &[(vec![1, 2], vec![0.5, 1.5])]);
+        let p = decode_worker_payload(&good, Some(&mut ds)).ok().unwrap();
+        assert_eq!(p.iterations, 7);
+        assert_eq!(ds.get_all(&[1, 2]), Some(&[0.5, 1.5][..]));
+        for (j, vals) in [(vec![1, 2, 0], vec![0.5, 1.5]), (vec![1, 2], vec![0.5])] {
+            let buf = payload_with_cells(j.len() as u32, vals.len() as u32, 1, &[(j, vals)]);
+            let e = decode_worker_payload(&buf, Some(&mut ds)).err().unwrap();
+            assert!(e.contains("the plan has 2-d cells with 2"), "{e}");
+        }
+    }
+
+    #[test]
+    fn result_payload_cell_outside_the_data_space_is_an_error() {
+        let mut ds = DataSpace::with_width(&[0, 0], &[3, 3], 1);
+        let buf = payload_with_cells(2, 1, 2, &[(vec![0, 0], vec![1.0]), (vec![0, 4], vec![2.0])]);
+        let e = decode_worker_payload(&buf, Some(&mut ds)).err().unwrap();
+        assert!(e.contains("cell [0, 4] outside the data space"), "{e}");
     }
 }

@@ -55,12 +55,11 @@ pub use obs::{
     HistSnapshot, MetricsRegistry, Phase, RankObs, SpanEdge, StatsSnapshot, VirtAcc,
 };
 pub use tcp::{
-    collect_workers, collect_workers_observed, run_cluster_tcp, run_worker, RankTelemetry,
-    Rendezvous, TcpComm, TelemetryObserver, WorkerCkptConfig, WorkerConfig, WorkerHandle,
-    WorkerReport,
+    collect_workers, run_cluster_tcp, run_worker, RankTelemetry, Rendezvous, TcpComm,
+    TelemetryObserver, WorkerCkptConfig, WorkerConfig, WorkerHandle, WorkerReport,
 };
 pub use threaded::{
-    run_cluster, run_cluster_opts, run_cluster_with, CommScheme, EngineOptions, InjectedCrash,
-    RankPhase, RecoveryOptions, RunReport, ThreadedComm,
+    run_cluster, CommScheme, EngineOptions, InjectedCrash, RankPhase, RecoveryOptions, RunReport,
+    ThreadedComm,
 };
 pub use wire::{Frame, FrameKind, WireError};

@@ -1418,54 +1418,15 @@ pub struct RunReport {
 
 impl RunReport {
     /// Aggregate the registry's metrics into per-rank rows, pairing each
-    /// rank with its final virtual clock.
+    /// rank with its final virtual clock: [`RunReport::from_snapshots`]
+    /// over a [`StatsSnapshot::capture`] of every rank slot.
     pub fn from_registry(reg: &MetricsRegistry, local_times: &[f64]) -> RunReport {
-        let slots = reg.ranks();
-        let mut ranks = Vec::with_capacity(local_times.len());
-        for (rank, &local_time) in local_times.iter().enumerate() {
-            let empty = Arc::new(RankMetrics::new());
-            let m = slots.get(rank).unwrap_or(&empty);
-            let compute = m.virt_get(VirtAcc::Compute);
-            let wait = m.virt_get(VirtAcc::Wait) + m.virt_get(VirtAcc::Stall);
-            let comm = m.virt_get(VirtAcc::Send)
-                + m.virt_get(VirtAcc::RecvOverhead)
-                + m.virt_get(VirtAcc::Retrans)
-                + m.virt_get(VirtAcc::Drain);
-            let recovery = m.virt_get(VirtAcc::Recovery);
-            let overlap_hidden = m.virt_get(VirtAcc::OverlapHidden);
-            ranks.push(RankReport {
-                rank,
-                local_time,
-                compute,
-                wait,
-                comm,
-                recovery,
-                overlap_hidden,
-                utilization: if local_time > 0.0 {
-                    compute / local_time
-                } else {
-                    0.0
-                },
-                counters: Counter::ALL.iter().map(|&c| (c, m.get(c))).collect(),
-                gauges: GaugeId::ALL
-                    .iter()
-                    .map(|&g| (g, m.gauge(g).value(), m.gauge(g).max()))
-                    .collect(),
-                hists: HistId::ALL
-                    .iter()
-                    .map(|&h| {
-                        let hist = m.hist(h);
-                        (h, hist.count(), hist.sum(), hist.nonzero_buckets())
-                    })
-                    .collect(),
-            });
-        }
-        let makespan = local_times.iter().copied().fold(0.0, f64::max);
-        RunReport {
-            ranks,
-            makespan,
-            critical_path: None,
-        }
+        let snaps: Vec<StatsSnapshot> = reg
+            .ranks()
+            .iter()
+            .map(|m| StatsSnapshot::capture(m))
+            .collect();
+        RunReport::from_snapshots(&snaps, local_times)
     }
 
     /// Attach (or clear) the dependency-true critical path. Kept out of
@@ -1476,11 +1437,12 @@ impl RunReport {
         self
     }
 
-    /// Build the same aggregated report from per-rank [`StatsSnapshot`]s —
-    /// the multi-process driver's merge path. The arithmetic mirrors
-    /// [`RunReport::from_registry`] term for term, so merging the final
-    /// absolute snapshots of a run yields a report **bitwise identical**
-    /// to the one built from the live registry (fuzz-checked).
+    /// Build the aggregated report from per-rank [`StatsSnapshot`]s — the
+    /// multi-process driver's merge path and the one report builder:
+    /// [`RunReport::from_registry`] captures the live registry and calls
+    /// this, so merging the final absolute snapshots of a run yields a
+    /// report **bitwise identical** to the registry-built one
+    /// (fuzz-checked). Ranks without a snapshot report zeros.
     pub fn from_snapshots(snaps: &[StatsSnapshot], local_times: &[f64]) -> RunReport {
         let zero = StatsSnapshot::zero();
         let mut ranks = Vec::with_capacity(local_times.len());

@@ -32,7 +32,7 @@
 //!
 //! * [`run_cluster_tcp`] — every rank is a thread of this process, but all
 //!   communication crosses real sockets. Drop-in replacement for
-//!   [`crate::run_cluster_opts`]; used by tests, the fuzz harness, and
+//!   [`crate::run_cluster`]; used by tests, the fuzz harness, and
 //!   in-process callers.
 //! * [`run_worker`] + [`Rendezvous`]/[`collect_workers`] — the
 //!   multi-process model: a driver process spawns one worker process per
@@ -705,7 +705,7 @@ fn reader_loop(
 
 /// Run an SPMD program over `size` ranks communicating through real
 /// localhost sockets, all within this process — the TCP twin of
-/// [`crate::run_cluster_opts`], sharing its watchdog (deadlock detection,
+/// [`crate::run_cluster`], sharing its watchdog (deadlock detection,
 /// wall cap) and failure reporting.
 pub fn run_cluster_tcp<R, F>(
     size: usize,
@@ -1562,7 +1562,7 @@ fn worker_primary_failure(slots: &[WorkerSlot]) -> Option<RunError> {
 
 /// One rank's live telemetry as seen by the driver's supervision loop:
 /// the watchdog state (phase + progress) plus the newest decoded `STATS`
-/// snapshot. Handed to the [`collect_workers_observed`] observer on every
+/// snapshot. Handed to the [`collect_workers`] observer on every
 /// supervision sweep.
 #[derive(Clone, Debug)]
 pub struct RankTelemetry {
@@ -1581,36 +1581,22 @@ pub struct RankTelemetry {
     pub stats_seq: u64,
 }
 
+/// A driver-side telemetry hook: called with the current per-rank
+/// telemetry on every supervision sweep. See [`collect_workers`].
+pub type TelemetryObserver<'a> = Option<&'a mut dyn FnMut(&[RankTelemetry])>;
+
 /// Driver-side supervision of multi-process workers: collect `RESULT`
 /// frames off the control connections while running the same watchdog the
 /// threaded engine has — heartbeat-fed deadlock detection (every live
 /// worker blocked with no progress), an optional wall cap, and typed
 /// failure propagation. On success every worker receives `BYE` and the
 /// reports are returned in rank order.
+///
+/// When `observer` is `Some`, it is invoked with the current
+/// [`RankTelemetry`] of every rank on each supervision sweep (every
+/// [`COLLECT_POLL`]) and once more after the last result lands — the hook
+/// behind `--live` and `--stats-out`.
 pub fn collect_workers(
-    controls: Vec<TcpStream>,
-    wall_timeout: Option<Duration>,
-    deadlock_detection: bool,
-    peer_timeout: Option<Duration>,
-) -> Result<Vec<WorkerReport>, RunError> {
-    collect_workers_observed(
-        controls,
-        wall_timeout,
-        deadlock_detection,
-        peer_timeout,
-        None,
-    )
-}
-
-/// A driver-side telemetry hook: called with the current per-rank
-/// telemetry on every supervision sweep. See [`collect_workers_observed`].
-pub type TelemetryObserver<'a> = Option<&'a mut dyn FnMut(&[RankTelemetry])>;
-
-/// [`collect_workers`] plus a telemetry observer: when `observer` is
-/// `Some`, it is invoked with the current [`RankTelemetry`] of every rank
-/// on each supervision sweep (every [`COLLECT_POLL`]) and once more after
-/// the last result lands — the hook behind `--live` and `--stats-out`.
-pub fn collect_workers_observed(
     controls: Vec<TcpStream>,
     wall_timeout: Option<Duration>,
     deadlock_detection: bool,
@@ -1871,6 +1857,7 @@ mod tests {
             Some(Duration::from_secs(30)),
             true,
             Some(Duration::from_millis(200)),
+            None,
         )
         .unwrap();
         assert_eq!(reports.len(), 1);
@@ -1901,6 +1888,7 @@ mod tests {
             Some(Duration::from_secs(30)),
             false,
             Some(Duration::from_millis(150)),
+            None,
         )
         .unwrap_err();
         match err {

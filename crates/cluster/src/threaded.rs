@@ -322,47 +322,6 @@ impl Link for ChannelLink {
 /// [`RankCore`] over in-process channels.
 pub type ThreadedComm = RankCore<ChannelLink>;
 
-/// Run an SPMD program over `size` logical processes. The closure receives
-/// each process's [`ThreadedComm`]; its return values, final clocks and
-/// statistics are collected into a [`RunReport`] (indexed by rank).
-///
-/// # Panics
-/// Propagates failed runs as panics — a thin wrapper over
-/// [`run_cluster_opts`], which reports them as [`RunError`]s instead.
-pub fn run_cluster<R, F>(size: usize, model: MachineModel, f: F) -> RunReport<R>
-where
-    R: Send + 'static,
-    F: Fn(&mut ThreadedComm) -> R + Send + Sync + 'static,
-{
-    run_cluster_with(size, model, CommScheme::Blocking, f)
-}
-
-/// [`run_cluster`] with an explicit communication scheme.
-///
-/// # Panics
-/// Propagates failed runs as panics, like [`run_cluster`].
-pub fn run_cluster_with<R, F>(
-    size: usize,
-    model: MachineModel,
-    scheme: CommScheme,
-    f: F,
-) -> RunReport<R>
-where
-    R: Send + 'static,
-    F: Fn(&mut ThreadedComm) -> R + Send + Sync + 'static,
-{
-    run_cluster_opts(
-        size,
-        model,
-        EngineOptions {
-            scheme,
-            ..EngineOptions::default()
-        },
-        f,
-    )
-    .unwrap_or_else(|e| panic!("cluster run failed: {e}"))
-}
-
 /// A collected rank outcome: how it ended, final clock, stats.
 pub(crate) type RankSlot<R> = Option<(RankEnd<R>, f64, CommStats)>;
 
@@ -386,13 +345,17 @@ pub(crate) fn install_quiet_panic_hook() {
     });
 }
 
-/// [`run_cluster`] with full engine options (scheme, fault injection,
-/// recovery, watchdog, observability). This is the fallible entry point: one rank's panic
-/// is contained and reported as [`RunError::RankPanicked`], a cyclic
-/// schedule as [`RunError::Deadlock`], and a wedged run as
+/// Run an SPMD program over `size` logical processes. The closure receives
+/// each process's [`ThreadedComm`]; its return values, final clocks and
+/// statistics are collected into a [`RunReport`] (indexed by rank).
+///
+/// `options` set the communication scheme, fault injection, recovery,
+/// watchdog and observability. Failures come back as [`RunError`]s: one
+/// rank's panic is contained and reported as [`RunError::RankPanicked`], a
+/// cyclic schedule as [`RunError::Deadlock`], and a wedged run as
 /// [`RunError::WallTimeout`] — the process is never aborted and the call
 /// always returns.
-pub fn run_cluster_opts<R, F>(
+pub fn run_cluster<R, F>(
     size: usize,
     model: MachineModel,
     options: EngineOptions,
@@ -611,10 +574,16 @@ mod tests {
 
     #[test]
     fn single_rank_computes_locally() {
-        let report = run_cluster(1, MachineModel::zero_comm(1e-3), |comm| {
-            comm.advance_compute(5);
-            comm.rank()
-        });
+        let report = run_cluster(
+            1,
+            MachineModel::zero_comm(1e-3),
+            EngineOptions::default(),
+            |comm| {
+                comm.advance_compute(5);
+                comm.rank()
+            },
+        )
+        .unwrap();
         assert_eq!(report.results, vec![0]);
         assert!((report.makespan() - 5e-3).abs() < 1e-12);
     }
@@ -628,7 +597,7 @@ mod tests {
             wire_latency: 4.0,
             per_byte: 0.5,
         };
-        let report = run_cluster(2, model, |comm| {
+        let report = run_cluster(2, model, EngineOptions::default(), |comm| {
             if comm.rank() == 0 {
                 comm.send(1, vec![7.0, 8.0], 16);
                 comm.local_time()
@@ -637,7 +606,8 @@ mod tests {
                 assert_eq!(v, vec![7.0, 8.0]);
                 comm.local_time()
             }
-        });
+        })
+        .unwrap();
         // Sender: 1 + 16·0.5 = 9. Receiver: max(0, 9 + 4) + 2 = 15.
         assert!((report.results[0] - 9.0).abs() < 1e-12);
         assert!((report.results[1] - 15.0).abs() < 1e-12);
@@ -649,22 +619,28 @@ mod tests {
 
     #[test]
     fn fifo_order_per_pair() {
-        let report = run_cluster(2, MachineModel::zero_comm(0.0), |comm| {
-            if comm.rank() == 0 {
-                for i in 0..100 {
-                    comm.send(1, vec![i as f64], 8);
+        let report = run_cluster(
+            2,
+            MachineModel::zero_comm(0.0),
+            EngineOptions::default(),
+            |comm| {
+                if comm.rank() == 0 {
+                    for i in 0..100 {
+                        comm.send(1, vec![i as f64], 8);
+                    }
+                    0.0
+                } else {
+                    let mut last = -1.0;
+                    for _ in 0..100 {
+                        let v = comm.recv(0)[0];
+                        assert!(v > last, "out of order");
+                        last = v;
+                    }
+                    last
                 }
-                0.0
-            } else {
-                let mut last = -1.0;
-                for _ in 0..100 {
-                    let v = comm.recv(0)[0];
-                    assert!(v > last, "out of order");
-                    last = v;
-                }
-                last
-            }
-        });
+            },
+        )
+        .unwrap();
         assert_eq!(report.results[1], 99.0);
     }
 
@@ -678,7 +654,7 @@ mod tests {
             wire_latency: 2.0,
             per_byte: 0.0,
         };
-        let report = run_cluster(4, model, |comm| {
+        let report = run_cluster(4, model, EngineOptions::default(), |comm| {
             let r = comm.rank();
             if r > 0 {
                 comm.recv(r - 1);
@@ -688,7 +664,8 @@ mod tests {
                 comm.send(r + 1, vec![], 0);
             }
             comm.local_time()
-        });
+        })
+        .unwrap();
         // Critical path: 4 × 10 compute + 3 × 2 latency = 46.
         assert!((report.makespan() - 46.0).abs() < 1e-12);
     }
@@ -702,14 +679,15 @@ mod tests {
             wire_latency: 0.0,
             per_byte: 0.0,
         };
-        let report = run_cluster(2, model, |comm| {
+        let report = run_cluster(2, model, EngineOptions::default(), |comm| {
             if comm.rank() == 0 {
                 comm.advance_compute(100);
                 comm.send(1, vec![], 0);
             } else {
                 comm.recv(0);
             }
-        });
+        })
+        .unwrap();
         assert!((report.stats[1].wait_time - 100.0).abs() < 1e-12);
     }
 
@@ -717,7 +695,7 @@ mod tests {
     fn deterministic_across_runs() {
         let model = MachineModel::fast_ethernet_p3();
         let run = || {
-            run_cluster(4, model, |comm| {
+            run_cluster(4, model, EngineOptions::default(), |comm| {
                 let r = comm.rank();
                 let n = comm.size();
                 // Ring: compute, pass a token around twice.
@@ -729,6 +707,7 @@ mod tests {
                 }
                 (acc, comm.local_time())
             })
+            .unwrap()
         };
         let a = run();
         let b = run();
@@ -755,17 +734,26 @@ mod overlap_tests {
     }
 
     fn pipeline_run(scheme: CommScheme) -> RunReport<f64> {
-        run_cluster_with(3, model(), scheme, |comm| {
-            let r = comm.rank();
-            if r > 0 {
-                comm.recv(r - 1);
-            }
-            comm.advance_compute(10);
-            if r < 2 {
-                comm.send(r + 1, vec![], 0);
-            }
-            comm.local_time()
-        })
+        run_cluster(
+            3,
+            model(),
+            EngineOptions {
+                scheme,
+                ..EngineOptions::default()
+            },
+            |comm| {
+                let r = comm.rank();
+                if r > 0 {
+                    comm.recv(r - 1);
+                }
+                comm.advance_compute(10);
+                if r < 2 {
+                    comm.send(r + 1, vec![], 0);
+                }
+                comm.local_time()
+            },
+        )
+        .unwrap()
     }
 
     #[test]
@@ -781,26 +769,35 @@ mod overlap_tests {
 
     #[test]
     fn drain_sends_pays_only_the_lane_overshoot() {
-        let report = run_cluster_with(2, model(), CommScheme::Overlapped, |comm| {
-            if comm.rank() == 0 {
-                // Two back-to-back sends serialize on the NIC lane: the lane
-                // reaches 2 × 5 = 10 while the CPU clock stays at 0.
-                comm.send(1, vec![1.0], 0);
-                comm.send(1, vec![2.0], 0);
-                let before = comm.local_time();
-                let paid = comm.drain_sends();
-                assert!((before - 0.0).abs() < 1e-12);
-                assert!((paid - 10.0).abs() < 1e-12);
-                // Idempotent: a second drain finds an empty lane.
-                assert_eq!(comm.drain_sends(), 0.0);
-                comm.local_time()
-            } else {
-                comm.recv(0);
-                comm.recv(0);
-                comm.drain_sends();
-                comm.local_time()
-            }
-        });
+        let report = run_cluster(
+            2,
+            model(),
+            EngineOptions {
+                scheme: CommScheme::Overlapped,
+                ..EngineOptions::default()
+            },
+            |comm| {
+                if comm.rank() == 0 {
+                    // Two back-to-back sends serialize on the NIC lane: the lane
+                    // reaches 2 × 5 = 10 while the CPU clock stays at 0.
+                    comm.send(1, vec![1.0], 0);
+                    comm.send(1, vec![2.0], 0);
+                    let before = comm.local_time();
+                    let paid = comm.drain_sends();
+                    assert!((before - 0.0).abs() < 1e-12);
+                    assert!((paid - 10.0).abs() < 1e-12);
+                    // Idempotent: a second drain finds an empty lane.
+                    assert_eq!(comm.drain_sends(), 0.0);
+                    comm.local_time()
+                } else {
+                    comm.recv(0);
+                    comm.recv(0);
+                    comm.drain_sends();
+                    comm.local_time()
+                }
+            },
+        )
+        .unwrap();
         assert!((report.results[0] - 10.0).abs() < 1e-12);
     }
 
@@ -808,34 +805,52 @@ mod overlap_tests {
     fn drain_after_compute_hides_the_lane() {
         // The send's lane time runs concurrently with the compute that
         // follows it, so the drain right after costs nothing.
-        let report = run_cluster_with(2, model(), CommScheme::Overlapped, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, vec![1.0], 0);
-                comm.advance_compute(20); // 20 > send_cost 5: fully hides it
-                let paid = comm.drain_sends();
-                assert_eq!(paid, 0.0);
-                comm.local_time()
-            } else {
-                comm.recv(0);
-                comm.local_time()
-            }
-        });
+        let report = run_cluster(
+            2,
+            model(),
+            EngineOptions {
+                scheme: CommScheme::Overlapped,
+                ..EngineOptions::default()
+            },
+            |comm| {
+                if comm.rank() == 0 {
+                    comm.send(1, vec![1.0], 0);
+                    comm.advance_compute(20); // 20 > send_cost 5: fully hides it
+                    let paid = comm.drain_sends();
+                    assert_eq!(paid, 0.0);
+                    comm.local_time()
+                } else {
+                    comm.recv(0);
+                    comm.local_time()
+                }
+            },
+        )
+        .unwrap();
         assert!((report.results[0] - 20.0).abs() < 1e-12);
     }
 
     #[test]
     fn blocking_drain_is_a_no_op() {
-        let report = run_cluster_with(2, model(), CommScheme::Blocking, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, vec![1.0], 0);
-                let t = comm.local_time();
-                assert_eq!(comm.drain_sends(), 0.0);
-                assert_eq!(comm.local_time(), t);
-            } else {
-                comm.recv(0);
-            }
-            comm.local_time()
-        });
+        let report = run_cluster(
+            2,
+            model(),
+            EngineOptions {
+                scheme: CommScheme::Blocking,
+                ..EngineOptions::default()
+            },
+            |comm| {
+                if comm.rank() == 0 {
+                    comm.send(1, vec![1.0], 0);
+                    let t = comm.local_time();
+                    assert_eq!(comm.drain_sends(), 0.0);
+                    assert_eq!(comm.local_time(), t);
+                } else {
+                    comm.recv(0);
+                }
+                comm.local_time()
+            },
+        )
+        .unwrap();
         assert!((report.results[0] - 5.0).abs() < 1e-12);
     }
 
@@ -843,7 +858,7 @@ mod overlap_tests {
     fn receivers_account_accepted_bytes() {
         let report = pipeline_run(CommScheme::Overlapped);
         assert_eq!(report.total_bytes_received(), report.total_bytes());
-        let faulty = run_cluster_opts(
+        let faulty = run_cluster(
             3,
             MachineModel::fast_ethernet_p3(),
             EngineOptions {
@@ -870,16 +885,25 @@ mod overlap_tests {
 
     #[test]
     fn overlap_preserves_payloads_and_order() {
-        let report = run_cluster_with(2, model(), CommScheme::Overlapped, |comm| {
-            if comm.rank() == 0 {
-                for i in 0..10 {
-                    comm.send(1, vec![i as f64], 8);
+        let report = run_cluster(
+            2,
+            model(),
+            EngineOptions {
+                scheme: CommScheme::Overlapped,
+                ..EngineOptions::default()
+            },
+            |comm| {
+                if comm.rank() == 0 {
+                    for i in 0..10 {
+                        comm.send(1, vec![i as f64], 8);
+                    }
+                    0.0
+                } else {
+                    (0..10).map(|_| comm.recv(0)[0]).sum()
                 }
-                0.0
-            } else {
-                (0..10).map(|_| comm.recv(0)[0]).sum()
-            }
-        });
+            },
+        )
+        .unwrap();
         assert_eq!(report.results[1], 45.0);
     }
 }
@@ -909,7 +933,7 @@ mod obs_tests {
             per_byte: 0.0,
         };
         let reg = MetricsRegistry::new();
-        run_cluster_opts(
+        run_cluster(
             2,
             unit,
             EngineOptions {
@@ -938,7 +962,7 @@ mod obs_tests {
     #[test]
     fn obs_partitions_every_rank_clock() {
         let reg = MetricsRegistry::new();
-        let report = run_cluster_opts(
+        let report = run_cluster(
             3,
             model(),
             EngineOptions {
@@ -982,7 +1006,7 @@ mod obs_tests {
     #[test]
     fn obs_accounts_faults_and_suppressions() {
         let reg = MetricsRegistry::new();
-        let report = run_cluster_opts(
+        let report = run_cluster(
             3,
             MachineModel::fast_ethernet_p3(),
             EngineOptions {
@@ -1052,7 +1076,7 @@ mod failure_tests {
     fn rank_panic_is_contained_and_reported() {
         // Rank 1 panics mid-chain; ranks blocked on it must unwind, and the
         // run must report the panic — not abort the process, not hang.
-        let err = run_cluster_opts(3, zero(), EngineOptions::default(), |comm| {
+        let err = run_cluster(3, zero(), EngineOptions::default(), |comm| {
             let r = comm.rank();
             if r == 1 {
                 comm.advance_compute(1);
@@ -1073,7 +1097,7 @@ mod failure_tests {
 
     #[test]
     fn cyclic_schedule_is_reported_as_deadlock() {
-        let err = run_cluster_opts(2, zero(), EngineOptions::default(), |comm| {
+        let err = run_cluster(2, zero(), EngineOptions::default(), |comm| {
             // Both ranks receive first: a 2-cycle, classic deadlock.
             let peer = 1 - comm.rank();
             comm.recv_tagged(peer, 7);
@@ -1101,7 +1125,7 @@ mod failure_tests {
             // detector stays quiet and the cap must fire.
             ..EngineOptions::default()
         };
-        let err = run_cluster_opts(2, zero(), options, |comm| {
+        let err = run_cluster(2, zero(), options, |comm| {
             if comm.rank() == 0 {
                 // Wall-clock wedge the virtual engine knows nothing about.
                 std::thread::sleep(Duration::from_secs(600));
@@ -1125,7 +1149,7 @@ mod failure_tests {
             fault: Some(fault),
             ..EngineOptions::default()
         };
-        let err = run_cluster_opts(4, zero(), options, |comm| {
+        let err = run_cluster(4, zero(), options, |comm| {
             let r = comm.rank();
             // A chain 0 → 1 → 2 → 3; rank 2 dies at t = 5.
             if r > 0 {
@@ -1149,7 +1173,7 @@ mod failure_tests {
     #[test]
     fn lossy_links_converge_to_fault_free_results() {
         let run = |fault: Option<FaultPlan>| {
-            run_cluster_opts(
+            run_cluster(
                 4,
                 MachineModel::fast_ethernet_p3(),
                 EngineOptions {
@@ -1195,7 +1219,7 @@ mod failure_tests {
     #[test]
     fn faulty_runs_are_deterministic() {
         let run = || {
-            run_cluster_opts(
+            run_cluster(
                 3,
                 MachineModel::fast_ethernet_p3(),
                 EngineOptions {
@@ -1233,7 +1257,7 @@ mod failure_tests {
             fault: Some(fault),
             ..EngineOptions::default()
         };
-        let err = run_cluster_opts(2, zero(), options, |comm| {
+        let err = run_cluster(2, zero(), options, |comm| {
             if comm.rank() == 0 {
                 comm.send_tagged(1, 9, vec![1.0], 8);
             } else {
@@ -1264,7 +1288,7 @@ mod failure_tests {
             fault: Some(fault),
             ..EngineOptions::default()
         };
-        let err = run_cluster_opts(2, zero(), options, |comm| {
+        let err = run_cluster(2, zero(), options, |comm| {
             comm.advance_compute(10);
             comm.advance_compute(10);
         })
@@ -1281,12 +1305,12 @@ mod failure_tests {
     #[test]
     fn stall_shifts_the_victims_clock_only() {
         let model = MachineModel::zero_comm(1.0);
-        let clean = run_cluster_opts(2, model, EngineOptions::default(), |comm| {
+        let clean = run_cluster(2, model, EngineOptions::default(), |comm| {
             comm.advance_compute(10);
             comm.local_time()
         })
         .unwrap();
-        let stalled = run_cluster_opts(
+        let stalled = run_cluster(
             2,
             model,
             EngineOptions {

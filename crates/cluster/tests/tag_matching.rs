@@ -23,22 +23,28 @@ fn out_of_order_tags_are_buffered_and_matched() {
     // Rank 0 sends tags 1..=4 in ascending order; rank 1 receives them in
     // descending order. Every receive must yield the payload matching its
     // tag, which forces the first three arrivals into the pending buffer.
-    let report = run_cluster(2, MachineModel::zero_comm(0.0), |comm| {
-        if comm.rank() == 0 {
-            for tag in 1..=4i64 {
-                comm.send_tagged(1, tag, vec![tag as f64 * 10.0], 8);
+    let report = run_cluster(
+        2,
+        MachineModel::zero_comm(0.0),
+        EngineOptions::default(),
+        |comm| {
+            if comm.rank() == 0 {
+                for tag in 1..=4i64 {
+                    comm.send_tagged(1, tag, vec![tag as f64 * 10.0], 8);
+                }
+                Vec::new()
+            } else {
+                let mut got = Vec::new();
+                for tag in (1..=4i64).rev() {
+                    let v = comm.recv_tagged(0, tag);
+                    assert_eq!(v, vec![tag as f64 * 10.0], "payload must match tag {tag}");
+                    got.push(v[0]);
+                }
+                got
             }
-            Vec::new()
-        } else {
-            let mut got = Vec::new();
-            for tag in (1..=4i64).rev() {
-                let v = comm.recv_tagged(0, tag);
-                assert_eq!(v, vec![tag as f64 * 10.0], "payload must match tag {tag}");
-                got.push(v[0]);
-            }
-            got
-        }
-    });
+        },
+    )
+    .unwrap();
     assert_eq!(report.results[1], vec![40.0, 30.0, 20.0, 10.0]);
     // All four messages delivered exactly once despite the buffering.
     assert_eq!(report.stats[1].messages_received, 4);
@@ -49,23 +55,29 @@ fn out_of_order_tags_are_buffered_and_matched() {
 fn interleaved_senders_match_by_source_and_tag() {
     // Ranks 1 and 2 both send tags {5, 6} to rank 0, which drains them in
     // an order that interleaves sources and reverses tags per source.
-    let report = run_cluster(3, MachineModel::zero_comm(0.0), |comm| match comm.rank() {
-        0 => {
-            let mut sum = 0.0;
-            for (from, tag) in [(1usize, 6i64), (2, 6), (1, 5), (2, 5)] {
-                let v = comm.recv_tagged(from, tag);
-                assert_eq!(v, vec![(from as i64 * 100 + tag) as f64]);
-                sum += v[0];
+    let report = run_cluster(
+        3,
+        MachineModel::zero_comm(0.0),
+        EngineOptions::default(),
+        |comm| match comm.rank() {
+            0 => {
+                let mut sum = 0.0;
+                for (from, tag) in [(1usize, 6i64), (2, 6), (1, 5), (2, 5)] {
+                    let v = comm.recv_tagged(from, tag);
+                    assert_eq!(v, vec![(from as i64 * 100 + tag) as f64]);
+                    sum += v[0];
+                }
+                sum
             }
-            sum
-        }
-        r => {
-            for tag in [5i64, 6] {
-                comm.send_tagged(0, tag, vec![(r as i64 * 100 + tag) as f64], 8);
+            r => {
+                for tag in [5i64, 6] {
+                    comm.send_tagged(0, tag, vec![(r as i64 * 100 + tag) as f64], 8);
+                }
+                0.0
             }
-            0.0
-        }
-    });
+        },
+    )
+    .unwrap();
     assert_eq!(report.results[0], 105.0 + 106.0 + 205.0 + 206.0);
 }
 
@@ -79,7 +91,7 @@ fn wait_and_compute_accounting_is_exact() {
     //           without advancing the clock; tag 20 is ready at 17, so the
     //           receiver waits 17 − 0 = 17, then pays recv_overhead → t = 19
     //           recv tag 10: already buffered (ready 12 < 19, no wait) → 21
-    let report = run_cluster(2, model(), |comm| {
+    let report = run_cluster(2, model(), EngineOptions::default(), |comm| {
         if comm.rank() == 0 {
             comm.advance_compute(3);
             comm.send_tagged(1, 10, vec![1.0], 8);
@@ -90,7 +102,8 @@ fn wait_and_compute_accounting_is_exact() {
             assert_eq!(comm.recv_tagged(0, 10), vec![1.0]);
             comm.local_time()
         }
-    });
+    })
+    .unwrap();
     assert!((report.results[0] - 13.0).abs() < 1e-12);
     assert!((report.results[1] - 21.0).abs() < 1e-12);
     assert!((report.stats[0].compute_time - 3.0).abs() < 1e-12);
@@ -129,7 +142,7 @@ fn ring_program(comm: &mut tilecc_cluster::ThreadedComm) -> (f64, f64) {
 fn repeated_runs_have_bit_identical_makespans() {
     let runs: Vec<(u64, Vec<u64>)> = (0..5)
         .map(|_| {
-            let r = run_cluster(4, model(), ring_program);
+            let r = run_cluster(4, model(), EngineOptions::default(), ring_program).unwrap();
             let data: Vec<u64> = r.results.iter().map(|(acc, _)| acc.to_bits()).collect();
             (r.makespan().to_bits(), data)
         })
@@ -144,12 +157,12 @@ fn repeated_runs_have_bit_identical_makespans() {
 fn faulty_runs_match_clean_tag_semantics() {
     // The reliability layer must preserve tag matching: a lossy, duplicating,
     // reordering substrate still yields the same per-rank results bitwise.
-    let clean = run_cluster(4, model(), ring_program);
+    let clean = run_cluster(4, model(), EngineOptions::default(), ring_program).unwrap();
     let opts = EngineOptions {
         fault: Some(FaultPlan::chaos(0x7A65, 0.25)),
         ..EngineOptions::default()
     };
-    let faulty = tilecc_cluster::run_cluster_opts(4, model(), opts, ring_program)
+    let faulty = tilecc_cluster::run_cluster(4, model(), opts, ring_program)
         .expect("reliability layer must mask injected faults");
     for ((c, _), (f, _)) in clean.results.iter().zip(&faulty.results) {
         assert_eq!(c.to_bits(), f.to_bits(), "per-rank data must match bitwise");

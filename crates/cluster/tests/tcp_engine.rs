@@ -9,9 +9,9 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 use tilecc_cluster::{
-    run_cluster_opts, run_cluster_tcp, Comm, CommScheme, CommStats, Counter, EngineOptions,
-    FaultPlan, InjectedCrash, MachineModel, MetricsRegistry, RecoveryOptions, RunError, RunReport,
-    TcpComm, ThreadedComm, VirtAcc,
+    run_cluster, run_cluster_tcp, Comm, CommScheme, CommStats, Counter, EngineOptions, FaultPlan,
+    InjectedCrash, MachineModel, MetricsRegistry, RecoveryOptions, RunError, RunReport, TcpComm,
+    ThreadedComm, VirtAcc,
 };
 
 fn test_model() -> MachineModel {
@@ -118,7 +118,7 @@ fn run_ring(
     };
     let model = MachineModel::fast_ethernet_p3();
     match backend {
-        Backend::Threaded => run_cluster_opts(3, model, options, resilient_ring),
+        Backend::Threaded => run_cluster(3, model, options, resilient_ring),
         Backend::Tcp => run_cluster_tcp(3, model, options, resilient_ring),
     }
 }
@@ -179,7 +179,7 @@ fn assert_backends_agree<R: PartialEq + Debug + Send + 'static>(
             obs: Some(reg.clone()),
             ..options.clone()
         };
-        let threaded = run_cluster_opts(ranks, model, with(&reg_t), threaded_body).unwrap();
+        let threaded = run_cluster(ranks, model, with(&reg_t), threaded_body).unwrap();
         let tcp = run_cluster_tcp(ranks, model, with(&reg_c), tcp_body).unwrap();
         assert_eq!(threaded.local_times.len(), tcp.local_times.len());
         for rank in 0..ranks {
@@ -231,7 +231,7 @@ fn tcp_matches_threaded_bitwise_under_chaos() {
     // Heavy chaos: drops, duplicates, reorders and delays all at 30%. The
     // reliability layer must mask everything identically on both backends.
     let plan = FaultPlan::chaos(2026, 0.3);
-    let threaded = run_cluster_opts(
+    let threaded = run_cluster(
         4,
         test_model(),
         opts_with(Some(plan.clone())),

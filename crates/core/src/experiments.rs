@@ -5,10 +5,11 @@
 use crate::analysis;
 use crate::matrices;
 use crate::pipeline::Pipeline;
-use tilecc_cluster::MachineModel;
+use tilecc_cluster::{EngineOptions, MachineModel};
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::RMat;
 use tilecc_loopnest::Algorithm;
+use tilecc_parcode::{Backend, ExecStrategy};
 
 /// Tiling variant labels used across the experiments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -144,7 +145,14 @@ pub fn measure(
     let h = workload.tiling(variant, x, y, z);
     let pipe =
         Pipeline::compile(alg, h, Some(workload.mapping_dim())).expect("paper tilings are legal");
-    let s = pipe.simulate(model);
+    let s = pipe
+        .simulate(
+            model,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions::default(),
+        )
+        .expect("a fault-free timing run completes");
     MeasuredPoint {
         variant: variant.label(),
         factors: (x, y, z),

@@ -9,13 +9,21 @@
 //! ```
 //! use tilecc::{Pipeline, matrices};
 //! use tilecc_frontend::{compile_kernel_with, corpus};
-//! use tilecc_cluster::MachineModel;
+//! use tilecc_cluster::{EngineOptions, MachineModel};
+//! use tilecc_parcode::{Backend, ExecStrategy};
 //!
 //! // Skewed SOR (examples/kernels/sor.tk) at M=4, N=6, non-rectangular
 //! // tiling from the tiling cone (§4.1).
 //! let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap();
 //! let pipe = Pipeline::compile(alg, matrices::sor_nr(2, 3, 3), Some(2)).unwrap();
-//! let (summary, _data) = pipe.run_verified(MachineModel::fast_ethernet_p3());
+//! let (summary, _data) = pipe
+//!     .run_verified(
+//!         MachineModel::fast_ethernet_p3(),
+//!         ExecStrategy::Compiled,
+//!         Backend::Threaded,
+//!         EngineOptions::default(),
+//!     )
+//!     .expect("the run completes");
 //! assert_eq!(summary.verified, Some(true));
 //! ```
 //!

@@ -3,13 +3,10 @@
 //! results and simulated timings.
 
 use std::sync::Arc;
-use tilecc_cluster::{CommScheme, EngineOptions, MachineModel, MetricsRegistry, Phase, RunError};
+use tilecc_cluster::{CommStats, EngineOptions, MachineModel, MetricsRegistry, Phase, RunError};
 use tilecc_linalg::RMat;
 use tilecc_loopnest::{Algorithm, DataSpace};
-use tilecc_parcode::{
-    execute, execute_backend, execute_opts, execute_strategy, Backend, ExecMode, ExecStrategy,
-    ExecutionResult, ParallelPlan,
-};
+use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
 use tilecc_tiling::{TilingError, TilingTransform};
 
 /// High-level driver for one (algorithm, tiling) pair.
@@ -97,62 +94,21 @@ impl Pipeline {
     }
 
     /// Run in timing-only mode: no values computed, exact virtual times.
-    pub fn simulate(&self, model: MachineModel) -> RunSummary {
-        let res = execute(self.plan.clone(), model, ExecMode::TimingOnly);
-        self.summarize(&res, &model, None)
-    }
-
-    /// Timing-only run with an explicit communication scheme
-    /// ([`CommScheme::Overlapped`] models the paper's future-work
-    /// computation/communication overlapping).
-    pub fn simulate_with(&self, model: MachineModel, scheme: CommScheme) -> RunSummary {
-        let res =
-            tilecc_parcode::execute_with(self.plan.clone(), model, ExecMode::TimingOnly, scheme);
-        self.summarize(&res, &model, None)
-    }
-
-    /// Timing-only run with full engine options (fault injection, recovery,
-    /// observability) — the fallible counterpart of [`Pipeline::simulate`].
-    pub fn simulate_opts(
-        &self,
-        model: MachineModel,
-        options: EngineOptions,
-    ) -> Result<RunSummary, RunError> {
-        let res = execute_opts(self.plan.clone(), model, ExecMode::TimingOnly, options)?;
-        Ok(self.summarize(&res, &model, None))
-    }
-
-    /// Timing-only run under an explicit [`ExecStrategy`] —
-    /// [`ExecStrategy::Overlapped`] computes each tile's boundary slab
-    /// first, posts its sends on the NIC lane, and hides them behind the
-    /// private interior.
-    pub fn simulate_strategy(
-        &self,
-        model: MachineModel,
-        strategy: ExecStrategy,
-        options: EngineOptions,
-    ) -> Result<RunSummary, RunError> {
-        let res = execute_strategy(
-            self.plan.clone(),
-            model,
-            ExecMode::TimingOnly,
-            strategy,
-            options,
-        )?;
-        Ok(self.summarize(&res, &model, None))
-    }
-
-    /// Timing-only run under an explicit cluster [`Backend`]
-    /// ([`Backend::Tcp`] carries every message over real sockets; the
-    /// virtual times are identical to the threaded backend's).
-    pub fn simulate_backend(
+    /// `strategy` picks the rank code path ([`ExecStrategy::Overlapped`]
+    /// computes each tile's boundary slab first, posts its sends on the NIC
+    /// lane and hides them behind the private interior), `backend` the
+    /// message substrate ([`Backend::Tcp`] carries every message over real
+    /// sockets with virtual times identical to the threaded backend's), and
+    /// `options` the comm scheme, fault injection, recovery and
+    /// observability. Engine failures come back as [`RunError`]s.
+    pub fn simulate(
         &self,
         model: MachineModel,
         strategy: ExecStrategy,
         backend: Backend,
         options: EngineOptions,
     ) -> Result<RunSummary, RunError> {
-        let res = execute_backend(
+        let res = execute(
             self.plan.clone(),
             model,
             ExecMode::TimingOnly,
@@ -160,24 +116,22 @@ impl Pipeline {
             backend,
             options,
         )?;
-        Ok(self.summarize(&res, &model, None))
+        Ok(RunSummary::new(
+            &model,
+            &res.report.stats,
+            res.report.local_times,
+            res.total_iterations,
+            None,
+        ))
     }
 
-    /// Full run under an explicit [`ExecStrategy`], verified bitwise
-    /// against the sequential reference execution.
-    pub fn run_verified_strategy(
-        &self,
-        model: MachineModel,
-        strategy: ExecStrategy,
-        options: EngineOptions,
-    ) -> Result<(RunSummary, DataSpace), RunError> {
-        self.run_verified_backend(model, strategy, Backend::default(), options)
-    }
-
-    /// [`Pipeline::run_verified_strategy`] with an explicit cluster
-    /// [`Backend`]: the gathered data must match the sequential reference
-    /// bitwise no matter which substrate carried the messages.
-    pub fn run_verified_backend(
+    /// Run fully and verify the gathered data bitwise against the
+    /// sequential reference execution, no matter which strategy or
+    /// substrate produced it. The arguments are those of
+    /// [`Pipeline::simulate`]; engine failures (a crashed rank, a deadlock,
+    /// an unreachable peer) come back as [`RunError`]s, and the summary
+    /// carries the reliability layer's retransmission counters.
+    pub fn run_verified(
         &self,
         model: MachineModel,
         strategy: ExecStrategy,
@@ -185,7 +139,7 @@ impl Pipeline {
         options: EngineOptions,
     ) -> Result<(RunSummary, DataSpace), RunError> {
         let obs = options.obs.clone();
-        let res = execute_backend(
+        let res = execute(
             self.plan.clone(),
             model,
             ExecMode::Full,
@@ -193,57 +147,47 @@ impl Pipeline {
             backend,
             options,
         )?;
-        let parallel = res.data.as_ref().expect("full mode returns data");
-        let verified = verify_against_sequential(&self.plan, parallel, obs.as_deref());
-        let summary = self.summarize(&res, &model, Some(verified));
-        Ok((summary, res.data.unwrap()))
+        let parallel = res.data.expect("full mode returns data");
+        let verified = verify_against_sequential(&self.plan, &parallel, obs.as_deref());
+        let summary = RunSummary::new(
+            &model,
+            &res.report.stats,
+            res.report.local_times,
+            res.total_iterations,
+            Some(verified),
+        );
+        Ok((summary, parallel))
     }
+}
 
-    /// Run fully and verify the gathered data against the sequential
-    /// reference execution (bitwise).
-    ///
-    /// # Panics
-    /// Propagates failed runs as panics — [`Pipeline::run_verified_opts`]
-    /// reports them as [`RunError`]s instead.
-    pub fn run_verified(&self, model: MachineModel) -> (RunSummary, DataSpace) {
-        self.run_verified_opts(model, EngineOptions::default())
-            .unwrap_or_else(|e| panic!("pipeline run failed: {e}"))
-    }
-
-    /// [`Pipeline::run_verified`] with full engine options — the entry point
-    /// for fault-injected runs: engine failures (a crashed rank, a deadlock,
-    /// an unreachable peer) are reported as [`RunError`]s, and the summary
-    /// carries the reliability layer's retransmission counters.
-    pub fn run_verified_opts(
-        &self,
-        model: MachineModel,
-        options: EngineOptions,
-    ) -> Result<(RunSummary, DataSpace), RunError> {
-        self.run_verified_strategy(model, ExecStrategy::default(), options)
-    }
-
-    fn summarize(
-        &self,
-        res: &ExecutionResult,
+impl RunSummary {
+    /// Summarize a run from its per-rank comm statistics and final virtual
+    /// clocks (in rank order) and its total iteration count — the one
+    /// summary of both the in-process engines and the multi-process TCP
+    /// driver. `verified` is `None` for timing-only runs.
+    pub fn new(
         model: &MachineModel,
+        stats: &[CommStats],
+        local_times: Vec<f64>,
+        iterations: u64,
         verified: Option<bool>,
     ) -> RunSummary {
-        let sequential_time = model.compute_cost(res.total_iterations);
-        let makespan = res.makespan();
+        let sequential_time = model.compute_cost(iterations);
+        let makespan = local_times.iter().copied().fold(0.0, f64::max);
         RunSummary {
-            procs: self.plan.num_procs(),
-            iterations: res.total_iterations,
+            procs: local_times.len(),
+            iterations,
             sequential_time,
             makespan,
             speedup: sequential_time / makespan,
-            bytes: res.report.total_bytes(),
-            messages: res.report.total_messages(),
+            bytes: stats.iter().map(|s| s.bytes_sent).sum(),
+            messages: stats.iter().map(|s| s.messages_sent).sum(),
             verified,
-            retransmissions: res.report.total_retransmissions(),
-            duplicates_suppressed: res.report.total_duplicates_suppressed(),
-            recoveries: res.report.total_recoveries(),
-            recovery_time: res.report.total_recovery_time(),
-            local_times: res.report.local_times.clone(),
+            retransmissions: stats.iter().map(|s| s.retransmissions).sum(),
+            duplicates_suppressed: stats.iter().map(|s| s.duplicates_suppressed).sum(),
+            recoveries: stats.iter().map(|s| s.recoveries).sum(),
+            recovery_time: stats.iter().map(|s| s.recovery_time).sum(),
+            local_times,
         }
     }
 }
@@ -282,7 +226,14 @@ mod tests {
             &[(-1, 3), (0, 1), (1, 3)],
         ]);
         let pipe = Pipeline::compile(alg, h, Some(2)).unwrap();
-        let (summary, _data) = pipe.run_verified(MachineModel::fast_ethernet_p3());
+        let (summary, _data) = pipe
+            .run_verified(
+                MachineModel::fast_ethernet_p3(),
+                ExecStrategy::Compiled,
+                Backend::Threaded,
+                EngineOptions::default(),
+            )
+            .unwrap();
         assert_eq!(summary.verified, Some(true));
         assert_eq!(summary.iterations, 4 * 6 * 6);
         assert!(summary.speedup > 0.0);
@@ -299,7 +250,14 @@ mod tests {
         )
         .unwrap();
         let model = MachineModel::zero_comm(1e-6);
-        let s = pipe.simulate(model);
+        let s = pipe
+            .simulate(
+                model,
+                ExecStrategy::Compiled,
+                Backend::Threaded,
+                EngineOptions::default(),
+            )
+            .unwrap();
         assert!(s.verified.is_none());
         assert!((s.sequential_time - 8.0 * 12.0 * 12.0 * 1e-6).abs() < 1e-12);
         // With zero communication cost, speedup cannot exceed proc count but
@@ -323,7 +281,12 @@ mod tests {
             ..EngineOptions::default()
         };
         let (summary, _) = pipe
-            .run_verified_opts(MachineModel::fast_ethernet_p3(), options)
+            .run_verified(
+                MachineModel::fast_ethernet_p3(),
+                ExecStrategy::Compiled,
+                Backend::Threaded,
+                options,
+            )
             .unwrap();
         assert_eq!(
             summary.verified,
@@ -347,14 +310,29 @@ mod tests {
         .unwrap();
         let model = MachineModel::fast_ethernet_p3();
         let (summary, _) = pipe
-            .run_verified_strategy(model, ExecStrategy::Overlapped, EngineOptions::default())
+            .run_verified(
+                model,
+                ExecStrategy::Overlapped,
+                Backend::Threaded,
+                EngineOptions::default(),
+            )
             .unwrap();
         assert_eq!(summary.verified, Some(true));
         let blocking = pipe
-            .simulate_strategy(model, ExecStrategy::Compiled, EngineOptions::default())
+            .simulate(
+                model,
+                ExecStrategy::Compiled,
+                Backend::Threaded,
+                EngineOptions::default(),
+            )
             .unwrap();
         let overlapped = pipe
-            .simulate_strategy(model, ExecStrategy::Overlapped, EngineOptions::default())
+            .simulate(
+                model,
+                ExecStrategy::Overlapped,
+                Backend::Threaded,
+                EngineOptions::default(),
+            )
             .unwrap();
         assert!(
             overlapped.makespan <= blocking.makespan + 1e-12,

@@ -83,8 +83,9 @@ mod tests {
     use super::*;
     use crate::matrices;
     use std::sync::Arc;
+    use tilecc_cluster::EngineOptions;
     use tilecc_frontend::{compile_kernel_with, corpus};
-    use tilecc_parcode::{execute, ExecMode};
+    use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy};
     use tilecc_tiling::TilingTransform;
 
     fn plan(h: tilecc_linalg::RMat, m: usize) -> Arc<ParallelPlan> {
@@ -98,7 +99,16 @@ mod tests {
         for h in [matrices::rect(7, 16, 8), matrices::sor_nr(7, 16, 8)] {
             let p = plan(h, 2);
             let pred = predict(&p, &model);
-            let sim = execute(p, model, ExecMode::TimingOnly).makespan();
+            let sim = execute(
+                p,
+                model,
+                ExecMode::TimingOnly,
+                ExecStrategy::Compiled,
+                Backend::Threaded,
+                EngineOptions::default(),
+            )
+            .unwrap()
+            .makespan();
             let ratio = pred.makespan / sim;
             assert!(
                 (0.3..=3.0).contains(&ratio),
@@ -129,7 +139,15 @@ mod tests {
         for h in [matrices::rect(7, 16, 8), matrices::sor_nr(7, 16, 8)] {
             let p = plan(h, 2);
             let predicted = predicted_comm_volume(&p);
-            let res = execute(p, model, ExecMode::TimingOnly);
+            let res = execute(
+                p,
+                model,
+                ExecMode::TimingOnly,
+                ExecStrategy::Compiled,
+                Backend::Threaded,
+                EngineOptions::default(),
+            )
+            .unwrap();
             assert_eq!(predicted, res.report.total_bytes());
         }
     }

@@ -37,9 +37,10 @@
 use crate::pipeline::{Pipeline, RunSummary};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
-use tilecc_cluster::MachineModel;
+use tilecc_cluster::{EngineOptions, MachineModel};
 use tilecc_linalg::{column_hnf, IMat, RMat, Rational};
 use tilecc_loopnest::Algorithm;
+use tilecc_parcode::{Backend, ExecStrategy};
 use tilecc_tiling::{candidate_rows, TilingError, TilingTransform};
 
 /// One element of the tuner's raw search space.
@@ -376,7 +377,14 @@ pub fn tune_labeled(
         let (h, h_prime, v) = (t.h().clone(), t.h_prime().clone(), t.v().to_vec());
         match Pipeline::compile_transform(algorithm.clone(), t, Some(opts.m)) {
             Ok(pipe) => {
-                let summary = pipe.simulate(model);
+                let summary = pipe
+                    .simulate(
+                        model,
+                        ExecStrategy::Compiled,
+                        Backend::Threaded,
+                        EngineOptions::default(),
+                    )
+                    .expect("a fault-free timing run completes");
                 outcome.ranking.push(TunedCandidate {
                     h,
                     h_prime,

@@ -1,5 +1,5 @@
 //! Lowering: [`KernelProgram`] → [`Algorithm`] with a tape-compiled
-//! [`MultiKernel`].
+//! [`Kernel`].
 //!
 //! Expressions are flattened into a flat instruction tape (one slot per AST
 //! node; `let` bindings compile once and are referenced by slot). The batch
@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use tilecc_linalg::IMat;
 use tilecc_loopnest::kernel::{boundary_value, with_scratch};
-use tilecc_loopnest::{Algorithm, LoopNest, MultiKernel};
+use tilecc_loopnest::{Algorithm, Kernel, LoopNest};
 use tilecc_polytope::{Constraint, Polyhedron};
 
 /// One instruction of the flattened expression tape. Operands are slot
@@ -267,7 +267,7 @@ pub struct TkKernel {
     init: Tape,
 }
 
-impl MultiKernel for TkKernel {
+impl Kernel for TkKernel {
     fn width(&self) -> usize {
         self.width
     }
@@ -359,7 +359,7 @@ pub fn lower_kernel(p: &KernelProgram) -> Algorithm {
         body,
         init,
     });
-    let alg = Algorithm::new_multi(p.name.clone(), LoopNest::new(space, deps), kernel);
+    let alg = Algorithm::new(p.name.clone(), LoopNest::new(space, deps), kernel);
     match &p.skew {
         Some(rows) => {
             let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();

@@ -24,7 +24,7 @@
 //! source-located errors ([`TkError`] renders `file:line:col` plus a caret
 //! snippet). Lowering produces a standard
 //! [`Algorithm`](tilecc_loopnest::Algorithm) whose generated
-//! [`MultiKernel`](tilecc_loopnest::MultiKernel) evaluates a flat
+//! [`Kernel`](tilecc_loopnest::Kernel) evaluates a flat
 //! instruction tape; its `compute_run` batch entry is bitwise identical to
 //! the per-point path, so DSL kernels run unchanged on every backend and
 //! strategy. See `docs/kernel-dsl.md` for the full language reference.

@@ -2,16 +2,17 @@
 //!
 //! A [`Kernel`] provides the single-assignment statement body of the paper's
 //! model: `A[j] := F(A[j − d_1], …, A[j − d_q])`. The dependence *order* is
-//! fixed by the nest's dependence matrix columns; `reads[i]` is the value at
+//! fixed by the nest's dependence matrix columns; read `i` is the value at
 //! `j − d_i`. Reads that fall outside the iteration space take the kernel's
 //! deterministic `initial` value (the algorithm's boundary conditions).
 //!
 //! The paper notes its single-statement/single-array model is "only a
-//! notational restriction". [`MultiKernel`] lifts it: each iteration point
+//! notational restriction". A [`Kernel`] lifts it: each iteration point
 //! carries `width` components (one per written array), every dependence read
 //! delivers all components of the source point, and the body computes all
 //! components at once — enough to express e.g. the real ADI integration
-//! with its `X` and `B` arrays (Table 3).
+//! with its `X` and `B` arrays (Table 3). The single-array model is
+//! `width == 1`.
 
 use crate::data::DataSpace;
 use crate::nest::LoopNest;
@@ -71,49 +72,11 @@ pub fn boundary_value(j: &[i64]) -> f64 {
     ((h.rem_euclid(1009)) as f64) / 1009.0
 }
 
-/// Scalar (single-array) loop-body semantics.
-pub trait Kernel: Send + Sync {
-    /// Compute the value written at iteration `j`. `reads[i]` is the value of
-    /// `A[j − d_i]` for the `i`-th column of the nest's dependence matrix.
-    fn compute(&self, j: &[i64], reads: &[f64]) -> f64;
-
-    /// Boundary value for points outside the iteration space.
-    fn initial(&self, j: &[i64]) -> f64;
-
-    /// Batched [`Kernel::compute`] over `count` consecutive points of an
-    /// affine run: point `p` sits at iteration `j0 + p·dj` and its read of
-    /// dependence `i` is `reads[i*count + p]` (dependence-major blocks).
-    /// Writes the value of point `p` to `out[p]`.
-    ///
-    /// The default walks the points in ascending order through `compute`,
-    /// so it is bitwise identical to the per-point path by construction.
-    /// Overrides may reassociate **across points** (lane blocks) but must
-    /// keep each point's own floating-point operation order unchanged.
-    fn compute_run(&self, j0: &[i64], dj: &[i64], count: usize, reads: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(out.len(), count);
-        if count == 0 {
-            return;
-        }
-        debug_assert_eq!(reads.len() % count, 0);
-        let q = reads.len() / count;
-        let mut j = j0.to_vec();
-        let mut rbuf = vec![0.0f64; q];
-        for p in 0..count {
-            for (i, r) in rbuf.iter_mut().enumerate() {
-                *r = reads[i * count + p];
-            }
-            out[p] = self.compute(&j, &rbuf);
-            for (jk, d) in j.iter_mut().zip(dj) {
-                *jk += d;
-            }
-        }
-    }
-}
-
-/// Multi-array loop-body semantics: `width` components per iteration point.
+/// Loop-body semantics: `width` components per iteration point (one per
+/// written array; the paper's single-array model is `width == 1`).
 /// `reads` is laid out dependence-major: component `c` of dependence `q` is
 /// `reads[q*width + c]`.
-pub trait MultiKernel: Send + Sync {
+pub trait Kernel: Send + Sync {
     /// Number of components (written arrays).
     fn width(&self) -> usize;
 
@@ -124,11 +87,10 @@ pub trait MultiKernel: Send + Sync {
     /// Boundary components for points outside the iteration space.
     fn initial(&self, j: &[i64], out: &mut [f64]);
 
-    /// Batched [`MultiKernel::compute`] over `count` consecutive points of
-    /// an affine run: point `p` sits at iteration `j0 + p·dj`; component
-    /// `c` of its dependence-`i` read is `reads[(i*count + p)*width + c]`
-    /// (dependence-major blocks of `count` points each, which for
-    /// `width == 1` coincides with the scalar layout). The components of
+    /// Batched [`Kernel::compute`] over `count` consecutive points of an
+    /// affine run: point `p` sits at iteration `j0 + p·dj`; component `c`
+    /// of its dependence-`i` read is `reads[(i*count + p)*width + c]`
+    /// (dependence-major blocks of `count` points each). The components of
     /// point `p` go to `out[p*width..(p+1)*width]`.
     ///
     /// The default walks the points in ascending order through `compute`,
@@ -159,36 +121,12 @@ pub trait MultiKernel: Send + Sync {
     }
 }
 
-/// Adapter: every scalar [`Kernel`] is a width-1 [`MultiKernel`].
-struct ScalarKernel(Arc<dyn Kernel>);
-
-impl MultiKernel for ScalarKernel {
-    fn width(&self) -> usize {
-        1
-    }
-
-    fn compute(&self, j: &[i64], reads: &[f64], out: &mut [f64]) {
-        out[0] = self.0.compute(j, reads);
-    }
-
-    fn initial(&self, j: &[i64], out: &mut [f64]) {
-        out[0] = self.0.initial(j);
-    }
-
-    fn compute_run(&self, j0: &[i64], dj: &[i64], count: usize, reads: &[f64], out: &mut [f64]) {
-        // Width 1: the multi-kernel run layout coincides with the scalar
-        // one, so the scalar kernel's (possibly specialized) batch entry
-        // applies directly.
-        self.0.compute_run(j0, dj, count, reads, out);
-    }
-}
-
 /// A nest paired with its body: a complete algorithm instance.
 #[derive(Clone)]
 pub struct Algorithm {
     pub name: String,
     pub nest: LoopNest,
-    pub kernel: Arc<dyn MultiKernel>,
+    pub kernel: Arc<dyn Kernel>,
 }
 
 impl std::fmt::Debug for Algorithm {
@@ -203,21 +141,8 @@ impl std::fmt::Debug for Algorithm {
 }
 
 impl Algorithm {
-    /// Build an algorithm from a scalar (single-array) kernel.
+    /// Pair a nest with its kernel.
     pub fn new(name: impl Into<String>, nest: LoopNest, kernel: Arc<dyn Kernel>) -> Self {
-        Algorithm {
-            name: name.into(),
-            nest,
-            kernel: Arc::new(ScalarKernel(kernel)),
-        }
-    }
-
-    /// Build an algorithm from a multi-array kernel.
-    pub fn new_multi(
-        name: impl Into<String>,
-        nest: LoopNest,
-        kernel: Arc<dyn MultiKernel>,
-    ) -> Self {
         assert!(kernel.width() >= 1);
         Algorithm {
             name: name.into(),
@@ -283,11 +208,11 @@ impl Algorithm {
 /// inner kernel always sees original coordinates. The map goes through a
 /// stack buffer, so the per-point paths allocate nothing.
 struct SkewedKernel {
-    inner: Arc<dyn MultiKernel>,
+    inner: Arc<dyn Kernel>,
     t_inv: IMat,
 }
 
-impl MultiKernel for SkewedKernel {
+impl Kernel for SkewedKernel {
     fn width(&self) -> usize {
         self.inner.width()
     }
@@ -320,11 +245,14 @@ mod tests {
     struct SumKernel;
 
     impl Kernel for SumKernel {
-        fn compute(&self, _j: &[i64], reads: &[f64]) -> f64 {
-            reads[0] + reads[1] + 1.0
+        fn width(&self) -> usize {
+            1
         }
-        fn initial(&self, _j: &[i64]) -> f64 {
-            0.0
+        fn compute(&self, _j: &[i64], reads: &[f64], out: &mut [f64]) {
+            out[0] = reads[0] + reads[1] + 1.0;
+        }
+        fn initial(&self, _j: &[i64], out: &mut [f64]) {
+            out[0] = 0.0;
         }
     }
 
@@ -365,7 +293,7 @@ mod tests {
     /// Two coupled recurrences: a[j] = a[j-1] + b[j-1], b[j] = 2·b[j-1].
     struct Coupled;
 
-    impl MultiKernel for Coupled {
+    impl Kernel for Coupled {
         fn width(&self) -> usize {
             2
         }
@@ -379,19 +307,27 @@ mod tests {
         }
     }
 
-    /// The default `compute_run` and both adapter forwardings must be
+    /// The default `compute_run` and the skew adapter's forwarding must be
     /// bitwise identical to the per-point path on j-dependent kernels.
     #[test]
     fn compute_run_default_matches_per_point_bitwise() {
         struct JDep;
         impl Kernel for JDep {
-            fn compute(&self, j: &[i64], reads: &[f64]) -> f64 {
-                (j[0] * 3 - j[1]) as f64 * 0.125 + reads[0] * 1.5 - reads[1] / 3.0
+            fn width(&self) -> usize {
+                1
             }
-            fn initial(&self, _j: &[i64]) -> f64 {
-                0.0
+            fn compute(&self, j: &[i64], reads: &[f64], out: &mut [f64]) {
+                out[0] = (j[0] * 3 - j[1]) as f64 * 0.125 + reads[0] * 1.5 - reads[1] / 3.0;
+            }
+            fn initial(&self, _j: &[i64], out: &mut [f64]) {
+                out[0] = 0.0;
             }
         }
+        let point = |j: &[i64], rb: &[f64]| {
+            let mut o = [0.0f64];
+            JDep.compute(j, rb, &mut o);
+            o[0]
+        };
         let (q, count) = (2usize, 13usize);
         let reads: Vec<f64> = (0..q * count).map(|i| (i as f64) * 0.37 + 0.1).collect();
         let j0 = [5i64, -2];
@@ -401,23 +337,14 @@ mod tests {
         for p in 0..count {
             let j = [j0[0] + p as i64 * dj[0], j0[1] + p as i64 * dj[1]];
             let rb = [reads[p], reads[count + p]];
-            assert_eq!(out[p].to_bits(), JDep.compute(&j, &rb).to_bits(), "p={p}");
+            assert_eq!(out[p].to_bits(), point(&j, &rb).to_bits(), "p={p}");
         }
-
-        // Scalar adapter: same layout, same bits.
-        let mk = ScalarKernel(Arc::new(JDep));
-        let mut out2 = vec![0.0f64; count];
-        mk.compute_run(&j0, &dj, count, &reads, &mut out2);
-        assert_eq!(
-            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            out2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
 
         // Skewed adapter: the run in skewed coordinates must evaluate the
         // inner kernel at the original coordinates, point by point.
         let t = IMat::from_rows(&[&[1, 0], &[1, 1]]);
         let sk = SkewedKernel {
-            inner: Arc::new(ScalarKernel(Arc::new(JDep))),
+            inner: Arc::new(JDep),
             t_inv: t.inverse().to_imat(),
         };
         let mut out3 = vec![0.0f64; count];
@@ -429,7 +356,7 @@ mod tests {
             let rb = [reads[p], reads[count + p]];
             assert_eq!(
                 out3[p].to_bits(),
-                JDep.compute(&orig, &rb).to_bits(),
+                point(&orig, &rb).to_bits(),
                 "skewed p={p}"
             );
         }
@@ -457,7 +384,7 @@ mod tests {
     fn multi_kernel_sequential_execution() {
         let space = Polyhedron::from_box(&[1], &[5]);
         let deps = IMat::from_rows(&[&[1]]);
-        let alg = Algorithm::new_multi("coupled", LoopNest::new(space, deps), Arc::new(Coupled));
+        let alg = Algorithm::new("coupled", LoopNest::new(space, deps), Arc::new(Coupled));
         assert_eq!(alg.width(), 2);
         let ds = alg.execute_sequential();
         // b doubles: 2, 4, 8, 16, 32; a accumulates b: 1, 3, 7, 15, 31.

@@ -13,5 +13,5 @@ pub mod nest;
 mod scan;
 
 pub use data::DataSpace;
-pub use kernel::{Algorithm, Kernel, MultiKernel};
+pub use kernel::{Algorithm, Kernel};
 pub use nest::{CountError, LoopNest};

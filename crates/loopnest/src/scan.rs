@@ -27,7 +27,7 @@
 //! [`LoopNestBounds::runs`]: tilecc_polytope::LoopNestBounds::runs
 
 use crate::data::DataSpace;
-use crate::kernel::{Algorithm, MultiKernel, CACHE_BLOCK, MIN_BATCH};
+use crate::kernel::{Algorithm, Kernel, CACHE_BLOCK, MIN_BATCH};
 use tilecc_polytope::Constraint;
 
 impl Algorithm {
@@ -161,7 +161,7 @@ fn window(rows: &[(&Constraint, i128)], outer: &[i64], a: i64, h: i64) -> (i64, 
 /// Scan state: the kernel, the flat geometry, the data-space cells and
 /// the reused per-point buffers.
 struct Scan<'a> {
-    kernel: &'a dyn MultiKernel,
+    kernel: &'a dyn Kernel,
     n: usize,
     q: usize,
     w: usize,
@@ -274,7 +274,7 @@ impl Scan<'_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::kernel::{boundary_value, Algorithm, Kernel, MultiKernel};
+    use crate::kernel::{boundary_value, Algorithm, Kernel};
     use crate::nest::LoopNest;
     use std::sync::Arc;
     use tilecc_linalg::IMat;
@@ -292,22 +292,25 @@ mod tests {
     struct Mix;
 
     impl Kernel for Mix {
-        fn compute(&self, j: &[i64], reads: &[f64]) -> f64 {
+        fn width(&self) -> usize {
+            1
+        }
+        fn compute(&self, j: &[i64], reads: &[f64], out: &mut [f64]) {
             let mut acc = boundary_value(j) * 0.5;
             for (i, r) in reads.iter().enumerate() {
                 acc = acc * 0.75 + r * (1.0 + i as f64 / 8.0);
             }
-            acc
+            out[0] = acc;
         }
-        fn initial(&self, j: &[i64]) -> f64 {
-            boundary_value(j) - 0.25
+        fn initial(&self, j: &[i64], out: &mut [f64]) {
+            out[0] = boundary_value(j) - 0.25;
         }
     }
 
     /// Two components, each reading both of every source's components.
     struct Mix2;
 
-    impl MultiKernel for Mix2 {
+    impl Kernel for Mix2 {
         fn width(&self) -> usize {
             2
         }
@@ -350,7 +353,7 @@ mod tests {
         // whole rows go through `compute_run`.
         let space = Polyhedron::from_box(&[0, 0, 0], &[3, 4, 40]);
         let deps = IMat::from_rows(&[&[1, 1, 1], &[0, 1, 0], &[0, 0, -1]]);
-        let alg = Algorithm::new_multi("mix2", LoopNest::new(space, deps), Arc::new(Mix2));
+        let alg = Algorithm::new("mix2", LoopNest::new(space, deps), Arc::new(Mix2));
         assert_scan_is_oracle(&alg);
     }
 

@@ -42,7 +42,7 @@
 use std::sync::OnceLock;
 use tilecc_linalg::vecops::div_floor;
 use tilecc_linalg::IMat;
-use tilecc_loopnest::{DataSpace, MultiKernel};
+use tilecc_loopnest::{DataSpace, Kernel};
 use tilecc_polytope::Polyhedron;
 use tilecc_tiling::{CommPlan, Lds, LdsGeometry, TiledSpace, TilingTransform};
 
@@ -583,25 +583,30 @@ impl ComputeScratch {
     }
 }
 
-/// Execute a set of compute runs against a hoisted LDS value buffer: the
-/// shared inner loop of [`compute_tile_fast`] and
-/// [`compute_tile_fast_subset`]. Runs with a usable `batch` width go
+/// Dense compute loop for a compute-interior tile: every point is in the
+/// iteration space and every read source is stored in the LDS, so the loop
+/// runs with zero membership tests and no per-point allocation. Iterates
+/// `runs` — the whole walk ([`CompiledChain::compute_runs`]) or one pass of
+/// the overlapped strategy ([`OverlapSplit::boundary_runs`] /
+/// [`OverlapSplit::interior_runs`]). Runs with a usable `batch` width go
 /// through the kernel's `compute_run` batch entry in cache-blocked chunks
 /// (reads bulk-copied per dependence, one kernel dispatch per chunk, one
-/// bulk write-back); the rest fall back to the per-point loop. Returns the
-/// number of points computed through the batch entry.
-#[allow(clippy::too_many_arguments)]
-fn run_compute_runs<K: MultiKernel + ?Sized>(
+/// bulk write-back), bitwise identical to the per-point order (see
+/// [`CompiledChain`]'s lag analysis); the rest fall back to the per-point
+/// loop. Returns the number of points computed through the batch entry.
+pub fn compute_tile_fast<K: Kernel + ?Sized>(
     chain: &CompiledChain,
-    vals: &mut [f64],
-    base: i64,
+    lds: &mut Lds,
+    tpos: i64,
     origin: &[i64],
     kernel: &K,
     scr: &mut ComputeScratch,
     runs: &[ComputeRun],
-    w: usize,
 ) -> u64 {
-    let (n, q) = (chain.n, chain.q);
+    let (n, q, w) = (chain.n, chain.q, lds.width());
+    let base = tpos * chain.chain_step;
+    // Single split borrow of the LDS buffer, hoisted out of all loops.
+    let vals = lds.values_mut();
     let mut batched = 0u64;
     for run in runs {
         let len = run.len as usize;
@@ -650,56 +655,6 @@ fn run_compute_runs<K: MultiKernel + ?Sized>(
     batched
 }
 
-/// Dense compute loop for a compute-interior tile: every point is in the
-/// iteration space and every read source is stored in the LDS, so the loop
-/// runs with zero membership tests and no per-point allocation. Iterates
-/// the plan-time compute runs — unit-lag-safe chunks go through the
-/// kernel's batch entry, bitwise identical to the per-point order (see
-/// [`CompiledChain`]'s lag analysis). Returns the number of points
-/// computed through the batch entry.
-pub fn compute_tile_fast<K: MultiKernel + ?Sized>(
-    chain: &CompiledChain,
-    lds: &mut Lds,
-    tpos: i64,
-    origin: &[i64],
-    kernel: &K,
-    scr: &mut ComputeScratch,
-) -> u64 {
-    let w = lds.width();
-    let base = tpos * chain.chain_step;
-    // Single split borrow of the LDS buffer, hoisted out of all loops.
-    let vals = lds.values_mut();
-    run_compute_runs(
-        chain,
-        vals,
-        base,
-        origin,
-        kernel,
-        scr,
-        &chain.compute_runs,
-        w,
-    )
-}
-
-/// [`compute_tile_fast`] restricted to a precomputed run set
-/// ([`OverlapSplit::boundary_runs`] / [`OverlapSplit::interior_runs`]):
-/// the overlapped strategy's boundary and interior passes. Returns the
-/// number of points computed through the batch entry.
-pub fn compute_tile_fast_subset<K: MultiKernel + ?Sized>(
-    chain: &CompiledChain,
-    lds: &mut Lds,
-    tpos: i64,
-    origin: &[i64],
-    kernel: &K,
-    scr: &mut ComputeScratch,
-    runs: &[ComputeRun],
-) -> u64 {
-    let w = lds.width();
-    let base = tpos * chain.chain_step;
-    let vals = lds.values_mut();
-    run_compute_runs(chain, vals, base, origin, kernel, scr, runs, w)
-}
-
 /// The PR2 per-point interior loop, kept verbatim (dyn dispatch and
 /// `lds.values()` re-borrow per point) as the wall-clock baseline of
 /// `--vec-bench` and as a second oracle for the batched path.
@@ -708,7 +663,7 @@ pub fn compute_tile_fast_per_point(
     lds: &mut Lds,
     tpos: i64,
     origin: &[i64],
-    kernel: &dyn MultiKernel,
+    kernel: &dyn Kernel,
     scr: &mut ComputeScratch,
 ) {
     let (n, q, w) = (chain.n, chain.q, lds.width());
@@ -728,11 +683,14 @@ pub fn compute_tile_fast_per_point(
     }
 }
 
-/// Boundary-tile compute loop: same precomputed indices, but clamped by the
-/// original iteration-space inequalities, with out-of-space reads served by
-/// the kernel's initial values. Returns the number of in-space iterations.
+/// Boundary-tile compute loop over the walk-order indices `points`
+/// (ascending: the whole walk `0..tile_points`, or one pass of the
+/// overlapped strategy): same precomputed indices as
+/// [`compute_tile_fast`], but clamped by the original iteration-space
+/// inequalities, with out-of-space reads served by the kernel's initial
+/// values. Returns the number of in-space iterations.
 #[allow(clippy::too_many_arguments)]
-pub fn compute_tile_clamped<K: MultiKernel + ?Sized>(
+pub fn compute_tile_clamped<K: Kernel + ?Sized>(
     chain: &CompiledChain,
     lds: &mut Lds,
     tpos: i64,
@@ -741,57 +699,13 @@ pub fn compute_tile_clamped<K: MultiKernel + ?Sized>(
     space: &Polyhedron,
     deps: &IMat,
     scr: &mut ComputeScratch,
+    points: impl IntoIterator<Item = usize>,
 ) -> u64 {
     let (n, q, w) = (chain.n, chain.q, lds.width());
     let base = tpos * chain.chain_step;
     let mut iters = 0u64;
     let vals = lds.values_mut();
-    for i in 0..chain.tile_points {
-        for k in 0..n {
-            scr.j[k] = origin[k] + chain.j_off[i * n + k];
-        }
-        if !space.contains(&scr.j) {
-            continue;
-        }
-        iters += 1;
-        for dq in 0..q {
-            for k in 0..n {
-                scr.src[k] = scr.j[k] - deps[(k, dq)];
-            }
-            if space.contains(&scr.src) {
-                let cell = (base + chain.src_rel[i * q + dq]) as usize;
-                scr.reads[dq * w..(dq + 1) * w].copy_from_slice(&vals[cell * w..(cell + 1) * w]);
-            } else {
-                kernel.initial(&scr.src, &mut scr.reads[dq * w..(dq + 1) * w]);
-            }
-        }
-        kernel.compute(&scr.j[..n], &scr.reads[..q * w], &mut scr.out[..w]);
-        let cell = (base + chain.dst[i]) as usize;
-        vals[cell * w..(cell + 1) * w].copy_from_slice(&scr.out[..w]);
-    }
-    iters
-}
-
-/// [`compute_tile_clamped`] restricted to a point subset (ascending
-/// walk-order indices). Returns the number of in-space iterations executed.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_tile_clamped_subset<K: MultiKernel + ?Sized>(
-    chain: &CompiledChain,
-    lds: &mut Lds,
-    tpos: i64,
-    origin: &[i64],
-    kernel: &K,
-    space: &Polyhedron,
-    deps: &IMat,
-    scr: &mut ComputeScratch,
-    subset: &[u32],
-) -> u64 {
-    let (n, q, w) = (chain.n, chain.q, lds.width());
-    let base = tpos * chain.chain_step;
-    let mut iters = 0u64;
-    let vals = lds.values_mut();
-    for &i in subset {
-        let i = i as usize;
+    for i in points {
         for k in 0..n {
             scr.j[k] = origin[k] + chain.j_off[i * n + k];
         }
@@ -1490,6 +1404,7 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
                 &origin,
                 plan.algorithm.kernel.as_ref(),
                 &mut scr,
+                &chain.compute_runs,
             );
             let got: Vec<u64> = lds.values().iter().map(|v| v.to_bits()).collect();
             assert!(batched > 0, "{name}: nothing batched");

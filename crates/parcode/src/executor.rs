@@ -10,16 +10,15 @@
 //! per processor dependence that has a valid successor tile.
 
 use crate::compiled::{
-    compute_tile_clamped, compute_tile_clamped_subset, compute_tile_fast, compute_tile_fast_subset,
-    count_in_space_subset, gather_spans, gather_tile, pack_region, tile_origin, unpack_region,
-    CompiledChain, ComputeScratch,
+    compute_tile_clamped, compute_tile_fast, count_in_space_subset, gather_spans, gather_tile,
+    pack_region, tile_origin, unpack_region, CompiledChain, ComputeRun, ComputeScratch,
 };
 use crate::plan::ParallelPlan;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use tilecc_cluster::{
-    run_cluster_opts, run_cluster_tcp, Comm, CommScheme, Counter, EngineOptions, HistId,
-    InjectedCrash, MachineModel, MetricsRegistry, Phase, RunError, RunReport,
+    run_cluster, run_cluster_tcp, Comm, CommScheme, Counter, EngineOptions, HistId, InjectedCrash,
+    MachineModel, MetricsRegistry, Phase, RunError, RunReport,
 };
 use tilecc_loopnest::DataSpace;
 use tilecc_polytope::Polyhedron;
@@ -55,6 +54,20 @@ pub enum ExecStrategy {
     /// bitwise identical to the other strategies and the makespan is never
     /// worse than `Compiled` under the blocking scheme.
     Overlapped,
+}
+
+impl ExecStrategy {
+    /// The comm scheme a run under this strategy uses when `requested` was
+    /// asked for. The boundary/interior reorder only pays off when sends
+    /// actually run in the background, so [`ExecStrategy::Overlapped`]
+    /// implies [`CommScheme::Overlapped`]; the other strategies keep
+    /// `requested`.
+    pub fn comm_scheme(self, requested: CommScheme) -> CommScheme {
+        match self {
+            ExecStrategy::Overlapped => CommScheme::Overlapped,
+            ExecStrategy::Compiled | ExecStrategy::Reference => requested,
+        }
+    }
 }
 
 /// Which cluster engine carries the messages. Both backends run the same
@@ -95,79 +108,21 @@ impl ExecutionResult {
     pub fn makespan(&self) -> f64 {
         self.report.makespan()
     }
-
-    /// Simulated sequential time / simulated parallel time on the same
-    /// machine model.
-    pub fn speedup(&self, model: &MachineModel) -> f64 {
-        model.compute_cost(self.total_iterations) / self.makespan()
-    }
 }
 
-/// Execute the plan on the in-process cluster (blocking MPI-style
-/// communication, as in the paper).
-///
-/// # Panics
-/// Propagates failed runs as panics — a thin wrapper over
-/// [`execute_opts`], which reports them as [`RunError`]s instead.
-pub fn execute(plan: Arc<ParallelPlan>, model: MachineModel, mode: ExecMode) -> ExecutionResult {
-    execute_with(plan, model, mode, CommScheme::Blocking)
-}
-
-/// [`execute`] with an explicit communication scheme —
-/// [`CommScheme::Overlapped`] implements the computation/communication
-/// overlapping the paper lists as future work (its reference [8]).
-///
-/// # Panics
-/// Propagates failed runs as panics, like [`execute`].
-pub fn execute_with(
-    plan: Arc<ParallelPlan>,
-    model: MachineModel,
-    mode: ExecMode,
-    scheme: CommScheme,
-) -> ExecutionResult {
-    execute_opts(
-        plan,
-        model,
-        mode,
-        EngineOptions {
-            scheme,
-            ..EngineOptions::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("parallel execution failed: {e}"))
-}
-
-/// [`execute`] with full engine options (communication scheme, observability,
-/// fault injection, watchdog). This is the fallible entry point: engine
-/// failures — a rank panic, a deadlocked schedule, an unreachable peer —
-/// come back as [`RunError`]s with rank-level context.
-pub fn execute_opts(
-    plan: Arc<ParallelPlan>,
-    model: MachineModel,
-    mode: ExecMode,
-    options: EngineOptions,
-) -> Result<ExecutionResult, RunError> {
-    execute_strategy(plan, model, mode, ExecStrategy::default(), options)
-}
-
-/// [`execute_opts`] with an explicit [`ExecStrategy`] — used by the
-/// equivalence tests, the fuzz harness and the perf benches to pit the
-/// compiled path against the per-point reference path.
-pub fn execute_strategy(
-    plan: Arc<ParallelPlan>,
-    model: MachineModel,
-    mode: ExecMode,
-    strategy: ExecStrategy,
-    options: EngineOptions,
-) -> Result<ExecutionResult, RunError> {
-    execute_backend(plan, model, mode, strategy, Backend::default(), options)
-}
-
-/// [`execute_strategy`] with an explicit cluster [`Backend`]. The rank
-/// body, virtual-time model, and gather are identical for every backend —
-/// the choice only selects the message substrate — so the fuzz harness
-/// cross-checks backends for bitwise-identical data and counters here.
-pub fn execute_backend(
+/// Execute the plan: every rank runs [`run_rank`] over the chosen
+/// [`Backend`], and in [`ExecMode::Full`] the main thread gathers the rank
+/// LDSs into the global data space. `options` carry the communication
+/// scheme ([`CommScheme::Overlapped`] implements the
+/// computation/communication overlapping the paper lists as future work,
+/// its reference [8]), observability, fault injection and the watchdog;
+/// [`ExecStrategy::comm_scheme`] may override the scheme. The rank body,
+/// virtual-time model and gather are identical for every backend, so the
+/// fuzz harness cross-checks backends for bitwise-identical data and
+/// counters here. Engine failures — a rank panic, a deadlocked schedule,
+/// an unreachable peer — come back as [`RunError`]s with rank-level
+/// context.
+pub fn execute(
     plan: Arc<ParallelPlan>,
     model: MachineModel,
     mode: ExecMode,
@@ -175,16 +130,12 @@ pub fn execute_backend(
     backend: Backend,
     mut options: EngineOptions,
 ) -> Result<ExecutionResult, RunError> {
-    // The boundary/interior reorder only pays off when sends actually run
-    // in the background; the strategy implies the comm scheme.
-    if strategy == ExecStrategy::Overlapped {
-        options.scheme = CommScheme::Overlapped;
-    }
+    options.scheme = strategy.comm_scheme(options.scheme);
     let nprocs = plan.num_procs();
     let plan2 = plan.clone();
     let obs_reg = options.obs.clone();
     let report = match backend {
-        Backend::Threaded => run_cluster_opts(nprocs, model, options, move |comm| {
+        Backend::Threaded => run_cluster(nprocs, model, options, move |comm| {
             run_rank(&plan2, comm, mode, strategy)
         })?,
         Backend::Tcp => run_cluster_tcp(nprocs, model, options, move |comm| {
@@ -201,19 +152,6 @@ pub fn execute_backend(
         data,
         total_iterations,
     })
-}
-
-/// The SPMD body of one rank, public for the multi-process TCP worker: the
-/// CLI's `--worker-rank` mode runs this over a [`tilecc_cluster::TcpComm`]
-/// connected to sibling processes. Identical to what every in-process
-/// backend executes.
-pub fn run_rank_body(
-    plan: &ParallelPlan,
-    comm: &mut impl Comm,
-    mode: ExecMode,
-    strategy: ExecStrategy,
-) -> RankOutput {
-    run_rank(plan, comm, mode, strategy)
 }
 
 /// Enumerate the data points a rank owns — `(global iteration point,
@@ -311,11 +249,13 @@ fn gather(
     ds
 }
 
-/// The body each rank runs — the direct analogue of the paper's generated
-/// FORACROSS code skeleton (§3.2).
-fn run_rank(
+/// The SPMD body of one rank — the direct analogue of the paper's
+/// generated FORACROSS code skeleton (§3.2). [`execute`] runs it on every
+/// in-process rank; the CLI's multi-process `--worker-rank` mode runs it
+/// over a [`tilecc_cluster::TcpComm`] connected to sibling processes.
+pub fn run_rank<C: Comm>(
     plan: &ParallelPlan,
-    comm: &mut impl Comm,
+    comm: &mut C,
     mode: ExecMode,
     strategy: ExecStrategy,
 ) -> RankOutput {
@@ -473,126 +413,84 @@ fn run_rank(
                         let origin = tile_origin(t, &cur_tile);
                         let space_interior =
                             mode == ExecMode::TimingOnly && plan.tiled.tile_is_interior(&cur_tile);
-                        let b_t0 = if obs_on {
-                            comm.obs().map(|o| o.now_ns())
-                        } else {
-                            None
-                        };
-                        let b_v0 = comm.local_time();
-                        let boundary_iters = match mode {
-                            ExecMode::TimingOnly if space_interior => {
-                                split.boundary_order.len() as u64
-                            }
-                            ExecMode::TimingOnly => count_in_space_subset(
-                                chain,
-                                &origin,
-                                space,
-                                &split.boundary_order,
-                                &mut j_buf,
-                            ),
-                            ExecMode::Full if is_interior => {
-                                tile_vectorized += compute_tile_fast_subset(
-                                    chain,
-                                    &mut lds,
-                                    tpos,
-                                    &origin,
-                                    kernel.as_ref(),
-                                    &mut scratch,
-                                    &split.boundary_runs,
-                                );
-                                split.boundary_order.len() as u64
-                            }
-                            ExecMode::Full => compute_tile_clamped_subset(
-                                chain,
-                                &mut lds,
-                                tpos,
-                                &origin,
-                                kernel.as_ref(),
-                                space,
-                                deps,
-                                &mut scratch,
-                                &split.boundary_order,
-                            ),
-                        };
-                        comm.advance_compute(boundary_iters);
-                        if let Some(t0) = b_t0 {
-                            if boundary_iters > 0 {
-                                let v1 = comm.local_time();
-                                if let Some(o) = comm.obs() {
-                                    o.observe(HistId::ComputeTileNs, o.now_ns().saturating_sub(t0));
-                                    o.named_span(
-                                        Phase::Compute,
-                                        "compute-boundary",
-                                        t0,
-                                        (b_v0, v1),
-                                        boundary_iters,
-                                    );
+                        // One pass over a slab given as walk-order indices
+                        // and their compute runs: compute it (timing-only:
+                        // count its in-space points), charge it to the
+                        // clock, and record it as a `name` compute span.
+                        let mut pass =
+                            |comm: &mut C,
+                             lds: &mut Lds,
+                             name: &'static str,
+                             order: &[u32],
+                             runs: &[ComputeRun]| {
+                                let t0 = if obs_on {
+                                    comm.obs().map(|o| o.now_ns())
+                                } else {
+                                    None
+                                };
+                                let v0 = comm.local_time();
+                                let iters = match mode {
+                                    ExecMode::TimingOnly if space_interior => order.len() as u64,
+                                    ExecMode::TimingOnly => count_in_space_subset(
+                                        chain, &origin, space, order, &mut j_buf,
+                                    ),
+                                    ExecMode::Full if is_interior => {
+                                        tile_vectorized += compute_tile_fast(
+                                            chain,
+                                            lds,
+                                            tpos,
+                                            &origin,
+                                            kernel.as_ref(),
+                                            &mut scratch,
+                                            runs,
+                                        );
+                                        order.len() as u64
+                                    }
+                                    ExecMode::Full => compute_tile_clamped(
+                                        chain,
+                                        lds,
+                                        tpos,
+                                        &origin,
+                                        kernel.as_ref(),
+                                        space,
+                                        deps,
+                                        &mut scratch,
+                                        order.iter().map(|&i| i as usize),
+                                    ),
+                                };
+                                comm.advance_compute(iters);
+                                if let Some(t0) = t0 {
+                                    if iters > 0 {
+                                        let v1 = comm.local_time();
+                                        if let Some(o) = comm.obs() {
+                                            o.observe(
+                                                HistId::ComputeTileNs,
+                                                o.now_ns().saturating_sub(t0),
+                                            );
+                                            o.named_span(Phase::Compute, name, t0, (v0, v1), iters);
+                                        }
+                                    }
                                 }
-                            }
-                        }
-
+                                iters
+                            };
+                        let boundary_iters = pass(
+                            comm,
+                            &mut lds,
+                            "compute-boundary",
+                            &split.boundary_order,
+                            &split.boundary_runs,
+                        );
                         send_tile(
                             plan, chain, comm, &lds, mode, strategy, obs_on, &pid, &cur_tile, tpos,
                             t_abs, w,
                         );
-
-                        let i_t0 = if obs_on {
-                            comm.obs().map(|o| o.now_ns())
-                        } else {
-                            None
-                        };
-                        let i_v0 = comm.local_time();
-                        let interior_iters = match mode {
-                            ExecMode::TimingOnly if space_interior => {
-                                split.interior_order.len() as u64
-                            }
-                            ExecMode::TimingOnly => count_in_space_subset(
-                                chain,
-                                &origin,
-                                space,
-                                &split.interior_order,
-                                &mut j_buf,
-                            ),
-                            ExecMode::Full if is_interior => {
-                                tile_vectorized += compute_tile_fast_subset(
-                                    chain,
-                                    &mut lds,
-                                    tpos,
-                                    &origin,
-                                    kernel.as_ref(),
-                                    &mut scratch,
-                                    &split.interior_runs,
-                                );
-                                split.interior_order.len() as u64
-                            }
-                            ExecMode::Full => compute_tile_clamped_subset(
-                                chain,
-                                &mut lds,
-                                tpos,
-                                &origin,
-                                kernel.as_ref(),
-                                space,
-                                deps,
-                                &mut scratch,
-                                &split.interior_order,
-                            ),
-                        };
-                        comm.advance_compute(interior_iters);
-                        if let Some(t0) = i_t0 {
-                            if interior_iters > 0 {
-                                let v1 = comm.local_time();
-                                if let Some(o) = comm.obs() {
-                                    o.observe(HistId::ComputeTileNs, o.now_ns().saturating_sub(t0));
-                                    o.named_span(
-                                        Phase::Compute,
-                                        "compute-interior",
-                                        t0,
-                                        (i_v0, v1),
-                                        interior_iters,
-                                    );
-                                }
-                            }
-                        }
+                        let interior_iters = pass(
+                            comm,
+                            &mut lds,
+                            "compute-interior",
+                            &split.interior_order,
+                            &split.interior_runs,
+                        );
                         tile_iters = boundary_iters + interior_iters;
                     }
                     (ExecMode::TimingOnly, _) => {
@@ -608,6 +506,7 @@ fn run_rank(
                                 &origin,
                                 kernel.as_ref(),
                                 &mut scratch,
+                                &chain.compute_runs,
                             );
                             tile_iters = chain.tile_points as u64;
                         } else {
@@ -620,6 +519,7 @@ fn run_rank(
                                 space,
                                 deps,
                                 &mut scratch,
+                                0..chain.tile_points,
                             );
                         }
                     }
@@ -846,7 +746,15 @@ mod tests {
         let seq = plan.algorithm.execute_sequential();
         let total = plan.total_iterations();
         let plan = Arc::new(plan);
-        let res = execute(plan, MachineModel::fast_ethernet_p3(), ExecMode::Full);
+        let res = execute(
+            plan,
+            MachineModel::fast_ethernet_p3(),
+            ExecMode::Full,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions::default(),
+        )
+        .unwrap();
         assert_eq!(
             res.total_iterations as usize, total,
             "iteration conservation"
@@ -884,8 +792,24 @@ mod tests {
         let t = TilingTransform::rectangular(&[2, 4, 4]).unwrap();
         let plan = Arc::new(ParallelPlan::new(alg, t, Some(0)).unwrap());
         let model = MachineModel::fast_ethernet_p3();
-        let full = execute(plan.clone(), model, ExecMode::Full);
-        let timing = execute(plan, model, ExecMode::TimingOnly);
+        let full = execute(
+            plan.clone(),
+            model,
+            ExecMode::Full,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions::default(),
+        )
+        .unwrap();
+        let timing = execute(
+            plan,
+            model,
+            ExecMode::TimingOnly,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions::default(),
+        )
+        .unwrap();
         assert_eq!(full.makespan(), timing.makespan());
         assert_eq!(full.report.total_bytes(), timing.report.total_bytes());
         assert!(timing.data.is_none());
@@ -898,11 +822,21 @@ mod tests {
         let t = TilingTransform::rectangular(&[2, 3, 4]).unwrap();
         let plan = Arc::new(ParallelPlan::new(alg, t, Some(2)).unwrap());
         let model = MachineModel::fast_ethernet_p3();
-        let clean = execute(plan.clone(), model, ExecMode::Full);
-        let faulty = execute_opts(
+        let clean = execute(
+            plan.clone(),
+            model,
+            ExecMode::Full,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions::default(),
+        )
+        .unwrap();
+        let faulty = execute(
             plan,
             model,
             ExecMode::Full,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
             EngineOptions {
                 fault: Some(FaultPlan::lossy(7, 0.25)),
                 ..EngineOptions::default()
@@ -929,10 +863,12 @@ mod tests {
         let reg = MetricsRegistry::new();
         let plan =
             Arc::new(crate::plan::ParallelPlan::new_observed(alg, t, Some(2), Some(&reg)).unwrap());
-        let res = execute_opts(
+        let res = execute(
             plan,
             MachineModel::fast_ethernet_p3(),
             ExecMode::Full,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
             EngineOptions {
                 obs: Some(reg.clone()),
                 ..EngineOptions::default()
@@ -989,11 +925,12 @@ mod tests {
         let model = MachineModel::fast_ethernet_p3();
         let run = |strategy| {
             let reg = MetricsRegistry::new();
-            let res = execute_strategy(
+            let res = execute(
                 plan.clone(),
                 model,
                 ExecMode::Full,
                 strategy,
+                Backend::Threaded,
                 EngineOptions {
                     obs: Some(reg.clone()),
                     ..EngineOptions::default()
@@ -1040,11 +977,12 @@ mod tests {
         let plan = Arc::new(ParallelPlan::new(alg, t, Some(2)).unwrap());
         let w = plan.algorithm.width();
         for strategy in [ExecStrategy::Compiled, ExecStrategy::Reference] {
-            let res = execute_strategy(
+            let res = execute(
                 plan.clone(),
                 MachineModel::fast_ethernet_p3(),
                 ExecMode::Full,
                 strategy,
+                Backend::Threaded,
                 EngineOptions::default(),
             )
             .unwrap();
@@ -1080,10 +1018,12 @@ mod tests {
         let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap();
         let t = TilingTransform::rectangular(&[2, 3, 4]).unwrap();
         let plan = Arc::new(ParallelPlan::new(alg, t, Some(2)).unwrap());
-        let err = match execute_opts(
+        let err = match execute(
             plan,
             MachineModel::fast_ethernet_p3(),
             ExecMode::Full,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
             EngineOptions {
                 fault: Some(FaultPlan::default().with_crash(0, 0.0)),
                 ..EngineOptions::default()
@@ -1109,6 +1049,16 @@ mod overlap_tests {
     use tilecc_tiling::TilingTransform;
 
     #[test]
+    fn only_the_overlapped_strategy_overrides_the_scheme() {
+        for requested in [CommScheme::Blocking, CommScheme::Overlapped] {
+            let scheme = |s: ExecStrategy| s.comm_scheme(requested);
+            assert_eq!(scheme(ExecStrategy::Overlapped), CommScheme::Overlapped);
+            assert_eq!(scheme(ExecStrategy::Compiled), requested);
+            assert_eq!(scheme(ExecStrategy::Reference), requested);
+        }
+    }
+
+    #[test]
     fn overlapped_scheme_verifies_and_is_no_slower() {
         let alg = compile_kernel_with(corpus::SOR, &[("M", 6), ("N", 9)]).unwrap();
         let h = RMat::from_fractions(&[
@@ -1120,8 +1070,30 @@ mod overlap_tests {
             Arc::new(ParallelPlan::new(alg, TilingTransform::new(h).unwrap(), Some(2)).unwrap());
         let model = MachineModel::fast_ethernet_p3();
         let seq = plan.algorithm.execute_sequential();
-        let blocking = execute_with(plan.clone(), model, ExecMode::Full, CommScheme::Blocking);
-        let overlapped = execute_with(plan.clone(), model, ExecMode::Full, CommScheme::Overlapped);
+        let blocking = execute(
+            plan.clone(),
+            model,
+            ExecMode::Full,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions {
+                scheme: CommScheme::Blocking,
+                ..EngineOptions::default()
+            },
+        )
+        .unwrap();
+        let overlapped = execute(
+            plan.clone(),
+            model,
+            ExecMode::Full,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions {
+                scheme: CommScheme::Overlapped,
+                ..EngineOptions::default()
+            },
+        )
+        .unwrap();
         // Same data under either scheme.
         assert_eq!(seq.diff(blocking.data.as_ref().unwrap()), None);
         assert_eq!(seq.diff(overlapped.data.as_ref().unwrap()), None);
@@ -1151,11 +1123,12 @@ mod overlap_tests {
         let model = MachineModel::fast_ethernet_p3();
         let seq = plan.algorithm.execute_sequential();
         let run = |strategy| {
-            execute_strategy(
+            execute(
                 plan.clone(),
                 model,
                 ExecMode::Full,
                 strategy,
+                Backend::Threaded,
                 EngineOptions::default(),
             )
             .unwrap()
@@ -1201,19 +1174,21 @@ mod overlap_tests {
             let t = TilingTransform::rectangular(&tile).unwrap();
             let plan = Arc::new(ParallelPlan::new(alg, t, None).unwrap());
             let model = MachineModel::fast_ethernet_p3();
-            let blocking = execute_strategy(
+            let blocking = execute(
                 plan.clone(),
                 model,
                 ExecMode::TimingOnly,
                 ExecStrategy::Compiled,
+                Backend::Threaded,
                 EngineOptions::default(),
             )
             .unwrap();
-            let overlapped = execute_strategy(
+            let overlapped = execute(
                 plan.clone(),
                 model,
                 ExecMode::TimingOnly,
                 ExecStrategy::Overlapped,
+                Backend::Threaded,
                 EngineOptions::default(),
             )
             .unwrap();
@@ -1233,11 +1208,12 @@ mod overlap_tests {
         let plan = Arc::new(ParallelPlan::new(alg, t, Some(0)).unwrap());
         let model = MachineModel::fast_ethernet_p3();
         let run = |mode| {
-            execute_strategy(
+            execute(
                 plan.clone(),
                 model,
                 mode,
                 ExecStrategy::Overlapped,
+                Backend::Threaded,
                 EngineOptions::default(),
             )
             .unwrap()
@@ -1259,11 +1235,12 @@ mod overlap_tests {
         let reg = MetricsRegistry::new();
         let plan =
             Arc::new(crate::plan::ParallelPlan::new_observed(alg, t, Some(0), Some(&reg)).unwrap());
-        let res = execute_strategy(
+        let res = execute(
             plan,
             MachineModel::fast_ethernet_p3(),
             ExecMode::Full,
             ExecStrategy::Overlapped,
+            Backend::Threaded,
             EngineOptions {
                 obs: Some(reg.clone()),
                 ..EngineOptions::default()

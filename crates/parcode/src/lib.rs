@@ -15,8 +15,8 @@ pub mod seqtiled;
 pub use compiled::CompiledChain;
 pub use emitter_full::{emit_c_program, KernelSource};
 pub use executor::{
-    execute, execute_backend, execute_opts, execute_strategy, execute_with, rank_data_points,
-    run_rank_body, Backend, ExecMode, ExecStrategy, ExecutionResult, RankOutput,
+    execute, rank_data_points, run_rank, Backend, ExecMode, ExecStrategy, ExecutionResult,
+    RankOutput,
 };
 pub use plan::{unrolled_of, ParallelPlan};
 pub use seqtiled::execute_tiled_sequential;

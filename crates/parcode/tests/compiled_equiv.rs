@@ -7,7 +7,7 @@ use std::sync::Arc;
 use tilecc_cluster::{EngineOptions, MachineModel};
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::RMat;
-use tilecc_parcode::{execute_strategy, ExecMode, ExecStrategy, ParallelPlan};
+use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
 use tilecc_tiling::TilingTransform;
 
 fn plans() -> Vec<(&'static str, ParallelPlan)> {
@@ -81,11 +81,12 @@ fn plans() -> Vec<(&'static str, ParallelPlan)> {
 }
 
 fn run(plan: &Arc<ParallelPlan>, strategy: ExecStrategy) -> tilecc_parcode::ExecutionResult {
-    execute_strategy(
+    execute(
         plan.clone(),
         MachineModel::fast_ethernet_p3(),
         ExecMode::Full,
         strategy,
+        Backend::Threaded,
         EngineOptions::default(),
     )
     .unwrap_or_else(|e| panic!("execution failed: {e}"))
@@ -187,11 +188,12 @@ fn compiled_path_eliminates_duplicate_traversals() {
 fn strategies_share_virtual_time_with_timing_only() {
     let (name, plan) = plans().remove(1); // sor_nr: non-trivial lattice
     let plan = Arc::new(plan);
-    let timing = execute_strategy(
+    let timing = execute(
         plan.clone(),
         MachineModel::fast_ethernet_p3(),
         ExecMode::TimingOnly,
         ExecStrategy::Compiled,
+        Backend::Threaded,
         EngineOptions::default(),
     )
     .unwrap();

@@ -38,15 +38,18 @@ impl G {
 
 struct K;
 impl Kernel for K {
-    fn compute(&self, j: &[i64], reads: &[f64]) -> f64 {
+    fn width(&self) -> usize {
+        1
+    }
+    fn compute(&self, j: &[i64], reads: &[f64], out: &mut [f64]) {
         let mut acc = 0.125 * (j[0] % 5) as f64;
         for (i, r) in reads.iter().enumerate() {
             acc += (0.2 + 0.1 * i as f64) * r;
         }
-        acc
+        out[0] = acc;
     }
-    fn initial(&self, j: &[i64]) -> f64 {
-        ((j.iter().sum::<i64>()).rem_euclid(97)) as f64 / 97.0
+    fn initial(&self, j: &[i64], out: &mut [f64]) {
+        out[0] = ((j.iter().sum::<i64>()).rem_euclid(97)) as f64 / 97.0;
     }
 }
 

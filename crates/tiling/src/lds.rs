@@ -135,7 +135,7 @@ impl LdsGeometry {
 }
 
 /// A per-processor LDS: geometry + anchor + storage (`width` components per
-/// cell — one per written array, see `tilecc-loopnest`'s `MultiKernel`).
+/// cell — one per written array, see `tilecc-loopnest`'s `Kernel`).
 pub struct Lds {
     geo: LdsGeometry,
     /// Tile coordinates of the processor's first chain tile (dimension `m`

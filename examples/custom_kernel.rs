@@ -9,9 +9,10 @@
 
 use std::sync::Arc;
 use tilecc::Pipeline;
-use tilecc_cluster::MachineModel;
+use tilecc_cluster::{EngineOptions, MachineModel};
 use tilecc_linalg::{IMat, RMat, Rational};
 use tilecc_loopnest::{Algorithm, Kernel, LoopNest};
+use tilecc_parcode::{Backend, ExecStrategy};
 use tilecc_polytope::{Constraint, Polyhedron};
 use tilecc_tiling::tiling_cone_rays;
 
@@ -20,11 +21,14 @@ use tilecc_tiling::tiling_cone_rays;
 struct Wave;
 
 impl Kernel for Wave {
-    fn compute(&self, _j: &[i64], reads: &[f64]) -> f64 {
-        1.9 * reads[0] - 0.9 * reads[1] + 0.05 * (reads[2] + reads[3])
+    fn width(&self) -> usize {
+        1
     }
-    fn initial(&self, j: &[i64]) -> f64 {
-        (j.iter().sum::<i64>() % 7) as f64 * 0.1
+    fn compute(&self, _j: &[i64], reads: &[f64], out: &mut [f64]) {
+        out[0] = 1.9 * reads[0] - 0.9 * reads[1] + 0.05 * (reads[2] + reads[3]);
+    }
+    fn initial(&self, j: &[i64], out: &mut [f64]) {
+        out[0] = (j.iter().sum::<i64>() % 7) as f64 * 0.1;
     }
 }
 
@@ -59,7 +63,14 @@ fn main() {
         pipeline.plan().m()
     );
 
-    let (summary, data) = pipeline.run_verified(MachineModel::fast_ethernet_p3());
+    let (summary, data) = pipeline
+        .run_verified(
+            MachineModel::fast_ethernet_p3(),
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions::default(),
+        )
+        .unwrap();
     println!("verified: {:?}", summary.verified);
     println!(
         "speedup : {:.3} on {} procs",

@@ -5,8 +5,9 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use tilecc::{matrices, Pipeline};
-use tilecc_cluster::MachineModel;
+use tilecc_cluster::{EngineOptions, MachineModel};
 use tilecc_frontend::{compile_kernel_with, corpus};
+use tilecc_parcode::{Backend, ExecStrategy};
 
 fn main() {
     // The SOR stencil over a 40×80×80 space, skewed so it can be tiled
@@ -28,7 +29,14 @@ fn main() {
     // Execute on the modelled FastEthernet/P-III cluster and verify
     // against the sequential reference execution (bitwise).
     let model = MachineModel::fast_ethernet_p3();
-    let (summary, _data) = pipeline.run_verified(model);
+    let (summary, _data) = pipeline
+        .run_verified(
+            model,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions::default(),
+        )
+        .unwrap();
 
     println!("\niterations        : {}", summary.iterations);
     println!("verified          : {:?}", summary.verified);

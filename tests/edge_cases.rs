@@ -3,12 +3,12 @@
 //! every boundary of its parameter space.
 
 use std::sync::Arc;
-use tilecc::matrices;
-use tilecc_cluster::MachineModel;
+use tilecc::{matrices, Pipeline};
+use tilecc_cluster::{EngineOptions, MachineModel};
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::IMat;
 use tilecc_loopnest::{Algorithm, Kernel, LoopNest};
-use tilecc_parcode::{execute, ExecMode, ParallelPlan};
+use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
 use tilecc_polytope::Polyhedron;
 use tilecc_tiling::TilingTransform;
 
@@ -16,7 +16,15 @@ fn verify(alg: Algorithm, t: TilingTransform, m: Option<usize>) -> usize {
     let seq = alg.execute_sequential();
     let plan = Arc::new(ParallelPlan::new(alg, t, m).unwrap());
     let procs = plan.num_procs();
-    let res = execute(plan, MachineModel::fast_ethernet_p3(), ExecMode::Full);
+    let res = execute(
+        plan,
+        MachineModel::fast_ethernet_p3(),
+        ExecMode::Full,
+        ExecStrategy::Compiled,
+        Backend::Threaded,
+        EngineOptions::default(),
+    )
+    .unwrap();
     assert_eq!(seq.diff(res.data.as_ref().unwrap()), None);
     procs
 }
@@ -54,11 +62,14 @@ fn unit_tiles_maximize_communication() {
 fn single_point_space() {
     struct One;
     impl Kernel for One {
-        fn compute(&self, _j: &[i64], reads: &[f64]) -> f64 {
-            reads[0] + 1.0
+        fn width(&self) -> usize {
+            1
         }
-        fn initial(&self, _j: &[i64]) -> f64 {
-            41.0
+        fn compute(&self, _j: &[i64], reads: &[f64], out: &mut [f64]) {
+            out[0] = reads[0] + 1.0;
+        }
+        fn initial(&self, _j: &[i64], out: &mut [f64]) {
+            out[0] = 41.0;
         }
     }
     let space = Polyhedron::from_box(&[5, 5], &[5, 5]);
@@ -69,7 +80,15 @@ fn single_point_space() {
     let t = TilingTransform::rectangular(&[3, 3]).unwrap();
     let plan = Arc::new(ParallelPlan::new(alg, t, Some(0)).unwrap());
     assert_eq!(plan.num_procs(), 1);
-    let res = execute(plan, MachineModel::fast_ethernet_p3(), ExecMode::Full);
+    let res = execute(
+        plan,
+        MachineModel::fast_ethernet_p3(),
+        ExecMode::Full,
+        ExecStrategy::Compiled,
+        Backend::Threaded,
+        EngineOptions::default(),
+    )
+    .unwrap();
     assert_eq!(res.total_iterations, 1);
     assert_eq!(res.data.unwrap().get(&[5, 5]), Some(42.0));
 }
@@ -99,10 +118,16 @@ fn asymmetric_extreme_aspect_ratio_tiles() {
 fn zero_comm_model_single_tile_speedup_is_one() {
     let alg = compile_kernel_with(corpus::ADI, &[("T", 4), ("N", 5)]).unwrap();
     let t = TilingTransform::rectangular(&[100, 100, 100]).unwrap();
-    let plan = Arc::new(ParallelPlan::new(alg, t, Some(0)).unwrap());
-    let model = MachineModel::zero_comm(1e-6);
-    let res = execute(plan, model, ExecMode::TimingOnly);
-    let speedup = res.speedup(&model);
+    let pipe = Pipeline::compile_transform(alg, t, Some(0)).unwrap();
+    let summary = pipe
+        .simulate(
+            MachineModel::zero_comm(1e-6),
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions::default(),
+        )
+        .unwrap();
+    let speedup = summary.speedup;
     assert!((speedup - 1.0).abs() < 1e-9, "speedup = {speedup}");
 }
 

@@ -5,11 +5,11 @@
 
 use std::sync::Arc;
 use tilecc::{matrices, Pipeline};
-use tilecc_cluster::MachineModel;
+use tilecc_cluster::{EngineOptions, MachineModel};
 use tilecc_frontend::{compile_kernel, compile_kernel_with, corpus};
 use tilecc_linalg::{IMat, RMat, Rational};
 use tilecc_loopnest::{Algorithm, Kernel, LoopNest};
-use tilecc_parcode::{execute, ExecMode, ParallelPlan};
+use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
 use tilecc_polytope::{Constraint, Polyhedron};
 use tilecc_tiling::TilingTransform;
 
@@ -22,7 +22,11 @@ fn verify(alg: Algorithm, h: RMat, m: Option<usize>) {
         plan.clone(),
         MachineModel::fast_ethernet_p3(),
         ExecMode::Full,
-    );
+        ExecStrategy::Compiled,
+        Backend::Threaded,
+        EngineOptions::default(),
+    )
+    .unwrap();
     assert_eq!(
         res.total_iterations as usize, total,
         "{name}: iteration conservation"
@@ -127,11 +131,14 @@ fn non_unit_stride_lattice_end_to_end() {
 fn long_dependencies_span_multiple_tiles() {
     struct LongDep;
     impl Kernel for LongDep {
-        fn compute(&self, _j: &[i64], reads: &[f64]) -> f64 {
-            0.5 * reads[0] + 0.25 * reads[1] + 1.0
+        fn width(&self) -> usize {
+            1
         }
-        fn initial(&self, j: &[i64]) -> f64 {
-            (j[0] * 3 + j[1]) as f64 * 0.01
+        fn compute(&self, _j: &[i64], reads: &[f64], out: &mut [f64]) {
+            out[0] = 0.5 * reads[0] + 0.25 * reads[1] + 1.0;
+        }
+        fn initial(&self, j: &[i64], out: &mut [f64]) {
+            out[0] = (j[0] * 3 + j[1]) as f64 * 0.01;
         }
     }
     let space = Polyhedron::from_box(&[0, 0], &[14, 14]);
@@ -166,11 +173,14 @@ fn matrices_2d(x: i64, y: i64) -> RMat {
 fn general_convex_space_end_to_end() {
     struct Sum;
     impl Kernel for Sum {
-        fn compute(&self, _j: &[i64], reads: &[f64]) -> f64 {
-            reads[0] + reads[1] + reads[2] + 1.0
+        fn width(&self) -> usize {
+            1
         }
-        fn initial(&self, _j: &[i64]) -> f64 {
-            0.25
+        fn compute(&self, _j: &[i64], reads: &[f64], out: &mut [f64]) {
+            out[0] = reads[0] + reads[1] + reads[2] + 1.0;
+        }
+        fn initial(&self, _j: &[i64], out: &mut [f64]) {
+            out[0] = 0.25;
         }
     }
     let mut space = Polyhedron::from_box(&[1, 1, 1], &[10, 12, 12]);
@@ -195,8 +205,24 @@ fn timing_only_equals_full_timing() {
         .unwrap(),
     );
     let model = MachineModel::fast_ethernet_p3();
-    let full = execute(plan.clone(), model, ExecMode::Full);
-    let fast = execute(plan, model, ExecMode::TimingOnly);
+    let full = execute(
+        plan.clone(),
+        model,
+        ExecMode::Full,
+        ExecStrategy::Compiled,
+        Backend::Threaded,
+        EngineOptions::default(),
+    )
+    .unwrap();
+    let fast = execute(
+        plan,
+        model,
+        ExecMode::TimingOnly,
+        ExecStrategy::Compiled,
+        Backend::Threaded,
+        EngineOptions::default(),
+    )
+    .unwrap();
     assert_eq!(full.makespan(), fast.makespan());
     assert_eq!(full.total_iterations, fast.total_iterations);
     assert_eq!(full.report.total_messages(), fast.report.total_messages());
@@ -215,8 +241,22 @@ fn repeated_runs_are_deterministic() {
         Pipeline::compile(alg, matrices::sor_nr(2, 3, 3), Some(2)).unwrap()
     };
     let model = MachineModel::fast_ethernet_p3();
-    let (s1, d1) = mk().run_verified(model);
-    let (s2, d2) = mk().run_verified(model);
+    let (s1, d1) = mk()
+        .run_verified(
+            model,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions::default(),
+        )
+        .unwrap();
+    let (s2, d2) = mk()
+        .run_verified(
+            model,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions::default(),
+        )
+        .unwrap();
     assert_eq!(d1.diff(&d2), None);
     assert_eq!(s1.makespan, s2.makespan);
     assert_eq!(s1.bytes, s2.bytes);
@@ -252,7 +292,15 @@ fn heat1d_two_dimensional_end_to_end() {
         let plan = Arc::new(
             ParallelPlan::new(alg, TilingTransform::rectangular(&[3, 4]).unwrap(), m).unwrap(),
         );
-        let res = execute(plan, MachineModel::fast_ethernet_p3(), ExecMode::Full);
+        let res = execute(
+            plan,
+            MachineModel::fast_ethernet_p3(),
+            ExecMode::Full,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions::default(),
+        )
+        .unwrap();
         assert_eq!(seq.diff(res.data.as_ref().unwrap()), None);
     }
     // Non-rectangular 2-D tiling with the second row parallel to the
@@ -261,7 +309,15 @@ fn heat1d_two_dimensional_end_to_end() {
     let seq = alg.execute_sequential();
     let h = RMat::from_fractions(&[&[(1, 3), (0, 1)], &[(1, 4), (-1, 8)]]);
     let plan = Arc::new(ParallelPlan::new(alg, TilingTransform::new(h).unwrap(), Some(1)).unwrap());
-    let res = execute(plan, MachineModel::fast_ethernet_p3(), ExecMode::Full);
+    let res = execute(
+        plan,
+        MachineModel::fast_ethernet_p3(),
+        ExecMode::Full,
+        ExecStrategy::Compiled,
+        Backend::Threaded,
+        EngineOptions::default(),
+    )
+    .unwrap();
     assert_eq!(seq.diff(res.data.as_ref().unwrap()), None);
 }
 
@@ -289,7 +345,15 @@ fn wave4d_four_dimensional_end_to_end() {
             ParallelPlan::new(alg.clone(), TilingTransform::new(h).unwrap(), Some(0)).unwrap(),
         );
         let total = plan.total_iterations();
-        let res = execute(plan, MachineModel::fast_ethernet_p3(), ExecMode::Full);
+        let res = execute(
+            plan,
+            MachineModel::fast_ethernet_p3(),
+            ExecMode::Full,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions::default(),
+        )
+        .unwrap();
         assert_eq!(res.total_iterations as usize, total);
         assert_eq!(seq.diff(res.data.as_ref().unwrap()), None);
     }
@@ -315,7 +379,11 @@ fn adi_paper_multi_array_end_to_end() {
             plan.clone(),
             MachineModel::fast_ethernet_p3(),
             ExecMode::Full,
-        );
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions::default(),
+        )
+        .unwrap();
         assert_eq!(
             seq.diff(res.data.as_ref().unwrap()),
             None,
@@ -339,15 +407,18 @@ fn adi_paper_multi_array_end_to_end() {
 fn non_monotone_minsucc_needs_message_tags() {
     struct K2;
     impl Kernel for K2 {
-        fn compute(&self, j: &[i64], reads: &[f64]) -> f64 {
+        fn width(&self) -> usize {
+            1
+        }
+        fn compute(&self, j: &[i64], reads: &[f64], out: &mut [f64]) {
             let mut acc = 0.125 * (j[0] % 5) as f64;
             for (i, r) in reads.iter().enumerate() {
                 acc += (0.2 + 0.1 * i as f64) * r;
             }
-            acc
+            out[0] = acc;
         }
-        fn initial(&self, j: &[i64]) -> f64 {
-            ((j.iter().sum::<i64>()).rem_euclid(97)) as f64 / 97.0
+        fn initial(&self, j: &[i64], out: &mut [f64]) {
+            out[0] = ((j.iter().sum::<i64>()).rem_euclid(97)) as f64 / 97.0;
         }
     }
     let mut space = Polyhedron::from_box(&[1, 1, 1], &[10, 10, 12]);
@@ -369,6 +440,14 @@ fn non_monotone_minsucc_needs_message_tags() {
         plan.comm.tile_deps.iter().any(|d| d[0] >= 2),
         "precondition: a tile dependence must hop two tiles along m"
     );
-    let res = execute(plan, MachineModel::fast_ethernet_p3(), ExecMode::Full);
+    let res = execute(
+        plan,
+        MachineModel::fast_ethernet_p3(),
+        ExecMode::Full,
+        ExecStrategy::Compiled,
+        Backend::Threaded,
+        EngineOptions::default(),
+    )
+    .unwrap();
     assert_eq!(seq.diff(res.data.as_ref().unwrap()), None);
 }

@@ -8,10 +8,12 @@
 //! reproduce it exactly.
 
 use std::sync::Arc;
-use tilecc_cluster::MachineModel;
+use tilecc_cluster::{EngineOptions, MachineModel};
 use tilecc_linalg::{IMat, RMat, Rational};
 use tilecc_loopnest::{Algorithm, Kernel, LoopNest};
-use tilecc_parcode::{execute, execute_tiled_sequential, ExecMode, ParallelPlan};
+use tilecc_parcode::{
+    execute, execute_tiled_sequential, Backend, ExecMode, ExecStrategy, ParallelPlan,
+};
 use tilecc_polytope::{Constraint, Polyhedron};
 use tilecc_tiling::{tiling_cone_rays, TilingTransform};
 
@@ -44,19 +46,22 @@ struct GenericStencil {
 }
 
 impl Kernel for GenericStencil {
-    fn compute(&self, j: &[i64], reads: &[f64]) -> f64 {
+    fn width(&self) -> usize {
+        1
+    }
+    fn compute(&self, j: &[i64], reads: &[f64], out: &mut [f64]) {
         let mut acc = 0.125 * (j[0] % 5) as f64;
         for (w, r) in self.weights.iter().zip(reads) {
             acc += w * r;
         }
-        acc
+        out[0] = acc;
     }
-    fn initial(&self, j: &[i64]) -> f64 {
+    fn initial(&self, j: &[i64], out: &mut [f64]) {
         let mut h: i64 = 23;
         for &v in j {
             h = h.wrapping_mul(37).wrapping_add(v);
         }
-        (h.rem_euclid(997)) as f64 / 997.0
+        out[0] = (h.rem_euclid(997)) as f64 / 997.0;
     }
 }
 
@@ -190,7 +195,15 @@ fn run_case(
     );
     // Parallel execution must match bitwise and conserve iterations.
     let total = plan.total_iterations();
-    let res = execute(plan, MachineModel::fast_ethernet_p3(), ExecMode::Full);
+    let res = execute(
+        plan,
+        MachineModel::fast_ethernet_p3(),
+        ExecMode::Full,
+        ExecStrategy::Compiled,
+        Backend::Threaded,
+        EngineOptions::default(),
+    )
+    .unwrap();
     assert_eq!(
         res.total_iterations as usize, total,
         "case {case}: iteration conservation"
