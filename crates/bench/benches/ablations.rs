@@ -4,7 +4,8 @@
 //!   stride division) vs. a naive uncondensed TTIS-image array. The paper
 //!   argues condensation both saves memory and exploits cache locality.
 //! * `clamp_ablation` — per-point membership testing on every tile vs. the
-//!   convexity-based interior-tile fast path.
+//!   compiled count: interior tiles whole, boundary tiles one line clip per
+//!   compute run (`count_tile`).
 //! * `mapping_ablation` — wall cost of simulating under each mapping
 //!   dimension (the makespans themselves are printed by the `ablation`
 //!   binary).
@@ -18,6 +19,7 @@ use tilecc_bench::harness::Harness;
 use tilecc_cluster::{EngineOptions, MachineModel};
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::RMat;
+use tilecc_parcode::compiled::{count_tile, tile_origin};
 use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
 use tilecc_tiling::{CommPlan, Lds, LdsGeometry, TiledSpace, TilingTransform};
 
@@ -81,7 +83,8 @@ fn lds_ablation(h: &mut Harness) {
 fn clamp_ablation(h: &mut Harness) {
     let alg = compile_kernel_with(corpus::SOR, &[("M", 16), ("N", 24)]).unwrap();
     let t = TilingTransform::new(matrices::sor_nr(4, 10, 8)).unwrap();
-    let tiled = TiledSpace::new(t, alg.nest.space().clone()).unwrap();
+    let plan = ParallelPlan::new(alg, t, None).unwrap();
+    let tiled = &plan.tiled;
     let tiles: Vec<Vec<i64>> = tiled.tiles().collect();
     h.bench("clamp_ablation/per_point_membership", || {
         let mut n = 0usize;
@@ -90,10 +93,16 @@ fn clamp_ablation(h: &mut Harness) {
         }
         black_box(n);
     });
-    h.bench("clamp_ablation/interior_corner_fast_path", || {
-        let mut n = 0usize;
+    // Per-tile counts do not depend on the chain length.
+    let (lo_t, hi_t) = plan.dist.chains[0];
+    let chain = plan.compiled_for(hi_t - lo_t + 1);
+    let mut j = vec![0i64; plan.dim()];
+    h.bench("clamp_ablation/interior_fast_path_and_run_clip", || {
+        let mut n = 0u64;
         for tile in &tiles {
-            n += tiled.tile_volume_fast(tile);
+            let origin = tile_origin(tiled.transform(), tile);
+            let clamp = (!tiled.tile_is_interior(tile)).then_some(&plan.clamp);
+            n += count_tile(chain, &origin, clamp, &chain.compute_runs, &mut j);
         }
         black_box(n);
     });

@@ -33,7 +33,10 @@
 //!
 //! In every mode, each case's sequential oracle (`execute_sequential`) is
 //! also compared bitwise against the run-based scan (`execute_scan`) that
-//! `verify` uses.
+//! `verify` uses. In the default and `--dsl` modes, each case also runs the
+//! compiled and overlapped strategies in `TimingOnly` mode, which must equal
+//! their `Full` runs on makespan bits, per-rank clocks, iterations,
+//! messages and bytes.
 //!
 //! Every failure path prints the RNG seed so regressions reproduce with
 //! `fuzz <seed>`. Found two real bugs during development (Fourier–Motzkin
@@ -50,7 +53,8 @@ use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::{IMat, RMat, Rational};
 use tilecc_loopnest::{Algorithm, DataSpace, Kernel, LoopNest};
 use tilecc_parcode::{
-    execute, execute_tiled_sequential, Backend, ExecMode, ExecStrategy, ParallelPlan,
+    execute, execute_tiled_sequential, Backend, ExecMode, ExecStrategy, ExecutionResult,
+    ParallelPlan,
 };
 use tilecc_polytope::{Constraint, Polyhedron};
 use tilecc_tiling::{tiling_cone_rays, TilingTransform};
@@ -143,6 +147,74 @@ const DSL_CORPUS: &[(&str, &str)] = &[
 
 /// The frozen fingerprint of a paper workload at the sizes its `.tk`
 /// file declares, or `None` for the corpus kernels without one.
+/// Run `plan` on the threaded backend with a fresh metrics registry;
+/// an engine error fails the case.
+fn run_observed(
+    plan: &Arc<ParallelPlan>,
+    mode: ExecMode,
+    strategy: ExecStrategy,
+    seed: u64,
+    case: u64,
+) -> (ExecutionResult, Arc<MetricsRegistry>) {
+    let reg = MetricsRegistry::new();
+    let options = EngineOptions {
+        obs: Some(reg.clone()),
+        ..EngineOptions::default()
+    };
+    let model = MachineModel::fast_ethernet_p3();
+    match execute(
+        plan.clone(),
+        model,
+        mode,
+        strategy,
+        Backend::Threaded,
+        options,
+    ) {
+        Ok(r) => (r, reg),
+        Err(e) => {
+            eprintln!("  {mode:?} {strategy:?} run failed: {e}");
+            fail(seed, case, "strategy run failed");
+        }
+    }
+}
+
+/// The timing-only leg: a `TimingOnly` run of each strategy must equal its
+/// `Full` run on makespan bits, per-rank clocks and the logical counters,
+/// since virtual time depends only on iteration counts and message sizes.
+fn check_timing_only(
+    plan: &Arc<ParallelPlan>,
+    full: [(ExecStrategy, &ExecutionResult, &ObsReport); 2],
+    seed: u64,
+    case: u64,
+) {
+    for (strategy, res, rep) in full {
+        let (timing, reg) = run_observed(plan, ExecMode::TimingOnly, strategy, seed, case);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        if timing.makespan().to_bits() != res.makespan().to_bits()
+            || bits(&timing.report.local_times) != bits(&res.report.local_times)
+        {
+            eprintln!("  {strategy:?}: timing-only clocks differ from the full run");
+            fail(seed, case, "timing-only/full clock mismatch");
+        }
+        let rep_t = reg.run_report(&timing.report.local_times);
+        for c in [
+            Counter::Iterations,
+            Counter::MessagesSent,
+            Counter::BytesSent,
+        ] {
+            if rep_t.total(c) != rep.total(c) {
+                eprintln!(
+                    "  {strategy:?} counter {}: full {} timing-only {}",
+                    c.name(),
+                    rep.total(c),
+                    rep_t.total(c)
+                );
+                fail(seed, case, "timing-only/full counter mismatch");
+            }
+        }
+    }
+}
+
 fn frozen_hash(name: &str) -> Option<u64> {
     corpus::FROZEN
         .iter()
@@ -182,26 +254,6 @@ fn dsl_mode(seed: u64, cases: u64) -> ! {
     let mut per_kernel = vec![0u64; DSL_CORPUS.len()];
     let mut frozen_cases = 0u64;
     let mut vectorized_points = 0u64;
-    let run =
-        |plan: &Arc<ParallelPlan>, strat: ExecStrategy, reg: &Arc<MetricsRegistry>, case: u64| {
-            match execute(
-                plan.clone(),
-                MachineModel::fast_ethernet_p3(),
-                ExecMode::Full,
-                strat,
-                Backend::Threaded,
-                EngineOptions {
-                    obs: Some(reg.clone()),
-                    ..EngineOptions::default()
-                },
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("  {strat:?} strategy run failed: {e}");
-                    fail(seed, case, "strategy run failed on a DSL kernel");
-                }
-            }
-        };
     for case in 0..cases {
         let ki = (case % DSL_CORPUS.len() as u64) as usize;
         let (name, src) = DSL_CORPUS[ki];
@@ -258,14 +310,13 @@ fn dsl_mode(seed: u64, cases: u64) -> ! {
         if seq.diff(&ts).is_some() {
             fail(seed, case, "DSL tiled sequential reordering mismatch");
         }
-        let reg_c = MetricsRegistry::new();
-        let res = run(&plan, ExecStrategy::Compiled, &reg_c, case);
+        let (res, reg_c) = run_observed(&plan, ExecMode::Full, ExecStrategy::Compiled, seed, case);
         if let Some(bad) = seq.diff(res.data.as_ref().unwrap()) {
             eprintln!("  MISMATCH at {bad:?}");
             fail(seed, case, "DSL parallel/sequential mismatch");
         }
-        let reg_r = MetricsRegistry::new();
-        let reference = run(&plan, ExecStrategy::Reference, &reg_r, case);
+        let (reference, reg_r) =
+            run_observed(&plan, ExecMode::Full, ExecStrategy::Reference, seed, case);
         if res
             .data
             .as_ref()
@@ -284,8 +335,8 @@ fn dsl_mode(seed: u64, cases: u64) -> ! {
                 "DSL compiled/reference makespan/traffic mismatch",
             );
         }
-        let reg_o = MetricsRegistry::new();
-        let overlapped = run(&plan, ExecStrategy::Overlapped, &reg_o, case);
+        let (overlapped, reg_o) =
+            run_observed(&plan, ExecMode::Full, ExecStrategy::Overlapped, seed, case);
         if res
             .data
             .as_ref()
@@ -322,6 +373,16 @@ fn dsl_mode(seed: u64, cases: u64) -> ! {
         if rep_r.total(Counter::VectorizedPoints) != 0 {
             fail(seed, case, "DSL reference strategy reported batched points");
         }
+        let rep_o = reg_o.run_report(&overlapped.report.local_times);
+        check_timing_only(
+            &plan,
+            [
+                (ExecStrategy::Compiled, &res, &rep_c),
+                (ExecStrategy::Overlapped, &overlapped, &rep_o),
+            ],
+            seed,
+            case,
+        );
         vectorized_points += rep_c.total(Counter::VectorizedPoints);
     }
     if cases >= DSL_CORPUS.len() as u64 {
@@ -502,24 +563,7 @@ fn main() {
         }
         // The compiled run records observability metrics so conservation
         // invariants can be checked below.
-        let reg_c = MetricsRegistry::new();
-        let res = match execute(
-            plan.clone(),
-            MachineModel::fast_ethernet_p3(),
-            ExecMode::Full,
-            ExecStrategy::Compiled,
-            Backend::Threaded,
-            EngineOptions {
-                obs: Some(reg_c.clone()),
-                ..EngineOptions::default()
-            },
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("  compiled-strategy run failed: {e}");
-                fail(seed, case, "compiled strategy failed");
-            }
-        };
+        let (res, reg_c) = run_observed(&plan, ExecMode::Full, ExecStrategy::Compiled, seed, case);
         if let Some(bad) = seq.diff(res.data.as_ref().unwrap()) {
             eprintln!("  MISMATCH at {bad:?}");
             let tf = plan.tiled.transform();
@@ -544,24 +588,8 @@ fn main() {
         // Compiled vs reference strategy: `execute` above ran the compiled
         // (default) path; the per-point reference path must agree bitwise
         // with identical virtual time and traffic.
-        let reg_r = MetricsRegistry::new();
-        let reference = match execute(
-            plan.clone(),
-            MachineModel::fast_ethernet_p3(),
-            ExecMode::Full,
-            ExecStrategy::Reference,
-            Backend::Threaded,
-            EngineOptions {
-                obs: Some(reg_r.clone()),
-                ..EngineOptions::default()
-            },
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("  reference-strategy run failed: {e}");
-                fail(seed, case, "reference strategy failed");
-            }
-        };
+        let (reference, reg_r) =
+            run_observed(&plan, ExecMode::Full, ExecStrategy::Reference, seed, case);
         if let Some(bad) = res
             .data
             .as_ref()
@@ -708,24 +736,8 @@ fn main() {
         // Overlapped strategy: boundary-first execution with sends hidden
         // behind the interior must be a pure schedule change — same data,
         // same traffic, and never a later finish than blocking compiled.
-        let reg_o = MetricsRegistry::new();
-        let overlapped = match execute(
-            plan.clone(),
-            MachineModel::fast_ethernet_p3(),
-            ExecMode::Full,
-            ExecStrategy::Overlapped,
-            Backend::Threaded,
-            EngineOptions {
-                obs: Some(reg_o.clone()),
-                ..EngineOptions::default()
-            },
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("  overlapped-strategy run failed: {e}");
-                fail(seed, case, "overlapped strategy failed");
-            }
-        };
+        let (overlapped, reg_o) =
+            run_observed(&plan, ExecMode::Full, ExecStrategy::Overlapped, seed, case);
         if let Some(bad) = res
             .data
             .as_ref()
@@ -784,6 +796,15 @@ fn main() {
                 "overlapped strategy batched more points than iterations",
             );
         }
+        check_timing_only(
+            &plan,
+            [
+                (ExecStrategy::Compiled, &res, &rep_c),
+                (ExecStrategy::Overlapped, &overlapped, &rep_o),
+            ],
+            seed,
+            case,
+        );
         if tcp && plan.num_procs() <= 8 {
             // Cross-backend check: the same compiled program over real
             // sockets must be indistinguishable from the threaded run —

@@ -184,6 +184,7 @@ fn bench_workload(name: &str, plan: ParallelPlan, smoke: bool) -> (Vec<PathResul
                 kernel.as_ref(),
                 scratch,
                 &chain.compute_runs,
+                None,
             );
         })
     };
@@ -403,6 +404,7 @@ fn obs_overhead(smoke: bool) {
                     kernel,
                     scratch,
                     &chain.compute_runs,
+                    None,
                 );
             });
             let g = time_ns(smoke, points, || {
@@ -418,6 +420,7 @@ fn obs_overhead(smoke: bool) {
                     kernel,
                     scratch,
                     &chain.compute_runs,
+                    None,
                 );
                 if let Some(reg) = disabled.as_ref() {
                     reg.rank_metrics(rank); // never reached
@@ -714,7 +717,7 @@ fn vec_bench(out_path: &str, smoke: bool) {
         compute_tile_fast_per_point(chain, &mut lds, tpos, &origin, kernel, &mut scratch);
         let want: Vec<u64> = lds.values().iter().map(|v| v.to_bits()).collect();
         fill(&mut lds);
-        let batched = compute_tile_fast(
+        let (_, batched) = compute_tile_fast(
             chain,
             &mut lds,
             tpos,
@@ -722,6 +725,7 @@ fn vec_bench(out_path: &str, smoke: bool) {
             kernel,
             &mut scratch,
             &chain.compute_runs,
+            None,
         );
         let got: Vec<u64> = lds.values().iter().map(|v| v.to_bits()).collect();
         assert_eq!(
@@ -755,6 +759,7 @@ fn vec_bench(out_path: &str, smoke: bool) {
                     kernel,
                     scratch,
                     &chain.compute_runs,
+                    None,
                 );
             })
         };
@@ -873,7 +878,7 @@ fn vec_bench(out_path: &str, smoke: bool) {
         let (blo_t, bhi_t) = plan.dist.chains[brank];
         let bchain = plan.compiled_for(bhi_t - blo_t + 1);
         let borigin = tile_origin(t, &btile);
-        let space = plan.tiled.space();
+        let space = &plan.clamp.space;
         let mut blds = Lds::with_width(plan.geo.clone(), plan.anchor(brank), bhi_t - blo_t + 1, w);
         fill(&mut blds);
         let walk = |lds: &Lds, ds: &mut DataSpace| {

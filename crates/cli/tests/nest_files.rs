@@ -105,13 +105,15 @@ fn corpus() -> Vec<(String, String)> {
         .collect()
 }
 
-fn scratch(name: &str) -> std::path::PathBuf {
+/// A temp path for `name`, unique per test (`tag`): tests run in parallel
+/// in one process, and two of them write files for the same kernel.
+fn scratch(tag: &str, name: &str) -> std::path::PathBuf {
     let stem = std::path::Path::new(name)
         .file_stem()
         .unwrap()
         .to_str()
         .unwrap();
-    std::env::temp_dir().join(format!("tilecc-emit-{}-{stem}", std::process::id()))
+    std::env::temp_dir().join(format!("tilecc-{tag}-{}-{stem}", std::process::id()))
 }
 
 #[test]
@@ -127,7 +129,7 @@ fn emit_on_every_nest_is_well_formed_and_compiles() {
             "{f}: braces"
         );
         if let Some(gcc) = gcc() {
-            let path = scratch(&f).with_extension("c");
+            let path = scratch("emit", &f).with_extension("c");
             std::fs::write(&path, &out).unwrap();
             let res = std::process::Command::new(gcc)
                 .args([
@@ -208,7 +210,7 @@ fn emitted_kernel_matches_lowered_kernel_bitwise() {
                 list(&reads.iter().map(|v| format!("{v:?}")).collect::<Vec<_>>()),
             ));
         }
-        let base = scratch(name);
+        let base = scratch("kernel", name);
         let program = base.with_extension("c");
         let harness = base.with_extension("harness.c");
         let exe = base.with_extension("exe");

@@ -13,8 +13,9 @@
 //! - Dependence `i` is one flat offset `off_i = Σ_k d_ik·weights[k]` into
 //!   the dense box.
 //! - Per range it computes the *interior window*: the `x` for which every
-//!   source `j − d_i` lies in the iteration space. Such a source precedes
-//!   `j` lexicographically, so it is written, and both points sit in the
+//!   source `j − d_i` lies in the iteration space, one [`LineClip`] solve
+//!   along the innermost axis. Such a source precedes `j`
+//!   lexicographically, so it is written, and both points sit in the
 //!   box, so its cell is `cell(j) − off_i` (and `off_i ≥ 1`). Inside the
 //!   window reads go unchecked; only the window's two edges take the
 //!   checked per-point path.
@@ -28,7 +29,7 @@
 
 use crate::data::DataSpace;
 use crate::kernel::{Algorithm, Kernel, CACHE_BLOCK, MIN_BATCH};
-use tilecc_polytope::Constraint;
+use tilecc_polytope::LineClip;
 
 impl Algorithm {
     /// Sequential execution by innermost runs: the same data space as
@@ -59,28 +60,8 @@ impl Algorithm {
         } else {
             0
         };
-        // Window rows: a source `j − d_i` satisfies `c·s + b ≥ 0` for
-        // every dependence iff `c·j + b − max_i c·d_i ≥ 0`.
-        let rows: Vec<(&Constraint, i128)> = if q == 0 {
-            vec![]
-        } else {
-            self.nest
-                .space()
-                .constraints()
-                .iter()
-                .map(|c| {
-                    let shift = (0..q)
-                        .map(|i| {
-                            (0..n)
-                                .map(|k| i128::from(c.coeff(k)) * i128::from(d[i * n + k]))
-                                .sum::<i128>()
-                        })
-                        .max()
-                        .unwrap_or(0);
-                    (c, shift)
-                })
-                .collect()
-        };
+        // The window: the `x` whose every source `j − d_i` is in the space.
+        let window = LineClip::new(self.nest.space(), Some(deps));
         let bounds = self.nest.bounds();
         let last = n - 1;
         let (vals, written) = ds.cells_mut();
@@ -112,7 +93,9 @@ impl Algorithm {
                 .map(|k| (outer[k] - scan.lo[k]) * weights[k])
                 .sum::<i64>()
                 - scan.lo[last];
-            let (wlo, whi) = window(&rows, outer, a, h);
+            // The range is the line `(outer, 0) + x·e_{n−1}`, x ∈ [a, h].
+            scan.j[last] = 0;
+            let (wlo, whi) = window.clip(&scan.j, &scan.unit, a, h).unwrap_or((h + 1, h));
             for x in a..wlo {
                 scan.checked(x, row + x);
             }
@@ -122,39 +105,6 @@ impl Algorithm {
             }
         }
         ds
-    }
-}
-
-/// The interior window of the range `[a, h]` at `outer`: the `x` whose
-/// every dependence source satisfies every row. Empty as `(h + 1, h)`, so
-/// the left edge then covers the whole range.
-fn window(rows: &[(&Constraint, i128)], outer: &[i64], a: i64, h: i64) -> (i64, i64) {
-    let last = outer.len();
-    let (mut wlo, mut whi) = (i128::from(a), i128::from(h));
-    for &(c, shift) in rows {
-        let coeffs = c.coeffs();
-        // The row at the outer point, shifted: `inner·x + r ≥ 0`.
-        let r = coeffs[..last]
-            .iter()
-            .zip(outer)
-            .fold(i128::from(c.constant()) - shift, |acc, (&a, &v)| {
-                acc + i128::from(a) * i128::from(v)
-            });
-        let inner = i128::from(coeffs[last]);
-        if inner > 0 {
-            let need = (-r).div_euclid(inner) + i128::from((-r).rem_euclid(inner) != 0);
-            wlo = wlo.max(need);
-        } else if inner < 0 {
-            whi = whi.min(r.div_euclid(-inner));
-        } else if r < 0 {
-            return (h + 1, h);
-        }
-    }
-    if wlo > whi {
-        (h + 1, h)
-    } else {
-        // Both lie within [a, h], so they fit i64.
-        (wlo as i64, whi as i64)
     }
 }
 

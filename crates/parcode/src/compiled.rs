@@ -15,6 +15,12 @@
 //! - Dependences are uniform, so each read source sits at a *constant signed
 //!   displacement* `src_rel` from the tile base — no per-point address
 //!   derivation, no membership test on interior tiles.
+//! - A boundary tile runs the same compute runs, each clipped once by the
+//!   iteration space ([`Clamp`], one [`LineClip`] solve per run) to its
+//!   in-space interval and to the window whose every dependence source is
+//!   in the space. The window batches like an interior run; only the points
+//!   between the two edges are tested one by one. The timing-only path
+//!   counts the same intervals ([`count_tile`]).
 //! - The pack/unpack lattice walks of RECEIVE/SEND run once per plan, not
 //!   once per tile, leaving dense index-list copies in the hot loop.
 //! - The gather writes each owned cell straight into the global `DataSpace`
@@ -43,7 +49,7 @@ use std::sync::OnceLock;
 use tilecc_linalg::vecops::div_floor;
 use tilecc_linalg::IMat;
 use tilecc_loopnest::{DataSpace, Kernel};
-use tilecc_polytope::Polyhedron;
+use tilecc_polytope::{LineClip, Polyhedron};
 use tilecc_tiling::{CommPlan, Lds, LdsGeometry, TiledSpace, TilingTransform};
 
 /// Sentinel for precomputed unpack cells outside the LDS allocation (halo
@@ -540,6 +546,16 @@ impl CompiledChain {
     pub fn pack_counts(&self) -> Vec<usize> {
         self.pack_rel.iter().map(Vec::len).collect()
     }
+
+    /// Write the iteration of walk position `i` of the tile at `origin`,
+    /// `origin + j_off[i]`, into `j`.
+    #[inline]
+    pub(crate) fn iteration_into(&self, origin: &[i64], i: usize, j: &mut [i64]) {
+        let n = self.n;
+        for k in 0..n {
+            j[k] = origin[k] + self.j_off[i * n + k];
+        }
+    }
 }
 
 /// The tile's origin iteration `P·tile` (integral: `P` is validated to have
@@ -583,17 +599,47 @@ impl ComputeScratch {
     }
 }
 
-/// Dense compute loop for a compute-interior tile: every point is in the
-/// iteration space and every read source is stored in the LDS, so the loop
-/// runs with zero membership tests and no per-point allocation. Iterates
-/// `runs` — the whole walk ([`CompiledChain::compute_runs`]) or one pass of
-/// the overlapped strategy ([`OverlapSplit::boundary_runs`] /
-/// [`OverlapSplit::interior_runs`]). Runs with a usable `batch` width go
-/// through the kernel's `compute_run` batch entry in cache-blocked chunks
-/// (reads bulk-copied per dependence, one kernel dispatch per chunk, one
-/// bulk write-back), bitwise identical to the per-point order (see
-/// [`CompiledChain`]'s lag analysis); the rest fall back to the per-point
-/// loop. Returns the number of points computed through the batch entry.
+/// A boundary tile's clamp (§3.2), built once per plan: the iteration
+/// space as a line clipper, the window of points whose every dependence
+/// source is in the space too, and the dependences for the per-point test
+/// at the window's edges.
+pub struct Clamp {
+    /// The iteration space.
+    pub space: LineClip,
+    /// The points `j` whose every source `j − d_i` is in the space.
+    window: LineClip,
+    deps: IMat,
+}
+
+impl Clamp {
+    /// The clamp of `space` under the dependence columns `deps`.
+    pub(crate) fn new(space: &Polyhedron, deps: &IMat) -> Self {
+        Clamp {
+            space: LineClip::new(space, None),
+            window: LineClip::new(space, Some(deps)),
+            deps: deps.clone(),
+        }
+    }
+}
+
+/// Compute a tile along `runs` — the whole walk
+/// ([`CompiledChain::compute_runs`]) or one pass of the overlapped strategy
+/// ([`OverlapSplit::boundary_runs`] / [`OverlapSplit::interior_runs`]) —
+/// with no per-point allocation. A compute-interior tile passes `clamp =
+/// None`: every point is in the space and every read source is stored in
+/// the LDS, so no point is tested. A boundary tile passes its [`Clamp`],
+/// which cuts each run to its in-space interval and, inside that, to the
+/// window where every source is in the space too; only the points between
+/// the two are tested one by one, and a source outside the space reads
+/// the kernel's initial value. A window (or a whole unclamped run) with a
+/// usable `batch` width goes through the kernel's `compute_run` batch
+/// entry in cache-blocked chunks (reads bulk-copied per dependence, one
+/// kernel dispatch per chunk, one bulk write-back), bitwise identical to
+/// the per-point order (see [`CompiledChain`]'s lag analysis, which holds
+/// for any stretch of a run); the rest run per point. Returns the number
+/// of in-space points computed and how many of them went through the
+/// batch entry.
+#[allow(clippy::too_many_arguments)]
 pub fn compute_tile_fast<K: Kernel + ?Sized>(
     chain: &CompiledChain,
     lds: &mut Lds,
@@ -602,22 +648,62 @@ pub fn compute_tile_fast<K: Kernel + ?Sized>(
     kernel: &K,
     scr: &mut ComputeScratch,
     runs: &[ComputeRun],
-) -> u64 {
+    clamp: Option<&Clamp>,
+) -> (u64, u64) {
     let (n, q, w) = (chain.n, chain.q, lds.width());
     let base = tpos * chain.chain_step;
+    // Walk position `i`, per point. With `edge`, a source outside the space
+    // reads the kernel's initial value; without, every source is in the LDS.
+    let point = |vals: &mut [f64], scr: &mut ComputeScratch, i: usize, edge: Option<&Clamp>| {
+        chain.iteration_into(origin, i, &mut scr.j);
+        for dq in 0..q {
+            let r = &mut scr.reads[dq * w..(dq + 1) * w];
+            if let Some(c) = edge {
+                for k in 0..n {
+                    scr.src[k] = scr.j[k] - c.deps[(k, dq)];
+                }
+                if !c.space.contains(&scr.src) {
+                    kernel.initial(&scr.src, r);
+                    continue;
+                }
+            }
+            let cell = (base + chain.src_rel[i * q + dq]) as usize;
+            r.copy_from_slice(&vals[cell * w..(cell + 1) * w]);
+        }
+        kernel.compute(&scr.j, &scr.reads[..q * w], &mut scr.out[..w]);
+        let cell = (base + chain.dst[i]) as usize;
+        vals[cell * w..(cell + 1) * w].copy_from_slice(&scr.out[..w]);
+    };
     // Single split borrow of the LDS buffer, hoisted out of all loops.
     let vals = lds.values_mut();
-    let mut batched = 0u64;
+    let (mut iters, mut batched) = (0u64, 0u64);
     for run in runs {
         let len = run.len as usize;
-        if run.batch >= MIN_BATCH && len >= MIN_BATCH as usize {
-            let mut done = 0usize;
-            while done < len {
-                let b = (run.batch as usize).min(len - done);
-                let i = run.i0 as usize + done;
-                for k in 0..n {
-                    scr.j[k] = origin[k] + chain.j_off[i * n + k];
-                }
+        // Run positions [s0, s1) are in the space; the window [w0, w1)
+        // lies inside them.
+        let (s0, s1, w0, w1) = match clamp {
+            None => (0, len, 0, len),
+            Some(c) => {
+                chain.iteration_into(origin, run.i0 as usize, &mut scr.j);
+                let Some((s0, s1)) = c.space.clip(&scr.j, &run.dj, 0, len as i64 - 1) else {
+                    continue;
+                };
+                let window = c.window.clip(&scr.j, &run.dj, s0, s1);
+                let (w0, w1) = window.unwrap_or((s1 + 1, s1));
+                (s0 as usize, s1 as usize + 1, w0 as usize, w1 as usize + 1)
+            }
+        };
+        iters += (s1 - s0) as u64;
+        let i0 = run.i0 as usize;
+        for i in i0 + s0..i0 + w0 {
+            point(vals, scr, i, clamp);
+        }
+        if run.batch >= MIN_BATCH && w1 >= w0 + MIN_BATCH as usize {
+            let mut done = w0;
+            while done < w1 {
+                let b = (run.batch as usize).min(w1 - done);
+                let i = i0 + done;
+                chain.iteration_into(origin, i, &mut scr.j);
                 let cw = b * w;
                 for dq in 0..q {
                     let cell = (base + chain.src_rel[i * q + dq]) as usize;
@@ -625,7 +711,7 @@ pub fn compute_tile_fast<K: Kernel + ?Sized>(
                         .copy_from_slice(&vals[cell * w..cell * w + cw]);
                 }
                 kernel.compute_run(
-                    &scr.j[..n],
+                    &scr.j,
                     &run.dj,
                     b,
                     &scr.run_reads[..q * cw],
@@ -633,26 +719,41 @@ pub fn compute_tile_fast<K: Kernel + ?Sized>(
                 );
                 let cell = (base + chain.dst[i]) as usize;
                 vals[cell * w..cell * w + cw].copy_from_slice(&scr.run_out[..cw]);
-                batched += b as u64;
                 done += b;
             }
+            batched += (w1 - w0) as u64;
         } else {
-            for i in run.i0 as usize..run.i0 as usize + len {
-                for k in 0..n {
-                    scr.j[k] = origin[k] + chain.j_off[i * n + k];
-                }
-                for dq in 0..q {
-                    let cell = (base + chain.src_rel[i * q + dq]) as usize;
-                    scr.reads[dq * w..(dq + 1) * w]
-                        .copy_from_slice(&vals[cell * w..(cell + 1) * w]);
-                }
-                kernel.compute(&scr.j[..n], &scr.reads[..q * w], &mut scr.out[..w]);
-                let cell = (base + chain.dst[i]) as usize;
-                vals[cell * w..(cell + 1) * w].copy_from_slice(&scr.out[..w]);
+            for i in i0 + w0..i0 + w1 {
+                point(vals, scr, i, None);
             }
         }
+        for i in i0 + w1..i0 + s1 {
+            point(vals, scr, i, clamp);
+        }
     }
-    batched
+    (iters, batched)
+}
+
+/// Count the in-space points of a tile along `runs` without touching any
+/// data — the timing-only twin of [`compute_tile_fast`], one clip per run.
+pub fn count_tile(
+    chain: &CompiledChain,
+    origin: &[i64],
+    clamp: Option<&Clamp>,
+    runs: &[ComputeRun],
+    j: &mut [i64],
+) -> u64 {
+    let Some(c) = clamp else {
+        return runs.iter().map(|run| u64::from(run.len)).sum();
+    };
+    let mut iters = 0;
+    for run in runs {
+        chain.iteration_into(origin, run.i0 as usize, j);
+        if let Some((a, b)) = c.space.clip(j, &run.dj, 0, i64::from(run.len) - 1) {
+            iters += (b - a + 1) as u64;
+        }
+    }
+    iters
 }
 
 /// The PR2 per-point interior loop, kept verbatim (dyn dispatch and
@@ -681,77 +782,6 @@ pub fn compute_tile_fast_per_point(
         let cell = (base + chain.dst[i]) as usize;
         lds.values_mut()[cell * w..(cell + 1) * w].copy_from_slice(&scr.out[..w]);
     }
-}
-
-/// Boundary-tile compute loop over the walk-order indices `points`
-/// (ascending: the whole walk `0..tile_points`, or one pass of the
-/// overlapped strategy): same precomputed indices as
-/// [`compute_tile_fast`], but clamped by the original iteration-space
-/// inequalities, with out-of-space reads served by the kernel's initial
-/// values. Returns the number of in-space iterations.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_tile_clamped<K: Kernel + ?Sized>(
-    chain: &CompiledChain,
-    lds: &mut Lds,
-    tpos: i64,
-    origin: &[i64],
-    kernel: &K,
-    space: &Polyhedron,
-    deps: &IMat,
-    scr: &mut ComputeScratch,
-    points: impl IntoIterator<Item = usize>,
-) -> u64 {
-    let (n, q, w) = (chain.n, chain.q, lds.width());
-    let base = tpos * chain.chain_step;
-    let mut iters = 0u64;
-    let vals = lds.values_mut();
-    for i in points {
-        for k in 0..n {
-            scr.j[k] = origin[k] + chain.j_off[i * n + k];
-        }
-        if !space.contains(&scr.j) {
-            continue;
-        }
-        iters += 1;
-        for dq in 0..q {
-            for k in 0..n {
-                scr.src[k] = scr.j[k] - deps[(k, dq)];
-            }
-            if space.contains(&scr.src) {
-                let cell = (base + chain.src_rel[i * q + dq]) as usize;
-                scr.reads[dq * w..(dq + 1) * w].copy_from_slice(&vals[cell * w..(cell + 1) * w]);
-            } else {
-                kernel.initial(&scr.src, &mut scr.reads[dq * w..(dq + 1) * w]);
-            }
-        }
-        kernel.compute(&scr.j[..n], &scr.reads[..q * w], &mut scr.out[..w]);
-        let cell = (base + chain.dst[i]) as usize;
-        vals[cell * w..(cell + 1) * w].copy_from_slice(&scr.out[..w]);
-    }
-    iters
-}
-
-/// Count the in-space points of a subset of a tile's TTIS walk without
-/// touching any data — the timing-only path of the overlapped strategy.
-pub fn count_in_space_subset(
-    chain: &CompiledChain,
-    origin: &[i64],
-    space: &Polyhedron,
-    subset: &[u32],
-    j_buf: &mut [i64],
-) -> u64 {
-    let n = chain.n;
-    let mut iters = 0u64;
-    for &i in subset {
-        let i = i as usize;
-        for k in 0..n {
-            j_buf[k] = origin[k] + chain.j_off[i * n + k];
-        }
-        if space.contains(j_buf) {
-            iters += 1;
-        }
-    }
-    iters
 }
 
 /// Fill `payload` with the pack region of processor dependence `dm_idx` at
@@ -894,63 +924,36 @@ pub fn unpack_region_per_index(
 /// Visit the in-space part of every gather run of the tile at `origin`,
 /// as `f(run, first, count)` over run-relative positions
 /// `first..first + count`. With `clamp = None` (an interior tile) every
-/// run is visited whole.
-///
-/// Along a run the iteration is `j(t) = origin + j_off[at] + t·dj` with a
-/// constant `dj` (see [`coalesce_gather_runs`]), so each constraint
-/// `a·j + b ≥ 0` of the convex space is `a·j(0) + b + t·(a·dj) ≥ 0`: a
-/// half-line in `t`. Their intersection with `[0, len)` is exactly the set
-/// of in-space points, solved per run in `i128` like [`Constraint::eval`].
-///
-/// [`Constraint::eval`]: tilecc_polytope::Constraint::eval
+/// run is visited whole. Along a run the iteration advances by one
+/// constant vector (see [`coalesce_gather_runs`]), so the space clips it
+/// to one interval ([`LineClip::clip`]).
 pub fn gather_spans(
     chain: &CompiledChain,
     origin: &[i64],
-    clamp: Option<&Polyhedron>,
+    clamp: Option<&LineClip>,
     mut f: impl FnMut(&GatherRun, usize, usize),
 ) {
     let n = chain.n;
-    let Some(space) = clamp else {
-        for run in &chain.gather_runs {
-            f(run, 0, run.len as usize);
-        }
-        return;
-    };
-    let mut j0 = vec![0i64; n];
+    let (mut j0, mut dj) = (vec![0i64; n], vec![0i64; n]);
     for run in &chain.gather_runs {
-        let at = run.at as usize;
-        for k in 0..n {
-            j0[k] = origin[k] + chain.j_off[at * n + k];
-        }
-        let (mut lo, mut hi) = (0i128, i128::from(run.len) - 1);
-        for c in space.constraints() {
-            let v0 = c.eval(&j0);
-            let slope: i128 = if run.len > 1 {
-                (0..n)
-                    .map(|k| {
-                        let dj = chain.j_off[(at + 1) * n + k] - chain.j_off[at * n + k];
-                        i128::from(c.coeff(k)) * i128::from(dj)
-                    })
-                    .sum()
-            } else {
-                0
-            };
-            match slope.signum() {
-                0 if v0 < 0 => hi = -1,
-                0 => {}
-                // v0 + t·slope ≥ 0  ⇔  t ≥ ⌈−v0 / slope⌉
-                1 => {
-                    lo = lo.max((-v0).div_euclid(slope) + i128::from((-v0).rem_euclid(slope) != 0))
+        let last = i64::from(run.len) - 1;
+        let span = match clamp {
+            None => Some((0, last)),
+            Some(space) => {
+                let at = run.at as usize;
+                chain.iteration_into(origin, at, &mut j0);
+                for k in 0..n {
+                    dj[k] = if run.len > 1 {
+                        chain.j_off[(at + 1) * n + k] - chain.j_off[at * n + k]
+                    } else {
+                        0
+                    };
                 }
-                // ⇔  t ≤ ⌊v0 / −slope⌋
-                _ => hi = hi.min(v0.div_euclid(-slope)),
+                space.clip(&j0, &dj, 0, last)
             }
-            if lo > hi {
-                break;
-            }
-        }
-        if lo <= hi {
-            f(run, lo as usize, (hi - lo + 1) as usize);
+        };
+        if let Some((a, b)) = span {
+            f(run, a as usize, (b - a + 1) as usize);
         }
     }
 }
@@ -958,14 +961,15 @@ pub fn gather_spans(
 /// Gather a tile's owned cells into the global data space through the
 /// plan-time runs: joint unit-stride runs become one block copy each
 /// (values and written flags), other runs per-cell writes. A boundary tile
-/// passes the iteration space as `clamp`, which cuts each run to its
-/// in-space interval ([`gather_spans`]); an interior tile passes `None`.
+/// passes the iteration space as `clamp` ([`Clamp::space`]), which cuts
+/// each run to its in-space interval ([`gather_spans`]); an interior tile
+/// passes `None`.
 pub fn gather_tile(
     chain: &CompiledChain,
     lds: &Lds,
     tpos: i64,
     origin: &[i64],
-    clamp: Option<&Polyhedron>,
+    clamp: Option<&LineClip>,
     ds: &mut DataSpace,
 ) {
     let w = lds.width();
@@ -1049,7 +1053,7 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
     /// The boundary/interior split must partition the tile's TTIS points:
     /// no overlap, no gap, pack-region seeds on the boundary side, the
     /// boundary predecessor-closed under every `d'` column (so the slab
-    /// never reads an interior point), and the two in-space subset counts
+    /// never reads an interior point), and the two passes' `count_tile`s
     /// summing to exactly `tile_iterations` on every tile — across random
     /// non-rectangular tilings of all three paper kernels.
     #[test]
@@ -1214,28 +1218,20 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
                 }
             }
 
-            // In-space subset counts partition every tile's iterations.
+            // The two passes' in-space counts partition every tile's
+            // iterations.
             let mut j_buf = vec![0i64; n];
-            let space = plan.tiled.space();
             if let Some(&(lo_t, hi_t)) = plan.dist.chains.first() {
                 // Per-tile counts are chain-length independent.
                 let chain = plan.compiled_for(hi_t - lo_t + 1);
+                let split = chain.split();
                 for tile in plan.tiled.tiles() {
                     let origin = super::tile_origin(tr, &tile);
-                    let b = super::count_in_space_subset(
-                        chain,
-                        &origin,
-                        space,
-                        &chain.split().boundary_order,
-                        &mut j_buf,
-                    );
-                    let i = super::count_in_space_subset(
-                        chain,
-                        &origin,
-                        space,
-                        &chain.split().interior_order,
-                        &mut j_buf,
-                    );
+                    let clamp = Some(&plan.clamp);
+                    let b =
+                        super::count_tile(chain, &origin, clamp, &split.boundary_runs, &mut j_buf);
+                    let i =
+                        super::count_tile(chain, &origin, clamp, &split.interior_runs, &mut j_buf);
                     let expect = plan.tiled.tile_iterations(&tile).count() as u64;
                     assert_eq!(b + i, expect, "case {case}: tile {tile:?}");
                 }
@@ -1397,7 +1393,7 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
             );
             let want: Vec<u64> = lds.values().iter().map(|v| v.to_bits()).collect();
             fill(&mut lds);
-            let batched = super::compute_tile_fast(
+            let (_, batched) = super::compute_tile_fast(
                 chain,
                 &mut lds,
                 0,
@@ -1405,6 +1401,7 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
                 plan.algorithm.kernel.as_ref(),
                 &mut scr,
                 &chain.compute_runs,
+                None,
             );
             let got: Vec<u64> = lds.values().iter().map(|v| v.to_bits()).collect();
             assert!(batched > 0, "{name}: nothing batched");

@@ -5,13 +5,17 @@
 //! Every rank walks its chain of tiles along the mapping dimension. Before
 //! each tile it receives and unpacks the messages for which this tile is the
 //! lexicographically minimum successor of a valid predecessor tile; it then
-//! computes the tile's iterations (strided TTIS traversal, boundary-clamped
-//! by the original iteration space); finally it packs and sends one message
-//! per processor dependence that has a valid successor tile.
+//! computes the tile's iterations (strided TTIS traversal; on a boundary
+//! tile each compute run is clipped to the interval the original iteration
+//! space admits, see [`crate::compiled`]); finally it packs and sends one
+//! message per processor dependence that has a valid successor tile. The
+//! compute is one pass over the tile's runs under the compiled strategy,
+//! and a boundary pass, the sends, then an interior pass under the
+//! overlapped one; the reference strategy walks the tile per point.
 
 use crate::compiled::{
-    compute_tile_clamped, compute_tile_fast, count_in_space_subset, gather_spans, gather_tile,
-    pack_region, tile_origin, unpack_region, CompiledChain, ComputeRun, ComputeScratch,
+    compute_tile_fast, count_tile, gather_spans, gather_tile, pack_region, tile_origin,
+    unpack_region, CompiledChain, ComputeRun, ComputeScratch,
 };
 use crate::plan::ParallelPlan;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -21,7 +25,7 @@ use tilecc_cluster::{
     MachineModel, MetricsRegistry, Phase, RunError, RunReport,
 };
 use tilecc_loopnest::DataSpace;
-use tilecc_polytope::Polyhedron;
+use tilecc_polytope::LineClip;
 use tilecc_tiling::{insert_at, Lds};
 
 /// Execution mode.
@@ -189,7 +193,7 @@ pub fn rank_data_points(
 fn for_each_valid_tile(
     plan: &ParallelPlan,
     rank: usize,
-    mut f: impl FnMut(&[i64], &CompiledChain, i64, &[i64], Option<&Polyhedron>),
+    mut f: impl FnMut(&[i64], &CompiledChain, i64, &[i64], Option<&LineClip>),
 ) {
     let pid = &plan.dist.pids[rank];
     let (lo_t, hi_t) = plan.dist.chains[rank];
@@ -200,7 +204,7 @@ fn for_each_valid_tile(
             continue;
         }
         let origin = tile_origin(plan.tiled.transform(), &cur_tile);
-        let clamp = (!plan.tiled.tile_is_interior(&cur_tile)).then(|| plan.tiled.space());
+        let clamp = (!plan.tiled.tile_is_interior(&cur_tile)).then_some(&plan.clamp.space);
         f(&cur_tile, chain, t_abs - lo_t, &origin, clamp);
     }
 }
@@ -389,197 +393,119 @@ pub fn run_rank<C: Comm>(
                 }
 
                 // --- COMPUTE ------------------------------------------------------
-                // Interior/boundary classification feeds both the compiled dispatch
-                // and the tile-mix counters; only run it when someone consumes it so
-                // the TimingOnly hot path stays untouched with observability off.
+                // Interior/boundary classification lets compiled compute skip
+                // the clamp and feeds the tile-mix counters; only run it when
+                // someone consumes it (a timing-only count just clips every run).
                 let classify =
                     obs_on || (mode == ExecMode::Full && strategy != ExecStrategy::Reference);
                 let is_interior = classify && plan.tiled.tile_is_compute_interior(&cur_tile, deps);
-                let compute_t0 = if obs_on && strategy != ExecStrategy::Overlapped {
-                    comm.obs().map(|o| o.now_ns())
-                } else {
-                    None
-                };
-                let compute_v0 = comm.local_time();
-                let mut tile_iters: u64 = 0;
+                let clamp = (!is_interior).then_some(&plan.clamp);
+                let origin = tile_origin(t, &cur_tile);
                 let mut tile_vectorized: u64 = 0;
-                match (mode, strategy) {
+                // One compute pass over `runs`: count it (timing-only), walk
+                // the tile per point (the reference oracle, which ignores
+                // `runs`) or run the compiled compute; then charge it to the
+                // clock and record it as a `name` compute span.
+                let mut pass =
+                    |comm: &mut C, lds: &mut Lds, name: &'static str, runs: &[ComputeRun]| {
+                        let t0 = if obs_on {
+                            comm.obs().map(|o| o.now_ns())
+                        } else {
+                            None
+                        };
+                        let v0 = comm.local_time();
+                        let iters = match (mode, strategy) {
+                            (ExecMode::TimingOnly, _) => {
+                                count_tile(chain, &origin, clamp, runs, &mut j_buf)
+                            }
+                            (ExecMode::Full, ExecStrategy::Reference) => {
+                                let mut iters = 0;
+                                for (jp, j) in plan.tiled.tile_iterations(&cur_tile) {
+                                    iters += 1;
+                                    let g = lds.unrolled(tpos, &jp);
+                                    for dq in 0..q {
+                                        for k in 0..n {
+                                            src[k] = j[k] - deps[(k, dq)];
+                                            gs[k] = g[k] - d_prime[(k, dq)];
+                                        }
+                                        if space.contains(&src) {
+                                            lds.get_into(&gs, &mut reads[dq * w..(dq + 1) * w]);
+                                        } else {
+                                            kernel.initial(&src, &mut reads[dq * w..(dq + 1) * w]);
+                                        }
+                                    }
+                                    kernel.compute(&j, &reads, &mut out);
+                                    lds.set_all(&g, &out);
+                                }
+                                iters
+                            }
+                            (ExecMode::Full, _) => {
+                                let (iters, batched) = compute_tile_fast(
+                                    chain,
+                                    lds,
+                                    tpos,
+                                    &origin,
+                                    kernel.as_ref(),
+                                    &mut scratch,
+                                    runs,
+                                    clamp,
+                                );
+                                tile_vectorized += batched;
+                                iters
+                            }
+                        };
+                        comm.advance_compute(iters);
+                        if let Some(t0) = t0 {
+                            if iters > 0 {
+                                let v1 = comm.local_time();
+                                if let Some(o) = comm.obs() {
+                                    o.observe(HistId::ComputeTileNs, o.now_ns().saturating_sub(t0));
+                                    o.named_span(Phase::Compute, name, t0, (v0, v1), iters);
+                                }
+                            }
+                        }
+                        iters
+                    };
+                let tile_iters = if strategy == ExecStrategy::Overlapped {
                     // Overlapped order: boundary slab → post sends → private
                     // interior. The slab is the dependence closure of the pack
                     // regions, so after it every outgoing payload is final; the
                     // interior then computes while the sends ride the comm lane.
-                    (_, ExecStrategy::Overlapped) => {
-                        let split = chain.split();
-                        let origin = tile_origin(t, &cur_tile);
-                        let space_interior =
-                            mode == ExecMode::TimingOnly && plan.tiled.tile_is_interior(&cur_tile);
-                        // One pass over a slab given as walk-order indices
-                        // and their compute runs: compute it (timing-only:
-                        // count its in-space points), charge it to the
-                        // clock, and record it as a `name` compute span.
-                        let mut pass =
-                            |comm: &mut C,
-                             lds: &mut Lds,
-                             name: &'static str,
-                             order: &[u32],
-                             runs: &[ComputeRun]| {
-                                let t0 = if obs_on {
-                                    comm.obs().map(|o| o.now_ns())
-                                } else {
-                                    None
-                                };
-                                let v0 = comm.local_time();
-                                let iters = match mode {
-                                    ExecMode::TimingOnly if space_interior => order.len() as u64,
-                                    ExecMode::TimingOnly => count_in_space_subset(
-                                        chain, &origin, space, order, &mut j_buf,
-                                    ),
-                                    ExecMode::Full if is_interior => {
-                                        tile_vectorized += compute_tile_fast(
-                                            chain,
-                                            lds,
-                                            tpos,
-                                            &origin,
-                                            kernel.as_ref(),
-                                            &mut scratch,
-                                            runs,
-                                        );
-                                        order.len() as u64
-                                    }
-                                    ExecMode::Full => compute_tile_clamped(
-                                        chain,
-                                        lds,
-                                        tpos,
-                                        &origin,
-                                        kernel.as_ref(),
-                                        space,
-                                        deps,
-                                        &mut scratch,
-                                        order.iter().map(|&i| i as usize),
-                                    ),
-                                };
-                                comm.advance_compute(iters);
-                                if let Some(t0) = t0 {
-                                    if iters > 0 {
-                                        let v1 = comm.local_time();
-                                        if let Some(o) = comm.obs() {
-                                            o.observe(
-                                                HistId::ComputeTileNs,
-                                                o.now_ns().saturating_sub(t0),
-                                            );
-                                            o.named_span(Phase::Compute, name, t0, (v0, v1), iters);
-                                        }
-                                    }
-                                }
-                                iters
-                            };
-                        let boundary_iters = pass(
-                            comm,
-                            &mut lds,
-                            "compute-boundary",
-                            &split.boundary_order,
-                            &split.boundary_runs,
-                        );
-                        send_tile(
-                            plan, chain, comm, &lds, mode, strategy, obs_on, &pid, &cur_tile, tpos,
-                            t_abs, w,
-                        );
-                        let interior_iters = pass(
-                            comm,
-                            &mut lds,
-                            "compute-interior",
-                            &split.interior_order,
-                            &split.interior_runs,
-                        );
-                        tile_iters = boundary_iters + interior_iters;
-                    }
-                    (ExecMode::TimingOnly, _) => {
-                        tile_iters = plan.tiled.tile_volume_fast(&cur_tile) as u64;
-                    }
-                    (ExecMode::Full, ExecStrategy::Compiled) => {
-                        let origin = tile_origin(t, &cur_tile);
-                        if is_interior {
-                            tile_vectorized += compute_tile_fast(
-                                chain,
-                                &mut lds,
-                                tpos,
-                                &origin,
-                                kernel.as_ref(),
-                                &mut scratch,
-                                &chain.compute_runs,
-                            );
-                            tile_iters = chain.tile_points as u64;
-                        } else {
-                            tile_iters = compute_tile_clamped(
-                                chain,
-                                &mut lds,
-                                tpos,
-                                &origin,
-                                kernel.as_ref(),
-                                space,
-                                deps,
-                                &mut scratch,
-                                0..chain.tile_points,
-                            );
-                        }
-                    }
-                    (ExecMode::Full, ExecStrategy::Reference) => {
-                        for (jp, j) in plan.tiled.tile_iterations(&cur_tile) {
-                            tile_iters += 1;
-                            let g = lds.unrolled(tpos, &jp);
-                            for dq in 0..q {
-                                for k in 0..n {
-                                    src[k] = j[k] - deps[(k, dq)];
-                                    gs[k] = g[k] - d_prime[(k, dq)];
-                                }
-                                if space.contains(&src) {
-                                    lds.get_into(&gs, &mut reads[dq * w..(dq + 1) * w]);
-                                } else {
-                                    kernel.initial(&src, &mut reads[dq * w..(dq + 1) * w]);
-                                }
-                            }
-                            kernel.compute(&j, &reads, &mut out);
-                            lds.set_all(&g, &out);
-                        }
-                    }
-                }
+                    let split = chain.split();
+                    let boundary = pass(comm, &mut lds, "compute-boundary", &split.boundary_runs);
+                    send_tile(
+                        plan, chain, comm, &lds, mode, strategy, obs_on, &pid, &cur_tile, tpos,
+                        t_abs, w,
+                    );
+                    boundary + pass(comm, &mut lds, "compute-interior", &split.interior_runs)
+                } else {
+                    pass(comm, &mut lds, Phase::Compute.name(), &chain.compute_runs)
+                };
                 iterations += tile_iters;
-                if strategy != ExecStrategy::Overlapped {
-                    comm.advance_compute(tile_iters);
-                }
-                if obs_on {
-                    if let Some(t0) = compute_t0 {
-                        let v1 = comm.local_time();
-                        if let Some(o) = comm.obs() {
-                            o.observe(HistId::ComputeTileNs, o.now_ns().saturating_sub(t0));
-                            o.span(Phase::Compute, t0, (compute_v0, v1), tile_iters);
-                        }
+                if let Some(o) = comm.obs() {
+                    o.add(Counter::Tiles, 1);
+                    o.add(Counter::Iterations, tile_iters);
+                    if tile_vectorized > 0 {
+                        o.add(Counter::VectorizedPoints, tile_vectorized);
                     }
-                    if let Some(o) = comm.obs() {
-                        o.add(Counter::Tiles, 1);
-                        o.add(Counter::Iterations, tile_iters);
-                        if tile_vectorized > 0 {
-                            o.add(Counter::VectorizedPoints, tile_vectorized);
-                        }
-                        o.add(
-                            if is_interior {
-                                Counter::InteriorTiles
-                            } else {
-                                Counter::BoundaryTiles
-                            },
-                            1,
-                        );
-                        o.add(
-                            match strategy {
-                                // Overlapped runs through the same compiled tables.
-                                ExecStrategy::Compiled | ExecStrategy::Overlapped => {
-                                    Counter::CompiledDispatches
-                                }
-                                ExecStrategy::Reference => Counter::ReferenceDispatches,
-                            },
-                            1,
-                        );
-                    }
+                    o.add(
+                        if is_interior {
+                            Counter::InteriorTiles
+                        } else {
+                            Counter::BoundaryTiles
+                        },
+                        1,
+                    );
+                    o.add(
+                        match strategy {
+                            // Overlapped runs through the same compiled tables.
+                            ExecStrategy::Compiled | ExecStrategy::Overlapped => {
+                                Counter::CompiledDispatches
+                            }
+                            ExecStrategy::Reference => Counter::ReferenceDispatches,
+                        },
+                        1,
+                    );
                 }
 
                 // --- SEND ---------------------------------------------------------

@@ -6,7 +6,7 @@
 //! functions (Tables 1–2) that translate between the original iteration
 //! space `J^n` and per-processor Local Data Spaces.
 
-use crate::compiled::CompiledChain;
+use crate::compiled::{Clamp, CompiledChain};
 use std::collections::BTreeMap;
 use tilecc_cluster::{MetricsRegistry, Phase};
 use tilecc_linalg::IMat;
@@ -26,6 +26,9 @@ pub struct ParallelPlan {
     /// Lattice-point count of each processor dependence's pack region
     /// (message length in values; constant across tiles).
     pub region_counts: Vec<usize>,
+    /// The boundary-tile clamp of the iteration space under the
+    /// algorithm's dependences.
+    pub clamp: Clamp,
     /// Flat-index execution tables, one per distinct chain length (LDS
     /// extents — hence cell weights — depend on the chain length).
     compiled: BTreeMap<i64, CompiledChain>,
@@ -100,6 +103,7 @@ impl ParallelPlan {
             .next()
             .expect("a distribution always has at least one chain")
             .pack_counts();
+        let clamp = Clamp::new(tiled.space(), algorithm.nest.deps());
         Ok(ParallelPlan {
             algorithm,
             tiled,
@@ -107,6 +111,7 @@ impl ParallelPlan {
             comm,
             geo,
             region_counts,
+            clamp,
             compiled,
         })
     }
@@ -207,7 +212,8 @@ impl ParallelPlan {
     /// Total number of iterations in `J^n` (used for speedup baselines and
     /// conservation checks).
     pub fn total_iterations(&self) -> usize {
-        self.tiled.space_bounds().points().count()
+        let mut runs = self.tiled.space_bounds().runs();
+        std::iter::from_fn(|| runs.next().map(|(_, a, h)| (h - a + 1) as usize)).sum()
     }
 
     /// The dependence matrix (columns) of the algorithm.

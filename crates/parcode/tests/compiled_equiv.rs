@@ -4,7 +4,7 @@
 //! traversal-count regression test for the gather phase.
 
 use std::sync::Arc;
-use tilecc_cluster::{EngineOptions, MachineModel};
+use tilecc_cluster::{Counter, EngineOptions, MachineModel, MetricsRegistry};
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::RMat;
 use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
@@ -127,7 +127,9 @@ fn compiled_matches_reference_bitwise_with_identical_makespans() {
 
 /// The gather-phase fix: the reference path walks every tile's TTIS twice
 /// per `Full` run (compute + gather); the compiled path walks no tile at
-/// all (boundary tiles compute and gather through clamped plan-time runs).
+/// all (boundary tiles compute and gather through clamped plan-time runs),
+/// and neither do timing-only runs of the compiled or overlapped strategy
+/// (boundary tiles count through the same runs).
 #[test]
 fn compiled_path_eliminates_duplicate_traversals() {
     for (name, plan) in plans() {
@@ -172,6 +174,23 @@ fn compiled_path_eliminates_duplicate_traversals() {
             compiled_walks < reference_walks,
             "{name}: compiled path must traverse strictly less"
         );
+        for strategy in [ExecStrategy::Compiled, ExecStrategy::Overlapped] {
+            let before = plan.tiled.traversal_count();
+            let _ = execute(
+                plan.clone(),
+                MachineModel::fast_ethernet_p3(),
+                ExecMode::TimingOnly,
+                strategy,
+                Backend::Threaded,
+                EngineOptions::default(),
+            )
+            .unwrap();
+            assert_eq!(
+                plan.tiled.traversal_count() - before,
+                0,
+                "{name}: timing-only {strategy:?} run must not walk any tile"
+            );
+        }
         // The split is only worthwhile if some tiles actually take the
         // dense loop on these paper-sized problems.
         assert!(
@@ -205,4 +224,56 @@ fn strategies_share_virtual_time_with_timing_only() {
         "{name}"
     );
     assert!(timing.data.is_none());
+}
+
+/// Boundary tiles batch too: on a plan with no compute-interior tile at
+/// all, each run's window (every source in the space) still goes through
+/// the kernel's batch entry, and the data stays bitwise equal to the
+/// sequential oracle and to the reference strategy.
+#[test]
+fn boundary_tiles_batch_their_windows() {
+    // Every tile spans the whole t range, so every tile holds points at
+    // t = 1, whose t − 1 sources lie outside the space.
+    let plan = ParallelPlan::new(
+        compile_kernel_with(corpus::JACOBI, &[("T", 4), ("N", 12)]).unwrap(),
+        TilingTransform::rectangular(&[4, 6, 6]).unwrap(),
+        Some(1),
+    )
+    .unwrap();
+    let deps = plan.deps().clone();
+    assert!(
+        plan.tiled
+            .tiles()
+            .all(|t| !plan.tiled.tile_is_compute_interior(&t, &deps)),
+        "the plan must have no compute-interior tile"
+    );
+    let seq = plan.algorithm.execute_sequential();
+    let plan = Arc::new(plan);
+    let reg = MetricsRegistry::new();
+    let compiled = execute(
+        plan.clone(),
+        MachineModel::fast_ethernet_p3(),
+        ExecMode::Full,
+        ExecStrategy::Compiled,
+        Backend::Threaded,
+        EngineOptions {
+            obs: Some(reg.clone()),
+            ..EngineOptions::default()
+        },
+    )
+    .unwrap();
+    let report = reg.run_report(&compiled.report.local_times);
+    assert_eq!(report.total(Counter::InteriorTiles), 0);
+    assert!(
+        report.total(Counter::VectorizedPoints) > 0,
+        "no boundary tile took the batch entry"
+    );
+    let reference = run(&plan, ExecStrategy::Reference);
+    let cd = compiled.data.unwrap();
+    assert_eq!(seq.diff(&cd), None, "compiled vs sequential data");
+    assert_eq!(
+        cd.diff(&reference.data.unwrap()),
+        None,
+        "compiled vs reference data"
+    );
 }

@@ -246,7 +246,7 @@ fn check_gather(plan: &ParallelPlan, ctx: &str) -> usize {
                 want.set_all(&j, &vals);
             }
             let origin = tile_origin(t, &tile);
-            let clamp = (!interior).then(|| plan.tiled.space());
+            let clamp = (!interior).then_some(&plan.clamp.space);
             let mut got = DataSpace::with_width(&lo, &hi, w);
             gather_tile(chain, &lds, tpos, &origin, clamp, &mut got);
             assert_eq!(

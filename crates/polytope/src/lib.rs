@@ -9,12 +9,15 @@
 //! many half-spaces of `Zⁿ`, with loop bounds of the form
 //! `l_k = max(⌈f_k1⌉, …)` and `u_k = min(⌊g_k1⌋, …)` in the outer variables.
 //! [`Polyhedron`] is that representation; [`LoopNestBounds`] is the
-//! compile-time bound computation; [`PointIter`] is the executable loop nest.
+//! compile-time bound computation; [`PointIter`] is the executable loop nest;
+//! [`LineClip`] clips a line of iterations to the interval inside a space.
 
+pub mod clip;
 pub mod constraint;
 pub mod error;
 pub mod polyhedron;
 
+pub use clip::LineClip;
 pub use constraint::Constraint;
 pub use error::PolytopeError;
 pub use polyhedron::{LoopNestBounds, PointIter, Polyhedron, RunIter};

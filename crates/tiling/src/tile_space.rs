@@ -327,15 +327,6 @@ impl TiledSpace {
         })
     }
 
-    /// Number of in-space iterations of a tile; O(1) for interior tiles.
-    pub fn tile_volume_fast(&self, tile: &[i64]) -> usize {
-        if self.tile_is_interior(tile) {
-            self.full_tile_volume
-        } else {
-            self.tile_iterations(tile).count()
-        }
-    }
-
     /// Number of TTIS lattice points of a full (interior) tile.
     #[inline]
     pub fn full_tile_volume(&self) -> usize {
