@@ -25,13 +25,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 use tilecc::{verify_against_sequential, Pipeline, RunSummary, TuneOptions};
-use tilecc_cluster::obs::json::Json;
 use tilecc_cluster::obs::RunReport as MetricsReport;
 use tilecc_cluster::{
-    collect_workers, run_worker, CommError, CommScheme, CommStats, Counter, EngineOptions,
-    ExportClock, FaultPlan, MachineModel, MetricsRegistry, Phase, RankPhase, RankTelemetry,
-    RecoveryOptions, Rendezvous, RunError, StatsSnapshot, VirtAcc, WorkerCkptConfig, WorkerConfig,
-    WorkerReport,
+    collect_workers, run_worker, wire::ByteReader, CommError, CommScheme, CommStats, Counter,
+    EngineOptions, ExportClock, FaultPlan, MachineModel, MetricsRegistry, Phase, RankPhase,
+    RankTelemetry, RecoveryOptions, Rendezvous, RunError, StatsSnapshot, WorkerCkptConfig,
+    WorkerConfig, WorkerReport,
 };
 use tilecc_frontend::KernelProgram;
 use tilecc_linalg::{RMat, Rational};
@@ -661,197 +660,11 @@ fn kernel_source(program: &KernelProgram) -> tilecc_parcode::KernelSource {
     }
 }
 
-/// Render a saved `tilecc-metrics-v1` JSON file (written by
-/// `--metrics-out`) as the textual run summary.
-fn render_saved_metrics(path: &str) -> Result<String, CliError> {
-    let j = load_saved_metrics(path)?;
-    let makespan = j
-        .get("makespan")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| CliError(format!("{path}: missing makespan")))?;
-    let ranks = j
-        .get("ranks")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| CliError(format!("{path}: missing ranks")))?;
-    let field = |r: &Json, k: &str| r.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-    let counter = |r: &Json, k: &str| {
-        r.get("counters")
-            .and_then(|c| c.get(k))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-    };
-    let mut out = String::new();
-    let n = ranks.len();
-    let _ = writeln!(
-        out,
-        "run report: {n} rank{}, makespan {makespan:.6} s",
-        if n == 1 { "" } else { "s" }
-    );
-    let (mut tc, mut tw, mut tm, mut tt) = (0.0, 0.0, 0.0, 0.0);
-    for r in ranks {
-        tc += field(r, "compute");
-        tw += field(r, "wait");
-        tm += field(r, "comm");
-        tt += field(r, "local_time");
-    }
-    if tt > 0.0 {
-        let _ = writeln!(
-            out,
-            "  split      : compute {:.1}%  wait {:.1}%  comm {:.1}%  (of total rank time)",
-            100.0 * tc / tt,
-            100.0 * tw / tt,
-            100.0 * tm / tt
-        );
-    }
-    let total = |k: &str| ranks.iter().map(|r| counter(r, k)).sum::<u64>();
-    let _ = writeln!(
-        out,
-        "  traffic    : {} messages, {} bytes on the wire, {} retransmits, {} dups suppressed",
-        total("messages_sent"),
-        total("bytes_sent"),
-        total("retransmits"),
-        total("dups_suppressed"),
-    );
-    let _ = writeln!(
-        out,
-        "  tiles      : {} ({} interior, {} boundary), {} iterations",
-        total("tiles"),
-        total("interior_tiles"),
-        total("boundary_tiles"),
-        total("iterations"),
-    );
-    for r in ranks {
-        let local = field(r, "local_time");
-        let _ = writeln!(
-            out,
-            "  rank {:>3}   : {:.6} s  compute {:.6}  wait {:.6}  comm {:.6}  util {:>5.1}%",
-            r.get("rank").and_then(Json::as_u64).unwrap_or(0),
-            local,
-            field(r, "compute"),
-            field(r, "wait"),
-            field(r, "comm"),
-            100.0 * field(r, "utilization"),
-        );
-    }
-    if let Some(cp) = j.get("critical_path") {
-        let length = cp.get("length").and_then(Json::as_f64).unwrap_or(0.0);
-        let hops = cp.get("hops").and_then(Json::as_arr).map_or(&[][..], |h| h);
-        let cross = hops
-            .iter()
-            .filter(|h| h.get("from_rank").and_then(Json::as_u64).is_some())
-            .count();
-        let _ = writeln!(
-            out,
-            "  critical   : {length:.6} s dependency chain, {} hops ({cross} cross-rank)",
-            hops.len(),
-        );
-        const SHOWN: usize = 16;
-        for h in hops.iter().take(SHOWN) {
-            let start = field(h, "start");
-            let end = field(h, "end");
-            let via = match h.get("from_rank").and_then(Json::as_u64) {
-                Some(s) => format!("  <- rank {s}"),
-                None => String::new(),
-            };
-            let _ = writeln!(
-                out,
-                "    {:>12.6} .. {:>12.6}  rank {:>3}  {:<8} {:.6} s{via}",
-                start,
-                end,
-                h.get("rank").and_then(Json::as_u64).unwrap_or(0),
-                h.get("phase").and_then(Json::as_str).unwrap_or("?"),
-                end - start,
-            );
-        }
-        if hops.len() > SHOWN {
-            let _ = writeln!(out, "    ... {} more hops", hops.len() - SHOWN);
-        }
-    }
-    Ok(out)
-}
-
-/// Load a saved `tilecc-metrics-v1` file and validate its schema line.
-fn load_saved_metrics(path: &str) -> Result<Json, CliError> {
+/// Load a saved `tilecc-metrics-v1` report (written by `--metrics-out`).
+fn load_report(path: &str) -> Result<MetricsReport, CliError> {
     let src = std::fs::read_to_string(path)
         .map_err(|e| CliError(format!("cannot read `{path}`: {e}")))?;
-    let j = tilecc_cluster::obs::json::parse(&src).map_err(|e| CliError(format!("{path}: {e}")))?;
-    let schema = j.get("schema").and_then(Json::as_str);
-    if schema != Some("tilecc-metrics-v1") {
-        return err(format!(
-            "{path}: unsupported metrics schema {schema:?} (expected \"tilecc-metrics-v1\")"
-        ));
-    }
-    Ok(j)
-}
-
-/// Compare the deterministic subset of two saved metrics files — the
-/// JSON-level mirror of `RunReport::deterministic_diff`: makespan, every
-/// rank's clock-partition terms and utilization, and every logical counter.
-/// Gauges, histograms and the transport-local checkpoint-persistence
-/// counters (`ckpt_writes`, `ckpt_write_bytes`) legitimately differ between
-/// backends and are skipped. Mismatches are a [`CliError`] (nonzero exit).
-fn diff_saved_metrics(path_a: &str, path_b: &str) -> Result<String, CliError> {
-    let a = load_saved_metrics(path_a)?;
-    let b = load_saved_metrics(path_b)?;
-    let mut diffs: Vec<String> = Vec::new();
-    let f = |j: &Json, k: &str| j.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-    let ma = f(&a, "makespan");
-    let mb = f(&b, "makespan");
-    if ma.to_bits() != mb.to_bits() {
-        diffs.push(format!("makespan: {ma:.9} vs {mb:.9}"));
-    }
-    let empty: Vec<Json> = Vec::new();
-    let ranks_a = a.get("ranks").and_then(Json::as_arr).unwrap_or(&empty);
-    let ranks_b = b.get("ranks").and_then(Json::as_arr).unwrap_or(&empty);
-    if ranks_a.len() != ranks_b.len() {
-        diffs.push(format!(
-            "rank count: {} vs {}",
-            ranks_a.len(),
-            ranks_b.len()
-        ));
-    }
-    for (r, (ra, rb)) in ranks_a.iter().zip(ranks_b).enumerate() {
-        for k in [
-            "local_time",
-            "compute",
-            "wait",
-            "comm",
-            "recovery",
-            "overlap_hidden",
-            "utilization",
-        ] {
-            let (x, y) = (f(ra, k), f(rb, k));
-            if x.to_bits() != y.to_bits() {
-                diffs.push(format!("rank {r} {k}: {x:.9} vs {y:.9}"));
-            }
-        }
-        for c in Counter::ALL {
-            if matches!(c, Counter::CkptWrites | Counter::CkptBytes) {
-                continue;
-            }
-            let get = |j: &Json| {
-                j.get("counters")
-                    .and_then(|cs| cs.get(c.name()))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0)
-            };
-            let (x, y) = (get(ra), get(rb));
-            if x != y {
-                diffs.push(format!("rank {r} {}: {x} vs {y}", c.name()));
-            }
-        }
-    }
-    if diffs.is_empty() {
-        Ok(format!(
-            "reports agree on the deterministic subset ({} ranks, makespan {ma:.6} s)\n",
-            ranks_a.len()
-        ))
-    } else {
-        err(format!(
-            "{path_a} and {path_b} disagree on the deterministic subset:\n  {}",
-            diffs.join("\n  ")
-        ))
-    }
+    MetricsReport::from_json(&src).map_err(|e| CliError(format!("{path}: {e}")))
 }
 
 /// How long the TCP driver waits for every worker to reach the rendezvous.
@@ -901,39 +714,12 @@ fn render_run_summary(
     Ok(())
 }
 
-/// A TCP worker's decoded `RESULT` payload (see `docs/wire-protocol.md`,
-/// "Worker RESULT payload"): its comm statistics and iteration count. The
-/// data points of the tiles it owns (full mode) go straight into the
-/// driver's data space.
-struct WorkerPayload {
-    stats: CommStats,
-    iterations: u64,
-}
-
-/// Serialize a worker's `RESULT` payload. All fields little-endian; `f64`s
+/// Serialize a worker's `RESULT` payload (see `docs/wire-protocol.md`,
+/// "`tilecc` RESULT payload"): its iteration count and, in full mode, the
+/// data points of the tiles it owns. All fields little-endian; `f64`s
 /// travel as IEEE-754 bit patterns so the driver rebuilds values bitwise.
-fn encode_worker_payload(
-    stats: &CommStats,
-    iterations: u64,
-    cells: Option<&[(Vec<i64>, Vec<f64>)]>,
-) -> Vec<u8> {
-    let mut buf = Vec::new();
-    for v in [
-        stats.messages_sent,
-        stats.bytes_sent,
-        stats.messages_received,
-        stats.bytes_received,
-    ] {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    buf.extend_from_slice(&stats.wait_time.to_le_bytes());
-    buf.extend_from_slice(&stats.compute_time.to_le_bytes());
-    buf.extend_from_slice(&stats.retransmissions.to_le_bytes());
-    buf.extend_from_slice(&stats.retrans_time.to_le_bytes());
-    buf.extend_from_slice(&stats.duplicates_suppressed.to_le_bytes());
-    buf.extend_from_slice(&stats.recoveries.to_le_bytes());
-    buf.extend_from_slice(&stats.recovery_time.to_le_bytes());
-    buf.extend_from_slice(&iterations.to_le_bytes());
+fn encode_worker_payload(iterations: u64, cells: Option<&[(Vec<i64>, Vec<f64>)]>) -> Vec<u8> {
+    let mut buf = iterations.to_le_bytes().to_vec();
     match cells {
         None => buf.push(0),
         Some(points) => {
@@ -956,64 +742,14 @@ fn encode_worker_payload(
     buf
 }
 
-/// Cursor over a `RESULT` payload; every read is bounds-checked so a
-/// malformed worker payload surfaces as an error, never a panic.
-struct PayloadReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> PayloadReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("payload truncated at byte {}", self.pos))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> Result<i64, String> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-}
-
-/// Inverse of [`encode_worker_payload`]: decode the statistics and write
-/// the cell table into `data`, the driver's global data space (`None` in a
-/// timing-only run, which carries no cells). Every cell is checked against
-/// `data` — the plan's dimension, width and bounding box — before anything
-/// is written, so a malformed payload is an error, never a panic.
-fn decode_worker_payload(
-    buf: &[u8],
-    data: Option<&mut DataSpace>,
-) -> Result<WorkerPayload, String> {
-    let mut r = PayloadReader { buf, pos: 0 };
-    let stats = CommStats {
-        messages_sent: r.u64()?,
-        bytes_sent: r.u64()?,
-        messages_received: r.u64()?,
-        bytes_received: r.u64()?,
-        wait_time: r.f64()?,
-        compute_time: r.f64()?,
-        retransmissions: r.u64()?,
-        retrans_time: r.f64()?,
-        duplicates_suppressed: r.u64()?,
-        recoveries: r.u64()?,
-        recovery_time: r.f64()?,
-    };
+/// Inverse of [`encode_worker_payload`]: return the iteration count and
+/// write the cell table into `data`, the driver's global data space
+/// (`None` in a timing-only run, which carries no cells). Every cell is
+/// checked against `data` — the plan's dimension, width and bounding box —
+/// before anything is written, so a malformed payload is an error, never a
+/// panic.
+fn decode_worker_payload(buf: &[u8], data: Option<&mut DataSpace>) -> Result<u64, String> {
+    let mut r = ByteReader::new(buf, "payload");
     let iterations = r.u64()?;
     match (r.u8()?, data) {
         (0, _) => {}
@@ -1048,13 +784,8 @@ fn decode_worker_payload(
         }
         (k, _) => return Err(format!("unknown cell-table marker {k}")),
     }
-    if r.pos != buf.len() {
-        return Err(format!(
-            "{} trailing bytes after payload",
-            buf.len() - r.pos
-        ));
-    }
-    Ok(WorkerPayload { stats, iterations })
+    r.finish()?;
+    Ok(iterations)
 }
 
 /// The comm scheme, fault plan and execution mode implied by the run flags —
@@ -1125,7 +856,7 @@ fn tcp_worker(
     }
     let plan = pipe.plan().clone();
     let strategy = opts.strategy;
-    let (result, local_time, stats, handle): (RankOutput, f64, CommStats, _) =
+    let (result, local_time, stats, handle): (RankOutput, f64, StatsSnapshot, _) =
         run_worker(&cfg, move |comm| run_rank(&plan, comm, mode, strategy)).map_err(|e| {
             CliError(format!(
                 "worker rank {rank} failed: {e}\nranks implicated: {:?}",
@@ -1133,18 +864,9 @@ fn tcp_worker(
             ))
         })?;
     let cells = (mode == ExecMode::Full).then(|| rank_data_points(pipe.plan(), rank, &result));
-    let payload = encode_worker_payload(&stats, result.iterations, cells.as_deref());
-    if let Some(reg) = &reg {
-        // Final absolute snapshot, sent before RESULT on the ordered
-        // control socket: the driver merges these into one report that is
-        // bitwise identical to a registry-built one.
-        let snap = StatsSnapshot::capture(&reg.rank_metrics(rank));
-        handle
-            .send_stats(&snap)
-            .map_err(|e| CliError(format!("worker rank {rank}: cannot report stats: {e}")))?;
-    }
+    let payload = encode_worker_payload(result.iterations, cells.as_deref());
     handle
-        .send_result(local_time, payload)
+        .send_result(local_time, &stats, payload)
         .map_err(|e| CliError(format!("worker rank {rank}: cannot report result: {e}")))?;
     if let Some(reg) = &reg {
         // Per-worker artifacts: rank metrics live in this process only, so
@@ -1233,25 +955,22 @@ fn render_live_table(ranks: &[RankTelemetry], redraw: usize) -> usize {
     for t in ranks {
         let phase = telemetry_phase(t);
         match &t.stats {
-            Some(st) => {
-                let clock = st.local_clock();
+            Some(snap) => {
+                let st = CommStats::from_snapshot(snap);
+                let clock = snap.local_clock();
                 let pct = |v: f64| if clock > 0.0 { 100.0 * v / clock } else { 0.0 };
-                let comm = st.virt(VirtAcc::Send)
-                    + st.virt(VirtAcc::RecvOverhead)
-                    + st.virt(VirtAcc::Retrans)
-                    + st.virt(VirtAcc::Drain);
                 let _ = writeln!(
                     s,
                     "\x1b[2K{:>4}  {:<14} {:>12.6} {:>6.1} {:>6.1} {:>6.1} {:>12} {:>7} {:>4}",
                     t.rank,
                     phase,
                     clock,
-                    pct(st.virt(VirtAcc::Compute)),
-                    pct(st.virt(VirtAcc::Wait) + st.virt(VirtAcc::Stall)),
-                    pct(comm),
-                    st.counter(Counter::BytesSent),
-                    st.counter(Counter::Retransmits),
-                    st.counter(Counter::Recoveries),
+                    pct(st.compute_time),
+                    pct(st.wait_time),
+                    pct(st.comm_time),
+                    st.bytes_sent,
+                    st.retransmissions,
+                    st.recoveries,
                 );
             }
             None => {
@@ -1292,25 +1011,22 @@ fn stats_ndjson_line(wall_ms: u128, ranks: &[RankTelemetry]) -> String {
             t.progress,
             t.stats_seq
         );
-        if let Some(st) = &t.stats {
-            let comm = st.virt(VirtAcc::Send)
-                + st.virt(VirtAcc::RecvOverhead)
-                + st.virt(VirtAcc::Retrans)
-                + st.virt(VirtAcc::Drain);
+        if let Some(snap) = &t.stats {
+            let st = CommStats::from_snapshot(snap);
             let _ = write!(
                 s,
                 ", \"clock\": {:.9}, \"compute\": {:.9}, \"wait\": {:.9}, \"comm\": {:.9}, \
                  \"recovery\": {:.9}, \"bytes_sent\": {}, \"retransmits\": {}, \
                  \"recoveries\": {}, \"ckpt_writes\": {}",
-                st.local_clock(),
-                st.virt(VirtAcc::Compute),
-                st.virt(VirtAcc::Wait) + st.virt(VirtAcc::Stall),
-                comm,
-                st.virt(VirtAcc::Recovery),
-                st.counter(Counter::BytesSent),
-                st.counter(Counter::Retransmits),
-                st.counter(Counter::Recoveries),
-                st.counter(Counter::CkptWrites),
+                snap.local_clock(),
+                st.compute_time,
+                st.wait_time,
+                st.comm_time,
+                st.recovery_time,
+                st.bytes_sent,
+                st.retransmissions,
+                st.recoveries,
+                snap.counter(Counter::CkptWrites),
             );
         }
         s.push('}');
@@ -1555,22 +1271,23 @@ fn tcp_driver(
         let (lo, hi) = pipe.plan().algorithm.nest.bounding_box();
         DataSpace::with_width(&lo, &hi, pipe.plan().algorithm.width())
     });
-    let mut stats: Vec<CommStats> = Vec::with_capacity(size);
+    let local_times: Vec<f64> = reports.iter().map(|r| r.local_time).collect();
+    let mut snaps: Vec<StatsSnapshot> = Vec::with_capacity(size);
     let mut total_iterations: u64 = 0;
-    for rep in &reports {
-        let p = decode_worker_payload(&rep.payload, parallel.as_mut()).map_err(|e| {
-            CliError(format!(
-                "worker rank {} sent a malformed result payload: {e}",
-                rep.rank
-            ))
-        })?;
-        stats.push(p.stats);
-        total_iterations += p.iterations;
+    for rep in reports {
+        let malformed =
+            |what: &str| CliError(format!("worker rank {} sent a malformed {what}", rep.rank));
+        total_iterations += decode_worker_payload(&rep.payload, parallel.as_mut())
+            .map_err(|e| malformed(&format!("result payload: {e}")))?;
+        let snap = rep
+            .stats
+            .ok_or_else(|| malformed("result: no decodable final STATS frame"))?;
+        snaps.push(snap);
     }
+    let stats: Vec<CommStats> = snaps.iter().map(CommStats::from_snapshot).collect();
     let verified = parallel
         .as_ref()
         .map(|ds| verify_against_sequential(pipe.plan(), ds, reg));
-    let local_times: Vec<f64> = reports.iter().map(|r| r.local_time).collect();
     let summary = RunSummary::new(&opts.model, &stats, local_times, total_iterations, verified);
     let checksum = parallel.as_ref().map(DataSpace::checksum);
     if opts.ckpt_dir.is_none() {
@@ -1609,26 +1326,16 @@ fn tcp_driver(
         // RESULT, so the driver can merge one report over all ranks —
         // bitwise identical to the report a threaded run of the same
         // program writes (`tilecc report a --diff b` checks this).
-        let snaps: Option<Vec<StatsSnapshot>> = reports.iter().map(|r| r.stats.clone()).collect();
-        match snaps {
-            Some(snaps) => {
-                let merged = MetricsReport::from_snapshots(&snaps, &summary.local_times);
-                std::fs::write(p, merged.to_json())
-                    .map_err(|e| CliError(format!("cannot write metrics to `{p}`: {e}")))?;
-                let _ = writeln!(
-                    out,
-                    "metrics    : {p} (driver-merged), per-rank {p}.rank0 .. {p}.rank{}",
-                    size - 1
-                );
-                out.push('\n');
-                out.push_str(&merged.render());
-            }
-            None => {
-                // A worker without observability enabled sends no final
-                // snapshot; only the per-rank artifacts exist then.
-                let _ = writeln!(out, "metrics    : {p}.rank0 .. {p}.rank{}", size - 1);
-            }
-        }
+        let merged = MetricsReport::from_snapshots(&snaps, &summary.local_times);
+        std::fs::write(p, merged.to_json())
+            .map_err(|e| CliError(format!("cannot write metrics to `{p}`: {e}")))?;
+        let _ = writeln!(
+            out,
+            "metrics    : {p} (driver-merged), per-rank {p}.rank0 .. {p}.rank{}",
+            size - 1
+        );
+        out.push('\n');
+        out.push_str(&merged.render());
     }
     Ok(out)
 }
@@ -1820,13 +1527,26 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
         }
         "report" => {
             let path = args.get(1).ok_or(CliError(USAGE.into()))?;
+            let report = load_report(path)?;
             match args.get(2).map(String::as_str) {
-                None => out.push_str(&render_saved_metrics(path)?),
+                None => out.push_str(&report.render()),
                 Some("--diff") => {
-                    let other = args
+                    let other_path = args
                         .get(3)
                         .ok_or(CliError("--diff needs a second metrics file".into()))?;
-                    out.push_str(&diff_saved_metrics(path, other)?);
+                    let diffs = report.deterministic_diff(&load_report(other_path)?);
+                    if !diffs.is_empty() {
+                        return err(format!(
+                            "{path} and {other_path} disagree on the deterministic subset:\n  {}",
+                            diffs.join("\n  ")
+                        ));
+                    }
+                    let _ = writeln!(
+                        out,
+                        "reports agree on the deterministic subset ({} ranks, makespan {:.6} s)",
+                        report.ranks.len(),
+                        report.makespan
+                    );
                 }
                 Some(extra) => return err(format!("unknown report option `{extra}`")),
             }
@@ -1979,6 +1699,8 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use tilecc_cluster::obs::json::Json;
+    use tilecc_cluster::VirtAcc;
 
     /// Self-cleaning temp file (avoids external tempfile dependencies).
     struct TempNest(std::path::PathBuf);
@@ -2715,7 +2437,7 @@ X[t,i,j] = X[t-1,i,j] + 0.3*X[t-1,i-1,j] - 0.2*X[t-1,i,j-1]
     /// A `RESULT` payload whose cell table has the header `(n, w, count)`
     /// followed by `cells`, as a worker would frame it.
     fn payload_with_cells(n: u32, w: u32, count: u64, cells: &[(Vec<i64>, Vec<f64>)]) -> Vec<u8> {
-        let mut buf = encode_worker_payload(&CommStats::default(), 7, None);
+        let mut buf = encode_worker_payload(7, None);
         buf.pop(); // the "no cell table" marker
         buf.push(1);
         buf.extend_from_slice(&n.to_le_bytes());
@@ -2750,8 +2472,8 @@ X[t,i,j] = X[t-1,i,j] + 0.3*X[t-1,i-1,j] - 0.2*X[t-1,i,j-1]
     fn result_payload_cells_of_the_wrong_shape_are_an_error() {
         let mut ds = DataSpace::with_width(&[0, 0], &[3, 3], 2);
         let good = payload_with_cells(2, 2, 1, &[(vec![1, 2], vec![0.5, 1.5])]);
-        let p = decode_worker_payload(&good, Some(&mut ds)).ok().unwrap();
-        assert_eq!(p.iterations, 7);
+        let iterations = decode_worker_payload(&good, Some(&mut ds)).ok().unwrap();
+        assert_eq!(iterations, 7);
         assert_eq!(ds.get_all(&[1, 2]), Some(&[0.5, 1.5][..]));
         for (j, vals) in [(vec![1, 2, 0], vec![0.5, 1.5]), (vec![1, 2], vec![0.5])] {
             let buf = payload_with_cells(j.len() as u32, vals.len() as u32, 1, &[(j, vals)]);

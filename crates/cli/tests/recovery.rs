@@ -5,6 +5,7 @@
 //! and makespan included (worker respawn carries zero recovery debt).
 
 use std::process::{Command, Output};
+use tilecc_cluster::obs::json::{self, Json};
 
 fn sor_nest() -> String {
     format!("{}/../../examples/nests/sor.tk", env!("CARGO_MANIFEST_DIR"))
@@ -175,4 +176,68 @@ fn exhausted_recovery_budget_fails_naming_the_rank() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("rank 1"), "{stderr}");
     assert!(stderr.contains("recovery budget exhausted"), "{stderr}");
+}
+
+#[test]
+fn recovered_tcp_run_counts_its_recovery_in_the_merged_metrics() {
+    // The CI recovery-smoke run, with the driver-merged metrics written.
+    let nest = sor_nest();
+    let metrics = std::env::temp_dir().join(format!(
+        "tilecc-recovery-{}-metrics.json",
+        std::process::id()
+    ));
+    let m = metrics.to_str().unwrap();
+    let out = tilecc_env(
+        &[
+            "run",
+            &nest,
+            "--rect",
+            "5,60,80",
+            "--map",
+            "0",
+            "--backend",
+            "tcp",
+            "--ranks",
+            "4",
+            "--verify",
+            "--on-crash",
+            "recover",
+            "--ckpt-interval",
+            "1",
+            "--metrics-out",
+            m,
+        ],
+        &[("TILECC_CRASH_KILL", "1:1")],
+    );
+    let report = std::fs::read_to_string(m);
+    let rendered = tilecc(&["report", m]);
+    let _ = std::fs::remove_file(&metrics);
+    for r in 0..4 {
+        let _ = std::fs::remove_file(format!("{m}.rank{r}"));
+    }
+    let out = stdout_of(&out);
+    assert_eq!(field(&out, "recoveries"), "1", "{out}");
+    let report = json::parse(&report.expect("merged metrics")).expect("merged metrics parse");
+    let recoveries: u64 = report
+        .get("ranks")
+        .and_then(Json::as_arr)
+        .expect("ranks")
+        .iter()
+        .map(|r| {
+            r.get("counters")
+                .and_then(|c| c.get("recoveries"))
+                .and_then(Json::as_u64)
+                .expect("a recoveries counter")
+        })
+        .sum();
+    assert_eq!(
+        recoveries.to_string(),
+        field(&out, "recoveries"),
+        "the merged metrics must count the recovery the summary printed"
+    );
+    // `report` re-renders the printed block, recovery line included.
+    let rendered = stdout_of(&rendered);
+    assert!(rendered.contains("recovery   : 1 recoveries"), "{rendered}");
+    let printed = &out[out.find("run report:").expect("report block")..];
+    assert_eq!(rendered, printed);
 }

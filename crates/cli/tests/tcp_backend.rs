@@ -27,6 +27,7 @@ impl TempArtifacts {
 
 impl Drop for TempArtifacts {
     fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
         for r in 0..16 {
             let _ = std::fs::remove_file(self.rank(r));
         }
@@ -229,4 +230,40 @@ fn tcp_run_writes_per_worker_metrics_artifacts() {
             "artifact {path:?} is not a metrics report"
         );
     }
+}
+
+/// The report block a run printed after its summary lines.
+fn report_block(out: &str) -> &str {
+    let at = out
+        .find("run report:")
+        .unwrap_or_else(|| panic!("no report block in:\n{out}"));
+    &out[at..]
+}
+
+#[test]
+fn report_renders_what_the_run_printed() {
+    let nest = sor_nest();
+    let base = ["run", &nest, "--rect", "4,10,10", "--map", "2", "--verify"];
+    let threaded_metrics = TempArtifacts::new("printed-threaded.json");
+    let mut threaded_args = base.to_vec();
+    threaded_args.extend(["--metrics-out", threaded_metrics.to_str()]);
+    let threaded = stdout_of(&tilecc(&threaded_args));
+    let procs = field(&threaded, "processors").to_string();
+
+    let tcp_metrics = TempArtifacts::new("printed-tcp.json");
+    let mut tcp_args = base.to_vec();
+    tcp_args.extend(["--backend", "tcp", "--ranks", &procs]);
+    tcp_args.extend(["--metrics-out", tcp_metrics.to_str()]);
+    let tcp = stdout_of(&tilecc(&tcp_args));
+
+    for (printed, metrics) in [(&threaded, &threaded_metrics), (&tcp, &tcp_metrics)] {
+        let rendered = stdout_of(&tilecc(&["report", metrics.to_str()]));
+        assert_eq!(
+            rendered,
+            report_block(printed),
+            "`report` must re-render the run's own report"
+        );
+    }
+    // The threaded report carries the dependency-true critical path.
+    assert!(threaded.contains("dependency chain"), "{threaded}");
 }

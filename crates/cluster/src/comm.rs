@@ -17,7 +17,7 @@
 
 use crate::error::CommError;
 use crate::model::MachineModel;
-use crate::obs::RankObs;
+use crate::obs::{Counter, RankObs, StatsSnapshot, VirtAcc};
 
 /// A message in flight: payload, matching tag, the virtual time it becomes
 /// available at the receiver, and a per-link sequence number.
@@ -43,7 +43,8 @@ pub struct Envelope {
     pub bytes: usize,
 }
 
-/// Per-process communication statistics.
+/// Per-process communication statistics: a view of the rank's metrics
+/// ([`CommStats::from_snapshot`]), which count every event once.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CommStats {
     /// Messages handed to the transport (each counted once, regardless of
@@ -57,15 +58,16 @@ pub struct CommStats {
     /// the reliability layer are excluded, so a fault-free or faulty run
     /// both conserve `bytes_received == bytes_sent`.
     pub bytes_received: u64,
-    /// Virtual seconds spent blocked waiting for messages.
-    pub wait_time: f64,
-    /// Virtual seconds spent computing.
+    /// Virtual seconds computing.
     pub compute_time: f64,
+    /// Virtual seconds blocked on data dependences, injected stalls
+    /// included.
+    pub wait_time: f64,
+    /// Virtual seconds of communication CPU cost: send injection, receive
+    /// overhead, retransmission charges and overlapped-lane drains.
+    pub comm_time: f64,
     /// Transmission attempts repeated because the fault plan dropped them.
     pub retransmissions: u64,
-    /// Virtual seconds the sender's clock was charged for retransmission
-    /// backoff and repeated injections.
-    pub retrans_time: f64,
     /// Messages discarded by the receiver's duplicate suppression.
     pub duplicates_suppressed: u64,
     /// Times this rank was restored from a checkpoint after a crash.
@@ -75,6 +77,32 @@ pub struct CommStats {
     /// every message timestamp stays bitwise identical to the fault-free
     /// run (`local_time - recovery_time` is the fault-free clock).
     pub recovery_time: f64,
+}
+
+impl CommStats {
+    /// The statistics view of one rank's metrics, and the one definition
+    /// of the clock partition: compute = `Compute`, wait = `Wait + Stall`,
+    /// comm = `Send + RecvOverhead + Retrans + Drain`, recovery =
+    /// `Recovery`. Together they sum to the rank's clock; `OverlapHidden`
+    /// is informational and outside the partition.
+    pub fn from_snapshot(s: &StatsSnapshot) -> CommStats {
+        CommStats {
+            messages_sent: s.counter(Counter::MessagesSent),
+            bytes_sent: s.counter(Counter::BytesSent),
+            messages_received: s.counter(Counter::MessagesReceived),
+            bytes_received: s.counter(Counter::BytesReceived),
+            compute_time: s.virt(VirtAcc::Compute),
+            wait_time: s.virt(VirtAcc::Wait) + s.virt(VirtAcc::Stall),
+            comm_time: s.virt(VirtAcc::Send)
+                + s.virt(VirtAcc::RecvOverhead)
+                + s.virt(VirtAcc::Retrans)
+                + s.virt(VirtAcc::Drain),
+            retransmissions: s.counter(Counter::Retransmits),
+            duplicates_suppressed: s.counter(Counter::DupsSuppressed),
+            recoveries: s.counter(Counter::Recoveries),
+            recovery_time: s.virt(VirtAcc::Recovery),
+        }
+    }
 }
 
 /// State handed back by [`Comm::try_restore`]: where to resume the chain
@@ -228,7 +256,7 @@ pub trait Comm {
 
     /// Record a recovery checkpoint at chain position `chain_pos` with the
     /// caller's serialized application state (LDS snapshot + logical
-    /// counters). Implementations snapshot their clock, statistics and
+    /// counters). Implementations snapshot their clock, metrics and
     /// reliability frontiers alongside, and acknowledge received envelopes
     /// so senders can trim their replay logs. Default: no-op.
     fn checkpoint(&mut self, _chain_pos: u64, _app: &[u8]) {}

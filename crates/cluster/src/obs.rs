@@ -21,10 +21,14 @@
 //!   counters, serialized with the same hand-rolled JSON style as the bench
 //!   artifacts, plus a human-readable text rendering.
 //!
-//! Observability is strictly opt-in: with `EngineOptions::obs == None` the
-//! engine and executor only ever test an `Option` that is `None`, so the
-//! hot paths are unchanged (see `perf --obs-overhead`).
+//! Spans, gauges and histograms are opt-in: with `EngineOptions::obs ==
+//! None` the engine and executor only ever test an `Option` that is
+//! `None` for them (see `perf --obs-overhead`). The engine's counters and
+//! virtual accumulators are the run's one account and are always kept —
+//! in the registry's slot when the run observes, in a private
+//! [`RankMetrics`] otherwise; [`CommStats`] is a view of them.
 
+use crate::comm::CommStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -64,6 +68,21 @@ pub enum Phase {
 }
 
 impl Phase {
+    /// Every phase, in declaration order.
+    pub const ALL: [Phase; 11] = [
+        Phase::Lower,
+        Phase::Plan,
+        Phase::CompileChain,
+        Phase::Compute,
+        Phase::Pack,
+        Phase::Send,
+        Phase::Recv,
+        Phase::Unpack,
+        Phase::Gather,
+        Phase::Verify,
+        Phase::Overlap,
+    ];
+
     /// Stable snake-case name used in exports.
     pub fn name(self) -> &'static str {
         match self {
@@ -521,7 +540,8 @@ pub struct RankMetrics {
 }
 
 impl RankMetrics {
-    fn new() -> Self {
+    /// A zeroed slot.
+    pub(crate) fn new() -> Self {
         RankMetrics {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             gauges: std::array::from_fn(|_| Gauge::new()),
@@ -540,10 +560,22 @@ impl RankMetrics {
         self.counters[c as usize].load(Ordering::Relaxed)
     }
 
-    /// Overwrite counter `c` (crash recovery rewinds counters to a
-    /// checkpoint snapshot; single-writer discipline applies).
+    /// Overwrite counter `c` (single-writer discipline applies).
     pub fn set(&self, c: Counter, v: u64) {
         self.counters[c as usize].store(v, Ordering::Relaxed);
+    }
+
+    /// Rewind every counter and virtual accumulator onto a checkpoint
+    /// snapshot (crash recovery; single-writer discipline applies). Gauges
+    /// and histograms record wall-clock events that did happen and are
+    /// left as they are.
+    pub fn restore(&self, snap: &StatsSnapshot) {
+        for (cell, &v) in self.counters.iter().zip(&snap.counters) {
+            cell.store(v, Ordering::Relaxed);
+        }
+        for (cell, &v) in self.virt.iter().zip(&snap.virts) {
+            cell.store(v, Ordering::Relaxed);
+        }
     }
 
     /// The gauge cell for `g`.
@@ -567,13 +599,6 @@ impl RankMetrics {
     /// Current value of accumulator `a` in virtual seconds.
     pub fn virt_get(&self, a: VirtAcc) -> f64 {
         f64::from_bits(self.virt[a as usize].load(Ordering::Relaxed))
-    }
-
-    /// Overwrite accumulator `a` (crash recovery rewinds the virtual
-    /// accumulators to a checkpoint snapshot; single-writer discipline
-    /// applies).
-    pub fn virt_set(&self, a: VirtAcc, v: f64) {
-        self.virt[a as usize].store(v.to_bits(), Ordering::Relaxed);
     }
 }
 
@@ -971,19 +996,12 @@ impl StatsSnapshot {
     }
 
     /// The rank's current virtual clock, reconstructed from the partition
-    /// invariant: every clock advance is charged to exactly one
-    /// accumulator ([`VirtAcc::OverlapHidden`] is informational and
-    /// excluded), so their sum *is* the clock — no separate clock cell has
-    /// to travel with the snapshot.
+    /// invariant: every clock advance is charged to exactly one term of
+    /// [`CommStats::from_snapshot`]'s partition, so their sum *is* the
+    /// clock — no separate clock cell has to travel with the snapshot.
     pub fn local_clock(&self) -> f64 {
-        self.virt(VirtAcc::Compute)
-            + self.virt(VirtAcc::Wait)
-            + self.virt(VirtAcc::Send)
-            + self.virt(VirtAcc::RecvOverhead)
-            + self.virt(VirtAcc::Retrans)
-            + self.virt(VirtAcc::Stall)
-            + self.virt(VirtAcc::Drain)
-            + self.virt(VirtAcc::Recovery)
+        let s = CommStats::from_snapshot(self);
+        s.compute_time + s.wait_time + s.comm_time + s.recovery_time
     }
 
     /// Delta-encode this snapshot against `prev` as the `STATS` payload:
@@ -1367,6 +1385,9 @@ pub fn critical_path_from_spans(spans: &[Span], local_times: &[f64]) -> Option<C
 // RunReport
 // ---------------------------------------------------------------------------
 
+/// The `schema` tag of a serialized [`RunReport`].
+pub const METRICS_SCHEMA: &str = "tilecc-metrics-v1";
+
 /// One histogram's aggregated view: `(id, count, sum, non-empty buckets)`
 /// where each bucket is `(floor, count)`.
 pub type HistReport = (HistId, u64, u64, Vec<(u64, u64)>);
@@ -1448,24 +1469,17 @@ impl RunReport {
         let mut ranks = Vec::with_capacity(local_times.len());
         for (rank, &local_time) in local_times.iter().enumerate() {
             let m = snaps.get(rank).unwrap_or(&zero);
-            let compute = m.virt(VirtAcc::Compute);
-            let wait = m.virt(VirtAcc::Wait) + m.virt(VirtAcc::Stall);
-            let comm = m.virt(VirtAcc::Send)
-                + m.virt(VirtAcc::RecvOverhead)
-                + m.virt(VirtAcc::Retrans)
-                + m.virt(VirtAcc::Drain);
-            let recovery = m.virt(VirtAcc::Recovery);
-            let overlap_hidden = m.virt(VirtAcc::OverlapHidden);
+            let split = CommStats::from_snapshot(m);
             ranks.push(RankReport {
                 rank,
                 local_time,
-                compute,
-                wait,
-                comm,
-                recovery,
-                overlap_hidden,
+                compute: split.compute_time,
+                wait: split.wait_time,
+                comm: split.comm_time,
+                recovery: split.recovery_time,
+                overlap_hidden: m.virt(VirtAcc::OverlapHidden),
                 utilization: if local_time > 0.0 {
-                    compute / local_time
+                    split.compute_time / local_time
                 } else {
                     0.0
                 },
@@ -1569,21 +1583,23 @@ impl RunReport {
     }
 
     /// Hand-rolled JSON, same style as the bench artifacts
-    /// (`schema: "tilecc-metrics-v1"`; see `docs/observability.md`).
+    /// (`schema: "tilecc-metrics-v1"`; see `docs/observability.md`). Every
+    /// `f64` is written in its shortest round-trip form, so
+    /// [`RunReport::from_json`] rebuilds the report exactly.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
-        let mut j = String::from("{\n  \"schema\": \"tilecc-metrics-v1\",\n");
-        let _ = writeln!(j, "  \"makespan\": {:.9},", self.makespan);
+        let mut j = format!("{{\n  \"schema\": \"{METRICS_SCHEMA}\",\n");
+        let _ = writeln!(j, "  \"makespan\": {:?},", self.makespan);
         if let Some(cp) = &self.critical_path {
             let _ = writeln!(j, "  \"critical_path\": {{");
-            let _ = writeln!(j, "    \"length\": {:.9},", cp.length);
+            let _ = writeln!(j, "    \"length\": {:?},", cp.length);
             let _ = writeln!(j, "    \"hops\": [");
             let nh = cp.hops.len();
             for (k, h) in cp.hops.iter().enumerate() {
                 let from = h.from_rank.map_or("null".to_string(), |r| r.to_string());
                 let _ = writeln!(
                     j,
-                    "      {{\"rank\": {}, \"phase\": \"{}\", \"start\": {:.9}, \"end\": {:.9}, \"from_rank\": {}}}{}",
+                    "      {{\"rank\": {}, \"phase\": \"{}\", \"start\": {:?}, \"end\": {:?}, \"from_rank\": {}}}{}",
                     h.rank,
                     h.phase,
                     h.start,
@@ -1600,13 +1616,13 @@ impl RunReport {
         for (i, r) in self.ranks.iter().enumerate() {
             let _ = writeln!(j, "    {{");
             let _ = writeln!(j, "      \"rank\": {},", r.rank);
-            let _ = writeln!(j, "      \"local_time\": {:.9},", r.local_time);
-            let _ = writeln!(j, "      \"compute\": {:.9},", r.compute);
-            let _ = writeln!(j, "      \"wait\": {:.9},", r.wait);
-            let _ = writeln!(j, "      \"comm\": {:.9},", r.comm);
-            let _ = writeln!(j, "      \"recovery\": {:.9},", r.recovery);
-            let _ = writeln!(j, "      \"overlap_hidden\": {:.9},", r.overlap_hidden);
-            let _ = writeln!(j, "      \"utilization\": {:.6},", r.utilization);
+            let _ = writeln!(j, "      \"local_time\": {:?},", r.local_time);
+            let _ = writeln!(j, "      \"compute\": {:?},", r.compute);
+            let _ = writeln!(j, "      \"wait\": {:?},", r.wait);
+            let _ = writeln!(j, "      \"comm\": {:?},", r.comm);
+            let _ = writeln!(j, "      \"recovery\": {:?},", r.recovery);
+            let _ = writeln!(j, "      \"overlap_hidden\": {:?},", r.overlap_hidden);
+            let _ = writeln!(j, "      \"utilization\": {:?},", r.utilization);
             let _ = writeln!(j, "      \"counters\": {{");
             let nc = r.counters.len();
             for (k, (c, v)) in r.counters.iter().enumerate() {
@@ -1654,6 +1670,124 @@ impl RunReport {
         }
         j.push_str("  ]\n}\n");
         j
+    }
+
+    /// Parse a saved `tilecc-metrics-v1` document: the inverse of
+    /// [`RunReport::to_json`], so `to_json(from_json(s)) == s` for every
+    /// file this build writes. Older files load too: values rounded to
+    /// fewer digits read as written, and a missing counter, gauge,
+    /// histogram or clock term reads as zero.
+    pub fn from_json(src: &str) -> Result<RunReport, String> {
+        use json::Json;
+        let j = json::parse(src)?;
+        let schema = j.get("schema").and_then(Json::as_str);
+        if schema != Some(METRICS_SCHEMA) {
+            return Err(format!(
+                "unsupported metrics schema {schema:?} (expected \"{METRICS_SCHEMA}\")"
+            ));
+        }
+        let makespan = j
+            .get("makespan")
+            .and_then(Json::as_f64)
+            .ok_or("missing makespan")?;
+        // Absent fields (and absent objects) read as zero.
+        let num = |o: Option<&Json>, k: &str| {
+            o.and_then(|o| o.get(k))
+                .and_then(Json::as_f64)
+                .unwrap_or(0.0)
+        };
+        let int = |o: Option<&Json>, k: &str| {
+            o.and_then(|o| o.get(k)).and_then(Json::as_u64).unwrap_or(0)
+        };
+        let critical_path = match j.get("critical_path") {
+            None => None,
+            Some(cp) => {
+                let mut hops = Vec::new();
+                for h in cp.get("hops").and_then(Json::as_arr).unwrap_or(&[]) {
+                    let name = h.get("phase").and_then(Json::as_str).unwrap_or("?");
+                    let phase = Phase::ALL
+                        .iter()
+                        .map(|p| p.name())
+                        .chain(["idle", "origin"])
+                        .find(|&p| p == name)
+                        .ok_or_else(|| format!("unknown critical-path phase `{name}`"))?;
+                    hops.push(CriticalHop {
+                        rank: int(Some(h), "rank") as usize,
+                        phase,
+                        start: num(Some(h), "start"),
+                        end: num(Some(h), "end"),
+                        from_rank: h
+                            .get("from_rank")
+                            .and_then(Json::as_u64)
+                            .map(|r| r as usize),
+                    });
+                }
+                let length = num(Some(cp), "length");
+                Some(CriticalPath { hops, length })
+            }
+        };
+        let rows = j
+            .get("ranks")
+            .and_then(Json::as_arr)
+            .ok_or("missing ranks")?;
+        let mut ranks = Vec::with_capacity(rows.len());
+        for (i, row) in rows.iter().enumerate() {
+            let r = Some(row);
+            let (counters, gauges, hists) = (
+                row.get("counters"),
+                row.get("gauges"),
+                row.get("histograms"),
+            );
+            let mut hist_rows = Vec::with_capacity(HistId::COUNT);
+            for h in HistId::ALL {
+                let o = hists.and_then(|o| o.get(h.name()));
+                let mut buckets = Vec::new();
+                for b in o
+                    .and_then(|o| o.get("buckets"))
+                    .and_then(Json::as_arr)
+                    .unwrap_or(&[])
+                {
+                    let pair = b.as_arr().and_then(|p| match p {
+                        [lo, c] => Some((lo.as_u64()?, c.as_u64()?)),
+                        _ => None,
+                    });
+                    buckets.push(
+                        pair.ok_or_else(|| format!("bad `{}` bucket in rank {i}", h.name()))?,
+                    );
+                }
+                hist_rows.push((h, int(o, "count"), int(o, "sum"), buckets));
+            }
+            ranks.push(RankReport {
+                rank: row
+                    .get("rank")
+                    .and_then(Json::as_u64)
+                    .map_or(i, |x| x as usize),
+                local_time: num(r, "local_time"),
+                compute: num(r, "compute"),
+                wait: num(r, "wait"),
+                comm: num(r, "comm"),
+                recovery: num(r, "recovery"),
+                overlap_hidden: num(r, "overlap_hidden"),
+                utilization: num(r, "utilization"),
+                counters: Counter::ALL
+                    .iter()
+                    .map(|&c| (c, int(counters, c.name())))
+                    .collect(),
+                gauges: GaugeId::ALL
+                    .iter()
+                    .map(|&g| {
+                        let o = gauges.and_then(|o| o.get(g.name()));
+                        (g, int(o, "value"), int(o, "max"))
+                    })
+                    .collect(),
+                hists: hist_rows,
+            });
+        }
+        Ok(RunReport {
+            ranks,
+            makespan,
+            critical_path,
+        })
     }
 
     /// Human-readable summary: utilization, compute/wait/comm split, wire
@@ -2171,6 +2305,97 @@ mod tests {
             hist.and_then(|h| h.get("count")).and_then(|v| v.as_u64()),
             Some(1)
         );
+
+        // `from_json` inverts `to_json` byte for byte: critical path,
+        // gauges, histograms, counters at u64 extremes and f64 values that
+        // no fixed number of decimals reproduces.
+        let m1 = reg.rank_metrics(1);
+        m1.add(Counter::BytesSent, u64::MAX);
+        m1.add(Counter::Iterations, (1u64 << 53) + 1);
+        m1.virt_add(VirtAcc::Compute, 0.1 + 0.2);
+        m1.virt_add(VirtAcc::Wait, 1.0 / 3.0);
+        m1.virt_add(VirtAcc::Drain, 5e-324);
+        m1.virt_add(VirtAcc::OverlapHidden, 1e-7);
+        m1.gauge(GaugeId::WriterQueueDepth).set(u64::MAX);
+        m1.gauge(GaugeId::WriterQueueDepth).set(3);
+        m1.hist(HistId::RetransNs).observe(u64::MAX);
+        m1.hist(HistId::RetransNs).observe(0);
+        let cross = reg.clone();
+        cross_rank_spans(&cross);
+        let times = [2.5, 1.0 / 7.0];
+        let report = reg
+            .run_report(&times)
+            .with_critical_path(reg.critical_path(&times));
+        assert!(report.critical_path.is_some());
+        let s = report.to_json();
+        let back = RunReport::from_json(&s).expect("a written report must load");
+        assert_eq!(back.to_json(), s);
+        assert_eq!(back.render(), report.render());
+        assert!(back.deterministic_diff(&report).is_empty());
+        assert_eq!(back.total(Counter::BytesSent), u64::MAX);
+        assert_eq!(
+            back.ranks[1].gauges[GaugeId::WriterQueueDepth as usize].2,
+            u64::MAX
+        );
+        // A report without a critical path round-trips too.
+        let plain = reg.run_report(&times).to_json();
+        assert_eq!(RunReport::from_json(&plain).unwrap().to_json(), plain);
+    }
+
+    #[test]
+    fn run_report_from_json_reads_files_the_older_writer_wrote() {
+        // Nine-decimal values, a six-decimal utilization, and a rank whose
+        // counters, gauges and histograms are missing (they read as zero).
+        let old = r#"{
+  "schema": "tilecc-metrics-v1",
+  "makespan": 0.001234568,
+  "critical_path": {
+    "length": 0.001234568,
+    "hops": [
+      {"rank": 1, "phase": "origin", "start": 0.000000000, "end": 0.000100000, "from_rank": null},
+      {"rank": 0, "phase": "recv", "start": 0.000100000, "end": 0.001234568, "from_rank": 1}
+    ]
+  },
+  "ranks": [
+    {
+      "rank": 0,
+      "local_time": 0.001234568,
+      "compute": 0.001000000,
+      "wait": 0.000200000,
+      "comm": 0.000034568,
+      "recovery": 0.000000000,
+      "overlap_hidden": 0.000000000,
+      "utilization": 0.810000,
+      "counters": {"messages_sent": 3, "bytes_sent": 96}
+    }
+  ]
+}"#;
+        let r = RunReport::from_json(old).expect("older files still load");
+        assert_eq!(r.makespan, 0.001234568);
+        assert_eq!(r.ranks[0].utilization, 0.81);
+        assert_eq!(r.total(Counter::MessagesSent), 3);
+        assert_eq!(r.total(Counter::Recoveries), 0);
+        assert!(r.ranks[0]
+            .gauges
+            .iter()
+            .all(|&(_, v, mx)| v == 0 && mx == 0));
+        assert!(r.ranks[0].hists.iter().all(|h| h.1 == 0 && h.3.is_empty()));
+        let cp = r.critical_path.as_ref().unwrap();
+        assert_eq!(
+            (cp.hops[0].phase, cp.hops[1].from_rank),
+            ("origin", Some(1))
+        );
+        assert!(r
+            .render()
+            .contains("critical   : 0.001235 s dependency chain"));
+        // Unknown phases and malformed buckets are typed errors.
+        let bad = old.replace("\"recv\"", "\"teleport\"");
+        assert!(RunReport::from_json(&bad).unwrap_err().contains("teleport"));
+        let bad = old.replace(
+            "\"counters\"",
+            "\"histograms\": {\"pack_ns\": {\"count\": 1, \"sum\": 1, \"buckets\": [[1]]}}, \"counters\"",
+        );
+        assert!(RunReport::from_json(&bad).unwrap_err().contains("pack_ns"));
     }
 
     #[test]
@@ -2363,8 +2588,10 @@ mod tests {
         // must carry the decrease (an unsigned delta would wrap).
         let m = populated_metrics();
         let before = StatsSnapshot::capture(&m);
-        m.set(Counter::MessagesSent, 5); // rewound below the previous 42
-        m.virt_set(VirtAcc::Compute, 0.125);
+        let mut rewound = before.clone();
+        rewound.counters[Counter::MessagesSent as usize] = 5; // below the previous 42
+        rewound.virts[VirtAcc::Compute as usize] = 0.125f64.to_bits();
+        m.restore(&rewound);
         let after = StatsSnapshot::capture(&m);
         let delta = after.encode_delta(&before);
         let got = StatsSnapshot::apply_delta(&before, &delta).unwrap();

@@ -2,10 +2,11 @@
 //! once for both transports.
 //!
 //! [`RankCore`] owns the clock, the overlapped scheme's comm lane, the
-//! statistics, the observability handle, the reliability state (per-link
-//! sequence numbers, reorder holdback, MPI-style tag-matching buffers), the
-//! injected faults and the crash-recovery control, and implements [`Comm`]
-//! once. A transport only supplies a [`Link`]: push one envelope to a peer,
+//! rank's metrics slot (the one account of every comm event and clock
+//! charge, which [`CommStats`] views), the observability handle, the
+//! reliability state (per-link sequence numbers, reorder holdback,
+//! MPI-style tag-matching buffers), the injected faults and the
+//! crash-recovery control, and implements [`Comm`] once. A transport only supplies a [`Link`]: push one envelope to a peer,
 //! poll the next envelope from a peer with a timeout, and name a closed
 //! peer's [`CommError`]. [`crate::ThreadedComm`] and [`crate::TcpComm`] are
 //! this core over the channel link and the socket link, so for the same
@@ -16,7 +17,10 @@ use crate::comm::{Comm, CommAbort, CommStats, Envelope, Restored};
 use crate::error::CommError;
 use crate::fault::{FaultPlan, RankStall};
 use crate::model::MachineModel;
-use crate::obs::{Counter, GaugeId, HistId, MetricsRegistry, Phase, RankObs, SpanEdge, VirtAcc};
+use crate::obs::{
+    Counter, GaugeId, HistId, MetricsRegistry, Phase, RankMetrics, RankObs, SpanEdge,
+    StatsSnapshot, VirtAcc,
+};
 use crate::reliability::{retransmit_pauses, Admit, LinkSeq, ReplayLog};
 use crate::threaded::{CommScheme, EngineOptions, InjectedCrash, Monitor, RankPhase, RECV_POLL};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -75,17 +79,14 @@ pub struct CkptState {
     pub(crate) clock: f64,
     pub(crate) comm_lane: f64,
     pub(crate) lane_busy: f64,
-    pub(crate) stats: CommStats,
+    /// The rank's counters and virtual accumulators at the checkpoint.
+    pub(crate) metrics: StatsSnapshot,
     /// Outgoing sequence frontier per link.
     pub(crate) next: Vec<u64>,
     /// Incoming expected-sequence frontier per link.
     pub(crate) expect: Vec<u64>,
     /// Arrived-but-unmatched envelopes (MPI tag-matching buffers).
     pub(crate) pending: Vec<Vec<Envelope>>,
-    /// Observability counter values at the checkpoint (`None` without obs).
-    pub(crate) counters: Option<Vec<u64>>,
-    /// Virtual-accumulator values at the checkpoint (`None` without obs).
-    pub(crate) virts: Option<Vec<f64>>,
 }
 
 /// Per-rank recovery state (`Some` only with a recovery policy).
@@ -148,6 +149,7 @@ impl RunShared {
     /// Rank `rank`'s endpoint over `link`, at virtual time zero.
     pub(crate) fn core<L>(&self, rank: usize, link: L) -> RankCore<L> {
         let size = self.size;
+        let obs = self.obs.as_ref().map(|reg| RankObs::new(reg.clone(), rank));
         RankCore {
             rank,
             size,
@@ -156,7 +158,9 @@ impl RunShared {
             clock: 0.0,
             comm_lane: 0.0,
             lane_busy: 0.0,
-            stats: CommStats::default(),
+            metrics: obs
+                .as_ref()
+                .map_or_else(|| Arc::new(RankMetrics::new()), RankObs::metrics),
             pending: vec![Vec::new(); size],
             monitor: self.monitor.clone(),
             crash_at: self.fault.as_ref().and_then(|fp| fp.crash_time(rank)),
@@ -164,7 +168,7 @@ impl RunShared {
             fault: self.fault.clone(),
             links: LinkSeq::new(size),
             holdback: vec![None; size],
-            obs: self.obs.as_ref().map(|reg| RankObs::new(reg.clone(), rank)),
+            obs,
             recovery: self
                 .recovery
                 .as_ref()
@@ -199,7 +203,9 @@ pub struct RankCore<L> {
     /// Lane busy time accumulated since the last drain (for the
     /// `overlap_hidden` accounting).
     pub(crate) lane_busy: f64,
-    pub(crate) stats: CommStats,
+    /// The rank's counters and virtual accumulators: the registry's slot
+    /// when the run observes, a private one otherwise.
+    pub(crate) metrics: Arc<RankMetrics>,
     /// Per-peer buffers of arrived-but-unmatched messages (MPI-style tag
     /// matching).
     pub(crate) pending: Vec<Vec<Envelope>>,
@@ -232,10 +238,7 @@ impl<L: Link> RankCore<L> {
             if self.clock >= stall.at {
                 self.stall = None;
                 self.clock += stall.duration;
-                self.stats.wait_time += stall.duration;
-                if let Some(o) = &self.obs {
-                    o.virt_add(VirtAcc::Stall, stall.duration);
-                }
+                self.metrics.virt_add(VirtAcc::Stall, stall.duration);
             }
         }
         if let Some(at) = self.crash_at {
@@ -302,12 +305,7 @@ impl<L: Link> RankCore<L> {
                     self.monitor.bump();
                     match self.links.admit(from, env) {
                         Admit::Deliver(env) => break Ok(env),
-                        Admit::Duplicate => {
-                            self.stats.duplicates_suppressed += 1;
-                            if let Some(o) = &self.obs {
-                                o.add(Counter::DupsSuppressed, 1);
-                            }
-                        }
+                        Admit::Duplicate => self.metrics.add(Counter::DupsSuppressed, 1),
                         Admit::Buffered => {}
                     }
                 }
@@ -329,25 +327,16 @@ impl<L: Link> RankCore<L> {
         result
     }
 
-    /// Rewind the endpoint onto a checkpoint: clock, lanes, statistics,
-    /// reliability frontiers, tag-matching buffers and the observability
-    /// counters — re-execution from here continues bitwise.
+    /// Rewind the endpoint onto a checkpoint: clock, lanes, counters and
+    /// accumulators, reliability frontiers and tag-matching buffers —
+    /// re-execution from here continues bitwise.
     pub(crate) fn rewind(&mut self, ckpt: &CkptState) {
         self.clock = ckpt.clock;
         self.comm_lane = ckpt.comm_lane;
         self.lane_busy = ckpt.lane_busy;
-        self.stats = ckpt.stats;
+        self.metrics.restore(&ckpt.metrics);
         self.links.rewind(&ckpt.next, &ckpt.expect);
         self.pending = ckpt.pending.clone();
-        if let Some(o) = &self.obs {
-            let m = o.metrics();
-            for (&c, &v) in Counter::ALL.iter().zip(ckpt.counters.iter().flatten()) {
-                m.set(c, v);
-            }
-            for (&a, &v) in VirtAcc::ALL.iter().zip(ckpt.virts.iter().flatten()) {
-                m.virt_set(a, v);
-            }
-        }
     }
 }
 
@@ -387,14 +376,10 @@ impl<L: Link> Comm for RankCore<L> {
             for pause in
                 retransmit_pauses(&fault, &self.model, self.rank, to, tag, seq, nominal_bytes)?
             {
-                self.stats.retransmissions += 1;
-                self.stats.retrans_time += pause;
                 match self.scheme {
                     CommScheme::Blocking => {
                         self.clock += pause;
-                        if let Some(o) = &self.obs {
-                            o.virt_add(VirtAcc::Retrans, pause);
-                        }
+                        self.metrics.virt_add(VirtAcc::Retrans, pause);
                     }
                     // Overlapped: the NIC retries in the background, so the
                     // backoff occupies the comm lane, not the CPU clock —
@@ -405,9 +390,9 @@ impl<L: Link> Comm for RankCore<L> {
                         self.lane_busy += pause;
                     }
                 }
+                self.metrics.add(Counter::FaultDrops, 1);
+                self.metrics.add(Counter::Retransmits, 1);
                 if let Some(o) = &self.obs {
-                    o.add(Counter::FaultDrops, 1);
-                    o.add(Counter::Retransmits, 1);
                     // Modelled backoff latency, in virtual nanoseconds; a
                     // histogram, so it never perturbs the clock partition.
                     o.observe(HistId::RetransNs, (pause * 1e9) as u64);
@@ -440,34 +425,22 @@ impl<L: Link> Comm for RankCore<L> {
             seq,
             bytes: nominal_bytes,
         };
-        self.stats.messages_sent += 1;
-        self.stats.bytes_sent += nominal_bytes as u64;
-        if let Some(o) = &self.obs {
-            o.add(Counter::MessagesSent, 1);
-            o.add(Counter::BytesSent, nominal_bytes as u64);
-            o.virt_add(VirtAcc::Send, send_cost);
-        }
+        self.metrics.add(Counter::MessagesSent, 1);
+        self.metrics.add(Counter::BytesSent, nominal_bytes as u64);
+        self.metrics.virt_add(VirtAcc::Send, send_cost);
 
         let (duplicate, reorder) = match &self.fault {
             Some(f) if f.perturbs_links() => {
                 if let Some(extra) = f.delayed(self.rank, to, seq) {
                     env.ready_at += extra;
-                    if let Some(o) = &self.obs {
-                        o.add(Counter::FaultDelays, 1);
-                    }
+                    self.metrics.add(Counter::FaultDelays, 1);
                 }
                 let (dup, reord) = (
                     f.duplicated(self.rank, to, seq),
                     f.reordered(self.rank, to, seq),
                 );
-                if let Some(o) = &self.obs {
-                    if dup {
-                        o.add(Counter::FaultDups, 1);
-                    }
-                    if reord {
-                        o.add(Counter::FaultReorders, 1);
-                    }
-                }
+                self.metrics.add(Counter::FaultDups, u64::from(dup));
+                self.metrics.add(Counter::FaultReorders, u64::from(reord));
                 (dup, reord)
             }
             _ => (false, false),
@@ -554,28 +527,22 @@ impl<L: Link> Comm for RankCore<L> {
             }
         };
         if env.ready_at > self.clock {
-            let waited = env.ready_at - self.clock;
-            self.stats.wait_time += waited;
+            self.metrics
+                .virt_add(VirtAcc::Wait, env.ready_at - self.clock);
             self.clock = env.ready_at;
-            if let Some(o) = &self.obs {
-                o.virt_add(VirtAcc::Wait, waited);
-            }
         }
         if self.scheme == CommScheme::Blocking {
             self.clock += self.model.recv_overhead;
-            if let Some(o) = &self.obs {
-                o.virt_add(VirtAcc::RecvOverhead, self.model.recv_overhead);
-            }
+            self.metrics
+                .virt_add(VirtAcc::RecvOverhead, self.model.recv_overhead);
         }
-        self.stats.messages_received += 1;
-        self.stats.bytes_received += env.bytes as u64;
+        self.metrics.add(Counter::MessagesReceived, 1);
+        self.metrics.add(Counter::BytesReceived, env.bytes as u64);
         if let Some(wall_t0) = wall_t0 {
             let virt_t1 = self.clock;
             let pending_depth = self.pending.iter().map(|p| p.len()).sum::<usize>() as u64;
             let reseq_depth = self.links.resequence_depth();
             if let Some(o) = &mut self.obs {
-                o.add(Counter::MessagesReceived, 1);
-                o.add(Counter::BytesReceived, env.bytes as u64);
                 o.observe(HistId::RecvWaitNs, o.now_ns().saturating_sub(wall_t0));
                 o.gauge_set(GaugeId::PendingDepth, pending_depth);
                 o.gauge_set(GaugeId::ResequenceDepth, reseq_depth);
@@ -598,13 +565,11 @@ impl<L: Link> Comm for RankCore<L> {
     fn drain_sends(&mut self) -> f64 {
         let overshoot = (self.comm_lane - self.clock).max(0.0);
         let hidden = (self.lane_busy - overshoot).max(0.0);
-        if let Some(o) = &self.obs {
-            if overshoot > 0.0 {
-                o.virt_add(VirtAcc::Drain, overshoot);
-            }
-            if hidden > 0.0 {
-                o.virt_add(VirtAcc::OverlapHidden, hidden);
-            }
+        if overshoot > 0.0 {
+            self.metrics.virt_add(VirtAcc::Drain, overshoot);
+        }
+        if hidden > 0.0 {
+            self.metrics.virt_add(VirtAcc::OverlapHidden, hidden);
         }
         self.clock += overshoot;
         self.comm_lane = self.clock;
@@ -616,13 +581,10 @@ impl<L: Link> Comm for RankCore<L> {
         self.fault_tick();
         let dt = self.model.compute_cost(iters);
         self.clock += dt;
-        self.stats.compute_time += dt;
         // The virtual accumulator only; the Compute *span* is recorded by
         // the executor around the whole tile (kernel + this charge), so the
         // two would double-count if both lived here.
-        if let Some(o) = &self.obs {
-            o.virt_add(VirtAcc::Compute, dt);
-        }
+        self.metrics.virt_add(VirtAcc::Compute, dt);
     }
 
     fn local_time(&self) -> f64 {
@@ -634,7 +596,7 @@ impl<L: Link> Comm for RankCore<L> {
     }
 
     fn stats(&self) -> CommStats {
-        self.stats
+        CommStats::from_snapshot(&StatsSnapshot::capture(&self.metrics))
     }
 
     fn obs(&mut self) -> Option<&mut RankObs> {
@@ -649,31 +611,19 @@ impl<L: Link> Comm for RankCore<L> {
         let Some(rec) = self.recovery.as_mut() else {
             return;
         };
-        // Snapshot observability state *before* counting the checkpoint, so
-        // a restore followed by a re-checkpoint at the same position counts
+        // Snapshot the metrics *before* counting the checkpoint, so a
+        // restore followed by a re-checkpoint at the same position counts
         // it exactly once — like the fault-free run.
-        let (counters, virts) = match &self.obs {
-            Some(o) => {
-                let m = o.metrics();
-                (
-                    Some(Counter::ALL.iter().map(|&c| m.get(c)).collect()),
-                    Some(VirtAcc::ALL.iter().map(|&a| m.virt_get(a)).collect()),
-                )
-            }
-            None => (None, None),
-        };
         let ckpt = CkptState {
             chain_pos,
             app: app.to_vec(),
             clock: self.clock,
             comm_lane: self.comm_lane,
             lane_busy: self.lane_busy,
-            stats: self.stats,
+            metrics: StatsSnapshot::capture(&self.metrics),
             next: self.links.next_frontier(),
             expect: self.links.expect_frontier(),
             pending: self.pending.clone(),
-            counters,
-            virts,
         };
         let (rank, links) = (self.rank, &self.links);
         let written = match self.link.persist(rank, &ckpt, &rec.logs, links) {
@@ -693,10 +643,10 @@ impl<L: Link> Comm for RankCore<L> {
                 app.len() as u64
             }
         };
+        self.metrics.add(Counter::Checkpoints, 1);
+        self.metrics.add(Counter::CkptWrites, 1);
+        self.metrics.add(Counter::CkptBytes, written);
         if let Some(o) = &self.obs {
-            o.add(Counter::Checkpoints, 1);
-            o.add(Counter::CkptWrites, 1);
-            o.add(Counter::CkptBytes, written);
             let depth: u64 = (0..self.size)
                 .filter(|&to| to != rank)
                 .map(|to| {
@@ -745,7 +695,7 @@ impl<L: Link> Comm for RankCore<L> {
         rec.resend_skip = next_crash;
         rec.debt += clock_crash - ckpt.clock;
         rec.used += 1;
-        self.stats.recoveries = rec.used;
+        self.metrics.set(Counter::Recoveries, rec.used);
         let restored = Restored {
             chain_pos: ckpt.chain_pos,
             app: ckpt.app.clone(),
@@ -753,9 +703,6 @@ impl<L: Link> Comm for RankCore<L> {
         rec.ckpt = Some(ckpt);
         // The crash fired; a restored rank does not re-crash.
         self.crash_at = None;
-        if let Some(o) = &self.obs {
-            o.add(Counter::Recoveries, 1);
-        }
         self.monitor.bump();
         Some(restored)
     }
@@ -773,10 +720,7 @@ impl<L: Link> Comm for RankCore<L> {
         let debt = std::mem::take(&mut rec.debt);
         if debt > 0.0 {
             self.clock += debt;
-            self.stats.recovery_time += debt;
-            if let Some(o) = &self.obs {
-                o.virt_add(VirtAcc::Recovery, debt);
-            }
+            self.metrics.virt_add(VirtAcc::Recovery, debt);
         }
         debt
     }
@@ -811,11 +755,11 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// is fault-free time + recovery time), mark the rank done, then close the
 /// endpoint — releasing reorder holds and dropping the link, so blocked
 /// peers unwind instead of hanging. Returns how the rank ended with its
-/// final clock and statistics.
+/// final clock and metrics.
 pub(crate) fn run_rank<L: Link, R>(
     mut comm: RankCore<L>,
     f: impl FnOnce(&mut RankCore<L>) -> R,
-) -> (RankEnd<R>, f64, CommStats) {
+) -> (RankEnd<R>, f64, StatsSnapshot) {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let r = f(&mut comm);
         comm.settle_recovery();
@@ -831,5 +775,5 @@ pub(crate) fn run_rank<L: Link, R>(
     };
     // Failures are moot at this point: the peer is gone.
     let _ = comm.flush_holdbacks();
-    (end, comm.clock, comm.stats)
+    (end, comm.clock, StatsSnapshot::capture(&comm.metrics))
 }

@@ -40,10 +40,10 @@
 //!   rendezvous (control) connection, and the driver supervises them with
 //!   a heartbeat-fed deadlock watchdog mirroring the threaded engine's.
 
-use crate::comm::{CommStats, Envelope, Restored};
+use crate::comm::{Envelope, Restored};
 use crate::error::{CommError, RunError};
 use crate::model::MachineModel;
-use crate::obs::{GaugeId, HistId, RankMetrics, RankObs, StatsSnapshot};
+use crate::obs::{Counter, GaugeId, HistId, RankMetrics, RankObs, StatsSnapshot};
 use crate::rank::{
     new_replay_logs, run_rank, CkptState, Link, RankCore, RankEnd, ReplayLogs, RunShared,
 };
@@ -52,7 +52,7 @@ use crate::threaded::{
     collect, install_quiet_panic_hook, EngineOptions, Monitor, RankPhase, RunReport, ABORT_GRACE,
     COLLECT_POLL,
 };
-use crate::wire::{self, Frame, FrameKind};
+use crate::wire::{self, ByteReader, Frame, FrameKind};
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -80,6 +80,9 @@ const HEARTBEAT_PERIOD: Duration = Duration::from_millis(50);
 const DRIVER_STABLE_SWEEPS: u32 = 60;
 /// How long a worker waits for the driver's `BYE` after its result.
 const BYE_TIMEOUT: Duration = Duration::from_secs(60);
+/// `seq` of a worker's final absolute `STATS` frame, sent just before its
+/// `RESULT`; heartbeat snapshots count up from 1.
+const FINAL_STATS_SEQ: u64 = u64::MAX;
 
 fn transport_error(stage: &str, e: impl std::fmt::Display) -> CommError {
     CommError::Transport {
@@ -746,7 +749,7 @@ where
                     }
                     Err(error) => {
                         shared.monitor.set(rank, RankPhase::Done);
-                        (RankEnd::CommFail(error), 0.0, CommStats::default())
+                        (RankEnd::CommFail(error), 0.0, StatsSnapshot::zero())
                     }
                 };
                 let _ = done.send((rank, end, clock, stats));
@@ -825,7 +828,7 @@ pub struct WorkerCkptConfig {
     /// died before its first checkpoint.
     pub resume: bool,
     /// Restores this rank has undergone (the driver's respawn count),
-    /// surfaced as `CommStats::recoveries`.
+    /// surfaced as the rank's `Counter::Recoveries`.
     pub recovered: u64,
 }
 
@@ -837,29 +840,30 @@ pub struct WorkerHandle {
 }
 
 impl WorkerHandle {
-    /// Send the `RESULT` frame: final virtual clock plus a caller-defined
-    /// payload (serialized stats and gathered data).
-    pub fn send_result(&self, local_time: f64, payload: Vec<u8>) -> Result<(), CommError> {
+    /// Report the rank's outcome: its *final* metrics snapshot as an
+    /// absolute `STATS` frame (`seq = u64::MAX`, so it outranks every
+    /// heartbeat delta), then the `RESULT` frame — final virtual clock plus
+    /// a caller-defined payload. The control socket is ordered, so the
+    /// driver holds the complete final snapshot by the time the result
+    /// lands: that is what makes the driver-merged report
+    /// bitwise-identical to an in-process run's.
+    pub fn send_result(
+        &self,
+        local_time: f64,
+        stats: &StatsSnapshot,
+        payload: Vec<u8>,
+    ) -> Result<(), CommError> {
+        let mut snap = Frame::control(FrameKind::Stats, self.rank as u32);
+        snap.seq = FINAL_STATS_SEQ;
+        snap.nominal = 1;
+        snap.payload = stats.encode_delta(&StatsSnapshot::zero());
         let mut frame = Frame::control(FrameKind::Result, self.rank as u32);
         frame.ready_at = local_time;
         frame.payload = payload;
         let mut control = self.control.lock().expect("control poisoned");
-        wire::write_frame(&mut *control, &frame).map_err(|e| transport_error("send result", e))
-    }
-
-    /// Ship the rank's *final* metrics snapshot as an absolute `STATS`
-    /// frame (`seq = u64::MAX`, so it outranks every heartbeat delta).
-    /// Call it before [`WorkerHandle::send_result`]: the control socket is
-    /// ordered, so the driver holds the complete final snapshot by the
-    /// time the result lands — that is what makes the driver-merged report
-    /// bitwise-identical to an in-process run's.
-    pub fn send_stats(&self, snap: &StatsSnapshot) -> Result<(), CommError> {
-        let mut frame = Frame::control(FrameKind::Stats, self.rank as u32);
-        frame.seq = u64::MAX;
-        frame.nominal = 1;
-        frame.payload = snap.encode_delta(&StatsSnapshot::zero());
-        let mut control = self.control.lock().expect("control poisoned");
-        wire::write_frame(&mut *control, &frame).map_err(|e| transport_error("send stats", e))
+        wire::write_frame(&mut *control, &snap)
+            .and_then(|()| wire::write_frame(&mut *control, &frame))
+            .map_err(|e| transport_error("send result", e))
     }
 
     /// Block until the driver's `BYE` arrives — the signal that every
@@ -931,7 +935,7 @@ fn decode_comm_error(tag: i64, nominal: u64, aux: f64, text: &str) -> CommError 
 /// Magic prefix of a worker checkpoint file.
 const CKPT_MAGIC: [u8; 4] = *b"TCKP";
 /// Checkpoint file format version.
-const CKPT_VERSION: u16 = 1;
+const CKPT_VERSION: u16 = 2;
 
 fn push_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -954,7 +958,8 @@ fn push_env(buf: &mut Vec<u8>, env: &Envelope) {
 
 /// Serialize a worker checkpoint: the endpoint snapshot plus this rank's
 /// outgoing replay-log row, all little-endian with `f64`s as bit patterns,
-/// so a resumed run is bitwise identical to an uninterrupted one.
+/// so a resumed run is bitwise identical to an uninterrupted one. The
+/// metrics travel as an absolute `STATS` payload.
 fn encode_ckpt(ckpt: &CkptState, row: &[(u64, Vec<Envelope>)]) -> Vec<u8> {
     let mut b = Vec::new();
     b.extend_from_slice(&CKPT_MAGIC);
@@ -965,18 +970,6 @@ fn encode_ckpt(ckpt: &CkptState, row: &[(u64, Vec<Envelope>)]) -> Vec<u8> {
     push_f64(&mut b, ckpt.clock);
     push_f64(&mut b, ckpt.comm_lane);
     push_f64(&mut b, ckpt.lane_busy);
-    let st = &ckpt.stats;
-    push_u64(&mut b, st.messages_sent);
-    push_u64(&mut b, st.bytes_sent);
-    push_u64(&mut b, st.messages_received);
-    push_u64(&mut b, st.bytes_received);
-    push_f64(&mut b, st.wait_time);
-    push_f64(&mut b, st.compute_time);
-    push_u64(&mut b, st.retransmissions);
-    push_f64(&mut b, st.retrans_time);
-    push_u64(&mut b, st.duplicates_suppressed);
-    push_u64(&mut b, st.recoveries);
-    push_f64(&mut b, st.recovery_time);
     push_u64(&mut b, ckpt.next.len() as u64);
     for &v in &ckpt.next {
         push_u64(&mut b, v);
@@ -990,26 +983,9 @@ fn encode_ckpt(ckpt: &CkptState, row: &[(u64, Vec<Envelope>)]) -> Vec<u8> {
             push_env(&mut b, env);
         }
     }
-    match &ckpt.counters {
-        Some(cs) => {
-            push_u64(&mut b, 1);
-            push_u64(&mut b, cs.len() as u64);
-            for &c in cs {
-                push_u64(&mut b, c);
-            }
-        }
-        None => push_u64(&mut b, 0),
-    }
-    match &ckpt.virts {
-        Some(vs) => {
-            push_u64(&mut b, 1);
-            push_u64(&mut b, vs.len() as u64);
-            for &v in vs {
-                push_f64(&mut b, v);
-            }
-        }
-        None => push_u64(&mut b, 0),
-    }
+    let metrics = ckpt.metrics.encode_delta(&StatsSnapshot::zero());
+    push_u64(&mut b, metrics.len() as u64);
+    b.extend_from_slice(&metrics);
     for (base, items) in row {
         push_u64(&mut b, *base);
         push_u64(&mut b, items.len() as u64);
@@ -1020,60 +996,44 @@ fn encode_ckpt(ckpt: &CkptState, row: &[(u64, Vec<Envelope>)]) -> Vec<u8> {
     b
 }
 
-/// Bounds-checked little-endian reader over a checkpoint file.
-struct CkptCursor<'a> {
-    buf: &'a [u8],
-    at: usize,
+/// Read one [`push_env`] record.
+fn read_env(c: &mut ByteReader) -> Result<Envelope, String> {
+    let tag = c.i64()?;
+    let seq = c.u64()?;
+    let ready_at = c.f64()?;
+    let bytes = c.u64()? as usize;
+    let n = c.u64()? as usize;
+    let mut payload = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        payload.push(c.f64()?);
+    }
+    Ok(Envelope {
+        payload,
+        tag,
+        ready_at,
+        seq,
+        bytes,
+    })
 }
 
-impl<'a> CkptCursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.at + n > self.buf.len() {
-            return Err("truncated checkpoint file".into());
-        }
-        let slice = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(slice)
+/// Read `n` envelopes, where `n` comes first.
+fn read_envs(c: &mut ByteReader) -> Result<Vec<Envelope>, String> {
+    let n = c.u64()? as usize;
+    let mut envs = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        envs.push(read_env(c)?);
     }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("slice size"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn env(&mut self) -> Result<Envelope, String> {
-        let tag = self.u64()? as i64;
-        let seq = self.u64()?;
-        let ready_at = self.f64()?;
-        let bytes = self.u64()? as usize;
-        let n = self.u64()? as usize;
-        let mut payload = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            payload.push(self.f64()?);
-        }
-        Ok(Envelope {
-            payload,
-            tag,
-            ready_at,
-            seq,
-            bytes,
-        })
-    }
+    Ok(envs)
 }
 
 /// Deserialize a worker checkpoint; the inverse of [`encode_ckpt`].
 #[allow(clippy::type_complexity)]
 fn decode_ckpt(bytes: &[u8]) -> Result<(CkptState, Vec<(u64, Vec<Envelope>)>), String> {
-    let mut c = CkptCursor { buf: bytes, at: 0 };
+    let mut c = ByteReader::new(bytes, "checkpoint file");
     if c.take(4)? != CKPT_MAGIC {
         return Err("bad checkpoint magic".into());
     }
-    let version = u16::from_le_bytes(c.take(2)?.try_into().expect("slice size"));
+    let version = c.u16()?;
     if version != CKPT_VERSION {
         return Err(format!(
             "checkpoint version {version} (this build reads {CKPT_VERSION})"
@@ -1085,67 +1045,28 @@ fn decode_ckpt(bytes: &[u8]) -> Result<(CkptState, Vec<(u64, Vec<Envelope>)>), S
     let clock = c.f64()?;
     let comm_lane = c.f64()?;
     let lane_busy = c.f64()?;
-    let stats = CommStats {
-        messages_sent: c.u64()?,
-        bytes_sent: c.u64()?,
-        messages_received: c.u64()?,
-        bytes_received: c.u64()?,
-        wait_time: c.f64()?,
-        compute_time: c.f64()?,
-        retransmissions: c.u64()?,
-        retrans_time: c.f64()?,
-        duplicates_suppressed: c.u64()?,
-        recoveries: c.u64()?,
-        recovery_time: c.f64()?,
-    };
     let size = c.u64()? as usize;
-    let mut next = Vec::with_capacity(size);
-    for _ in 0..size {
-        next.push(c.u64()?);
-    }
-    let mut expect = Vec::with_capacity(size);
-    for _ in 0..size {
-        expect.push(c.u64()?);
-    }
-    let mut pending = Vec::with_capacity(size);
-    for _ in 0..size {
-        let n = c.u64()? as usize;
-        let mut envs = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            envs.push(c.env()?);
+    let frontier = |c: &mut ByteReader| -> Result<Vec<u64>, String> {
+        let mut v = Vec::with_capacity(size.min(1 << 16));
+        for _ in 0..size {
+            v.push(c.u64()?);
         }
-        pending.push(envs);
-    }
-    let counters = if c.u64()? == 1 {
-        let n = c.u64()? as usize;
-        let mut cs = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            cs.push(c.u64()?);
-        }
-        Some(cs)
-    } else {
-        None
+        Ok(v)
     };
-    let virts = if c.u64()? == 1 {
-        let n = c.u64()? as usize;
-        let mut vs = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            vs.push(c.f64()?);
-        }
-        Some(vs)
-    } else {
-        None
-    };
-    let mut row = Vec::with_capacity(size);
+    let next = frontier(&mut c)?;
+    let expect = frontier(&mut c)?;
+    let mut pending = Vec::with_capacity(size.min(1 << 16));
+    for _ in 0..size {
+        pending.push(read_envs(&mut c)?);
+    }
+    let metrics_len = c.u64()? as usize;
+    let metrics = StatsSnapshot::apply_delta(&StatsSnapshot::zero(), c.take(metrics_len)?)?;
+    let mut row = Vec::with_capacity(size.min(1 << 16));
     for _ in 0..size {
         let base = c.u64()?;
-        let n = c.u64()? as usize;
-        let mut items = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            items.push(c.env()?);
-        }
-        row.push((base, items));
+        row.push((base, read_envs(&mut c)?));
     }
+    c.finish()?;
     Ok((
         CkptState {
             chain_pos,
@@ -1153,12 +1074,10 @@ fn decode_ckpt(bytes: &[u8]) -> Result<(CkptState, Vec<(u64, Vec<Envelope>)>), S
             clock,
             comm_lane,
             lane_busy,
-            stats,
+            metrics,
             next,
             expect,
             pending,
-            counters,
-            virts,
         },
         row,
     ))
@@ -1262,8 +1181,8 @@ fn spawn_heartbeat(
 
 /// Run one rank of a multi-process TCP cluster inside this process:
 /// connect the mesh through the driver's rendezvous, execute `f`, and
-/// return its result plus the final clock and statistics together with
-/// the [`WorkerHandle`] for shipping the result payload.
+/// return its result plus the final clock and metrics snapshot together
+/// with the [`WorkerHandle`] for reporting them.
 ///
 /// Failures are *typed and terminal*: a panic inside `f` becomes
 /// [`RunError::RankPanicked`], a substrate failure (notably
@@ -1275,7 +1194,7 @@ fn spawn_heartbeat(
 pub fn run_worker<R, F>(
     cfg: &WorkerConfig,
     f: F,
-) -> Result<(R, f64, CommStats, WorkerHandle), RunError>
+) -> Result<(R, f64, StatsSnapshot, WorkerHandle), RunError>
 where
     F: FnOnce(&mut TcpComm) -> R,
 {
@@ -1352,7 +1271,7 @@ where
         comm.rewind(&ckpt);
     }
     if let Some(ck) = &cfg.ckpt {
-        comm.stats.recoveries = ck.recovered;
+        comm.metrics.set(Counter::Recoveries, ck.recovered);
         if ck.recovered > 0 {
             // This rank's injected crash already fired in a previous life;
             // a respawned process must not re-fire it after the rewind.
@@ -1399,12 +1318,10 @@ pub struct WorkerReport {
     pub local_time: f64,
     /// The caller-defined result payload from its `RESULT` frame.
     pub payload: Vec<u8>,
-    /// The newest metrics snapshot received before the `RESULT` frame
-    /// (`None` when the worker ran without observability). A worker that
-    /// calls [`WorkerHandle::send_stats`] before its result makes this the
-    /// complete final state, which
-    /// [`crate::threaded::RunReport::from_snapshots`] merges into one
-    /// driver-side report.
+    /// The final absolute metrics snapshot [`WorkerHandle::send_result`]
+    /// ships ahead of the result — `None` when that frame was missing or
+    /// did not decode, which makes the result malformed. The driver merges
+    /// these with [`crate::obs::RunReport::from_snapshots`].
     pub stats: Option<StatsSnapshot>,
 }
 
@@ -1427,6 +1344,8 @@ struct WorkerSlot {
     stats: Option<StatsSnapshot>,
     /// `seq` of the newest decoded snapshot.
     stats_seq: u64,
+    /// The decoded final snapshot (`seq == FINAL_STATS_SEQ`), if it came.
+    final_stats: Option<StatsSnapshot>,
 }
 
 impl WorkerSlot {
@@ -1497,19 +1416,24 @@ impl WorkerSlot {
                     rank,
                     local_time: frame.ready_at,
                     payload: frame.payload,
-                    stats: self.stats.clone(),
+                    stats: self.final_stats.take(),
                 });
             }
             FrameKind::Stats => {
                 // `nominal = 1` marks an absolute snapshot: reset the delta
-                // baseline to zero. A payload that fails to decode only
-                // leaves the telemetry stale — it must never fail the run.
+                // baseline to zero. A heartbeat payload that fails to
+                // decode only leaves the telemetry stale; a final one that
+                // fails leaves `final_stats` empty, so the result is
+                // malformed.
                 let base = if frame.nominal == 1 {
                     StatsSnapshot::zero()
                 } else {
                     self.stats_prev.clone()
                 };
                 if let Ok(snap) = StatsSnapshot::apply_delta(&base, &frame.payload) {
+                    if frame.seq == FINAL_STATS_SEQ {
+                        self.final_stats = Some(snap.clone());
+                    }
                     self.stats_prev = snap.clone();
                     self.stats = Some(snap);
                     self.stats_seq = frame.seq;
@@ -1623,6 +1547,7 @@ pub fn collect_workers(
             stats_prev: StatsSnapshot::zero(),
             stats: None,
             stats_seq: 0,
+            final_stats: None,
         });
     }
     let observe = |slots: &[WorkerSlot], observer: &mut TelemetryObserver<'_>| {
@@ -1780,30 +1705,25 @@ mod tests {
             seq,
             bytes: 16,
         };
+        let metrics = RankMetrics::new();
+        for (k, &c) in Counter::ALL.iter().enumerate() {
+            metrics.add(c, 11 + k as u64);
+        }
+        metrics.add(Counter::BytesSent, u64::MAX - 11);
+        for &a in &VirtAcc::ALL {
+            metrics.virt_add(a, 0.1 + 0.2);
+        }
+        metrics.hist(HistId::RecvWaitNs).observe(1 << 40);
         let ckpt = CkptState {
             chain_pos: 4,
             app: vec![1, 2, 3],
             clock: 1.25,
             comm_lane: 2.5,
             lane_busy: 0.5,
-            stats: CommStats {
-                messages_sent: 7,
-                bytes_sent: 112,
-                messages_received: 6,
-                bytes_received: 96,
-                wait_time: 0.25,
-                compute_time: 3.5,
-                retransmissions: 2,
-                retrans_time: 0.125,
-                duplicates_suppressed: 1,
-                recoveries: 1,
-                recovery_time: 0.0,
-            },
+            metrics: StatsSnapshot::capture(&metrics),
             next: vec![0, 9],
             expect: vec![0, 8],
             pending: vec![Vec::new(), vec![env(5)]],
-            counters: Some(vec![11; Counter::ALL.len()]),
-            virts: Some(vec![0.5; VirtAcc::ALL.len()]),
         };
         let row = vec![(0u64, Vec::new()), (7u64, vec![env(7), env(8)])];
         let bytes = encode_ckpt(&ckpt, &row);
@@ -1811,19 +1731,25 @@ mod tests {
         assert_eq!(back.chain_pos, 4);
         assert_eq!(back.app, vec![1, 2, 3]);
         assert_eq!(back.clock.to_bits(), ckpt.clock.to_bits());
-        assert_eq!(back.stats, ckpt.stats);
+        assert_eq!(back.metrics, ckpt.metrics);
         assert_eq!(back.next, ckpt.next);
         assert_eq!(back.expect, ckpt.expect);
         assert_eq!(back.pending[1][0].seq, 5);
         assert_eq!(back.pending[1][0].payload[1].to_bits(), (-0.0f64).to_bits());
-        assert_eq!(back.counters, ckpt.counters);
-        assert_eq!(back.virts, ckpt.virts);
         assert_eq!(back_row[1].0, 7);
         assert_eq!(back_row[1].1.len(), 2);
         assert_eq!(back_row[1].1[1].seq, 8);
         // Truncation is an error, never a panic.
         assert!(decode_ckpt(&bytes[..bytes.len() - 3]).is_err());
         assert!(decode_ckpt(b"TCKQ").is_err());
+        // So is a length field past the end of the address space.
+        let mut huge = bytes[..14].to_vec();
+        huge.extend_from_slice(&u64::MAX.to_le_bytes());
+        huge.extend_from_slice(&[0; 8]);
+        let e = decode_ckpt(&huge)
+            .err()
+            .expect("oversized app_len must fail");
+        assert!(e.contains("truncated checkpoint file"), "{e}");
     }
 
     #[test]
@@ -1839,7 +1765,7 @@ mod tests {
                 EngineOptions::default(),
             );
             cfg.heartbeat = Duration::from_millis(10);
-            let (out, t, _stats, handle) = run_worker(&cfg, |comm| {
+            let (out, t, stats, handle) = run_worker(&cfg, |comm| {
                 // Wall-slow but heartbeating: far past the driver's
                 // dead-peer timeout below.
                 thread::sleep(Duration::from_millis(800));
@@ -1847,7 +1773,9 @@ mod tests {
                 42u64
             })
             .unwrap();
-            handle.send_result(t, out.to_le_bytes().to_vec()).unwrap();
+            handle
+                .send_result(t, &stats, out.to_le_bytes().to_vec())
+                .unwrap();
             handle.wait_bye().unwrap();
             out
         });
@@ -1861,6 +1789,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(reports.len(), 1);
+        // The final snapshot rides ahead of the result.
+        let stats = reports[0].stats.as_ref().expect("final STATS frame");
+        assert_eq!(stats.virt(VirtAcc::Compute), reports[0].local_time);
         assert_eq!(worker.join().unwrap(), 42);
     }
 

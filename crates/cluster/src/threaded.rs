@@ -36,7 +36,7 @@ use crate::comm::{CommAbort, CommStats, Envelope};
 use crate::error::{CommError, RunError};
 use crate::fault::FaultPlan;
 use crate::model::MachineModel;
-use crate::obs::{MetricsRegistry, RankObs};
+use crate::obs::{MetricsRegistry, RankObs, StatsSnapshot};
 use crate::rank::{run_rank, Link, RankCore, RankEnd, RunShared};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -81,44 +81,50 @@ impl<R> RunReport<R> {
         self.local_times.iter().copied().fold(0.0, f64::max)
     }
 
+    /// One statistic summed over every rank.
+    fn total<T: std::iter::Sum>(&self, stat: impl Fn(&CommStats) -> T) -> T {
+        let RunReport { stats, .. } = self;
+        stats.iter().map(stat).sum()
+    }
+
     /// Aggregate bytes sent across all ranks.
     pub fn total_bytes(&self) -> u64 {
-        self.stats.iter().map(|s| s.bytes_sent).sum()
+        self.total(|s| s.bytes_sent)
     }
 
     /// Aggregate bytes accepted by receivers across all ranks (duplicate
     /// deliveries suppressed by the reliability layer are not counted, so
     /// this equals [`RunReport::total_bytes`] even on faulty links).
     pub fn total_bytes_received(&self) -> u64 {
-        self.stats.iter().map(|s| s.bytes_received).sum()
+        self.total(|s| s.bytes_received)
     }
 
     /// Aggregate messages sent across all ranks.
     pub fn total_messages(&self) -> u64 {
-        self.stats.iter().map(|s| s.messages_sent).sum()
+        self.total(|s| s.messages_sent)
     }
 
     /// Aggregate retransmissions across all ranks (0 on perfect links).
     pub fn total_retransmissions(&self) -> u64 {
-        self.stats.iter().map(|s| s.retransmissions).sum()
+        self.total(|s| s.retransmissions)
     }
 
     /// Aggregate receiver-side duplicate suppressions across all ranks.
     pub fn total_duplicates_suppressed(&self) -> u64 {
-        self.stats.iter().map(|s| s.duplicates_suppressed).sum()
+        self.total(|s| s.duplicates_suppressed)
     }
 
     /// Aggregate checkpoint restores across all ranks (0 unless a crash
     /// was recovered).
     pub fn total_recoveries(&self) -> u64 {
-        self.stats.iter().map(|s| s.recoveries).sum()
+        self.total(|s| s.recoveries)
     }
 
     /// Aggregate virtual seconds charged to crash recovery across all
     /// ranks. Subtracting each rank's share from its local clock recovers
     /// the fault-free clock bitwise.
     pub fn total_recovery_time(&self) -> f64 {
-        self.stats.iter().map(|s| s.recovery_time).sum()
+        self.total(|s| s.recovery_time)
     }
 }
 
@@ -322,8 +328,8 @@ impl Link for ChannelLink {
 /// [`RankCore`] over in-process channels.
 pub type ThreadedComm = RankCore<ChannelLink>;
 
-/// A collected rank outcome: how it ended, final clock, stats.
-pub(crate) type RankSlot<R> = Option<(RankEnd<R>, f64, CommStats)>;
+/// A collected rank outcome: how it ended, final clock, final metrics.
+pub(crate) type RankSlot<R> = Option<(RankEnd<R>, f64, StatsSnapshot)>;
 
 /// Silence the default panic hook for the engine's sentinel payloads
 /// ([`CommAbort`] cascades and [`InjectedCrash`]es): they are expected
@@ -411,7 +417,7 @@ where
 pub(crate) fn collect<R>(
     size: usize,
     monitor: &Monitor,
-    done_rx: Receiver<(usize, RankEnd<R>, f64, CommStats)>,
+    done_rx: Receiver<(usize, RankEnd<R>, f64, StatsSnapshot)>,
     options: &EngineOptions,
 ) -> Result<RunReport<R>, RunError> {
     let started = Instant::now();
@@ -503,7 +509,7 @@ pub(crate) fn collect<R>(
             RankEnd::Ok(r) => {
                 results.push(r);
                 local_times.push(clock);
-                stats.push(st);
+                stats.push(CommStats::from_snapshot(&st));
             }
             // primary_failure() above returned for panics and non-abort
             // comm failures; a stray Aborted still surfaces as an error.
@@ -523,7 +529,7 @@ pub(crate) fn collect<R>(
 /// finish (e.g. wedged in user compute code) are abandoned, never joined —
 /// the engine must not hang.
 fn drain_stragglers<R>(
-    done_rx: &Receiver<(usize, RankEnd<R>, f64, CommStats)>,
+    done_rx: &Receiver<(usize, RankEnd<R>, f64, StatsSnapshot)>,
     slots: &mut [RankSlot<R>],
     finished: &mut usize,
 ) {

@@ -377,6 +377,80 @@ pub fn decode_envelope(frame: &Frame) -> Result<Envelope, WireError> {
     })
 }
 
+/// A bounds-checked little-endian cursor over a byte buffer — the one
+/// reader behind every length-prefixed payload the backend decodes (worker
+/// `RESULT` payloads, checkpoint files). Every read checks its end offset
+/// with `checked_add`, so a corrupt length field of any size is an error
+/// naming `what` and the offset, never a panic.
+pub struct ByteReader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    what: &'static str,
+}
+
+impl<'a> ByteReader<'a> {
+    /// A reader at the start of `buf`; `what` names the buffer in errors
+    /// (e.g. `"checkpoint file"` → "truncated checkpoint file at byte 22").
+    pub fn new(buf: &'a [u8], what: &'static str) -> Self {
+        ByteReader { buf, pos: 0, what }
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&e| e <= self.buf.len())
+            .ok_or_else(|| format!("truncated {} at byte {}", self.what, self.pos))?;
+        let s = &self.buf[self.pos..end];
+        self.pos = end;
+        Ok(s)
+    }
+
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        Ok(self.take(N)?.try_into().expect("slice size"))
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, String> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// A little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, String> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, String> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, String> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// A little-endian `i64`.
+    pub fn i64(&mut self) -> Result<i64, String> {
+        self.array().map(i64::from_le_bytes)
+    }
+
+    /// An `f64` from its little-endian bit pattern.
+    pub fn f64(&mut self) -> Result<f64, String> {
+        self.u64().map(f64::from_bits)
+    }
+
+    /// Fail unless every byte was consumed.
+    pub fn finish(&self) -> Result<(), String> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            n => Err(format!("{n} trailing bytes after the {}", self.what)),
+        }
+    }
+}
+
 /// A malformed or interrupted wire stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {

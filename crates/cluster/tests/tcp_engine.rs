@@ -137,10 +137,10 @@ fn stats_bits(s: &CommStats) -> [u64; 11] {
         s.bytes_sent,
         s.messages_received,
         s.bytes_received,
-        s.wait_time.to_bits(),
         s.compute_time.to_bits(),
+        s.wait_time.to_bits(),
+        s.comm_time.to_bits(),
         s.retransmissions,
-        s.retrans_time.to_bits(),
         s.duplicates_suppressed,
         s.recoveries,
         s.recovery_time.to_bits(),
