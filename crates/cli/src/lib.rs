@@ -22,6 +22,7 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
 use tilecc::{verify_against_sequential, Pipeline, RunSummary, TuneOptions};
@@ -30,7 +31,7 @@ use tilecc_cluster::{
     collect_workers, run_worker, wire::ByteReader, CommError, CommScheme, CommStats, Counter,
     EngineOptions, ExportClock, FaultPlan, MachineModel, MetricsRegistry, Phase, RankPhase,
     RankTelemetry, RecoveryOptions, Rendezvous, RunError, StatsSnapshot, WorkerCkptConfig,
-    WorkerConfig, WorkerReport,
+    WorkerConfig, WorkerReport, HEARTBEAT_PERIOD,
 };
 use tilecc_frontend::KernelProgram;
 use tilecc_linalg::{RMat, Rational};
@@ -587,6 +588,18 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
             other => return err(format!("unknown option `{other}`")),
         }
     }
+    if let Some(timeout) = o.peer_timeout_ms {
+        // A worker is silent for up to one heartbeat period while healthy.
+        let heartbeat = o
+            .heartbeat_ms
+            .unwrap_or(HEARTBEAT_PERIOD.as_millis() as u64);
+        if timeout <= heartbeat {
+            return err(format!(
+                "--peer-timeout-ms {timeout} must exceed the {heartbeat} ms heartbeat \
+                 cadence (--heartbeat-ms), or healthy workers are declared dead"
+            ));
+        }
+    }
     Ok(o)
 }
 
@@ -671,6 +684,9 @@ fn load_report(path: &str) -> Result<MetricsReport, CliError> {
 const RENDEZVOUS_DEADLINE: Duration = Duration::from_secs(30);
 /// Wall-clock cap on a whole multi-process run (driver side).
 const DRIVER_WALL_CAP: Duration = Duration::from_secs(300);
+/// How often the TCP driver checks for workers that died before reaching
+/// the rendezvous.
+const STARTUP_POLL: Duration = Duration::from_millis(10);
 
 /// Print the run summary lines shared by every backend. `checksum` is the
 /// gathered data-space checksum (full-mode runs only); printing it lets two
@@ -1125,6 +1141,7 @@ fn tcp_driver(
     let mut last_live = run_start;
 
     let (reports, mut children): (Vec<WorkerReport>, Vec<std::process::Child>) = loop {
+        let spawn_t0 = reg.map(|r| r.now_ns());
         let rendezvous = Rendezvous::bind().map_err(|e| CliError(format!("tcp driver: {e}")))?;
         let addr = rendezvous.addr().to_string();
         let mut children: Vec<std::process::Child> = Vec::with_capacity(size);
@@ -1157,18 +1174,27 @@ fn tcp_driver(
                 }
             }
         }
+        if let (Some(r), Some(t0)) = (reg, spawn_t0) {
+            r.driver_span(Phase::Launch, "spawn", t0, size as u64);
+        }
+        let rendezvous_t0 = reg.map(|r| r.now_ns());
 
         // Coordinate the rendezvous on a helper thread while watching for
         // workers that die before ever connecting (bad flags, missing file
         // on a worker's view of the world, immediate crash).
-        let coord = std::thread::spawn(move || rendezvous.coordinate(size, RENDEZVOUS_DEADLINE));
+        let (coord_tx, coord_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = coord_tx.send(rendezvous.coordinate(size, RENDEZVOUS_DEADLINE));
+        });
         let controls = loop {
-            if coord.is_finished() {
-                break coord.join().unwrap_or_else(|_| {
-                    Err(tilecc_cluster::CommError::Transport {
+            match coord_rx.recv_timeout(STARTUP_POLL) {
+                Ok(controls) => break controls,
+                Err(RecvTimeoutError::Disconnected) => {
+                    break Err(CommError::Transport {
                         detail: "rendezvous coordinator panicked".into(),
                     })
-                });
+                }
+                Err(RecvTimeoutError::Timeout) => {}
             }
             for (rank, child) in children.iter_mut().enumerate() {
                 if let Ok(Some(status)) = child.try_wait() {
@@ -1178,7 +1204,6 @@ fn tcp_driver(
                     ));
                 }
             }
-            std::thread::sleep(Duration::from_millis(10));
         };
         let controls = match controls {
             Ok(c) => c,
@@ -1187,12 +1212,15 @@ fn tcp_driver(
                 return err(format!("tcp rendezvous failed: {e}"));
             }
         };
+        if let (Some(r), Some(t0)) = (reg, rendezvous_t0) {
+            r.driver_span(Phase::Launch, "rendezvous", t0, size as u64);
+        }
 
         let want_obs = opts.live || stats_file.is_some();
         let mut observer = |ranks: &[RankTelemetry]| {
             // Re-render only when a new snapshot actually arrived: the
-            // supervisor sweeps every few milliseconds, the heartbeats
-            // tick at `--heartbeat-ms`.
+            // supervisor wakes on every control frame and every few
+            // milliseconds, the snapshots tick at `--heartbeat-ms`.
             let seq_sum: u64 = ranks.iter().map(|t| t.stats_seq).sum();
             if seq_sum == last_seq_sum {
                 return;
@@ -1427,7 +1455,8 @@ options:
   --heartbeat-ms <ms>         worker heartbeat cadence to the driver
                               (default 50) (run)
   --peer-timeout-ms <ms>      driver declares a silent worker dead after
-                              this long without control-socket traffic
+                              this long without control-socket traffic;
+                              must exceed --heartbeat-ms
                               (default: socket EOF only) (run)
   --ckpt-dir <dir>            internal: per-rank checkpoint directory
                               (managed by the driver)
@@ -2261,6 +2290,29 @@ X[t,i,j] = X[t-1,i,j] + 0.3*X[t-1,i-1,j] - 0.2*X[t-1,i,j-1]
         assert!(e.0.contains("--ckpt-interval"), "{e}");
         let e = run_with(&["--heartbeat-ms", "0"]).unwrap_err();
         assert!(e.0.contains("--heartbeat-ms"), "{e}");
+    }
+
+    #[test]
+    fn peer_timeout_must_exceed_the_heartbeat_cadence() {
+        let p = write_nest(ADI_SRC);
+        let run_with = |extra: &[&str]| {
+            let mut v = vec!["run", p.to_str(), "--rect", "2,4,4", "--backend", "tcp"];
+            v.extend_from_slice(extra);
+            run_cli(&args(&v))
+        };
+        // Against the default 50 ms cadence, then against an explicit one
+        // given after the timeout.
+        for extra in [
+            &["--peer-timeout-ms", "0"][..],
+            &["--peer-timeout-ms", "50"],
+            &["--peer-timeout-ms", "200", "--heartbeat-ms", "200"],
+        ] {
+            let e = run_with(extra).unwrap_err();
+            assert!(e.0.contains("--peer-timeout-ms"), "{extra:?}: {e}");
+            assert!(e.0.contains("must exceed"), "{extra:?}: {e}");
+        }
+        assert!(parse_options(&args(&["--peer-timeout-ms", "51"])).is_ok());
+        assert!(parse_options(&args(&["--heartbeat-ms", "5", "--peer-timeout-ms", "6"])).is_ok());
     }
 
     #[test]

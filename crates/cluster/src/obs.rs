@@ -65,11 +65,15 @@ pub enum Phase {
     /// Draining the rank's comm lane under the overlapped strategy: the
     /// residual send/transit time not hidden behind interior compute.
     Overlap,
+    /// Bringing up a multi-process run (driver-side, `--backend tcp`):
+    /// spawning the worker processes (`spawn`) and waiting for all of them
+    /// at the rendezvous (`rendezvous`).
+    Launch,
 }
 
 impl Phase {
     /// Every phase, in declaration order.
-    pub const ALL: [Phase; 11] = [
+    pub const ALL: [Phase; 12] = [
         Phase::Lower,
         Phase::Plan,
         Phase::CompileChain,
@@ -81,6 +85,7 @@ impl Phase {
         Phase::Gather,
         Phase::Verify,
         Phase::Overlap,
+        Phase::Launch,
     ];
 
     /// Stable snake-case name used in exports.
@@ -97,6 +102,7 @@ impl Phase {
             Phase::Gather => "gather",
             Phase::Verify => "verify",
             Phase::Overlap => "overlap",
+            Phase::Launch => "launch",
         }
     }
 
@@ -115,6 +121,7 @@ impl Phase {
             Phase::CompileChain => 2,
             Phase::Gather => 3,
             Phase::Verify => 4,
+            Phase::Launch => 5,
         }
     }
 }

@@ -53,10 +53,9 @@ use crate::threaded::{
     COLLECT_POLL,
 };
 use crate::wire::{self, ByteReader, Frame, FrameKind};
-use std::io::Read;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -71,13 +70,14 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
 const CONNECT_RETRY_BUDGET: Duration = Duration::from_secs(10);
 /// Bounded depth (frames) of each per-peer writer queue.
 const SEND_QUEUE_FRAMES: usize = 64;
-/// How often a worker ships a heartbeat (`PROGRESS` frame) to the driver.
-const HEARTBEAT_PERIOD: Duration = Duration::from_millis(50);
-/// Consecutive silent driver sweeps with every live worker blocked before
-/// the multi-process watchdog declares a deadlock. Sweeps run every
-/// [`COLLECT_POLL`]; this must comfortably exceed [`HEARTBEAT_PERIOD`] so
-/// a quiet-but-alive worker is never misread (~600 ms of global silence).
-const DRIVER_STABLE_SWEEPS: u32 = 60;
+/// How often a worker ships a heartbeat (`PROGRESS` frame) to the driver
+/// unless [`WorkerConfig::heartbeat`] says otherwise.
+pub const HEARTBEAT_PERIOD: Duration = Duration::from_millis(50);
+/// Wall time every live worker must stay blocked, with no progress counter
+/// moving, before the multi-process watchdog declares a deadlock. It must
+/// comfortably exceed [`HEARTBEAT_PERIOD`] so a quiet-but-alive worker is
+/// never misread.
+const DEADLOCK_WINDOW: Duration = Duration::from_millis(600);
 /// How long a worker waits for the driver's `BYE` after its result.
 const BYE_TIMEOUT: Duration = Duration::from_secs(60);
 /// `seq` of a worker's final absolute `STATS` frame, sent just before its
@@ -130,69 +130,61 @@ impl Rendezvous {
     /// expected world size), then broadcast the `ADDRS` list. Returns the
     /// control connections in rank order.
     pub fn coordinate(&self, size: usize, deadline: Duration) -> Result<Vec<TcpStream>, CommError> {
-        let until = Instant::now() + deadline;
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| transport_error("rendezvous nonblocking", e))?;
         let mut controls: Vec<Option<TcpStream>> = (0..size).map(|_| None).collect();
         let mut addrs: Vec<Option<String>> = vec![None; size];
-        let mut pending = 0usize;
-        while pending < size {
-            match self.listener.accept() {
-                Ok((mut stream, _)) => {
-                    stream
-                        .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
-                        .map_err(|e| transport_error("rendezvous control", e))?;
-                    let hello = wire::read_frame(&mut stream)
-                        .map_err(|e| transport_error("rendezvous hello", e))?;
-                    if hello.kind != FrameKind::Hello {
-                        return Err(transport_error(
-                            "rendezvous hello",
-                            format!("unexpected {:?} frame", hello.kind),
-                        ));
-                    }
-                    let rank = hello.src as usize;
-                    if rank >= size {
-                        return Err(transport_error(
-                            "rendezvous hello",
-                            format!("rank {rank} out of range for world size {size}"),
-                        ));
-                    }
-                    if hello.seq != size as u64 {
-                        return Err(transport_error(
-                            "rendezvous hello",
-                            format!(
-                                "rank {rank} expects world size {}, driver has {size}",
-                                hello.seq
-                            ),
-                        ));
-                    }
-                    if controls[rank].is_some() {
-                        return Err(transport_error(
-                            "rendezvous hello",
-                            format!("duplicate hello from rank {rank}"),
-                        ));
-                    }
-                    addrs[rank] = Some(
-                        String::from_utf8(hello.payload)
-                            .map_err(|e| transport_error("rendezvous hello", e))?,
-                    );
-                    controls[rank] = Some(stream);
-                    pending += 1;
+        let all_in = accept_until(
+            &self.listener,
+            size,
+            deadline,
+            "rendezvous",
+            |mut stream| {
+                stream
+                    .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
+                    .map_err(|e| transport_error("rendezvous control", e))?;
+                let hello = wire::read_frame(&mut stream)
+                    .map_err(|e| transport_error("rendezvous hello", e))?;
+                if hello.kind != FrameKind::Hello {
+                    return Err(transport_error(
+                        "rendezvous hello",
+                        format!("unexpected {:?} frame", hello.kind),
+                    ));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= until {
-                        let missing: Vec<usize> =
-                            (0..size).filter(|&r| controls[r].is_none()).collect();
-                        return Err(transport_error(
-                            "rendezvous",
-                            format!("timed out waiting for ranks {missing:?}"),
-                        ));
-                    }
-                    thread::sleep(COLLECT_POLL);
+                let rank = hello.src as usize;
+                if rank >= size {
+                    return Err(transport_error(
+                        "rendezvous hello",
+                        format!("rank {rank} out of range for world size {size}"),
+                    ));
                 }
-                Err(e) => return Err(transport_error("rendezvous accept", e)),
-            }
+                if hello.seq != size as u64 {
+                    return Err(transport_error(
+                        "rendezvous hello",
+                        format!(
+                            "rank {rank} expects world size {}, driver has {size}",
+                            hello.seq
+                        ),
+                    ));
+                }
+                if controls[rank].is_some() {
+                    return Err(transport_error(
+                        "rendezvous hello",
+                        format!("duplicate hello from rank {rank}"),
+                    ));
+                }
+                addrs[rank] = Some(
+                    String::from_utf8(hello.payload)
+                        .map_err(|e| transport_error("rendezvous hello", e))?,
+                );
+                controls[rank] = Some(stream);
+                Ok(())
+            },
+        )?;
+        if !all_in {
+            let missing: Vec<usize> = (0..size).filter(|&r| controls[r].is_none()).collect();
+            return Err(transport_error(
+                "rendezvous",
+                format!("timed out waiting for ranks {missing:?}"),
+            ));
         }
         let list: Vec<String> = addrs
             .into_iter()
@@ -242,6 +234,71 @@ fn connect_backoff(addr: &SocketAddr, stage: &str) -> Result<TcpStream, CommErro
             }
         }
     }
+}
+
+/// Accept `count` connections on `listener`, handing each to `take`, in
+/// blocking mode so no wait polls. The deadline still
+/// holds: a waker thread dials the listener's own address once `deadline`
+/// has passed, which unblocks the pending `accept`, or exits as soon as
+/// this function returns and drops its cancel channel. Returns `false`
+/// when the deadline passed first; the caller names the missing ranks.
+fn accept_until(
+    listener: &TcpListener,
+    count: usize,
+    deadline: Duration,
+    stage: &str,
+    mut take: impl FnMut(TcpStream) -> Result<(), CommError>,
+) -> Result<bool, CommError> {
+    if count == 0 {
+        return Ok(true);
+    }
+    let until = Instant::now() + deadline;
+    let mut wake_addr = listener
+        .local_addr()
+        .map_err(|e| transport_error(stage, e))?;
+    if wake_addr.ip().is_unspecified() {
+        // A wildcard listener is reachable on loopback of its family.
+        wake_addr.set_ip(match wake_addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let (cancel, cancelled) = channel::<()>();
+    let waker = thread::Builder::new()
+        .name("tilecc-tcp-accept-waker".into())
+        .spawn(move || {
+            // Only a timeout fires the wake-up dial; the cancel channel
+            // disconnecting means the accept loop is already done.
+            while let Err(RecvTimeoutError::Timeout) =
+                cancelled.recv_timeout(until.saturating_duration_since(Instant::now()))
+            {
+                if Instant::now() >= until {
+                    let _ = TcpStream::connect_timeout(&wake_addr, HANDSHAKE_TIMEOUT);
+                    return;
+                }
+            }
+        })
+        .map_err(|e| transport_error(stage, e))?;
+    let mut result = Ok(true);
+    for _ in 0..count {
+        let accepted = listener.accept();
+        // Anything accepted after the deadline, the waker's own dial
+        // included, is a timeout.
+        if Instant::now() >= until {
+            result = Ok(false);
+            break;
+        }
+        result = accepted
+            .map_err(|e| transport_error(&format!("{stage} accept"), e))
+            .and_then(|(stream, _)| take(stream))
+            .map(|()| true);
+        if result.is_err() {
+            break;
+        }
+    }
+    drop(cancel);
+    let _ = waker.join();
+    result
 }
 
 /// Build this rank's side of the full mesh through the rendezvous at
@@ -308,58 +365,56 @@ fn connect_mesh(
             .map_err(|e| transport_error(&format!("peer handshake to rank {peer}"), e))?;
         peers[peer] = Some(stream);
     }
-    // Accept from every higher rank.
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| transport_error("mesh accept", e))?;
-    let until = Instant::now() + HANDSHAKE_TIMEOUT;
-    let mut accepted = 0usize;
-    while accepted < size - rank - 1 {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                stream
-                    .set_nodelay(true)
-                    .map_err(|e| transport_error("peer setup", e))?;
-                stream
-                    .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
-                    .map_err(|e| transport_error("peer setup", e))?;
-                let peer_frame = wire::read_frame(&mut stream)
-                    .map_err(|e| transport_error("peer handshake", e))?;
-                if peer_frame.kind != FrameKind::Peer {
-                    return Err(transport_error(
-                        "peer handshake",
-                        format!("unexpected {:?} frame", peer_frame.kind),
-                    ));
-                }
-                let peer = peer_frame.src as usize;
-                if peer <= rank || peer >= size || peers[peer].is_some() {
-                    return Err(transport_error(
-                        "peer handshake",
-                        format!("unexpected peer rank {peer}"),
-                    ));
-                }
-                // Reader threads block indefinitely from here on.
-                stream
-                    .set_read_timeout(None)
-                    .map_err(|e| transport_error("peer setup", e))?;
-                peers[peer] = Some(stream);
-                accepted += 1;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() >= until {
-                    let missing: Vec<usize> =
-                        (rank + 1..size).filter(|&p| peers[p].is_none()).collect();
-                    return Err(transport_error(
-                        "mesh accept",
-                        format!("timed out waiting for ranks {missing:?}"),
-                    ));
-                }
-                thread::sleep(COLLECT_POLL);
-            }
-            Err(e) => return Err(transport_error("mesh accept", e)),
-        }
-    }
+    accept_peers(&listener, rank, &mut peers, HANDSHAKE_TIMEOUT)?;
     Ok(Mesh { peers, control })
+}
+
+/// Accept the mesh connection of every rank above `rank`, each announcing
+/// itself with a `PEER` frame, into `peers`.
+fn accept_peers(
+    listener: &TcpListener,
+    rank: usize,
+    peers: &mut [Option<TcpStream>],
+    deadline: Duration,
+) -> Result<(), CommError> {
+    let size = peers.len();
+    let all_in = accept_until(listener, size - rank - 1, deadline, "mesh", |mut stream| {
+        stream
+            .set_nodelay(true)
+            .map_err(|e| transport_error("peer setup", e))?;
+        stream
+            .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
+            .map_err(|e| transport_error("peer setup", e))?;
+        let peer_frame =
+            wire::read_frame(&mut stream).map_err(|e| transport_error("peer handshake", e))?;
+        if peer_frame.kind != FrameKind::Peer {
+            return Err(transport_error(
+                "peer handshake",
+                format!("unexpected {:?} frame", peer_frame.kind),
+            ));
+        }
+        let peer = peer_frame.src as usize;
+        if peer <= rank || peer >= size || peers[peer].is_some() {
+            return Err(transport_error(
+                "peer handshake",
+                format!("unexpected peer rank {peer}"),
+            ));
+        }
+        // Reader threads block indefinitely from here on.
+        stream
+            .set_read_timeout(None)
+            .map_err(|e| transport_error("peer setup", e))?;
+        peers[peer] = Some(stream);
+        Ok(())
+    })?;
+    if !all_in {
+        let missing: Vec<usize> = (rank + 1..size).filter(|&p| peers[p].is_none()).collect();
+        return Err(transport_error(
+            "mesh accept",
+            format!("timed out waiting for ranks {missing:?}"),
+        ));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1126,11 +1181,14 @@ fn kill_self() -> ! {
 /// frame: a delta-encoded [`StatsSnapshot`] of this rank's metrics (the
 /// first one absolute, `nominal = 1`). The control socket is ordered and
 /// reliable, so the driver can fold the deltas back losslessly.
+///
+/// The thread waits out each period on `stop`: a message or the sender's
+/// drop ends it at once, so joining it never waits for the next beat.
 fn spawn_heartbeat(
     rank: usize,
     control: Arc<Mutex<TcpStream>>,
     monitor: Arc<Monitor>,
-    stop: Arc<AtomicBool>,
+    stop: Receiver<()>,
     period: Duration,
     metrics: Option<Arc<RankMetrics>>,
 ) -> JoinHandle<()> {
@@ -1139,7 +1197,7 @@ fn spawn_heartbeat(
         .spawn(move || {
             let mut prev = StatsSnapshot::zero();
             let mut snap_seq: u64 = 0;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 let mut frame = Frame::control(FrameKind::Progress, rank as u32);
                 frame.seq = monitor.progress();
                 match monitor.phase_of(rank) {
@@ -1173,7 +1231,9 @@ fn spawn_heartbeat(
                         prev = cur;
                     }
                 }
-                thread::sleep(period);
+                if stop.recv_timeout(period) != Err(RecvTimeoutError::Timeout) {
+                    return;
+                }
             }
         })
         .expect("failed to spawn heartbeat thread")
@@ -1228,12 +1288,13 @@ where
         let _ = reg.rank_metrics(cfg.size.saturating_sub(1));
         reg.rank_metrics(rank)
     });
-    let stop = Arc::new(AtomicBool::new(false));
+    // Dropping `stop` (here, or on any early return) ends the heartbeat.
+    let (stop, stopped) = channel::<()>();
     let heartbeat = spawn_heartbeat(
         rank,
         control.clone(),
         shared.monitor.clone(),
-        stop.clone(),
+        stopped,
         cfg.heartbeat,
         metrics.clone(),
     );
@@ -1280,7 +1341,7 @@ where
     }
     worker_resume_barrier(&mut comm).map_err(|error| RunError::Comm { rank, error })?;
     let (end, clock, stats) = run_rank(comm, f);
-    stop.store(true, Ordering::Relaxed);
+    drop(stop);
     let _ = heartbeat.join();
     let mut frame = Frame::control(FrameKind::Error, rank as u32);
     let error = match end {
@@ -1327,15 +1388,13 @@ pub struct WorkerReport {
 
 /// Per-rank driver-side state while collecting workers.
 struct WorkerSlot {
-    stream: TcpStream,
-    buf: Vec<u8>,
     report: Option<WorkerReport>,
     /// `(class, error)` from an `ERROR` frame: class 1 = panic, 2 = comm.
     failure: Option<(u64, RunError)>,
     dead: bool,
     progress: u64,
     phase: RankPhase,
-    /// Wall time of the last byte read off the control socket; heartbeats
+    /// Wall time of the last frame off the control socket; heartbeats
     /// keep it fresh, so a slow-but-alive worker is never declared dead.
     last_seen: Instant,
     /// Decoder baseline for incoming `STATS` deltas.
@@ -1349,48 +1408,19 @@ struct WorkerSlot {
 }
 
 impl WorkerSlot {
-    /// Pull everything currently readable off the control socket into the
-    /// frame buffer, then process complete frames.
-    fn poll(&mut self) {
+    /// Apply one event off the rank's control socket: a frame, or `None`
+    /// for end-of-stream (closed, reset or undecodable — the worker is
+    /// gone). A dead worker that never reported is not listened to again.
+    fn on_event(&mut self, event: Option<Frame>) {
         if self.dead && self.report.is_none() {
             return;
         }
-        let mut chunk = [0u8; 4096];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.last_seen = Instant::now();
-                    self.buf.extend_from_slice(&chunk[..n]);
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    break;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
+        match event {
+            Some(frame) => {
+                self.last_seen = Instant::now();
+                self.ingest(frame);
             }
-        }
-        loop {
-            match Frame::decode(&self.buf) {
-                Ok((frame, used)) => {
-                    self.buf.drain(..used);
-                    self.ingest(frame);
-                }
-                Err(wire::WireError::Truncated { .. }) => break,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
+            None => self.dead = true,
         }
     }
 
@@ -1486,8 +1516,8 @@ fn worker_primary_failure(slots: &[WorkerSlot]) -> Option<RunError> {
 
 /// One rank's live telemetry as seen by the driver's supervision loop:
 /// the watchdog state (phase + progress) plus the newest decoded `STATS`
-/// snapshot. Handed to the [`collect_workers`] observer on every
-/// supervision sweep.
+/// snapshot. Handed to the [`collect_workers`] observer each time the
+/// supervision loop wakes.
 #[derive(Clone, Debug)]
 pub struct RankTelemetry {
     /// The worker's rank.
@@ -1500,26 +1530,90 @@ pub struct RankTelemetry {
     pub done: bool,
     /// Newest metrics snapshot (`None` until the first `STATS` frame).
     pub stats: Option<StatsSnapshot>,
-    /// `seq` of the newest snapshot — compare against the previous sweep
+    /// `seq` of the newest snapshot — compare against the previous call
     /// to tell fresh telemetry from a re-render of stale state.
     pub stats_seq: u64,
 }
 
 /// A driver-side telemetry hook: called with the current per-rank
-/// telemetry on every supervision sweep. See [`collect_workers`].
+/// telemetry each time the supervision loop wakes. See
+/// [`collect_workers`].
 pub type TelemetryObserver<'a> = Option<&'a mut dyn FnMut(&[RankTelemetry])>;
+
+/// The driver's end of the workers' control sockets: one reader thread per
+/// socket decodes frames into a single channel, so supervision wakes on
+/// each frame as it lands. Dropping it shuts every socket down, which ends
+/// the reader threads and tells live workers the driver is gone.
+struct ControlSockets {
+    streams: Vec<TcpStream>,
+    events: Receiver<(usize, Option<Frame>)>,
+}
+
+impl ControlSockets {
+    fn new(streams: Vec<TcpStream>) -> Result<ControlSockets, RunError> {
+        let (tx, events) = channel();
+        for (rank, stream) in streams.iter().enumerate() {
+            let setup = |e| RunError::Comm {
+                rank,
+                error: transport_error("control reader", e),
+            };
+            let mut read_half = stream.try_clone().map_err(setup)?;
+            // The rendezvous read timeout would cut a long heartbeat
+            // period short; silence is the peer-timeout watchdog's call.
+            read_half.set_read_timeout(None).map_err(setup)?;
+            let tx = tx.clone();
+            thread::Builder::new()
+                .name(format!("tilecc-tcp-ctl-{rank}"))
+                .spawn(move || {
+                    while let Ok(frame) = wire::read_frame(&mut read_half) {
+                        if tx.send((rank, Some(frame))).is_err() {
+                            return;
+                        }
+                    }
+                    let _ = tx.send((rank, None));
+                })
+                .map_err(setup)?;
+        }
+        Ok(ControlSockets { streams, events })
+    }
+
+    /// Wait up to `timeout` for the next event, then apply it and every
+    /// event already queued behind it.
+    fn pump(&self, slots: &mut [WorkerSlot], timeout: Duration) {
+        // A disconnected channel means every reader has exited, each after
+        // reporting its end-of-stream, so every slot is already dead.
+        let Ok((rank, event)) = self.events.recv_timeout(timeout) else {
+            return;
+        };
+        slots[rank].on_event(event);
+        for (rank, event) in self.events.try_iter() {
+            slots[rank].on_event(event);
+        }
+    }
+}
+
+impl Drop for ControlSockets {
+    fn drop(&mut self) {
+        for stream in &self.streams {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+}
 
 /// Driver-side supervision of multi-process workers: collect `RESULT`
 /// frames off the control connections while running the same watchdog the
 /// threaded engine has — heartbeat-fed deadlock detection (every live
-/// worker blocked with no progress), an optional wall cap, and typed
-/// failure propagation. On success every worker receives `BYE` and the
-/// reports are returned in rank order.
+/// worker blocked with no progress for [`DEADLOCK_WINDOW`]), an optional
+/// wall cap, and typed failure propagation. On success every worker
+/// receives `BYE` and the reports are returned in rank order.
+///
+/// The loop is event-driven: it wakes on each control frame as it lands,
+/// and at least every [`COLLECT_POLL`] to run the timers.
 ///
 /// When `observer` is `Some`, it is invoked with the current
-/// [`RankTelemetry`] of every rank on each supervision sweep (every
-/// [`COLLECT_POLL`]) and once more after the last result lands — the hook
-/// behind `--live` and `--stats-out`.
+/// [`RankTelemetry`] of every rank each time the loop wakes, and once more
+/// after the last result lands — the hook behind `--live` and
+/// `--stats-out`.
 pub fn collect_workers(
     controls: Vec<TcpStream>,
     wall_timeout: Option<Duration>,
@@ -1529,27 +1623,21 @@ pub fn collect_workers(
 ) -> Result<Vec<WorkerReport>, RunError> {
     let size = controls.len();
     let started = Instant::now();
-    let mut slots: Vec<WorkerSlot> = Vec::with_capacity(size);
-    for stream in controls {
-        stream.set_nonblocking(true).map_err(|e| RunError::Comm {
-            rank: 0,
-            error: transport_error("control nonblocking", e),
-        })?;
-        slots.push(WorkerSlot {
-            stream,
-            buf: Vec::new(),
+    let mut sockets = ControlSockets::new(controls)?;
+    let mut slots: Vec<WorkerSlot> = (0..size)
+        .map(|_| WorkerSlot {
             report: None,
             failure: None,
             dead: false,
             progress: 0,
             phase: RankPhase::Running,
-            last_seen: Instant::now(),
+            last_seen: started,
             stats_prev: StatsSnapshot::zero(),
             stats: None,
             stats_seq: 0,
             final_stats: None,
-        });
-    }
+        })
+        .collect();
     let observe = |slots: &[WorkerSlot], observer: &mut TelemetryObserver<'_>| {
         if let Some(hook) = observer {
             let telemetry: Vec<RankTelemetry> = slots
@@ -1568,12 +1656,13 @@ pub fn collect_workers(
         }
     };
 
-    let mut stable: u32 = 0;
+    // Deadlock watchdog state: the progress vector as last seen, and the
+    // wall time since which every live worker has been blocked with that
+    // vector unchanged (`None` while the run is not in that state).
     let mut last_progress: Option<Vec<u64>> = None;
+    let mut quiet_since: Option<Instant> = None;
     loop {
-        for slot in &mut slots {
-            slot.poll();
-        }
+        sockets.pump(&mut slots, COLLECT_POLL);
         observe(&slots, &mut observer);
         // Heartbeat watchdog: a control socket silent past the dead-peer
         // timeout means the worker process is gone (heartbeats flow every
@@ -1599,17 +1688,15 @@ pub fn collect_workers(
             // Give the remaining workers a grace period to report context,
             // then fold to the primary cause.
             let deadline = Instant::now() + ABORT_GRACE;
-            while Instant::now() < deadline {
-                for slot in &mut slots {
-                    slot.poll();
-                }
-                if slots
-                    .iter()
-                    .all(|s| s.report.is_some() || s.failure.is_some() || s.dead)
-                {
+            while !slots
+                .iter()
+                .all(|s| s.report.is_some() || s.failure.is_some() || s.dead)
+            {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
                     break;
                 }
-                thread::sleep(COLLECT_POLL);
+                sockets.pump(&mut slots, left);
             }
             return Err(worker_primary_failure(&slots).expect("failure observed"));
         }
@@ -1639,26 +1726,22 @@ pub fn collect_workers(
             let moved = last_progress.as_ref() != Some(&progress);
             last_progress = Some(progress);
             if moved || any_running || waiting_on.is_empty() {
-                stable = 0;
-            } else {
-                stable += 1;
-                if stable >= DRIVER_STABLE_SWEEPS {
-                    return Err(RunError::Deadlock {
-                        blocked_ranks: waiting_on.iter().map(|w| w.0).collect(),
-                        waiting_on,
-                    });
-                }
+                quiet_since = None;
+            } else if quiet_since.get_or_insert_with(Instant::now).elapsed() >= DEADLOCK_WINDOW {
+                return Err(RunError::Deadlock {
+                    blocked_ranks: waiting_on.iter().map(|w| w.0).collect(),
+                    waiting_on,
+                });
             }
         }
-        thread::sleep(COLLECT_POLL);
     }
 
     // All results are in: one final observation (the pre-result absolute
     // snapshots are decoded by now), then release the workers.
     observe(&slots, &mut observer);
     let bye = Frame::control(FrameKind::Bye, u32::MAX);
-    for slot in &mut slots {
-        let _ = wire::write_frame(&mut slot.stream, &bye);
+    for stream in &mut sockets.streams {
+        let _ = wire::write_frame(stream, &bye);
     }
     Ok(slots
         .into_iter()
@@ -1831,6 +1914,195 @@ mod tests {
         }
         drop(ghost_done_tx);
         ghost.join().unwrap();
+    }
+
+    #[test]
+    fn worker_returns_without_waiting_out_the_heartbeat_period() {
+        let rdv = Rendezvous::bind().unwrap();
+        let addr = rdv.addr().to_string();
+        let worker = thread::spawn(move || {
+            let mut cfg = WorkerConfig::new(
+                0,
+                1,
+                addr,
+                MachineModel::fast_ethernet_p3(),
+                EngineOptions::default(),
+            );
+            cfg.heartbeat = Duration::from_secs(5);
+            let mut finished = None;
+            run_worker(&cfg, |comm| {
+                comm.advance_compute(10);
+                finished = Some(Instant::now());
+            })
+            .unwrap();
+            finished.expect("closure ran").elapsed()
+        });
+        // Hold the control socket open while the worker winds down.
+        let _controls = rdv.coordinate(1, HANDSHAKE_TIMEOUT).unwrap();
+        let tail = worker.join().unwrap();
+        assert!(
+            tail < Duration::from_secs(1),
+            "heartbeat join took {tail:?}"
+        );
+    }
+
+    /// A scripted worker for driver-side tests: completes the rendezvous as
+    /// `rank` of `size`, then heartbeats `phase` with a fixed progress
+    /// counter every 10 ms for `beat_for` (or until the driver closes the
+    /// socket), then sends a `RESULT` if `report`.
+    fn fake_worker(
+        addr: SocketAddr,
+        rank: u32,
+        size: u64,
+        phase: RankPhase,
+        beat_for: Duration,
+        report: bool,
+    ) -> JoinHandle<()> {
+        thread::spawn(move || {
+            let mut control = TcpStream::connect(addr).unwrap();
+            let mut hello = Frame::control(FrameKind::Hello, rank);
+            hello.seq = size;
+            hello.payload = b"127.0.0.1:1".to_vec();
+            wire::write_frame(&mut control, &hello).unwrap();
+            assert_eq!(
+                wire::read_frame(&mut control).unwrap().kind,
+                FrameKind::Addrs
+            );
+            let until = Instant::now() + beat_for;
+            while Instant::now() < until {
+                let mut beat = Frame::control(FrameKind::Progress, rank);
+                beat.seq = 1;
+                if let RankPhase::Blocked { from, tag } = phase {
+                    beat.nominal = from as u64 + 1;
+                    beat.tag = tag;
+                }
+                if wire::write_frame(&mut control, &beat).is_err() {
+                    return;
+                }
+                thread::sleep(Duration::from_millis(10));
+            }
+            if report {
+                let mut result = Frame::control(FrameKind::Result, rank);
+                result.ready_at = 1.0;
+                wire::write_frame(&mut control, &result).unwrap();
+                let _ = wire::read_frame(&mut control);
+            }
+        })
+    }
+
+    #[test]
+    fn driver_watchdog_reports_workers_blocked_on_each_other() {
+        let rdv = Rendezvous::bind().unwrap();
+        let addr = rdv.addr();
+        let beat = Duration::from_secs(30);
+        let blocked = |from, tag| RankPhase::Blocked { from, tag };
+        let fakes = [
+            fake_worker(addr, 0, 2, blocked(1, 7), beat, false),
+            fake_worker(addr, 1, 2, blocked(0, 9), beat, false),
+        ];
+        let controls = rdv.coordinate(2, HANDSHAKE_TIMEOUT).unwrap();
+        let t0 = Instant::now();
+        let err = collect_workers(
+            controls,
+            Some(Duration::from_secs(30)),
+            true,
+            Some(Duration::from_secs(10)),
+            None,
+        )
+        .unwrap_err();
+        let waited = t0.elapsed();
+        match err {
+            RunError::Deadlock {
+                blocked_ranks,
+                waiting_on,
+            } => {
+                assert_eq!(blocked_ranks, vec![0, 1]);
+                assert_eq!(waiting_on, vec![(0, 1, 7), (1, 0, 9)]);
+            }
+            other => panic!("expected a deadlock, got {other}"),
+        }
+        assert!(waited >= DEADLOCK_WINDOW, "declared after {waited:?}");
+        assert!(waited < Duration::from_secs(5), "declared after {waited:?}");
+        // The driver shut the control sockets down, which ends the fakes.
+        for fake in fakes {
+            fake.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_running_worker_is_not_read_as_deadlocked() {
+        let rdv = Rendezvous::bind().unwrap();
+        let addr = rdv.addr();
+        // No progress counter ever moves, and rank 0 stays blocked on rank
+        // 1 past the deadlock window; only rank 1's `Running` heartbeats
+        // show the run is alive.
+        let beat = Duration::from_millis(800);
+        let blocked = RankPhase::Blocked { from: 1, tag: 3 };
+        let fakes = [
+            fake_worker(addr, 0, 2, blocked, beat, true),
+            fake_worker(addr, 1, 2, RankPhase::Running, beat, true),
+        ];
+        let controls = rdv.coordinate(2, HANDSHAKE_TIMEOUT).unwrap();
+        let reports = collect_workers(
+            controls,
+            Some(Duration::from_secs(30)),
+            true,
+            Some(Duration::from_secs(10)),
+            None,
+        )
+        .unwrap();
+        assert_eq!(reports.len(), 2);
+        for fake in fakes {
+            fake.join().unwrap();
+        }
+    }
+
+    /// Run `f` on a thread and wait at most 2 s for its result.
+    fn within_2s<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = channel();
+        let t = thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        let out = rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("did not return within 2 s");
+        t.join().unwrap();
+        out
+    }
+
+    #[test]
+    fn rendezvous_times_out_naming_the_missing_rank() {
+        let rdv = Rendezvous::bind().unwrap();
+        let mut control = TcpStream::connect(rdv.addr()).unwrap();
+        let mut hello = Frame::control(FrameKind::Hello, 0);
+        hello.seq = 2;
+        hello.payload = b"127.0.0.1:1".to_vec();
+        wire::write_frame(&mut control, &hello).unwrap();
+        let err = within_2s(move || rdv.coordinate(2, Duration::from_millis(200))).unwrap_err();
+        assert!(
+            err.to_string().contains("timed out waiting for ranks [1]"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn mesh_accept_times_out_naming_the_peer_that_never_dials() {
+        // A wildcard listener: the deadline's wake-up dial goes to loopback.
+        let listener = TcpListener::bind("0.0.0.0:0").unwrap();
+        let port = listener.local_addr().unwrap().port();
+        let mut dialer = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        wire::write_frame(&mut dialer, &Frame::control(FrameKind::Peer, 1)).unwrap();
+        let err = within_2s(move || {
+            let mut peers: Vec<Option<TcpStream>> = (0..3).map(|_| None).collect();
+            let res = accept_peers(&listener, 0, &mut peers, Duration::from_millis(200));
+            assert!(peers[1].is_some(), "rank 1 dialed in time");
+            res
+        })
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("timed out waiting for ranks [2]"),
+            "{err}"
+        );
     }
 
     #[test]
