@@ -37,7 +37,7 @@ fn lds_ablation(h: &mut Harness) {
     let t = strided_transform();
     let alg = compile_kernel_with(corpus::ADI, &[("T", 32), ("N", 32)]).unwrap();
     let tiled = TiledSpace::new(t.clone(), alg.nest.space().clone()).unwrap();
-    let plan = CommPlan::new(&tiled, alg.nest.deps(), 0);
+    let plan = CommPlan::new(&tiled, alg.nest.deps(), 0).unwrap();
     let geo = LdsGeometry::new(&t, &plan);
     let num_tiles = 4i64;
     let points: Vec<Vec<i64>> = t.ttis_points().collect();

@@ -77,7 +77,7 @@ fn main() {
     .expect("parallel execution failed");
     let alg = compile_kernel_with(corpus::ADI, &[("T", 32), ("N", 32)]).unwrap();
     let tiled = TiledSpace::new(t.clone(), alg.nest.space().clone()).unwrap();
-    let plan = CommPlan::new(&tiled, alg.nest.deps(), 0);
+    let plan = CommPlan::new(&tiled, alg.nest.deps(), 0).unwrap();
     let geo = LdsGeometry::new(&t, &plan);
     let condensed: i64 = geo.extents(4).iter().product();
     let naive: i64 = t.v()[0] * 4 * t.v()[1] * t.v()[2];

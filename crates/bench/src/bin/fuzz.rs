@@ -33,16 +33,19 @@
 //!
 //! In every mode, each case's sequential oracle (`execute_sequential`) is
 //! also compared bitwise against the run-based scan (`execute_scan`) that
-//! `verify` uses. In the default and `--dsl` modes, each case also runs the
-//! compiled and overlapped strategies in `TimingOnly` mode, which must equal
-//! their `Full` runs on makespan bits, per-rank clocks, iterations,
-//! messages and bytes.
+//! `verify` uses, and the plan's closed forms are checked against walks:
+//! its tile set against a lattice walk of every shadow candidate, and its
+//! `D^S` against `⌊(j' + d')/v⌋` over every TTIS point. In the default and
+//! `--dsl` modes, each case also runs the compiled and overlapped
+//! strategies in `TimingOnly` mode, which must equal their `Full` runs on
+//! makespan bits, per-rank clocks, iterations, messages and bytes.
 //!
 //! Every failure path prints the RNG seed so regressions reproduce with
 //! `fuzz <seed>`. Found two real bugs during development (Fourier–Motzkin
 //! blowup on dense skewed systems; non-monotone minimum-successor message
 //! pairing — see DESIGN.md).
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use tilecc_cluster::obs::RunReport as ObsReport;
 use tilecc_cluster::{
@@ -109,6 +112,42 @@ fn check_scan(alg: &Algorithm, seq: &DataSpace, seed: u64, case: u64) {
             case,
             "sequential scan differs from execute_sequential",
         );
+    }
+}
+
+/// The plan's tile set and tile dependences must equal the walks they
+/// replaced: every shadow candidate with an in-space TTIS point, and every
+/// non-zero `⌊(j' + d')/v⌋` over the TTIS points `j'`.
+fn check_plan_against_walks(plan: &ParallelPlan, seed: u64, case: u64) {
+    let tiled = &plan.tiled;
+    let t = tiled.transform();
+    let (n, v) = (tiled.dim(), t.v());
+    let zero = vec![0i64; n];
+    let walked: Vec<Vec<i64>> = (tiled.tile_bounds().points())
+        .filter(|tile| {
+            (t.lattice().points_in_box(&zero, v))
+                .any(|jp| tiled.space().contains(&t.iteration_fast(tile, &jp)))
+        })
+        .collect();
+    if tiled.tiles().ne(walked) {
+        fail(seed, case, "tile set differs from the lattice walk");
+    }
+    let dp = t.transformed_deps(plan.algorithm.nest.deps());
+    let mut walked = BTreeSet::new();
+    for q in 0..dp.cols() {
+        for jp in t.ttis_points() {
+            let ds: Vec<i64> = (0..n)
+                .map(|k| (jp[k] + dp[(k, q)]).div_euclid(v[k]))
+                .collect();
+            if ds.iter().any(|&x| x != 0) {
+                walked.insert(ds);
+            }
+        }
+    }
+    let planned: BTreeSet<Vec<i64>> = plan.comm.tile_deps.iter().cloned().collect();
+    if planned.len() != plan.comm.tile_deps.len() || planned != walked {
+        eprintln!("  D^S {:?}, walk {walked:?}", plan.comm.tile_deps);
+        fail(seed, case, "tile dependences differ from the TTIS walk");
     }
 }
 
@@ -305,6 +344,7 @@ fn dsl_mode(seed: u64, cases: u64) -> ! {
                 fail(seed, case, "planning failed on a DSL kernel");
             }
         };
+        check_plan_against_walks(&plan, seed, case);
         per_kernel[ki] += 1;
         let ts = execute_tiled_sequential(&plan);
         if seq.diff(&ts).is_some() {
@@ -540,21 +580,17 @@ fn main() {
         let alg = Algorithm::new("p", LoopNest::new(space, deps), Arc::new(K));
         let seq = alg.execute_sequential();
         check_scan(&alg, &seq, seed, case);
-        let Ok(tsq) = tilecc_tiling::TiledSpace::new(t.clone(), alg.nest.space().clone()) else {
-            continue;
-        };
-        eprintln!(
-            "  stage: shadow has {} constraints; enumerating tiles",
-            tsq.shadow().constraints().len()
-        );
-        let ntiles = tsq.tiles().count();
-        eprintln!("  stage: {} tiles; distribution", ntiles);
-        let dist = tilecc_tiling::Distribution::new(&tsq, Some(m)).unwrap();
-        eprintln!("  stage: {} procs; commplan", dist.num_procs());
-        let _cp = tilecc_tiling::CommPlan::new(&tsq, alg.nest.deps(), m);
         let Ok(plan) = ParallelPlan::new(alg, t, Some(m)) else {
             continue;
         };
+        eprintln!(
+            "  stage: shadow has {} constraints, {} tiles, {} procs, {} tile deps",
+            plan.tiled.shadow().constraints().len(),
+            plan.tiled.tiles().count(),
+            plan.dist.num_procs(),
+            plan.comm.tile_deps.len()
+        );
+        check_plan_against_walks(&plan, seed, case);
         tune_cases += u64::from(tune);
         let plan = Arc::new(plan);
         let ts = execute_tiled_sequential(&plan);

@@ -120,6 +120,31 @@ impl Lattice {
             it.advance();
         }
     }
+
+    /// Iterate the innermost rows of the box `[lo, hi)`: one item per
+    /// lattice point of the outer `n−1` levels whose last-coordinate range
+    /// is non-empty, as the row's first point and its length. The row's
+    /// points step by [`Lattice::stride`]`(n−1)` along the last coordinate.
+    /// Rows come in the order of [`Lattice::points_in_box`], and together
+    /// hold exactly its points.
+    pub fn rows_in_box<'a>(
+        &'a self,
+        lo: &[i64],
+        hi: &[i64],
+    ) -> impl Iterator<Item = (Vec<i64>, i64)> + 'a {
+        let n = self.dim();
+        assert_eq!(lo.len(), n, "dimension mismatch");
+        assert_eq!(hi.len(), n, "dimension mismatch");
+        let mut it = LatticeBoxIter::new(self, lo.to_vec(), hi.to_vec());
+        std::iter::from_fn(move || {
+            if it.done {
+                return None;
+            }
+            let row = (it.point.clone(), it.m_hi[n - 1] - it.m[n - 1]);
+            it.advance_below(n - 1);
+            Some(row)
+        })
+    }
 }
 
 /// Iterator over lattice points in a half-open box (see
@@ -218,8 +243,14 @@ impl<'a> LatticeBoxIter<'a> {
 
     /// Advance to the next multiplier vector.
     fn advance(&mut self) {
-        let n = self.lat.dim();
-        match self.step_below(n) {
+        self.advance_below(self.lat.dim());
+    }
+
+    /// Advance the levels above `lvl`, rewinding every level from the one
+    /// stepped on (`lvl = n` steps to the next point, `lvl = n − 1` to the
+    /// next innermost row).
+    fn advance_below(&mut self, lvl: usize) {
+        match self.step_below(lvl) {
             Some(k) => {
                 if !self.seek(k + 1) {
                     self.done = true;
@@ -349,6 +380,36 @@ mod tests {
         let mut walked = vec![];
         lat.for_each_in_box(&lo, &hi, |p| walked.push(p.to_vec()));
         assert_eq!(iter, walked);
+    }
+
+    #[test]
+    fn rows_expand_to_the_box_points() {
+        for (basis, lo, hi) in [
+            (
+                IMat::from_rows(&[&[2, 0, 0], &[1, 2, 0], &[0, 1, 3]]),
+                vec![-2, 0, -1],
+                vec![5, 6, 7],
+            ),
+            (
+                IMat::from_rows(&[&[1, 0], &[5, 7]]),
+                vec![0, 0],
+                vec![10, 3],
+            ),
+            (IMat::from_rows(&[&[3]]), vec![-4], vec![9]),
+        ] {
+            let lat = Lattice::from_columns(&basis);
+            let last = lat.dim() - 1;
+            let mut expanded = vec![];
+            for (start, len) in lat.rows_in_box(&lo, &hi) {
+                assert!(len > 0, "empty row at {start:?}");
+                for t in 0..len {
+                    let mut p = start.clone();
+                    p[last] += t * lat.stride(last);
+                    expanded.push(p);
+                }
+            }
+            assert_eq!(expanded, brute_force(&lat, &lo, &hi));
+        }
     }
 
     #[test]

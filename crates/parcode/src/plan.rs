@@ -72,7 +72,7 @@ impl ParallelPlan {
         let dist = Distribution::new(&tiled, m)?;
         stamp("distribution", t0);
         let t0 = obs.map(|r| r.now_ns());
-        let comm = CommPlan::new(&tiled, algorithm.nest.deps(), dist.m);
+        let comm = CommPlan::new(&tiled, algorithm.nest.deps(), dist.m)?;
         stamp("comm-plan", t0);
         let t0 = obs.map(|r| r.now_ns());
         let geo = LdsGeometry::new(tiled.transform(), &comm);

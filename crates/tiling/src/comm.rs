@@ -5,6 +5,7 @@
 
 use crate::mapping::project_pid;
 use crate::tile_space::TiledSpace;
+use crate::transform::TilingError;
 use std::collections::BTreeMap;
 use tilecc_linalg::vecops::div_ceil;
 use tilecc_linalg::IMat;
@@ -39,11 +40,14 @@ pub struct CommPlan {
 
 impl CommPlan {
     /// Build the communication plan for `tiled` with dependencies `deps`
-    /// (columns) mapped along dimension `m`.
-    pub fn new(tiled: &TiledSpace, deps: &IMat, m: usize) -> Self {
+    /// (columns) mapped along dimension `m`. Fails when `m` is not a
+    /// dimension of the space or when no dependence crosses a tile.
+    pub fn new(tiled: &TiledSpace, deps: &IMat, m: usize) -> Result<Self, TilingError> {
         let t = tiled.transform();
         let n = t.dim();
-        assert!(m < n);
+        if m >= n {
+            return Err(TilingError::MappingOutOfRange { m, dim: n });
+        }
         let d_prime = t.transformed_deps(deps);
         let v = t.v();
         let maxd: Vec<i64> = (0..n)
@@ -58,6 +62,9 @@ impl CommPlan {
         let cc: Vec<i64> = (0..n).map(|k| v[k] - maxd[k]).collect();
 
         let ds_mat = tiled.tile_deps(deps);
+        if ds_mat.cols() == 0 {
+            return Err(TilingError::NoTileDependences);
+        }
         let mut tile_deps: Vec<Vec<i64>> = (0..ds_mat.cols()).map(|c| ds_mat.col(c)).collect();
         // Descending m-component: predecessor tiles in ascending order, so
         // that receives posted within one tile match FIFO send order from a
@@ -93,7 +100,7 @@ impl CommPlan {
             });
             dm_of_ds.push(Some(idx));
         }
-        CommPlan {
+        Ok(CommPlan {
             m,
             d_prime,
             maxd,
@@ -102,7 +109,7 @@ impl CommPlan {
             tile_deps,
             proc_deps,
             dm_of_ds,
-        }
+        })
     }
 
     /// The pack/unpack region for processor dependence `dm`: the lattice box
@@ -166,7 +173,7 @@ mod tests {
         // unchanged: maxd = (1, 1, 2), cc = (3, 3, 2).
         let t = TilingTransform::rectangular(&[4, 4, 4]).unwrap();
         let tiled = TiledSpace::new(t, sor_space()).unwrap();
-        let plan = CommPlan::new(&tiled, &sor_deps(), 2);
+        let plan = CommPlan::new(&tiled, &sor_deps(), 2).unwrap();
         assert_eq!(plan.maxd, vec![1, 1, 2]);
         assert_eq!(plan.cc, vec![3, 3, 2]);
         assert_eq!(plan.off[0], 1);
@@ -185,7 +192,7 @@ mod tests {
         ]);
         let t = TilingTransform::new(h).unwrap();
         let tiled = TiledSpace::new(t, sor_space()).unwrap();
-        let plan = CommPlan::new(&tiled, &sor_deps(), 2);
+        let plan = CommPlan::new(&tiled, &sor_deps(), 2).unwrap();
         // d' for d=(1,1,2): (1,1,1); (0,1,0)->(0,1,0); (1,0,2)->(1,0,1);
         // (1,1,1)->(1,1,0); (0,0,1)->(0,0,1). maxd = (1,1,1): the skew
         // shrinks the third-dimension halo from 2 to 1.
@@ -197,7 +204,7 @@ mod tests {
     fn tile_deps_sorted_with_descending_m_component() {
         let t = TilingTransform::rectangular(&[4, 4, 4]).unwrap();
         let tiled = TiledSpace::new(t, sor_space()).unwrap();
-        let plan = CommPlan::new(&tiled, &sor_deps(), 2);
+        let plan = CommPlan::new(&tiled, &sor_deps(), 2).unwrap();
         for w in plan.tile_deps.windows(2) {
             assert!(w[0][2] >= w[1][2]);
         }
@@ -216,7 +223,7 @@ mod tests {
     fn region_lo_uses_cc_only_on_crossing_dims() {
         let t = TilingTransform::rectangular(&[4, 4, 4]).unwrap();
         let tiled = TiledSpace::new(t, sor_space()).unwrap();
-        let plan = CommPlan::new(&tiled, &sor_deps(), 2);
+        let plan = CommPlan::new(&tiled, &sor_deps(), 2).unwrap();
         let v = vec![4, 4, 4];
         assert_eq!(plan.region_lo(&[1, 0], &v), vec![3, 0, 0]);
         assert_eq!(plan.region_lo(&[0, 1], &v), vec![0, 3, 0]);
@@ -225,10 +232,28 @@ mod tests {
     }
 
     #[test]
+    fn bad_mapping_dimension_and_dependence_free_nests_are_typed_errors() {
+        let t = TilingTransform::rectangular(&[4, 4, 4]).unwrap();
+        let tiled = TiledSpace::new(t, sor_space()).unwrap();
+        assert_eq!(
+            CommPlan::new(&tiled, &sor_deps(), 3).unwrap_err(),
+            TilingError::MappingOutOfRange { m: 3, dim: 3 }
+        );
+        // No columns, and a zero column that never leaves its tile.
+        for deps in [IMat::zeros(3, 0), IMat::zeros(3, 1)] {
+            assert_eq!(tiled.tile_deps(&deps).cols(), 0);
+            assert_eq!(
+                CommPlan::new(&tiled, &deps, 2).unwrap_err(),
+                TilingError::NoTileDependences
+            );
+        }
+    }
+
+    #[test]
     fn proc_deps_exclude_pure_chain_dependence() {
         let t = TilingTransform::rectangular(&[4, 4, 4]).unwrap();
         let tiled = TiledSpace::new(t, sor_space()).unwrap();
-        let plan = CommPlan::new(&tiled, &sor_deps(), 2);
+        let plan = CommPlan::new(&tiled, &sor_deps(), 2).unwrap();
         // (0,0,1) projects to zero: intra-processor, not in proc_deps.
         assert!(plan.proc_deps.iter().all(|dm| dm.iter().any(|&x| x != 0)));
         assert!(plan.dm_of_ds.iter().any(|x| x.is_none()));

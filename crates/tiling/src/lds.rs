@@ -304,7 +304,7 @@ mod tests {
         let space = Polyhedron::from_box(&[0, 0, 0], &[15, 15, 15]);
         let deps = IMat::from_rows(&[&[1, 0, 1, 1, 0], &[1, 1, 0, 1, 0], &[2, 0, 2, 1, 1]]);
         let tiled = TiledSpace::new(t.clone(), space).unwrap();
-        let plan = CommPlan::new(&tiled, &deps, m);
+        let plan = CommPlan::new(&tiled, &deps, m).unwrap();
         let geo = LdsGeometry::new(&t, &plan);
         (t, geo, plan)
     }

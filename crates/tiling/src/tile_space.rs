@@ -12,22 +12,26 @@
 //! boundary tiles the same way, with the original iteration-space
 //! inequalities).
 //!
-//! Pruning itself is driven by an exact *rational feasibility test*: for a
-//! candidate tile `t` the pinned system `j ∈ J^n ∧ v_k·t_k ≤ H'_k·j ≤
-//! v_k·(t_k+1) − 1` has integer points exactly equal to `t`'s iterations
-//! (for integer `j`, that conjunction is `⌊H·j⌋ = t`), so rational
-//! emptiness proves the tile empty without walking its TTIS lattice. Only
-//! when the rational relaxation is non-empty — and could still be
-//! integer-empty — does the plan fall back to the early-exit lattice walk,
-//! keeping `tiles_pruned` exact while construction cost stops scaling with
-//! tile volume (this is what makes the auto-tuner's hundreds of candidate
-//! plans affordable).
+//! Planning never walks a tile point by point:
+//!
+//! * **Pruning.** A candidate whose corners all lie in `J^n` is interior,
+//!   hence non-empty. Any other candidate walks its TTIS lattice over the
+//!   outer `n−1` HNF levels only. Each innermost row is a line
+//!   `j0 + t·dj` in original coordinates, which [`LineClip`] clips against
+//!   `J^n` in one pass. The tile is non-empty iff some row's interval is,
+//!   so the test is exact and stops at the first hit.
+//! * **`D^S`.** Component `k` of `⌊(j' + d')/v⌋` over `j' ∈ [0, v)` is
+//!   `⌊d'_k/v_k⌋`, plus one exactly when `j'_k` lies in the top
+//!   `d'_k mod v_k` values. Each dependence thus has at most `2ⁿ`
+//!   candidate columns, each with a box of carrying `j'`, and a candidate
+//!   is kept iff the TTIS lattice has a point in its box
+//!   ([`TiledSpace::tile_deps`]).
 
 use crate::transform::{TilingError, TilingTransform};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tilecc_linalg::IMat;
-use tilecc_polytope::{Constraint, LoopNestBounds, Polyhedron};
+use tilecc_polytope::{Constraint, LineClip, LoopNestBounds, Polyhedron};
 
 /// The smallest tile-volume budget [`TiledSpace::new`] grants any space
 /// (2²¹ lattice points): tiles larger than the space itself stay legal up
@@ -51,9 +55,7 @@ pub struct TiledSpace {
     nonempty: BTreeSet<Vec<i64>>,
     /// Empty candidate tiles the shadow admitted and `new` discarded.
     tiles_pruned: usize,
-    /// Boundary candidates whose rational relaxation was non-empty, forcing
-    /// the lattice-walk fallback during construction. Observable so tests
-    /// and benches can show the feasibility test carries the pruning load.
+    /// Non-interior candidates decided by the row clip during construction.
     feasibility_walks: usize,
     /// Number of [`TiledSpace::tile_iterations`] traversals started — the
     /// per-tile TTIS walks the compiled execution path exists to avoid.
@@ -121,7 +123,10 @@ impl TiledSpace {
         let shadow = combined.project_onto_first(n)?.remove_redundant()?;
         let tile_bounds = LoopNestBounds::new(&shadow)?;
         let space_bounds = LoopNestBounds::new(&space)?;
-        let full_tile_volume = usize::try_from(volume).expect("tile volume within the limit");
+        let full_tile_volume = usize::try_from(volume).map_err(|_| TilingError::TileTooLarge {
+            volume,
+            limit: usize::MAX.try_into().unwrap_or(i64::MAX),
+        })?;
         let mut ts = TiledSpace {
             transform,
             space,
@@ -135,63 +140,46 @@ impl TiledSpace {
             traversals: AtomicU64::new(0),
         };
         // Prune the empty candidates the convex shadow admits. Interior
-        // tiles are non-empty by construction. Boundary candidates are
-        // decided by the exact rational feasibility test on the pinned tile
-        // system — emptiness there implies integer emptiness, so the prune
-        // is exact without touching the TTIS lattice. Only rationally
-        // non-empty candidates (which may still contain no integer point)
-        // fall back to the early-exit lattice walk, without touching the
-        // traversal counter (this is a plan-time emptiness test, not one
-        // of the per-tile walks the compiled path eliminates).
+        // tiles are non-empty. Any other candidate clips the innermost rows
+        // of its TTIS against the space until one row keeps an iteration,
+        // without touching the traversal counter (this is a plan-time
+        // emptiness test, not one of the per-tile walks the compiled path
+        // eliminates).
+        let t = &ts.transform;
+        let clip = LineClip::new(&ts.space, None);
+        // A row steps by the last HNF column (0, …, 0, c_{n−1}) in TTIS
+        // coordinates, by P' times it in original ones. That column is a
+        // lattice point, so the step is integral.
+        let mut last_col = vec![0i64; n];
+        last_col[n - 1] = t.stride(n - 1);
+        let mut dj = vec![0i64; n];
+        t.p_prime_mul_into(&last_col, &mut dj);
+        let zero = vec![0i64; n];
         let mut candidates = 0usize;
-        let mut walks = 0usize;
+        let mut clipped = 0usize;
         let mut nonempty = BTreeSet::new();
-        let lo = vec![0i64; n];
         for tile in ts.tile_bounds.points() {
             candidates += 1;
-            if ts.tile_is_interior(&tile) {
-                nonempty.insert(tile);
-                continue;
+            if !ts.tile_is_interior(&tile) {
+                clipped += 1;
+                let row_hits = |(start, len): (Vec<i64>, i64)| {
+                    let j0 = t.iteration_fast(&tile, &start);
+                    clip.clip(&j0, &dj, 0, len - 1).is_some()
+                };
+                if !t.lattice().rows_in_box(&zero, t.v()).any(row_hits) {
+                    continue;
+                }
             }
-            if ts.pinned_tile_system(&tile).is_empty_rational()? {
-                continue;
-            }
-            walks += 1;
-            let t = &ts.transform;
-            if t.lattice()
-                .points_in_box(&lo, t.v())
-                .any(|jp| ts.space.contains(&t.iteration_fast(&tile, &jp)))
-            {
-                nonempty.insert(tile);
-            }
+            nonempty.insert(tile);
         }
         ts.tiles_pruned = candidates - nonempty.len();
-        ts.feasibility_walks = walks;
+        ts.feasibility_walks = clipped;
         ts.nonempty = nonempty;
         Ok(ts)
     }
 
-    /// The "pinned tile" system over `j`: the original space intersected
-    /// with `v_k·t_k ≤ H'_k·j ≤ v_k·(t_k+1) − 1` for every `k`. For integer
-    /// `j` (where `H'_k·j` is an integer) that conjunction is exactly
-    /// `⌊H_k·j⌋ = t_k`, so the system's integer points are precisely the
-    /// tile's iterations — rational emptiness proves the tile empty.
-    fn pinned_tile_system(&self, tile: &[i64]) -> Polyhedron {
-        let n = self.dim();
-        let hp = self.transform.h_prime();
-        let v = self.transform.v();
-        let mut p = self.space.clone();
-        for k in 0..n {
-            let row: Vec<i64> = (0..n).map(|c| hp[(k, c)]).collect();
-            let neg: Vec<i64> = row.iter().map(|&x| -x).collect();
-            p.add(Constraint::new(row, -v[k] * tile[k]));
-            p.add(Constraint::new(neg, v[k] * (tile[k] + 1) - 1));
-        }
-        p
-    }
-
-    /// Number of candidate tiles whose rational relaxation was non-empty,
-    /// forcing the lattice-walk fallback during construction.
+    /// Number of non-interior candidate tiles, each decided by clipping the
+    /// innermost rows of its TTIS against the space.
     #[inline]
     pub fn feasibility_walks(&self) -> usize {
         self.feasibility_walks
@@ -339,8 +327,14 @@ impl TiledSpace {
     }
 
     /// Exact tile dependence matrix `D^S` (columns, deduplicated, zero
-    /// excluded): for every dependence `d` and every TTIS point `j'`,
-    /// `d^S_k = ⌊(j'_k + d'_k) / v_k⌋` with `d' = H'·d` (§2.2).
+    /// excluded, in lexicographic order): every non-zero
+    /// `d^S_k = ⌊(j'_k + d'_k) / v_k⌋` with `d' = H'·d` over the TTIS points
+    /// `j'` (§2.2), in closed form. With `d'_k = q_k·v_k + r_k`, component
+    /// `k` is `q_k + 1` iff `j'_k ≥ v_k − r_k` and `q_k` otherwise, so each
+    /// carry pattern over the `k` with `r_k > 0` names one candidate column
+    /// and a box of `j'`. A candidate is kept iff the TTIS lattice has a
+    /// point in its box. No columns when no dependence crosses a tile (a
+    /// dependence-free nest).
     pub fn tile_deps(&self, deps: &IMat) -> IMat {
         let t = &self.transform;
         let n = self.dim();
@@ -349,17 +343,30 @@ impl TiledSpace {
         let mut set: BTreeSet<Vec<i64>> = BTreeSet::new();
         for q in 0..dp.cols() {
             let d = dp.col(q);
-            for jp in t.ttis_points() {
-                let ds: Vec<i64> = (0..n).map(|k| (jp[k] + d[k]).div_euclid(v[k])).collect();
-                if ds.iter().any(|&x| x != 0) {
-                    set.insert(ds);
+            let quot: Vec<i64> = (0..n).map(|k| d[k].div_euclid(v[k])).collect();
+            let rem: Vec<i64> = (0..n).map(|k| d[k].rem_euclid(v[k])).collect();
+            let carries: Vec<usize> = (0..n).filter(|&k| rem[k] > 0).collect();
+            for mask in 0..1usize << carries.len() {
+                let mut col = quot.clone();
+                let (mut lo, mut hi) = (vec![0i64; n], v.to_vec());
+                for (bit, &k) in carries.iter().enumerate() {
+                    if mask >> bit & 1 == 1 {
+                        col[k] += 1;
+                        lo[k] = v[k] - rem[k];
+                    } else {
+                        hi[k] = v[k] - rem[k];
+                    }
+                }
+                if col.iter().any(|&x| x != 0)
+                    && !set.contains(&col)
+                    && t.lattice().points_in_box(&lo, &hi).next().is_some()
+                {
+                    set.insert(col);
                 }
             }
         }
-        assert!(!set.is_empty(), "algorithm has no cross-tile dependencies");
-        let cols: Vec<Vec<i64>> = set.into_iter().collect();
-        let mut m = IMat::zeros(n, cols.len());
-        for (c, col) in cols.iter().enumerate() {
+        let mut m = IMat::zeros(n, set.len());
+        for (c, col) in set.iter().enumerate() {
             for k in 0..n {
                 m[(k, c)] = col[k];
             }
@@ -465,6 +472,25 @@ mod tests {
         let cols: BTreeSet<Vec<i64>> = (0..ds.cols()).map(|c| ds.col(c)).collect();
         let expected: BTreeSet<Vec<i64>> = [vec![1], vec![2]].into_iter().collect();
         assert_eq!(cols, expected);
+    }
+
+    #[test]
+    fn huge_tiles_plan_without_walking_them() {
+        // 10⁵ × 10⁵ tiles (10¹⁰ TTIS points each) over a 2-D box of side
+        // 10⁶. Neither pruning nor D^S may walk a tile; the shifted box
+        // makes every edge tile a boundary candidate for the row clip.
+        let t = TilingTransform::rectangular(&[100_000, 100_000]).unwrap();
+        let deps = IMat::from_rows(&[&[1, 0], &[0, 1]]);
+        let want: BTreeSet<Vec<i64>> = [vec![0, 1], vec![1, 0]].into_iter().collect();
+        for (lo, tiles) in [(0, 100), (1, 121)] {
+            let space = Polyhedron::from_box(&[lo, lo], &[lo + 999_999, lo + 999_999]);
+            let tiled = TiledSpace::new(t.clone(), space).unwrap();
+            assert_eq!(tiled.tiles().count(), tiles);
+            assert_eq!(tiled.tiles_pruned(), 0);
+            let ds = tiled.tile_deps(&deps);
+            let cols: BTreeSet<Vec<i64>> = (0..ds.cols()).map(|c| ds.col(c)).collect();
+            assert_eq!(cols, want);
+        }
     }
 
     #[test]

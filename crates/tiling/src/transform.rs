@@ -44,6 +44,9 @@ pub enum TilingError {
     /// The tiling cone (and so the tuner's candidate rows) is defined for
     /// nests of dimension 2 or more; `dim` is the nest's.
     ConeDimension { dim: usize },
+    /// No dependence crosses a tile boundary (`D^S` is empty), so there is
+    /// nothing to communicate and no wavefront to schedule.
+    NoTileDependences,
 }
 
 impl From<PolytopeError> for TilingError {
@@ -89,6 +92,9 @@ impl std::fmt::Display for TilingError {
                 f,
                 "the tiling cone needs a nest of dimension 2 or more, not {dim}"
             ),
+            TilingError::NoTileDependences => {
+                write!(f, "the algorithm has no cross-tile dependences")
+            }
         }
     }
 }
