@@ -157,7 +157,7 @@ fn bench_workload(name: &str, plan: ParallelPlan, smoke: bool) -> (Vec<PathResul
     let kernel = plan.algorithm.kernel.clone();
     let space = plan.tiled.space();
 
-    let mut lds = Lds::with_width(plan.geo.clone(), plan.anchor(rank), num_tiles, w);
+    let mut lds = plan.rank_lds(rank);
     // Deterministic non-trivial contents so reads do real work.
     for (i, x) in lds.values_mut().iter_mut().enumerate() {
         *x = ((i % 977) as f64) / 977.0;
@@ -370,7 +370,7 @@ fn obs_overhead(smoke: bool) {
     let origin = tile_origin(t, &tile);
     let q = plan.deps().cols();
     let kernel = plan.algorithm.kernel.clone();
-    let mut lds = Lds::with_width(plan.geo.clone(), plan.anchor(rank), num_tiles, w);
+    let mut lds = plan.rank_lds(rank);
     for (i, x) in lds.values_mut().iter_mut().enumerate() {
         *x = ((i % 977) as f64) / 977.0;
     }
@@ -704,7 +704,7 @@ fn vec_bench(out_path: &str, smoke: bool) {
         // it must still win on the coalesced pack/unpack/gather paths.
         let expect_batched = !name.starts_with("sor");
 
-        let mut lds = Lds::with_width(plan.geo.clone(), plan.anchor(rank), num_tiles, w);
+        let mut lds = plan.rank_lds(rank);
         let fill = |lds: &mut Lds| {
             for (i, x) in lds.values_mut().iter_mut().enumerate() {
                 *x = ((i % 977) as f64) / 977.0;
@@ -879,7 +879,7 @@ fn vec_bench(out_path: &str, smoke: bool) {
         let bchain = plan.compiled_for(bhi_t - blo_t + 1);
         let borigin = tile_origin(t, &btile);
         let space = &plan.clamp.space;
-        let mut blds = Lds::with_width(plan.geo.clone(), plan.anchor(brank), bhi_t - blo_t + 1, w);
+        let mut blds = plan.rank_lds(brank);
         fill(&mut blds);
         let walk = |lds: &Lds, ds: &mut DataSpace| {
             let mut vals = vec![0.0f64; w];

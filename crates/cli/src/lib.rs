@@ -28,15 +28,18 @@ use std::time::Duration;
 use tilecc::{verify_against_sequential, Pipeline, RunSummary, TuneOptions};
 use tilecc_cluster::obs::RunReport as MetricsReport;
 use tilecc_cluster::{
-    collect_workers, run_worker, wire::ByteReader, CommError, CommScheme, CommStats, Counter,
-    EngineOptions, ExportClock, FaultPlan, MachineModel, MetricsRegistry, Phase, RankPhase,
-    RankTelemetry, RecoveryOptions, Rendezvous, RunError, StatsSnapshot, WorkerCkptConfig,
-    WorkerConfig, WorkerReport, HEARTBEAT_PERIOD,
+    collect_workers, run_worker, CommError, CommScheme, CommStats, Counter, EngineOptions,
+    ExportClock, FaultPlan, MachineModel, MetricsRegistry, Phase, RankPhase, RankTelemetry,
+    RecoveryOptions, Rendezvous, RunError, StatsSnapshot, WorkerCkptConfig, WorkerConfig,
+    WorkerReport, HEARTBEAT_PERIOD,
 };
 use tilecc_frontend::KernelProgram;
 use tilecc_linalg::{RMat, Rational};
 use tilecc_loopnest::{Algorithm, CountError, DataSpace};
-use tilecc_parcode::{rank_data_points, run_rank, Backend, ExecMode, ExecStrategy, RankOutput};
+use tilecc_parcode::{
+    decode_rank_state, encode_rank_state, gather, run_rank, Backend, ExecMode, ExecStrategy,
+    RankOutput,
+};
 use tilecc_tiling::tiling_cone_rays;
 
 /// CLI error: message for the user, non-zero exit.
@@ -730,80 +733,6 @@ fn render_run_summary(
     Ok(())
 }
 
-/// Serialize a worker's `RESULT` payload (see `docs/wire-protocol.md`,
-/// "`tilecc` RESULT payload"): its iteration count and, in full mode, the
-/// data points of the tiles it owns. All fields little-endian; `f64`s
-/// travel as IEEE-754 bit patterns so the driver rebuilds values bitwise.
-fn encode_worker_payload(iterations: u64, cells: Option<&[(Vec<i64>, Vec<f64>)]>) -> Vec<u8> {
-    let mut buf = iterations.to_le_bytes().to_vec();
-    match cells {
-        None => buf.push(0),
-        Some(points) => {
-            buf.push(1);
-            let n = points.first().map_or(0, |(j, _)| j.len()) as u32;
-            let w = points.first().map_or(0, |(_, v)| v.len()) as u32;
-            buf.extend_from_slice(&n.to_le_bytes());
-            buf.extend_from_slice(&w.to_le_bytes());
-            buf.extend_from_slice(&(points.len() as u64).to_le_bytes());
-            for (j, vals) in points {
-                for c in j {
-                    buf.extend_from_slice(&c.to_le_bytes());
-                }
-                for v in vals {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-        }
-    }
-    buf
-}
-
-/// Inverse of [`encode_worker_payload`]: return the iteration count and
-/// write the cell table into `data`, the driver's global data space
-/// (`None` in a timing-only run, which carries no cells). Every cell is
-/// checked against `data` — the plan's dimension, width and bounding box —
-/// before anything is written, so a malformed payload is an error, never a
-/// panic.
-fn decode_worker_payload(buf: &[u8], data: Option<&mut DataSpace>) -> Result<u64, String> {
-    let mut r = ByteReader::new(buf, "payload");
-    let iterations = r.u64()?;
-    match (r.u8()?, data) {
-        (0, _) => {}
-        (1, None) => return Err("cell table in a timing-only run".to_string()),
-        (1, Some(ds)) => {
-            let n = r.u32()? as usize;
-            let w = r.u32()? as usize;
-            let count = r.u64()?;
-            // An empty table may carry any sizes (the encoder writes zeros);
-            // cells must match the plan, so each one costs at least one
-            // coordinate on the wire and `count` is bounded by the buffer.
-            if count > 0 && (n, w) != (ds.dim(), ds.width()) {
-                return Err(format!(
-                    "cell table of {n}-d cells with {w} values, the plan has {}-d cells with {}",
-                    ds.dim(),
-                    ds.width()
-                ));
-            }
-            let (mut j, mut vals) = (vec![0i64; ds.dim()], vec![0.0f64; ds.width()]);
-            for _ in 0..count {
-                for c in j.iter_mut() {
-                    *c = r.i64()?;
-                }
-                for v in vals.iter_mut() {
-                    *v = r.f64()?;
-                }
-                if ds.index(&j).is_none() {
-                    return Err(format!("cell {j:?} outside the data space"));
-                }
-                ds.set_all(&j, &vals);
-            }
-        }
-        (k, _) => return Err(format!("unknown cell-table marker {k}")),
-    }
-    r.finish()?;
-    Ok(iterations)
-}
-
 /// The comm scheme, fault plan and execution mode implied by the run flags —
 /// identical for the worker, the driver, and the in-process path so every
 /// backend executes the same program.
@@ -879,8 +808,9 @@ fn tcp_worker(
                 e.ranks()
             ))
         })?;
-    let cells = (mode == ExecMode::Full).then(|| rank_data_points(pipe.plan(), rank, &result));
-    let payload = encode_worker_payload(result.iterations, cells.as_deref());
+    // The `RESULT` payload is the rank state a checkpoint stores; the
+    // driver decodes it into the rank's LDS and gathers like a threaded run.
+    let payload = encode_rank_state(result.iterations, result.lds.as_ref());
     handle
         .send_result(local_time, &stats, payload)
         .map_err(|e| CliError(format!("worker rank {rank}: cannot report result: {e}")))?;
@@ -1295,27 +1225,28 @@ fn tcp_driver(
         }
     }
 
-    let mut parallel = (mode == ExecMode::Full).then(|| {
-        let (lo, hi) = pipe.plan().algorithm.nest.bounding_box();
-        DataSpace::with_width(&lo, &hi, pipe.plan().algorithm.width())
-    });
+    let plan = pipe.plan();
     let local_times: Vec<f64> = reports.iter().map(|r| r.local_time).collect();
     let mut snaps: Vec<StatsSnapshot> = Vec::with_capacity(size);
-    let mut total_iterations: u64 = 0;
+    let mut outputs: Vec<RankOutput> = Vec::with_capacity(size);
     for rep in reports {
         let malformed =
             |what: &str| CliError(format!("worker rank {} sent a malformed {what}", rep.rank));
-        total_iterations += decode_worker_payload(&rep.payload, parallel.as_mut())
+        let mut lds = (mode == ExecMode::Full).then(|| plan.rank_lds(rep.rank));
+        let iterations = decode_rank_state(&rep.payload, lds.as_mut())
             .map_err(|e| malformed(&format!("result payload: {e}")))?;
+        outputs.push(RankOutput { lds, iterations });
         let snap = rep
             .stats
             .ok_or_else(|| malformed("result: no decodable final STATS frame"))?;
         snaps.push(snap);
     }
+    let total_iterations = outputs.iter().map(|o| o.iterations).sum();
+    let parallel = (mode == ExecMode::Full).then(|| gather(plan, &outputs, opts.strategy, reg));
     let stats: Vec<CommStats> = snaps.iter().map(CommStats::from_snapshot).collect();
     let verified = parallel
         .as_ref()
-        .map(|ds| verify_against_sequential(pipe.plan(), ds, reg));
+        .map(|ds| verify_against_sequential(plan, ds, reg));
     let summary = RunSummary::new(&opts.model, &stats, local_times, total_iterations, verified);
     let checksum = parallel.as_ref().map(DataSpace::checksum);
     if opts.ckpt_dir.is_none() {
@@ -1340,7 +1271,8 @@ fn tcp_driver(
     }
     if let (Some(p), Some(reg)) = (&opts.trace_out, reg) {
         // Worker spans stay in the workers' files; the driver's own
-        // (lowering, plan, chain lowering, verify) go to the plain path.
+        // (lowering, plan, chain lowering, gather, verify) go to the plain
+        // path.
         std::fs::write(p, reg.chrome_trace())
             .map_err(|e| CliError(format!("cannot write trace to `{p}`: {e}")))?;
         let _ = writeln!(
@@ -2484,61 +2416,5 @@ X[t,i,j] = X[t-1,i,j] + 0.3*X[t-1,i-1,j] - 0.2*X[t-1,i,j-1]
         ]))
         .unwrap();
         assert!(out.contains("processors  : 2"), "{out}");
-    }
-
-    /// A `RESULT` payload whose cell table has the header `(n, w, count)`
-    /// followed by `cells`, as a worker would frame it.
-    fn payload_with_cells(n: u32, w: u32, count: u64, cells: &[(Vec<i64>, Vec<f64>)]) -> Vec<u8> {
-        let mut buf = encode_worker_payload(7, None);
-        buf.pop(); // the "no cell table" marker
-        buf.push(1);
-        buf.extend_from_slice(&n.to_le_bytes());
-        buf.extend_from_slice(&w.to_le_bytes());
-        buf.extend_from_slice(&count.to_le_bytes());
-        for (j, vals) in cells {
-            for c in j {
-                buf.extend_from_slice(&c.to_le_bytes());
-            }
-            for v in vals {
-                buf.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        buf
-    }
-
-    #[test]
-    fn result_payload_with_a_huge_empty_cell_table_is_an_error() {
-        // Zero-sized cells pass any size check against the bytes left, so
-        // the count alone must not drive an allocation.
-        let mut ds = DataSpace::with_width(&[0, 0], &[3, 3], 1);
-        let buf = payload_with_cells(0, 0, u64::MAX, &[]);
-        let e = decode_worker_payload(&buf, Some(&mut ds)).err().unwrap();
-        assert!(e.contains("the plan has 2-d cells with 1"), "{e}");
-        // Sizes of an empty table size nothing.
-        let empty = payload_with_cells(u32::MAX, u32::MAX, 0, &[]);
-        assert!(decode_worker_payload(&empty, Some(&mut ds)).is_ok());
-        assert_eq!(ds.num_written(), 0);
-    }
-
-    #[test]
-    fn result_payload_cells_of_the_wrong_shape_are_an_error() {
-        let mut ds = DataSpace::with_width(&[0, 0], &[3, 3], 2);
-        let good = payload_with_cells(2, 2, 1, &[(vec![1, 2], vec![0.5, 1.5])]);
-        let iterations = decode_worker_payload(&good, Some(&mut ds)).ok().unwrap();
-        assert_eq!(iterations, 7);
-        assert_eq!(ds.get_all(&[1, 2]), Some(&[0.5, 1.5][..]));
-        for (j, vals) in [(vec![1, 2, 0], vec![0.5, 1.5]), (vec![1, 2], vec![0.5])] {
-            let buf = payload_with_cells(j.len() as u32, vals.len() as u32, 1, &[(j, vals)]);
-            let e = decode_worker_payload(&buf, Some(&mut ds)).err().unwrap();
-            assert!(e.contains("the plan has 2-d cells with 2"), "{e}");
-        }
-    }
-
-    #[test]
-    fn result_payload_cell_outside_the_data_space_is_an_error() {
-        let mut ds = DataSpace::with_width(&[0, 0], &[3, 3], 1);
-        let buf = payload_with_cells(2, 1, 2, &[(vec![0, 0], vec![1.0]), (vec![0, 4], vec![2.0])]);
-        let e = decode_worker_payload(&buf, Some(&mut ds)).err().unwrap();
-        assert!(e.contains("cell [0, 4] outside the data space"), "{e}");
     }
 }

@@ -241,3 +241,79 @@ fn recovered_tcp_run_counts_its_recovery_in_the_merged_metrics() {
     let printed = &out[out.find("run report:").expect("report block")..];
     assert_eq!(rendered, printed);
 }
+
+/// Offset of the `app` length in a `TCKP` file: magic (4), version (2),
+/// chain position (8).
+const CKPT_APP_LEN_AT: usize = 14;
+
+/// Resume a lone worker of a one-processor plan from a checkpoint whose
+/// rank state (the `app` blob) `edit` rewrote. The test is the driver: it
+/// serves the rendezvous and returns the worker's output.
+fn resume_with_rank_state(tag: &str, edit: impl Fn(&[u8]) -> Vec<u8>) -> Output {
+    let nest = sor_nest();
+    let dir =
+        std::env::temp_dir().join(format!("tilecc-ckpt-corrupt-{}-{tag}", std::process::id()));
+    let d = dir.to_str().unwrap();
+    let run = [
+        "run",
+        &nest,
+        "--rect",
+        "4,100,100",
+        "--map",
+        "0",
+        "--verify",
+    ];
+    let mut clean = run.to_vec();
+    clean.extend(["--backend", "tcp", "--on-crash", "recover"]);
+    clean.extend(["--ckpt-interval", "1", "--ckpt-dir", d]);
+    assert_eq!(field(&stdout_of(&tilecc(&clean)), "processors"), "1");
+
+    let path = dir.join("rank0.ckpt");
+    let bytes = std::fs::read(&path).expect("the run leaves its checkpoint");
+    let at = CKPT_APP_LEN_AT;
+    let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let state = edit(&bytes[at + 8..at + 8 + len]);
+    let mut corrupt = bytes[..at].to_vec();
+    corrupt.extend_from_slice(&(state.len() as u64).to_le_bytes());
+    corrupt.extend_from_slice(&state);
+    corrupt.extend_from_slice(&bytes[at + 8 + len..]);
+    std::fs::write(&path, corrupt).unwrap();
+
+    let rendezvous = tilecc_cluster::Rendezvous::bind().unwrap();
+    let addr = rendezvous.addr().to_string();
+    let serve =
+        std::thread::spawn(move || rendezvous.coordinate(1, std::time::Duration::from_secs(20)));
+    let mut worker = run.to_vec();
+    worker.extend(["--worker-rank", "0", "--connect", &addr]);
+    worker.extend(["--ckpt-dir", d, "--resume"]);
+    let out = tilecc(&worker);
+    // The control connection stays open until the worker is gone.
+    drop(serve.join().unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
+    out
+}
+
+#[test]
+fn resuming_from_a_malformed_rank_state_fails_naming_rank_and_checkpoint() {
+    type Edit = fn(&[u8]) -> Vec<u8>;
+    let cases: [(&str, Edit, &str); 3] = [
+        (
+            "short",
+            |s| s[..3].to_vec(),
+            "truncated rank state: 3 bytes",
+        ),
+        ("less", |s| s[..s.len() - 8].to_vec(), "the rank's LDS of"),
+        ("more", |s| [s, &[0; 8]].concat(), "the rank's LDS of"),
+    ];
+    for (tag, edit, why) in cases {
+        let out = resume_with_rank_state(tag, edit);
+        assert!(!out.status.success(), "a malformed checkpoint must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("worker rank 0 failed"), "{stderr}");
+        assert!(
+            stderr.contains("rank 0: cannot restore the checkpoint at chain position"),
+            "{stderr}"
+        );
+        assert!(stderr.contains(why), "{stderr}");
+    }
+}

@@ -5,10 +5,26 @@
 //! name the rank.
 
 use std::process::{Command, Output};
+use tilecc_cluster::obs::json::{self, Json};
 
 fn sor_nest() -> String {
     format!("{}/../../examples/nests/sor.tk", env!("CARGO_MANIFEST_DIR"))
 }
+
+/// The two-array stencil: width 2, and its skew leaves clamped boundary
+/// tiles.
+fn coupled_kernel() -> String {
+    format!(
+        "{}/../../examples/kernels/coupled.tk",
+        env!("CARGO_MANIFEST_DIR")
+    )
+}
+
+/// The SOR plan most tests run: 4×10×10 tiles mapped along dimension 2.
+const SOR_PLAN: [&str; 4] = ["--rect", "4,10,10", "--map", "2"];
+
+/// The coupled plan: 4×6 tiles on 4 processors.
+const COUPLED_PLAN: [&str; 2] = ["--rect", "4,6"];
 
 /// Self-cleaning temp path prefix (per-worker artifacts append `.rankN`).
 struct TempArtifacts(std::path::PathBuf);
@@ -60,21 +76,12 @@ fn field<'a>(out: &'a str, key: &str) -> &'a str {
         .unwrap_or_else(|| panic!("no `{key}` line in:\n{out}"))
 }
 
-/// Run SOR on both backends with `extra` flags and assert every summary
-/// line they share is identical — virtual times, counters, and the bitwise
-/// data checksum.
-fn assert_backends_print_identically(extra: &[&str]) -> (String, String) {
-    let nest = sor_nest();
-    let mut base = vec![
-        "run",
-        nest.as_str(),
-        "--rect",
-        "4,10,10",
-        "--map",
-        "2",
-        "--verify",
-    ];
-    base.extend_from_slice(extra);
+/// Run `kernel` verified on both backends with `args` (the plan flags and
+/// any extra ones) and assert every summary line they share is identical —
+/// virtual times, counters, and the bitwise data checksum.
+fn assert_backends_print_identically(kernel: &str, args: &[&str]) -> (String, String) {
+    let mut base = vec!["run", kernel, "--verify"];
+    base.extend_from_slice(args);
 
     let threaded = stdout_of(&tilecc(&base));
     let procs = field(&threaded, "processors");
@@ -107,15 +114,66 @@ fn assert_backends_print_identically(extra: &[&str]) -> (String, String) {
 
 #[test]
 fn tcp_run_matches_threaded_bitwise() {
-    assert_backends_print_identically(&[]);
+    assert_backends_print_identically(&sor_nest(), &SOR_PLAN);
+}
+
+#[test]
+fn two_array_skewed_tcp_run_matches_threaded_bitwise() {
+    // Every worker returns a width-2 LDS whose boundary tiles the driver
+    // gathers through the clamp.
+    let (threaded, _) = assert_backends_print_identically(&coupled_kernel(), &COUPLED_PLAN);
+    assert_eq!(field(&threaded, "processors"), "4");
+}
+
+#[test]
+fn tcp_runs_follow_the_strategy_like_threaded_ones() {
+    let (sor, coupled) = (sor_nest(), coupled_kernel());
+    let cases: [(&str, &[&str]); 2] = [(&sor, &SOR_PLAN), (&coupled, &COUPLED_PLAN)];
+    for strategy in ["reference", "overlapped"] {
+        for (kernel, plan) in cases {
+            let mut args = plan.to_vec();
+            args.extend(["--strategy", strategy]);
+            let (_, tcp) = assert_backends_print_identically(kernel, &args);
+            assert!(
+                field(&tcp, "strategy").eq_ignore_ascii_case(strategy),
+                "{tcp}"
+            );
+        }
+    }
+}
+
+#[test]
+fn tcp_driver_trace_records_gather_and_verify() {
+    let trace = TempArtifacts::new("driver-trace.json");
+    let nest = sor_nest();
+    let mut args = vec!["run", nest.as_str(), "--verify", "--backend", "tcp"];
+    args.extend(SOR_PLAN);
+    args.extend(["--trace-out", trace.to_str()]);
+    let out = stdout_of(&tilecc(&args));
+    assert_eq!(field(&out, "verified"), "true");
+    let t = json::parse(&std::fs::read_to_string(trace.to_str()).unwrap()).unwrap();
+    let names: std::collections::BTreeSet<&str> = (t.get("traceEvents"))
+        .and_then(Json::as_arr)
+        .expect("traceEvents array")
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("X"))
+        .filter_map(|e| e.get("name").and_then(Json::as_str))
+        .collect();
+    for span in ["gather", "verify"] {
+        assert!(
+            names.contains(span),
+            "driver span `{span}` missing: {names:?}"
+        );
+    }
 }
 
 #[test]
 fn faulty_tcp_run_matches_threaded_bitwise() {
     // A lossy link: the reliability layer retransmits over real sockets
     // and the run must still agree bitwise, retransmit counts included.
-    let (threaded, tcp) =
-        assert_backends_print_identically(&["--fault-seed", "7", "--drop-rate", "0.25"]);
+    let mut args = SOR_PLAN.to_vec();
+    args.extend(["--fault-seed", "7", "--drop-rate", "0.25"]);
+    let (threaded, tcp) = assert_backends_print_identically(&sor_nest(), &args);
     if threaded.contains("retransmits") {
         assert_eq!(
             field(&threaded, "retransmits"),

@@ -54,12 +54,6 @@ impl MachineModel {
         self.send_overhead + self.per_byte * bytes as f64
     }
 
-    /// Total one-way transfer cost (used in analytic estimates).
-    #[inline]
-    pub fn transfer_cost(&self, bytes: usize) -> f64 {
-        self.send_cost(bytes) + self.wire_latency + self.recv_overhead
-    }
-
     /// Virtual time of `iters` loop iterations.
     #[inline]
     pub fn compute_cost(&self, iters: u64) -> f64 {
@@ -75,7 +69,7 @@ mod tests {
     fn fast_ethernet_magnitudes() {
         let m = MachineModel::fast_ethernet_p3();
         // 8 KB message ≈ 0.75 ms; dominated by bandwidth, not latency.
-        let t = m.transfer_cost(8192);
+        let t = m.send_cost(8192) + m.wire_latency + m.recv_overhead;
         assert!(t > 0.5e-3 && t < 1.5e-3, "t = {t}");
         // 10k iterations ≈ 1 ms.
         let c = m.compute_cost(10_000);
@@ -85,7 +79,7 @@ mod tests {
     #[test]
     fn zero_comm_costs_nothing_to_talk() {
         let m = MachineModel::zero_comm(1e-6);
-        assert_eq!(m.transfer_cost(1 << 20), 0.0);
+        assert_eq!(m.send_cost(1 << 20) + m.wire_latency + m.recv_overhead, 0.0);
         assert!((m.compute_cost(5) - 5e-6).abs() < 1e-15);
     }
 }

@@ -488,18 +488,6 @@ impl Histogram {
     pub fn buckets(&self) -> [u64; HIST_BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
-
-    /// `(bucket_lower_bound, count)` for every non-empty bucket.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let c = b.load(Ordering::Relaxed);
-                (c > 0).then_some((if i == 0 { 0 } else { 1u64 << i }, c))
-            })
-            .collect()
-    }
 }
 
 /// A level gauge: last set value and high-water mark.
@@ -1985,14 +1973,6 @@ pub mod json {
             }
         }
 
-        /// The exact integer value, when the lexeme was an integer.
-        pub fn as_i128(&self) -> Option<i128> {
-            match self {
-                Json::Int(x) => Some(*x),
-                _ => None,
-            }
-        }
-
         /// The string value.
         pub fn as_str(&self) -> Option<&str> {
             match self {
@@ -2005,14 +1985,6 @@ pub mod json {
         pub fn as_arr(&self) -> Option<&[Json]> {
             match self {
                 Json::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-
-        /// The object fields, in source order.
-        pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-            match self {
-                Json::Obj(v) => Some(v),
                 _ => None,
             }
         }
@@ -2254,8 +2226,9 @@ mod tests {
         h.observe(1 << 40);
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 10 + (1 << 40));
-        let nz = h.nonzero_buckets();
-        assert_eq!(nz, vec![(0, 1), (4, 2), (1 << (HIST_BUCKETS - 1), 1)]);
+        let mut want = [0u64; HIST_BUCKETS];
+        (want[0], want[2], want[HIST_BUCKETS - 1]) = (1, 2, 1);
+        assert_eq!(h.buckets(), want);
     }
 
     #[test]
@@ -2491,14 +2464,14 @@ mod tests {
                 Some(v),
                 "u64 {v} must round-trip exactly"
             );
-            assert_eq!(j.get("c").and_then(|x| x.as_i128()), Some(v as i128));
+            assert_eq!(j.get("c"), Some(&Json::Int(v as i128)));
         }
         // Distinguishes 2^53 from 2^53 + 1, which f64 cannot.
         let a = parse("9007199254740992").unwrap();
         let b = parse("9007199254740993").unwrap();
         assert_ne!(a, b);
         // Negative integers and fractional/exponent forms keep working.
-        assert_eq!(parse("-42").unwrap().as_i128(), Some(-42));
+        assert_eq!(parse("-42").unwrap(), Json::Int(-42));
         assert_eq!(parse("2.5").unwrap().as_f64(), Some(2.5));
         assert_eq!(parse("-3e2").unwrap().as_f64(), Some(-300.0));
         assert_eq!(parse("1e3").unwrap(), Json::Num(1000.0));
@@ -2828,9 +2801,11 @@ mod tests {
             let below = (k as usize - 1).min(HIST_BUCKETS - 1);
             assert_eq!(Histogram::bucket_of(v - 1), below, "2^{k} - 1");
         }
-        // The reported floor is the bucket's power of two.
+        // A power of two opens its own bucket: 4096 = 2^12 lands in 12.
         let h = Histogram::new();
         h.observe(4096);
-        assert_eq!(h.nonzero_buckets(), vec![(4096, 1)]);
+        let mut want = [0u64; HIST_BUCKETS];
+        want[12] = 1;
+        assert_eq!(h.buckets(), want);
     }
 }

@@ -377,12 +377,11 @@ pub fn decode_envelope(frame: &Frame) -> Result<Envelope, WireError> {
     })
 }
 
-/// A bounds-checked little-endian cursor over a byte buffer — the one
-/// reader behind every length-prefixed payload the backend decodes (worker
-/// `RESULT` payloads, checkpoint files). Every read checks its end offset
+/// A bounds-checked little-endian cursor over a byte buffer — the reader
+/// behind the backend's checkpoint files. Every read checks its end offset
 /// with `checked_add`, so a corrupt length field of any size is an error
 /// naming `what` and the offset, never a panic.
-pub struct ByteReader<'a> {
+pub(crate) struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
     what: &'static str,
@@ -412,19 +411,9 @@ impl<'a> ByteReader<'a> {
         Ok(self.take(N)?.try_into().expect("slice size"))
     }
 
-    /// One byte.
-    pub fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
     /// A little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, String> {
         self.array().map(u16::from_le_bytes)
-    }
-
-    /// A little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, String> {
-        self.array().map(u32::from_le_bytes)
     }
 
     /// A little-endian `u64`.

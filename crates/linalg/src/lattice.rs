@@ -39,11 +39,6 @@ impl Lattice {
         self.basis.rows()
     }
 
-    /// The Hermite basis (lower triangular, positive diagonal).
-    pub fn hermite_basis(&self) -> &IMat {
-        &self.basis
-    }
-
     /// The stride of coordinate `k`: the diagonal entry `h̃_kk`, i.e. the
     /// paper's loop stride `c_k`.
     pub fn stride(&self, k: usize) -> i64 {
@@ -95,14 +90,6 @@ impl Lattice {
         assert_eq!(lo.len(), n, "dimension mismatch");
         assert_eq!(hi.len(), n, "dimension mismatch");
         LatticeBoxIter::new(self, lo.to_vec(), hi.to_vec())
-    }
-
-    /// Number of lattice points in the box `[lo, hi)` along each dimension,
-    /// assuming a dense product structure. Exact for any lower-triangular
-    /// basis because the count per level is independent of the outer levels'
-    /// residues only in total (we count by iteration otherwise).
-    pub fn count_in_box(&self, lo: &[i64], hi: &[i64]) -> usize {
-        self.points_in_box(lo, hi).count()
     }
 
     /// Visit every lattice point of the box `[lo, hi)` in the same order as
@@ -367,7 +354,7 @@ mod tests {
         let basis = IMat::from_rows(&[&[2, 0], &[0, 3]]);
         let lat = Lattice::from_columns(&basis);
         assert_eq!(lat.index(), 6);
-        assert_eq!(lat.count_in_box(&[0, 0], &[6, 6]), 6);
+        assert_eq!(lat.points_in_box(&[0, 0], &[6, 6]).count(), 6);
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl Rational {
         self.num < 0
     }
 
-    #[inline]
-    pub fn is_positive(&self) -> bool {
-        self.num > 0
-    }
-
     /// True iff the value is an integer.
     #[inline]
     pub fn is_integer(&self) -> bool {

@@ -927,7 +927,7 @@ pub fn unpack_region_per_index(
 /// run is visited whole. Along a run the iteration advances by one
 /// constant vector (see [`coalesce_gather_runs`]), so the space clips it
 /// to one interval ([`LineClip::clip`]).
-pub fn gather_spans(
+fn gather_spans(
     chain: &CompiledChain,
     origin: &[i64],
     clamp: Option<&LineClip>,
@@ -1315,8 +1315,7 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
             .position(|l| !l.is_empty())
             .expect("a tile dependence with an unpack list");
         let expected = chain.unpack_rel[ds_idx].len() * w;
-        let mut lds =
-            tilecc_tiling::Lds::with_width(plan.geo.clone(), plan.anchor(0), num_tiles, w);
+        let mut lds = plan.rank_lds(0);
         let before: Vec<u64> = lds.values().iter().map(|v| v.to_bits()).collect();
         type UnpackFn = fn(
             &super::CompiledChain,
@@ -1380,8 +1379,7 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
                     *x = ((i % 977) as f64) / 977.0;
                 }
             };
-            let mut lds =
-                tilecc_tiling::Lds::with_width(plan.geo.clone(), plan.anchor(0), num_tiles, w);
+            let mut lds = plan.rank_lds(0);
             fill(&mut lds);
             super::compute_tile_fast_per_point(
                 chain,

@@ -14,18 +14,17 @@
 //! overlapped one; the reference strategy walks the tile per point.
 
 use crate::compiled::{
-    compute_tile_fast, count_tile, gather_spans, gather_tile, pack_region, tile_origin,
-    unpack_region, CompiledChain, ComputeRun, ComputeScratch,
+    compute_tile_fast, count_tile, gather_tile, pack_region, tile_origin, unpack_region,
+    CompiledChain, ComputeRun, ComputeScratch,
 };
 use crate::plan::ParallelPlan;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use tilecc_cluster::{
     run_cluster, run_cluster_tcp, Comm, CommScheme, Counter, EngineOptions, HistId, InjectedCrash,
-    MachineModel, MetricsRegistry, Phase, RunError, RunReport,
+    MachineModel, MetricsRegistry, Phase, Restored, RunError, RunReport,
 };
 use tilecc_loopnest::DataSpace;
-use tilecc_polytope::LineClip;
 use tilecc_tiling::{insert_at, Lds};
 
 /// Execution mode.
@@ -149,7 +148,7 @@ pub fn execute(
     let total_iterations: u64 = report.results.iter().map(|r| r.iterations).sum();
     let data = match mode {
         ExecMode::TimingOnly => None,
-        ExecMode::Full => Some(gather(&plan, &report, strategy, obs_reg.as_deref())),
+        ExecMode::Full => Some(gather(&plan, &report.results, strategy, obs_reg.as_deref())),
     };
     Ok(ExecutionResult {
         report,
@@ -158,85 +157,47 @@ pub fn execute(
     })
 }
 
-/// Enumerate the data points a rank owns — `(global iteration point,
-/// values)` for every iteration in its valid tiles, read from its LDS. The
-/// multi-process worker serializes this list into its `RESULT` payload so
-/// the driver can rebuild the global [`DataSpace`] without sharing memory.
-/// Walks the same clamped gather runs as the in-process gather, in TTIS
-/// walk order.
-pub fn rank_data_points(
-    plan: &ParallelPlan,
-    rank: usize,
-    out: &RankOutput,
-) -> Vec<(Vec<i64>, Vec<f64>)> {
-    let lds = out.lds.as_ref().expect("full mode returns the rank LDS");
-    let (n, w) = (plan.dim(), plan.algorithm.width());
-    let vals = lds.values();
-    let mut points = Vec::new();
-    for_each_valid_tile(plan, rank, |_, chain, tpos, origin, clamp| {
-        let base = tpos * chain.chain_step;
-        gather_spans(chain, origin, clamp, |run, first, count| {
-            let at = run.at as usize + first;
-            for i in at..at + count {
-                let j = (0..n).map(|k| origin[k] + chain.j_off[i * n + k]).collect();
-                let cell = (base + chain.dst[i]) as usize;
-                points.push((j, vals[cell * w..(cell + 1) * w].to_vec()));
-            }
-        });
-    });
-    points
-}
-
-/// Call `f(tile, chain, tpos, origin, clamp)` for every valid tile of
-/// `rank`'s chain, where `clamp` is the iteration space for a boundary tile
-/// and `None` for an interior one — the shared tile walk of both gathers.
-fn for_each_valid_tile(
-    plan: &ParallelPlan,
-    rank: usize,
-    mut f: impl FnMut(&[i64], &CompiledChain, i64, &[i64], Option<&LineClip>),
-) {
-    let pid = &plan.dist.pids[rank];
-    let (lo_t, hi_t) = plan.dist.chains[rank];
-    let chain = plan.compiled_for(hi_t - lo_t + 1);
-    for t_abs in lo_t..=hi_t {
-        let cur_tile = insert_at(pid, plan.m(), t_abs);
-        if !plan.tiled.tile_valid(&cur_tile) {
-            continue;
-        }
-        let origin = tile_origin(plan.tiled.transform(), &cur_tile);
-        let clamp = (!plan.tiled.tile_is_interior(&cur_tile)).then_some(&plan.clamp.space);
-        f(&cur_tile, chain, t_abs - lo_t, &origin, clamp);
-    }
-}
-
 /// Write every rank's LDS back to the global data space (the paper's
-/// `loc⁻¹` role), on the main thread.
+/// `loc⁻¹` role), on the main thread. `results` are in rank order and all
+/// carry their LDS: [`execute`] passes its ranks' outputs, the CLI's
+/// multi-process driver the outputs it decoded from the workers' `RESULT`
+/// payloads ([`decode_rank_state`]).
 ///
-/// The compiled strategies copy every tile through the plan-time gather
-/// runs, cutting a boundary tile's runs to their in-space intervals
+/// The compiled strategies copy every valid tile through the plan-time
+/// gather runs, cutting a boundary tile's runs to their in-space intervals
 /// ([`gather_tile`]); only the reference strategy walks `tile_iterations`
 /// per point.
-fn gather(
+pub fn gather(
     plan: &ParallelPlan,
-    report: &RunReport<RankOutput>,
+    results: &[RankOutput],
     strategy: ExecStrategy,
     obs: Option<&MetricsRegistry>,
 ) -> DataSpace {
     let (lo, hi) = plan.algorithm.nest.bounding_box();
     let mut ds = DataSpace::with_width(&lo, &hi, plan.algorithm.width());
     let mut vals = vec![0.0f64; plan.algorithm.width()];
-    for (rank, out) in report.results.iter().enumerate() {
+    for (rank, out) in results.iter().enumerate() {
         let rank_t0 = obs.map(|r| r.now_ns());
         let lds = out.lds.as_ref().expect("full mode returns the rank LDS");
         let mut tile_t0 = rank_t0;
-        for_each_valid_tile(plan, rank, |tile, chain, tpos, origin, clamp| {
+        let pid = &plan.dist.pids[rank];
+        let (lo_t, hi_t) = plan.dist.chains[rank];
+        let chain = plan.compiled_for(hi_t - lo_t + 1);
+        for t_abs in lo_t..=hi_t {
+            let tile = insert_at(pid, plan.m(), t_abs);
+            if !plan.tiled.tile_valid(&tile) {
+                continue;
+            }
+            let tpos = t_abs - lo_t;
             if strategy == ExecStrategy::Reference {
-                for (jp, j) in plan.tiled.tile_iterations(tile) {
+                for (jp, j) in plan.tiled.tile_iterations(&tile) {
                     lds.get_into(&lds.unrolled(tpos, &jp), &mut vals);
                     ds.set_all(&j, &vals);
                 }
             } else {
-                gather_tile(chain, lds, tpos, origin, clamp, &mut ds);
+                let origin = tile_origin(plan.tiled.transform(), &tile);
+                let clamp = (!plan.tiled.tile_is_interior(&tile)).then_some(&plan.clamp.space);
+                gather_tile(chain, lds, tpos, &origin, clamp, &mut ds);
             }
             if let (Some(reg), Some(t0)) = (obs, tile_t0) {
                 let now = reg.now_ns();
@@ -245,7 +206,7 @@ fn gather(
                     .observe(now.saturating_sub(t0));
                 tile_t0 = Some(now);
             }
-        });
+        }
         if let (Some(reg), Some(t0)) = (obs, rank_t0) {
             reg.driver_span(Phase::Gather, "gather", t0, rank as u64);
         }
@@ -271,11 +232,10 @@ pub fn run_rank<C: Comm>(
     let lattice = t.lattice();
     let pid = plan.dist.pids[rank].clone();
     let (lo_t, hi_t) = plan.dist.chains[rank];
-    let anchor = plan.anchor(rank);
-    let num_tiles = hi_t - lo_t + 1;
     let w = plan.algorithm.width();
-    let mut lds = Lds::with_width(plan.geo.clone(), anchor.clone(), num_tiles, w);
-    let chain = plan.compiled_for(num_tiles);
+    let mut lds = plan.rank_lds(rank);
+    let chain = plan.compiled_for(hi_t - lo_t + 1);
+    let full = mode == ExecMode::Full;
 
     let deps = plan.deps();
     let q = deps.cols();
@@ -297,8 +257,8 @@ pub fn run_rank<C: Comm>(
     if let Some(resumed) = comm.resume_state() {
         // A respawned worker restored its checkpoint file during transport
         // setup: rewind the walk and the application state to it.
-        start_t = lo_t + resumed.chain_pos as i64;
-        decode_app_state(&resumed.app, &mut iterations, &mut lds);
+        let pos = rewind_to(&resumed, rank, &mut iterations, full.then_some(&mut lds));
+        start_t = lo_t + pos as i64;
     }
     // The chain walk runs inside the recovery loop: an injected crash
     // unwinds to the `match` below, and if the substrate can restore a
@@ -310,7 +270,8 @@ pub fn run_rank<C: Comm>(
                 let tpos = t_abs - lo_t; // chain-relative tile position
                 if let Some(k) = ckpt_every {
                     if (tpos as u64).is_multiple_of(k) {
-                        comm.checkpoint(tpos as u64, &encode_app_state(iterations, &lds));
+                        let state = encode_rank_state(iterations, full.then_some(&lds));
+                        comm.checkpoint(tpos as u64, &state);
                     }
                 }
                 let cur_tile = insert_at(&pid, m, t_abs);
@@ -344,7 +305,7 @@ pub fn run_rank<C: Comm>(
                     // not monotone in the sender's tiles, so FIFO alone would
                     // mismatch messages (MPI-style tag matching restores pairing).
                     let payload = comm.recv_tagged(from_rank, pred[m]);
-                    if mode == ExecMode::Full {
+                    if full {
                         let unpack_t0 = if obs_on {
                             comm.obs().map(|o| o.now_ns())
                         } else {
@@ -396,8 +357,7 @@ pub fn run_rank<C: Comm>(
                 // Interior/boundary classification lets compiled compute skip
                 // the clamp and feeds the tile-mix counters; only run it when
                 // someone consumes it (a timing-only count just clips every run).
-                let classify =
-                    obs_on || (mode == ExecMode::Full && strategy != ExecStrategy::Reference);
+                let classify = obs_on || (full && strategy != ExecStrategy::Reference);
                 let is_interior = classify && plan.tiled.tile_is_compute_interior(&cur_tile, deps);
                 let clamp = (!is_interior).then_some(&plan.clamp);
                 let origin = tile_origin(t, &cur_tile);
@@ -523,8 +483,8 @@ pub fn run_rank<C: Comm>(
             Err(payload) => {
                 if payload.is::<InjectedCrash>() {
                     if let Some(restored) = comm.try_restore() {
-                        start_t = lo_t + restored.chain_pos as i64;
-                        decode_app_state(&restored.app, &mut iterations, &mut lds);
+                        let lds = full.then_some(&mut lds);
+                        start_t = lo_t + rewind_to(&restored, rank, &mut iterations, lds) as i64;
                         continue;
                     }
                 }
@@ -555,16 +515,20 @@ pub fn run_rank<C: Comm>(
     // The LDS goes back whole; the main thread gathers it into the global
     // data space (loc⁻¹ role) — no duplicated TTIS traversal here.
     RankOutput {
-        lds: (mode == ExecMode::Full).then_some(lds),
+        lds: full.then_some(lds),
         iterations,
     }
 }
 
-/// Serialize the executor's resumable state for [`Comm::checkpoint`]: the
-/// iteration counter followed by every LDS value as an `f64` bit pattern,
-/// all little-endian — restoring it reproduces the rank bitwise.
-fn encode_app_state(iterations: u64, lds: &Lds) -> Vec<u8> {
-    let vals = lds.values();
+/// Serialize a rank's state: its iteration count, then in a full run
+/// (`lds` is `Some`) every LDS value as an `f64` bit pattern in row-major
+/// LDS order, all little-endian (`docs/wire-protocol.md`, "Rank state").
+/// A timing-only run carries the count alone. The same bytes are the
+/// application part of a checkpoint ([`Comm::checkpoint`]) and a worker
+/// process's `RESULT` payload; decoding them ([`decode_rank_state`])
+/// reproduces the rank bitwise.
+pub fn encode_rank_state(iterations: u64, lds: Option<&Lds>) -> Vec<u8> {
+    let vals = lds.map_or(&[][..], Lds::values);
     let mut out = Vec::with_capacity(8 + vals.len() * 8);
     out.extend_from_slice(&iterations.to_le_bytes());
     for v in vals {
@@ -573,16 +537,57 @@ fn encode_app_state(iterations: u64, lds: &Lds) -> Vec<u8> {
     out
 }
 
-/// Inverse of [`encode_app_state`], restoring in place. The LDS shape is
-/// plan-derived and deterministic, so only the values travel.
-fn decode_app_state(bytes: &[u8], iterations: &mut u64, lds: &mut Lds) {
-    *iterations = u64::from_le_bytes(bytes[..8].try_into().expect("app snapshot header"));
-    let vals = lds.values_mut();
-    let body = &bytes[8..];
-    assert_eq!(body.len(), vals.len() * 8, "app snapshot size mismatch");
-    for (v, c) in vals.iter_mut().zip(body.chunks_exact(8)) {
-        *v = f64::from_bits(u64::from_le_bytes(c.try_into().expect("chunk size")));
+/// Inverse of [`encode_rank_state`]: return the iteration count and, in a
+/// full run, write the values into `lds`, an LDS of the rank's
+/// plan-derived shape ([`ParallelPlan::rank_lds`]); only the values travel.
+/// The byte length must be exactly what that shape implies — 8 bytes in a
+/// timing-only run (`lds` is `None`), `8 + 8·|LDS|` in a full one — and is
+/// checked before anything is written. So malformed bytes are an error,
+/// never a panic, and nothing is allocated from a length they carry.
+pub fn decode_rank_state(bytes: &[u8], lds: Option<&mut Lds>) -> Result<u64, String> {
+    let Some((head, body)) = bytes.split_first_chunk::<8>() else {
+        return Err(format!(
+            "truncated rank state: {} bytes, the iteration count needs 8",
+            bytes.len()
+        ));
+    };
+    match lds {
+        None if !body.is_empty() => Err(format!(
+            "{} LDS bytes in the rank state of a timing-only run",
+            body.len()
+        )),
+        None => Ok(u64::from_le_bytes(*head)),
+        Some(lds) => {
+            let vals = lds.values_mut();
+            if body.len() != vals.len() * 8 {
+                return Err(format!(
+                    "rank state carries {} LDS bytes, the rank's LDS of {} values needs {}",
+                    body.len(),
+                    vals.len(),
+                    vals.len() * 8
+                ));
+            }
+            for (v, c) in vals.iter_mut().zip(body.chunks_exact(8)) {
+                *v = f64::from_bits(u64::from_le_bytes(c.try_into().expect("chunk size")));
+            }
+            Ok(u64::from_le_bytes(*head))
+        }
     }
+}
+
+/// Rewind a rank to a checkpoint's rank state: restore `iterations` and,
+/// in a full run, the LDS, and return the chain position to resume from.
+/// A state that does not fit the rank's LDS ends the rank with the
+/// decoder's message.
+fn rewind_to(restored: &Restored, rank: usize, iterations: &mut u64, lds: Option<&mut Lds>) -> u64 {
+    match decode_rank_state(&restored.app, lds) {
+        Ok(count) => *iterations = count,
+        Err(e) => panic!(
+            "rank {rank}: cannot restore the checkpoint at chain position {}: {e}",
+            restored.chain_pos
+        ),
+    }
+    restored.chain_pos
 }
 
 /// The SEND phase of one tile: one message per processor dependence with a
@@ -888,11 +893,10 @@ mod tests {
         assert_eq!(reference.total(Counter::CompiledDispatches), 0);
     }
 
-    /// The worker's `RESULT` cells come from the clamped gather runs; they
-    /// must list exactly the `tile_iterations` walk's points and values, in
-    /// walk order, for an LDS computed by either strategy.
-    #[test]
-    fn rank_data_points_match_the_tile_walk() {
+    /// The rank states of a full SOR run under a non-rectangular tiling
+    /// (chains of several lengths, so LDS sizes differ between ranks), with
+    /// each rank's decode target.
+    fn sor_rank_states() -> (Arc<ParallelPlan>, Vec<(Vec<u8>, Lds)>) {
         let alg = compile_kernel_with(corpus::SOR, &[("M", 6), ("N", 9)]).unwrap();
         let t = TilingTransform::new(RMat::from_fractions(&[
             &[(1, 2), (0, 1), (0, 1)],
@@ -901,41 +905,105 @@ mod tests {
         ]))
         .unwrap();
         let plan = Arc::new(ParallelPlan::new(alg, t, Some(2)).unwrap());
-        let w = plan.algorithm.width();
-        for strategy in [ExecStrategy::Compiled, ExecStrategy::Reference] {
-            let res = execute(
-                plan.clone(),
-                MachineModel::fast_ethernet_p3(),
-                ExecMode::Full,
-                strategy,
-                Backend::Threaded,
-                EngineOptions::default(),
-            )
-            .unwrap();
-            for (rank, out) in res.report.results.iter().enumerate() {
-                let lds = out.lds.as_ref().unwrap();
-                let (lo_t, hi_t) = plan.dist.chains[rank];
-                let mut want = Vec::new();
-                for t_abs in lo_t..=hi_t {
-                    let tile = insert_at(&plan.dist.pids[rank], plan.m(), t_abs);
-                    if !plan.tiled.tile_valid(&tile) {
-                        continue;
-                    }
-                    for (jp, j) in plan.tiled.tile_iterations(&tile) {
-                        let mut vals = vec![0.0f64; w];
-                        lds.get_into(&lds.unrolled(t_abs - lo_t, &jp), &mut vals);
-                        want.push((j, vals));
-                    }
-                }
-                let got = rank_data_points(&plan, rank, out);
-                assert_eq!(got.len(), want.len(), "{strategy:?} rank {rank}");
-                for ((gj, gv), (wj, wv)) in got.iter().zip(&want) {
-                    assert_eq!(gj, wj, "{strategy:?} rank {rank}");
-                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(gv), bits(wv), "{strategy:?} rank {rank} at {gj:?}");
-                }
-            }
+        let res = execute(
+            plan.clone(),
+            MachineModel::fast_ethernet_p3(),
+            ExecMode::Full,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions::default(),
+        )
+        .unwrap();
+        let states = (res.report.results.iter().enumerate())
+            .map(|(rank, out)| {
+                let bytes = encode_rank_state(out.iterations, out.lds.as_ref());
+                (bytes, plan.rank_lds(rank))
+            })
+            .collect();
+        (plan, states)
+    }
+
+    /// Decoding every rank's state into a fresh LDS of its plan-derived
+    /// shape and gathering the outputs rebuilds the run's data bitwise —
+    /// the multi-process driver's path.
+    #[test]
+    fn rank_states_round_trip_through_gather() {
+        let (plan, states) = sor_rank_states();
+        let mut outputs = Vec::new();
+        for (bytes, mut lds) in states {
+            let iterations = decode_rank_state(&bytes, Some(&mut lds)).unwrap();
+            assert_eq!(encode_rank_state(iterations, Some(&lds)), bytes);
+            outputs.push(RankOutput {
+                lds: Some(lds),
+                iterations,
+            });
         }
+        let total: u64 = outputs.iter().map(|o| o.iterations).sum();
+        assert_eq!(total as usize, plan.total_iterations());
+        let ds = gather(&plan, &outputs, ExecStrategy::Compiled, None);
+        assert_eq!(plan.algorithm.execute_sequential().diff(&ds), None);
+        // A timing-only state is the count alone.
+        assert_eq!(decode_rank_state(&encode_rank_state(9, None), None), Ok(9));
+    }
+
+    #[test]
+    fn truncated_rank_state_is_an_error() {
+        let (_, mut states) = sor_rank_states();
+        let (bytes, mut lds) = states.swap_remove(0);
+        for cut in [0, 7] {
+            let e = decode_rank_state(&bytes[..cut], Some(&mut lds)).unwrap_err();
+            assert!(e.contains("the iteration count needs 8"), "{e}");
+            let e = decode_rank_state(&bytes[..cut], None).unwrap_err();
+            assert!(e.contains("the iteration count needs 8"), "{e}");
+        }
+        for cut in [8, bytes.len() - 1] {
+            let e = decode_rank_state(&bytes[..cut], Some(&mut lds)).unwrap_err();
+            assert!(e.contains("needs"), "{e}");
+        }
+    }
+
+    #[test]
+    fn rank_state_with_trailing_bytes_is_an_error() {
+        let (_, mut states) = sor_rank_states();
+        let (mut bytes, mut lds) = states.swap_remove(0);
+        let cells = lds.values().len();
+        bytes.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
+        let e = decode_rank_state(&bytes, Some(&mut lds)).unwrap_err();
+        let want = format!(
+            "rank state carries {} LDS bytes, the rank's LDS of {cells} values needs {}",
+            8 * cells + 8,
+            8 * cells
+        );
+        assert_eq!(e, want);
+        // Nothing was written before the length check failed.
+        assert!(lds.values().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn rank_state_of_another_ranks_lds_is_an_error() {
+        let (_, mut states) = sor_rank_states();
+        states.sort_by_key(|(_, lds)| lds.values().len());
+        let (small, big) = (states.remove(0), states.pop().unwrap());
+        let (mut small_lds, mut big_lds) = (small.1, big.1);
+        assert!(small_lds.values().len() < big_lds.values().len());
+        let e = decode_rank_state(&big.0, Some(&mut small_lds)).unwrap_err();
+        assert!(e.contains("the rank's LDS of"), "{e}");
+        let e = decode_rank_state(&small.0, Some(&mut big_lds)).unwrap_err();
+        assert!(e.contains("the rank's LDS of"), "{e}");
+    }
+
+    #[test]
+    fn lds_bytes_in_a_timing_only_rank_state_are_an_error() {
+        let (_, mut states) = sor_rank_states();
+        let (bytes, mut lds) = states.swap_remove(0);
+        let e = decode_rank_state(&bytes, None).unwrap_err();
+        assert!(
+            e.ends_with("LDS bytes in the rank state of a timing-only run"),
+            "{e}"
+        );
+        // A full run's decoder wants the LDS a timing-only state lacks.
+        let e = decode_rank_state(&encode_rank_state(3, None), Some(&mut lds)).unwrap_err();
+        assert!(e.starts_with("rank state carries 0 LDS bytes"), "{e}");
     }
 
     #[test]

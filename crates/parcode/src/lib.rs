@@ -15,8 +15,8 @@ pub mod seqtiled;
 pub use compiled::CompiledChain;
 pub use emitter_full::{emit_c_program, KernelSource};
 pub use executor::{
-    execute, rank_data_points, run_rank, Backend, ExecMode, ExecStrategy, ExecutionResult,
-    RankOutput,
+    decode_rank_state, encode_rank_state, execute, gather, run_rank, Backend, ExecMode,
+    ExecStrategy, ExecutionResult, RankOutput,
 };
 pub use plan::{unrolled_of, ParallelPlan};
 pub use seqtiled::execute_tiled_sequential;

@@ -12,7 +12,7 @@ use tilecc_cluster::{MetricsRegistry, Phase};
 use tilecc_linalg::IMat;
 use tilecc_loopnest::Algorithm;
 use tilecc_tiling::{
-    insert_at, project_pid, CommPlan, Distribution, LdsGeometry, TiledSpace, TilingError,
+    insert_at, project_pid, CommPlan, Distribution, Lds, LdsGeometry, TiledSpace, TilingError,
     TilingTransform,
 };
 
@@ -149,6 +149,15 @@ impl ParallelPlan {
     pub fn anchor(&self, rank: usize) -> Vec<i64> {
         let (lo, _) = self.dist.chains[rank];
         insert_at(&self.dist.pids[rank], self.dist.m, lo)
+    }
+
+    /// A zeroed LDS for `rank`'s chain — the shape [`crate::run_rank`]
+    /// computes into and [`crate::decode_rank_state`] checks a rank state
+    /// against.
+    pub fn rank_lds(&self, rank: usize) -> Lds {
+        let (lo, hi) = self.dist.chains[rank];
+        let w = self.algorithm.width();
+        Lds::with_width(self.geo.clone(), self.anchor(rank), hi - lo + 1, w)
     }
 
     /// The paper's `loc(j)` (Table 1): processor id and LDS address where

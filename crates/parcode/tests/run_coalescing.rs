@@ -18,7 +18,7 @@ use tilecc_parcode::compiled::{
 };
 use tilecc_parcode::ParallelPlan;
 use tilecc_polytope::{Constraint, Polyhedron};
-use tilecc_tiling::{insert_at, tiling_cone_rays, Lds, TilingTransform};
+use tilecc_tiling::{insert_at, tiling_cone_rays, TilingTransform};
 
 /// xorshift64* — the fuzz harness's generator, for seed-reproducible cases.
 struct G(u64);
@@ -227,7 +227,7 @@ fn check_gather(plan: &ParallelPlan, ctx: &str) -> usize {
     for rank in 0..plan.num_procs() {
         let (lo_t, hi_t) = plan.dist.chains[rank];
         let chain = plan.compiled_for(hi_t - lo_t + 1);
-        let mut lds = Lds::with_width(plan.geo.clone(), plan.anchor(rank), hi_t - lo_t + 1, w);
+        let mut lds = plan.rank_lds(rank);
         for (i, x) in lds.values_mut().iter_mut().enumerate() {
             *x = 1.0 + i as f64 / 7.0;
         }

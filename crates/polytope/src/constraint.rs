@@ -110,20 +110,6 @@ impl Constraint {
         self.eval(x) >= 0
     }
 
-    /// Evaluate with the variable `k` left out (used for bound extraction):
-    /// returns `Σ_{i≠k} a_i·x_i + b`, where `x` supplies values for all
-    /// variables but position `k` is ignored. Exact in `i128` (see
-    /// [`Constraint::eval`]).
-    pub fn eval_without(&self, x: &[i64], k: usize) -> i128 {
-        let mut acc = self.constant as i128;
-        for (i, (c, v)) in self.coeffs.iter().zip(x).enumerate() {
-            if i != k {
-                acc += (*c as i128) * (*v as i128);
-            }
-        }
-        acc
-    }
-
     /// Is this constraint trivially satisfied (all zero coefficients and a
     /// non-negative constant)?
     pub fn is_tautology(&self) -> bool {
@@ -261,7 +247,6 @@ mod tests {
         assert!(c.satisfied_by(&[2, 2]));
         assert!(!c.satisfied_by(&[1, 2]));
         assert_eq!(c.eval(&[5, 1]), 4);
-        assert_eq!(c.eval_without(&[5, 1], 0), -1);
     }
 
     #[test]
@@ -308,7 +293,6 @@ mod tests {
         // Coprime coefficients so normalization keeps the magnitudes.
         let c = Constraint::new(vec![i64::MAX, i64::MAX - 1], i64::MAX);
         assert_eq!(c.eval(&[i64::MAX, i64::MAX]), m * 2 * m);
-        assert_eq!(c.eval_without(&[i64::MAX, i64::MAX], 0), m * m);
     }
 
     #[test]

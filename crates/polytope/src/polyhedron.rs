@@ -69,16 +69,6 @@ impl Polyhedron {
         self.constraints.push(c);
     }
 
-    /// Intersection with another polyhedron of the same dimension.
-    pub fn intersect(&self, other: &Polyhedron) -> Polyhedron {
-        assert_eq!(self.dim, other.dim);
-        let mut out = self.clone();
-        for c in &other.constraints {
-            out.add(c.clone());
-        }
-        out
-    }
-
     /// True iff the integer point `x` satisfies all constraints.
     pub fn contains(&self, x: &[i64]) -> bool {
         self.constraints.iter().all(|c| c.satisfied_by(x))
@@ -673,7 +663,10 @@ mod tests {
     fn intersect_combines_constraints() {
         let a = Polyhedron::from_box(&[0, 0], &[10, 10]);
         let c = Polyhedron::from_box(&[5, 5], &[15, 15]);
-        let i = a.intersect(&c);
+        let mut i = a.clone();
+        for k in c.constraints() {
+            i.add(k.clone());
+        }
         assert!(i.contains(&[5, 10]));
         assert!(!i.contains(&[4, 10]));
         assert!(!i.contains(&[5, 11]));

@@ -76,20 +76,6 @@ impl Distribution {
     pub fn rank(&self, pid: &[i64]) -> Option<usize> {
         self.rank_of.get(pid).copied()
     }
-
-    /// The full tile coordinates of chain element `t` of processor `pid`.
-    pub fn tile_coords(&self, pid: &[i64], t: i64) -> Vec<i64> {
-        insert_at(pid, self.m, t)
-    }
-
-    /// Longest chain length (tiles) over all processors.
-    pub fn max_chain_len(&self) -> i64 {
-        self.chains
-            .iter()
-            .map(|&(lo, hi)| hi - lo + 1)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Remove coordinate `m` from a tile index, yielding the pid.
@@ -168,7 +154,7 @@ mod tests {
             let (lo, hi) = dist.chains[r];
             assert_eq!((lo, hi), (0, 2));
             for t in lo..=hi {
-                let tile = dist.tile_coords(pid, t);
+                let tile = insert_at(pid, dist.m, t);
                 assert!(tiled.tile_valid(&tile));
                 count += 1;
             }

@@ -380,12 +380,6 @@ impl TiledSpace {
     pub fn space_bounds(&self) -> &LoopNestBounds {
         &self.space_bounds
     }
-
-    /// Total number of iterations over all tiles — must equal the size of
-    /// `J^n` (each iteration belongs to exactly one tile).
-    pub fn total_tiled_iterations(&self) -> usize {
-        self.tiles().map(|t| self.tile_volume(&t)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -424,7 +418,8 @@ mod tests {
         ] {
             let tiled = TiledSpace::new(ts, space.clone()).unwrap();
             let total_space = tiled.space_bounds().points().count();
-            assert_eq!(tiled.total_tiled_iterations(), total_space);
+            let tiled_total: usize = tiled.tiles().map(|t| tiled.tile_volume(&t)).sum();
+            assert_eq!(tiled_total, total_space);
         }
     }
 
@@ -551,7 +546,8 @@ mod tests {
         // ...and pruning loses no iterations: the per-tile volumes still
         // sum to the full space.
         let total_space = LoopNestBounds::new(&p).unwrap().points().count();
-        assert_eq!(tiled.total_tiled_iterations(), total_space);
+        let tiled_total: usize = tiled.tiles().map(|t| tiled.tile_volume(&t)).sum();
+        assert_eq!(tiled_total, total_space);
         // The pruned candidate count matches the raw shadow enumeration.
         let candidates = tiled.tile_bounds().points().count();
         assert_eq!(candidates, tiled.tiles().count() + tiled.tiles_pruned());
