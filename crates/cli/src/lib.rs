@@ -25,7 +25,7 @@ use std::path::PathBuf;
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
-use tilecc::{verify_against_sequential, Pipeline, RunSummary, TuneOptions};
+use tilecc::{Pipeline, Reference, RunSummary, TuneOptions};
 use tilecc_cluster::obs::RunReport as MetricsReport;
 use tilecc_cluster::{
     collect_workers, run_worker, CommError, CommScheme, CommStats, Counter, EngineOptions,
@@ -989,7 +989,7 @@ fn tcp_driver(
     run_args: &[String],
     pipe: &Pipeline,
     opts: &Options,
-    reg: Option<&MetricsRegistry>,
+    reg: Option<&Arc<MetricsRegistry>>,
     mut out: String,
 ) -> Result<String, CliError> {
     let size = pipe.num_procs();
@@ -1002,6 +1002,9 @@ fn tcp_driver(
         }
     }
     let (_, _, mode) = engine_setup(opts);
+    // The sequential reference scans on its own thread while the workers
+    // run; a failed run drops it without waiting.
+    let reference = (mode == ExecMode::Full).then(|| Reference::start(pipe.plan(), reg.cloned()));
 
     // Respawn this binary once per rank, forwarding the run options and
     // appending the worker coordinates. `TILECC_BIN` overrides the binary
@@ -1242,11 +1245,10 @@ fn tcp_driver(
         snaps.push(snap);
     }
     let total_iterations = outputs.iter().map(|o| o.iterations).sum();
-    let parallel = (mode == ExecMode::Full).then(|| gather(plan, &outputs, opts.strategy, reg));
+    let parallel = (mode == ExecMode::Full)
+        .then(|| gather(plan, &outputs, opts.strategy, reg.map(Arc::as_ref)));
     let stats: Vec<CommStats> = snaps.iter().map(CommStats::from_snapshot).collect();
-    let verified = parallel
-        .as_ref()
-        .map(|ds| verify_against_sequential(plan, ds, reg));
+    let verified = reference.zip(parallel.as_ref()).map(|(r, ds)| r.check(ds));
     let summary = RunSummary::new(&opts.model, &stats, local_times, total_iterations, verified);
     let checksum = parallel.as_ref().map(DataSpace::checksum);
     if opts.ckpt_dir.is_none() {
@@ -1573,7 +1575,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                         return err("--connect is only meaningful together with --worker-rank");
                     }
                     if opts.backend == Backend::Tcp {
-                        return tcp_driver(path, &args[rest..], &pipe, &opts, reg.as_deref(), out);
+                        return tcp_driver(path, &args[rest..], &pipe, &opts, reg.as_ref(), out);
                     }
                     if opts.ranks.is_some() {
                         return err("--ranks is only meaningful with --backend tcp");

@@ -158,6 +158,41 @@ fn chrome_trace_is_valid_and_complete() {
     }
 }
 
+/// The reference scan starts before the ranks and runs alongside them:
+/// its `verify` span's wall start precedes every rank span's, and
+/// `verify-diff` records the wait for it plus the diff, after the run.
+#[test]
+fn verify_scan_starts_before_every_rank_span() {
+    let (trace, _) = observed_sor();
+    let events = complete_events(&trace);
+    let start = |e: &&Json| {
+        let a = e.get("args").expect("args");
+        a.get("wall_start_ns").and_then(Json::as_u64).unwrap()
+    };
+    let driver = |name: &str| {
+        let found: Vec<u64> = events
+            .iter()
+            .filter(|e| e.get("pid").and_then(Json::as_u64) == Some(0))
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some(name))
+            .map(start)
+            .collect();
+        assert_eq!(found.len(), 1, "expected one driver `{name}` span");
+        found[0]
+    };
+    let first_rank = events
+        .iter()
+        .filter(|e| e.get("pid").and_then(Json::as_u64) != Some(0))
+        .map(start)
+        .min()
+        .expect("rank spans");
+    let verify = driver("verify");
+    assert!(
+        verify <= first_rank,
+        "verify starts at {verify} ns, after a rank span at {first_rank} ns"
+    );
+    assert!(driver("verify-diff") >= first_rank);
+}
+
 #[test]
 fn run_report_partitions_every_rank_clock() {
     let (_, metrics) = observed_sor();

@@ -125,6 +125,45 @@ fn two_array_skewed_tcp_run_matches_threaded_bitwise() {
     assert_eq!(field(&threaded, "processors"), "4");
 }
 
+/// A skewed kernel whose body reads `mod()` and a coordinate, so every
+/// body evaluation maps its point back through `T⁻¹`.
+const SKEWED_MOD: &str = "\
+kernel skewmod
+param T = 6
+param N = 12
+iter t = 1 to T
+iter i = 1 to N
+skew = [1,0; 1,1]
+array A = bnd()
+A[t,i] = 0.5*A[t-1,i] + 0.25*A[t-1,i-1] + 0.125*A[t-1,i+1] + mod(3*t + 5*i, 7)*0.01 + 0.001*i
+";
+
+/// Both backends print the checksum of the kernel's sequential data, and
+/// that data is the unskewed kernel's, moved: a skew changes coordinates,
+/// not values, so the value at `T·j` is the unskewed value at `j`, bitwise.
+#[test]
+fn coordinate_reading_body_under_a_skew_matches_sequential() {
+    use tilecc_frontend::tk::{lower_kernel, parse_kernel};
+    let file = TempArtifacts::new("skewed-mod.tk");
+    std::fs::write(&file.0, SKEWED_MOD).unwrap();
+    let (threaded, _) = assert_backends_print_identically(file.to_str(), &["--rect", "3,4"]);
+    let program = parse_kernel(SKEWED_MOD).unwrap();
+    let seq = lower_kernel(&program).execute_sequential();
+    assert_eq!(
+        field(&threaded, "checksum"),
+        format!("{:016x}", seq.checksum().to_bits())
+    );
+    let t = tilecc_linalg::IMat::from_rows(&[&[1, 0], &[1, 1]]);
+    let mut plain = program.clone();
+    plain.skew = None;
+    let plain = lower_kernel(&plain);
+    let moved = plain.execute_sequential();
+    for j in plain.nest.bounds().points() {
+        let (a, b) = (moved.get(&j).unwrap(), seq.get(&t.mul_vec(&j)).unwrap());
+        assert_eq!(a.to_bits(), b.to_bits(), "at {j:?}");
+    }
+}
+
 #[test]
 fn tcp_runs_follow_the_strategy_like_threaded_ones() {
     let (sor, coupled) = (sor_nest(), coupled_kernel());

@@ -59,9 +59,13 @@ pub enum Phase {
     Unpack,
     /// Writing a rank's LDS back into the global data space (driver-side).
     Gather,
-    /// Sequential reference execution and the bitwise diff against the
-    /// gathered data (driver-side, `--verify`).
+    /// The sequential reference scan, on its own thread alongside the
+    /// parallel run (driver-side, `--verify`).
     Verify,
+    /// Waiting for the reference scan and diffing it bitwise against the
+    /// gathered data (driver-side, `--verify`): the part of the scan the
+    /// run did not hide, plus the diff.
+    VerifyDiff,
     /// Draining the rank's comm lane under the overlapped strategy: the
     /// residual send/transit time not hidden behind interior compute.
     Overlap,
@@ -73,7 +77,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in declaration order.
-    pub const ALL: [Phase; 12] = [
+    pub const ALL: [Phase; 13] = [
         Phase::Lower,
         Phase::Plan,
         Phase::CompileChain,
@@ -84,6 +88,7 @@ impl Phase {
         Phase::Unpack,
         Phase::Gather,
         Phase::Verify,
+        Phase::VerifyDiff,
         Phase::Overlap,
         Phase::Launch,
     ];
@@ -101,6 +106,7 @@ impl Phase {
             Phase::Unpack => "unpack",
             Phase::Gather => "gather",
             Phase::Verify => "verify",
+            Phase::VerifyDiff => "verify-diff",
             Phase::Overlap => "overlap",
             Phase::Launch => "launch",
         }
@@ -122,6 +128,7 @@ impl Phase {
             Phase::Gather => 3,
             Phase::Verify => 4,
             Phase::Launch => 5,
+            Phase::VerifyDiff => 6,
         }
     }
 }

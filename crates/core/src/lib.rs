@@ -44,7 +44,7 @@ pub mod predictor;
 pub mod tune;
 
 pub use experiments::{measure, probe_procs, MeasuredPoint, Variant, Workload};
-pub use pipeline::{verify_against_sequential, Pipeline, RunSummary};
+pub use pipeline::{Pipeline, Reference, RunSummary};
 pub use predictor::{predict, predicted_comm_volume, SchedulePrediction};
 pub use tune::{
     enumerate_candidates, tune, tune_labeled, TuneOptions, TuneOutcome, TunedCandidate,

@@ -2,7 +2,9 @@
 //! validated plan → SPMD execution on the cluster substrate → verified
 //! results and simulated timings.
 
+use std::panic::resume_unwind;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use tilecc_cluster::{CommStats, EngineOptions, MachineModel, MetricsRegistry, Phase, RunError};
 use tilecc_linalg::RMat;
 use tilecc_loopnest::{Algorithm, DataSpace};
@@ -127,7 +129,8 @@ impl Pipeline {
 
     /// Run fully and verify the gathered data bitwise against the
     /// sequential reference execution, no matter which strategy or
-    /// substrate produced it. The arguments are those of
+    /// substrate produced it. The reference scan runs on its own thread
+    /// alongside the ranks ([`Reference`]). The arguments are those of
     /// [`Pipeline::simulate`]; engine failures (a crashed rank, a deadlock,
     /// an unreachable peer) come back as [`RunError`]s, and the summary
     /// carries the reliability layer's retransmission counters.
@@ -138,7 +141,7 @@ impl Pipeline {
         backend: Backend,
         options: EngineOptions,
     ) -> Result<(RunSummary, DataSpace), RunError> {
-        let obs = options.obs.clone();
+        let reference = Reference::start(&self.plan, options.obs.clone());
         let res = execute(
             self.plan.clone(),
             model,
@@ -148,7 +151,7 @@ impl Pipeline {
             options,
         )?;
         let parallel = res.data.expect("full mode returns data");
-        let verified = verify_against_sequential(&self.plan, &parallel, obs.as_deref());
+        let verified = reference.check(&parallel);
         let summary = RunSummary::new(
             &model,
             &res.report.stats,
@@ -192,24 +195,58 @@ impl RunSummary {
     }
 }
 
-/// Run the plan's algorithm sequentially and compare it bitwise with the
-/// gathered `parallel` data, recording the whole step (the sequential scan
-/// plus the diff) as one `verify` driver span when `obs` is given. Shared
-/// by in-process runs and the multi-process driver. The sequential side is
-/// the run-based [`Algorithm::execute_scan`](tilecc_loopnest::Algorithm::execute_scan),
+/// The sequential reference of a parallel run: the plan's algorithm
+/// scanned on a thread of its own, named `reference-scan`, so the scan
+/// overlaps the parallel run instead of following it. Shared by in-process
+/// runs and the multi-process driver. The scan is the run-based
+/// [`Algorithm::execute_scan`](tilecc_loopnest::Algorithm::execute_scan),
 /// which tests and the fuzzer hold bitwise equal to the per-point oracle
 /// `execute_sequential`.
-pub fn verify_against_sequential(
-    plan: &ParallelPlan,
-    parallel: &DataSpace,
-    obs: Option<&MetricsRegistry>,
-) -> bool {
-    let t0 = obs.map(|r| r.now_ns());
-    let verified = plan.algorithm.execute_scan().diff(parallel).is_none();
-    if let (Some(reg), Some(t0)) = (obs, t0) {
-        reg.driver_span(Phase::Verify, "verify", t0, parallel.num_written() as u64);
+///
+/// Start it only once the plan is built: its bounding-box [`DataSpace`] is
+/// then never allocated for a plan that fails. Dropping a `Reference`
+/// without [`Reference::check`] (the run failed) does not wait for the
+/// scan; the thread finishes on its own and its result is discarded.
+pub struct Reference {
+    scan: JoinHandle<DataSpace>,
+    obs: Option<Arc<MetricsRegistry>>,
+}
+
+impl Reference {
+    /// Start the scan of `plan`'s algorithm. With `obs`, the scan records a
+    /// `verify` driver span from this call to the scan's end; its start is
+    /// taken before the thread is spawned, so it precedes every span of a
+    /// run started afterwards.
+    pub fn start(plan: &Arc<ParallelPlan>, obs: Option<Arc<MetricsRegistry>>) -> Reference {
+        let t0 = obs.as_ref().map(|r| r.now_ns());
+        let (plan, reg) = (plan.clone(), obs.clone());
+        let scan = std::thread::Builder::new()
+            .name("reference-scan".into())
+            .spawn(move || {
+                let ds = plan.algorithm.execute_scan();
+                if let (Some(reg), Some(t0)) = (reg, t0) {
+                    reg.driver_span(Phase::Verify, "verify", t0, ds.num_written() as u64);
+                }
+                ds
+            })
+            .expect("spawn the reference-scan thread");
+        Reference { scan, obs }
     }
-    verified
+
+    /// Wait for the scan and compare it bitwise with the gathered
+    /// `parallel` data. The wait plus the diff is a `verify-diff` driver
+    /// span: the part of the scan the run did not hide. A panic in the scan
+    /// is re-raised on the calling thread.
+    pub fn check(self, parallel: &DataSpace) -> bool {
+        let t0 = self.obs.as_ref().map(|r| r.now_ns());
+        let reference = self.scan.join().unwrap_or_else(|p| resume_unwind(p));
+        let verified = reference.diff(parallel).is_none();
+        if let (Some(reg), Some(t0)) = (&self.obs, t0) {
+            let cells = parallel.num_written() as u64;
+            reg.driver_span(Phase::VerifyDiff, "verify-diff", t0, cells);
+        }
+        verified
+    }
 }
 
 #[cfg(test)]
@@ -238,6 +275,151 @@ mod tests {
         assert_eq!(summary.iterations, 4 * 6 * 6);
         assert!(summary.speedup > 0.0);
         assert!(summary.makespan > 0.0);
+    }
+
+    /// Wraps a kernel and, on the `reference-scan` thread only, applies
+    /// `on_scan` at the nest point `at`: a scan that diverges from the
+    /// parallel run, panics, or blocks, without touching the ranks.
+    struct OnScan {
+        inner: Arc<dyn tilecc_loopnest::Kernel>,
+        at: Vec<i64>,
+        on_scan: fn(&mut [f64]),
+    }
+
+    impl tilecc_loopnest::Kernel for OnScan {
+        fn width(&self) -> usize {
+            self.inner.width()
+        }
+        fn compute(&self, j: &[i64], reads: &[f64], out: &mut [f64]) {
+            self.inner.compute(j, reads, out);
+            if j == self.at.as_slice() && std::thread::current().name() == Some("reference-scan") {
+                (self.on_scan)(out);
+            }
+        }
+        fn initial(&self, j: &[i64], out: &mut [f64]) {
+            self.inner.initial(j, out);
+        }
+    }
+
+    /// Skewed SOR (4×6×6, 2×3×3 tiles along dimension 2) whose kernel
+    /// applies `on_scan` at its first point on the scan thread.
+    fn sor_pipeline(on_scan: fn(&mut [f64])) -> Pipeline {
+        let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap();
+        let kernel = Arc::new(OnScan {
+            inner: alg.kernel.clone(),
+            at: vec![1, 2, 3],
+            on_scan,
+        });
+        let alg = Algorithm::new(alg.name, alg.nest, kernel);
+        let rect = tilecc_tiling::TilingTransform::rectangular(&[2, 3, 3]).unwrap();
+        Pipeline::compile_transform(alg, rect, Some(2)).unwrap()
+    }
+
+    fn full_run(pipe: &Pipeline) -> DataSpace {
+        execute(
+            pipe.plan().clone(),
+            MachineModel::fast_ethernet_p3(),
+            ExecMode::Full,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions::default(),
+        )
+        .unwrap()
+        .data
+        .unwrap()
+    }
+
+    #[test]
+    fn one_flipped_cell_fails_the_check() {
+        let pipe = sor_pipeline(|_| {});
+        let mut parallel = full_run(&pipe);
+        assert!(Reference::start(pipe.plan(), None).check(&parallel));
+        let v = parallel.get(&[2, 4, 6]).unwrap();
+        parallel.set_all(&[2, 4, 6], &[f64::from_bits(v.to_bits() ^ 1)]);
+        assert!(!Reference::start(pipe.plan(), None).check(&parallel));
+
+        // A scan that computes one cell differently fails `run_verified`.
+        let pipe = sor_pipeline(|out| out[0] += 1.0);
+        let (summary, _) = pipe
+            .run_verified(
+                MachineModel::fast_ethernet_p3(),
+                ExecStrategy::Compiled,
+                Backend::Threaded,
+                EngineOptions::default(),
+            )
+            .unwrap();
+        assert_eq!(summary.verified, Some(false));
+    }
+
+    #[test]
+    fn a_panicking_scan_re_raises_on_the_caller() {
+        let pipe = sor_pipeline(|_| panic!("scan kernel fault"));
+        let parallel = full_run(&pipe);
+        let reference = Reference::start(pipe.plan(), None);
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reference.check(&parallel)))
+                .expect_err("the scan's panic must reach check");
+        assert_eq!(caught.downcast_ref::<&str>(), Some(&"scan kernel fault"));
+    }
+
+    #[test]
+    fn dropping_an_unchecked_reference_does_not_wait_for_the_scan() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::Duration;
+        static RELEASE: AtomicBool = AtomicBool::new(false);
+        // The scan blocks at its first point until released.
+        let pipe = sor_pipeline(|_| {
+            while !RELEASE.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        let reference = Reference::start(pipe.plan(), None);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(reference);
+            let _ = tx.send(());
+        });
+        let dropped = rx.recv_timeout(Duration::from_secs(30));
+        RELEASE.store(true, Ordering::Release);
+        assert!(
+            dropped.is_ok(),
+            "dropping the reference waited for its scan"
+        );
+    }
+
+    #[test]
+    fn run_verified_records_verify_before_the_ranks_and_verify_diff_after() {
+        let pipe = sor_pipeline(|_| {});
+        let reg = MetricsRegistry::new();
+        let options = EngineOptions {
+            obs: Some(reg.clone()),
+            ..EngineOptions::default()
+        };
+        let (summary, _) = pipe
+            .run_verified(
+                MachineModel::fast_ethernet_p3(),
+                ExecStrategy::Compiled,
+                Backend::Threaded,
+                options,
+            )
+            .unwrap();
+        assert_eq!(summary.verified, Some(true));
+        let spans = reg.spans();
+        let driver = |name: &str| {
+            let mut it = spans.iter().filter(|s| s.pid == 0 && s.name == name);
+            let s = it.next().unwrap_or_else(|| panic!("no `{name}` span"));
+            assert!(it.next().is_none(), "two `{name}` spans");
+            s.clone()
+        };
+        let (verify, diff) = (driver("verify"), driver("verify-diff"));
+        let first_rank = spans
+            .iter()
+            .filter(|s| s.pid != 0)
+            .map(|s| s.wall_start_ns)
+            .min();
+        assert!(verify.wall_start_ns <= first_rank.expect("rank spans"));
+        assert!(diff.wall_start_ns >= first_rank.unwrap());
+        assert!(diff.wall_end_ns >= verify.wall_end_ns);
     }
 
     #[test]

@@ -57,9 +57,24 @@ struct Tape {
     ops: Vec<Op>,
     /// `outputs[c]` is the slot whose value goes to `out[c]`.
     outputs: Vec<usize>,
+    /// Whether an op reads the point's coordinates (`Coord`, `Bnd`,
+    /// `Mod`). A tape that does not computes the same value at every `j`,
+    /// so it never needs `j` mapped back through the skew.
+    reads_coords: bool,
 }
 
 impl Tape {
+    fn new(ops: Vec<Op>, outputs: Vec<usize>) -> Tape {
+        let reads_coords = ops
+            .iter()
+            .any(|op| matches!(op, Op::Coord(_) | Op::Bnd | Op::Mod { .. }));
+        Tape {
+            ops,
+            outputs,
+            reads_coords,
+        }
+    }
+
     /// Scalar evaluation into `slots`: scratch grown on first use and never
     /// cleared, since every slot is written before it is read.
     fn eval(&self, j: &[i64], reads: &[f64], width: usize, slots: &mut Vec<f64>, out: &mut [f64]) {
@@ -260,11 +275,35 @@ thread_local! {
     static BLOCKS: RefCell<Vec<Block>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The generated kernel: body tape + init tape.
+/// The generated kernel: body tape + init tape, over the skewed nest when
+/// the program declares a skew.
 pub struct TkKernel {
     width: usize,
     body: Tape,
     init: Tape,
+    /// `T⁻¹` of the declared skew `T`: the nest iterates the skewed points
+    /// `T·j`, and a tape that reads coordinates sees the original `j`.
+    t_inv: Option<IMat>,
+}
+
+impl TkKernel {
+    /// Call `f` with the coordinates `tape` reads at the nest point `j`:
+    /// `T⁻¹j`, computed with the checked arithmetic of
+    /// [`IMat::mul_vec_into`] into a stack buffer, when the kernel is
+    /// skewed and the tape reads coordinates; `j` itself otherwise.
+    ///
+    /// # Panics
+    /// Panics on `i64` overflow, like [`IMat::mul_vec`].
+    #[inline]
+    fn at<R>(&self, tape: &Tape, j: &[i64], f: impl FnOnce(&[i64]) -> R) -> R {
+        match &self.t_inv {
+            Some(t_inv) if tape.reads_coords => with_scratch(j.len(), |orig| {
+                t_inv.mul_vec_into(j, orig);
+                f(orig)
+            }),
+            _ => f(j),
+        }
+    }
 }
 
 impl Kernel for TkKernel {
@@ -273,15 +312,19 @@ impl Kernel for TkKernel {
     }
 
     fn compute(&self, j: &[i64], reads: &[f64], out: &mut [f64]) {
-        SCRATCH.with(|s| {
-            self.body
-                .eval(j, reads, self.width, &mut s.borrow_mut(), out);
+        self.at(&self.body, j, |j| {
+            SCRATCH.with(|s| {
+                self.body
+                    .eval(j, reads, self.width, &mut s.borrow_mut(), out);
+            })
         });
     }
 
     fn initial(&self, j: &[i64], out: &mut [f64]) {
-        SCRATCH.with(|s| {
-            self.init.eval(j, &[], self.width, &mut s.borrow_mut(), out);
+        self.at(&self.init, j, |j| {
+            SCRATCH.with(|s| {
+                self.init.eval(j, &[], self.width, &mut s.borrow_mut(), out);
+            })
         });
     }
 
@@ -289,14 +332,22 @@ impl Kernel for TkKernel {
         if count == 0 {
             return;
         }
-        BLOCKS.with(|s| {
-            self.body
-                .eval_run(j0, dj, count, reads, self.width, &mut s.borrow_mut(), out);
+        // T⁻¹ is linear, so the skewed run is an affine run in original
+        // coordinates too: T⁻¹(j0 + p·dj) = T⁻¹j0 + p·(T⁻¹dj), exactly.
+        self.at(&self.body, j0, |j0| {
+            self.at(&self.body, dj, |dj| {
+                BLOCKS.with(|s| {
+                    self.body
+                        .eval_run(j0, dj, count, reads, self.width, &mut s.borrow_mut(), out);
+                })
+            })
         });
     }
 }
 
-/// Lower a parsed program into an [`Algorithm`] (applying the skew, if any).
+/// Lower a parsed program into an [`Algorithm`]. A declared skew `T` skews
+/// the nest, and the kernel maps each point back through `T⁻¹` wherever a
+/// tape reads coordinates.
 ///
 /// All validation already happened in the parser, so this is pure
 /// construction. The iteration-space constraints are emitted in
@@ -339,34 +390,31 @@ pub fn lower_kernel(p: &KernelProgram) -> Algorithm {
     for s in &p.stmts {
         outputs[s.array] = body.emit(&s.rhs);
     }
-    let body = Tape {
-        ops: body.ops,
-        outputs,
-    };
+    let body = Tape::new(body.ops, outputs);
 
     let mut init = TapeBuilder {
         ops: Vec::new(),
         let_slots: Vec::new(),
     };
     let init_outputs: Vec<usize> = p.arrays.iter().map(|a| init.emit(&a.init)).collect();
-    let init = Tape {
-        ops: init.ops,
-        outputs: init_outputs,
-    };
+    let init = Tape::new(init.ops, init_outputs);
 
+    let mut nest = LoopNest::new(space, deps);
+    let mut name = p.name.clone();
+    let t_inv = p.skew.as_ref().map(|rows| {
+        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let t = IMat::from_rows(&refs);
+        nest = nest.skew(&t);
+        name.push_str("-skewed");
+        t.inverse().to_imat()
+    });
     let kernel = Arc::new(TkKernel {
         width: p.width(),
         body,
         init,
+        t_inv,
     });
-    let alg = Algorithm::new(p.name.clone(), LoopNest::new(space, deps), kernel);
-    match &p.skew {
-        Some(rows) => {
-            let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-            alg.skewed(&IMat::from_rows(&refs))
-        }
-        None => alg,
-    }
+    Algorithm::new(name, nest, kernel)
 }
 
 /// Parse and lower in one step.

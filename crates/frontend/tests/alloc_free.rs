@@ -2,11 +2,12 @@
 //! global allocator (std only) tallies this thread's allocations around
 //! the code under test:
 //!
-//! - `compute` and `initial` of a skewed `.tk` kernel (the skew adapter
-//!   over `TkKernel`) whose body and boundary read original coordinates
-//!   (`bnd()`, coordinates, `mod`);
-//! - `compute`, `initial` and the lane-blocked `compute_run` of the
-//!   skewed corpus SOR kernel;
+//! - `compute` and `initial` of a skewed `.tk` kernel whose body and
+//!   boundary read original coordinates (`bnd()`, coordinates, `mod`), so
+//!   every call maps its point through `T⁻¹`;
+//! - `compute`, `initial` and the lane-blocked `compute_run` of that
+//!   kernel and of the skewed corpus SOR kernel, whose body reads no
+//!   coordinate;
 //! - the sequential scan `Algorithm::execute_scan`, whose allocations are
 //!   its fixed set-up alone: the same count for a nest with 4x the runs
 //!   and 8x the points.
@@ -91,26 +92,34 @@ fn tk_kernel_per_point_paths_do_not_allocate() {
 }
 
 #[test]
-fn skewed_adapter_does_not_allocate() {
-    let alg = compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap();
-    let k = &alg.kernel;
-    let q = alg.nest.num_deps();
-    let count = 61;
-    let reads: Vec<f64> = (0..q * count).map(|i| 0.25 + i as f64 * 1e-3).collect();
-    let mut out = vec![0.0; count];
-    let mut j = [2i64, 5, 9];
-    // Warm-up grows the thread's tape scratch and lane blocks once.
-    k.compute(&j, &reads[..q], &mut out[..1]);
-    k.compute_run(&j, &[0, 1, 2], count, &reads, &mut out);
-    let n = allocations(|| {
-        for s in 0..1000i64 {
-            j[1] = s;
-            k.compute(&j, &reads[..q], &mut out[..1]);
-            k.initial(&j, &mut out[..1]);
-            k.compute_run(&j, &[0, 1, 2], count, &reads, &mut out);
-        }
-    });
-    assert_eq!(n, 0, "SkewedKernel compute/initial/compute_run allocated");
+fn skewed_tk_kernel_does_not_allocate() {
+    for alg in [
+        compile_kernel_with(corpus::SOR, &[("M", 4), ("N", 6)]).unwrap(),
+        compile_kernel(SKEWED).unwrap(),
+    ] {
+        let k = &alg.kernel;
+        let (q, w) = (alg.nest.num_deps(), alg.width());
+        let count = 61;
+        let reads: Vec<f64> = (0..q * count * w).map(|i| 0.25 + i as f64 * 1e-3).collect();
+        let mut out = vec![0.0; count * w];
+        let mut j = [2i64, 5, 9];
+        // Warm-up grows the thread's tape scratch and lane blocks once.
+        k.compute(&j, &reads[..q * w], &mut out[..w]);
+        k.compute_run(&j, &[0, 1, 2], count, &reads, &mut out);
+        let n = allocations(|| {
+            for s in 0..1000i64 {
+                j[1] = s;
+                k.compute(&j, &reads[..q * w], &mut out[..w]);
+                k.initial(&j, &mut out[..w]);
+                k.compute_run(&j, &[0, 1, 2], count, &reads, &mut out);
+            }
+        });
+        assert_eq!(
+            n, 0,
+            "{}: skewed compute/initial/compute_run allocated",
+            alg.name
+        );
+    }
 }
 
 /// Every dependence crosses a time step, so the scan batches whole rows

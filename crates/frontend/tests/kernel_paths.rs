@@ -4,16 +4,18 @@
 //!   per-point `execute_sequential`, on every shipped `.tk` file and on the
 //!   paper kernels at other sizes, skewed and unskewed;
 //! - a skewed `.tk` kernel's batched `compute_run` against its per-point
-//!   `compute`, far from the iteration space, where the skew adapter maps
-//!   negative and large coordinates;
+//!   `compute`, far from the iteration space, where the kernel maps
+//!   negative and large coordinates through `T⁻¹`;
 //! - the instruction tape (per point and lane-blocked) against the
-//!   tree-walking `TkExpr::eval`, on every shipped `.tk` file;
+//!   tree-walking `TkExpr::eval`, on every shipped `.tk` file, unskewed
+//!   and, where it declares a skew, skewed: evaluated at `T⁻¹j`;
 //! - the paper kernels' sequential data against the frozen fingerprints of
 //!   the hand-coded Rust kernels they replaced.
 
 use std::path::Path;
 use tilecc_frontend::tk::{lower_kernel, parse_kernel};
 use tilecc_frontend::{compile_kernel, compile_kernel_with, corpus, KernelProgram};
+use tilecc_linalg::IMat;
 
 /// A skewed two-array kernel whose body and boundaries use every
 /// coordinate-dependent form: coordinates, `mod`, `bnd()`, a `let`, and a
@@ -31,6 +33,27 @@ array B = mod(3*t - 2*j + 1, 5)
 let c = 0.1 + mod(13*i + 7*j - t, 17)*0.01
 A[t,i,j] = A[t-1,i,j]*c + bnd()*j + B[t-1,i,j-1]
 B[t,i,j] = B[t-1,i+1,j] - t*0.5 + A[t,i-1,j]/(1 + c)
+";
+
+/// Skewed kernels whose tapes read coordinates through one op kind each,
+/// without `bnd()`: a body reading only `mod` over an init reading only a
+/// coordinate, and the other way round. Each tape must be mapped through
+/// `T⁻¹` on its own account.
+const SKEWED_MOD_BODY: &str = "\
+kernel modbody
+iter t = 1 to 4
+iter i = 1 to 9
+skew = [1,0; 2,1]
+array A = 0.25*i - t
+A[t,i] = 0.5*A[t-1,i] + 0.25*A[t-1,i+1] + mod(3*t + 5*i, 7)*0.01
+";
+const SKEWED_COORD_BODY: &str = "\
+kernel coordbody
+iter t = 1 to 4
+iter i = 1 to 9
+skew = [1,0; 1,1]
+array A = mod(2*t + i, 5)
+A[t,i] = 0.5*A[t-1,i] + 0.25*A[t-1,i-1] + 0.001*i*t
 ";
 
 fn corpus() -> Vec<(String, String)> {
@@ -224,45 +247,63 @@ fn tree_walk(p: &KernelProgram, j: &[i64], reads: &[f64], init: bool) -> Vec<f64
 fn tape_equals_tree_walking_eval_on_every_shipped_kernel() {
     let files = corpus();
     assert_eq!(files.len(), 15, "the probe + 10 kernels + 4 nests");
-    for (name, src) in files {
-        // Unskewed, so the kernel sees the coordinates `eval` sees.
-        let mut program = parse_kernel(&src).unwrap();
-        program.skew = None;
-        let alg = lower_kernel(&program);
-        let (n, q, w) = (alg.nest.dim(), alg.nest.num_deps(), alg.width());
-        let k = &alg.kernel;
-        let count = 19;
-        let reads: Vec<f64> = (0..q * w * count)
-            .map(|i| (i % 29) as f64 * 0.41 - 3.5)
-            .collect();
-        let dj: Vec<i64> = (0..n).map(|k| 1 - k as i64).collect();
-        for j0 in probe_points(n) {
-            let mut batch = vec![0.0; count * w];
-            k.compute_run(&j0, &dj, count, &reads, &mut batch);
-            for p in 0..count {
-                let j: Vec<i64> = j0.iter().zip(&dj).map(|(a, d)| a + p as i64 * d).collect();
-                let rd: Vec<f64> = (0..q)
-                    .flat_map(|i| {
-                        let at = (i * count + p) * w;
-                        reads[at..at + w].to_vec()
-                    })
-                    .collect();
-                let want = tree_walk(&program, &j, &rd, false);
-                let mut one = vec![0.0; w];
-                k.compute(&j, &rd, &mut one);
-                assert_eq!(bits(&one), bits(&want), "{name}: compute at {j:?}");
-                assert_eq!(
-                    bits(&batch[p * w..(p + 1) * w]),
-                    bits(&want),
-                    "{name}: point {p} of the run at {j0:?}"
-                );
-                k.initial(&j, &mut one);
-                assert_eq!(
-                    bits(&one),
-                    bits(&tree_walk(&program, &j, &[], true)),
-                    "{name}: initial at {j:?}"
-                );
+    let mut skewed = 0;
+    let probes = [SKEWED_MOD_BODY, SKEWED_COORD_BODY].map(|s| ("probe".into(), s.into()));
+    for (name, src) in files.into_iter().chain(probes) {
+        let program = parse_kernel(&src).unwrap();
+        let mut plain = program.clone();
+        plain.skew = None;
+        // Unskewed, the kernel sees the coordinates `eval` sees. Skewed, it
+        // must evaluate at the original coordinates `T⁻¹j` of its nest
+        // point `j`, where `eval` is handed them.
+        let t_inv = program.skew.as_ref().map(|rows| {
+            let rows: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+            IMat::from_rows(&rows).inverse().to_imat()
+        });
+        skewed += usize::from(t_inv.is_some());
+        let variants = [
+            Some((&plain, None)),
+            t_inv.as_ref().map(|t| (&program, Some(t))),
+        ];
+        for (p, t_inv) in variants.into_iter().flatten() {
+            let orig = |j: &[i64]| t_inv.map_or_else(|| j.to_vec(), |t| t.mul_vec(j));
+            let alg = lower_kernel(p);
+            let (n, q, w) = (alg.nest.dim(), alg.nest.num_deps(), alg.width());
+            let k = &alg.kernel;
+            let count = 19;
+            let reads: Vec<f64> = (0..q * w * count)
+                .map(|i| (i % 29) as f64 * 0.41 - 3.5)
+                .collect();
+            let dj: Vec<i64> = (0..n).map(|k| 1 - k as i64).collect();
+            for j0 in probe_points(n) {
+                let mut batch = vec![0.0; count * w];
+                k.compute_run(&j0, &dj, count, &reads, &mut batch);
+                for p in 0..count {
+                    let j: Vec<i64> = j0.iter().zip(&dj).map(|(a, d)| a + p as i64 * d).collect();
+                    let rd: Vec<f64> = (0..q)
+                        .flat_map(|i| {
+                            let at = (i * count + p) * w;
+                            reads[at..at + w].to_vec()
+                        })
+                        .collect();
+                    let want = tree_walk(&plain, &orig(&j), &rd, false);
+                    let mut one = vec![0.0; w];
+                    k.compute(&j, &rd, &mut one);
+                    assert_eq!(bits(&one), bits(&want), "{name}: compute at {j:?}");
+                    assert_eq!(
+                        bits(&batch[p * w..(p + 1) * w]),
+                        bits(&want),
+                        "{name}: point {p} of the run at {j0:?}"
+                    );
+                    k.initial(&j, &mut one);
+                    assert_eq!(
+                        bits(&one),
+                        bits(&tree_walk(&plain, &orig(&j), &[], true)),
+                        "{name}: initial at {j:?}"
+                    );
+                }
             }
         }
     }
+    assert_eq!(skewed, 13, "the three probes + the ten skewed corpus files");
 }

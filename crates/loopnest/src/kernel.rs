@@ -17,7 +17,6 @@
 use crate::data::DataSpace;
 use crate::nest::LoopNest;
 use std::sync::Arc;
-use tilecc_linalg::IMat;
 
 /// Cache-block width (in points) of batched compute: chunks are clamped so
 /// one chunk's read/write windows total `(q+1)·CACHE_BLOCK·width` values
@@ -42,20 +41,6 @@ pub fn with_scratch<R>(n: usize, f: impl FnOnce(&mut [i64]) -> R) -> R {
     } else {
         f(&mut vec![0i64; n])
     }
-}
-
-/// Call `f` with `t_inv · j`, computed with the checked arithmetic of
-/// [`IMat::mul_vec`] into a [`with_scratch`] buffer: the per-point
-/// coordinate map of [`SkewedKernel`].
-///
-/// # Panics
-/// Panics on `i64` overflow, like [`IMat::mul_vec`].
-#[inline]
-fn with_mapped<R>(t_inv: &IMat, j: &[i64], f: impl FnOnce(&mut [i64]) -> R) -> R {
-    with_scratch(j.len(), |buf| {
-        t_inv.mul_vec_into(j, buf);
-        f(buf)
-    })
 }
 
 /// The `.tk` DSL's `bnd()`: a deterministic boundary value, a small,
@@ -157,23 +142,6 @@ impl Algorithm {
         self.kernel.width()
     }
 
-    /// Skew the algorithm by the unimodular matrix `T`. The kernel is
-    /// wrapped so that boundary values (and any coordinate-dependent
-    /// coefficients) are still evaluated in the *original* coordinates.
-    pub fn skewed(&self, t: &IMat) -> Algorithm {
-        let nest = self.nest.skew(t);
-        let t_inv = t.inverse().to_imat();
-        let kernel = Arc::new(SkewedKernel {
-            inner: self.kernel.clone(),
-            t_inv,
-        });
-        Algorithm {
-            name: format!("{}-skewed", self.name),
-            nest,
-            kernel,
-        }
-    }
-
     /// Reference execution: scan `J^n` lexicographically (legal because all
     /// dependence vectors are lexicographically positive) and evaluate the
     /// kernel at every point. Returns the full data space.
@@ -204,42 +172,54 @@ impl Algorithm {
     }
 }
 
-/// Kernel adapter applying the inverse skewing before delegating, so the
-/// inner kernel always sees original coordinates. The map goes through a
-/// stack buffer, so the per-point paths allocate nothing.
-struct SkewedKernel {
-    inner: Arc<dyn Kernel>,
-    t_inv: IMat,
-}
-
-impl Kernel for SkewedKernel {
-    fn width(&self) -> usize {
-        self.inner.width()
-    }
-
-    fn compute(&self, j: &[i64], reads: &[f64], out: &mut [f64]) {
-        with_mapped(&self.t_inv, j, |orig| self.inner.compute(orig, reads, out));
-    }
-
-    fn initial(&self, j: &[i64], out: &mut [f64]) {
-        with_mapped(&self.t_inv, j, |orig| self.inner.initial(orig, out));
-    }
-
-    fn compute_run(&self, j0: &[i64], dj: &[i64], count: usize, reads: &[f64], out: &mut [f64]) {
-        // T⁻¹ is linear, so the skewed run is an affine run in original
-        // coordinates too: T⁻¹(j0 + p·dj) = T⁻¹j0 + p·(T⁻¹dj), exactly.
-        with_mapped(&self.t_inv, j0, |o0| {
-            with_mapped(&self.t_inv, dj, |od| {
-                self.inner.compute_run(o0, od, count, reads, out)
-            })
-        });
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use tilecc_linalg::IMat;
     use tilecc_polytope::Polyhedron;
+
+    /// Test-local skew: `alg` skewed by the unimodular `t`, its kernel
+    /// wrapped to see original coordinates `T⁻¹j`. Production skews live in
+    /// the `.tk` kernel itself; this wrapper keeps the scan and sequential
+    /// oracles checkable on hand-written kernels.
+    pub(crate) fn skewed(alg: &Algorithm, t: &IMat) -> Algorithm {
+        Algorithm::new(
+            format!("{}-skewed", alg.name),
+            alg.nest.skew(t),
+            Arc::new(Skew {
+                inner: alg.kernel.clone(),
+                t_inv: t.inverse().to_imat(),
+            }),
+        )
+    }
+
+    struct Skew {
+        inner: Arc<dyn Kernel>,
+        t_inv: IMat,
+    }
+
+    impl Kernel for Skew {
+        fn width(&self) -> usize {
+            self.inner.width()
+        }
+        fn compute(&self, j: &[i64], reads: &[f64], out: &mut [f64]) {
+            self.inner.compute(&self.t_inv.mul_vec(j), reads, out);
+        }
+        fn initial(&self, j: &[i64], out: &mut [f64]) {
+            self.inner.initial(&self.t_inv.mul_vec(j), out);
+        }
+        fn compute_run(
+            &self,
+            j0: &[i64],
+            dj: &[i64],
+            count: usize,
+            reads: &[f64],
+            out: &mut [f64],
+        ) {
+            let (o0, od) = (self.t_inv.mul_vec(j0), self.t_inv.mul_vec(dj));
+            self.inner.compute_run(&o0, &od, count, reads, out);
+        }
+    }
 
     /// Prefix-sum-like kernel: A[j] = A[j - (1,0)] + A[j - (0,1)] + 1.
     struct SumKernel;
@@ -277,9 +257,8 @@ mod tests {
     fn skewed_execution_matches_original_modulo_coordinates() {
         let alg = sum_algorithm();
         let t = IMat::from_rows(&[&[1, 0], &[1, 1]]);
-        let skewed = alg.skewed(&t);
         let ds = alg.execute_sequential();
-        let ds_skewed = skewed.execute_sequential();
+        let ds_skewed = skewed(&alg, &t).execute_sequential();
         // Value at skewed point T·j equals value at j.
         for j0 in 0..=4i64 {
             for j1 in 0..=4i64 {
@@ -307,8 +286,8 @@ mod tests {
         }
     }
 
-    /// The default `compute_run` and the skew adapter's forwarding must be
-    /// bitwise identical to the per-point path on j-dependent kernels.
+    /// The default `compute_run` and the test skew wrapper's forwarding must
+    /// be bitwise identical to the per-point path on j-dependent kernels.
     #[test]
     fn compute_run_default_matches_per_point_bitwise() {
         struct JDep;
@@ -340,10 +319,10 @@ mod tests {
             assert_eq!(out[p].to_bits(), point(&j, &rb).to_bits(), "p={p}");
         }
 
-        // Skewed adapter: the run in skewed coordinates must evaluate the
+        // Skew wrapper: the run in skewed coordinates must evaluate the
         // inner kernel at the original coordinates, point by point.
         let t = IMat::from_rows(&[&[1, 0], &[1, 1]]);
-        let sk = SkewedKernel {
+        let sk = Skew {
             inner: Arc::new(JDep),
             t_inv: t.inverse().to_imat(),
         };

@@ -224,6 +224,7 @@ impl Scan<'_> {
 
 #[cfg(test)]
 mod tests {
+    use crate::kernel::tests::skewed;
     use crate::kernel::{boundary_value, Algorithm, Kernel};
     use crate::nest::LoopNest;
     use std::sync::Arc;
@@ -323,10 +324,10 @@ mod tests {
         );
         // T·d = (1,−1), (0,1), (1,0): lexicographically positive.
         let t = IMat::from_rows(&[&[1, 0], &[-1, 1]]);
-        assert_scan_is_oracle(&base.skewed(&t));
+        assert_scan_is_oracle(&skewed(&base, &t));
         let t = IMat::from_rows(&[&[1, 0], &[-3, 1]]);
         let steep = mix(Polyhedron::from_box(&[1, 1], &[6, 30]), &[&[1], &[4]]);
-        assert_scan_is_oracle(&steep.skewed(&t));
+        assert_scan_is_oracle(&skewed(&steep, &t));
     }
 
     #[test]

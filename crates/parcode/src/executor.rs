@@ -233,9 +233,10 @@ pub fn run_rank<C: Comm>(
     let pid = plan.dist.pids[rank].clone();
     let (lo_t, hi_t) = plan.dist.chains[rank];
     let w = plan.algorithm.width();
-    let mut lds = plan.rank_lds(rank);
+    // Only a full run reads or writes the LDS; a timing-only one never
+    // allocates it.
+    let mut lds = (mode == ExecMode::Full).then(|| plan.rank_lds(rank));
     let chain = plan.compiled_for(hi_t - lo_t + 1);
-    let full = mode == ExecMode::Full;
 
     let deps = plan.deps();
     let q = deps.cols();
@@ -257,7 +258,7 @@ pub fn run_rank<C: Comm>(
     if let Some(resumed) = comm.resume_state() {
         // A respawned worker restored its checkpoint file during transport
         // setup: rewind the walk and the application state to it.
-        let pos = rewind_to(&resumed, rank, &mut iterations, full.then_some(&mut lds));
+        let pos = rewind_to(&resumed, rank, &mut iterations, lds.as_mut());
         start_t = lo_t + pos as i64;
     }
     // The chain walk runs inside the recovery loop: an injected crash
@@ -270,7 +271,7 @@ pub fn run_rank<C: Comm>(
                 let tpos = t_abs - lo_t; // chain-relative tile position
                 if let Some(k) = ckpt_every {
                     if (tpos as u64).is_multiple_of(k) {
-                        let state = encode_rank_state(iterations, full.then_some(&lds));
+                        let state = encode_rank_state(iterations, lds.as_ref());
                         comm.checkpoint(tpos as u64, &state);
                     }
                 }
@@ -305,7 +306,7 @@ pub fn run_rank<C: Comm>(
                     // not monotone in the sender's tiles, so FIFO alone would
                     // mismatch messages (MPI-style tag matching restores pairing).
                     let payload = comm.recv_tagged(from_rank, pred[m]);
-                    if full {
+                    if let Some(lds) = lds.as_mut() {
                         let unpack_t0 = if obs_on {
                             comm.obs().map(|o| o.now_ns())
                         } else {
@@ -315,7 +316,7 @@ pub fn run_rank<C: Comm>(
                             ExecStrategy::Compiled | ExecStrategy::Overlapped => {
                                 // A size mismatch means transport corruption;
                                 // fail the rank loudly (release builds too).
-                                if let Err(e) = unpack_region(chain, &mut lds, tpos, i, &payload) {
+                                if let Err(e) = unpack_region(chain, lds, tpos, i, &payload) {
                                     panic!("{e}");
                                 }
                             }
@@ -357,75 +358,75 @@ pub fn run_rank<C: Comm>(
                 // Interior/boundary classification lets compiled compute skip
                 // the clamp and feeds the tile-mix counters; only run it when
                 // someone consumes it (a timing-only count just clips every run).
-                let classify = obs_on || (full && strategy != ExecStrategy::Reference);
+                let classify = obs_on || (lds.is_some() && strategy != ExecStrategy::Reference);
                 let is_interior = classify && plan.tiled.tile_is_compute_interior(&cur_tile, deps);
                 let clamp = (!is_interior).then_some(&plan.clamp);
                 let origin = tile_origin(t, &cur_tile);
                 let mut tile_vectorized: u64 = 0;
-                // One compute pass over `runs`: count it (timing-only), walk
-                // the tile per point (the reference oracle, which ignores
-                // `runs`) or run the compiled compute; then charge it to the
-                // clock and record it as a `name` compute span.
-                let mut pass =
-                    |comm: &mut C, lds: &mut Lds, name: &'static str, runs: &[ComputeRun]| {
-                        let t0 = if obs_on {
-                            comm.obs().map(|o| o.now_ns())
-                        } else {
-                            None
-                        };
-                        let v0 = comm.local_time();
-                        let iters = match (mode, strategy) {
-                            (ExecMode::TimingOnly, _) => {
-                                count_tile(chain, &origin, clamp, runs, &mut j_buf)
-                            }
-                            (ExecMode::Full, ExecStrategy::Reference) => {
-                                let mut iters = 0;
-                                for (jp, j) in plan.tiled.tile_iterations(&cur_tile) {
-                                    iters += 1;
-                                    let g = lds.unrolled(tpos, &jp);
-                                    for dq in 0..q {
-                                        for k in 0..n {
-                                            src[k] = j[k] - deps[(k, dq)];
-                                            gs[k] = g[k] - d_prime[(k, dq)];
-                                        }
-                                        if space.contains(&src) {
-                                            lds.get_into(&gs, &mut reads[dq * w..(dq + 1) * w]);
-                                        } else {
-                                            kernel.initial(&src, &mut reads[dq * w..(dq + 1) * w]);
-                                        }
+                // One compute pass over `runs`: count it (timing-only, no
+                // LDS), walk the tile per point (the reference oracle, which
+                // ignores `runs`) or run the compiled compute; then charge it
+                // to the clock and record it as a `name` compute span.
+                let mut pass = |comm: &mut C,
+                                lds: &mut Option<Lds>,
+                                name: &'static str,
+                                runs: &[ComputeRun]| {
+                    let t0 = if obs_on {
+                        comm.obs().map(|o| o.now_ns())
+                    } else {
+                        None
+                    };
+                    let v0 = comm.local_time();
+                    let iters = match (lds.as_mut(), strategy) {
+                        (None, _) => count_tile(chain, &origin, clamp, runs, &mut j_buf),
+                        (Some(lds), ExecStrategy::Reference) => {
+                            let mut iters = 0;
+                            for (jp, j) in plan.tiled.tile_iterations(&cur_tile) {
+                                iters += 1;
+                                let g = lds.unrolled(tpos, &jp);
+                                for dq in 0..q {
+                                    for k in 0..n {
+                                        src[k] = j[k] - deps[(k, dq)];
+                                        gs[k] = g[k] - d_prime[(k, dq)];
                                     }
-                                    kernel.compute(&j, &reads, &mut out);
-                                    lds.set_all(&g, &out);
+                                    if space.contains(&src) {
+                                        lds.get_into(&gs, &mut reads[dq * w..(dq + 1) * w]);
+                                    } else {
+                                        kernel.initial(&src, &mut reads[dq * w..(dq + 1) * w]);
+                                    }
                                 }
-                                iters
+                                kernel.compute(&j, &reads, &mut out);
+                                lds.set_all(&g, &out);
                             }
-                            (ExecMode::Full, _) => {
-                                let (iters, batched) = compute_tile_fast(
-                                    chain,
-                                    lds,
-                                    tpos,
-                                    &origin,
-                                    kernel.as_ref(),
-                                    &mut scratch,
-                                    runs,
-                                    clamp,
-                                );
-                                tile_vectorized += batched;
-                                iters
-                            }
-                        };
-                        comm.advance_compute(iters);
-                        if let Some(t0) = t0 {
-                            if iters > 0 {
-                                let v1 = comm.local_time();
-                                if let Some(o) = comm.obs() {
-                                    o.observe(HistId::ComputeTileNs, o.now_ns().saturating_sub(t0));
-                                    o.named_span(Phase::Compute, name, t0, (v0, v1), iters);
-                                }
+                            iters
+                        }
+                        (Some(lds), _) => {
+                            let (iters, batched) = compute_tile_fast(
+                                chain,
+                                lds,
+                                tpos,
+                                &origin,
+                                kernel.as_ref(),
+                                &mut scratch,
+                                runs,
+                                clamp,
+                            );
+                            tile_vectorized += batched;
+                            iters
+                        }
+                    };
+                    comm.advance_compute(iters);
+                    if let Some(t0) = t0 {
+                        if iters > 0 {
+                            let v1 = comm.local_time();
+                            if let Some(o) = comm.obs() {
+                                o.observe(HistId::ComputeTileNs, o.now_ns().saturating_sub(t0));
+                                o.named_span(Phase::Compute, name, t0, (v0, v1), iters);
                             }
                         }
-                        iters
-                    };
+                    }
+                    iters
+                };
                 let tile_iters = if strategy == ExecStrategy::Overlapped {
                     // Overlapped order: boundary slab → post sends → private
                     // interior. The slab is the dependence closure of the pack
@@ -434,8 +435,7 @@ pub fn run_rank<C: Comm>(
                     let split = chain.split();
                     let boundary = pass(comm, &mut lds, "compute-boundary", &split.boundary_runs);
                     send_tile(
-                        plan, chain, comm, &lds, mode, strategy, obs_on, &pid, &cur_tile, tpos,
-                        t_abs, w,
+                        plan, chain, comm, &lds, strategy, obs_on, &pid, &cur_tile, tpos, t_abs, w,
                     );
                     boundary + pass(comm, &mut lds, "compute-interior", &split.interior_runs)
                 } else {
@@ -472,8 +472,7 @@ pub fn run_rank<C: Comm>(
                 // (the overlapped strategy already sent between its two passes)
                 if strategy != ExecStrategy::Overlapped {
                     send_tile(
-                        plan, chain, comm, &lds, mode, strategy, obs_on, &pid, &cur_tile, tpos,
-                        t_abs, w,
+                        plan, chain, comm, &lds, strategy, obs_on, &pid, &cur_tile, tpos, t_abs, w,
                     );
                 }
             }
@@ -483,7 +482,7 @@ pub fn run_rank<C: Comm>(
             Err(payload) => {
                 if payload.is::<InjectedCrash>() {
                     if let Some(restored) = comm.try_restore() {
-                        let lds = full.then_some(&mut lds);
+                        let lds = lds.as_mut();
                         start_t = lo_t + rewind_to(&restored, rank, &mut iterations, lds) as i64;
                         continue;
                     }
@@ -514,10 +513,7 @@ pub fn run_rank<C: Comm>(
 
     // The LDS goes back whole; the main thread gathers it into the global
     // data space (loc⁻¹ role) — no duplicated TTIS traversal here.
-    RankOutput {
-        lds: full.then_some(lds),
-        iterations,
-    }
+    RankOutput { lds, iterations }
 }
 
 /// Serialize a rank's state: its iteration count, then in a full run
@@ -591,7 +587,8 @@ fn rewind_to(restored: &Restored, rank: usize, iterations: &mut u64, lds: Option
 }
 
 /// The SEND phase of one tile: one message per processor dependence with a
-/// valid successor tile. Shared by the blocking order (after the whole
+/// valid successor tile, carrying values only in a full run (`lds` is
+/// `Some`). Shared by the blocking order (after the whole
 /// tile) and the overlapped order (between the boundary and interior
 /// passes — every pack region lives in the boundary slab, so the payloads
 /// are final).
@@ -600,8 +597,7 @@ fn send_tile(
     plan: &ParallelPlan,
     chain: &CompiledChain,
     comm: &mut impl Comm,
-    lds: &Lds,
-    mode: ExecMode,
+    lds: &Option<Lds>,
     strategy: ExecStrategy,
     obs_on: bool,
     pid: &[i64],
@@ -628,7 +624,7 @@ fn send_tile(
             .expect("valid successor tile must belong to a known processor");
         let count = plan.region_counts[dm_idx];
         let mut payload = Vec::new();
-        if mode == ExecMode::Full {
+        if let Some(lds) = lds {
             let pack_t0 = if obs_on {
                 comm.obs().map(|o| o.now_ns())
             } else {
