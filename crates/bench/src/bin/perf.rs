@@ -13,6 +13,9 @@
 //! every timed closure runs exactly once (CI smoke mode) and no JSON file
 //! is written.
 //!
+//! Every mode writes its record to `target/bench/<file name>` unless
+//! `--out` names a path: refreshing a tracked `BENCH_PR*.json` takes one.
+//!
 //! `perf --overlap-bench [--out <path>]` instead compares the blocking
 //! compiled strategy against the overlapped boundary/interior schedule on
 //! the paper workloads by deterministic virtual makespan and writes
@@ -1378,23 +1381,33 @@ fn main() {
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned());
+    // Without `--out` a mode writes under `target/bench/`, so a local run
+    // never rewrites the tracked copy at the repo root.
+    if out_path.is_none() {
+        std::fs::create_dir_all("target/bench").expect("create target/bench");
+    }
+    let out = |name: &str| {
+        out_path
+            .clone()
+            .unwrap_or_else(|| format!("target/bench/{name}"))
+    };
     if args.iter().any(|a| a == "--overlap-bench") {
-        overlap_bench(out_path.as_deref().unwrap_or("BENCH_PR4.json"));
+        overlap_bench(&out("BENCH_PR4.json"));
         return;
     }
     if args.iter().any(|a| a == "--vec-bench") {
-        vec_bench(out_path.as_deref().unwrap_or("BENCH_PR7.json"), smoke);
+        vec_bench(&out("BENCH_PR7.json"), smoke);
         return;
     }
     if args.iter().any(|a| a == "--tune-bench") {
-        tune_bench(out_path.as_deref().unwrap_or("BENCH_PR9.json"), smoke);
+        tune_bench(&out("BENCH_PR9.json"), smoke);
         return;
     }
     if args.iter().any(|a| a == "--dsl-bench") {
-        dsl_bench(out_path.as_deref().unwrap_or("BENCH_PR10.json"), smoke);
+        dsl_bench(&out("BENCH_PR10.json"), smoke);
         return;
     }
-    let out_path = out_path.unwrap_or_else(|| "BENCH_PR2.json".to_string());
+    let out_path = out("BENCH_PR2.json");
 
     let workloads = paper_workloads();
 

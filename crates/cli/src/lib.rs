@@ -776,10 +776,6 @@ fn tcp_worker(
         scheme,
         fault,
         obs: reg.clone(),
-        // The multi-process watchdog lives in the driver; workers just
-        // stream progress heartbeats.
-        wall_timeout: None,
-        deadlock_detection: false,
         ..EngineOptions::default()
     };
     let mut cfg = WorkerConfig::new(rank, size, connect, opts.model, options);
@@ -1181,7 +1177,6 @@ fn tcp_driver(
         let collected = collect_workers(
             controls,
             Some(DRIVER_WALL_CAP),
-            true,
             peer_timeout,
             want_obs.then_some(&mut observer as &mut dyn FnMut(&[RankTelemetry])),
         );

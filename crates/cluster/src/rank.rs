@@ -22,7 +22,8 @@ use crate::obs::{
     StatsSnapshot, VirtAcc,
 };
 use crate::reliability::{retransmit_pauses, Admit, LinkSeq, ReplayLog};
-use crate::threaded::{CommScheme, EngineOptions, InjectedCrash, Monitor, RankPhase, RECV_POLL};
+use crate::supervise::{Monitor, RankPhase};
+use crate::threaded::{CommScheme, EngineOptions, InjectedCrash, RECV_POLL};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
@@ -726,11 +727,18 @@ impl<L: Link> Comm for RankCore<L> {
     }
 }
 
-/// How one rank ended.
+/// How one rank ended: the one outcome type of every engine, which the
+/// supervisor folds into the run's result.
 pub(crate) enum RankEnd<R> {
+    /// The rank body returned.
     Ok(R),
+    /// The rank gave up on a communication error.
     CommFail(CommError),
+    /// The rank body panicked; the stringified payload.
     Panic(String),
+    /// The rank is gone without saying how it ended: a worker process that
+    /// died or fell silent, or a rank thread that never reported.
+    Vanished,
 }
 
 /// Stringify a caught panic payload.
@@ -754,26 +762,25 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// (every message timestamp stayed bitwise fault-free, and the final clock
 /// is fault-free time + recovery time), mark the rank done, then close the
 /// endpoint — releasing reorder holds and dropping the link, so blocked
-/// peers unwind instead of hanging. Returns how the rank ended with its
-/// final clock and metrics.
+/// peers unwind instead of hanging. Returns how the rank ended, a success
+/// with its final clock and metrics.
 pub(crate) fn run_rank<L: Link, R>(
     mut comm: RankCore<L>,
     f: impl FnOnce(&mut RankCore<L>) -> R,
-) -> (RankEnd<R>, f64, StatsSnapshot) {
+) -> RankEnd<(R, f64, StatsSnapshot)> {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let r = f(&mut comm);
         comm.settle_recovery();
         r
     }));
     comm.monitor.set(comm.rank, RankPhase::Done);
-    let end = match outcome {
-        Ok(r) => RankEnd::Ok(r),
+    // Failures are moot at this point: the peer is gone.
+    let _ = comm.flush_holdbacks();
+    match outcome {
+        Ok(r) => RankEnd::Ok((r, comm.clock, StatsSnapshot::capture(&comm.metrics))),
         Err(payload) => match payload.downcast::<CommAbort>() {
             Ok(abort) => RankEnd::CommFail(abort.error),
             Err(payload) => RankEnd::Panic(panic_message(payload.as_ref())),
         },
-    };
-    // Failures are moot at this point: the peer is gone.
-    let _ = comm.flush_holdbacks();
-    (end, comm.clock, StatsSnapshot::capture(&comm.metrics))
+    }
 }

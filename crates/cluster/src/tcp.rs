@@ -37,8 +37,9 @@
 //! * [`run_worker`] + [`Rendezvous`]/[`collect_workers`] — the
 //!   multi-process model: a driver process spawns one worker process per
 //!   rank, workers run [`run_worker`] and report results over their
-//!   rendezvous (control) connection, and the driver supervises them with
-//!   a heartbeat-fed deadlock watchdog mirroring the threaded engine's.
+//!   rendezvous (control) connection, and the driver feeds those frames
+//!   to the [supervisor](crate::supervise) the in-process runners use, as
+//!   the same rank phases and outcomes a rank thread reports.
 
 use crate::comm::{Envelope, Restored};
 use crate::error::{CommError, RunError};
@@ -48,10 +49,8 @@ use crate::rank::{
     new_replay_logs, run_rank, CkptState, Link, RankCore, RankEnd, ReplayLogs, RunShared,
 };
 use crate::reliability::{LinkSeq, ReplayLog};
-use crate::threaded::{
-    collect, install_quiet_panic_hook, EngineOptions, Monitor, RankPhase, RunReport, ABORT_GRACE,
-    COLLECT_POLL,
-};
+use crate::supervise::{supervise, Feed, Monitor, RankPhase};
+use crate::threaded::{install_quiet_panic_hook, launch, EngineOptions, RunReport};
 use crate::wire::{self, ByteReader, Frame, FrameKind};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -73,11 +72,6 @@ const SEND_QUEUE_FRAMES: usize = 64;
 /// How often a worker ships a heartbeat (`PROGRESS` frame) to the driver
 /// unless [`WorkerConfig::heartbeat`] says otherwise.
 pub const HEARTBEAT_PERIOD: Duration = Duration::from_millis(50);
-/// Wall time every live worker must stay blocked, with no progress counter
-/// moving, before the multi-process watchdog declares a deadlock. It must
-/// comfortably exceed [`HEARTBEAT_PERIOD`] so a quiet-but-alive worker is
-/// never misread.
-const DEADLOCK_WINDOW: Duration = Duration::from_millis(600);
 /// How long a worker waits for the driver's `BYE` after its result.
 const BYE_TIMEOUT: Duration = Duration::from_secs(60);
 /// `seq` of a worker's final absolute `STATS` frame, sent just before its
@@ -763,8 +757,8 @@ fn reader_loop(
 
 /// Run an SPMD program over `size` ranks communicating through real
 /// localhost sockets, all within this process — the TCP twin of
-/// [`crate::run_cluster`], sharing its watchdog (deadlock detection,
-/// wall cap) and failure reporting.
+/// [`crate::run_cluster`], sharing its rank-thread launcher and so its
+/// supervisor (deadlock detection, wall cap, failure fold).
 pub fn run_cluster_tcp<R, F>(
     size: usize,
     model: MachineModel,
@@ -776,44 +770,22 @@ where
     F: Fn(&mut TcpComm) -> R + Send + Sync + 'static,
 {
     assert!(size > 0, "cluster needs at least one process");
-    install_quiet_panic_hook();
     let rendezvous = Rendezvous::bind().map_err(|error| RunError::Comm { rank: 0, error })?;
     let rdv_addr = rendezvous.addr().to_string();
-    // The coordinator keeps the control sockets alive until the run ends.
     let coordinator = thread::spawn(move || rendezvous.coordinate(size, HANDSHAKE_TIMEOUT));
-
-    let shared = RunShared::new(size, model, &options);
-    let f = Arc::new(f);
-    let (done_tx, done_rx) = channel();
-    for rank in 0..size {
-        let (f, done, shared) = (f.clone(), done_tx.clone(), shared.clone());
+    // Each rank thread builds its side of the mesh; its control socket has
+    // no further use once the address list is in.
+    let links = (0..size).map(|rank| {
         let rdv_addr = rdv_addr.clone();
-        thread::Builder::new()
-            .name(format!("tilecc-tcp-rank-{rank}"))
-            .spawn(move || {
-                let connect_t0 = Instant::now();
-                let (end, clock, stats) = match connect_mesh(rank, size, &rdv_addr, "127.0.0.1:0") {
-                    Ok(mesh) => {
-                        // Keep the control socket open for the run's duration
-                        // so the coordinator's accept bookkeeping stays simple.
-                        let _control = mesh.control;
-                        let metrics = shared.obs.as_ref().map(|reg| reg.rank_metrics(rank));
-                        let connect_ns = connect_t0.elapsed().as_nanos() as u64;
-                        let link = TcpLink::new(rank, mesh.peers, metrics, connect_ns, None);
-                        run_rank(shared.core(rank, link), |comm| f(comm))
-                    }
-                    Err(error) => {
-                        shared.monitor.set(rank, RankPhase::Done);
-                        (RankEnd::CommFail(error), 0.0, StatsSnapshot::zero())
-                    }
-                };
-                let _ = done.send((rank, end, clock, stats));
-            })
-            .expect("failed to spawn tcp rank thread");
-    }
-    drop(done_tx);
-
-    let result = collect(size, &shared.monitor, done_rx, &options);
+        move |shared: &RunShared| {
+            let connect_t0 = Instant::now();
+            let mesh = connect_mesh(rank, size, &rdv_addr, "127.0.0.1:0")?;
+            let metrics = shared.obs.as_ref().map(|reg| reg.rank_metrics(rank));
+            let connect_ns = connect_t0.elapsed().as_nanos() as u64;
+            Ok(TcpLink::new(rank, mesh.peers, metrics, connect_ns, None))
+        }
+    });
+    let result = launch("tilecc-tcp-rank", size, model, &options, links, f);
     let _ = coordinator.join();
     result
 }
@@ -833,8 +805,8 @@ pub struct WorkerConfig {
     pub rendezvous: String,
     /// Machine model, which must match the driver's.
     pub model: MachineModel,
-    /// Engine options; `scheme`, `fault` and `obs` apply (watchdog fields
-    /// are the driver's job in the multi-process model, and `ckpt` replaces
+    /// Engine options; `scheme`, `fault` and `obs` apply (`wall_timeout`
+    /// is the driver's job in the multi-process model, and `ckpt` replaces
     /// `recovery`).
     pub options: EngineOptions,
     /// Local address (`host:port`, usually port 0) to bind the mesh
@@ -1340,34 +1312,40 @@ where
         }
     }
     worker_resume_barrier(&mut comm).map_err(|error| RunError::Comm { rank, error })?;
-    let (end, clock, stats) = run_rank(comm, f);
+    let end = run_rank(comm, f);
     drop(stop);
     let _ = heartbeat.join();
-    let mut frame = Frame::control(FrameKind::Error, rank as u32);
-    let error = match end {
-        RankEnd::Ok(r) => return Ok((r, clock, stats, WorkerHandle { rank, control })),
-        RankEnd::CommFail(error) => {
-            frame.seq = 2;
-            let (tag, nominal, aux) = encode_comm_error(&error);
-            frame.tag = tag;
-            frame.nominal = nominal;
-            frame.ready_at = aux;
-            frame.payload = error.to_string().into_bytes();
-            RunError::Comm { rank, error }
+    let failed = match end {
+        RankEnd::Ok((r, clock, stats)) => {
+            return Ok((r, clock, stats, WorkerHandle { rank, control }))
         }
-        RankEnd::Panic(payload) => {
-            // The bare panic payload: the driver re-wraps it in a
-            // `RankPanicked` carrying the rank, so sending the rendered
-            // error would double the prefix.
-            frame.seq = 1;
-            frame.payload = payload.clone().into_bytes();
-            RunError::RankPanicked { rank, payload }
-        }
+        failed => failed,
     };
     if let Ok(mut control) = control.lock() {
-        let _ = wire::write_frame(&mut *control, &frame);
+        let _ = wire::write_frame(&mut *control, &error_frame(rank, &failed));
     }
-    Err(error)
+    Err(failed.failure(rank).expect("a failed rank end").1)
+}
+
+/// The `ERROR` frame that reports a failed rank end to the driver, where
+/// [`WorkerSlot`] turns it back into the same [`RankEnd`]: `seq` 1 is a
+/// panic with its bare payload as text (the driver re-wraps it with the
+/// rank), `seq` 2 a communication error in [`encode_comm_error`]'s scalars.
+fn error_frame<R>(rank: usize, end: &RankEnd<R>) -> Frame {
+    let mut frame = Frame::control(FrameKind::Error, rank as u32);
+    match end {
+        RankEnd::Panic(payload) => {
+            frame.seq = 1;
+            frame.payload = payload.clone().into_bytes();
+        }
+        RankEnd::CommFail(error) => {
+            frame.seq = 2;
+            (frame.tag, frame.nominal, frame.ready_at) = encode_comm_error(error);
+            frame.payload = error.to_string().into_bytes();
+        }
+        RankEnd::Ok(_) | RankEnd::Vanished => unreachable!("not a failure a worker reports"),
+    }
+    frame
 }
 
 /// One worker's successful outcome as seen by the driver.
@@ -1386,12 +1364,9 @@ pub struct WorkerReport {
     pub stats: Option<StatsSnapshot>,
 }
 
-/// Per-rank driver-side state while collecting workers.
+/// Per-rank driver-side state while collecting workers: the rank's phase
+/// and progress count for the watchdog, and its telemetry.
 struct WorkerSlot {
-    report: Option<WorkerReport>,
-    /// `(class, error)` from an `ERROR` frame: class 1 = panic, 2 = comm.
-    failure: Option<(u64, RunError)>,
-    dead: bool,
     progress: u64,
     phase: RankPhase,
     /// Wall time of the last frame off the control socket; heartbeats
@@ -1408,24 +1383,43 @@ struct WorkerSlot {
 }
 
 impl WorkerSlot {
-    /// Apply one event off the rank's control socket: a frame, or `None`
-    /// for end-of-stream (closed, reset or undecodable — the worker is
-    /// gone). A dead worker that never reported is not listened to again.
-    fn on_event(&mut self, event: Option<Frame>) {
-        if self.dead && self.report.is_none() {
-            return;
-        }
-        match event {
-            Some(frame) => {
-                self.last_seen = Instant::now();
-                self.ingest(frame);
-            }
-            None => self.dead = true,
+    fn new(now: Instant) -> WorkerSlot {
+        WorkerSlot {
+            progress: 0,
+            phase: RankPhase::Running,
+            last_seen: now,
+            stats_prev: StatsSnapshot::zero(),
+            stats: None,
+            stats_seq: 0,
+            final_stats: None,
         }
     }
 
-    fn ingest(&mut self, frame: Frame) {
-        let rank = frame.src as usize;
+    /// Apply one event off rank `rank`'s control socket — a frame, or
+    /// `None` for end-of-stream (closed, reset or undecodable) — recording
+    /// the rank's outcome in `end`: a `RESULT` is a success, an `ERROR` the
+    /// failure it encodes, and end-of-stream before either a vanished rank,
+    /// or `Aborted` fallout once the driver `aborted`. A rank with an
+    /// outcome is not listened to again.
+    fn on_event(
+        &mut self,
+        rank: usize,
+        event: Option<Frame>,
+        end: &mut Option<RankEnd<WorkerReport>>,
+        aborted: bool,
+    ) {
+        if end.is_some() {
+            return;
+        }
+        let Some(frame) = event else {
+            *end = Some(if aborted {
+                RankEnd::CommFail(CommError::Aborted)
+            } else {
+                RankEnd::Vanished
+            });
+            return;
+        };
+        self.last_seen = Instant::now();
         match frame.kind {
             FrameKind::Progress => {
                 self.progress = frame.seq;
@@ -1442,12 +1436,12 @@ impl WorkerSlot {
             }
             FrameKind::Result => {
                 self.phase = RankPhase::Done;
-                self.report = Some(WorkerReport {
+                *end = Some(RankEnd::Ok(WorkerReport {
                     rank,
                     local_time: frame.ready_at,
                     payload: frame.payload,
                     stats: self.final_stats.take(),
-                });
+                }));
             }
             FrameKind::Stats => {
                 // `nominal = 1` marks an absolute snapshot: reset the delta
@@ -1472,46 +1466,20 @@ impl WorkerSlot {
             FrameKind::Error => {
                 self.phase = RankPhase::Done;
                 let text = String::from_utf8_lossy(&frame.payload).into_owned();
-                let error = if frame.seq == 2 {
-                    RunError::Comm {
-                        rank,
-                        error: decode_comm_error(frame.tag, frame.nominal, frame.ready_at, &text),
-                    }
+                *end = Some(if frame.seq == 2 {
+                    RankEnd::CommFail(decode_comm_error(
+                        frame.tag,
+                        frame.nominal,
+                        frame.ready_at,
+                        &text,
+                    ))
                 } else {
-                    RunError::RankPanicked {
-                        rank,
-                        payload: text,
-                    }
-                };
-                self.failure = Some((frame.seq, error));
+                    RankEnd::Panic(text)
+                });
             }
             _ => {}
         }
     }
-}
-
-/// The primary failure among worker outcomes, mirroring the threaded
-/// engine's ordering: panics beat communication errors beat silent deaths.
-fn worker_primary_failure(slots: &[WorkerSlot]) -> Option<RunError> {
-    for slot in slots {
-        if let Some((1, e)) = &slot.failure {
-            return Some(e.clone());
-        }
-    }
-    for slot in slots {
-        if let Some((_, e)) = &slot.failure {
-            return Some(e.clone());
-        }
-    }
-    for (rank, slot) in slots.iter().enumerate() {
-        if slot.dead && slot.report.is_none() {
-            return Some(RunError::RankPanicked {
-                rank,
-                payload: "worker process died without reporting a result".into(),
-            });
-        }
-    }
-    None
 }
 
 /// One rank's live telemetry as seen by the driver's supervision loop:
@@ -1540,218 +1508,157 @@ pub struct RankTelemetry {
 /// [`collect_workers`].
 pub type TelemetryObserver<'a> = Option<&'a mut dyn FnMut(&[RankTelemetry])>;
 
-/// The driver's end of the workers' control sockets: one reader thread per
-/// socket decodes frames into a single channel, so supervision wakes on
-/// each frame as it lands. Dropping it shuts every socket down, which ends
-/// the reader threads and tells live workers the driver is gone.
-struct ControlSockets {
+/// Spawn one reader thread per worker control socket, decoding frames
+/// into a single channel so supervision wakes on each frame as it lands;
+/// a `None` marks a socket's end-of-stream (closed, reset or undecodable).
+fn control_readers(streams: &[TcpStream]) -> Result<Receiver<(usize, Option<Frame>)>, RunError> {
+    let (tx, events) = channel();
+    for (rank, stream) in streams.iter().enumerate() {
+        let setup = |e| RunError::Comm {
+            rank,
+            error: transport_error("control reader", e),
+        };
+        let mut read_half = stream.try_clone().map_err(setup)?;
+        // The rendezvous read timeout would cut a long heartbeat period
+        // short; silence is the peer-timeout watchdog's call.
+        read_half.set_read_timeout(None).map_err(setup)?;
+        let tx = tx.clone();
+        thread::Builder::new()
+            .name(format!("tilecc-tcp-ctl-{rank}"))
+            .spawn(move || {
+                while let Ok(frame) = wire::read_frame(&mut read_half) {
+                    if tx.send((rank, Some(frame))).is_err() {
+                        return;
+                    }
+                }
+                let _ = tx.send((rank, None));
+            })
+            .map_err(setup)?;
+    }
+    Ok(events)
+}
+
+/// The driver's [`Feed`]: frames off the workers' control sockets, reduced
+/// by each rank's [`WorkerSlot`] to a phase, a progress count and an
+/// outcome; a worker silent past `peer_timeout` has vanished. Aborting, or
+/// dropping the feed, shuts the sockets down, which ends the reader threads
+/// and tells live workers the driver is gone.
+struct Workers<'a> {
     streams: Vec<TcpStream>,
     events: Receiver<(usize, Option<Frame>)>,
-}
-
-impl ControlSockets {
-    fn new(streams: Vec<TcpStream>) -> Result<ControlSockets, RunError> {
-        let (tx, events) = channel();
-        for (rank, stream) in streams.iter().enumerate() {
-            let setup = |e| RunError::Comm {
-                rank,
-                error: transport_error("control reader", e),
-            };
-            let mut read_half = stream.try_clone().map_err(setup)?;
-            // The rendezvous read timeout would cut a long heartbeat
-            // period short; silence is the peer-timeout watchdog's call.
-            read_half.set_read_timeout(None).map_err(setup)?;
-            let tx = tx.clone();
-            thread::Builder::new()
-                .name(format!("tilecc-tcp-ctl-{rank}"))
-                .spawn(move || {
-                    while let Ok(frame) = wire::read_frame(&mut read_half) {
-                        if tx.send((rank, Some(frame))).is_err() {
-                            return;
-                        }
-                    }
-                    let _ = tx.send((rank, None));
-                })
-                .map_err(setup)?;
-        }
-        Ok(ControlSockets { streams, events })
-    }
-
-    /// Wait up to `timeout` for the next event, then apply it and every
-    /// event already queued behind it.
-    fn pump(&self, slots: &mut [WorkerSlot], timeout: Duration) {
-        // A disconnected channel means every reader has exited, each after
-        // reporting its end-of-stream, so every slot is already dead.
-        let Ok((rank, event)) = self.events.recv_timeout(timeout) else {
-            return;
-        };
-        slots[rank].on_event(event);
-        for (rank, event) in self.events.try_iter() {
-            slots[rank].on_event(event);
-        }
-    }
-}
-
-impl Drop for ControlSockets {
-    fn drop(&mut self) {
-        for stream in &self.streams {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-/// Driver-side supervision of multi-process workers: collect `RESULT`
-/// frames off the control connections while running the same watchdog the
-/// threaded engine has — heartbeat-fed deadlock detection (every live
-/// worker blocked with no progress for [`DEADLOCK_WINDOW`]), an optional
-/// wall cap, and typed failure propagation. On success every worker
-/// receives `BYE` and the reports are returned in rank order.
-///
-/// The loop is event-driven: it wakes on each control frame as it lands,
-/// and at least every [`COLLECT_POLL`] to run the timers.
-///
-/// When `observer` is `Some`, it is invoked with the current
-/// [`RankTelemetry`] of every rank each time the loop wakes, and once more
-/// after the last result lands — the hook behind `--live` and
-/// `--stats-out`.
-pub fn collect_workers(
-    controls: Vec<TcpStream>,
-    wall_timeout: Option<Duration>,
-    deadlock_detection: bool,
+    slots: Vec<WorkerSlot>,
     peer_timeout: Option<Duration>,
-    mut observer: TelemetryObserver<'_>,
-) -> Result<Vec<WorkerReport>, RunError> {
-    let size = controls.len();
-    let started = Instant::now();
-    let mut sockets = ControlSockets::new(controls)?;
-    let mut slots: Vec<WorkerSlot> = (0..size)
-        .map(|_| WorkerSlot {
-            report: None,
-            failure: None,
-            dead: false,
-            progress: 0,
-            phase: RankPhase::Running,
-            last_seen: started,
-            stats_prev: StatsSnapshot::zero(),
-            stats: None,
-            stats_seq: 0,
-            final_stats: None,
-        })
-        .collect();
-    let observe = |slots: &[WorkerSlot], observer: &mut TelemetryObserver<'_>| {
-        if let Some(hook) = observer {
-            let telemetry: Vec<RankTelemetry> = slots
+    observer: TelemetryObserver<'a>,
+    aborted: bool,
+}
+
+impl Feed for Workers<'_> {
+    type Out = WorkerReport;
+
+    fn pump(&mut self, timeout: Duration, ends: &mut [Option<RankEnd<WorkerReport>>]) -> bool {
+        // A disconnected channel means every reader has exited, each after
+        // reporting its end-of-stream.
+        let live = match self.events.recv_timeout(timeout) {
+            Ok(first) => {
+                for (rank, event) in std::iter::once(first).chain(self.events.try_iter()) {
+                    self.slots[rank].on_event(rank, event, &mut ends[rank], self.aborted);
+                }
+                true
+            }
+            Err(e) => e == RecvTimeoutError::Timeout,
+        };
+        // Heartbeats flow every [`HEARTBEAT_PERIOD`] while a worker lives,
+        // even when it is blocked: a control socket silent past the
+        // dead-peer timeout means the process is gone.
+        if let Some(timeout) = self.peer_timeout.filter(|_| !self.aborted) {
+            for (slot, end) in self.slots.iter().zip(ends.iter_mut()) {
+                if end.is_none() && slot.last_seen.elapsed() >= timeout {
+                    *end = Some(RankEnd::Vanished);
+                }
+            }
+        }
+        if let Some(hook) = &mut self.observer {
+            let telemetry: Vec<RankTelemetry> = self
+                .slots
                 .iter()
+                .zip(ends.iter())
                 .enumerate()
-                .map(|(rank, s)| RankTelemetry {
+                .map(|(rank, (s, end))| RankTelemetry {
                     rank,
                     phase: s.phase,
                     progress: s.progress,
-                    done: s.report.is_some(),
+                    done: matches!(end, Some(RankEnd::Ok(_))),
                     stats: s.stats.clone(),
                     stats_seq: s.stats_seq,
                 })
                 .collect();
             hook(&telemetry);
         }
-    };
-
-    // Deadlock watchdog state: the progress vector as last seen, and the
-    // wall time since which every live worker has been blocked with that
-    // vector unchanged (`None` while the run is not in that state).
-    let mut last_progress: Option<Vec<u64>> = None;
-    let mut quiet_since: Option<Instant> = None;
-    loop {
-        sockets.pump(&mut slots, COLLECT_POLL);
-        observe(&slots, &mut observer);
-        // Heartbeat watchdog: a control socket silent past the dead-peer
-        // timeout means the worker process is gone (heartbeats flow every
-        // [`HEARTBEAT_PERIOD`] while it lives, even when blocked).
-        if let Some(timeout) = peer_timeout {
-            for slot in &mut slots {
-                if !slot.dead
-                    && slot.report.is_none()
-                    && slot.failure.is_none()
-                    && slot.last_seen.elapsed() >= timeout
-                {
-                    slot.dead = true;
-                }
-            }
-        }
-        if slots.iter().all(|s| s.report.is_some()) {
-            break;
-        }
-        if slots
-            .iter()
-            .any(|s| s.failure.is_some() || (s.dead && s.report.is_none()))
-        {
-            // Give the remaining workers a grace period to report context,
-            // then fold to the primary cause.
-            let deadline = Instant::now() + ABORT_GRACE;
-            while !slots
-                .iter()
-                .all(|s| s.report.is_some() || s.failure.is_some() || s.dead)
-            {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                sockets.pump(&mut slots, left);
-            }
-            return Err(worker_primary_failure(&slots).expect("failure observed"));
-        }
-        if let Some(cap) = wall_timeout {
-            if started.elapsed() >= cap {
-                let unfinished: Vec<usize> =
-                    (0..size).filter(|&r| slots[r].report.is_none()).collect();
-                return Err(RunError::WallTimeout {
-                    elapsed: started.elapsed(),
-                    unfinished,
-                });
-            }
-        }
-        if deadlock_detection {
-            let progress: Vec<u64> = slots.iter().map(|s| s.progress).collect();
-            let waiting_on: Vec<(usize, usize, i64)> = slots
-                .iter()
-                .enumerate()
-                .filter_map(|(rank, s)| match s.phase {
-                    RankPhase::Blocked { from, tag } => Some((rank, from, tag)),
-                    _ => None,
-                })
-                .collect();
-            let any_running = slots
-                .iter()
-                .any(|s| s.report.is_none() && s.phase == RankPhase::Running);
-            let moved = last_progress.as_ref() != Some(&progress);
-            last_progress = Some(progress);
-            if moved || any_running || waiting_on.is_empty() {
-                quiet_since = None;
-            } else if quiet_since.get_or_insert_with(Instant::now).elapsed() >= DEADLOCK_WINDOW {
-                return Err(RunError::Deadlock {
-                    blocked_ranks: waiting_on.iter().map(|w| w.0).collect(),
-                    waiting_on,
-                });
-            }
-        }
+        live
     }
 
-    // All results are in: one final observation (the pre-result absolute
-    // snapshots are decoded by now), then release the workers.
-    observe(&slots, &mut observer);
+    fn watch(&self) -> (Vec<RankPhase>, u64) {
+        let phases = self.slots.iter().map(|s| s.phase).collect();
+        // Each worker's count only grows, so their sum moves iff one does.
+        let progress = self
+            .slots
+            .iter()
+            .fold(0u64, |p, s| p.wrapping_add(s.progress));
+        (phases, progress)
+    }
+
+    fn abort(&mut self) {
+        self.aborted = true;
+        for stream in &self.streams {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+impl Drop for Workers<'_> {
+    fn drop(&mut self) {
+        self.abort();
+    }
+}
+
+/// Driver-side supervision of multi-process workers: feed their control
+/// frames to the one supervisor every engine shares — heartbeat-fed
+/// deadlock detection, an optional wall cap, and the failure fold — plus
+/// the dead-peer timeout. On success every worker receives `BYE` and the
+/// reports are returned in rank order.
+///
+/// When `observer` is `Some`, it is invoked with the current
+/// [`RankTelemetry`] of every rank each time the supervisor wakes — on
+/// each control frame, the last result's included — the hook behind
+/// `--live` and `--stats-out`.
+pub fn collect_workers(
+    controls: Vec<TcpStream>,
+    wall_timeout: Option<Duration>,
+    peer_timeout: Option<Duration>,
+    observer: TelemetryObserver<'_>,
+) -> Result<Vec<WorkerReport>, RunError> {
+    let size = controls.len();
+    let now = Instant::now();
+    let mut workers = Workers {
+        events: control_readers(&controls)?,
+        streams: controls,
+        slots: (0..size).map(|_| WorkerSlot::new(now)).collect(),
+        peer_timeout,
+        observer,
+        aborted: false,
+    };
+    let reports = supervise(&mut workers, size, wall_timeout)?;
     let bye = Frame::control(FrameKind::Bye, u32::MAX);
-    for stream in &mut sockets.streams {
+    for stream in &mut workers.streams {
         let _ = wire::write_frame(stream, &bye);
     }
-    Ok(slots
-        .into_iter()
-        .map(|s| s.report.expect("all reports collected"))
-        .collect())
+    Ok(reports)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervise::DEADLOCK_WINDOW;
     use crate::{Comm, Counter, VirtAcc};
 
     #[test]
@@ -1776,6 +1683,97 @@ mod tests {
                 other => other.to_string(),
             };
             assert_eq!(decode_comm_error(tag, nominal, aux, &text), e);
+        }
+    }
+
+    #[test]
+    fn thread_outcomes_and_worker_frames_fold_to_the_same_error() {
+        use crate::supervise::Monitor;
+        use crate::threaded::Threads;
+        let panic = || RankEnd::Panic("boom".into());
+        let comm = |error| RankEnd::CommFail(error);
+        let exhausted = CommError::RetransmitExhausted {
+            rank: 0,
+            tag: -3,
+            attempts: 5,
+        };
+        let lost = CommError::Disconnected { peer: 1 };
+        // Per rank: `Some(end)` is reported, `None` vanishes (a rank thread
+        // that never reports / a worker's control socket at end-of-stream).
+        let ok = || RankEnd::Ok(((), 0.0, StatsSnapshot::zero()));
+        let cases: Vec<(Vec<Option<RankEnd<_>>>, RunError)> = vec![
+            // A panic beats a communication error and a vanished rank.
+            (
+                vec![Some(comm(lost.clone())), None, Some(panic())],
+                RunError::RankPanicked {
+                    rank: 2,
+                    payload: "boom".into(),
+                },
+            ),
+            // A communication error beats a vanished rank; `Aborted` on
+            // a lower rank is never the primary cause.
+            (
+                vec![
+                    Some(comm(CommError::Aborted)),
+                    None,
+                    Some(comm(exhausted.clone())),
+                ],
+                RunError::Comm {
+                    rank: 2,
+                    error: exhausted,
+                },
+            ),
+            // A vanished rank beats `Aborted` fallout and successes.
+            (
+                vec![Some(comm(CommError::Aborted)), Some(ok()), None],
+                RunError::RankPanicked {
+                    rank: 2,
+                    payload: "rank died without reporting a result".into(),
+                },
+            ),
+            // Equal failures: the lowest rank is primary.
+            (
+                vec![Some(comm(lost.clone())), Some(comm(lost.clone())), None],
+                RunError::Comm {
+                    rank: 0,
+                    error: lost,
+                },
+            ),
+        ];
+        for (ranks, want) in cases {
+            let size = ranks.len();
+            let (done_tx, done) = channel();
+            let (frame_tx, events) = channel();
+            for (rank, end) in ranks.into_iter().enumerate() {
+                let Some(end) = end else {
+                    frame_tx.send((rank, None)).unwrap();
+                    continue;
+                };
+                let frame = match &end {
+                    RankEnd::Ok(_) => Frame::control(FrameKind::Result, rank as u32),
+                    failed => error_frame(rank, failed),
+                };
+                frame_tx.send((rank, Some(frame))).unwrap();
+                done_tx.send((rank, end)).unwrap();
+            }
+            drop((done_tx, frame_tx));
+            let monitor = Monitor::new(size);
+            let mut threads = Threads {
+                monitor: &monitor,
+                done,
+            };
+            let thread_err = supervise(&mut threads, size, None).unwrap_err();
+            let mut workers = Workers {
+                streams: Vec::new(),
+                events,
+                slots: (0..size).map(|_| WorkerSlot::new(Instant::now())).collect(),
+                peer_timeout: None,
+                observer: None,
+                aborted: false,
+            };
+            let worker_err = supervise(&mut workers, size, None).unwrap_err();
+            assert_eq!(format!("{thread_err:?}"), format!("{want:?}"));
+            assert_eq!(format!("{worker_err:?}"), format!("{want:?}"));
         }
     }
 
@@ -1866,7 +1864,6 @@ mod tests {
         let reports = collect_workers(
             controls,
             Some(Duration::from_secs(30)),
-            true,
             Some(Duration::from_millis(200)),
             None,
         )
@@ -1900,7 +1897,6 @@ mod tests {
         let err = collect_workers(
             controls,
             Some(Duration::from_secs(30)),
-            false,
             Some(Duration::from_millis(150)),
             None,
         )
@@ -2005,7 +2001,6 @@ mod tests {
         let err = collect_workers(
             controls,
             Some(Duration::from_secs(30)),
-            true,
             Some(Duration::from_secs(10)),
             None,
         )
@@ -2046,7 +2041,6 @@ mod tests {
         let reports = collect_workers(
             controls,
             Some(Duration::from_secs(30)),
-            true,
             Some(Duration::from_secs(10)),
             None,
         )

@@ -22,15 +22,15 @@
 //!   charged to the virtual clock with exponential backoff — restores exact
 //!   FIFO delivery, so lossy runs produce data bitwise identical to
 //!   fault-free runs.
-//! * A watchdog detects the all-ranks-blocked condition (a cyclic
-//!   communication schedule) and returns [`RunError::Deadlock`] naming the
-//!   blocked ranks, and optionally enforces a wall-clock cap
-//!   ([`RunError::WallTimeout`]) so a wedged run can never hang the caller
-//!   forever.
+//! * The [supervisor](crate::supervise) every engine shares reports a
+//!   cyclic schedule as [`RunError::Deadlock`] naming the blocked ranks,
+//!   and optionally caps wall time ([`RunError::WallTimeout`]), so a
+//!   wedged run can never hang the caller forever.
 //!
 //! Everything a rank does to its virtual clock lives in the shared
 //! [`RankCore`]; this module supplies its in-process [`ChannelLink`], the
-//! run options and report, and the watchdog both engines share.
+//! run options and report, and the rank-thread launcher of both
+//! in-process runners.
 
 use crate::comm::{CommAbort, CommStats, Envelope};
 use crate::error::{CommError, RunError};
@@ -38,21 +38,14 @@ use crate::fault::FaultPlan;
 use crate::model::MachineModel;
 use crate::obs::{MetricsRegistry, RankObs, StatsSnapshot};
 use crate::rank::{run_rank, Link, RankCore, RankEnd, RunShared};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::supervise::{supervise, Feed, Monitor, RankPhase};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Once};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How often a blocked receiver wakes to check the abort flag.
 pub(crate) const RECV_POLL: Duration = Duration::from_millis(25);
-/// How often the collector thread polls watchdog conditions.
-pub(crate) const COLLECT_POLL: Duration = Duration::from_millis(10);
-/// Consecutive silent polls with every live rank blocked before the
-/// watchdog declares a deadlock (~120 ms of global inactivity).
-pub(crate) const DEADLOCK_STABLE_POLLS: u32 = 12;
-/// How long the collector drains straggler outcomes after an abort.
-pub(crate) const ABORT_GRACE: Duration = Duration::from_secs(1);
 
 /// Outcome of a cluster run.
 #[derive(Clone, Debug)]
@@ -175,7 +168,7 @@ impl Default for RecoveryOptions {
 }
 
 /// Engine options: communication scheme, fault injection, crash recovery,
-/// the watchdog configuration and observability.
+/// the wall cap and observability.
 #[derive(Clone, Debug)]
 pub struct EngineOptions {
     /// Communication scheme in force (see [`CommScheme`]).
@@ -189,9 +182,6 @@ pub struct EngineOptions {
     /// compiled under `cfg(test)`, so the crate's own test suite can never
     /// hang on a wedged run.
     pub wall_timeout: Option<Duration>,
-    /// Detect the all-ranks-blocked condition and return
-    /// [`RunError::Deadlock`] instead of hanging (default: on).
-    pub deadlock_detection: bool,
     /// Observability session: when set, every rank records spans, counters,
     /// gauges and histograms into its slot of the shared registry. `None`
     /// (the default) keeps the hot paths observability-free.
@@ -205,7 +195,6 @@ impl Default for EngineOptions {
             fault: None,
             recovery: None,
             wall_timeout: default_wall_timeout(),
-            deadlock_detection: true,
             obs: None,
         }
     }
@@ -231,72 +220,6 @@ pub struct InjectedCrash {
     pub at: f64,
     /// Virtual clock when the crash fired.
     pub clock: f64,
-}
-
-/// What a rank is doing, as seen by the watchdog (and, in the
-/// multi-process model, by the driver's telemetry consumers).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RankPhase {
-    /// Computing or sending — anything but a blocking receive.
-    Running,
-    /// Blocked in a receive.
-    Blocked {
-        /// The rank it is receiving from.
-        from: usize,
-        /// The tag it is waiting on.
-        tag: i64,
-    },
-    /// Finished its program (result may still be in flight).
-    Done,
-}
-
-/// Shared run state: per-rank phases, a progress counter bumped on every
-/// state change and message hand-off, and the abort flag. Shared between
-/// the threaded and TCP engines (the TCP multi-process driver rebuilds the
-/// same view from heartbeat frames).
-pub(crate) struct Monitor {
-    phases: Mutex<Vec<RankPhase>>,
-    progress: AtomicU64,
-    abort: AtomicBool,
-}
-
-impl Monitor {
-    pub(crate) fn new(size: usize) -> Self {
-        Monitor {
-            phases: Mutex::new(vec![RankPhase::Running; size]),
-            progress: AtomicU64::new(0),
-            abort: AtomicBool::new(false),
-        }
-    }
-
-    pub(crate) fn set(&self, rank: usize, phase: RankPhase) {
-        self.phases.lock().expect("monitor poisoned")[rank] = phase;
-        self.bump();
-    }
-
-    pub(crate) fn snapshot(&self) -> Vec<RankPhase> {
-        self.phases.lock().expect("monitor poisoned").clone()
-    }
-
-    pub(crate) fn phase_of(&self, rank: usize) -> RankPhase {
-        self.phases.lock().expect("monitor poisoned")[rank]
-    }
-
-    pub(crate) fn bump(&self) {
-        self.progress.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn progress(&self) -> u64 {
-        self.progress.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn abort(&self) {
-        self.abort.store(true, Ordering::Relaxed);
-    }
-
-    pub(crate) fn aborted(&self) -> bool {
-        self.abort.load(Ordering::Relaxed)
-    }
 }
 
 /// The in-process [`Link`]: one `std::sync::mpsc` channel per directed
@@ -328,9 +251,6 @@ impl Link for ChannelLink {
 /// [`RankCore`] over in-process channels.
 pub type ThreadedComm = RankCore<ChannelLink>;
 
-/// A collected rank outcome: how it ended, final clock, final metrics.
-pub(crate) type RankSlot<R> = Option<(RankEnd<R>, f64, StatsSnapshot)>;
-
 /// Silence the default panic hook for the engine's sentinel payloads
 /// ([`CommAbort`] cascades and [`InjectedCrash`]es): they are expected
 /// control flow, reported through [`RunError`], and would otherwise spam
@@ -356,7 +276,7 @@ pub(crate) fn install_quiet_panic_hook() {
 /// statistics are collected into a [`RunReport`] (indexed by rank).
 ///
 /// `options` set the communication scheme, fault injection, recovery,
-/// watchdog and observability. Failures come back as [`RunError`]s: one
+/// wall cap and observability. Failures come back as [`RunError`]s: one
 /// rank's panic is contained and reported as [`RunError::RankPanicked`], a
 /// cyclic schedule as [`RunError::Deadlock`], and a wedged run as
 /// [`RunError::WallTimeout`] — the process is never aborted and the call
@@ -372,205 +292,108 @@ where
     F: Fn(&mut ThreadedComm) -> R + Send + Sync + 'static,
 {
     assert!(size > 0, "cluster needs at least one process");
-    install_quiet_panic_hook();
-    let shared = RunShared::new(size, model, &options);
-    // Channel matrix: channels[from][to].
-    let mut senders: Vec<Vec<Option<Sender<Envelope>>>> = (0..size)
-        .map(|_| (0..size).map(|_| None).collect())
-        .collect();
-    let mut receivers: Vec<Vec<Option<Receiver<Envelope>>>> = (0..size)
-        .map(|_| (0..size).map(|_| None).collect())
+    let mut links: Vec<ChannelLink> = (0..size)
+        .map(|_| ChannelLink {
+            txs: (0..size).map(|_| None).collect(),
+            rxs: (0..size).map(|_| None).collect(),
+        })
         .collect();
     for from in 0..size {
-        for to in 0..size {
-            if from == to {
-                continue;
-            }
+        for to in (0..size).filter(|&to| to != from) {
             let (tx, rx) = channel();
-            senders[from][to] = Some(tx);
-            receivers[to][from] = Some(rx);
+            links[from].txs[to] = Some(tx);
+            links[to].rxs[from] = Some(rx);
         }
     }
+    let links = links.into_iter().map(|link| move |_: &RunShared| Ok(link));
+    launch("tilecc-rank", size, model, &options, links, f)
+}
 
+/// The rank-thread launcher of both in-process runners: one thread per
+/// rank (named `{name}-{rank}`) builds its link with its entry of `links`
+/// and runs `f` on the endpoint, while this thread supervises the run. The
+/// runners differ only in how a rank gets its link; one that fails to get
+/// it reports the error as its outcome.
+pub(crate) fn launch<L, M, R, F>(
+    name: &str,
+    size: usize,
+    model: MachineModel,
+    options: &EngineOptions,
+    links: impl IntoIterator<Item = M>,
+    f: F,
+) -> Result<RunReport<R>, RunError>
+where
+    L: Link,
+    M: FnOnce(&RunShared) -> Result<L, CommError> + Send + 'static,
+    R: Send + 'static,
+    F: Fn(&mut RankCore<L>) -> R + Send + Sync + 'static,
+{
+    install_quiet_panic_hook();
+    let shared = RunShared::new(size, model, options);
     let f = Arc::new(f);
     let (done_tx, done_rx) = channel();
-    for (rank, (txs, rxs)) in senders.into_iter().zip(receivers).enumerate() {
-        let f = f.clone();
-        let done = done_tx.clone();
-        let comm = shared.core(rank, ChannelLink { txs, rxs });
+    for (rank, link) in links.into_iter().enumerate() {
+        let (f, done, shared) = (f.clone(), done_tx.clone(), shared.clone());
         thread::Builder::new()
-            .name(format!("tilecc-rank-{rank}"))
+            .name(format!("{name}-{rank}"))
             .spawn(move || {
-                let (end, clock, stats) = run_rank(comm, |comm| f(comm));
-                let _ = done.send((rank, end, clock, stats));
+                let end = link(&shared).map_or_else(RankEnd::CommFail, |link| {
+                    run_rank(shared.core(rank, link), |comm| f(comm))
+                });
+                let _ = done.send((rank, end));
             })
             .expect("failed to spawn rank thread");
     }
     drop(done_tx);
-
-    collect(size, &shared.monitor, done_rx, &options)
-}
-
-/// Collect rank outcomes while running the watchdog: wall-clock cap and
-/// all-ranks-blocked deadlock detection. Shared by the threaded engine and
-/// the in-process TCP runner ([`crate::tcp::run_cluster_tcp`]).
-pub(crate) fn collect<R>(
-    size: usize,
-    monitor: &Monitor,
-    done_rx: Receiver<(usize, RankEnd<R>, f64, StatsSnapshot)>,
-    options: &EngineOptions,
-) -> Result<RunReport<R>, RunError> {
-    let started = Instant::now();
-    let mut slots: Vec<RankSlot<R>> = (0..size).map(|_| None).collect();
-    let mut finished = 0usize;
-    let mut last_progress = monitor.progress();
-    let mut stable: u32 = 0;
-
-    while finished < size {
-        match done_rx.recv_timeout(COLLECT_POLL) {
-            Ok((rank, end, clock, stats)) => {
-                slots[rank] = Some((end, clock, stats));
-                finished += 1;
-                stable = 0;
-                continue;
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-
-        if let Some(cap) = options.wall_timeout {
-            if started.elapsed() >= cap {
-                monitor.abort();
-                drain_stragglers(&done_rx, &mut slots, &mut finished);
-                if let Some(e) = primary_failure(&slots) {
-                    return Err(e);
-                }
-                let unfinished: Vec<usize> = (0..size).filter(|&r| slots[r].is_none()).collect();
-                return Err(RunError::WallTimeout {
-                    elapsed: started.elapsed(),
-                    unfinished,
-                });
-            }
-        }
-
-        if options.deadlock_detection {
-            let progress = monitor.progress();
-            if progress != last_progress {
-                last_progress = progress;
-                stable = 0;
-                continue;
-            }
-            let snapshot = monitor.snapshot();
-            let waiting_on: Vec<(usize, usize, i64)> = snapshot
-                .iter()
-                .enumerate()
-                .filter_map(|(rank, p)| match p {
-                    RankPhase::Blocked { from, tag } => Some((rank, *from, *tag)),
-                    _ => None,
-                })
-                .collect();
-            let any_running = snapshot.contains(&RankPhase::Running);
-            if any_running || waiting_on.is_empty() {
-                stable = 0;
-                continue;
-            }
-            // Every live rank is blocked and nothing moved: count silent
-            // polls before declaring deadlock (a message hand-off or state
-            // change would have bumped the progress counter).
-            stable += 1;
-            if stable >= DEADLOCK_STABLE_POLLS {
-                monitor.abort();
-                drain_stragglers(&done_rx, &mut slots, &mut finished);
-                if let Some(e) = primary_failure(&slots) {
-                    return Err(e);
-                }
-                return Err(RunError::Deadlock {
-                    blocked_ranks: waiting_on.iter().map(|w| w.0).collect(),
-                    waiting_on,
-                });
-            }
-        }
-    }
-
-    if let Some(e) = primary_failure(&slots) {
-        return Err(e);
-    }
-    let mut results = Vec::with_capacity(size);
-    let mut local_times = Vec::with_capacity(size);
-    let mut stats = Vec::with_capacity(size);
-    for (rank, slot) in slots.into_iter().enumerate() {
-        let Some((end, clock, st)) = slot else {
-            return Err(RunError::RankPanicked {
-                rank,
-                payload: "rank thread vanished without reporting".into(),
-            });
-        };
-        match end {
-            RankEnd::Ok(r) => {
-                results.push(r);
-                local_times.push(clock);
-                stats.push(CommStats::from_snapshot(&st));
-            }
-            // primary_failure() above returned for panics and non-abort
-            // comm failures; a stray Aborted still surfaces as an error.
-            RankEnd::CommFail(error) => return Err(RunError::Comm { rank, error }),
-            RankEnd::Panic(payload) => return Err(RunError::RankPanicked { rank, payload }),
-        }
-    }
+    let mut feed = Threads {
+        monitor: &shared.monitor,
+        done: done_rx,
+    };
+    let ranks = supervise(&mut feed, size, options.wall_timeout)?;
     Ok(RunReport {
-        results,
-        local_times,
-        stats,
+        local_times: ranks.iter().map(|r| r.1).collect(),
+        stats: ranks
+            .iter()
+            .map(|r| CommStats::from_snapshot(&r.2))
+            .collect(),
+        results: ranks.into_iter().map(|r| r.0).collect(),
     })
 }
 
-/// After an abort, give rank threads a bounded grace period to report, so
-/// the error carries as much context as possible. Threads that still do not
-/// finish (e.g. wedged in user compute code) are abandoned, never joined —
-/// the engine must not hang.
-fn drain_stragglers<R>(
-    done_rx: &Receiver<(usize, RankEnd<R>, f64, StatsSnapshot)>,
-    slots: &mut [RankSlot<R>],
-    finished: &mut usize,
-) {
-    let deadline = Instant::now() + ABORT_GRACE;
-    while *finished < slots.len() && Instant::now() < deadline {
-        match done_rx.recv_timeout(COLLECT_POLL) {
-            Ok((rank, end, clock, stats)) => {
-                slots[rank] = Some((end, clock, stats));
-                *finished += 1;
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
+/// How one rank thread ended, with its final clock and metrics.
+pub(crate) type ThreadEnd<R> = RankEnd<(R, f64, StatsSnapshot)>;
+
+/// The in-process runners' [`Feed`]: outcomes off the rank threads' done
+/// channel, phases and progress off the shared [`Monitor`], and the
+/// monitor's abort flag, which every blocked receive polls.
+pub(crate) struct Threads<'a, R> {
+    pub(crate) monitor: &'a Monitor,
+    pub(crate) done: Receiver<(usize, ThreadEnd<R>)>,
 }
 
-/// The primary failure among collected outcomes: a genuine panic wins over
-/// secondary communication failures (peers observing the dead rank), and
-/// non-abort communication errors win over watchdog-abort fallout.
-fn primary_failure<R>(slots: &[RankSlot<R>]) -> Option<RunError> {
-    for (rank, slot) in slots.iter().enumerate() {
-        if let Some((RankEnd::Panic(payload), ..)) = slot {
-            return Some(RunError::RankPanicked {
-                rank,
-                payload: payload.clone(),
-            });
+impl<R> Feed for Threads<'_, R> {
+    type Out = (R, f64, StatsSnapshot);
+
+    fn pump(&mut self, timeout: Duration, ends: &mut [Option<ThreadEnd<R>>]) -> bool {
+        // A disconnected channel means every rank thread has exited.
+        let first = match self.done.recv_timeout(timeout) {
+            Ok(first) => first,
+            Err(e) => return e == RecvTimeoutError::Timeout,
+        };
+        for (rank, end) in std::iter::once(first).chain(self.done.try_iter()) {
+            ends[rank] = Some(end);
         }
+        true
     }
-    for (rank, slot) in slots.iter().enumerate() {
-        if let Some((RankEnd::CommFail(e), ..)) = slot {
-            // `Aborted` is watchdog fallout, never a primary cause — the
-            // watchdog's own Deadlock/WallTimeout error describes the run.
-            if *e != CommError::Aborted {
-                return Some(RunError::Comm {
-                    rank,
-                    error: e.clone(),
-                });
-            }
-        }
+
+    fn watch(&self) -> (Vec<RankPhase>, u64) {
+        let progress = self.monitor.progress();
+        (self.monitor.snapshot(), progress)
     }
-    None
+
+    fn abort(&mut self) {
+        self.monitor.abort();
+    }
 }
 
 #[cfg(test)]
@@ -1306,6 +1129,29 @@ mod failure_tests {
             }
             other => panic!("expected RankPanicked, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_failure_is_folded_after_the_grace_not_when_every_rank_is_done() {
+        // Rank 1 computes far past the grace without communicating, so
+        // nothing tells it rank 0 is gone: the run must not wait for it.
+        let t0 = std::time::Instant::now();
+        let err = run_cluster(2, zero(), EngineOptions::default(), |comm| {
+            if comm.rank() == 0 {
+                panic!("rank 0 fails first");
+            }
+            std::thread::sleep(Duration::from_secs(10));
+        })
+        .unwrap_err();
+        let waited = t0.elapsed();
+        match err {
+            RunError::RankPanicked { rank: 0, payload } => {
+                assert!(payload.contains("fails first"), "{payload}");
+            }
+            other => panic!("expected RankPanicked for rank 0, got {other:?}"),
+        }
+        let bound = crate::supervise::ABORT_GRACE + Duration::from_secs(2);
+        assert!(waited < bound, "folded after {waited:?}");
     }
 
     #[test]
