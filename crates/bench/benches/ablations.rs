@@ -102,7 +102,7 @@ fn clamp_ablation(h: &mut Harness) {
         for tile in &tiles {
             let origin = tile_origin(tiled.transform(), tile);
             let clamp = (!tiled.tile_is_interior(tile)).then_some(&plan.clamp);
-            n += count_tile(chain, &origin, clamp, &chain.compute_runs, &mut j);
+            n += count_tile(chain, &origin, clamp, &chain.walk, &mut j);
         }
         black_box(n);
     });

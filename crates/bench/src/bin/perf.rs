@@ -29,15 +29,16 @@
 //! real cost and writes the same `perf_obs_trace.json` /
 //! `perf_obs_metrics.json` artifacts the CLI emits.
 //!
-//! `perf --vec-bench [--test] [--out <path>]` compares the run-coalesced /
-//! batched hot paths of this PR against the per-point PR2 baselines
-//! (kept verbatim as `*_per_point` / `*_per_index` / `*_per_cell`): the
-//! interior compute loop, pack, unpack, and gather, plus the run-clamped
-//! gather of a boundary tile against the per-point `tile_iterations` walk.
-//! Every path is first cross-checked bitwise against its baseline on the
-//! same tile, then timed with warmup + median-of-N wall-clock rounds.
-//! Results — wall-clock medians, virtual-model makespans, batched-point
-//! coverage, and machine info — go to `BENCH_PR7.json`. Acceptance: the batched interior compute
+//! `perf --vec-bench [--test] [--out <path>]` compares the row-lowered /
+//! batched hot paths against the per-point baselines of
+//! [`tilecc_bench::per_point`]: the interior compute loop, pack, unpack,
+//! and gather, plus the row-clamped gather of a boundary tile against the
+//! per-point `tile_iterations` walk. Every path is first cross-checked
+//! bitwise against its baseline on the same tile, then timed after warmup
+//! in paired rounds (baseline, then optimized, back to back); a path's
+//! speedup is the median of its per-round ratios. Results — wall-clock
+//! medians, virtual-model makespans, batched-point coverage, and machine
+//! info — go to `BENCH_PR7.json`. Acceptance: the batched interior compute
 //! must beat the per-point loop by >= 1.5x on at least 4 of the 6 paper
 //! workloads. With `--test`, every path runs once (identity checks only)
 //! and no JSON is written.
@@ -68,12 +69,15 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tilecc::matrices;
+use tilecc_bench::per_point::{
+    self, compute_tile_fast_per_point, gather_tile_per_cell, pack_region_per_index,
+    unpack_region_per_index, PerPoint,
+};
 use tilecc_cluster::{Counter, EngineOptions, MachineModel, MetricsRegistry};
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_loopnest::DataSpace;
 use tilecc_parcode::compiled::{
-    compute_tile_fast, compute_tile_fast_per_point, gather_tile, gather_tile_per_cell, pack_region,
-    pack_region_per_index, tile_origin, unpack_region, unpack_region_per_index, ComputeScratch,
+    compute_tile_fast, gather_tile, pack_region, tile_origin, unpack_region, ComputeScratch,
 };
 use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
 use tilecc_tiling::{insert_at, Lds, TilingTransform};
@@ -186,7 +190,7 @@ fn bench_workload(name: &str, plan: ParallelPlan, smoke: bool) -> (Vec<PathResul
                 &origin,
                 kernel.as_ref(),
                 scratch,
-                &chain.compute_runs,
+                &chain.walk,
                 None,
             );
         })
@@ -406,7 +410,7 @@ fn obs_overhead(smoke: bool) {
                     &origin,
                     kernel,
                     scratch,
-                    &chain.compute_runs,
+                    &chain.walk,
                     None,
                 );
             });
@@ -422,7 +426,7 @@ fn obs_overhead(smoke: bool) {
                     &origin,
                     kernel,
                     scratch,
-                    &chain.compute_runs,
+                    &chain.walk,
                     None,
                 );
                 if let Some(reg) = disabled.as_ref() {
@@ -586,10 +590,9 @@ fn overlap_bench(out_path: &str) {
     println!("wrote {out_path} (max overlap speedup {max_speedup:.3}x)");
 }
 
-/// Wall-clock statistics for `f`: warmup runs, then `rounds` timed batches
-/// of at least `MIN_ROUND_MS` each, reported as ns per inner iteration.
-/// The median round is the headline number (noise-robust); the minimum is
-/// kept as the optimistic floor.
+/// Wall-clock statistics of one path in ns per inner iteration: the median
+/// round is the headline number (noise-robust); the minimum is kept as the
+/// optimistic floor.
 struct WallStat {
     median_ns: f64,
     min_ns: f64,
@@ -599,30 +602,56 @@ const WALL_WARMUP_RUNS: usize = 3;
 const WALL_ROUNDS: usize = 15;
 const MIN_ROUND_MS: u64 = 10;
 
-fn wall_stat<F: FnMut()>(smoke: bool, inner: usize, mut f: F) -> WallStat {
+/// Paired wall-clock comparison of a `baseline` and an `optimized` path on
+/// the shared `state`: warmup runs of both, then `WALL_ROUNDS` rounds that
+/// each time one batch of at least `MIN_ROUND_MS` of the baseline and then
+/// one of the optimized path, back to back, so slow drift (frequency
+/// scaling, noisy neighbours) cancels within the pair. The speedup is the
+/// median of the per-round ratios, as in `--obs-overhead`. Smoke mode
+/// times nothing and reports zeros.
+fn paired_stat<S>(
+    name: &'static str,
+    smoke: bool,
+    inner: usize,
+    state: &mut S,
+    mut baseline: impl FnMut(&mut S),
+    mut optimized: impl FnMut(&mut S),
+) -> VecPath {
     for _ in 0..WALL_WARMUP_RUNS {
-        f();
+        baseline(state);
+        optimized(state);
     }
-    if smoke {
-        return WallStat {
-            median_ns: 0.0,
-            min_ns: 0.0,
-        };
-    }
-    let mut samples = Vec::with_capacity(WALL_ROUNDS);
-    for _ in 0..WALL_ROUNDS {
+    let mut round = |f: &mut dyn FnMut(&mut S)| {
         let t0 = Instant::now();
         let mut reps: u64 = 0;
         while reps < 3 || t0.elapsed() < Duration::from_millis(MIN_ROUND_MS) {
-            f();
+            f(state);
             reps += 1;
         }
-        samples.push(t0.elapsed().as_nanos() as f64 / (reps as usize * inner) as f64);
+        t0.elapsed().as_nanos() as f64 / (reps as usize * inner) as f64
+    };
+    let rounds = if smoke { 0 } else { WALL_ROUNDS };
+    let (mut base_ns, mut opt_ns, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..rounds {
+        let b = round(&mut baseline);
+        let o = round(&mut optimized);
+        base_ns.push(b);
+        opt_ns.push(o);
+        ratios.push(b / o);
     }
-    samples.sort_by(f64::total_cmp);
-    WallStat {
-        median_ns: samples[WALL_ROUNDS / 2],
-        min_ns: samples[0],
+    let stat = |mut s: Vec<f64>| {
+        s.sort_by(f64::total_cmp);
+        WallStat {
+            median_ns: s.get(s.len() / 2).copied().unwrap_or(0.0),
+            min_ns: s.first().copied().unwrap_or(0.0),
+        }
+    };
+    VecPath {
+        name,
+        inner,
+        baseline: stat(base_ns),
+        optimized: stat(opt_ns),
+        speedup: stat(ratios).median_ns,
     }
 }
 
@@ -652,22 +681,19 @@ struct VecPath {
     inner: usize,
     baseline: WallStat,
     optimized: WallStat,
+    /// Median of the per-round baseline/optimized ratios.
+    speedup: f64,
 }
 
-impl VecPath {
-    fn speedup(&self) -> f64 {
-        self.baseline.median_ns / self.optimized.median_ns
-    }
-}
-
-/// Wall-clock comparison of the PR7 run-coalesced/batched hot paths
-/// against the per-point PR2 baselines, written to `BENCH_PR7.json`.
+/// Wall-clock comparison of the row-lowered/batched hot paths against the
+/// per-point baselines ([`tilecc_bench::per_point`]), written to
+/// `BENCH_PR7.json`.
 ///
 /// Every optimized path is first cross-checked bitwise against its
 /// baseline on the same tile state, so a timing win can never hide a
 /// semantic change. Acceptance (non-smoke): batched interior compute at
 /// least 1.5x over the per-point loop on at least 4 of the 6 paper
-/// workloads.
+/// workloads, by the median of paired per-round ratios.
 #[allow(clippy::too_many_lines)]
 fn vec_bench(out_path: &str, smoke: bool) {
     let model = MachineModel::fast_ethernet_p3();
@@ -679,7 +705,8 @@ fn vec_bench(out_path: &str, smoke: bool) {
     let _ = writeln!(
         json,
         "  \"timing\": {{\"warmup_runs\": {WALL_WARMUP_RUNS}, \"rounds\": {WALL_ROUNDS}, \
-         \"statistic\": \"median\", \"min_round_ms\": {MIN_ROUND_MS}}},"
+         \"statistic\": \"median\", \"speedup\": \"median of paired per-round ratios\", \
+         \"min_round_ms\": {MIN_ROUND_MS}}},"
     );
     let _ = writeln!(json, "  \"machine\": {},", machine_json());
     json.push_str("  \"workloads\": {\n");
@@ -697,6 +724,7 @@ fn vec_bench(out_path: &str, smoke: bool) {
         let num_tiles = hi_t - lo_t + 1;
         let w = plan.algorithm.width();
         let chain = plan.compiled_for(num_tiles);
+        let pp = PerPoint::new(&plan, num_tiles);
         let origin = tile_origin(t, &tile);
         let q = plan.deps().cols();
         let kernel = plan.algorithm.kernel.clone();
@@ -704,7 +732,7 @@ fn vec_bench(out_path: &str, smoke: bool) {
         let points = chain.tile_points;
         // SOR's skewed innermost dependence has lag 1, so its plan cannot
         // batch (the analysis proves any chunk would read stale values);
-        // it must still win on the coalesced pack/unpack/gather paths.
+        // it must still win on the row-copy pack/unpack/gather paths.
         let expect_batched = !name.starts_with("sor");
 
         let mut lds = plan.rank_lds(rank);
@@ -714,10 +742,11 @@ fn vec_bench(out_path: &str, smoke: bool) {
             }
         };
         let mut scratch = ComputeScratch::new(n, q, w);
+        let mut base_scratch = per_point::Scratch::new(n, q, w);
 
         // --- bitwise identity: batched == per-point on the same tile ------
         fill(&mut lds);
-        compute_tile_fast_per_point(chain, &mut lds, tpos, &origin, kernel, &mut scratch);
+        compute_tile_fast_per_point(&pp, &mut lds, tpos, &origin, kernel, &mut base_scratch);
         let want: Vec<u64> = lds.values().iter().map(|v| v.to_bits()).collect();
         fill(&mut lds);
         let (_, batched) = compute_tile_fast(
@@ -727,7 +756,7 @@ fn vec_bench(out_path: &str, smoke: bool) {
             &origin,
             kernel,
             &mut scratch,
-            &chain.compute_runs,
+            &chain.walk,
             None,
         );
         let got: Vec<u64> = lds.values().iter().map(|v| v.to_bits()).collect();
@@ -737,41 +766,23 @@ fn vec_bench(out_path: &str, smoke: bool) {
         );
         assert!(
             !expect_batched || batched > 0,
-            "{name}: plan-time lag analysis produced no batched runs"
+            "{name}: plan-time lag analysis produced no batched rows"
         );
         let batched_fraction = batched as f64 / points as f64;
         let mut paths: Vec<VecPath> = Vec::new();
 
         // --- interior compute ---------------------------------------------
         fill(&mut lds);
-        let baseline = {
-            let (lds, scratch) = (&mut lds, &mut scratch);
-            wall_stat(smoke, points, || {
-                compute_tile_fast_per_point(chain, lds, tpos, &origin, kernel, scratch);
-            })
-        };
-        fill(&mut lds);
-        let optimized = {
-            let (lds, scratch) = (&mut lds, &mut scratch);
-            wall_stat(smoke, points, || {
-                compute_tile_fast(
-                    chain,
-                    lds,
-                    tpos,
-                    &origin,
-                    kernel,
-                    scratch,
-                    &chain.compute_runs,
-                    None,
-                );
-            })
-        };
-        paths.push(VecPath {
-            name: "compute",
-            inner: points,
-            baseline,
-            optimized,
-        });
+        paths.push(paired_stat(
+            "compute",
+            smoke,
+            points,
+            &mut (&mut lds, &mut base_scratch, &mut scratch),
+            |(lds, scr, _)| compute_tile_fast_per_point(&pp, lds, tpos, &origin, kernel, scr),
+            |(lds, _, scr)| {
+                compute_tile_fast(chain, lds, tpos, &origin, kernel, scr, &chain.walk, None);
+            },
+        ));
 
         // --- pack / unpack -------------------------------------------------
         fill(&mut lds);
@@ -780,31 +791,21 @@ fn vec_bench(out_path: &str, smoke: bool) {
             let count = plan.region_counts[dm_idx];
             let mut payload = vec![0.0f64; count * w];
             let mut payload_base = vec![0.0f64; count * w];
-            pack_region_per_index(chain, &lds, tpos, dm_idx, &mut payload_base);
+            pack_region_per_index(&pp, &lds, tpos, dm_idx, &mut payload_base);
             pack_region(chain, &lds, tpos, dm_idx, &mut payload);
             assert_eq!(
                 payload_base.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 payload.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{name}: run-coalesced pack differs bitwise from per-index pack"
+                "{name}: row-copy pack differs bitwise from per-index pack"
             );
-            let baseline = {
-                let (lds, payload) = (&lds, &mut payload_base);
-                wall_stat(smoke, count, || {
-                    pack_region_per_index(chain, lds, tpos, dm_idx, payload);
-                })
-            };
-            let optimized = {
-                let (lds, payload) = (&lds, &mut payload);
-                wall_stat(smoke, count, || {
-                    pack_region(chain, lds, tpos, dm_idx, payload);
-                })
-            };
-            paths.push(VecPath {
-                name: "pack",
-                inner: count,
-                baseline,
-                optimized,
-            });
+            paths.push(paired_stat(
+                "pack",
+                smoke,
+                count,
+                &mut payload,
+                |payload| pack_region_per_index(&pp, &lds, tpos, dm_idx, payload),
+                |payload| pack_region(chain, &lds, tpos, dm_idx, payload),
+            ));
 
             let ds_idx = plan
                 .comm
@@ -812,36 +813,26 @@ fn vec_bench(out_path: &str, smoke: bool) {
                 .iter()
                 .position(|d| *d == Some(dm_idx))
                 .expect("every proc dep comes from a tile dep");
-            let ucount = chain.unpack_rel[ds_idx].len();
+            let ucount = chain.unpack[ds_idx].points;
             let upayload: Vec<f64> = (0..ucount * w).map(|i| 1.0 + 0.5 * i as f64).collect();
             fill(&mut lds);
-            unpack_region_per_index(chain, &mut lds, tpos, ds_idx, &upayload).unwrap();
+            unpack_region_per_index(&pp, &mut lds, tpos, ds_idx, &upayload).unwrap();
             let want: Vec<u64> = lds.values().iter().map(|v| v.to_bits()).collect();
             fill(&mut lds);
             unpack_region(chain, &mut lds, tpos, ds_idx, &upayload).unwrap();
             let got: Vec<u64> = lds.values().iter().map(|v| v.to_bits()).collect();
             assert_eq!(
                 want, got,
-                "{name}: run-coalesced unpack differs bitwise from per-index unpack"
+                "{name}: row-copy unpack differs bitwise from per-index unpack"
             );
-            let baseline = {
-                let (lds, upayload) = (&mut lds, &upayload);
-                wall_stat(smoke, ucount, || {
-                    unpack_region_per_index(chain, lds, tpos, ds_idx, upayload).unwrap();
-                })
-            };
-            let optimized = {
-                let (lds, upayload) = (&mut lds, &upayload);
-                wall_stat(smoke, ucount, || {
-                    unpack_region(chain, lds, tpos, ds_idx, upayload).unwrap();
-                })
-            };
-            paths.push(VecPath {
-                name: "unpack",
-                inner: ucount,
-                baseline,
-                optimized,
-            });
+            paths.push(paired_stat(
+                "unpack",
+                smoke,
+                ucount,
+                &mut lds,
+                |lds| unpack_region_per_index(&pp, lds, tpos, ds_idx, &upayload).unwrap(),
+                |lds| unpack_region(chain, lds, tpos, ds_idx, &upayload).unwrap(),
+            ));
         }
 
         // --- gather --------------------------------------------------------
@@ -849,33 +840,23 @@ fn vec_bench(out_path: &str, smoke: bool) {
         fill(&mut lds);
         let mut ds_base = DataSpace::with_width(&blo, &bhi, w);
         let mut ds_opt = DataSpace::with_width(&blo, &bhi, w);
-        gather_tile_per_cell(chain, &lds, tpos, &origin, &mut ds_base);
+        gather_tile_per_cell(&pp, &lds, tpos, &origin, &mut ds_base);
         gather_tile(chain, &lds, tpos, &origin, None, &mut ds_opt);
         assert_eq!(
             ds_base.diff(&ds_opt),
             None,
-            "{name}: run-coalesced gather differs bitwise from per-cell gather"
+            "{name}: row-copy gather differs bitwise from per-cell gather"
         );
-        let baseline = {
-            let (lds, ds) = (&lds, &mut ds_base);
-            wall_stat(smoke, points, || {
-                gather_tile_per_cell(chain, lds, tpos, &origin, ds);
-            })
-        };
-        let optimized = {
-            let (lds, ds) = (&lds, &mut ds_opt);
-            wall_stat(smoke, points, || {
-                gather_tile(chain, lds, tpos, &origin, None, ds);
-            })
-        };
-        paths.push(VecPath {
-            name: "gather",
-            inner: points,
-            baseline,
-            optimized,
-        });
+        paths.push(paired_stat(
+            "gather",
+            smoke,
+            points,
+            &mut ds_opt,
+            |ds| gather_tile_per_cell(&pp, &lds, tpos, &origin, ds),
+            |ds| gather_tile(chain, &lds, tpos, &origin, None, ds),
+        ));
 
-        // --- boundary gather: run-clamped vs the per-point walk ------------
+        // --- boundary gather: row-clamped vs the per-point walk ------------
         let (brank, btpos, btile) =
             find_boundary(&plan).unwrap_or_else(|| panic!("{name}: no boundary tile"));
         let (blo_t, bhi_t) = plan.dist.chains[brank];
@@ -898,25 +879,17 @@ fn vec_bench(out_path: &str, smoke: bool) {
         assert_eq!(
             ds_base.diff(&ds_opt),
             None,
-            "{name}: run-clamped boundary gather differs bitwise from the tile_iterations walk"
+            "{name}: row-clamped boundary gather differs bitwise from the tile_iterations walk"
         );
         let bpoints = ds_base.num_written();
-        let baseline = {
-            let ds = &mut ds_base;
-            wall_stat(smoke, bpoints, || walk(&blds, ds))
-        };
-        let optimized = {
-            let (lds, ds) = (&blds, &mut ds_opt);
-            wall_stat(smoke, bpoints, || {
-                gather_tile(bchain, lds, btpos, &borigin, Some(space), ds);
-            })
-        };
-        paths.push(VecPath {
-            name: "gather_boundary",
-            inner: bpoints,
-            baseline,
-            optimized,
-        });
+        paths.push(paired_stat(
+            "gather_boundary",
+            smoke,
+            bpoints,
+            &mut ds_opt,
+            |ds| walk(&blds, ds),
+            |ds| gather_tile(bchain, &blds, btpos, &borigin, Some(space), ds),
+        ));
 
         // --- end-to-end: virtual makespan + wall clock + batch coverage ---
         let plan = Arc::new(plan);
@@ -973,11 +946,11 @@ fn vec_bench(out_path: &str, smoke: bool) {
                     p.name,
                     p.baseline.median_ns,
                     p.optimized.median_ns,
-                    p.speedup(),
+                    p.speedup,
                     p.inner
                 );
             }
-            if p.name == "compute" && p.speedup() >= 1.5 {
+            if p.name == "compute" && p.speedup >= 1.5 {
                 compute_wins += 1;
             }
             let _ = writeln!(
@@ -990,7 +963,7 @@ fn vec_bench(out_path: &str, smoke: bool) {
                 p.optimized.median_ns,
                 p.baseline.min_ns,
                 p.optimized.min_ns,
-                p.speedup(),
+                p.speedup,
                 p.inner,
                 if i + 1 < np { "," } else { "" }
             );

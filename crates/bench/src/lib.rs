@@ -8,6 +8,7 @@
 
 pub mod gantt;
 pub mod harness;
+pub mod per_point;
 
 use std::path::Path;
 use tilecc::{measure, probe_procs, MeasuredPoint, Variant, Workload};

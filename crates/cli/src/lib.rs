@@ -2327,6 +2327,31 @@ X[t,i,j] = X[t-1,i,j] + 0.3*X[t-1,i-1,j] - 0.2*X[t-1,i,j-1]
     }
 
     #[test]
+    fn large_tiles_plan_without_per_point_tables() {
+        // Tiles of 10⁸ and 4.9·10⁹ lattice points: the chain tables hold
+        // one entry per TTIS row, so planning neither allocates per point
+        // nor runs out of a point index.
+        let p = write_nest(
+            "kernel big\nparam N = 100000\niter i = 1 to N\niter j = 1 to N\n\
+             array A = 1.0\nA[i,j] = 0.5*A[i-1,j] + 0.5*A[i,j-1]\n",
+        );
+        for (rect, size, procs) in [
+            ("10000,10000", 100_000_000, 11),
+            ("70000,70000", 4_900_000_000u64, 2),
+        ] {
+            let t0 = std::time::Instant::now();
+            let out = run_cli(&args(&["plan", p.to_str(), "--rect", rect, "--map", "0"])).unwrap();
+            assert!(
+                t0.elapsed() < std::time::Duration::from_secs(5),
+                "{rect}: planning took {:?}",
+                t0.elapsed()
+            );
+            assert!(out.contains(&format!("tile size   : {size}\n")), "{out}");
+            assert!(out.contains(&format!("processors  : {procs}\n")), "{out}");
+        }
+    }
+
+    #[test]
     fn tile_volume_past_i64_is_a_typed_error() {
         // (3·10⁹)³ lattice points per tile does not fit i64.
         let jacobi = format!(

@@ -6,16 +6,16 @@
 //! each tile it receives and unpacks the messages for which this tile is the
 //! lexicographically minimum successor of a valid predecessor tile; it then
 //! computes the tile's iterations (strided TTIS traversal; on a boundary
-//! tile each compute run is clipped to the interval the original iteration
+//! tile each TTIS row is clipped to the interval the original iteration
 //! space admits, see [`crate::compiled`]); finally it packs and sends one
 //! message per processor dependence that has a valid successor tile. The
-//! compute is one pass over the tile's runs under the compiled strategy,
+//! compute is one pass over the tile's rows under the compiled strategy,
 //! and a boundary pass, the sends, then an interior pass under the
 //! overlapped one; the reference strategy walks the tile per point.
 
 use crate::compiled::{
     compute_tile_fast, count_tile, gather_tile, pack_region, tile_origin, unpack_region,
-    CompiledChain, ComputeRun, ComputeScratch,
+    CompiledChain, ComputeScratch, Span,
 };
 use crate::plan::ParallelPlan;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -164,7 +164,7 @@ pub fn execute(
 /// payloads ([`decode_rank_state`]).
 ///
 /// The compiled strategies copy every valid tile through the plan-time
-/// gather runs, cutting a boundary tile's runs to their in-space intervals
+/// TTIS rows, cutting a boundary tile's rows to their in-space intervals
 /// ([`gather_tile`]); only the reference strategy walks `tile_iterations`
 /// per point.
 pub fn gather(
@@ -363,83 +363,81 @@ pub fn run_rank<C: Comm>(
                 let clamp = (!is_interior).then_some(&plan.clamp);
                 let origin = tile_origin(t, &cur_tile);
                 let mut tile_vectorized: u64 = 0;
-                // One compute pass over `runs`: count it (timing-only, no
+                // One compute pass over `spans`: count it (timing-only, no
                 // LDS), walk the tile per point (the reference oracle, which
-                // ignores `runs`) or run the compiled compute; then charge it
+                // ignores `spans`) or run the compiled compute; then charge it
                 // to the clock and record it as a `name` compute span.
-                let mut pass = |comm: &mut C,
-                                lds: &mut Option<Lds>,
-                                name: &'static str,
-                                runs: &[ComputeRun]| {
-                    let t0 = if obs_on {
-                        comm.obs().map(|o| o.now_ns())
-                    } else {
-                        None
-                    };
-                    let v0 = comm.local_time();
-                    let iters = match (lds.as_mut(), strategy) {
-                        (None, _) => count_tile(chain, &origin, clamp, runs, &mut j_buf),
-                        (Some(lds), ExecStrategy::Reference) => {
-                            let mut iters = 0;
-                            for (jp, j) in plan.tiled.tile_iterations(&cur_tile) {
-                                iters += 1;
-                                let g = lds.unrolled(tpos, &jp);
-                                for dq in 0..q {
-                                    for k in 0..n {
-                                        src[k] = j[k] - deps[(k, dq)];
-                                        gs[k] = g[k] - d_prime[(k, dq)];
+                let mut pass =
+                    |comm: &mut C, lds: &mut Option<Lds>, name: &'static str, spans: &[Span]| {
+                        let t0 = if obs_on {
+                            comm.obs().map(|o| o.now_ns())
+                        } else {
+                            None
+                        };
+                        let v0 = comm.local_time();
+                        let iters = match (lds.as_mut(), strategy) {
+                            (None, _) => count_tile(chain, &origin, clamp, spans, &mut j_buf),
+                            (Some(lds), ExecStrategy::Reference) => {
+                                let mut iters = 0;
+                                for (jp, j) in plan.tiled.tile_iterations(&cur_tile) {
+                                    iters += 1;
+                                    let g = lds.unrolled(tpos, &jp);
+                                    for dq in 0..q {
+                                        for k in 0..n {
+                                            src[k] = j[k] - deps[(k, dq)];
+                                            gs[k] = g[k] - d_prime[(k, dq)];
+                                        }
+                                        if space.contains(&src) {
+                                            lds.get_into(&gs, &mut reads[dq * w..(dq + 1) * w]);
+                                        } else {
+                                            kernel.initial(&src, &mut reads[dq * w..(dq + 1) * w]);
+                                        }
                                     }
-                                    if space.contains(&src) {
-                                        lds.get_into(&gs, &mut reads[dq * w..(dq + 1) * w]);
-                                    } else {
-                                        kernel.initial(&src, &mut reads[dq * w..(dq + 1) * w]);
-                                    }
+                                    kernel.compute(&j, &reads, &mut out);
+                                    lds.set_all(&g, &out);
                                 }
-                                kernel.compute(&j, &reads, &mut out);
-                                lds.set_all(&g, &out);
+                                iters
                             }
-                            iters
+                            (Some(lds), _) => {
+                                let (iters, batched) = compute_tile_fast(
+                                    chain,
+                                    lds,
+                                    tpos,
+                                    &origin,
+                                    kernel.as_ref(),
+                                    &mut scratch,
+                                    spans,
+                                    clamp,
+                                );
+                                tile_vectorized += batched;
+                                iters
+                            }
+                        };
+                        comm.advance_compute(iters);
+                        if let Some(t0) = t0 {
+                            if iters > 0 {
+                                let v1 = comm.local_time();
+                                if let Some(o) = comm.obs() {
+                                    o.observe(HistId::ComputeTileNs, o.now_ns().saturating_sub(t0));
+                                    o.named_span(Phase::Compute, name, t0, (v0, v1), iters);
+                                }
+                            }
                         }
-                        (Some(lds), _) => {
-                            let (iters, batched) = compute_tile_fast(
-                                chain,
-                                lds,
-                                tpos,
-                                &origin,
-                                kernel.as_ref(),
-                                &mut scratch,
-                                runs,
-                                clamp,
-                            );
-                            tile_vectorized += batched;
-                            iters
-                        }
+                        iters
                     };
-                    comm.advance_compute(iters);
-                    if let Some(t0) = t0 {
-                        if iters > 0 {
-                            let v1 = comm.local_time();
-                            if let Some(o) = comm.obs() {
-                                o.observe(HistId::ComputeTileNs, o.now_ns().saturating_sub(t0));
-                                o.named_span(Phase::Compute, name, t0, (v0, v1), iters);
-                            }
-                        }
-                    }
-                    iters
-                };
                 let tile_iters = if strategy == ExecStrategy::Overlapped {
                     // Overlapped order: boundary slab → post sends → private
                     // interior. The slab is the dependence closure of the pack
                     // regions, so after it every outgoing payload is final; the
                     // interior then computes while the sends ride the comm lane.
                     let split = chain.split();
-                    let boundary = pass(comm, &mut lds, "compute-boundary", &split.boundary_runs);
+                    let boundary = pass(comm, &mut lds, "compute-boundary", &split.boundary);
                     send_tile(
                         plan, chain, comm, &lds, strategy, obs_on, &pid, &cur_tile, tpos, t_abs, w,
                     );
-                    boundary + pass(comm, &mut lds, "compute-interior", &split.interior_runs)
+                    boundary + pass(comm, &mut lds, "compute-interior", &split.interior)
                 } else {
-                    pass(comm, &mut lds, Phase::Compute.name(), &chain.compute_runs)
+                    pass(comm, &mut lds, Phase::Compute.name(), &chain.walk)
                 };
                 iterations += tile_iters;
                 if let Some(o) = comm.obs() {

@@ -140,7 +140,7 @@ fn volume_fast_matches_membership_tested_count() {
         for tile in plan.tiled.tiles() {
             let exact = plan.tiled.tile_iterations(&tile).count() as u64;
             let origin = tile_origin(plan.tiled.transform(), &tile);
-            let runs = &chain.compute_runs;
+            let runs = &chain.walk;
             assert_eq!(
                 count_tile(chain, &origin, Some(&plan.clamp), runs, &mut j),
                 exact,

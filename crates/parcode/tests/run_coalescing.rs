@@ -1,21 +1,19 @@
-//! Run-descriptor soundness: the plan-time affine runs of a
-//! [`CompiledChain`] — pack, unpack, gather, and compute — must exactly
-//! reconstruct the per-index lists they were factored from, cover every
-//! non-SKIP position exactly once, and never claim a batch width the
-//! dependence lags don't permit. Checked on the paper's six workloads and
-//! on a seeded corpus of random convex (cut) spaces under random
-//! rectangular and tiling-cone non-rectangular tilings — the same
-//! generator family as the fuzz harness, so failures reproduce from the
-//! seed in the assertion message.
+//! Row-table soundness: the plan-time TTIS rows of a [`CompiledChain`] —
+//! compute, pack, unpack, gather and the overlapped split — checked against
+//! oracles that do not use the lowering: the tile walk
+//! (`TiledSpace::tile_iterations`) with `Lds::unrolled` addresses for the
+//! compute rows, `Lattice::points_in_box` for the region rows. Rows must
+//! never claim a batch width the dependence lags don't permit. Checked on
+//! the paper's six workloads and on a seeded corpus of random convex (cut)
+//! spaces under random rectangular and tiling-cone non-rectangular tilings
+//! — the same generator family as the fuzz harness, so failures reproduce
+//! from the seed in the assertion message.
 
 use std::sync::Arc;
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::{IMat, RMat, Rational};
 use tilecc_loopnest::{Algorithm, DataSpace, Kernel, LoopNest};
-use tilecc_parcode::compiled::{
-    coalesce_runs, gather_tile, tile_origin, CompiledChain, ComputeRun, IndexRun, CACHE_BLOCK,
-    MIN_BATCH, SKIP,
-};
+use tilecc_parcode::compiled::{gather_tile, tile_origin, Region, CACHE_BLOCK, MIN_BATCH};
 use tilecc_parcode::ParallelPlan;
 use tilecc_polytope::{Constraint, Polyhedron};
 use tilecc_tiling::{insert_at, tiling_cone_rays, TilingTransform};
@@ -53,170 +51,182 @@ impl Kernel for K {
     }
 }
 
-/// Index runs must be in position order, cover every non-[`SKIP`] position
-/// exactly once, never cover a SKIP, and reconstruct the covered cells as
-/// `list[at] + t·step`. Returns the number of SKIP positions seen.
-fn check_index_runs(list: &[i64], runs: &[IndexRun], ctx: &str) -> usize {
-    let mut covered = vec![false; list.len()];
-    let mut last_end = 0usize;
-    for r in runs {
-        let (at, len) = (r.at as usize, r.len as usize);
-        assert!(len >= 1, "{ctx}: empty run");
-        assert!(at >= last_end, "{ctx}: runs overlap or out of order");
-        last_end = at + len;
-        assert!(last_end <= list.len(), "{ctx}: run past end of list");
-        for t in 0..len {
-            assert_ne!(list[at + t], SKIP, "{ctx}: run covers a SKIP position");
-            assert_eq!(
-                list[at + t],
-                list[at] + t as i64 * r.step,
-                "{ctx}: cell reconstruction at position {}",
-                at + t
-            );
-            covered[at + t] = true;
+/// A region's blocks expanded to its payload positions: the LDS cell each
+/// position copies, or `None` for a position no block covers. Blocks must
+/// be in walk order and must not overlap.
+fn region_cells(r: &Region, ctx: &str) -> Vec<Option<i64>> {
+    let mut cells = vec![None; r.points];
+    let mut end = 0usize;
+    for b in &r.blocks {
+        assert!(
+            b.len >= 1 && b.at >= end,
+            "{ctx}: blocks overlap or out of order"
+        );
+        end = b.at + b.len;
+        assert!(end <= r.points, "{ctx}: block past the region");
+        for t in 0..b.len {
+            cells[b.at + t] = Some(b.cell + t as i64);
         }
     }
-    let mut skips = 0usize;
-    for (i, &c) in covered.iter().enumerate() {
-        if list[i] == SKIP {
-            skips += 1;
-        } else {
-            assert!(c, "{ctx}: non-SKIP position {i} left uncovered");
-        }
-    }
-    skips
+    cells
 }
 
-/// Compute runs must tile the walk-index sequence exactly (in order), hold
-/// their affine invariants point-to-point, and bound `batch` by every
-/// positive dependence lag and by [`CACHE_BLOCK`].
-fn check_compute_runs(indices: &[u32], runs: &[ComputeRun], chain: &CompiledChain, ctx: &str) {
-    let (n, q) = (chain.n, chain.q);
-    let flat: Vec<u32> = runs
-        .iter()
-        .flat_map(|r| (0..r.len).map(move |t| r.i0 + t))
-        .collect();
-    assert_eq!(flat, indices, "{ctx}: runs do not tile the walk sequence");
-    for r in runs {
-        let i0 = r.i0 as usize;
-        assert_eq!(r.dj.len(), n, "{ctx}: dj dimension");
-        for t in 1..r.len as usize {
-            let (a, b) = (i0 + t - 1, i0 + t);
-            assert_eq!(chain.dst[b], chain.dst[a] + 1, "{ctx}: dst not unit-stride");
-            for dq in 0..q {
-                assert_eq!(
-                    chain.src_rel[b * q + dq],
-                    chain.src_rel[a * q + dq] + 1,
-                    "{ctx}: src_rel[{dq}] not unit-stride"
-                );
-            }
-            for k in 0..n {
-                assert_eq!(
-                    chain.j_off[b * n + k] - chain.j_off[a * n + k],
-                    r.dj[k],
-                    "{ctx}: j_off does not advance by dj"
-                );
-            }
-        }
-        assert!(
-            r.batch as usize <= CACHE_BLOCK,
-            "{ctx}: batch exceeds cache block"
-        );
-        assert!(
-            r.batch == 0 || r.batch >= MIN_BATCH,
-            "{ctx}: batch below the dispatch floor"
-        );
-        for dq in 0..q {
-            let lag = chain.dst[i0] - chain.src_rel[i0 * q + dq];
-            assert!(lag >= 0, "{ctx}: negative dependence lag");
-            if lag >= 1 && r.batch > 0 {
-                assert!(
-                    i64::from(r.batch) <= lag,
-                    "{ctx}: batch {} exceeds lag {lag} of dependence {dq}",
-                    r.batch
-                );
-            }
-        }
-    }
-}
-
-/// Every run family of every distinct chain of `plan` reconstructs its
-/// source lists. Returns the number of SKIP positions seen in unpack lists.
+/// Every table of every distinct chain of `plan` against the oracles.
+///
+/// - Compute rows, on every valid tile of every rank: expanded (and, on a
+///   boundary tile, clipped by the space as the executor clips them), they
+///   list exactly the tile walk's iterations in order, owning
+///   `index_of(unrolled(tpos, j'))` and reading `index_of(unrolled − d')`
+///   wherever that cell is allocated. A row's batch width never exceeds a
+///   positive lag or [`CACHE_BLOCK`], and is 0 or at least [`MIN_BATCH`].
+/// - Region rows: pack blocks copy exactly the owned cells of
+///   `points_in_box(region_lo, v)`, in order; unpack blocks exactly the
+///   halo cells inside the allocation, dropping the rest.
+/// - The overlapped split's sub-rows partition every row.
+///
+/// Returns the number of unpack positions outside the allocation.
 fn check_plan(plan: &ParallelPlan, ctx: &str) -> usize {
-    let mut skips = 0usize;
+    let t = plan.tiled.transform();
+    let (n, m, v, lat) = (plan.dim(), plan.m(), t.v(), t.lattice());
+    let comm = &plan.comm;
+    let q = comm.d_prime.cols();
+    let mut dropped = 0usize;
     let mut lens = std::collections::BTreeSet::new();
-    for &(lo_t, hi_t) in &plan.dist.chains {
-        lens.insert(hi_t - lo_t + 1);
-    }
-    for len in lens {
-        let chain = plan.compiled_for(len);
-        for (dm, list) in chain.pack_rel.iter().enumerate() {
-            let s = check_index_runs(list, &chain.pack_runs[dm], &format!("{ctx} pack[{dm}]"));
-            assert_eq!(s, 0, "{ctx}: pack list contains SKIP");
-        }
-        for (ds, list) in chain.unpack_rel.iter().enumerate() {
-            skips += check_index_runs(list, &chain.unpack_runs[ds], &format!("{ctx} unpack[{ds}]"));
-        }
-        // The gather's joint runs are index runs over both lists at once:
-        // walk positions split whenever either list breaks stride.
-        let walk: Vec<u32> = (0..chain.tile_points as u32).collect();
-        let mut gat = 0usize;
-        for r in &chain.gather_runs {
-            let (at, len) = (r.at as usize, r.len as usize);
-            assert_eq!(at, gat, "{ctx}: gather runs leave a gap");
-            gat = at + len;
-            // The clamped gather relies on each run being a line in
-            // iteration space: `j_off` advances by one constant vector.
-            let n = chain.n;
-            let dj: Vec<i64> = (0..n)
-                .map(|k| {
-                    if len > 1 {
-                        chain.j_off[(at + 1) * n + k] - chain.j_off[at * n + k]
-                    } else {
-                        0
+    let mut j = vec![0i64; n];
+    for rank in 0..plan.num_procs() {
+        let (lo_t, hi_t) = plan.dist.chains[rank];
+        let chain = plan.compiled_for(hi_t - lo_t + 1);
+        let lds = plan.rank_lds(rank);
+        for t_abs in lo_t..=hi_t {
+            let tile = insert_at(&plan.dist.pids[rank], m, t_abs);
+            if !plan.tiled.tile_valid(&tile) {
+                continue;
+            }
+            let tpos = t_abs - lo_t;
+            let base = tpos * chain.chain_step;
+            let origin = tile_origin(t, &tile);
+            let mut want = plan.tiled.tile_iterations(&tile);
+            for row in &chain.rows {
+                let (a, b) = if plan.tiled.tile_is_interior(&tile) {
+                    (0, row.len as i64 - 1)
+                } else {
+                    for k in 0..n {
+                        j[k] = origin[k] + row.j[k];
                     }
-                })
-                .collect();
-            for t in 0..len {
-                assert_eq!(
-                    chain.dst[at + t],
-                    chain.dst[at] + t as i64 * r.src_step,
-                    "{ctx}: gather source reconstruction"
-                );
-                assert_eq!(
-                    chain.gather_rel[at + t],
-                    chain.gather_rel[at] + t as i64 * r.dst_step,
-                    "{ctx}: gather target reconstruction"
-                );
-                for (k, &d) in dj.iter().enumerate() {
-                    assert_eq!(
-                        chain.j_off[(at + t) * n + k],
-                        chain.j_off[at * n + k] + t as i64 * d,
-                        "{ctx}: gather run not affine in j_off"
+                    match plan.clamp.space.clip(&j, &chain.dj, 0, row.len as i64 - 1) {
+                        Some(span) => span,
+                        None => continue,
+                    }
+                };
+                for t in a..=b {
+                    let (jp, jw) = want.next().expect("rows list more points than the walk");
+                    let it: Vec<i64> = (0..n)
+                        .map(|k| origin[k] + row.j[k] + t * chain.dj[k])
+                        .collect();
+                    assert_eq!(it, jw, "{ctx}: tile {tile:?} iteration of {jp:?}");
+                    let g = lds.unrolled(tpos, &jp);
+                    let own = lds.index_of(&g).expect("owned cell allocated") as i64;
+                    assert_eq!(base + row.dst + t, own, "{ctx}: owned cell of {jp:?}");
+                    for dq in 0..q {
+                        let gs: Vec<i64> = (0..n).map(|k| g[k] - comm.d_prime[(k, dq)]).collect();
+                        if let Some(cell) = lds.index_of(&gs) {
+                            let src = base + row.src[dq] + t;
+                            assert_eq!(src, cell as i64, "{ctx}: source {dq} of {jp:?}");
+                        }
+                    }
+                }
+            }
+            assert!(
+                want.next().is_none(),
+                "{ctx}: tile {tile:?}: rows miss walk points"
+            );
+        }
+        if !lens.insert(chain.num_tiles) {
+            continue;
+        }
+
+        for row in &chain.rows {
+            assert!(row.batch <= CACHE_BLOCK, "{ctx}: batch exceeds cache block");
+            assert!(
+                row.batch == 0 || row.batch >= MIN_BATCH as usize,
+                "{ctx}: batch below the dispatch floor"
+            );
+            for &s in &row.src {
+                let lag = row.dst - s;
+                assert!(lag >= 0, "{ctx}: negative dependence lag");
+                if lag >= 1 && row.batch > 0 {
+                    assert!(
+                        row.batch as i64 <= lag,
+                        "{ctx}: batch {} > lag {lag}",
+                        row.batch
                     );
                 }
             }
         }
-        assert_eq!(gat, chain.tile_points, "{ctx}: gather runs incomplete");
-        check_compute_runs(&walk, &chain.compute_runs, chain, &format!("{ctx} walk"));
+
+        for (dm_idx, dm) in comm.proc_deps.iter().enumerate() {
+            let want: Vec<Option<i64>> = lat
+                .points_in_box(&comm.region_lo(dm, v), v)
+                .map(|jp| Some(lds.index_of(&jp).expect("pack cell allocated") as i64))
+                .collect();
+            let got = region_cells(&chain.pack[dm_idx], ctx);
+            assert_eq!(got, want, "{ctx}: pack region {dm:?}");
+        }
+        for (ds_idx, ds) in comm.tile_deps.iter().enumerate() {
+            let Some(dm_idx) = comm.dm_of_ds[ds_idx] else {
+                assert_eq!(
+                    chain.unpack[ds_idx].points, 0,
+                    "{ctx}: intra-processor unpack"
+                );
+                continue;
+            };
+            let want: Vec<Option<i64>> = lat
+                .points_in_box(&comm.region_lo(&comm.proc_deps[dm_idx], v), v)
+                .map(|jp| {
+                    let g: Vec<i64> = (0..n).map(|k| jp[k] - ds[k] * v[k]).collect();
+                    lds.index_of(&g).map(|c| c as i64)
+                })
+                .collect();
+            dropped += want.iter().filter(|c| c.is_none()).count();
+            let got = region_cells(&chain.unpack[ds_idx], ctx);
+            assert_eq!(got, want, "{ctx}: unpack region {ds:?}");
+        }
+
         let split = chain.split();
-        check_compute_runs(
-            &split.boundary_order,
-            &split.boundary_runs,
-            chain,
-            &format!("{ctx} boundary"),
-        );
-        check_compute_runs(
-            &split.interior_order,
-            &split.interior_runs,
-            chain,
-            &format!("{ctx} interior"),
+        let mut pieces: Vec<(usize, usize, usize)> = split
+            .boundary
+            .iter()
+            .chain(&split.interior)
+            .map(|s| (s.row, s.at, s.len))
+            .collect();
+        pieces.sort_unstable();
+        let mut next = (0usize, 0usize);
+        for (row, at, len) in pieces {
+            if row != next.0 {
+                assert_eq!(
+                    next.1, chain.rows[next.0].len,
+                    "{ctx}: split leaves row {} open",
+                    next.0
+                );
+                assert_eq!(row, next.0 + 1, "{ctx}: split skips a row");
+                next = (row, 0);
+            }
+            assert!(
+                len >= 1 && at == next.1,
+                "{ctx}: split pieces of row {row} gap or overlap"
+            );
+            next.1 = at + len;
+        }
+        assert_eq!(
+            next,
+            (chain.rows.len() - 1, chain.rows.last().unwrap().len),
+            "{ctx}: split"
         );
     }
-    skips
+    dropped
 }
 
-/// The run-clamped gather of every valid tile must equal the per-point
+/// The row-clamped gather of every valid tile must equal the per-point
 /// `tile_iterations` walk bitwise, values and written flags, from an LDS
 /// filled with distinct values. Returns the number of boundary tiles.
 fn check_gather(plan: &ParallelPlan, ctx: &str) -> usize {
@@ -264,41 +274,27 @@ fn check_gather(plan: &ParallelPlan, ctx: &str) -> usize {
     boundary
 }
 
-/// [`coalesce_runs`] on random lists seeded with genuine affine stretches
-/// and SKIP sentinels: reconstruction, coverage, and SKIP splitting.
+/// The skewed wavefront kernel's halo is shallower than its unpack
+/// regions along the innermost dimension, so unpack rows are cut inside a
+/// row, not only dropped whole: in 2-D with `m = 0` every dropped position
+/// comes from that cut.
 #[test]
-fn coalesce_reconstructs_random_lists_with_skips() {
-    let mut g = G(0xC0A1_E5CE);
-    let mut saw_skip_split = 0usize;
-    for case in 0..500 {
-        let mut list: Vec<i64> = Vec::new();
-        for _ in 0..g.range(1, 8) {
-            match g.range(0, 3) {
-                0 => list.push(SKIP),
-                1 => list.push(g.range(-50, 50)),
-                _ => {
-                    // An affine stretch — the thing worth coalescing.
-                    let start = g.range(-50, 50);
-                    let step = g.range(-3, 3);
-                    for t in 0..g.range(2, 12) {
-                        list.push(start + t * step);
-                    }
-                }
-            }
-        }
-        let runs = coalesce_runs(&list);
-        let skips = check_index_runs(&list, &runs, &format!("case {case}"));
-        if skips > 0 && runs.len() > 1 {
-            saw_skip_split += 1;
-        }
+fn unpack_rows_clip_along_the_innermost_dimension() {
+    let src = include_str!("../../../examples/kernels/wavefront_skew.tk");
+    for rect in [[2, 2], [3, 2]] {
+        let plan = ParallelPlan::new(
+            compile_kernel_with(src, &[]).unwrap(),
+            TilingTransform::rectangular(&rect).unwrap(),
+            Some(0),
+        )
+        .unwrap();
+        let ctx = format!("wavefront {rect:?}");
+        assert!(check_plan(&plan, &ctx) > 0, "{ctx}: no unpack row was cut");
+        check_gather(&plan, &ctx);
     }
-    assert!(
-        saw_skip_split >= 50,
-        "corpus never exercised SKIP-split runs ({saw_skip_split})"
-    );
 }
 
-/// Every run family of the six paper workloads reconstructs its lists.
+/// Every table of the six paper workloads reconstructs its oracle lists.
 #[test]
 fn paper_workload_runs_reconstruct_their_lists() {
     let nr = RMat::from_fractions(&[
@@ -353,23 +349,24 @@ fn paper_workload_runs_reconstruct_their_lists() {
             .unwrap(),
         ),
     ];
-    let mut batched_runs = 0usize;
+    let mut batched_rows = 0usize;
     for (name, plan) in &plans {
         check_plan(plan, name);
         assert!(check_gather(plan, name) > 0, "{name}: no boundary tile");
         let (lo_t, hi_t) = plan.dist.chains[0];
         let chain = plan.compiled_for(hi_t - lo_t + 1);
-        batched_runs += chain.compute_runs.iter().filter(|r| r.batch > 0).count();
+        batched_rows += chain.rows.iter().filter(|r| r.batch > 0).count();
     }
     assert!(
-        batched_runs > 0,
-        "no paper workload produced a batched compute run"
+        batched_rows > 0,
+        "no paper workload produced a batched compute row"
     );
 }
 
 /// Random convex cut spaces, random uniform dependences, random
-/// rectangular and tiling-cone tilings: the run descriptors of every
-/// surviving plan reconstruct their per-index lists, SKIP splits included.
+/// rectangular and tiling-cone tilings: the row tables of every surviving
+/// plan reconstruct their oracle lists, halo cells outside the allocation
+/// included.
 #[test]
 fn random_tilings_and_cut_spaces_reconstruct_their_lists() {
     let seed = 0x5EED_0007u64;
@@ -377,7 +374,7 @@ fn random_tilings_and_cut_spaces_reconstruct_their_lists() {
     let mut valid = 0usize;
     let mut cone_cases = 0usize;
     let mut cut_cases = 0usize;
-    let mut skip_positions = 0usize;
+    let mut dropped_positions = 0usize;
     let mut boundary_tiles = 0usize;
     for case in 0..120 {
         let n = 3usize;
@@ -474,15 +471,15 @@ fn random_tilings_and_cut_spaces_reconstruct_their_lists() {
             cut_cases += 1;
         }
         let ctx = format!("seed {seed:#x} case {case}");
-        skip_positions += check_plan(&plan, &ctx);
+        dropped_positions += check_plan(&plan, &ctx);
         boundary_tiles += check_gather(&plan, &ctx);
     }
     assert!(valid >= 10, "only {valid} valid sampled plans");
     assert!(cone_cases >= 3, "only {cone_cases} tiling-cone plans");
     assert!(cut_cases >= 3, "only {cut_cases} cut-space plans");
     assert!(
-        skip_positions > 0,
-        "corpus never produced a SKIP unpack position"
+        dropped_positions > 0,
+        "corpus never produced an unpack position outside the allocation"
     );
     assert!(
         boundary_tiles >= 50,
