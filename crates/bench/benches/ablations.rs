@@ -96,13 +96,12 @@ fn clamp_ablation(h: &mut Harness) {
     // Per-tile counts do not depend on the chain length.
     let (lo_t, hi_t) = plan.dist.chains[0];
     let chain = plan.compiled_for(hi_t - lo_t + 1);
-    let mut j = vec![0i64; plan.dim()];
     h.bench("clamp_ablation/interior_fast_path_and_run_clip", || {
         let mut n = 0u64;
         for tile in &tiles {
             let origin = tile_origin(tiled.transform(), tile);
-            let clamp = (!tiled.tile_is_interior(tile)).then_some(&plan.clamp);
-            n += count_tile(chain, &origin, clamp, &chain.walk, &mut j);
+            let clamp = (!tiled.tile_is_interior(tile)).then(|| plan.clamp.at(&origin));
+            n += count_tile(chain, clamp.as_ref(), &chain.walk);
         }
         black_box(n);
     });

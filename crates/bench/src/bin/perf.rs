@@ -862,7 +862,7 @@ fn vec_bench(out_path: &str, smoke: bool) {
         let (blo_t, bhi_t) = plan.dist.chains[brank];
         let bchain = plan.compiled_for(bhi_t - blo_t + 1);
         let borigin = tile_origin(t, &btile);
-        let space = &plan.clamp.space;
+        let clamp = plan.clamp.at(&borigin);
         let mut blds = plan.rank_lds(brank);
         fill(&mut blds);
         let walk = |lds: &Lds, ds: &mut DataSpace| {
@@ -875,7 +875,7 @@ fn vec_bench(out_path: &str, smoke: bool) {
         let mut ds_base = DataSpace::with_width(&blo, &bhi, w);
         let mut ds_opt = DataSpace::with_width(&blo, &bhi, w);
         walk(&blds, &mut ds_base);
-        gather_tile(bchain, &blds, btpos, &borigin, Some(space), &mut ds_opt);
+        gather_tile(bchain, &blds, btpos, &borigin, Some(&clamp), &mut ds_opt);
         assert_eq!(
             ds_base.diff(&ds_opt),
             None,
@@ -888,7 +888,7 @@ fn vec_bench(out_path: &str, smoke: bool) {
             bpoints,
             &mut ds_opt,
             |ds| walk(&blds, ds),
-            |ds| gather_tile(bchain, &blds, btpos, &borigin, Some(space), ds),
+            |ds| gather_tile(bchain, &blds, btpos, &borigin, Some(&clamp), ds),
         ));
 
         // --- end-to-end: virtual makespan + wall clock + batch coverage ---

@@ -37,8 +37,7 @@ use tilecc_frontend::KernelProgram;
 use tilecc_linalg::{RMat, Rational};
 use tilecc_loopnest::{Algorithm, CountError, DataSpace};
 use tilecc_parcode::{
-    decode_rank_state, encode_rank_state, gather, run_rank, Backend, ExecMode, ExecStrategy,
-    RankOutput,
+    decode_rank_state, encode_rank_state, run_rank, Backend, ExecMode, ExecStrategy, RankOutput,
 };
 use tilecc_tiling::tiling_cone_rays;
 
@@ -1112,9 +1111,14 @@ fn tcp_driver(
         // workers that die before ever connecting (bad flags, missing file
         // on a worker's view of the world, immediate crash).
         let (coord_tx, coord_rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
+        let builder = std::thread::Builder::new().name("tilecc-rendezvous".into());
+        let coordinator = tilecc_cluster::spawn(builder, "rendezvous coordinator", move || {
             let _ = coord_tx.send(rendezvous.coordinate(size, RENDEZVOUS_DEADLINE));
         });
+        if let Err(e) = coordinator {
+            kill_children(&mut children);
+            return err(format!("tcp rendezvous failed: {e}"));
+        }
         let controls = loop {
             match coord_rx.recv_timeout(STARTUP_POLL) {
                 Ok(controls) => break controls,
@@ -1240,10 +1244,14 @@ fn tcp_driver(
         snaps.push(snap);
     }
     let total_iterations = outputs.iter().map(|o| o.iterations).sum();
-    let parallel = (mode == ExecMode::Full)
-        .then(|| gather(plan, &outputs, opts.strategy, reg.map(Arc::as_ref)));
     let stats: Vec<CommStats> = snaps.iter().map(CommStats::from_snapshot).collect();
-    let verified = reference.zip(parallel.as_ref()).map(|(r, ds)| r.check(ds));
+    let (verified, parallel) = match reference {
+        Some(r) => {
+            let (verified, data) = r.check(plan, &outputs, opts.strategy);
+            (Some(verified), Some(data))
+        }
+        None => (None, None),
+    };
     let summary = RunSummary::new(&opts.model, &stats, local_times, total_iterations, verified);
     let checksum = parallel.as_ref().map(DataSpace::checksum);
     if opts.ckpt_dir.is_none() {

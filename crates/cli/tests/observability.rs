@@ -193,6 +193,49 @@ fn verify_scan_starts_before_every_rank_span() {
     assert!(driver("verify-diff") >= first_rank);
 }
 
+/// A traced threaded `run --verify` keeps every driver span the
+/// benchmark's per-layer rows read, and its per-rank `gather` passes, which
+/// compare the ranks' cells with the scan in place, follow the scan.
+#[test]
+fn traced_verify_keeps_every_driver_span() {
+    let (trace, _) = observed_sor();
+    let events = complete_events(&trace);
+    let driver: Vec<&Json> = events
+        .iter()
+        .copied()
+        .filter(|e| e.get("pid").and_then(Json::as_u64) == Some(0))
+        .collect();
+    let wall = |e: &Json, k: &str| {
+        e.get("args")
+            .and_then(|a| a.get(k))
+            .and_then(Json::as_u64)
+            .unwrap()
+    };
+    let named = |name: &str| -> Vec<&Json> {
+        let hit = |e: &&Json| e.get("name").and_then(Json::as_str) == Some(name);
+        driver.iter().copied().filter(hit).collect()
+    };
+    for name in [
+        "lower",
+        "tiled-space",
+        "comm-plan",
+        "compile-chain",
+        "gather",
+        "verify",
+        "verify-diff",
+    ] {
+        assert!(!named(name).is_empty(), "no driver `{name}` span");
+    }
+    let verify = named("verify")[0];
+    let scan_end = wall(verify, "wall_start_ns") + wall(verify, "wall_dur_ns");
+    for g in named("gather") {
+        assert!(
+            wall(g, "wall_start_ns") >= scan_end,
+            "gather before the scan ended"
+        );
+    }
+}
+
 #[test]
 fn run_report_partitions_every_rank_clock() {
     let (_, metrics) = observed_sor();

@@ -204,6 +204,27 @@ fn tcp_driver_trace_records_gather_and_verify() {
             "driver span `{span}` missing: {names:?}"
         );
     }
+    // The driver verifies in place: each rank's `gather` pass compares its
+    // cells with the finished scan, so it starts after `verify` ends.
+    let spans = |name: &str| -> Vec<(u64, u64)> {
+        let events = t.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let wall = |e: &Json, k: &str| e.get("args").and_then(|a| a.get(k)).and_then(Json::as_u64);
+        let named = events
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some(name));
+        named
+            .filter_map(|e| Some((wall(e, "wall_start_ns")?, wall(e, "wall_dur_ns")?)))
+            .collect()
+    };
+    let (v0, vdur) = spans("verify")[0];
+    let gathers = spans("gather");
+    assert!(!gathers.is_empty());
+    for (g0, _) in gathers {
+        assert!(
+            g0 >= v0 + vdur,
+            "a gather pass started before the scan ended"
+        );
+    }
 }
 
 #[test]

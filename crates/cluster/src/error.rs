@@ -6,6 +6,7 @@
 //! panics inside a rank closure, which the engine catches and converts to
 //! [`RunError::RankPanicked`] instead of aborting the process.
 
+use std::thread::{Builder, JoinHandle};
 use std::time::Duration;
 
 /// A communication failure observed by one rank.
@@ -161,9 +162,39 @@ impl RunError {
     }
 }
 
+/// Start `f` on a thread made by `builder`, or return the system's refusal
+/// (no thread or memory left for one) as a [`CommError::Transport`] naming
+/// `what`. Every thread of the substrate starts here, so a run that
+/// outgrows the machine's threads ends in a typed error, not a panic.
+pub fn spawn<T: Send + 'static>(
+    builder: Builder,
+    what: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> Result<JoinHandle<T>, CommError> {
+    builder.spawn(f).map_err(|e| CommError::Transport {
+        detail: format!("cannot start the {what} thread: {e}"),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A stack larger than the address space cannot be mapped, so the spawn
+    /// fails without starting anything, and the failure is typed.
+    #[test]
+    fn a_refused_spawn_is_a_transport_error() {
+        let builder = Builder::new().stack_size(1 << 50);
+        let Err(CommError::Transport { detail }) = spawn(builder, "probe", || ()) else {
+            panic!("a 1 PiB stack must not be mapped");
+        };
+        assert!(
+            detail.starts_with("cannot start the probe thread: "),
+            "{detail}"
+        );
+        let ok = spawn(Builder::new(), "probe", || 7).expect("an ordinary spawn");
+        assert_eq!(ok.join().unwrap(), 7);
+    }
 
     #[test]
     fn errors_render_rank_context() {

@@ -42,7 +42,7 @@
 //!   the same rank phases and outcomes a rank thread reports.
 
 use crate::comm::{Envelope, Restored};
-use crate::error::{CommError, RunError};
+use crate::error::{spawn, CommError, RunError};
 use crate::model::MachineModel;
 use crate::obs::{Counter, GaugeId, HistId, RankMetrics, RankObs, StatsSnapshot};
 use crate::rank::{
@@ -258,21 +258,19 @@ fn accept_until(
         });
     }
     let (cancel, cancelled) = channel::<()>();
-    let waker = thread::Builder::new()
-        .name("tilecc-tcp-accept-waker".into())
-        .spawn(move || {
-            // Only a timeout fires the wake-up dial; the cancel channel
-            // disconnecting means the accept loop is already done.
-            while let Err(RecvTimeoutError::Timeout) =
-                cancelled.recv_timeout(until.saturating_duration_since(Instant::now()))
-            {
-                if Instant::now() >= until {
-                    let _ = TcpStream::connect_timeout(&wake_addr, HANDSHAKE_TIMEOUT);
-                    return;
-                }
+    let builder = thread::Builder::new().name("tilecc-tcp-accept-waker".into());
+    let waker = spawn(builder, &format!("{stage} accept waker"), move || {
+        // Only a timeout fires the wake-up dial; the cancel channel
+        // disconnecting means the accept loop is already done.
+        while let Err(RecvTimeoutError::Timeout) =
+            cancelled.recv_timeout(until.saturating_duration_since(Instant::now()))
+        {
+            if Instant::now() >= until {
+                let _ = TcpStream::connect_timeout(&wake_addr, HANDSHAKE_TIMEOUT);
+                return;
             }
-        })
-        .map_err(|e| transport_error(stage, e))?;
+        }
+    })?;
     let mut result = Ok(true);
     for _ in 0..count {
         let accepted = listener.accept();
@@ -475,14 +473,16 @@ pub type TcpComm = RankCore<TcpLink>;
 
 impl TcpLink {
     /// Spawn a writer and a reader thread per connected peer. `worker`
-    /// arms worker-mode checkpointing over the run's replay logs.
+    /// arms worker-mode checkpointing over the run's replay logs. A thread
+    /// the system refuses to start is a [`CommError::Transport`]; the
+    /// threads already started end as the partial link drops.
     fn new(
         rank: usize,
         peers: Vec<Option<TcpStream>>,
         metrics: Option<Arc<RankMetrics>>,
         connect_ns: u64,
         worker: Option<(&WorkerCkptConfig, ReplayLogs)>,
-    ) -> TcpLink {
+    ) -> Result<TcpLink, CommError> {
         let size = peers.len();
         // Worker-mode readers signal each peer's `RESUME` frontier through
         // this channel to the resume barrier.
@@ -504,35 +504,37 @@ impl TcpLink {
         };
         for (peer, stream) in peers.into_iter().enumerate() {
             let Some(stream) = stream else { continue };
-            let read_half = stream.try_clone().expect("socket clone");
+            let read_half = stream
+                .try_clone()
+                .map_err(|e| transport_error("socket clone", e))?;
             let (out_tx, out_rx) = sync_channel::<Vec<u8>>(SEND_QUEUE_FRAMES);
             let (in_tx, in_rx) = channel::<Envelope>();
             let depth = link.writer_depth[peer].clone();
-            let writer = thread::Builder::new()
-                .name(format!("tilecc-tcp-w{rank}-{peer}"))
-                .spawn(move || {
-                    let mut stream = stream;
-                    // An empty buffer is the close sentinel from the link's
-                    // `Drop`: reader threads also hold a sender (replay
-                    // injection), so channel closure alone cannot signal
-                    // the flush. The sentinel is never counted in the depth
-                    // gauge, so only real frames decrement it.
-                    while let Ok(buf) = out_rx.recv() {
-                        if buf.is_empty() {
-                            break;
-                        }
-                        depth.fetch_sub(1, Ordering::Relaxed);
-                        if std::io::Write::write_all(&mut stream, &buf).is_err() {
-                            break;
-                        }
+            let builder = thread::Builder::new().name(format!("tilecc-tcp-w{rank}-{peer}"));
+            let writer = spawn(builder, "tcp writer", move || {
+                let mut stream = stream;
+                // An empty buffer is the close sentinel from the link's
+                // `Drop`: reader threads also hold a sender (replay
+                // injection), so channel closure alone cannot signal
+                // the flush. The sentinel is never counted in the depth
+                // gauge, so only real frames decrement it.
+                while let Ok(buf) = out_rx.recv() {
+                    if buf.is_empty() {
+                        break;
                     }
-                    // Flush done (or socket dead): announce end-of-stream but
-                    // keep our read side open — the peer may still be
-                    // flushing frames to us, and resetting the socket could
-                    // destroy them in flight.
-                    let _ = stream.shutdown(Shutdown::Write);
-                })
-                .expect("failed to spawn tcp writer thread");
+                    depth.fetch_sub(1, Ordering::Relaxed);
+                    if std::io::Write::write_all(&mut stream, &buf).is_err() {
+                        break;
+                    }
+                }
+                // Flush done (or socket dead): announce end-of-stream but
+                // keep our read side open — the peer may still be
+                // flushing frames to us, and resetting the socket could
+                // destroy them in flight.
+                let _ = stream.shutdown(Shutdown::Write);
+            })?;
+            link.writers[peer] = Some(out_tx.clone());
+            link.writer_handles.push(writer);
             let reader_metrics = metrics.clone();
             // Worker-mode readers also service recovery frames: `CKPT_ACK`
             // trims our replay log, `RESUME` injects replays into the
@@ -545,18 +547,16 @@ impl TcpLink {
                 rank,
                 peer,
             });
-            thread::Builder::new()
-                .name(format!("tilecc-tcp-r{rank}-{peer}"))
-                .spawn(move || reader_loop(read_half, in_tx, reader_metrics, ctl))
-                .expect("failed to spawn tcp reader thread");
-            link.writers[peer] = Some(out_tx);
+            let builder = thread::Builder::new().name(format!("tilecc-tcp-r{rank}-{peer}"));
+            spawn(builder, "tcp reader", move || {
+                reader_loop(read_half, in_tx, reader_metrics, ctl)
+            })?;
             link.rxs[peer] = Some(in_rx);
-            link.writer_handles.push(writer);
         }
         if let Some(m) = &metrics {
             m.gauge(GaugeId::ConnectNs).set(connect_ns);
         }
-        link
+        Ok(link)
     }
 
     /// Queue one encoded frame to `to`'s writer thread. Returns `false`
@@ -772,7 +772,11 @@ where
     assert!(size > 0, "cluster needs at least one process");
     let rendezvous = Rendezvous::bind().map_err(|error| RunError::Comm { rank: 0, error })?;
     let rdv_addr = rendezvous.addr().to_string();
-    let coordinator = thread::spawn(move || rendezvous.coordinate(size, HANDSHAKE_TIMEOUT));
+    let builder = thread::Builder::new().name("tilecc-tcp-coordinator".into());
+    let coordinator = spawn(builder, "rendezvous coordinator", move || {
+        rendezvous.coordinate(size, HANDSHAKE_TIMEOUT)
+    })
+    .map_err(|error| RunError::Comm { rank: 0, error })?;
     // Each rank thread builds its side of the mesh; its control socket has
     // no further use once the address list is in.
     let links = (0..size).map(|rank| {
@@ -782,7 +786,7 @@ where
             let mesh = connect_mesh(rank, size, &rdv_addr, "127.0.0.1:0")?;
             let metrics = shared.obs.as_ref().map(|reg| reg.rank_metrics(rank));
             let connect_ns = connect_t0.elapsed().as_nanos() as u64;
-            Ok(TcpLink::new(rank, mesh.peers, metrics, connect_ns, None))
+            TcpLink::new(rank, mesh.peers, metrics, connect_ns, None)
         }
     });
     let result = launch("tilecc-tcp-rank", size, model, &options, links, f);
@@ -1163,52 +1167,50 @@ fn spawn_heartbeat(
     stop: Receiver<()>,
     period: Duration,
     metrics: Option<Arc<RankMetrics>>,
-) -> JoinHandle<()> {
-    thread::Builder::new()
-        .name(format!("tilecc-tcp-hb-{rank}"))
-        .spawn(move || {
-            let mut prev = StatsSnapshot::zero();
-            let mut snap_seq: u64 = 0;
-            loop {
-                let mut frame = Frame::control(FrameKind::Progress, rank as u32);
-                frame.seq = monitor.progress();
-                match monitor.phase_of(rank) {
-                    RankPhase::Running => frame.nominal = 0,
-                    RankPhase::Blocked { from, tag } => {
-                        frame.nominal = from as u64 + 1;
-                        frame.tag = tag;
-                    }
-                    RankPhase::Done => frame.nominal = u64::MAX,
+) -> Result<JoinHandle<()>, CommError> {
+    let builder = thread::Builder::new().name(format!("tilecc-tcp-hb-{rank}"));
+    spawn(builder, "heartbeat", move || {
+        let mut prev = StatsSnapshot::zero();
+        let mut snap_seq: u64 = 0;
+        loop {
+            let mut frame = Frame::control(FrameKind::Progress, rank as u32);
+            frame.seq = monitor.progress();
+            match monitor.phase_of(rank) {
+                RankPhase::Running => frame.nominal = 0,
+                RankPhase::Blocked { from, tag } => {
+                    frame.nominal = from as u64 + 1;
+                    frame.tag = tag;
                 }
-                let stats = metrics.as_ref().map(|m| {
-                    let cur = StatsSnapshot::capture(m);
-                    snap_seq += 1;
-                    let mut sf = Frame::control(FrameKind::Stats, rank as u32);
-                    sf.seq = snap_seq;
-                    // `prev` starts at zero, so the first delta is the
-                    // absolute snapshot; flag it so a decoder can sync.
-                    sf.nominal = u64::from(snap_seq == 1);
-                    sf.payload = cur.encode_delta(&prev);
-                    (cur, sf)
-                });
-                {
-                    let mut control = control.lock().expect("control poisoned");
-                    if wire::write_frame(&mut *control, &frame).is_err() {
-                        return; // Driver gone; the run is over either way.
-                    }
-                    if let Some((cur, sf)) = stats {
-                        if wire::write_frame(&mut *control, &sf).is_err() {
-                            return;
-                        }
-                        prev = cur;
-                    }
+                RankPhase::Done => frame.nominal = u64::MAX,
+            }
+            let stats = metrics.as_ref().map(|m| {
+                let cur = StatsSnapshot::capture(m);
+                snap_seq += 1;
+                let mut sf = Frame::control(FrameKind::Stats, rank as u32);
+                sf.seq = snap_seq;
+                // `prev` starts at zero, so the first delta is the
+                // absolute snapshot; flag it so a decoder can sync.
+                sf.nominal = u64::from(snap_seq == 1);
+                sf.payload = cur.encode_delta(&prev);
+                (cur, sf)
+            });
+            {
+                let mut control = control.lock().expect("control poisoned");
+                if wire::write_frame(&mut *control, &frame).is_err() {
+                    return; // Driver gone; the run is over either way.
                 }
-                if stop.recv_timeout(period) != Err(RecvTimeoutError::Timeout) {
-                    return;
+                if let Some((cur, sf)) = stats {
+                    if wire::write_frame(&mut *control, &sf).is_err() {
+                        return;
+                    }
+                    prev = cur;
                 }
             }
-        })
-        .expect("failed to spawn heartbeat thread")
+            if stop.recv_timeout(period) != Err(RecvTimeoutError::Timeout) {
+                return;
+            }
+        }
+    })
 }
 
 /// Run one rank of a multi-process TCP cluster inside this process:
@@ -1269,7 +1271,8 @@ where
         stopped,
         cfg.heartbeat,
         metrics.clone(),
-    );
+    )
+    .map_err(|error| RunError::Comm { rank, error })?;
     // A respawned worker loads its previous checkpoint file up front and
     // seeds this rank's replay-log row from it before any reader thread can
     // serve a peer's `RESUME`. A missing file is fine: the process died
@@ -1292,7 +1295,8 @@ where
     }
     let worker = cfg.ckpt.as_ref().zip(shared.recovery.as_ref());
     let worker = worker.map(|(ck, (_, _, logs))| (ck, logs.clone()));
-    let link = TcpLink::new(rank, mesh.peers, metrics, connect_ns, worker);
+    let link = TcpLink::new(rank, mesh.peers, metrics, connect_ns, worker)
+        .map_err(|error| RunError::Comm { rank, error })?;
     let mut comm = shared.core(rank, link);
     if let (Some(ckpt), Some(rec)) = (resume, comm.recovery.as_mut()) {
         // Hand the resume state to the executor and rewind the fresh
@@ -1523,17 +1527,16 @@ fn control_readers(streams: &[TcpStream]) -> Result<Receiver<(usize, Option<Fram
         // short; silence is the peer-timeout watchdog's call.
         read_half.set_read_timeout(None).map_err(setup)?;
         let tx = tx.clone();
-        thread::Builder::new()
-            .name(format!("tilecc-tcp-ctl-{rank}"))
-            .spawn(move || {
-                while let Ok(frame) = wire::read_frame(&mut read_half) {
-                    if tx.send((rank, Some(frame))).is_err() {
-                        return;
-                    }
+        let builder = thread::Builder::new().name(format!("tilecc-tcp-ctl-{rank}"));
+        spawn(builder, "control reader", move || {
+            while let Ok(frame) = wire::read_frame(&mut read_half) {
+                if tx.send((rank, Some(frame))).is_err() {
+                    return;
                 }
-                let _ = tx.send((rank, None));
-            })
-            .map_err(setup)?;
+            }
+            let _ = tx.send((rank, None));
+        })
+        .map_err(|error| RunError::Comm { rank, error })?;
     }
     Ok(events)
 }

@@ -33,7 +33,7 @@
 //! in-process runners.
 
 use crate::comm::{CommAbort, CommStats, Envelope};
-use crate::error::{CommError, RunError};
+use crate::error::{spawn, CommError, RunError};
 use crate::fault::FaultPlan;
 use crate::model::MachineModel;
 use crate::obs::{MetricsRegistry, RankObs, StatsSnapshot};
@@ -313,7 +313,9 @@ where
 /// rank (named `{name}-{rank}`) builds its link with its entry of `links`
 /// and runs `f` on the endpoint, while this thread supervises the run. The
 /// runners differ only in how a rank gets its link; one that fails to get
-/// it reports the error as its outcome.
+/// it reports the error as its outcome. A rank thread the system refuses to
+/// start aborts the ranks already running and fails the run as
+/// [`RunError::Comm`].
 pub(crate) fn launch<L, M, R, F>(
     name: &str,
     size: usize,
@@ -333,16 +335,19 @@ where
     let f = Arc::new(f);
     let (done_tx, done_rx) = channel();
     for (rank, link) in links.into_iter().enumerate() {
-        let (f, done, shared) = (f.clone(), done_tx.clone(), shared.clone());
-        thread::Builder::new()
-            .name(format!("{name}-{rank}"))
-            .spawn(move || {
-                let end = link(&shared).map_or_else(RankEnd::CommFail, |link| {
-                    run_rank(shared.core(rank, link), |comm| f(comm))
-                });
-                let _ = done.send((rank, end));
-            })
-            .expect("failed to spawn rank thread");
+        let (f, done, run) = (f.clone(), done_tx.clone(), shared.clone());
+        let builder = thread::Builder::new().name(format!("{name}-{rank}"));
+        let started = spawn(builder, "rank", move || {
+            let end = link(&run).map_or_else(RankEnd::CommFail, |link| {
+                run_rank(run.core(rank, link), |comm| f(comm))
+            });
+            let _ = done.send((rank, end));
+        });
+        if let Err(error) = started {
+            // Started ranks block on the missing one; the abort ends them.
+            shared.monitor.abort();
+            return Err(RunError::Comm { rank, error });
+        }
     }
     drop(done_tx);
     let mut feed = Threads {

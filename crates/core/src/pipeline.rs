@@ -8,7 +8,10 @@ use std::thread::JoinHandle;
 use tilecc_cluster::{CommStats, EngineOptions, MachineModel, MetricsRegistry, Phase, RunError};
 use tilecc_linalg::RMat;
 use tilecc_loopnest::{Algorithm, DataSpace};
-use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
+use tilecc_parcode::{
+    compare_in_place, execute, gather, run_ranks, Backend, ExecMode, ExecStrategy, ParallelPlan,
+    RankOutput,
+};
 use tilecc_tiling::{TilingError, TilingTransform};
 
 /// High-level driver for one (algorithm, tiling) pair.
@@ -127,9 +130,9 @@ impl Pipeline {
         ))
     }
 
-    /// Run fully and verify the gathered data bitwise against the
-    /// sequential reference execution, no matter which strategy or
-    /// substrate produced it. The reference scan runs on its own thread
+    /// Run fully and verify the run's data bitwise against the sequential
+    /// reference execution, no matter which strategy or substrate produced
+    /// it, and return the data. The reference scan runs on its own thread
     /// alongside the ranks ([`Reference`]). The arguments are those of
     /// [`Pipeline::simulate`]; engine failures (a crashed rank, a deadlock,
     /// an unreachable peer) come back as [`RunError`]s, and the summary
@@ -142,24 +145,24 @@ impl Pipeline {
         options: EngineOptions,
     ) -> Result<(RunSummary, DataSpace), RunError> {
         let reference = Reference::start(&self.plan, options.obs.clone());
-        let res = execute(
-            self.plan.clone(),
+        let report = run_ranks(
+            &self.plan,
             model,
             ExecMode::Full,
             strategy,
             backend,
             options,
         )?;
-        let parallel = res.data.expect("full mode returns data");
-        let verified = reference.check(&parallel);
+        let iterations = report.results.iter().map(|r| r.iterations).sum();
+        let (verified, data) = reference.check(&self.plan, &report.results, strategy);
         let summary = RunSummary::new(
             &model,
-            &res.report.stats,
-            res.report.local_times,
-            res.total_iterations,
+            &report.stats,
+            report.local_times,
+            iterations,
             Some(verified),
         );
-        Ok((summary, parallel))
+        Ok((summary, data))
     }
 }
 
@@ -208,7 +211,8 @@ impl RunSummary {
 /// without [`Reference::check`] (the run failed) does not wait for the
 /// scan; the thread finishes on its own and its result is discarded.
 pub struct Reference {
-    scan: JoinHandle<DataSpace>,
+    /// The scan's data space and its number of written cells.
+    scan: JoinHandle<(DataSpace, usize)>,
     obs: Option<Arc<MetricsRegistry>>,
 }
 
@@ -224,28 +228,55 @@ impl Reference {
             .name("reference-scan".into())
             .spawn(move || {
                 let ds = plan.algorithm.execute_scan();
+                let written = ds.num_written();
                 if let (Some(reg), Some(t0)) = (reg, t0) {
-                    reg.driver_span(Phase::Verify, "verify", t0, ds.num_written() as u64);
+                    reg.driver_span(Phase::Verify, "verify", t0, written as u64);
                 }
-                ds
+                (ds, written)
             })
             .expect("spawn the reference-scan thread");
         Reference { scan, obs }
     }
 
-    /// Wait for the scan and compare it bitwise with the gathered
-    /// `parallel` data. The wait plus the diff is a `verify-diff` driver
-    /// span: the part of the scan the run did not hide. A panic in the scan
-    /// is re-raised on the calling thread.
-    pub fn check(self, parallel: &DataSpace) -> bool {
-        let t0 = self.obs.as_ref().map(|r| r.now_ns());
-        let reference = self.scan.join().unwrap_or_else(|p| resume_unwind(p));
-        let verified = reference.diff(parallel).is_none();
-        if let (Some(reg), Some(t0)) = (&self.obs, t0) {
-            let cells = parallel.num_written() as u64;
+    /// Wait for the scan and compare the finished run's rank outputs
+    /// `results` with it bitwise; return the verdict and the run's data.
+    ///
+    /// The compiled strategies compare each rank's owned cells in place
+    /// ([`compare_in_place`]). When they all match, the gathered data
+    /// would equal the scan's bit for bit, so the scan's data space is
+    /// returned. On any mismatch, and always under
+    /// [`ExecStrategy::Reference`], whose per-point gather stays
+    /// independent of the compiled rows, the outputs are gathered
+    /// ([`gather`]) and diffed, and the gathered data is returned.
+    ///
+    /// The wait plus the compare (and any gather and diff after it) is a
+    /// `verify-diff` driver span: the part of the verification the run did
+    /// not hide. The reference strategy gathers before it waits, as the
+    /// scan may still run. A panic in the scan is re-raised on the calling
+    /// thread.
+    pub fn check(
+        self,
+        plan: &ParallelPlan,
+        results: &[RankOutput],
+        strategy: ExecStrategy,
+    ) -> (bool, DataSpace) {
+        let obs = self.obs.as_deref();
+        let gathered =
+            (strategy == ExecStrategy::Reference).then(|| gather(plan, results, strategy, obs));
+        let t0 = obs.map(|r| r.now_ns());
+        let (reference, written) = self.scan.join().unwrap_or_else(|p| resume_unwind(p));
+        let (verified, data) = match gathered {
+            None if compare_in_place(plan, results, &reference, written, obs) => (true, reference),
+            gathered => {
+                let parallel = gathered.unwrap_or_else(|| gather(plan, results, strategy, obs));
+                (reference.diff(&parallel).is_none(), parallel)
+            }
+        };
+        if let (Some(reg), Some(t0)) = (obs, t0) {
+            let cells = data.num_written() as u64;
             reg.driver_span(Phase::VerifyDiff, "verify-diff", t0, cells);
         }
-        verified
+        (verified, data)
     }
 }
 
@@ -315,9 +346,10 @@ mod tests {
         Pipeline::compile_transform(alg, rect, Some(2)).unwrap()
     }
 
-    fn full_run(pipe: &Pipeline) -> DataSpace {
-        execute(
-            pipe.plan().clone(),
+    /// The rank outputs of a full compiled run, LDSs included.
+    fn rank_outputs(pipe: &Pipeline) -> Vec<RankOutput> {
+        run_ranks(
+            pipe.plan(),
             MachineModel::fast_ethernet_p3(),
             ExecMode::Full,
             ExecStrategy::Compiled,
@@ -325,18 +357,54 @@ mod tests {
             EngineOptions::default(),
         )
         .unwrap()
-        .data
-        .unwrap()
+        .results
     }
 
+    fn check(pipe: &Pipeline, results: &[RankOutput], strategy: ExecStrategy) -> (bool, DataSpace) {
+        Reference::start(pipe.plan(), None).check(pipe.plan(), results, strategy)
+    }
+
+    /// The chain position and coordinates of rank 0's first tile that
+    /// computes a point.
+    fn first_tile(plan: &ParallelPlan) -> (i64, Vec<i64>) {
+        let (lo_t, hi_t) = plan.dist.chains[0];
+        let pid = &plan.dist.pids[0];
+        (lo_t..=hi_t)
+            .map(|t| (t - lo_t, tilecc_tiling::insert_at(pid, plan.m(), t)))
+            .find(|(_, tile)| plan.tiled.tile_iterations(tile).next().is_some())
+            .expect("rank 0 computes a point")
+    }
+
+    /// Flip the lowest bit of the LDS cell that rank 0 owns for the first
+    /// point of its first tile.
+    fn flip_owned_cell(pipe: &Pipeline, results: &mut [RankOutput]) {
+        let plan = pipe.plan();
+        let (tpos, tile) = first_tile(plan);
+        let (jp, _) = plan.tiled.tile_iterations(&tile).next().unwrap();
+        let lds = results[0].lds.as_mut().unwrap();
+        let cell = lds.index_of(&lds.unrolled(tpos, &jp)).unwrap();
+        let v = &mut lds.values_mut()[cell * plan.algorithm.width()];
+        *v = f64::from_bits(v.to_bits() ^ 1);
+    }
+
+    /// A run that verifies returns data equal to its gather; one flipped
+    /// LDS bit fails the check, and the data returned is then the gather
+    /// of the corrupted outputs, as a gather-then-diff check returns it.
     #[test]
     fn one_flipped_cell_fails_the_check() {
         let pipe = sor_pipeline(|_| {});
-        let mut parallel = full_run(&pipe);
-        assert!(Reference::start(pipe.plan(), None).check(&parallel));
-        let v = parallel.get(&[2, 4, 6]).unwrap();
-        parallel.set_all(&[2, 4, 6], &[f64::from_bits(v.to_bits() ^ 1)]);
-        assert!(!Reference::start(pipe.plan(), None).check(&parallel));
+        let mut results = rank_outputs(&pipe);
+        let gathered = |r: &[RankOutput]| gather(pipe.plan(), r, ExecStrategy::Compiled, None);
+        let (ok, data) = check(&pipe, &results, ExecStrategy::Compiled);
+        assert!(ok);
+        assert_eq!(data.diff(&gathered(&results)), None);
+        flip_owned_cell(&pipe, &mut results);
+        let (ok, data) = check(&pipe, &results, ExecStrategy::Compiled);
+        assert!(!ok);
+        let want = gathered(&results);
+        assert_eq!(data.diff(&want), None);
+        assert_eq!(data.checksum().to_bits(), want.checksum().to_bits());
+        assert_eq!(data.bit_hash(), want.bit_hash());
 
         // A scan that computes one cell differently fails `run_verified`.
         let pipe = sor_pipeline(|out| out[0] += 1.0);
@@ -351,14 +419,55 @@ mod tests {
         assert_eq!(summary.verified, Some(false));
     }
 
+    /// The in-place compare fails a cell visited twice, a missing visit,
+    /// and a cell the reference never wrote.
+    #[test]
+    fn the_in_place_compare_counts_every_cell_once() {
+        let pipe = sor_pipeline(|_| {});
+        let plan = pipe.plan();
+        let results = rank_outputs(&pipe);
+        let reference = plan.algorithm.execute_scan();
+        let written = reference.num_written();
+        assert!(compare_in_place(plan, &results, &reference, written, None));
+        assert!(!compare_in_place(
+            plan,
+            &results,
+            &reference,
+            written + 1,
+            None
+        ));
+
+        // Rank 0's first tile, compared twice into one bitset.
+        let (lo_t, hi_t) = plan.dist.chains[0];
+        let chain = plan.compiled_for(hi_t - lo_t + 1);
+        let (tpos, tile) = first_tile(plan);
+        let origin = tilecc_parcode::compiled::tile_origin(plan.tiled.transform(), &tile);
+        let clamp = (!plan.tiled.tile_is_interior(&tile)).then(|| plan.clamp.at(&origin));
+        let lds = results[0].lds.as_ref().unwrap();
+        let mut seen = vec![0u64; reference.num_cells().div_ceil(64)];
+        let compare = |seen: &mut [u64], reference: &DataSpace| {
+            let clamp = clamp.as_ref();
+            tilecc_parcode::compiled::compare_tile(
+                chain, lds, tpos, &origin, clamp, reference, seen,
+            )
+        };
+        let points = plan.tiled.tile_iterations(&tile).count() as u64;
+        assert_eq!(compare(&mut seen, &reference), Some(points));
+        assert_eq!(compare(&mut seen, &reference), None, "a second visit");
+        let (lo, hi) = plan.algorithm.nest.bounding_box();
+        let empty = DataSpace::new(&lo, &hi);
+        assert_eq!(compare(&mut vec![0; seen.len()], &empty), None, "unwritten");
+    }
+
     #[test]
     fn a_panicking_scan_re_raises_on_the_caller() {
         let pipe = sor_pipeline(|_| panic!("scan kernel fault"));
-        let parallel = full_run(&pipe);
+        let results = rank_outputs(&pipe);
         let reference = Reference::start(pipe.plan(), None);
-        let caught =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reference.check(&parallel)))
-                .expect_err("the scan's panic must reach check");
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reference.check(pipe.plan(), &results, ExecStrategy::Compiled)
+        }))
+        .expect_err("the scan's panic must reach check");
         assert_eq!(caught.downcast_ref::<&str>(), Some(&"scan kernel fault"));
     }
 
@@ -389,37 +498,61 @@ mod tests {
 
     #[test]
     fn run_verified_records_verify_before_the_ranks_and_verify_diff_after() {
-        let pipe = sor_pipeline(|_| {});
-        let reg = MetricsRegistry::new();
-        let options = EngineOptions {
-            obs: Some(reg.clone()),
-            ..EngineOptions::default()
-        };
-        let (summary, _) = pipe
-            .run_verified(
-                MachineModel::fast_ethernet_p3(),
-                ExecStrategy::Compiled,
-                Backend::Threaded,
-                options,
-            )
-            .unwrap();
-        assert_eq!(summary.verified, Some(true));
-        let spans = reg.spans();
-        let driver = |name: &str| {
-            let mut it = spans.iter().filter(|s| s.pid == 0 && s.name == name);
-            let s = it.next().unwrap_or_else(|| panic!("no `{name}` span"));
-            assert!(it.next().is_none(), "two `{name}` spans");
-            s.clone()
-        };
-        let (verify, diff) = (driver("verify"), driver("verify-diff"));
-        let first_rank = spans
-            .iter()
-            .filter(|s| s.pid != 0)
-            .map(|s| s.wall_start_ns)
-            .min();
-        assert!(verify.wall_start_ns <= first_rank.expect("rank spans"));
-        assert!(diff.wall_start_ns >= first_rank.unwrap());
-        assert!(diff.wall_end_ns >= verify.wall_end_ns);
+        for strategy in [ExecStrategy::Compiled, ExecStrategy::Reference] {
+            let pipe = sor_pipeline(|_| {});
+            let reg = MetricsRegistry::new();
+            let options = EngineOptions {
+                obs: Some(reg.clone()),
+                ..EngineOptions::default()
+            };
+            let (summary, _) = pipe
+                .run_verified(
+                    MachineModel::fast_ethernet_p3(),
+                    strategy,
+                    Backend::Threaded,
+                    options,
+                )
+                .unwrap();
+            assert_eq!(summary.verified, Some(true));
+            let spans = reg.spans();
+            let driver = |name: &str| {
+                let mut it = spans.iter().filter(|s| s.pid == 0 && s.name == name);
+                let s = it.next().unwrap_or_else(|| panic!("no `{name}` span"));
+                assert!(it.next().is_none(), "two `{name}` spans");
+                s.clone()
+            };
+            let (verify, diff) = (driver("verify"), driver("verify-diff"));
+            let first_rank = spans
+                .iter()
+                .filter(|s| s.pid != 0)
+                .map(|s| s.wall_start_ns)
+                .min();
+            assert!(verify.wall_start_ns <= first_rank.expect("rank spans"));
+            assert!(diff.wall_start_ns >= first_rank.unwrap());
+            assert!(diff.wall_end_ns >= verify.wall_end_ns);
+            // One `gather` span per rank. The compiled strategy compares in
+            // place, which needs the finished scan; the reference strategy
+            // gathers first, while the scan may still run.
+            let gathers: Vec<_> = spans
+                .iter()
+                .filter(|s| s.pid == 0 && s.name == "gather")
+                .collect();
+            assert_eq!(gathers.len(), pipe.num_procs(), "{strategy:?}");
+            for g in gathers {
+                if strategy == ExecStrategy::Reference {
+                    assert!(
+                        g.wall_end_ns <= diff.wall_start_ns,
+                        "gathered after the wait"
+                    );
+                } else {
+                    assert!(
+                        g.wall_start_ns >= verify.wall_end_ns,
+                        "compared before the scan"
+                    );
+                    assert!(g.wall_end_ns <= diff.wall_end_ns);
+                }
+            }
+        }
     }
 
     #[test]

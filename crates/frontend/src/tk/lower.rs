@@ -1,14 +1,17 @@
 //! Lowering: [`KernelProgram`] → [`Algorithm`] with a tape-compiled
 //! [`Kernel`].
 //!
-//! Expressions are flattened into a flat instruction tape (one slot per AST
-//! node; `let` bindings compile once and are referenced by slot). The batch
-//! entry `compute_run` evaluates the tape op-at-a-time over blocks of eight
-//! points held in `[f64; 8]` arrays, so interpreter dispatch is amortized
-//! across a block and each op is a register-wide loop, while each *point*
-//! keeps the exact per-point floating-point operation order. Batched results
-//! are therefore bitwise identical to the per-point path, which the fuzzer's
-//! three-way cross-check locks.
+//! Expressions are flattened into a tape in register form: one instruction
+//! per operation, whose operands name an earlier instruction's slot, a
+//! dependence read or a constant directly (`let` bindings compile once and
+//! are referenced by operand). A scalar call evaluates a short tape over a
+//! stack array of slots. The batch entry `compute_run` evaluates the tape
+//! instruction-at-a-time over blocks of eight points held in `[f64; 8]`
+//! arrays, so interpreter dispatch is amortized across a block and each
+//! instruction is a register-wide loop, while each *point* keeps the exact
+//! per-point floating-point operation order. Batched results are therefore
+//! bitwise identical to the per-point path, which the fuzzer's three-way
+//! cross-check locks.
 //!
 //! Operations on constants are folded at lowering: `Const ⊕ Const` is
 //! evaluated once, the same IEEE operation on the same operands, so the
@@ -24,18 +27,29 @@ use tilecc_loopnest::kernel::{boundary_value, with_scratch};
 use tilecc_loopnest::{Algorithm, Kernel, LoopNest};
 use tilecc_polytope::{Constraint, Polyhedron};
 
-/// One instruction of the flattened expression tape. Operands are slot
-/// indices of earlier instructions.
-#[derive(Clone, Debug)]
-enum Op {
+/// An operand of a tape instruction, named where it lives: an earlier
+/// instruction's slot, a dependence read or a constant. Reads and
+/// constants are no instructions of their own, so a tape holds only the
+/// operations a point actually performs.
+#[derive(Clone, Copy, Debug)]
+enum Arg {
+    Slot(u32),
+    /// `reads[at]` per point, `at = dep·width + comp`; the batch path reads
+    /// `reads[(dep·count + p)·width + comp]`, which is
+    /// `at + (dep·(count − 1) + p)·width`.
+    Read {
+        at: u32,
+        dep: u32,
+    },
     Const(f64),
+}
+
+/// One instruction of the flattened expression tape; instruction `s`
+/// writes slot `s`.
+#[derive(Clone, Debug)]
+enum Ins {
     /// Original coordinate `j[k]` as `f64`.
     Coord(usize),
-    /// `reads[(dep·count + p)·width + comp]` (batch) / `reads[dep·width + comp]`.
-    Read {
-        dep: usize,
-        comp: usize,
-    },
     /// `boundary_value(j)`.
     Bnd,
     /// `(Σ coeffs·j + constant).rem_euclid(modulus)` as `f64`.
@@ -44,104 +58,132 @@ enum Op {
         constant: i64,
         modulus: i64,
     },
-    Neg(usize),
-    Add(usize, usize),
-    Sub(usize, usize),
-    Mul(usize, usize),
-    Div(usize, usize),
+    Neg(Arg),
+    Add(Arg, Arg),
+    Sub(Arg, Arg),
+    Mul(Arg, Arg),
+    Div(Arg, Arg),
 }
 
-/// A compiled expression tape with its output slots.
+/// A compiled expression tape in register form, with its outputs.
 #[derive(Clone, Debug, Default)]
 struct Tape {
-    ops: Vec<Op>,
-    /// `outputs[c]` is the slot whose value goes to `out[c]`.
-    outputs: Vec<usize>,
-    /// Whether an op reads the point's coordinates (`Coord`, `Bnd`,
-    /// `Mod`). A tape that does not computes the same value at every `j`,
-    /// so it never needs `j` mapped back through the skew.
+    ins: Vec<Ins>,
+    /// `outputs[c]` is the operand whose value goes to `out[c]`.
+    outputs: Vec<Arg>,
+    /// Components per cell: the stride of a dependence's reads.
+    width: usize,
+    /// Whether an instruction reads the point's coordinates (`Coord`,
+    /// `Bnd`, `Mod`). A tape that does not computes the same value at
+    /// every `j`, so it never needs `j` mapped back through the skew.
     reads_coords: bool,
 }
 
+/// Slots a scalar evaluation keeps on the stack; a longer tape borrows
+/// the thread's [`SCRATCH`].
+const STACK_SLOTS: usize = 32;
+
 impl Tape {
-    fn new(ops: Vec<Op>, outputs: Vec<usize>) -> Tape {
-        let reads_coords = ops
+    fn new(ins: Vec<Ins>, outputs: Vec<Arg>, width: usize) -> Tape {
+        let reads_coords = ins
             .iter()
-            .any(|op| matches!(op, Op::Coord(_) | Op::Bnd | Op::Mod { .. }));
+            .any(|i| matches!(i, Ins::Coord(_) | Ins::Bnd | Ins::Mod { .. }));
         Tape {
-            ops,
+            ins,
             outputs,
+            width,
             reads_coords,
         }
     }
 
-    /// Scalar evaluation into `slots`: scratch grown on first use and never
-    /// cleared, since every slot is written before it is read.
-    fn eval(&self, j: &[i64], reads: &[f64], width: usize, slots: &mut Vec<f64>, out: &mut [f64]) {
-        if slots.len() < self.ops.len() {
-            slots.resize(self.ops.len(), 0.0);
+    /// Scalar evaluation of the point `j` with dependence reads `reads`
+    /// into `out`, over a stack array of slots when the tape fits one.
+    fn eval(&self, j: &[i64], reads: &[f64], out: &mut [f64]) {
+        if self.ins.len() <= STACK_SLOTS {
+            self.eval_in(j, reads, &mut [0.0; STACK_SLOTS], out);
+        } else {
+            SCRATCH.with(|s| {
+                let mut slots = s.borrow_mut();
+                if slots.len() < self.ins.len() {
+                    slots.resize(self.ins.len(), 0.0);
+                }
+                self.eval_in(j, reads, &mut slots, out);
+            });
         }
-        for (s, op) in self.ops.iter().enumerate() {
-            slots[s] = match op {
-                Op::Const(v) => *v,
-                Op::Coord(k) => j[*k] as f64,
-                Op::Read { dep, comp } => reads[dep * width + comp],
-                Op::Bnd => boundary_value(j),
-                Op::Mod {
-                    coeffs,
+    }
+
+    /// [`Tape::eval`] into `slots`, which every instruction writes before
+    /// a later one reads it.
+    #[inline(always)]
+    fn eval_in(&self, j: &[i64], reads: &[f64], slots: &mut [f64], out: &mut [f64]) {
+        let arg = |a: Arg, slots: &[f64]| match a {
+            Arg::Slot(s) => slots[s as usize],
+            Arg::Read { at, .. } => reads[at as usize],
+            Arg::Const(v) => v,
+        };
+        for (s, ins) in self.ins.iter().enumerate() {
+            slots[s] = match *ins {
+                Ins::Coord(k) => j[k] as f64,
+                Ins::Bnd => boundary_value(j),
+                Ins::Mod {
+                    ref coeffs,
                     constant,
                     modulus,
                 } => {
                     let v: i64 = coeffs.iter().zip(j).map(|(&c, &x)| c * x).sum::<i64>() + constant;
-                    v.rem_euclid(*modulus) as f64
+                    v.rem_euclid(modulus) as f64
                 }
-                Op::Neg(a) => -slots[*a],
-                Op::Add(a, b) => slots[*a] + slots[*b],
-                Op::Sub(a, b) => slots[*a] - slots[*b],
-                Op::Mul(a, b) => slots[*a] * slots[*b],
-                Op::Div(a, b) => slots[*a] / slots[*b],
+                Ins::Neg(a) => -arg(a, slots),
+                Ins::Add(a, b) => arg(a, slots) + arg(b, slots),
+                Ins::Sub(a, b) => arg(a, slots) - arg(b, slots),
+                Ins::Mul(a, b) => arg(a, slots) * arg(b, slots),
+                Ins::Div(a, b) => arg(a, slots) / arg(b, slots),
             };
         }
-        for (c, &s) in self.outputs.iter().enumerate() {
-            out[c] = slots[s];
+        for (o, &a) in out.iter_mut().zip(&self.outputs) {
+            *o = arg(a, slots);
         }
     }
 
     /// Batched evaluation over the affine run `j0 + p·dj`, `0 ≤ p < count`,
     /// in blocks of [`LANES`] points: slot `s` of the block's lane `l` lives
-    /// at `blocks[s][l]`, so each op runs over one register-sized array and
-    /// the whole slot set stays in L1 however long the run is. Every lane
-    /// evaluates its point with the scalar path's exact operation order, so
-    /// results are bitwise identical point for point. A ragged last block
-    /// repeats the run's last read in its spare lanes and discards them.
-    #[allow(clippy::too_many_arguments)]
+    /// at `blocks[s][l]`, so each instruction runs over one register-sized
+    /// array and the whole slot set stays in L1 however long the run is.
+    /// Every lane evaluates its point with the scalar path's exact
+    /// operation order, so results are bitwise identical point for point.
+    /// A ragged last block repeats the run's last read in its spare lanes
+    /// and discards them.
     fn eval_run(
         &self,
         j0: &[i64],
         dj: &[i64],
         count: usize,
         reads: &[f64],
-        width: usize,
         blocks: &mut Vec<Block>,
         out: &mut [f64],
     ) {
-        if blocks.len() < self.ops.len() {
-            blocks.resize(self.ops.len(), [0.0; LANES]);
+        if blocks.len() < self.ins.len() {
+            blocks.resize(self.ins.len(), [0.0; LANES]);
         }
-        let w = width;
+        let w = self.width;
         for p0 in (0..count).step_by(LANES) {
             // Spare lanes of a ragged last block repeat lane `last`'s read.
             let last = (count - 1 - p0).min(LANES - 1);
             let at = |k: usize, l: usize| j0[k] + (p0 + l) as i64 * dj[k];
-            for (s, op) in self.ops.iter().enumerate() {
-                blocks[s] = match op {
-                    Op::Const(v) => [*v; LANES],
-                    Op::Coord(k) => std::array::from_fn(|l| at(*k, l) as f64),
-                    Op::Read { dep, comp } => {
-                        let r = &reads[(dep * count + p0) * w + comp..];
+            let arg = |a: Arg, blocks: &[Block]| -> Block {
+                match a {
+                    Arg::Slot(s) => blocks[s as usize],
+                    Arg::Read { at, dep } => {
+                        let r = &reads[at as usize + (dep as usize * (count - 1) + p0) * w..];
                         std::array::from_fn(|l| r[l.min(last) * w])
                     }
-                    Op::Bnd => with_scratch(j0.len(), |j| {
+                    Arg::Const(v) => [v; LANES],
+                }
+            };
+            for (s, ins) in self.ins.iter().enumerate() {
+                blocks[s] = match *ins {
+                    Ins::Coord(k) => std::array::from_fn(|l| at(k, l) as f64),
+                    Ins::Bnd => with_scratch(j0.len(), |j| {
                         std::array::from_fn(|l| {
                             for (k, jk) in j.iter_mut().enumerate() {
                                 *jk = at(k, l);
@@ -149,15 +191,14 @@ impl Tape {
                             boundary_value(j)
                         })
                     }),
-                    Op::Mod {
-                        coeffs,
+                    Ins::Mod {
+                        ref coeffs,
                         constant,
-                        modulus,
+                        modulus: m,
                     } => {
                         // The affine value steps by `c·dj` per lane, so its
                         // residue steps by that residue: one division per
                         // block, exactly `(c·j + constant).rem_euclid(m)`.
-                        let m = *modulus;
                         let v = coeffs
                             .iter()
                             .enumerate()
@@ -173,16 +214,16 @@ impl Tape {
                             x
                         })
                     }
-                    Op::Neg(a) => blocks[*a].map(|x| -x),
-                    Op::Add(a, b) => zip(&blocks[*a], &blocks[*b], |x, y| x + y),
-                    Op::Sub(a, b) => zip(&blocks[*a], &blocks[*b], |x, y| x - y),
-                    Op::Mul(a, b) => zip(&blocks[*a], &blocks[*b], |x, y| x * y),
-                    Op::Div(a, b) => zip(&blocks[*a], &blocks[*b], |x, y| x / y),
+                    Ins::Neg(a) => arg(a, blocks).map(|x| -x),
+                    Ins::Add(a, b) => zip(&arg(a, blocks), &arg(b, blocks), |x, y| x + y),
+                    Ins::Sub(a, b) => zip(&arg(a, blocks), &arg(b, blocks), |x, y| x - y),
+                    Ins::Mul(a, b) => zip(&arg(a, blocks), &arg(b, blocks), |x, y| x * y),
+                    Ins::Div(a, b) => zip(&arg(a, blocks), &arg(b, blocks), |x, y| x / y),
                 };
             }
             let n = LANES.min(count - p0);
-            for (c, &s) in self.outputs.iter().enumerate() {
-                for (l, v) in blocks[s][..n].iter().enumerate() {
+            for (c, &a) in self.outputs.iter().enumerate() {
+                for (l, v) in arg(a, blocks)[..n].iter().enumerate() {
                     out[(p0 + l) * w + c] = *v;
                 }
             }
@@ -202,74 +243,92 @@ fn zip(x: &Block, y: &Block, f: impl Fn(f64, f64) -> f64) -> Block {
     std::array::from_fn(|l| f(x[l], y[l]))
 }
 
-/// Tape builder: post-order walk; `let` bindings compile once (their result
-/// slot is shared by every reference, matching once-per-point semantics).
-/// Operations on constants are evaluated here.
+/// Tape builder: post-order walk; `let` bindings compile once (their
+/// operand is shared by every reference, matching once-per-point
+/// semantics). Operations on constants are evaluated here.
 struct TapeBuilder {
-    ops: Vec<Op>,
-    let_slots: Vec<usize>,
+    ins: Vec<Ins>,
+    let_args: Vec<Arg>,
+    width: usize,
 }
 
 impl TapeBuilder {
-    fn push(&mut self, op: Op) -> usize {
-        let konst = |s: usize| match self.ops[s] {
-            Op::Const(v) => Some(v),
-            _ => None,
-        };
-        let folded = match op {
-            Op::Neg(a) => konst(a).map(|x| -x),
-            Op::Add(a, b) => konst(a).zip(konst(b)).map(|(x, y)| x + y),
-            Op::Sub(a, b) => konst(a).zip(konst(b)).map(|(x, y)| x - y),
-            Op::Mul(a, b) => konst(a).zip(konst(b)).map(|(x, y)| x * y),
-            Op::Div(a, b) => konst(a).zip(konst(b)).map(|(x, y)| x / y),
-            _ => None,
-        };
-        self.ops.push(folded.map_or(op, Op::Const));
-        self.ops.len() - 1
+    fn new(width: usize) -> TapeBuilder {
+        TapeBuilder {
+            ins: Vec::new(),
+            let_args: Vec::new(),
+            width,
+        }
     }
 
-    fn emit(&mut self, e: &TkExpr) -> usize {
+    fn push(&mut self, ins: Ins) -> Arg {
+        use Arg::Const as K;
+        let folded = match ins {
+            Ins::Neg(K(x)) => Some(-x),
+            Ins::Add(K(x), K(y)) => Some(x + y),
+            Ins::Sub(K(x), K(y)) => Some(x - y),
+            Ins::Mul(K(x), K(y)) => Some(x * y),
+            Ins::Div(K(x), K(y)) => Some(x / y),
+            _ => None,
+        };
+        folded.map_or_else(
+            || {
+                self.ins.push(ins);
+                Arg::Slot(u32::try_from(self.ins.len() - 1).expect("tape fits u32 slots"))
+            },
+            K,
+        )
+    }
+
+    fn emit(&mut self, e: &TkExpr) -> Arg {
         match e {
-            TkExpr::Num(v) => self.push(Op::Const(*v)),
-            TkExpr::Coord(k) => self.push(Op::Coord(*k)),
-            TkExpr::LetRef(i) => self.let_slots[*i],
-            TkExpr::Read { dep, comp } => self.push(Op::Read {
-                dep: *dep,
-                comp: *comp,
-            }),
-            TkExpr::Bnd => self.push(Op::Bnd),
-            TkExpr::Mod(aff, m) => self.push(Op::Mod {
+            TkExpr::Num(v) => Arg::Const(*v),
+            TkExpr::Coord(k) => self.push(Ins::Coord(*k)),
+            TkExpr::LetRef(i) => self.let_args[*i],
+            TkExpr::Read { dep, comp } => {
+                let narrow = |x: usize| u32::try_from(x).expect("read index fits u32");
+                Arg::Read {
+                    at: narrow(dep * self.width + comp),
+                    dep: narrow(*dep),
+                }
+            }
+            TkExpr::Bnd => self.push(Ins::Bnd),
+            TkExpr::Mod(aff, m) => self.push(Ins::Mod {
                 coeffs: aff.coeffs.clone(),
                 constant: aff.constant,
                 modulus: *m,
             }),
             TkExpr::Neg(a) => {
                 let a = self.emit(a);
-                self.push(Op::Neg(a))
+                self.push(Ins::Neg(a))
             }
             TkExpr::Add(a, b) => {
                 let (a, b) = (self.emit(a), self.emit(b));
-                self.push(Op::Add(a, b))
+                self.push(Ins::Add(a, b))
             }
             TkExpr::Sub(a, b) => {
                 let (a, b) = (self.emit(a), self.emit(b));
-                self.push(Op::Sub(a, b))
+                self.push(Ins::Sub(a, b))
             }
             TkExpr::Mul(a, b) => {
                 let (a, b) = (self.emit(a), self.emit(b));
-                self.push(Op::Mul(a, b))
+                self.push(Ins::Mul(a, b))
             }
             TkExpr::Div(a, b) => {
                 let (a, b) = (self.emit(a), self.emit(b));
-                self.push(Op::Div(a, b))
+                self.push(Ins::Div(a, b))
             }
         }
+    }
+
+    fn finish(self, outputs: Vec<Arg>) -> Tape {
+        Tape::new(self.ins, outputs, self.width)
     }
 }
 
 thread_local! {
-    /// Reusable slot scratch shared by all tape kernels on a thread: one
-    /// value per slot for the per-point path.
+    /// Slot scratch of a scalar evaluation whose tape exceeds
+    /// [`STACK_SLOTS`], shared by all tape kernels on a thread.
     static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     /// One lane block per slot for the batch path.
     static BLOCKS: RefCell<Vec<Block>> = const { RefCell::new(Vec::new()) };
@@ -312,20 +371,11 @@ impl Kernel for TkKernel {
     }
 
     fn compute(&self, j: &[i64], reads: &[f64], out: &mut [f64]) {
-        self.at(&self.body, j, |j| {
-            SCRATCH.with(|s| {
-                self.body
-                    .eval(j, reads, self.width, &mut s.borrow_mut(), out);
-            })
-        });
+        self.at(&self.body, j, |j| self.body.eval(j, reads, out));
     }
 
     fn initial(&self, j: &[i64], out: &mut [f64]) {
-        self.at(&self.init, j, |j| {
-            SCRATCH.with(|s| {
-                self.init.eval(j, &[], self.width, &mut s.borrow_mut(), out);
-            })
-        });
+        self.at(&self.init, j, |j| self.init.eval(j, &[], out));
     }
 
     fn compute_run(&self, j0: &[i64], dj: &[i64], count: usize, reads: &[f64], out: &mut [f64]) {
@@ -338,7 +388,7 @@ impl Kernel for TkKernel {
             self.at(&self.body, dj, |dj| {
                 BLOCKS.with(|s| {
                     self.body
-                        .eval_run(j0, dj, count, reads, self.width, &mut s.borrow_mut(), out);
+                        .eval_run(j0, dj, count, reads, &mut s.borrow_mut(), out);
                 })
             })
         });
@@ -378,26 +428,20 @@ pub fn lower_kernel(p: &KernelProgram) -> Algorithm {
         }
     }
 
-    let mut body = TapeBuilder {
-        ops: Vec::new(),
-        let_slots: Vec::new(),
-    };
+    let mut body = TapeBuilder::new(p.width());
     for (_, e) in &p.lets {
-        let slot = body.emit(e);
-        body.let_slots.push(slot);
+        let arg = body.emit(e);
+        body.let_args.push(arg);
     }
-    let mut outputs = vec![0usize; p.width()];
+    let mut outputs = vec![Arg::Const(0.0); p.width()];
     for s in &p.stmts {
         outputs[s.array] = body.emit(&s.rhs);
     }
-    let body = Tape::new(body.ops, outputs);
+    let body = body.finish(outputs);
 
-    let mut init = TapeBuilder {
-        ops: Vec::new(),
-        let_slots: Vec::new(),
-    };
-    let init_outputs: Vec<usize> = p.arrays.iter().map(|a| init.emit(&a.init)).collect();
-    let init = Tape::new(init.ops, init_outputs);
+    let mut init = TapeBuilder::new(p.width());
+    let init_outputs: Vec<Arg> = p.arrays.iter().map(|a| init.emit(&a.init)).collect();
+    let init = init.finish(init_outputs);
 
     let mut nest = LoopNest::new(space, deps);
     let mut name = p.name.clone();

@@ -6,9 +6,11 @@
 //! - a skewed `.tk` kernel's batched `compute_run` against its per-point
 //!   `compute`, far from the iteration space, where the kernel maps
 //!   negative and large coordinates through `T⁻¹`;
-//! - the instruction tape (per point and lane-blocked) against the
+//! - the register-form tape (per point and lane-blocked) against the
 //!   tree-walking `TkExpr::eval`, on every shipped `.tk` file, unskewed
-//!   and, where it declares a skew, skewed: evaluated at `T⁻¹j`;
+//!   and, where it declares a skew, skewed: evaluated at `T⁻¹j`; and on
+//!   probes whose outputs are a bare read or a constant, whose statements
+//!   are `bnd()`/`mod()`, and whose tape outgrows the stack slots;
 //! - the paper kernels' sequential data against the frozen fingerprints of
 //!   the hand-coded Rust kernels they replaced.
 
@@ -55,6 +57,43 @@ skew = [1,0; 1,1]
 array A = mod(2*t + i, 5)
 A[t,i] = 0.5*A[t-1,i] + 0.25*A[t-1,i-1] + 0.001*i*t
 ";
+
+/// A two-array kernel whose outputs need no instruction at all: `A`
+/// copies a bare read and `B` is a constant the lowering folds.
+const BARE_OUTPUTS: &str = "\
+kernel bare
+iter t = 1 to 4
+iter i = 1 to 6
+array A = 2.5
+array B = -0.75
+A[t,i] = A[t-1,i]
+B[t,i] = 3*2 + 0.5/4
+";
+/// A skewed two-array kernel whose statements are `bnd()` alone and a
+/// `mod()` plus a read, over boundaries of the same forms.
+const MOD_BND_BODY: &str = "\
+kernel modbnd
+iter t = 1 to 4
+iter i = 1 to 6
+skew = [1,0; 1,1]
+array A = bnd()
+array B = mod(t + 2*i, 3)
+A[t,i] = bnd()
+B[t,i] = mod(5*t - i, 7) + A[t-1,i]
+";
+
+/// A kernel whose body takes 122 instructions, more than a scalar
+/// evaluation keeps on the stack: 20 terms `c·A[t−1,i]·t·i`, five
+/// instructions each (two coordinates, three products), joined by 19 adds
+/// and scaled by a two-instruction `let`.
+fn long_tape() -> String {
+    let terms: Vec<String> = (1..=20).map(|c| format!("0.0{c}*A[t-1,i]*t*i")).collect();
+    format!(
+        "kernel longtape\niter t = 1 to 4\niter i = 1 to 6\narray A = bnd()\n\
+         let s = 0.5 + 0.25*A[t-1,i]\nA[t,i] = s*({})\n",
+        terms.join(" + ")
+    )
+}
 
 fn corpus() -> Vec<(String, String)> {
     let mut files = vec![("probe".to_string(), PROBE.to_string())];
@@ -248,7 +287,15 @@ fn tape_equals_tree_walking_eval_on_every_shipped_kernel() {
     let files = corpus();
     assert_eq!(files.len(), 15, "the probe + 10 kernels + 4 nests");
     let mut skewed = 0;
-    let probes = [SKEWED_MOD_BODY, SKEWED_COORD_BODY].map(|s| ("probe".into(), s.into()));
+    let probes = [
+        SKEWED_MOD_BODY,
+        SKEWED_COORD_BODY,
+        BARE_OUTPUTS,
+        MOD_BND_BODY,
+    ]
+    .map(|s| ("probe".to_string(), s.to_string()))
+    .into_iter()
+    .chain([("probe".to_string(), long_tape())]);
     for (name, src) in files.into_iter().chain(probes) {
         let program = parse_kernel(&src).unwrap();
         let mut plain = program.clone();
@@ -305,5 +352,8 @@ fn tape_equals_tree_walking_eval_on_every_shipped_kernel() {
             }
         }
     }
-    assert_eq!(skewed, 13, "the three probes + the ten skewed corpus files");
+    assert_eq!(
+        skewed, 14,
+        "the four skewed probes + the ten skewed corpus files"
+    );
 }

@@ -169,6 +169,19 @@ impl DataSpace {
         (&mut self.vals, &mut self.written)
     }
 
+    /// The components of flat cell `cell` when it is written.
+    ///
+    /// # Panics
+    /// Panics if `cell` is outside the allocation.
+    pub fn written_cell(&self, cell: usize) -> Option<&[f64]> {
+        self.written[cell].then(|| &self.vals[cell * self.width..(cell + 1) * self.width])
+    }
+
+    /// Number of cells in the box, written or not.
+    pub fn num_cells(&self) -> usize {
+        self.written.len()
+    }
+
     /// Number of written cells.
     pub fn num_written(&self) -> usize {
         self.written.iter().filter(|&&w| w).count()

@@ -15,12 +15,16 @@
 //!   batch width, and no table grows with the tile's points.
 //! - `c_m | v_m` (integral tile sides), so advancing one chain position
 //!   shifts every cell by `chain_step = (v_m / c_m) · weights_m`.
-//! - A boundary tile clips each row once by the iteration space ([`Clamp`],
-//!   one [`LineClip`] solve) to its in-space interval and to the window
-//!   whose every source is in the space; the window batches like an
-//!   interior row, and only the points between the edges are tested one by
-//!   one. [`count_tile`] counts and [`gather_tile`] copies the same
-//!   intervals.
+//! - A boundary tile clips each row once by the iteration space to its
+//!   in-space interval and to the window whose every source is in the
+//!   space ([`Clamp`]). The clip works on integer residuals: each
+//!   constraint `a_k·j + b_k ≥ 0` is `a_k·origin + b_k` per tile, plus
+//!   `a_k·row.j` per row, plus `a_k·dj` per row position, so a row costs
+//!   one add and at most one floor division per constraint. The window
+//!   batches like an interior row, and only the points between the edges
+//!   are tested one by one, each source by integer compares.
+//!   [`count_tile`] counts the same intervals, and [`gather_tile`] and
+//!   [`compare_tile`] visit them through one row visitor.
 //! - Pack and unpack regions are the rows of their region boxes, one
 //!   unit-stride block copy each ([`Block`]).
 //! - The overlapped split is built on first use ([`CompiledChain::split`])
@@ -36,7 +40,7 @@ use std::sync::OnceLock;
 use tilecc_linalg::vecops::{div_ceil, div_floor};
 use tilecc_linalg::IMat;
 use tilecc_loopnest::{DataSpace, Kernel};
-use tilecc_polytope::{LineClip, Polyhedron};
+use tilecc_polytope::Polyhedron;
 use tilecc_tiling::{CommPlan, Lds, LdsGeometry, TiledSpace, TilingTransform};
 
 // The batch limits are shared with the sequential scan
@@ -133,6 +137,11 @@ pub struct CompiledChain {
     d_prime: IMat,
     /// Lower corner of each processor dependence's pack region.
     region_lo: Vec<Vec<i64>>,
+    /// `a_k·dj` of each [`Clamp`] constraint: its residual's step per row
+    /// position.
+    slope: Vec<i128>,
+    /// `a_k·row.j` of each row and constraint, row-major.
+    row_res: Vec<i128>,
     split: OnceLock<OverlapSplit>,
 }
 
@@ -196,12 +205,14 @@ fn close_down(set: &mut Vec<(i64, i64)>, shifts: &[i64], len: i64) {
 
 impl CompiledChain {
     /// Lower the per-tile work of a `num_tiles`-long chain. `ds_weights` are
-    /// the global data space's row-major cell weights (the gather target).
+    /// the global data space's row-major cell weights (the gather target),
+    /// and `clamp` the plan's boundary-tile clamp.
     pub fn new(
         tiled: &TiledSpace,
         comm: &CommPlan,
         geo: &LdsGeometry,
         ds_weights: &[i64],
+        clamp: &Clamp,
         num_tiles: i64,
     ) -> Self {
         let t = tiled.transform();
@@ -352,6 +363,8 @@ impl CompiledChain {
             .collect();
 
         CompiledChain {
+            slope: clamp.dots(&dj).collect(),
+            row_res: rows.iter().flat_map(|r| clamp.dots(&r.j)).collect(),
             num_tiles,
             tile_points: tiled.full_tile_volume(),
             q,
@@ -464,20 +477,74 @@ impl CompiledChain {
         }
     }
 
-    /// The positions `a..=b` of span `s` (counted from `s.at`) whose
-    /// iterations in the tile at `origin` lie in `space` — all of them
-    /// without one. Along a row the iterations lie on a line, so a convex
-    /// space keeps one interval. `j` receives the span's first iteration.
-    fn clip(
-        &self,
-        origin: &[i64],
-        s: &Span,
-        space: Option<&LineClip>,
-        j: &mut [i64],
-    ) -> Option<(i64, i64)> {
-        self.iteration_at(origin, &self.rows[s.row], s.at, j);
+    /// Residual `a_k·j + b_k` of constraint `k` at position `t` of row
+    /// `row` in the tile of `tc`.
+    #[inline]
+    fn residual(&self, tc: &TileClamp, row: usize, t: usize, k: usize) -> i128 {
+        let kk = self.slope.len();
+        tc.base[k] + self.row_res[row * kk + k] + t as i128 * self.slope[k]
+    }
+
+    /// The positions `s0..=s1` of span `s` (counted from `s.at`) whose
+    /// iterations lie in the space of `clamp` — all of them without one —
+    /// and, with `window`, the positions `w0..=w1` among them whose every
+    /// dependence source lies in the space too (`w0 = s1 + 1` when none
+    /// does; `w0..=w1` is `s0..=s1` without `window`). Along a row the
+    /// iterations lie on a line, so a convex space keeps one interval.
+    /// `None` when no position is in the space.
+    fn clip(&self, s: &Span, clamp: Option<&TileClamp>, window: bool) -> Option<[i64; 4]> {
         let last = s.len as i64 - 1;
-        space.map_or(Some((0, last)), |c| c.clip(j, &self.dj, 0, last))
+        let Some(tc) = clamp else {
+            return Some([0, last, 0, last]);
+        };
+        let (mut sp, mut win) = ((0i128, i128::from(last)), (i128::MIN, i128::MAX));
+        for k in 0..self.slope.len() {
+            let (v, slope) = (self.residual(tc, s.row, s.at, k), self.slope[k]);
+            cut(v, slope, &mut sp);
+            if sp.0 > sp.1 {
+                return None;
+            }
+            if window {
+                cut(v - tc.clamp.shift[k], slope, &mut win);
+            }
+        }
+        let (s0, s1) = (sp.0 as i64, sp.1 as i64);
+        if !window {
+            return Some([s0, s1, s0, s1]);
+        }
+        // Both lie within [s0, s1] when the window is not empty.
+        let (w0, w1) = (win.0.max(sp.0), win.1.min(sp.1));
+        Some(if w0 > w1 {
+            [s0, s1, s1 + 1, s1]
+        } else {
+            [s0, s1, w0 as i64, w1 as i64]
+        })
+    }
+}
+
+/// Cut the interval `t ∈ [lo, hi]` to the `t` with `v + t·slope ≥ 0`
+/// (empty as `lo > hi`): `t ≥ ⌈−v / slope⌉` for a positive slope,
+/// `t ≤ ⌊v / −slope⌋` for a negative one. The division runs in `i64` when
+/// both operands fit it, in `i128` otherwise.
+#[inline]
+fn cut(v: i128, slope: i128, (lo, hi): &mut (i128, i128)) {
+    // Both operands and their negations fit i64.
+    let fits = |x: i128| x.unsigned_abs() <= i64::MAX as u128;
+    if slope == 0 {
+        if v < 0 {
+            *lo = i128::MAX;
+        }
+    } else if fits(v) && fits(slope) {
+        let (v, s) = (v as i64, slope as i64);
+        if s > 0 {
+            *lo = (*lo).max(i128::from(if s == 1 { -v } else { div_ceil(-v, s) }));
+        } else {
+            *hi = (*hi).min(i128::from(div_floor(v, -s)));
+        }
+    } else if slope > 0 {
+        *lo = (*lo).max((-v).div_euclid(slope) + i128::from((-v).rem_euclid(slope) != 0));
+    } else {
+        *hi = (*hi).min(v.div_euclid(-slope));
     }
 }
 
@@ -501,6 +568,8 @@ pub fn tile_origin(t: &TilingTransform, tile: &[i64]) -> Vec<i64> {
 pub struct ComputeScratch {
     j: Vec<i64>,
     src: Vec<i64>,
+    /// Residuals of one edge point, one per [`Clamp`] constraint.
+    res: Vec<i128>,
     reads: Vec<f64>,
     out: Vec<f64>,
     run_reads: Vec<f64>,
@@ -514,6 +583,7 @@ impl ComputeScratch {
         ComputeScratch {
             j: vec![0i64; n],
             src: vec![0i64; n],
+            res: Vec::new(),
             reads: vec![0.0f64; q * w],
             out: vec![0.0f64; w],
             run_reads: vec![0.0f64; q * CACHE_BLOCK * w],
@@ -523,25 +593,75 @@ impl ComputeScratch {
 }
 
 /// A boundary tile's clamp (§3.2), built once per plan: the iteration
-/// space as a line clipper, the window of points whose every dependence
-/// source is in the space too, and the dependences for the per-point test
-/// at the window's edges.
+/// space's constraints `a_k·j + b_k ≥ 0`, the products `a_k·d_i` that test
+/// a dependence source, and the window shifts `max_i a_k·d_i`. A point
+/// `j` with residuals `r_k = a_k·j + b_k` lies in the space iff every
+/// `r_k ≥ 0`, its source `j − d_i` iff every `r_k ≥ a_k·d_i`, and every
+/// source at once iff every `r_k` reaches its shift.
 pub struct Clamp {
-    /// The iteration space.
-    pub space: LineClip,
-    /// The points `j` whose every source `j − d_i` is in the space.
-    window: LineClip,
+    /// `a_k`, row-major: `a[k·n..(k + 1)·n]`.
+    a: Vec<i64>,
+    b: Vec<i64>,
+    /// `a_k·d_i`, source-major: `src[i·K + k]` for `K` constraints.
+    src: Vec<i128>,
+    /// `max_i a_k·d_i`; 0 without dependences, when the window is the
+    /// in-space interval.
+    shift: Vec<i128>,
     deps: IMat,
 }
 
 impl Clamp {
     /// The clamp of `space` under the dependence columns `deps`.
     pub(crate) fn new(space: &Polyhedron, deps: &IMat) -> Self {
-        Clamp {
-            space: LineClip::new(space, None),
-            window: LineClip::new(space, Some(deps)),
+        let rows = space.constraints();
+        let mut clamp = Clamp {
+            a: rows.iter().flat_map(|c| c.coeffs().to_vec()).collect(),
+            b: rows.iter().map(|c| c.constant()).collect(),
+            src: Vec::new(),
+            shift: Vec::new(),
             deps: deps.clone(),
+        };
+        let cols: Vec<Vec<i64>> = (0..deps.cols()).map(|i| deps.col(i)).collect();
+        clamp.src = cols.iter().flat_map(|d| clamp.dots(d)).collect();
+        let k = rows.len();
+        clamp.shift = (0..k)
+            .map(|kk| clamp.src.iter().skip(kk).step_by(k).max().map_or(0, |&m| m))
+            .collect();
+        clamp
+    }
+
+    /// `a_k·x` of every constraint `k`, exactly.
+    fn dots<'a>(&'a self, x: &'a [i64]) -> impl Iterator<Item = i128> + 'a {
+        self.a.chunks_exact(x.len()).map(move |a| {
+            let terms = a.iter().zip(x);
+            terms.map(|(&c, &v)| i128::from(c) * i128::from(v)).sum()
+        })
+    }
+
+    /// The clamp of the tile whose origin iteration is `origin`
+    /// ([`tile_origin`]): its residuals `a_k·origin + b_k`.
+    pub fn at(&self, origin: &[i64]) -> TileClamp<'_> {
+        let base = self.dots(origin).zip(&self.b);
+        TileClamp {
+            base: base.map(|(d, &b)| d + i128::from(b)).collect(),
+            clamp: self,
         }
+    }
+}
+
+/// A [`Clamp`] placed at one tile: the residuals of the tile's origin.
+pub struct TileClamp<'a> {
+    clamp: &'a Clamp,
+    base: Vec<i128>,
+}
+
+impl TileClamp<'_> {
+    /// Whether dependence `i`'s source of the point with residuals `res`
+    /// lies in the space.
+    #[inline]
+    fn source_in(&self, res: &[i128], i: usize) -> bool {
+        let ad = &self.clamp.src[i * res.len()..(i + 1) * res.len()];
+        res.iter().zip(ad).all(|(r, d)| r >= d)
     }
 }
 
@@ -550,7 +670,7 @@ impl Clamp {
 /// [`OverlapSplit::interior`]) — with no per-point allocation. A
 /// compute-interior tile passes `clamp = None`: every point is in the space
 /// and every read source is stored in the LDS, so no point is tested. A
-/// boundary tile passes its [`Clamp`], which cuts each span to its
+/// boundary tile passes its [`TileClamp`], which cuts each span to its
 /// in-space interval and, inside that, to the window where every source is
 /// in the space too; only the points between the two are tested one by
 /// one, and a source outside the space reads the kernel's initial value. A
@@ -571,53 +691,58 @@ pub fn compute_tile_fast<K: Kernel + ?Sized>(
     kernel: &K,
     scr: &mut ComputeScratch,
     spans: &[Span],
-    clamp: Option<&Clamp>,
+    clamp: Option<&TileClamp>,
 ) -> (u64, u64) {
     let (n, q, w) = (chain.n, chain.q, lds.width());
     let base = tpos * chain.chain_step;
     let dj = &chain.dj[..];
-    // Position `t` of `row`, per point. With `edge`, a source outside the
+    scr.res.resize(chain.slope.len(), 0);
+    // Position `t` of row `r`, per point. With `edge`, a source outside the
     // space reads the kernel's initial value; without, every source is in
     // the LDS.
-    let point =
-        |vals: &mut [f64], scr: &mut ComputeScratch, row: &Row, t: usize, edge: Option<&Clamp>| {
-            chain.iteration_at(origin, row, t, &mut scr.j);
-            for dq in 0..q {
-                let r = &mut scr.reads[dq * w..(dq + 1) * w];
-                if let Some(c) = edge {
-                    for k in 0..n {
-                        scr.src[k] = scr.j[k] - c.deps[(k, dq)];
-                    }
-                    if !c.space.contains(&scr.src) {
-                        kernel.initial(&scr.src, r);
-                        continue;
-                    }
-                }
-                let cell = (base + row.src[dq] + t as i64) as usize;
-                r.copy_from_slice(&vals[cell * w..(cell + 1) * w]);
+    let point = |vals: &mut [f64],
+                 scr: &mut ComputeScratch,
+                 r: usize,
+                 t: usize,
+                 edge: Option<&TileClamp>| {
+        let row = &chain.rows[r];
+        chain.iteration_at(origin, row, t, &mut scr.j);
+        if let Some(tc) = edge {
+            for (k, res) in scr.res.iter_mut().enumerate() {
+                *res = chain.residual(tc, r, t, k);
             }
-            kernel.compute(&scr.j, &scr.reads[..q * w], &mut scr.out[..w]);
-            let cell = (base + row.dst + t as i64) as usize;
-            vals[cell * w..(cell + 1) * w].copy_from_slice(&scr.out[..w]);
-        };
+        }
+        for dq in 0..q {
+            let reads = &mut scr.reads[dq * w..(dq + 1) * w];
+            if let Some(tc) = edge.filter(|tc| !tc.source_in(&scr.res, dq)) {
+                for k in 0..n {
+                    scr.src[k] = scr.j[k] - tc.clamp.deps[(k, dq)];
+                }
+                kernel.initial(&scr.src, reads);
+                continue;
+            }
+            let cell = (base + row.src[dq] + t as i64) as usize;
+            reads.copy_from_slice(&vals[cell * w..(cell + 1) * w]);
+        }
+        kernel.compute(&scr.j, &scr.reads[..q * w], &mut scr.out[..w]);
+        let cell = (base + row.dst + t as i64) as usize;
+        vals[cell * w..(cell + 1) * w].copy_from_slice(&scr.out[..w]);
+    };
     // Single split borrow of the LDS buffer, hoisted out of all loops.
     let vals = lds.values_mut();
     let (mut iters, mut batched) = (0u64, 0u64);
     for span in spans {
-        let row = &chain.rows[span.row];
-        let at = span.at;
-        // Span positions [s0, s1) are in the space; the window [w0, w1)
+        let (r, at) = (span.row, span.at);
+        let row = &chain.rows[r];
+        // Span positions [s0, s1] are in the space; the window [w0, w1]
         // lies inside them.
-        let Some((s0, s1)) = chain.clip(origin, span, clamp.map(|c| &c.space), &mut scr.j) else {
+        let Some([s0, s1, w0, w1]) = chain.clip(span, clamp, true) else {
             continue;
         };
-        let (w0, w1) = clamp.map_or((s0, s1), |c| {
-            c.window.clip(&scr.j, dj, s0, s1).unwrap_or((s1 + 1, s1))
-        });
         let (s0, s1, w0, w1) = (s0 as usize, s1 as usize + 1, w0 as usize, w1 as usize + 1);
         iters += (s1 - s0) as u64;
         for t in at + s0..at + w0 {
-            point(vals, scr, row, t, clamp);
+            point(vals, scr, r, t, clamp);
         }
         if row.batch >= MIN_BATCH as usize && w1 >= w0 + MIN_BATCH as usize {
             let mut done = w0;
@@ -645,11 +770,11 @@ pub fn compute_tile_fast<K: Kernel + ?Sized>(
             batched += (w1 - w0) as u64;
         } else {
             for t in at + w0..at + w1 {
-                point(vals, scr, row, t, None);
+                point(vals, scr, r, t, None);
             }
         }
         for t in at + w1..at + s1 {
-            point(vals, scr, row, t, clamp);
+            point(vals, scr, r, t, clamp);
         }
     }
     (iters, batched)
@@ -657,16 +782,9 @@ pub fn compute_tile_fast<K: Kernel + ?Sized>(
 
 /// Count the in-space points of a tile along `spans` without touching any
 /// data — the timing-only twin of [`compute_tile_fast`], one clip per span.
-pub fn count_tile(
-    chain: &CompiledChain,
-    origin: &[i64],
-    clamp: Option<&Clamp>,
-    spans: &[Span],
-    j: &mut [i64],
-) -> u64 {
-    let space = clamp.map(|c| &c.space);
-    let kept = spans.iter().filter_map(|s| chain.clip(origin, s, space, j));
-    kept.map(|(a, b)| (b - a + 1) as u64).sum()
+pub fn count_tile(chain: &CompiledChain, clamp: Option<&TileClamp>, spans: &[Span]) -> u64 {
+    let kept = spans.iter().filter_map(|s| chain.clip(s, clamp, false));
+    kept.map(|[a, b, ..]| (b - a + 1) as u64).sum()
 }
 
 /// Fill `payload` with the pack region of processor dependence `dm_idx` at
@@ -742,36 +860,53 @@ pub fn unpack_region(
     Ok(())
 }
 
-/// Gather a tile's owned cells into the global data space, row by row:
-/// a row whose `DataSpace` cells are unit-stride (`gather_step == 1`) is
-/// one block copy (values and written flags), any other row per-cell
-/// writes. A boundary tile passes the iteration space as `clamp`
-/// ([`Clamp::space`]), which cuts each row to its in-space interval (its
-/// iterations lie on a line, so a convex space clips it to one interval);
-/// an interior tile passes `None`.
+/// Visit a tile's owned cells row by row, each row of the walk cut by
+/// `clamp` to its in-space positions (a boundary tile; an interior tile
+/// passes `None`): `f(cell, ds_cell, count)` covers LDS cells
+/// `cell..cell + count` at `tpos`, which hold the `DataSpace` cells
+/// `ds_cell + t·gather_step`; `gbase` is the data space's flat cell of the
+/// tile's origin ([`DataSpace::flat_cell_signed`]). Stops at the first
+/// call that returns `false` and returns whether every call returned
+/// `true`. The one traversal behind [`gather_tile`] and [`compare_tile`].
+fn for_each_owned_row(
+    chain: &CompiledChain,
+    tpos: i64,
+    gbase: i64,
+    clamp: Option<&TileClamp>,
+    mut f: impl FnMut(usize, i64, usize) -> bool,
+) -> bool {
+    let base = tpos * chain.chain_step;
+    chain.walk.iter().all(|s| {
+        let Some([a, b, ..]) = chain.clip(s, clamp, false) else {
+            return true;
+        };
+        let row = &chain.rows[s.row];
+        let cell = (base + row.dst + a) as usize;
+        f(
+            cell,
+            gbase + row.gather + a * chain.gather_step,
+            (b - a + 1) as usize,
+        )
+    })
+}
+
+/// Gather a tile's owned cells into the global data space: a row whose
+/// `DataSpace` cells are unit-stride (`gather_step == 1`) is one block copy
+/// (values and written flags), any other row per-cell writes.
 pub fn gather_tile(
     chain: &CompiledChain,
     lds: &Lds,
     tpos: i64,
     origin: &[i64],
-    clamp: Option<&LineClip>,
+    clamp: Option<&TileClamp>,
     ds: &mut DataSpace,
 ) {
     let w = lds.width();
     debug_assert_eq!(ds.width(), w);
-    let base = tpos * chain.chain_step;
-    let gbase = ds.flat_cell_signed(origin);
     let vals = lds.values();
     let step = chain.gather_step;
-    let mut j = vec![0i64; chain.n];
-    for s in &chain.walk {
-        let Some((a, b)) = chain.clip(origin, s, clamp, &mut j) else {
-            continue;
-        };
-        let row = &chain.rows[s.row];
-        let count = (b - a + 1) as usize;
-        let src = (base + row.dst + a) as usize;
-        let cell = gbase + row.gather + a * step;
+    let gbase = ds.flat_cell_signed(origin);
+    for_each_owned_row(chain, tpos, gbase, clamp, |src, cell, count| {
         if step == 1 {
             ds.write_cells(cell as usize, count, &vals[src * w..(src + count) * w]);
         } else {
@@ -780,7 +915,49 @@ pub fn gather_tile(
                 ds.write_cell((cell + t as i64 * step) as usize, &vals[s * w..(s + 1) * w]);
             }
         }
-    }
+        true
+    });
+}
+
+/// Compare a tile's owned cells in place with `reference`, cell by cell
+/// over the rows [`gather_tile`] would copy, and mark each visited
+/// `DataSpace` cell in the bitset `seen`. Returns the number of cells
+/// visited, or `None` at the first cell that was visited before, is not
+/// written in `reference`, or differs from it in any bit. When every tile
+/// of a run passes and the visits total `reference.num_written()`, a
+/// gather of the run would equal `reference` bit for bit.
+pub fn compare_tile(
+    chain: &CompiledChain,
+    lds: &Lds,
+    tpos: i64,
+    origin: &[i64],
+    clamp: Option<&TileClamp>,
+    reference: &DataSpace,
+    seen: &mut [u64],
+) -> Option<u64> {
+    let w = lds.width();
+    debug_assert_eq!(reference.width(), w);
+    let vals = lds.values();
+    let step = chain.gather_step;
+    let gbase = reference.flat_cell_signed(origin);
+    let mut visits = 0u64;
+    let same = for_each_owned_row(chain, tpos, gbase, clamp, |src, cell, count| {
+        visits += count as u64;
+        (0..count).all(|t| {
+            let c = (cell + t as i64 * step) as usize;
+            let (word, bit) = (c / 64, 1u64 << (c % 64));
+            let fresh = seen[word] & bit == 0;
+            seen[word] |= bit;
+            let got = &vals[(src + t) * w..(src + t + 1) * w];
+            fresh
+                && reference.written_cell(c).is_some_and(|want| {
+                    want.iter()
+                        .zip(got)
+                        .all(|(x, y)| x.to_bits() == y.to_bits())
+                })
+        })
+    });
+    same.then_some(visits)
 }
 
 #[cfg(test)]
@@ -1000,16 +1177,15 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
 
             // The two passes' in-space counts partition every tile's
             // iterations.
-            let mut j_buf = vec![0i64; n];
             if let Some(&(lo_t, hi_t)) = plan.dist.chains.first() {
                 // Per-tile counts are chain-length independent.
                 let chain = plan.compiled_for(hi_t - lo_t + 1);
                 let split = chain.split();
                 for tile in plan.tiled.tiles() {
                     let origin = super::tile_origin(tr, &tile);
-                    let clamp = Some(&plan.clamp);
-                    let b = super::count_tile(chain, &origin, clamp, &split.boundary, &mut j_buf);
-                    let i = super::count_tile(chain, &origin, clamp, &split.interior, &mut j_buf);
+                    let clamp = Some(plan.clamp.at(&origin));
+                    let b = super::count_tile(chain, clamp.as_ref(), &split.boundary);
+                    let i = super::count_tile(chain, clamp.as_ref(), &split.interior);
                     let expect = plan.tiled.tile_iterations(&tile).count() as u64;
                     assert_eq!(b + i, expect, "case {case}: tile {tile:?}");
                 }
@@ -1021,6 +1197,271 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
             with_interior >= 1,
             "no sampled tiling produced a private interior"
         );
+    }
+
+    /// A kernel the residual-clip plans never execute.
+    struct Unused;
+    impl tilecc_loopnest::Kernel for Unused {
+        fn width(&self) -> usize {
+            1
+        }
+        fn compute(&self, _: &[i64], _: &[f64], _: &mut [f64]) {
+            unreachable!("plans are only clipped")
+        }
+        fn initial(&self, _: &[i64], _: &mut [f64]) {
+            unreachable!("plans are only clipped")
+        }
+    }
+
+    /// The residual clip of every chain of `plan` against [`LineClip`] on
+    /// every tile: for each span (whole rows and both overlapped passes),
+    /// the in-space interval equals `LineClip::clip` along the span's
+    /// iterations, the window equals the dependence-shifted clip inside
+    /// it, and at the `positions` of each span every dependence source is
+    /// in the space by residuals iff `LineClip::contains` says so. Checks
+    /// every `stride`-th span. Returns the number of spans whose residuals
+    /// left the `i64` range, so their divisions ran in `i128`.
+    fn check_residual_clip(
+        plan: &ParallelPlan,
+        ctx: &str,
+        stride: usize,
+        positions: impl Fn(usize, [i64; 4]) -> Vec<usize>,
+    ) -> usize {
+        use tilecc_polytope::LineClip;
+        let tr = plan.tiled.transform();
+        let deps = plan.deps();
+        let (n, q) = (plan.dim(), deps.cols());
+        let space = LineClip::new(plan.tiled.space(), None);
+        let window = LineClip::new(plan.tiled.space(), Some(deps));
+        let mut lens: Vec<i64> = plan.dist.chains.iter().map(|&(a, b)| b - a + 1).collect();
+        lens.sort_unstable();
+        lens.dedup();
+        let (mut wide, mut j0, mut src) = (0usize, vec![0i64; n], vec![0i64; n]);
+        for len in lens {
+            let chain = plan.compiled_for(len);
+            let split = chain.split();
+            let spans: Vec<_> = chain
+                .walk
+                .iter()
+                .chain(&split.boundary)
+                .chain(&split.interior)
+                .collect();
+            for tile in plan.tiled.tiles() {
+                let origin = super::tile_origin(tr, &tile);
+                let tc = plan.clamp.at(&origin);
+                for s in spans.iter().step_by(stride) {
+                    let row = &chain.rows[s.row];
+                    chain.iteration_at(&origin, row, s.at, &mut j0);
+                    let last = s.len as i64 - 1;
+                    let got = chain.clip(s, Some(&tc), true);
+                    let k = chain.slope.len();
+                    let big = |t: usize| {
+                        (0..k).any(|kk| {
+                            chain.residual(&tc, s.row, t, kk).unsigned_abs() > i64::MAX as u128
+                        })
+                    };
+                    wide += usize::from(big(s.at) || big(s.at + s.len - 1));
+                    let Some((s0, s1)) = space.clip(&j0, &chain.dj, 0, last) else {
+                        assert_eq!(got, None, "{ctx}: tile {tile:?} {s:?}");
+                        continue;
+                    };
+                    let (w0, w1) = window.clip(&j0, &chain.dj, s0, s1).unwrap_or((s1 + 1, s1));
+                    assert_eq!(got, Some([s0, s1, w0, w1]), "{ctx}: tile {tile:?} {s:?}");
+                    assert_eq!(chain.clip(s, Some(&tc), false), Some([s0, s1, s0, s1]));
+                    let mut res = vec![0i128; k];
+                    for t in positions(s.len, [s0, s1, w0, w1]) {
+                        for (kk, r) in res.iter_mut().enumerate() {
+                            *r = chain.residual(&tc, s.row, s.at + t, kk);
+                        }
+                        for dq in 0..q {
+                            for kk in 0..n {
+                                src[kk] = j0[kk] + t as i64 * chain.dj[kk] - deps[(kk, dq)];
+                            }
+                            assert_eq!(
+                                tc.source_in(&res, dq),
+                                space.contains(&src),
+                                "{ctx}: tile {tile:?} {s:?} position {t} source {dq}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        wide
+    }
+
+    /// Seeded random cut spaces with `n ≤ 4`, random dependences and
+    /// rectangular (dependences with negative entries included) or
+    /// tiling-cone tilings: every
+    /// span's residual clip and every point's source test equal their
+    /// `LineClip` oracles. One more plan at `N = 100000` coordinates,
+    /// under a cut whose coefficient `2^50` takes the residuals far past
+    /// `i64`, runs the `i128` divisions.
+    #[test]
+    fn residual_clip_matches_line_clip_on_random_cut_spaces() {
+        use tilecc_linalg::IMat;
+        use tilecc_loopnest::{Algorithm, LoopNest};
+        use tilecc_polytope::{Constraint, Polyhedron};
+        let mut g = G(0x0C11_9AB5);
+        let (mut valid, mut cone, mut cut_plans) = (0usize, 0usize, 0usize);
+        let every = |len: usize, _: [i64; 4]| (0..len).collect::<Vec<_>>();
+        for case in 0..90 {
+            let n = g.range(2, 4) as usize;
+            let ext: Vec<i64> = (0..n)
+                .map(|_| g.range(3, if n == 4 { 5 } else { 8 }))
+                .collect();
+            let mut space = Polyhedron::from_box(&vec![1; n], &ext);
+            let mut cut = false;
+            for _ in 0..g.range(0, 2) {
+                let coeffs: Vec<i64> = (0..n).map(|_| g.range(-1, 1)).collect();
+                if coeffs.iter().all(|&c| c == 0) {
+                    continue;
+                }
+                let mid: i64 = coeffs
+                    .iter()
+                    .zip(&ext)
+                    .map(|(&c, &e)| c * ((1 + e) / 2))
+                    .sum();
+                space.add(Constraint::new(coeffs, g.range(0, 6) - mid));
+                cut = true;
+            }
+            // Some cone tilings of 4-D nests, of dependences with negative
+            // entries, or of spaces with steeper cuts take minutes to plan:
+            // cone cases are 2-D and 3-D over nonnegative dependences.
+            let use_cone = n < 4 && g.next().is_multiple_of(2);
+            let low = if use_cone { 0 } else { -1 };
+            let q = g.range(1, 4) as usize;
+            let mut deps = IMat::zeros(n, q);
+            for dq in 0..q {
+                loop {
+                    let c: Vec<i64> = (0..n).map(|_| g.range(low, 2)).collect();
+                    if tilecc_linalg::vecops::is_lex_positive(&c) {
+                        for k in 0..n {
+                            deps[(k, dq)] = c[k];
+                        }
+                        break;
+                    }
+                }
+            }
+            let factors: Vec<i64> = (0..n).map(|_| g.range(2, 3)).collect();
+            let h = if use_cone {
+                let Ok(rays) = tilecc_tiling::tiling_cone_rays(&deps) else {
+                    continue;
+                };
+                let mut chosen: Vec<Vec<i64>> = Vec::new();
+                for ray in rays {
+                    chosen.push(ray);
+                    if chosen.len() == n {
+                        let mut sq = IMat::zeros(n, n);
+                        for (i, r) in chosen.iter().enumerate() {
+                            for k in 0..n {
+                                sq[(i, k)] = r[k];
+                            }
+                        }
+                        if sq.det() == 0 {
+                            chosen.pop();
+                        }
+                    }
+                    if chosen.len() == n {
+                        break;
+                    }
+                }
+                if chosen.len() < n {
+                    continue;
+                }
+                RMat::from_fn(n, n, |i, k| {
+                    Rational::new(chosen[i][k] as i128, factors[i] as i128)
+                })
+            } else {
+                RMat::from_fn(n, n, |i, k| {
+                    Rational::new(i128::from(i == k), factors[i] as i128)
+                })
+            };
+            let Ok(t) = TilingTransform::new(h) else {
+                continue;
+            };
+            if t.validate_for(&deps).is_err() {
+                continue;
+            }
+            let m = (g.next() % n as u64) as usize;
+            let alg = Algorithm::new("p", LoopNest::new(space, deps), std::sync::Arc::new(Unused));
+            let Ok(plan) = ParallelPlan::new(alg, t, Some(m)) else {
+                continue;
+            };
+            valid += 1;
+            cone += usize::from(use_cone);
+            cut_plans += usize::from(cut);
+            check_residual_clip(&plan, &format!("case {case}"), 1, every);
+        }
+        assert!(valid >= 30, "only {valid} valid plans");
+        assert!(
+            cone >= 5 && cut_plans >= 10,
+            "{cone} cone, {cut_plans} cut plans"
+        );
+
+        // 10^5 coordinates under a cut through the diagonal.
+        let mut space = Polyhedron::from_box(&[1, 1], &[100_000, 100_000]);
+        space.add(Constraint::new(vec![3, -2], 7));
+        let deps = IMat::from_rows(&[&[1, 0, 1], &[0, 1, 1]]);
+        let alg = Algorithm::new(
+            "big",
+            LoopNest::new(space, deps),
+            std::sync::Arc::new(Unused),
+        );
+        let rect = TilingTransform::rectangular(&[50_000, 25_000]).unwrap();
+        let plan = ParallelPlan::new(alg, rect, Some(0)).unwrap();
+        let edges = |len: usize, [s0, s1, w0, w1]: [i64; 4]| {
+            let at = [
+                0,
+                s0 - 1,
+                s0,
+                s0 + 1,
+                w0 - 1,
+                w0,
+                w1,
+                w1 + 1,
+                s1,
+                s1 + 1,
+                len as i64 - 1,
+            ];
+            at.into_iter()
+                .filter_map(|t| usize::try_from(t).ok())
+                .filter(|&t| t < len)
+                .collect()
+        };
+        check_residual_clip(&plan, "N = 100000", 499, edges);
+    }
+
+    /// `cut` against the half-line it cuts, `v + t·slope ≥ 0` evaluated in
+    /// `i128` at every `t` of a window, with operands in `i64`, past it
+    /// (the `i128` divisions) and at its edge.
+    #[test]
+    fn cut_solves_residual_half_lines_exactly() {
+        let max = i128::from(i64::MAX);
+        let mut g = G(0x0C07_0001);
+        let mut wide = 0;
+        for case in 0..4000 {
+            let scale = [1, 1 << 20, 1 << 40, max, max * 1024][case % 5];
+            let mut pick = |r: i128| (g.next() as i128 % (2 * r + 1)) - r;
+            let slope = match case % 7 {
+                0 => 0,
+                1 => 1,
+                2 => -1,
+                _ => pick(scale.min(1 << 12)) * (scale / (1 << 12)).max(1),
+            };
+            // Centre the crossing inside [−20, 20], then jitter it.
+            let v = -slope * pick(15) + pick(scale.min(1 << 10));
+            wide +=
+                usize::from(v.unsigned_abs() > max as u128 || slope.unsigned_abs() > max as u128);
+            let mut got = (-20i128, 20i128);
+            super::cut(v, slope, &mut got);
+            let kept: Vec<i128> = (-20..=20).filter(|&t| v + t * slope >= 0).collect();
+            match (kept.first(), kept.last()) {
+                (Some(&a), Some(&b)) => assert_eq!(got, (a, b), "v={v} slope={slope}"),
+                _ => assert!(got.0 > got.1, "v={v} slope={slope}: {got:?}"),
+            }
+        }
+        assert!(wide > 500, "only {wide} cases outside i64");
     }
 
     /// The in-row closure keeps every shifted copy of an interval shorter

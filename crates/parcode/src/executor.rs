@@ -14,8 +14,8 @@
 //! overlapped one; the reference strategy walks the tile per point.
 
 use crate::compiled::{
-    compute_tile_fast, count_tile, gather_tile, pack_region, tile_origin, unpack_region,
-    CompiledChain, ComputeScratch, Span,
+    compare_tile, compute_tile_fast, count_tile, gather_tile, pack_region, tile_origin,
+    unpack_region, CompiledChain, ComputeScratch, Span,
 };
 use crate::plan::ParallelPlan;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -114,9 +114,9 @@ impl ExecutionResult {
 }
 
 /// Execute the plan: every rank runs [`run_rank`] over the chosen
-/// [`Backend`], and in [`ExecMode::Full`] the main thread gathers the rank
-/// LDSs into the global data space. `options` carry the communication
-/// scheme ([`CommScheme::Overlapped`] implements the
+/// [`Backend`] ([`run_ranks`]), and in [`ExecMode::Full`] the main thread
+/// gathers the rank LDSs into the global data space. `options` carry the
+/// communication scheme ([`CommScheme::Overlapped`] implements the
 /// computation/communication overlapping the paper lists as future work,
 /// its reference [8]), observability, fault injection and the watchdog;
 /// [`ExecStrategy::comm_scheme`] may override the scheme. The rank body,
@@ -131,20 +131,10 @@ pub fn execute(
     mode: ExecMode,
     strategy: ExecStrategy,
     backend: Backend,
-    mut options: EngineOptions,
+    options: EngineOptions,
 ) -> Result<ExecutionResult, RunError> {
-    options.scheme = strategy.comm_scheme(options.scheme);
-    let nprocs = plan.num_procs();
-    let plan2 = plan.clone();
     let obs_reg = options.obs.clone();
-    let report = match backend {
-        Backend::Threaded => run_cluster(nprocs, model, options, move |comm| {
-            run_rank(&plan2, comm, mode, strategy)
-        })?,
-        Backend::Tcp => run_cluster_tcp(nprocs, model, options, move |comm| {
-            run_rank(&plan2, comm, mode, strategy)
-        })?,
-    };
+    let report = run_ranks(&plan, model, mode, strategy, backend, options)?;
     let total_iterations: u64 = report.results.iter().map(|r| r.iterations).sum();
     let data = match mode {
         ExecMode::TimingOnly => None,
@@ -155,6 +145,30 @@ pub fn execute(
         data,
         total_iterations,
     })
+}
+
+/// Run every rank of the plan over `backend`, as [`execute`] does, and
+/// return the report without gathering: in [`ExecMode::Full`] each rank's
+/// output carries its LDS.
+pub fn run_ranks(
+    plan: &Arc<ParallelPlan>,
+    model: MachineModel,
+    mode: ExecMode,
+    strategy: ExecStrategy,
+    backend: Backend,
+    mut options: EngineOptions,
+) -> Result<RunReport<RankOutput>, RunError> {
+    options.scheme = strategy.comm_scheme(options.scheme);
+    let nprocs = plan.num_procs();
+    let plan = plan.clone();
+    match backend {
+        Backend::Threaded => run_cluster(nprocs, model, options, move |comm| {
+            run_rank(&plan, comm, mode, strategy)
+        }),
+        Backend::Tcp => run_cluster_tcp(nprocs, model, options, move |comm| {
+            run_rank(&plan, comm, mode, strategy)
+        }),
+    }
 }
 
 /// Write every rank's LDS back to the global data space (the paper's
@@ -176,6 +190,69 @@ pub fn gather(
     let (lo, hi) = plan.algorithm.nest.bounding_box();
     let mut ds = DataSpace::with_width(&lo, &hi, plan.algorithm.width());
     let mut vals = vec![0.0f64; plan.algorithm.width()];
+    for_each_owned_tile(plan, results, obs, |chain, lds, tpos, tile, interior| {
+        if strategy == ExecStrategy::Reference {
+            for (jp, j) in plan.tiled.tile_iterations(tile) {
+                lds.get_into(&lds.unrolled(tpos, &jp), &mut vals);
+                ds.set_all(&j, &vals);
+            }
+        } else {
+            let origin = tile_origin(plan.tiled.transform(), tile);
+            let clamp = (!interior).then(|| plan.clamp.at(&origin));
+            gather_tile(chain, lds, tpos, &origin, clamp.as_ref(), &mut ds);
+        }
+        true
+    });
+    ds
+}
+
+/// Verify a finished run in place: compare every rank's owned cells with
+/// `reference` over the rows [`gather`] copies under the compiled
+/// strategies ([`compare_tile`]), with no data space built. True iff no
+/// cell is visited twice, every visited cell is written in `reference`
+/// and equal to it bit for bit, and the visits cover every cell
+/// `reference` wrote (`reference_written`, its `num_written()`): then a
+/// gather would return `reference` exactly. Records the same `gather`
+/// spans and histogram as [`gather`].
+pub fn compare_in_place(
+    plan: &ParallelPlan,
+    results: &[RankOutput],
+    reference: &DataSpace,
+    reference_written: usize,
+    obs: Option<&MetricsRegistry>,
+) -> bool {
+    let mut seen = vec![0u64; reference.num_cells().div_ceil(64)];
+    let mut visits = 0u64;
+    let same = for_each_owned_tile(plan, results, obs, |chain, lds, tpos, tile, interior| {
+        let origin = tile_origin(plan.tiled.transform(), tile);
+        let clamp = (!interior).then(|| plan.clamp.at(&origin));
+        let v = compare_tile(
+            chain,
+            lds,
+            tpos,
+            &origin,
+            clamp.as_ref(),
+            reference,
+            &mut seen,
+        );
+        visits += v.unwrap_or(0);
+        v.is_some()
+    });
+    same && visits == reference_written as u64
+}
+
+/// Call `visit(chain, lds, tpos, tile, interior)` on every valid tile of
+/// every rank in rank and chain order; `interior` tiles lie inside the
+/// iteration space and need no clamp. Each visit is observed as a
+/// `GatherNs` sample of its rank and each rank as a `gather` driver span.
+/// Stops after the first visit that returns `false` and returns whether
+/// none did.
+fn for_each_owned_tile(
+    plan: &ParallelPlan,
+    results: &[RankOutput],
+    obs: Option<&MetricsRegistry>,
+    mut visit: impl FnMut(&CompiledChain, &Lds, i64, &[i64], bool) -> bool,
+) -> bool {
     for (rank, out) in results.iter().enumerate() {
         let rank_t0 = obs.map(|r| r.now_ns());
         let lds = out.lds.as_ref().expect("full mode returns the rank LDS");
@@ -183,22 +260,14 @@ pub fn gather(
         let pid = &plan.dist.pids[rank];
         let (lo_t, hi_t) = plan.dist.chains[rank];
         let chain = plan.compiled_for(hi_t - lo_t + 1);
+        let mut done = true;
         for t_abs in lo_t..=hi_t {
             let tile = insert_at(pid, plan.m(), t_abs);
             if !plan.tiled.tile_valid(&tile) {
                 continue;
             }
-            let tpos = t_abs - lo_t;
-            if strategy == ExecStrategy::Reference {
-                for (jp, j) in plan.tiled.tile_iterations(&tile) {
-                    lds.get_into(&lds.unrolled(tpos, &jp), &mut vals);
-                    ds.set_all(&j, &vals);
-                }
-            } else {
-                let origin = tile_origin(plan.tiled.transform(), &tile);
-                let clamp = (!plan.tiled.tile_is_interior(&tile)).then_some(&plan.clamp.space);
-                gather_tile(chain, lds, tpos, &origin, clamp, &mut ds);
-            }
+            let interior = plan.tiled.tile_is_interior(&tile);
+            done = visit(chain, lds, t_abs - lo_t, &tile, interior);
             if let (Some(reg), Some(t0)) = (obs, tile_t0) {
                 let now = reg.now_ns();
                 reg.rank_metrics(rank)
@@ -206,12 +275,18 @@ pub fn gather(
                     .observe(now.saturating_sub(t0));
                 tile_t0 = Some(now);
             }
+            if !done {
+                break;
+            }
         }
         if let (Some(reg), Some(t0)) = (obs, rank_t0) {
             reg.driver_span(Phase::Gather, "gather", t0, rank as u64);
         }
+        if !done {
+            return false;
+        }
     }
-    ds
+    true
 }
 
 /// The SPMD body of one rank — the direct analogue of the paper's
@@ -250,7 +325,6 @@ pub fn run_rank<C: Comm>(
     let mut out = vec![0.0f64; w];
     let mut src = vec![0i64; n];
     let mut gs = vec![0i64; n];
-    let mut j_buf = vec![0i64; n];
     let obs_on = comm.obs().is_some();
 
     let ckpt_every = comm.recovery_interval();
@@ -360,8 +434,9 @@ pub fn run_rank<C: Comm>(
                 // someone consumes it (a timing-only count just clips every run).
                 let classify = obs_on || (lds.is_some() && strategy != ExecStrategy::Reference);
                 let is_interior = classify && plan.tiled.tile_is_compute_interior(&cur_tile, deps);
-                let clamp = (!is_interior).then_some(&plan.clamp);
                 let origin = tile_origin(t, &cur_tile);
+                let clamp = (!is_interior).then(|| plan.clamp.at(&origin));
+                let clamp = clamp.as_ref();
                 let mut tile_vectorized: u64 = 0;
                 // One compute pass over `spans`: count it (timing-only, no
                 // LDS), walk the tile per point (the reference oracle, which
@@ -376,7 +451,7 @@ pub fn run_rank<C: Comm>(
                         };
                         let v0 = comm.local_time();
                         let iters = match (lds.as_mut(), strategy) {
-                            (None, _) => count_tile(chain, &origin, clamp, spans, &mut j_buf),
+                            (None, _) => count_tile(chain, clamp, spans),
                             (Some(lds), ExecStrategy::Reference) => {
                                 let mut iters = 0;
                                 for (jp, j) in plan.tiled.tile_iterations(&cur_tile) {

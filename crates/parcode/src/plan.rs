@@ -86,12 +86,13 @@ impl ParallelPlan {
             let extents: Vec<i64> = lo.iter().zip(&hi).map(|(&l, &h)| h - l + 1).collect();
             LdsGeometry::weights(&extents)
         };
+        let clamp = Clamp::new(tiled.space(), algorithm.nest.deps());
         let mut compiled = BTreeMap::new();
         for &(lo_t, hi_t) in &dist.chains {
             let nt = hi_t - lo_t + 1;
             compiled.entry(nt).or_insert_with(|| {
                 let t0 = obs.map(|r| r.now_ns());
-                let chain = CompiledChain::new(&tiled, &comm, &geo, &ds_weights, nt);
+                let chain = CompiledChain::new(&tiled, &comm, &geo, &ds_weights, &clamp, nt);
                 if let (Some(reg), Some(t0)) = (obs, t0) {
                     reg.driver_span(Phase::CompileChain, "compile-chain", t0, nt as u64);
                 }
@@ -103,7 +104,6 @@ impl ParallelPlan {
             .next()
             .expect("a distribution always has at least one chain")
             .pack_counts();
-        let clamp = Clamp::new(tiled.space(), algorithm.nest.deps());
         Ok(ParallelPlan {
             algorithm,
             tiled,

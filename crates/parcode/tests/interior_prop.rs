@@ -136,18 +136,17 @@ fn volume_fast_matches_membership_tested_count() {
         // Per-tile counts do not depend on the chain length.
         let (lo_t, hi_t) = plan.dist.chains[0];
         let chain = plan.compiled_for(hi_t - lo_t + 1);
-        let mut j = vec![0i64; plan.dim()];
         for tile in plan.tiled.tiles() {
             let exact = plan.tiled.tile_iterations(&tile).count() as u64;
             let origin = tile_origin(plan.tiled.transform(), &tile);
             let runs = &chain.walk;
             assert_eq!(
-                count_tile(chain, &origin, Some(&plan.clamp), runs, &mut j),
+                count_tile(chain, Some(&plan.clamp.at(&origin)), runs),
                 exact,
                 "count_tile mismatch at tile {tile:?}"
             );
             if plan.tiled.tile_is_interior(&tile) {
-                assert_eq!(count_tile(chain, &origin, None, runs, &mut j), exact);
+                assert_eq!(count_tile(chain, None, runs), exact);
             } else if exact > 0 {
                 boundary_tiles += 1;
             }

@@ -15,7 +15,7 @@ use tilecc_linalg::{IMat, RMat, Rational};
 use tilecc_loopnest::{Algorithm, DataSpace, Kernel, LoopNest};
 use tilecc_parcode::compiled::{gather_tile, tile_origin, Region, CACHE_BLOCK, MIN_BATCH};
 use tilecc_parcode::ParallelPlan;
-use tilecc_polytope::{Constraint, Polyhedron};
+use tilecc_polytope::{Constraint, LineClip, Polyhedron};
 use tilecc_tiling::{insert_at, tiling_cone_rays, TilingTransform};
 
 /// xorshift64* — the fuzz harness's generator, for seed-reproducible cases.
@@ -93,6 +93,7 @@ fn check_plan(plan: &ParallelPlan, ctx: &str) -> usize {
     let mut dropped = 0usize;
     let mut lens = std::collections::BTreeSet::new();
     let mut j = vec![0i64; n];
+    let space = LineClip::new(plan.tiled.space(), None);
     for rank in 0..plan.num_procs() {
         let (lo_t, hi_t) = plan.dist.chains[rank];
         let chain = plan.compiled_for(hi_t - lo_t + 1);
@@ -113,7 +114,7 @@ fn check_plan(plan: &ParallelPlan, ctx: &str) -> usize {
                     for k in 0..n {
                         j[k] = origin[k] + row.j[k];
                     }
-                    match plan.clamp.space.clip(&j, &chain.dj, 0, row.len as i64 - 1) {
+                    match space.clip(&j, &chain.dj, 0, row.len as i64 - 1) {
                         Some(span) => span,
                         None => continue,
                     }
@@ -256,9 +257,9 @@ fn check_gather(plan: &ParallelPlan, ctx: &str) -> usize {
                 want.set_all(&j, &vals);
             }
             let origin = tile_origin(t, &tile);
-            let clamp = (!interior).then_some(&plan.clamp.space);
+            let clamp = (!interior).then(|| plan.clamp.at(&origin));
             let mut got = DataSpace::with_width(&lo, &hi, w);
-            gather_tile(chain, &lds, tpos, &origin, clamp, &mut got);
+            gather_tile(chain, &lds, tpos, &origin, clamp.as_ref(), &mut got);
             assert_eq!(
                 want.diff(&got),
                 None,
