@@ -94,8 +94,7 @@ fn clamp_ablation(h: &mut Harness) {
         black_box(n);
     });
     // Per-tile counts do not depend on the chain length.
-    let (lo_t, hi_t) = plan.dist.chains[0];
-    let chain = plan.compiled_for(hi_t - lo_t + 1);
+    let chain = plan.chain(0);
     h.bench("clamp_ablation/interior_fast_path_and_run_clip", || {
         let mut n = 0u64;
         for tile in &tiles {

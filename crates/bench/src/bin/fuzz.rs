@@ -1,44 +1,47 @@
-//! Randomized end-to-end fuzzer: generates random convex spaces, uniform
-//! dependence sets and (rectangular or tiling-cone) tilings, and checks the
-//! full parallel pipeline bitwise against sequential execution. Every case
-//! also runs all three execution strategies — the compiled flat-index path,
-//! the per-point reference path, and the overlapped boundary/interior
-//! path — which must agree bitwise with identical message traffic; the
-//! overlapped makespan must never exceed the blocking compiled one.
+//! Randomized end-to-end fuzzer: draws cases and checks the full parallel
+//! pipeline bitwise against sequential execution. Every case runs the one
+//! per-case cross-check ([`check_case`]), whichever generator drew it:
+//! all three execution strategies — the compiled flat-index path, the
+//! per-point reference path, and the overlapped boundary/interior path —
+//! must agree bitwise with identical message traffic and logical counters,
+//! and the overlapped makespan must never exceed the blocking compiled one.
 //!
 //! Usage: `fuzz [seed] [cases] [--faults] [--tcp] [--recovery] [--tune] [--dsl]`.
-//! With `--tune`, the tiling of each case is drawn from the auto-tuner's
-//! candidate enumeration (`tilecc::enumerate_candidates`) instead of the
-//! rectangular/cone-greedy generators — every H the tuner could ever rank
-//! flows through the same three-way bitwise cross-check. With
+//!
+//! Two generators draw the cases. By default each case is a random convex
+//! 3-D space with uniform dependences under a rectangular or tiling-cone
+//! tiling; with `--tune`, the tiling is drawn from the auto-tuner's
+//! candidate enumeration (`tilecc::enumerate_candidates`) instead, so every
+//! H the tuner could ever rank flows through the same cross-check. With
+//! `--dsl`, each case compiles one kernel of the `examples/kernels/*.tk`
+//! corpus through the frontend and draws a random rectangular tiling and
+//! mapping dimension; the sequential data of the four paper workloads
+//! (`sor`, `jacobi`, `adi`, `adi_paper`) must additionally hash to the
+//! frozen fingerprints of the hand-coded Rust kernels they replaced
+//! (`tilecc_frontend::corpus::FROZEN`), at the file sizes and at the sizes
+//! `perf` benches them at, and every corpus kernel must run. `--tune` and
+//! `--dsl` pick different generators and cannot be combined.
+//!
+//! Three legs extend the per-case check under either generator. With
 //! `--faults`, every case is additionally executed under a seeded
 //! lossy/duplicating/reordering `FaultPlan`; the reliability layer must
-//! reproduce the fault-free result bitwise, with retransmissions visible
-//! in the stats. With `--tcp`, every case with ≤ 8 processors is
-//! re-executed over the TCP backend (real sockets, TCMP framing) — clean
-//! and under a seeded chaos plan — and must match the threaded backend
-//! bitwise: same data, same per-rank virtual clocks, same counters. With
-//! `--recovery`, every case crashes its busiest rank mid-run under a
-//! checkpoint/recovery policy on both backends: the recovered run must
-//! reproduce the fault-free data bitwise, and every rank's clock must be
-//! the fault-free clock plus exactly its recovery debt. With `--dsl`, the
-//! random-space generator is replaced by the `examples/kernels/*.tk`
-//! corpus: every case compiles one kernel-DSL program through the
-//! frontend, draws a random rectangular tiling and mapping dimension, and
-//! runs the same three-way strategy cross-check; the sequential data of the
-//! four paper workloads (`sor`, `jacobi`, `adi`, `adi_paper`) must
-//! additionally hash to the frozen fingerprints of the hand-coded Rust
-//! kernels they replaced (`tilecc_frontend::corpus::FROZEN`), at the file
-//! sizes and at the sizes `perf` benches them at.
+//! reproduce the fault-free result bitwise, with retransmissions visible in
+//! the stats. With `--tcp`, every case with ≤ 8 processors is re-executed
+//! over the TCP backend (real sockets, TCMP framing) — clean and under a
+//! seeded chaos plan — and must match the threaded backend bitwise: same
+//! data, same per-rank virtual clocks, same counters. With `--recovery`,
+//! every case crashes its busiest rank mid-run under a checkpoint/recovery
+//! policy on both backends: the recovered run must reproduce the fault-free
+//! data bitwise, and every rank's clock must be the fault-free clock plus
+//! exactly its recovery debt.
 //!
-//! In every mode, each case's sequential oracle (`execute_sequential`) is
-//! also compared bitwise against the run-based scan (`execute_scan`) that
-//! `verify` uses, and the plan's closed forms are checked against walks:
-//! its tile set against a lattice walk of every shadow candidate, and its
-//! `D^S` against `⌊(j' + d')/v⌋` over every TTIS point. In the default and
-//! `--dsl` modes, each case also runs the compiled and overlapped
-//! strategies in `TimingOnly` mode, which must equal their `Full` runs on
-//! makespan bits, per-rank clocks, iterations, messages and bytes.
+//! Each case's sequential oracle (`execute_sequential`) is also compared
+//! bitwise against the run-based scan (`execute_scan`) that `verify` uses,
+//! and the plan's closed forms are checked against walks: its tile set
+//! against a lattice walk of every shadow candidate, and its `D^S` against
+//! `⌊(j' + d')/v⌋` over every TTIS point. The compiled and overlapped
+//! strategies also run in `TimingOnly` mode, which must equal their `Full`
+//! runs on makespan bits, per-rank clocks, iterations, messages and bytes.
 //!
 //! Every failure path prints the RNG seed so regressions reproduce with
 //! `fuzz <seed>`. Found two real bugs during development (Fourier–Motzkin
@@ -95,30 +98,599 @@ impl Kernel for K {
     }
 }
 
-/// Report a failure with the reproduction seed and exit.
-fn fail(seed: u64, case: u64, what: &str) -> ! {
-    eprintln!("FAILURE in case {case}: {what}");
-    eprintln!("reproduce with: fuzz {seed}");
-    std::process::exit(3);
+/// One fuzz case: the run's seed and the case index, named by every
+/// failure so it reproduces with `fuzz <seed>`.
+#[derive(Clone, Copy)]
+struct Case {
+    seed: u64,
+    case: u64,
 }
 
-/// The run-based sequential scan (what `verify` runs) must equal the
-/// per-point oracle `seq` bitwise.
-fn check_scan(alg: &Algorithm, seq: &DataSpace, seed: u64, case: u64) {
-    if let Some(bad) = alg.execute_scan().diff(seq) {
-        eprintln!("  SCAN MISMATCH at {bad:?}");
-        fail(
-            seed,
-            case,
-            "sequential scan differs from execute_sequential",
-        );
+impl Case {
+    /// Report a failure with the reproduction seed and exit.
+    fn fail(self, what: &str) -> ! {
+        eprintln!("FAILURE in case {}: {what}", self.case);
+        eprintln!("reproduce with: fuzz {}", self.seed);
+        std::process::exit(3);
     }
+
+    /// The seed of this case's chaos plan.
+    fn fault_seed(self) -> u64 {
+        self.seed ^ self.case.wrapping_mul(0x9E37_79B9)
+    }
+
+    /// Execute `plan` on the paper's machine model; an engine error fails
+    /// the case as `what`.
+    fn run(
+        self,
+        plan: &Arc<ParallelPlan>,
+        mode: ExecMode,
+        strategy: ExecStrategy,
+        backend: Backend,
+        options: EngineOptions,
+        what: &str,
+    ) -> ExecutionResult {
+        let model = MachineModel::fast_ethernet_p3();
+        execute(plan.clone(), model, mode, strategy, backend, options).unwrap_or_else(|e| {
+            eprintln!("  {mode:?} {strategy:?} {backend:?} run failed: {e}");
+            self.fail(what)
+        })
+    }
+
+    /// Run `plan` on the threaded backend with a fresh metrics registry.
+    fn run_observed(
+        self,
+        plan: &Arc<ParallelPlan>,
+        mode: ExecMode,
+        strategy: ExecStrategy,
+    ) -> (ExecutionResult, Arc<MetricsRegistry>) {
+        let reg = MetricsRegistry::new();
+        let options = EngineOptions {
+            obs: Some(reg.clone()),
+            ..EngineOptions::default()
+        };
+        let what = "strategy run failed";
+        let res = self.run(plan, mode, strategy, Backend::Threaded, options, what);
+        (res, reg)
+    }
+
+    /// The sequential oracle of `alg`, which the run-based scan (what
+    /// `verify` runs) must equal bitwise.
+    fn sequential(self, alg: &Algorithm) -> DataSpace {
+        let seq = alg.execute_sequential();
+        if let Some(bad) = alg.execute_scan().diff(&seq) {
+            eprintln!("  SCAN MISMATCH at {bad:?}");
+            self.fail("sequential scan differs from execute_sequential");
+        }
+        seq
+    }
+
+    /// `got` must hold `want`'s data bitwise.
+    fn same_data(self, want: &DataSpace, got: &ExecutionResult, what: &str) {
+        if let Some(bad) = want.diff(data(got)) {
+            eprintln!("  {what} at {bad:?}");
+            self.fail(what);
+        }
+    }
+
+    /// `a` and `b` must agree on every counter of `counters`.
+    fn same_totals(self, a: &ObsReport, b: &ObsReport, counters: &[Counter], what: &str) {
+        for &c in counters {
+            if a.total(c) != b.total(c) {
+                eprintln!("  counter {}: {} vs {}", c.name(), a.total(c), b.total(c));
+                self.fail(what);
+            }
+        }
+    }
+}
+
+/// The gathered data of a `Full` run.
+fn data(res: &ExecutionResult) -> &DataSpace {
+    res.data.as_ref().expect("a full run gathers its data")
+}
+
+/// Bit patterns of a clock vector, for bitwise comparison.
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The logical counters every strategy must report identically; only the
+/// dispatch counters tell the strategies apart.
+const LOGICAL: [Counter; 8] = [
+    Counter::MessagesSent,
+    Counter::BytesSent,
+    Counter::MessagesReceived,
+    Counter::BytesReceived,
+    Counter::Tiles,
+    Counter::InteriorTiles,
+    Counter::BoundaryTiles,
+    Counter::Iterations,
+];
+
+/// The legs each case runs beyond the fault-free strategy cross-check.
+#[derive(Clone, Copy)]
+struct Legs {
+    faults: bool,
+    tcp: bool,
+    recovery: bool,
+}
+
+/// What the cases covered, for the coverage checks after the last case.
+#[derive(Default)]
+struct Tally {
+    /// Cases cross-checked on the TCP backend, clean and under chaos.
+    tcp_cases: u64,
+    /// Cases whose crashed rank actually recovered.
+    recovered_cases: u64,
+    /// Points the compiled strategy computed on the batched path.
+    vectorized_points: u64,
+}
+
+/// The one per-case cross-check, whichever generator drew the case: the
+/// plan's closed forms against walks, every strategy against the
+/// sequential oracle `seq`, and the legs `legs` asks for.
+fn check_case(c: Case, plan: &Arc<ParallelPlan>, seq: &DataSpace, legs: Legs, tally: &mut Tally) {
+    eprintln!(
+        "  stage: shadow has {} constraints, {} tiles, {} procs, {} tile deps",
+        plan.tiled.shadow().constraints().len(),
+        plan.tiled.tiles().count(),
+        plan.dist.num_procs(),
+        plan.comm.tile_deps.len()
+    );
+    check_plan_against_walks(plan, c);
+    if seq.diff(&execute_tiled_sequential(plan)).is_some() {
+        c.fail("tiled sequential reordering mismatch");
+    }
+    let (res, rep_c) = check_strategies(c, plan, seq, tally);
+    if legs.tcp && plan.num_procs() <= 8 {
+        check_tcp(c, plan, &res);
+        tally.tcp_cases += 1;
+    }
+    if legs.faults {
+        check_faults(c, plan, seq, &rep_c);
+    }
+    if legs.recovery && check_recovery(c, plan, seq, &res) {
+        tally.recovered_cases += 1;
+    }
+}
+
+/// The fault-free legs: compiled, reference and overlapped runs agree
+/// bitwise with `seq` and with each other, conserve messages and bytes,
+/// and equal their timing-only runs. Returns the compiled run and its
+/// metrics report.
+fn check_strategies(
+    c: Case,
+    plan: &Arc<ParallelPlan>,
+    seq: &DataSpace,
+    tally: &mut Tally,
+) -> (ExecutionResult, ObsReport) {
+    let (res, reg_c) = c.run_observed(plan, ExecMode::Full, ExecStrategy::Compiled);
+    if let Some(bad) = seq.diff(data(&res)) {
+        eprintln!("  MISMATCH at {bad:?}");
+        let tf = plan.tiled.transform();
+        eprintln!("  H' = {:?}", tf.h_prime());
+        eprintln!("  v = {:?} strides = {:?}", tf.v(), tf.strides());
+        eprintln!("  D' = {:?}", plan.comm.d_prime);
+        eprintln!(
+            "  maxd = {:?} cc = {:?} off = {:?}",
+            plan.comm.maxd, plan.comm.cc, plan.comm.off
+        );
+        eprintln!("  D^S = {:?}", plan.comm.tile_deps);
+        eprintln!("  D^m = {:?}", plan.comm.proc_deps);
+        eprintln!("  tile of bad point: {:?}", tf.tile_of(&bad));
+        eprintln!(
+            "  seq value {:?} par value {:?}",
+            seq.get_all(&bad),
+            data(&res).get_all(&bad)
+        );
+        c.fail("parallel/sequential mismatch");
+    }
+    // The per-point reference path must agree bitwise with identical
+    // virtual time and traffic.
+    let (reference, reg_r) = c.run_observed(plan, ExecMode::Full, ExecStrategy::Reference);
+    c.same_data(
+        data(&res),
+        &reference,
+        "compiled/reference strategy data mismatch",
+    );
+    if res.makespan() != reference.makespan() {
+        eprintln!(
+            "  makespans: compiled {} reference {}",
+            res.makespan(),
+            reference.makespan()
+        );
+        c.fail("compiled/reference makespan mismatch");
+    }
+    if res.report.total_bytes() != reference.report.total_bytes() {
+        c.fail("compiled/reference traffic mismatch");
+    }
+    // Metrics conservation: in a fault-free run every message sent is
+    // received exactly once, byte-for-byte, and no fault or reliability
+    // counters fire.
+    let rep_c = reg_c.run_report(&res.report.local_times);
+    let rep_r = reg_r.run_report(&reference.report.local_times);
+    for rep in [&rep_c, &rep_r] {
+        if rep.total(Counter::MessagesSent) != rep.total(Counter::MessagesReceived) {
+            c.fail("fault-free sends != receives");
+        }
+        if rep.total(Counter::BytesSent) != rep.total(Counter::BytesReceived) {
+            c.fail("fault-free bytes sent != bytes received");
+        }
+        if rep.total(Counter::Retransmits) != 0
+            || rep.total(Counter::DupsSuppressed) != 0
+            || rep.total(Counter::FaultDrops) != 0
+        {
+            c.fail("fault counters fired in a fault-free run");
+        }
+    }
+    if rep_c.total(Counter::MessagesSent) != res.report.total_messages()
+        || rep_c.total(Counter::BytesSent) != res.report.total_bytes()
+    {
+        c.fail("metrics registry disagrees with engine report");
+    }
+    check_snapshots(c, plan, &res, &reg_c, &rep_c);
+    let what = "compiled/reference logical counter mismatch";
+    c.same_totals(&rep_c, &rep_r, &LOGICAL, what);
+    if rep_c.total(Counter::CompiledDispatches) != rep_c.total(Counter::Tiles)
+        || rep_c.total(Counter::ReferenceDispatches) != 0
+        || rep_r.total(Counter::ReferenceDispatches) != rep_r.total(Counter::Tiles)
+        || rep_r.total(Counter::CompiledDispatches) != 0
+    {
+        c.fail("dispatch counters do not match the strategy");
+    }
+    // VectorizedPoints is a dispatch-shape counter, not a logical one: the
+    // reference strategy never batches, and no strategy can batch more
+    // points than it iterates. Compiled and overlapped are NOT compared
+    // against each other — the boundary/interior split cuts runs
+    // differently, so their batch totals legitimately diverge while the
+    // data stays bitwise identical.
+    if rep_r.total(Counter::VectorizedPoints) != 0 {
+        c.fail("reference strategy reported batched points");
+    }
+    if rep_c.total(Counter::VectorizedPoints) > rep_c.total(Counter::Iterations) {
+        c.fail("compiled strategy batched more points than iterations");
+    }
+    tally.vectorized_points += rep_c.total(Counter::VectorizedPoints);
+    // Overlapped strategy: boundary-first execution with sends hidden
+    // behind the interior must be a pure schedule change — same data, same
+    // traffic, and never a later finish than blocking compiled.
+    let (overlapped, reg_o) = c.run_observed(plan, ExecMode::Full, ExecStrategy::Overlapped);
+    c.same_data(
+        data(&res),
+        &overlapped,
+        "compiled/overlapped strategy data mismatch",
+    );
+    if overlapped.makespan() > res.makespan() + 1e-12 {
+        eprintln!(
+            "  makespans: compiled {} overlapped {}",
+            res.makespan(),
+            overlapped.makespan()
+        );
+        c.fail("overlapped strategy slower than blocking");
+    }
+    if overlapped.report.total_bytes() != res.report.total_bytes()
+        || overlapped.report.total_messages() != res.report.total_messages()
+    {
+        c.fail("compiled/overlapped traffic mismatch");
+    }
+    if overlapped.report.total_bytes_received() != overlapped.report.total_bytes() {
+        c.fail("overlapped run lost or invented bytes");
+    }
+    let rep_o = reg_o.run_report(&overlapped.report.local_times);
+    let what = "compiled/overlapped logical counter mismatch";
+    c.same_totals(&rep_c, &rep_o, &LOGICAL, what);
+    if rep_o.total(Counter::CompiledDispatches) != rep_o.total(Counter::Tiles)
+        || rep_o.total(Counter::ReferenceDispatches) != 0
+    {
+        c.fail("overlapped dispatch counters are wrong");
+    }
+    if rep_o.total(Counter::VectorizedPoints) > rep_o.total(Counter::Iterations) {
+        c.fail("overlapped strategy batched more points than iterations");
+    }
+    // The timing-only leg: virtual time depends only on iteration counts
+    // and message sizes, so a `TimingOnly` run of each strategy must equal
+    // its `Full` run on makespan bits, per-rank clocks and the counters.
+    for (strategy, full, rep) in [
+        (ExecStrategy::Compiled, &res, &rep_c),
+        (ExecStrategy::Overlapped, &overlapped, &rep_o),
+    ] {
+        let (timing, reg) = c.run_observed(plan, ExecMode::TimingOnly, strategy);
+        if timing.makespan().to_bits() != full.makespan().to_bits()
+            || bits(&timing.report.local_times) != bits(&full.report.local_times)
+        {
+            eprintln!("  {strategy:?}: timing-only clocks differ from the full run");
+            c.fail("timing-only/full clock mismatch");
+        }
+        let rep_t = reg.run_report(&timing.report.local_times);
+        let counters = [
+            Counter::Iterations,
+            Counter::MessagesSent,
+            Counter::BytesSent,
+        ];
+        c.same_totals(rep, &rep_t, &counters, "timing-only/full counter mismatch");
+    }
+    (res, rep_c)
+}
+
+/// STATS-snapshot merge path: what the multi-process TCP driver does
+/// (capture a snapshot per rank, merge with `from_snapshots`) must be
+/// bitwise indistinguishable from building the report straight off the
+/// registry, and each snapshot must survive its own wire codec.
+fn check_snapshots(
+    c: Case,
+    plan: &ParallelPlan,
+    res: &ExecutionResult,
+    reg: &MetricsRegistry,
+    rep: &ObsReport,
+) {
+    let snaps: Vec<StatsSnapshot> = (0..plan.num_procs())
+        .map(|r| StatsSnapshot::capture(&reg.rank_metrics(r)))
+        .collect();
+    let merged = ObsReport::from_snapshots(&snaps, &res.report.local_times);
+    if merged.to_json() != rep.to_json() {
+        c.fail("snapshot-merged report differs from registry report");
+    }
+    if !merged.deterministic_diff(rep).is_empty() {
+        c.fail("snapshot merge broke the deterministic subset");
+    }
+    let zero = StatsSnapshot::zero();
+    for (r, snap) in snaps.iter().enumerate() {
+        // Absolute frame (delta against zero) and an idle incremental
+        // frame (delta against itself) must both round-trip exactly.
+        let abs = snap.encode_delta(&zero);
+        match StatsSnapshot::apply_delta(&zero, &abs) {
+            Ok(back) if back == *snap => {}
+            Ok(_) => c.fail("absolute stats frame did not round-trip"),
+            Err(e) => {
+                eprintln!("  rank {r} absolute stats frame rejected: {e}");
+                c.fail("absolute stats frame rejected by decoder");
+            }
+        }
+        let idle = snap.encode_delta(snap);
+        match StatsSnapshot::apply_delta(snap, &idle) {
+            Ok(back) if back == *snap => {}
+            _ => c.fail("idle stats delta did not round-trip"),
+        }
+        // Truncation anywhere must be a typed error, never a panic or a
+        // silent partial decode.
+        if !abs.is_empty() && StatsSnapshot::apply_delta(&zero, &abs[..abs.len() - 1]).is_ok() {
+            c.fail("truncated stats frame decoded successfully");
+        }
+        // Category totals accrue in a different addition order than the
+        // chronological engine clock, so the partition identity holds to
+        // rounding, not bitwise.
+        let clock = res.report.local_times[r];
+        if (snap.local_clock() - clock).abs() > 1e-9 * clock.abs().max(1.0) {
+            eprintln!(
+                "  rank {r}: snapshot clock {} engine clock {clock}",
+                snap.local_clock()
+            );
+            c.fail("snapshot clock partition disagrees with engine");
+        }
+    }
+}
+
+/// Cross-backend leg: the same compiled program over real sockets must be
+/// indistinguishable from the threaded run `res` — bitwise data, bitwise
+/// per-rank clocks, identical counters — clean and under one chaos plan.
+fn check_tcp(c: Case, plan: &Arc<ParallelPlan>, res: &ExecutionResult) {
+    let (full, compiled) = (ExecMode::Full, ExecStrategy::Compiled);
+    let clean = EngineOptions::default();
+    let tcp_res = c.run(
+        plan,
+        full,
+        compiled,
+        Backend::Tcp,
+        clean,
+        "tcp backend failed",
+    );
+    c.same_data(data(res), &tcp_res, "tcp/threaded data mismatch");
+    for rank in 0..plan.num_procs() {
+        let (threaded, tcp) = (
+            res.report.local_times[rank],
+            tcp_res.report.local_times[rank],
+        );
+        if threaded.to_bits() != tcp.to_bits() {
+            eprintln!("  rank {rank} clocks: threaded {threaded} tcp {tcp}");
+            c.fail("tcp/threaded virtual clock mismatch");
+        }
+    }
+    if tcp_res.report.total_messages() != res.report.total_messages()
+        || tcp_res.report.total_bytes() != res.report.total_bytes()
+        || tcp_res.report.total_bytes_received() != res.report.total_bytes_received()
+    {
+        c.fail("tcp/threaded traffic mismatch");
+    }
+    // The same chaos plan over sockets: faults are decided above the
+    // transport, so the perturbed schedule must also agree bitwise,
+    // retransmission accounting included.
+    let chaos = || EngineOptions {
+        fault: Some(FaultPlan::chaos(c.fault_seed(), 0.3)),
+        ..EngineOptions::default()
+    };
+    let what = "threaded backend failed under chaos";
+    let threaded_f = c.run(plan, full, compiled, Backend::Threaded, chaos(), what);
+    let tcp_f = c.run(
+        plan,
+        full,
+        compiled,
+        Backend::Tcp,
+        chaos(),
+        "tcp backend failed under chaos",
+    );
+    c.same_data(
+        data(&threaded_f),
+        &tcp_f,
+        "tcp/threaded data mismatch under chaos",
+    );
+    if threaded_f.makespan().to_bits() != tcp_f.makespan().to_bits() {
+        eprintln!(
+            "  chaos makespans: threaded {} tcp {} (fault seed {})",
+            threaded_f.makespan(),
+            tcp_f.makespan(),
+            c.fault_seed()
+        );
+        c.fail("tcp/threaded makespan mismatch under chaos");
+    }
+    if threaded_f.report.total_retransmissions() != tcp_f.report.total_retransmissions()
+        || threaded_f.report.total_duplicates_suppressed()
+            != tcp_f.report.total_duplicates_suppressed()
+    {
+        c.fail("tcp/threaded reliability counters mismatch");
+    }
+}
+
+/// Chaos leg: over a substrate seeded per case, the reliability layer must
+/// reproduce the fault-free data bitwise on the compiled and overlapped
+/// strategies, deliver exactly once, and leave the logical workload of the
+/// fault-free compiled run `rep_c` unchanged.
+fn check_faults(c: Case, plan: &Arc<ParallelPlan>, seq: &DataSpace, rep_c: &ObsReport) {
+    eprintln!("  chaos: fault seed {}", c.fault_seed());
+    let reg_f = MetricsRegistry::new();
+    let chaos = || EngineOptions {
+        fault: Some(FaultPlan::chaos(c.fault_seed(), 0.3)),
+        ..EngineOptions::default()
+    };
+    let options = EngineOptions {
+        obs: Some(reg_f.clone()),
+        ..chaos()
+    };
+    let what = "reliability layer failed to mask faults";
+    let faulty = c.run(
+        plan,
+        ExecMode::Full,
+        ExecStrategy::Compiled,
+        Backend::Threaded,
+        options,
+        what,
+    );
+    c.same_data(
+        seq,
+        &faulty,
+        "fault-injected result differs from fault-free",
+    );
+    if faulty.report.total_messages() > 20 && faulty.report.total_retransmissions() == 0 {
+        c.fail("30% drop rate produced no retransmissions");
+    }
+    // Faulty conservation: the reliability layer delivers exactly once
+    // (receives == sends — drops are retried before counting, duplicates
+    // are suppressed before counting), every dropped attempt shows up as a
+    // retransmission, and suppressions never exceed injected duplicates.
+    let rep_f = reg_f.run_report(&faulty.report.local_times);
+    if rep_f.total(Counter::MessagesSent) != rep_f.total(Counter::MessagesReceived) {
+        c.fail("faulty run broke exactly-once delivery");
+    }
+    if rep_f.total(Counter::BytesSent) != rep_f.total(Counter::BytesReceived) {
+        c.fail("faulty run lost or invented bytes");
+    }
+    if rep_f.total(Counter::Retransmits) != rep_f.total(Counter::FaultDrops) {
+        c.fail("retransmissions != injected drops");
+    }
+    if rep_f.total(Counter::DupsSuppressed) > rep_f.total(Counter::FaultDups) {
+        c.fail("suppressed more duplicates than were injected");
+    }
+    // Faults perturb timing, never the logical workload.
+    let workload = [
+        Counter::MessagesSent,
+        Counter::BytesSent,
+        Counter::Tiles,
+        Counter::Iterations,
+    ];
+    c.same_totals(
+        rep_c,
+        &rep_f,
+        &workload,
+        "faults changed the logical workload counters",
+    );
+    // The overlapped schedule must survive the same chaos plan: its
+    // in-flight sends go through the identical reliability layer.
+    let what = "overlapped strategy failed under faults";
+    let faulty_o = c.run(
+        plan,
+        ExecMode::Full,
+        ExecStrategy::Overlapped,
+        Backend::Threaded,
+        chaos(),
+        what,
+    );
+    c.same_data(seq, &faulty_o, "fault-injected overlapped result differs");
+    if faulty_o.report.total_bytes_received() != faulty_o.report.total_bytes() {
+        c.fail("faulty overlapped run lost or invented bytes");
+    }
+}
+
+/// Recovery leg: crash the busiest rank of the fault-free run `res`
+/// halfway through its run and recover from checkpoints. The recovered run
+/// must reproduce the fault-free data bitwise, every rank's clock must
+/// equal the fault-free clock plus exactly its recovery debt, and with ≤ 8
+/// processors the TCP backend must recover identically. Returns whether a
+/// rank actually recovered.
+fn check_recovery(
+    c: Case,
+    plan: &Arc<ParallelPlan>,
+    seq: &DataSpace,
+    res: &ExecutionResult,
+) -> bool {
+    let (crash_rank, peak) = res
+        .report
+        .local_times
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .map(|(r, t)| (r, *t))
+        .unwrap();
+    eprintln!("  crash: rank {crash_rank} at {}", peak * 0.5);
+    let crashed = || EngineOptions {
+        fault: Some(FaultPlan::lossy(0, 0.0).with_crash(crash_rank, peak * 0.5)),
+        recovery: Some(RecoveryOptions {
+            interval: 2,
+            max_recoveries: 2,
+        }),
+        ..EngineOptions::default()
+    };
+    let (full, compiled) = (ExecMode::Full, ExecStrategy::Compiled);
+    let what = "threaded recovery failed to mask a crash";
+    let rec = c.run(plan, full, compiled, Backend::Threaded, crashed(), what);
+    c.same_data(seq, &rec, "recovered result differs from fault-free");
+    for r in 0..plan.num_procs() {
+        let expect = res.report.local_times[r] + rec.report.stats[r].recovery_time;
+        if expect.to_bits() != rec.report.local_times[r].to_bits() {
+            eprintln!(
+                "  rank {r}: clean {} + debt {} != recovered {}",
+                res.report.local_times[r],
+                rec.report.stats[r].recovery_time,
+                rec.report.local_times[r]
+            );
+            c.fail("recovery debt does not settle the clock");
+        }
+    }
+    if plan.num_procs() <= 8 {
+        // The in-process TCP backend must recover identically: same data,
+        // same clocks, same recovery accounting.
+        let what = "tcp recovery failed to mask a crash";
+        let rec_tcp = c.run(plan, full, compiled, Backend::Tcp, crashed(), what);
+        c.same_data(
+            data(&rec),
+            &rec_tcp,
+            "tcp/threaded data mismatch after recovery",
+        );
+        if bits(&rec.report.local_times) != bits(&rec_tcp.report.local_times) {
+            c.fail("tcp/threaded clock mismatch after recovery");
+        }
+        if rec.report.total_recoveries() != rec_tcp.report.total_recoveries()
+            || rec.report.total_recovery_time().to_bits()
+                != rec_tcp.report.total_recovery_time().to_bits()
+        {
+            c.fail("tcp/threaded recovery accounting mismatch");
+        }
+    }
+    rec.report.total_recoveries() > 0
 }
 
 /// The plan's tile set and tile dependences must equal the walks they
 /// replaced: every shadow candidate with an in-space TTIS point, and every
 /// non-zero `⌊(j' + d')/v⌋` over the TTIS points `j'`.
-fn check_plan_against_walks(plan: &ParallelPlan, seed: u64, case: u64) {
+fn check_plan_against_walks(plan: &ParallelPlan, c: Case) {
     let tiled = &plan.tiled;
     let t = tiled.transform();
     let (n, v) = (tiled.dim(), t.v());
@@ -130,7 +702,7 @@ fn check_plan_against_walks(plan: &ParallelPlan, seed: u64, case: u64) {
         })
         .collect();
     if tiled.tiles().ne(walked) {
-        fail(seed, case, "tile set differs from the lattice walk");
+        c.fail("tile set differs from the lattice walk");
     }
     let dp = t.transformed_deps(plan.algorithm.nest.deps());
     let mut walked = BTreeSet::new();
@@ -147,7 +719,7 @@ fn check_plan_against_walks(plan: &ParallelPlan, seed: u64, case: u64) {
     let planned: BTreeSet<Vec<i64>> = plan.comm.tile_deps.iter().cloned().collect();
     if planned.len() != plan.comm.tile_deps.len() || planned != walked {
         eprintln!("  D^S {:?}, walk {walked:?}", plan.comm.tile_deps);
-        fail(seed, case, "tile dependences differ from the TTIS walk");
+        c.fail("tile dependences differ from the TTIS walk");
     }
 }
 
@@ -184,76 +756,6 @@ const DSL_CORPUS: &[(&str, &str)] = &[
     ),
 ];
 
-/// The frozen fingerprint of a paper workload at the sizes its `.tk`
-/// file declares, or `None` for the corpus kernels without one.
-/// Run `plan` on the threaded backend with a fresh metrics registry;
-/// an engine error fails the case.
-fn run_observed(
-    plan: &Arc<ParallelPlan>,
-    mode: ExecMode,
-    strategy: ExecStrategy,
-    seed: u64,
-    case: u64,
-) -> (ExecutionResult, Arc<MetricsRegistry>) {
-    let reg = MetricsRegistry::new();
-    let options = EngineOptions {
-        obs: Some(reg.clone()),
-        ..EngineOptions::default()
-    };
-    let model = MachineModel::fast_ethernet_p3();
-    match execute(
-        plan.clone(),
-        model,
-        mode,
-        strategy,
-        Backend::Threaded,
-        options,
-    ) {
-        Ok(r) => (r, reg),
-        Err(e) => {
-            eprintln!("  {mode:?} {strategy:?} run failed: {e}");
-            fail(seed, case, "strategy run failed");
-        }
-    }
-}
-
-/// The timing-only leg: a `TimingOnly` run of each strategy must equal its
-/// `Full` run on makespan bits, per-rank clocks and the logical counters,
-/// since virtual time depends only on iteration counts and message sizes.
-fn check_timing_only(
-    plan: &Arc<ParallelPlan>,
-    full: [(ExecStrategy, &ExecutionResult, &ObsReport); 2],
-    seed: u64,
-    case: u64,
-) {
-    for (strategy, res, rep) in full {
-        let (timing, reg) = run_observed(plan, ExecMode::TimingOnly, strategy, seed, case);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        if timing.makespan().to_bits() != res.makespan().to_bits()
-            || bits(&timing.report.local_times) != bits(&res.report.local_times)
-        {
-            eprintln!("  {strategy:?}: timing-only clocks differ from the full run");
-            fail(seed, case, "timing-only/full clock mismatch");
-        }
-        let rep_t = reg.run_report(&timing.report.local_times);
-        for c in [
-            Counter::Iterations,
-            Counter::MessagesSent,
-            Counter::BytesSent,
-        ] {
-            if rep_t.total(c) != rep.total(c) {
-                eprintln!(
-                    "  {strategy:?} counter {}: full {} timing-only {}",
-                    c.name(),
-                    rep.total(c),
-                    rep_t.total(c)
-                );
-                fail(seed, case, "timing-only/full counter mismatch");
-            }
-        }
-    }
-}
-
 fn frozen_hash(name: &str) -> Option<u64> {
     corpus::FROZEN
         .iter()
@@ -261,219 +763,86 @@ fn frozen_hash(name: &str) -> Option<u64> {
         .map(|f| f.hash)
 }
 
-/// `--dsl`: fuzz the kernel-DSL corpus instead of random spaces. Each case
-/// compiles one `.tk` program, draws a random rectangular tiling and
-/// mapping dimension, and cross-checks all three execution strategies
-/// bitwise against sequential execution. The sequential data of the paper
-/// workloads must also match the frozen fingerprints of the hand-coded
-/// kernels they replaced ([`corpus::FROZEN`]), checked first at every
-/// recorded size and then on each case.
-fn dsl_mode(seed: u64, cases: u64) -> ! {
+/// `--dsl`: draw the cases from the kernel-DSL corpus. Each case compiles
+/// one `.tk` program and draws a random rectangular tiling and mapping
+/// dimension. The sequential data of the paper workloads must also match
+/// the frozen fingerprints of the hand-coded kernels they replaced
+/// ([`corpus::FROZEN`]), checked first at every recorded size and then on
+/// each case, and a run of at least one case per kernel must run them all.
+fn corpus_cases(seed: u64, cases: u64, legs: Legs, tally: &mut Tally) {
     let mut g = G(seed | 1);
+    let c = Case { seed, case: 0 };
     for f in &corpus::FROZEN {
-        let ds = match compile_kernel_with(f.source, f.overrides) {
-            Ok(alg) => alg.execute_sequential(),
-            Err(e) => {
-                eprintln!("  corpus kernel `{}` failed to compile: {e}", f.name);
-                fail(seed, 0, "corpus kernel did not compile");
-            }
-        };
+        let alg = compile_kernel_with(f.source, f.overrides).unwrap_or_else(|e| {
+            eprintln!("  corpus kernel `{}` failed to compile: {e}", f.name);
+            c.fail("corpus kernel did not compile")
+        });
+        let ds = alg.execute_sequential();
         if ds.bit_hash() != f.hash || ds.num_written() != f.written {
             eprintln!(
                 "  `{}` with {:?} lost its frozen fingerprint",
                 f.name, f.overrides
             );
-            fail(
-                seed,
-                0,
-                "paper kernel differs from its frozen hand-coded hash",
-            );
+            c.fail("paper kernel differs from its frozen hand-coded hash");
         }
     }
     let mut per_kernel = vec![0u64; DSL_CORPUS.len()];
     let mut frozen_cases = 0u64;
-    let mut vectorized_points = 0u64;
     for case in 0..cases {
+        let c = Case { seed, case };
         let ki = (case % DSL_CORPUS.len() as u64) as usize;
         let (name, src) = DSL_CORPUS[ki];
-        let alg = match tilecc_frontend::compile_kernel(src) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("  corpus kernel `{name}` failed to compile: {e}");
-                fail(seed, case, "corpus kernel did not compile");
-            }
-        };
+        let alg = tilecc_frontend::compile_kernel(src).unwrap_or_else(|e| {
+            eprintln!("  corpus kernel `{name}` failed to compile: {e}");
+            c.fail("corpus kernel did not compile")
+        });
         let n = alg.nest.dim();
         let edges: Vec<i64> = (0..n).map(|_| g.range(2, 4)).collect();
         let m = g.range(0, n as i64 - 1) as usize;
         eprintln!("case {case}: kernel={name} dim={n} edges={edges:?} m={m}");
-        let h = RMat::from_fn(n, n, |i, j| {
-            if i == j {
-                Rational::new(1, edges[i] as i128)
-            } else {
-                Rational::ZERO
-            }
+        let t = TilingTransform::rectangular(&edges).unwrap_or_else(|e| {
+            eprintln!("  rectangular tiling rejected: {e}");
+            c.fail("rectangular tiling rejected for DSL kernel")
         });
-        let t = match TilingTransform::new(h) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("  rectangular tiling rejected: {e}");
-                fail(seed, case, "rectangular tiling rejected for DSL kernel");
-            }
-        };
         if let Err(e) = t.validate_for(alg.nest.deps()) {
             eprintln!("  tiling invalid for corpus deps: {e}");
-            fail(seed, case, "corpus kernel deps not rectangularly tileable");
+            c.fail("corpus kernel deps not rectangularly tileable");
         }
-        let seq = alg.execute_sequential();
-        check_scan(&alg, &seq, seed, case);
+        let seq = c.sequential(&alg);
         if let Some(hash) = frozen_hash(name) {
             frozen_cases += 1;
             if seq.bit_hash() != hash {
-                fail(
-                    seed,
-                    case,
-                    "paper kernel differs from its frozen hand-coded hash",
-                );
+                c.fail("paper kernel differs from its frozen hand-coded hash");
             }
         }
-        let plan = match ParallelPlan::new(alg, t.clone(), Some(m)) {
-            Ok(p) => Arc::new(p),
-            Err(e) => {
-                eprintln!("  planning failed: {e}");
-                fail(seed, case, "planning failed on a DSL kernel");
-            }
-        };
-        check_plan_against_walks(&plan, seed, case);
+        let plan = ParallelPlan::new(alg, t, Some(m)).unwrap_or_else(|e| {
+            eprintln!("  planning failed: {e}");
+            c.fail("planning failed on a DSL kernel")
+        });
+        check_case(c, &Arc::new(plan), &seq, legs, tally);
         per_kernel[ki] += 1;
-        let ts = execute_tiled_sequential(&plan);
-        if seq.diff(&ts).is_some() {
-            fail(seed, case, "DSL tiled sequential reordering mismatch");
-        }
-        let (res, reg_c) = run_observed(&plan, ExecMode::Full, ExecStrategy::Compiled, seed, case);
-        if let Some(bad) = seq.diff(res.data.as_ref().unwrap()) {
-            eprintln!("  MISMATCH at {bad:?}");
-            fail(seed, case, "DSL parallel/sequential mismatch");
-        }
-        let (reference, reg_r) =
-            run_observed(&plan, ExecMode::Full, ExecStrategy::Reference, seed, case);
-        if res
-            .data
-            .as_ref()
-            .unwrap()
-            .diff(reference.data.as_ref().unwrap())
-            .is_some()
-        {
-            fail(seed, case, "DSL compiled/reference data mismatch");
-        }
-        if res.makespan() != reference.makespan()
-            || res.report.total_bytes() != reference.report.total_bytes()
-        {
-            fail(
-                seed,
-                case,
-                "DSL compiled/reference makespan/traffic mismatch",
-            );
-        }
-        let (overlapped, reg_o) =
-            run_observed(&plan, ExecMode::Full, ExecStrategy::Overlapped, seed, case);
-        if res
-            .data
-            .as_ref()
-            .unwrap()
-            .diff(overlapped.data.as_ref().unwrap())
-            .is_some()
-        {
-            fail(seed, case, "DSL compiled/overlapped data mismatch");
-        }
-        if overlapped.makespan() > res.makespan() + 1e-12 {
-            fail(seed, case, "DSL overlapped strategy slower than blocking");
-        }
-        if overlapped.report.total_bytes() != res.report.total_bytes()
-            || overlapped.report.total_messages() != res.report.total_messages()
-        {
-            fail(seed, case, "DSL compiled/overlapped traffic mismatch");
-        }
-        let rep_c = reg_c.run_report(&res.report.local_times);
-        let rep_r = reg_r.run_report(&reference.report.local_times);
-        for c in [
-            Counter::MessagesSent,
-            Counter::BytesSent,
-            Counter::Tiles,
-            Counter::Iterations,
-        ] {
-            if rep_c.total(c) != rep_r.total(c) {
-                fail(
-                    seed,
-                    case,
-                    "DSL compiled/reference logical counter mismatch",
-                );
-            }
-        }
-        if rep_r.total(Counter::VectorizedPoints) != 0 {
-            fail(seed, case, "DSL reference strategy reported batched points");
-        }
-        let rep_o = reg_o.run_report(&overlapped.report.local_times);
-        check_timing_only(
-            &plan,
-            [
-                (ExecStrategy::Compiled, &res, &rep_c),
-                (ExecStrategy::Overlapped, &overlapped, &rep_o),
-            ],
-            seed,
-            case,
-        );
-        vectorized_points += rep_c.total(Counter::VectorizedPoints);
     }
+    let c = Case { seed, case: cases };
     if cases >= DSL_CORPUS.len() as u64 {
         for (ki, count) in per_kernel.iter().enumerate() {
             if *count == 0 {
                 eprintln!("corpus kernel `{}` never executed", DSL_CORPUS[ki].0);
-                fail(seed, cases, "DSL corpus coverage hole");
+                c.fail("DSL corpus coverage hole");
             }
         }
     }
     if frozen_cases == 0 {
-        fail(seed, cases, "no case checked a frozen fingerprint");
+        c.fail("no case checked a frozen fingerprint");
     }
-    if cases >= DSL_CORPUS.len() as u64 && vectorized_points == 0 {
-        fail(
-            seed,
-            cases,
-            "no DSL case ever took the batched compute path",
-        );
-    }
-    eprintln!(
-        "dsl cross-check: {cases} cases, {frozen_cases} frozen-hash checks, \
-         {vectorized_points} batched points"
-    );
-    eprintln!("all {cases} cases passed (dsl corpus)");
-    std::process::exit(0);
+    eprintln!("dsl cross-check: {cases} cases, {frozen_cases} frozen-hash checks");
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let faults = args.iter().any(|a| a == "--faults");
-    let tcp = args.iter().any(|a| a == "--tcp");
-    let recovery = args.iter().any(|a| a == "--recovery");
-    let tune = args.iter().any(|a| a == "--tune");
+/// The default generator: random convex 3-D spaces with uniform
+/// dependences under a rectangular or tiling-cone tiling, or with `tune`
+/// under a tiling drawn from the tuner's candidates. Cases whose tiling or
+/// plan is rejected are skipped.
+fn random_cases(seed: u64, cases: u64, tune: bool, legs: Legs, tally: &mut Tally) {
     let mut tune_cases = 0u64;
-    let mut tcp_cases = 0u64;
-    let mut tcp_chaos_cases = 0u64;
-    let mut recovered_cases = 0u64;
-    let mut vectorized_points = 0u64;
-    let positional: Vec<&String> = args[1..].iter().filter(|a| !a.starts_with("--")).collect();
-    let seed: u64 = positional
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    let cases: u64 = positional
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200);
-    if args.iter().any(|a| a == "--dsl") {
-        dsl_mode(seed, cases);
-    }
     let mut g = G(seed | 1);
     for case in 0..cases {
         let n = 3usize;
@@ -577,598 +946,97 @@ fn main() {
         if t.validate_for(&deps).is_err() {
             continue;
         }
+        let c = Case { seed, case };
         let alg = Algorithm::new("p", LoopNest::new(space, deps), Arc::new(K));
-        let seq = alg.execute_sequential();
-        check_scan(&alg, &seq, seed, case);
+        let seq = c.sequential(&alg);
         let Ok(plan) = ParallelPlan::new(alg, t, Some(m)) else {
             continue;
         };
-        eprintln!(
-            "  stage: shadow has {} constraints, {} tiles, {} procs, {} tile deps",
-            plan.tiled.shadow().constraints().len(),
-            plan.tiled.tiles().count(),
-            plan.dist.num_procs(),
-            plan.comm.tile_deps.len()
-        );
-        check_plan_against_walks(&plan, seed, case);
         tune_cases += u64::from(tune);
-        let plan = Arc::new(plan);
-        let ts = execute_tiled_sequential(&plan);
-        if seq.diff(&ts).is_some() {
-            fail(seed, case, "tiled sequential reordering mismatch");
-        }
-        // The compiled run records observability metrics so conservation
-        // invariants can be checked below.
-        let (res, reg_c) = run_observed(&plan, ExecMode::Full, ExecStrategy::Compiled, seed, case);
-        if let Some(bad) = seq.diff(res.data.as_ref().unwrap()) {
-            eprintln!("  MISMATCH at {bad:?}");
-            let tf = plan.tiled.transform();
-            eprintln!("  H' = {:?}", tf.h_prime());
-            eprintln!("  v = {:?} strides = {:?}", tf.v(), tf.strides());
-            eprintln!("  D' = {:?}", plan.comm.d_prime);
-            eprintln!(
-                "  maxd = {:?} cc = {:?} off = {:?}",
-                plan.comm.maxd, plan.comm.cc, plan.comm.off
-            );
-            eprintln!("  D^S = {:?}", plan.comm.tile_deps);
-            eprintln!("  D^m = {:?}", plan.comm.proc_deps);
-            let tile = tf.tile_of(&bad);
-            eprintln!("  tile of bad point: {tile:?}");
-            eprintln!(
-                "  seq value {:?} par value {:?}",
-                seq.get_all(&bad),
-                res.data.as_ref().unwrap().get_all(&bad)
-            );
-            fail(seed, case, "parallel/sequential mismatch");
-        }
-        // Compiled vs reference strategy: `execute` above ran the compiled
-        // (default) path; the per-point reference path must agree bitwise
-        // with identical virtual time and traffic.
-        let (reference, reg_r) =
-            run_observed(&plan, ExecMode::Full, ExecStrategy::Reference, seed, case);
-        if let Some(bad) = res
-            .data
-            .as_ref()
-            .unwrap()
-            .diff(reference.data.as_ref().unwrap())
-        {
-            eprintln!("  STRATEGY MISMATCH at {bad:?}");
-            fail(seed, case, "compiled/reference strategy data mismatch");
-        }
-        if res.makespan() != reference.makespan() {
-            eprintln!(
-                "  makespans: compiled {} reference {}",
-                res.makespan(),
-                reference.makespan()
-            );
-            fail(seed, case, "compiled/reference makespan mismatch");
-        }
-        if res.report.total_bytes() != reference.report.total_bytes() {
-            fail(seed, case, "compiled/reference traffic mismatch");
-        }
-        // Metrics conservation: in a fault-free run every message sent is
-        // received exactly once, byte-for-byte, and no fault or reliability
-        // counters fire.
-        let rep_c = reg_c.run_report(&res.report.local_times);
-        let rep_r = reg_r.run_report(&reference.report.local_times);
-        for rep in [&rep_c, &rep_r] {
-            if rep.total(Counter::MessagesSent) != rep.total(Counter::MessagesReceived) {
-                fail(seed, case, "fault-free sends != receives");
-            }
-            if rep.total(Counter::BytesSent) != rep.total(Counter::BytesReceived) {
-                fail(seed, case, "fault-free bytes sent != bytes received");
-            }
-            if rep.total(Counter::Retransmits) != 0
-                || rep.total(Counter::DupsSuppressed) != 0
-                || rep.total(Counter::FaultDrops) != 0
-            {
-                fail(seed, case, "fault counters fired in a fault-free run");
-            }
-        }
-        if rep_c.total(Counter::MessagesSent) != res.report.total_messages()
-            || rep_c.total(Counter::BytesSent) != res.report.total_bytes()
-        {
-            fail(seed, case, "metrics registry disagrees with engine report");
-        }
-        // STATS-snapshot merge path: what the multi-process TCP driver does
-        // (capture a snapshot per rank, merge with `from_snapshots`) must be
-        // bitwise indistinguishable from building the report straight off
-        // the registry, and each snapshot must survive its own wire codec.
-        let snaps: Vec<StatsSnapshot> = (0..plan.num_procs())
-            .map(|r| StatsSnapshot::capture(&reg_c.rank_metrics(r)))
-            .collect();
-        let merged = ObsReport::from_snapshots(&snaps, &res.report.local_times);
-        if merged.to_json() != rep_c.to_json() {
-            fail(
-                seed,
-                case,
-                "snapshot-merged report differs from registry report",
-            );
-        }
-        if !merged.deterministic_diff(&rep_c).is_empty() {
-            fail(seed, case, "snapshot merge broke the deterministic subset");
-        }
-        let zero = StatsSnapshot::zero();
-        for (r, snap) in snaps.iter().enumerate() {
-            // Absolute frame (delta against zero) and an idle incremental
-            // frame (delta against itself) must both round-trip exactly.
-            let abs = snap.encode_delta(&zero);
-            match StatsSnapshot::apply_delta(&zero, &abs) {
-                Ok(back) if back == *snap => {}
-                Ok(_) => fail(seed, case, "absolute stats frame did not round-trip"),
-                Err(e) => {
-                    eprintln!("  rank {r} absolute stats frame rejected: {e}");
-                    fail(seed, case, "absolute stats frame rejected by decoder");
-                }
-            }
-            let idle = snap.encode_delta(snap);
-            match StatsSnapshot::apply_delta(snap, &idle) {
-                Ok(back) if back == *snap => {}
-                _ => fail(seed, case, "idle stats delta did not round-trip"),
-            }
-            // Truncation anywhere must be a typed error, never a panic or a
-            // silent partial decode.
-            if !abs.is_empty() && StatsSnapshot::apply_delta(&zero, &abs[..abs.len() - 1]).is_ok() {
-                fail(seed, case, "truncated stats frame decoded successfully");
-            }
-            // Category totals accrue in a different addition order than the
-            // chronological engine clock, so the partition identity holds to
-            // rounding, not bitwise.
-            let clock = res.report.local_times[r];
-            if (snap.local_clock() - clock).abs() > 1e-9 * clock.abs().max(1.0) {
-                eprintln!(
-                    "  rank {r}: snapshot clock {} engine clock {clock}",
-                    snap.local_clock()
-                );
-                fail(seed, case, "snapshot clock partition disagrees with engine");
-            }
-        }
-        // Both strategies must report identical logical counters; only the
-        // dispatch counters tell them apart.
-        for c in [
-            Counter::MessagesSent,
-            Counter::BytesSent,
-            Counter::MessagesReceived,
-            Counter::BytesReceived,
-            Counter::Tiles,
-            Counter::InteriorTiles,
-            Counter::BoundaryTiles,
-            Counter::Iterations,
-        ] {
-            if rep_c.total(c) != rep_r.total(c) {
-                eprintln!(
-                    "  counter {}: compiled {} reference {}",
-                    c.name(),
-                    rep_c.total(c),
-                    rep_r.total(c)
-                );
-                fail(seed, case, "compiled/reference logical counter mismatch");
-            }
-        }
-        if rep_c.total(Counter::CompiledDispatches) != rep_c.total(Counter::Tiles)
-            || rep_c.total(Counter::ReferenceDispatches) != 0
-            || rep_r.total(Counter::ReferenceDispatches) != rep_r.total(Counter::Tiles)
-            || rep_r.total(Counter::CompiledDispatches) != 0
-        {
-            fail(seed, case, "dispatch counters do not match the strategy");
-        }
-        // VectorizedPoints is a dispatch-shape counter, not a logical one:
-        // the reference strategy never batches, and no strategy can batch
-        // more points than it iterates. Compiled and overlapped are NOT
-        // compared against each other — the boundary/interior split cuts
-        // runs differently, so their batch totals legitimately diverge
-        // while the data stays bitwise identical (checked above).
-        if rep_r.total(Counter::VectorizedPoints) != 0 {
-            fail(seed, case, "reference strategy reported batched points");
-        }
-        if rep_c.total(Counter::VectorizedPoints) > rep_c.total(Counter::Iterations) {
-            fail(
-                seed,
-                case,
-                "compiled strategy batched more points than iterations",
-            );
-        }
-        vectorized_points += rep_c.total(Counter::VectorizedPoints);
-        // Overlapped strategy: boundary-first execution with sends hidden
-        // behind the interior must be a pure schedule change — same data,
-        // same traffic, and never a later finish than blocking compiled.
-        let (overlapped, reg_o) =
-            run_observed(&plan, ExecMode::Full, ExecStrategy::Overlapped, seed, case);
-        if let Some(bad) = res
-            .data
-            .as_ref()
-            .unwrap()
-            .diff(overlapped.data.as_ref().unwrap())
-        {
-            eprintln!("  OVERLAPPED MISMATCH at {bad:?}");
-            fail(seed, case, "compiled/overlapped strategy data mismatch");
-        }
-        if overlapped.makespan() > res.makespan() + 1e-12 {
-            eprintln!(
-                "  makespans: compiled {} overlapped {}",
-                res.makespan(),
-                overlapped.makespan()
-            );
-            fail(seed, case, "overlapped strategy slower than blocking");
-        }
-        if overlapped.report.total_bytes() != res.report.total_bytes()
-            || overlapped.report.total_messages() != res.report.total_messages()
-        {
-            fail(seed, case, "compiled/overlapped traffic mismatch");
-        }
-        if overlapped.report.total_bytes_received() != overlapped.report.total_bytes() {
-            fail(seed, case, "overlapped run lost or invented bytes");
-        }
-        let rep_o = reg_o.run_report(&overlapped.report.local_times);
-        for c in [
-            Counter::MessagesSent,
-            Counter::BytesSent,
-            Counter::MessagesReceived,
-            Counter::BytesReceived,
-            Counter::Tiles,
-            Counter::InteriorTiles,
-            Counter::BoundaryTiles,
-            Counter::Iterations,
-        ] {
-            if rep_o.total(c) != rep_c.total(c) {
-                eprintln!(
-                    "  counter {}: compiled {} overlapped {}",
-                    c.name(),
-                    rep_c.total(c),
-                    rep_o.total(c)
-                );
-                fail(seed, case, "compiled/overlapped logical counter mismatch");
-            }
-        }
-        if rep_o.total(Counter::CompiledDispatches) != rep_o.total(Counter::Tiles)
-            || rep_o.total(Counter::ReferenceDispatches) != 0
-        {
-            fail(seed, case, "overlapped dispatch counters are wrong");
-        }
-        if rep_o.total(Counter::VectorizedPoints) > rep_o.total(Counter::Iterations) {
-            fail(
-                seed,
-                case,
-                "overlapped strategy batched more points than iterations",
-            );
-        }
-        check_timing_only(
-            &plan,
-            [
-                (ExecStrategy::Compiled, &res, &rep_c),
-                (ExecStrategy::Overlapped, &overlapped, &rep_o),
-            ],
-            seed,
-            case,
-        );
-        if tcp && plan.num_procs() <= 8 {
-            // Cross-backend check: the same compiled program over real
-            // sockets must be indistinguishable from the threaded run —
-            // bitwise data, bitwise per-rank clocks, identical counters.
-            tcp_cases += 1;
-            let tcp_res = match execute(
-                plan.clone(),
-                MachineModel::fast_ethernet_p3(),
-                ExecMode::Full,
-                ExecStrategy::Compiled,
-                Backend::Tcp,
-                EngineOptions::default(),
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("  tcp-backend run failed: {e}");
-                    fail(seed, case, "tcp backend failed");
-                }
-            };
-            if let Some(bad) = res
-                .data
-                .as_ref()
-                .unwrap()
-                .diff(tcp_res.data.as_ref().unwrap())
-            {
-                eprintln!("  TCP MISMATCH at {bad:?}");
-                fail(seed, case, "tcp/threaded data mismatch");
-            }
-            for rank in 0..plan.num_procs() {
-                if res.report.local_times[rank].to_bits()
-                    != tcp_res.report.local_times[rank].to_bits()
-                {
-                    eprintln!(
-                        "  rank {rank} clocks: threaded {} tcp {}",
-                        res.report.local_times[rank], tcp_res.report.local_times[rank]
-                    );
-                    fail(seed, case, "tcp/threaded virtual clock mismatch");
-                }
-            }
-            if tcp_res.report.total_messages() != res.report.total_messages()
-                || tcp_res.report.total_bytes() != res.report.total_bytes()
-                || tcp_res.report.total_bytes_received() != res.report.total_bytes_received()
-            {
-                fail(seed, case, "tcp/threaded traffic mismatch");
-            }
-            // The same chaos plan over sockets: faults are decided above
-            // the transport, so the perturbed schedule must also agree
-            // bitwise, retransmission accounting included.
-            let fault_seed = seed ^ case.wrapping_mul(0x9E37_79B9);
-            let chaos = FaultPlan::chaos(fault_seed, 0.3);
-            let threaded_f = match execute(
-                plan.clone(),
-                MachineModel::fast_ethernet_p3(),
-                ExecMode::Full,
-                ExecStrategy::Compiled,
-                Backend::Threaded,
-                EngineOptions {
-                    fault: Some(chaos.clone()),
-                    ..EngineOptions::default()
-                },
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("  faulty threaded run failed: {e} (fault seed {fault_seed})");
-                    fail(seed, case, "threaded backend failed under chaos");
-                }
-            };
-            let tcp_f = match execute(
-                plan.clone(),
-                MachineModel::fast_ethernet_p3(),
-                ExecMode::Full,
-                ExecStrategy::Compiled,
-                Backend::Tcp,
-                EngineOptions {
-                    fault: Some(chaos),
-                    ..EngineOptions::default()
-                },
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("  faulty tcp run failed: {e} (fault seed {fault_seed})");
-                    fail(seed, case, "tcp backend failed under chaos");
-                }
-            };
-            tcp_chaos_cases += 1;
-            if let Some(bad) = threaded_f
-                .data
-                .as_ref()
-                .unwrap()
-                .diff(tcp_f.data.as_ref().unwrap())
-            {
-                eprintln!("  FAULTY TCP MISMATCH at {bad:?} (fault seed {fault_seed})");
-                fail(seed, case, "tcp/threaded data mismatch under chaos");
-            }
-            if threaded_f.makespan().to_bits() != tcp_f.makespan().to_bits() {
-                eprintln!(
-                    "  chaos makespans: threaded {} tcp {} (fault seed {fault_seed})",
-                    threaded_f.makespan(),
-                    tcp_f.makespan()
-                );
-                fail(seed, case, "tcp/threaded makespan mismatch under chaos");
-            }
-            if threaded_f.report.total_retransmissions() != tcp_f.report.total_retransmissions()
-                || threaded_f.report.total_duplicates_suppressed()
-                    != tcp_f.report.total_duplicates_suppressed()
-            {
-                fail(seed, case, "tcp/threaded reliability counters mismatch");
-            }
-        }
-        if faults {
-            // Re-run the case over a chaotic substrate seeded per-case: the
-            // reliability layer must reproduce the fault-free data bitwise.
-            let fault_seed = seed ^ case.wrapping_mul(0x9E37_79B9);
-            let reg_f = MetricsRegistry::new();
-            let options = EngineOptions {
-                fault: Some(FaultPlan::chaos(fault_seed, 0.3)),
-                obs: Some(reg_f.clone()),
-                ..EngineOptions::default()
-            };
-            let faulty = match execute(
-                plan.clone(),
-                MachineModel::fast_ethernet_p3(),
-                ExecMode::Full,
-                ExecStrategy::Compiled,
-                Backend::Threaded,
-                options,
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("  fault-injected run failed: {e} (fault seed {fault_seed})");
-                    fail(seed, case, "reliability layer failed to mask faults");
-                }
-            };
-            if let Some(bad) = seq.diff(faulty.data.as_ref().unwrap()) {
-                eprintln!("  FAULTY MISMATCH at {bad:?} (fault seed {fault_seed})");
-                fail(seed, case, "fault-injected result differs from fault-free");
-            }
-            if faulty.report.total_messages() > 20 && faulty.report.total_retransmissions() == 0 {
-                fail(seed, case, "30% drop rate produced no retransmissions");
-            }
-            // Faulty conservation: the reliability layer delivers exactly
-            // once (receives == sends — drops are retried before counting,
-            // duplicates are suppressed before counting), every dropped
-            // attempt shows up as a retransmission, and suppressions never
-            // exceed injected duplicates.
-            let rep_f = reg_f.run_report(&faulty.report.local_times);
-            if rep_f.total(Counter::MessagesSent) != rep_f.total(Counter::MessagesReceived) {
-                fail(seed, case, "faulty run broke exactly-once delivery");
-            }
-            if rep_f.total(Counter::BytesSent) != rep_f.total(Counter::BytesReceived) {
-                fail(seed, case, "faulty run lost or invented bytes");
-            }
-            if rep_f.total(Counter::Retransmits) != rep_f.total(Counter::FaultDrops) {
-                fail(seed, case, "retransmissions != injected drops");
-            }
-            if rep_f.total(Counter::DupsSuppressed) > rep_f.total(Counter::FaultDups) {
-                fail(seed, case, "suppressed more duplicates than were injected");
-            }
-            // Faults perturb timing, never the logical workload.
-            for c in [
-                Counter::MessagesSent,
-                Counter::BytesSent,
-                Counter::Tiles,
-                Counter::Iterations,
-            ] {
-                if rep_f.total(c) != rep_c.total(c) {
-                    fail(seed, case, "faults changed the logical workload counters");
-                }
-            }
-            // The overlapped schedule must survive the same chaos plan: its
-            // in-flight sends go through the identical reliability layer.
-            let faulty_o = match execute(
-                plan.clone(),
-                MachineModel::fast_ethernet_p3(),
-                ExecMode::Full,
-                ExecStrategy::Overlapped,
-                Backend::Threaded,
-                EngineOptions {
-                    fault: Some(FaultPlan::chaos(fault_seed, 0.3)),
-                    ..EngineOptions::default()
-                },
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("  faulty overlapped run failed: {e} (fault seed {fault_seed})");
-                    fail(seed, case, "overlapped strategy failed under faults");
-                }
-            };
-            if let Some(bad) = seq.diff(faulty_o.data.as_ref().unwrap()) {
-                eprintln!("  FAULTY OVERLAPPED MISMATCH at {bad:?} (fault seed {fault_seed})");
-                fail(seed, case, "fault-injected overlapped result differs");
-            }
-            if faulty_o.report.total_bytes_received() != faulty_o.report.total_bytes() {
-                fail(seed, case, "faulty overlapped run lost or invented bytes");
-            }
-        }
-        if recovery {
-            // Crash the busiest rank halfway through its run and recover
-            // from checkpoints: the recovered run must reproduce the
-            // fault-free data bitwise, and every rank's clock must equal
-            // the fault-free clock plus exactly its recovery debt.
-            let (crash_rank, peak) = res
-                .report
-                .local_times
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(r, t)| (r, *t))
-                .unwrap();
-            let crash = FaultPlan::lossy(0, 0.0).with_crash(crash_rank, peak * 0.5);
-            let ropts = |fault: FaultPlan| EngineOptions {
-                fault: Some(fault),
-                recovery: Some(RecoveryOptions {
-                    interval: 2,
-                    max_recoveries: 2,
-                }),
-                ..EngineOptions::default()
-            };
-            let rec = match execute(
-                plan.clone(),
-                MachineModel::fast_ethernet_p3(),
-                ExecMode::Full,
-                ExecStrategy::Compiled,
-                Backend::Threaded,
-                ropts(crash.clone()),
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("  crashed threaded run failed: {e} (rank {crash_rank} @ {peak})");
-                    fail(seed, case, "threaded recovery failed to mask a crash");
-                }
-            };
-            if let Some(bad) = seq.diff(rec.data.as_ref().unwrap()) {
-                eprintln!("  RECOVERED MISMATCH at {bad:?} (rank {crash_rank})");
-                fail(seed, case, "recovered result differs from fault-free");
-            }
-            for r in 0..plan.num_procs() {
-                let expect = res.report.local_times[r] + rec.report.stats[r].recovery_time;
-                if expect.to_bits() != rec.report.local_times[r].to_bits() {
-                    eprintln!(
-                        "  rank {r}: clean {} + debt {} != recovered {}",
-                        res.report.local_times[r],
-                        rec.report.stats[r].recovery_time,
-                        rec.report.local_times[r]
-                    );
-                    fail(seed, case, "recovery debt does not settle the clock");
-                }
-            }
-            if rec.report.total_recoveries() > 0 {
-                recovered_cases += 1;
-            }
-            if plan.num_procs() <= 8 {
-                // The in-process TCP backend must recover identically:
-                // same data, same clocks, same recovery accounting.
-                let rec_tcp = match execute(
-                    plan.clone(),
-                    MachineModel::fast_ethernet_p3(),
-                    ExecMode::Full,
-                    ExecStrategy::Compiled,
-                    Backend::Tcp,
-                    ropts(crash),
-                ) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("  crashed tcp run failed: {e} (rank {crash_rank} @ {peak})");
-                        fail(seed, case, "tcp recovery failed to mask a crash");
-                    }
-                };
-                if let Some(bad) = rec
-                    .data
-                    .as_ref()
-                    .unwrap()
-                    .diff(rec_tcp.data.as_ref().unwrap())
-                {
-                    eprintln!("  RECOVERED TCP MISMATCH at {bad:?} (rank {crash_rank})");
-                    fail(seed, case, "tcp/threaded data mismatch after recovery");
-                }
-                for r in 0..plan.num_procs() {
-                    if rec.report.local_times[r].to_bits()
-                        != rec_tcp.report.local_times[r].to_bits()
-                    {
-                        fail(seed, case, "tcp/threaded clock mismatch after recovery");
-                    }
-                }
-                if rec.report.total_recoveries() != rec_tcp.report.total_recoveries()
-                    || rec.report.total_recovery_time().to_bits()
-                        != rec_tcp.report.total_recovery_time().to_bits()
-                {
-                    fail(seed, case, "tcp/threaded recovery accounting mismatch");
-                }
-            }
-        }
-    }
-    if recovery {
-        if recovered_cases == 0 {
-            eprintln!("--recovery never observed an actual crash — corpus too small");
-            fail(seed, cases, "recovery cross-check never fired");
-        }
-        eprintln!("recovery cross-check: {recovered_cases} cases survived a mid-run crash");
+        check_case(c, &Arc::new(plan), &seq, legs, tally);
     }
     if tune {
         if tune_cases == 0 {
             eprintln!("--tune never executed a tuner-generated tiling — corpus too small");
-            fail(seed, cases, "tune cross-check never ran");
+            Case { seed, case: cases }.fail("tune cross-check never ran");
         }
         eprintln!("tune cross-check: {tune_cases} tuner-generated tilings executed");
     }
-    if tcp {
-        if tcp_cases == 0 || tcp_chaos_cases == 0 {
-            eprintln!(
-                "--tcp covered {tcp_cases} clean / {tcp_chaos_cases} chaos cases — corpus too small"
-            );
-            fail(seed, cases, "tcp cross-check never ran");
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    const FLAGS: [&str; 5] = ["--faults", "--tcp", "--recovery", "--tune", "--dsl"];
+    let unknown = |a: &&String| a.starts_with("--") && !FLAGS.contains(&a.as_str());
+    if let Some(bad) = args[1..].iter().find(unknown) {
+        eprintln!("unknown flag `{bad}`; flags: {}", FLAGS.join(" "));
+        std::process::exit(2);
+    }
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let legs = Legs {
+        faults: flag("--faults"),
+        tcp: flag("--tcp"),
+        recovery: flag("--recovery"),
+    };
+    let (tune, dsl) = (flag("--tune"), flag("--dsl"));
+    let positional: Vec<&String> = args[1..].iter().filter(|a| !a.starts_with("--")).collect();
+    let seed: u64 = positional
+        .first()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(42);
+    let cases: u64 = positional
+        .get(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(200);
+    let mut tally = Tally::default();
+    // The batched hot path must actually fire across a corpus — every
+    // batched point went through the bitwise data comparison, so this is
+    // the coverage half of the "vectorized == reference" check. Small
+    // corpora can legitimately miss it (seed 42 first batches in case 16
+    // of the random corpus), so only runs of this many cases enforce it.
+    let coverage_cases = if dsl {
+        if tune {
+            eprintln!("--tune draws random spaces' tilings; --dsl draws the corpus's: pick one");
+            std::process::exit(2);
         }
-        eprintln!("tcp cross-check: {tcp_cases} clean + {tcp_chaos_cases} chaos cases");
+        corpus_cases(seed, cases, legs, &mut tally);
+        DSL_CORPUS.len() as u64
+    } else {
+        random_cases(seed, cases, tune, legs, &mut tally);
+        25
+    };
+    let c = Case { seed, case: cases };
+    if legs.recovery {
+        if tally.recovered_cases == 0 {
+            eprintln!("--recovery never observed an actual crash — corpus too small");
+            c.fail("recovery cross-check never fired");
+        }
+        eprintln!(
+            "recovery cross-check: {} cases survived a mid-run crash",
+            tally.recovered_cases
+        );
     }
-    // The batched hot path must actually fire across a random corpus —
-    // every batched point above went through the bitwise data comparison,
-    // so this is the coverage half of the "vectorized == reference" check.
-    // Small corpora can legitimately miss it (seed 42 first batches in
-    // case 16), so only CI-sized runs enforce coverage.
-    if cases >= 25 && vectorized_points == 0 {
-        fail(seed, cases, "no case ever took the batched compute path");
+    if legs.tcp {
+        if tally.tcp_cases == 0 {
+            eprintln!("--tcp covered no case — corpus too small");
+            c.fail("tcp cross-check never ran");
+        }
+        eprintln!(
+            "tcp cross-check: {} cases, clean and under chaos",
+            tally.tcp_cases
+        );
     }
-    eprintln!("vectorized coverage: {vectorized_points} batched points across the corpus");
+    if cases >= coverage_cases && tally.vectorized_points == 0 {
+        c.fail("no case ever took the batched compute path");
+    }
     eprintln!(
-        "all {cases} cases passed{}",
-        if faults {
+        "vectorized coverage: {} batched points across the corpus",
+        tally.vectorized_points
+    );
+    eprintln!(
+        "all {cases} cases passed{}{}",
+        if dsl { " (dsl corpus)" } else { "" },
+        if legs.faults {
             " (with fault injection)"
         } else {
             ""

@@ -153,10 +153,8 @@ fn bench_workload(name: &str, plan: ParallelPlan, smoke: bool) -> (Vec<PathResul
     let t = plan.tiled.transform();
     let v = t.v();
     let lattice = t.lattice();
-    let (lo_t, hi_t) = plan.dist.chains[rank];
-    let num_tiles = hi_t - lo_t + 1;
     let w = plan.algorithm.width();
-    let chain = plan.compiled_for(num_tiles);
+    let chain = plan.chain(rank);
     let origin = tile_origin(t, &tile);
     let deps = plan.deps();
     let q = deps.cols();
@@ -370,10 +368,8 @@ fn obs_overhead(smoke: bool) {
     .unwrap();
     let (rank, tpos, tile) = find_interior(&plan).expect("no compute-interior tile");
     let t = plan.tiled.transform();
-    let (lo_t, hi_t) = plan.dist.chains[rank];
-    let num_tiles = hi_t - lo_t + 1;
     let w = plan.algorithm.width();
-    let chain = plan.compiled_for(num_tiles);
+    let chain = plan.chain(rank);
     let origin = tile_origin(t, &tile);
     let q = plan.deps().cols();
     let kernel = plan.algorithm.kernel.clone();
@@ -723,7 +719,7 @@ fn vec_bench(out_path: &str, smoke: bool) {
         let (lo_t, hi_t) = plan.dist.chains[rank];
         let num_tiles = hi_t - lo_t + 1;
         let w = plan.algorithm.width();
-        let chain = plan.compiled_for(num_tiles);
+        let chain = plan.chain(rank);
         let pp = PerPoint::new(&plan, num_tiles);
         let origin = tile_origin(t, &tile);
         let q = plan.deps().cols();
@@ -859,8 +855,7 @@ fn vec_bench(out_path: &str, smoke: bool) {
         // --- boundary gather: row-clamped vs the per-point walk ------------
         let (brank, btpos, btile) =
             find_boundary(&plan).unwrap_or_else(|| panic!("{name}: no boundary tile"));
-        let (blo_t, bhi_t) = plan.dist.chains[brank];
-        let bchain = plan.compiled_for(bhi_t - blo_t + 1);
+        let bchain = plan.chain(brank);
         let borigin = tile_origin(t, &btile);
         let clamp = plan.clamp.at(&borigin);
         let mut blds = plan.rank_lds(brank);

@@ -1571,6 +1571,12 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                     Ok(out)
                 }
                 "run" => {
+                    let size = pipe.num_procs();
+                    if let Some((rank, _)) = opts.crash.filter(|&(rank, _)| rank >= size) {
+                        return err(format!(
+                            "--crash-rank {rank} out of range for a {size}-processor plan"
+                        ));
+                    }
                     if let Some(rank) = opts.worker_rank {
                         return tcp_worker(&pipe, &opts, rank, reg);
                     }

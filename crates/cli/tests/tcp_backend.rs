@@ -272,6 +272,40 @@ fn crashed_worker_fails_the_run_naming_the_rank() {
 }
 
 #[test]
+fn crash_rank_outside_the_plan_is_rejected_on_both_backends() {
+    // The 5×60×80 rectangle puts 4 ranks on the SOR nest: a crash of rank 7
+    // would never fire, so the run must refuse it instead of verifying.
+    let nest = sor_nest();
+    let base = [
+        "run",
+        &nest,
+        "--rect",
+        "5,60,80",
+        "--map",
+        "0",
+        "--crash-rank",
+        "7",
+        "--verify",
+    ];
+    for backend in ["threaded", "tcp"] {
+        let mut args = base.to_vec();
+        args.extend_from_slice(&["--backend", backend]);
+        let out = tilecc(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "{backend}: must fail
+{stderr}"
+        );
+        assert!(
+            stderr.contains("--crash-rank 7 out of range for a 4-processor plan"),
+            "{backend}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{backend}: printed a summary");
+    }
+}
+
+#[test]
 fn worker_with_unreachable_rendezvous_exits_nonzero_fast() {
     let nest = sor_nest();
     let start = std::time::Instant::now();

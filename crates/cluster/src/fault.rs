@@ -7,7 +7,7 @@
 //! is exactly as deterministic as a fault-free one — two executions with the
 //! same plan produce bit-identical data and virtual clocks.
 //!
-//! Faults are injected *between* [`crate::Comm::send_tagged`] and the
+//! Faults are injected *between* [`crate::RankCore::send_tagged`] and the
 //! channel. The engine's reliability sublayer (sequence numbers, duplicate
 //! suppression, re-sequencing, and virtual-clock-charged retransmission with
 //! exponential backoff) guarantees that lossy runs still complete with data

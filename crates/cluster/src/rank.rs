@@ -3,17 +3,18 @@
 //!
 //! [`RankCore`] owns the clock, the overlapped scheme's comm lane, the
 //! rank's metrics slot (the one account of every comm event and clock
-//! charge, which [`CommStats`] views), the observability handle, the
-//! reliability state (per-link sequence numbers, reorder holdback,
+//! charge, which [`crate::CommStats`] views), the observability handle,
+//! the reliability state (per-link sequence numbers, reorder holdback,
 //! MPI-style tag-matching buffers), the injected faults and the
-//! crash-recovery control, and implements [`Comm`] once. A transport only supplies a [`Link`]: push one envelope to a peer,
-//! poll the next envelope from a peer with a timeout, and name a closed
-//! peer's [`CommError`]. [`crate::ThreadedComm`] and [`crate::TcpComm`] are
+//! crash-recovery control, and is the one communication interface rank
+//! bodies program against. A transport only supplies a [`Link`]: push one
+//! envelope to a peer, poll the next envelope from a peer with a timeout,
+//! and name a closed peer's [`CommError`]. [`crate::ThreadedComm`] and [`crate::TcpComm`] are
 //! this core over the channel link and the socket link, so for the same
 //! program the two backends produce bitwise-identical data, clocks and
 //! counters by construction.
 
-use crate::comm::{Comm, CommAbort, CommStats, Envelope, Restored};
+use crate::comm::{CommAbort, Envelope, Restored};
 use crate::error::CommError;
 use crate::fault::{FaultPlan, RankStall};
 use crate::model::MachineModel;
@@ -188,8 +189,39 @@ impl RunShared {
     }
 }
 
-/// One rank's communication endpoint: the virtual-time core over a
-/// transport link (see the [module docs](self)).
+/// One rank's communication endpoint: blocking point-to-point messages
+/// with a virtual clock, over a transport link (see the
+/// [module docs](self)).
+///
+/// # Contract
+///
+/// * **Blocking semantics** — [`RankCore::try_recv_tagged`] blocks until a
+///   matching message arrives (or the engine aborts the run); sends may
+///   buffer but never reorder. There is no nonblocking probe.
+/// * **Tag matching** — receives match on `(from, tag)` like
+///   `MPI_Recv`: messages from `from` with a different tag are buffered
+///   and do not satisfy the call, in arrival order per tag.
+/// * **FIFO per link** — between a fixed (sender, receiver) pair,
+///   messages with the same tag are delivered in send order.
+/// * **Delivery under faults** — with a [`crate::FaultPlan`] attached,
+///   the reliability sublayer restores *exactly-once, in-order* delivery:
+///   drops are retransmitted (charged to the sender's virtual clock),
+///   duplicates are suppressed at the receiver, reordered arrivals are
+///   re-sequenced. Only an unreachable peer (every retry dropped) or a
+///   dead peer surfaces as a [`CommError`].
+/// * **Virtual time** — every operation advances the caller's clock per
+///   the [`MachineModel`]; one run yields both data and simulated time.
+///
+/// Communication is fallible at the substrate level:
+/// [`RankCore::try_send_tagged`] and [`RankCore::try_recv_tagged`] report
+/// disconnected or unreachable peers as [`CommError`]s. The infallible
+/// [`RankCore::send_tagged`] and [`RankCore::recv_tagged`] used by
+/// generated programs panic with a [`CommAbort`] payload instead, which the
+/// engine folds into the run-level error rather than treating it as a
+/// program bug.
+///
+/// Backends: [`crate::ThreadedComm`] (in-process channels) and
+/// [`crate::TcpComm`] (sockets, in- or multi-process).
 pub struct RankCore<L> {
     pub(crate) rank: usize,
     pub(crate) size: usize,
@@ -199,7 +231,7 @@ pub struct RankCore<L> {
     /// NIC lane for the overlapped scheme: the virtual time the lane
     /// finishes its last queued injection. Sends serialize on the lane
     /// (`max(lane, clock) + send_cost`) instead of charging the CPU clock;
-    /// [`Comm::drain_sends`] max-merges the lane back into the clock.
+    /// [`RankCore::drain_sends`] max-merges the lane back into the clock.
     pub(crate) comm_lane: f64,
     /// Lane busy time accumulated since the last drain (for the
     /// `overlap_hidden` accounting).
@@ -339,18 +371,22 @@ impl<L: Link> RankCore<L> {
         self.links.rewind(&ckpt.next, &ckpt.expect);
         self.pending = ckpt.pending.clone();
     }
-}
 
-impl<L: Link> Comm for RankCore<L> {
-    fn rank(&self) -> usize {
+    /// This process's rank in `0..size()`.
+    pub fn rank(&self) -> usize {
         self.rank
     }
 
-    fn size(&self) -> usize {
+    /// Number of processes.
+    pub fn size(&self) -> usize {
         self.size
     }
 
-    fn try_send_tagged(
+    /// Fallible send of `payload` to `to` with matching `tag`.
+    /// `nominal_bytes` is the modelled message size (the payload may be
+    /// elided in timing-only runs). Advances the local clock by the
+    /// sender-side cost, including any retransmission charges.
+    pub fn try_send_tagged(
         &mut self,
         to: usize,
         tag: i64,
@@ -505,7 +541,10 @@ impl<L: Link> Comm for RankCore<L> {
         Ok(())
     }
 
-    fn try_recv_tagged(&mut self, from: usize, tag: i64) -> Result<Vec<f64>, CommError> {
+    /// Fallible blocking receive of the next message from `from` with
+    /// matching `tag` (out-of-order arrivals are buffered, as in MPI).
+    /// Advances the local clock to the message arrival if it is later.
+    pub fn try_recv_tagged(&mut self, from: usize, tag: i64) -> Result<Vec<f64>, CommError> {
         assert!(from != self.rank, "recv from self is not supported");
         self.fault_tick();
         // Anything we still hold must be released before blocking, or a
@@ -563,7 +602,46 @@ impl<L: Link> Comm for RankCore<L> {
         Ok(env.payload)
     }
 
-    fn drain_sends(&mut self) -> f64 {
+    /// Infallible [`RankCore::try_send_tagged`]: panics with a
+    /// [`CommAbort`] payload on failure, which the engine converts to a
+    /// run-level error.
+    pub fn send_tagged(&mut self, to: usize, tag: i64, payload: Vec<f64>, nominal_bytes: usize) {
+        if let Err(error) = self.try_send_tagged(to, tag, payload, nominal_bytes) {
+            std::panic::panic_any(CommAbort {
+                rank: self.rank,
+                error,
+            });
+        }
+    }
+
+    /// Infallible [`RankCore::try_recv_tagged`]: panics with a
+    /// [`CommAbort`] payload on failure, which the engine converts to a
+    /// run-level error.
+    pub fn recv_tagged(&mut self, from: usize, tag: i64) -> Vec<f64> {
+        match self.try_recv_tagged(from, tag) {
+            Ok(payload) => payload,
+            Err(error) => std::panic::panic_any(CommAbort {
+                rank: self.rank,
+                error,
+            }),
+        }
+    }
+
+    /// [`RankCore::send_tagged`] with tag 0.
+    pub fn send(&mut self, to: usize, payload: Vec<f64>, nominal_bytes: usize) {
+        self.send_tagged(to, 0, payload, nominal_bytes);
+    }
+
+    /// [`RankCore::recv_tagged`] with tag 0.
+    pub fn recv(&mut self, from: usize) -> Vec<f64> {
+        self.recv_tagged(from, 0)
+    }
+
+    /// Wait for every outstanding (overlapped) send to leave the NIC —
+    /// `MPI_Waitall` semantics. Advances the local clock by the comm-lane
+    /// overshoot beyond the current clock and returns that overshoot; under
+    /// the blocking scheme there is no outstanding send and it returns 0.
+    pub fn drain_sends(&mut self) -> f64 {
         let overshoot = (self.comm_lane - self.clock).max(0.0);
         let hidden = (self.lane_busy - overshoot).max(0.0);
         if overshoot > 0.0 {
@@ -578,7 +656,8 @@ impl<L: Link> Comm for RankCore<L> {
         overshoot
     }
 
-    fn advance_compute(&mut self, iters: u64) {
+    /// Account `iters` loop iterations of local computation.
+    pub fn advance_compute(&mut self, iters: u64) {
         self.fault_tick();
         let dt = self.model.compute_cost(iters);
         self.clock += dt;
@@ -588,27 +667,32 @@ impl<L: Link> Comm for RankCore<L> {
         self.metrics.virt_add(VirtAcc::Compute, dt);
     }
 
-    fn local_time(&self) -> f64 {
+    /// Current virtual time of this process.
+    pub fn local_time(&self) -> f64 {
         self.clock
     }
 
-    fn model(&self) -> &MachineModel {
-        &self.model
-    }
-
-    fn stats(&self) -> CommStats {
-        CommStats::from_snapshot(&StatsSnapshot::capture(&self.metrics))
-    }
-
-    fn obs(&mut self) -> Option<&mut RankObs> {
+    /// Per-rank observability handle, when the engine was run with a
+    /// [`MetricsRegistry`] attached. Generated programs use it to record
+    /// phase spans and tile-level counters.
+    pub fn obs(&mut self) -> Option<&mut RankObs> {
         self.obs.as_mut()
     }
 
-    fn recovery_interval(&self) -> Option<u64> {
+    /// Checkpoint cadence: `Some(K)` when the engine was configured with a
+    /// recovery policy, asking the executor to call
+    /// [`RankCore::checkpoint`] every `K` chain steps; `None` disables
+    /// checkpointing.
+    pub fn recovery_interval(&self) -> Option<u64> {
         self.recovery.as_ref().map(|r| r.interval)
     }
 
-    fn checkpoint(&mut self, chain_pos: u64, app: &[u8]) {
+    /// Record a recovery checkpoint at chain position `chain_pos` with the
+    /// caller's serialized application state (LDS snapshot + logical
+    /// counters). Snapshots the clock, metrics and reliability frontiers
+    /// alongside, and acknowledges received envelopes so senders can trim
+    /// their replay logs. A no-op without a recovery policy.
+    pub fn checkpoint(&mut self, chain_pos: u64, app: &[u8]) {
         let Some(rec) = self.recovery.as_mut() else {
             return;
         };
@@ -661,7 +745,11 @@ impl<L: Link> Comm for RankCore<L> {
         }
     }
 
-    fn try_restore(&mut self) -> Option<Restored> {
+    /// After an injected crash unwound the chain walk: restore the latest
+    /// checkpoint and return the resume state, or `None` when recovery is
+    /// disabled, no restore budget remains, or the link persists its
+    /// checkpoints (a worker process recovers by respawn instead).
+    pub fn try_restore(&mut self) -> Option<Restored> {
         // Only an in-memory checkpoint restores in place; a worker process
         // recovers by respawn instead.
         let rec = self.recovery.as_ref()?;
@@ -708,22 +796,28 @@ impl<L: Link> Comm for RankCore<L> {
         Some(restored)
     }
 
-    fn resume_state(&mut self) -> Option<Restored> {
+    /// Resume state loaded *before* the rank body started — a respawned
+    /// worker process restores its checkpoint file during transport setup
+    /// and hands the chain position + application bytes to the executor
+    /// here, exactly once. `None` on a fresh start.
+    pub fn resume_state(&mut self) -> Option<Restored> {
         self.recovery.as_mut()?.resume.take()
     }
 
-    fn settle_recovery(&mut self) -> f64 {
+    /// Settle the accumulated recovery debt at the end of the rank's run:
+    /// charge the re-executed virtual time to the clock once, so
+    /// `local_time == fault-free time + recovery_time`.
+    fn settle_recovery(&mut self) {
         // A respawned worker resumes its checkpointed clock and never
         // rewinds a live one, so it carries no debt.
         let Some(rec) = self.recovery.as_mut() else {
-            return 0.0;
+            return;
         };
         let debt = std::mem::take(&mut rec.debt);
         if debt > 0.0 {
             self.clock += debt;
             self.metrics.virt_add(VirtAcc::Recovery, debt);
         }
-        debt
     }
 }
 

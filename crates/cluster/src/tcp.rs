@@ -1,4 +1,4 @@
-//! The TCP cluster backend: the [`crate::Comm`] contract over real sockets.
+//! The TCP cluster backend: the [`RankCore`] contract over real sockets.
 //!
 //! Where the threaded engine moves [`Envelope`]s through in-process
 //! channels, this backend serializes every message through the TCMP wire
@@ -465,7 +465,7 @@ pub struct TcpLink {
     worker: Option<WorkerCkpt>,
 }
 
-/// The socket-backed [`Comm`] endpoint: the shared [`RankCore`] over a
+/// The socket-backed endpoint: the shared [`RankCore`] over a
 /// [`TcpLink`], so its clocks and counters are the threaded engine's by
 /// construction. Constructed by [`run_cluster_tcp`] (in-process ranks) and
 /// [`run_worker`] (one rank of a multi-process run).
@@ -1662,7 +1662,7 @@ pub fn collect_workers(
 mod tests {
     use super::*;
     use crate::supervise::DEADLOCK_WINDOW;
-    use crate::{Comm, Counter, VirtAcc};
+    use crate::{Counter, VirtAcc};
 
     #[test]
     fn comm_error_codes_round_trip() {

@@ -143,7 +143,7 @@ pub enum CommScheme {
 
 /// Crash-recovery policy: checkpoint cadence and the shared restore budget.
 ///
-/// With a policy attached the executor calls [`Comm::checkpoint`] every
+/// With a policy attached the executor calls [`RankCore::checkpoint`] every
 /// `interval` completed chain steps, and an injected crash rewinds the rank
 /// to its latest checkpoint instead of killing the run — as long as the
 /// run-wide `max_recoveries` budget is not exhausted. Recovered runs stay
@@ -404,7 +404,6 @@ impl<R> Feed for Threads<'_, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Comm;
 
     #[test]
     fn single_rank_computes_locally() {
@@ -555,7 +554,6 @@ mod tests {
 #[cfg(test)]
 mod overlap_tests {
     use super::*;
-    use crate::Comm;
 
     fn model() -> MachineModel {
         MachineModel {
@@ -745,7 +743,7 @@ mod overlap_tests {
 #[cfg(test)]
 mod obs_tests {
     use super::*;
-    use crate::{Comm, Counter, Phase, VirtAcc};
+    use crate::{Counter, Phase, VirtAcc};
 
     fn model() -> MachineModel {
         MachineModel {
@@ -900,7 +898,6 @@ mod obs_tests {
 #[cfg(test)]
 mod failure_tests {
     use super::*;
-    use crate::Comm;
 
     fn zero() -> MachineModel {
         MachineModel::zero_comm(1.0)

@@ -6,7 +6,7 @@
 //! * wait/compute accounting is exact under a hand-computable machine model,
 //! * repeated runs of the same program produce bit-identical clocks.
 
-use tilecc_cluster::{run_cluster, Comm, EngineOptions, FaultPlan, MachineModel};
+use tilecc_cluster::{run_cluster, EngineOptions, FaultPlan, MachineModel};
 
 fn model() -> MachineModel {
     MachineModel {

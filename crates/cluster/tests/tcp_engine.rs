@@ -9,9 +9,9 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 use tilecc_cluster::{
-    run_cluster, run_cluster_tcp, Comm, CommScheme, CommStats, Counter, EngineOptions, FaultPlan,
-    InjectedCrash, MachineModel, MetricsRegistry, RecoveryOptions, RunError, RunReport, TcpComm,
-    ThreadedComm, VirtAcc,
+    run_cluster, run_cluster_tcp, CommScheme, CommStats, Counter, EngineOptions, FaultPlan,
+    InjectedCrash, Link, MachineModel, MetricsRegistry, RankCore, RecoveryOptions, RunError,
+    RunReport, TcpComm, ThreadedComm, VirtAcc,
 };
 
 fn test_model() -> MachineModel {
@@ -35,7 +35,7 @@ fn opts_with(fault: Option<FaultPlan>) -> EngineOptions {
 /// A pipeline body exercising sends, tagged receives, compute, the comm
 /// lane drain and stats — generic over the backend so the exact same
 /// closure runs on both.
-fn wavefront_body<C: Comm>(comm: &mut C) -> (f64, Vec<u64>) {
+fn wavefront_body<L: Link>(comm: &mut RankCore<L>) -> (f64, Vec<u64>) {
     let rank = comm.rank();
     let size = comm.size();
     let mut acc = vec![rank as u64];
@@ -57,7 +57,7 @@ fn wavefront_body<C: Comm>(comm: &mut C) -> (f64, Vec<u64>) {
 /// restores from injected crashes — the executor's recovery loop in
 /// miniature. The app snapshot is the accumulator's bit pattern, and so is
 /// the result.
-fn resilient_ring<C: Comm>(comm: &mut C) -> u64 {
+fn resilient_ring<L: Link>(comm: &mut RankCore<L>) -> u64 {
     const ROUNDS: u64 = 9;
     let k = comm.recovery_interval().unwrap_or(u64::MAX);
     let mut pos = 0u64;
@@ -389,7 +389,7 @@ fn tcp_deadlock_is_detected() {
     // watchdog must name both ranks and their waits instead of hanging.
     let err = run_cluster_tcp(2, test_model(), opts_with(None), |comm: &mut _| {
         let peer = 1 - comm.rank();
-        let _ = Comm::recv_tagged(comm, peer, 7);
+        let _ = comm.recv_tagged(peer, 7);
     })
     .unwrap_err();
     match err {
@@ -412,7 +412,7 @@ fn tcp_rank_panic_is_contained() {
             panic!("injected test failure");
         }
         // Ranks 0 and 2 wait on the dead rank and observe the disconnect.
-        let _ = comm.try_recv(1);
+        let _ = comm.try_recv_tagged(1, 0);
     })
     .unwrap_err();
     match err {

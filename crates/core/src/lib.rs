@@ -40,12 +40,10 @@ pub mod analysis;
 pub mod experiments;
 pub mod matrices;
 pub mod pipeline;
-pub mod predictor;
 pub mod tune;
 
 pub use experiments::{measure, probe_procs, MeasuredPoint, Variant, Workload};
 pub use pipeline::{Pipeline, Reference, RunSummary};
-pub use predictor::{predict, predicted_comm_volume, SchedulePrediction};
 pub use tune::{
     enumerate_candidates, tune, tune_labeled, TuneOptions, TuneOutcome, TunedCandidate,
 };

@@ -438,8 +438,7 @@ mod tests {
         ));
 
         // Rank 0's first tile, compared twice into one bitset.
-        let (lo_t, hi_t) = plan.dist.chains[0];
-        let chain = plan.compiled_for(hi_t - lo_t + 1);
+        let chain = plan.chain(0);
         let (tpos, tile) = first_tile(plan);
         let origin = tilecc_parcode::compiled::tile_origin(plan.tiled.transform(), &tile);
         let clamp = (!plan.tiled.tile_is_interior(&tile)).then(|| plan.clamp.at(&origin));

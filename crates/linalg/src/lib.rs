@@ -23,7 +23,6 @@ pub mod imat;
 pub mod lattice;
 pub mod rational;
 pub mod rmat;
-pub mod snf;
 pub mod vecops;
 
 pub use hnf::{column_hnf, is_column_hnf, HnfResult};
@@ -31,4 +30,3 @@ pub use imat::IMat;
 pub use lattice::{Lattice, LatticeBoxIter};
 pub use rational::{gcd_i128, lcm_i128, Rational};
 pub use rmat::RMat;
-pub use snf::{smith_normal_form, SnfResult};

@@ -1101,11 +1101,11 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
                 .collect();
 
             let mut lens = std::collections::BTreeSet::new();
-            for &(lo_t, hi_t) in &plan.dist.chains {
-                lens.insert(hi_t - lo_t + 1);
-            }
-            for &len in &lens {
-                let chain = plan.compiled_for(len);
+            for rank in 0..plan.num_procs() {
+                let chain = plan.chain(rank);
+                if !lens.insert(chain.num_tiles) {
+                    continue;
+                }
                 assert_eq!(chain.tile_points, coords.len(), "case {case}");
 
                 // Partition: the split's sub-rows expand to points, each
@@ -1177,9 +1177,9 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
 
             // The two passes' in-space counts partition every tile's
             // iterations.
-            if let Some(&(lo_t, hi_t)) = plan.dist.chains.first() {
+            if plan.num_procs() > 0 {
                 // Per-tile counts are chain-length independent.
-                let chain = plan.compiled_for(hi_t - lo_t + 1);
+                let chain = plan.chain(0);
                 let split = chain.split();
                 for tile in plan.tiled.tiles() {
                     let origin = super::tile_origin(tr, &tile);
@@ -1233,12 +1233,13 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
         let (n, q) = (plan.dim(), deps.cols());
         let space = LineClip::new(plan.tiled.space(), None);
         let window = LineClip::new(plan.tiled.space(), Some(deps));
-        let mut lens: Vec<i64> = plan.dist.chains.iter().map(|&(a, b)| b - a + 1).collect();
-        lens.sort_unstable();
-        lens.dedup();
+        let mut lens = std::collections::BTreeSet::new();
         let (mut wide, mut j0, mut src) = (0usize, vec![0i64; n], vec![0i64; n]);
-        for len in lens {
-            let chain = plan.compiled_for(len);
+        for rank in 0..plan.num_procs() {
+            let chain = plan.chain(rank);
+            if !lens.insert(chain.num_tiles) {
+                continue;
+            }
             let split = chain.split();
             let spans: Vec<_> = chain
                 .walk
@@ -1490,10 +1491,8 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
             Some(1),
         )
         .unwrap();
-        let (lo_t, hi_t) = plan.dist.chains[0];
-        let num_tiles = hi_t - lo_t + 1;
         let w = plan.algorithm.width();
-        let chain = plan.compiled_for(num_tiles);
+        let chain = plan.chain(0);
         let ds_idx = chain
             .unpack
             .iter()
@@ -1535,10 +1534,8 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
         ] {
             let name = alg.name.clone();
             let plan = ParallelPlan::new(alg, h, Some(m)).unwrap();
-            let (lo_t, hi_t) = plan.dist.chains[0];
-            let num_tiles = hi_t - lo_t + 1;
             let w = plan.algorithm.width();
-            let chain = plan.compiled_for(num_tiles);
+            let chain = plan.chain(0);
             let (n, q) = (chain.n, chain.q);
             let tr = plan.tiled.transform();
             let deps = plan.deps();

@@ -21,8 +21,8 @@ use crate::plan::ParallelPlan;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use tilecc_cluster::{
-    run_cluster, run_cluster_tcp, Comm, CommScheme, Counter, EngineOptions, HistId, InjectedCrash,
-    MachineModel, MetricsRegistry, Phase, Restored, RunError, RunReport,
+    run_cluster, run_cluster_tcp, CommScheme, Counter, EngineOptions, HistId, InjectedCrash, Link,
+    MachineModel, MetricsRegistry, Phase, RankCore, Restored, RunError, RunReport,
 };
 use tilecc_loopnest::DataSpace;
 use tilecc_tiling::{insert_at, Lds};
@@ -259,7 +259,7 @@ fn for_each_owned_tile(
         let mut tile_t0 = rank_t0;
         let pid = &plan.dist.pids[rank];
         let (lo_t, hi_t) = plan.dist.chains[rank];
-        let chain = plan.compiled_for(hi_t - lo_t + 1);
+        let chain = plan.chain(rank);
         let mut done = true;
         for t_abs in lo_t..=hi_t {
             let tile = insert_at(pid, plan.m(), t_abs);
@@ -293,9 +293,9 @@ fn for_each_owned_tile(
 /// generated FORACROSS code skeleton (§3.2). [`execute`] runs it on every
 /// in-process rank; the CLI's multi-process `--worker-rank` mode runs it
 /// over a [`tilecc_cluster::TcpComm`] connected to sibling processes.
-pub fn run_rank<C: Comm>(
+pub fn run_rank<L: Link>(
     plan: &ParallelPlan,
-    comm: &mut C,
+    comm: &mut RankCore<L>,
     mode: ExecMode,
     strategy: ExecStrategy,
 ) -> RankOutput {
@@ -311,7 +311,7 @@ pub fn run_rank<C: Comm>(
     // Only a full run reads or writes the LDS; a timing-only one never
     // allocates it.
     let mut lds = (mode == ExecMode::Full).then(|| plan.rank_lds(rank));
-    let chain = plan.compiled_for(hi_t - lo_t + 1);
+    let chain = plan.chain(rank);
 
     let deps = plan.deps();
     let q = deps.cols();
@@ -442,64 +442,66 @@ pub fn run_rank<C: Comm>(
                 // LDS), walk the tile per point (the reference oracle, which
                 // ignores `spans`) or run the compiled compute; then charge it
                 // to the clock and record it as a `name` compute span.
-                let mut pass =
-                    |comm: &mut C, lds: &mut Option<Lds>, name: &'static str, spans: &[Span]| {
-                        let t0 = if obs_on {
-                            comm.obs().map(|o| o.now_ns())
-                        } else {
-                            None
-                        };
-                        let v0 = comm.local_time();
-                        let iters = match (lds.as_mut(), strategy) {
-                            (None, _) => count_tile(chain, clamp, spans),
-                            (Some(lds), ExecStrategy::Reference) => {
-                                let mut iters = 0;
-                                for (jp, j) in plan.tiled.tile_iterations(&cur_tile) {
-                                    iters += 1;
-                                    let g = lds.unrolled(tpos, &jp);
-                                    for dq in 0..q {
-                                        for k in 0..n {
-                                            src[k] = j[k] - deps[(k, dq)];
-                                            gs[k] = g[k] - d_prime[(k, dq)];
-                                        }
-                                        if space.contains(&src) {
-                                            lds.get_into(&gs, &mut reads[dq * w..(dq + 1) * w]);
-                                        } else {
-                                            kernel.initial(&src, &mut reads[dq * w..(dq + 1) * w]);
-                                        }
+                let mut pass = |comm: &mut RankCore<L>,
+                                lds: &mut Option<Lds>,
+                                name: &'static str,
+                                spans: &[Span]| {
+                    let t0 = if obs_on {
+                        comm.obs().map(|o| o.now_ns())
+                    } else {
+                        None
+                    };
+                    let v0 = comm.local_time();
+                    let iters = match (lds.as_mut(), strategy) {
+                        (None, _) => count_tile(chain, clamp, spans),
+                        (Some(lds), ExecStrategy::Reference) => {
+                            let mut iters = 0;
+                            for (jp, j) in plan.tiled.tile_iterations(&cur_tile) {
+                                iters += 1;
+                                let g = lds.unrolled(tpos, &jp);
+                                for dq in 0..q {
+                                    for k in 0..n {
+                                        src[k] = j[k] - deps[(k, dq)];
+                                        gs[k] = g[k] - d_prime[(k, dq)];
                                     }
-                                    kernel.compute(&j, &reads, &mut out);
-                                    lds.set_all(&g, &out);
+                                    if space.contains(&src) {
+                                        lds.get_into(&gs, &mut reads[dq * w..(dq + 1) * w]);
+                                    } else {
+                                        kernel.initial(&src, &mut reads[dq * w..(dq + 1) * w]);
+                                    }
                                 }
-                                iters
+                                kernel.compute(&j, &reads, &mut out);
+                                lds.set_all(&g, &out);
                             }
-                            (Some(lds), _) => {
-                                let (iters, batched) = compute_tile_fast(
-                                    chain,
-                                    lds,
-                                    tpos,
-                                    &origin,
-                                    kernel.as_ref(),
-                                    &mut scratch,
-                                    spans,
-                                    clamp,
-                                );
-                                tile_vectorized += batched;
-                                iters
-                            }
-                        };
-                        comm.advance_compute(iters);
-                        if let Some(t0) = t0 {
-                            if iters > 0 {
-                                let v1 = comm.local_time();
-                                if let Some(o) = comm.obs() {
-                                    o.observe(HistId::ComputeTileNs, o.now_ns().saturating_sub(t0));
-                                    o.named_span(Phase::Compute, name, t0, (v0, v1), iters);
-                                }
+                            iters
+                        }
+                        (Some(lds), _) => {
+                            let (iters, batched) = compute_tile_fast(
+                                chain,
+                                lds,
+                                tpos,
+                                &origin,
+                                kernel.as_ref(),
+                                &mut scratch,
+                                spans,
+                                clamp,
+                            );
+                            tile_vectorized += batched;
+                            iters
+                        }
+                    };
+                    comm.advance_compute(iters);
+                    if let Some(t0) = t0 {
+                        if iters > 0 {
+                            let v1 = comm.local_time();
+                            if let Some(o) = comm.obs() {
+                                o.observe(HistId::ComputeTileNs, o.now_ns().saturating_sub(t0));
+                                o.named_span(Phase::Compute, name, t0, (v0, v1), iters);
                             }
                         }
-                        iters
-                    };
+                    }
+                    iters
+                };
                 let tile_iters = if strategy == ExecStrategy::Overlapped {
                     // Overlapped order: boundary slab → post sends → private
                     // interior. The slab is the dependence closure of the pack
@@ -593,7 +595,7 @@ pub fn run_rank<C: Comm>(
 /// (`lds` is `Some`) every LDS value as an `f64` bit pattern in row-major
 /// LDS order, all little-endian (`docs/wire-protocol.md`, "Rank state").
 /// A timing-only run carries the count alone. The same bytes are the
-/// application part of a checkpoint ([`Comm::checkpoint`]) and a worker
+/// application part of a checkpoint ([`RankCore::checkpoint`]) and a worker
 /// process's `RESULT` payload; decoding them ([`decode_rank_state`])
 /// reproduces the rank bitwise.
 pub fn encode_rank_state(iterations: u64, lds: Option<&Lds>) -> Vec<u8> {
@@ -666,10 +668,10 @@ fn rewind_to(restored: &Restored, rank: usize, iterations: &mut u64, lds: Option
 /// passes — every pack region lives in the boundary slab, so the payloads
 /// are final).
 #[allow(clippy::too_many_arguments)]
-fn send_tile(
+fn send_tile<L: Link>(
     plan: &ParallelPlan,
     chain: &CompiledChain,
-    comm: &mut impl Comm,
+    comm: &mut RankCore<L>,
     lds: &Option<Lds>,
     strategy: ExecStrategy,
     obs_on: bool,

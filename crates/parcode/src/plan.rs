@@ -7,7 +7,6 @@
 //! space `J^n` and per-processor Local Data Spaces.
 
 use crate::compiled::{Clamp, CompiledChain};
-use std::collections::BTreeMap;
 use tilecc_cluster::{MetricsRegistry, Phase};
 use tilecc_linalg::IMat;
 use tilecc_loopnest::Algorithm;
@@ -31,7 +30,9 @@ pub struct ParallelPlan {
     pub clamp: Clamp,
     /// Flat-index execution tables, one per distinct chain length (LDS
     /// extents — hence cell weights — depend on the chain length).
-    compiled: BTreeMap<i64, CompiledChain>,
+    compiled: Vec<CompiledChain>,
+    /// Per rank, the index of its chain's table in `compiled`.
+    chain_of: Vec<usize>,
 }
 
 impl ParallelPlan {
@@ -87,21 +88,23 @@ impl ParallelPlan {
             LdsGeometry::weights(&extents)
         };
         let clamp = Clamp::new(tiled.space(), algorithm.nest.deps());
-        let mut compiled = BTreeMap::new();
+        let mut compiled: Vec<CompiledChain> = Vec::new();
+        let mut chain_of = Vec::with_capacity(dist.chains.len());
         for &(lo_t, hi_t) in &dist.chains {
             let nt = hi_t - lo_t + 1;
-            compiled.entry(nt).or_insert_with(|| {
+            let at = compiled.iter().position(|c| c.num_tiles == nt);
+            chain_of.push(at.unwrap_or_else(|| {
                 let t0 = obs.map(|r| r.now_ns());
                 let chain = CompiledChain::new(&tiled, &comm, &geo, &ds_weights, &clamp, nt);
                 if let (Some(reg), Some(t0)) = (obs, t0) {
                     reg.driver_span(Phase::CompileChain, "compile-chain", t0, nt as u64);
                 }
-                chain
-            });
+                compiled.push(chain);
+                compiled.len() - 1
+            }));
         }
         let region_counts = compiled
-            .values()
-            .next()
+            .first()
             .expect("a distribution always has at least one chain")
             .pack_counts();
         Ok(ParallelPlan {
@@ -113,17 +116,13 @@ impl ParallelPlan {
             region_counts,
             clamp,
             compiled,
+            chain_of,
         })
     }
 
-    /// The flat-index execution table for a chain of `num_tiles` tiles.
-    ///
-    /// # Panics
-    /// Panics if no rank of this plan runs a chain of that length.
-    pub fn compiled_for(&self, num_tiles: i64) -> &CompiledChain {
-        self.compiled
-            .get(&num_tiles)
-            .expect("no compiled chain for this length")
+    /// The flat-index execution table of `rank`'s chain.
+    pub fn chain(&self, rank: usize) -> &CompiledChain {
+        &self.compiled[self.chain_of[rank]]
     }
 
     /// Loop-nest dimension `n`.

@@ -134,8 +134,7 @@ fn volume_fast_matches_membership_tested_count() {
         let alg = Algorithm::new("p", LoopNest::new(space, deps), Arc::new(Unused));
         let plan = ParallelPlan::new(alg, t, None).unwrap();
         // Per-tile counts do not depend on the chain length.
-        let (lo_t, hi_t) = plan.dist.chains[0];
-        let chain = plan.compiled_for(hi_t - lo_t + 1);
+        let chain = plan.chain(0);
         for tile in plan.tiled.tiles() {
             let exact = plan.tiled.tile_iterations(&tile).count() as u64;
             let origin = tile_origin(plan.tiled.transform(), &tile);

@@ -96,7 +96,7 @@ fn check_plan(plan: &ParallelPlan, ctx: &str) -> usize {
     let space = LineClip::new(plan.tiled.space(), None);
     for rank in 0..plan.num_procs() {
         let (lo_t, hi_t) = plan.dist.chains[rank];
-        let chain = plan.compiled_for(hi_t - lo_t + 1);
+        let chain = plan.chain(rank);
         let lds = plan.rank_lds(rank);
         for t_abs in lo_t..=hi_t {
             let tile = insert_at(&plan.dist.pids[rank], m, t_abs);
@@ -237,7 +237,7 @@ fn check_gather(plan: &ParallelPlan, ctx: &str) -> usize {
     let mut boundary = 0usize;
     for rank in 0..plan.num_procs() {
         let (lo_t, hi_t) = plan.dist.chains[rank];
-        let chain = plan.compiled_for(hi_t - lo_t + 1);
+        let chain = plan.chain(rank);
         let mut lds = plan.rank_lds(rank);
         for (i, x) in lds.values_mut().iter_mut().enumerate() {
             *x = 1.0 + i as f64 / 7.0;
@@ -354,8 +354,7 @@ fn paper_workload_runs_reconstruct_their_lists() {
     for (name, plan) in &plans {
         check_plan(plan, name);
         assert!(check_gather(plan, name) > 0, "{name}: no boundary tile");
-        let (lo_t, hi_t) = plan.dist.chains[0];
-        let chain = plan.compiled_for(hi_t - lo_t + 1);
+        let chain = plan.chain(0);
         batched_rows += chain.rows.iter().filter(|r| r.batch > 0).count();
     }
     assert!(

@@ -24,7 +24,7 @@
 
 use crate::comm::CommPlan;
 use crate::transform::TilingTransform;
-use tilecc_linalg::vecops::{div_ceil, div_floor};
+use tilecc_linalg::vecops::div_floor;
 use tilecc_linalg::IMat;
 
 /// Rank-independent LDS geometry: strides, offsets, tile box.
@@ -278,26 +278,20 @@ impl Lds {
     }
 }
 
-/// Convenience: the halo-region extent check `off_k ≥ ⌈maxd_k / c_k⌉` used
-/// in tests and assertions.
-pub fn halo_covers(geo: &LdsGeometry, maxd: &[i64]) -> bool {
-    (0..geo.dim()).all(|k| {
-        if k == geo.m {
-            true
-        } else {
-            geo.off[k] >= div_ceil(maxd[k], geo.c[k])
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::comm::CommPlan;
     use crate::tile_space::TiledSpace;
     use crate::transform::TilingTransform;
+    use tilecc_linalg::vecops::div_ceil;
     use tilecc_linalg::RMat;
     use tilecc_polytope::Polyhedron;
+
+    /// The halo-region extent check `off_k ≥ ⌈maxd_k / c_k⌉`.
+    fn halo_covers(geo: &LdsGeometry, maxd: &[i64]) -> bool {
+        (0..geo.dim()).all(|k| k == geo.m || geo.off[k] >= div_ceil(maxd[k], geo.c[k]))
+    }
 
     fn setup(h: RMat, m: usize) -> (TilingTransform, LdsGeometry, CommPlan) {
         let t = TilingTransform::new(h).unwrap();

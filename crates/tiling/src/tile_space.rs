@@ -321,11 +321,6 @@ impl TiledSpace {
         self.full_tile_volume
     }
 
-    /// Number of in-space iterations of a tile.
-    pub fn tile_volume(&self, tile: &[i64]) -> usize {
-        self.tile_iterations(tile).count()
-    }
-
     /// Exact tile dependence matrix `D^S` (columns, deduplicated, zero
     /// excluded, in lexicographic order): every non-zero
     /// `d^S_k = ⌊(j'_k + d'_k) / v_k⌋` with `d' = H'·d` over the TTIS points
@@ -387,6 +382,11 @@ mod tests {
     use super::*;
     use tilecc_linalg::RMat;
 
+    /// Number of in-space iterations of a tile.
+    fn tile_volume(tiled: &TiledSpace, tile: &[i64]) -> usize {
+        tiled.tile_iterations(tile).count()
+    }
+
     fn sor_like_space() -> Polyhedron {
         // Skewed-SOR-like space: 1<=t<=4, t+1<=i<=t+6, 2t+1<=j<=2t+6.
         let mut p = Polyhedron::universe(3);
@@ -418,7 +418,7 @@ mod tests {
         ] {
             let tiled = TiledSpace::new(ts, space.clone()).unwrap();
             let total_space = tiled.space_bounds().points().count();
-            let tiled_total: usize = tiled.tiles().map(|t| tiled.tile_volume(&t)).sum();
+            let tiled_total: usize = tiled.tiles().map(|t| tile_volume(&tiled, &t)).sum();
             assert_eq!(tiled_total, total_space);
         }
     }
@@ -539,14 +539,14 @@ mod tests {
         // Every surviving tile is genuinely non-empty...
         for tile in tiled.tiles() {
             assert!(
-                tiled.tile_volume(&tile) >= 1,
+                tile_volume(&tiled, &tile) >= 1,
                 "empty tile {tile:?} survived pruning"
             );
         }
         // ...and pruning loses no iterations: the per-tile volumes still
         // sum to the full space.
         let total_space = LoopNestBounds::new(&p).unwrap().points().count();
-        let tiled_total: usize = tiled.tiles().map(|t| tiled.tile_volume(&t)).sum();
+        let tiled_total: usize = tiled.tiles().map(|t| tile_volume(&tiled, &t)).sum();
         assert_eq!(tiled_total, total_space);
         // The pruned candidate count matches the raw shadow enumeration.
         let candidates = tiled.tile_bounds().points().count();

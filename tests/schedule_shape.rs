@@ -3,8 +3,13 @@
 //! the tiling cone complete earlier than rectangular ones, and the
 //! simulated makespans follow the analytic wavefront orderings.
 
-use tilecc::{measure, Variant, Workload};
-use tilecc_cluster::MachineModel;
+use std::sync::Arc;
+use tilecc::{analysis, matrices, measure, Variant, Workload};
+use tilecc_cluster::{EngineOptions, MachineModel};
+use tilecc_frontend::{compile_kernel_with, corpus};
+use tilecc_linalg::RMat;
+use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
+use tilecc_tiling::TilingTransform;
 
 fn model() -> MachineModel {
     MachineModel::fast_ethernet_p3()
@@ -132,4 +137,59 @@ fn makespan_tracks_predicted_steps_within_a_sweep() {
             "makespan should grow with wavefront steps under latency domination"
         );
     }
+}
+
+/// The 24×36 SOR nest under `h`, mapped along dimension 2.
+fn sor_plan(h: RMat) -> Arc<ParallelPlan> {
+    let alg = compile_kernel_with(corpus::SOR, &[("M", 24), ("N", 36)]).unwrap();
+    Arc::new(ParallelPlan::new(alg, TilingTransform::new(h).unwrap(), Some(2)).unwrap())
+}
+
+#[test]
+fn predicted_comm_volume_matches_measurement_exactly() {
+    // Every tile sends one message of the planned region size per processor
+    // dependence with a valid successor tile; the executor's byte count must
+    // equal that static count exactly.
+    for h in [matrices::rect(7, 16, 8), matrices::sor_nr(7, 16, 8)] {
+        let plan = sor_plan(h);
+        let mut predicted = 0u64;
+        for tile in plan.tiled.tiles() {
+            for dm_idx in 0..plan.comm.proc_deps.len() {
+                let has_succ = plan.comm.ds_of_dm(dm_idx).any(|ds| {
+                    let succ: Vec<i64> = tile.iter().zip(ds).map(|(&a, &b)| a + b).collect();
+                    plan.tiled.tile_valid(&succ)
+                });
+                if has_succ {
+                    predicted += (plan.region_counts[dm_idx] * 8) as u64;
+                }
+            }
+        }
+        let res = execute(
+            plan,
+            model(),
+            ExecMode::TimingOnly,
+            ExecStrategy::Compiled,
+            Backend::Threaded,
+            EngineOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(predicted, res.report.total_bytes());
+    }
+}
+
+#[test]
+fn steps_match_the_analytic_formula_for_sor() {
+    // The wavefront steps of the rectangular tiling, `max Π·j^S − min Π·j^S
+    // + 1` over the tile space, against the §4.1 closed form. The closed
+    // form is continuous; the exact count differs by at most the number of
+    // dimensions (floor effects at both ends).
+    let (m, n, x, y, z) = (24i64, 36i64, 7i64, 16i64, 8i64);
+    let plan = sor_plan(matrices::rect(x, y, z));
+    let sums: Vec<i64> = plan.tiled.tiles().map(|t| t.iter().sum()).collect();
+    let steps = sums.iter().max().unwrap() - sums.iter().min().unwrap() + 1;
+    let t_max = analysis::sor_t_rect(m, n, x, y, z);
+    assert!(
+        (steps as f64 - t_max).abs() <= 4.0,
+        "steps {steps} vs formula {t_max:.1}"
+    );
 }
