@@ -29,7 +29,9 @@
 //! the stats. With `--tcp`, every case with ≤ 8 processors is re-executed
 //! over the TCP backend (real sockets, TCMP framing) — clean and under a
 //! seeded chaos plan — and must match the threaded backend bitwise: same
-//! data, same per-rank virtual clocks, same counters. With `--recovery`,
+//! data, same per-rank virtual clocks, same counters; under `--dsl`, a
+//! wider case is also checked on a narrow plan of its kernel, and every
+//! corpus kernel must have run over TCP. With `--recovery`,
 //! every case crashes its busiest rank mid-run under a checkpoint/recovery
 //! policy on both backends: the recovered run must reproduce the fault-free
 //! data bitwise, and every rank's clock must be the fault-free clock plus
@@ -173,6 +175,19 @@ impl Case {
         }
     }
 
+    /// The engine reports of `a` and `b` must agree on their whole
+    /// deterministic subset: makespan, every rank's clock and clock split,
+    /// and every logical counter.
+    fn same_accounts(self, a: &ExecutionResult, b: &ExecutionResult, what: &str) {
+        let report =
+            |r: &ExecutionResult| ObsReport::from_snapshots(&r.report.stats, &r.report.local_times);
+        let diffs = report(a).deterministic_diff(&report(b));
+        if !diffs.is_empty() {
+            eprintln!("  {} (fault seed {})", diffs.join("; "), self.fault_seed());
+            self.fail(what);
+        }
+    }
+
     /// `a` and `b` must agree on every counter of `counters`.
     fn same_totals(self, a: &ObsReport, b: &ObsReport, counters: &[Counter], what: &str) {
         for &c in counters {
@@ -206,6 +221,10 @@ const LOGICAL: [Counter; 8] = [
     Counter::BoundaryTiles,
     Counter::Iterations,
 ];
+
+/// The widest plan the TCP legs run: each rank of the in-process TCP
+/// backend holds two threads per peer.
+const TCP_MAX_PROCS: usize = 8;
 
 /// The legs each case runs beyond the fault-free strategy cross-check.
 #[derive(Clone, Copy)]
@@ -242,7 +261,7 @@ fn check_case(c: Case, plan: &Arc<ParallelPlan>, seq: &DataSpace, legs: Legs, ta
         c.fail("tiled sequential reordering mismatch");
     }
     let (res, rep_c) = check_strategies(c, plan, seq, tally);
-    if legs.tcp && plan.num_procs() <= 8 {
+    if legs.tcp && plan.num_procs() <= TCP_MAX_PROCS {
         check_tcp(c, plan, &res);
         tally.tcp_cases += 1;
     }
@@ -301,7 +320,7 @@ fn check_strategies(
         );
         c.fail("compiled/reference makespan mismatch");
     }
-    if res.report.total_bytes() != reference.report.total_bytes() {
+    if res.report.total(Counter::BytesSent) != reference.report.total(Counter::BytesSent) {
         c.fail("compiled/reference traffic mismatch");
     }
     // Metrics conservation: in a fault-free run every message sent is
@@ -323,8 +342,8 @@ fn check_strategies(
             c.fail("fault counters fired in a fault-free run");
         }
     }
-    if rep_c.total(Counter::MessagesSent) != res.report.total_messages()
-        || rep_c.total(Counter::BytesSent) != res.report.total_bytes()
+    if rep_c.total(Counter::MessagesSent) != res.report.total(Counter::MessagesSent)
+        || rep_c.total(Counter::BytesSent) != res.report.total(Counter::BytesSent)
     {
         c.fail("metrics registry disagrees with engine report");
     }
@@ -368,12 +387,14 @@ fn check_strategies(
         );
         c.fail("overlapped strategy slower than blocking");
     }
-    if overlapped.report.total_bytes() != res.report.total_bytes()
-        || overlapped.report.total_messages() != res.report.total_messages()
+    if overlapped.report.total(Counter::BytesSent) != res.report.total(Counter::BytesSent)
+        || overlapped.report.total(Counter::MessagesSent) != res.report.total(Counter::MessagesSent)
     {
         c.fail("compiled/overlapped traffic mismatch");
     }
-    if overlapped.report.total_bytes_received() != overlapped.report.total_bytes() {
+    if overlapped.report.total(Counter::BytesReceived)
+        != overlapped.report.total(Counter::BytesSent)
+    {
         c.fail("overlapped run lost or invented bytes");
     }
     let rep_o = reg_o.run_report(&overlapped.report.local_times);
@@ -433,27 +454,19 @@ fn check_snapshots(
     if !merged.deterministic_diff(rep).is_empty() {
         c.fail("snapshot merge broke the deterministic subset");
     }
-    let zero = StatsSnapshot::zero();
     for (r, snap) in snaps.iter().enumerate() {
-        // Absolute frame (delta against zero) and an idle incremental
-        // frame (delta against itself) must both round-trip exactly.
-        let abs = snap.encode_delta(&zero);
-        match StatsSnapshot::apply_delta(&zero, &abs) {
+        let payload = snap.encode();
+        match StatsSnapshot::decode(&payload) {
             Ok(back) if back == *snap => {}
-            Ok(_) => c.fail("absolute stats frame did not round-trip"),
+            Ok(_) => c.fail("stats frame did not round-trip"),
             Err(e) => {
-                eprintln!("  rank {r} absolute stats frame rejected: {e}");
-                c.fail("absolute stats frame rejected by decoder");
+                eprintln!("  rank {r} stats frame rejected: {e}");
+                c.fail("stats frame rejected by decoder");
             }
-        }
-        let idle = snap.encode_delta(snap);
-        match StatsSnapshot::apply_delta(snap, &idle) {
-            Ok(back) if back == *snap => {}
-            _ => c.fail("idle stats delta did not round-trip"),
         }
         // Truncation anywhere must be a typed error, never a panic or a
         // silent partial decode.
-        if !abs.is_empty() && StatsSnapshot::apply_delta(&zero, &abs[..abs.len() - 1]).is_ok() {
+        if StatsSnapshot::decode(&payload[..payload.len() - 1]).is_ok() {
             c.fail("truncated stats frame decoded successfully");
         }
         // Category totals accrue in a different addition order than the
@@ -475,32 +488,21 @@ fn check_snapshots(
 /// per-rank clocks, identical counters — clean and under one chaos plan.
 fn check_tcp(c: Case, plan: &Arc<ParallelPlan>, res: &ExecutionResult) {
     let (full, compiled) = (ExecMode::Full, ExecStrategy::Compiled);
-    let clean = EngineOptions::default();
+    // Observed like `res`, so the tile counters are kept on both sides.
+    let observed = EngineOptions {
+        obs: Some(MetricsRegistry::new()),
+        ..EngineOptions::default()
+    };
     let tcp_res = c.run(
         plan,
         full,
         compiled,
         Backend::Tcp,
-        clean,
+        observed,
         "tcp backend failed",
     );
     c.same_data(data(res), &tcp_res, "tcp/threaded data mismatch");
-    for rank in 0..plan.num_procs() {
-        let (threaded, tcp) = (
-            res.report.local_times[rank],
-            tcp_res.report.local_times[rank],
-        );
-        if threaded.to_bits() != tcp.to_bits() {
-            eprintln!("  rank {rank} clocks: threaded {threaded} tcp {tcp}");
-            c.fail("tcp/threaded virtual clock mismatch");
-        }
-    }
-    if tcp_res.report.total_messages() != res.report.total_messages()
-        || tcp_res.report.total_bytes() != res.report.total_bytes()
-        || tcp_res.report.total_bytes_received() != res.report.total_bytes_received()
-    {
-        c.fail("tcp/threaded traffic mismatch");
-    }
+    c.same_accounts(res, &tcp_res, "tcp/threaded accounts mismatch");
     // The same chaos plan over sockets: faults are decided above the
     // transport, so the perturbed schedule must also agree bitwise,
     // retransmission accounting included.
@@ -510,34 +512,12 @@ fn check_tcp(c: Case, plan: &Arc<ParallelPlan>, res: &ExecutionResult) {
     };
     let what = "threaded backend failed under chaos";
     let threaded_f = c.run(plan, full, compiled, Backend::Threaded, chaos(), what);
-    let tcp_f = c.run(
-        plan,
-        full,
-        compiled,
-        Backend::Tcp,
-        chaos(),
-        "tcp backend failed under chaos",
-    );
-    c.same_data(
-        data(&threaded_f),
-        &tcp_f,
-        "tcp/threaded data mismatch under chaos",
-    );
-    if threaded_f.makespan().to_bits() != tcp_f.makespan().to_bits() {
-        eprintln!(
-            "  chaos makespans: threaded {} tcp {} (fault seed {})",
-            threaded_f.makespan(),
-            tcp_f.makespan(),
-            c.fault_seed()
-        );
-        c.fail("tcp/threaded makespan mismatch under chaos");
-    }
-    if threaded_f.report.total_retransmissions() != tcp_f.report.total_retransmissions()
-        || threaded_f.report.total_duplicates_suppressed()
-            != tcp_f.report.total_duplicates_suppressed()
-    {
-        c.fail("tcp/threaded reliability counters mismatch");
-    }
+    let what = "tcp backend failed under chaos";
+    let tcp_f = c.run(plan, full, compiled, Backend::Tcp, chaos(), what);
+    let what = "tcp/threaded data mismatch under chaos";
+    c.same_data(data(&threaded_f), &tcp_f, what);
+    let what = "tcp/threaded accounts mismatch under chaos";
+    c.same_accounts(&threaded_f, &tcp_f, what);
 }
 
 /// Chaos leg: over a substrate seeded per case, the reliability layer must
@@ -569,7 +549,9 @@ fn check_faults(c: Case, plan: &Arc<ParallelPlan>, seq: &DataSpace, rep_c: &ObsR
         &faulty,
         "fault-injected result differs from fault-free",
     );
-    if faulty.report.total_messages() > 20 && faulty.report.total_retransmissions() == 0 {
+    if faulty.report.total(Counter::MessagesSent) > 20
+        && faulty.report.total(Counter::Retransmits) == 0
+    {
         c.fail("30% drop rate produced no retransmissions");
     }
     // Faulty conservation: the reliability layer delivers exactly once
@@ -614,7 +596,7 @@ fn check_faults(c: Case, plan: &Arc<ParallelPlan>, seq: &DataSpace, rep_c: &ObsR
         what,
     );
     c.same_data(seq, &faulty_o, "fault-injected overlapped result differs");
-    if faulty_o.report.total_bytes_received() != faulty_o.report.total_bytes() {
+    if faulty_o.report.total(Counter::BytesReceived) != faulty_o.report.total(Counter::BytesSent) {
         c.fail("faulty overlapped run lost or invented bytes");
     }
 }
@@ -653,18 +635,17 @@ fn check_recovery(
     let rec = c.run(plan, full, compiled, Backend::Threaded, crashed(), what);
     c.same_data(seq, &rec, "recovered result differs from fault-free");
     for r in 0..plan.num_procs() {
-        let expect = res.report.local_times[r] + rec.report.stats[r].recovery_time;
+        let debt = rec.report.stats[r].recovery_time();
+        let expect = res.report.local_times[r] + debt;
         if expect.to_bits() != rec.report.local_times[r].to_bits() {
             eprintln!(
-                "  rank {r}: clean {} + debt {} != recovered {}",
-                res.report.local_times[r],
-                rec.report.stats[r].recovery_time,
-                rec.report.local_times[r]
+                "  rank {r}: clean {} + debt {debt} != recovered {}",
+                res.report.local_times[r], rec.report.local_times[r]
             );
             c.fail("recovery debt does not settle the clock");
         }
     }
-    if plan.num_procs() <= 8 {
+    if plan.num_procs() <= TCP_MAX_PROCS {
         // The in-process TCP backend must recover identically: same data,
         // same clocks, same recovery accounting.
         let what = "tcp recovery failed to mask a crash";
@@ -674,17 +655,10 @@ fn check_recovery(
             &rec_tcp,
             "tcp/threaded data mismatch after recovery",
         );
-        if bits(&rec.report.local_times) != bits(&rec_tcp.report.local_times) {
-            c.fail("tcp/threaded clock mismatch after recovery");
-        }
-        if rec.report.total_recoveries() != rec_tcp.report.total_recoveries()
-            || rec.report.total_recovery_time().to_bits()
-                != rec_tcp.report.total_recovery_time().to_bits()
-        {
-            c.fail("tcp/threaded recovery accounting mismatch");
-        }
+        let what = "tcp/threaded accounts mismatch after recovery";
+        c.same_accounts(&rec, &rec_tcp, what);
     }
-    rec.report.total_recoveries() > 0
+    rec.report.total(Counter::Recoveries) > 0
 }
 
 /// The plan's tile set and tile dependences must equal the walks they
@@ -769,6 +743,9 @@ fn frozen_hash(name: &str) -> Option<u64> {
 /// the frozen fingerprints of the hand-coded kernels they replaced
 /// ([`corpus::FROZEN`]), checked first at every recorded size and then on
 /// each case, and a run of at least one case per kernel must run them all.
+/// With `--tcp`, a case whose plan is too wide for sockets is checked once
+/// more on a narrow plan of the same kernel ([`narrow_plan`]), so every
+/// kernel also runs over TCP.
 fn corpus_cases(seed: u64, cases: u64, legs: Legs, tally: &mut Tally) {
     let mut g = G(seed | 1);
     let c = Case { seed, case: 0 };
@@ -787,6 +764,7 @@ fn corpus_cases(seed: u64, cases: u64, legs: Legs, tally: &mut Tally) {
         }
     }
     let mut per_kernel = vec![0u64; DSL_CORPUS.len()];
+    let mut per_kernel_tcp = vec![0u64; DSL_CORPUS.len()];
     let mut frozen_cases = 0u64;
     for case in 0..cases {
         let c = Case { seed, case };
@@ -819,8 +797,14 @@ fn corpus_cases(seed: u64, cases: u64, legs: Legs, tally: &mut Tally) {
             eprintln!("  planning failed: {e}");
             c.fail("planning failed on a DSL kernel")
         });
+        let tcp_before = tally.tcp_cases;
+        let wide = plan.num_procs() > TCP_MAX_PROCS;
         check_case(c, &Arc::new(plan), &seq, legs, tally);
         per_kernel[ki] += 1;
+        if legs.tcp && wide {
+            check_case(c, &narrow_plan(c, src, &edges, m), &seq, legs, tally);
+        }
+        per_kernel_tcp[ki] += tally.tcp_cases - tcp_before;
     }
     let c = Case { seed, case: cases };
     if cases >= DSL_CORPUS.len() as u64 {
@@ -829,12 +813,35 @@ fn corpus_cases(seed: u64, cases: u64, legs: Legs, tally: &mut Tally) {
                 eprintln!("corpus kernel `{}` never executed", DSL_CORPUS[ki].0);
                 c.fail("DSL corpus coverage hole");
             }
+            if legs.tcp && per_kernel_tcp[ki] == 0 {
+                eprintln!("corpus kernel `{}` never ran over TCP", DSL_CORPUS[ki].0);
+                c.fail("DSL corpus TCP coverage hole");
+            }
         }
     }
     if frozen_cases == 0 {
         c.fail("no case checked a frozen fingerprint");
     }
     eprintln!("dsl cross-check: {cases} cases, {frozen_cases} frozen-hash checks");
+}
+
+/// The kernel `src` re-planned for the TCP legs: the drawn `edges` along
+/// the mapping dimension `m`, and `⌈(hi + 1)/2⌉` along every other one, so a
+/// space in the nonnegative orthant spans at most two tiles there and the
+/// plan at most `2ⁿ⁻¹` ranks (8 for the 4-D corpus kernels).
+fn narrow_plan(c: Case, src: &str, edges: &[i64], m: usize) -> Arc<ParallelPlan> {
+    let alg = tilecc_frontend::compile_kernel(src).expect("the corpus kernel compiled before");
+    let (_, hi) = alg.nest.bounding_box();
+    let narrow: Vec<i64> = (0..edges.len())
+        .map(|k| if k == m { edges[k] } else { (hi[k] + 2) / 2 })
+        .collect();
+    let t = TilingTransform::rectangular(&narrow).expect("positive edges tile rectangularly");
+    let plan = ParallelPlan::new(alg, t, Some(m)).unwrap_or_else(|e| {
+        eprintln!("  planning edges {narrow:?} failed: {e}");
+        c.fail("planning failed on a narrow DSL plan")
+    });
+    eprintln!("  tcp re-plan: edges={narrow:?} procs={}", plan.num_procs());
+    Arc::new(plan)
 }
 
 /// The default generator: random convex 3-D spaces with uniform

@@ -79,6 +79,9 @@ use tilecc_loopnest::DataSpace;
 use tilecc_parcode::compiled::{
     compute_tile_fast, gather_tile, pack_region, tile_origin, unpack_region, ComputeScratch,
 };
+use tilecc_parcode::executor::{
+    reference_compute_tile, reference_gather_tile, reference_pack, reference_unpack,
+};
 use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
 use tilecc_tiling::{insert_at, Lds, TilingTransform};
 
@@ -148,19 +151,10 @@ fn find_interior(plan: &ParallelPlan) -> Option<(usize, i64, Vec<i64>)> {
 fn bench_workload(name: &str, plan: ParallelPlan, smoke: bool) -> (Vec<PathResult>, f64) {
     let (rank, tpos, tile) =
         find_interior(&plan).unwrap_or_else(|| panic!("{name}: no compute-interior tile"));
-    let n = plan.dim();
-    let m = plan.m();
-    let t = plan.tiled.transform();
-    let v = t.v();
-    let lattice = t.lattice();
     let w = plan.algorithm.width();
     let chain = plan.chain(rank);
-    let origin = tile_origin(t, &tile);
-    let deps = plan.deps();
-    let q = deps.cols();
-    let d_prime = &plan.comm.d_prime;
+    let origin = tile_origin(plan.tiled.transform(), &tile);
     let kernel = plan.algorithm.kernel.clone();
-    let space = plan.tiled.space();
 
     let mut lds = plan.rank_lds(rank);
     // Deterministic non-trivial contents so reads do real work.
@@ -168,11 +162,7 @@ fn bench_workload(name: &str, plan: ParallelPlan, smoke: bool) -> (Vec<PathResul
         *x = ((i % 977) as f64) / 977.0;
     }
 
-    let mut reads = vec![0.0f64; q * w];
-    let mut out = vec![0.0f64; w];
-    let mut src = vec![0i64; n];
-    let mut gs = vec![0i64; n];
-    let mut scratch = ComputeScratch::new(n, q, w);
+    let mut scratch = ComputeScratch::new(plan.dim(), plan.deps().cols(), w);
     let points = chain.tile_points;
     let mut results = Vec::new();
 
@@ -195,24 +185,8 @@ fn bench_workload(name: &str, plan: ParallelPlan, smoke: bool) -> (Vec<PathResul
     };
     let reference_ns = {
         let lds = &mut lds;
-        let (reads, out) = (&mut reads, &mut out);
         time_ns(smoke, points, || {
-            for (jp, j) in plan.tiled.tile_iterations(&tile) {
-                let g = lds.unrolled(tpos, &jp);
-                for dq in 0..q {
-                    for k in 0..n {
-                        src[k] = j[k] - deps[(k, dq)];
-                        gs[k] = g[k] - d_prime[(k, dq)];
-                    }
-                    if space.contains(&src) {
-                        lds.get_into(&gs, &mut reads[dq * w..(dq + 1) * w]);
-                    } else {
-                        kernel.initial(&src, &mut reads[dq * w..(dq + 1) * w]);
-                    }
-                }
-                kernel.compute(&j, reads, out);
-                lds.set_all(&g, out);
-            }
+            reference_compute_tile(&plan, lds, tpos, &tile);
         })
     };
     results.push(PathResult {
@@ -225,7 +199,6 @@ fn bench_workload(name: &str, plan: ParallelPlan, smoke: bool) -> (Vec<PathResul
     // --- pack / unpack ----------------------------------------------------
     if !plan.comm.proc_deps.is_empty() {
         let dm_idx = 0usize;
-        let dm = &plan.comm.proc_deps[dm_idx];
         let count = plan.region_counts[dm_idx];
         let mut payload = vec![0.0f64; count * w];
         let compiled_ns = {
@@ -237,13 +210,7 @@ fn bench_workload(name: &str, plan: ParallelPlan, smoke: bool) -> (Vec<PathResul
         let reference_ns = {
             let (lds, payload) = (&lds, &mut payload);
             time_ns(smoke, count, || {
-                let lo = plan.comm.region_lo(dm, v);
-                for (idx, jp) in lattice.points_in_box(&lo, v).enumerate() {
-                    let g = lds.unrolled(tpos, &jp);
-                    if lds.index_of(&g).is_some() {
-                        lds.get_into(&g, &mut payload[idx * w..(idx + 1) * w]);
-                    }
-                }
+                reference_pack(&plan, lds, tpos, dm_idx, payload);
             })
         };
         results.push(PathResult {
@@ -260,7 +227,6 @@ fn bench_workload(name: &str, plan: ParallelPlan, smoke: bool) -> (Vec<PathResul
             .iter()
             .position(|d| *d == Some(dm_idx))
             .expect("every proc dep comes from a tile dep");
-        let ds = &plan.comm.tile_deps[ds_idx];
         let compiled_ns = {
             let (lds, payload) = (&mut lds, &payload);
             time_ns(smoke, count, || {
@@ -270,17 +236,7 @@ fn bench_workload(name: &str, plan: ParallelPlan, smoke: bool) -> (Vec<PathResul
         let reference_ns = {
             let (lds, payload) = (&mut lds, &payload);
             time_ns(smoke, count, || {
-                let lo = plan.comm.region_lo(dm, v);
-                for (idx, jp) in lattice.points_in_box(&lo, v).enumerate() {
-                    let mut g = jp;
-                    for k in 0..n {
-                        if k != m {
-                            g[k] -= ds[k] * v[k];
-                        }
-                    }
-                    g[m] += (tpos - ds[m]) * v[m];
-                    lds.set_all(&g, &payload[idx * w..(idx + 1) * w]);
-                }
+                reference_unpack(&plan, lds, tpos, ds_idx, dm_idx, payload);
             })
         };
         results.push(PathResult {
@@ -300,15 +256,10 @@ fn bench_workload(name: &str, plan: ParallelPlan, smoke: bool) -> (Vec<PathResul
             gather_tile(chain, lds, tpos, &origin, None, ds_global);
         })
     };
-    let mut vals = vec![0.0f64; w];
     let reference_ns = {
         let (lds, ds_global) = (&lds, &mut ds_global);
         time_ns(smoke, points, || {
-            for (jp, j) in plan.tiled.tile_iterations(&tile) {
-                let g = lds.unrolled(tpos, &jp);
-                lds.get_into(&g, &mut vals);
-                ds_global.set_all(&j, &vals);
-            }
+            reference_gather_tile(&plan, lds, tpos, &tile, ds_global);
         })
     };
     results.push(PathResult {
@@ -547,8 +498,8 @@ fn overlap_bench(out_path: &str) {
         let (blocking, _) = run(ExecStrategy::Compiled);
         let (overlapped, hidden) = run(ExecStrategy::Overlapped);
         assert_eq!(
-            blocking.report.total_bytes(),
-            overlapped.report.total_bytes(),
+            blocking.report.total(Counter::BytesSent),
+            overlapped.report.total(Counter::BytesSent),
             "{name}: overlapping must not change traffic"
         );
         assert!(

@@ -28,10 +28,10 @@ use std::time::Duration;
 use tilecc::{Pipeline, Reference, RunSummary, TuneOptions};
 use tilecc_cluster::obs::RunReport as MetricsReport;
 use tilecc_cluster::{
-    collect_workers, run_worker, CommError, CommScheme, CommStats, Counter, EngineOptions,
-    ExportClock, FaultPlan, MachineModel, MetricsRegistry, Phase, RankPhase, RankTelemetry,
-    RecoveryOptions, Rendezvous, RunError, StatsSnapshot, WorkerCkptConfig, WorkerConfig,
-    WorkerReport, HEARTBEAT_PERIOD,
+    collect_workers, run_worker, CommError, CommScheme, Counter, EngineOptions, ExportClock,
+    FaultPlan, MachineModel, MetricsRegistry, Phase, RankPhase, RankTelemetry, RecoveryOptions,
+    Rendezvous, RunError, StatsSnapshot, WorkerCkptConfig, WorkerConfig, WorkerReport,
+    HEARTBEAT_PERIOD,
 };
 use tilecc_frontend::KernelProgram;
 use tilecc_linalg::{RMat, Rational};
@@ -897,7 +897,6 @@ fn render_live_table(ranks: &[RankTelemetry], redraw: usize) -> usize {
         let phase = telemetry_phase(t);
         match &t.stats {
             Some(snap) => {
-                let st = CommStats::from_snapshot(snap);
                 let clock = snap.local_clock();
                 let pct = |v: f64| if clock > 0.0 { 100.0 * v / clock } else { 0.0 };
                 let _ = writeln!(
@@ -906,12 +905,12 @@ fn render_live_table(ranks: &[RankTelemetry], redraw: usize) -> usize {
                     t.rank,
                     phase,
                     clock,
-                    pct(st.compute_time),
-                    pct(st.wait_time),
-                    pct(st.comm_time),
-                    st.bytes_sent,
-                    st.retransmissions,
-                    st.recoveries,
+                    pct(snap.compute_time()),
+                    pct(snap.wait_time()),
+                    pct(snap.comm_time()),
+                    snap.counter(Counter::BytesSent),
+                    snap.counter(Counter::Retransmits),
+                    snap.counter(Counter::Recoveries),
                 );
             }
             None => {
@@ -953,20 +952,19 @@ fn stats_ndjson_line(wall_ms: u128, ranks: &[RankTelemetry]) -> String {
             t.stats_seq
         );
         if let Some(snap) = &t.stats {
-            let st = CommStats::from_snapshot(snap);
             let _ = write!(
                 s,
                 ", \"clock\": {:.9}, \"compute\": {:.9}, \"wait\": {:.9}, \"comm\": {:.9}, \
                  \"recovery\": {:.9}, \"bytes_sent\": {}, \"retransmits\": {}, \
                  \"recoveries\": {}, \"ckpt_writes\": {}",
                 snap.local_clock(),
-                st.compute_time,
-                st.wait_time,
-                st.comm_time,
-                st.recovery_time,
-                st.bytes_sent,
-                st.retransmissions,
-                st.recoveries,
+                snap.compute_time(),
+                snap.wait_time(),
+                snap.comm_time(),
+                snap.recovery_time(),
+                snap.counter(Counter::BytesSent),
+                snap.counter(Counter::Retransmits),
+                snap.counter(Counter::Recoveries),
                 snap.counter(Counter::CkptWrites),
             );
         }
@@ -999,7 +997,10 @@ fn tcp_driver(
     let (_, _, mode) = engine_setup(opts);
     // The sequential reference scans on its own thread while the workers
     // run; a failed run drops it without waiting.
-    let reference = (mode == ExecMode::Full).then(|| Reference::start(pipe.plan(), reg.cloned()));
+    let reference = (mode == ExecMode::Full)
+        .then(|| Reference::start(pipe.plan(), reg.cloned()))
+        .transpose()
+        .map_err(|e| CliError(format!("tcp driver: {e}")))?;
 
     // Respawn this binary once per rank, forwarding the run options and
     // appending the worker coordinates. `TILECC_BIN` overrides the binary
@@ -1244,7 +1245,6 @@ fn tcp_driver(
         snaps.push(snap);
     }
     let total_iterations = outputs.iter().map(|o| o.iterations).sum();
-    let stats: Vec<CommStats> = snaps.iter().map(CommStats::from_snapshot).collect();
     let (verified, parallel) = match reference {
         Some(r) => {
             let (verified, data) = r.check(plan, &outputs, opts.strategy);
@@ -1252,7 +1252,7 @@ fn tcp_driver(
         }
         None => (None, None),
     };
-    let summary = RunSummary::new(&opts.model, &stats, local_times, total_iterations, verified);
+    let summary = RunSummary::new(&opts.model, &snaps, local_times, total_iterations, verified);
     let checksum = parallel.as_ref().map(DataSpace::checksum);
     if opts.ckpt_dir.is_none() {
         // The driver created the checkpoint directory; a finished run has
@@ -1412,7 +1412,7 @@ options:
                               virtual clock, compute/wait/comm split,
                               bytes, retransmits, recoveries (run)
   --stats-out <file>          append one newline-delimited JSON telemetry
-                              snapshot per heartbeat STATS delta while the
+                              snapshot per heartbeat STATS frame while the
                               tcp driver waits (run)
 ";
 

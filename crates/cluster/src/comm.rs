@@ -5,11 +5,10 @@
 //! point-to-point messages with FIFO ordering per (sender, receiver) pair
 //! and a per-process *virtual clock* advanced by the machine model. This
 //! module holds what travels through it: the [`Envelope`] on the wire, the
-//! [`CommStats`] view of a rank's accounts, the [`Restored`] resume state,
-//! and the [`CommAbort`] panic payload of the infallible send and receive.
+//! [`Restored`] resume state, and the [`CommAbort`] panic payload of the
+//! infallible send and receive.
 
 use crate::error::CommError;
-use crate::obs::{Counter, StatsSnapshot, VirtAcc};
 
 /// A message in flight: payload, matching tag, the virtual time it becomes
 /// available at the receiver, and a per-link sequence number.
@@ -33,68 +32,6 @@ pub struct Envelope {
     /// Nominal (modelled) message size, carried so the receiver can account
     /// bytes even in timing-only runs where the payload is elided.
     pub bytes: usize,
-}
-
-/// Per-process communication statistics: a view of the rank's metrics
-/// ([`CommStats::from_snapshot`]), which count every event once.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct CommStats {
-    /// Messages handed to the transport (each counted once, regardless of
-    /// fault-injected duplicates or retransmissions).
-    pub messages_sent: u64,
-    /// Nominal bytes of every sent message.
-    pub bytes_sent: u64,
-    /// Messages accepted by this rank's receive path.
-    pub messages_received: u64,
-    /// Nominal bytes of every *accepted* envelope — duplicates suppressed by
-    /// the reliability layer are excluded, so a fault-free or faulty run
-    /// both conserve `bytes_received == bytes_sent`.
-    pub bytes_received: u64,
-    /// Virtual seconds computing.
-    pub compute_time: f64,
-    /// Virtual seconds blocked on data dependences, injected stalls
-    /// included.
-    pub wait_time: f64,
-    /// Virtual seconds of communication CPU cost: send injection, receive
-    /// overhead, retransmission charges and overlapped-lane drains.
-    pub comm_time: f64,
-    /// Transmission attempts repeated because the fault plan dropped them.
-    pub retransmissions: u64,
-    /// Messages discarded by the receiver's duplicate suppression.
-    pub duplicates_suppressed: u64,
-    /// Times this rank was restored from a checkpoint after a crash.
-    pub recoveries: u64,
-    /// Virtual seconds of re-execution charged to recovery: the wall the
-    /// rank's clock was rewound over, re-charged at the end of the run so
-    /// every message timestamp stays bitwise identical to the fault-free
-    /// run (`local_time - recovery_time` is the fault-free clock).
-    pub recovery_time: f64,
-}
-
-impl CommStats {
-    /// The statistics view of one rank's metrics, and the one definition
-    /// of the clock partition: compute = `Compute`, wait = `Wait + Stall`,
-    /// comm = `Send + RecvOverhead + Retrans + Drain`, recovery =
-    /// `Recovery`. Together they sum to the rank's clock; `OverlapHidden`
-    /// is informational and outside the partition.
-    pub fn from_snapshot(s: &StatsSnapshot) -> CommStats {
-        CommStats {
-            messages_sent: s.counter(Counter::MessagesSent),
-            bytes_sent: s.counter(Counter::BytesSent),
-            messages_received: s.counter(Counter::MessagesReceived),
-            bytes_received: s.counter(Counter::BytesReceived),
-            compute_time: s.virt(VirtAcc::Compute),
-            wait_time: s.virt(VirtAcc::Wait) + s.virt(VirtAcc::Stall),
-            comm_time: s.virt(VirtAcc::Send)
-                + s.virt(VirtAcc::RecvOverhead)
-                + s.virt(VirtAcc::Retrans)
-                + s.virt(VirtAcc::Drain),
-            retransmissions: s.counter(Counter::Retransmits),
-            duplicates_suppressed: s.counter(Counter::DupsSuppressed),
-            recoveries: s.counter(Counter::Recoveries),
-            recovery_time: s.virt(VirtAcc::Recovery),
-        }
-    }
 }
 
 /// State handed back by [`crate::rank::RankCore::try_restore`]: where to resume the chain
@@ -139,14 +76,5 @@ mod tests {
         assert_eq!(f.ready_at, 3.5);
         assert_eq!(f.seq, 9);
         assert_eq!(f.bytes, 16);
-    }
-
-    #[test]
-    fn stats_default_is_zero() {
-        let s = CommStats::default();
-        assert_eq!(s.messages_sent, 0);
-        assert_eq!(s.wait_time, 0.0);
-        assert_eq!(s.retransmissions, 0);
-        assert_eq!(s.duplicates_suppressed, 0);
     }
 }

@@ -13,9 +13,8 @@
 //! exponential backoff) guarantees that lossy runs still complete with data
 //! bitwise identical to fault-free runs; only the virtual clocks grow by the
 //! retransmission costs. The rank's metrics count each repeated attempt
-//! (`Counter::Retransmits`, viewed as [`crate::CommStats::retransmissions`])
-//! and, under the blocking scheme, the charge it paid
-//! (`VirtAcc::Retrans`, part of [`crate::CommStats::comm_time`]).
+//! (`Counter::Retransmits`) and, under the blocking scheme, the charge it
+//! paid (`VirtAcc::Retrans`, part of [`crate::StatsSnapshot::comm_time`]).
 
 /// A rank crash injected at a virtual time: the rank panics the first time
 /// its local clock reaches `at`, exercising the engine's panic containment.

@@ -26,9 +26,9 @@
 //! `None` for them (see `perf --obs-overhead`). The engine's counters and
 //! virtual accumulators are the run's one account and are always kept —
 //! in the registry's slot when the run observes, in a private
-//! [`RankMetrics`] otherwise; [`CommStats`] is a view of them.
+//! [`RankMetrics`] otherwise; a [`StatsSnapshot`] is their one read-side
+//! form.
 
-use crate::comm::CommStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -491,7 +491,7 @@ impl Histogram {
     }
 
     /// Every bucket's count, in index order (including empty buckets) —
-    /// the raw shape [`StatsSnapshot`] captures and delta-encodes.
+    /// the raw shape [`StatsSnapshot`] captures and encodes.
     pub fn buckets(&self) -> [u64; HIST_BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
@@ -866,15 +866,16 @@ pub struct HistSnapshot {
 }
 
 /// A complete copy of one rank's [`RankMetrics`] state, as shipped in a
-/// TCMP `STATS` frame: every counter, every virtual accumulator (as `f64`
-/// bit patterns, so clocks survive the wire bitwise), every gauge
-/// `(value, high-water)` pair and every histogram.
+/// TCMP `STATS` frame and a checkpoint file: every counter, every virtual
+/// accumulator (as `f64` bit patterns, so clocks survive the wire
+/// bitwise), every gauge `(value, high-water)` pair and every histogram.
+/// It is the one read-side form of a rank's accounts: the clock partition
+/// ([`StatsSnapshot::compute_time`] and its siblings) is defined on it,
+/// and the engines' run reports keep one per rank.
 ///
-/// On the wire a snapshot travels as a *delta* against the previous
-/// snapshot on the same stream (see [`StatsSnapshot::encode_delta`]): the
-/// control connection is ordered and reliable, so the decoder can fold
-/// each delta into its running state. An absolute snapshot is simply a
-/// delta against [`StatsSnapshot::zero`].
+/// On the wire a snapshot is always absolute ([`StatsSnapshot::encode`]),
+/// so a decoder needs no baseline and a rewound rank (checkpoint restore)
+/// needs no special case.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// One value per [`Counter`], in [`Counter::ALL`] order.
@@ -920,28 +921,8 @@ fn get_uvarint(buf: &[u8], i: &mut usize) -> Result<u64, String> {
     }
 }
 
-/// Zigzag-map a signed delta so small magnitudes stay small on the wire.
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// Append the zigzag-encoded wrapping difference `cur - prev`.
-fn put_delta(out: &mut Vec<u8>, prev: u64, cur: u64) {
-    put_uvarint(out, zigzag(cur.wrapping_sub(prev) as i64));
-}
-
-/// Apply one zigzag delta read from `buf` to `prev`.
-fn get_delta(buf: &[u8], i: &mut usize, prev: u64) -> Result<u64, String> {
-    Ok(prev.wrapping_add(unzigzag(get_uvarint(buf, i)?) as u64))
-}
-
 impl StatsSnapshot {
-    /// The all-zero snapshot: the decoder's baseline for absolute frames.
+    /// The all-zero snapshot: the accounts of a rank that has done nothing.
     pub fn zero() -> StatsSnapshot {
         StatsSnapshot {
             counters: vec![0; Counter::COUNT],
@@ -997,68 +978,82 @@ impl StatsSnapshot {
         f64::from_bits(self.virts[a as usize])
     }
 
-    /// The rank's current virtual clock, reconstructed from the partition
-    /// invariant: every clock advance is charged to exactly one term of
-    /// [`CommStats::from_snapshot`]'s partition, so their sum *is* the
-    /// clock — no separate clock cell has to travel with the snapshot.
-    pub fn local_clock(&self) -> f64 {
-        let s = CommStats::from_snapshot(self);
-        s.compute_time + s.wait_time + s.comm_time + s.recovery_time
+    /// Virtual seconds computing: the `Compute` term of the clock
+    /// partition. The four terms — compute, [`StatsSnapshot::wait_time`],
+    /// [`StatsSnapshot::comm_time`] and [`StatsSnapshot::recovery_time`] —
+    /// are the one definition of the split and sum to the rank's clock;
+    /// `OverlapHidden` is informational and outside the partition.
+    pub fn compute_time(&self) -> f64 {
+        self.virt(VirtAcc::Compute)
     }
 
-    /// Delta-encode this snapshot against `prev` as the `STATS` payload:
-    /// zigzag-LEB128 of each wrapping difference, fields in declaration
-    /// order (counters, virts as XORed bit patterns, gauges, histograms).
-    /// Counters are signed deltas because a crash recovery *rewinds* them.
-    pub fn encode_delta(&self, prev: &StatsSnapshot) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        for (p, c) in prev.counters.iter().zip(&self.counters) {
-            put_delta(&mut out, *p, *c);
-        }
-        // Virtual clocks: XOR of the bit patterns — identical values encode
-        // as a single zero byte and decoding is exact (bitwise), which a
-        // numeric f64 delta could never guarantee.
-        for (p, c) in prev.virts.iter().zip(&self.virts) {
-            put_uvarint(&mut out, p ^ c);
-        }
-        for ((pv, pm), (cv, cm)) in prev.gauges.iter().zip(&self.gauges) {
-            put_delta(&mut out, *pv, *cv);
-            put_delta(&mut out, *pm, *cm);
-        }
-        for (p, c) in prev.hists.iter().zip(&self.hists) {
-            put_delta(&mut out, p.count, c.count);
-            put_delta(&mut out, p.sum, c.sum);
-            for (pb, cb) in p.buckets.iter().zip(&c.buckets) {
-                put_delta(&mut out, *pb, *cb);
-            }
+    /// Virtual seconds blocked on data dependences: `Wait + Stall`.
+    pub fn wait_time(&self) -> f64 {
+        self.virt(VirtAcc::Wait) + self.virt(VirtAcc::Stall)
+    }
+
+    /// Virtual seconds of communication CPU cost: send injection, receive
+    /// overhead, retransmission charges and overlapped-lane drains.
+    pub fn comm_time(&self) -> f64 {
+        self.virt(VirtAcc::Send)
+            + self.virt(VirtAcc::RecvOverhead)
+            + self.virt(VirtAcc::Retrans)
+            + self.virt(VirtAcc::Drain)
+    }
+
+    /// Virtual seconds of re-execution charged to crash recovery:
+    /// `local_time - recovery_time` is the fault-free clock.
+    pub fn recovery_time(&self) -> f64 {
+        self.virt(VirtAcc::Recovery)
+    }
+
+    /// The rank's current virtual clock, reconstructed from the partition
+    /// invariant: every clock advance is charged to exactly one of its four
+    /// terms, so their sum *is* the clock — no separate clock cell has to
+    /// travel with the snapshot.
+    pub fn local_clock(&self) -> f64 {
+        self.compute_time() + self.wait_time() + self.comm_time() + self.recovery_time()
+    }
+
+    /// Encode this snapshot as the `STATS` payload: LEB128 of every field
+    /// in declaration order (counters, virts as bit patterns, gauge pairs,
+    /// then each histogram's count, sum and buckets).
+    pub fn encode(&self) -> Vec<u8> {
+        let gauges = self.gauges.iter().flat_map(|&(v, max)| [v, max]);
+        let hists = (self.hists.iter()).flat_map(|h| {
+            [h.count, h.sum]
+                .into_iter()
+                .chain(h.buckets.iter().copied())
+        });
+        let mut out = Vec::with_capacity(320);
+        for v in (self.counters.iter().chain(&self.virts).copied())
+            .chain(gauges)
+            .chain(hists)
+        {
+            put_uvarint(&mut out, v);
         }
         out
     }
 
-    /// Decode a `STATS` payload produced by [`StatsSnapshot::encode_delta`]
-    /// on top of `prev`. Rejects truncated and oversized payloads with a
-    /// typed message; both sides are the same binary, so the field counts
-    /// are implicit.
-    pub fn apply_delta(prev: &StatsSnapshot, payload: &[u8]) -> Result<StatsSnapshot, String> {
+    /// Decode a payload produced by [`StatsSnapshot::encode`]. Rejects
+    /// truncated, overflowing and oversized payloads with a typed message;
+    /// both sides are the same binary, so the field counts are implicit.
+    pub fn decode(payload: &[u8]) -> Result<StatsSnapshot, String> {
         let mut i = 0usize;
+        let mut next = || get_uvarint(payload, &mut i);
         let mut snap = StatsSnapshot::zero();
-        for (k, p) in prev.counters.iter().enumerate() {
-            snap.counters[k] = get_delta(payload, &mut i, *p)?;
+        for v in snap.counters.iter_mut().chain(&mut snap.virts) {
+            *v = next()?;
         }
-        for (k, p) in prev.virts.iter().enumerate() {
-            snap.virts[k] = p ^ get_uvarint(payload, &mut i)?;
+        for (v, max) in &mut snap.gauges {
+            *v = next()?;
+            *max = next()?;
         }
-        for (k, (pv, pm)) in prev.gauges.iter().enumerate() {
-            snap.gauges[k] = (
-                get_delta(payload, &mut i, *pv)?,
-                get_delta(payload, &mut i, *pm)?,
-            );
-        }
-        for (k, p) in prev.hists.iter().enumerate() {
-            snap.hists[k].count = get_delta(payload, &mut i, p.count)?;
-            snap.hists[k].sum = get_delta(payload, &mut i, p.sum)?;
-            for (b, pb) in p.buckets.iter().enumerate() {
-                snap.hists[k].buckets[b] = get_delta(payload, &mut i, *pb)?;
+        for h in &mut snap.hists {
+            h.count = next()?;
+            h.sum = next()?;
+            for b in &mut h.buckets {
+                *b = next()?;
             }
         }
         if i != payload.len() {
@@ -1471,17 +1466,16 @@ impl RunReport {
         let mut ranks = Vec::with_capacity(local_times.len());
         for (rank, &local_time) in local_times.iter().enumerate() {
             let m = snaps.get(rank).unwrap_or(&zero);
-            let split = CommStats::from_snapshot(m);
             ranks.push(RankReport {
                 rank,
                 local_time,
-                compute: split.compute_time,
-                wait: split.wait_time,
-                comm: split.comm_time,
-                recovery: split.recovery_time,
+                compute: m.compute_time(),
+                wait: m.wait_time(),
+                comm: m.comm_time(),
+                recovery: m.recovery_time(),
                 overlap_hidden: m.virt(VirtAcc::OverlapHidden),
                 utilization: if local_time > 0.0 {
-                    split.compute_time / local_time
+                    m.compute_time() / local_time
                 } else {
                     0.0
                 },
@@ -2526,7 +2520,7 @@ mod tests {
     }
 
     /// A metrics slot with something in every field family, including f64
-    /// values whose bit patterns a numeric delta could not reproduce.
+    /// values that must survive the wire bit for bit.
     fn populated_metrics() -> Arc<RankMetrics> {
         let m = Arc::new(RankMetrics::new());
         m.add(Counter::MessagesSent, 42);
@@ -2546,66 +2540,39 @@ mod tests {
     }
 
     #[test]
-    fn stats_snapshot_delta_chain_round_trips_bitwise() {
+    fn stats_snapshot_round_trips_bitwise() {
         let m = populated_metrics();
         let a = StatsSnapshot::capture(&m);
-        // Absolute frame: a delta against zero().
-        let abs = a.encode_delta(&StatsSnapshot::zero());
-        let got = StatsSnapshot::apply_delta(&StatsSnapshot::zero(), &abs).unwrap();
-        assert_eq!(got, a);
-
-        // Mutate and chain a second (incremental) frame on top.
+        assert_eq!(StatsSnapshot::decode(&a.encode()).unwrap(), a);
+        // A later snapshot of the same slot is just as self-contained.
         m.add(Counter::MessagesSent, 1);
         m.virt_add(VirtAcc::Compute, 0.25);
         m.gauge(GaugeId::WriterQueueDepth).set(1);
         m.hist(HistId::RetransNs).observe(3);
         let b = StatsSnapshot::capture(&m);
-        let delta = b.encode_delta(&a);
-        let got = StatsSnapshot::apply_delta(&got, &delta).unwrap();
-        assert_eq!(got, b);
-        // Identical consecutive snapshots encode compactly: one zero byte
-        // per field.
-        let idle = b.encode_delta(&b);
-        assert!(idle.iter().all(|&x| x == 0), "{idle:?}");
-    }
-
-    #[test]
-    fn stats_snapshot_delta_survives_counter_rewind() {
-        // Crash recovery rewinds counters DOWN; the signed zigzag delta
-        // must carry the decrease (an unsigned delta would wrap).
-        let m = populated_metrics();
-        let before = StatsSnapshot::capture(&m);
-        let mut rewound = before.clone();
-        rewound.counters[Counter::MessagesSent as usize] = 5; // below the previous 42
-        rewound.virts[VirtAcc::Compute as usize] = 0.125f64.to_bits();
-        m.restore(&rewound);
-        let after = StatsSnapshot::capture(&m);
-        let delta = after.encode_delta(&before);
-        let got = StatsSnapshot::apply_delta(&before, &delta).unwrap();
-        assert_eq!(got, after);
-        assert_eq!(got.counter(Counter::MessagesSent), 5);
-        assert_eq!(got.virt(VirtAcc::Compute).to_bits(), 0.125f64.to_bits());
+        assert_eq!(StatsSnapshot::decode(&b.encode()).unwrap(), b);
+        // The all-zero snapshot is one zero byte per field.
+        let zero = StatsSnapshot::zero().encode();
+        assert!(zero.iter().all(|&x| x == 0), "{zero:?}");
     }
 
     #[test]
     fn stats_snapshot_rejects_corrupt_payloads() {
-        let m = populated_metrics();
-        let snap = StatsSnapshot::capture(&m);
-        let zero = StatsSnapshot::zero();
-        let good = snap.encode_delta(&zero);
+        let good = StatsSnapshot::capture(&populated_metrics()).encode();
         // Truncation anywhere must surface as Err, never a panic.
         for cut in [0, 1, good.len() / 2, good.len() - 1] {
             assert!(
-                StatsSnapshot::apply_delta(&zero, &good[..cut]).is_err(),
+                StatsSnapshot::decode(&good[..cut]).is_err(),
                 "cut at {cut} must be rejected"
             );
         }
         // Trailing garbage is rejected too.
         let mut long = good.clone();
         long.push(0);
-        assert!(StatsSnapshot::apply_delta(&zero, &long).is_err());
-        // An unterminated varint (all continuation bits) is rejected.
-        assert!(StatsSnapshot::apply_delta(&zero, &[0xFF; 64]).is_err());
+        assert!(StatsSnapshot::decode(&long).is_err());
+        // An unterminated varint (all continuation bits) overflows u64.
+        let e = StatsSnapshot::decode(&[0xFF; 64]).unwrap_err();
+        assert!(e.contains("overflows u64"), "{e}");
     }
 
     #[test]
@@ -2647,10 +2614,7 @@ mod tests {
         // And the snapshots survive a wire round-trip first.
         let wired: Vec<StatsSnapshot> = snaps
             .iter()
-            .map(|s| {
-                let payload = s.encode_delta(&StatsSnapshot::zero());
-                StatsSnapshot::apply_delta(&StatsSnapshot::zero(), &payload).unwrap()
-            })
+            .map(|s| StatsSnapshot::decode(&s.encode()).unwrap())
             .collect();
         assert_eq!(
             RunReport::from_snapshots(&wired, &local_times).to_json(),

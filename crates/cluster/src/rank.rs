@@ -3,7 +3,7 @@
 //!
 //! [`RankCore`] owns the clock, the overlapped scheme's comm lane, the
 //! rank's metrics slot (the one account of every comm event and clock
-//! charge, which [`crate::CommStats`] views), the observability handle,
+//! charge, read as a [`crate::StatsSnapshot`]), the observability handle,
 //! the reliability state (per-link sequence numbers, reorder holdback,
 //! MPI-style tag-matching buffers), the injected faults and the
 //! crash-recovery control, and is the one communication interface rank

@@ -74,8 +74,8 @@ const SEND_QUEUE_FRAMES: usize = 64;
 pub const HEARTBEAT_PERIOD: Duration = Duration::from_millis(50);
 /// How long a worker waits for the driver's `BYE` after its result.
 const BYE_TIMEOUT: Duration = Duration::from_secs(60);
-/// `seq` of a worker's final absolute `STATS` frame, sent just before its
-/// `RESULT`; heartbeat snapshots count up from 1.
+/// `seq` of a worker's final `STATS` frame, sent just before its `RESULT`;
+/// heartbeat snapshots count up from 1.
 const FINAL_STATS_SEQ: u64 = u64::MAX;
 
 fn transport_error(stage: &str, e: impl std::fmt::Display) -> CommError {
@@ -871,9 +871,9 @@ pub struct WorkerHandle {
 }
 
 impl WorkerHandle {
-    /// Report the rank's outcome: its *final* metrics snapshot as an
-    /// absolute `STATS` frame (`seq = u64::MAX`, so it outranks every
-    /// heartbeat delta), then the `RESULT` frame — final virtual clock plus
+    /// Report the rank's outcome: its *final* metrics snapshot as a
+    /// `STATS` frame (`seq = u64::MAX`, so it outranks every heartbeat
+    /// snapshot), then the `RESULT` frame — final virtual clock plus
     /// a caller-defined payload. The control socket is ordered, so the
     /// driver holds the complete final snapshot by the time the result
     /// lands: that is what makes the driver-merged report
@@ -886,8 +886,7 @@ impl WorkerHandle {
     ) -> Result<(), CommError> {
         let mut snap = Frame::control(FrameKind::Stats, self.rank as u32);
         snap.seq = FINAL_STATS_SEQ;
-        snap.nominal = 1;
-        snap.payload = stats.encode_delta(&StatsSnapshot::zero());
+        snap.payload = stats.encode();
         let mut frame = Frame::control(FrameKind::Result, self.rank as u32);
         frame.ready_at = local_time;
         frame.payload = payload;
@@ -966,7 +965,7 @@ fn decode_comm_error(tag: i64, nominal: u64, aux: f64, text: &str) -> CommError 
 /// Magic prefix of a worker checkpoint file.
 const CKPT_MAGIC: [u8; 4] = *b"TCKP";
 /// Checkpoint file format version.
-const CKPT_VERSION: u16 = 2;
+const CKPT_VERSION: u16 = 3;
 
 fn push_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -990,7 +989,7 @@ fn push_env(buf: &mut Vec<u8>, env: &Envelope) {
 /// Serialize a worker checkpoint: the endpoint snapshot plus this rank's
 /// outgoing replay-log row, all little-endian with `f64`s as bit patterns,
 /// so a resumed run is bitwise identical to an uninterrupted one. The
-/// metrics travel as an absolute `STATS` payload.
+/// metrics travel as a `STATS` payload.
 fn encode_ckpt(ckpt: &CkptState, row: &[(u64, Vec<Envelope>)]) -> Vec<u8> {
     let mut b = Vec::new();
     b.extend_from_slice(&CKPT_MAGIC);
@@ -1014,7 +1013,7 @@ fn encode_ckpt(ckpt: &CkptState, row: &[(u64, Vec<Envelope>)]) -> Vec<u8> {
             push_env(&mut b, env);
         }
     }
-    let metrics = ckpt.metrics.encode_delta(&StatsSnapshot::zero());
+    let metrics = ckpt.metrics.encode();
     push_u64(&mut b, metrics.len() as u64);
     b.extend_from_slice(&metrics);
     for (base, items) in row {
@@ -1091,7 +1090,7 @@ fn decode_ckpt(bytes: &[u8]) -> Result<(CkptState, Vec<(u64, Vec<Envelope>)>), S
         pending.push(read_envs(&mut c)?);
     }
     let metrics_len = c.u64()? as usize;
-    let metrics = StatsSnapshot::apply_delta(&StatsSnapshot::zero(), c.take(metrics_len)?)?;
+    let metrics = StatsSnapshot::decode(c.take(metrics_len)?)?;
     let mut row = Vec::with_capacity(size.min(1 << 16));
     for _ in 0..size {
         let base = c.u64()?;
@@ -1154,9 +1153,7 @@ fn kill_self() -> ! {
 /// tell a slow worker from a dead one.
 ///
 /// With observability enabled, every heartbeat also piggybacks a `STATS`
-/// frame: a delta-encoded [`StatsSnapshot`] of this rank's metrics (the
-/// first one absolute, `nominal = 1`). The control socket is ordered and
-/// reliable, so the driver can fold the deltas back losslessly.
+/// frame: an encoded [`StatsSnapshot`] of this rank's metrics.
 ///
 /// The thread waits out each period on `stop`: a message or the sender's
 /// drop ends it at once, so joining it never waits for the next beat.
@@ -1170,7 +1167,6 @@ fn spawn_heartbeat(
 ) -> Result<JoinHandle<()>, CommError> {
     let builder = thread::Builder::new().name(format!("tilecc-tcp-hb-{rank}"));
     spawn(builder, "heartbeat", move || {
-        let mut prev = StatsSnapshot::zero();
         let mut snap_seq: u64 = 0;
         loop {
             let mut frame = Frame::control(FrameKind::Progress, rank as u32);
@@ -1184,26 +1180,21 @@ fn spawn_heartbeat(
                 RankPhase::Done => frame.nominal = u64::MAX,
             }
             let stats = metrics.as_ref().map(|m| {
-                let cur = StatsSnapshot::capture(m);
                 snap_seq += 1;
                 let mut sf = Frame::control(FrameKind::Stats, rank as u32);
                 sf.seq = snap_seq;
-                // `prev` starts at zero, so the first delta is the
-                // absolute snapshot; flag it so a decoder can sync.
-                sf.nominal = u64::from(snap_seq == 1);
-                sf.payload = cur.encode_delta(&prev);
-                (cur, sf)
+                sf.payload = StatsSnapshot::capture(m).encode();
+                sf
             });
             {
                 let mut control = control.lock().expect("control poisoned");
                 if wire::write_frame(&mut *control, &frame).is_err() {
                     return; // Driver gone; the run is over either way.
                 }
-                if let Some((cur, sf)) = stats {
+                if let Some(sf) = stats {
                     if wire::write_frame(&mut *control, &sf).is_err() {
                         return;
                     }
-                    prev = cur;
                 }
             }
             if stop.recv_timeout(period) != Err(RecvTimeoutError::Timeout) {
@@ -1376,8 +1367,6 @@ struct WorkerSlot {
     /// Wall time of the last frame off the control socket; heartbeats
     /// keep it fresh, so a slow-but-alive worker is never declared dead.
     last_seen: Instant,
-    /// Decoder baseline for incoming `STATS` deltas.
-    stats_prev: StatsSnapshot,
     /// Newest decoded snapshot (`None` until the first `STATS` frame).
     stats: Option<StatsSnapshot>,
     /// `seq` of the newest decoded snapshot.
@@ -1392,7 +1381,6 @@ impl WorkerSlot {
             progress: 0,
             phase: RankPhase::Running,
             last_seen: now,
-            stats_prev: StatsSnapshot::zero(),
             stats: None,
             stats_seq: 0,
             final_stats: None,
@@ -1448,21 +1436,13 @@ impl WorkerSlot {
                 }));
             }
             FrameKind::Stats => {
-                // `nominal = 1` marks an absolute snapshot: reset the delta
-                // baseline to zero. A heartbeat payload that fails to
-                // decode only leaves the telemetry stale; a final one that
-                // fails leaves `final_stats` empty, so the result is
-                // malformed.
-                let base = if frame.nominal == 1 {
-                    StatsSnapshot::zero()
-                } else {
-                    self.stats_prev.clone()
-                };
-                if let Ok(snap) = StatsSnapshot::apply_delta(&base, &frame.payload) {
+                // A heartbeat payload that fails to decode only leaves the
+                // telemetry stale; a final one that fails leaves
+                // `final_stats` empty, so the result is malformed.
+                if let Ok(snap) = StatsSnapshot::decode(&frame.payload) {
                     if frame.seq == FINAL_STATS_SEQ {
                         self.final_stats = Some(snap.clone());
                     }
-                    self.stats_prev = snap.clone();
                     self.stats = Some(snap);
                     self.stats_seq = frame.seq;
                 }
@@ -1826,6 +1806,11 @@ mod tests {
         // Truncation is an error, never a panic.
         assert!(decode_ckpt(&bytes[..bytes.len() - 3]).is_err());
         assert!(decode_ckpt(b"TCKQ").is_err());
+        // A file of the delta-encoded version 2 is refused by its version.
+        let mut v2 = bytes.clone();
+        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
+        let e = decode_ckpt(&v2).err().expect("a v2 file must be refused");
+        assert!(e.contains("checkpoint version 2"), "{e}");
         // So is a length field past the end of the address space.
         let mut huge = bytes[..14].to_vec();
         huge.extend_from_slice(&u64::MAX.to_le_bytes());
@@ -1834,6 +1819,46 @@ mod tests {
             .err()
             .expect("oversized app_len must fail");
         assert!(e.contains("truncated checkpoint file"), "{e}");
+    }
+
+    #[test]
+    fn worker_telemetry_is_each_stats_snapshot_as_sent() {
+        // Two heartbeat snapshots, the second rewound below the first as a
+        // checkpoint restore leaves it, then the final one: every frame
+        // stands alone, so the telemetry is each snapshot bit for bit.
+        let m = RankMetrics::new();
+        m.add(Counter::MessagesSent, 40);
+        m.virt_add(VirtAcc::Compute, 0.1 + 0.2);
+        m.hist(HistId::RecvWaitNs).observe(1 << 20);
+        let first = StatsSnapshot::capture(&m);
+        let mut rewound = first.clone();
+        rewound.counters[Counter::MessagesSent as usize] = 5;
+        rewound.virts[VirtAcc::Compute as usize] = 0.125f64.to_bits();
+        m.restore(&rewound);
+        m.add(Counter::Recoveries, 1);
+        let second = StatsSnapshot::capture(&m);
+        assert!(second.counter(Counter::MessagesSent) < first.counter(Counter::MessagesSent));
+        assert!(second.virt(VirtAcc::Compute) < first.virt(VirtAcc::Compute));
+        m.add(Counter::MessagesSent, 2);
+        m.virt_add(VirtAcc::Compute, 1.0 / 3.0);
+        let last = StatsSnapshot::capture(&m);
+        let mut slot = WorkerSlot::new(Instant::now());
+        let mut end = None;
+        for (seq, snap) in [(1, &first), (2, &second), (FINAL_STATS_SEQ, &last)] {
+            let mut frame = Frame::control(FrameKind::Stats, 0);
+            frame.seq = seq;
+            frame.payload = snap.encode();
+            slot.on_event(0, Some(frame), &mut end, false);
+            assert_eq!(slot.stats.as_ref(), Some(snap), "snapshot {seq}");
+            assert_eq!(slot.stats_seq, seq);
+        }
+        let mut result = Frame::control(FrameKind::Result, 0);
+        result.ready_at = last.local_clock();
+        slot.on_event(0, Some(result), &mut end, false);
+        let Some(RankEnd::Ok(report)) = end else {
+            panic!("the RESULT frame must end the rank");
+        };
+        assert_eq!(report.stats, Some(last));
     }
 
     #[test]
@@ -2125,7 +2150,7 @@ mod tests {
         // Identical arithmetic to the threaded engine's ping_pong test.
         assert!((report.results[0] - 9.0).abs() < 1e-12);
         assert!((report.results[1] - 15.0).abs() < 1e-12);
-        assert_eq!(report.total_bytes(), 16);
-        assert_eq!(report.total_messages(), 1);
+        assert_eq!(report.total(Counter::BytesSent), 16);
+        assert_eq!(report.total(Counter::MessagesSent), 1);
     }
 }

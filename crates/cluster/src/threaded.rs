@@ -32,11 +32,11 @@
 //! run options and report, and the rank-thread launcher of both
 //! in-process runners.
 
-use crate::comm::{CommAbort, CommStats, Envelope};
+use crate::comm::{CommAbort, Envelope};
 use crate::error::{spawn, CommError, RunError};
 use crate::fault::FaultPlan;
 use crate::model::MachineModel;
-use crate::obs::{MetricsRegistry, RankObs, StatsSnapshot};
+use crate::obs::{Counter, MetricsRegistry, RankObs, StatsSnapshot};
 use crate::rank::{run_rank, Link, RankCore, RankEnd, RunShared};
 use crate::supervise::{supervise, Feed, Monitor, RankPhase};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -54,8 +54,10 @@ pub struct RunReport<R> {
     pub results: Vec<R>,
     /// Per-rank final virtual clocks.
     pub local_times: Vec<f64>,
-    /// Per-rank statistics.
-    pub stats: Vec<CommStats>,
+    /// Per-rank final metrics: every counter and virtual accumulator, the
+    /// clock split included ([`StatsSnapshot::compute_time`] and its
+    /// siblings).
+    pub stats: Vec<StatsSnapshot>,
 }
 
 impl<R> RunReport<R> {
@@ -74,50 +76,9 @@ impl<R> RunReport<R> {
         self.local_times.iter().copied().fold(0.0, f64::max)
     }
 
-    /// One statistic summed over every rank.
-    fn total<T: std::iter::Sum>(&self, stat: impl Fn(&CommStats) -> T) -> T {
-        let RunReport { stats, .. } = self;
-        stats.iter().map(stat).sum()
-    }
-
-    /// Aggregate bytes sent across all ranks.
-    pub fn total_bytes(&self) -> u64 {
-        self.total(|s| s.bytes_sent)
-    }
-
-    /// Aggregate bytes accepted by receivers across all ranks (duplicate
-    /// deliveries suppressed by the reliability layer are not counted, so
-    /// this equals [`RunReport::total_bytes`] even on faulty links).
-    pub fn total_bytes_received(&self) -> u64 {
-        self.total(|s| s.bytes_received)
-    }
-
-    /// Aggregate messages sent across all ranks.
-    pub fn total_messages(&self) -> u64 {
-        self.total(|s| s.messages_sent)
-    }
-
-    /// Aggregate retransmissions across all ranks (0 on perfect links).
-    pub fn total_retransmissions(&self) -> u64 {
-        self.total(|s| s.retransmissions)
-    }
-
-    /// Aggregate receiver-side duplicate suppressions across all ranks.
-    pub fn total_duplicates_suppressed(&self) -> u64 {
-        self.total(|s| s.duplicates_suppressed)
-    }
-
-    /// Aggregate checkpoint restores across all ranks (0 unless a crash
-    /// was recovered).
-    pub fn total_recoveries(&self) -> u64 {
-        self.total(|s| s.recoveries)
-    }
-
-    /// Aggregate virtual seconds charged to crash recovery across all
-    /// ranks. Subtracting each rank's share from its local clock recovers
-    /// the fault-free clock bitwise.
-    pub fn total_recovery_time(&self) -> f64 {
-        self.total(|s| s.recovery_time)
+    /// One counter summed over every rank.
+    pub fn total(&self, c: Counter) -> u64 {
+        self.stats.iter().map(|s| s.counter(c)).sum()
     }
 }
 
@@ -355,13 +316,12 @@ where
         done: done_rx,
     };
     let ranks = supervise(&mut feed, size, options.wall_timeout)?;
+    let (results, ends): (Vec<R>, Vec<_>) = ranks.into_iter().map(|(r, t, s)| (r, (t, s))).unzip();
+    let (local_times, stats) = ends.into_iter().unzip();
     Ok(RunReport {
-        local_times: ranks.iter().map(|r| r.1).collect(),
-        stats: ranks
-            .iter()
-            .map(|r| CommStats::from_snapshot(&r.2))
-            .collect(),
-        results: ranks.into_iter().map(|r| r.0).collect(),
+        results,
+        local_times,
+        stats,
     })
 }
 
@@ -445,9 +405,9 @@ mod tests {
         assert!((report.results[0] - 9.0).abs() < 1e-12);
         assert!((report.results[1] - 15.0).abs() < 1e-12);
         assert!((report.makespan() - 15.0).abs() < 1e-12);
-        assert_eq!(report.total_bytes(), 16);
-        assert_eq!(report.total_messages(), 1);
-        assert_eq!(report.total_retransmissions(), 0);
+        assert_eq!(report.total(Counter::BytesSent), 16);
+        assert_eq!(report.total(Counter::MessagesSent), 1);
+        assert_eq!(report.total(Counter::Retransmits), 0);
     }
 
     #[test]
@@ -521,7 +481,7 @@ mod tests {
             }
         })
         .unwrap();
-        assert!((report.stats[1].wait_time - 100.0).abs() < 1e-12);
+        assert!((report.stats[1].wait_time() - 100.0).abs() < 1e-12);
     }
 
     #[test]
@@ -689,7 +649,10 @@ mod overlap_tests {
     #[test]
     fn receivers_account_accepted_bytes() {
         let report = pipeline_run(CommScheme::Overlapped);
-        assert_eq!(report.total_bytes_received(), report.total_bytes());
+        assert_eq!(
+            report.total(Counter::BytesReceived),
+            report.total(Counter::BytesSent)
+        );
         let faulty = run_cluster(
             3,
             MachineModel::fast_ethernet_p3(),
@@ -711,8 +674,13 @@ mod overlap_tests {
         )
         .unwrap();
         // Duplicate-suppressed envelopes must not double-count bytes.
-        assert!(faulty.total_duplicates_suppressed() > 0 || faulty.total_retransmissions() > 0);
-        assert_eq!(faulty.total_bytes_received(), faulty.total_bytes());
+        assert!(
+            faulty.total(Counter::DupsSuppressed) > 0 || faulty.total(Counter::Retransmits) > 0
+        );
+        assert_eq!(
+            faulty.total(Counter::BytesReceived),
+            faulty.total(Counter::BytesSent)
+        );
     }
 
     #[test]
@@ -879,11 +847,11 @@ mod obs_tests {
         // And the obs counters agree with the engine's own stats.
         assert_eq!(
             obs_report.total(Counter::Retransmits),
-            report.total_retransmissions()
+            report.total(Counter::Retransmits)
         );
         assert_eq!(
             obs_report.total(Counter::DupsSuppressed),
-            report.total_duplicates_suppressed()
+            report.total(Counter::DupsSuppressed)
         );
         for r in &obs_report.ranks {
             assert!(
@@ -1034,11 +1002,11 @@ mod failure_tests {
             assert_eq!(a.to_bits(), b.to_bits(), "data must survive faults bitwise");
         }
         assert!(
-            faulty.total_retransmissions() > 0,
+            faulty.total(Counter::Retransmits) > 0,
             "drops must cause retransmissions"
         );
         assert!(
-            faulty.total_duplicates_suppressed() > 0,
+            faulty.total(Counter::DupsSuppressed) > 0,
             "duplicates must be suppressed"
         );
         assert!(

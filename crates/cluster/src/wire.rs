@@ -136,12 +136,11 @@ pub enum FrameKind {
     /// replay log in response to a [`FrameKind::Resume`]. Identical layout
     /// to `Data`; the distinct kind keeps recovered streams self-describing.
     Replay = 11,
-    /// Worker → driver telemetry: a delta-encoded
+    /// Worker → driver telemetry: an encoded
     /// [`StatsSnapshot`](crate::obs::StatsSnapshot) of the rank's metrics,
-    /// piggybacked on the heartbeat cadence. `seq` is the snapshot counter;
-    /// `nominal_bytes` is 1 when the payload is absolute (delta against an
-    /// all-zero baseline), 0 when it is a delta against the previous
-    /// snapshot on this control stream.
+    /// piggybacked on the heartbeat cadence and sent once more before
+    /// `Result`. `seq` is the snapshot counter (`u64::MAX` for the final
+    /// snapshot); every payload is self-contained.
     Stats = 12,
 }
 

@@ -6,7 +6,7 @@
 //! * wait/compute accounting is exact under a hand-computable machine model,
 //! * repeated runs of the same program produce bit-identical clocks.
 
-use tilecc_cluster::{run_cluster, EngineOptions, FaultPlan, MachineModel};
+use tilecc_cluster::{run_cluster, Counter, EngineOptions, FaultPlan, MachineModel};
 
 fn model() -> MachineModel {
     MachineModel {
@@ -47,8 +47,8 @@ fn out_of_order_tags_are_buffered_and_matched() {
     .unwrap();
     assert_eq!(report.results[1], vec![40.0, 30.0, 20.0, 10.0]);
     // All four messages delivered exactly once despite the buffering.
-    assert_eq!(report.stats[1].messages_received, 4);
-    assert_eq!(report.total_messages(), 4);
+    assert_eq!(report.stats[1].counter(Counter::MessagesReceived), 4);
+    assert_eq!(report.total(Counter::MessagesSent), 4);
 }
 
 #[test]
@@ -106,12 +106,12 @@ fn wait_and_compute_accounting_is_exact() {
     .unwrap();
     assert!((report.results[0] - 13.0).abs() < 1e-12);
     assert!((report.results[1] - 21.0).abs() < 1e-12);
-    assert!((report.stats[0].compute_time - 3.0).abs() < 1e-12);
-    assert!((report.stats[0].wait_time - 0.0).abs() < 1e-12);
-    assert!((report.stats[1].wait_time - 17.0).abs() < 1e-12);
-    assert!((report.stats[1].compute_time - 0.0).abs() < 1e-12);
+    assert!((report.stats[0].compute_time() - 3.0).abs() < 1e-12);
+    assert!((report.stats[0].wait_time() - 0.0).abs() < 1e-12);
+    assert!((report.stats[1].wait_time() - 17.0).abs() < 1e-12);
+    assert!((report.stats[1].compute_time() - 0.0).abs() < 1e-12);
     assert!((report.makespan() - 21.0).abs() < 1e-12);
-    assert_eq!(report.total_bytes(), 16);
+    assert_eq!(report.total(Counter::BytesSent), 16);
 }
 
 /// A small tag-heavy ring program used by the determinism tests. Returns
@@ -168,7 +168,7 @@ fn faulty_runs_match_clean_tag_semantics() {
         assert_eq!(c.to_bits(), f.to_bits(), "per-rank data must match bitwise");
     }
     assert!(
-        faulty.total_retransmissions() > 0,
+        faulty.total(Counter::Retransmits) > 0,
         "25% drop must force retransmissions"
     );
 }

@@ -8,10 +8,11 @@ use std::fmt::Debug;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
+use tilecc_cluster::obs::RunReport as ObsReport;
 use tilecc_cluster::{
-    run_cluster, run_cluster_tcp, CommScheme, CommStats, Counter, EngineOptions, FaultPlan,
-    InjectedCrash, Link, MachineModel, MetricsRegistry, RankCore, RecoveryOptions, RunError,
-    RunReport, TcpComm, ThreadedComm, VirtAcc,
+    run_cluster, run_cluster_tcp, CommScheme, Counter, EngineOptions, FaultPlan, InjectedCrash,
+    Link, MachineModel, MetricsRegistry, RankCore, RecoveryOptions, RunError, RunReport, TcpComm,
+    ThreadedComm, VirtAcc,
 };
 
 fn test_model() -> MachineModel {
@@ -130,31 +131,14 @@ fn ring_policy(max_recoveries: u64) -> Option<RecoveryOptions> {
     })
 }
 
-/// Every `CommStats` field as a bit pattern.
-fn stats_bits(s: &CommStats) -> [u64; 11] {
-    [
-        s.messages_sent,
-        s.bytes_sent,
-        s.messages_received,
-        s.bytes_received,
-        s.compute_time.to_bits(),
-        s.wait_time.to_bits(),
-        s.comm_time.to_bits(),
-        s.retransmissions,
-        s.duplicates_suppressed,
-        s.recoveries,
-        s.recovery_time.to_bits(),
-    ]
-}
-
 #[test]
 fn tcp_loopback_smoke_run() {
     let report = run_cluster_tcp(4, test_model(), opts_with(None), wavefront_body).unwrap();
     assert_eq!(report.results.len(), 4);
     assert!(report.makespan() > 0.0);
     // 3 steps on each of the 3 forward links.
-    assert_eq!(report.total_messages(), 9);
-    assert_eq!(report.total_bytes(), 9 * 64);
+    assert_eq!(report.total(Counter::MessagesSent), 9);
+    assert_eq!(report.total(Counter::BytesSent), 9 * 64);
     // Every rank's returned clock equals its reported clock.
     for (rank, (t, _)) in report.results.iter().enumerate() {
         assert_eq!(t.to_bits(), report.local_times[rank].to_bits());
@@ -193,11 +177,6 @@ fn assert_backends_agree<R: PartialEq + Debug + Send + 'static>(
                 threaded.results[rank], tcp.results[rank],
                 "{ctx}: results must match"
             );
-            assert_eq!(
-                stats_bits(&threaded.stats[rank]),
-                stats_bits(&tcp.stats[rank]),
-                "{ctx}: stats must match bitwise"
-            );
             let (mt, mc) = (reg_t.rank_metrics(rank), reg_c.rank_metrics(rank));
             for c in Counter::ALL {
                 assert_eq!(mt.get(c), mc.get(c), "{ctx}: counter {}", c.name());
@@ -212,6 +191,11 @@ fn assert_backends_agree<R: PartialEq + Debug + Send + 'static>(
             }
         }
         assert_eq!(threaded.makespan().to_bits(), tcp.makespan().to_bits());
+        // The engines' own reports agree on the whole deterministic subset:
+        // makespan, every rank's clock split and every logical counter.
+        let report = |r: &RunReport<R>| ObsReport::from_snapshots(&r.stats, &r.local_times);
+        let diffs = report(&threaded).deterministic_diff(&report(&tcp));
+        assert!(diffs.is_empty(), "{scheme:?}: {diffs:?}");
     }
 }
 
@@ -239,7 +223,7 @@ fn tcp_matches_threaded_bitwise_under_chaos() {
     )
     .unwrap();
     assert!(
-        threaded.total_retransmissions() > 0 || threaded.total_duplicates_suppressed() > 0,
+        threaded.total(Counter::Retransmits) > 0 || threaded.total(Counter::DupsSuppressed) > 0,
         "chaos plan must actually perturb this schedule"
     );
     assert_backends_agree(
@@ -274,29 +258,33 @@ fn injected_crash_recovers_bitwise() {
         // Data bitwise identical to the fault-free run.
         assert_eq!(clean.results, rec.results, "{backend:?}: data");
         // The victim recovered exactly once; everyone else never rewound.
-        assert_eq!(rec.stats[1].recoveries, 1);
-        assert!(rec.stats[1].recovery_time > 0.0);
-        assert_eq!(rec.stats[0].recoveries, 0);
-        assert_eq!(rec.stats[2].recoveries, 0);
+        assert_eq!(rec.stats[1].counter(Counter::Recoveries), 1);
+        assert!(rec.stats[1].recovery_time() > 0.0);
+        assert_eq!(rec.stats[0].counter(Counter::Recoveries), 0);
+        assert_eq!(rec.stats[2].counter(Counter::Recoveries), 0);
         // The settle step adds the recovery debt once at the end, so the
         // recovered clock is exactly the fault-free clock plus the debt.
         for r in 0..3 {
-            let expected = clean.local_times[r] + rec.stats[r].recovery_time;
+            let expected = clean.local_times[r] + rec.stats[r].recovery_time();
             assert_eq!(
                 expected.to_bits(),
                 rec.local_times[r].to_bits(),
                 "{backend:?} rank {r}: {} + {} != {}",
                 clean.local_times[r],
-                rec.stats[r].recovery_time,
+                rec.stats[r].recovery_time(),
                 rec.local_times[r]
             );
         }
         // Logical counters match the fault-free run.
         for (c, f) in clean.stats.iter().zip(&rec.stats) {
-            assert_eq!(c.messages_sent, f.messages_sent);
-            assert_eq!(c.bytes_sent, f.bytes_sent);
-            assert_eq!(c.messages_received, f.messages_received);
-            assert_eq!(c.bytes_received, f.bytes_received);
+            for k in [
+                Counter::MessagesSent,
+                Counter::BytesSent,
+                Counter::MessagesReceived,
+                Counter::BytesReceived,
+            ] {
+                assert_eq!(c.counter(k), f.counter(k), "{backend:?}: {}", k.name());
+            }
         }
     }
 }
@@ -362,7 +350,7 @@ fn crash_overlapping_chaos_recovers_the_checksum() {
         let fault = || FaultPlan::chaos(0xC0FFEE, 0.3).with_crash(1, clean.makespan() * 0.5);
         let rec = run_ring(backend, Some(fault()), ring_policy(1), None).unwrap();
         assert_eq!(clean.results, rec.results, "{backend:?}: data");
-        assert_eq!(rec.stats[1].recoveries, 1);
+        assert_eq!(rec.stats[1].counter(Counter::Recoveries), 1);
         let again = run_ring(backend, Some(fault()), ring_policy(1), None).unwrap();
         assert_eq!(rec.results, again.results);
         assert_eq!(rec.local_times, again.local_times);
@@ -378,8 +366,8 @@ fn two_crashes_consume_the_shared_budget() {
             .with_crash(2, clean.makespan() * 0.6);
         let rec = run_ring(backend, Some(fault), ring_policy(2), None).unwrap();
         assert_eq!(clean.results, rec.results, "{backend:?}: data");
-        assert_eq!(rec.stats[0].recoveries, 1);
-        assert_eq!(rec.stats[2].recoveries, 1);
+        assert_eq!(rec.stats[0].counter(Counter::Recoveries), 1);
+        assert_eq!(rec.stats[2].counter(Counter::Recoveries), 1);
     }
 }
 

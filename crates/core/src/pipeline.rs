@@ -5,7 +5,10 @@
 use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use tilecc_cluster::{CommStats, EngineOptions, MachineModel, MetricsRegistry, Phase, RunError};
+use tilecc_cluster::{
+    spawn, CommError, Counter, EngineOptions, MachineModel, MetricsRegistry, Phase, RunError,
+    StatsSnapshot,
+};
 use tilecc_linalg::RMat;
 use tilecc_loopnest::{Algorithm, DataSpace};
 use tilecc_parcode::{
@@ -135,7 +138,8 @@ impl Pipeline {
     /// it, and return the data. The reference scan runs on its own thread
     /// alongside the ranks ([`Reference`]). The arguments are those of
     /// [`Pipeline::simulate`]; engine failures (a crashed rank, a deadlock,
-    /// an unreachable peer) come back as [`RunError`]s, and the summary
+    /// an unreachable peer) come back as [`RunError`]s, as does a refused
+    /// start of the reference-scan thread (`Comm` on rank 0), and the summary
     /// carries the reliability layer's retransmission counters.
     pub fn run_verified(
         &self,
@@ -144,7 +148,8 @@ impl Pipeline {
         backend: Backend,
         options: EngineOptions,
     ) -> Result<(RunSummary, DataSpace), RunError> {
-        let reference = Reference::start(&self.plan, options.obs.clone());
+        let reference = Reference::start(&self.plan, options.obs.clone())
+            .map_err(|error| RunError::Comm { rank: 0, error })?;
         let report = run_ranks(
             &self.plan,
             model,
@@ -167,32 +172,33 @@ impl Pipeline {
 }
 
 impl RunSummary {
-    /// Summarize a run from its per-rank comm statistics and final virtual
-    /// clocks (in rank order) and its total iteration count — the one
-    /// summary of both the in-process engines and the multi-process TCP
-    /// driver. `verified` is `None` for timing-only runs.
+    /// Summarize a run from its per-rank final metrics and virtual clocks
+    /// (in rank order) and its total iteration count — the one summary of
+    /// both the in-process engines and the multi-process TCP driver.
+    /// `verified` is `None` for timing-only runs.
     pub fn new(
         model: &MachineModel,
-        stats: &[CommStats],
+        stats: &[StatsSnapshot],
         local_times: Vec<f64>,
         iterations: u64,
         verified: Option<bool>,
     ) -> RunSummary {
         let sequential_time = model.compute_cost(iterations);
         let makespan = local_times.iter().copied().fold(0.0, f64::max);
+        let total = |c: Counter| stats.iter().map(|s| s.counter(c)).sum();
         RunSummary {
             procs: local_times.len(),
             iterations,
             sequential_time,
             makespan,
             speedup: sequential_time / makespan,
-            bytes: stats.iter().map(|s| s.bytes_sent).sum(),
-            messages: stats.iter().map(|s| s.messages_sent).sum(),
+            bytes: total(Counter::BytesSent),
+            messages: total(Counter::MessagesSent),
             verified,
-            retransmissions: stats.iter().map(|s| s.retransmissions).sum(),
-            duplicates_suppressed: stats.iter().map(|s| s.duplicates_suppressed).sum(),
-            recoveries: stats.iter().map(|s| s.recoveries).sum(),
-            recovery_time: stats.iter().map(|s| s.recovery_time).sum(),
+            retransmissions: total(Counter::Retransmits),
+            duplicates_suppressed: total(Counter::DupsSuppressed),
+            recoveries: total(Counter::Recoveries),
+            recovery_time: stats.iter().map(StatsSnapshot::recovery_time).sum(),
             local_times,
         }
     }
@@ -220,22 +226,24 @@ impl Reference {
     /// Start the scan of `plan`'s algorithm. With `obs`, the scan records a
     /// `verify` driver span from this call to the scan's end; its start is
     /// taken before the thread is spawned, so it precedes every span of a
-    /// run started afterwards.
-    pub fn start(plan: &Arc<ParallelPlan>, obs: Option<Arc<MetricsRegistry>>) -> Reference {
+    /// run started afterwards. A thread the system refuses is a
+    /// [`CommError::Transport`].
+    pub fn start(
+        plan: &Arc<ParallelPlan>,
+        obs: Option<Arc<MetricsRegistry>>,
+    ) -> Result<Reference, CommError> {
         let t0 = obs.as_ref().map(|r| r.now_ns());
         let (plan, reg) = (plan.clone(), obs.clone());
-        let scan = std::thread::Builder::new()
-            .name("reference-scan".into())
-            .spawn(move || {
-                let ds = plan.algorithm.execute_scan();
-                let written = ds.num_written();
-                if let (Some(reg), Some(t0)) = (reg, t0) {
-                    reg.driver_span(Phase::Verify, "verify", t0, written as u64);
-                }
-                (ds, written)
-            })
-            .expect("spawn the reference-scan thread");
-        Reference { scan, obs }
+        let builder = std::thread::Builder::new().name("reference-scan".into());
+        let scan = spawn(builder, "reference-scan", move || {
+            let ds = plan.algorithm.execute_scan();
+            let written = ds.num_written();
+            if let (Some(reg), Some(t0)) = (reg, t0) {
+                reg.driver_span(Phase::Verify, "verify", t0, written as u64);
+            }
+            (ds, written)
+        })?;
+        Ok(Reference { scan, obs })
     }
 
     /// Wait for the scan and compare the finished run's rank outputs
@@ -361,7 +369,9 @@ mod tests {
     }
 
     fn check(pipe: &Pipeline, results: &[RankOutput], strategy: ExecStrategy) -> (bool, DataSpace) {
-        Reference::start(pipe.plan(), None).check(pipe.plan(), results, strategy)
+        Reference::start(pipe.plan(), None)
+            .unwrap()
+            .check(pipe.plan(), results, strategy)
     }
 
     /// The chain position and coordinates of rank 0's first tile that
@@ -462,7 +472,7 @@ mod tests {
     fn a_panicking_scan_re_raises_on_the_caller() {
         let pipe = sor_pipeline(|_| panic!("scan kernel fault"));
         let results = rank_outputs(&pipe);
-        let reference = Reference::start(pipe.plan(), None);
+        let reference = Reference::start(pipe.plan(), None).unwrap();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             reference.check(pipe.plan(), &results, ExecStrategy::Compiled)
         }))
@@ -481,7 +491,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
         });
-        let reference = Reference::start(pipe.plan(), None);
+        let reference = Reference::start(pipe.plan(), None).unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             drop(reference);

@@ -189,13 +189,9 @@ pub fn gather(
 ) -> DataSpace {
     let (lo, hi) = plan.algorithm.nest.bounding_box();
     let mut ds = DataSpace::with_width(&lo, &hi, plan.algorithm.width());
-    let mut vals = vec![0.0f64; plan.algorithm.width()];
     for_each_owned_tile(plan, results, obs, |chain, lds, tpos, tile, interior| {
         if strategy == ExecStrategy::Reference {
-            for (jp, j) in plan.tiled.tile_iterations(tile) {
-                lds.get_into(&lds.unrolled(tpos, &jp), &mut vals);
-                ds.set_all(&j, &vals);
-            }
+            reference_gather_tile(plan, lds, tpos, tile, &mut ds);
         } else {
             let origin = tile_origin(plan.tiled.transform(), tile);
             let clamp = (!interior).then(|| plan.clamp.at(&origin));
@@ -204,6 +200,109 @@ pub fn gather(
         true
     });
     ds
+}
+
+/// The reference strategy's compute of `tile` at chain position `tpos`:
+/// the per-point oracle of the compiled compute. It walks
+/// `tile_iterations` and reads every dependence through the LDS, or
+/// through the kernel's initial values outside the space. Returns the
+/// points computed.
+pub fn reference_compute_tile(plan: &ParallelPlan, lds: &mut Lds, tpos: i64, tile: &[i64]) -> u64 {
+    let (n, w) = (plan.dim(), plan.algorithm.width());
+    let (deps, d_prime) = (plan.deps(), &plan.comm.d_prime);
+    let (q, space) = (deps.cols(), plan.tiled.space());
+    let kernel = plan.algorithm.kernel.as_ref();
+    let (mut reads, mut out) = (vec![0.0f64; q * w], vec![0.0f64; w]);
+    let (mut src, mut gs) = (vec![0i64; n], vec![0i64; n]);
+    let mut iters = 0;
+    for (jp, j) in plan.tiled.tile_iterations(tile) {
+        iters += 1;
+        let g = lds.unrolled(tpos, &jp);
+        for dq in 0..q {
+            for k in 0..n {
+                src[k] = j[k] - deps[(k, dq)];
+                gs[k] = g[k] - d_prime[(k, dq)];
+            }
+            let read = &mut reads[dq * w..(dq + 1) * w];
+            if space.contains(&src) {
+                lds.get_into(&gs, read);
+            } else {
+                kernel.initial(&src, read);
+            }
+        }
+        kernel.compute(&j, &reads, &mut out);
+        lds.set_all(&g, &out);
+    }
+    iters
+}
+
+/// The reference strategy's pack: fill `payload` with the region of
+/// processor dependence `dm_idx` at chain position `tpos`, reading the LDS
+/// per lattice point of the region box; a point outside the allocation
+/// leaves its slot as it was.
+pub fn reference_pack(
+    plan: &ParallelPlan,
+    lds: &Lds,
+    tpos: i64,
+    dm_idx: usize,
+    payload: &mut [f64],
+) {
+    let (t, w) = (plan.tiled.transform(), lds.width());
+    let lo = plan.comm.region_lo(&plan.comm.proc_deps[dm_idx], t.v());
+    let mut idx = 0usize;
+    for jp in t.lattice().points_in_box(&lo, t.v()) {
+        let g = lds.unrolled(tpos, &jp);
+        if lds.index_of(&g).is_some() {
+            lds.get_into(&g, &mut payload[idx * w..(idx + 1) * w]);
+        }
+        idx += 1;
+    }
+    debug_assert_eq!(idx * w, payload.len(), "pack count mismatch");
+}
+
+/// The reference strategy's unpack of a message for tile dependence
+/// `ds_idx` (carried by processor dependence `dm_idx`): the sender's region
+/// points, addressed as data of chain tile `tpos − ds_m` shifted by
+/// `−ds_k·v_k`.
+pub fn reference_unpack(
+    plan: &ParallelPlan,
+    lds: &mut Lds,
+    tpos: i64,
+    ds_idx: usize,
+    dm_idx: usize,
+    payload: &[f64],
+) {
+    let (t, m, w) = (plan.tiled.transform(), plan.m(), lds.width());
+    let (v, ds) = (t.v(), &plan.comm.tile_deps[ds_idx]);
+    let lo = plan.comm.region_lo(&plan.comm.proc_deps[dm_idx], v);
+    let mut idx = 0usize;
+    for mut g in t.lattice().points_in_box(&lo, v) {
+        for k in 0..g.len() {
+            if k != m {
+                g[k] -= ds[k] * v[k];
+            }
+        }
+        g[m] += (tpos - ds[m]) * v[m];
+        lds.set_all(&g, &payload[idx * w..(idx + 1) * w]);
+        idx += 1;
+    }
+    debug_assert_eq!(idx * w, payload.len(), "unpack count mismatch");
+}
+
+/// The reference strategy's gather of `tile` at chain position `tpos`:
+/// every point of `tile_iterations` copied from the LDS into `ds`.
+pub fn reference_gather_tile(
+    plan: &ParallelPlan,
+    lds: &Lds,
+    tpos: i64,
+    tile: &[i64],
+    ds: &mut DataSpace,
+) {
+    let mut vals = vec![0.0f64; lds.width()];
+    for (jp, j) in plan.tiled.tile_iterations(tile) {
+        lds.get_into(&lds.unrolled(tpos, &jp), &mut vals);
+        ds.set_all(&j, &vals);
+    }
 }
 
 /// Verify a finished run in place: compare every rank's owned cells with
@@ -303,8 +402,6 @@ pub fn run_rank<L: Link>(
     let n = plan.dim();
     let m = plan.m();
     let t = plan.tiled.transform();
-    let v = t.v();
-    let lattice = t.lattice();
     let pid = plan.dist.pids[rank].clone();
     let (lo_t, hi_t) = plan.dist.chains[rank];
     let w = plan.algorithm.width();
@@ -314,17 +411,10 @@ pub fn run_rank<L: Link>(
     let chain = plan.chain(rank);
 
     let deps = plan.deps();
-    let q = deps.cols();
-    let d_prime = &plan.comm.d_prime;
     let kernel = plan.algorithm.kernel.clone();
-    let space = plan.tiled.space();
 
     let mut iterations: u64 = 0;
-    let mut scratch = ComputeScratch::new(n, q, w);
-    let mut reads = vec![0.0f64; q * w];
-    let mut out = vec![0.0f64; w];
-    let mut src = vec![0i64; n];
-    let mut gs = vec![0i64; n];
+    let mut scratch = ComputeScratch::new(n, deps.cols(), w);
     let obs_on = comm.obs().is_some();
 
     let ckpt_every = comm.recovery_interval();
@@ -395,23 +485,7 @@ pub fn run_rank<L: Link>(
                                 }
                             }
                             ExecStrategy::Reference => {
-                                // Unpack into the LDS: sender's region points,
-                                // addressed as data of chain tile (tpos − ds_m)
-                                // shifted by −ds_k·v_k.
-                                let lo = plan.comm.region_lo(dm, v);
-                                let mut idx = 0usize;
-                                for jp in lattice.points_in_box(&lo, v) {
-                                    let mut g = jp;
-                                    for k in 0..n {
-                                        if k != m {
-                                            g[k] -= ds[k] * v[k];
-                                        }
-                                    }
-                                    g[m] += (tpos - ds[m]) * v[m];
-                                    lds.set_all(&g, &payload[idx * w..(idx + 1) * w]);
-                                    idx += 1;
-                                }
-                                debug_assert_eq!(idx * w, payload.len(), "unpack count mismatch");
+                                reference_unpack(plan, lds, tpos, i, dm_idx, &payload)
                             }
                         }
                         if let Some(t0) = unpack_t0 {
@@ -455,25 +529,7 @@ pub fn run_rank<L: Link>(
                     let iters = match (lds.as_mut(), strategy) {
                         (None, _) => count_tile(chain, clamp, spans),
                         (Some(lds), ExecStrategy::Reference) => {
-                            let mut iters = 0;
-                            for (jp, j) in plan.tiled.tile_iterations(&cur_tile) {
-                                iters += 1;
-                                let g = lds.unrolled(tpos, &jp);
-                                for dq in 0..q {
-                                    for k in 0..n {
-                                        src[k] = j[k] - deps[(k, dq)];
-                                        gs[k] = g[k] - d_prime[(k, dq)];
-                                    }
-                                    if space.contains(&src) {
-                                        lds.get_into(&gs, &mut reads[dq * w..(dq + 1) * w]);
-                                    } else {
-                                        kernel.initial(&src, &mut reads[dq * w..(dq + 1) * w]);
-                                    }
-                                }
-                                kernel.compute(&j, &reads, &mut out);
-                                lds.set_all(&g, &out);
-                            }
-                            iters
+                            reference_compute_tile(plan, lds, tpos, &cur_tile)
                         }
                         (Some(lds), _) => {
                             let (iters, batched) = compute_tile_fast(
@@ -681,9 +737,6 @@ fn send_tile<L: Link>(
     t_abs: i64,
     w: usize,
 ) {
-    let t = plan.tiled.transform();
-    let v = t.v();
-    let lattice = t.lattice();
     for (dm_idx, dm) in plan.comm.proc_deps.iter().enumerate() {
         let has_valid_succ = plan.comm.ds_of_dm(dm_idx).any(|ds| {
             let succ: Vec<i64> = cur_tile.iter().zip(ds).map(|(&a, &b)| a + b).collect();
@@ -710,18 +763,7 @@ fn send_tile<L: Link>(
                 ExecStrategy::Compiled | ExecStrategy::Overlapped => {
                     pack_region(chain, lds, tpos, dm_idx, &mut payload)
                 }
-                ExecStrategy::Reference => {
-                    let lo = plan.comm.region_lo(dm, v);
-                    let mut idx = 0usize;
-                    for jp in lattice.points_in_box(&lo, v) {
-                        let g = lds.unrolled(tpos, &jp);
-                        if lds.index_of(&g).is_some() {
-                            lds.get_into(&g, &mut payload[idx * w..(idx + 1) * w]);
-                        }
-                        idx += 1;
-                    }
-                    debug_assert_eq!(idx, count);
-                }
+                ExecStrategy::Reference => reference_pack(plan, lds, tpos, dm_idx, &mut payload),
             }
             if let Some(t0) = pack_t0 {
                 // Like unpack: real wall time, a point on the virtual
@@ -813,7 +855,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(full.makespan(), timing.makespan());
-        assert_eq!(full.report.total_bytes(), timing.report.total_bytes());
+        assert_eq!(
+            full.report.total(Counter::BytesSent),
+            timing.report.total(Counter::BytesSent)
+        );
         assert!(timing.data.is_none());
     }
 
@@ -846,7 +891,7 @@ mod tests {
         )
         .unwrap_or_else(|e| panic!("reliability layer must mask a 25% drop rate: {e}"));
         assert!(
-            faulty.report.total_retransmissions() > 0,
+            faulty.report.total(Counter::Retransmits) > 0,
             "drops must be visible in stats"
         );
         assert!(faulty.makespan() >= clean.makespan());
@@ -1211,12 +1256,12 @@ mod overlap_tests {
         assert_eq!(overlapped.total_iterations, compiled.total_iterations);
         // Same messages, same bytes — only the schedule changed.
         assert_eq!(
-            overlapped.report.total_bytes(),
-            compiled.report.total_bytes()
+            overlapped.report.total(Counter::BytesSent),
+            compiled.report.total(Counter::BytesSent)
         );
         assert_eq!(
-            overlapped.report.total_messages(),
-            compiled.report.total_messages()
+            overlapped.report.total(Counter::MessagesSent),
+            compiled.report.total(Counter::MessagesSent)
         );
     }
 
@@ -1286,7 +1331,10 @@ mod overlap_tests {
         let full = run(ExecMode::Full);
         let timing = run(ExecMode::TimingOnly);
         assert_eq!(full.makespan(), timing.makespan());
-        assert_eq!(full.report.total_bytes(), timing.report.total_bytes());
+        assert_eq!(
+            full.report.total(Counter::BytesSent),
+            timing.report.total(Counter::BytesSent)
+        );
         assert_eq!(full.total_iterations, timing.total_iterations);
     }
 

@@ -114,8 +114,8 @@ fn compiled_matches_reference_bitwise_with_identical_makespans() {
             "{name}: makespans differ"
         );
         assert_eq!(
-            compiled.report.total_bytes(),
-            reference.report.total_bytes(),
+            compiled.report.total(Counter::BytesSent),
+            reference.report.total(Counter::BytesSent),
             "{name}: message traffic differs"
         );
         let cd = compiled.data.unwrap();
@@ -219,8 +219,8 @@ fn strategies_share_virtual_time_with_timing_only() {
     let full = run(&plan, ExecStrategy::Compiled);
     assert_eq!(timing.makespan(), full.makespan(), "{name}");
     assert_eq!(
-        timing.report.total_bytes(),
-        full.report.total_bytes(),
+        timing.report.total(Counter::BytesSent),
+        full.report.total(Counter::BytesSent),
         "{name}"
     );
     assert!(timing.data.is_none());

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 use tilecc::{matrices, Pipeline};
-use tilecc_cluster::{EngineOptions, MachineModel};
+use tilecc_cluster::{Counter, EngineOptions, MachineModel};
 use tilecc_frontend::{compile_kernel, compile_kernel_with, corpus};
 use tilecc_linalg::{IMat, RMat, Rational};
 use tilecc_loopnest::{Algorithm, Kernel, LoopNest};
@@ -225,8 +225,14 @@ fn timing_only_equals_full_timing() {
     .unwrap();
     assert_eq!(full.makespan(), fast.makespan());
     assert_eq!(full.total_iterations, fast.total_iterations);
-    assert_eq!(full.report.total_messages(), fast.report.total_messages());
-    assert_eq!(full.report.total_bytes(), fast.report.total_bytes());
+    assert_eq!(
+        full.report.total(Counter::MessagesSent),
+        fast.report.total(Counter::MessagesSent)
+    );
+    assert_eq!(
+        full.report.total(Counter::BytesSent),
+        fast.report.total(Counter::BytesSent)
+    );
     for (a, b) in full.report.local_times.iter().zip(&fast.report.local_times) {
         assert_eq!(a, b);
     }
@@ -390,7 +396,7 @@ fn adi_paper_multi_array_end_to_end() {
             "multi-array mismatch"
         );
         // Message sizes double with the component count.
-        assert!(res.report.total_bytes() > 0);
+        assert!(res.report.total(Counter::BytesSent) > 0);
         // Tiled sequential reordering also matches.
         let tiled_seq = tilecc_parcode::execute_tiled_sequential(&plan);
         assert_eq!(seq.diff(&tiled_seq), None);

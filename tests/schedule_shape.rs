@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 use tilecc::{analysis, matrices, measure, Variant, Workload};
-use tilecc_cluster::{EngineOptions, MachineModel};
+use tilecc_cluster::{Counter, EngineOptions, MachineModel};
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::RMat;
 use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
@@ -173,7 +173,7 @@ fn predicted_comm_volume_matches_measurement_exactly() {
             EngineOptions::default(),
         )
         .unwrap();
-        assert_eq!(predicted, res.report.total_bytes());
+        assert_eq!(predicted, res.report.total(Counter::BytesSent));
     }
 }
 
