@@ -19,7 +19,7 @@ use tilecc_bench::harness::Harness;
 use tilecc_cluster::{EngineOptions, MachineModel};
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::RMat;
-use tilecc_parcode::compiled::{count_tile, tile_origin};
+use tilecc_parcode::compiled::count_tile;
 use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
 use tilecc_tiling::{CommPlan, Lds, LdsGeometry, TiledSpace, TilingTransform};
 
@@ -98,9 +98,9 @@ fn clamp_ablation(h: &mut Harness) {
     h.bench("clamp_ablation/interior_fast_path_and_run_clip", || {
         let mut n = 0u64;
         for tile in &tiles {
-            let origin = tile_origin(tiled.transform(), tile);
-            let clamp = (!tiled.tile_is_interior(tile)).then(|| plan.clamp.at(&origin));
-            n += count_tile(chain, clamp.as_ref(), &chain.walk);
+            let tc = plan.clamp.at(&tiled.tile_origin(tile));
+            let clamp = (!tc.interior()).then_some(&tc);
+            n += count_tile(chain, clamp, &chain.walk);
         }
         black_box(n);
     });

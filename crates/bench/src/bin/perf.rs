@@ -77,7 +77,7 @@ use tilecc_cluster::{Counter, EngineOptions, MachineModel, MetricsRegistry};
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_loopnest::DataSpace;
 use tilecc_parcode::compiled::{
-    compute_tile_fast, gather_tile, pack_region, tile_origin, unpack_region, ComputeScratch,
+    compute_tile_fast, gather_tile, pack_region, unpack_region, ComputeScratch,
 };
 use tilecc_parcode::executor::{
     reference_compute_tile, reference_gather_tile, reference_pack, reference_unpack,
@@ -153,7 +153,7 @@ fn bench_workload(name: &str, plan: ParallelPlan, smoke: bool) -> (Vec<PathResul
         find_interior(&plan).unwrap_or_else(|| panic!("{name}: no compute-interior tile"));
     let w = plan.algorithm.width();
     let chain = plan.chain(rank);
-    let origin = tile_origin(plan.tiled.transform(), &tile);
+    let origin = plan.tiled.tile_origin(&tile);
     let kernel = plan.algorithm.kernel.clone();
 
     let mut lds = plan.rank_lds(rank);
@@ -318,10 +318,9 @@ fn obs_overhead(smoke: bool) {
     )
     .unwrap();
     let (rank, tpos, tile) = find_interior(&plan).expect("no compute-interior tile");
-    let t = plan.tiled.transform();
     let w = plan.algorithm.width();
     let chain = plan.chain(rank);
-    let origin = tile_origin(t, &tile);
+    let origin = plan.tiled.tile_origin(&tile);
     let q = plan.deps().cols();
     let kernel = plan.algorithm.kernel.clone();
     let mut lds = plan.rank_lds(rank);
@@ -425,7 +424,7 @@ fn obs_overhead(smoke: bool) {
     let reg = MetricsRegistry::new();
     let res = e2e(Some(reg.clone()));
     let report = reg.run_report(&res.report.local_times);
-    std::fs::write("perf_obs_trace.json", reg.chrome_trace()).expect("write trace");
+    std::fs::write("perf_obs_trace.json", reg.chrome_trace(None)).expect("write trace");
     std::fs::write("perf_obs_metrics.json", report.to_json()).expect("write metrics");
 
     if smoke {
@@ -666,13 +665,12 @@ fn vec_bench(out_path: &str, smoke: bool) {
         let (rank, tpos, tile) =
             find_interior(&plan).unwrap_or_else(|| panic!("{name}: no compute-interior tile"));
         let n = plan.dim();
-        let t = plan.tiled.transform();
         let (lo_t, hi_t) = plan.dist.chains[rank];
         let num_tiles = hi_t - lo_t + 1;
         let w = plan.algorithm.width();
         let chain = plan.chain(rank);
         let pp = PerPoint::new(&plan, num_tiles);
-        let origin = tile_origin(t, &tile);
+        let origin = plan.tiled.tile_origin(&tile);
         let q = plan.deps().cols();
         let kernel = plan.algorithm.kernel.clone();
         let kernel = kernel.as_ref();
@@ -807,7 +805,7 @@ fn vec_bench(out_path: &str, smoke: bool) {
         let (brank, btpos, btile) =
             find_boundary(&plan).unwrap_or_else(|| panic!("{name}: no boundary tile"));
         let bchain = plan.chain(brank);
-        let borigin = tile_origin(t, &btile);
+        let borigin = plan.tiled.tile_origin(&btile);
         let clamp = plan.clamp.at(&borigin);
         let mut blds = plan.rank_lds(brank);
         fill(&mut blds);

@@ -28,10 +28,9 @@ use std::time::Duration;
 use tilecc::{Pipeline, Reference, RunSummary, TuneOptions};
 use tilecc_cluster::obs::RunReport as MetricsReport;
 use tilecc_cluster::{
-    collect_workers, run_worker, CommError, CommScheme, Counter, EngineOptions, ExportClock,
-    FaultPlan, MachineModel, MetricsRegistry, Phase, RankPhase, RankTelemetry, RecoveryOptions,
-    Rendezvous, RunError, StatsSnapshot, WorkerCkptConfig, WorkerConfig, WorkerReport,
-    HEARTBEAT_PERIOD,
+    collect_workers, run_worker, CommError, CommScheme, Counter, EngineOptions, FaultPlan,
+    MachineModel, MetricsRegistry, Phase, RankPhase, RankTelemetry, RecoveryOptions, Rendezvous,
+    RunError, StatsSnapshot, WorkerCkptConfig, WorkerConfig, WorkerReport, HEARTBEAT_PERIOD,
 };
 use tilecc_frontend::KernelProgram;
 use tilecc_linalg::{RMat, Rational};
@@ -816,7 +815,7 @@ fn tcp_worker(
         local_times[rank] = local_time;
         if let Some(path) = &opts.trace_out {
             let p = format!("{path}.rank{rank}");
-            std::fs::write(&p, reg.chrome_trace())
+            std::fs::write(&p, reg.chrome_trace(None))
                 .map_err(|e| CliError(format!("cannot write trace to `{p}`: {e}")))?;
         }
         if let Some(path) = &opts.metrics_out {
@@ -974,6 +973,15 @@ fn stats_ndjson_line(wall_ms: u128, ranks: &[RankTelemetry]) -> String {
     s
 }
 
+/// A directory removed, with its contents, when the guard drops.
+struct RemoveOnDrop(PathBuf);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Run as the TCP driver: spawn one worker process per rank of the plan,
 /// coordinate the rendezvous, collect every `RESULT`, rebuild the global
 /// data space, and print the same summary the threaded backend prints.
@@ -1028,14 +1036,19 @@ fn tcp_driver(
     // directory, and a dead worker triggers a restart of the whole world
     // from those files (restart-the-world keeps the virtual clocks exact).
     let recover = opts.on_crash == OnCrash::Recover;
+    // A directory the driver creates is removed on every exit path, failed
+    // runs included; one the user named with `--ckpt-dir` stays.
+    let mut owned_ckpt: Option<RemoveOnDrop> = None;
     let ckpt_dir: Option<PathBuf> = if recover {
         static RUN_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let dir = opts.ckpt_dir.clone().map(PathBuf::from).unwrap_or_else(|| {
-            std::env::temp_dir().join(format!(
+            let dir = std::env::temp_dir().join(format!(
                 "tilecc-ckpt-{}-{}",
                 std::process::id(),
                 RUN_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            ))
+            ));
+            owned_ckpt = Some(RemoveOnDrop(dir.clone()));
+            dir
         });
         std::fs::create_dir_all(&dir)
             .map_err(|e| CliError(format!("cannot create checkpoint dir {dir:?}: {e}")))?;
@@ -1254,13 +1267,6 @@ fn tcp_driver(
     };
     let summary = RunSummary::new(&opts.model, &snaps, local_times, total_iterations, verified);
     let checksum = parallel.as_ref().map(DataSpace::checksum);
-    if opts.ckpt_dir.is_none() {
-        // The driver created the checkpoint directory; a finished run has
-        // no further use for it.
-        if let Some(dir) = &ckpt_dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
     render_run_summary(&mut out, opts, &summary, checksum)?;
     if let Some(mut w) = stats_file {
         use std::io::Write as _;
@@ -1278,7 +1284,7 @@ fn tcp_driver(
         // Worker spans stay in the workers' files; the driver's own
         // (lowering, plan, chain lowering, gather, verify) go to the plain
         // path.
-        std::fs::write(p, reg.chrome_trace())
+        std::fs::write(p, reg.chrome_trace(None))
             .map_err(|e| CliError(format!("cannot write trace to `{p}`: {e}")))?;
         let _ = writeln!(
             out,
@@ -1635,10 +1641,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                             .run_report(&summary.local_times)
                             .with_critical_path(reg.critical_path(&summary.local_times));
                         if let Some(path) = &opts.trace_out {
-                            let trace = reg.chrome_trace_with_path(
-                                ExportClock::Virtual,
-                                report.critical_path.as_ref(),
-                            );
+                            let trace = reg.chrome_trace(report.critical_path.as_ref());
                             std::fs::write(path, trace).map_err(|e| {
                                 CliError(format!("cannot write trace to `{path}`: {e}"))
                             })?;

@@ -178,6 +178,54 @@ fn exhausted_recovery_budget_fails_naming_the_rank() {
     assert!(stderr.contains("recovery budget exhausted"), "{stderr}");
 }
 
+/// The checkpoint directory the driver creates under the temp dir (no
+/// `--ckpt-dir`) is gone after a run that exhausts its recovery budget and
+/// after one that recovers and finishes.
+#[test]
+fn driver_checkpoint_dir_is_removed_on_failure_and_success() {
+    let nest = sor_nest();
+    let tmp = std::env::temp_dir().join(format!("tilecc-tmpdir-{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).unwrap();
+    let tmpdir = tmp.to_str().unwrap();
+    let leftovers = || -> Vec<String> {
+        let entries = std::fs::read_dir(&tmp).unwrap();
+        let names = entries.map(|e| e.unwrap().file_name().to_string_lossy().into_owned());
+        names.filter(|n| n.starts_with("tilecc-ckpt-")).collect()
+    };
+    let run = |budget: &str| {
+        tilecc_env(
+            &[
+                "run",
+                &nest,
+                "--rect",
+                "4,10,10",
+                "--map",
+                "2",
+                "--verify",
+                "--backend",
+                "tcp",
+                "--crash-rank",
+                "1",
+                "--on-crash",
+                "recover",
+                "--max-recoveries",
+                budget,
+            ],
+            &[("TMPDIR", tmpdir)],
+        )
+    };
+    let failed = run("0");
+    assert!(
+        !failed.status.success(),
+        "the budget of 0 must fail the run"
+    );
+    assert_eq!(leftovers(), Vec::<String>::new(), "after a failed run");
+    let recovered = stdout_of(&run("1"));
+    assert_eq!(field(&recovered, "recoveries"), "1", "{recovered}");
+    assert_eq!(leftovers(), Vec::<String>::new(), "after a recovered run");
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
 #[test]
 fn recovered_tcp_run_counts_its_recovery_in_the_merged_metrics() {
     // The CI recovery-smoke run, with the driver-merged metrics written.

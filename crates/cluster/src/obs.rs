@@ -689,25 +689,10 @@ impl MetricsRegistry {
         self.spans.lock().expect("obs registry poisoned").clone()
     }
 
-    /// Chrome trace-event JSON on the virtual clock (rank lanes use virtual
-    /// microseconds; driver lanes, which have no virtual clock, use wall).
-    pub fn chrome_trace(&self) -> String {
-        self.chrome_trace_with(ExportClock::Virtual)
-    }
-
-    /// Chrome trace-event JSON with an explicit timeline clock.
-    pub fn chrome_trace_with(&self, clock: ExportClock) -> String {
-        chrome_trace_json(&self.spans(), clock)
-    }
-
-    /// Chrome trace-event JSON with the critical path highlighted as
-    /// Perfetto flow arrows (see [`chrome_trace_json_with_path`]).
-    pub fn chrome_trace_with_path(
-        &self,
-        clock: ExportClock,
-        path: Option<&CriticalPath>,
-    ) -> String {
-        chrome_trace_json_with_path(&self.spans(), clock, path)
+    /// Chrome trace-event JSON of every collected span, with `path`
+    /// highlighted as flow arrows (see [`chrome_trace_json`]).
+    pub fn chrome_trace(&self, path: Option<&CriticalPath>) -> String {
+        chrome_trace_json(&self.spans(), path)
     }
 
     /// The dependency-true critical path of a finished run: walk the
@@ -1070,17 +1055,6 @@ impl StatsSnapshot {
 // Chrome trace export
 // ---------------------------------------------------------------------------
 
-/// Which clock drives the exported timeline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ExportClock {
-    /// Rank lanes on the deterministic virtual clock (µs = virtual
-    /// seconds × 10⁶); driver lanes fall back to wall time.
-    #[default]
-    Virtual,
-    /// Everything on real wall time since the registry epoch.
-    Wall,
-}
-
 fn fmt_us(ns_or_us: f64) -> String {
     // Trim to 3 decimals; trace viewers do not need more.
     format!("{ns_or_us:.3}")
@@ -1088,21 +1062,13 @@ fn fmt_us(ns_or_us: f64) -> String {
 
 /// Serialize spans as Chrome trace-event JSON (`ph:"X"` complete events
 /// plus process/thread-name metadata). One pid per rank, one tid per phase
-/// lane.
-pub fn chrome_trace_json(spans: &[Span], clock: ExportClock) -> String {
-    chrome_trace_json_with_path(spans, clock, None)
-}
-
-/// [`chrome_trace_json`] plus the critical path highlighted as Perfetto
-/// flow events: every cross-rank hop of `path` becomes an `s`/`f` arrow
-/// (category `critical-path`) from the sender's send lane to the
-/// receiver's recv lane at the hand-off instant. Flows are only emitted on
-/// the virtual clock — the path's coordinates are virtual seconds.
-pub fn chrome_trace_json_with_path(
-    spans: &[Span],
-    clock: ExportClock,
-    path: Option<&CriticalPath>,
-) -> String {
+/// lane. Rank lanes run on the virtual clock (µs = virtual seconds × 10⁶);
+/// driver lanes, which have none, on wall time since the registry epoch.
+/// Every event keeps its wall interval in `args`. With `path`, every
+/// cross-rank hop of the critical path becomes a Perfetto `s`/`f` flow
+/// arrow (category `critical-path`) from the sender's send lane to the
+/// receiver's recv lane at the hand-off instant.
+pub fn chrome_trace_json(spans: &[Span], path: Option<&CriticalPath>) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n");
     // Metadata: name each pid and each (pid, lane) we are about to emit.
@@ -1143,9 +1109,9 @@ pub fn chrome_trace_json_with_path(
         );
     }
     for s in spans {
-        let (ts, dur) = match (clock, s.virt) {
-            (ExportClock::Virtual, Some((v0, v1))) => (v0 * 1e6, (v1 - v0).max(0.0) * 1e6),
-            _ => (
+        let (ts, dur) = match s.virt {
+            Some((v0, v1)) => (v0 * 1e6, (v1 - v0).max(0.0) * 1e6),
+            None => (
                 s.wall_start_ns as f64 / 1e3,
                 s.wall_end_ns.saturating_sub(s.wall_start_ns) as f64 / 1e3,
             ),
@@ -1169,7 +1135,7 @@ pub fn chrome_trace_json_with_path(
         }
         out.push_str("}}");
     }
-    if let (ExportClock::Virtual, Some(cp)) = (clock, path) {
+    if let Some(cp) = path {
         let mut id = 0u64;
         for h in &cp.hops {
             let Some(from) = h.from_rank else { continue };
@@ -2388,7 +2354,7 @@ mod tests {
         obs.span(Phase::Send, obs.now_ns(), (1.0, 1.25), 128);
         drop(obs); // flush
         reg.driver_span(Phase::Plan, "fourier-motzkin", 0, 0);
-        let trace = reg.chrome_trace();
+        let trace = reg.chrome_trace(None);
         let j = json::parse(&trace).expect("chrome trace must parse");
         let events = j.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
         // 2 process_name + 3 thread_name + 3 spans.
@@ -2411,7 +2377,7 @@ mod tests {
             obs.span(Phase::Compute, t0, (k as f64, k as f64 + 0.5), 1);
         }
         obs.flush();
-        let j = json::parse(&reg.chrome_trace()).unwrap();
+        let j = json::parse(&reg.chrome_trace(None)).unwrap();
         let events = j.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
         let mut last = f64::NEG_INFINITY;
         for e in events {
@@ -2707,7 +2673,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         cross_rank_spans(&reg);
         let cp = reg.critical_path(&[1.2, 2.0]).unwrap();
-        let trace = reg.chrome_trace_with_path(ExportClock::Virtual, Some(&cp));
+        let trace = reg.chrome_trace(Some(&cp));
         let j = json::parse(&trace).expect("trace with flows must parse");
         let events = j.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
         let phases: Vec<&str> = events
@@ -2716,9 +2682,6 @@ mod tests {
             .collect();
         assert_eq!(phases.iter().filter(|&&p| p == "s").count(), 1);
         assert_eq!(phases.iter().filter(|&&p| p == "f").count(), 1);
-        // Flow arrows carry coordinates only on the virtual clock.
-        let wall = reg.chrome_trace_with_path(ExportClock::Wall, Some(&cp));
-        assert!(!wall.contains("\"ph\": \"s\""), "no flows on wall clock");
     }
 
     #[test]

@@ -450,12 +450,12 @@ mod tests {
         // Rank 0's first tile, compared twice into one bitset.
         let chain = plan.chain(0);
         let (tpos, tile) = first_tile(plan);
-        let origin = tilecc_parcode::compiled::tile_origin(plan.tiled.transform(), &tile);
-        let clamp = (!plan.tiled.tile_is_interior(&tile)).then(|| plan.clamp.at(&origin));
+        let origin = plan.tiled.tile_origin(&tile);
+        let tc = plan.clamp.at(&origin);
+        let clamp = (!tc.interior()).then_some(&tc);
         let lds = results[0].lds.as_ref().unwrap();
         let mut seen = vec![0u64; reference.num_cells().div_ceil(64)];
         let compare = |seen: &mut [u64], reference: &DataSpace| {
-            let clamp = clamp.as_ref();
             tilecc_parcode::compiled::compare_tile(
                 chain, lds, tpos, &origin, clamp, reference, seen,
             )

@@ -13,7 +13,7 @@
 //! - Dependence `i` is one flat offset `off_i = Σ_k d_ik·weights[k]` into
 //!   the dense box.
 //! - Per range it computes the *interior window*: the `x` for which every
-//!   source `j − d_i` lies in the iteration space, one [`LineClip`] solve
+//!   source `j − d_i` lies in the iteration space, one [`Clamp`] clip
 //!   along the innermost axis. Such a source precedes `j`
 //!   lexicographically, so it is written, and both points sit in the
 //!   box, so its cell is `cell(j) − off_i` (and `off_i ≥ 1`). Inside the
@@ -29,7 +29,8 @@
 
 use crate::data::DataSpace;
 use crate::kernel::{Algorithm, Kernel, CACHE_BLOCK, MIN_BATCH};
-use tilecc_polytope::LineClip;
+use tilecc_linalg::IMat;
+use tilecc_polytope::Clamp;
 
 impl Algorithm {
     /// Sequential execution by innermost runs: the same data space as
@@ -61,7 +62,7 @@ impl Algorithm {
             0
         };
         // The window: the `x` whose every source `j − d_i` is in the space.
-        let window = LineClip::new(self.nest.space(), Some(deps));
+        let window = Clamp::new(self.nest.space(), deps, &IMat::zeros(n, 0));
         let bounds = self.nest.bounds();
         let last = n - 1;
         let (vals, written) = ds.cells_mut();
@@ -85,6 +86,7 @@ impl Algorithm {
             run_reads: vec![0.0; q * batch * w],
             run_out: vec![0.0; batch * w],
         };
+        let slope: Vec<i128> = window.dots(&scan.unit).collect();
         let mut runs = bounds.runs();
         while let Some((outer, a, h)) = runs.next() {
             scan.j[..last].copy_from_slice(outer);
@@ -93,9 +95,10 @@ impl Algorithm {
                 .map(|k| (outer[k] - scan.lo[k]) * weights[k])
                 .sum::<i64>()
                 - scan.lo[last];
-            // The range is the line `(outer, 0) + x·e_{n−1}`, x ∈ [a, h].
+            // The range, in the space, is the line `(outer, 0) + x·e_{n−1}`.
             scan.j[last] = 0;
-            let (wlo, whi) = window.clip(&scan.j, &scan.unit, a, h).unwrap_or((h + 1, h));
+            let line = |k| (window.residual(k, &scan.j), slope[k]);
+            let [_, _, wlo, whi] = window.clip(a, h, true, line).unwrap_or([a, h, h + 1, h]);
             for x in a..wlo {
                 scan.checked(x, row + x);
             }

@@ -8,16 +8,18 @@
 //! chain's tile work at plan time to the innermost of those loops — rows:
 //!
 //! - A [`Row`] is one innermost lattice row of the tile box `[0, v)`
-//!   ([`Lattice::rows_in_box`]). Along it `j'` steps by `c_{n−1}`, so the
-//!   owned cell and every read source `j' − d'` step by exactly one LDS
-//!   cell, and the iteration by the per-chain vector
+//!   ([`tilecc_linalg::Lattice::rows_in_box`]). Along it `j'` steps by
+//!   `c_{n−1}`, so the owned cell and every read source `j' − d'` step by
+//!   exactly one LDS cell, and the iteration by the per-chain vector
 //!   `dj = P'·(0,…,0,c_{n−1})`: a row is start values, a length and a
 //!   batch width, and no table grows with the tile's points.
 //! - `c_m | v_m` (integral tile sides), so advancing one chain position
 //!   shifts every cell by `chain_step = (v_m / c_m) · weights_m`.
-//! - A boundary tile clips each row once by the iteration space to its
+//! - Each tile places the plan's [`Clamp`] at its origin once; the
+//!   resulting [`TileClamp`] says whether the tile is compute-interior and,
+//!   when it is not, clips each row by the iteration space to its
 //!   in-space interval and to the window whose every source is in the
-//!   space ([`Clamp`]). The clip works on integer residuals: each
+//!   space. The clip works on integer residuals: each
 //!   constraint `a_k·j + b_k ≥ 0` is `a_k·origin + b_k` per tile, plus
 //!   `a_k·row.j` per row, plus `a_k·dj` per row position, so a row costs
 //!   one add and at most one floor division per constraint. The window
@@ -40,8 +42,8 @@ use std::sync::OnceLock;
 use tilecc_linalg::vecops::{div_ceil, div_floor};
 use tilecc_linalg::IMat;
 use tilecc_loopnest::{DataSpace, Kernel};
-use tilecc_polytope::Polyhedron;
-use tilecc_tiling::{CommPlan, Lds, LdsGeometry, TiledSpace, TilingTransform};
+use tilecc_polytope::{Clamp, TileClamp};
+use tilecc_tiling::{CommPlan, Lds, LdsGeometry, TiledSpace};
 
 // The batch limits are shared with the sequential scan
 // (`Algorithm::execute_scan`), whose lag argument is the same.
@@ -485,80 +487,17 @@ impl CompiledChain {
         tc.base[k] + self.row_res[row * kk + k] + t as i128 * self.slope[k]
     }
 
-    /// The positions `s0..=s1` of span `s` (counted from `s.at`) whose
-    /// iterations lie in the space of `clamp` — all of them without one —
-    /// and, with `window`, the positions `w0..=w1` among them whose every
-    /// dependence source lies in the space too (`w0 = s1 + 1` when none
-    /// does; `w0..=w1` is `s0..=s1` without `window`). Along a row the
-    /// iterations lie on a line, so a convex space keeps one interval.
-    /// `None` when no position is in the space.
+    /// [`Clamp::clip`] of the positions of span `s` (counted from `s.at`)
+    /// in the tile of `clamp`; every position, without one. Along a row
+    /// the iterations lie on a line, so a convex space keeps one interval.
     fn clip(&self, s: &Span, clamp: Option<&TileClamp>, window: bool) -> Option<[i64; 4]> {
         let last = s.len as i64 - 1;
         let Some(tc) = clamp else {
             return Some([0, last, 0, last]);
         };
-        let (mut sp, mut win) = ((0i128, i128::from(last)), (i128::MIN, i128::MAX));
-        for k in 0..self.slope.len() {
-            let (v, slope) = (self.residual(tc, s.row, s.at, k), self.slope[k]);
-            cut(v, slope, &mut sp);
-            if sp.0 > sp.1 {
-                return None;
-            }
-            if window {
-                cut(v - tc.clamp.shift[k], slope, &mut win);
-            }
-        }
-        let (s0, s1) = (sp.0 as i64, sp.1 as i64);
-        if !window {
-            return Some([s0, s1, s0, s1]);
-        }
-        // Both lie within [s0, s1] when the window is not empty.
-        let (w0, w1) = (win.0.max(sp.0), win.1.min(sp.1));
-        Some(if w0 > w1 {
-            [s0, s1, s1 + 1, s1]
-        } else {
-            [s0, s1, w0 as i64, w1 as i64]
-        })
+        let line = |k| (self.residual(tc, s.row, s.at, k), self.slope[k]);
+        tc.clamp.clip(0, last, window, line)
     }
-}
-
-/// Cut the interval `t ∈ [lo, hi]` to the `t` with `v + t·slope ≥ 0`
-/// (empty as `lo > hi`): `t ≥ ⌈−v / slope⌉` for a positive slope,
-/// `t ≤ ⌊v / −slope⌋` for a negative one. The division runs in `i64` when
-/// both operands fit it, in `i128` otherwise.
-#[inline]
-fn cut(v: i128, slope: i128, (lo, hi): &mut (i128, i128)) {
-    // Both operands and their negations fit i64.
-    let fits = |x: i128| x.unsigned_abs() <= i64::MAX as u128;
-    if slope == 0 {
-        if v < 0 {
-            *lo = i128::MAX;
-        }
-    } else if fits(v) && fits(slope) {
-        let (v, s) = (v as i64, slope as i64);
-        if s > 0 {
-            *lo = (*lo).max(i128::from(if s == 1 { -v } else { div_ceil(-v, s) }));
-        } else {
-            *hi = (*hi).min(i128::from(div_floor(v, -s)));
-        }
-    } else if slope > 0 {
-        *lo = (*lo).max((-v).div_euclid(slope) + i128::from((-v).rem_euclid(slope) != 0));
-    } else {
-        *hi = (*hi).min(v.div_euclid(-slope));
-    }
-}
-
-/// The tile's origin iteration `P·tile` (integral: `P` is validated to have
-/// integral entries). Per-point iterations are `origin + P'·j'`.
-pub fn tile_origin(t: &TilingTransform, tile: &[i64]) -> Vec<i64> {
-    t.p()
-        .mul_ivec(tile)
-        .iter()
-        .map(|r| {
-            debug_assert!(r.is_integer());
-            r.to_integer()
-        })
-        .collect()
 }
 
 /// Reusable per-rank scratch of the compiled compute paths: per-point
@@ -589,79 +528,6 @@ impl ComputeScratch {
             run_reads: vec![0.0f64; q * CACHE_BLOCK * w],
             run_out: vec![0.0f64; CACHE_BLOCK * w],
         }
-    }
-}
-
-/// A boundary tile's clamp (§3.2), built once per plan: the iteration
-/// space's constraints `a_k·j + b_k ≥ 0`, the products `a_k·d_i` that test
-/// a dependence source, and the window shifts `max_i a_k·d_i`. A point
-/// `j` with residuals `r_k = a_k·j + b_k` lies in the space iff every
-/// `r_k ≥ 0`, its source `j − d_i` iff every `r_k ≥ a_k·d_i`, and every
-/// source at once iff every `r_k` reaches its shift.
-pub struct Clamp {
-    /// `a_k`, row-major: `a[k·n..(k + 1)·n]`.
-    a: Vec<i64>,
-    b: Vec<i64>,
-    /// `a_k·d_i`, source-major: `src[i·K + k]` for `K` constraints.
-    src: Vec<i128>,
-    /// `max_i a_k·d_i`; 0 without dependences, when the window is the
-    /// in-space interval.
-    shift: Vec<i128>,
-    deps: IMat,
-}
-
-impl Clamp {
-    /// The clamp of `space` under the dependence columns `deps`.
-    pub(crate) fn new(space: &Polyhedron, deps: &IMat) -> Self {
-        let rows = space.constraints();
-        let mut clamp = Clamp {
-            a: rows.iter().flat_map(|c| c.coeffs().to_vec()).collect(),
-            b: rows.iter().map(|c| c.constant()).collect(),
-            src: Vec::new(),
-            shift: Vec::new(),
-            deps: deps.clone(),
-        };
-        let cols: Vec<Vec<i64>> = (0..deps.cols()).map(|i| deps.col(i)).collect();
-        clamp.src = cols.iter().flat_map(|d| clamp.dots(d)).collect();
-        let k = rows.len();
-        clamp.shift = (0..k)
-            .map(|kk| clamp.src.iter().skip(kk).step_by(k).max().map_or(0, |&m| m))
-            .collect();
-        clamp
-    }
-
-    /// `a_k·x` of every constraint `k`, exactly.
-    fn dots<'a>(&'a self, x: &'a [i64]) -> impl Iterator<Item = i128> + 'a {
-        self.a.chunks_exact(x.len()).map(move |a| {
-            let terms = a.iter().zip(x);
-            terms.map(|(&c, &v)| i128::from(c) * i128::from(v)).sum()
-        })
-    }
-
-    /// The clamp of the tile whose origin iteration is `origin`
-    /// ([`tile_origin`]): its residuals `a_k·origin + b_k`.
-    pub fn at(&self, origin: &[i64]) -> TileClamp<'_> {
-        let base = self.dots(origin).zip(&self.b);
-        TileClamp {
-            base: base.map(|(d, &b)| d + i128::from(b)).collect(),
-            clamp: self,
-        }
-    }
-}
-
-/// A [`Clamp`] placed at one tile: the residuals of the tile's origin.
-pub struct TileClamp<'a> {
-    clamp: &'a Clamp,
-    base: Vec<i128>,
-}
-
-impl TileClamp<'_> {
-    /// Whether dependence `i`'s source of the point with residuals `res`
-    /// lies in the space.
-    #[inline]
-    fn source_in(&self, res: &[i128], i: usize) -> bool {
-        let ad = &self.clamp.src[i * res.len()..(i + 1) * res.len()];
-        res.iter().zip(ad).all(|(r, d)| r >= d)
     }
 }
 
@@ -1182,7 +1048,7 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
                 let chain = plan.chain(0);
                 let split = chain.split();
                 for tile in plan.tiled.tiles() {
-                    let origin = super::tile_origin(tr, &tile);
+                    let origin = plan.tiled.tile_origin(&tile);
                     let clamp = Some(plan.clamp.at(&origin));
                     let b = super::count_tile(chain, clamp.as_ref(), &split.boundary);
                     let i = super::count_tile(chain, clamp.as_ref(), &split.interior);
@@ -1213,12 +1079,13 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
         }
     }
 
-    /// The residual clip of every chain of `plan` against [`LineClip`] on
-    /// every tile: for each span (whole rows and both overlapped passes),
-    /// the in-space interval equals `LineClip::clip` along the span's
-    /// iterations, the window equals the dependence-shifted clip inside
-    /// it, and at the `positions` of each span every dependence source is
-    /// in the space by residuals iff `LineClip::contains` says so. Checks
+    /// The row-table clip of every chain of `plan` against the polytope
+    /// clip on every tile: for each span (whole rows and both overlapped
+    /// passes), the in-space interval and the window equal
+    /// [`tilecc_polytope::Clamp::clip`] along the span's iterations,
+    /// computed from the iterations themselves instead of the row tables,
+    /// and at the `positions` of each span every dependence source is in
+    /// the space by residuals iff `Polyhedron::contains` says so. Checks
     /// every `stride`-th span. Returns the number of spans whose residuals
     /// left the `i64` range, so their divisions ran in `i128`.
     fn check_residual_clip(
@@ -1227,12 +1094,9 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
         stride: usize,
         positions: impl Fn(usize, [i64; 4]) -> Vec<usize>,
     ) -> usize {
-        use tilecc_polytope::LineClip;
-        let tr = plan.tiled.transform();
         let deps = plan.deps();
         let (n, q) = (plan.dim(), deps.cols());
-        let space = LineClip::new(plan.tiled.space(), None);
-        let window = LineClip::new(plan.tiled.space(), Some(deps));
+        let (space, clamp) = (plan.tiled.space(), &plan.clamp);
         let mut lens = std::collections::BTreeSet::new();
         let (mut wide, mut j0, mut src) = (0usize, vec![0i64; n], vec![0i64; n]);
         for rank in 0..plan.num_procs() {
@@ -1248,7 +1112,7 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
                 .chain(&split.interior)
                 .collect();
             for tile in plan.tiled.tiles() {
-                let origin = super::tile_origin(tr, &tile);
+                let origin = plan.tiled.tile_origin(&tile);
                 let tc = plan.clamp.at(&origin);
                 for s in spans.iter().step_by(stride) {
                     let row = &chain.rows[s.row];
@@ -1262,12 +1126,13 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
                         })
                     };
                     wide += usize::from(big(s.at) || big(s.at + s.len - 1));
-                    let Some((s0, s1)) = space.clip(&j0, &chain.dj, 0, last) else {
-                        assert_eq!(got, None, "{ctx}: tile {tile:?} {s:?}");
+                    let slope: Vec<i128> = clamp.dots(&chain.dj).collect();
+                    let line = |k| (clamp.residual(k, &j0), slope[k]);
+                    let want = clamp.clip(0, last, true, line);
+                    assert_eq!(got, want, "{ctx}: tile {tile:?} {s:?}");
+                    let Some([s0, s1, w0, w1]) = want else {
                         continue;
                     };
-                    let (w0, w1) = window.clip(&j0, &chain.dj, s0, s1).unwrap_or((s1 + 1, s1));
-                    assert_eq!(got, Some([s0, s1, w0, w1]), "{ctx}: tile {tile:?} {s:?}");
                     assert_eq!(chain.clip(s, Some(&tc), false), Some([s0, s1, s0, s1]));
                     let mut res = vec![0i128; k];
                     for t in positions(s.len, [s0, s1, w0, w1]) {
@@ -1295,7 +1160,7 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
     /// rectangular (dependences with negative entries included) or
     /// tiling-cone tilings: every
     /// span's residual clip and every point's source test equal their
-    /// `LineClip` oracles. One more plan at `N = 100000` coordinates,
+    /// polytope oracles. One more plan at `N = 100000` coordinates,
     /// under a cut whose coefficient `2^50` takes the residuals far past
     /// `i64`, runs the `i128` divisions.
     #[test]
@@ -1433,38 +1298,6 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
         check_residual_clip(&plan, "N = 100000", 499, edges);
     }
 
-    /// `cut` against the half-line it cuts, `v + t·slope ≥ 0` evaluated in
-    /// `i128` at every `t` of a window, with operands in `i64`, past it
-    /// (the `i128` divisions) and at its edge.
-    #[test]
-    fn cut_solves_residual_half_lines_exactly() {
-        let max = i128::from(i64::MAX);
-        let mut g = G(0x0C07_0001);
-        let mut wide = 0;
-        for case in 0..4000 {
-            let scale = [1, 1 << 20, 1 << 40, max, max * 1024][case % 5];
-            let mut pick = |r: i128| (g.next() as i128 % (2 * r + 1)) - r;
-            let slope = match case % 7 {
-                0 => 0,
-                1 => 1,
-                2 => -1,
-                _ => pick(scale.min(1 << 12)) * (scale / (1 << 12)).max(1),
-            };
-            // Centre the crossing inside [−20, 20], then jitter it.
-            let v = -slope * pick(15) + pick(scale.min(1 << 10));
-            wide +=
-                usize::from(v.unsigned_abs() > max as u128 || slope.unsigned_abs() > max as u128);
-            let mut got = (-20i128, 20i128);
-            super::cut(v, slope, &mut got);
-            let kept: Vec<i128> = (-20..=20).filter(|&t| v + t * slope >= 0).collect();
-            match (kept.first(), kept.last()) {
-                (Some(&a), Some(&b)) => assert_eq!(got, (a, b), "v={v} slope={slope}"),
-                _ => assert!(got.0 > got.1, "v={v} slope={slope}: {got:?}"),
-            }
-        }
-        assert!(wide > 500, "only {wide} cases outside i64");
-    }
-
     /// The in-row closure keeps every shifted copy of an interval shorter
     /// than the shift, combines shifts, and runs a long interval down to 0.
     #[test]
@@ -1537,14 +1370,13 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
             let w = plan.algorithm.width();
             let chain = plan.chain(0);
             let (n, q) = (chain.n, chain.q);
-            let tr = plan.tiled.transform();
             let deps = plan.deps();
             let tile = plan
                 .tiled
                 .tiles()
                 .find(|tile| plan.tiled.tile_is_compute_interior(tile, deps))
                 .expect("a compute-interior tile");
-            let origin = super::tile_origin(tr, &tile);
+            let origin = plan.tiled.tile_origin(&tile);
             let mut scr = super::ComputeScratch::new(n, q, w);
             let fill = |lds: &mut tilecc_tiling::Lds| {
                 for (i, x) in lds.values_mut().iter_mut().enumerate() {

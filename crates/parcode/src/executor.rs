@@ -14,8 +14,8 @@
 //! overlapped one; the reference strategy walks the tile per point.
 
 use crate::compiled::{
-    compare_tile, compute_tile_fast, count_tile, gather_tile, pack_region, tile_origin,
-    unpack_region, CompiledChain, ComputeScratch, Span,
+    compare_tile, compute_tile_fast, count_tile, gather_tile, pack_region, unpack_region,
+    CompiledChain, ComputeScratch, Span,
 };
 use crate::plan::ParallelPlan;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -25,6 +25,7 @@ use tilecc_cluster::{
     MachineModel, MetricsRegistry, Phase, RankCore, Restored, RunError, RunReport,
 };
 use tilecc_loopnest::DataSpace;
+use tilecc_polytope::TileClamp;
 use tilecc_tiling::{insert_at, Lds};
 
 /// Execution mode.
@@ -189,13 +190,11 @@ pub fn gather(
 ) -> DataSpace {
     let (lo, hi) = plan.algorithm.nest.bounding_box();
     let mut ds = DataSpace::with_width(&lo, &hi, plan.algorithm.width());
-    for_each_owned_tile(plan, results, obs, |chain, lds, tpos, tile, interior| {
+    for_each_owned_tile(plan, results, obs, |chain, lds, tpos, tile, at, clamp| {
         if strategy == ExecStrategy::Reference {
             reference_gather_tile(plan, lds, tpos, tile, &mut ds);
         } else {
-            let origin = tile_origin(plan.tiled.transform(), tile);
-            let clamp = (!interior).then(|| plan.clamp.at(&origin));
-            gather_tile(chain, lds, tpos, &origin, clamp.as_ref(), &mut ds);
+            gather_tile(chain, lds, tpos, at, clamp, &mut ds);
         }
         true
     });
@@ -322,27 +321,18 @@ pub fn compare_in_place(
 ) -> bool {
     let mut seen = vec![0u64; reference.num_cells().div_ceil(64)];
     let mut visits = 0u64;
-    let same = for_each_owned_tile(plan, results, obs, |chain, lds, tpos, tile, interior| {
-        let origin = tile_origin(plan.tiled.transform(), tile);
-        let clamp = (!interior).then(|| plan.clamp.at(&origin));
-        let v = compare_tile(
-            chain,
-            lds,
-            tpos,
-            &origin,
-            clamp.as_ref(),
-            reference,
-            &mut seen,
-        );
+    let same = for_each_owned_tile(plan, results, obs, |chain, lds, tpos, _, origin, clamp| {
+        let v = compare_tile(chain, lds, tpos, origin, clamp, reference, &mut seen);
         visits += v.unwrap_or(0);
         v.is_some()
     });
     same && visits == reference_written as u64
 }
 
-/// Call `visit(chain, lds, tpos, tile, interior)` on every valid tile of
-/// every rank in rank and chain order; `interior` tiles lie inside the
-/// iteration space and need no clamp. Each visit is observed as a
+/// Call `visit(chain, lds, tpos, tile, origin, clamp)` on every valid tile
+/// of every rank in rank and chain order; `clamp` is the tile's
+/// [`TileClamp`], `None` when the tile lies inside the iteration space and
+/// needs no clamp. Each visit is observed as a
 /// `GatherNs` sample of its rank and each rank as a `gather` driver span.
 /// Stops after the first visit that returns `false` and returns whether
 /// none did.
@@ -350,7 +340,7 @@ fn for_each_owned_tile(
     plan: &ParallelPlan,
     results: &[RankOutput],
     obs: Option<&MetricsRegistry>,
-    mut visit: impl FnMut(&CompiledChain, &Lds, i64, &[i64], bool) -> bool,
+    mut visit: impl FnMut(&CompiledChain, &Lds, i64, &[i64], &[i64], Option<&TileClamp>) -> bool,
 ) -> bool {
     for (rank, out) in results.iter().enumerate() {
         let rank_t0 = obs.map(|r| r.now_ns());
@@ -365,8 +355,10 @@ fn for_each_owned_tile(
             if !plan.tiled.tile_valid(&tile) {
                 continue;
             }
-            let interior = plan.tiled.tile_is_interior(&tile);
-            done = visit(chain, lds, t_abs - lo_t, &tile, interior);
+            let origin = plan.tiled.tile_origin(&tile);
+            let tc = plan.clamp.at(&origin);
+            let clamp = (!tc.interior()).then_some(&tc);
+            done = visit(chain, lds, t_abs - lo_t, &tile, &origin, clamp);
             if let (Some(reg), Some(t0)) = (obs, tile_t0) {
                 let now = reg.now_ns();
                 reg.rank_metrics(rank)
@@ -401,7 +393,6 @@ pub fn run_rank<L: Link>(
     let rank = comm.rank();
     let n = plan.dim();
     let m = plan.m();
-    let t = plan.tiled.transform();
     let pid = plan.dist.pids[rank].clone();
     let (lo_t, hi_t) = plan.dist.chains[rank];
     let w = plan.algorithm.width();
@@ -410,11 +401,10 @@ pub fn run_rank<L: Link>(
     let mut lds = (mode == ExecMode::Full).then(|| plan.rank_lds(rank));
     let chain = plan.chain(rank);
 
-    let deps = plan.deps();
     let kernel = plan.algorithm.kernel.clone();
 
     let mut iterations: u64 = 0;
-    let mut scratch = ComputeScratch::new(n, deps.cols(), w);
+    let mut scratch = ComputeScratch::new(n, plan.deps().cols(), w);
     let obs_on = comm.obs().is_some();
 
     let ckpt_every = comm.recovery_interval();
@@ -503,14 +493,12 @@ pub fn run_rank<L: Link>(
                 }
 
                 // --- COMPUTE ------------------------------------------------------
-                // Interior/boundary classification lets compiled compute skip
-                // the clamp and feeds the tile-mix counters; only run it when
-                // someone consumes it (a timing-only count just clips every run).
-                let classify = obs_on || (lds.is_some() && strategy != ExecStrategy::Reference);
-                let is_interior = classify && plan.tiled.tile_is_compute_interior(&cur_tile, deps);
-                let origin = tile_origin(t, &cur_tile);
-                let clamp = (!is_interior).then(|| plan.clamp.at(&origin));
-                let clamp = clamp.as_ref();
+                // A compute-interior tile (every point and every source in the
+                // space) runs unclamped; the same residuals clip the others.
+                let origin = plan.tiled.tile_origin(&cur_tile);
+                let tc = plan.clamp.at(&origin);
+                let is_interior = tc.compute_interior();
+                let clamp = (!is_interior).then_some(&tc);
                 let mut tile_vectorized: u64 = 0;
                 // One compute pass over `spans`: count it (timing-only, no
                 // LDS), walk the tile per point (the reference oracle, which

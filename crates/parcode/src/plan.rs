@@ -6,10 +6,11 @@
 //! functions (Tables 1–2) that translate between the original iteration
 //! space `J^n` and per-processor Local Data Spaces.
 
-use crate::compiled::{Clamp, CompiledChain};
+use crate::compiled::CompiledChain;
 use tilecc_cluster::{MetricsRegistry, Phase};
 use tilecc_linalg::IMat;
 use tilecc_loopnest::Algorithm;
+use tilecc_polytope::Clamp;
 use tilecc_tiling::{
     insert_at, project_pid, CommPlan, Distribution, Lds, LdsGeometry, TiledSpace, TilingError,
     TilingTransform,
@@ -25,8 +26,9 @@ pub struct ParallelPlan {
     /// Lattice-point count of each processor dependence's pack region
     /// (message length in values; constant across tiles).
     pub region_counts: Vec<usize>,
-    /// The boundary-tile clamp of the iteration space under the
-    /// algorithm's dependences.
+    /// The iteration space's clamp under the algorithm's dependences,
+    /// placed at tile boxes: one [`Clamp::at`] per tile gives its interior
+    /// flags and its boundary clip.
     pub clamp: Clamp,
     /// Flat-index execution tables, one per distinct chain length (LDS
     /// extents — hence cell weights — depend on the chain length).
@@ -87,7 +89,7 @@ impl ParallelPlan {
             let extents: Vec<i64> = lo.iter().zip(&hi).map(|(&l, &h)| h - l + 1).collect();
             LdsGeometry::weights(&extents)
         };
-        let clamp = Clamp::new(tiled.space(), algorithm.nest.deps());
+        let clamp = tiled.clamp_with(algorithm.nest.deps());
         let mut compiled: Vec<CompiledChain> = Vec::new();
         let mut chain_of = Vec::with_capacity(dist.chains.len());
         for &(lo_t, hi_t) in &dist.chains {

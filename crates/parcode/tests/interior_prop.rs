@@ -12,7 +12,7 @@
 use std::sync::Arc;
 use tilecc_linalg::{vecops::is_lex_positive, IMat, RMat, Rational};
 use tilecc_loopnest::{Algorithm, Kernel, LoopNest};
-use tilecc_parcode::compiled::{count_tile, tile_origin};
+use tilecc_parcode::compiled::count_tile;
 use tilecc_parcode::ParallelPlan;
 use tilecc_polytope::{Constraint, Polyhedron};
 use tilecc_tiling::{tiling_cone_rays, TiledSpace, TilingTransform};
@@ -137,7 +137,7 @@ fn volume_fast_matches_membership_tested_count() {
         let chain = plan.chain(0);
         for tile in plan.tiled.tiles() {
             let exact = plan.tiled.tile_iterations(&tile).count() as u64;
-            let origin = tile_origin(plan.tiled.transform(), &tile);
+            let origin = plan.tiled.tile_origin(&tile);
             let runs = &chain.walk;
             assert_eq!(
                 count_tile(chain, Some(&plan.clamp.at(&origin)), runs),

@@ -13,9 +13,9 @@ use std::sync::Arc;
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::{IMat, RMat, Rational};
 use tilecc_loopnest::{Algorithm, DataSpace, Kernel, LoopNest};
-use tilecc_parcode::compiled::{gather_tile, tile_origin, Region, CACHE_BLOCK, MIN_BATCH};
+use tilecc_parcode::compiled::{gather_tile, Region, CACHE_BLOCK, MIN_BATCH};
 use tilecc_parcode::ParallelPlan;
-use tilecc_polytope::{Constraint, LineClip, Polyhedron};
+use tilecc_polytope::{Clamp, Constraint, Polyhedron};
 use tilecc_tiling::{insert_at, tiling_cone_rays, TilingTransform};
 
 /// xorshift64* — the fuzz harness's generator, for seed-reproducible cases.
@@ -93,7 +93,8 @@ fn check_plan(plan: &ParallelPlan, ctx: &str) -> usize {
     let mut dropped = 0usize;
     let mut lens = std::collections::BTreeSet::new();
     let mut j = vec![0i64; n];
-    let space = LineClip::new(plan.tiled.space(), None);
+    let none = IMat::zeros(n, 0);
+    let space = Clamp::new(plan.tiled.space(), &none, &none);
     for rank in 0..plan.num_procs() {
         let (lo_t, hi_t) = plan.dist.chains[rank];
         let chain = plan.chain(rank);
@@ -105,7 +106,7 @@ fn check_plan(plan: &ParallelPlan, ctx: &str) -> usize {
             }
             let tpos = t_abs - lo_t;
             let base = tpos * chain.chain_step;
-            let origin = tile_origin(t, &tile);
+            let origin = plan.tiled.tile_origin(&tile);
             let mut want = plan.tiled.tile_iterations(&tile);
             for row in &chain.rows {
                 let (a, b) = if plan.tiled.tile_is_interior(&tile) {
@@ -114,8 +115,10 @@ fn check_plan(plan: &ParallelPlan, ctx: &str) -> usize {
                     for k in 0..n {
                         j[k] = origin[k] + row.j[k];
                     }
-                    match space.clip(&j, &chain.dj, 0, row.len as i64 - 1) {
-                        Some(span) => span,
+                    let slope: Vec<i128> = space.dots(&chain.dj).collect();
+                    let line = |k| (space.residual(k, &j), slope[k]);
+                    match space.clip(0, row.len as i64 - 1, false, line) {
+                        Some([a, b, ..]) => (a, b),
                         None => continue,
                     }
                 };
@@ -233,7 +236,6 @@ fn check_plan(plan: &ParallelPlan, ctx: &str) -> usize {
 fn check_gather(plan: &ParallelPlan, ctx: &str) -> usize {
     let w = plan.algorithm.width();
     let (lo, hi) = plan.algorithm.nest.bounding_box();
-    let t = plan.tiled.transform();
     let mut boundary = 0usize;
     for rank in 0..plan.num_procs() {
         let (lo_t, hi_t) = plan.dist.chains[rank];
@@ -256,7 +258,7 @@ fn check_gather(plan: &ParallelPlan, ctx: &str) -> usize {
                 lds.get_into(&lds.unrolled(tpos, &jp), &mut vals);
                 want.set_all(&j, &vals);
             }
-            let origin = tile_origin(t, &tile);
+            let origin = plan.tiled.tile_origin(&tile);
             let clamp = (!interior).then(|| plan.clamp.at(&origin));
             let mut got = DataSpace::with_width(&lo, &hi, w);
             gather_tile(chain, &lds, tpos, &origin, clamp.as_ref(), &mut got);

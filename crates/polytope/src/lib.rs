@@ -10,14 +10,16 @@
 //! `l_k = max(⌈f_k1⌉, …)` and `u_k = min(⌊g_k1⌋, …)` in the outer variables.
 //! [`Polyhedron`] is that representation; [`LoopNestBounds`] is the
 //! compile-time bound computation; [`PointIter`] is the executable loop nest;
-//! [`LineClip`] clips a line of iterations to the interval inside a space.
+//! [`Clamp`] holds the space's constraints as integer residuals, which clip
+//! a line of iterations to its interval inside the space and test a box's
+//! corners.
 
-pub mod clip;
+pub mod clamp;
 pub mod constraint;
 pub mod error;
 pub mod polyhedron;
 
-pub use clip::LineClip;
+pub use clamp::{Clamp, TileClamp};
 pub use constraint::Constraint;
 pub use error::PolytopeError;
 pub use polyhedron::{LoopNestBounds, PointIter, Polyhedron, RunIter};

@@ -74,20 +74,6 @@ impl Polyhedron {
         self.constraints.iter().all(|c| c.satisfied_by(x))
     }
 
-    /// True iff the rational point `x` satisfies all constraints. Used for
-    /// convexity arguments (e.g. a tile whose rational corners are all inside
-    /// is entirely inside).
-    pub fn contains_rational(&self, x: &[tilecc_linalg::Rational]) -> bool {
-        use tilecc_linalg::Rational;
-        self.constraints.iter().all(|c| {
-            let mut acc = Rational::from_int(c.constant());
-            for (k, &coef) in c.coeffs().iter().enumerate() {
-                acc += Rational::from_int(coef) * x[k];
-            }
-            !acc.is_negative()
-        })
-    }
-
     /// True iff an explicit contradiction (`0 ≥ k`, `k > 0`) is present.
     pub fn has_contradiction(&self) -> bool {
         self.constraints.iter().any(|c| c.is_contradiction())

@@ -15,11 +15,13 @@
 //! Planning never walks a tile point by point:
 //!
 //! * **Pruning.** A candidate whose corners all lie in `J^n` is interior,
-//!   hence non-empty. Any other candidate walks its TTIS lattice over the
-//!   outer `n−1` HNF levels only. Each innermost row is a line
-//!   `j0 + t·dj` in original coordinates, which [`LineClip`] clips against
-//!   `J^n` in one pass. The tile is non-empty iff some row's interval is,
-//!   so the test is exact and stops at the first hit.
+//!   hence non-empty; its corners are the integer points
+//!   `P·tile + Σ_{k∈S} P_{:,k}`, so one [`Clamp`] residual compare per
+//!   constraint decides it. Any other candidate clips the innermost rows of
+//!   the tile box's TTIS, taken once per plan: each row is a line
+//!   `j0 + t·dj` in original coordinates, cut by the same residuals. The
+//!   tile is non-empty iff some row's interval is, so the test is exact and
+//!   stops at the first hit.
 //! * **`D^S`.** Component `k` of `⌊(j' + d')/v⌋` over `j' ∈ [0, v)` is
 //!   `⌊d'_k/v_k⌋`, plus one exactly when `j'_k` lies in the top
 //!   `d'_k mod v_k` values. Each dependence thus has at most `2ⁿ`
@@ -31,7 +33,7 @@ use crate::transform::{TilingError, TilingTransform};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tilecc_linalg::IMat;
-use tilecc_polytope::{Constraint, LineClip, LoopNestBounds, Polyhedron};
+use tilecc_polytope::{Clamp, Constraint, LoopNestBounds, Polyhedron};
 
 /// The smallest tile-volume budget [`TiledSpace::new`] grants any space
 /// (2²¹ lattice points): tiles larger than the space itself stay legal up
@@ -44,6 +46,11 @@ pub const TILE_VOLUME_FLOOR: i64 = 1 << 21;
 pub struct TiledSpace {
     transform: TilingTransform,
     space: Polyhedron,
+    /// `P`, validated integral: a tile's origin iteration is `P·tile`.
+    p: IMat,
+    /// The space's residuals over the closed tile box (edges `P`'s
+    /// columns), without dependences.
+    clamp: Clamp,
     shadow: Polyhedron,
     tile_bounds: LoopNestBounds,
     space_bounds: LoopNestBounds,
@@ -127,9 +134,13 @@ impl TiledSpace {
             volume,
             limit: usize::MAX.try_into().unwrap_or(i64::MAX),
         })?;
+        let p = transform.p().to_imat();
+        let clamp = Clamp::new(&space, &IMat::zeros(n, 0), &p);
         let mut ts = TiledSpace {
             transform,
             space,
+            p,
+            clamp,
             shadow,
             tile_bounds,
             space_bounds,
@@ -146,7 +157,7 @@ impl TiledSpace {
         // emptiness test, not one of the per-tile walks the compiled path
         // eliminates).
         let t = &ts.transform;
-        let clip = LineClip::new(&ts.space, None);
+        let clamp = &ts.clamp;
         // A row steps by the last HNF column (0, …, 0, c_{n−1}) in TTIS
         // coordinates, by P' times it in original ones. That column is a
         // lattice point, so the step is integral.
@@ -154,19 +165,29 @@ impl TiledSpace {
         last_col[n - 1] = t.stride(n - 1);
         let mut dj = vec![0i64; n];
         t.p_prime_mul_into(&last_col, &mut dj);
-        let zero = vec![0i64; n];
-        let mut candidates = 0usize;
-        let mut clipped = 0usize;
+        let slope: Vec<i128> = clamp.dots(&dj).collect();
+        let k = slope.len();
+        // The rows of the tile box, once: each row's residual offsets
+        // `a_k·P'·j'` and its length.
+        let (mut res, mut lens) = (Vec::new(), Vec::new());
+        let mut j = vec![0i64; n];
+        for (jp, len) in t.lattice().rows_in_box(&vec![0; n], t.v()) {
+            t.p_prime_mul_into(&jp, &mut j);
+            res.extend(clamp.dots(&j));
+            lens.push(len);
+        }
+        let (mut candidates, mut clipped) = (0usize, 0usize);
         let mut nonempty = BTreeSet::new();
         for tile in ts.tile_bounds.points() {
             candidates += 1;
-            if !ts.tile_is_interior(&tile) {
+            let tc = clamp.at(&ts.tile_origin(&tile));
+            if !tc.interior() {
                 clipped += 1;
-                let row_hits = |(start, len): (Vec<i64>, i64)| {
-                    let j0 = t.iteration_fast(&tile, &start);
-                    clip.clip(&j0, &dj, 0, len - 1).is_some()
+                let row_hits = |(r, &len): (usize, &i64)| {
+                    let line = |kk: usize| (tc.base[kk] + res[r * k + kk], slope[kk]);
+                    clamp.clip(0, len - 1, false, line).is_some()
                 };
-                if !t.lattice().rows_in_box(&zero, t.v()).any(row_hits) {
+                if !lens.iter().enumerate().any(row_hits) {
                     continue;
                 }
             }
@@ -232,60 +253,35 @@ impl TiledSpace {
         self.nonempty.iter().cloned()
     }
 
-    /// True iff all `2ⁿ` rational corners of the tile parallelepiped,
-    /// shifted by `-shift`, lie inside `J^n` — which suffices for the whole
-    /// shifted tile by convexity.
-    fn shifted_corners_in_space(&self, tile: &[i64], shift: Option<&[i64]>) -> bool {
-        use tilecc_linalg::Rational;
-        let t = &self.transform;
-        let n = self.dim();
-        let p = t.p();
-        let mut base = p.mul_ivec(tile);
-        if let Some(d) = shift {
-            for k in 0..n {
-                base[k] = base[k] - Rational::from_int(d[k]);
-            }
-        }
-        // Corner offsets: P'·corner with corner_k ∈ {0, v_k}. P'·(V·e_k·…)
-        // column combinations: corner = Σ_k choice_k · v_k · P'_col_k = Σ_k
-        // choice_k · P_col_k (since P'V = ... P = P'·V columnwise: P e_k =
-        // P' V e_k = v_k · P' e_k). So corners are base + Σ choice_k P·e_k.
-        for mask in 0..(1u32 << n) {
-            let mut corner: Vec<Rational> = base.clone();
-            for k in 0..n {
-                if mask & (1 << k) != 0 {
-                    for r in 0..n {
-                        corner[r] += p[(r, k)];
-                    }
-                }
-            }
-            if !self.space.contains_rational(&corner) {
-                return false;
-            }
-        }
-        true
+    /// The origin iteration `P·tile` of tile `tile` (integral: `P` is
+    /// validated integral). Its iterations are `origin + P'·j'`.
+    pub fn tile_origin(&self, tile: &[i64]) -> Vec<i64> {
+        self.p.mul_vec(tile)
     }
 
-    /// True iff tile `tile` lies entirely inside `J^n`. Interior tiles need
-    /// no per-point boundary clamping.
+    /// The space's [`Clamp`] under the dependence columns `deps`, placed at
+    /// closed tile boxes: [`Clamp::at`] a tile's origin gives its interior
+    /// tests and its boundary clip.
+    pub fn clamp_with(&self, deps: &IMat) -> Clamp {
+        Clamp::new(&self.space, deps, &self.p)
+    }
+
+    /// True iff tile `tile` lies entirely inside `J^n` (its closed box's
+    /// corners do, by convexity). Interior tiles need no per-point
+    /// boundary clamping.
     pub fn tile_is_interior(&self, tile: &[i64]) -> bool {
-        self.shifted_corners_in_space(tile, None)
+        self.clamp.at(&self.tile_origin(tile)).interior()
     }
 
     /// The stronger interiority used by the compiled compute fast path: the
     /// tile is interior *and* every dependence source `j − d` of every tile
-    /// point is also inside `J^n` (checked on the corners of the tile
-    /// parallelepiped shifted by `−d`, which suffices by convexity). Such
-    /// tiles run with zero membership tests: every read resolves to an LDS
-    /// cell, never to the kernel's boundary value.
+    /// point is also inside `J^n`. Such tiles run with zero membership
+    /// tests: every read resolves to an LDS cell, never to the kernel's
+    /// boundary value.
     pub fn tile_is_compute_interior(&self, tile: &[i64], deps: &IMat) -> bool {
-        if !self.tile_is_interior(tile) {
-            return false;
-        }
-        (0..deps.cols()).all(|q| {
-            let d = deps.col(q);
-            self.shifted_corners_in_space(tile, Some(&d))
-        })
+        let clamp = self.clamp_with(deps);
+        let tc = clamp.at(&self.tile_origin(tile));
+        tc.compute_interior()
     }
 
     /// Number of [`TiledSpace::tile_iterations`] walks started so far on

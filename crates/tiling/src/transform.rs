@@ -267,29 +267,9 @@ impl TilingTransform {
             .collect()
     }
 
-    /// Inverse of [`TilingTransform::ttis_coord`]: `j = P·j^S + P'·j'`.
-    ///
-    /// # Panics
-    /// Panics if `(tile, j')` does not correspond to an integer iteration
-    /// (i.e. `j'` is not a TTIS lattice point).
-    pub fn iteration(&self, tile: &[i64], jp: &[i64]) -> Vec<i64> {
-        let n = self.dim();
-        let mut out = Vec::with_capacity(n);
-        let a = self.p.mul_ivec(tile);
-        let b = self.p_prime.mul_ivec(jp);
-        for k in 0..n {
-            let r = a[k] + b[k];
-            assert!(
-                r.is_integer(),
-                "({tile:?}, {jp:?}) is not an integer iteration"
-            );
-            out.push(r.to_integer());
-        }
-        out
-    }
-
-    /// Fast integer-only version of [`TilingTransform::iteration`]:
-    /// `j = adj(H')·(V·j^S + j') / det(H')`. Exact for TTIS lattice points.
+    /// Inverse of [`TilingTransform::ttis_coord`], `j = P·j^S + P'·j'`, in
+    /// pure integer arithmetic: `j = adj(H')·(V·j^S + j') / det(H')`. Exact
+    /// for TTIS lattice points.
     ///
     /// # Panics
     /// Panics (in debug builds) if `j'` is not a lattice point of the tile.
@@ -407,7 +387,7 @@ mod tests {
                     for k in 0..3 {
                         assert!(0 <= jp[k] && jp[k] < t.v()[k], "jp={jp:?} j={j:?}");
                     }
-                    assert_eq!(t.iteration(&tile, &jp), j.to_vec());
+                    assert_eq!(t.iteration_fast(&tile, &jp), j.to_vec());
                 }
             }
         }
