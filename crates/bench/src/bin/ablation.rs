@@ -1,7 +1,7 @@
 //! Ablation study: how the design choices of DESIGN.md affect the simulated
 //! completion time.
 //!
-//! 1. Mapping-dimension choice — the paper (after [3]) maps tile chains
+//! 1. Mapping-dimension choice — the paper (after \[3\]) maps tile chains
 //!    along the dimension with the maximum tile count.
 //! 2. Tile-shape ladder for ADI — interior row vs. cone-surface rows.
 //! 3. LDS condensation — memory cells allocated per processor, condensed

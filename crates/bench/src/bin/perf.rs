@@ -1,26 +1,31 @@
-//! Hot-path wall-clock benchmark for the compiled execution path, seeding
-//! the perf trajectory (`BENCH_PR2.json`).
+//! Wall-clock and virtual-time benchmarks of the compiled execution path.
 //!
-//! For each paper workload (SOR/Jacobi/ADI, rectangular and
-//! non-rectangular tilings) it times the four per-tile hot paths — compute
-//! loop, pack, unpack, gather — in both the compiled (flat-index) and the
-//! reference (per-point addressing) form, on a real compute-interior tile
-//! of a real plan, plus the end-to-end `Full`-mode execution. Results are
-//! printed and written to `BENCH_PR2.json` as hand-rolled JSON
-//! (ns/iter per path and the compiled-over-reference speedup).
+//! `perf [--test] [--out <path>]` walks the six paper workloads
+//! (SOR/Jacobi/ADI under rectangular and non-rectangular tilings) once.
+//! For each it
 //!
-//! Usage: `perf [--test|--smoke] [--out <path>]`. With `--test`/`--smoke`
-//! every timed closure runs exactly once (CI smoke mode) and no JSON file
-//! is written.
+//! 1. checks every optimized hot path bitwise against its baselines
+//!    ([`HotPaths::check`]): compute, pack, unpack and gather of a
+//!    compute-interior tile against the per-point loops of
+//!    [`tilecc_bench::per_point`] and the executor's `reference_*` paths,
+//!    and the row-clipped gather of a boundary tile against
+//!    `reference_gather_tile`;
+//! 2. runs the blocking compiled and the overlapped boundary/interior
+//!    strategy in `TimingOnly` mode: the overlapped virtual makespan must
+//!    not exceed the blocking one, with the same bytes sent, and must win
+//!    by at least 1.1x on at least one workload;
+//! 3. times each path's baselines and its optimized form in paired rounds
+//!    (every arm back to back in each round, after warmup), so slow drift
+//!    cancels within a round; a speedup is the median of its per-round
+//!    ratios;
+//! 4. records the compiled and reference `Full`-mode walls of a whole run,
+//!    its virtual makespan and its batched-point coverage.
 //!
-//! Every mode writes its record to `target/bench/<file name>` unless
-//! `--out` names a path: refreshing a tracked `BENCH_PR*.json` takes one.
-//!
-//! `perf --overlap-bench [--out <path>]` instead compares the blocking
-//! compiled strategy against the overlapped boundary/interior schedule on
-//! the paper workloads by deterministic virtual makespan and writes
-//! `BENCH_PR4.json`; overlapping must never lose and must win at least
-//! 1.1x somewhere.
+//! Gates: interior compute at least 3x over the reference path on every
+//! workload, and at least 1.5x over the per-point loop on at least 4 of
+//! the 6. The record goes to `target/bench/hot_paths.json`. With `--test`,
+//! the checks and the overlap gate run, nothing is timed and no JSON is
+//! written.
 //!
 //! `perf --obs-overhead [--test]` instead measures the observability
 //! layer: the compiled compute hot path with the executor's disabled-obs
@@ -29,23 +34,9 @@
 //! real cost and writes the same `perf_obs_trace.json` /
 //! `perf_obs_metrics.json` artifacts the CLI emits.
 //!
-//! `perf --vec-bench [--test] [--out <path>]` compares the row-lowered /
-//! batched hot paths against the per-point baselines of
-//! [`tilecc_bench::per_point`]: the interior compute loop, pack, unpack,
-//! and gather, plus the row-clamped gather of a boundary tile against the
-//! per-point `tile_iterations` walk. Every path is first cross-checked
-//! bitwise against its baseline on the same tile, then timed after warmup
-//! in paired rounds (baseline, then optimized, back to back); a path's
-//! speedup is the median of its per-round ratios. Results — wall-clock
-//! medians, virtual-model makespans, batched-point coverage, and machine
-//! info — go to `BENCH_PR7.json`. Acceptance: the batched interior compute
-//! must beat the per-point loop by >= 1.5x on at least 4 of the 6 paper
-//! workloads. With `--test`, every path runs once (identity checks only)
-//! and no JSON is written.
-//!
 //! `perf --dsl-bench [--test] [--out <path>]` times the four paper
 //! workloads of the `.tk` corpus (`sor`, `jacobi`, `adi`, `adi_paper`, at
-//! the sizes of the other modes) against the walls recorded by the
+//! the sizes of the paper workloads) against the walls recorded by the
 //! hand-coded Rust kernels they replaced. Each kernel's sequential data must first hash to
 //! its frozen fingerprint and its parallel run must match that data
 //! bitwise; then it is timed end-to-end in `Full` mode, each run
@@ -64,18 +55,20 @@
 //! than the paper's fixed `H` on any workload, and strictly better on at
 //! least 2 of the 6. With `--test`, smaller iteration spaces and candidate
 //! caps are used; the gates still apply.
+//!
+//! Every mode writes its record to `target/bench/<file name>` unless
+//! `--out` names a path. Any other argument is a usage error (exit 2).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tilecc::matrices;
 use tilecc_bench::per_point::{
-    self, compute_tile_fast_per_point, gather_tile_per_cell, pack_region_per_index,
-    unpack_region_per_index, PerPoint,
+    compute_tile_fast_per_point, gather_tile_per_cell, pack_region_per_index,
+    unpack_region_per_index, HotPaths, Scratch,
 };
 use tilecc_cluster::{Counter, EngineOptions, MachineModel, MetricsRegistry};
 use tilecc_frontend::{compile_kernel_with, corpus};
-use tilecc_loopnest::DataSpace;
 use tilecc_parcode::compiled::{
     compute_tile_fast, gather_tile, pack_region, unpack_region, ComputeScratch,
 };
@@ -83,21 +76,7 @@ use tilecc_parcode::executor::{
     reference_compute_tile, reference_gather_tile, reference_pack, reference_unpack,
 };
 use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
-use tilecc_tiling::{insert_at, Lds, TilingTransform};
-
-struct PathResult {
-    name: &'static str,
-    /// Iterations (points/cells) per inner run, for the ns/iter scaling.
-    inner: usize,
-    compiled_ns: f64,
-    reference_ns: f64,
-}
-
-impl PathResult {
-    fn speedup(&self) -> f64 {
-        self.reference_ns / self.compiled_ns
-    }
-}
+use tilecc_tiling::TilingTransform;
 
 /// Mean wall time per inner iteration of `f`, in nanoseconds.
 fn time_ns<F: FnMut()>(smoke: bool, inner: usize, mut f: F) -> f64 {
@@ -117,190 +96,6 @@ fn time_ns<F: FnMut()>(smoke: bool, inner: usize, mut f: F) -> f64 {
     elapsed.as_nanos() as f64 / (reps as usize * inner) as f64
 }
 
-/// The first valid boundary (not space-interior) tile of any rank's
-/// chain: `(rank, tpos, tile)`.
-fn find_boundary(plan: &ParallelPlan) -> Option<(usize, i64, Vec<i64>)> {
-    for rank in 0..plan.num_procs() {
-        let (lo_t, hi_t) = plan.dist.chains[rank];
-        for t_abs in lo_t..=hi_t {
-            let tile = insert_at(&plan.dist.pids[rank], plan.m(), t_abs);
-            if plan.tiled.tile_valid(&tile) && !plan.tiled.tile_is_interior(&tile) {
-                return Some((rank, t_abs - lo_t, tile));
-            }
-        }
-    }
-    None
-}
-
-/// The first compute-interior tile of any rank's chain: `(rank, tpos, tile)`.
-fn find_interior(plan: &ParallelPlan) -> Option<(usize, i64, Vec<i64>)> {
-    let deps = plan.deps();
-    for rank in 0..plan.num_procs() {
-        let (lo_t, hi_t) = plan.dist.chains[rank];
-        for t_abs in lo_t..=hi_t {
-            let tile = insert_at(&plan.dist.pids[rank], plan.m(), t_abs);
-            if plan.tiled.tile_is_compute_interior(&tile, deps) {
-                return Some((rank, t_abs - lo_t, tile));
-            }
-        }
-    }
-    None
-}
-
-#[allow(clippy::too_many_lines)]
-fn bench_workload(name: &str, plan: ParallelPlan, smoke: bool) -> (Vec<PathResult>, f64) {
-    let (rank, tpos, tile) =
-        find_interior(&plan).unwrap_or_else(|| panic!("{name}: no compute-interior tile"));
-    let w = plan.algorithm.width();
-    let chain = plan.chain(rank);
-    let origin = plan.tiled.tile_origin(&tile);
-    let kernel = plan.algorithm.kernel.clone();
-
-    let mut lds = plan.rank_lds(rank);
-    // Deterministic non-trivial contents so reads do real work.
-    for (i, x) in lds.values_mut().iter_mut().enumerate() {
-        *x = ((i % 977) as f64) / 977.0;
-    }
-
-    let mut scratch = ComputeScratch::new(plan.dim(), plan.deps().cols(), w);
-    let points = chain.tile_points;
-    let mut results = Vec::new();
-
-    // --- compute loop -----------------------------------------------------
-    let compiled_ns = {
-        let lds = &mut lds;
-        let scratch = &mut scratch;
-        time_ns(smoke, points, || {
-            compute_tile_fast(
-                chain,
-                lds,
-                tpos,
-                &origin,
-                kernel.as_ref(),
-                scratch,
-                &chain.walk,
-                None,
-            );
-        })
-    };
-    let reference_ns = {
-        let lds = &mut lds;
-        time_ns(smoke, points, || {
-            reference_compute_tile(&plan, lds, tpos, &tile);
-        })
-    };
-    results.push(PathResult {
-        name: "compute",
-        inner: points,
-        compiled_ns,
-        reference_ns,
-    });
-
-    // --- pack / unpack ----------------------------------------------------
-    if !plan.comm.proc_deps.is_empty() {
-        let dm_idx = 0usize;
-        let count = plan.region_counts[dm_idx];
-        let mut payload = vec![0.0f64; count * w];
-        let compiled_ns = {
-            let (lds, payload) = (&lds, &mut payload);
-            time_ns(smoke, count, || {
-                pack_region(chain, lds, tpos, dm_idx, payload);
-            })
-        };
-        let reference_ns = {
-            let (lds, payload) = (&lds, &mut payload);
-            time_ns(smoke, count, || {
-                reference_pack(&plan, lds, tpos, dm_idx, payload);
-            })
-        };
-        results.push(PathResult {
-            name: "pack",
-            inner: count,
-            compiled_ns,
-            reference_ns,
-        });
-
-        // A tile dependence backed by this processor dependence.
-        let ds_idx = plan
-            .comm
-            .dm_of_ds
-            .iter()
-            .position(|d| *d == Some(dm_idx))
-            .expect("every proc dep comes from a tile dep");
-        let compiled_ns = {
-            let (lds, payload) = (&mut lds, &payload);
-            time_ns(smoke, count, || {
-                unpack_region(chain, lds, tpos, ds_idx, payload).unwrap();
-            })
-        };
-        let reference_ns = {
-            let (lds, payload) = (&mut lds, &payload);
-            time_ns(smoke, count, || {
-                reference_unpack(&plan, lds, tpos, ds_idx, dm_idx, payload);
-            })
-        };
-        results.push(PathResult {
-            name: "unpack",
-            inner: count,
-            compiled_ns,
-            reference_ns,
-        });
-    }
-
-    // --- gather -----------------------------------------------------------
-    let (blo, bhi) = plan.algorithm.nest.bounding_box();
-    let mut ds_global = DataSpace::with_width(&blo, &bhi, w);
-    let compiled_ns = {
-        let (lds, ds_global) = (&lds, &mut ds_global);
-        time_ns(smoke, points, || {
-            gather_tile(chain, lds, tpos, &origin, None, ds_global);
-        })
-    };
-    let reference_ns = {
-        let (lds, ds_global) = (&lds, &mut ds_global);
-        time_ns(smoke, points, || {
-            reference_gather_tile(&plan, lds, tpos, &tile, ds_global);
-        })
-    };
-    results.push(PathResult {
-        name: "gather",
-        inner: points,
-        compiled_ns,
-        reference_ns,
-    });
-
-    // --- end-to-end Full-mode execution (real wall clock) -----------------
-    let plan = Arc::new(plan);
-    let model = MachineModel::fast_ethernet_p3();
-    let run = |strategy: ExecStrategy| {
-        execute(
-            plan.clone(),
-            model,
-            ExecMode::Full,
-            strategy,
-            Backend::Threaded,
-            EngineOptions::default(),
-        )
-        .expect("execution failed")
-    };
-    let e2e = if smoke {
-        let _ = run(ExecStrategy::Compiled);
-        0.0
-    } else {
-        let wall = |strategy| {
-            let mut best = Duration::MAX;
-            for _ in 0..5 {
-                let t0 = Instant::now();
-                let _ = run(strategy);
-                best = best.min(t0.elapsed());
-            }
-            best.as_secs_f64()
-        };
-        wall(ExecStrategy::Reference) / wall(ExecStrategy::Compiled)
-    };
-    (results, e2e)
-}
-
 /// Measure the cost of the observability layer on the compiled hot path.
 ///
 /// The executor's per-tile instrumentation reduces to `Option` tests when no
@@ -317,24 +112,19 @@ fn obs_overhead(smoke: bool) {
         Some(2),
     )
     .unwrap();
-    let (rank, tpos, tile) = find_interior(&plan).expect("no compute-interior tile");
+    let hot = HotPaths::new(&plan).expect("the SOR plan has an interior and a boundary tile");
+    let (rank, tpos, origin) = (hot.interior.rank, hot.interior.tpos, &hot.interior.origin);
     let w = plan.algorithm.width();
     let chain = plan.chain(rank);
-    let origin = plan.tiled.tile_origin(&tile);
     let q = plan.deps().cols();
     let kernel = plan.algorithm.kernel.clone();
-    let mut lds = plan.rank_lds(rank);
-    for (i, x) in lds.values_mut().iter_mut().enumerate() {
-        *x = ((i % 977) as f64) / 977.0;
-    }
+    let mut lds = hot.interior.lds(&plan);
     let mut scratch = ComputeScratch::new(plan.dim(), q, w);
     let points = chain.tile_points;
 
-    // A registry that is never installed — runtime-dependent so the branch
-    // is real, exactly like the executor's `comm.obs()` test.
-    let disabled: Option<Arc<MetricsRegistry>> = std::env::args()
-        .any(|a| a == "--never-matches")
-        .then(MetricsRegistry::new);
+    // A registry that is never installed, opaque to the optimizer so the
+    // branch is real, exactly like the executor's `comm.obs()` test.
+    let disabled: Option<Arc<MetricsRegistry>> = std::hint::black_box(None);
 
     // Paired median-of-ratios: measure raw and gated back-to-back each
     // round so slow drift (frequency scaling, noisy neighbours) cancels
@@ -349,32 +139,14 @@ fn obs_overhead(smoke: bool) {
         let disabled = &disabled;
         for _ in 0..runs {
             let r = time_ns(smoke, points, || {
-                compute_tile_fast(
-                    chain,
-                    lds,
-                    tpos,
-                    &origin,
-                    kernel,
-                    scratch,
-                    &chain.walk,
-                    None,
-                );
+                compute_tile_fast(chain, lds, tpos, origin, kernel, scratch, &chain.walk, None);
             });
             let g = time_ns(smoke, points, || {
                 // The executor's per-tile pattern with obs off: one branch
                 // before the tile (timestamp capture skipped) and one after
                 // (histogram/span recording skipped).
                 let t0 = disabled.as_ref().map(|_| Instant::now());
-                compute_tile_fast(
-                    chain,
-                    lds,
-                    tpos,
-                    &origin,
-                    kernel,
-                    scratch,
-                    &chain.walk,
-                    None,
-                );
+                compute_tile_fast(chain, lds, tpos, origin, kernel, scratch, &chain.walk, None);
                 if let Some(reg) = disabled.as_ref() {
                     reg.rank_metrics(rank); // never reached
                     let _ = t0;
@@ -456,86 +228,6 @@ fn obs_overhead(smoke: bool) {
     );
 }
 
-/// Virtual-makespan comparison of the blocking compiled strategy against
-/// the overlapped boundary/interior schedule, written to `BENCH_PR4.json`.
-///
-/// Makespans are deterministic virtual model times — not wall clock — so
-/// this benchmark runs, asserts, and writes its JSON identically in smoke
-/// mode; CI uses it as a release-mode acceptance gate.
-fn overlap_bench(out_path: &str) {
-    let model = MachineModel::fast_ethernet_p3();
-    let mut json =
-        String::from("{\n  \"bench\": \"PR4 overlapped boundary/interior execution\",\n");
-    json.push_str("  \"unit\": \"virtual_seconds\",\n  \"workloads\": {\n");
-    let workloads = paper_workloads();
-    let nw = workloads.len();
-    let mut max_speedup = 0.0f64;
-    for (wi, (name, plan)) in workloads.into_iter().enumerate() {
-        let plan = Arc::new(plan);
-        let run = |strategy: ExecStrategy| {
-            let reg = MetricsRegistry::new();
-            let res = execute(
-                plan.clone(),
-                model,
-                ExecMode::TimingOnly,
-                strategy,
-                Backend::Threaded,
-                EngineOptions {
-                    obs: Some(reg.clone()),
-                    ..EngineOptions::default()
-                },
-            )
-            .expect("execution failed");
-            let hidden: f64 = reg
-                .run_report(&res.report.local_times)
-                .ranks
-                .iter()
-                .map(|r| r.overlap_hidden)
-                .sum();
-            (res, hidden)
-        };
-        let (blocking, _) = run(ExecStrategy::Compiled);
-        let (overlapped, hidden) = run(ExecStrategy::Overlapped);
-        assert_eq!(
-            blocking.report.total(Counter::BytesSent),
-            overlapped.report.total(Counter::BytesSent),
-            "{name}: overlapping must not change traffic"
-        );
-        assert!(
-            overlapped.makespan() <= blocking.makespan() + 1e-12,
-            "acceptance: {name} overlapped {} must not exceed blocking {}",
-            overlapped.makespan(),
-            blocking.makespan()
-        );
-        let speedup = blocking.makespan() / overlapped.makespan();
-        max_speedup = max_speedup.max(speedup);
-        println!(
-            "  {name:<12} blocking {:.6} s  overlapped {:.6} s  speedup {speedup:.3}x  hidden {:.6} s",
-            blocking.makespan(),
-            overlapped.makespan(),
-            hidden
-        );
-        let _ = writeln!(
-            json,
-            "    \"{name}\": {{\"blocking_makespan\": {:.9}, \"overlapped_makespan\": {:.9}, \
-             \"speedup\": {:.3}, \"overlap_hidden\": {:.9}}}{}",
-            blocking.makespan(),
-            overlapped.makespan(),
-            speedup,
-            hidden,
-            if wi + 1 < nw { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  }},\n  \"max_speedup\": {max_speedup:.3}\n}}");
-    assert!(
-        max_speedup >= 1.1,
-        "acceptance: overlapping must win >= 1.1x on at least one paper workload \
-         (best {max_speedup:.3}x)"
-    );
-    std::fs::write(out_path, &json).expect("write bench JSON");
-    println!("wrote {out_path} (max overlap speedup {max_speedup:.3}x)");
-}
-
 /// Wall-clock statistics of one path in ns per inner iteration: the median
 /// round is the headline number (noise-robust); the minimum is kept as the
 /// optimistic floor.
@@ -547,24 +239,38 @@ struct WallStat {
 const WALL_WARMUP_RUNS: usize = 3;
 const WALL_ROUNDS: usize = 15;
 const MIN_ROUND_MS: u64 = 10;
+/// Timed `Full`-mode runs per strategy; the best wall is recorded.
+const E2E_RUNS: usize = 3;
 
-/// Paired wall-clock comparison of a `baseline` and an `optimized` path on
-/// the shared `state`: warmup runs of both, then `WALL_ROUNDS` rounds that
-/// each time one batch of at least `MIN_ROUND_MS` of the baseline and then
-/// one of the optimized path, back to back, so slow drift (frequency
-/// scaling, noisy neighbours) cancels within the pair. The speedup is the
-/// median of the per-round ratios, as in `--obs-overhead`. Smoke mode
-/// times nothing and reports zeros.
+/// One hot path's paired timing in ns per inner iteration.
+struct PathStat {
+    name: &'static str,
+    inner: usize,
+    optimized: WallStat,
+    /// Each baseline's label, wall statistics and speedup: the median of
+    /// its per-round baseline/optimized ratios.
+    baselines: Vec<(&'static str, WallStat, f64)>,
+}
+
+/// One timed arm of [`paired_stat`].
+type Arm<'a, S> = &'a mut dyn FnMut(&mut S);
+
+/// Paired wall-clock comparison of `baselines` and an `optimized` path on
+/// the shared `state`: warmup runs of every arm, then `WALL_ROUNDS` rounds
+/// that each time one batch of at least `MIN_ROUND_MS` of every baseline
+/// and then of the optimized path, back to back, so slow drift (frequency
+/// scaling, noisy neighbours) cancels within the round.
 fn paired_stat<S>(
     name: &'static str,
-    smoke: bool,
     inner: usize,
     state: &mut S,
-    mut baseline: impl FnMut(&mut S),
-    mut optimized: impl FnMut(&mut S),
-) -> VecPath {
+    baselines: &mut [(&'static str, Arm<'_, S>)],
+    optimized: Arm<'_, S>,
+) -> PathStat {
     for _ in 0..WALL_WARMUP_RUNS {
-        baseline(state);
+        for (_, f) in baselines.iter_mut() {
+            f(state);
+        }
         optimized(state);
     }
     let mut round = |f: &mut dyn FnMut(&mut S)| {
@@ -576,28 +282,34 @@ fn paired_stat<S>(
         }
         t0.elapsed().as_nanos() as f64 / (reps as usize * inner) as f64
     };
-    let rounds = if smoke { 0 } else { WALL_ROUNDS };
-    let (mut base_ns, mut opt_ns, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    for _ in 0..rounds {
-        let b = round(&mut baseline);
-        let o = round(&mut optimized);
-        base_ns.push(b);
-        opt_ns.push(o);
-        ratios.push(b / o);
+    let mut base_ns = vec![Vec::with_capacity(WALL_ROUNDS); baselines.len()];
+    let mut opt_ns = Vec::with_capacity(WALL_ROUNDS);
+    for _ in 0..WALL_ROUNDS {
+        for ((_, f), ns) in baselines.iter_mut().zip(&mut base_ns) {
+            ns.push(round(&mut **f));
+        }
+        opt_ns.push(round(&mut *optimized));
     }
     let stat = |mut s: Vec<f64>| {
         s.sort_by(f64::total_cmp);
         WallStat {
-            median_ns: s.get(s.len() / 2).copied().unwrap_or(0.0),
-            min_ns: s.first().copied().unwrap_or(0.0),
+            median_ns: s[s.len() / 2],
+            min_ns: s[0],
         }
     };
-    VecPath {
+    let baselines = baselines
+        .iter()
+        .zip(base_ns)
+        .map(|((label, _), ns)| {
+            let ratios = ns.iter().zip(&opt_ns).map(|(b, o)| b / o).collect();
+            (*label, stat(ns), stat(ratios).median_ns)
+        })
+        .collect();
+    PathStat {
         name,
         inner,
-        baseline: stat(base_ns),
         optimized: stat(opt_ns),
-        speedup: stat(ratios).median_ns,
+        baselines,
     }
 }
 
@@ -621,331 +333,283 @@ fn machine_json() -> String {
     )
 }
 
-/// One optimized-vs-baseline hot path of the vec bench.
-struct VecPath {
-    name: &'static str,
-    inner: usize,
-    baseline: WallStat,
-    optimized: WallStat,
-    /// Median of the per-round baseline/optimized ratios.
-    speedup: f64,
-}
-
-/// Wall-clock comparison of the row-lowered/batched hot paths against the
-/// per-point baselines ([`tilecc_bench::per_point`]), written to
-/// `BENCH_PR7.json`.
-///
-/// Every optimized path is first cross-checked bitwise against its
-/// baseline on the same tile state, so a timing win can never hide a
-/// semantic change. Acceptance (non-smoke): batched interior compute at
-/// least 1.5x over the per-point loop on at least 4 of the 6 paper
-/// workloads, by the median of paired per-round ratios.
-#[allow(clippy::too_many_lines)]
-fn vec_bench(out_path: &str, smoke: bool) {
+/// The paper-workload bench (see the module doc), written to `out_path`.
+fn hot_paths(out_path: &str, smoke: bool) {
     let model = MachineModel::fast_ethernet_p3();
     let mut json = String::from(
-        "{\n  \"bench\": \"PR7 vectorized interior kernels + run-coalesced pack/unpack/gather\",\n",
+        "{\n  \"bench\": \"paper-workload hot paths vs per-point and reference baselines\",\n",
     );
     json.push_str("  \"unit\": \"ns_per_iter\",\n");
-    json.push_str("  \"baseline\": \"PR2 per-point/per-index hot paths (kept verbatim)\",\n");
     let _ = writeln!(
         json,
         "  \"timing\": {{\"warmup_runs\": {WALL_WARMUP_RUNS}, \"rounds\": {WALL_ROUNDS}, \
          \"statistic\": \"median\", \"speedup\": \"median of paired per-round ratios\", \
-         \"min_round_ms\": {MIN_ROUND_MS}}},"
+         \"min_round_ms\": {MIN_ROUND_MS}, \"e2e_runs\": {E2E_RUNS}}},"
     );
     let _ = writeln!(json, "  \"machine\": {},", machine_json());
     json.push_str("  \"workloads\": {\n");
 
     let workloads = paper_workloads();
     let nw = workloads.len();
-    let mut compute_wins = 0u32;
+    let (mut min_reference, mut per_point_wins, mut max_overlap) = (f64::INFINITY, 0u32, 0.0f64);
     for (wi, (name, plan)) in workloads.into_iter().enumerate() {
         println!("== {name} ==");
-        let (rank, tpos, tile) =
-            find_interior(&plan).unwrap_or_else(|| panic!("{name}: no compute-interior tile"));
-        let n = plan.dim();
-        let (lo_t, hi_t) = plan.dist.chains[rank];
-        let num_tiles = hi_t - lo_t + 1;
-        let w = plan.algorithm.width();
-        let chain = plan.chain(rank);
-        let pp = PerPoint::new(&plan, num_tiles);
-        let origin = plan.tiled.tile_origin(&tile);
-        let q = plan.deps().cols();
-        let kernel = plan.algorithm.kernel.clone();
-        let kernel = kernel.as_ref();
-        let points = chain.tile_points;
+        let plan = Arc::new(plan);
+        let hot = HotPaths::new(&plan).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let batched = hot.check().unwrap_or_else(|e| panic!("{name}: {e}"));
         // SOR's skewed innermost dependence has lag 1, so its plan cannot
         // batch (the analysis proves any chunk would read stale values);
         // it must still win on the row-copy pack/unpack/gather paths.
         let expect_batched = !name.starts_with("sor");
-
-        let mut lds = plan.rank_lds(rank);
-        let fill = |lds: &mut Lds| {
-            for (i, x) in lds.values_mut().iter_mut().enumerate() {
-                *x = ((i % 977) as f64) / 977.0;
-            }
-        };
-        let mut scratch = ComputeScratch::new(n, q, w);
-        let mut base_scratch = per_point::Scratch::new(n, q, w);
-
-        // --- bitwise identity: batched == per-point on the same tile ------
-        fill(&mut lds);
-        compute_tile_fast_per_point(&pp, &mut lds, tpos, &origin, kernel, &mut base_scratch);
-        let want: Vec<u64> = lds.values().iter().map(|v| v.to_bits()).collect();
-        fill(&mut lds);
-        let (_, batched) = compute_tile_fast(
-            chain,
-            &mut lds,
-            tpos,
-            &origin,
-            kernel,
-            &mut scratch,
-            &chain.walk,
-            None,
-        );
-        let got: Vec<u64> = lds.values().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(
-            want, got,
-            "{name}: batched compute differs bitwise from the per-point loop"
-        );
         assert!(
             !expect_batched || batched > 0,
             "{name}: plan-time lag analysis produced no batched rows"
         );
-        let batched_fraction = batched as f64 / points as f64;
-        let mut paths: Vec<VecPath> = Vec::new();
+        let points = plan.chain(hot.interior.rank).tile_points;
+        let paths = if smoke { Vec::new() } else { time_paths(&hot) };
 
-        // --- interior compute ---------------------------------------------
-        fill(&mut lds);
-        paths.push(paired_stat(
-            "compute",
-            smoke,
-            points,
-            &mut (&mut lds, &mut base_scratch, &mut scratch),
-            |(lds, scr, _)| compute_tile_fast_per_point(&pp, lds, tpos, &origin, kernel, scr),
-            |(lds, _, scr)| {
-                compute_tile_fast(chain, lds, tpos, &origin, kernel, scr, &chain.walk, None);
-            },
-        ));
-
-        // --- pack / unpack -------------------------------------------------
-        fill(&mut lds);
-        if !plan.comm.proc_deps.is_empty() {
-            let dm_idx = 0usize;
-            let count = plan.region_counts[dm_idx];
-            let mut payload = vec![0.0f64; count * w];
-            let mut payload_base = vec![0.0f64; count * w];
-            pack_region_per_index(&pp, &lds, tpos, dm_idx, &mut payload_base);
-            pack_region(chain, &lds, tpos, dm_idx, &mut payload);
-            assert_eq!(
-                payload_base.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                payload.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "{name}: row-copy pack differs bitwise from per-index pack"
-            );
-            paths.push(paired_stat(
-                "pack",
-                smoke,
-                count,
-                &mut payload,
-                |payload| pack_region_per_index(&pp, &lds, tpos, dm_idx, payload),
-                |payload| pack_region(chain, &lds, tpos, dm_idx, payload),
-            ));
-
-            let ds_idx = plan
-                .comm
-                .dm_of_ds
-                .iter()
-                .position(|d| *d == Some(dm_idx))
-                .expect("every proc dep comes from a tile dep");
-            let ucount = chain.unpack[ds_idx].points;
-            let upayload: Vec<f64> = (0..ucount * w).map(|i| 1.0 + 0.5 * i as f64).collect();
-            fill(&mut lds);
-            unpack_region_per_index(&pp, &mut lds, tpos, ds_idx, &upayload).unwrap();
-            let want: Vec<u64> = lds.values().iter().map(|v| v.to_bits()).collect();
-            fill(&mut lds);
-            unpack_region(chain, &mut lds, tpos, ds_idx, &upayload).unwrap();
-            let got: Vec<u64> = lds.values().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                want, got,
-                "{name}: row-copy unpack differs bitwise from per-index unpack"
-            );
-            paths.push(paired_stat(
-                "unpack",
-                smoke,
-                ucount,
-                &mut lds,
-                |lds| unpack_region_per_index(&pp, lds, tpos, ds_idx, &upayload).unwrap(),
-                |lds| unpack_region(chain, lds, tpos, ds_idx, &upayload).unwrap(),
-            ));
-        }
-
-        // --- gather --------------------------------------------------------
-        let (blo, bhi) = plan.algorithm.nest.bounding_box();
-        fill(&mut lds);
-        let mut ds_base = DataSpace::with_width(&blo, &bhi, w);
-        let mut ds_opt = DataSpace::with_width(&blo, &bhi, w);
-        gather_tile_per_cell(&pp, &lds, tpos, &origin, &mut ds_base);
-        gather_tile(chain, &lds, tpos, &origin, None, &mut ds_opt);
-        assert_eq!(
-            ds_base.diff(&ds_opt),
-            None,
-            "{name}: row-copy gather differs bitwise from per-cell gather"
-        );
-        paths.push(paired_stat(
-            "gather",
-            smoke,
-            points,
-            &mut ds_opt,
-            |ds| gather_tile_per_cell(&pp, &lds, tpos, &origin, ds),
-            |ds| gather_tile(chain, &lds, tpos, &origin, None, ds),
-        ));
-
-        // --- boundary gather: row-clamped vs the per-point walk ------------
-        let (brank, btpos, btile) =
-            find_boundary(&plan).unwrap_or_else(|| panic!("{name}: no boundary tile"));
-        let bchain = plan.chain(brank);
-        let borigin = plan.tiled.tile_origin(&btile);
-        let clamp = plan.clamp.at(&borigin);
-        let mut blds = plan.rank_lds(brank);
-        fill(&mut blds);
-        let walk = |lds: &Lds, ds: &mut DataSpace| {
-            let mut vals = vec![0.0f64; w];
-            for (jp, j) in plan.tiled.tile_iterations(&btile) {
-                lds.get_into(&lds.unrolled(btpos, &jp), &mut vals);
-                ds.set_all(&j, &vals);
-            }
-        };
-        let mut ds_base = DataSpace::with_width(&blo, &bhi, w);
-        let mut ds_opt = DataSpace::with_width(&blo, &bhi, w);
-        walk(&blds, &mut ds_base);
-        gather_tile(bchain, &blds, btpos, &borigin, Some(&clamp), &mut ds_opt);
-        assert_eq!(
-            ds_base.diff(&ds_opt),
-            None,
-            "{name}: row-clamped boundary gather differs bitwise from the tile_iterations walk"
-        );
-        let bpoints = ds_base.num_written();
-        paths.push(paired_stat(
-            "gather_boundary",
-            smoke,
-            bpoints,
-            &mut ds_opt,
-            |ds| walk(&blds, ds),
-            |ds| gather_tile(bchain, &blds, btpos, &borigin, Some(&clamp), ds),
-        ));
-
-        // --- end-to-end: virtual makespan + wall clock + batch coverage ---
-        let plan = Arc::new(plan);
-        let reg = MetricsRegistry::new();
-        let full = execute(
-            plan.clone(),
-            model,
-            ExecMode::Full,
-            ExecStrategy::Compiled,
-            Backend::Threaded,
-            EngineOptions {
-                obs: Some(reg.clone()),
+        let run = |mode, strategy, obs| {
+            let opts = EngineOptions {
+                obs,
                 ..EngineOptions::default()
-            },
-        )
-        .expect("execution failed");
-        let rep = reg.run_report(&full.report.local_times);
-        let e2e_vectorized = rep.total(Counter::VectorizedPoints);
-        let e2e_iterations = rep.total(Counter::Iterations);
+            };
+            execute(plan.clone(), model, mode, strategy, Backend::Threaded, opts)
+                .expect("execution failed")
+        };
+
+        // --- overlap gate: deterministic virtual makespans ---------------
+        let timing_only = |strategy| {
+            let reg = MetricsRegistry::new();
+            let res = run(ExecMode::TimingOnly, strategy, Some(reg.clone()));
+            let report = reg.run_report(&res.report.local_times);
+            let hidden: f64 = report.ranks.iter().map(|r| r.overlap_hidden).sum();
+            (res.report.total(Counter::BytesSent), res.makespan(), hidden)
+        };
+        let (blocking_bytes, blocking, _) = timing_only(ExecStrategy::Compiled);
+        let (overlapped_bytes, overlapped, hidden) = timing_only(ExecStrategy::Overlapped);
+        assert_eq!(
+            blocking_bytes, overlapped_bytes,
+            "{name}: overlapping must not change traffic"
+        );
+        assert!(
+            overlapped <= blocking + 1e-12,
+            "acceptance: {name} overlapped {overlapped} must not exceed blocking {blocking}"
+        );
+        let overlap_speedup = blocking / overlapped;
+        max_overlap = max_overlap.max(overlap_speedup);
+
+        // --- end-to-end: virtual makespan, batch coverage, walls ---------
+        let reg = MetricsRegistry::new();
+        let full = run(ExecMode::Full, ExecStrategy::Compiled, Some(reg.clone()));
+        let report = reg.run_report(&full.report.local_times);
+        let e2e_vectorized = report.total(Counter::VectorizedPoints);
+        let e2e_iterations = report.total(Counter::Iterations);
         assert!(
             !expect_batched || e2e_vectorized > 0,
             "{name}: end-to-end run reported no batched points"
         );
         let virtual_makespan = full.makespan();
-        let e2e_wall_s = if smoke {
-            0.0
-        } else {
-            let mut best = Duration::MAX;
-            for _ in 0..3 {
+        let wall = |strategy| {
+            (0..E2E_RUNS).fold(f64::INFINITY, |best, _| {
                 let t0 = Instant::now();
-                let _ = execute(
-                    plan.clone(),
-                    model,
-                    ExecMode::Full,
-                    ExecStrategy::Compiled,
-                    Backend::Threaded,
-                    EngineOptions::default(),
-                )
-                .expect("execution failed");
-                best = best.min(t0.elapsed());
-            }
-            best.as_secs_f64()
+                run(ExecMode::Full, strategy, None);
+                best.min(t0.elapsed().as_secs_f64())
+            })
+        };
+        let (e2e_wall_s, e2e_reference_s) = if smoke {
+            (0.0, 0.0)
+        } else {
+            (wall(ExecStrategy::Compiled), wall(ExecStrategy::Reference))
         };
 
-        // --- report --------------------------------------------------------
+        // --- report ------------------------------------------------------
         let _ = write!(json, "    \"{name}\": {{\n      \"paths\": {{\n");
-        let np = paths.len();
         for (i, p) in paths.iter().enumerate() {
-            if smoke {
-                println!("  {:<15} ok (smoke, {} iters)", p.name, p.inner);
-            } else {
-                println!(
-                    "  {:<15} per-point {:>8.2} ns/iter  optimized {:>8.2} ns/iter  speedup {:>5.2}x  ({} iters)",
-                    p.name,
-                    p.baseline.median_ns,
-                    p.optimized.median_ns,
-                    p.speedup,
-                    p.inner
-                );
-            }
-            if p.name == "compute" && p.speedup >= 1.5 {
-                compute_wins += 1;
-            }
-            let _ = writeln!(
-                json,
-                "        \"{}\": {{\"baseline_ns\": {:.2}, \"optimized_ns\": {:.2}, \
-                 \"baseline_min_ns\": {:.2}, \"optimized_min_ns\": {:.2}, \
-                 \"speedup\": {:.3}, \"iters\": {}}}{}",
-                p.name,
-                p.baseline.median_ns,
-                p.optimized.median_ns,
-                p.baseline.min_ns,
-                p.optimized.min_ns,
-                p.speedup,
-                p.inner,
-                if i + 1 < np { "," } else { "" }
+            let mut line = format!(
+                "  {:<15} optimized {:>8.2} ns/iter",
+                p.name, p.optimized.median_ns
             );
+            let _ = write!(
+                json,
+                "        \"{}\": {{\"optimized_ns\": {:.2}, \"optimized_min_ns\": {:.2}",
+                p.name, p.optimized.median_ns, p.optimized.min_ns
+            );
+            for (label, stat, speedup) in &p.baselines {
+                let _ = write!(line, "  {label} {:>8.2} ({speedup:>5.2}x)", stat.median_ns);
+                let _ = write!(
+                    json,
+                    ", \"{label}_ns\": {:.2}, \"{label}_min_ns\": {:.2}, \"{label}_speedup\": {speedup:.3}",
+                    stat.median_ns, stat.min_ns
+                );
+                if p.name == "compute" && *label == "reference" {
+                    min_reference = min_reference.min(*speedup);
+                }
+                if p.name == "compute" && *label == "per_point" && *speedup >= 1.5 {
+                    per_point_wins += 1;
+                }
+            }
+            println!("{line}  ({} iters)", p.inner);
+            let comma = if i + 1 < paths.len() { "," } else { "" };
+            let _ = writeln!(json, ", \"iters\": {}}}{comma}", p.inner);
         }
+        if smoke {
+            println!("  every hot path agrees bitwise with its baselines");
+        }
+        println!(
+            "  overlap         blocking {blocking} s  overlapped {overlapped} s  \
+             speedup {overlap_speedup:.3}x  hidden {hidden:.6} s"
+        );
+        println!(
+            "  end-to-end      batched {batched}/{points} tile points, \
+             {e2e_vectorized}/{e2e_iterations} iterations"
+        );
         if !smoke {
             println!(
-                "  batched {batched}/{points} tile points ({:.1}%); end-to-end {e2e_vectorized}/{e2e_iterations} iterations; wall {:.1} ms; virtual makespan {virtual_makespan:.6} s",
-                100.0 * batched_fraction,
+                "  Full-mode wall  compiled {:.1} ms  reference {:.1} ms ({:.2}x)",
                 e2e_wall_s * 1e3,
+                e2e_reference_s * 1e3,
+                e2e_reference_s / e2e_wall_s
             );
         }
         let _ = writeln!(
             json,
             "      }},\n      \"tile_points\": {points},\n      \"batched_points\": {batched},\n      \
-             \"batched_fraction\": {batched_fraction:.4},\n      \
+             \"batched_fraction\": {:.4},\n      \
              \"e2e_vectorized_points\": {e2e_vectorized},\n      \
              \"e2e_iterations\": {e2e_iterations},\n      \
-             \"virtual_makespan_s\": {virtual_makespan:.9},\n      \
-             \"e2e_wall_s\": {e2e_wall_s:.6}\n    }}{}",
+             \"virtual_makespan_s\": {virtual_makespan},\n      \
+             \"e2e_wall_s\": {e2e_wall_s:.6},\n      \
+             \"e2e_reference_wall_s\": {e2e_reference_s:.6},\n      \
+             \"overlap\": {{\"blocking_makespan\": {blocking}, \"overlapped_makespan\": {overlapped}, \
+             \"speedup\": {overlap_speedup:.3}, \"overlap_hidden\": {hidden:.9}}}\n    }}{}",
+            batched as f64 / points as f64,
             if wi + 1 < nw { "," } else { "" }
         );
     }
     let _ = writeln!(
         json,
-        "  }},\n  \"compute_workloads_ge_1_5x\": {compute_wins}\n}}"
+        "  }},\n  \"gates\": {{\"min_compute_speedup_reference\": {min_reference:.3}, \
+         \"compute_workloads_ge_1_5x_per_point\": {per_point_wins}, \
+         \"max_overlap_speedup\": {max_overlap:.3}}}\n}}"
     );
-
+    assert!(
+        max_overlap >= 1.1,
+        "acceptance: overlapping must win >= 1.1x on at least one paper workload \
+         (best {max_overlap:.3}x)"
+    );
     if smoke {
-        println!("vec-bench smoke: all paths bitwise-checked and ran once; no JSON written");
+        println!("smoke: every hot path checked and the overlap gate passed; nothing timed, no JSON written");
         return;
     }
     assert!(
-        compute_wins >= 4,
-        "acceptance: batched interior compute must be >= 1.5x over the per-point loop \
-         on at least 4 of 6 paper workloads (got {compute_wins})"
+        min_reference >= 3.0,
+        "acceptance: interior compute must be >= 3x over the reference path on every \
+         paper workload (got {min_reference:.2}x)"
+    );
+    assert!(
+        per_point_wins >= 4,
+        "acceptance: interior compute must be >= 1.5x over the per-point loop on at least \
+         4 of 6 paper workloads (got {per_point_wins})"
     );
     std::fs::write(out_path, &json).expect("write bench JSON");
-    println!("wrote {out_path} ({compute_wins}/6 workloads >= 1.5x on interior compute)");
+    println!(
+        "wrote {out_path} (compute >= {min_reference:.2}x over reference; {per_point_wins}/6 \
+         workloads >= 1.5x over per-point; max overlap speedup {max_overlap:.3}x)"
+    );
+}
+
+/// Every hot path of `hot` timed against its baselines by [`paired_stat`],
+/// each from the state [`HotPaths::check`] checks it on.
+fn time_paths(hot: &HotPaths) -> Vec<PathStat> {
+    let (plan, s, pp) = (hot.plan, &hot.interior, &hot.pp);
+    let (n, q, w) = (plan.dim(), plan.deps().cols(), plan.algorithm.width());
+    let (chain, kernel) = (plan.chain(s.rank), plan.algorithm.kernel.as_ref());
+    let (tpos, origin, tile) = (s.tpos, &s.origin[..], &s.tile[..]);
+    let points = chain.tile_points;
+
+    let mut state = (
+        s.lds(plan),
+        Scratch::new(n, q, w),
+        ComputeScratch::new(n, q, w),
+    );
+    let mut paths = vec![paired_stat(
+        "compute",
+        points,
+        &mut state,
+        &mut [
+            ("per_point", &mut |(lds, scr, _)| {
+                compute_tile_fast_per_point(pp, lds, tpos, origin, kernel, scr);
+            }),
+            ("reference", &mut |(lds, _, _)| {
+                reference_compute_tile(plan, lds, tpos, tile);
+            }),
+        ],
+        &mut |(lds, _, scr)| {
+            compute_tile_fast(chain, lds, tpos, origin, kernel, scr, &chain.walk, None);
+        },
+    )];
+
+    let lds = s.lds(plan);
+    if let Some((dm_idx, ds_idx)) = hot.region {
+        let count = plan.region_counts[dm_idx];
+        paths.push(paired_stat(
+            "pack",
+            count,
+            &mut vec![0.0f64; count * w],
+            &mut [
+                ("per_point", &mut |p| {
+                    pack_region_per_index(pp, &lds, tpos, dm_idx, p)
+                }),
+                ("reference", &mut |p| {
+                    reference_pack(plan, &lds, tpos, dm_idx, p)
+                }),
+            ],
+            &mut |p| pack_region(chain, &lds, tpos, dm_idx, p),
+        ));
+        let payload = hot.unpack_payload(ds_idx);
+        paths.push(paired_stat(
+            "unpack",
+            payload.len() / w,
+            &mut s.lds(plan),
+            &mut [
+                ("per_point", &mut |lds| {
+                    unpack_region_per_index(pp, lds, tpos, ds_idx, &payload).unwrap();
+                }),
+                ("reference", &mut |lds| {
+                    reference_unpack(plan, lds, tpos, ds_idx, dm_idx, &payload);
+                }),
+            ],
+            &mut |lds| unpack_region(chain, lds, tpos, ds_idx, &payload).unwrap(),
+        ));
+    }
+
+    paths.push(paired_stat(
+        "gather",
+        points,
+        &mut hot.data_space(),
+        &mut [
+            ("per_point", &mut |ds| {
+                gather_tile_per_cell(pp, &lds, tpos, origin, ds)
+            }),
+            ("reference", &mut |ds| {
+                reference_gather_tile(plan, &lds, tpos, tile, ds)
+            }),
+        ],
+        &mut |ds| gather_tile(chain, &lds, tpos, origin, None, ds),
+    ));
+
+    let b = &hot.boundary;
+    let (blds, bchain, clamp) = (b.lds(plan), plan.chain(b.rank), plan.clamp.at(&b.origin));
+    paths.push(paired_stat(
+        "gather_boundary",
+        plan.tiled.tile_iterations(&b.tile).count(),
+        &mut hot.data_space(),
+        &mut [("reference", &mut |ds| {
+            reference_gather_tile(plan, &blds, b.tpos, &b.tile, ds);
+        })],
+        &mut |ds| gather_tile(bchain, &blds, b.tpos, &b.origin, Some(&clamp), ds),
+    ));
+    paths
 }
 
 /// Gate for `--dsl-bench`: end-to-end, a corpus kernel's normalized wall
@@ -1287,17 +951,24 @@ fn tune_bench(out_path: &str, smoke: bool) {
     println!("wrote {out_path} ({strict_wins}/{nc} strict wins)");
 }
 
+fn usage(msg: &str) -> ! {
+    eprintln!(
+        "{msg}\nusage: perf [--obs-overhead | --dsl-bench | --tune-bench] [--test] [--out <path>]"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--test" || a == "--smoke");
-    if args.iter().any(|a| a == "--obs-overhead") {
-        obs_overhead(smoke);
-        return;
+    let (mut smoke, mut out_path, mut mode) = (false, None, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--test" => smoke = true,
+            "--out" => out_path = Some(args.next().unwrap_or_else(|| usage("--out needs a path"))),
+            "--obs-overhead" | "--dsl-bench" | "--tune-bench" if mode.is_none() => mode = Some(a),
+            _ => usage(&format!("unknown or second mode argument `{a}`")),
+        }
     }
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned());
     // Without `--out` a mode writes under `target/bench/`, so a local run
     // never rewrites the tracked copy at the repo root.
     if out_path.is_none() {
@@ -1308,82 +979,10 @@ fn main() {
             .clone()
             .unwrap_or_else(|| format!("target/bench/{name}"))
     };
-    if args.iter().any(|a| a == "--overlap-bench") {
-        overlap_bench(&out("BENCH_PR4.json"));
-        return;
+    match mode.as_deref() {
+        Some("--obs-overhead") => obs_overhead(smoke),
+        Some("--tune-bench") => tune_bench(&out("BENCH_PR9.json"), smoke),
+        Some("--dsl-bench") => dsl_bench(&out("BENCH_PR10.json"), smoke),
+        _ => hot_paths(&out("hot_paths.json"), smoke),
     }
-    if args.iter().any(|a| a == "--vec-bench") {
-        vec_bench(&out("BENCH_PR7.json"), smoke);
-        return;
-    }
-    if args.iter().any(|a| a == "--tune-bench") {
-        tune_bench(&out("BENCH_PR9.json"), smoke);
-        return;
-    }
-    if args.iter().any(|a| a == "--dsl-bench") {
-        dsl_bench(&out("BENCH_PR10.json"), smoke);
-        return;
-    }
-    let out_path = out("BENCH_PR2.json");
-
-    let workloads = paper_workloads();
-
-    let mut json = String::from("{\n  \"bench\": \"PR2 compiled tile execution hot paths\",\n");
-    json.push_str("  \"unit\": \"ns_per_iter\",\n  \"workloads\": {\n");
-    let nw = workloads.len();
-    let mut min_compute_speedup = f64::INFINITY;
-    for (wi, (name, plan)) in workloads.into_iter().enumerate() {
-        println!("== {name} ==");
-        let (results, e2e) = bench_workload(name, plan, smoke);
-        let _ = write!(json, "    \"{name}\": {{\n      \"paths\": {{\n");
-        let np = results.len();
-        for (i, r) in results.iter().enumerate() {
-            if smoke {
-                println!("  {:<8} ok (smoke, {} pts)", r.name, r.inner);
-            } else {
-                println!(
-                    "  {:<8} compiled {:>8.1} ns/iter  reference {:>8.1} ns/iter  speedup {:>5.2}x  ({} pts)",
-                    r.name,
-                    r.compiled_ns,
-                    r.reference_ns,
-                    r.speedup(),
-                    r.inner
-                );
-            }
-            if r.name == "compute" {
-                min_compute_speedup = min_compute_speedup.min(r.speedup());
-            }
-            let _ = writeln!(
-                json,
-                "        \"{}\": {{\"compiled_ns\": {:.2}, \"reference_ns\": {:.2}, \"speedup\": {:.3}, \"iters\": {}}}{}",
-                r.name,
-                r.compiled_ns,
-                r.reference_ns,
-                r.speedup(),
-                r.inner,
-                if i + 1 < np { "," } else { "" }
-            );
-        }
-        if !smoke {
-            println!("  end-to-end Full-mode wall-clock speedup {e2e:.2}x");
-        }
-        let _ = writeln!(
-            json,
-            "      }},\n      \"end_to_end_speedup\": {:.3}\n    }}{}",
-            e2e,
-            if wi + 1 < nw { "," } else { "" }
-        );
-    }
-    json.push_str("  }\n}\n");
-
-    if smoke {
-        println!("smoke mode: all hot paths ran once; no JSON written");
-        return;
-    }
-    assert!(
-        min_compute_speedup >= 3.0,
-        "acceptance: interior compute hot path must be >= 3x (got {min_compute_speedup:.2}x)"
-    );
-    std::fs::write(&out_path, &json).expect("write bench JSON");
-    println!("wrote {out_path} (min compute speedup {min_compute_speedup:.2}x)");
 }

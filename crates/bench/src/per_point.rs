@@ -1,16 +1,25 @@
 #![allow(clippy::needless_range_loop)] // index loops mirror the compiled path's tables
 //! The per-point hot loops of the first compiled execution path, kept
-//! verbatim as the wall-clock baselines and second oracles of
-//! `perf --vec-bench`: compute, pack, unpack and gather, one list entry
-//! per point. They read private per-point tables ([`PerPoint`]) built by
-//! one lattice walk of the tile box and of each region box; the compiled
-//! path itself stores only TTIS rows (`tilecc_parcode::compiled`).
+//! verbatim as wall-clock baselines and second oracles of `perf`: compute,
+//! pack, unpack and gather, one list entry per point. They read private
+//! per-point tables ([`PerPoint`]) built by one lattice walk of the tile
+//! box and of each region box; the compiled path itself stores only TTIS
+//! rows (`tilecc_parcode::compiled`).
+//!
+//! [`HotPaths::check`] is the one bitwise check of every optimized hot
+//! path against these baselines and the executor's `reference_*` paths,
+//! which `perf` runs before it times anything.
 
 use tilecc_linalg::vecops::div_floor;
 use tilecc_loopnest::{DataSpace, Kernel};
-use tilecc_parcode::compiled::PayloadSizeError;
+use tilecc_parcode::compiled::{
+    compute_tile_fast, gather_tile, pack_region, unpack_region, ComputeScratch, PayloadSizeError,
+};
+use tilecc_parcode::executor::{
+    reference_compute_tile, reference_gather_tile, reference_pack, reference_unpack,
+};
 use tilecc_parcode::ParallelPlan;
-use tilecc_tiling::{Lds, LdsGeometry};
+use tilecc_tiling::{insert_at, Lds, LdsGeometry};
 
 /// Sentinel for unpack cells outside the LDS allocation; the unpack loop
 /// drops them, exactly as `Lds::set_all` does on the reference path.
@@ -20,7 +29,7 @@ const SKIP: i64 = i64::MIN;
 /// `tpos = 0`: each point's owned cell (`dst`), iteration offset `P'·j'`
 /// (`j_off`, `n` per point), read-source cells (`src_rel`, `q` per point)
 /// and `DataSpace` offset (`gather_rel`); the owned cells of each pack
-/// region and the halo cells (or [`SKIP`]) of each unpack region.
+/// region and the halo cells (or `SKIP`) of each unpack region.
 pub struct PerPoint {
     n: usize,
     q: usize,
@@ -219,5 +228,269 @@ pub fn gather_tile_per_cell(
         let src = (base + pp.dst[i]) as usize;
         let cell = (gbase + pp.gather_rel[i]) as usize;
         ds.write_cell(cell, &vals[src * w..(src + 1) * w]);
+    }
+}
+
+/// A tile at its rank's chain position.
+pub struct TileSite {
+    pub rank: usize,
+    pub tpos: i64,
+    pub tile: Vec<i64>,
+    pub origin: Vec<i64>,
+}
+
+impl TileSite {
+    /// The first tile of any rank's chain that `pick` accepts.
+    fn first(plan: &ParallelPlan, pick: impl Fn(&[i64]) -> bool) -> Option<Self> {
+        (0..plan.num_procs()).find_map(|rank| {
+            let (lo_t, hi_t) = plan.dist.chains[rank];
+            (lo_t..=hi_t).find_map(|t_abs| {
+                let tile = insert_at(&plan.dist.pids[rank], plan.m(), t_abs);
+                pick(&tile).then(|| TileSite {
+                    rank,
+                    tpos: t_abs - lo_t,
+                    origin: plan.tiled.tile_origin(&tile),
+                    tile,
+                })
+            })
+        })
+    }
+
+    /// The site rank's LDS with deterministic non-trivial contents, so
+    /// reads do real work.
+    pub fn lds(&self, plan: &ParallelPlan) -> Lds {
+        let mut lds = plan.rank_lds(self.rank);
+        for (i, x) in lds.values_mut().iter_mut().enumerate() {
+            *x = ((i % 977) as f64) / 977.0;
+        }
+        lds
+    }
+}
+
+/// The hot paths of one plan: compute, pack, unpack and gather on its
+/// first compute-interior tile, each with a per-point and a reference
+/// baseline, and the clipped gather of its first boundary tile.
+pub struct HotPaths<'p> {
+    pub plan: &'p ParallelPlan,
+    pub interior: TileSite,
+    /// The first valid tile that is not space-interior.
+    pub boundary: TileSite,
+    /// The per-point tables of the interior tile's chain length.
+    pub pp: PerPoint,
+    /// Processor dependence 0 and a tile dependence it carries, unless
+    /// the plan sends nothing.
+    pub region: Option<(usize, usize)>,
+}
+
+impl<'p> HotPaths<'p> {
+    /// `Err` when `plan` has no compute-interior or no boundary tile.
+    pub fn new(plan: &'p ParallelPlan) -> Result<Self, String> {
+        let interior = TileSite::first(plan, |t| {
+            plan.tiled.tile_is_compute_interior(t, plan.deps())
+        })
+        .ok_or("no compute-interior tile")?;
+        let boundary = TileSite::first(plan, |t| {
+            plan.tiled.tile_valid(t) && !plan.tiled.tile_is_interior(t)
+        })
+        .ok_or("no boundary tile")?;
+        let (lo_t, hi_t) = plan.dist.chains[interior.rank];
+        let region = (!plan.comm.proc_deps.is_empty()).then(|| {
+            let ds_idx = plan.comm.dm_of_ds.iter().position(|d| *d == Some(0));
+            (0, ds_idx.expect("every proc dep comes from a tile dep"))
+        });
+        Ok(HotPaths {
+            pp: PerPoint::new(plan, hi_t - lo_t + 1),
+            plan,
+            interior,
+            boundary,
+            region,
+        })
+    }
+
+    /// The payload the unpack paths read for tile dependence `ds_idx`.
+    pub fn unpack_payload(&self, ds_idx: usize) -> Vec<f64> {
+        let w = self.plan.algorithm.width();
+        let points = self.plan.chain(self.interior.rank).unpack[ds_idx].points;
+        (0..points * w).map(|i| 1.0 + 0.5 * i as f64).collect()
+    }
+
+    /// An empty data space over the nest's bounding box.
+    pub fn data_space(&self) -> DataSpace {
+        let (lo, hi) = self.plan.algorithm.nest.bounding_box();
+        DataSpace::with_width(&lo, &hi, self.plan.algorithm.width())
+    }
+
+    /// Every optimized hot path against each of its baselines, bitwise,
+    /// each run from the same fresh state: compute (the whole LDS after
+    /// it), pack (the payload), unpack (the LDS) and gather (the data
+    /// space) against the per-point and the reference paths, and the
+    /// boundary tile's clipped gather against the reference gather.
+    /// Returns the interior tile's batched points.
+    pub fn check(&self) -> Result<u64, String> {
+        let (plan, s) = (self.plan, &self.interior);
+        let (n, q, w) = (plan.dim(), plan.deps().cols(), plan.algorithm.width());
+        let (chain, kernel) = (plan.chain(s.rank), plan.algorithm.kernel.as_ref());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let on_lds = |f: &mut dyn FnMut(&mut Lds)| {
+            let mut lds = s.lds(plan);
+            f(&mut lds);
+            bits(lds.values())
+        };
+
+        let (mut scr, mut pscr) = (ComputeScratch::new(n, q, w), Scratch::new(n, q, w));
+        let mut batched = 0;
+        let got = on_lds(&mut |lds| {
+            let fast = compute_tile_fast(
+                chain,
+                lds,
+                s.tpos,
+                &s.origin,
+                kernel,
+                &mut scr,
+                &chain.walk,
+                None,
+            );
+            batched = fast.1;
+        });
+        let per_point = on_lds(&mut |lds| {
+            compute_tile_fast_per_point(&self.pp, lds, s.tpos, &s.origin, kernel, &mut pscr);
+        });
+        let reference = on_lds(&mut |lds| {
+            reference_compute_tile(plan, lds, s.tpos, &s.tile);
+        });
+        agree(
+            "compute",
+            &got,
+            [("per-point", per_point), ("reference", reference)],
+        )?;
+
+        if let Some((dm_idx, ds_idx)) = self.region {
+            let lds = s.lds(plan);
+            let pack = |f: &dyn Fn(&mut [f64])| {
+                let mut payload = vec![0.0; plan.region_counts[dm_idx] * w];
+                f(&mut payload);
+                bits(&payload)
+            };
+            let got = pack(&|p| pack_region(chain, &lds, s.tpos, dm_idx, p));
+            let per_point = pack(&|p| pack_region_per_index(&self.pp, &lds, s.tpos, dm_idx, p));
+            let reference = pack(&|p| reference_pack(plan, &lds, s.tpos, dm_idx, p));
+            agree(
+                "pack",
+                &got,
+                [("per-point", per_point), ("reference", reference)],
+            )?;
+
+            let payload = self.unpack_payload(ds_idx);
+            let sized = "the payload is sized to the unpack region";
+            let got = on_lds(&mut |lds| {
+                unpack_region(chain, lds, s.tpos, ds_idx, &payload).expect(sized);
+            });
+            let per_point = on_lds(&mut |lds| {
+                unpack_region_per_index(&self.pp, lds, s.tpos, ds_idx, &payload).expect(sized);
+            });
+            let reference = on_lds(&mut |lds| {
+                reference_unpack(plan, lds, s.tpos, ds_idx, dm_idx, &payload);
+            });
+            agree(
+                "unpack",
+                &got,
+                [("per-point", per_point), ("reference", reference)],
+            )?;
+        }
+
+        let gather = |site: &TileSite, f: &dyn Fn(&Lds, &mut DataSpace)| {
+            let mut ds = self.data_space();
+            f(&site.lds(plan), &mut ds);
+            let cells = 0..ds.num_cells();
+            cells
+                .map(|c| ds.written_cell(c).map(bits))
+                .collect::<Vec<_>>()
+        };
+        let got = gather(s, &|lds, ds| {
+            gather_tile(chain, lds, s.tpos, &s.origin, None, ds)
+        });
+        let per_point = gather(s, &|lds, ds| {
+            gather_tile_per_cell(&self.pp, lds, s.tpos, &s.origin, ds);
+        });
+        let reference = gather(s, &|lds, ds| {
+            reference_gather_tile(plan, lds, s.tpos, &s.tile, ds);
+        });
+        agree(
+            "gather",
+            &got,
+            [("per-point", per_point), ("reference", reference)],
+        )?;
+
+        let b = &self.boundary;
+        let clamp = plan.clamp.at(&b.origin);
+        let got = gather(b, &|lds, ds| {
+            gather_tile(plan.chain(b.rank), lds, b.tpos, &b.origin, Some(&clamp), ds);
+        });
+        let reference = gather(b, &|lds, ds| {
+            reference_gather_tile(plan, lds, b.tpos, &b.tile, ds);
+        });
+        agree("boundary gather", &got, [("reference", reference)])?;
+        Ok(batched)
+    }
+}
+
+/// `Err` naming the first element where `got` differs from a baseline.
+fn agree<T: PartialEq, const B: usize>(
+    path: &str,
+    got: &[T],
+    baselines: [(&str, Vec<T>); B],
+) -> Result<(), String> {
+    for (name, want) in baselines {
+        if let Some(i) = (0..got.len().max(want.len())).find(|&i| got.get(i) != want.get(i)) {
+            return Err(format!(
+                "{path} differs bitwise from its {name} baseline at element {i}"
+            ));
+        }
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tilecc::matrices;
+    use tilecc_frontend::{compile_kernel_with, corpus};
+    use tilecc_tiling::TilingTransform;
+
+    fn plan(src: &str, params: &[(&str, i64)], h: tilecc_linalg::RMat, m: usize) -> ParallelPlan {
+        let alg = compile_kernel_with(src, params).unwrap();
+        ParallelPlan::new(alg, TilingTransform::new(h).unwrap(), Some(m)).unwrap()
+    }
+
+    #[test]
+    fn every_hot_path_agrees_with_its_baselines_on_small_sor_and_adi() {
+        // SOR's lag-1 rows run point by point; ADI's batch, so both forms
+        // of the compiled compute loop are checked.
+        let cases = [
+            (
+                plan(
+                    corpus::SOR,
+                    &[("M", 8), ("N", 12)],
+                    matrices::sor_nr(2, 3, 4),
+                    2,
+                ),
+                false,
+            ),
+            (
+                plan(
+                    corpus::ADI,
+                    &[("T", 8), ("N", 12)],
+                    matrices::adi_rect(2, 4, 4),
+                    0,
+                ),
+                true,
+            ),
+        ];
+        for (plan, batches) in &cases {
+            let hot = HotPaths::new(plan).unwrap();
+            assert!(hot.region.is_some(), "the plan communicates");
+            let batched = hot.check().unwrap();
+            assert_eq!(batched > 0, *batches, "batched points: {batched}");
+        }
     }
 }

@@ -158,12 +158,13 @@ fn parse_crash_spec(spec: &str) -> Result<(usize, f64), CliError> {
         .trim()
         .parse()
         .map_err(|_| CliError(format!("invalid --crash-rank rank `{rank_s}`")))?;
-    let at: f64 = match at_s {
+    let at = match at_s.map(str::trim) {
         None => 0.0,
-        Some(t) => t
-            .trim()
-            .parse()
-            .map_err(|_| CliError(format!("invalid --crash-rank time `{t}`")))?,
+        Some(t) => match t.parse::<f64>() {
+            Ok(at) if at.is_finite() && at >= 0.0 => at,
+            Ok(_) => return err(format!("--crash-rank time `{t}` must be finite and >= 0")),
+            Err(_) => return err(format!("invalid --crash-rank time `{t}`")),
+        },
     };
     Ok((rank, at))
 }
@@ -1380,7 +1381,7 @@ options:
   --fault-seed <s>            seed for deterministic fault injection (run)
   --drop-rate <p>             drop each send attempt with probability p;
                               the reliability layer retransmits (run)
-  --crash-rank <r[@t]>        crash rank r at virtual time t (default 0) to
+  --crash-rank <r[@t]>        crash rank r at virtual time t >= 0 (default 0) to
                               exercise failure reporting (run)
   --on-crash <fail|recover>   crash policy (default fail): `recover` takes
                               a checkpoint every --ckpt-interval chain
@@ -2267,6 +2268,11 @@ X[t,i,j] = X[t-1,i,j] + 0.3*X[t-1,i-1,j] - 0.2*X[t-1,i,j-1]
         assert!(parse_crash_spec("3@0.5").unwrap() == (3, 0.5));
         assert!(parse_crash_spec("x").is_err());
         assert!(parse_crash_spec("1@y").is_err());
+        // A time that never fires or fires early is an error naming it.
+        for t in ["nan", "inf", "-inf", "1e400", "-1"] {
+            let e = parse_crash_spec(&format!("0@{t}")).unwrap_err();
+            assert!(e.0.contains(&format!("`{t}`")), "{e}");
+        }
         let p = write_nest(ADI_SRC);
         let e = run_cli(&args(&[
             "run",

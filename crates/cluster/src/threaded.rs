@@ -87,7 +87,7 @@ impl<R> RunReport<R> {
 /// `Blocking` is the paper's scheme: the CPU pays the full send cost before
 /// continuing and the full receive overhead on arrival. `Overlapped` models
 /// the computation/communication overlapping of the paper's future-work
-/// reference (Goumas/Sotiropoulos/Koziris, IPDPS'01 [8]): transfers proceed
+/// reference (Goumas/Sotiropoulos/Koziris, IPDPS'01 \[8\]): transfers proceed
 /// in the background (DMA/comm thread), so the sender's clock is not
 /// charged for injection and the receiver pays no per-message overhead —
 /// only true data-dependence waiting remains.

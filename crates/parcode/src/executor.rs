@@ -119,7 +119,7 @@ impl ExecutionResult {
 /// gathers the rank LDSs into the global data space. `options` carry the
 /// communication scheme ([`CommScheme::Overlapped`] implements the
 /// computation/communication overlapping the paper lists as future work,
-/// its reference [8]), observability, fault injection and the watchdog;
+/// its reference \[8\]), observability, fault injection and the watchdog;
 /// [`ExecStrategy::comm_scheme`] may override the scheme. The rank body,
 /// virtual-time model and gather are identical for every backend, so the
 /// fuzz harness cross-checks backends for bitwise-identical data and

@@ -1,4 +1,4 @@
-//! Sequential tiled execution — the paper's prior work ([7], SAC 2002) that
+//! Sequential tiled execution — the paper's prior work (\[7\], SAC 2002) that
 //! this paper builds on: run the *same* computation reordered into 2n-deep
 //! tiled form (outer loops over tiles in lexicographic order, inner strided
 //! TTIS traversal) on a single processor.

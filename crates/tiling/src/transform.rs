@@ -316,7 +316,7 @@ impl TilingTransform {
     }
 
     /// Legality: every dependence must satisfy `H·d ≥ 0` componentwise, so
-    /// that tile dependencies are non-negative (Ramanujam/Sadayappan [12]).
+    /// that tile dependencies are non-negative (Ramanujam/Sadayappan \[12\]).
     pub fn validate_for(&self, deps: &IMat) -> Result<(), TilingError> {
         for q in 0..deps.cols() {
             let d = deps.col(q);
