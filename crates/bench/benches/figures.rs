@@ -1,7 +1,7 @@
 //! Benchmark versions of the paper's six figures at reduced scale: each
 //! bench simulates the full compile → distribute → execute pipeline for the
-//! tilings a figure compares. The `fig*` binaries run the full-scale
-//! versions and emit the actual series; these benches track the cost of
+//! tilings a figure compares. The `figures` binary runs the full-scale
+//! versions and emits the actual series; these benches track the cost of
 //! regenerating them.
 //!
 //! Runs under the dependency-free harness in `tilecc_bench::harness`; under

@@ -1,10 +1,11 @@
 //! Shared experiment harness for regenerating the paper's figures.
 //!
-//! Each `fig*` binary reproduces one figure of §4: it picks grid factors so
-//! the distribution uses (as close as possible to) the paper's 16
-//! processors, sweeps the chain-dimension tile factor, simulates rectangular
-//! and non-rectangular tilings on the modelled cluster, prints the series,
-//! and writes a JSON record under `results/`.
+//! [`run_series`] runs one experiment of §4 on one iteration space: it
+//! picks grid factors so the distribution uses (as close as possible to)
+//! the paper's 16 processors, sweeps the chain-dimension tile factor and
+//! simulates the rectangular and non-rectangular tilings on the modelled
+//! cluster. The `figures` binary runs every space once, prints the series
+//! and writes Figures 5–10 as JSON records under `results/`.
 
 pub mod gantt;
 pub mod harness;
@@ -31,6 +32,7 @@ pub struct FigureRecord {
 }
 
 /// One workload's sweep within a figure.
+#[derive(Clone)]
 pub struct SeriesRecord {
     pub workload: String,
     pub grid_factors: (i64, i64, i64),
@@ -148,7 +150,7 @@ impl FigureRecord {
 /// `mk(a, b)` builds the full factor triple from the two grid factors; the
 /// chain-dimension factor in the triple only affects chain lengths, never
 /// the processor count, so a small value keeps probing cheap.
-pub fn search_grid(
+fn search_grid(
     workload: Workload,
     a_range: impl Iterator<Item = i64> + Clone,
     b_range: impl Iterator<Item = i64> + Clone,
@@ -171,22 +173,68 @@ pub fn search_grid(
     (a, b)
 }
 
-/// Sweep `variants × chain_factors` for one workload with fixed grid
-/// factors. `mk(c)` builds the factor triple for chain factor `c`.
-pub fn sweep(
-    workload: Workload,
-    variants: &[Variant],
-    chain_factors: &[i64],
-    mk: impl Fn(i64) -> (i64, i64, i64),
-    model: MachineModel,
-) -> Vec<MeasuredPoint> {
-    let mut out = Vec::new();
-    for &c in chain_factors {
+/// Chain-factor sweep for a chain dimension of extent `ext`: a spread of
+/// tile lengths from fine to coarse.
+fn chain_sweep(ext: i64) -> Vec<i64> {
+    let candidates = [
+        ext / 32,
+        ext / 20,
+        ext / 12,
+        ext / 8,
+        ext / 5,
+        ext / 3,
+        ext / 2,
+    ];
+    let mut out: Vec<i64> = candidates.into_iter().filter(|&c| c >= 2).collect();
+    out.dedup();
+    out
+}
+
+/// Run one experiment of §4 on space `w`. The grid search picks the two
+/// processor-grid factors; the chain-dimension factor (the one along `w`'s
+/// mapping dimension, `0` in the returned `grid_factors`) is then swept
+/// over every tiling the experiment compares. Returns the series and the
+/// label of the non-rectangular tiling that §4.4 compares with `rect`.
+pub fn run_series(w: Workload, model: MachineModel) -> (SeriesRecord, &'static str) {
+    use Variant::{AdiNr1, AdiNr2, AdiNr3, NonRect, Rect};
+    let (grid, chain_extent, variants, nr): (_, _, &[Variant], _) = match w {
+        // `x` tiles the skewed time extent, `y` the skewed `i` extent.
+        Workload::Sor { m, n } => {
+            let (x0, y0) = ((m + 3) / 4, (m + n + 3) / 4);
+            let (x, y) = search_grid(w, x0..x0 + 4, y0 - 8..y0 + 12, |x, y| (x, y, 8));
+            ((x, y, 0), 2 * m + n - 2, &[Rect, NonRect], "non-rect")
+        }
+        // `y` and `z` tile the skewed `i` and `j` extents, `T + N − 1`
+        // each. `y` stays even: the non-rectangular Jacobi tiling
+        // `H_nr = [[1/x,−1/(2x),0],…]` has integral tile side-vectors
+        // (`P = H⁻¹ ∈ Zⁿ`) only for even `y`.
+        Workload::Jacobi { t, n } => {
+            let c = (t + n - 1 + 3) / 4;
+            let y0 = c + c % 2;
+            let even = (y0 - 6..y0 + 10).filter(|y| y % 2 == 0);
+            let (y, z) = search_grid(w, even, c - 6..c + 10, |y, z| (8, y, z));
+            ((0, y, z), t, &[Rect, NonRect], "non-rect")
+        }
+        Workload::Adi { t, n } => {
+            let c = (n + 3) / 4;
+            let (y, z) = search_grid(w, c - 6..c + 10, c - 6..c + 10, |y, z| (8, y, z));
+            ((0, y, z), t, &[Rect, AdiNr1, AdiNr2, AdiNr3], "nr3")
+        }
+    };
+    let mut points = vec![];
+    for c in chain_sweep(chain_extent) {
+        let mut f = [grid.0, grid.1, grid.2];
+        f[w.mapping_dim()] = c;
         for &v in variants {
-            out.push(measure(workload, v, mk(c), model));
+            points.push(measure(w, v, (f[0], f[1], f[2]), model));
         }
     }
-    out
+    let series = SeriesRecord {
+        workload: w.label(),
+        grid_factors: grid,
+        points,
+    };
+    (series, nr)
 }
 
 /// The best (maximum-speedup) point per variant — the per-space bars of
@@ -255,203 +303,6 @@ pub fn improvement_pct(points: &[MeasuredPoint], nr_label: &str) -> f64 {
     let r = best("rect");
     let nr = best(nr_label);
     (nr - r) / r * 100.0
-}
-
-// ---------------------------------------------------------------------------
-// Figure configurations (spaces + sweeps), shared by binaries and benches.
-// ---------------------------------------------------------------------------
-
-/// The four SOR iteration spaces of Figure 5 (the first is Figure 6's).
-pub fn sor_spaces() -> Vec<Workload> {
-    vec![
-        Workload::Sor { m: 100, n: 200 },
-        Workload::Sor { m: 100, n: 100 },
-        Workload::Sor { m: 200, n: 200 },
-        Workload::Sor { m: 150, n: 300 },
-    ]
-}
-
-/// The four Jacobi iteration spaces of Figure 7 (the first is Figure 8's).
-pub fn jacobi_spaces() -> Vec<Workload> {
-    vec![
-        Workload::Jacobi { t: 50, n: 100 },
-        Workload::Jacobi { t: 50, n: 200 },
-        Workload::Jacobi { t: 100, n: 100 },
-        Workload::Jacobi { t: 100, n: 200 },
-    ]
-}
-
-/// The four ADI iteration spaces of Figure 9 (the first is Figure 10's).
-pub fn adi_spaces() -> Vec<Workload> {
-    vec![
-        Workload::Adi { t: 100, n: 256 },
-        Workload::Adi { t: 100, n: 128 },
-        Workload::Adi { t: 200, n: 128 },
-        Workload::Adi { t: 200, n: 256 },
-    ]
-}
-
-/// Grid factors for a SOR space: `x` tiles the skewed time extent, `y` the
-/// skewed `i` extent (mapping dimension is the third). Returns `(x, y)`.
-pub fn sor_grid(w: Workload) -> (i64, i64) {
-    let Workload::Sor { m, n } = w else {
-        panic!("not a SOR workload")
-    };
-    let x0 = (m + 3) / 4;
-    let y0 = (m + n + 3) / 4;
-    search_grid(w, x0..x0 + 4, y0 - 8..y0 + 12, |x, y| (x, y, 8))
-}
-
-/// Grid factors for Jacobi/ADI spaces (mapping dimension first): `(y, z)`.
-/// For Jacobi, `y` is restricted to even values: the non-rectangular Jacobi
-/// tiling `H_nr = [[1/x,−1/(2x),0],…]` has integral tile side-vectors
-/// (`P = H⁻¹ ∈ Zⁿ`) only for even `y`.
-pub fn yz_grid(w: Workload, iext: i64, jext: i64) -> (i64, i64) {
-    let y0 = (iext + 3) / 4;
-    let z0 = (jext + 3) / 4;
-    if matches!(w, Workload::Jacobi { .. }) {
-        let y0 = y0 + (y0 % 2);
-        search_grid(
-            w,
-            (y0 - 6..y0 + 10).filter(|y| y % 2 == 0),
-            z0 - 6..z0 + 10,
-            |y, z| (8, y, z),
-        )
-    } else {
-        search_grid(w, y0 - 6..y0 + 10, z0 - 6..z0 + 10, |y, z| (8, y, z))
-    }
-}
-
-/// Chain-factor sweep for a chain dimension of extent `ext`: a spread of
-/// tile lengths from fine to coarse.
-pub fn chain_sweep(ext: i64) -> Vec<i64> {
-    let candidates = [
-        ext / 32,
-        ext / 20,
-        ext / 12,
-        ext / 8,
-        ext / 5,
-        ext / 3,
-        ext / 2,
-    ];
-    let mut out: Vec<i64> = candidates.into_iter().filter(|&c| c >= 2).collect();
-    out.dedup();
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Figure drivers (shared by the fig* binaries).
-// ---------------------------------------------------------------------------
-
-/// Run the SOR experiment over `spaces`; returns one series per space.
-pub fn run_sor(spaces: &[Workload], model: MachineModel, verbose: bool) -> Vec<SeriesRecord> {
-    let mut series = vec![];
-    for &w in spaces {
-        let Workload::Sor { m, n } = w else {
-            panic!("not SOR")
-        };
-        let (x, y) = sor_grid(w);
-        let factors = chain_sweep(2 * m + n - 2);
-        let pts = sweep(
-            w,
-            &[Variant::Rect, Variant::NonRect],
-            &factors,
-            |z| (x, y, z),
-            model,
-        );
-        if verbose {
-            println!(
-                "\n=== {} — grid x={x} y={y}, {} procs ===",
-                w.label(),
-                pts[0].procs
-            );
-            print_points(&pts);
-            println!(
-                "best-speedup improvement (non-rect over rect): {:+.1}%",
-                improvement_pct(&pts, "non-rect")
-            );
-        }
-        series.push(SeriesRecord {
-            workload: w.label(),
-            grid_factors: (x, y, 0),
-            points: pts,
-        });
-    }
-    series
-}
-
-/// Run the Jacobi experiment over `spaces`.
-pub fn run_jacobi(spaces: &[Workload], model: MachineModel, verbose: bool) -> Vec<SeriesRecord> {
-    let mut series = vec![];
-    for &w in spaces {
-        let Workload::Jacobi { t, n } = w else {
-            panic!("not Jacobi")
-        };
-        let (y, z) = yz_grid(w, t + n - 1, t + n - 1);
-        let factors = chain_sweep(t);
-        let pts = sweep(
-            w,
-            &[Variant::Rect, Variant::NonRect],
-            &factors,
-            |x| (x, y, z),
-            model,
-        );
-        if verbose {
-            println!(
-                "\n=== {} — grid y={y} z={z}, {} procs ===",
-                w.label(),
-                pts[0].procs
-            );
-            print_points(&pts);
-            println!(
-                "best-speedup improvement (non-rect over rect): {:+.1}%",
-                improvement_pct(&pts, "non-rect")
-            );
-        }
-        series.push(SeriesRecord {
-            workload: w.label(),
-            grid_factors: (0, y, z),
-            points: pts,
-        });
-    }
-    series
-}
-
-/// Run the ADI experiment (all four tiling variants) over `spaces`.
-pub fn run_adi(spaces: &[Workload], model: MachineModel, verbose: bool) -> Vec<SeriesRecord> {
-    let mut series = vec![];
-    for &w in spaces {
-        let Workload::Adi { t, n } = w else {
-            panic!("not ADI")
-        };
-        let (y, z) = yz_grid(w, n, n);
-        let factors = chain_sweep(t);
-        let variants = [
-            Variant::Rect,
-            Variant::AdiNr1,
-            Variant::AdiNr2,
-            Variant::AdiNr3,
-        ];
-        let pts = sweep(w, &variants, &factors, |x| (x, y, z), model);
-        if verbose {
-            println!(
-                "\n=== {} — grid y={y} z={z}, {} procs ===",
-                w.label(),
-                pts[0].procs
-            );
-            print_points(&pts);
-            println!(
-                "best-speedup improvement (nr3 over rect): {:+.1}%",
-                improvement_pct(&pts, "nr3")
-            );
-        }
-        series.push(SeriesRecord {
-            workload: w.label(),
-            grid_factors: (0, y, z),
-            points: pts,
-        });
-    }
-    series
 }
 
 #[cfg(test)]

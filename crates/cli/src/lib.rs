@@ -2408,6 +2408,51 @@ X[t,i,j] = X[t-1,i,j] + 0.3*X[t-1,i-1,j] - 0.2*X[t-1,i,j-1]
     }
 
     #[test]
+    fn an_empty_iteration_space_is_a_typed_error() {
+        let p = write_nest(
+            "kernel empty\niter t = 5 to 1\niter i = 1 to 8\narray A = 1.0\n\
+             A[t,i] = 0.5*A[t-1,i] + 0.5*A[t,i-1]\n",
+        );
+        let out = run_cli(&args(&["parse", p.to_str()])).unwrap();
+        assert!(out.contains("iterations: 0"), "{out}");
+        let typed = format!(
+            "tiling rejected: {}",
+            tilecc_tiling::TilingError::EmptySpace
+        );
+        for cmd in [&["plan"][..], &["run", "--verify"], &["emit"]] {
+            let mut argv = vec![cmd[0], p.to_str(), "--rect", "2,2"];
+            argv.extend(&cmd[1..]);
+            let e = run_cli(&args(&argv)).unwrap_err();
+            assert!(e.0.contains(&typed), "{cmd:?}: {e}");
+        }
+        let e = run_cli(&args(&["tune", p.to_str(), "--volume", "4"])).unwrap_err();
+        assert!(
+            e.0.contains(&tilecc_tiling::TilingError::EmptySpace.to_string()),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn tune_past_the_tile_volume_limit_is_a_typed_error_not_a_hang() {
+        let jacobi = format!(
+            "{}/../../examples/kernels/jacobi.tk",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let t0 = std::time::Instant::now();
+        let e = run_cli(&args(&["tune", &jacobi, "--volume", "9223372036854775807"])).unwrap_err();
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(2),
+            "rejection took {:?}",
+            t0.elapsed()
+        );
+        let typed = tilecc_tiling::TilingError::TileTooLarge {
+            volume: i64::MAX,
+            limit: tilecc_tiling::tile_space::TILE_VOLUME_FLOOR,
+        };
+        assert!(e.0.contains(&typed.to_string()), "{e}");
+    }
+
+    #[test]
     fn parse_of_a_huge_nest_is_a_typed_error_not_a_hang() {
         let p = write_nest(
             "kernel huge\nparam N = 4000000000000000000\niter t = 1 to N\n\

@@ -41,6 +41,7 @@ use tilecc_cluster::{EngineOptions, MachineModel};
 use tilecc_linalg::{column_hnf, IMat, RMat, Rational};
 use tilecc_loopnest::Algorithm;
 use tilecc_parcode::{Backend, ExecStrategy};
+use tilecc_tiling::tile_space::tile_volume_limit;
 use tilecc_tiling::{candidate_rows, TilingError, TilingTransform};
 
 /// One element of the tuner's raw search space.
@@ -222,20 +223,31 @@ impl TuneOutcome {
 /// with every ordered factorization of `volume·|det R|` into `n` positive
 /// factors. Deterministic order; no validity filtering (the tuner counts
 /// rejections, and the fuzzer feeds these through plan construction).
-/// A nest without a tiling cone (dimension below 2) is an error.
+/// A nest without a tiling cone (dimension below 2) is an error, and so is
+/// a `volume·|det R|` past `i64` ([`TilingError::TileTooLarge`] with the
+/// volume and the limit saturated at `i64::MAX`, as in
+/// [`TilingTransform::tile_size`]).
 pub fn enumerate_candidates(deps: &IMat, volume: i64) -> Result<Vec<CandidateH>, TilingError> {
     assert!(volume > 0, "tile volume must be positive");
     let n = deps.rows();
     let pool = candidate_rows(deps)?;
     let mut out = vec![];
+    let mut overflow = false;
     let mut pick = vec![0usize; n];
     permute_rows(&pool, n, &mut pick, 0, &mut |idx| {
+        if overflow {
+            return;
+        }
         let rows: Vec<Vec<i64>> = idx.iter().map(|&i| pool[i].clone()).collect();
         let det = IMat::from_vec(rows.clone()).det().abs();
         if det == 0 {
             return;
         }
-        for factors in ordered_factorizations(volume * det, n) {
+        let Some(product) = volume.checked_mul(det) else {
+            overflow = true;
+            return;
+        };
+        for factors in ordered_factorizations(product, n) {
             let h = RMat::from_fn(n, n, |i, j| {
                 Rational::new(i128::from(rows[i][j]), i128::from(factors[i]))
             });
@@ -246,6 +258,12 @@ pub fn enumerate_candidates(deps: &IMat, volume: i64) -> Result<Vec<CandidateH>,
             });
         }
     });
+    if overflow {
+        return Err(TilingError::TileTooLarge {
+            volume: i64::MAX,
+            limit: i64::MAX,
+        });
+    }
     Ok(out)
 }
 
@@ -277,16 +295,31 @@ fn ordered_factorizations(n: i64, parts: usize) -> Vec<Vec<i64>> {
         return vec![vec![n]];
     }
     let mut out = vec![];
-    for d in 1..=n {
-        if n % d != 0 {
-            continue;
-        }
+    for d in divisors(n) {
         for mut rest in ordered_factorizations(n / d, parts - 1) {
             rest.insert(0, d);
             out.push(rest);
         }
     }
     out
+}
+
+/// The divisors of `n > 0` in increasing order, found by trial division up
+/// to `√n`.
+fn divisors(n: i64) -> Vec<i64> {
+    let (mut small, mut large) = (vec![], vec![]);
+    let mut d = 1;
+    while d <= n / d {
+        if n % d == 0 {
+            small.push(d);
+            if d != n / d {
+                large.push(n / d);
+            }
+        }
+        d += 1;
+    }
+    small.extend(large.into_iter().rev());
+    small
 }
 
 /// Schedule-isomorphism canonical key: the mapping-row `(v_m, H'_m)` pair
@@ -330,6 +363,17 @@ pub fn tune_labeled(
 ) -> Result<TuneOutcome, TilingError> {
     let deps = algorithm.nest.deps();
     let pool = candidate_rows(deps)?;
+    let (lo, hi) = algorithm
+        .nest
+        .try_bounding_box()?
+        .ok_or(TilingError::EmptySpace)?;
+    let limit = tile_volume_limit(&lo, &hi);
+    if opts.volume > limit {
+        return Err(TilingError::TileTooLarge {
+            volume: opts.volume,
+            limit,
+        });
+    }
     let mut outcome = TuneOutcome {
         label: label.to_string(),
         volume: opts.volume,
@@ -493,6 +537,26 @@ mod tests {
         }
         // d_3(12): 12 = 2²·3 → (2+2 choose 2)·(1+2 choose 2) = 6·3 = 18.
         assert_eq!(fs.len(), 18);
+        // The √n divisor search yields exactly the factorizations, in the
+        // order, of a trial of every `d` in `1..=n`.
+        fn naive(n: i64, parts: usize) -> Vec<Vec<i64>> {
+            if parts == 1 {
+                return vec![vec![n]];
+            }
+            let mut out = vec![];
+            for d in (1..=n).filter(|d| n % d == 0) {
+                for mut rest in naive(n / d, parts - 1) {
+                    rest.insert(0, d);
+                    out.push(rest);
+                }
+            }
+            out
+        }
+        for n in 1..=200 {
+            for parts in 1..=3 {
+                assert_eq!(ordered_factorizations(n, parts), naive(n, parts), "n={n}");
+            }
+        }
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl ParallelPlan {
                 .nest
                 .try_bounding_box()
                 .map_err(TilingError::from)?
-                .expect("iteration space must be non-empty and bounded");
+                .ok_or(TilingError::EmptySpace)?;
             let extents: Vec<i64> = lo.iter().zip(&hi).map(|(&l, &h)| h - l + 1).collect();
             LdsGeometry::weights(&extents)
         };

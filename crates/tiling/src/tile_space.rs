@@ -41,6 +41,19 @@ use tilecc_polytope::{Clamp, Constraint, LoopNestBounds, Polyhedron};
 /// one second on a 2-vCPU x86-64 VM.
 pub const TILE_VOLUME_FLOOR: i64 = 1 << 21;
 
+/// The largest tile volume [`TiledSpace::new`] accepts for a space with
+/// the inclusive bounding box `(lo, hi)`. A tile may exceed the space (one
+/// tile covering everything is a legitimate plan), so the budget is
+/// `2ⁿ ×` the box's integer points, but never below [`TILE_VOLUME_FLOOR`].
+pub fn tile_volume_limit(lo: &[i64], hi: &[i64]) -> i64 {
+    lo.iter()
+        .zip(hi)
+        .fold(1i64 << lo.len().min(62), |acc, (&l, &h)| {
+            acc.saturating_mul(h - l + 1)
+        })
+        .max(TILE_VOLUME_FLOOR)
+}
+
 /// A tiled iteration space: transformation + original space + tile-space
 /// shadow with precomputed loop bounds.
 pub struct TiledSpace {
@@ -83,19 +96,10 @@ impl TiledSpace {
             "space and transformation dimension mismatch"
         );
         // Reject oversized tiles before anything walks one: a full tile's
-        // TTIS holds exactly |det P| lattice points. A tile may exceed the
-        // space (one tile covering everything is a legitimate plan), so the
-        // budget is 2ⁿ × the bounding-box points, but never below the
-        // fixed floor TILE_VOLUME_FLOOR.
+        // TTIS holds exactly |det P| lattice points.
         let volume = transform.tile_size();
         if let Some((lo, hi)) = space.bounding_box()? {
-            let limit = lo
-                .iter()
-                .zip(&hi)
-                .fold(1i64 << n.min(62), |acc, (&l, &h)| {
-                    acc.saturating_mul(h - l + 1)
-                })
-                .max(TILE_VOLUME_FLOOR);
+            let limit = tile_volume_limit(&lo, &hi);
             // A volume past i64 exceeds every limit.
             let volume = *volume.as_ref().unwrap_or(&i64::MAX);
             if volume > limit {

@@ -47,6 +47,9 @@ pub enum TilingError {
     /// No dependence crosses a tile boundary (`D^S` is empty), so there is
     /// nothing to communicate and no wavefront to schedule.
     NoTileDependences,
+    /// The iteration space has no bounding box: it is empty or unbounded,
+    /// so there is nothing to tile.
+    EmptySpace,
 }
 
 impl From<PolytopeError> for TilingError {
@@ -95,6 +98,7 @@ impl std::fmt::Display for TilingError {
             TilingError::NoTileDependences => {
                 write!(f, "the algorithm has no cross-tile dependences")
             }
+            TilingError::EmptySpace => write!(f, "the iteration space is empty or unbounded"),
         }
     }
 }
