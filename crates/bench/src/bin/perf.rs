@@ -67,6 +67,7 @@ use tilecc_bench::per_point::{
     compute_tile_fast_per_point, gather_tile_per_cell, pack_region_per_index,
     unpack_region_per_index, HotPaths, Scratch,
 };
+use tilecc_cluster::obs::json::Json;
 use tilecc_cluster::{Counter, EngineOptions, MachineModel, MetricsRegistry};
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_parcode::compiled::{
@@ -196,8 +197,8 @@ fn obs_overhead(smoke: bool) {
     let reg = MetricsRegistry::new();
     let res = e2e(Some(reg.clone()));
     let report = reg.run_report(&res.report.local_times);
-    std::fs::write("perf_obs_trace.json", reg.chrome_trace(None)).expect("write trace");
-    std::fs::write("perf_obs_metrics.json", report.to_json()).expect("write metrics");
+    std::fs::write("perf_obs_trace.json", reg.chrome_trace(None).to_string()).expect("write trace");
+    std::fs::write("perf_obs_metrics.json", report.to_json().pretty()).expect("write metrics");
 
     if smoke {
         println!("obs-overhead smoke: hot path and end-to-end ran; artifacts written");
@@ -314,45 +315,35 @@ fn paired_stat<S>(
 }
 
 /// Machine identification for the bench JSON: OS, architecture, logical
-/// CPU count, and the CPU model string when `/proc/cpuinfo` offers one.
-fn machine_json() -> String {
+/// CPU count, and `cpu_model` as given.
+fn machine(cpu_model: &str) -> Json {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let model = std::fs::read_to_string("/proc/cpuinfo")
+    Json::obj([
+        ("os", std::env::consts::OS.into()),
+        ("arch", std::env::consts::ARCH.into()),
+        ("cpus", cpus.into()),
+        ("cpu_model", cpu_model.into()),
+    ])
+}
+
+/// The CPU model string when `/proc/cpuinfo` offers one.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
         .ok()
         .and_then(|s| {
             s.lines()
                 .find(|l| l.starts_with("model name") || l.starts_with("Model"))
                 .and_then(|l| l.split(':').nth(1).map(|m| m.trim().to_string()))
         })
-        .unwrap_or_else(|| "unknown".into());
-    format!(
-        "{{\"os\": \"{}\", \"arch\": \"{}\", \"cpus\": {cpus}, \"cpu_model\": \"{}\"}}",
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-        model.replace('"', "'")
-    )
+        .unwrap_or_else(|| "unknown".into())
 }
 
 /// The paper-workload bench (see the module doc), written to `out_path`.
 fn hot_paths(out_path: &str, smoke: bool) {
     let model = MachineModel::fast_ethernet_p3();
-    let mut json = String::from(
-        "{\n  \"bench\": \"paper-workload hot paths vs per-point and reference baselines\",\n",
-    );
-    json.push_str("  \"unit\": \"ns_per_iter\",\n");
-    let _ = writeln!(
-        json,
-        "  \"timing\": {{\"warmup_runs\": {WALL_WARMUP_RUNS}, \"rounds\": {WALL_ROUNDS}, \
-         \"statistic\": \"median\", \"speedup\": \"median of paired per-round ratios\", \
-         \"min_round_ms\": {MIN_ROUND_MS}, \"e2e_runs\": {E2E_RUNS}}},"
-    );
-    let _ = writeln!(json, "  \"machine\": {},", machine_json());
-    json.push_str("  \"workloads\": {\n");
-
-    let workloads = paper_workloads();
-    let nw = workloads.len();
+    let mut records = Vec::new();
     let (mut min_reference, mut per_point_wins, mut max_overlap) = (f64::INFINITY, 0u32, 0.0f64);
-    for (wi, (name, plan)) in workloads.into_iter().enumerate() {
+    for (name, plan) in paper_workloads() {
         println!("== {name} ==");
         let plan = Arc::new(plan);
         let hot = HotPaths::new(&plan).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -423,24 +414,23 @@ fn hot_paths(out_path: &str, smoke: bool) {
         };
 
         // --- report ------------------------------------------------------
-        let _ = write!(json, "    \"{name}\": {{\n      \"paths\": {{\n");
-        for (i, p) in paths.iter().enumerate() {
+        let mut path_records = Vec::new();
+        for p in &paths {
             let mut line = format!(
                 "  {:<15} optimized {:>8.2} ns/iter",
                 p.name, p.optimized.median_ns
             );
-            let _ = write!(
-                json,
-                "        \"{}\": {{\"optimized_ns\": {:.2}, \"optimized_min_ns\": {:.2}",
-                p.name, p.optimized.median_ns, p.optimized.min_ns
-            );
+            let mut fields = vec![
+                ("optimized_ns".to_string(), p.optimized.median_ns.into()),
+                ("optimized_min_ns".to_string(), p.optimized.min_ns.into()),
+            ];
             for (label, stat, speedup) in &p.baselines {
                 let _ = write!(line, "  {label} {:>8.2} ({speedup:>5.2}x)", stat.median_ns);
-                let _ = write!(
-                    json,
-                    ", \"{label}_ns\": {:.2}, \"{label}_min_ns\": {:.2}, \"{label}_speedup\": {speedup:.3}",
-                    stat.median_ns, stat.min_ns
-                );
+                fields.extend([
+                    (format!("{label}_ns"), stat.median_ns.into()),
+                    (format!("{label}_min_ns"), stat.min_ns.into()),
+                    (format!("{label}_speedup"), (*speedup).into()),
+                ]);
                 if p.name == "compute" && *label == "reference" {
                     min_reference = min_reference.min(*speedup);
                 }
@@ -449,8 +439,8 @@ fn hot_paths(out_path: &str, smoke: bool) {
                 }
             }
             println!("{line}  ({} iters)", p.inner);
-            let comma = if i + 1 < paths.len() { "," } else { "" };
-            let _ = writeln!(json, ", \"iters\": {}}}{comma}", p.inner);
+            fields.push(("iters".to_string(), p.inner.into()));
+            path_records.push((p.name.to_string(), Json::Obj(fields)));
         }
         if smoke {
             println!("  every hot path agrees bitwise with its baselines");
@@ -471,27 +461,28 @@ fn hot_paths(out_path: &str, smoke: bool) {
                 e2e_reference_s / e2e_wall_s
             );
         }
-        let _ = writeln!(
-            json,
-            "      }},\n      \"tile_points\": {points},\n      \"batched_points\": {batched},\n      \
-             \"batched_fraction\": {:.4},\n      \
-             \"e2e_vectorized_points\": {e2e_vectorized},\n      \
-             \"e2e_iterations\": {e2e_iterations},\n      \
-             \"virtual_makespan_s\": {virtual_makespan},\n      \
-             \"e2e_wall_s\": {e2e_wall_s:.6},\n      \
-             \"e2e_reference_wall_s\": {e2e_reference_s:.6},\n      \
-             \"overlap\": {{\"blocking_makespan\": {blocking}, \"overlapped_makespan\": {overlapped}, \
-             \"speedup\": {overlap_speedup:.3}, \"overlap_hidden\": {hidden:.9}}}\n    }}{}",
-            batched as f64 / points as f64,
-            if wi + 1 < nw { "," } else { "" }
-        );
+        let overlap = Json::obj([
+            ("blocking_makespan", blocking.into()),
+            ("overlapped_makespan", overlapped.into()),
+            ("speedup", overlap_speedup.into()),
+            ("overlap_hidden", hidden.into()),
+        ]);
+        records.push((
+            name,
+            Json::obj([
+                ("paths", Json::Obj(path_records)),
+                ("tile_points", points.into()),
+                ("batched_points", batched.into()),
+                ("batched_fraction", (batched as f64 / points as f64).into()),
+                ("e2e_vectorized_points", e2e_vectorized.into()),
+                ("e2e_iterations", e2e_iterations.into()),
+                ("virtual_makespan_s", virtual_makespan.into()),
+                ("e2e_wall_s", e2e_wall_s.into()),
+                ("e2e_reference_wall_s", e2e_reference_s.into()),
+                ("overlap", overlap),
+            ]),
+        ));
     }
-    let _ = writeln!(
-        json,
-        "  }},\n  \"gates\": {{\"min_compute_speedup_reference\": {min_reference:.3}, \
-         \"compute_workloads_ge_1_5x_per_point\": {per_point_wins}, \
-         \"max_overlap_speedup\": {max_overlap:.3}}}\n}}"
-    );
     assert!(
         max_overlap >= 1.1,
         "acceptance: overlapping must win >= 1.1x on at least one paper workload \
@@ -511,7 +502,31 @@ fn hot_paths(out_path: &str, smoke: bool) {
         "acceptance: interior compute must be >= 1.5x over the per-point loop on at least \
          4 of 6 paper workloads (got {per_point_wins})"
     );
-    std::fs::write(out_path, &json).expect("write bench JSON");
+    let timing = Json::obj([
+        ("warmup_runs", WALL_WARMUP_RUNS.into()),
+        ("rounds", WALL_ROUNDS.into()),
+        ("statistic", "median".into()),
+        ("speedup", "median of paired per-round ratios".into()),
+        ("min_round_ms", MIN_ROUND_MS.into()),
+        ("e2e_runs", E2E_RUNS.into()),
+    ]);
+    let gates = Json::obj([
+        ("min_compute_speedup_reference", min_reference.into()),
+        ("compute_workloads_ge_1_5x_per_point", per_point_wins.into()),
+        ("max_overlap_speedup", max_overlap.into()),
+    ]);
+    let record = Json::obj([
+        (
+            "bench",
+            "paper-workload hot paths vs per-point and reference baselines".into(),
+        ),
+        ("unit", "ns_per_iter".into()),
+        ("timing", timing),
+        ("machine", machine(&cpu_model())),
+        ("workloads", Json::obj(records)),
+        ("gates", gates),
+    ]);
+    std::fs::write(out_path, record.pretty()).expect("write bench JSON");
     println!(
         "wrote {out_path} (compute >= {min_reference:.2}x over reference; {per_point_wins}/6 \
          workloads >= 1.5x over per-point; max overlap speedup {max_overlap:.3}x)"
@@ -676,18 +691,9 @@ fn dsl_bench(out_path: &str, smoke: bool) {
         ("adi_paper", matrices::adi_rect(4, 6, 6), 1),
     ];
 
-    let mut json = String::from(
-        "{\n  \"bench\": \"kernel-DSL corpus vs recorded hand-coded paper kernels\",\n",
-    );
-    json.push_str("  \"unit\": \"normalized_ms_end_to_end\",\n");
-    let _ = writeln!(json, "  \"machine\": {},", machine_json());
-    let _ = writeln!(json, "  \"cal_ref_ms\": {CAL_REF_MS},");
-    let _ = writeln!(json, "  \"overhead_bound\": {DSL_OVERHEAD_BOUND},");
-    json.push_str("  \"workloads\": {\n");
-
-    let nc = cases.len();
+    let mut records = Vec::new();
     let mut max_overhead = 0.0f64;
-    for (ci, (name, h, m)) in cases.into_iter().enumerate() {
+    for (name, h, m) in cases {
         let frozen = corpus::FROZEN
             .iter()
             .find(|f| f.name == name && !f.overrides.is_empty())
@@ -745,15 +751,18 @@ fn dsl_bench(out_path: &str, smoke: bool) {
                  wall {wall_ms:.2} ms, calibration {cal_ms:.2} ms)  overhead {overhead:.2}x"
             );
         }
-        let _ = writeln!(
-            json,
-            "    \"{name}\": {{\"hand_norm_ms\": {hand_norm:.3}, \"tape_norm_ms\": {tape_norm:.3}, \
-             \"tape_wall_ms\": {wall_ms:.3}, \"cal_ms\": {cal_ms:.3}, \
-             \"overhead\": {overhead:.3}, \"frozen_hash_matches\": true}}{}",
-            if ci + 1 < nc { "," } else { "" }
-        );
+        records.push((
+            name,
+            Json::obj([
+                ("hand_norm_ms", hand_norm.into()),
+                ("tape_norm_ms", tape_norm.into()),
+                ("tape_wall_ms", wall_ms.into()),
+                ("cal_ms", cal_ms.into()),
+                ("overhead", overhead.into()),
+                ("frozen_hash_matches", true.into()),
+            ]),
+        ));
     }
-    let _ = writeln!(json, "  }},\n  \"max_overhead\": {max_overhead:.3}\n}}");
 
     if smoke {
         println!("dsl-bench smoke: every kernel checked against its fingerprint; no JSON written");
@@ -764,7 +773,19 @@ fn dsl_bench(out_path: &str, smoke: bool) {
         "acceptance: corpus kernels must stay within {DSL_OVERHEAD_BOUND}x of the recorded \
          hand-coded walls end-to-end, normalized (worst {max_overhead:.2}x)"
     );
-    std::fs::write(out_path, &json).expect("write bench JSON");
+    let record = Json::obj([
+        (
+            "bench",
+            "kernel-DSL corpus vs recorded hand-coded paper kernels".into(),
+        ),
+        ("unit", "normalized_ms_end_to_end".into()),
+        ("machine", machine(&cpu_model())),
+        ("cal_ref_ms", CAL_REF_MS.into()),
+        ("overhead_bound", DSL_OVERHEAD_BOUND.into()),
+        ("workloads", Json::obj(records)),
+        ("max_overhead", max_overhead.into()),
+    ]);
+    std::fs::write(out_path, record.pretty()).expect("write bench JSON");
     println!("wrote {out_path} (max DSL overhead {max_overhead:.2}x, bound {DSL_OVERHEAD_BOUND}x)");
 }
 
@@ -862,15 +883,10 @@ fn tune_bench(out_path: &str, smoke: bool) {
         ("adi_nr", adi, Variant::NonRect, (2, 3, 2)),
     ];
 
-    let mut json = String::from("{\n  \"bench\": \"PR9 tiling auto-tuner vs paper-fixed H\",\n");
-    let _ = writeln!(json, "  \"machine\": {},", machine_json());
-    let _ = writeln!(json, "  \"model\": \"fast_ethernet_p3\",");
-    let _ = writeln!(json, "  \"smoke\": {smoke},");
-    json.push_str("  \"workloads\": {\n");
-
+    let mut records = Vec::new();
     let mut strict_wins = 0u32;
     let nc = cases.len();
-    for (ci, (name, w, variant, (x, y, z))) in cases.into_iter().enumerate() {
+    for (name, w, variant, (x, y, z)) in cases {
         let alg = w.algorithm();
         let fixed_h = w.tiling(variant, x, y, z);
         let mut opts = TuneOptions::new(x * y * z, w.mapping_dim());
@@ -902,52 +918,57 @@ fn tune_bench(out_path: &str, smoke: bool) {
             out.evaluated
         );
         let cand = |c: &tilecc::TunedCandidate| {
-            format!(
-                "{{\"h\": \"{}\", \"makespan\": {}, \"bytes\": {}, \"messages\": {}, \
-                 \"procs\": {}, \"speedup\": {}}}",
-                tilecc::tune::fmt_h(&c.h),
-                c.summary.makespan,
-                c.summary.bytes,
-                c.summary.messages,
-                c.summary.procs,
-                c.summary.speedup
-            )
+            Json::obj([
+                ("h", tilecc::tune::fmt_h(&c.h).into()),
+                ("makespan", c.summary.makespan.into()),
+                ("bytes", c.summary.bytes.into()),
+                ("messages", c.summary.messages.into()),
+                ("procs", c.summary.procs.into()),
+                ("speedup", c.summary.speedup.into()),
+            ])
         };
-        let _ = writeln!(json, "    \"{name}\": {{");
-        let _ = writeln!(json, "      \"kernel\": \"{}\",", w.label());
-        let _ = writeln!(json, "      \"volume\": {},", x * y * z);
-        let _ = writeln!(json, "      \"m\": {},", w.mapping_dim());
-        let _ = writeln!(json, "      \"fixed_variant\": \"{}\",", variant.label());
-        let _ = writeln!(json, "      \"fixed\": {},", cand(fixed));
-        let _ = writeln!(json, "      \"tuned\": {},", cand(best));
-        let _ = writeln!(json, "      \"improvement\": {improvement},");
-        let _ = writeln!(json, "      \"strict_win\": {strict},");
-        let _ = writeln!(
-            json,
-            "      \"counters\": {{\"generated\": {}, \"invalid\": {}, \"illegal\": {}, \
-             \"deduped\": {}, \"truncated\": {}, \"failed\": {}, \"evaluated\": {}}}",
-            out.generated,
-            out.invalid,
-            out.illegal,
-            out.deduped,
-            out.truncated,
-            out.failed,
-            out.evaluated
-        );
-        let _ = writeln!(json, "    }}{}", if ci + 1 == nc { "" } else { "," });
+        let counters = Json::obj([
+            ("generated", out.generated.into()),
+            ("invalid", out.invalid.into()),
+            ("illegal", out.illegal.into()),
+            ("deduped", out.deduped.into()),
+            ("truncated", out.truncated.into()),
+            ("failed", out.failed.into()),
+            ("evaluated", out.evaluated.into()),
+        ]);
+        records.push((
+            name,
+            Json::obj([
+                ("kernel", w.label().into()),
+                ("volume", (x * y * z).into()),
+                ("m", w.mapping_dim().into()),
+                ("fixed_variant", variant.label().into()),
+                ("fixed", cand(fixed)),
+                ("tuned", cand(best)),
+                ("improvement", improvement.into()),
+                ("strict_win", strict.into()),
+                ("counters", counters),
+            ]),
+        ));
     }
-    json.push_str("  },\n");
-    let _ = writeln!(
-        json,
-        "  \"gates\": {{\"tuned_never_worse\": true, \"strict_wins\": {strict_wins}, \
-         \"required_strict_wins\": 2}}"
-    );
-    json.push('}');
+    let gates = Json::obj([
+        ("tuned_never_worse", true.into()),
+        ("strict_wins", strict_wins.into()),
+        ("required_strict_wins", 2u32.into()),
+    ]);
     assert!(
         strict_wins >= 2,
         "tuner strictly beat the paper's fixed H on only {strict_wins} of {nc} workloads (need 2)"
     );
-    std::fs::write(out_path, &json).unwrap();
+    let record = Json::obj([
+        ("bench", "PR9 tiling auto-tuner vs paper-fixed H".into()),
+        ("machine", machine(&cpu_model())),
+        ("model", "fast_ethernet_p3".into()),
+        ("smoke", smoke.into()),
+        ("workloads", Json::obj(records)),
+        ("gates", gates),
+    ]);
+    std::fs::write(out_path, record.pretty()).unwrap();
     println!("wrote {out_path} ({strict_wins}/{nc} strict wins)");
 }
 
@@ -984,5 +1005,21 @@ fn main() {
         Some("--tune-bench") => tune_bench(&out("BENCH_PR9.json"), smoke),
         Some("--dsl-bench") => dsl_bench(&out("BENCH_PR10.json"), smoke),
         _ => hot_paths(&out("hot_paths.json"), smoke),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn machine_record_keeps_a_quoted_cpu_model() {
+        let model = r#"Vendor "Fast" CPU @ 3.0GHz \ rev\t2"#;
+        let record = machine(model);
+        for text in [record.to_string(), record.pretty()] {
+            let back = tilecc_cluster::obs::json::parse(&text).unwrap();
+            assert_eq!(back, record);
+            assert_eq!(back.get("cpu_model").and_then(Json::as_str), Some(model));
+        }
     }
 }

@@ -5,7 +5,7 @@
 
 use tilecc::{matrices, Pipeline, Workload};
 use tilecc_cluster::{CommScheme, EngineOptions, MachineModel};
-use tilecc_parcode::{Backend, ExecStrategy};
+use tilecc_parcode::ExecStrategy;
 
 fn measure_with(
     w: Workload,
@@ -19,7 +19,6 @@ fn measure_with(
         .simulate(
             model,
             ExecStrategy::Compiled,
-            Backend::Threaded,
             EngineOptions {
                 scheme,
                 ..EngineOptions::default()

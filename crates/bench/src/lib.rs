@@ -13,6 +13,7 @@ pub mod per_point;
 
 use std::path::Path;
 use tilecc::{measure, probe_procs, MeasuredPoint, Variant, Workload};
+use tilecc_cluster::obs::json::Json;
 use tilecc_cluster::MachineModel;
 
 /// The paper's target process count.
@@ -39,108 +40,36 @@ pub struct SeriesRecord {
     pub points: Vec<MeasuredPoint>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// `f64` as JSON: finite values print with enough digits to round-trip;
-/// non-finite values (never produced by a healthy run) become `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // Ensure a number like `3` keeps a float shape for typed readers.
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
-fn point_json(p: &MeasuredPoint, indent: &str) -> String {
-    format!(
-        "{indent}{{\n\
-         {indent}  \"variant\": \"{}\",\n\
-         {indent}  \"factors\": [{}, {}, {}],\n\
-         {indent}  \"tile_size\": {},\n\
-         {indent}  \"procs\": {},\n\
-         {indent}  \"sequential_time\": {},\n\
-         {indent}  \"makespan\": {},\n\
-         {indent}  \"speedup\": {},\n\
-         {indent}  \"predicted_steps\": {},\n\
-         {indent}  \"bytes\": {}\n\
-         {indent}}}",
-        json_escape(p.variant),
-        p.factors.0,
-        p.factors.1,
-        p.factors.2,
-        p.tile_size,
-        p.procs,
-        json_f64(p.sequential_time),
-        json_f64(p.makespan),
-        json_f64(p.speedup),
-        json_f64(p.predicted_steps),
-        p.bytes,
-    )
-}
-
 impl FigureRecord {
-    /// Pretty-printed JSON (hand-rolled: the build is dependency-free).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!(
-            "  \"figure\": \"{}\",\n",
-            json_escape(&self.figure)
-        ));
-        s.push_str(&format!(
-            "  \"description\": \"{}\",\n",
-            json_escape(&self.description)
-        ));
-        s.push_str(&format!(
-            "  \"machine_model\": \"{}\",\n",
-            json_escape(&self.machine_model)
-        ));
-        s.push_str("  \"series\": [\n");
-        for (i, ser) in self.series.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!(
-                "      \"workload\": \"{}\",\n",
-                json_escape(&ser.workload)
-            ));
-            s.push_str(&format!(
-                "      \"grid_factors\": [{}, {}, {}],\n",
-                ser.grid_factors.0, ser.grid_factors.1, ser.grid_factors.2
-            ));
-            s.push_str("      \"points\": [\n");
-            let pts: Vec<String> = ser
-                .points
-                .iter()
-                .map(|p| point_json(p, "        "))
-                .collect();
-            s.push_str(&pts.join(",\n"));
-            s.push_str("\n      ]\n");
-            s.push_str(if i + 1 < self.series.len() {
-                "    },\n"
-            } else {
-                "    }\n"
+    /// The record as JSON; [`write_record`] prints it in the pretty form.
+    pub fn to_json(&self) -> Json {
+        let triple = |(a, b, c): (i64, i64, i64)| Json::from_iter([a, b, c]);
+        let series = self.series.iter().map(|ser| {
+            let points = ser.points.iter().map(|p| {
+                Json::obj([
+                    ("variant", p.variant.into()),
+                    ("factors", triple(p.factors)),
+                    ("tile_size", p.tile_size.into()),
+                    ("procs", p.procs.into()),
+                    ("sequential_time", p.sequential_time.into()),
+                    ("makespan", p.makespan.into()),
+                    ("speedup", p.speedup.into()),
+                    ("predicted_steps", p.predicted_steps.into()),
+                    ("bytes", p.bytes.into()),
+                ])
             });
-        }
-        s.push_str("  ]\n}");
-        s
+            Json::obj([
+                ("workload", ser.workload.as_str().into()),
+                ("grid_factors", triple(ser.grid_factors)),
+                ("points", points.collect()),
+            ])
+        });
+        Json::obj([
+            ("figure", self.figure.as_str().into()),
+            ("description", self.description.as_str().into()),
+            ("machine_model", self.machine_model.as_str().into()),
+            ("series", series.collect()),
+        ])
     }
 }
 
@@ -286,7 +215,7 @@ pub fn write_record(record: &FigureRecord) {
     let dir = Path::new("results");
     std::fs::create_dir_all(dir).expect("create results dir");
     let path = dir.join(format!("{}.json", record.figure));
-    std::fs::write(&path, record.to_json()).expect("write record");
+    std::fs::write(&path, record.to_json().pretty()).expect("write record");
     println!("\nwrote {}", path.display());
 }
 
@@ -331,13 +260,11 @@ mod tests {
                 }],
             }],
         };
-        let json = rec.to_json();
+        let json = rec.to_json().pretty();
         assert!(json.contains("\"figure\": \"fig-test\""), "{json}");
         assert!(json.contains("\\\"quoted\\\""), "escaping: {json}");
         assert!(json.contains("\"factors\": [2, 3, 4]"), "{json}");
         assert!(json.contains("\"speedup\": 3.0"), "float shape: {json}");
-        // Balanced braces/brackets — a cheap structural sanity check.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert_eq!(tilecc_cluster::obs::json::parse(&json), Ok(rec.to_json()));
     }
 }

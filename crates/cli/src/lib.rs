@@ -26,6 +26,7 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
 use tilecc::{Pipeline, Reference, RunSummary, TuneOptions};
+use tilecc_cluster::obs::json::Json;
 use tilecc_cluster::obs::RunReport as MetricsReport;
 use tilecc_cluster::{
     collect_workers, run_worker, CommError, CommScheme, Counter, EngineOptions, FaultPlan,
@@ -816,12 +817,12 @@ fn tcp_worker(
         local_times[rank] = local_time;
         if let Some(path) = &opts.trace_out {
             let p = format!("{path}.rank{rank}");
-            std::fs::write(&p, reg.chrome_trace(None))
+            std::fs::write(&p, reg.chrome_trace(None).to_string())
                 .map_err(|e| CliError(format!("cannot write trace to `{p}`: {e}")))?;
         }
         if let Some(path) = &opts.metrics_out {
             let p = format!("{path}.rank{rank}");
-            std::fs::write(&p, reg.run_report(&local_times).to_json())
+            std::fs::write(&p, reg.run_report(&local_times).to_json().pretty())
                 .map_err(|e| CliError(format!("cannot write metrics to `{p}`: {e}")))?;
         }
     }
@@ -933,45 +934,37 @@ fn render_live_table(ranks: &[RankTelemetry], redraw: usize) -> usize {
     lines
 }
 
-/// One `--stats-out` NDJSON record: the driver's wall-clock offset plus
-/// every rank's phase, heartbeat progress, and decoded snapshot (clock
-/// partition terms and the counters the live table shows).
-fn stats_ndjson_line(wall_ms: u128, ranks: &[RankTelemetry]) -> String {
-    let mut s = String::new();
-    let _ = write!(s, "{{\"t_wall_ms\": {wall_ms}, \"ranks\": [");
-    for (i, t) in ranks.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(
-            s,
-            "{{\"rank\": {}, \"phase\": \"{}\", \"progress\": {}, \"seq\": {}",
-            t.rank,
-            telemetry_phase(t),
-            t.progress,
-            t.stats_seq
-        );
+/// One `--stats-out` NDJSON record (printed on one line): the driver's
+/// wall-clock offset plus every rank's phase, heartbeat progress, and
+/// decoded snapshot (clock partition terms and the counters the live table
+/// shows).
+fn stats_record(wall_ms: u128, ranks: &[RankTelemetry]) -> Json {
+    let ranks = ranks.iter().map(|t| {
+        let mut fields = vec![
+            ("rank", t.rank.into()),
+            ("phase", telemetry_phase(t).into()),
+            ("progress", t.progress.into()),
+            ("seq", t.stats_seq.into()),
+        ];
         if let Some(snap) = &t.stats {
-            let _ = write!(
-                s,
-                ", \"clock\": {:.9}, \"compute\": {:.9}, \"wait\": {:.9}, \"comm\": {:.9}, \
-                 \"recovery\": {:.9}, \"bytes_sent\": {}, \"retransmits\": {}, \
-                 \"recoveries\": {}, \"ckpt_writes\": {}",
-                snap.local_clock(),
-                snap.compute_time(),
-                snap.wait_time(),
-                snap.comm_time(),
-                snap.recovery_time(),
-                snap.counter(Counter::BytesSent),
-                snap.counter(Counter::Retransmits),
-                snap.counter(Counter::Recoveries),
-                snap.counter(Counter::CkptWrites),
-            );
+            fields.extend([
+                ("clock", snap.local_clock().into()),
+                ("compute", snap.compute_time().into()),
+                ("wait", snap.wait_time().into()),
+                ("comm", snap.comm_time().into()),
+                ("recovery", snap.recovery_time().into()),
+                ("bytes_sent", snap.counter(Counter::BytesSent).into()),
+                ("retransmits", snap.counter(Counter::Retransmits).into()),
+                ("recoveries", snap.counter(Counter::Recoveries).into()),
+                ("ckpt_writes", snap.counter(Counter::CkptWrites).into()),
+            ]);
         }
-        s.push('}');
-    }
-    s.push_str("]}");
-    s
+        Json::obj(fields)
+    });
+    Json::obj([
+        ("t_wall_ms", Json::Int(wall_ms as i128)),
+        ("ranks", ranks.collect()),
+    ])
 }
 
 /// A directory removed, with its contents, when the guard drops.
@@ -1176,8 +1169,8 @@ fn tcp_driver(
             last_seq_sum = seq_sum;
             if let Some(w) = &mut stats_file {
                 use std::io::Write as _;
-                let line = stats_ndjson_line(run_start.elapsed().as_millis(), ranks);
-                let _ = writeln!(w, "{line}");
+                let record = stats_record(run_start.elapsed().as_millis(), ranks);
+                let _ = writeln!(w, "{record}");
             }
             if opts.live {
                 // On a terminal every update redraws in place; a
@@ -1285,7 +1278,7 @@ fn tcp_driver(
         // Worker spans stay in the workers' files; the driver's own
         // (lowering, plan, chain lowering, gather, verify) go to the plain
         // path.
-        std::fs::write(p, reg.chrome_trace(None))
+        std::fs::write(p, reg.chrome_trace(None).to_string())
             .map_err(|e| CliError(format!("cannot write trace to `{p}`: {e}")))?;
         let _ = writeln!(
             out,
@@ -1299,7 +1292,7 @@ fn tcp_driver(
         // bitwise identical to the report a threaded run of the same
         // program writes (`tilecc report a --diff b` checks this).
         let merged = MetricsReport::from_snapshots(&snaps, &summary.local_times);
-        std::fs::write(p, merged.to_json())
+        std::fs::write(p, merged.to_json().pretty())
             .map_err(|e| CliError(format!("cannot write metrics to `{p}`: {e}")))?;
         let _ = writeln!(
             out,
@@ -1492,7 +1485,7 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                 }
             }
             if let Some(json_path) = &topts.json_out {
-                std::fs::write(json_path, outcome.to_json(0))
+                std::fs::write(json_path, outcome.to_json().pretty())
                     .map_err(|e| CliError(format!("cannot write `{json_path}`: {e}")))?;
                 let _ = writeln!(out, "json   : {json_path}");
             }
@@ -1617,12 +1610,12 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                     let (summary, data) = match mode {
                         ExecMode::Full => {
                             let (s, d) = pipe
-                                .run_verified(opts.model, opts.strategy, Backend::Threaded, options)
+                                .run_verified(opts.model, opts.strategy, options)
                                 .map_err(run_err)?;
                             (s, Some(d))
                         }
                         ExecMode::TimingOnly => (
-                            pipe.simulate(opts.model, opts.strategy, Backend::Threaded, options)
+                            pipe.simulate(opts.model, opts.strategy, options)
                                 .map_err(run_err)?,
                             None,
                         ),
@@ -1642,14 +1635,14 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                             .run_report(&summary.local_times)
                             .with_critical_path(reg.critical_path(&summary.local_times));
                         if let Some(path) = &opts.trace_out {
-                            let trace = reg.chrome_trace(report.critical_path.as_ref());
+                            let trace = reg.chrome_trace(report.critical_path.as_ref()).to_string();
                             std::fs::write(path, trace).map_err(|e| {
                                 CliError(format!("cannot write trace to `{path}`: {e}"))
                             })?;
                             let _ = writeln!(out, "trace      : {path}");
                         }
                         if let Some(path) = &opts.metrics_out {
-                            std::fs::write(path, report.to_json()).map_err(|e| {
+                            std::fs::write(path, report.to_json().pretty()).map_err(|e| {
                                 CliError(format!("cannot write metrics to `{path}`: {e}"))
                             })?;
                             let _ = writeln!(out, "metrics    : {path}");
@@ -2096,7 +2089,7 @@ X[t,i,j] = X[t-1,i,j] + 0.3*X[t-1,i-1,j] - 0.2*X[t-1,i,j-1]
                 stats_seq: 0,
             },
         ];
-        let line = stats_ndjson_line(1234, &ranks);
+        let line = stats_record(1234, &ranks).to_string();
         let j = tilecc_cluster::obs::json::parse(&line).expect("NDJSON line must parse");
         assert_eq!(j.get("t_wall_ms").and_then(Json::as_u64), Some(1234));
         let rs = j.get("ranks").and_then(Json::as_arr).unwrap();
@@ -2344,7 +2337,7 @@ X[t,i,j] = X[t-1,i,j] + 0.3*X[t-1,i-1,j] - 0.2*X[t-1,i,j-1]
         );
         let typed = tilecc_tiling::TilingError::TileTooLarge {
             volume: 64_000_000,
-            limit: tilecc_tiling::tile_space::TILE_VOLUME_FLOOR,
+            limit: Some(tilecc_tiling::tile_space::TILE_VOLUME_FLOOR),
         };
         assert!(e.0.contains(&typed.to_string()), "{e}");
     }
@@ -2385,8 +2378,8 @@ X[t,i,j] = X[t-1,i,j] + 0.3*X[t-1,i-1,j] - 0.2*X[t-1,i,j-1]
         for cmd in ["run", "plan"] {
             let e = run_cli(&args(&[cmd, &jacobi, "--rect", rect])).unwrap_err();
             let typed = tilecc_tiling::TilingError::TileTooLarge {
-                volume: i64::MAX,
-                limit: tilecc_tiling::tile_space::TILE_VOLUME_FLOOR,
+                volume: 27 * 10i128.pow(27),
+                limit: Some(tilecc_tiling::tile_space::TILE_VOLUME_FLOOR),
             };
             assert!(e.0.contains(&typed.to_string()), "{cmd}: {e}");
         }
@@ -2446,10 +2439,31 @@ X[t,i,j] = X[t-1,i,j] + 0.3*X[t-1,i-1,j] - 0.2*X[t-1,i,j-1]
             t0.elapsed()
         );
         let typed = tilecc_tiling::TilingError::TileTooLarge {
-            volume: i64::MAX,
-            limit: tilecc_tiling::tile_space::TILE_VOLUME_FLOOR,
+            volume: i64::MAX.into(),
+            limit: Some(tilecc_tiling::tile_space::TILE_VOLUME_FLOOR),
         };
         assert!(e.0.contains(&typed.to_string()), "{e}");
+    }
+
+    #[test]
+    fn tile_too_large_names_a_volume_that_fits_i64() {
+        // `i64::MAX` itself is a volume like any other; only a volume past
+        // it reads as "past 2^63".
+        let jacobi = format!(
+            "{}/../../examples/kernels/jacobi.tk",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let e = run_cli(&args(&["tune", &jacobi, "--volume", "9223372036854775807"])).unwrap_err();
+        assert!(
+            e.0.contains("tile volume 9223372036854775807 exceeds the limit 2097152 "),
+            "{e}"
+        );
+        let rect = "3037000499,3037000499,3037000499";
+        let e = run_cli(&args(&["plan", &jacobi, "--rect", rect])).unwrap_err();
+        assert!(
+            e.0.contains("tile volume (past 2^63) exceeds the limit 2097152 "),
+            "{e}"
+        );
     }
 
     #[test]

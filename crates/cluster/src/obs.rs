@@ -18,8 +18,10 @@
 //!   `r + 1`; pid 0 is the driver/compiler), one tid lane per phase kind.
 //! * [`RunReport`] — the per-rank compute/wait/comm split (which sums to
 //!   each rank's virtual makespan exactly), utilization, traffic and tile
-//!   counters, serialized with the same hand-rolled JSON style as the bench
-//!   artifacts, plus a human-readable text rendering.
+//!   counters, plus a human-readable text rendering.
+//! * [`json`] — the one JSON value every artifact (metrics report, trace,
+//!   `--stats-out` record, tuner outcome, figure and bench records) is
+//!   built as, with its one printer and its one linear-time reader.
 //!
 //! Spans, gauges and histograms are opt-in: with `EngineOptions::obs ==
 //! None` the engine and executor only ever test an `Option` that is
@@ -29,6 +31,7 @@
 //! [`RankMetrics`] otherwise; a [`StatsSnapshot`] is their one read-side
 //! form.
 
+use json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -690,9 +693,11 @@ impl MetricsRegistry {
     }
 
     /// Chrome trace-event JSON of every collected span, with `path`
-    /// highlighted as flow arrows (see [`chrome_trace_json`]).
-    pub fn chrome_trace(&self, path: Option<&CriticalPath>) -> String {
-        chrome_trace_json(&self.spans(), path)
+    /// highlighted as flow arrows: one pid per rank, one tid per phase
+    /// lane, rank lanes on the virtual clock and driver lanes on wall time
+    /// (see `docs/observability.md`). Print it with `Display`.
+    pub fn chrome_trace(&self, path: Option<&CriticalPath>) -> Json {
+        chrome_trace(&self.spans(), path)
     }
 
     /// The dependency-true critical path of a finished run: walk the
@@ -1055,22 +1060,15 @@ impl StatsSnapshot {
 // Chrome trace export
 // ---------------------------------------------------------------------------
 
-fn fmt_us(ns_or_us: f64) -> String {
-    // Trim to 3 decimals; trace viewers do not need more.
-    format!("{ns_or_us:.3}")
-}
-
-/// Serialize spans as Chrome trace-event JSON (`ph:"X"` complete events
-/// plus process/thread-name metadata). One pid per rank, one tid per phase
+/// Chrome trace-event JSON (`ph:"X"` complete events plus process/
+/// thread-name metadata) of `spans`. One pid per rank, one tid per phase
 /// lane. Rank lanes run on the virtual clock (µs = virtual seconds × 10⁶);
 /// driver lanes, which have none, on wall time since the registry epoch.
 /// Every event keeps its wall interval in `args`. With `path`, every
 /// cross-rank hop of the critical path becomes a Perfetto `s`/`f` flow
 /// arrow (category `critical-path`) from the sender's send lane to the
 /// receiver's recv lane at the hand-off instant.
-pub fn chrome_trace_json(spans: &[Span], path: Option<&CriticalPath>) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n");
+fn chrome_trace(spans: &[Span], path: Option<&CriticalPath>) -> Json {
     // Metadata: name each pid and each (pid, lane) we are about to emit.
     let mut pids: Vec<u32> = spans.iter().map(|s| s.pid).collect();
     pids.sort_unstable();
@@ -1081,84 +1079,80 @@ pub fn chrome_trace_json(spans: &[Span], path: Option<&CriticalPath>) -> String 
         .collect();
     lanes.sort_unstable();
     lanes.dedup_by_key(|l| (l.0, l.1));
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if first {
-            first = false;
-        } else {
-            out.push_str(",\n");
-        }
+    let meta = |kind: &str, pid: u32, tid: u32, name: String| {
+        Json::obj([
+            ("name", kind.into()),
+            ("ph", "M".into()),
+            ("pid", pid.into()),
+            ("tid", tid.into()),
+            ("args", Json::obj([("name", name.into())])),
+        ])
     };
-    for pid in &pids {
-        let name = if *pid == DRIVER_PID {
-            "driver".to_string()
-        } else {
-            format!("rank {}", pid - 1)
-        };
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": 0, \"args\": {{\"name\": \"{name}\"}}}}"
-        );
-    }
-    for (pid, lane, name) in &lanes {
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {lane}, \"args\": {{\"name\": \"{name}\"}}}}"
-        );
-    }
+    let mut events: Vec<Json> = pids
+        .iter()
+        .map(|&pid| match pid {
+            DRIVER_PID => meta("process_name", pid, 0, "driver".into()),
+            _ => meta("process_name", pid, 0, format!("rank {}", pid - 1)),
+        })
+        .collect();
+    events.extend(
+        lanes
+            .iter()
+            .map(|&(pid, lane, name)| meta("thread_name", pid, lane, name.into())),
+    );
     for s in spans {
+        let wall_dur = s.wall_end_ns.saturating_sub(s.wall_start_ns);
         let (ts, dur) = match s.virt {
             Some((v0, v1)) => (v0 * 1e6, (v1 - v0).max(0.0) * 1e6),
-            None => (
-                s.wall_start_ns as f64 / 1e3,
-                s.wall_end_ns.saturating_sub(s.wall_start_ns) as f64 / 1e3,
-            ),
+            None => (s.wall_start_ns as f64 / 1e3, wall_dur as f64 / 1e3),
         };
-        sep(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": {}, \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{\"detail\": {}, \"wall_start_ns\": {}, \"wall_dur_ns\": {}",
-            s.name,
-            s.phase.name(),
-            s.pid,
-            s.phase.lane(),
-            fmt_us(ts),
-            fmt_us(dur),
-            s.detail,
-            s.wall_start_ns,
-            s.wall_end_ns.saturating_sub(s.wall_start_ns),
-        );
+        let mut args = vec![
+            ("detail", s.detail.into()),
+            ("wall_start_ns", s.wall_start_ns.into()),
+            ("wall_dur_ns", wall_dur.into()),
+        ];
         if let Some((v0, v1)) = s.virt {
-            let _ = write!(out, ", \"virt_start_s\": {v0:.9}, \"virt_end_s\": {v1:.9}");
+            args.extend([("virt_start_s", v0.into()), ("virt_end_s", v1.into())]);
         }
-        out.push_str("}}");
+        events.push(Json::obj([
+            ("name", s.name.into()),
+            ("cat", s.phase.name().into()),
+            ("ph", "X".into()),
+            ("pid", s.pid.into()),
+            ("tid", s.phase.lane().into()),
+            ("ts", ts.into()),
+            ("dur", dur.into()),
+            ("args", Json::obj(args)),
+        ]));
     }
-    if let Some(cp) = path {
-        let mut id = 0u64;
-        for h in &cp.hops {
-            let Some(from) = h.from_rank else { continue };
-            id += 1;
-            let ts = fmt_us(h.start * 1e6);
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\": \"critical-path\", \"cat\": \"critical-path\", \"ph\": \"s\", \"id\": {id}, \"pid\": {}, \"tid\": {}, \"ts\": {ts}}}",
-                from as u32 + 1,
-                Phase::Send.lane(),
-            );
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\": \"critical-path\", \"cat\": \"critical-path\", \"ph\": \"f\", \"bp\": \"e\", \"id\": {id}, \"pid\": {}, \"tid\": {}, \"ts\": {ts}}}",
-                h.rank as u32 + 1,
-                Phase::Recv.lane(),
-            );
-        }
+    let hand_offs = path
+        .into_iter()
+        .flat_map(|cp| &cp.hops)
+        .filter_map(|h| Some((h.from_rank?, h)));
+    for (id, (from, h)) in (1u64..).zip(hand_offs) {
+        let flow = |ph: &str, rank: usize, lane: u32| {
+            let bp = (ph == "f").then(|| ("bp", "e".into()));
+            Json::obj(
+                [
+                    ("name", "critical-path".into()),
+                    ("cat", "critical-path".into()),
+                    ("ph", ph.into()),
+                    ("id", id.into()),
+                    ("pid", (rank as u32 + 1).into()),
+                    ("tid", lane.into()),
+                    ("ts", (h.start * 1e6).into()),
+                ]
+                .into_iter()
+                .chain(bp),
+            )
+        };
+        events.push(flow("s", from, Phase::Send.lane()));
+        events.push(flow("f", h.rank, Phase::Recv.lane()));
     }
-    out.push_str("\n]\n}\n");
-    out
+    Json::obj([
+        ("displayTimeUnit", "ms".into()),
+        ("traceEvents", Json::Arr(events)),
+    ])
 }
 
 // ---------------------------------------------------------------------------
@@ -1544,103 +1538,71 @@ impl RunReport {
             .max_by(|a, b| a.local_time.total_cmp(&b.local_time))
     }
 
-    /// Hand-rolled JSON, same style as the bench artifacts
-    /// (`schema: "tilecc-metrics-v1"`; see `docs/observability.md`). Every
-    /// `f64` is written in its shortest round-trip form, so
-    /// [`RunReport::from_json`] rebuilds the report exactly.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut j = format!("{{\n  \"schema\": \"{METRICS_SCHEMA}\",\n");
-        let _ = writeln!(j, "  \"makespan\": {:?},", self.makespan);
+    /// The `tilecc-metrics-v1` document (see `docs/observability.md`);
+    /// written in the pretty form. Every `f64` prints in its shortest
+    /// round-trip form, so [`RunReport::from_json`] rebuilds the report
+    /// exactly.
+    pub fn to_json(&self) -> Json {
+        let mut doc = vec![
+            ("schema", METRICS_SCHEMA.into()),
+            ("makespan", self.makespan.into()),
+        ];
         if let Some(cp) = &self.critical_path {
-            let _ = writeln!(j, "  \"critical_path\": {{");
-            let _ = writeln!(j, "    \"length\": {:?},", cp.length);
-            let _ = writeln!(j, "    \"hops\": [");
-            let nh = cp.hops.len();
-            for (k, h) in cp.hops.iter().enumerate() {
-                let from = h.from_rank.map_or("null".to_string(), |r| r.to_string());
-                let _ = writeln!(
-                    j,
-                    "      {{\"rank\": {}, \"phase\": \"{}\", \"start\": {:?}, \"end\": {:?}, \"from_rank\": {}}}{}",
-                    h.rank,
-                    h.phase,
-                    h.start,
-                    h.end,
-                    from,
-                    if k + 1 < nh { "," } else { "" }
-                );
-            }
-            let _ = writeln!(j, "    ]");
-            let _ = writeln!(j, "  }},");
+            let hops = cp.hops.iter().map(|h| {
+                Json::obj([
+                    ("rank", h.rank.into()),
+                    ("phase", h.phase.into()),
+                    ("start", h.start.into()),
+                    ("end", h.end.into()),
+                    ("from_rank", h.from_rank.map_or(Json::Null, Json::from)),
+                ])
+            });
+            doc.push((
+                "critical_path",
+                Json::obj([("length", cp.length.into()), ("hops", hops.collect())]),
+            ));
         }
-        let _ = writeln!(j, "  \"ranks\": [");
-        let nr = self.ranks.len();
-        for (i, r) in self.ranks.iter().enumerate() {
-            let _ = writeln!(j, "    {{");
-            let _ = writeln!(j, "      \"rank\": {},", r.rank);
-            let _ = writeln!(j, "      \"local_time\": {:?},", r.local_time);
-            let _ = writeln!(j, "      \"compute\": {:?},", r.compute);
-            let _ = writeln!(j, "      \"wait\": {:?},", r.wait);
-            let _ = writeln!(j, "      \"comm\": {:?},", r.comm);
-            let _ = writeln!(j, "      \"recovery\": {:?},", r.recovery);
-            let _ = writeln!(j, "      \"overlap_hidden\": {:?},", r.overlap_hidden);
-            let _ = writeln!(j, "      \"utilization\": {:?},", r.utilization);
-            let _ = writeln!(j, "      \"counters\": {{");
-            let nc = r.counters.len();
-            for (k, (c, v)) in r.counters.iter().enumerate() {
-                let _ = writeln!(
-                    j,
-                    "        \"{}\": {}{}",
-                    c.name(),
-                    v,
-                    if k + 1 < nc { "," } else { "" }
-                );
-            }
-            let _ = writeln!(j, "      }},");
-            let _ = writeln!(j, "      \"gauges\": {{");
-            let ng = r.gauges.len();
-            for (k, (g, v, mx)) in r.gauges.iter().enumerate() {
-                let _ = writeln!(
-                    j,
-                    "        \"{}\": {{\"value\": {}, \"max\": {}}}{}",
+        let ranks = self.ranks.iter().map(|r| {
+            let counters = r.counters.iter().map(|&(c, v)| (c.name(), v.into()));
+            let gauges = r.gauges.iter().map(|&(g, v, mx)| {
+                (
                     g.name(),
-                    v,
-                    mx,
-                    if k + 1 < ng { "," } else { "" }
-                );
-            }
-            let _ = writeln!(j, "      }},");
-            let _ = writeln!(j, "      \"histograms\": {{");
-            let nh = r.hists.len();
-            for (k, (h, count, sum, buckets)) in r.hists.iter().enumerate() {
-                let bs: Vec<String> = buckets
-                    .iter()
-                    .map(|(lo, c)| format!("[{lo}, {c}]"))
-                    .collect();
-                let _ = writeln!(
-                    j,
-                    "        \"{}\": {{\"count\": {}, \"sum\": {}, \"buckets\": [{}]}}{}",
-                    h.name(),
-                    count,
-                    sum,
-                    bs.join(", "),
-                    if k + 1 < nh { "," } else { "" }
-                );
-            }
-            let _ = writeln!(j, "      }}");
-            let _ = writeln!(j, "    }}{}", if i + 1 < nr { "," } else { "" });
-        }
-        j.push_str("  ]\n}\n");
-        j
+                    Json::obj([("value", v.into()), ("max", mx.into())]),
+                )
+            });
+            let hists = r.hists.iter().map(|(h, count, sum, buckets)| {
+                let buckets = buckets.iter().map(|&(lo, c)| Json::from_iter([lo, c]));
+                let hist = Json::obj([
+                    ("count", (*count).into()),
+                    ("sum", (*sum).into()),
+                    ("buckets", buckets.collect()),
+                ]);
+                (h.name(), hist)
+            });
+            Json::obj([
+                ("rank", r.rank.into()),
+                ("local_time", r.local_time.into()),
+                ("compute", r.compute.into()),
+                ("wait", r.wait.into()),
+                ("comm", r.comm.into()),
+                ("recovery", r.recovery.into()),
+                ("overlap_hidden", r.overlap_hidden.into()),
+                ("utilization", r.utilization.into()),
+                ("counters", Json::obj(counters)),
+                ("gauges", Json::obj(gauges)),
+                ("histograms", Json::obj(hists)),
+            ])
+        });
+        doc.push(("ranks", ranks.collect()));
+        Json::obj(doc)
     }
 
     /// Parse a saved `tilecc-metrics-v1` document: the inverse of
-    /// [`RunReport::to_json`], so `to_json(from_json(s)) == s` for every
-    /// file this build writes. Older files load too: values rounded to
-    /// fewer digits read as written, and a missing counter, gauge,
+    /// [`RunReport::to_json`], so `from_json(s)` prints back to `s` for
+    /// every file this build writes. Older files load too: values rounded
+    /// to fewer digits read as written, and a missing counter, gauge,
     /// histogram or clock term reads as zero.
     pub fn from_json(src: &str) -> Result<RunReport, String> {
-        use json::Json;
         let j = json::parse(src)?;
         let schema = j.get("schema").and_then(Json::as_str);
         if schema != Some(METRICS_SCHEMA) {
@@ -1884,12 +1846,19 @@ impl RunReport {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON parser (artifact validation and `tilecc report`)
+// JSON: the one reader and the one writer of every artifact
 // ---------------------------------------------------------------------------
 
-/// A tiny recursive-descent JSON reader: enough to validate the emitted
-/// artifacts and re-render saved metrics, with zero dependencies.
+/// A tiny JSON value with a recursive-descent reader ([`json::parse`]) and
+/// a printer (`Display` for one compact line, [`json::Json::pretty`] for
+/// the multi-line form), with zero dependencies. Every artifact — metrics
+/// report, trace, `--stats-out` record, tuner outcome, figure and bench
+/// record — is built as a [`json::Json`] and printed here, so escaping,
+/// separators and the number format live in one place and the writer is
+/// the reader's inverse.
 pub mod json {
+    use std::fmt::{self, Write};
+
     /// A parsed JSON value.
     ///
     /// Integer lexemes (no `.`/`e`/`E`) parse to [`Json::Int`] so u64-sized
@@ -1914,6 +1883,16 @@ pub mod json {
     }
 
     impl Json {
+        /// An object with `fields` in the given order.
+        pub fn obj<'k>(fields: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
+            Json::Obj(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            )
+        }
+
         /// Object field lookup.
         pub fn get(&self, key: &str) -> Option<&Json> {
             match self {
@@ -1955,6 +1934,128 @@ pub mod json {
                 _ => None,
             }
         }
+
+        /// The multi-line form: a container whose items are all scalars
+        /// prints on one line (as in `Display`), any other container puts
+        /// each item on its own line, indented two spaces per level. No
+        /// trailing newline.
+        pub fn pretty(&self) -> String {
+            let mut out = String::new();
+            self.write(&mut out, Some(0))
+                .expect("writing to a String cannot fail");
+            out
+        }
+
+        /// Print the value: `indent` is the current depth in spaces in the
+        /// pretty form, `None` in the compact one. A finite `f64` prints in
+        /// its shortest round-trip form (`Debug`, which keeps an integral
+        /// value's `.0`), a non-finite one as `null`.
+        fn write(&self, out: &mut impl Write, indent: Option<usize>) -> fmt::Result {
+            match self {
+                Json::Null => out.write_str("null"),
+                Json::Bool(b) => write!(out, "{b}"),
+                Json::Int(x) => write!(out, "{x}"),
+                Json::Num(x) if x.is_finite() => write!(out, "{x:?}"),
+                Json::Num(_) => out.write_str("null"),
+                Json::Str(s) => write_str(out, s),
+                Json::Arr(items) => {
+                    write_items(out, indent, ('[', ']'), items.iter().map(|v| (None, v)))
+                }
+                Json::Obj(fields) => write_items(
+                    out,
+                    indent,
+                    ('{', '}'),
+                    fields.iter().map(|(k, v)| (Some(k.as_str()), v)),
+                ),
+            }
+        }
+    }
+
+    /// One compact line: `", "` between items, `": "` after a key.
+    impl fmt::Display for Json {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            self.write(f, None)
+        }
+    }
+
+    /// The items of an array (no keys) or an object between `brackets`.
+    fn write_items<'a>(
+        out: &mut impl Write,
+        indent: Option<usize>,
+        brackets: (char, char),
+        items: impl Iterator<Item = (Option<&'a str>, &'a Json)> + Clone,
+    ) -> fmt::Result {
+        let nested = items
+            .clone()
+            .any(|(_, v)| matches!(v, Json::Arr(_) | Json::Obj(_)));
+        // One item per line only in the pretty form of a nested container.
+        let inner = indent.filter(|_| nested).map(|d| d + 2);
+        out.write_char(brackets.0)?;
+        let (mut sep, next) = ("", if inner.is_some() { "," } else { ", " });
+        for (key, v) in items {
+            out.write_str(sep)?;
+            sep = next;
+            if let Some(d) = inner {
+                write!(out, "\n{:d$}", "")?;
+            }
+            if let Some(k) = key {
+                write_str(out, k)?;
+                out.write_str(": ")?;
+            }
+            v.write(out, inner)?;
+        }
+        if let (Some(d), Some(_)) = (indent, inner) {
+            write!(out, "\n{:d$}", "")?;
+        }
+        out.write_char(brackets.1)
+    }
+
+    /// A quoted string: `"`, `\` and every character below U+0020 are
+    /// escaped, everything else passes through raw.
+    fn write_str(out: &mut impl Write, s: &str) -> fmt::Result {
+        out.write_char('"')?;
+        let mut rest = s;
+        while let Some(i) = rest.find(|c: char| c == '"' || c == '\\' || c < ' ') {
+            out.write_str(&rest[..i])?;
+            match rest.as_bytes()[i] {
+                b'"' => out.write_str("\\\"")?,
+                b'\\' => out.write_str("\\\\")?,
+                b'\n' => out.write_str("\\n")?,
+                b'\t' => out.write_str("\\t")?,
+                b => write!(out, "\\u{b:04x}")?,
+            }
+            rest = &rest[i + 1..];
+        }
+        out.write_str(rest)?;
+        out.write_char('"')
+    }
+
+    macro_rules! into_json {
+        ($($t:ty => |$x:ident| $e:expr;)*) => {$(
+            impl From<$t> for Json {
+                fn from($x: $t) -> Json {
+                    $e
+                }
+            }
+        )*};
+    }
+    into_json! {
+        bool => |b| Json::Bool(b);
+        f64 => |x| Json::Num(x);
+        i64 => |x| Json::Int(x.into());
+        u64 => |x| Json::Int(x.into());
+        u32 => |x| Json::Int(x.into());
+        usize => |x| Json::Int(x as i128);
+        i128 => |x| Json::Int(x);
+        &str => |s| Json::Str(s.to_string());
+        String => |s| Json::Str(s);
+    }
+
+    /// An array of the items.
+    impl<T: Into<Json>> FromIterator<T> for Json {
+        fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Json {
+            Json::Arr(items.into_iter().map(Into::into).collect())
+        }
     }
 
     /// Maximum container nesting the parser accepts. Recursion is bounded
@@ -1963,6 +2064,7 @@ pub mod json {
     pub const MAX_DEPTH: usize = 128;
 
     struct P<'a> {
+        src: &'a str,
         s: &'a [u8],
         i: usize,
         depth: usize,
@@ -1995,8 +2097,8 @@ pub mod json {
         fn value(&mut self) -> Result<Json, String> {
             self.ws();
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(b'{') => self.items(b'}', Self::field).map(Json::Obj),
+                Some(b'[') => self.items(b']', Self::value).map(Json::Arr),
                 Some(b'"') => Ok(Json::Str(self.string()?)),
                 Some(b't') => self.lit("true", Json::Bool(true)),
                 Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -2079,88 +2181,68 @@ pub mod json {
                         self.i += 1;
                     }
                     Some(_) => {
-                        // Copy a full UTF-8 scalar.
-                        let rest = std::str::from_utf8(&self.s[self.i..])
-                            .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                        let ch = rest.chars().next().unwrap();
-                        out.push(ch);
-                        self.i += ch.len_utf8();
+                        // Copy the run up to the next quote or backslash:
+                        // both are ASCII, so the run ends on a char
+                        // boundary of the (already valid) source.
+                        let run = self.s[self.i..]
+                            .iter()
+                            .position(|&b| b == b'"' || b == b'\\')
+                            .unwrap_or(self.s.len() - self.i);
+                        out.push_str(&self.src[self.i..self.i + run]);
+                        self.i += run;
                     }
                 }
             }
         }
 
-        fn enter(&mut self) -> Result<(), String> {
+        /// The items of the array or object opening here, up to `close`,
+        /// each read by `item`.
+        fn items<T>(
+            &mut self,
+            close: u8,
+            item: fn(&mut Self) -> Result<T, String>,
+        ) -> Result<Vec<T>, String> {
+            self.i += 1;
             self.depth += 1;
             if self.depth > MAX_DEPTH {
                 return self.err(&format!("nesting deeper than {MAX_DEPTH} levels"));
             }
-            Ok(())
-        }
-
-        fn array(&mut self) -> Result<Json, String> {
-            self.eat(b'[')?;
-            self.enter()?;
             let mut items = Vec::new();
             self.ws();
-            if self.peek() == Some(b']') {
+            if self.peek() == Some(close) {
                 self.i += 1;
                 self.depth -= 1;
-                return Ok(Json::Arr(items));
+                return Ok(items);
             }
             loop {
-                items.push(self.value()?);
+                items.push(item(self)?);
                 self.ws();
                 match self.peek() {
-                    Some(b',') => {
-                        self.i += 1;
-                    }
-                    Some(b']') => {
+                    Some(b',') => self.i += 1,
+                    Some(c) if c == close => {
                         self.i += 1;
                         self.depth -= 1;
-                        return Ok(Json::Arr(items));
+                        return Ok(items);
                     }
-                    _ => return self.err("expected `,` or `]`"),
+                    _ => return self.err(&format!("expected `,` or `{}`", close as char)),
                 }
             }
         }
 
-        fn object(&mut self) -> Result<Json, String> {
-            self.eat(b'{')?;
-            self.enter()?;
-            let mut fields = Vec::new();
+        /// One `"key": value` member of an object.
+        fn field(&mut self) -> Result<(String, Json), String> {
             self.ws();
-            if self.peek() == Some(b'}') {
-                self.i += 1;
-                self.depth -= 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                self.ws();
-                let key = self.string()?;
-                self.ws();
-                self.eat(b':')?;
-                let val = self.value()?;
-                fields.push((key, val));
-                self.ws();
-                match self.peek() {
-                    Some(b',') => {
-                        self.i += 1;
-                    }
-                    Some(b'}') => {
-                        self.i += 1;
-                        self.depth -= 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return self.err("expected `,` or `}`"),
-                }
-            }
+            let key = self.string()?;
+            self.ws();
+            self.eat(b':')?;
+            Ok((key, self.value()?))
         }
     }
 
     /// Parse a complete JSON document.
     pub fn parse(s: &str) -> Result<Json, String> {
         let mut p = P {
+            src: s,
             s: s.as_bytes(),
             i: 0,
             depth: 0,
@@ -2235,7 +2317,7 @@ mod tests {
         m.hist(HistId::ComputeTileNs).observe(100);
         m.gauge(GaugeId::PendingDepth).set(2);
         let report = reg.run_report(&[2.5]);
-        let j = json::parse(&report.to_json()).expect("metrics JSON must parse");
+        let j = json::parse(&report.to_json().pretty()).expect("metrics JSON must parse");
         assert_eq!(
             j.get("schema").and_then(|s| s.as_str()),
             Some("tilecc-metrics-v1")
@@ -2274,9 +2356,9 @@ mod tests {
             .run_report(&times)
             .with_critical_path(reg.critical_path(&times));
         assert!(report.critical_path.is_some());
-        let s = report.to_json();
+        let s = report.to_json().pretty();
         let back = RunReport::from_json(&s).expect("a written report must load");
-        assert_eq!(back.to_json(), s);
+        assert_eq!(back.to_json().pretty(), s);
         assert_eq!(back.render(), report.render());
         assert!(back.deterministic_diff(&report).is_empty());
         assert_eq!(back.total(Counter::BytesSent), u64::MAX);
@@ -2285,8 +2367,11 @@ mod tests {
             u64::MAX
         );
         // A report without a critical path round-trips too.
-        let plain = reg.run_report(&times).to_json();
-        assert_eq!(RunReport::from_json(&plain).unwrap().to_json(), plain);
+        let plain = reg.run_report(&times).to_json().pretty();
+        assert_eq!(
+            RunReport::from_json(&plain).unwrap().to_json().pretty(),
+            plain
+        );
     }
 
     #[test]
@@ -2354,7 +2439,7 @@ mod tests {
         obs.span(Phase::Send, obs.now_ns(), (1.0, 1.25), 128);
         drop(obs); // flush
         reg.driver_span(Phase::Plan, "fourier-motzkin", 0, 0);
-        let trace = reg.chrome_trace(None);
+        let trace = reg.chrome_trace(None).to_string();
         let j = json::parse(&trace).expect("chrome trace must parse");
         let events = j.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
         // 2 process_name + 3 thread_name + 3 spans.
@@ -2377,7 +2462,7 @@ mod tests {
             obs.span(Phase::Compute, t0, (k as f64, k as f64 + 0.5), 1);
         }
         obs.flush();
-        let j = json::parse(&reg.chrome_trace(None)).unwrap();
+        let j = json::parse(&reg.chrome_trace(None).to_string()).unwrap();
         let events = j.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
         let mut last = f64::NEG_INFINITY;
         for e in events {
@@ -2451,7 +2536,7 @@ mod tests {
         m.add(Counter::BytesSent, u64::MAX);
         m.add(Counter::Iterations, (1u64 << 53) + 1);
         let report = reg.run_report(&[1.0]);
-        let j = json::parse(&report.to_json()).expect("metrics JSON must parse");
+        let j = json::parse(&report.to_json().pretty()).expect("metrics JSON must parse");
         let counters = j.get("ranks").and_then(|r| r.as_arr()).unwrap()[0]
             .get("counters")
             .unwrap();
@@ -2574,8 +2659,12 @@ mod tests {
         let snaps: Vec<StatsSnapshot> = (0..3)
             .map(|r| StatsSnapshot::capture(&reg.rank_metrics(r)))
             .collect();
-        let from_reg = RunReport::from_registry(&reg, &local_times).to_json();
-        let from_snaps = RunReport::from_snapshots(&snaps, &local_times).to_json();
+        let from_reg = RunReport::from_registry(&reg, &local_times)
+            .to_json()
+            .pretty();
+        let from_snaps = RunReport::from_snapshots(&snaps, &local_times)
+            .to_json()
+            .pretty();
         assert_eq!(from_reg, from_snaps);
         // And the snapshots survive a wire round-trip first.
         let wired: Vec<StatsSnapshot> = snaps
@@ -2583,7 +2672,9 @@ mod tests {
             .map(|s| StatsSnapshot::decode(&s.encode()).unwrap())
             .collect();
         assert_eq!(
-            RunReport::from_snapshots(&wired, &local_times).to_json(),
+            RunReport::from_snapshots(&wired, &local_times)
+                .to_json()
+                .pretty(),
             from_reg
         );
     }
@@ -2673,7 +2764,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         cross_rank_spans(&reg);
         let cp = reg.critical_path(&[1.2, 2.0]).unwrap();
-        let trace = reg.chrome_trace(Some(&cp));
+        let trace = reg.chrome_trace(Some(&cp)).to_string();
         let j = json::parse(&trace).expect("trace with flows must parse");
         let events = j.get("traceEvents").and_then(|e| e.as_arr()).unwrap();
         let phases: Vec<&str> = events
@@ -2720,6 +2811,176 @@ mod tests {
             let j = json::parse(&doc).unwrap_or_else(|e| panic!("{doc}: {e}"));
             let got = j.as_arr().unwrap()[0].as_f64().unwrap();
             assert_eq!(got.to_bits(), v.to_bits(), "{v:e} must round-trip bitwise");
+        }
+    }
+
+    /// xorshift64*: a seeded stream for the printer's round-trip trees.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            x.wrapping_mul(0x2545F4914F6CDD1D)
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.next() as usize % from.len()]
+        }
+
+        /// Quotes, backslashes, every control character, non-ASCII text
+        /// and plain letters.
+        fn string(&mut self) -> String {
+            let special: Vec<char> = ('\u{0}'..='\u{1f}')
+                .chain(['"', '\\', '/', 'é', 'λ', '→', '\u{7f}', '\u{2028}', '😀'])
+                .collect();
+            (0..self.next() % 8)
+                .map(|_| match self.next() % 3 {
+                    0 => self.pick(&special),
+                    _ => (b'a' + (self.next() % 26) as u8) as char,
+                })
+                .collect()
+        }
+
+        /// Random bits (NaN, infinities and subnormals among them) or a
+        /// value at an edge of the format.
+        fn f64(&mut self) -> f64 {
+            let edges = [
+                5e-324,
+                f64::MIN_POSITIVE,
+                f64::MAX,
+                -1e300,
+                1e-300,
+                1e16,
+                1e22,
+                3.0,
+                -0.0,
+                0.1 + 0.2,
+                f64::NAN,
+                f64::INFINITY,
+            ];
+            match self.next() % 2 {
+                0 => f64::from_bits(self.next()),
+                _ => self.pick(&edges),
+            }
+        }
+
+        fn int(&mut self) -> i128 {
+            let wide = (i128::from(self.next() as i64) << 64) | i128::from(self.next());
+            let edges = [i128::MIN, i128::MAX, 0, -1, i128::from(u64::MAX), wide];
+            self.pick(&edges)
+        }
+
+        fn tree(&mut self, depth: u32) -> json::Json {
+            use json::Json;
+            match self.next() % if depth == 0 { 5 } else { 7 } {
+                0 => Json::Null,
+                1 => Json::Bool(self.next() & 1 == 0),
+                2 => Json::Int(self.int()),
+                3 => Json::Num(self.f64()),
+                4 => Json::Str(self.string()),
+                5 => Json::Arr((0..self.next() % 4).map(|_| self.tree(depth - 1)).collect()),
+                _ => Json::Obj(
+                    (0..self.next() % 4)
+                        .map(|_| (self.string(), self.tree(depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    /// What a tree reads back as: a non-finite number prints as `null`.
+    fn read_back(v: &json::Json) -> json::Json {
+        use json::Json;
+        match v {
+            Json::Num(x) if !x.is_finite() => Json::Null,
+            Json::Arr(items) => Json::Arr(items.iter().map(read_back).collect()),
+            Json::Obj(fields) => Json::Obj(
+                fields
+                    .iter()
+                    .map(|(k, v)| (k.clone(), read_back(v)))
+                    .collect(),
+            ),
+            v => v.clone(),
+        }
+    }
+
+    #[test]
+    fn json_printer_round_trips_random_trees() {
+        let mut rng = Rng(0x5EED_1234_ABCD_0001);
+        for case in 0..3000 {
+            let v = rng.tree(4);
+            let want = read_back(&v);
+            for text in [v.to_string(), v.pretty()] {
+                let got = json::parse(&text).unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
+                assert_eq!(got, want, "case {case}: {text}");
+                // Exact, not just `==`: every number keeps its bits.
+                assert_eq!(got.to_string(), want.to_string(), "case {case}");
+            }
+            assert!(!v.to_string().contains('\n'), "compact form is one line");
+        }
+    }
+
+    #[test]
+    fn json_pretty_puts_scalar_containers_inline() {
+        use json::Json;
+        let doc = Json::obj([
+            ("name", "a \"b\"\n".into()),
+            ("xs", [1u64, 2, 3].into_iter().collect()),
+            ("empty", Json::Arr(vec![])),
+            (
+                "rows",
+                [Json::obj([("x", 1.0.into())]), Json::Null]
+                    .into_iter()
+                    .collect(),
+            ),
+            ("nan", f64::NAN.into()),
+        ]);
+        assert_eq!(
+            doc.pretty(),
+            "{\n  \"name\": \"a \\\"b\\\"\\n\",\n  \"xs\": [1, 2, 3],\n  \"empty\": [],\n  \
+             \"rows\": [\n    {\"x\": 1.0},\n    null\n  ],\n  \"nan\": null\n}"
+        );
+        assert_eq!(
+            doc.to_string(),
+            "{\"name\": \"a \\\"b\\\"\\n\", \"xs\": [1, 2, 3], \"empty\": [], \
+             \"rows\": [{\"x\": 1.0}, null], \"nan\": null}"
+        );
+    }
+
+    #[test]
+    fn json_parse_is_linear_in_the_document() {
+        // ~4 MB of short strings with escapes and non-ASCII text. A linear
+        // reader takes well under a second even unoptimized; one that
+        // rescans the rest of the document per character takes hours.
+        let words = [
+            ("tile", "tile"),
+            ("r\u{e9}sum\u{e9}", "r\u{e9}sum\u{e9}"),
+            ("a\\\"q\\\"", "a\"q\""),
+            ("back\\\\slash", "back\\slash"),
+            ("\u{3bb}\\u2192", "\u{3bb}\u{2192}"),
+            ("tab\\t", "tab\t"),
+        ];
+        let n = 280_000;
+        let items: Vec<String> = (0..n)
+            .map(|i| format!("\"{}-{i}\"", words[i % 6].0))
+            .collect();
+        let text = format!("[{}]", items.join(", "));
+        assert!(text.len() > 4_000_000, "{}", text.len());
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(json::parse(&text)));
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("parsing a 4 MB document must take well under 20 s")
+            .unwrap();
+        let got = got.as_arr().unwrap();
+        assert_eq!(got.len(), n);
+        for i in [0, 1, 2, 3, 4, 5, n - 1] {
+            let want = format!("{}-{i}", words[i % 6].1);
+            assert_eq!(got[i].as_str(), Some(want.as_str()));
         }
     }
 

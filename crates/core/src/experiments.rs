@@ -9,7 +9,7 @@ use tilecc_cluster::{EngineOptions, MachineModel};
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::RMat;
 use tilecc_loopnest::Algorithm;
-use tilecc_parcode::{Backend, ExecStrategy};
+use tilecc_parcode::ExecStrategy;
 
 /// Tiling variant labels used across the experiments.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -146,12 +146,7 @@ pub fn measure(
     let pipe =
         Pipeline::compile(alg, h, Some(workload.mapping_dim())).expect("paper tilings are legal");
     let s = pipe
-        .simulate(
-            model,
-            ExecStrategy::Compiled,
-            Backend::Threaded,
-            EngineOptions::default(),
-        )
+        .simulate(model, ExecStrategy::Compiled, EngineOptions::default())
         .expect("a fault-free timing run completes");
     MeasuredPoint {
         variant: variant.label(),

@@ -10,7 +10,7 @@
 //! use tilecc::{Pipeline, matrices};
 //! use tilecc_frontend::{compile_kernel_with, corpus};
 //! use tilecc_cluster::{EngineOptions, MachineModel};
-//! use tilecc_parcode::{Backend, ExecStrategy};
+//! use tilecc_parcode::ExecStrategy;
 //!
 //! // Skewed SOR (examples/kernels/sor.tk) at M=4, N=6, non-rectangular
 //! // tiling from the tiling cone (§4.1).
@@ -20,7 +20,6 @@
 //!     .run_verified(
 //!         MachineModel::fast_ethernet_p3(),
 //!         ExecStrategy::Compiled,
-//!         Backend::Threaded,
 //!         EngineOptions::default(),
 //!     )
 //!     .expect("the run completes");

@@ -101,19 +101,18 @@ impl Pipeline {
         self.plan.num_procs()
     }
 
-    /// Run in timing-only mode: no values computed, exact virtual times.
-    /// `strategy` picks the rank code path ([`ExecStrategy::Overlapped`]
-    /// computes each tile's boundary slab first, posts its sends on the NIC
-    /// lane and hides them behind the private interior), `backend` the
-    /// message substrate ([`Backend::Tcp`] carries every message over real
-    /// sockets with virtual times identical to the threaded backend's), and
-    /// `options` the comm scheme, fault injection, recovery and
-    /// observability. Engine failures come back as [`RunError`]s.
+    /// Run in timing-only mode on the threaded engine: no values computed,
+    /// exact virtual times. `strategy` picks the rank code path
+    /// ([`ExecStrategy::Overlapped`] computes each tile's boundary slab
+    /// first, posts its sends on the NIC lane and hides them behind the
+    /// private interior), and `options` the comm scheme, fault injection,
+    /// recovery and observability. Engine failures come back as
+    /// [`RunError`]s. (The in-process TCP substrate is reached through
+    /// [`execute`] / [`run_ranks`] with [`Backend::Tcp`].)
     pub fn simulate(
         &self,
         model: MachineModel,
         strategy: ExecStrategy,
-        backend: Backend,
         options: EngineOptions,
     ) -> Result<RunSummary, RunError> {
         let res = execute(
@@ -121,7 +120,7 @@ impl Pipeline {
             model,
             ExecMode::TimingOnly,
             strategy,
-            backend,
+            Backend::Threaded,
             options,
         )?;
         Ok(RunSummary::new(
@@ -134,18 +133,17 @@ impl Pipeline {
     }
 
     /// Run fully and verify the run's data bitwise against the sequential
-    /// reference execution, no matter which strategy or substrate produced
-    /// it, and return the data. The reference scan runs on its own thread
+    /// reference execution, no matter which strategy produced it, and
+    /// return the data. The reference scan runs on its own thread
     /// alongside the ranks ([`Reference`]). The arguments are those of
-    /// [`Pipeline::simulate`]; engine failures (a crashed rank, a deadlock,
-    /// an unreachable peer) come back as [`RunError`]s, as does a refused
+    /// [`Pipeline::simulate`]; engine failures (a crashed rank, a deadlock)
+    /// come back as [`RunError`]s, as does a refused
     /// start of the reference-scan thread (`Comm` on rank 0), and the summary
     /// carries the reliability layer's retransmission counters.
     pub fn run_verified(
         &self,
         model: MachineModel,
         strategy: ExecStrategy,
-        backend: Backend,
         options: EngineOptions,
     ) -> Result<(RunSummary, DataSpace), RunError> {
         let reference = Reference::start(&self.plan, options.obs.clone())
@@ -155,7 +153,7 @@ impl Pipeline {
             model,
             ExecMode::Full,
             strategy,
-            backend,
+            Backend::Threaded,
             options,
         )?;
         let iterations = report.results.iter().map(|r| r.iterations).sum();
@@ -306,7 +304,6 @@ mod tests {
             .run_verified(
                 MachineModel::fast_ethernet_p3(),
                 ExecStrategy::Compiled,
-                Backend::Threaded,
                 EngineOptions::default(),
             )
             .unwrap();
@@ -422,7 +419,6 @@ mod tests {
             .run_verified(
                 MachineModel::fast_ethernet_p3(),
                 ExecStrategy::Compiled,
-                Backend::Threaded,
                 EngineOptions::default(),
             )
             .unwrap();
@@ -515,12 +511,7 @@ mod tests {
                 ..EngineOptions::default()
             };
             let (summary, _) = pipe
-                .run_verified(
-                    MachineModel::fast_ethernet_p3(),
-                    strategy,
-                    Backend::Threaded,
-                    options,
-                )
+                .run_verified(MachineModel::fast_ethernet_p3(), strategy, options)
                 .unwrap();
             assert_eq!(summary.verified, Some(true));
             let spans = reg.spans();
@@ -575,12 +566,7 @@ mod tests {
         .unwrap();
         let model = MachineModel::zero_comm(1e-6);
         let s = pipe
-            .simulate(
-                model,
-                ExecStrategy::Compiled,
-                Backend::Threaded,
-                EngineOptions::default(),
-            )
+            .simulate(model, ExecStrategy::Compiled, EngineOptions::default())
             .unwrap();
         assert!(s.verified.is_none());
         assert!((s.sequential_time - 8.0 * 12.0 * 12.0 * 1e-6).abs() < 1e-12);
@@ -608,7 +594,6 @@ mod tests {
             .run_verified(
                 MachineModel::fast_ethernet_p3(),
                 ExecStrategy::Compiled,
-                Backend::Threaded,
                 options,
             )
             .unwrap();
@@ -634,29 +619,14 @@ mod tests {
         .unwrap();
         let model = MachineModel::fast_ethernet_p3();
         let (summary, _) = pipe
-            .run_verified(
-                model,
-                ExecStrategy::Overlapped,
-                Backend::Threaded,
-                EngineOptions::default(),
-            )
+            .run_verified(model, ExecStrategy::Overlapped, EngineOptions::default())
             .unwrap();
         assert_eq!(summary.verified, Some(true));
         let blocking = pipe
-            .simulate(
-                model,
-                ExecStrategy::Compiled,
-                Backend::Threaded,
-                EngineOptions::default(),
-            )
+            .simulate(model, ExecStrategy::Compiled, EngineOptions::default())
             .unwrap();
         let overlapped = pipe
-            .simulate(
-                model,
-                ExecStrategy::Overlapped,
-                Backend::Threaded,
-                EngineOptions::default(),
-            )
+            .simulate(model, ExecStrategy::Overlapped, EngineOptions::default())
             .unwrap();
         assert!(
             overlapped.makespan <= blocking.makespan + 1e-12,

@@ -37,10 +37,11 @@
 use crate::pipeline::{Pipeline, RunSummary};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
+use tilecc_cluster::obs::json::Json;
 use tilecc_cluster::{EngineOptions, MachineModel};
 use tilecc_linalg::{column_hnf, IMat, RMat, Rational};
 use tilecc_loopnest::Algorithm;
-use tilecc_parcode::{Backend, ExecStrategy};
+use tilecc_parcode::ExecStrategy;
 use tilecc_tiling::tile_space::tile_volume_limit;
 use tilecc_tiling::{candidate_rows, TilingError, TilingTransform};
 
@@ -140,30 +141,43 @@ impl TuneOutcome {
     }
 
     /// JSON object for machine consumption (winning `H`, ranking, counters).
-    pub fn to_json(&self, indent: usize) -> String {
-        let pad = " ".repeat(indent);
-        let pad2 = " ".repeat(indent + 2);
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "{pad2}\"kernel\": \"{}\",", self.label);
-        let _ = writeln!(s, "{pad2}\"volume\": {},", self.volume);
-        let _ = writeln!(s, "{pad2}\"m\": {},", self.m);
-        let pool: Vec<String> = self.pool.iter().map(|r| json_ivec(r)).collect();
-        let _ = writeln!(s, "{pad2}\"pool\": [{}],", pool.join(", "));
-        let _ = writeln!(s, "{pad2}\"generated\": {},", self.generated);
-        let _ = writeln!(s, "{pad2}\"invalid\": {},", self.invalid);
-        let _ = writeln!(s, "{pad2}\"illegal\": {},", self.illegal);
-        let _ = writeln!(s, "{pad2}\"deduped\": {},", self.deduped);
-        let _ = writeln!(s, "{pad2}\"truncated\": {},", self.truncated);
-        let _ = writeln!(s, "{pad2}\"failed\": {},", self.failed);
-        let _ = writeln!(s, "{pad2}\"evaluated\": {},", self.evaluated);
-        let _ = writeln!(s, "{pad2}\"ranking\": [");
-        for (i, c) in self.ranking.iter().enumerate() {
-            let comma = if i + 1 == self.ranking.len() { "" } else { "," };
-            let _ = writeln!(s, "{}{}", candidate_json(c, indent + 4), comma);
-        }
-        let _ = writeln!(s, "{pad2}]");
-        let _ = write!(s, "{pad}}}");
-        s
+    pub fn to_json(&self) -> Json {
+        let ints = |v: &[i64]| v.iter().copied().collect::<Json>();
+        let rows = |m: &IMat| (0..m.rows()).map(|i| ints(m.row(i))).collect::<Json>();
+        let ranking = self.ranking.iter().map(|c| {
+            let h = (0..c.h.rows()).map(|i| {
+                let row = c.h.row(i).iter();
+                row.map(|r| Json::from_iter([r.num(), r.den()]))
+                    .collect::<Json>()
+            });
+            Json::obj([
+                ("h", h.collect()),
+                ("h_display", fmt_h(&c.h).into()),
+                ("h_prime", rows(&c.h_prime)),
+                ("v", ints(&c.v)),
+                ("hnf", rows(&c.hnf)),
+                ("included", c.included.into()),
+                ("makespan", c.summary.makespan.into()),
+                ("speedup", c.summary.speedup.into()),
+                ("bytes", c.summary.bytes.into()),
+                ("messages", c.summary.messages.into()),
+                ("procs", c.summary.procs.into()),
+            ])
+        });
+        Json::obj([
+            ("kernel", self.label.as_str().into()),
+            ("volume", self.volume.into()),
+            ("m", self.m.into()),
+            ("pool", self.pool.iter().map(|r| ints(r)).collect()),
+            ("generated", self.generated.into()),
+            ("invalid", self.invalid.into()),
+            ("illegal", self.illegal.into()),
+            ("deduped", self.deduped.into()),
+            ("truncated", self.truncated.into()),
+            ("failed", self.failed.into()),
+            ("evaluated", self.evaluated.into()),
+            ("ranking", ranking.collect()),
+        ])
     }
 
     /// Human-readable ranking table.
@@ -224,18 +238,18 @@ impl TuneOutcome {
 /// factors. Deterministic order; no validity filtering (the tuner counts
 /// rejections, and the fuzzer feeds these through plan construction).
 /// A nest without a tiling cone (dimension below 2) is an error, and so is
-/// a `volume·|det R|` past `i64` ([`TilingError::TileTooLarge`] with the
-/// volume and the limit saturated at `i64::MAX`, as in
-/// [`TilingTransform::tile_size`]).
+/// a `volume·|det R|` past `i64` ([`TilingError::TileTooLarge`] with that
+/// exact product and no limit, as in [`TilingTransform::tile_size`]).
 pub fn enumerate_candidates(deps: &IMat, volume: i64) -> Result<Vec<CandidateH>, TilingError> {
     assert!(volume > 0, "tile volume must be positive");
     let n = deps.rows();
     let pool = candidate_rows(deps)?;
     let mut out = vec![];
-    let mut overflow = false;
+    // The first `volume·|det R|` past i64.
+    let mut overflow = None;
     let mut pick = vec![0usize; n];
     permute_rows(&pool, n, &mut pick, 0, &mut |idx| {
-        if overflow {
+        if overflow.is_some() {
             return;
         }
         let rows: Vec<Vec<i64>> = idx.iter().map(|&i| pool[i].clone()).collect();
@@ -244,7 +258,7 @@ pub fn enumerate_candidates(deps: &IMat, volume: i64) -> Result<Vec<CandidateH>,
             return;
         }
         let Some(product) = volume.checked_mul(det) else {
-            overflow = true;
+            overflow = Some(i128::from(volume) * i128::from(det));
             return;
         };
         for factors in ordered_factorizations(product, n) {
@@ -258,10 +272,10 @@ pub fn enumerate_candidates(deps: &IMat, volume: i64) -> Result<Vec<CandidateH>,
             });
         }
     });
-    if overflow {
+    if let Some(volume) = overflow {
         return Err(TilingError::TileTooLarge {
-            volume: i64::MAX,
-            limit: i64::MAX,
+            volume,
+            limit: None,
         });
     }
     Ok(out)
@@ -370,8 +384,8 @@ pub fn tune_labeled(
     let limit = tile_volume_limit(&lo, &hi);
     if opts.volume > limit {
         return Err(TilingError::TileTooLarge {
-            volume: opts.volume,
-            limit,
+            volume: opts.volume.into(),
+            limit: Some(limit),
         });
     }
     let mut outcome = TuneOutcome {
@@ -422,12 +436,7 @@ pub fn tune_labeled(
         match Pipeline::compile_transform(algorithm.clone(), t, Some(opts.m)) {
             Ok(pipe) => {
                 let summary = pipe
-                    .simulate(
-                        model,
-                        ExecStrategy::Compiled,
-                        Backend::Threaded,
-                        EngineOptions::default(),
-                    )
+                    .simulate(model, ExecStrategy::Compiled, EngineOptions::default())
                     .expect("a fault-free timing run completes");
                 outcome.ranking.push(TunedCandidate {
                     h,
@@ -474,50 +483,6 @@ pub fn fmt_h(h: &RMat) -> String {
         }
     }
     s.push(']');
-    s
-}
-
-fn json_ivec(v: &[i64]) -> String {
-    let items: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", items.join(", "))
-}
-
-fn json_imat(m: &IMat) -> String {
-    let rows: Vec<String> = (0..m.rows()).map(|i| json_ivec(m.row(i))).collect();
-    format!("[{}]", rows.join(", "))
-}
-
-fn json_rmat(h: &RMat) -> String {
-    let rows: Vec<String> = (0..h.rows())
-        .map(|i| {
-            let items: Vec<String> = h
-                .row(i)
-                .iter()
-                .map(|r| format!("[{}, {}]", r.num(), r.den()))
-                .collect();
-            format!("[{}]", items.join(", "))
-        })
-        .collect();
-    format!("[{}]", rows.join(", "))
-}
-
-fn candidate_json(c: &TunedCandidate, indent: usize) -> String {
-    let pad = " ".repeat(indent);
-    let pad2 = " ".repeat(indent + 2);
-    let mut s = String::new();
-    let _ = writeln!(s, "{pad}{{");
-    let _ = writeln!(s, "{pad2}\"h\": {},", json_rmat(&c.h));
-    let _ = writeln!(s, "{pad2}\"h_display\": \"{}\",", fmt_h(&c.h));
-    let _ = writeln!(s, "{pad2}\"h_prime\": {},", json_imat(&c.h_prime));
-    let _ = writeln!(s, "{pad2}\"v\": {},", json_ivec(&c.v));
-    let _ = writeln!(s, "{pad2}\"hnf\": {},", json_imat(&c.hnf));
-    let _ = writeln!(s, "{pad2}\"included\": {},", c.included);
-    let _ = writeln!(s, "{pad2}\"makespan\": {},", c.summary.makespan);
-    let _ = writeln!(s, "{pad2}\"speedup\": {},", c.summary.speedup);
-    let _ = writeln!(s, "{pad2}\"bytes\": {},", c.summary.bytes);
-    let _ = writeln!(s, "{pad2}\"messages\": {},", c.summary.messages);
-    let _ = writeln!(s, "{pad2}\"procs\": {}", c.summary.procs);
-    let _ = write!(s, "{pad}}}");
     s
 }
 
@@ -626,10 +591,10 @@ mod tests {
         opts.max_candidates = 16;
         opts.include = vec![w.tiling(Variant::AdiNr1, 2, 2, 2)];
         let out = tune_labeled(&alg, &opts, MachineModel::fast_ethernet_p3(), &w.label()).unwrap();
-        let json = out.to_json(0);
-        assert!(json.contains("\"ranking\""));
-        assert!(json.contains("\"makespan\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let json = tilecc_cluster::obs::json::parse(&out.to_json().pretty()).unwrap();
+        let ranking = json.get("ranking").and_then(Json::as_arr).unwrap();
+        assert_eq!(ranking.len(), out.ranking.len());
+        assert!(ranking[0].get("makespan").and_then(Json::as_f64).is_some());
         let report = out.report();
         assert!(report.contains("makespan"));
         assert!(out.truncated > 0 || out.evaluated <= 16);

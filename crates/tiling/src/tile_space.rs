@@ -97,16 +97,20 @@ impl TiledSpace {
         );
         // Reject oversized tiles before anything walks one: a full tile's
         // TTIS holds exactly |det P| lattice points.
-        let volume = transform.tile_size();
-        if let Some((lo, hi)) = space.bounding_box()? {
-            let limit = tile_volume_limit(&lo, &hi);
+        let limit = space
+            .bounding_box()?
+            .map(|(lo, hi)| tile_volume_limit(&lo, &hi));
+        let volume = transform.tile_size().map_err(|e| match e {
             // A volume past i64 exceeds every limit.
-            let volume = *volume.as_ref().unwrap_or(&i64::MAX);
-            if volume > limit {
-                return Err(TilingError::TileTooLarge { volume, limit });
-            }
+            TilingError::TileTooLarge { volume, .. } => TilingError::TileTooLarge { volume, limit },
+            e => e,
+        })?;
+        if let Some(limit) = limit.filter(|&limit| volume > limit) {
+            return Err(TilingError::TileTooLarge {
+                volume: volume.into(),
+                limit: Some(limit),
+            });
         }
-        let volume = volume?;
         // Combined system over (j^S[0..n], j[0..n]).
         let mut combined = Polyhedron::universe(2 * n);
         for c in space.constraints() {
@@ -135,8 +139,8 @@ impl TiledSpace {
         let tile_bounds = LoopNestBounds::new(&shadow)?;
         let space_bounds = LoopNestBounds::new(&space)?;
         let full_tile_volume = usize::try_from(volume).map_err(|_| TilingError::TileTooLarge {
-            volume,
-            limit: usize::MAX.try_into().unwrap_or(i64::MAX),
+            volume: volume.into(),
+            limit: None,
         })?;
         let p = transform.p().to_imat();
         let clamp = Clamp::new(&space, &IMat::zeros(n, 0), &p);

@@ -39,8 +39,10 @@ pub enum TilingError {
     /// of the iteration space's bounding box, or the fixed floor
     /// [`TILE_VOLUME_FLOOR`] if larger. Such a tile
     /// covers far more than the whole space, and lowering would walk every
-    /// one of its lattice points.
-    TileTooLarge { volume: i64, limit: i64 },
+    /// one of its lattice points. `volume` is exact, also past `i64`;
+    /// `limit` is `None` where no space bounds the tile and the volume
+    /// exceeds the integer range itself.
+    TileTooLarge { volume: i128, limit: Option<i64> },
     /// The tiling cone (and so the tuner's candidate rows) is defined for
     /// nests of dimension 2 or more; `dim` is the nest's.
     ConeDimension { dim: usize },
@@ -80,16 +82,19 @@ impl std::fmt::Display for TilingError {
                 "mapping dimension {m} out of range for a {dim}-dimensional tiled space"
             ),
             TilingError::TileTooLarge { volume, limit } => {
-                if *volume == i64::MAX {
+                if *volume > i128::from(i64::MAX) {
                     write!(f, "tile volume (past 2^63)")?;
                 } else {
                     write!(f, "tile volume {volume}")?;
                 }
-                write!(
-                    f,
-                    " exceeds the limit {limit} (the larger of 2^n times the iteration \
-                     space's bounding-box points and {TILE_VOLUME_FLOOR})"
-                )
+                match limit {
+                    Some(limit) => write!(
+                        f,
+                        " exceeds the limit {limit} (the larger of 2^n times the iteration \
+                         space's bounding-box points and {TILE_VOLUME_FLOOR})"
+                    ),
+                    None => write!(f, " exceeds the integer range"),
+                }
             }
             TilingError::ConeDimension { dim } => write!(
                 f,
@@ -244,15 +249,15 @@ impl TilingTransform {
     }
 
     /// Tile size `|det(P)| = 1/|det(H)|` (number of integer points per full
-    /// tile). A size past `i64` is [`TilingError::TileTooLarge`], with the
-    /// volume saturated at `i64::MAX` and no limit yet (`i64::MAX`);
-    /// [`crate::TiledSpace::new`] fills in the space's limit.
+    /// tile). A size past `i64` is [`TilingError::TileTooLarge`] with the
+    /// exact volume and no limit; [`crate::TiledSpace::new`] fills in the
+    /// space's limit.
     pub fn tile_size(&self) -> Result<i64, TilingError> {
         let d = self.p.det().abs();
         assert!(d.is_integer(), "tile size must be integral");
         i64::try_from(d.num()).map_err(|_| TilingError::TileTooLarge {
-            volume: i64::MAX,
-            limit: i64::MAX,
+            volume: d.num(),
+            limit: None,
         })
     }
 

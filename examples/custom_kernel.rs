@@ -12,7 +12,7 @@ use tilecc::Pipeline;
 use tilecc_cluster::{EngineOptions, MachineModel};
 use tilecc_linalg::{IMat, RMat, Rational};
 use tilecc_loopnest::{Algorithm, Kernel, LoopNest};
-use tilecc_parcode::{Backend, ExecStrategy};
+use tilecc_parcode::ExecStrategy;
 use tilecc_polytope::{Constraint, Polyhedron};
 use tilecc_tiling::tiling_cone_rays;
 
@@ -67,7 +67,6 @@ fn main() {
         .run_verified(
             MachineModel::fast_ethernet_p3(),
             ExecStrategy::Compiled,
-            Backend::Threaded,
             EngineOptions::default(),
         )
         .unwrap();

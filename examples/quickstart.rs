@@ -7,7 +7,7 @@
 use tilecc::{matrices, Pipeline};
 use tilecc_cluster::{EngineOptions, MachineModel};
 use tilecc_frontend::{compile_kernel_with, corpus};
-use tilecc_parcode::{Backend, ExecStrategy};
+use tilecc_parcode::ExecStrategy;
 
 fn main() {
     // The SOR stencil over a 40×80×80 space, skewed so it can be tiled
@@ -30,12 +30,7 @@ fn main() {
     // against the sequential reference execution (bitwise).
     let model = MachineModel::fast_ethernet_p3();
     let (summary, _data) = pipeline
-        .run_verified(
-            model,
-            ExecStrategy::Compiled,
-            Backend::Threaded,
-            EngineOptions::default(),
-        )
+        .run_verified(model, ExecStrategy::Compiled, EngineOptions::default())
         .unwrap();
 
     println!("\niterations        : {}", summary.iterations);

@@ -123,7 +123,6 @@ fn zero_comm_model_single_tile_speedup_is_one() {
         .simulate(
             MachineModel::zero_comm(1e-6),
             ExecStrategy::Compiled,
-            Backend::Threaded,
             EngineOptions::default(),
         )
         .unwrap();

@@ -248,20 +248,10 @@ fn repeated_runs_are_deterministic() {
     };
     let model = MachineModel::fast_ethernet_p3();
     let (s1, d1) = mk()
-        .run_verified(
-            model,
-            ExecStrategy::Compiled,
-            Backend::Threaded,
-            EngineOptions::default(),
-        )
+        .run_verified(model, ExecStrategy::Compiled, EngineOptions::default())
         .unwrap();
     let (s2, d2) = mk()
-        .run_verified(
-            model,
-            ExecStrategy::Compiled,
-            Backend::Threaded,
-            EngineOptions::default(),
-        )
+        .run_verified(model, ExecStrategy::Compiled, EngineOptions::default())
         .unwrap();
     assert_eq!(d1.diff(&d2), None);
     assert_eq!(s1.makespan, s2.makespan);
