@@ -2144,6 +2144,17 @@ pub mod json {
                 .ok_or_else(|| format!("JSON error at byte {start}: bad number"))
         }
 
+        /// The four hex digits of a `\\u` escape at byte `at`.
+        fn hex4(&self, at: usize) -> Result<u32, String> {
+            let Some(digits) = self.s.get(at..at + 4) else {
+                return self.err("truncated \\u escape");
+            };
+            std::str::from_utf8(digits)
+                .ok()
+                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                .ok_or_else(|| "bad \\u escape".to_string())
+        }
+
         fn string(&mut self) -> Result<String, String> {
             self.eat(b'"')?;
             let mut out = String::new();
@@ -2166,15 +2177,24 @@ pub mod json {
                             Some(b'b') => out.push('\u{8}'),
                             Some(b'f') => out.push('\u{c}'),
                             Some(b'u') => {
-                                if self.i + 4 >= self.s.len() {
-                                    return self.err("truncated \\u escape");
-                                }
-                                let hex = std::str::from_utf8(&self.s[self.i + 1..self.i + 5])
-                                    .map_err(|_| "bad \\u escape".to_string())?;
-                                let cp = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| "bad \\u escape".to_string())?;
-                                out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
+                                let cp = self.hex4(self.i + 1)?;
                                 self.i += 4;
+                                // A high surrogate followed by an escaped low
+                                // one is one char; a lone or reversed
+                                // surrogate reads as U+FFFD.
+                                let high = (0xD800..0xDC00).contains(&cp)
+                                    && self.s.get(self.i + 1..self.i + 3) == Some(b"\\u");
+                                let low = if high {
+                                    Some(self.hex4(self.i + 3)?)
+                                } else {
+                                    None
+                                };
+                                let low = low.filter(|lo| (0xDC00..0xE000).contains(lo));
+                                let c = low.map_or(cp, |lo| {
+                                    self.i += 6;
+                                    0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00)
+                                });
+                                out.push(char::from_u32(c).unwrap_or('\u{fffd}'));
                             }
                             _ => return self.err("bad escape"),
                         }
@@ -2495,6 +2515,51 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse(r#"{"u": "A"}"#).unwrap().get("u").unwrap().as_str() == Some("A"));
+    }
+
+    /// Text escaped as Python's `json.dump` escapes it by default — every
+    /// non-ASCII char as `\uXXXX`, a char past the BMP as its UTF-16
+    /// surrogate pair — reads back as the original string; a lone or
+    /// reversed surrogate reads as U+FFFD.
+    #[test]
+    fn json_strings_read_python_escaped_surrogate_pairs() {
+        use json::parse;
+        let ascii_escaped = |text: &str| {
+            let mut doc = String::from("\"");
+            for c in text.chars() {
+                match c {
+                    '"' => doc.push_str("\\\""),
+                    '\\' => doc.push_str("\\\\"),
+                    ' '..='~' => doc.push(c),
+                    _ => {
+                        for unit in c.encode_utf16(&mut [0; 2]) {
+                            doc.push_str(&format!("\\u{unit:04x}"));
+                        }
+                    }
+                }
+            }
+            doc + "\""
+        };
+        for text in [
+            "\u{1F600}",
+            "rank \u{1F680} \u{e9}t\u{e9} \u{10FFFF}\u{10000} \"q\" \\ \u{7f}\n",
+            "\u{FFFF}\u{D7FF}\u{E000}\u{1D11E}\u{1D11E}",
+        ] {
+            let doc = ascii_escaped(text);
+            assert!(doc.is_ascii(), "{doc}");
+            let got = parse(&doc).unwrap();
+            assert_eq!(got.as_str(), Some(text), "{doc}");
+        }
+        for (doc, want) in [
+            (r#""\uD83D""#, "\u{FFFD}"),
+            (r#""\uDE00\uD83D""#, "\u{FFFD}\u{FFFD}"),
+            (r#""\uD83Dx\uDE00""#, "\u{FFFD}x\u{FFFD}"),
+            (r#""\uD83D\u0041""#, "\u{FFFD}A"),
+        ] {
+            assert_eq!(parse(doc).unwrap().as_str(), Some(want), "{doc}");
+        }
+        assert!(parse(r#""\uD83D\uZZZZ""#).is_err());
+        assert!(parse(r#""\uD83"#).is_err());
     }
 
     #[test]

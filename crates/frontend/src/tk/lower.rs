@@ -11,7 +11,8 @@
 //! instruction is a register-wide loop, while each *point* keeps the exact
 //! per-point floating-point operation order. Batched results are therefore
 //! bitwise identical to the per-point path, which the fuzzer's three-way
-//! cross-check locks.
+//! cross-check locks. `initial_run` runs the boundary tape the same way
+//! over a row's reads from outside the space.
 //!
 //! Operations on constants are folded at lowering: `Const ⊕ Const` is
 //! evaluated once, the same IEEE operation on the same operands, so the
@@ -23,7 +24,9 @@ use crate::tk::parse::parse_kernel_with;
 use std::cell::RefCell;
 use std::sync::Arc;
 use tilecc_linalg::IMat;
-use tilecc_loopnest::kernel::{boundary_value, with_scratch};
+use tilecc_loopnest::kernel::{
+    boundary_hash, boundary_of, boundary_value, initial_points, with_scratch, MIN_BATCH,
+};
 use tilecc_loopnest::{Algorithm, Kernel, LoopNest};
 use tilecc_polytope::{Constraint, Polyhedron};
 
@@ -166,6 +169,12 @@ impl Tape {
             blocks.resize(self.ins.len(), [0.0; LANES]);
         }
         let w = self.width;
+        // `bnd()` hashes `j` affinely modulo 2⁶⁴, so its hash steps by a
+        // constant along the run: no lane rebuilds its coordinates.
+        let (bnd0, bnd_step) = with_scratch(j0.len(), |zero| {
+            let origin = boundary_hash(zero);
+            (boundary_hash(j0), boundary_hash(dj).wrapping_sub(origin))
+        });
         for p0 in (0..count).step_by(LANES) {
             // Spare lanes of a ragged last block repeat lane `last`'s read.
             let last = (count - 1 - p0).min(LANES - 1);
@@ -183,13 +192,9 @@ impl Tape {
             for (s, ins) in self.ins.iter().enumerate() {
                 blocks[s] = match *ins {
                     Ins::Coord(k) => std::array::from_fn(|l| at(k, l) as f64),
-                    Ins::Bnd => with_scratch(j0.len(), |j| {
-                        std::array::from_fn(|l| {
-                            for (k, jk) in j.iter_mut().enumerate() {
-                                *jk = at(k, l);
-                            }
-                            boundary_value(j)
-                        })
+                    Ins::Bnd => std::array::from_fn(|l| {
+                        let p = (p0 + l) as i64;
+                        boundary_of(bnd0.wrapping_add(p.wrapping_mul(bnd_step)))
                     }),
                     Ins::Mod {
                         ref coeffs,
@@ -376,6 +381,22 @@ impl Kernel for TkKernel {
 
     fn initial(&self, j: &[i64], out: &mut [f64]) {
         self.at(&self.init, j, |j| self.init.eval(j, &[], out));
+    }
+
+    /// The init tape's lane blocks over the run, as [`Kernel::compute_run`]
+    /// runs the body's; below [`MIN_BATCH`] points, per-point `initial`.
+    fn initial_run(&self, j0: &[i64], dj: &[i64], count: usize, out: &mut [f64]) {
+        if count < MIN_BATCH as usize {
+            return initial_points(self, j0, dj, count, out);
+        }
+        self.at(&self.init, j0, |j0| {
+            self.at(&self.init, dj, |dj| {
+                BLOCKS.with(|s| {
+                    self.init
+                        .eval_run(j0, dj, count, &[], &mut s.borrow_mut(), out);
+                })
+            })
+        });
     }
 
     fn compute_run(&self, j0: &[i64], dj: &[i64], count: usize, reads: &[f64], out: &mut [f64]) {

@@ -5,16 +5,19 @@
 //! - `compute` and `initial` of a skewed `.tk` kernel whose body and
 //!   boundary read original coordinates (`bnd()`, coordinates, `mod`), so
 //!   every call maps its point through `T⁻¹`;
-//! - `compute`, `initial` and the lane-blocked `compute_run` of that
-//!   kernel and of the skewed corpus SOR kernel, whose body reads no
-//!   coordinate;
+//! - `compute`, `initial` and the lane-blocked `compute_run` and
+//!   `initial_run` of that kernel and of the skewed corpus SOR kernel,
+//!   whose body reads no coordinate;
 //! - the sequential scan `Algorithm::execute_scan`, whose allocations are
-//!   its fixed set-up alone: the same count for a nest with 4x the runs
-//!   and 8x the points.
+//!   its fixed set-up alone (its staging of initial values included): the
+//!   same count for a nest with 4x the runs and 8x the points.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use tilecc_frontend::{compile_kernel, compile_kernel_with, corpus};
+
+mod common;
+use common::SKEWED;
 
 struct Counting;
 
@@ -56,20 +59,6 @@ fn allocations(f: impl FnOnce()) -> u64 {
     ALLOCS.with(Cell::get) - before
 }
 
-const SKEWED: &str = "\
-kernel probe
-param T = 4
-param N = 6
-iter t = 1 to T
-iter i = 1 to N
-iter j = 1 to N
-skew = [1,0,0; 1,1,0; 2,0,1]
-array A = bnd() + 0.5*i
-array B = mod(3*t - j, 7)
-A[t,i,j] = 0.25*(A[t,i-1,j] + A[t-1,i,j+1]) + bnd()*t + B[t-1,i,j]
-B[t,i,j] = B[t,i,j-1] - mod(5*i + j, 11)*0.125 + A[t-1,i+1,j]
-";
-
 #[test]
 fn tk_kernel_per_point_paths_do_not_allocate() {
     let alg = compile_kernel(SKEWED).unwrap();
@@ -106,17 +95,21 @@ fn skewed_tk_kernel_does_not_allocate() {
         // Warm-up grows the thread's tape scratch and lane blocks once.
         k.compute(&j, &reads[..q * w], &mut out[..w]);
         k.compute_run(&j, &[0, 1, 2], count, &reads, &mut out);
+        k.initial_run(&j, &[0, 1, 2], count, &mut out);
         let n = allocations(|| {
             for s in 0..1000i64 {
                 j[1] = s;
                 k.compute(&j, &reads[..q * w], &mut out[..w]);
                 k.initial(&j, &mut out[..w]);
                 k.compute_run(&j, &[0, 1, 2], count, &reads, &mut out);
+                // A long run through the lane blocks, a short one per point.
+                k.initial_run(&j, &[0, 1, 2], count, &mut out);
+                k.initial_run(&j, &[0, 0, 1], 3, &mut out[..3 * w]);
             }
         });
         assert_eq!(
             n, 0,
-            "{}: skewed compute/initial/compute_run allocated",
+            "{}: skewed compute/initial/compute_run/initial_run allocated",
             alg.name
         );
     }

@@ -6,11 +6,13 @@
 //! - a skewed `.tk` kernel's batched `compute_run` against its per-point
 //!   `compute`, far from the iteration space, where the kernel maps
 //!   negative and large coordinates through `T⁻¹`;
-//! - the register-form tape (per point and lane-blocked) against the
-//!   tree-walking `TkExpr::eval`, on every shipped `.tk` file, unskewed
-//!   and, where it declares a skew, skewed: evaluated at `T⁻¹j`; and on
-//!   probes whose outputs are a bare read or a constant, whose statements
-//!   are `bnd()`/`mod()`, and whose tape outgrows the stack slots;
+//! - the register-form tape (per point and lane-blocked, `compute_run` and
+//!   `initial_run`) against the tree-walking `TkExpr::eval`, on every
+//!   shipped `.tk` file, unskewed and, where it declares a skew, skewed:
+//!   evaluated at `T⁻¹j`; and on probes whose outputs are a bare read or a
+//!   constant, whose statements are `bnd()`/`mod()`, whose boundaries read
+//!   coordinates, `mod()` and `bnd()` under a skew, and whose tape outgrows
+//!   the stack slots;
 //! - the paper kernels' sequential data against the frozen fingerprints of
 //!   the hand-coded Rust kernels they replaced.
 
@@ -18,6 +20,9 @@ use std::path::Path;
 use tilecc_frontend::tk::{lower_kernel, parse_kernel};
 use tilecc_frontend::{compile_kernel, compile_kernel_with, corpus, KernelProgram};
 use tilecc_linalg::IMat;
+use tilecc_loopnest::Kernel;
+
+mod common;
 
 /// A skewed two-array kernel whose body and boundaries use every
 /// coordinate-dependent form: coordinates, `mod`, `bnd()`, a `let`, and a
@@ -295,7 +300,10 @@ fn tape_equals_tree_walking_eval_on_every_shipped_kernel() {
     ]
     .map(|s| ("probe".to_string(), s.to_string()))
     .into_iter()
-    .chain([("probe".to_string(), long_tape())]);
+    .chain([
+        ("probe".to_string(), long_tape()),
+        ("probe".to_string(), common::SKEWED.to_string()),
+    ]);
     for (name, src) in files.into_iter().chain(probes) {
         let program = parse_kernel(&src).unwrap();
         let mut plain = program.clone();
@@ -349,11 +357,39 @@ fn tape_equals_tree_walking_eval_on_every_shipped_kernel() {
                         "{name}: initial at {j:?}"
                     );
                 }
+                let want = |j: &[i64]| tree_walk(&plain, &orig(j), &[], true);
+                check_initial_run(&name, k.as_ref(), &j0, &want);
             }
         }
     }
     assert_eq!(
-        skewed, 14,
-        "the four skewed probes + the ten skewed corpus files"
+        skewed, 15,
+        "the five skewed probes + the ten skewed corpus files"
     );
+}
+
+/// `initial_run` from `j0` against per-point `initial` and the tree-walking
+/// boundary at the original coordinates `orig(j)`, bitwise: every run
+/// length 1–17 and 61, so runs below the batch minimum, ragged lane blocks
+/// and several whole ones, under a unit, a mixed-sign and a steep step.
+fn check_initial_run(name: &str, k: &dyn Kernel, j0: &[i64], want: &dyn Fn(&[i64]) -> Vec<f64>) {
+    let (n, w) = (j0.len(), k.width());
+    let unit: Vec<i64> = (0..n).map(|k| i64::from(k == n - 1)).collect();
+    let mixed: Vec<i64> = (0..n).map(|k| 1 - k as i64).collect();
+    let steep: Vec<i64> = (0..n).map(|k| k as i64 * 2 - 1).collect();
+    let mut one = vec![0.0; w];
+    for dj in [&unit, &mixed, &steep] {
+        for count in (1..=17).chain([61]) {
+            let mut run = vec![f64::NAN; count * w];
+            k.initial_run(j0, dj, count, &mut run);
+            for p in 0..count {
+                let j: Vec<i64> = j0.iter().zip(dj).map(|(a, d)| a + p as i64 * d).collect();
+                k.initial(&j, &mut one);
+                let got = bits(&run[p * w..(p + 1) * w]);
+                let at = format!("{name}: point {p} of {count} from {j0:?} step {dj:?}");
+                assert_eq!(got, bits(&one), "{at}: initial_run vs initial");
+                assert_eq!(got, bits(&want(&j)), "{at}: initial_run vs tree walk");
+            }
+        }
+    }
 }

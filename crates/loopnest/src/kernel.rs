@@ -48,12 +48,26 @@ pub fn with_scratch<R>(n: usize, f: impl FnOnce(&mut [i64]) -> R) -> R {
 /// evaluates `bnd()` calls this one definition, so boundary conditions are
 /// bitwise identical wherever a kernel runs.
 pub fn boundary_value(j: &[i64]) -> f64 {
+    boundary_of(boundary_hash(j))
+}
+
+/// The hash behind [`boundary_value`],
+/// `17·31ⁿ + Σ_k (7 + k)·j_k·31^(n−1−k)` in wrapping `i64` arithmetic. It
+/// is affine in `j` modulo 2⁶⁴, so along a run `j0 + p·dj` it steps by
+/// `boundary_hash(dj) − boundary_hash(0)`, exactly.
+pub fn boundary_hash(j: &[i64]) -> i64 {
     let mut h: i64 = 17;
     for (k, &v) in j.iter().enumerate() {
         h = h
             .wrapping_mul(31)
             .wrapping_add(v.wrapping_mul(7 + k as i64));
     }
+    h
+}
+
+/// The [`boundary_value`] of a point whose [`boundary_hash`] is `h`.
+#[inline]
+pub fn boundary_of(h: i64) -> f64 {
     ((h.rem_euclid(1009)) as f64) / 1009.0
 }
 
@@ -71,6 +85,20 @@ pub trait Kernel: Send + Sync {
 
     /// Boundary components for points outside the iteration space.
     fn initial(&self, j: &[i64], out: &mut [f64]);
+
+    /// Batched [`Kernel::initial`] over `count` consecutive points of an
+    /// affine run: the components of point `j0 + p·dj` go to
+    /// `out[p*width..(p+1)*width]`. The scan and the compiled chain fill a
+    /// boundary row's reads from outside the space with it, one call per
+    /// dependence and stretch.
+    ///
+    /// The default walks the points through `initial` ([`initial_points`]),
+    /// allocation-free, so it is bitwise identical to per-point `initial`
+    /// by construction. Overrides must give every point exactly the bits
+    /// `initial` gives it.
+    fn initial_run(&self, j0: &[i64], dj: &[i64], count: usize, out: &mut [f64]) {
+        initial_points(self, j0, dj, count, out);
+    }
 
     /// Batched [`Kernel::compute`] over `count` consecutive points of an
     /// affine run: point `p` sits at iteration `j0 + p·dj`; component `c`
@@ -104,6 +132,31 @@ pub trait Kernel: Send + Sync {
             }
         }
     }
+}
+
+/// [`Kernel::initial`] at each of the `count` points `j0 + p·dj` in turn,
+/// into `out[p*width..(p+1)*width]`: the default [`Kernel::initial_run`],
+/// and the short-run fallback of an override.
+pub fn initial_points<K: Kernel + ?Sized>(
+    kernel: &K,
+    j0: &[i64],
+    dj: &[i64],
+    count: usize,
+    out: &mut [f64],
+) {
+    let w = kernel.width();
+    debug_assert_eq!(out.len(), count * w);
+    with_scratch(j0.len(), |j| {
+        j.copy_from_slice(j0);
+        for (p, out) in out.chunks_exact_mut(w).enumerate() {
+            if p > 0 {
+                for (jk, d) in j.iter_mut().zip(dj) {
+                    *jk += d;
+                }
+            }
+            kernel.initial(j, out);
+        }
+    });
 }
 
 /// A nest paired with its body: a complete algorithm instance.

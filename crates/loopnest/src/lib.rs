@@ -11,6 +11,7 @@ pub mod data;
 pub mod kernel;
 pub mod nest;
 mod scan;
+pub mod stretch;
 
 pub use data::DataSpace;
 pub use kernel::{Algorithm, Kernel};

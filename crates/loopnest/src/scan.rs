@@ -2,33 +2,46 @@
 //! [`Algorithm::execute_sequential`].
 //!
 //! The scan visits the same points in the same lexicographic order and
-//! applies the same read rule — a source that is in the data-space box and
-//! written is read, any other source takes the kernel's `initial` value —
-//! so its data space is bitwise identical to the oracle's. It differs only
-//! in how it gets there:
+//! gets the same reads, so its data space is bitwise identical to the
+//! oracle's. The oracle reads a source that is in the data-space box and
+//! written, and takes the kernel's `initial` value for any other. The scan
+//! reads a source that lies in the iteration space and takes `initial`
+//! for the rest: the same rule, because every dependence is
+//! lexicographically positive. A source in the space precedes its point,
+//! so the scan has written it, and only points in the space are ever
+//! written. It differs only in how it gets there:
 //!
 //! - It walks innermost ranges `[a, h]` ([`LoopNestBounds::runs`]) rather
 //!   than one `Vec` per point, keeping `j` and the cell index in reused
 //!   buffers.
 //! - Dependence `i` is one flat offset `off_i = Σ_k d_ik·weights[k]` into
-//!   the dense box.
+//!   the dense box: a source in the space sits in the box with its point,
+//!   so its cell is `cell(j) − off_i` (and `off_i ≥ 1`).
 //! - Per range it computes the *interior window*: the `x` for which every
 //!   source `j − d_i` lies in the iteration space, one [`Clamp`] clip
-//!   along the innermost axis. Such a source precedes `j`
-//!   lexicographically, so it is written, and both points sit in the
-//!   box, so its cell is `cell(j) − off_i` (and `off_i ≥ 1`). Inside the
-//!   window reads go unchecked; only the window's two edges take the
-//!   checked per-point path.
-//! - Inside the window, points go through `compute_run` in chunks of
-//!   `B ≤ min_i off_i` points. A chunk gathers its reads before it writes;
-//!   a read of point `p` is stale only if its writer `p − off_i` lies in
-//!   the same chunk, impossible for `B ≤ off_i` — the lag argument of the
-//!   compiled chain with flat offsets in place of LDS lags.
+//!   along the innermost axis. A range that is all window reads every
+//!   source from its cell, unchecked.
+//! - A range with edges clips each dependence on its own
+//!   ([`Clamp::source_clip`], the residuals computed once per range and
+//!   shifted per dependence): its sources lie in the space on one
+//!   interval of `x`. Reads inside it come from their cells; the reads
+//!   outside it are filled by [`Kernel::initial_run`], one call per
+//!   dependence and stretch, into staging sized at set-up.
+//! - A range goes through `compute_run` in chunks of
+//!   `B = min(CACHE_BLOCK, min_i off_i)` points, a chunk gathering its
+//!   reads before it writes: a read of point `p` is stale only if its
+//!   writer `p − off_i` lies in the same chunk, impossible for
+//!   `B ≤ off_i` — the compiled chain's lag argument with flat offsets in
+//!   place of LDS lags. Below [`MIN_BATCH`] it runs per point, its window
+//!   unchecked and only its edges staged. A range with edges, or one that
+//!   runs per point, is a [`Stretch`], the compiled chain's row loops.
 //!
 //! [`LoopNestBounds::runs`]: tilecc_polytope::LoopNestBounds::runs
+//! [`Kernel::initial_run`]: crate::Kernel::initial_run
 
 use crate::data::DataSpace;
-use crate::kernel::{Algorithm, Kernel, CACHE_BLOCK, MIN_BATCH};
+use crate::kernel::{Algorithm, CACHE_BLOCK, MIN_BATCH};
+use crate::stretch::{Scratch, Stretch};
 use tilecc_linalg::IMat;
 use tilecc_polytope::Clamp;
 
@@ -49,13 +62,14 @@ impl Algorithm {
         let d: Vec<i64> = (0..q)
             .flat_map(|i| (0..n).map(move |k| deps[(k, i)]))
             .collect();
-        let off: Vec<i64> = (0..q)
-            .map(|i| (0..n).map(|k| d[i * n + k] * weights[k]).sum())
+        // A source's cell relative to its point's: `−off_i`.
+        let src: Vec<i64> = (0..q)
+            .map(|i| -(0..n).map(|k| d[i * n + k] * weights[k]).sum::<i64>())
             .collect();
-        // Offsets only matter where the window is non-empty, where each
+        // Offsets only matter where a source is in the space, where each
         // is ≥ 1; a non-positive one belongs to a dependence whose source
-        // never lies in the space, so the window — and batching — is void.
-        let batch = off.iter().fold(CACHE_BLOCK as i64, |b, &o| b.min(o));
+        // never lies in the space, and it turns batching off.
+        let batch = src.iter().fold(CACHE_BLOCK as i64, |b, &s| b.min(-s));
         let batch = if batch >= i64::from(MIN_BATCH) {
             batch as usize
         } else {
@@ -63,165 +77,86 @@ impl Algorithm {
         };
         // The window: the `x` whose every source `j − d_i` is in the space.
         let window = Clamp::new(self.nest.space(), deps, &IMat::zeros(n, 0));
-        let bounds = self.nest.bounds();
+        let mut res = vec![0; self.nest.space().constraints().len()];
         let last = n - 1;
+        let unit: Vec<i64> = (0..n).map(|k| i64::from(k == last)).collect();
+        let slope: Vec<i128> = window.dots(&unit).collect();
+        let (mut j, mut scr) = (vec![0; n], Scratch::new(n, q, w));
         let (vals, written) = ds.cells_mut();
-        let mut scan = Scan {
-            kernel: &*self.kernel,
-            n,
-            q,
-            w,
-            ext: lo.iter().zip(&hi).map(|(l, h)| h - l + 1).collect(),
-            lo,
-            d,
-            off,
-            batch,
-            vals,
-            written,
-            j: vec![0; n],
-            src: vec![0; n],
-            reads: vec![0.0; q * w],
-            out: vec![0.0; w],
-            unit: (0..n).map(|k| i64::from(k == last)).collect(),
-            run_reads: vec![0.0; q * batch * w],
-            run_out: vec![0.0; batch * w],
-        };
-        let slope: Vec<i128> = window.dots(&scan.unit).collect();
+        let bounds = self.nest.bounds();
         let mut runs = bounds.runs();
         while let Some((outer, a, h)) = runs.next() {
-            scan.j[..last].copy_from_slice(outer);
+            // The range, in the space, is the line `(outer, 0) + x·e_{n−1}`.
+            j[..last].copy_from_slice(outer);
+            j[last] = 0;
+            for (k, r) in res.iter_mut().enumerate() {
+                *r = window.residual(k, &j);
+            }
+            let line = |k: usize| (res[k], slope[k]);
+            let [_, _, wlo, whi] = window.clip(a, h, true, line).unwrap_or([a, h, h + 1, h]);
+            // Positions count from `x = a`; the window is `win`.
+            let (len, win) = (
+                (h + 1 - a) as usize,
+                (wlo - a) as usize..(whi + 1 - a) as usize,
+            );
+            let edges = win != (0..len);
+            if edges {
+                for (i, stored) in scr.stored.iter_mut().enumerate() {
+                    *stored = window
+                        .source_clip(a, h, i, line)
+                        .map_or((len, len), |[x0, x1]| {
+                            ((x0 - a) as usize, (x1 + 1 - a) as usize)
+                        });
+                }
+            }
             // Flat cell of (outer, x) is `row + x`.
             let row = (0..last)
-                .map(|k| (outer[k] - scan.lo[k]) * weights[k])
+                .map(|k| (outer[k] - lo[k]) * weights[k])
                 .sum::<i64>()
-                - scan.lo[last];
-            // The range, in the space, is the line `(outer, 0) + x·e_{n−1}`.
-            scan.j[last] = 0;
-            let line = |k| (window.residual(k, &scan.j), slope[k]);
-            let [_, _, wlo, whi] = window.clip(a, h, true, line).unwrap_or([a, h, h + 1, h]);
-            for x in a..wlo {
-                scan.checked(x, row + x);
+                - lo[last];
+            let kernel = &*self.kernel;
+            let batch = if len >= MIN_BATCH as usize { batch } else { 0 };
+            if batch > 0 && !edges {
+                // The interior loop: every read from its cell.
+                let (cell0, mut x) = ((row + a) as usize, 0);
+                while x < len {
+                    let b = batch.min(len - x);
+                    let (cell, cw) = (cell0 + x, b * w);
+                    for (i, &rel) in src.iter().enumerate() {
+                        let s = (cell as i64 + rel) as usize;
+                        scr.run_reads[i * cw..(i + 1) * cw]
+                            .copy_from_slice(&vals[s * w..s * w + cw]);
+                    }
+                    j[last] = a + x as i64;
+                    let out = &mut scr.run_out[..cw];
+                    kernel.compute_run(&j, &unit, b, &scr.run_reads[..q * cw], out);
+                    vals[cell * w..cell * w + cw].copy_from_slice(out);
+                    x += b;
+                }
+            } else {
+                j[last] = a;
+                let stretch = Stretch {
+                    at: row + a,
+                    dst: 0,
+                    src: &src,
+                    j0: &j,
+                    dj: &unit,
+                    d: &d,
+                    width: w,
+                };
+                if batch > 0 {
+                    stretch.run(kernel, vals, 0..len, batch, &mut scr);
+                } else {
+                    // Per point: the window reads its cells alone, and only
+                    // the edges stage their initial values.
+                    stretch.run(kernel, vals, 0..win.start, 0, &mut scr);
+                    stretch.points(kernel, vals, win.clone(), &mut scr);
+                    stretch.run(kernel, vals, win.end..len, 0, &mut scr);
+                }
             }
-            scan.interior(wlo, whi, row);
-            for x in whi + 1..=h {
-                scan.checked(x, row + x);
-            }
+            written[(row + a) as usize..=(row + h) as usize].fill(true);
         }
         ds
-    }
-}
-
-/// Scan state: the kernel, the flat geometry, the data-space cells and
-/// the reused per-point buffers.
-struct Scan<'a> {
-    kernel: &'a dyn Kernel,
-    n: usize,
-    q: usize,
-    w: usize,
-    lo: Vec<i64>,
-    ext: Vec<i64>,
-    /// Dependence-major `d[i·n + k] = d_ik`.
-    d: Vec<i64>,
-    /// Flat cell offset of each dependence.
-    off: Vec<i64>,
-    /// Safe chunk width inside the window (0 = per point).
-    batch: usize,
-    vals: &'a mut [f64],
-    written: &'a mut [bool],
-    j: Vec<i64>,
-    src: Vec<i64>,
-    reads: Vec<f64>,
-    out: Vec<f64>,
-    /// The innermost unit step `e_{n−1}`.
-    unit: Vec<i64>,
-    run_reads: Vec<f64>,
-    run_out: Vec<f64>,
-}
-
-impl Scan<'_> {
-    /// One point at innermost value `x` (flat cell `cell`) by the oracle's
-    /// rule: in-box written sources are read, all others are `initial`.
-    fn checked(&mut self, x: i64, cell: i64) {
-        let (n, w) = (self.n, self.w);
-        self.j[n - 1] = x;
-        for i in 0..self.q {
-            let mut at = Some(0i64);
-            for k in 0..n {
-                let s = self.j[k] - self.d[i * n + k];
-                self.src[k] = s;
-                let o = s - self.lo[k];
-                at = at
-                    .filter(|_| o >= 0 && o < self.ext[k])
-                    .map(|a| a * self.ext[k] + o);
-            }
-            let r = &mut self.reads[i * w..(i + 1) * w];
-            match at.map(|a| a as usize).filter(|&a| self.written[a]) {
-                Some(a) => r.copy_from_slice(&self.vals[a * w..(a + 1) * w]),
-                None => self.kernel.initial(&self.src, r),
-            }
-        }
-        self.store(cell);
-    }
-
-    /// One interior point: every source cell is `cell − off_i`, written.
-    fn unchecked(&mut self, x: i64, cell: i64) {
-        let w = self.w;
-        self.j[self.n - 1] = x;
-        if w == 1 {
-            for (r, &off) in self.reads.iter_mut().zip(&self.off) {
-                *r = self.vals[(cell - off) as usize];
-            }
-        } else {
-            for (i, &off) in self.off.iter().enumerate() {
-                let s = (cell - off) as usize;
-                self.reads[i * w..(i + 1) * w].copy_from_slice(&self.vals[s * w..(s + 1) * w]);
-            }
-        }
-        self.store(cell);
-    }
-
-    /// Evaluate the kernel at `self.j` on `self.reads` and write `cell`.
-    fn store(&mut self, cell: i64) {
-        let w = self.w;
-        self.kernel.compute(&self.j, &self.reads, &mut self.out);
-        let c = cell as usize;
-        self.vals[c * w..(c + 1) * w].copy_from_slice(&self.out);
-        self.written[c] = true;
-    }
-
-    /// The interior window `[x0, x1]` of a range whose flat cells are
-    /// `row + x`: lag-safe `compute_run` chunks when the offsets allow
-    /// them, per point otherwise.
-    fn interior(&mut self, x0: i64, x1: i64, row: i64) {
-        let len = (x1 + 1 - x0) as usize;
-        if self.batch == 0 || len < MIN_BATCH as usize {
-            for x in x0..=x1 {
-                self.unchecked(x, row + x);
-            }
-            return;
-        }
-        let w = self.w;
-        let mut x = x0;
-        while x <= x1 {
-            let b = self.batch.min((x1 - x + 1) as usize);
-            let cw = b * w;
-            let cell = (row + x) as usize;
-            for (i, &off) in self.off.iter().enumerate() {
-                let s = cell - off as usize;
-                self.run_reads[i * cw..(i + 1) * cw].copy_from_slice(&self.vals[s * w..s * w + cw]);
-            }
-            self.j[self.n - 1] = x;
-            self.kernel.compute_run(
-                &self.j,
-                &self.unit,
-                b,
-                &self.run_reads[..self.q * cw],
-                &mut self.run_out[..cw],
-            );
-            self.vals[cell * w..cell * w + cw].copy_from_slice(&self.run_out[..cw]);
-            self.written[cell..cell + b].fill(true);
-            x += b as i64;
-        }
     }
 }
 
@@ -331,6 +266,36 @@ mod tests {
         let t = IMat::from_rows(&[&[1, 0], &[-3, 1]]);
         let steep = mix(Polyhedron::from_box(&[1, 1], &[6, 30]), &[&[1], &[4]]);
         assert_scan_is_oracle(&skewed(&steep, &t));
+    }
+
+    /// A 4-D nest skewed as `heat3d.tk` skews its 7-point stencil, under
+    /// kernels whose boundary values read every coordinate: runs lose
+    /// sources at both ends and whole runs lose one dependence's. Over the
+    /// box and a cut space, batched at width 1 and 2, and per point once an
+    /// innermost dependence of lag 1 joins.
+    #[test]
+    fn scan_matches_oracle_on_a_skewed_4d_nest() {
+        let heat: [&[i64]; 4] = [
+            &[1, 1, 1, 1, 1, 1, 1],
+            &[0, 1, -1, 0, 0, 0, 0],
+            &[0, 0, 0, 1, -1, 0, 0],
+            &[0, 0, 0, 0, 0, 1, -1],
+        ];
+        let lag1: [&[i64]; 4] = [&[1, 1, 0], &[0, 1, 0], &[0, -1, 0], &[0, 0, 1]];
+        let t = IMat::from_rows(&[&[1, 0, 0, 0], &[1, 1, 0, 0], &[1, 0, 1, 0], &[1, 0, 0, 1]]);
+        let boxed = Polyhedron::from_box(&[1, 1, 1, 1], &[3, 5, 4, 6]);
+        let mut cut = boxed.clone();
+        // x + z ≤ 8 and y ≥ z − 3.
+        cut.add(Constraint::new(vec![0, -1, 0, -1], 8));
+        cut.add(Constraint::new(vec![0, 0, 1, -1], 3));
+        for space in [boxed, cut] {
+            for deps in [&heat, &lag1] {
+                let nest = || LoopNest::new(space.clone(), IMat::from_rows(deps));
+                assert_scan_is_oracle(&skewed(&mix(space.clone(), deps), &t));
+                let two = Algorithm::new("mix2", nest(), Arc::new(Mix2));
+                assert_scan_is_oracle(&skewed(&two, &t));
+            }
+        }
     }
 
     #[test]

@@ -22,9 +22,14 @@
 //!   space. The clip works on integer residuals: each
 //!   constraint `a_k·j + b_k ≥ 0` is `a_k·origin + b_k` per tile, plus
 //!   `a_k·row.j` per row, plus `a_k·dj` per row position, so a row costs
-//!   one add and at most one floor division per constraint. The window
-//!   batches like an interior row, and only the points between the edges
-//!   are tested one by one, each source by integer compares.
+//!   one add and at most one floor division per constraint. A row whose
+//!   window is its whole in-space interval runs like an interior row. A
+//!   row with edges clips each dependence to the one interval whose
+//!   source is in the space ([`Clamp::source_clip`], the same residuals
+//!   shifted by `a_k·d_i`); it reads the LDS there and the kernel's
+//!   [`Kernel::initial_run`] values elsewhere, and no point is tested.
+//!   Every span runs as one [`Stretch`], the row loop the sequential scan
+//!   shares.
 //!   [`count_tile`] counts the same intervals, and [`gather_tile`] and
 //!   [`compare_tile`] visit them through one row visitor.
 //! - Pack and unpack regions are the rows of their region boxes, one
@@ -41,6 +46,7 @@
 use std::sync::OnceLock;
 use tilecc_linalg::vecops::{div_ceil, div_floor};
 use tilecc_linalg::IMat;
+use tilecc_loopnest::stretch::{Scratch, Stretch};
 use tilecc_loopnest::{DataSpace, Kernel};
 use tilecc_polytope::{Clamp, TileClamp};
 use tilecc_tiling::{CommPlan, Lds, LdsGeometry, TiledSpace};
@@ -137,6 +143,10 @@ pub struct CompiledChain {
     stride: i64,
     /// Transformed dependences `d' = H'·d` (columns).
     d_prime: IMat,
+    /// The dependences `d`, dependence-major (`d[i·n + k] = d_ik`): a
+    /// source outside the space reads the kernel's initial value at
+    /// `j − d`.
+    d: Vec<i64>,
     /// Lower corner of each processor dependence's pack region.
     region_lo: Vec<Vec<i64>>,
     /// `a_k·dj` of each [`Clamp`] constraint: its residual's step per row
@@ -382,6 +392,7 @@ impl CompiledChain {
             unpack,
             stride,
             d_prime: comm.d_prime.clone(),
+            d: (0..q).flat_map(|i| clamp.deps.col(i)).collect(),
             region_lo,
             split: OnceLock::new(),
         }
@@ -498,21 +509,44 @@ impl CompiledChain {
         let line = |k| (self.residual(tc, s.row, s.at, k), self.slope[k]);
         tc.clamp.clip(0, last, window, line)
     }
+
+    /// Each dependence's positions among the in-space positions `s0..s1`
+    /// of span `s` in the tile of `tc` whose source lies in the space, as
+    /// one half-open interval into the stretch's `stored` (empty at `s1`): the
+    /// residuals of the span's first position, computed once, shifted per
+    /// dependence ([`Clamp::source_clip`]).
+    fn source_intervals(
+        &self,
+        tc: &TileClamp,
+        s: &Span,
+        s0: usize,
+        s1: usize,
+        scr: &mut ComputeScratch,
+    ) {
+        scr.res.resize(self.slope.len(), 0);
+        for (k, r) in scr.res.iter_mut().enumerate() {
+            *r = self.residual(tc, s.row, s.at, k);
+        }
+        let res = &scr.res;
+        let line = |k: usize| (res[k], self.slope[k]);
+        for (dq, stored) in scr.stretch.stored.iter_mut().enumerate() {
+            *stored = tc
+                .clamp
+                .source_clip(s0 as i64, s1 as i64 - 1, dq, line)
+                .map_or((s1, s1), |[a, e]| (a as usize, e as usize + 1));
+        }
+    }
 }
 
-/// Reusable per-rank scratch of the compiled compute paths: per-point
-/// staging (`reads`/`out`/`j`/`src`) plus one cache block of batched
-/// dependence-major reads and outputs. Allocated once per rank (or bench
-/// loop), so the hot paths stay allocation-free.
+/// Reusable per-rank scratch of the compiled compute paths: the row
+/// stretches' buffers ([`Scratch`]), one span's first iteration and its
+/// residuals. Allocated once per rank (or bench loop), so the hot paths
+/// stay allocation-free.
 pub struct ComputeScratch {
-    j: Vec<i64>,
-    src: Vec<i64>,
-    /// Residuals of one edge point, one per [`Clamp`] constraint.
+    stretch: Scratch,
+    j0: Vec<i64>,
+    /// Residuals of a span's first position, one per [`Clamp`] constraint.
     res: Vec<i128>,
-    reads: Vec<f64>,
-    out: Vec<f64>,
-    run_reads: Vec<f64>,
-    run_out: Vec<f64>,
 }
 
 impl ComputeScratch {
@@ -520,13 +554,9 @@ impl ComputeScratch {
     /// components per cell.
     pub fn new(n: usize, q: usize, w: usize) -> Self {
         ComputeScratch {
-            j: vec![0i64; n],
-            src: vec![0i64; n],
+            stretch: Scratch::new(n, q, w),
+            j0: vec![0; n],
             res: Vec::new(),
-            reads: vec![0.0f64; q * w],
-            out: vec![0.0f64; w],
-            run_reads: vec![0.0f64; q * CACHE_BLOCK * w],
-            run_out: vec![0.0f64; CACHE_BLOCK * w],
         }
     }
 }
@@ -535,19 +565,20 @@ impl ComputeScratch {
 /// or one pass of the overlapped strategy ([`OverlapSplit::boundary`] /
 /// [`OverlapSplit::interior`]) — with no per-point allocation. A
 /// compute-interior tile passes `clamp = None`: every point is in the space
-/// and every read source is stored in the LDS, so no point is tested. A
-/// boundary tile passes its [`TileClamp`], which cuts each span to its
-/// in-space interval and, inside that, to the window where every source is
-/// in the space too; only the points between the two are tested one by
-/// one, and a source outside the space reads the kernel's initial value. A
-/// window (or a whole unclamped span) whose row has a usable `batch` width
-/// goes through the kernel's `compute_run` batch entry in cache-blocked
-/// chunks (reads bulk-copied per dependence, one kernel dispatch per
-/// chunk, one bulk write-back), bitwise identical to the per-point order
-/// (see the lag analysis in [`CompiledChain::new`], which holds for any
-/// stretch of a row); the rest run per point. Returns the number of
-/// in-space points computed and how many of them went through the batch
-/// entry.
+/// and every read source is stored in the LDS. A boundary tile passes its
+/// [`TileClamp`], which cuts each span to its in-space interval and checks
+/// whether every source of the interval is in the space too. Such a span
+/// reads only the LDS, like an unclamped one. A span with edges clips each
+/// dependence to the interval whose source is in the space
+/// ([`Clamp::source_clip`]); its reads come from the LDS there and from
+/// [`Kernel::initial_run`] elsewhere, staged per chunk, so no point is
+/// tested. A span whose row has a usable `batch` width goes through the
+/// kernel's `compute_run` batch entry in cache-blocked chunks (reads
+/// bulk-copied per dependence, one kernel dispatch per chunk, one bulk
+/// write-back), bitwise identical to the per-point order (see the lag
+/// analysis in [`CompiledChain::new`], which holds for any stretch of a
+/// row); the rest run per point. Returns the number of in-space points
+/// computed and how many of them went through the batch entry.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_tile_fast<K: Kernel + ?Sized>(
     chain: &CompiledChain,
@@ -559,47 +590,11 @@ pub fn compute_tile_fast<K: Kernel + ?Sized>(
     spans: &[Span],
     clamp: Option<&TileClamp>,
 ) -> (u64, u64) {
-    let (n, q, w) = (chain.n, chain.q, lds.width());
-    let base = tpos * chain.chain_step;
-    let dj = &chain.dj[..];
-    scr.res.resize(chain.slope.len(), 0);
-    // Position `t` of row `r`, per point. With `edge`, a source outside the
-    // space reads the kernel's initial value; without, every source is in
-    // the LDS.
-    let point = |vals: &mut [f64],
-                 scr: &mut ComputeScratch,
-                 r: usize,
-                 t: usize,
-                 edge: Option<&TileClamp>| {
-        let row = &chain.rows[r];
-        chain.iteration_at(origin, row, t, &mut scr.j);
-        if let Some(tc) = edge {
-            for (k, res) in scr.res.iter_mut().enumerate() {
-                *res = chain.residual(tc, r, t, k);
-            }
-        }
-        for dq in 0..q {
-            let reads = &mut scr.reads[dq * w..(dq + 1) * w];
-            if let Some(tc) = edge.filter(|tc| !tc.source_in(&scr.res, dq)) {
-                for k in 0..n {
-                    scr.src[k] = scr.j[k] - tc.clamp.deps[(k, dq)];
-                }
-                kernel.initial(&scr.src, reads);
-                continue;
-            }
-            let cell = (base + row.src[dq] + t as i64) as usize;
-            reads.copy_from_slice(&vals[cell * w..(cell + 1) * w]);
-        }
-        kernel.compute(&scr.j, &scr.reads[..q * w], &mut scr.out[..w]);
-        let cell = (base + row.dst + t as i64) as usize;
-        vals[cell * w..(cell + 1) * w].copy_from_slice(&scr.out[..w]);
-    };
+    let width = lds.width();
     // Single split borrow of the LDS buffer, hoisted out of all loops.
     let vals = lds.values_mut();
     let (mut iters, mut batched) = (0u64, 0u64);
     for span in spans {
-        let (r, at) = (span.row, span.at);
-        let row = &chain.rows[r];
         // Span positions [s0, s1] are in the space; the window [w0, w1]
         // lies inside them.
         let Some([s0, s1, w0, w1]) = chain.clip(span, clamp, true) else {
@@ -607,14 +602,18 @@ pub fn compute_tile_fast<K: Kernel + ?Sized>(
         };
         let (s0, s1, w0, w1) = (s0 as usize, s1 as usize + 1, w0 as usize, w1 as usize + 1);
         iters += (s1 - s0) as u64;
-        for t in at + s0..at + w0 {
-            point(vals, scr, r, t, clamp);
-        }
-        if row.batch >= MIN_BATCH as usize && w1 >= w0 + MIN_BATCH as usize {
-            let mut done = w0;
-            while done < w1 {
-                let b = row.batch.min(w1 - done);
-                let t = at + done;
+        let row = &chain.rows[span.row];
+        let batch = row.batch >= MIN_BATCH as usize && s1 - s0 >= MIN_BATCH as usize;
+        let edges = clamp.filter(|_| [w0, w1] != [s0, s1]);
+        batched += if batch { (s1 - s0) as u64 } else { 0 };
+        if batch && edges.is_none() {
+            // The interior loop: every read from the LDS.
+            let (q, w, base) = (chain.q, width, tpos * chain.chain_step);
+            let scr = &mut scr.stretch;
+            let mut done = s0;
+            while done < s1 {
+                let b = row.batch.min(s1 - done);
+                let t = span.at + done;
                 chain.iteration_at(origin, row, t, &mut scr.j);
                 let cw = b * w;
                 for dq in 0..q {
@@ -622,25 +621,36 @@ pub fn compute_tile_fast<K: Kernel + ?Sized>(
                     scr.run_reads[dq * cw..dq * cw + cw]
                         .copy_from_slice(&vals[cell * w..cell * w + cw]);
                 }
-                kernel.compute_run(
-                    &scr.j,
-                    dj,
-                    b,
-                    &scr.run_reads[..q * cw],
-                    &mut scr.run_out[..cw],
-                );
+                let out = &mut scr.run_out[..cw];
+                kernel.compute_run(&scr.j, &chain.dj, b, &scr.run_reads[..q * cw], out);
                 let cell = (base + row.dst + t as i64) as usize;
-                vals[cell * w..cell * w + cw].copy_from_slice(&scr.run_out[..cw]);
+                vals[cell * w..cell * w + cw].copy_from_slice(out);
                 done += b;
             }
-            batched += (w1 - w0) as u64;
-        } else {
-            for t in at + w0..at + w1 {
-                point(vals, scr, r, t, None);
-            }
+            continue;
         }
-        for t in at + w1..at + s1 {
-            point(vals, scr, r, t, clamp);
+        if let Some(tc) = edges {
+            chain.source_intervals(tc, span, s0, s1, scr);
+        }
+        chain.iteration_at(origin, row, span.at, &mut scr.j0);
+        let stretch = Stretch {
+            at: tpos * chain.chain_step + span.at as i64,
+            dst: row.dst,
+            src: &row.src,
+            j0: &scr.j0,
+            dj: &chain.dj,
+            d: &chain.d,
+            width,
+        };
+        let scr = &mut scr.stretch;
+        if batch {
+            stretch.run(kernel, vals, s0..s1, row.batch, scr);
+        } else {
+            // Per point: the window reads the LDS alone, and only the
+            // edges stage their initial values.
+            stretch.run(kernel, vals, s0..w0, 0, scr);
+            stretch.points(kernel, vals, w0..w1, scr);
+            stretch.run(kernel, vals, w1..s1, 0, scr);
         }
     }
     (iters, batched)
@@ -1084,9 +1094,10 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
     /// passes), the in-space interval and the window equal
     /// [`tilecc_polytope::Clamp::clip`] along the span's iterations,
     /// computed from the iterations themselves instead of the row tables,
-    /// and at the `positions` of each span every dependence source is in
-    /// the space by residuals iff `Polyhedron::contains` says so. Checks
-    /// every `stride`-th span. Returns the number of spans whose residuals
+    /// and each dependence's source interval holds an in-space position —
+    /// at the `positions` of each span and next to the interval's ends —
+    /// iff `Polyhedron::contains` holds at its source. Checks every
+    /// `stride`-th span. Returns the number of spans whose residuals
     /// left the `i64` range, so their divisions ran in `i128`.
     fn check_residual_clip(
         plan: &ParallelPlan,
@@ -1099,6 +1110,7 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
         let (space, clamp) = (plan.tiled.space(), &plan.clamp);
         let mut lens = std::collections::BTreeSet::new();
         let (mut wide, mut j0, mut src) = (0usize, vec![0i64; n], vec![0i64; n]);
+        let mut scr = super::ComputeScratch::new(n, q, 1);
         for rank in 0..plan.num_procs() {
             let chain = plan.chain(rank);
             if !lens.insert(chain.num_tiles) {
@@ -1134,17 +1146,20 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
                         continue;
                     };
                     assert_eq!(chain.clip(s, Some(&tc), false), Some([s0, s1, s0, s1]));
-                    let mut res = vec![0i128; k];
-                    for t in positions(s.len, [s0, s1, w0, w1]) {
-                        for (kk, r) in res.iter_mut().enumerate() {
-                            *r = chain.residual(&tc, s.row, s.at + t, kk);
-                        }
-                        for dq in 0..q {
+                    let (a, e) = (s0 as usize, s1 as usize + 1);
+                    chain.source_intervals(&tc, s, a, e, &mut scr);
+                    for (dq, &(t0, t1)) in scr.stretch.stored.iter().enumerate() {
+                        assert!(a <= t0 && t0 <= t1 && t1 <= e, "{ctx}: {s:?} {t0} {t1}");
+                        let near = [t0.wrapping_sub(1), t0, t1.wrapping_sub(1), t1];
+                        for t in positions(s.len, [s0, s1, w0, w1]).into_iter().chain(near) {
+                            if !(a..e).contains(&t) {
+                                continue;
+                            }
                             for kk in 0..n {
                                 src[kk] = j0[kk] + t as i64 * chain.dj[kk] - deps[(kk, dq)];
                             }
                             assert_eq!(
-                                tc.source_in(&res, dq),
+                                (t0..t1).contains(&t),
                                 space.contains(&src),
                                 "{ctx}: tile {tile:?} {s:?} position {t} source {dq}"
                             );
@@ -1159,8 +1174,8 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
     /// Seeded random cut spaces with `n ≤ 4`, random dependences and
     /// rectangular (dependences with negative entries included) or
     /// tiling-cone tilings: every
-    /// span's residual clip and every point's source test equal their
-    /// polytope oracles. One more plan at `N = 100000` coordinates,
+    /// span's residual clip and every dependence's source interval equal
+    /// their polytope oracles. One more plan at `N = 100000` coordinates,
     /// under a cut whose coefficient `2^50` takes the residuals far past
     /// `i64`, runs the `i128` divisions.
     #[test]

@@ -277,3 +277,62 @@ fn boundary_tiles_batch_their_windows() {
         "compiled vs reference data"
     );
 }
+
+/// 4-D boundary rows end to end: `heat3d.tk` (every one of its tiles is a
+/// boundary tile) at a small rect whose rows stay whole in the space, and
+/// a variant over a cut space. Compiled and overlapped data equal the
+/// scan and the per-point oracle bitwise, and on the rect every point of
+/// the compiled run, edge rows included, takes the batch entry.
+#[test]
+fn heat3d_boundary_rows_batch_whole_and_match_the_scan() {
+    let src = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/kernels/heat3d.tk"
+    ))
+    .unwrap();
+    let cut = src.replace(
+        "iter z = 1 to N",
+        "iter z = max(1, x - 2) to min(N, x + y - 1)",
+    );
+    assert_ne!(cut, src, "the cut must change the space");
+    let params = [("T", 4), ("N", 6)];
+    for (name, src, whole) in [("heat3d", &src, true), ("heat3d_cut", &cut, false)] {
+        let alg = compile_kernel_with(src, &params).unwrap();
+        let seq = alg.execute_sequential();
+        assert_eq!(alg.execute_scan().diff(&seq), None, "{name}: scan");
+        let plan = ParallelPlan::new(
+            alg,
+            TilingTransform::rectangular(&[2, 4, 4, 16]).unwrap(),
+            Some(1),
+        )
+        .unwrap();
+        let plan = Arc::new(plan);
+        for strategy in [ExecStrategy::Compiled, ExecStrategy::Overlapped] {
+            let reg = MetricsRegistry::new();
+            let result = execute(
+                plan.clone(),
+                MachineModel::fast_ethernet_p3(),
+                ExecMode::Full,
+                strategy,
+                Backend::Threaded,
+                EngineOptions {
+                    obs: Some(reg.clone()),
+                    ..EngineOptions::default()
+                },
+            )
+            .unwrap();
+            let report = reg.run_report(&result.report.local_times);
+            assert_eq!(report.total(Counter::InteriorTiles), 0, "{name}");
+            let data = result.data.unwrap();
+            assert_eq!(data.diff(&seq), None, "{name} {strategy:?}: data");
+            let (iters, vectorized) = (
+                report.total(Counter::Iterations),
+                report.total(Counter::VectorizedPoints),
+            );
+            assert_eq!(iters, plan.total_iterations() as u64, "{name}");
+            if whole && strategy == ExecStrategy::Compiled {
+                assert_eq!(vectorized, iters, "{name}: edge rows ran per point");
+            }
+        }
+    }
+}

@@ -21,8 +21,8 @@ use tilecc_linalg::IMat;
 /// products `a_k·d_i` that test a dependence source, the window shifts
 /// `max_i a_k·d_i`, and the corner reach of a box. A point `j` lies in the
 /// space iff every `r_k ≥ 0`, its source `j − d_i` iff every
-/// `r_k ≥ a_k·d_i`, and every source at once iff every `r_k` reaches its
-/// shift.
+/// `r_k ≥ a_k·d_i` ([`Clamp::source_clip`] along a line), and every
+/// source at once iff every `r_k` reaches its shift.
 pub struct Clamp {
     n: usize,
     /// `a_k`, row-major: `a[k·n..(k + 1)·n]`.
@@ -30,6 +30,9 @@ pub struct Clamp {
     b: Vec<i64>,
     /// `a_k·d_i`, source-major: `src[i·K + k]` for `K` constraints.
     src: Vec<i128>,
+    /// Per dependence `i`, the constraints with `a_k·d_i > 0`: the only
+    /// ones that can cut off the source of a point in the space.
+    cutting: Vec<Vec<usize>>,
     /// `max_i a_k·d_i`; 0 without dependences, when the window is the
     /// in-space interval.
     shift: Vec<i128>,
@@ -49,6 +52,7 @@ impl Clamp {
             a: rows.iter().flat_map(|c| c.coeffs().to_vec()).collect(),
             b: rows.iter().map(|c| c.constant()).collect(),
             src: Vec::new(),
+            cutting: Vec::new(),
             shift: Vec::new(),
             reach: Vec::new(),
             deps: deps.clone(),
@@ -56,6 +60,9 @@ impl Clamp {
         let cols: Vec<Vec<i64>> = (0..deps.cols()).map(|i| deps.col(i)).collect();
         clamp.src = cols.iter().flat_map(|d| clamp.dots(d)).collect();
         let k = rows.len();
+        clamp.cutting = (0..cols.len())
+            .map(|i| (0..k).filter(|&kk| clamp.src[i * k + kk] > 0).collect())
+            .collect();
         clamp.shift = (0..k)
             .map(|kk| clamp.src.iter().skip(kk).step_by(k).max().map_or(0, |&m| m))
             .collect();
@@ -134,6 +141,36 @@ impl Clamp {
             [s0, s1, w0 as i64, w1 as i64]
         })
     }
+
+    /// Clip the in-space positions `t ∈ [lo, hi]` of a line whose
+    /// constraint-`k` residual is `v_k + t·s_k`, `(v_k, s_k) = line(k)` as
+    /// in [`Clamp::clip`], to the `t` whose dependence-`i` source `j − d_i`
+    /// lies in the space too: the source's residuals are the point's
+    /// shifted by `a_k·d_i`, so it stays in the convex space on one
+    /// interval `[t0, t1]`. Every point of `[lo, hi]` must lie in the
+    /// space: a constraint with `a_k·d_i ≤ 0` then holds at every source,
+    /// and only the others are cut. `None` when no `t` keeps its source in
+    /// the space. Exact in `i128`.
+    #[inline]
+    pub fn source_clip(
+        &self,
+        lo: i64,
+        hi: i64,
+        i: usize,
+        line: impl Fn(usize) -> (i128, i128),
+    ) -> Option<[i64; 2]> {
+        let kk = self.b.len();
+        let mut sp = (i128::from(lo), i128::from(hi));
+        for &k in &self.cutting[i] {
+            let (v, slope) = line(k);
+            cut(v - self.src[i * kk + k], slope, &mut sp);
+            if sp.0 > sp.1 {
+                return None;
+            }
+        }
+        // Both lie within the caller's [lo, hi], so they fit i64.
+        Some([sp.0 as i64, sp.1 as i64])
+    }
 }
 
 /// A [`Clamp`] placed at one tile.
@@ -164,14 +201,6 @@ impl TileClamp<'_> {
             .zip(&self.clamp.shift)
             .all(|(low, s)| low >= (*s).max(0))
     }
-
-    /// Whether dependence `i`'s source of the point with residuals `res`
-    /// lies in the space.
-    #[inline]
-    pub fn source_in(&self, res: &[i128], i: usize) -> bool {
-        let ad = &self.clamp.src[i * res.len()..(i + 1) * res.len()];
-        res.iter().zip(ad).all(|(r, d)| r >= d)
-    }
 }
 
 /// Cut the interval `t ∈ [lo, hi]` to the `t` with `v + t·slope ≥ 0`
@@ -192,7 +221,7 @@ fn cut(v: i128, slope: i128, (lo, hi): &mut (i128, i128)) {
         if s > 0 {
             *lo = (*lo).max(i128::from(if s == 1 { -v } else { div_ceil(-v, s) }));
         } else {
-            *hi = (*hi).min(i128::from(div_floor(v, -s)));
+            *hi = (*hi).min(i128::from(if s == -1 { v } else { div_floor(v, -s) }));
         }
     } else if slope > 0 {
         *lo = (*lo).max((-v).div_euclid(slope) + i128::from((-v).rem_euclid(slope) != 0));
@@ -267,11 +296,33 @@ mod tests {
         })
     }
 
+    /// The window clip, and each dependence's source clip of the in-space
+    /// interval, against their brute-force twins: the in-space `t` whose
+    /// source `j0 + t·dj − d_i` lies in the space are one interval, the
+    /// clip's.
     fn assert_clip_is_brute(space: &Polyhedron, deps: &IMat, j0: &[i64], dj: &[i64]) {
         let (lo, hi) = (-12, 12);
         let want = brute(space, deps, j0, dj, lo, hi);
         let got = clip(space, deps, j0, dj, lo, hi);
         assert_eq!(got, want, "j0={j0:?} dj={dj:?} deps={deps:?}");
+        let clamp = Clamp::new(space, deps, &IMat::zeros(space.dim(), 0));
+        let slope: Vec<i128> = clamp.dots(dj).collect();
+        let line = |k| (clamp.residual(k, j0), slope[k]);
+        let Some([s0, s1, ..]) = got else {
+            return;
+        };
+        for i in 0..deps.cols() {
+            let src = |t: i64| -> Vec<i64> {
+                (0..j0.len())
+                    .map(|k| j0[k] + t * dj[k] - deps[(k, i)])
+                    .collect()
+            };
+            let kept: Vec<i64> = (s0..=s1).filter(|&t| space.contains(&src(t))).collect();
+            let got = clamp.source_clip(s0, s1, i, line);
+            let want = kept.first().map(|&t0| [t0, t0 + kept.len() as i64 - 1]);
+            assert_eq!(got, want, "source {i}: j0={j0:?} dj={dj:?} deps={deps:?}");
+            assert!(want.is_none_or(|[_, t1]| t1 == *kept.last().unwrap()));
+        }
     }
 
     /// The residual clip agrees with point-by-point `contains` along
