@@ -598,6 +598,7 @@ fn time_paths(hot: &HotPaths) -> Vec<PathStat> {
         ));
     }
 
+    let (rows, in_points) = s.outputs(plan, &lds);
     paths.push(paired_stat(
         "gather",
         points,
@@ -607,22 +608,23 @@ fn time_paths(hot: &HotPaths) -> Vec<PathStat> {
                 gather_tile_per_cell(pp, &lds, tpos, origin, ds)
             }),
             ("reference", &mut |ds| {
-                reference_gather_tile(plan, &lds, tpos, tile, ds)
+                _ = reference_gather_tile(plan, &in_points, tile, ds)
             }),
         ],
-        &mut |ds| gather_tile(chain, &lds, tpos, origin, None, ds),
+        &mut |ds| _ = gather_tile(chain, &rows, origin, None, ds),
     ));
 
     let b = &hot.boundary;
-    let (blds, bchain, clamp) = (b.lds(plan), plan.chain(b.rank), plan.clamp.at(&b.origin));
+    let (bchain, clamp) = (plan.chain(b.rank), plan.clamp.at(&b.origin));
+    let (rows, in_points) = b.outputs(plan, &b.lds(plan));
     paths.push(paired_stat(
         "gather_boundary",
         plan.tiled.tile_iterations(&b.tile).count(),
         &mut hot.data_space(),
         &mut [("reference", &mut |ds| {
-            reference_gather_tile(plan, &blds, b.tpos, &b.tile, ds);
+            _ = reference_gather_tile(plan, &in_points, &b.tile, ds)
         })],
-        &mut |ds| gather_tile(bchain, &blds, b.tpos, &b.origin, Some(&clamp), ds),
+        &mut |ds| _ = gather_tile(bchain, &rows, &b.origin, Some(&clamp), ds),
     ));
     paths
 }

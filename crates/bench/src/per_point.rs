@@ -13,10 +13,12 @@
 use tilecc_linalg::vecops::div_floor;
 use tilecc_loopnest::{DataSpace, Kernel};
 use tilecc_parcode::compiled::{
-    compute_tile_fast, gather_tile, pack_region, unpack_region, ComputeScratch, PayloadSizeError,
+    compute_tile_fast, gather_tile, pack_region, read_owned_tile, unpack_region, ComputeScratch,
+    PayloadSizeError,
 };
 use tilecc_parcode::executor::{
-    reference_compute_tile, reference_gather_tile, reference_pack, reference_unpack,
+    reference_compute_tile, reference_gather_tile, reference_pack, reference_read_tile,
+    reference_unpack,
 };
 use tilecc_parcode::ParallelPlan;
 use tilecc_tiling::{insert_at, Lds, LdsGeometry};
@@ -265,6 +267,18 @@ impl TileSite {
         }
         lds
     }
+
+    /// The site's part of its rank's output read from `lds`: in owned-row
+    /// order, the gather's input under the compiled strategies, and in
+    /// `tile_iterations` order, the reference gather's.
+    pub fn outputs(&self, plan: &ParallelPlan, lds: &Lds) -> (Vec<f64>, Vec<f64>) {
+        let tc = plan.clamp.at(&self.origin);
+        let clamp = (!tc.interior()).then_some(&tc);
+        let (mut rows, mut points) = (Vec::new(), Vec::new());
+        read_owned_tile(plan.chain(self.rank), lds, self.tpos, clamp, &mut rows);
+        reference_read_tile(plan, lds, self.tpos, &self.tile, &mut points);
+        (rows, points)
+    }
 }
 
 /// The hot paths of one plan: compute, pack, unpack and gather on its
@@ -407,13 +421,13 @@ impl<'p> HotPaths<'p> {
                 .collect::<Vec<_>>()
         };
         let got = gather(s, &|lds, ds| {
-            gather_tile(chain, lds, s.tpos, &s.origin, None, ds)
+            gather_tile(chain, &s.outputs(plan, lds).0, &s.origin, None, ds);
         });
         let per_point = gather(s, &|lds, ds| {
             gather_tile_per_cell(&self.pp, lds, s.tpos, &s.origin, ds);
         });
         let reference = gather(s, &|lds, ds| {
-            reference_gather_tile(plan, lds, s.tpos, &s.tile, ds);
+            reference_gather_tile(plan, &s.outputs(plan, lds).1, &s.tile, ds);
         });
         agree(
             "gather",
@@ -424,10 +438,11 @@ impl<'p> HotPaths<'p> {
         let b = &self.boundary;
         let clamp = plan.clamp.at(&b.origin);
         let got = gather(b, &|lds, ds| {
-            gather_tile(plan.chain(b.rank), lds, b.tpos, &b.origin, Some(&clamp), ds);
+            let rows = b.outputs(plan, lds).0;
+            gather_tile(plan.chain(b.rank), &rows, &b.origin, Some(&clamp), ds);
         });
         let reference = gather(b, &|lds, ds| {
-            reference_gather_tile(plan, lds, b.tpos, &b.tile, ds);
+            reference_gather_tile(plan, &b.outputs(plan, lds).1, &b.tile, ds);
         });
         agree("boundary gather", &got, [("reference", reference)])?;
         Ok(batched)

@@ -804,12 +804,18 @@ fn tcp_worker(
                 e.ranks()
             ))
         })?;
-    // The `RESULT` payload is the rank state a checkpoint stores; the
-    // driver decodes it into the rank's LDS and gathers like a threaded run.
-    let payload = encode_rank_state(result.iterations, result.lds.as_ref());
+    // The `RESULT` payload is the rank's output in the checkpoints' codec:
+    // its owned values, which the driver checks like a threaded run's. The
+    // `result` span covers encoding and sending them.
+    let t0 = reg.as_ref().map(|r| r.now_ns());
+    let payload = encode_rank_state(result.iterations, &result.values);
+    let bytes = payload.len() as u64;
     handle
         .send_result(local_time, &stats, payload)
         .map_err(|e| CliError(format!("worker rank {rank}: cannot report result: {e}")))?;
+    if let (Some(r), Some(t0)) = (&reg, t0) {
+        r.driver_span(Phase::Gather, "result", t0, bytes);
+    }
     if let Some(reg) = &reg {
         // Per-worker artifacts: rank metrics live in this process only, so
         // each worker writes `<path>.rank<R>` next to the requested path.
@@ -977,8 +983,9 @@ impl Drop for RemoveOnDrop {
 }
 
 /// Run as the TCP driver: spawn one worker process per rank of the plan,
-/// coordinate the rendezvous, collect every `RESULT`, rebuild the global
-/// data space, and print the same summary the threaded backend prints.
+/// coordinate the rendezvous, collect every `RESULT` (a rank's owned
+/// values), check them like a threaded run's, and print the same summary
+/// the threaded backend prints.
 fn tcp_driver(
     path: &str,
     run_args: &[String],
@@ -1242,10 +1249,11 @@ fn tcp_driver(
     for rep in reports {
         let malformed =
             |what: &str| CliError(format!("worker rank {} sent a malformed {what}", rep.rank));
-        let mut lds = (mode == ExecMode::Full).then(|| plan.rank_lds(rep.rank));
-        let iterations = decode_rank_state(&rep.payload, lds.as_mut())
+        let owned = (mode == ExecMode::Full).then(|| plan.owned_points(rep.rank));
+        let mut values = vec![0.0; owned.unwrap_or(0) * plan.algorithm.width()];
+        let iterations = decode_rank_state(&rep.payload, &mut values, "output")
             .map_err(|e| malformed(&format!("result payload: {e}")))?;
-        outputs.push(RankOutput { lds, iterations });
+        outputs.push(RankOutput { values, iterations });
         let snap = rep
             .stats
             .ok_or_else(|| malformed("result: no decodable final STATS frame"))?;

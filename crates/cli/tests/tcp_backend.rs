@@ -227,6 +227,42 @@ fn tcp_driver_trace_records_gather_and_verify() {
     }
 }
 
+/// A worker's `RESULT` carries its output and nothing more: each worker's
+/// trace file holds one `result` span whose detail is the payload size,
+/// and over all of them the sizes sum to one 8-byte iteration count per
+/// rank plus 8 bytes per value of the points they own, `w = 2` values
+/// each for the coupled kernel.
+#[test]
+fn worker_results_carry_exactly_the_owned_values() {
+    let trace = TempArtifacts::new("result-trace.json");
+    let kernel = coupled_kernel();
+    let mut args = vec!["run", kernel.as_str(), "--verify", "--backend", "tcp"];
+    args.extend(COUPLED_PLAN);
+    args.extend(["--trace-out", trace.to_str()]);
+    let out = stdout_of(&tilecc(&args));
+    assert_eq!(field(&out, "verified"), "true");
+    let procs: u64 = field(&out, "processors").parse().unwrap();
+    let iterations: u64 = field(&out, "iterations").parse().unwrap();
+    let mut details = Vec::new();
+    for r in 0..procs as usize {
+        let t = json::parse(&std::fs::read_to_string(trace.rank(r)).unwrap()).unwrap();
+        let events = t.get("traceEvents").and_then(Json::as_arr).unwrap();
+        details.extend(
+            events
+                .iter()
+                .filter(|e| e.get("name").and_then(Json::as_str) == Some("result"))
+                .map(|e| {
+                    e.get("args")
+                        .and_then(|a| a.get("detail"))
+                        .and_then(Json::as_u64)
+                }),
+        );
+    }
+    assert_eq!(details.len() as u64, procs, "one `result` span per worker");
+    let bytes: u64 = details.iter().map(|d| d.expect("a byte count")).sum();
+    assert_eq!(bytes, 8 * procs + 8 * 2 * iterations);
+}
+
 #[test]
 fn faulty_tcp_run_matches_threaded_bitwise() {
     // A lossy link: the reliability layer retransmits over real sockets

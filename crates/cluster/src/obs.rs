@@ -60,7 +60,9 @@ pub enum Phase {
     Recv,
     /// Unpacking a received payload into the LDS.
     Unpack,
-    /// Writing a rank's LDS back into the global data space (driver-side).
+    /// A rank's output on its way to the global data space (driver-side):
+    /// the driver's per-rank `gather` pass, and a TCP worker's `result`
+    /// (encoding and sending its owned values).
     Gather,
     /// The sequential reference scan, on its own thread alongside the
     /// parallel run (driver-side, `--verify`).

@@ -351,7 +351,7 @@ mod tests {
         Pipeline::compile_transform(alg, rect, Some(2)).unwrap()
     }
 
-    /// The rank outputs of a full compiled run, LDSs included.
+    /// The rank outputs of a full compiled run, owned values included.
     fn rank_outputs(pipe: &Pipeline) -> Vec<RankOutput> {
         run_ranks(
             pipe.plan(),
@@ -371,31 +371,25 @@ mod tests {
             .check(pipe.plan(), results, strategy)
     }
 
-    /// The chain position and coordinates of rank 0's first tile that
-    /// computes a point.
-    fn first_tile(plan: &ParallelPlan) -> (i64, Vec<i64>) {
+    /// The coordinates of rank 0's first tile that computes a point.
+    fn first_tile(plan: &ParallelPlan) -> Vec<i64> {
         let (lo_t, hi_t) = plan.dist.chains[0];
         let pid = &plan.dist.pids[0];
         (lo_t..=hi_t)
-            .map(|t| (t - lo_t, tilecc_tiling::insert_at(pid, plan.m(), t)))
-            .find(|(_, tile)| plan.tiled.tile_iterations(tile).next().is_some())
+            .map(|t| tilecc_tiling::insert_at(pid, plan.m(), t))
+            .find(|tile| plan.tiled.tile_iterations(tile).next().is_some())
             .expect("rank 0 computes a point")
     }
 
-    /// Flip the lowest bit of the LDS cell that rank 0 owns for the first
-    /// point of its first tile.
-    fn flip_owned_cell(pipe: &Pipeline, results: &mut [RankOutput]) {
-        let plan = pipe.plan();
-        let (tpos, tile) = first_tile(plan);
-        let (jp, _) = plan.tiled.tile_iterations(&tile).next().unwrap();
-        let lds = results[0].lds.as_mut().unwrap();
-        let cell = lds.index_of(&lds.unrolled(tpos, &jp)).unwrap();
-        let v = &mut lds.values_mut()[cell * plan.algorithm.width()];
+    /// Flip the lowest bit of the first value in rank 0's output: the cell
+    /// it owns for the first point of its first tile.
+    fn flip_owned_cell(results: &mut [RankOutput]) {
+        let v = &mut results[0].values[0];
         *v = f64::from_bits(v.to_bits() ^ 1);
     }
 
     /// A run that verifies returns data equal to its gather; one flipped
-    /// LDS bit fails the check, and the data returned is then the gather
+    /// output bit fails the check, and the data returned is then the gather
     /// of the corrupted outputs, as a gather-then-diff check returns it.
     #[test]
     fn one_flipped_cell_fails_the_check() {
@@ -405,7 +399,7 @@ mod tests {
         let (ok, data) = check(&pipe, &results, ExecStrategy::Compiled);
         assert!(ok);
         assert_eq!(data.diff(&gathered(&results)), None);
-        flip_owned_cell(&pipe, &mut results);
+        flip_owned_cell(&mut results);
         let (ok, data) = check(&pipe, &results, ExecStrategy::Compiled);
         assert!(!ok);
         let want = gathered(&results);
@@ -443,18 +437,17 @@ mod tests {
             None
         ));
 
-        // Rank 0's first tile, compared twice into one bitset.
+        // Rank 0's first tile, compared twice into one bitset; its values
+        // open the rank's output.
         let chain = plan.chain(0);
-        let (tpos, tile) = first_tile(plan);
+        let tile = first_tile(plan);
         let origin = plan.tiled.tile_origin(&tile);
         let tc = plan.clamp.at(&origin);
         let clamp = (!tc.interior()).then_some(&tc);
-        let lds = results[0].lds.as_ref().unwrap();
+        let values = &results[0].values;
         let mut seen = vec![0u64; reference.num_cells().div_ceil(64)];
         let compare = |seen: &mut [u64], reference: &DataSpace| {
-            tilecc_parcode::compiled::compare_tile(
-                chain, lds, tpos, &origin, clamp, reference, seen,
-            )
+            tilecc_parcode::compiled::compare_tile(chain, values, &origin, clamp, reference, seen)
         };
         let points = plan.tiled.tile_iterations(&tile).count() as u64;
         assert_eq!(compare(&mut seen, &reference), Some(points));

@@ -30,8 +30,9 @@
 //!   [`Kernel::initial_run`] values elsewhere, and no point is tested.
 //!   Every span runs as one [`Stretch`], the row loop the sequential scan
 //!   shares.
-//!   [`count_tile`] counts the same intervals, and [`gather_tile`] and
-//!   [`compare_tile`] visit them through one row visitor.
+//!   [`count_tile`] counts the same intervals, and a rank's output
+//!   ([`read_owned_tile`]), [`gather_tile`] and [`compare_tile`] visit
+//!   them through one row visitor.
 //! - Pack and unpack regions are the rows of their region boxes, one
 //!   unit-stride block copy each ([`Block`]).
 //! - The overlapped split is built on first use ([`CompiledChain::split`])
@@ -736,95 +737,104 @@ pub fn unpack_region(
     Ok(())
 }
 
-/// Visit a tile's owned cells row by row, each row of the walk cut by
-/// `clamp` to its in-space positions (a boundary tile; an interior tile
-/// passes `None`): `f(cell, ds_cell, count)` covers LDS cells
-/// `cell..cell + count` at `tpos`, which hold the `DataSpace` cells
-/// `ds_cell + t·gather_step`; `gbase` is the data space's flat cell of the
-/// tile's origin ([`DataSpace::flat_cell_signed`]). Stops at the first
-/// call that returns `false` and returns whether every call returned
-/// `true`. The one traversal behind [`gather_tile`] and [`compare_tile`].
+/// Visit a tile's owned rows in walk order, each cut by `clamp` to its
+/// in-space positions (a boundary tile; an interior tile passes `None`):
+/// `f(row, a, count)` covers positions `a..a + count` of `row`. Stops at
+/// the first call that returns `false` and returns whether every call
+/// returned `true`. The one traversal behind a rank's output
+/// ([`read_owned_tile`]), [`gather_tile`] and [`compare_tile`], so all
+/// three agree on the owned-row order.
 fn for_each_owned_row(
     chain: &CompiledChain,
-    tpos: i64,
-    gbase: i64,
     clamp: Option<&TileClamp>,
-    mut f: impl FnMut(usize, i64, usize) -> bool,
+    mut f: impl FnMut(&Row, i64, usize) -> bool,
 ) -> bool {
-    let base = tpos * chain.chain_step;
     chain.walk.iter().all(|s| {
         let Some([a, b, ..]) = chain.clip(s, clamp, false) else {
             return true;
         };
-        let row = &chain.rows[s.row];
-        let cell = (base + row.dst + a) as usize;
-        f(
-            cell,
-            gbase + row.gather + a * chain.gather_step,
-            (b - a + 1) as usize,
-        )
+        f(&chain.rows[s.row], a, (b - a + 1) as usize)
     })
 }
 
-/// Gather a tile's owned cells into the global data space: a row whose
-/// `DataSpace` cells are unit-stride (`gather_step == 1`) is one block copy
-/// (values and written flags), any other row per-cell writes.
-pub fn gather_tile(
+/// Append a tile's owned cells at chain position `tpos` to `out` in
+/// owned-row order, one block copy per row: the tile's part of its rank's
+/// output.
+pub fn read_owned_tile(
     chain: &CompiledChain,
     lds: &Lds,
     tpos: i64,
-    origin: &[i64],
     clamp: Option<&TileClamp>,
-    ds: &mut DataSpace,
+    out: &mut Vec<f64>,
 ) {
-    let w = lds.width();
-    debug_assert_eq!(ds.width(), w);
-    let vals = lds.values();
-    let step = chain.gather_step;
-    let gbase = ds.flat_cell_signed(origin);
-    for_each_owned_row(chain, tpos, gbase, clamp, |src, cell, count| {
-        if step == 1 {
-            ds.write_cells(cell as usize, count, &vals[src * w..(src + count) * w]);
-        } else {
-            for t in 0..count {
-                let s = src + t;
-                ds.write_cell((cell + t as i64 * step) as usize, &vals[s * w..(s + 1) * w]);
-            }
-        }
+    let (w, vals, base) = (lds.width(), lds.values(), tpos * chain.chain_step);
+    for_each_owned_row(chain, clamp, |row, a, count| {
+        let cell = (base + row.dst + a) as usize;
+        out.extend_from_slice(&vals[cell * w..(cell + count) * w]);
         true
     });
 }
 
-/// Compare a tile's owned cells in place with `reference`, cell by cell
-/// over the rows [`gather_tile`] would copy, and mark each visited
-/// `DataSpace` cell in the bitset `seen`. Returns the number of cells
-/// visited, or `None` at the first cell that was visited before, is not
-/// written in `reference`, or differs from it in any bit. When every tile
-/// of a run passes and the visits total `reference.num_written()`, a
-/// gather of the run would equal `reference` bit for bit.
+/// Gather a tile's owned values into the global data space: `values` is
+/// its rank's output from the tile's first value on, in owned-row order
+/// ([`read_owned_tile`]). A row whose `DataSpace` cells are unit-stride
+/// (`gather_step == 1`) is one block copy (values and written flags), any
+/// other row per-cell writes. Returns the number of cells read.
+pub fn gather_tile(
+    chain: &CompiledChain,
+    values: &[f64],
+    origin: &[i64],
+    clamp: Option<&TileClamp>,
+    ds: &mut DataSpace,
+) -> usize {
+    let (w, step) = (ds.width(), chain.gather_step);
+    let gbase = ds.flat_cell_signed(origin);
+    let mut at = 0;
+    for_each_owned_row(chain, clamp, |row, a, count| {
+        let cell = gbase + row.gather + a * step;
+        let vals = &values[at * w..(at + count) * w];
+        if step == 1 {
+            ds.write_cells(cell as usize, count, vals);
+        } else {
+            for t in 0..count {
+                ds.write_cell((cell + t as i64 * step) as usize, &vals[t * w..(t + 1) * w]);
+            }
+        }
+        at += count;
+        true
+    });
+    at
+}
+
+/// Compare a tile's owned values (`values`, as for [`gather_tile`]) in
+/// place with `reference`, cell by cell over the cells [`gather_tile`]
+/// would write, and mark each visited `DataSpace` cell in the bitset
+/// `seen`. Returns the number of cells visited, or `None` at the first
+/// cell that was visited before, is not written in `reference`, or
+/// differs from it in any bit. When every tile of a run passes and the
+/// visits total `reference.num_written()`, a gather of the run would
+/// equal `reference` bit for bit.
 pub fn compare_tile(
     chain: &CompiledChain,
-    lds: &Lds,
-    tpos: i64,
+    values: &[f64],
     origin: &[i64],
     clamp: Option<&TileClamp>,
     reference: &DataSpace,
     seen: &mut [u64],
 ) -> Option<u64> {
-    let w = lds.width();
-    debug_assert_eq!(reference.width(), w);
-    let vals = lds.values();
-    let step = chain.gather_step;
+    let (w, step) = (reference.width(), chain.gather_step);
     let gbase = reference.flat_cell_signed(origin);
-    let mut visits = 0u64;
-    let same = for_each_owned_row(chain, tpos, gbase, clamp, |src, cell, count| {
-        visits += count as u64;
+    let mut at = 0;
+    let same = for_each_owned_row(chain, clamp, |row, a, count| {
+        let cell = gbase + row.gather + a * step;
+        let vals = &values[at * w..(at + count) * w];
+        at += count;
         (0..count).all(|t| {
             let c = (cell + t as i64 * step) as usize;
             let (word, bit) = (c / 64, 1u64 << (c % 64));
             let fresh = seen[word] & bit == 0;
             seen[word] |= bit;
-            let got = &vals[(src + t) * w..(src + t + 1) * w];
+            let got = &vals[t * w..(t + 1) * w];
             fresh
                 && reference.written_cell(c).is_some_and(|want| {
                     want.iter()
@@ -833,7 +843,7 @@ pub fn compare_tile(
                 })
         })
     });
-    same.then_some(visits)
+    same.then_some(at as u64)
 }
 
 #[cfg(test)]

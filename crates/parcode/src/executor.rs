@@ -14,8 +14,8 @@
 //! overlapped one; the reference strategy walks the tile per point.
 
 use crate::compiled::{
-    compare_tile, compute_tile_fast, count_tile, gather_tile, pack_region, unpack_region,
-    CompiledChain, ComputeScratch, Span,
+    compare_tile, compute_tile_fast, count_tile, gather_tile, pack_region, read_owned_tile,
+    unpack_region, CompiledChain, ComputeScratch, Span,
 };
 use crate::plan::ParallelPlan;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -90,11 +90,13 @@ pub enum Backend {
     Tcp,
 }
 
-/// Per-rank result: the rank's Local Data Space (`Full` mode only — the
-/// main thread gathers it into the global data space) plus the number of
-/// iterations executed.
+/// Per-rank result: the iterations executed and, in a full run, the rank's
+/// output — `w` values per point it owns ([`ParallelPlan::owned_points`]),
+/// tile by tile in chain order, each tile in owned-row order
+/// ([`read_owned_tile`]), or in `tile_iterations` order under the
+/// reference strategy.
 pub struct RankOutput {
-    pub lds: Option<Lds>,
+    pub values: Vec<f64>,
     pub iterations: u64,
 }
 
@@ -116,7 +118,7 @@ impl ExecutionResult {
 
 /// Execute the plan: every rank runs [`run_rank`] over the chosen
 /// [`Backend`] ([`run_ranks`]), and in [`ExecMode::Full`] the main thread
-/// gathers the rank LDSs into the global data space. `options` carry the
+/// gathers the ranks' outputs into the global data space. `options` carry the
 /// communication scheme ([`CommScheme::Overlapped`] implements the
 /// computation/communication overlapping the paper lists as future work,
 /// its reference \[8\]), observability, fault injection and the watchdog;
@@ -150,7 +152,7 @@ pub fn execute(
 
 /// Run every rank of the plan over `backend`, as [`execute`] does, and
 /// return the report without gathering: in [`ExecMode::Full`] each rank's
-/// output carries its LDS.
+/// output carries its owned values.
 pub fn run_ranks(
     plan: &Arc<ParallelPlan>,
     model: MachineModel,
@@ -172,16 +174,17 @@ pub fn run_ranks(
     }
 }
 
-/// Write every rank's LDS back to the global data space (the paper's
+/// Write every rank's owned values to the global data space (the paper's
 /// `loc⁻¹` role), on the main thread. `results` are in rank order and all
-/// carry their LDS: [`execute`] passes its ranks' outputs, the CLI's
-/// multi-process driver the outputs it decoded from the workers' `RESULT`
-/// payloads ([`decode_rank_state`]).
+/// carry their values, in the order `strategy` wrote them ([`RankOutput`]):
+/// [`execute`] passes its ranks' outputs, the CLI's multi-process driver
+/// the outputs it decoded from the workers' `RESULT` payloads
+/// ([`decode_rank_state`]).
 ///
-/// The compiled strategies copy every valid tile through the plan-time
-/// TTIS rows, cutting a boundary tile's rows to their in-space intervals
-/// ([`gather_tile`]); only the reference strategy walks `tile_iterations`
-/// per point.
+/// The compiled strategies place every valid tile's values through the
+/// plan-time TTIS rows, cutting a boundary tile's rows to their in-space
+/// intervals ([`gather_tile`]); only the reference strategy walks
+/// `tile_iterations` per point.
 pub fn gather(
     plan: &ParallelPlan,
     results: &[RankOutput],
@@ -190,13 +193,12 @@ pub fn gather(
 ) -> DataSpace {
     let (lo, hi) = plan.algorithm.nest.bounding_box();
     let mut ds = DataSpace::with_width(&lo, &hi, plan.algorithm.width());
-    for_each_owned_tile(plan, results, obs, |chain, lds, tpos, tile, at, clamp| {
-        if strategy == ExecStrategy::Reference {
-            reference_gather_tile(plan, lds, tpos, tile, &mut ds);
+    for_each_owned_tile(plan, results, obs, |chain, values, tile, origin, clamp| {
+        Some(if strategy == ExecStrategy::Reference {
+            reference_gather_tile(plan, values, tile, &mut ds)
         } else {
-            gather_tile(chain, lds, tpos, at, clamp, &mut ds);
-        }
-        true
+            gather_tile(chain, values, origin, clamp, &mut ds)
+        })
     });
     ds
 }
@@ -288,24 +290,45 @@ pub fn reference_unpack(
     debug_assert_eq!(idx * w, payload.len(), "unpack count mismatch");
 }
 
-/// The reference strategy's gather of `tile` at chain position `tpos`:
-/// every point of `tile_iterations` copied from the LDS into `ds`.
-pub fn reference_gather_tile(
+/// The reference strategy's part of its rank's output for `tile` at chain
+/// position `tpos`: the LDS cell of every point of `tile_iterations`,
+/// appended to `out` in that order.
+pub fn reference_read_tile(
     plan: &ParallelPlan,
     lds: &Lds,
     tpos: i64,
     tile: &[i64],
-    ds: &mut DataSpace,
+    out: &mut Vec<f64>,
 ) {
-    let mut vals = vec![0.0f64; lds.width()];
-    for (jp, j) in plan.tiled.tile_iterations(tile) {
-        lds.get_into(&lds.unrolled(tpos, &jp), &mut vals);
-        ds.set_all(&j, &vals);
+    let w = lds.width();
+    for (jp, _) in plan.tiled.tile_iterations(tile) {
+        let at = out.len();
+        out.resize(at + w, 0.0);
+        lds.get_into(&lds.unrolled(tpos, &jp), &mut out[at..]);
     }
 }
 
-/// Verify a finished run in place: compare every rank's owned cells with
-/// `reference` over the rows [`gather`] copies under the compiled
+/// The reference strategy's gather of `tile`: `values` is its rank's
+/// output from the tile's first value on ([`reference_read_tile`]), and
+/// every point of `tile_iterations` takes the next `w` of them. Returns
+/// the number of points read.
+pub fn reference_gather_tile(
+    plan: &ParallelPlan,
+    values: &[f64],
+    tile: &[i64],
+    ds: &mut DataSpace,
+) -> usize {
+    let w = ds.width();
+    let mut points = 0;
+    for (_, j) in plan.tiled.tile_iterations(tile) {
+        ds.set_all(&j, &values[points * w..(points + 1) * w]);
+        points += 1;
+    }
+    points
+}
+
+/// Verify a finished run in place: compare every rank's owned values with
+/// `reference` over the rows [`gather`] places them on under the compiled
 /// strategies ([`compare_tile`]), with no data space built. True iff no
 /// cell is visited twice, every visited cell is written in `reference`
 /// and equal to it bit for bit, and the visits cover every cell
@@ -321,44 +344,35 @@ pub fn compare_in_place(
 ) -> bool {
     let mut seen = vec![0u64; reference.num_cells().div_ceil(64)];
     let mut visits = 0u64;
-    let same = for_each_owned_tile(plan, results, obs, |chain, lds, tpos, _, origin, clamp| {
-        let v = compare_tile(chain, lds, tpos, origin, clamp, reference, &mut seen);
-        visits += v.unwrap_or(0);
-        v.is_some()
+    let same = for_each_owned_tile(plan, results, obs, |chain, values, _, origin, clamp| {
+        let v = compare_tile(chain, values, origin, clamp, reference, &mut seen)?;
+        visits += v;
+        Some(v as usize)
     });
     same && visits == reference_written as u64
 }
 
-/// Call `visit(chain, lds, tpos, tile, origin, clamp)` on every valid tile
-/// of every rank in rank and chain order; `clamp` is the tile's
-/// [`TileClamp`], `None` when the tile lies inside the iteration space and
-/// needs no clamp. Each visit is observed as a
-/// `GatherNs` sample of its rank and each rank as a `gather` driver span.
-/// Stops after the first visit that returns `false` and returns whether
-/// none did.
+/// Call `visit(chain, values, tile, origin, clamp)` on every valid tile of
+/// every rank in rank and chain order ([`ParallelPlan::for_each_tile`]):
+/// `values` is the rank's output from the tile's first value on, and the
+/// visit returns the number of points it read, or `None` to stop. Each
+/// visit is observed as a `GatherNs` sample of its rank and each rank as
+/// a `gather` driver span. Returns whether no visit stopped.
 fn for_each_owned_tile(
     plan: &ParallelPlan,
     results: &[RankOutput],
     obs: Option<&MetricsRegistry>,
-    mut visit: impl FnMut(&CompiledChain, &Lds, i64, &[i64], &[i64], Option<&TileClamp>) -> bool,
+    mut visit: impl FnMut(&CompiledChain, &[f64], &[i64], &[i64], Option<&TileClamp>) -> Option<usize>,
 ) -> bool {
+    let w = plan.algorithm.width();
     for (rank, out) in results.iter().enumerate() {
         let rank_t0 = obs.map(|r| r.now_ns());
-        let lds = out.lds.as_ref().expect("full mode returns the rank LDS");
         let mut tile_t0 = rank_t0;
-        let pid = &plan.dist.pids[rank];
-        let (lo_t, hi_t) = plan.dist.chains[rank];
         let chain = plan.chain(rank);
-        let mut done = true;
-        for t_abs in lo_t..=hi_t {
-            let tile = insert_at(pid, plan.m(), t_abs);
-            if !plan.tiled.tile_valid(&tile) {
-                continue;
-            }
-            let origin = plan.tiled.tile_origin(&tile);
-            let tc = plan.clamp.at(&origin);
-            let clamp = (!tc.interior()).then_some(&tc);
-            done = visit(chain, lds, t_abs - lo_t, &tile, &origin, clamp);
+        let mut at = 0;
+        let done = plan.for_each_tile(rank, |_, tile, origin, clamp| {
+            let read = visit(chain, &out.values[at..], tile, origin, clamp);
+            at += read.unwrap_or(0) * w;
             if let (Some(reg), Some(t0)) = (obs, tile_t0) {
                 let now = reg.now_ns();
                 reg.rank_metrics(rank)
@@ -366,10 +380,8 @@ fn for_each_owned_tile(
                     .observe(now.saturating_sub(t0));
                 tile_t0 = Some(now);
             }
-            if !done {
-                break;
-            }
-        }
+            read.is_some()
+        });
         if let (Some(reg), Some(t0)) = (obs, rank_t0) {
             reg.driver_span(Phase::Gather, "gather", t0, rank as u64);
         }
@@ -425,7 +437,8 @@ pub fn run_rank<L: Link>(
                 let tpos = t_abs - lo_t; // chain-relative tile position
                 if let Some(k) = ckpt_every {
                     if (tpos as u64).is_multiple_of(k) {
-                        let state = encode_rank_state(iterations, lds.as_ref());
+                        let lds = lds.as_ref().map_or(&[][..], Lds::values);
+                        let state = encode_rank_state(iterations, lds);
                         comm.checkpoint(tpos as u64, &state);
                     }
                 }
@@ -630,64 +643,73 @@ pub fn run_rank<L: Link>(
         }
     }
 
-    // The LDS goes back whole; the main thread gathers it into the global
-    // data space (loc⁻¹ role) — no duplicated TTIS traversal here.
-    RankOutput { lds, iterations }
+    // The rank's output is its owned cells, read once in the order the
+    // gather and the check read them; the LDS, halos and empty chain tiles
+    // included, ends here.
+    let values = lds.map_or_else(Vec::new, |lds| {
+        let mut values = Vec::with_capacity(iterations as usize * w);
+        plan.for_each_tile(rank, |tpos, tile, _, clamp| {
+            match strategy {
+                ExecStrategy::Compiled | ExecStrategy::Overlapped => {
+                    read_owned_tile(chain, &lds, tpos, clamp, &mut values)
+                }
+                ExecStrategy::Reference => reference_read_tile(plan, &lds, tpos, tile, &mut values),
+            }
+            true
+        });
+        values
+    });
+    RankOutput { values, iterations }
 }
 
-/// Serialize a rank's state: its iteration count, then in a full run
-/// (`lds` is `Some`) every LDS value as an `f64` bit pattern in row-major
-/// LDS order, all little-endian (`docs/wire-protocol.md`, "Rank state").
-/// A timing-only run carries the count alone. The same bytes are the
-/// application part of a checkpoint ([`RankCore::checkpoint`]) and a worker
-/// process's `RESULT` payload; decoding them ([`decode_rank_state`])
-/// reproduces the rank bitwise.
-pub fn encode_rank_state(iterations: u64, lds: Option<&Lds>) -> Vec<u8> {
-    let vals = lds.map_or(&[][..], Lds::values);
-    let mut out = Vec::with_capacity(8 + vals.len() * 8);
+/// Serialize a rank's state: its iteration count, then every value as an
+/// `f64` bit pattern, all little-endian (`docs/wire-protocol.md`, "Rank
+/// state"). One codec, two payloads: a checkpoint
+/// ([`RankCore::checkpoint`]) stores the whole LDS in row-major order, and
+/// a worker process's `RESULT` carries its output ([`RankOutput`]); a
+/// timing-only run has no values in either. Decoding the bytes
+/// ([`decode_rank_state`]) reproduces them bitwise.
+pub fn encode_rank_state(iterations: u64, values: &[f64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + values.len() * 8);
     out.extend_from_slice(&iterations.to_le_bytes());
-    for v in vals {
+    for v in values {
         out.extend_from_slice(&v.to_bits().to_le_bytes());
     }
     out
 }
 
-/// Inverse of [`encode_rank_state`]: return the iteration count and, in a
-/// full run, write the values into `lds`, an LDS of the rank's
-/// plan-derived shape ([`ParallelPlan::rank_lds`]); only the values travel.
-/// The byte length must be exactly what that shape implies — 8 bytes in a
-/// timing-only run (`lds` is `None`), `8 + 8·|LDS|` in a full one — and is
-/// checked before anything is written. So malformed bytes are an error,
-/// never a panic, and nothing is allocated from a length they carry.
-pub fn decode_rank_state(bytes: &[u8], lds: Option<&mut Lds>) -> Result<u64, String> {
+/// Inverse of [`encode_rank_state`]: return the iteration count and write
+/// the values into `values`, sized from the plan — the rank's LDS for a
+/// checkpoint, its owned points times `w` for a `RESULT`, empty in a
+/// timing-only run; `what` names them in errors (`"LDS"`, `"output"`).
+/// The byte length must be exactly `8 + 8·values.len()` and is checked
+/// before anything is written. So malformed bytes are an error, never a
+/// panic, and nothing is allocated from a length they carry.
+pub fn decode_rank_state(bytes: &[u8], values: &mut [f64], what: &str) -> Result<u64, String> {
     let Some((head, body)) = bytes.split_first_chunk::<8>() else {
         return Err(format!(
             "truncated rank state: {} bytes, the iteration count needs 8",
             bytes.len()
         ));
     };
-    match lds {
-        None if !body.is_empty() => Err(format!(
-            "{} LDS bytes in the rank state of a timing-only run",
+    if values.is_empty() && !body.is_empty() {
+        return Err(format!(
+            "{} {what} bytes in the rank state of a timing-only run",
             body.len()
-        )),
-        None => Ok(u64::from_le_bytes(*head)),
-        Some(lds) => {
-            let vals = lds.values_mut();
-            if body.len() != vals.len() * 8 {
-                return Err(format!(
-                    "rank state carries {} LDS bytes, the rank's LDS of {} values needs {}",
-                    body.len(),
-                    vals.len(),
-                    vals.len() * 8
-                ));
-            }
-            for (v, c) in vals.iter_mut().zip(body.chunks_exact(8)) {
-                *v = f64::from_bits(u64::from_le_bytes(c.try_into().expect("chunk size")));
-            }
-            Ok(u64::from_le_bytes(*head))
-        }
+        ));
     }
+    if body.len() != values.len() * 8 {
+        return Err(format!(
+            "rank state carries {} {what} bytes, the rank's {what} of {} values needs {}",
+            body.len(),
+            values.len(),
+            values.len() * 8
+        ));
+    }
+    for (v, c) in values.iter_mut().zip(body.chunks_exact(8)) {
+        *v = f64::from_bits(u64::from_le_bytes(c.try_into().expect("chunk size")));
+    }
+    Ok(u64::from_le_bytes(*head))
 }
 
 /// Rewind a rank to a checkpoint's rank state: restore `iterations` and,
@@ -695,7 +717,8 @@ pub fn decode_rank_state(bytes: &[u8], lds: Option<&mut Lds>) -> Result<u64, Str
 /// A state that does not fit the rank's LDS ends the rank with the
 /// decoder's message.
 fn rewind_to(restored: &Restored, rank: usize, iterations: &mut u64, lds: Option<&mut Lds>) -> u64 {
-    match decode_rank_state(&restored.app, lds) {
+    let values = lds.map_or(&mut [][..], |lds| lds.values_mut());
+    match decode_rank_state(&restored.app, values, "LDS") {
         Ok(count) => *iterations = count,
         Err(e) => panic!(
             "rank {rank}: cannot restore the checkpoint at chain position {}: {e}",
@@ -997,10 +1020,19 @@ mod tests {
         assert_eq!(reference.total(Counter::CompiledDispatches), 0);
     }
 
-    /// The rank states of a full SOR run under a non-rectangular tiling
-    /// (chains of several lengths, so LDS sizes differ between ranks), with
-    /// each rank's decode target.
-    fn sor_rank_states() -> (Arc<ParallelPlan>, Vec<(Vec<u8>, Lds)>) {
+    /// One rank's two rank states from a full SOR run under a
+    /// non-rectangular tiling (chains of several lengths, so LDS and
+    /// output sizes differ between ranks): `what` names the payload, and
+    /// `len` is the value count its decoder is sized to from the plan.
+    struct State {
+        what: &'static str,
+        bytes: Vec<u8>,
+        len: usize,
+    }
+
+    /// Every rank's checkpoint state (its whole LDS, here filled with
+    /// distinct values) and `RESULT` state (its output), with the plan.
+    fn sor_rank_states() -> (Arc<ParallelPlan>, Vec<[State; 2]>) {
         let alg = compile_kernel_with(corpus::SOR, &[("M", 6), ("N", 9)]).unwrap();
         let t = TilingTransform::new(RMat::from_fractions(&[
             &[(1, 2), (0, 1), (0, 1)],
@@ -1020,94 +1052,136 @@ mod tests {
         .unwrap();
         let states = (res.report.results.iter().enumerate())
             .map(|(rank, out)| {
-                let bytes = encode_rank_state(out.iterations, out.lds.as_ref());
-                (bytes, plan.rank_lds(rank))
+                let mut lds = plan.rank_lds(rank);
+                for (i, v) in lds.values_mut().iter_mut().enumerate() {
+                    *v = 1.0 + i as f64 / 3.0;
+                }
+                let len = plan.owned_points(rank) * plan.algorithm.width();
+                assert_eq!(out.values.len(), len);
+                [
+                    State {
+                        what: "LDS",
+                        bytes: encode_rank_state(out.iterations, lds.values()),
+                        len: lds.values().len(),
+                    },
+                    State {
+                        what: "output",
+                        bytes: encode_rank_state(out.iterations, &out.values),
+                        len,
+                    },
+                ]
             })
             .collect();
         (plan, states)
     }
 
-    /// Decoding every rank's state into a fresh LDS of its plan-derived
-    /// shape and gathering the outputs rebuilds the run's data bitwise —
-    /// the multi-process driver's path.
+    /// Both states decode into buffers of their plan-derived size and
+    /// encode back to the same bytes; the decoded outputs gather into the
+    /// run's data bitwise — the multi-process driver's path — and each
+    /// `RESULT` holds exactly the rank's owned values.
     #[test]
     fn rank_states_round_trip_through_gather() {
         let (plan, states) = sor_rank_states();
         let mut outputs = Vec::new();
-        for (bytes, mut lds) in states {
-            let iterations = decode_rank_state(&bytes, Some(&mut lds)).unwrap();
-            assert_eq!(encode_rank_state(iterations, Some(&lds)), bytes);
-            outputs.push(RankOutput {
-                lds: Some(lds),
-                iterations,
-            });
+        for (rank, pair) in states.iter().enumerate() {
+            for st in pair {
+                let mut values = vec![0.0; st.len];
+                let iterations = decode_rank_state(&st.bytes, &mut values, st.what).unwrap();
+                assert_eq!(encode_rank_state(iterations, &values), st.bytes);
+                if st.what == "output" {
+                    assert_eq!(iterations as usize, plan.owned_points(rank));
+                    outputs.push(RankOutput { values, iterations });
+                }
+            }
         }
         let total: u64 = outputs.iter().map(|o| o.iterations).sum();
         assert_eq!(total as usize, plan.total_iterations());
         let ds = gather(&plan, &outputs, ExecStrategy::Compiled, None);
         assert_eq!(plan.algorithm.execute_sequential().diff(&ds), None);
         // A timing-only state is the count alone.
-        assert_eq!(decode_rank_state(&encode_rank_state(9, None), None), Ok(9));
+        assert_eq!(
+            decode_rank_state(&encode_rank_state(9, &[]), &mut [], "output"),
+            Ok(9)
+        );
     }
 
     #[test]
     fn truncated_rank_state_is_an_error() {
-        let (_, mut states) = sor_rank_states();
-        let (bytes, mut lds) = states.swap_remove(0);
-        for cut in [0, 7] {
-            let e = decode_rank_state(&bytes[..cut], Some(&mut lds)).unwrap_err();
-            assert!(e.contains("the iteration count needs 8"), "{e}");
-            let e = decode_rank_state(&bytes[..cut], None).unwrap_err();
-            assert!(e.contains("the iteration count needs 8"), "{e}");
-        }
-        for cut in [8, bytes.len() - 1] {
-            let e = decode_rank_state(&bytes[..cut], Some(&mut lds)).unwrap_err();
-            assert!(e.contains("needs"), "{e}");
+        let (_, states) = sor_rank_states();
+        for st in &states[0] {
+            let mut values = vec![0.0; st.len];
+            for cut in [0, 7] {
+                let bytes = &st.bytes[..cut];
+                let e = decode_rank_state(bytes, &mut values, st.what).unwrap_err();
+                assert!(e.contains("the iteration count needs 8"), "{e}");
+                let e = decode_rank_state(bytes, &mut [], st.what).unwrap_err();
+                assert!(e.contains("the iteration count needs 8"), "{e}");
+            }
+            for cut in [8, st.bytes.len() - 1] {
+                let e = decode_rank_state(&st.bytes[..cut], &mut values, st.what).unwrap_err();
+                assert!(e.contains("needs"), "{e}");
+            }
         }
     }
 
     #[test]
     fn rank_state_with_trailing_bytes_is_an_error() {
-        let (_, mut states) = sor_rank_states();
-        let (mut bytes, mut lds) = states.swap_remove(0);
-        let cells = lds.values().len();
-        bytes.extend_from_slice(&1.5f64.to_bits().to_le_bytes());
-        let e = decode_rank_state(&bytes, Some(&mut lds)).unwrap_err();
-        let want = format!(
-            "rank state carries {} LDS bytes, the rank's LDS of {cells} values needs {}",
-            8 * cells + 8,
-            8 * cells
-        );
-        assert_eq!(e, want);
-        // Nothing was written before the length check failed.
-        assert!(lds.values().iter().all(|&v| v == 0.0));
+        let (_, states) = sor_rank_states();
+        for st in &states[0] {
+            let (what, cells) = (st.what, st.len);
+            let mut values = vec![0.0; cells];
+            let bytes = [&st.bytes[..], &1.5f64.to_bits().to_le_bytes()].concat();
+            let e = decode_rank_state(&bytes, &mut values, what).unwrap_err();
+            let want = format!(
+                "rank state carries {} {what} bytes, the rank's {what} of {cells} values needs {}",
+                8 * cells + 8,
+                8 * cells
+            );
+            assert_eq!(e, want);
+            // Nothing was written before the length check failed.
+            assert!(values.iter().all(|&v| v == 0.0));
+        }
     }
 
+    /// Another rank's checkpoint or `RESULT` has another value count.
     #[test]
     fn rank_state_of_another_ranks_lds_is_an_error() {
-        let (_, mut states) = sor_rank_states();
-        states.sort_by_key(|(_, lds)| lds.values().len());
-        let (small, big) = (states.remove(0), states.pop().unwrap());
-        let (mut small_lds, mut big_lds) = (small.1, big.1);
-        assert!(small_lds.values().len() < big_lds.values().len());
-        let e = decode_rank_state(&big.0, Some(&mut small_lds)).unwrap_err();
-        assert!(e.contains("the rank's LDS of"), "{e}");
-        let e = decode_rank_state(&small.0, Some(&mut big_lds)).unwrap_err();
-        assert!(e.contains("the rank's LDS of"), "{e}");
+        let (_, states) = sor_rank_states();
+        for kind in 0..2 {
+            let mut sized: Vec<&State> = states.iter().map(|pair| &pair[kind]).collect();
+            sized.sort_by_key(|st| st.len);
+            let (small, big) = (sized[0], sized[sized.len() - 1]);
+            assert!(small.len < big.len, "{}", small.what);
+            let what = small.what;
+            let e = decode_rank_state(&big.bytes, &mut vec![0.0; small.len], what).unwrap_err();
+            assert!(e.contains(&format!("the rank's {what} of")), "{e}");
+            let e = decode_rank_state(&small.bytes, &mut vec![0.0; big.len], what).unwrap_err();
+            assert!(e.contains(&format!("the rank's {what} of")), "{e}");
+        }
     }
 
+    /// Values, LDS or output, in the rank state of a timing-only run.
     #[test]
     fn lds_bytes_in_a_timing_only_rank_state_are_an_error() {
-        let (_, mut states) = sor_rank_states();
-        let (bytes, mut lds) = states.swap_remove(0);
-        let e = decode_rank_state(&bytes, None).unwrap_err();
-        assert!(
-            e.ends_with("LDS bytes in the rank state of a timing-only run"),
-            "{e}"
-        );
-        // A full run's decoder wants the LDS a timing-only state lacks.
-        let e = decode_rank_state(&encode_rank_state(3, None), Some(&mut lds)).unwrap_err();
-        assert!(e.starts_with("rank state carries 0 LDS bytes"), "{e}");
+        let (_, states) = sor_rank_states();
+        for st in &states[0] {
+            let what = st.what;
+            let e = decode_rank_state(&st.bytes, &mut [], what).unwrap_err();
+            assert!(
+                e.ends_with(&format!(
+                    "{what} bytes in the rank state of a timing-only run"
+                )),
+                "{e}"
+            );
+            // A full run's decoder wants the values a timing-only state
+            // lacks.
+            let mut values = vec![0.0; st.len];
+            let e = decode_rank_state(&encode_rank_state(3, &[]), &mut values, what).unwrap_err();
+            assert!(
+                e.starts_with(&format!("rank state carries 0 {what} bytes")),
+                "{e}"
+            );
+        }
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! functions (Tables 1–2) that translate between the original iteration
 //! space `J^n` and per-processor Local Data Spaces.
 
-use crate::compiled::CompiledChain;
+use crate::compiled::{count_tile, CompiledChain};
 use tilecc_cluster::{MetricsRegistry, Phase};
 use tilecc_linalg::IMat;
 use tilecc_loopnest::Algorithm;
-use tilecc_polytope::Clamp;
+use tilecc_polytope::{Clamp, TileClamp};
 use tilecc_tiling::{
     insert_at, project_pid, CommPlan, Distribution, Lds, LdsGeometry, TiledSpace, TilingError,
     TilingTransform,
@@ -153,12 +153,44 @@ impl ParallelPlan {
     }
 
     /// A zeroed LDS for `rank`'s chain — the shape [`crate::run_rank`]
-    /// computes into and [`crate::decode_rank_state`] checks a rank state
-    /// against.
+    /// computes into and its checkpoints store.
     pub fn rank_lds(&self, rank: usize) -> Lds {
         let (lo, hi) = self.dist.chains[rank];
         let w = self.algorithm.width();
         Lds::with_width(self.geo.clone(), self.anchor(rank), hi - lo + 1, w)
+    }
+
+    /// Call `visit(tpos, tile, origin, clamp)` on every valid tile of
+    /// `rank`'s chain in chain order, `clamp` being `None` inside the
+    /// iteration space. Stops after the first visit that returns `false`
+    /// and returns whether none did.
+    pub fn for_each_tile(
+        &self,
+        rank: usize,
+        mut visit: impl FnMut(i64, &[i64], &[i64], Option<&TileClamp>) -> bool,
+    ) -> bool {
+        let (pid, (lo_t, hi_t)) = (&self.dist.pids[rank], self.dist.chains[rank]);
+        (lo_t..=hi_t).all(|t_abs| {
+            let tile = insert_at(pid, self.dist.m, t_abs);
+            if !self.tiled.tile_valid(&tile) {
+                return true;
+            }
+            let origin = self.tiled.tile_origin(&tile);
+            let tc = self.clamp.at(&origin);
+            let clamp = (!tc.interior()).then_some(&tc);
+            visit(t_abs - lo_t, &tile, &origin, clamp)
+        })
+    }
+
+    /// The iteration points `rank` owns, `w` values each in a full run's
+    /// output ([`crate::RankOutput`]).
+    pub fn owned_points(&self, rank: usize) -> usize {
+        let (chain, mut points) = (self.chain(rank), 0);
+        self.for_each_tile(rank, |_, _, _, clamp| {
+            points += count_tile(chain, clamp, &chain.walk) as usize;
+            true
+        });
+        points
     }
 
     /// The paper's `loc(j)` (Table 1): processor id and LDS address where

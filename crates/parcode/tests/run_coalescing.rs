@@ -13,7 +13,7 @@ use std::sync::Arc;
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::{IMat, RMat, Rational};
 use tilecc_loopnest::{Algorithm, DataSpace, Kernel, LoopNest};
-use tilecc_parcode::compiled::{gather_tile, Region, CACHE_BLOCK, MIN_BATCH};
+use tilecc_parcode::compiled::{gather_tile, read_owned_tile, Region, CACHE_BLOCK, MIN_BATCH};
 use tilecc_parcode::ParallelPlan;
 use tilecc_polytope::{Clamp, Constraint, Polyhedron};
 use tilecc_tiling::{insert_at, tiling_cone_rays, TilingTransform};
@@ -230,9 +230,11 @@ fn check_plan(plan: &ParallelPlan, ctx: &str) -> usize {
     dropped
 }
 
-/// The row-clamped gather of every valid tile must equal the per-point
-/// `tile_iterations` walk bitwise, values and written flags, from an LDS
-/// filled with distinct values. Returns the number of boundary tiles.
+/// The row-clamped gather of every valid tile's owned values, read from
+/// an LDS filled with distinct values, must equal the per-point
+/// `tile_iterations` walk of that LDS bitwise, values and written flags,
+/// and read exactly the values the tile owns. Returns the number of
+/// boundary tiles.
 fn check_gather(plan: &ParallelPlan, ctx: &str) -> usize {
     let w = plan.algorithm.width();
     let (lo, hi) = plan.algorithm.nest.bounding_box();
@@ -260,8 +262,11 @@ fn check_gather(plan: &ParallelPlan, ctx: &str) -> usize {
             }
             let origin = plan.tiled.tile_origin(&tile);
             let clamp = (!interior).then(|| plan.clamp.at(&origin));
+            let mut owned = Vec::new();
+            read_owned_tile(chain, &lds, tpos, clamp.as_ref(), &mut owned);
             let mut got = DataSpace::with_width(&lo, &hi, w);
-            gather_tile(chain, &lds, tpos, &origin, clamp.as_ref(), &mut got);
+            let read = gather_tile(chain, &owned, &origin, clamp.as_ref(), &mut got);
+            assert_eq!(read * w, owned.len(), "{ctx}: tile {tile:?}");
             assert_eq!(
                 want.diff(&got),
                 None,

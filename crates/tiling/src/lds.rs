@@ -176,24 +176,8 @@ impl Lds {
     }
 
     #[inline]
-    pub fn geometry(&self) -> &LdsGeometry {
-        &self.geo
-    }
-
-    #[inline]
     pub fn anchor(&self) -> &[i64] {
         &self.anchor
-    }
-
-    /// Total allocated cells (× width values).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Linear index of unrolled local coordinate `g`; `None` when the
