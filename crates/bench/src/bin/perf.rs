@@ -14,38 +14,30 @@
 //!    strategy in `TimingOnly` mode: the overlapped virtual makespan must
 //!    not exceed the blocking one, with the same bytes sent, and must win
 //!    by at least 1.1x on at least one workload;
-//! 3. times each path's baselines and its optimized form in paired rounds
-//!    (every arm back to back in each round, after warmup), so slow drift
-//!    cancels within a round; a speedup is the median of its per-round
-//!    ratios;
-//! 4. records the compiled and reference `Full`-mode walls of a whole run,
-//!    its virtual makespan and its batched-point coverage.
+//! 3. runs the compiled strategy once in `Full` mode with metrics on: its
+//!    data must equal `execute_sequential` bitwise, and it gives the
+//!    virtual makespan and the batched-point coverage;
+//! 4. times each path's baselines and its optimized form in paired rounds
+//!    ([`paired_stat`]);
+//! 5. times the compiled and reference `Full`-mode walls of a whole run
+//!    ([`calibrated_wall`]).
 //!
 //! Gates: interior compute at least 3x over the reference path on every
 //! workload, and at least 1.5x over the per-point loop on at least 4 of
-//! the 6. The record goes to `target/bench/hot_paths.json`. With `--test`,
-//! the checks and the overlap gate run, nothing is timed and no JSON is
-//! written.
+//! the 6. On `sor_rect`, `jacobi_rect`, `adi_rect` and `adi_paper` the
+//! compiled run's normalized wall is at most [`DSL_OVERHEAD_BOUND`]x the
+//! one recorded by the hand-coded kernel its `.tk` kernel replaced
+//! ([`HAND_NORM_MS`]). The record goes to `target/bench/hot_paths.json`.
+//! With `--test`, the checks and the overlap gate run, nothing is timed
+//! and no JSON is written.
 //!
 //! `perf --obs-overhead [--test]` instead measures the observability
 //! layer: the compiled compute hot path with the executor's disabled-obs
 //! gating must be within 2% of the raw loop (hooks are `Option` tests when
 //! off), and an end-to-end run with metrics+tracing enabled reports its
 //! real cost and writes the same `perf_obs_trace.json` /
-//! `perf_obs_metrics.json` artifacts the CLI emits.
-//!
-//! `perf --dsl-bench [--test] [--out <path>]` times the four paper
-//! workloads of the `.tk` corpus (`sor`, `jacobi`, `adi`, `adi_paper`, at
-//! the sizes of the paper workloads) against the walls recorded by the
-//! hand-coded Rust kernels they replaced. Each kernel's sequential data must first hash to
-//! its frozen fingerprint and its parallel run must match that data
-//! bitwise; then it is timed end-to-end in `Full` mode, each run
-//! normalized by a calibration loop timed just before it in the same
-//! process (median of nine runs).
-//! Results go to `BENCH_PR10.json`. Acceptance: every normalized wall is
-//! at most `DSL_OVERHEAD_BOUND`x the recorded hand-coded one. With
-//! `--test`, everything runs once (identity checks only) and no JSON is
-//! written.
+//! `perf_obs_metrics.json` artifacts the CLI emits, in the working
+//! directory (`--out` is a usage error).
 //!
 //! `perf --tune-bench [--test] [--out <path>]` runs the `tilecc tune`
 //! search on all six paper workloads with the paper's fixed `H` seeded as
@@ -56,8 +48,9 @@
 //! least 2 of the 6. With `--test`, smaller iteration spaces and candidate
 //! caps are used; the gates still apply.
 //!
-//! Every mode writes its record to `target/bench/<file name>` unless
-//! `--out` names a path. Any other argument is a usage error (exit 2).
+//! Every record is one `tilecc-bench-v1` object ([`write_record`]) in
+//! `target/bench/<file name>` unless `--out` names a path. Any other
+//! argument is a usage error (exit 2).
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -79,24 +72,6 @@ use tilecc_parcode::executor::{
 use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
 use tilecc_tiling::TilingTransform;
 
-/// Mean wall time per inner iteration of `f`, in nanoseconds.
-fn time_ns<F: FnMut()>(smoke: bool, inner: usize, mut f: F) -> f64 {
-    f(); // warm-up (and the entire run in smoke mode)
-    if smoke {
-        return 0.0;
-    }
-    let budget = Duration::from_millis(150);
-    let mut reps: u64 = 0;
-    let mut elapsed = Duration::ZERO;
-    while reps < 10 || elapsed < budget {
-        let t0 = Instant::now();
-        f();
-        elapsed += t0.elapsed();
-        reps += 1;
-    }
-    elapsed.as_nanos() as f64 / (reps as usize * inner) as f64
-}
-
 /// Measure the cost of the observability layer on the compiled hot path.
 ///
 /// The executor's per-tile instrumentation reduces to `Option` tests when no
@@ -115,55 +90,36 @@ fn obs_overhead(smoke: bool) {
     .unwrap();
     let hot = HotPaths::new(&plan).expect("the SOR plan has an interior and a boundary tile");
     let (rank, tpos, origin) = (hot.interior.rank, hot.interior.tpos, &hot.interior.origin);
-    let w = plan.algorithm.width();
     let chain = plan.chain(rank);
-    let q = plan.deps().cols();
-    let kernel = plan.algorithm.kernel.clone();
-    let mut lds = hot.interior.lds(&plan);
-    let mut scratch = ComputeScratch::new(plan.dim(), q, w);
-    let points = chain.tile_points;
+    let kernel = plan.algorithm.kernel.as_ref();
+    let (n, q, w) = (plan.dim(), plan.deps().cols(), plan.algorithm.width());
 
     // A registry that is never installed, opaque to the optimizer so the
     // branch is real, exactly like the executor's `comm.obs()` test.
     let disabled: Option<Arc<MetricsRegistry>> = std::hint::black_box(None);
-
-    // Paired median-of-ratios: measure raw and gated back-to-back each
-    // round so slow drift (frequency scaling, noisy neighbours) cancels
-    // within the pair, then take the median ratio — the noise-robust
-    // estimator for an assertion this tight.
-    let runs = if smoke { 1 } else { 31 };
-    let mut ratios = Vec::with_capacity(runs);
-    let (mut raw_ns, mut gated_ns) = (f64::INFINITY, f64::INFINITY);
-    {
-        let (lds, scratch) = (&mut lds, &mut scratch);
-        let kernel = kernel.as_ref();
-        let disabled = &disabled;
-        for _ in 0..runs {
-            let r = time_ns(smoke, points, || {
-                compute_tile_fast(chain, lds, tpos, origin, kernel, scratch, &chain.walk, None);
-            });
-            let g = time_ns(smoke, points, || {
+    let hot_path = (!smoke).then(|| {
+        paired_stat(
+            "compute",
+            chain.tile_points,
+            &mut (hot.interior.lds(&plan), ComputeScratch::new(n, q, w)),
+            &mut [("raw", &mut |(lds, scr)| {
+                compute_tile_fast(chain, lds, tpos, origin, kernel, scr, &chain.walk, None);
+            })],
+            &mut |(lds, scr)| {
                 // The executor's per-tile pattern with obs off: one branch
                 // before the tile (timestamp capture skipped) and one after
                 // (histogram/span recording skipped).
                 let t0 = disabled.as_ref().map(|_| Instant::now());
-                compute_tile_fast(chain, lds, tpos, origin, kernel, scratch, &chain.walk, None);
+                compute_tile_fast(chain, lds, tpos, origin, kernel, scr, &chain.walk, None);
                 if let Some(reg) = disabled.as_ref() {
                     reg.rank_metrics(rank); // never reached
                     let _ = t0;
                 }
-            });
-            raw_ns = raw_ns.min(r);
-            gated_ns = gated_ns.min(g);
-            if !smoke {
-                ratios.push(g / r);
-            }
-        }
-    }
-    ratios.sort_by(f64::total_cmp);
-    let median_ratio = ratios.get(ratios.len() / 2).copied().unwrap_or(1.0);
+            },
+        )
+    });
 
-    // End-to-end: obs off vs fully enabled (metrics + spans), best-of-5.
+    // End-to-end: obs off vs fully enabled (metrics + spans).
     let plan = Arc::new(plan);
     let model = MachineModel::fast_ethernet_p3();
     let e2e = |obs: Option<Arc<MetricsRegistry>>| {
@@ -180,18 +136,10 @@ fn obs_overhead(smoke: bool) {
         )
         .expect("execution failed")
     };
-    let wall = |obs: &dyn Fn() -> Option<Arc<MetricsRegistry>>| {
-        let reps = if smoke { 1 } else { 5 };
-        let mut best = Duration::MAX;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let _ = e2e(obs());
-            best = best.min(t0.elapsed());
-        }
-        best.as_secs_f64()
-    };
-    let off_s = wall(&|| None);
-    let on_s = wall(&|| Some(MetricsRegistry::new()));
+    let walls = (!smoke).then(|| {
+        let on = || _ = e2e(Some(MetricsRegistry::new()));
+        (calibrated_wall(|| _ = e2e(None)), calibrated_wall(on))
+    });
 
     // One more enabled run whose artifacts we keep.
     let reg = MetricsRegistry::new();
@@ -199,28 +147,33 @@ fn obs_overhead(smoke: bool) {
     let report = reg.run_report(&res.report.local_times);
     std::fs::write("perf_obs_trace.json", reg.chrome_trace(None).to_string()).expect("write trace");
     std::fs::write("perf_obs_metrics.json", report.to_json().pretty()).expect("write metrics");
+    println!("wrote perf_obs_trace.json perf_obs_metrics.json");
 
-    if smoke {
-        println!("obs-overhead smoke: hot path and end-to-end ran; artifacts written");
-        println!("wrote perf_obs_trace.json perf_obs_metrics.json");
+    let (Some(stat), Some((off, on))) = (hot_path, walls) else {
+        println!("obs-overhead smoke: end-to-end ran with obs on; nothing timed");
         return;
-    }
-    // Two noise-robust estimators of the (near-zero) true overhead; take
-    // the lower. A real regression — say an unconditional timestamp in the
-    // tile loop — moves both far past the gate.
-    let overhead = median_ratio.min(gated_ns / raw_ns) - 1.0;
+    };
+    // Two noise-robust estimators of the (near-zero) true overhead, the
+    // median of the paired per-round gated/raw ratios (the reciprocal of
+    // the median raw/gated ratio, the round count being odd) and the
+    // min/min ratio; take the lower. A real regression — say an
+    // unconditional timestamp in the tile loop — moves both far past the
+    // gate.
+    let (gated, (_, raw, speedup)) = (&stat.optimized, &stat.baselines[0]);
+    let overhead = (1.0 / speedup).min(gated.min_ns / raw.min_ns) - 1.0;
     println!(
-        "compute hot path : raw {raw_ns:.2} ns/iter, obs-off gated {gated_ns:.2} ns/iter \
-         (median paired overhead {:+.3}%)",
+        "compute hot path : raw {:.2} ns/iter, obs-off gated {:.2} ns/iter \
+         (paired overhead {:+.3}%)",
+        raw.median_ns,
+        gated.median_ns,
         overhead * 100.0
     );
     println!(
-        "end-to-end       : obs off {:.1} ms, obs on {:.1} ms ({:+.1}%)",
-        off_s * 1e3,
-        on_s * 1e3,
-        (on_s / off_s - 1.0) * 100.0
+        "end-to-end       : obs off {:.1} ms, obs on {:.1} ms ({:+.1}% normalized)",
+        off.wall_ms,
+        on.wall_ms,
+        (on.norm_ms / off.norm_ms - 1.0) * 100.0
     );
-    println!("wrote perf_obs_trace.json perf_obs_metrics.json");
     assert!(
         overhead < 0.02,
         "acceptance: disabled observability must cost <2% on the compiled hot path \
@@ -240,8 +193,6 @@ struct WallStat {
 const WALL_WARMUP_RUNS: usize = 3;
 const WALL_ROUNDS: usize = 15;
 const MIN_ROUND_MS: u64 = 10;
-/// Timed `Full`-mode runs per strategy; the best wall is recorded.
-const E2E_RUNS: usize = 3;
 
 /// One hot path's paired timing in ns per inner iteration.
 struct PathStat {
@@ -314,6 +265,95 @@ fn paired_stat<S>(
     }
 }
 
+/// Walls are normalized to a machine where [`calibration_ms`]'s loop
+/// takes this long: `norm = wall · CAL_REF_MS / calibration_ms()`, with the
+/// loop timed in the same process, just before each timed run.
+const CAL_REF_MS: f64 = 25.0;
+
+/// Timed runs per [`calibrated_wall`]; the median normalized run is kept.
+const WALL_RUNS: usize = 9;
+
+/// Wall ms of a fixed, dependent integer loop run once on every available
+/// core at the same time, until the last copy finishes: cores lost to
+/// other load or a lower clock slow it as they slow the multi-threaded
+/// engine.
+fn calibration_ms() -> f64 {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let t0 = Instant::now();
+    std::thread::scope(|s| {
+        for _ in 0..cores {
+            s.spawn(|| {
+                let mut x = std::hint::black_box(1u64);
+                for i in 0..8_000_000u64 {
+                    x = (x ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(7);
+                }
+                std::hint::black_box(x)
+            });
+        }
+    });
+    t0.elapsed().as_secs_f64() * 1e3
+}
+
+/// One end-to-end run's wall: the median of [`WALL_RUNS`] runs by
+/// normalized wall, with that run's raw wall and calibration.
+#[derive(Clone, Copy)]
+struct Wall {
+    norm_ms: f64,
+    wall_ms: f64,
+    cal_ms: f64,
+}
+
+impl Wall {
+    fn json(self) -> Json {
+        Json::obj([
+            ("norm_ms", self.norm_ms.into()),
+            ("wall_ms", self.wall_ms.into()),
+            ("cal_ms", self.cal_ms.into()),
+        ])
+    }
+}
+
+/// The wall of `run`, each of [`WALL_RUNS`] runs timed right after its own
+/// calibration, so a change in machine speed between runs scales both.
+/// Every end-to-end wall `perf` reports is timed this way.
+fn calibrated_wall(mut run: impl FnMut()) -> Wall {
+    let mut runs: Vec<Wall> = (0..WALL_RUNS)
+        .map(|_| {
+            let cal_ms = calibration_ms();
+            let t0 = Instant::now();
+            run();
+            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            Wall {
+                norm_ms: wall_ms * CAL_REF_MS / cal_ms,
+                wall_ms,
+                cal_ms,
+            }
+        })
+        .collect();
+    runs.sort_by(|a, b| a.norm_ms.total_cmp(&b.norm_ms));
+    runs[WALL_RUNS / 2]
+}
+
+/// Gate: end-to-end, a corpus kernel's normalized wall may be at most this
+/// factor over the normalized wall the hand-coded kernel it replaced
+/// recorded ([`HAND_NORM_MS`]). The tape evaluates the same arithmetic
+/// through an op-at-a-time interpreter over lane blocks, and measured
+/// within ~1.1x of the hand-coded kernels; 1.5x leaves headroom for noisy
+/// machines while still catching an accidental de-batching regression.
+const DSL_OVERHEAD_BOUND: f64 = 1.5;
+
+/// `Full`-mode walls of the hand-coded Rust kernels that the `.tk` corpus
+/// replaced, normalized by [`CAL_REF_MS`] as [`calibrated_wall`] times a
+/// run: the median of five processes on a 2-vCPU x86-64 VM, recorded
+/// before the hand-coded kernels were removed, at these workloads' sizes,
+/// tilings and mappings.
+const HAND_NORM_MS: [(&str, f64); 4] = [
+    ("sor_rect", 29.83),
+    ("jacobi_rect", 12.53),
+    ("adi_rect", 12.89),
+    ("adi_paper", 13.47),
+];
+
 /// Machine identification for the bench JSON: OS, architecture, logical
 /// CPU count, and `cpu_model` as given.
 fn machine(cpu_model: &str) -> Json {
@@ -338,11 +378,32 @@ fn cpu_model() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
+/// Every `perf` record: the `tilecc-bench-v1` envelope of `schema`,
+/// `bench`, `machine`, `timing` (only where the mode times anything),
+/// `workloads` and `gates`, printed pretty to `out_path`.
+fn write_record(
+    out_path: &str,
+    bench: &str,
+    timing: Option<Json>,
+    workloads: Vec<(&str, Json)>,
+    gates: Json,
+) {
+    let mut fields = vec![
+        ("schema", "tilecc-bench-v1".into()),
+        ("bench", bench.into()),
+        ("machine", machine(&cpu_model())),
+    ];
+    fields.extend(timing.map(|t| ("timing", t)));
+    fields.extend([("workloads", Json::obj(workloads)), ("gates", gates)]);
+    std::fs::write(out_path, Json::obj(fields).pretty()).expect("write bench JSON");
+}
+
 /// The paper-workload bench (see the module doc), written to `out_path`.
 fn hot_paths(out_path: &str, smoke: bool) {
     let model = MachineModel::fast_ethernet_p3();
     let mut records = Vec::new();
-    let (mut min_reference, mut per_point_wins, mut max_overlap) = (f64::INFINITY, 0u32, 0.0f64);
+    let (mut min_reference, mut per_point_wins) = (f64::INFINITY, 0u32);
+    let (mut max_overlap, mut max_dsl_overhead) = (0.0f64, 0.0f64);
     for (name, plan) in paper_workloads() {
         println!("== {name} ==");
         let plan = Arc::new(plan);
@@ -389,9 +450,13 @@ fn hot_paths(out_path: &str, smoke: bool) {
         let overlap_speedup = blocking / overlapped;
         max_overlap = max_overlap.max(overlap_speedup);
 
-        // --- end-to-end: virtual makespan, batch coverage, walls ---------
+        // --- end-to-end: data, virtual makespan, batch coverage, walls ---
         let reg = MetricsRegistry::new();
         let full = run(ExecMode::Full, ExecStrategy::Compiled, Some(reg.clone()));
+        let data = full.data.as_ref().expect("a Full run returns its data");
+        if let Some(bad) = plan.algorithm.execute_sequential().diff(data) {
+            panic!("{name}: parallel data differs from sequential at {bad:?}");
+        }
         let report = reg.run_report(&full.report.local_times);
         let e2e_vectorized = report.total(Counter::VectorizedPoints);
         let e2e_iterations = report.total(Counter::Iterations);
@@ -399,19 +464,10 @@ fn hot_paths(out_path: &str, smoke: bool) {
             !expect_batched || e2e_vectorized > 0,
             "{name}: end-to-end run reported no batched points"
         );
-        let virtual_makespan = full.makespan();
-        let wall = |strategy| {
-            (0..E2E_RUNS).fold(f64::INFINITY, |best, _| {
-                let t0 = Instant::now();
-                run(ExecMode::Full, strategy, None);
-                best.min(t0.elapsed().as_secs_f64())
-            })
-        };
-        let (e2e_wall_s, e2e_reference_s) = if smoke {
-            (0.0, 0.0)
-        } else {
+        let walls = (!smoke).then(|| {
+            let wall = |strategy| calibrated_wall(|| _ = run(ExecMode::Full, strategy, None));
             (wall(ExecStrategy::Compiled), wall(ExecStrategy::Reference))
-        };
+        });
 
         // --- report ------------------------------------------------------
         let mut path_records = Vec::new();
@@ -451,37 +507,46 @@ fn hot_paths(out_path: &str, smoke: bool) {
         );
         println!(
             "  end-to-end      batched {batched}/{points} tile points, \
-             {e2e_vectorized}/{e2e_iterations} iterations"
+             {e2e_vectorized}/{e2e_iterations} iterations, data equals sequential"
         );
-        if !smoke {
-            println!(
-                "  Full-mode wall  compiled {:.1} ms  reference {:.1} ms ({:.2}x)",
-                e2e_wall_s * 1e3,
-                e2e_reference_s * 1e3,
-                e2e_reference_s / e2e_wall_s
-            );
-        }
         let overlap = Json::obj([
             ("blocking_makespan", blocking.into()),
             ("overlapped_makespan", overlapped.into()),
             ("speedup", overlap_speedup.into()),
             ("overlap_hidden", hidden.into()),
         ]);
-        records.push((
-            name,
-            Json::obj([
-                ("paths", Json::Obj(path_records)),
-                ("tile_points", points.into()),
-                ("batched_points", batched.into()),
-                ("batched_fraction", (batched as f64 / points as f64).into()),
-                ("e2e_vectorized_points", e2e_vectorized.into()),
-                ("e2e_iterations", e2e_iterations.into()),
-                ("virtual_makespan_s", virtual_makespan.into()),
-                ("e2e_wall_s", e2e_wall_s.into()),
-                ("e2e_reference_wall_s", e2e_reference_s.into()),
-                ("overlap", overlap),
-            ]),
-        ));
+        let mut record = vec![
+            ("paths", Json::Obj(path_records)),
+            ("tile_points", points.into()),
+            ("batched_points", batched.into()),
+            ("batched_fraction", (batched as f64 / points as f64).into()),
+            ("e2e_vectorized_points", e2e_vectorized.into()),
+            ("e2e_iterations", e2e_iterations.into()),
+            ("virtual_makespan_s", full.makespan().into()),
+        ];
+        if let Some((compiled, reference)) = walls {
+            println!(
+                "  Full-mode wall  compiled {:.2} ms  reference {:.2} ms normalized ({:.2}x)",
+                compiled.norm_ms,
+                reference.norm_ms,
+                reference.norm_ms / compiled.norm_ms
+            );
+            record.extend([
+                ("e2e_wall", compiled.json()),
+                ("e2e_reference_wall", reference.json()),
+            ]);
+            if let Some(&(_, hand_ms)) = HAND_NORM_MS.iter().find(|(n, _)| *n == name) {
+                let overhead = compiled.norm_ms / hand_ms;
+                max_dsl_overhead = max_dsl_overhead.max(overhead);
+                println!("  hand-coded      {hand_ms:.2} ms normalized (.tk {overhead:.2}x)");
+                record.extend([
+                    ("hand_norm_ms", hand_ms.into()),
+                    ("dsl_overhead", overhead.into()),
+                ]);
+            }
+        }
+        record.push(("overlap", overlap));
+        records.push((name, Json::obj(record)));
     }
     assert!(
         max_overlap >= 1.1,
@@ -489,7 +554,10 @@ fn hot_paths(out_path: &str, smoke: bool) {
          (best {max_overlap:.3}x)"
     );
     if smoke {
-        println!("smoke: every hot path checked and the overlap gate passed; nothing timed, no JSON written");
+        println!(
+            "smoke: every hot path and every run's data checked and the overlap gate passed; \
+             nothing timed, no JSON written"
+        );
         return;
     }
     assert!(
@@ -502,34 +570,43 @@ fn hot_paths(out_path: &str, smoke: bool) {
         "acceptance: interior compute must be >= 1.5x over the per-point loop on at least \
          4 of 6 paper workloads (got {per_point_wins})"
     );
+    assert!(
+        max_dsl_overhead <= DSL_OVERHEAD_BOUND,
+        "acceptance: corpus kernels must stay within {DSL_OVERHEAD_BOUND}x of the recorded \
+         hand-coded walls end-to-end, normalized (worst {max_dsl_overhead:.2}x)"
+    );
     let timing = Json::obj([
+        ("unit", "ns_per_iter".into()),
         ("warmup_runs", WALL_WARMUP_RUNS.into()),
         ("rounds", WALL_ROUNDS.into()),
         ("statistic", "median".into()),
         ("speedup", "median of paired per-round ratios".into()),
         ("min_round_ms", MIN_ROUND_MS.into()),
-        ("e2e_runs", E2E_RUNS.into()),
+        ("wall_runs", WALL_RUNS.into()),
+        (
+            "wall",
+            "median run by norm_ms = wall_ms * cal_ref_ms / cal_ms".into(),
+        ),
+        ("cal_ref_ms", CAL_REF_MS.into()),
     ]);
     let gates = Json::obj([
         ("min_compute_speedup_reference", min_reference.into()),
         ("compute_workloads_ge_1_5x_per_point", per_point_wins.into()),
         ("max_overlap_speedup", max_overlap.into()),
+        ("max_dsl_overhead", max_dsl_overhead.into()),
+        ("dsl_overhead_bound", DSL_OVERHEAD_BOUND.into()),
     ]);
-    let record = Json::obj([
-        (
-            "bench",
-            "paper-workload hot paths vs per-point and reference baselines".into(),
-        ),
-        ("unit", "ns_per_iter".into()),
-        ("timing", timing),
-        ("machine", machine(&cpu_model())),
-        ("workloads", Json::obj(records)),
-        ("gates", gates),
-    ]);
-    std::fs::write(out_path, record.pretty()).expect("write bench JSON");
+    write_record(
+        out_path,
+        "paper-workload hot paths vs per-point and reference baselines",
+        Some(timing),
+        records,
+        gates,
+    );
     println!(
         "wrote {out_path} (compute >= {min_reference:.2}x over reference; {per_point_wins}/6 \
-         workloads >= 1.5x over per-point; max overlap speedup {max_overlap:.3}x)"
+         workloads >= 1.5x over per-point; max overlap speedup {max_overlap:.3}x; \
+         max .tk overhead {max_dsl_overhead:.2}x of {DSL_OVERHEAD_BOUND}x)"
     );
 }
 
@@ -629,170 +706,8 @@ fn time_paths(hot: &HotPaths) -> Vec<PathStat> {
     paths
 }
 
-/// Gate for `--dsl-bench`: end-to-end, a corpus kernel's normalized wall
-/// may be at most this factor over the normalized wall the hand-coded
-/// kernel it replaced recorded ([`HAND_NORM_MS`]). The tape evaluates the
-/// same arithmetic through an op-at-a-time interpreter over lane blocks,
-/// and measured within ~1.1x of the hand-coded kernels; 1.5x leaves
-/// headroom for noisy machines while still catching an accidental
-/// de-batching regression.
-const DSL_OVERHEAD_BOUND: f64 = 1.5;
-
-/// Walls are normalized to a machine where [`calibration_ms`]'s loop
-/// takes this long: `norm = wall · CAL_REF_MS / calibration_ms()`, with the
-/// loop timed in the same process, just before each timed run.
-const CAL_REF_MS: f64 = 25.0;
-
-/// Timed runs per workload; the median normalized run is reported.
-const NORM_ROUNDS: usize = 9;
-
-/// `Full`-mode walls of the hand-coded Rust kernels that the `.tk` corpus
-/// replaced, normalized by [`CAL_REF_MS`] exactly as [`dsl_bench`] times
-/// the tape (median of [`NORM_ROUNDS`] calibrated rounds): the median of
-/// five processes on a 2-vCPU x86-64 VM, recorded before the hand-coded
-/// kernels were removed, with the same sizes, tilings and mappings.
-const HAND_NORM_MS: [(&str, f64); 4] = [
-    ("sor", 29.83),
-    ("jacobi", 12.53),
-    ("adi", 12.89),
-    ("adi_paper", 13.47),
-];
-
-/// Wall ms of a fixed, dependent integer loop run once on every available
-/// core at the same time, until the last copy finishes: cores lost to
-/// other load or a lower clock slow it as they slow the multi-threaded
-/// engine.
-fn calibration_ms() -> f64 {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let t0 = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..cores {
-            s.spawn(|| {
-                let mut x = std::hint::black_box(1u64);
-                for i in 0..8_000_000u64 {
-                    x = (x ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(7);
-                }
-                std::hint::black_box(x)
-            });
-        }
-    });
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
-/// Wall-clock check of the corpus kernels against the recorded walls of
-/// the hand-coded kernels they replaced, written to `BENCH_PR10.json`.
-/// Each kernel's sequential data must first reproduce its frozen
-/// fingerprint ([`corpus::FROZEN`]) and its parallel run must equal that
-/// data bitwise, so the timing can never hide a semantic difference.
-fn dsl_bench(out_path: &str, smoke: bool) {
-    let model = MachineModel::fast_ethernet_p3();
-    let cases = [
-        ("sor", matrices::sor_rect(4, 6, 8), 2),
-        ("jacobi", matrices::jacobi_rect(4, 6, 6), 1),
-        ("adi", matrices::adi_rect(4, 6, 6), 0),
-        ("adi_paper", matrices::adi_rect(4, 6, 6), 1),
-    ];
-
-    let mut records = Vec::new();
-    let mut max_overhead = 0.0f64;
-    for (name, h, m) in cases {
-        let frozen = corpus::FROZEN
-            .iter()
-            .find(|f| f.name == name && !f.overrides.is_empty())
-            .expect("every case has a frozen bench-size fingerprint");
-        let alg = compile_kernel_with(frozen.source, frozen.overrides)
-            .unwrap_or_else(|e| panic!("{name}: corpus kernel failed to compile: {e}"));
-        let seq = alg.execute_sequential();
-        assert_eq!(
-            (seq.bit_hash(), seq.num_written()),
-            (frozen.hash, frozen.written),
-            "{name}: sequential data lost its frozen fingerprint"
-        );
-        let plan =
-            Arc::new(ParallelPlan::new(alg, TilingTransform::new(h).unwrap(), Some(m)).unwrap());
-        let run = || {
-            execute(
-                plan.clone(),
-                model,
-                ExecMode::Full,
-                ExecStrategy::Compiled,
-                Backend::Threaded,
-                EngineOptions::default(),
-            )
-            .expect("execution failed")
-        };
-        if let Some(bad) = seq.diff(run().data.as_ref().unwrap()) {
-            panic!("{name}: parallel data differs from sequential at {bad:?}");
-        }
-        let hand_norm = HAND_NORM_MS
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, v)| v)
-            .expect("every case has a recorded hand-coded wall");
-        // Each timed run right after its own calibration, so a change in
-        // machine speed between rounds scales both; the median of the
-        // normalized rounds is the result.
-        let mut rounds: Vec<(f64, f64, f64)> = (0..if smoke { 0 } else { NORM_ROUNDS })
-            .map(|_| {
-                let cal = calibration_ms();
-                let t0 = Instant::now();
-                let _ = run();
-                let wall = t0.elapsed().as_secs_f64() * 1e3;
-                (wall * CAL_REF_MS / cal, wall, cal)
-            })
-            .collect();
-        rounds.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let (tape_norm, wall_ms, cal_ms) = rounds.get(NORM_ROUNDS / 2).copied().unwrap_or_default();
-        let overhead = if smoke { 1.0 } else { tape_norm / hand_norm };
-        max_overhead = max_overhead.max(overhead);
-        if smoke {
-            println!("  {name:<10} ok (smoke, frozen fingerprint and parallel data checked)");
-        } else {
-            println!(
-                "  {name:<10} hand {hand_norm:.2} ms  tape {tape_norm:.2} ms (normalized; \
-                 wall {wall_ms:.2} ms, calibration {cal_ms:.2} ms)  overhead {overhead:.2}x"
-            );
-        }
-        records.push((
-            name,
-            Json::obj([
-                ("hand_norm_ms", hand_norm.into()),
-                ("tape_norm_ms", tape_norm.into()),
-                ("tape_wall_ms", wall_ms.into()),
-                ("cal_ms", cal_ms.into()),
-                ("overhead", overhead.into()),
-                ("frozen_hash_matches", true.into()),
-            ]),
-        ));
-    }
-
-    if smoke {
-        println!("dsl-bench smoke: every kernel checked against its fingerprint; no JSON written");
-        return;
-    }
-    assert!(
-        max_overhead <= DSL_OVERHEAD_BOUND,
-        "acceptance: corpus kernels must stay within {DSL_OVERHEAD_BOUND}x of the recorded \
-         hand-coded walls end-to-end, normalized (worst {max_overhead:.2}x)"
-    );
-    let record = Json::obj([
-        (
-            "bench",
-            "kernel-DSL corpus vs recorded hand-coded paper kernels".into(),
-        ),
-        ("unit", "normalized_ms_end_to_end".into()),
-        ("machine", machine(&cpu_model())),
-        ("cal_ref_ms", CAL_REF_MS.into()),
-        ("overhead_bound", DSL_OVERHEAD_BOUND.into()),
-        ("workloads", Json::obj(records)),
-        ("max_overhead", max_overhead.into()),
-    ]);
-    std::fs::write(out_path, record.pretty()).expect("write bench JSON");
-    println!("wrote {out_path} (max DSL overhead {max_overhead:.2}x, bound {DSL_OVERHEAD_BOUND}x)");
-}
-
 /// The paper's SOR/Jacobi/ADI workloads under their rectangular and
-/// non-rectangular tilings, shared by every benchmark mode.
+/// non-rectangular tilings.
 fn paper_workloads() -> Vec<(&'static str, ParallelPlan)> {
     vec![
         (
@@ -962,51 +877,69 @@ fn tune_bench(out_path: &str, smoke: bool) {
         strict_wins >= 2,
         "tuner strictly beat the paper's fixed H on only {strict_wins} of {nc} workloads (need 2)"
     );
-    let record = Json::obj([
-        ("bench", "PR9 tiling auto-tuner vs paper-fixed H".into()),
-        ("machine", machine(&cpu_model())),
-        ("model", "fast_ethernet_p3".into()),
-        ("smoke", smoke.into()),
-        ("workloads", Json::obj(records)),
-        ("gates", gates),
-    ]);
-    std::fs::write(out_path, record.pretty()).unwrap();
+    write_record(
+        out_path,
+        "tiling auto-tuner vs the paper's fixed H, modeled on fast_ethernet_p3",
+        None,
+        records,
+        gates,
+    );
     println!("wrote {out_path} ({strict_wins}/{nc} strict wins)");
 }
 
-fn usage(msg: &str) -> ! {
-    eprintln!(
-        "{msg}\nusage: perf [--obs-overhead | --dsl-bench | --tune-bench] [--test] [--out <path>]"
-    );
-    std::process::exit(2);
+/// The three `perf` modes.
+#[derive(Debug, PartialEq)]
+enum Mode {
+    HotPaths,
+    ObsOverhead,
+    TuneBench,
 }
 
-fn main() {
-    let (mut smoke, mut out_path, mut mode) = (false, None, None);
-    let mut args = std::env::args().skip(1);
+/// A parsed command line: the mode, `--test` and `--out`.
+#[derive(Debug, PartialEq)]
+struct Args {
+    mode: Mode,
+    smoke: bool,
+    out: Option<String>,
+}
+
+/// Parse `perf`'s arguments; an error is a usage error.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let (mut smoke, mut out, mut mode) = (false, None, None);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--test" => smoke = true,
-            "--out" => out_path = Some(args.next().unwrap_or_else(|| usage("--out needs a path"))),
-            "--obs-overhead" | "--dsl-bench" | "--tune-bench" if mode.is_none() => mode = Some(a),
-            _ => usage(&format!("unknown or second mode argument `{a}`")),
+            "--out" => out = Some(args.next().ok_or("--out needs a path")?),
+            "--obs-overhead" if mode.is_none() => mode = Some(Mode::ObsOverhead),
+            "--tune-bench" if mode.is_none() => mode = Some(Mode::TuneBench),
+            _ => return Err(format!("unknown or second mode argument `{a}`")),
         }
     }
-    // Without `--out` a mode writes under `target/bench/`, so a local run
-    // never rewrites the tracked copy at the repo root.
-    if out_path.is_none() {
-        std::fs::create_dir_all("target/bench").expect("create target/bench");
+    let mode = mode.unwrap_or(Mode::HotPaths);
+    if mode == Mode::ObsOverhead && out.is_some() {
+        return Err("--obs-overhead takes no --out: it writes into the working directory".into());
     }
+    Ok(Args { mode, smoke, out })
+}
+
+fn main() {
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| {
+        eprintln!("{msg}\nusage: perf [--obs-overhead | --tune-bench] [--test] [--out <path>]");
+        std::process::exit(2)
+    });
+    // Without `--out` a record goes under `target/bench/`, so a local run
+    // never rewrites the tracked copy at the repo root.
     let out = |name: &str| {
-        out_path
-            .clone()
-            .unwrap_or_else(|| format!("target/bench/{name}"))
+        args.out.clone().unwrap_or_else(|| {
+            std::fs::create_dir_all("target/bench").expect("create target/bench");
+            format!("target/bench/{name}")
+        })
     };
-    match mode.as_deref() {
-        Some("--obs-overhead") => obs_overhead(smoke),
-        Some("--tune-bench") => tune_bench(&out("BENCH_PR9.json"), smoke),
-        Some("--dsl-bench") => dsl_bench(&out("BENCH_PR10.json"), smoke),
-        _ => hot_paths(&out("hot_paths.json"), smoke),
+    match args.mode {
+        Mode::HotPaths => hot_paths(&out("hot_paths.json"), args.smoke),
+        Mode::ObsOverhead => obs_overhead(args.smoke),
+        Mode::TuneBench => tune_bench(&out("BENCH_PR9.json"), args.smoke),
     }
 }
 
@@ -1022,6 +955,35 @@ mod tests {
             let back = tilecc_cluster::obs::json::parse(&text).unwrap();
             assert_eq!(back, record);
             assert_eq!(back.get("cpu_model").and_then(Json::as_str), Some(model));
+        }
+    }
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn arguments_parse_into_one_of_three_modes() {
+        assert_eq!(
+            parse(&["--tune-bench", "--out", "x"]),
+            Ok(Args {
+                mode: Mode::TuneBench,
+                smoke: false,
+                out: Some("x".into()),
+            })
+        );
+        assert_eq!(
+            parse(&["--test"]).map(|a| (a.mode, a.smoke)),
+            Ok((Mode::HotPaths, true))
+        );
+        for bad in [
+            &["--obs-overhead", "--out", "x"][..],
+            &["--out", "x", "--obs-overhead"],
+            &["--dsl-bench"],
+            &["--tune-bench", "--obs-overhead"],
+            &["--out"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be a usage error");
         }
     }
 }

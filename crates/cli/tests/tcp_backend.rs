@@ -231,7 +231,8 @@ fn tcp_driver_trace_records_gather_and_verify() {
 /// trace file holds one `result` span whose detail is the payload size,
 /// and over all of them the sizes sum to one 8-byte iteration count per
 /// rank plus 8 bytes per value of the points they own, `w = 2` values
-/// each for the coupled kernel.
+/// each for the coupled kernel. Each also holds one `mesh` span, its
+/// bring-up, whose detail is its peer count.
 #[test]
 fn worker_results_carry_exactly_the_owned_values() {
     let trace = TempArtifacts::new("result-trace.json");
@@ -247,16 +248,23 @@ fn worker_results_carry_exactly_the_owned_values() {
     for r in 0..procs as usize {
         let t = json::parse(&std::fs::read_to_string(trace.rank(r)).unwrap()).unwrap();
         let events = t.get("traceEvents").and_then(Json::as_arr).unwrap();
-        details.extend(
-            events
+        let detail = |name| {
+            let spans = events
                 .iter()
-                .filter(|e| e.get("name").and_then(Json::as_str) == Some("result"))
-                .map(|e| {
-                    e.get("args")
-                        .and_then(|a| a.get("detail"))
-                        .and_then(Json::as_u64)
-                }),
+                .filter(move |e| e.get("name").and_then(Json::as_str) == Some(name));
+            spans.map(|e| {
+                e.get("args")
+                    .and_then(|a| a.get("detail"))
+                    .and_then(Json::as_u64)
+            })
+        };
+        let mesh: Vec<_> = detail("mesh").collect();
+        assert_eq!(
+            mesh,
+            [Some(procs - 1)],
+            "rank {r}: one `mesh` span over its peers"
         );
+        details.extend(detail("result"));
     }
     assert_eq!(details.len() as u64, procs, "one `result` span per worker");
     let bytes: u64 = details.iter().map(|d| d.expect("a byte count")).sum();

@@ -44,7 +44,7 @@
 use crate::comm::{Envelope, Restored};
 use crate::error::{spawn, CommError, RunError};
 use crate::model::MachineModel;
-use crate::obs::{Counter, GaugeId, HistId, RankMetrics, RankObs, StatsSnapshot};
+use crate::obs::{Counter, GaugeId, HistId, Phase, RankMetrics, RankObs, StatsSnapshot};
 use crate::rank::{
     new_replay_logs, run_rank, CkptState, Link, RankCore, RankEnd, ReplayLogs, RunShared,
 };
@@ -1225,6 +1225,9 @@ where
 {
     install_quiet_panic_hook();
     let rank = cfg.rank;
+    // The `mesh` span covers bring-up, from the connect call to the
+    // finished `TcpLink`, on the worker's driver lane.
+    let mesh_t0 = cfg.options.obs.as_ref().map(|reg| reg.now_ns());
     let connect_t0 = Instant::now();
     let mesh = connect_mesh(rank, cfg.size, &cfg.rendezvous, &cfg.bind_addr)
         .map_err(|error| RunError::Comm { rank, error })?;
@@ -1288,6 +1291,9 @@ where
     let worker = worker.map(|(ck, (_, _, logs))| (ck, logs.clone()));
     let link = TcpLink::new(rank, mesh.peers, metrics, connect_ns, worker)
         .map_err(|error| RunError::Comm { rank, error })?;
+    if let (Some(reg), Some(t0)) = (&cfg.options.obs, mesh_t0) {
+        reg.driver_span(Phase::Launch, "mesh", t0, cfg.size as u64 - 1);
+    }
     let mut comm = shared.core(rank, link);
     if let (Some(ckpt), Some(rec)) = (resume, comm.recovery.as_mut()) {
         // Hand the resume state to the executor and rewind the fresh

@@ -230,10 +230,12 @@ fn check_plan(plan: &ParallelPlan, ctx: &str) -> usize {
     dropped
 }
 
-/// The row-clamped gather of every valid tile's owned values, read from
-/// an LDS filled with distinct values, must equal the per-point
-/// `tile_iterations` walk of that LDS bitwise, values and written flags,
-/// and read exactly the values the tile owns. Returns the number of
+/// The owned-row stream of every valid tile (`read_owned_tile`, the
+/// compiled strategies' output), read from an LDS filled with distinct
+/// values, must equal the per-point `tile_iterations` walk of that LDS
+/// (the reference strategy's output) bitwise and in the same order, and
+/// its row-clamped gather must equal the walk's, values and written
+/// flags, reading exactly the values the tile owns. Returns the number of
 /// boundary tiles.
 fn check_gather(plan: &ParallelPlan, ctx: &str) -> usize {
     let w = plan.algorithm.width();
@@ -256,14 +258,23 @@ fn check_gather(plan: &ParallelPlan, ctx: &str) -> usize {
             let interior = plan.tiled.tile_is_interior(&tile);
             boundary += usize::from(!interior);
             let mut want = DataSpace::with_width(&lo, &hi, w);
+            let mut walked = Vec::new();
             for (jp, j) in plan.tiled.tile_iterations(&tile) {
                 lds.get_into(&lds.unrolled(tpos, &jp), &mut vals);
                 want.set_all(&j, &vals);
+                walked.extend_from_slice(&vals);
             }
             let origin = plan.tiled.tile_origin(&tile);
             let clamp = (!interior).then(|| plan.clamp.at(&origin));
             let mut owned = Vec::new();
             read_owned_tile(chain, &lds, tpos, clamp.as_ref(), &mut owned);
+            assert!(
+                walked
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .eq(owned.iter().map(|x| x.to_bits())),
+                "{ctx}: rank {rank} tile {tile:?}: the owned-row stream differs from the walk"
+            );
             let mut got = DataSpace::with_width(&lo, &hi, w);
             let read = gather_tile(chain, &owned, &origin, clamp.as_ref(), &mut got);
             assert_eq!(read * w, owned.len(), "{ctx}: tile {tile:?}");
