@@ -223,7 +223,7 @@ const LOGICAL: [Counter; 8] = [
 ];
 
 /// The widest plan the TCP legs run: each rank of the in-process TCP
-/// backend holds two threads per peer.
+/// backend holds a reader thread per peer.
 const TCP_MAX_PROCS: usize = 8;
 
 /// The legs each case runs beyond the fault-free strategy cross-check.

@@ -1357,7 +1357,8 @@ options:
                               `tune` default: 0)
   --volume <n>                tune: target tile volume |det P|
   --top <n>                   tune: ranking rows to print (default 10)
-  --max-candidates <n>        tune: cap on simulated candidates
+  --max-candidates <n>        tune: cap on simulated generated
+                              candidates; seeds are not counted
                               (default 128)
   --json <file>               tune: write the full outcome (winning H,
                               ranking, counters) as JSON
@@ -1763,6 +1764,38 @@ X[t,i,j] = X[t-1,i,j] + 0.3*X[t-1,i-1,j] - 0.2*X[t-1,i,j-1]
         let _ = std::fs::remove_file(&json);
         assert!(saved.contains("\"ranking\""), "{saved}");
         assert!(saved.contains("\"included\": true"), "{saved}");
+    }
+
+    #[test]
+    fn tune_cap_counts_generated_candidates_not_seeds() {
+        let jacobi = format!(
+            "{}/../../examples/kernels/jacobi.tk",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let tune = |extra: &[&str]| {
+            let mut a = vec!["tune", &jacobi, "--volume", "8"];
+            a.extend_from_slice(extra);
+            run_cli(&args(&a)).unwrap()
+        };
+        // Both seeds and one generated candidate are evaluated, so the
+        // winner is the better seed, `rect 2,2,2`.
+        let out = tune(&[
+            "--rect",
+            "4,2,1",
+            "--rect",
+            "2,2,2",
+            "--max-candidates",
+            "1",
+        ]);
+        assert!(out.contains(", 3 evaluated"), "{out}");
+        assert!(
+            out.contains("winner: [1/2 0 0;0 1/2 0;0 0 1/2] makespan 0.002578"),
+            "{out}"
+        );
+        // A zero cap still evaluates the seed.
+        let out = tune(&["--max-candidates", "0", "--rect", "2,2,2"]);
+        assert!(out.contains(", 1 evaluated"), "{out}");
+        assert!(out.contains("winner: [1/2 0 0;0 1/2 0;0 0 1/2]"), "{out}");
     }
 
     #[test]

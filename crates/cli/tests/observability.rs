@@ -296,3 +296,26 @@ fn run_report_partitions_every_rank_clock() {
     );
     assert!(total("iterations") > 0);
 }
+
+#[test]
+fn report_reads_a_metrics_file_with_the_retired_writer_queue_gauge() {
+    // Metrics files written while the TCP backend still had writer threads
+    // carry a sixth gauge, `writer_queue_depth`; `report` reads them, and
+    // `--diff` against the same run without it agrees.
+    let (_, metrics) = observed_sor();
+    let current = TempFile::new("current.json");
+    std::fs::write(current.to_str(), metrics.pretty()).unwrap();
+    let text = metrics.pretty();
+    let older = text.replace(
+        "\"gauges\": {",
+        "\"gauges\": {\"writer_queue_depth\": {\"value\": 3, \"max\": 64}, ",
+    );
+    assert_ne!(older, text, "the metrics file has gauges");
+    let old = TempFile::new("six-gauges.json");
+    std::fs::write(old.to_str(), &older).unwrap();
+    let out = run_cli(&args(&["report", old.to_str()])).expect("report loads the older file");
+    assert!(out.starts_with("run report: "), "{out}");
+    assert!(!out.contains("writer_queue_depth"), "{out}");
+    run_cli(&args(&["report", old.to_str(), "--diff", current.to_str()]))
+        .expect("the retired gauge is not a difference");
+}

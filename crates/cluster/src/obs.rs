@@ -303,15 +303,11 @@ pub enum GaugeId {
     /// receiver checkpoint ack (max over links; the high-water mark bounds
     /// the recovery replay window).
     ReplayLogDepth,
-    /// Frames queued toward a peer's writer thread but not yet written to
-    /// the socket (max over links; TCP backend). The high-water mark shows
-    /// how deep the per-peer send queues actually run.
-    WriterQueueDepth,
 }
 
 impl GaugeId {
     /// Number of gauge ids (update together with [`GaugeId::ALL`]).
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 5;
     /// All gauge ids, in storage order.
     pub const ALL: [GaugeId; GaugeId::COUNT] = [
         GaugeId::PendingDepth,
@@ -319,7 +315,6 @@ impl GaugeId {
         GaugeId::OutstandingSends,
         GaugeId::ConnectNs,
         GaugeId::ReplayLogDepth,
-        GaugeId::WriterQueueDepth,
     ];
 
     /// Stable export name of this gauge.
@@ -330,7 +325,6 @@ impl GaugeId {
             GaugeId::OutstandingSends => "outstanding_sends",
             GaugeId::ConnectNs => "connect_ns",
             GaugeId::ReplayLogDepth => "replay_log_depth",
-            GaugeId::WriterQueueDepth => "writer_queue_depth",
         }
     }
 }
@@ -2367,8 +2361,8 @@ mod tests {
         m1.virt_add(VirtAcc::Wait, 1.0 / 3.0);
         m1.virt_add(VirtAcc::Drain, 5e-324);
         m1.virt_add(VirtAcc::OverlapHidden, 1e-7);
-        m1.gauge(GaugeId::WriterQueueDepth).set(u64::MAX);
-        m1.gauge(GaugeId::WriterQueueDepth).set(3);
+        m1.gauge(GaugeId::ReplayLogDepth).set(u64::MAX);
+        m1.gauge(GaugeId::ReplayLogDepth).set(3);
         m1.hist(HistId::RetransNs).observe(u64::MAX);
         m1.hist(HistId::RetransNs).observe(0);
         let cross = reg.clone();
@@ -2385,7 +2379,7 @@ mod tests {
         assert!(back.deterministic_diff(&report).is_empty());
         assert_eq!(back.total(Counter::BytesSent), u64::MAX);
         assert_eq!(
-            back.ranks[1].gauges[GaugeId::WriterQueueDepth as usize].2,
+            back.ranks[1].gauges[GaugeId::ReplayLogDepth as usize].2,
             u64::MAX
         );
         // A report without a critical path round-trips too.
@@ -2450,6 +2444,41 @@ mod tests {
             "\"histograms\": {\"pack_ns\": {\"count\": 1, \"sum\": 1, \"buckets\": [[1]]}}, \"counters\"",
         );
         assert!(RunReport::from_json(&bad).unwrap_err().contains("pack_ns"));
+    }
+
+    #[test]
+    fn run_report_from_json_skips_the_retired_writer_queue_gauge() {
+        // The six-gauge writer exported a `writer_queue_depth` gauge; such a
+        // file still loads, with the five known gauges read by name.
+        let old = r#"{
+  "schema": "tilecc-metrics-v1",
+  "makespan": 0.5,
+  "ranks": [
+    {
+      "rank": 0,
+      "local_time": 0.5,
+      "compute": 0.5,
+      "gauges": {
+        "pending_depth": {"value": 2, "max": 4},
+        "replay_log_depth": {"value": 0, "max": 1},
+        "writer_queue_depth": {"value": 3, "max": 64}
+      }
+    }
+  ]
+}"#;
+        let r = RunReport::from_json(old).expect("a six-gauge file still loads");
+        let gauges = &r.ranks[0].gauges;
+        assert_eq!(gauges.len(), GaugeId::COUNT);
+        assert_eq!(
+            gauges[GaugeId::PendingDepth as usize],
+            (GaugeId::PendingDepth, 2, 4)
+        );
+        assert_eq!(
+            gauges[GaugeId::ReplayLogDepth as usize],
+            (GaugeId::ReplayLogDepth, 0, 1)
+        );
+        assert!(!r.to_json().pretty().contains("writer_queue_depth"));
+        assert!(r.render().contains("run report: 1 rank,"), "{}", r.render());
     }
 
     #[test]
@@ -2650,7 +2679,7 @@ mod tests {
         m.virt_add(VirtAcc::Drain, 5e-324); // subnormal
         m.gauge(GaugeId::PendingDepth).set(9);
         m.gauge(GaugeId::PendingDepth).set(3);
-        m.gauge(GaugeId::WriterQueueDepth).set(17);
+        m.gauge(GaugeId::ResequenceDepth).set(17);
         m.hist(HistId::RetransNs).observe(1024);
         m.hist(HistId::RetransNs).observe(1 << 50);
         m.hist(HistId::ComputeTileNs).observe(0);
@@ -2665,7 +2694,7 @@ mod tests {
         // A later snapshot of the same slot is just as self-contained.
         m.add(Counter::MessagesSent, 1);
         m.virt_add(VirtAcc::Compute, 0.25);
-        m.gauge(GaugeId::WriterQueueDepth).set(1);
+        m.gauge(GaugeId::ResequenceDepth).set(1);
         m.hist(HistId::RetransNs).observe(3);
         let b = StatsSnapshot::capture(&m);
         assert_eq!(StatsSnapshot::decode(&b.encode()).unwrap(), b);

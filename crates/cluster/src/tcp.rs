@@ -21,12 +21,15 @@
 //! `PEER` frame) and accepting from every higher-ranked one. One
 //! bidirectional socket serves each unordered rank pair.
 //!
-//! Per peer, a *writer thread* drains a bounded queue of pre-encoded
-//! frames onto the socket, and a *reader thread* decodes incoming frames
-//! into the same tag-matching receive path the threaded engine uses. On
-//! clean exit writers flush and send `FIN` (`shutdown(Write)`); readers
-//! keep draining to end-of-stream so a socket is never reset while it may
-//! still carry undelivered frames.
+//! Each rank thread writes its own frames: a send encodes the envelope and
+//! writes it to the peer's socket with a blocking `write_all`, as the
+//! paper's generated code sends its halo with a blocking `MPI_Send`. Per
+//! peer, one *reader thread* decodes incoming frames into the same
+//! tag-matching receive path the threaded engine uses. Readers never write
+//! and always drain their socket into an unbounded channel, so a write
+//! completes while the peer lives. On clean exit the link sends `FIN`
+//! (`shutdown(Write)`); readers keep draining to end-of-stream so a socket
+//! is never reset while it may still carry undelivered frames.
 //!
 //! # Process models
 //!
@@ -54,8 +57,8 @@ use crate::threaded::{install_quiet_panic_hook, launch, EngineOptions, RunReport
 use crate::wire::{self, ByteReader, Frame, FrameKind};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::atomic::AtomicU64;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -67,8 +70,6 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
 /// yet bound). Deliberately shorter than [`HANDSHAKE_TIMEOUT`]: a plain
 /// misconfiguration must fail fast, not after the handshake deadline.
 const CONNECT_RETRY_BUDGET: Duration = Duration::from_secs(10);
-/// Bounded depth (frames) of each per-peer writer queue.
-const SEND_QUEUE_FRAMES: usize = 64;
 /// How often a worker ships a heartbeat (`PROGRESS` frame) to the driver
 /// unless [`WorkerConfig::heartbeat`] says otherwise.
 pub const HEARTBEAT_PERIOD: Duration = Duration::from_millis(50);
@@ -433,32 +434,22 @@ struct WorkerCkpt {
 }
 
 /// Recovery handles given to a worker's reader thread: the replay-log row
-/// it trims and replays, the writer queue it injects replays into, and the
-/// resume channel it signals the barrier through.
+/// it trims and the resume channel it signals the barrier through.
 struct ReaderCtl {
     logs: ReplayLogs,
     resume_tx: Sender<(usize, u64)>,
-    out_tx: SyncSender<Vec<u8>>,
-    /// Writer-queue depth of the peer's link, bumped for injected replays
-    /// so the gauge stays balanced with the writer thread's decrements.
-    out_depth: Arc<AtomicU64>,
     rank: usize,
     peer: usize,
 }
 
-/// The socket [`Link`]: outgoing envelopes are encoded to TCMP frames on
-/// the calling thread (measured as `serialize_ns`) and queued to per-peer
-/// writer threads, while per-peer reader threads decode arrivals (measured
-/// as `deserialize_ns`) into the receive path.
+/// The socket [`Link`]: the calling rank thread encodes each outgoing
+/// envelope to a TCMP frame (measured as `serialize_ns`) and writes it to
+/// the peer's socket itself, while per-peer reader threads decode arrivals
+/// (measured as `deserialize_ns`) into the receive path.
 pub struct TcpLink {
     rank: usize,
-    /// Pre-encoded frames to each peer's writer thread.
-    writers: Vec<Option<SyncSender<Vec<u8>>>>,
-    /// Per-peer writer-queue depth (frames queued, not yet written): bumped
-    /// on every enqueue, decremented by the writer thread per frame drained.
-    /// Feeds the `writer_queue_depth` gauge (current value + high-water).
-    writer_depth: Vec<Arc<AtomicU64>>,
-    writer_handles: Vec<JoinHandle<()>>,
+    /// Each peer's socket; the rank thread is its only writer.
+    streams: Vec<Option<TcpStream>>,
     /// Decoded envelopes from each peer's reader thread.
     rxs: Vec<Option<Receiver<Envelope>>>,
     /// Worker-process checkpointing (`None` for in-process ranks).
@@ -472,10 +463,10 @@ pub struct TcpLink {
 pub type TcpComm = RankCore<TcpLink>;
 
 impl TcpLink {
-    /// Spawn a writer and a reader thread per connected peer. `worker`
-    /// arms worker-mode checkpointing over the run's replay logs. A thread
-    /// the system refuses to start is a [`CommError::Transport`]; the
-    /// threads already started end as the partial link drops.
+    /// Spawn a reader thread per connected peer. `worker` arms worker-mode
+    /// checkpointing over the run's replay logs. A thread the system
+    /// refuses to start is a [`CommError::Transport`]; the threads already
+    /// started end as the partial link drops.
     fn new(
         rank: usize,
         peers: Vec<Option<TcpStream>>,
@@ -490,9 +481,7 @@ impl TcpLink {
         let logs = worker.as_ref().map(|(_, logs)| logs.clone());
         let mut link = TcpLink {
             rank,
-            writers: (0..size).map(|_| None).collect(),
-            writer_depth: (0..size).map(|_| Arc::new(AtomicU64::new(0))).collect(),
-            writer_handles: Vec::new(),
+            streams: (0..size).map(|_| None).collect(),
             rxs: (0..size).map(|_| None).collect(),
             worker: worker.map(|(ck, _)| WorkerCkpt {
                 path: ck.path.clone(),
@@ -507,43 +496,13 @@ impl TcpLink {
             let read_half = stream
                 .try_clone()
                 .map_err(|e| transport_error("socket clone", e))?;
-            let (out_tx, out_rx) = sync_channel::<Vec<u8>>(SEND_QUEUE_FRAMES);
             let (in_tx, in_rx) = channel::<Envelope>();
-            let depth = link.writer_depth[peer].clone();
-            let builder = thread::Builder::new().name(format!("tilecc-tcp-w{rank}-{peer}"));
-            let writer = spawn(builder, "tcp writer", move || {
-                let mut stream = stream;
-                // An empty buffer is the close sentinel from the link's
-                // `Drop`: reader threads also hold a sender (replay
-                // injection), so channel closure alone cannot signal
-                // the flush. The sentinel is never counted in the depth
-                // gauge, so only real frames decrement it.
-                while let Ok(buf) = out_rx.recv() {
-                    if buf.is_empty() {
-                        break;
-                    }
-                    depth.fetch_sub(1, Ordering::Relaxed);
-                    if std::io::Write::write_all(&mut stream, &buf).is_err() {
-                        break;
-                    }
-                }
-                // Flush done (or socket dead): announce end-of-stream but
-                // keep our read side open — the peer may still be
-                // flushing frames to us, and resetting the socket could
-                // destroy them in flight.
-                let _ = stream.shutdown(Shutdown::Write);
-            })?;
-            link.writers[peer] = Some(out_tx.clone());
-            link.writer_handles.push(writer);
             let reader_metrics = metrics.clone();
             // Worker-mode readers also service recovery frames: `CKPT_ACK`
-            // trims our replay log, `RESUME` injects replays into the
-            // peer's writer queue ahead of any fresh sends.
+            // trims our replay log, `RESUME` signals the resume barrier.
             let ctl = logs.clone().map(|logs| ReaderCtl {
                 logs,
                 resume_tx: resume_tx.clone(),
-                out_tx: out_tx.clone(),
-                out_depth: link.writer_depth[peer].clone(),
                 rank,
                 peer,
             });
@@ -551,6 +510,7 @@ impl TcpLink {
             spawn(builder, "tcp reader", move || {
                 reader_loop(read_half, in_tx, reader_metrics, ctl)
             })?;
+            link.streams[peer] = Some(stream);
             link.rxs[peer] = Some(in_rx);
         }
         if let Some(m) = &metrics {
@@ -559,18 +519,11 @@ impl TcpLink {
         Ok(link)
     }
 
-    /// Queue one encoded frame to `to`'s writer thread. Returns `false`
-    /// when the writer is gone.
-    fn queue(&self, to: usize, buf: Vec<u8>) -> bool {
-        let writer = self.writers[to].as_ref().expect("no link to peer");
-        // Count the frame before enqueueing so the writer thread can never
-        // decrement below zero, then roll back on a failed enqueue.
-        self.writer_depth[to].fetch_add(1, Ordering::Relaxed);
-        let queued = writer.send(buf).is_ok();
-        if !queued {
-            self.writer_depth[to].fetch_sub(1, Ordering::Relaxed);
-        }
-        queued
+    /// Write one encoded frame to `to`'s socket. Returns `false` when the
+    /// write fails: the peer is gone.
+    fn write(&self, to: usize, buf: &[u8]) -> bool {
+        let mut stream = self.streams[to].as_ref().expect("no link to peer");
+        std::io::Write::write_all(&mut stream, buf).is_ok()
     }
 }
 
@@ -581,12 +534,7 @@ impl Link for TcpLink {
         if let (Some(o), Some(t0)) = (obs, t0) {
             o.observe(HistId::SerializeNs, o.now_ns().saturating_sub(t0));
         }
-        let queued = self.queue(to, buf);
-        if let (true, Some(o)) = (queued, obs) {
-            let depth = self.writer_depth[to].load(Ordering::Relaxed);
-            o.gauge_set(GaugeId::WriterQueueDepth, depth);
-        }
-        queued
+        self.write(to, &buf)
     }
 
     fn poll(&self, from: usize, timeout: Duration) -> Result<Envelope, RecvTimeoutError> {
@@ -625,10 +573,10 @@ impl Link for TcpLink {
         // Test hook: hard-kill this process at its N-th checkpoint (first
         // life only — a respawn must not re-fire the kill).
         let kill = !w.resume_run && w.kill_at == Some(w.ckpts_taken);
-        for peer in (0..self.writers.len()).filter(|&p| p != rank) {
+        for peer in (0..self.streams.len()).filter(|&p| p != rank) {
             let mut frame = Frame::control(FrameKind::CkptAck, rank as u32);
             frame.seq = links.expect_of(peer);
-            self.queue(peer, frame.encode());
+            self.write(peer, &frame.encode());
         }
         if kill {
             kill_self();
@@ -639,26 +587,23 @@ impl Link for TcpLink {
 
 impl Drop for TcpLink {
     fn drop(&mut self) {
-        // Release the writer threads: they flush what is queued, then send
-        // FIN; readers drain to end-of-stream. With recovery active the
-        // reader threads hold queue senders too (replay injection), so
-        // dropping this link's senders does not close the channels — hand
-        // every writer the explicit flush-and-exit sentinel instead.
-        for tx in self.writers.iter().flatten() {
-            let _ = tx.send(Vec::new());
-        }
-        for h in self.writer_handles.drain(..) {
-            let _ = h.join();
+        // Announce end-of-stream but keep the read side open: the peer may
+        // still be sending to us, and resetting the socket could destroy
+        // those frames in flight. The readers drain to end-of-stream.
+        for stream in self.streams.iter().flatten() {
+            let _ = stream.shutdown(Shutdown::Write);
         }
     }
 }
 
 /// Restart-the-world synchronization for a resumed worker: announce this
-/// rank's restored receive frontier to every peer (`RESUME`), then wait
-/// for every peer's announcement, which sets the re-execution send
-/// frontier. Reader threads queue the logged replays *before* signalling,
-/// and the writer queue is FIFO, so every replayed envelope reaches a peer
-/// ahead of any fresh send.
+/// rank's restored receive frontier to every peer (`RESUME`), then, for
+/// each peer's announcement, replay the logged envelopes from its frontier
+/// on and set the re-execution send frontier. The rank thread is the only
+/// writer of each socket and the barrier ends before the rank body starts,
+/// so every replayed envelope reaches a peer ahead of any fresh send. Until
+/// the replays arrive, a peer's `CKPT_ACK` cannot pass its announced
+/// frontier, so no trim drops a replay.
 fn worker_resume_barrier(comm: &mut TcpComm) -> Result<(), CommError> {
     let rank = comm.rank;
     let (Some(w), Some(rec)) = (&comm.link.worker, &mut comm.recovery) else {
@@ -670,14 +615,24 @@ fn worker_resume_barrier(comm: &mut TcpComm) -> Result<(), CommError> {
     for peer in (0..comm.size).filter(|&p| p != rank) {
         let mut frame = Frame::control(FrameKind::Resume, rank as u32);
         frame.seq = comm.links.expect_of(peer);
-        if !comm.link.queue(peer, frame.encode()) {
-            return Err(CommError::PeerDisconnected { rank: peer });
+        if !comm.link.write(peer, &frame.encode()) {
+            return Err(TcpLink::closed(peer));
         }
     }
     for _ in 0..comm.size.saturating_sub(1) {
         let (peer, frontier) = w.resume_rx.recv_timeout(HANDSHAKE_TIMEOUT).map_err(|_| {
             transport_error("resume barrier", "timed out waiting for peer RESUME frames")
         })?;
+        let replays = rec.logs[rank][peer]
+            .lock()
+            .expect("replay log poisoned")
+            .replay_from(frontier);
+        for env in &replays {
+            let frame = wire::encode_replay(rank as u32, env);
+            if !comm.link.write(peer, &frame) {
+                return Err(TcpLink::closed(peer));
+            }
+        }
         rec.resend_skip[peer] = frontier;
     }
     Ok(())
@@ -721,25 +676,9 @@ fn reader_loop(
                 }
             }
             // A respawned peer announces its restored receive frontier:
-            // queue the retained envelopes from there on — ahead of any
-            // fresh send, since the writer queue is FIFO — then signal the
-            // resume barrier.
+            // hand it to the resume barrier, which replays from there on.
             Ok(frame) if frame.kind == FrameKind::Resume => {
                 if let Some(ctl) = &ctl {
-                    let replays = ctl.logs[ctl.rank][ctl.peer]
-                        .lock()
-                        .expect("replay log poisoned")
-                        .replay_from(frame.seq);
-                    for env in replays {
-                        ctl.out_depth.fetch_add(1, Ordering::Relaxed);
-                        if ctl
-                            .out_tx
-                            .send(wire::encode_replay(ctl.rank as u32, &env))
-                            .is_err()
-                        {
-                            ctl.out_depth.fetch_sub(1, Ordering::Relaxed);
-                        }
-                    }
                     let _ = ctl.resume_tx.send((ctl.peer, frame.seq));
                 }
             }
@@ -965,7 +904,7 @@ fn decode_comm_error(tag: i64, nominal: u64, aux: f64, text: &str) -> CommError 
 /// Magic prefix of a worker checkpoint file.
 const CKPT_MAGIC: [u8; 4] = *b"TCKP";
 /// Checkpoint file format version.
-const CKPT_VERSION: u16 = 3;
+const CKPT_VERSION: u16 = 4;
 
 fn push_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -1268,9 +1207,10 @@ where
     )
     .map_err(|error| RunError::Comm { rank, error })?;
     // A respawned worker loads its previous checkpoint file up front and
-    // seeds this rank's replay-log row from it before any reader thread can
-    // serve a peer's `RESUME`. A missing file is fine: the process died
-    // before its first checkpoint and resumes from position zero.
+    // seeds this rank's replay-log row from it before any reader thread
+    // can trim it; the resume barrier replays from it. A missing file is
+    // fine: the process died before its first checkpoint and resumes from
+    // position zero.
     let mut resume = None;
     if let (Some(ck), Some((_, _, logs))) = (&cfg.ckpt, &shared.recovery) {
         if let Some(bytes) = ck.resume.then(|| std::fs::read(&ck.path).ok()).flatten() {
@@ -1812,11 +1752,21 @@ mod tests {
         // Truncation is an error, never a panic.
         assert!(decode_ckpt(&bytes[..bytes.len() - 3]).is_err());
         assert!(decode_ckpt(b"TCKQ").is_err());
-        // A file of the delta-encoded version 2 is refused by its version.
-        let mut v2 = bytes.clone();
-        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
-        let e = decode_ckpt(&v2).err().expect("a v2 file must be refused");
-        assert!(e.contains("checkpoint version 2"), "{e}");
+        // Files of older versions are refused by their version: 2 encoded
+        // the metrics as deltas, 3 carried a sixth gauge.
+        for version in [2u16, 3] {
+            let mut old = bytes.clone();
+            old[4..6].copy_from_slice(&version.to_le_bytes());
+            let e = decode_ckpt(&old)
+                .err()
+                .expect("an older file must be refused");
+            assert!(
+                e.contains(&format!(
+                    "checkpoint version {version} (this build reads 4)"
+                )),
+                "{e}"
+            );
+        }
         // So is a length field past the end of the address space.
         let mut huge = bytes[..14].to_vec();
         huge.extend_from_slice(&u64::MAX.to_le_bytes());

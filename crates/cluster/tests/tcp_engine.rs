@@ -411,3 +411,36 @@ fn tcp_rank_panic_is_contained() {
         other => panic!("expected rank panic, got {other}"),
     }
 }
+
+#[test]
+fn crossing_sends_larger_than_the_socket_buffers_complete() {
+    // Both ranks send first, each a frame far past what the loopback
+    // socket buffers hold, and only then receive. A send blocks in its
+    // socket write until the peer's reader thread drains it, so this
+    // finishes only because readers never wait on the rank they serve.
+    const VALUES: u64 = 1 << 20;
+    let payload =
+        |rank: u64| -> Vec<f64> { (0..VALUES).map(|i| (i * 2 + rank) as f64 * 0.1).collect() };
+    let t0 = std::time::Instant::now();
+    let report = run_cluster_tcp(2, test_model(), opts_with(None), move |comm: &mut _| {
+        let rank = comm.rank();
+        comm.send_tagged(1 - rank, 5, payload(rank as u64), 8 * VALUES as usize);
+        comm.recv_tagged(1 - rank, 5)
+    })
+    .unwrap();
+    assert!(
+        t0.elapsed() < Duration::from_secs(30),
+        "took {:?}",
+        t0.elapsed()
+    );
+    for (rank, got) in report.results.iter().enumerate() {
+        let sent = payload(1 - rank as u64);
+        assert_eq!(got.len(), sent.len(), "rank {rank}");
+        assert!(
+            got.iter()
+                .zip(&sent)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "rank {rank} received other values than its peer sent"
+        );
+    }
+}

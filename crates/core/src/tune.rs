@@ -63,8 +63,9 @@ pub struct TuneOptions {
     pub volume: i64,
     /// Mapping dimension `m` (tile chains run along row `m` of `H`).
     pub m: usize,
-    /// Cap on the number of candidates that are simulated (the enumeration
-    /// itself is exhaustive; the cap keeps the oracle cost bounded).
+    /// Cap on the number of generated candidates that are simulated (the
+    /// enumeration itself is exhaustive; the cap keeps the oracle cost
+    /// bounded). Seeds from [`TuneOptions::include`] do not count.
     pub max_candidates: usize,
     /// Tiling matrices that are always evaluated (seeded ahead of the
     /// generated candidates), e.g. the paper's fixed `H` — guaranteeing the
@@ -119,7 +120,7 @@ pub struct TuneOutcome {
     pub illegal: usize,
     /// Skipped: schedule-isomorphic to an earlier candidate.
     pub deduped: usize,
-    /// Dropped by the `max_candidates` cap after dedup.
+    /// Generated candidates dropped by the `max_candidates` cap after dedup.
     pub truncated: usize,
     /// Plan construction failed (e.g. coefficient overflow).
     pub failed: usize,
@@ -404,6 +405,8 @@ pub fn tune_labeled(
     };
     let mut seen: BTreeSet<Vec<i64>> = BTreeSet::new();
     let mut accepted: Vec<(TilingTransform, bool)> = vec![];
+    // Generated candidates accepted so far: the ones the cap counts.
+    let mut generated_kept = 0;
     let mut consider = |h: RMat, included: bool, outcome: &mut TuneOutcome| {
         outcome.generated += 1;
         let Ok(t) = TilingTransform::new(h) else {
@@ -418,9 +421,12 @@ pub fn tune_labeled(
             outcome.deduped += 1;
             return;
         }
-        if accepted.len() >= opts.max_candidates {
-            outcome.truncated += 1;
-            return;
+        if !included {
+            if generated_kept >= opts.max_candidates {
+                outcome.truncated += 1;
+                return;
+            }
+            generated_kept += 1;
         }
         accepted.push((t, included));
     };
