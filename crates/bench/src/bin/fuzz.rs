@@ -1,10 +1,12 @@
 //! Randomized end-to-end fuzzer: draws cases and checks the full parallel
 //! pipeline bitwise against sequential execution. Every case runs the one
 //! per-case cross-check ([`check_case`]), whichever generator drew it:
-//! all three execution strategies — the compiled flat-index path, the
-//! per-point reference path, and the overlapped boundary/interior path —
+//! three runs — the compiled flat-index path and the per-point reference
+//! path under the blocking scheme, and the compiled path under the
+//! overlapped scheme, which splits each tile into boundary and interior —
 //! must agree bitwise with identical message traffic and logical counters,
-//! and the overlapped makespan must never exceed the blocking compiled one.
+//! and the overlapped makespan must exceed neither the blocking compiled
+//! one nor the unsplit reference strategy's under the same scheme.
 //!
 //! Usage: `fuzz [seed] [cases] [--faults] [--tcp] [--recovery] [--tune] [--dsl]`.
 //!
@@ -41,8 +43,8 @@
 //! bitwise against the run-based scan (`execute_scan`) that `verify` uses,
 //! and the plan's closed forms are checked against walks: its tile set
 //! against a lattice walk of every shadow candidate, and its `D^S` against
-//! `⌊(j' + d')/v⌋` over every TTIS point. The compiled and overlapped
-//! strategies also run in `TimingOnly` mode, which must equal their `Full`
+//! `⌊(j' + d')/v⌋` over every TTIS point. The compiled strategy also runs
+//! in `TimingOnly` mode under both schemes, which must equal its `Full`
 //! runs on makespan bits, per-rank clocks, iterations, messages and bytes.
 //!
 //! Every failure path prints the RNG seed so regressions reproduce with
@@ -54,7 +56,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use tilecc_cluster::obs::RunReport as ObsReport;
 use tilecc_cluster::{
-    Counter, EngineOptions, FaultPlan, MachineModel, MetricsRegistry, RecoveryOptions,
+    CommScheme, Counter, EngineOptions, FaultPlan, MachineModel, MetricsRegistry, RecoveryOptions,
     StatsSnapshot,
 };
 use tilecc_frontend::{compile_kernel_with, corpus};
@@ -139,15 +141,18 @@ impl Case {
         })
     }
 
-    /// Run `plan` on the threaded backend with a fresh metrics registry.
+    /// Run `plan` under `scheme` on the threaded backend with a fresh
+    /// metrics registry.
     fn run_observed(
         self,
         plan: &Arc<ParallelPlan>,
         mode: ExecMode,
         strategy: ExecStrategy,
+        scheme: CommScheme,
     ) -> (ExecutionResult, Arc<MetricsRegistry>) {
         let reg = MetricsRegistry::new();
         let options = EngineOptions {
+            scheme,
             obs: Some(reg.clone()),
             ..EngineOptions::default()
         };
@@ -283,7 +288,8 @@ fn check_strategies(
     seq: &DataSpace,
     tally: &mut Tally,
 ) -> (ExecutionResult, ObsReport) {
-    let (res, reg_c) = c.run_observed(plan, ExecMode::Full, ExecStrategy::Compiled);
+    let (full, blocking) = (ExecMode::Full, CommScheme::Blocking);
+    let (res, reg_c) = c.run_observed(plan, full, ExecStrategy::Compiled, blocking);
     if let Some(bad) = seq.diff(data(&res)) {
         eprintln!("  MISMATCH at {bad:?}");
         let tf = plan.tiled.transform();
@@ -306,7 +312,7 @@ fn check_strategies(
     }
     // The per-point reference path must agree bitwise with identical
     // virtual time and traffic.
-    let (reference, reg_r) = c.run_observed(plan, ExecMode::Full, ExecStrategy::Reference);
+    let (reference, reg_r) = c.run_observed(plan, full, ExecStrategy::Reference, blocking);
     c.same_data(
         data(&res),
         &reference,
@@ -359,8 +365,8 @@ fn check_strategies(
     }
     // VectorizedPoints is a dispatch-shape counter, not a logical one: the
     // reference strategy never batches, and no strategy can batch more
-    // points than it iterates. Compiled and overlapped are NOT compared
-    // against each other — the boundary/interior split cuts runs
+    // points than it iterates. The two schemes are NOT compared against
+    // each other — the overlapped scheme's boundary/interior split cuts runs
     // differently, so their batch totals legitimately diverge while the
     // data stays bitwise identical.
     if rep_r.total(Counter::VectorizedPoints) != 0 {
@@ -370,27 +376,28 @@ fn check_strategies(
         c.fail("compiled strategy batched more points than iterations");
     }
     tally.vectorized_points += rep_c.total(Counter::VectorizedPoints);
-    // Overlapped strategy: boundary-first execution with sends hidden
-    // behind the interior must be a pure schedule change — same data, same
-    // traffic, and never a later finish than blocking compiled.
-    let (overlapped, reg_o) = c.run_observed(plan, ExecMode::Full, ExecStrategy::Overlapped);
-    c.same_data(
-        data(&res),
-        &overlapped,
-        "compiled/overlapped strategy data mismatch",
-    );
-    if overlapped.makespan() > res.makespan() + 1e-12 {
-        eprintln!(
-            "  makespans: compiled {} overlapped {}",
-            res.makespan(),
-            overlapped.makespan()
-        );
-        c.fail("overlapped strategy slower than blocking");
+    // Under the overlapped scheme compiled splits each tile: boundary, sends,
+    // interior. A pure schedule change: same data and traffic, and no later
+    // finish than blocking compiled or the unsplit reference strategy under
+    // that scheme (timing-only, whose clocks equal a full run's).
+    let (overlap, timing_only) = (CommScheme::Overlapped, ExecMode::TimingOnly);
+    let (overlapped, reg_o) = c.run_observed(plan, full, ExecStrategy::Compiled, overlap);
+    c.same_data(data(&res), &overlapped, "blocking/overlapped data mismatch");
+    let (unsplit, _) = c.run_observed(plan, timing_only, ExecStrategy::Reference, overlap);
+    for (other, what) in [(&res, "blocking compiled"), (&unsplit, "unsplit reference")] {
+        if overlapped.makespan() > other.makespan() + 1e-12 {
+            eprintln!(
+                "  makespans: {what} {} overlapped {}",
+                other.makespan(),
+                overlapped.makespan()
+            );
+            c.fail(&format!("overlapped scheme slower than {what}"));
+        }
     }
     if overlapped.report.total(Counter::BytesSent) != res.report.total(Counter::BytesSent)
         || overlapped.report.total(Counter::MessagesSent) != res.report.total(Counter::MessagesSent)
     {
-        c.fail("compiled/overlapped traffic mismatch");
+        c.fail("blocking/overlapped traffic mismatch");
     }
     if overlapped.report.total(Counter::BytesReceived)
         != overlapped.report.total(Counter::BytesSent)
@@ -398,7 +405,7 @@ fn check_strategies(
         c.fail("overlapped run lost or invented bytes");
     }
     let rep_o = reg_o.run_report(&overlapped.report.local_times);
-    let what = "compiled/overlapped logical counter mismatch";
+    let what = "blocking/overlapped logical counter mismatch";
     c.same_totals(&rep_c, &rep_o, &LOGICAL, what);
     if rep_o.total(Counter::CompiledDispatches) != rep_o.total(Counter::Tiles)
         || rep_o.total(Counter::ReferenceDispatches) != 0
@@ -406,20 +413,17 @@ fn check_strategies(
         c.fail("overlapped dispatch counters are wrong");
     }
     if rep_o.total(Counter::VectorizedPoints) > rep_o.total(Counter::Iterations) {
-        c.fail("overlapped strategy batched more points than iterations");
+        c.fail("overlapped scheme batched more points than iterations");
     }
     // The timing-only leg: virtual time depends only on iteration counts
-    // and message sizes, so a `TimingOnly` run of each strategy must equal
+    // and message sizes, so a `TimingOnly` run under each scheme must equal
     // its `Full` run on makespan bits, per-rank clocks and the counters.
-    for (strategy, full, rep) in [
-        (ExecStrategy::Compiled, &res, &rep_c),
-        (ExecStrategy::Overlapped, &overlapped, &rep_o),
-    ] {
-        let (timing, reg) = c.run_observed(plan, ExecMode::TimingOnly, strategy);
+    for (scheme, full, rep) in [(blocking, &res, &rep_c), (overlap, &overlapped, &rep_o)] {
+        let (timing, reg) = c.run_observed(plan, timing_only, ExecStrategy::Compiled, scheme);
         if timing.makespan().to_bits() != full.makespan().to_bits()
             || bits(&timing.report.local_times) != bits(&full.report.local_times)
         {
-            eprintln!("  {strategy:?}: timing-only clocks differ from the full run");
+            eprintln!("  {scheme:?}: timing-only clocks differ from the full run");
             c.fail("timing-only/full clock mismatch");
         }
         let rep_t = reg.run_report(&timing.report.local_times);
@@ -522,9 +526,9 @@ fn check_tcp(c: Case, plan: &Arc<ParallelPlan>, res: &ExecutionResult) {
 }
 
 /// Chaos leg: over a substrate seeded per case, the reliability layer must
-/// reproduce the fault-free data bitwise on the compiled and overlapped
-/// strategies, deliver exactly once, and leave the logical workload of the
-/// fault-free compiled run `rep_c` unchanged.
+/// reproduce the fault-free data bitwise under the blocking and the
+/// overlapped scheme, deliver exactly once, and leave the logical workload
+/// of the fault-free compiled run `rep_c` unchanged.
 fn check_faults(c: Case, plan: &Arc<ParallelPlan>, seq: &DataSpace, rep_c: &ObsReport) {
     eprintln!("  chaos: fault seed {}", c.fault_seed());
     let reg_f = MetricsRegistry::new();
@@ -587,15 +591,13 @@ fn check_faults(c: Case, plan: &Arc<ParallelPlan>, seq: &DataSpace, rep_c: &ObsR
     );
     // The overlapped schedule must survive the same chaos plan: its
     // in-flight sends go through the identical reliability layer.
-    let what = "overlapped strategy failed under faults";
-    let faulty_o = c.run(
-        plan,
-        ExecMode::Full,
-        ExecStrategy::Overlapped,
-        Backend::Threaded,
-        chaos(),
-        what,
-    );
+    let what = "overlapped scheme failed under faults";
+    let (full, compiled) = (ExecMode::Full, ExecStrategy::Compiled);
+    let overlap = EngineOptions {
+        scheme: CommScheme::Overlapped,
+        ..chaos()
+    };
+    let faulty_o = c.run(plan, full, compiled, Backend::Threaded, overlap, what);
     c.same_data(seq, &faulty_o, "fault-injected overlapped result differs");
     if faulty_o.report.total(Counter::BytesReceived) != faulty_o.report.total(Counter::BytesSent) {
         c.fail("faulty overlapped run lost or invented bytes");

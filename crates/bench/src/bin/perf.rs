@@ -10,10 +10,11 @@
 //!    [`tilecc_bench::per_point`] and the executor's `reference_*` paths,
 //!    and the row-clipped gather of a boundary tile against
 //!    `reference_gather_tile`;
-//! 2. runs the blocking compiled and the overlapped boundary/interior
-//!    strategy in `TimingOnly` mode: the overlapped virtual makespan must
-//!    not exceed the blocking one, with the same bytes sent, and must win
-//!    by at least 1.1x on at least one workload;
+//! 2. runs the compiled strategy under the blocking and the overlapped
+//!    scheme (the boundary/interior split) in `TimingOnly` mode: the
+//!    overlapped virtual makespan must not exceed the blocking one, with
+//!    the same bytes sent, and must win by at least 1.1x on at least one
+//!    workload;
 //! 3. runs the compiled strategy once in `Full` mode with metrics on: its
 //!    data must equal `execute_sequential` bitwise, and it gives the
 //!    virtual makespan and the batched-point coverage;
@@ -61,7 +62,7 @@ use tilecc_bench::per_point::{
     unpack_region_per_index, HotPaths, Scratch,
 };
 use tilecc_cluster::obs::json::Json;
-use tilecc_cluster::{Counter, EngineOptions, MachineModel, MetricsRegistry};
+use tilecc_cluster::{CommScheme, Counter, EngineOptions, MachineModel, MetricsRegistry};
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_parcode::compiled::{
     compute_tile_fast, gather_tile, pack_region, unpack_region, ComputeScratch,
@@ -420,8 +421,9 @@ fn hot_paths(out_path: &str, smoke: bool) {
         let points = plan.chain(hot.interior.rank).tile_points;
         let paths = if smoke { Vec::new() } else { time_paths(&hot) };
 
-        let run = |mode, strategy, obs| {
+        let run = |mode, strategy, scheme, obs| {
             let opts = EngineOptions {
+                scheme,
                 obs,
                 ..EngineOptions::default()
             };
@@ -430,15 +432,15 @@ fn hot_paths(out_path: &str, smoke: bool) {
         };
 
         // --- overlap gate: deterministic virtual makespans ---------------
-        let timing_only = |strategy| {
-            let reg = MetricsRegistry::new();
-            let res = run(ExecMode::TimingOnly, strategy, Some(reg.clone()));
+        let timing_only = |scheme| {
+            let (reg, compiled) = (MetricsRegistry::new(), ExecStrategy::Compiled);
+            let res = run(ExecMode::TimingOnly, compiled, scheme, Some(reg.clone()));
             let report = reg.run_report(&res.report.local_times);
             let hidden: f64 = report.ranks.iter().map(|r| r.overlap_hidden).sum();
             (res.report.total(Counter::BytesSent), res.makespan(), hidden)
         };
-        let (blocking_bytes, blocking, _) = timing_only(ExecStrategy::Compiled);
-        let (overlapped_bytes, overlapped, hidden) = timing_only(ExecStrategy::Overlapped);
+        let (blocking_bytes, blocking, _) = timing_only(CommScheme::Blocking);
+        let (overlapped_bytes, overlapped, hidden) = timing_only(CommScheme::Overlapped);
         assert_eq!(
             blocking_bytes, overlapped_bytes,
             "{name}: overlapping must not change traffic"
@@ -452,7 +454,12 @@ fn hot_paths(out_path: &str, smoke: bool) {
 
         // --- end-to-end: data, virtual makespan, batch coverage, walls ---
         let reg = MetricsRegistry::new();
-        let full = run(ExecMode::Full, ExecStrategy::Compiled, Some(reg.clone()));
+        let full = run(
+            ExecMode::Full,
+            ExecStrategy::Compiled,
+            CommScheme::Blocking,
+            Some(reg.clone()),
+        );
         let data = full.data.as_ref().expect("a Full run returns its data");
         if let Some(bad) = plan.algorithm.execute_sequential().diff(data) {
             panic!("{name}: parallel data differs from sequential at {bad:?}");
@@ -465,7 +472,9 @@ fn hot_paths(out_path: &str, smoke: bool) {
             "{name}: end-to-end run reported no batched points"
         );
         let walls = (!smoke).then(|| {
-            let wall = |strategy| calibrated_wall(|| _ = run(ExecMode::Full, strategy, None));
+            let wall = |strategy| {
+                calibrated_wall(|| _ = run(ExecMode::Full, strategy, CommScheme::Blocking, None))
+            };
             (wall(ExecStrategy::Compiled), wall(ExecStrategy::Reference))
         });
 

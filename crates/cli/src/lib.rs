@@ -7,7 +7,7 @@
 //! tilecc parse  sor.tk                            # inspect the parsed model
 //! tilecc cone   sor.tk                            # tiling cone extreme rays
 //! tilecc plan   sor.tk --tile "1/4,0,0;0,1/4,0;-1/4,0,1/4" [--map 2]
-//! tilecc run    sor.tk --rect 4,4,4 [--verify] [--overlap]
+//! tilecc run    sor.tk --rect 4,4,4 [--verify] [--strategy overlapped]
 //! tilecc run    --kernel heat3d.tk --rect 4,4,4,4 # explicit input spelling
 //! tilecc emit   sor.tk --tile … > generated.c     # C/MPI source
 //! ```
@@ -74,10 +74,11 @@ struct Options {
     tile: Option<RMat>,
     map: Option<usize>,
     verify: bool,
-    overlap: bool,
-    /// Tile execution strategy (`--strategy`): how each rank walks and
-    /// communicates its tiles.
+    /// Tile execution strategy and comm scheme (`--strategy`): how each
+    /// rank walks and communicates its tiles. `overlapped` is the compiled
+    /// strategy under the overlapped scheme, which splits each tile.
     strategy: ExecStrategy,
+    scheme: CommScheme,
     model: MachineModel,
     /// Seed for deterministic fault injection (`--fault-seed`).
     fault_seed: Option<u64>,
@@ -325,8 +326,8 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
         tile: None,
         map: None,
         verify: false,
-        overlap: false,
         strategy: ExecStrategy::default(),
+        scheme: CommScheme::Blocking,
         model: MachineModel::fast_ethernet_p3(),
         fault_seed: None,
         drop_rate: None,
@@ -380,18 +381,14 @@ fn parse_options(args: &[String]) -> Result<Options, CliError> {
                 o.verify = true;
                 i += 1;
             }
-            "--overlap" => {
-                o.overlap = true;
-                i += 1;
-            }
             "--strategy" => {
                 let v = args
                     .get(i + 1)
                     .ok_or(CliError("--strategy needs a value".into()))?;
-                o.strategy = match v.as_str() {
-                    "compiled" => ExecStrategy::Compiled,
-                    "reference" => ExecStrategy::Reference,
-                    "overlapped" => ExecStrategy::Overlapped,
+                (o.strategy, o.scheme) = match v.as_str() {
+                    "compiled" => (ExecStrategy::Compiled, CommScheme::Blocking),
+                    "reference" => (ExecStrategy::Reference, CommScheme::Blocking),
+                    "overlapped" => (ExecStrategy::Compiled, CommScheme::Overlapped),
                     other => {
                         return err(format!(
                             "unknown --strategy `{other}` (expected compiled, reference, or overlapped)"
@@ -700,7 +697,9 @@ fn render_run_summary(
     summary: &RunSummary,
     checksum: Option<f64>,
 ) -> Result<(), CliError> {
-    if opts.strategy != ExecStrategy::default() {
+    if opts.scheme == CommScheme::Overlapped {
+        let _ = writeln!(out, "strategy   : Overlapped");
+    } else if opts.strategy != ExecStrategy::default() {
         let _ = writeln!(out, "strategy   : {:?}", opts.strategy);
     }
     if opts.backend == Backend::Tcp {
@@ -733,22 +732,17 @@ fn render_run_summary(
     Ok(())
 }
 
-/// The comm scheme, fault plan and execution mode implied by the run flags —
-/// identical for the worker, the driver, and the in-process path so every
-/// backend executes the same program.
-fn engine_setup(opts: &Options) -> (CommScheme, Option<FaultPlan>, ExecMode) {
-    let scheme = opts.strategy.comm_scheme(if opts.overlap {
-        CommScheme::Overlapped
-    } else {
-        CommScheme::Blocking
-    });
+/// The fault plan and execution mode implied by the run flags — identical
+/// for the worker, the driver, and the in-process path so every backend
+/// executes the same program.
+fn engine_setup(opts: &Options) -> (Option<FaultPlan>, ExecMode) {
     let fault = opts.fault_plan();
     let mode = if opts.verify || fault.is_some() {
         ExecMode::Full
     } else {
         ExecMode::TimingOnly
     };
-    (scheme, fault, mode)
+    (fault, mode)
 }
 
 /// Run as a TCP worker process (`--worker-rank R --connect host:port`):
@@ -771,9 +765,9 @@ fn tcp_worker(
             "--worker-rank {rank} out of range for a {size}-processor plan"
         ));
     }
-    let (scheme, fault, mode) = engine_setup(opts);
+    let (fault, mode) = engine_setup(opts);
     let options = EngineOptions {
-        scheme,
+        scheme: opts.scheme,
         fault,
         obs: reg.clone(),
         ..EngineOptions::default()
@@ -1003,7 +997,7 @@ fn tcp_driver(
             ));
         }
     }
-    let (_, _, mode) = engine_setup(opts);
+    let (_, mode) = engine_setup(opts);
     // The sequential reference scans on its own thread while the workers
     // run; a failed run drops it without waiting.
     let reference = (mode == ExecMode::Full)
@@ -1363,11 +1357,12 @@ options:
   --json <file>               tune: write the full outcome (winning H,
                               ranking, counters) as JSON
   --verify                    full run, compare against sequential (run)
-  --overlap                   overlapped communication scheme (run)
   --strategy <s>              tile execution strategy: compiled (default),
-                              reference, or overlapped — compute the tile's
-                              boundary slab first and hide its sends behind
-                              the private interior (run)
+                              reference, or overlapped — compiled under the
+                              overlapped communication scheme, which
+                              computes the tile's boundary slab first and
+                              hides its sends behind the private interior
+                              (run)
   --zero-comm                 zero-cost network model (run)
   --backend <b>               cluster substrate: threaded (default, one
                               thread per rank) or tcp — spawn one worker
@@ -1602,9 +1597,9 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                         return err("--live/--stats-out stream worker telemetry and are only \
                              meaningful with --backend tcp");
                     }
-                    let (scheme, fault, mode) = engine_setup(&opts);
+                    let (fault, mode) = engine_setup(&opts);
                     let options = EngineOptions {
-                        scheme,
+                        scheme: opts.scheme,
                         fault,
                         recovery: opts.recovery_options(),
                         obs: reg.clone(),
@@ -1832,10 +1827,13 @@ X[t,i,j] = X[t-1,i,j] + 0.3*X[t-1,i-1,j] - 0.2*X[t-1,i,j-1]
             "1/2,-1/2,-1/2; 0,1/4,0; 0,0,1/4",
             "--map",
             "0",
-            "--overlap",
+            "--strategy",
+            "overlapped",
+            "--verify",
         ]))
         .unwrap();
         assert!(out.contains("speedup"), "{out}");
+        assert!(out.contains("verified   : true"), "{out}");
     }
 
     #[test]
@@ -1880,16 +1878,16 @@ X[t,i,j] = X[t-1,i,j] + 0.3*X[t-1,i-1,j] - 0.2*X[t-1,i,j-1]
     #[test]
     fn unknown_strategy_is_rejected() {
         let p = write_nest(ADI_SRC);
-        let e = run_cli(&args(&[
-            "run",
-            p.to_str(),
-            "--rect",
-            "2,4,4",
-            "--strategy",
-            "turbo",
-        ]))
-        .unwrap_err();
+        let run = |extra: &[&str]| {
+            let mut a = args(&["run", p.to_str(), "--rect", "2,4,4"]);
+            a.extend(args(extra));
+            run_cli(&a).unwrap_err()
+        };
+        let e = run(&["--strategy", "turbo"]);
         assert!(e.0.contains("unknown --strategy `turbo`"), "{e}");
+        // The overlapped scheme is spelled `--strategy overlapped` only.
+        let e = run(&["--overlap"]);
+        assert!(e.0.contains("unknown option `--overlap`"), "{e}");
     }
 
     #[test]

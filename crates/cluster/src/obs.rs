@@ -71,7 +71,7 @@ pub enum Phase {
     /// gathered data (driver-side, `--verify`): the part of the scan the
     /// run did not hide, plus the diff.
     VerifyDiff,
-    /// Draining the rank's comm lane under the overlapped strategy: the
+    /// Draining the rank's comm lane under the overlapped scheme: the
     /// residual send/transit time not hidden behind interior compute.
     Overlap,
     /// Bringing up a multi-process run (driver-side, `--backend tcp`):
@@ -1363,7 +1363,7 @@ pub struct RankReport {
     /// recovery-free run); `local_time - recovery` is the fault-free clock.
     pub recovery: f64,
     /// Virtual seconds of comm-lane time hidden behind compute under the
-    /// overlapped strategy (informational; not part of the partition).
+    /// overlapped scheme (informational; not part of the partition).
     pub overlap_hidden: f64,
     /// `compute / local_time` (0 for an idle rank).
     pub utilization: f64,

@@ -382,6 +382,11 @@ impl<L: Link> RankCore<L> {
         self.size
     }
 
+    /// The communication scheme this rank's sends follow.
+    pub fn scheme(&self) -> CommScheme {
+        self.scheme
+    }
+
     /// Fallible send of `payload` to `to` with matching `tag`.
     /// `nominal_bytes` is the modelled message size (the payload may be
     /// elided in timing-only runs). Advances the local clock by the

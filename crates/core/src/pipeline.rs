@@ -102,11 +102,12 @@ impl Pipeline {
     }
 
     /// Run in timing-only mode on the threaded engine: no values computed,
-    /// exact virtual times. `strategy` picks the rank code path
-    /// ([`ExecStrategy::Overlapped`] computes each tile's boundary slab
-    /// first, posts its sends on the NIC lane and hides them behind the
-    /// private interior), and `options` the comm scheme, fault injection,
-    /// recovery and observability. Engine failures come back as
+    /// exact virtual times. `strategy` picks the rank code path, and
+    /// `options` the comm scheme (under
+    /// [`tilecc_cluster::CommScheme::Overlapped`] the
+    /// compiled strategy computes each tile's boundary slab first, posts
+    /// its sends on the NIC lane and hides them behind the private
+    /// interior), fault injection, recovery and observability. Engine failures come back as
     /// [`RunError`]s. (The in-process TCP substrate is reached through
     /// [`execute`] / [`run_ranks`] with [`Backend::Tcp`].)
     pub fn simulate(
@@ -289,6 +290,7 @@ impl Reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tilecc_cluster::CommScheme;
     use tilecc_frontend::{compile_kernel_with, corpus};
 
     #[test]
@@ -611,15 +613,19 @@ mod tests {
         )
         .unwrap();
         let model = MachineModel::fast_ethernet_p3();
+        let overlap = || EngineOptions {
+            scheme: CommScheme::Overlapped,
+            ..EngineOptions::default()
+        };
         let (summary, _) = pipe
-            .run_verified(model, ExecStrategy::Overlapped, EngineOptions::default())
+            .run_verified(model, ExecStrategy::Compiled, overlap())
             .unwrap();
         assert_eq!(summary.verified, Some(true));
         let blocking = pipe
             .simulate(model, ExecStrategy::Compiled, EngineOptions::default())
             .unwrap();
         let overlapped = pipe
-            .simulate(model, ExecStrategy::Overlapped, EngineOptions::default())
+            .simulate(model, ExecStrategy::Compiled, overlap())
             .unwrap();
         assert!(
             overlapped.makespan <= blocking.makespan + 1e-12,

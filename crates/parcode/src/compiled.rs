@@ -101,7 +101,7 @@ pub struct Region {
     pub blocks: Vec<Block>,
 }
 
-/// The overlapped strategy's split of the tile's rows, in walk order: the
+/// The overlapped scheme's split of the tile's rows, in walk order: the
 /// boundary slab (the dependence closure of the pack regions, executed
 /// first so every pack region is ready to send) and the private interior
 /// (no pack region reads it, so it computes while sends are in flight).
@@ -400,7 +400,7 @@ impl CompiledChain {
     }
 
     /// The boundary/interior split, built on the first call (only the
-    /// overlapped strategy asks for it).
+    /// compiled strategy under the overlapped scheme asks for it).
     pub fn split(&self) -> &OverlapSplit {
         self.split.get_or_init(|| self.build_split())
     }
@@ -563,7 +563,7 @@ impl ComputeScratch {
 }
 
 /// Compute a tile along `spans` — every row whole ([`CompiledChain::walk`])
-/// or one pass of the overlapped strategy ([`OverlapSplit::boundary`] /
+/// or one pass of a split tile ([`OverlapSplit::boundary`] /
 /// [`OverlapSplit::interior`]) — with no per-point allocation. A
 /// compute-interior tile passes `clamp = None`: every point is in the space
 /// and every read source is stored in the LDS. A boundary tile passes its

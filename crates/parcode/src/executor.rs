@@ -9,9 +9,9 @@
 //! tile each TTIS row is clipped to the interval the original iteration
 //! space admits, see [`crate::compiled`]); finally it packs and sends one
 //! message per processor dependence that has a valid successor tile. The
-//! compute is one pass over the tile's rows under the compiled strategy,
-//! and a boundary pass, the sends, then an interior pass under the
-//! overlapped one; the reference strategy walks the tile per point.
+//! compiled strategy computes a tile in one pass over its rows, or, under
+//! [`CommScheme::Overlapped`], in a boundary pass, the sends, then an
+//! interior pass; the reference strategy walks the tile per point.
 
 use crate::compiled::{
     compare_tile, compute_tile_fast, count_tile, gather_tile, pack_region, read_owned_tile,
@@ -38,40 +38,25 @@ pub enum ExecMode {
     TimingOnly,
 }
 
-/// Which code path each rank runs. Both produce bitwise-identical data and
-/// identical makespans; `Compiled` is the default.
+/// Which code path each rank runs. Both produce bitwise-identical data;
+/// under [`CommScheme::Blocking`] they also produce identical makespans.
+/// `Compiled` is the default.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecStrategy {
     /// Flat-index execution: plan-time lowered cell indices, dense interior
     /// loops, precomputed pack/unpack lists, bulk gather (see
-    /// [`crate::compiled`]).
+    /// [`crate::compiled`]). Under [`CommScheme::Overlapped`] each tile is
+    /// split: its boundary slab (the dependence closure of its pack
+    /// regions) computes first, the sends post onto the background comm
+    /// lane, and the private interior computes while they are in flight,
+    /// so the makespan is never later than the reference strategy's under
+    /// that scheme.
     #[default]
     Compiled,
     /// The per-point reference path: re-derives every LDS address and walks
-    /// every communication region per tile. Kept as the correctness oracle.
+    /// every communication region per tile, never split. Kept as the
+    /// correctness oracle.
     Reference,
-    /// Compiled execution with the boundary/interior split: each tile's
-    /// boundary slab (the dependence closure of its pack regions) computes
-    /// first, the sends post onto the background comm lane, the private
-    /// interior computes while they are in flight, and the rank drains the
-    /// lane at chain end. Forces [`CommScheme::Overlapped`]; data is
-    /// bitwise identical to the other strategies and the makespan is never
-    /// worse than `Compiled` under the blocking scheme.
-    Overlapped,
-}
-
-impl ExecStrategy {
-    /// The comm scheme a run under this strategy uses when `requested` was
-    /// asked for. The boundary/interior reorder only pays off when sends
-    /// actually run in the background, so [`ExecStrategy::Overlapped`]
-    /// implies [`CommScheme::Overlapped`]; the other strategies keep
-    /// `requested`.
-    pub fn comm_scheme(self, requested: CommScheme) -> CommScheme {
-        match self {
-            ExecStrategy::Overlapped => CommScheme::Overlapped,
-            ExecStrategy::Compiled | ExecStrategy::Reference => requested,
-        }
-    }
 }
 
 /// Which cluster engine carries the messages. Both backends run the same
@@ -121,11 +106,10 @@ impl ExecutionResult {
 /// gathers the ranks' outputs into the global data space. `options` carry the
 /// communication scheme ([`CommScheme::Overlapped`] implements the
 /// computation/communication overlapping the paper lists as future work,
-/// its reference \[8\]), observability, fault injection and the watchdog;
-/// [`ExecStrategy::comm_scheme`] may override the scheme. The rank body,
-/// virtual-time model and gather are identical for every backend, so the
-/// fuzz harness cross-checks backends for bitwise-identical data and
-/// counters here. Engine failures — a rank panic, a deadlocked schedule,
+/// its reference \[8\]), observability, fault injection and the watchdog.
+/// The rank body, virtual-time model and gather are identical for every
+/// backend, so the fuzz harness cross-checks backends for bitwise-identical
+/// data and counters here. Engine failures — a rank panic, a deadlocked schedule,
 /// an unreachable peer — come back as [`RunError`]s with rank-level
 /// context.
 pub fn execute(
@@ -159,9 +143,8 @@ pub fn run_ranks(
     mode: ExecMode,
     strategy: ExecStrategy,
     backend: Backend,
-    mut options: EngineOptions,
+    options: EngineOptions,
 ) -> Result<RunReport<RankOutput>, RunError> {
-    options.scheme = strategy.comm_scheme(options.scheme);
     let nprocs = plan.num_procs();
     let plan = plan.clone();
     match backend {
@@ -395,7 +378,9 @@ fn for_each_owned_tile(
 /// The SPMD body of one rank — the direct analogue of the paper's
 /// generated FORACROSS code skeleton (§3.2). [`execute`] runs it on every
 /// in-process rank; the CLI's multi-process `--worker-rank` mode runs it
-/// over a [`tilecc_cluster::TcpComm`] connected to sibling processes.
+/// over a [`tilecc_cluster::TcpComm`] connected to sibling processes. The
+/// compiled strategy splits each tile when `comm` runs
+/// [`CommScheme::Overlapped`] ([`ExecStrategy::Compiled`]).
 pub fn run_rank<L: Link>(
     plan: &ParallelPlan,
     comm: &mut RankCore<L>,
@@ -418,6 +403,8 @@ pub fn run_rank<L: Link>(
     let mut iterations: u64 = 0;
     let mut scratch = ComputeScratch::new(n, plan.deps().cols(), w);
     let obs_on = comm.obs().is_some();
+    // The split only pays off when the sends ride the background lane.
+    let split = strategy == ExecStrategy::Compiled && comm.scheme() == CommScheme::Overlapped;
 
     let ckpt_every = comm.recovery_interval();
     let mut start_t = lo_t;
@@ -480,7 +467,7 @@ pub fn run_rank<L: Link>(
                             None
                         };
                         match strategy {
-                            ExecStrategy::Compiled | ExecStrategy::Overlapped => {
+                            ExecStrategy::Compiled => {
                                 // A size mismatch means transport corruption;
                                 // fail the rank loudly (release builds too).
                                 if let Err(e) = unpack_region(chain, lds, tpos, i, &payload) {
@@ -559,20 +546,25 @@ pub fn run_rank<L: Link>(
                     }
                     iters
                 };
-                let tile_iters = if strategy == ExecStrategy::Overlapped {
-                    // Overlapped order: boundary slab → post sends → private
-                    // interior. The slab is the dependence closure of the pack
-                    // regions, so after it every outgoing payload is final; the
-                    // interior then computes while the sends ride the comm lane.
-                    let split = chain.split();
-                    let boundary = pass(comm, &mut lds, "compute-boundary", &split.boundary);
-                    send_tile(
-                        plan, chain, comm, &lds, strategy, obs_on, &pid, &cur_tile, tpos, t_abs, w,
-                    );
-                    boundary + pass(comm, &mut lds, "compute-interior", &split.interior)
-                } else {
-                    pass(comm, &mut lds, Phase::Compute.name(), &chain.walk)
+                // First pass → SEND → the rest. Split, the first pass is the
+                // boundary slab, the dependence closure of the pack regions,
+                // so after it every outgoing payload is final, and the private
+                // interior computes while the sends ride the comm lane.
+                // Unsplit, the first pass is the whole tile and no second pass
+                // runs (even an empty one would tick the fault clock).
+                let (name, first, rest) = match split.then(|| chain.split()) {
+                    Some(s) => ("compute-boundary", &s.boundary, Some(&s.interior)),
+                    None => (Phase::Compute.name(), &chain.walk, None),
                 };
+                let mut tile_iters = pass(comm, &mut lds, name, first);
+
+                // --- SEND ---------------------------------------------------------
+                send_tile(
+                    plan, chain, comm, &lds, strategy, obs_on, &pid, &cur_tile, tpos, t_abs, w,
+                );
+                if let Some(interior) = rest {
+                    tile_iters += pass(comm, &mut lds, "compute-interior", interior);
+                }
                 iterations += tile_iters;
                 if let Some(o) = comm.obs() {
                     o.add(Counter::Tiles, 1);
@@ -590,21 +582,10 @@ pub fn run_rank<L: Link>(
                     );
                     o.add(
                         match strategy {
-                            // Overlapped runs through the same compiled tables.
-                            ExecStrategy::Compiled | ExecStrategy::Overlapped => {
-                                Counter::CompiledDispatches
-                            }
+                            ExecStrategy::Compiled => Counter::CompiledDispatches,
                             ExecStrategy::Reference => Counter::ReferenceDispatches,
                         },
                         1,
-                    );
-                }
-
-                // --- SEND ---------------------------------------------------------
-                // (the overlapped strategy already sent between its two passes)
-                if strategy != ExecStrategy::Overlapped {
-                    send_tile(
-                        plan, chain, comm, &lds, strategy, obs_on, &pid, &cur_tile, tpos, t_abs, w,
                     );
                 }
             }
@@ -650,9 +631,7 @@ pub fn run_rank<L: Link>(
         let mut values = Vec::with_capacity(iterations as usize * w);
         plan.for_each_tile(rank, |tpos, tile, _, clamp| {
             match strategy {
-                ExecStrategy::Compiled | ExecStrategy::Overlapped => {
-                    read_owned_tile(chain, &lds, tpos, clamp, &mut values)
-                }
+                ExecStrategy::Compiled => read_owned_tile(chain, &lds, tpos, clamp, &mut values),
                 ExecStrategy::Reference => reference_read_tile(plan, &lds, tpos, tile, &mut values),
             }
             true
@@ -730,10 +709,9 @@ fn rewind_to(restored: &Restored, rank: usize, iterations: &mut u64, lds: Option
 
 /// The SEND phase of one tile: one message per processor dependence with a
 /// valid successor tile, carrying values only in a full run (`lds` is
-/// `Some`). Shared by the blocking order (after the whole
-/// tile) and the overlapped order (between the boundary and interior
-/// passes — every pack region lives in the boundary slab, so the payloads
-/// are final).
+/// `Some`). It runs after the tile's first compute pass: the whole tile, or
+/// the boundary slab of a split tile (every pack region lives in it, so the
+/// payloads are final).
 #[allow(clippy::too_many_arguments)]
 fn send_tile<L: Link>(
     plan: &ParallelPlan,
@@ -771,9 +749,7 @@ fn send_tile<L: Link>(
             };
             payload.resize(count * w, 0.0);
             match strategy {
-                ExecStrategy::Compiled | ExecStrategy::Overlapped => {
-                    pack_region(chain, lds, tpos, dm_idx, &mut payload)
-                }
+                ExecStrategy::Compiled => pack_region(chain, lds, tpos, dm_idx, &mut payload),
                 ExecStrategy::Reference => reference_pack(plan, lds, tpos, dm_idx, &mut payload),
             }
             if let Some(t0) = pack_t0 {
@@ -1220,13 +1196,11 @@ mod overlap_tests {
     use tilecc_linalg::RMat;
     use tilecc_tiling::TilingTransform;
 
-    #[test]
-    fn only_the_overlapped_strategy_overrides_the_scheme() {
-        for requested in [CommScheme::Blocking, CommScheme::Overlapped] {
-            let scheme = |s: ExecStrategy| s.comm_scheme(requested);
-            assert_eq!(scheme(ExecStrategy::Overlapped), CommScheme::Overlapped);
-            assert_eq!(scheme(ExecStrategy::Compiled), requested);
-            assert_eq!(scheme(ExecStrategy::Reference), requested);
+    /// Engine options selecting `scheme`.
+    fn under(scheme: CommScheme) -> EngineOptions {
+        EngineOptions {
+            scheme,
+            ..EngineOptions::default()
         }
     }
 
@@ -1294,20 +1268,20 @@ mod overlap_tests {
             Arc::new(ParallelPlan::new(alg, TilingTransform::new(h).unwrap(), Some(2)).unwrap());
         let model = MachineModel::fast_ethernet_p3();
         let seq = plan.algorithm.execute_sequential();
-        let run = |strategy| {
+        let run = |strategy, scheme| {
             execute(
                 plan.clone(),
                 model,
                 ExecMode::Full,
                 strategy,
                 Backend::Threaded,
-                EngineOptions::default(),
+                under(scheme),
             )
             .unwrap()
         };
-        let reference = run(ExecStrategy::Reference);
-        let compiled = run(ExecStrategy::Compiled);
-        let overlapped = run(ExecStrategy::Overlapped);
+        let reference = run(ExecStrategy::Reference, CommScheme::Blocking);
+        let compiled = run(ExecStrategy::Compiled, CommScheme::Blocking);
+        let overlapped = run(ExecStrategy::Compiled, CommScheme::Overlapped);
         assert_eq!(seq.diff(reference.data.as_ref().unwrap()), None);
         assert_eq!(seq.diff(compiled.data.as_ref().unwrap()), None);
         assert_eq!(
@@ -1359,9 +1333,9 @@ mod overlap_tests {
                 plan.clone(),
                 model,
                 ExecMode::TimingOnly,
-                ExecStrategy::Overlapped,
+                ExecStrategy::Compiled,
                 Backend::Threaded,
-                EngineOptions::default(),
+                under(CommScheme::Overlapped),
             )
             .unwrap();
             assert!(
@@ -1384,9 +1358,9 @@ mod overlap_tests {
                 plan.clone(),
                 model,
                 mode,
-                ExecStrategy::Overlapped,
+                ExecStrategy::Compiled,
                 Backend::Threaded,
-                EngineOptions::default(),
+                under(CommScheme::Overlapped),
             )
             .unwrap()
         };
@@ -1414,11 +1388,11 @@ mod overlap_tests {
             plan,
             MachineModel::fast_ethernet_p3(),
             ExecMode::Full,
-            ExecStrategy::Overlapped,
+            ExecStrategy::Compiled,
             Backend::Threaded,
             EngineOptions {
                 obs: Some(reg.clone()),
-                ..EngineOptions::default()
+                ..under(CommScheme::Overlapped)
             },
         )
         .unwrap();
@@ -1459,5 +1433,53 @@ mod overlap_tests {
                 .all(|s| s.detail > 0),
             "empty compute spans must be skipped"
         );
+    }
+
+    /// The compiled strategy splits its tiles because the scheme is
+    /// overlapped: on a plan with a private interior (ADI, `4×6×6` tiles)
+    /// that finishes strictly before the unsplit reference strategy under
+    /// the same scheme, never after blocking compiled, with the data of the
+    /// sequential run.
+    #[test]
+    fn compiled_splits_under_the_overlapped_scheme() {
+        let alg = compile_kernel_with(corpus::ADI, &[("T", 16), ("N", 24)]).unwrap();
+        let t = TilingTransform::rectangular(&[4, 6, 6]).unwrap();
+        let plan = Arc::new(ParallelPlan::new(alg, t, Some(0)).unwrap());
+        let run = |mode, strategy, scheme| {
+            let model = MachineModel::fast_ethernet_p3();
+            execute(
+                plan.clone(),
+                model,
+                mode,
+                strategy,
+                Backend::Threaded,
+                under(scheme),
+            )
+            .unwrap()
+        };
+        let split = run(
+            ExecMode::Full,
+            ExecStrategy::Compiled,
+            CommScheme::Overlapped,
+        );
+        let unsplit = run(
+            ExecMode::TimingOnly,
+            ExecStrategy::Reference,
+            CommScheme::Overlapped,
+        );
+        let blocking = run(
+            ExecMode::TimingOnly,
+            ExecStrategy::Compiled,
+            CommScheme::Blocking,
+        );
+        assert!(
+            split.makespan() < unsplit.makespan(),
+            "split {} must beat unsplit {}",
+            split.makespan(),
+            unsplit.makespan()
+        );
+        assert!(split.makespan() <= blocking.makespan());
+        let seq = plan.algorithm.execute_sequential();
+        assert_eq!(seq.diff(split.data.as_ref().unwrap()), None);
     }
 }

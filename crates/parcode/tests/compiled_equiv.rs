@@ -4,7 +4,7 @@
 //! traversal-count regression test for the gather phase.
 
 use std::sync::Arc;
-use tilecc_cluster::{Counter, EngineOptions, MachineModel, MetricsRegistry};
+use tilecc_cluster::{CommScheme, Counter, EngineOptions, MachineModel, MetricsRegistry};
 use tilecc_frontend::{compile_kernel_with, corpus};
 use tilecc_linalg::RMat;
 use tilecc_parcode::{execute, Backend, ExecMode, ExecStrategy, ParallelPlan};
@@ -129,7 +129,7 @@ fn compiled_matches_reference_bitwise_with_identical_makespans() {
 /// times per `Full` run (compute, the rank reading its output, gather),
 /// so it stays independent of the compiled rows; the compiled path walks
 /// no tile at all (boundary tiles compute and gather through clamped plan-time runs),
-/// and neither do timing-only runs of the compiled or overlapped strategy
+/// and neither do timing-only runs of it under either comm scheme
 /// (boundary tiles count through the same runs).
 #[test]
 fn compiled_path_eliminates_duplicate_traversals() {
@@ -175,21 +175,24 @@ fn compiled_path_eliminates_duplicate_traversals() {
             compiled_walks < reference_walks,
             "{name}: compiled path must traverse strictly less"
         );
-        for strategy in [ExecStrategy::Compiled, ExecStrategy::Overlapped] {
+        for scheme in [CommScheme::Blocking, CommScheme::Overlapped] {
             let before = plan.tiled.traversal_count();
             let _ = execute(
                 plan.clone(),
                 MachineModel::fast_ethernet_p3(),
                 ExecMode::TimingOnly,
-                strategy,
+                ExecStrategy::Compiled,
                 Backend::Threaded,
-                EngineOptions::default(),
+                EngineOptions {
+                    scheme,
+                    ..EngineOptions::default()
+                },
             )
             .unwrap();
             assert_eq!(
                 plan.tiled.traversal_count() - before,
                 0,
-                "{name}: timing-only {strategy:?} run must not walk any tile"
+                "{name}: timing-only {scheme:?} run must not walk any tile"
             );
         }
         // The split is only worthwhile if some tiles actually take the
@@ -308,15 +311,16 @@ fn heat3d_boundary_rows_batch_whole_and_match_the_scan() {
         )
         .unwrap();
         let plan = Arc::new(plan);
-        for strategy in [ExecStrategy::Compiled, ExecStrategy::Overlapped] {
+        for scheme in [CommScheme::Blocking, CommScheme::Overlapped] {
             let reg = MetricsRegistry::new();
             let result = execute(
                 plan.clone(),
                 MachineModel::fast_ethernet_p3(),
                 ExecMode::Full,
-                strategy,
+                ExecStrategy::Compiled,
                 Backend::Threaded,
                 EngineOptions {
+                    scheme,
                     obs: Some(reg.clone()),
                     ..EngineOptions::default()
                 },
@@ -325,13 +329,13 @@ fn heat3d_boundary_rows_batch_whole_and_match_the_scan() {
             let report = reg.run_report(&result.report.local_times);
             assert_eq!(report.total(Counter::InteriorTiles), 0, "{name}");
             let data = result.data.unwrap();
-            assert_eq!(data.diff(&seq), None, "{name} {strategy:?}: data");
+            assert_eq!(data.diff(&seq), None, "{name} {scheme:?}: data");
             let (iters, vectorized) = (
                 report.total(Counter::Iterations),
                 report.total(Counter::VectorizedPoints),
             );
             assert_eq!(iters, plan.total_iterations() as u64, "{name}");
-            if whole && strategy == ExecStrategy::Compiled {
+            if whole && scheme == CommScheme::Blocking {
                 assert_eq!(vectorized, iters, "{name}: edge rows ran per point");
             }
         }
