@@ -58,7 +58,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tilecc::matrices;
 use tilecc_bench::per_point::{
-    compute_tile_fast_per_point, gather_tile_per_cell, pack_region_per_index,
+    compute_tile_fast_per_point, filled_lds, gather_tile_per_cell, pack_region_per_index,
     unpack_region_per_index, HotPaths, Scratch,
 };
 use tilecc_cluster::obs::json::Json;
@@ -90,8 +90,7 @@ fn obs_overhead(smoke: bool) {
     )
     .unwrap();
     let hot = HotPaths::new(&plan).expect("the SOR plan has an interior and a boundary tile");
-    let (rank, tpos, origin) = (hot.interior.rank, hot.interior.tpos, &hot.interior.origin);
-    let chain = plan.chain(rank);
+    let (origin, chain) = (&hot.interior.origin, plan.chain());
     let kernel = plan.algorithm.kernel.as_ref();
     let (n, q, w) = (plan.dim(), plan.deps().cols(), plan.algorithm.width());
 
@@ -102,18 +101,18 @@ fn obs_overhead(smoke: bool) {
         paired_stat(
             "compute",
             chain.tile_points,
-            &mut (hot.interior.lds(&plan), ComputeScratch::new(n, q, w)),
+            &mut (filled_lds(&plan), ComputeScratch::new(n, q, w)),
             &mut [("raw", &mut |(lds, scr)| {
-                compute_tile_fast(chain, lds, tpos, origin, kernel, scr, &chain.walk, None);
+                compute_tile_fast(chain, lds, origin, kernel, scr, &chain.walk, None);
             })],
             &mut |(lds, scr)| {
                 // The executor's per-tile pattern with obs off: one branch
                 // before the tile (timestamp capture skipped) and one after
                 // (histogram/span recording skipped).
                 let t0 = disabled.as_ref().map(|_| Instant::now());
-                compute_tile_fast(chain, lds, tpos, origin, kernel, scr, &chain.walk, None);
+                compute_tile_fast(chain, lds, origin, kernel, scr, &chain.walk, None);
                 if let Some(reg) = disabled.as_ref() {
-                    reg.rank_metrics(rank); // never reached
+                    reg.rank_metrics(0); // never reached
                     let _ = t0;
                 }
             },
@@ -418,7 +417,7 @@ fn hot_paths(out_path: &str, smoke: bool) {
             !expect_batched || batched > 0,
             "{name}: plan-time lag analysis produced no batched rows"
         );
-        let points = plan.chain(hot.interior.rank).tile_points;
+        let points = plan.chain().tile_points;
         let paths = if smoke { Vec::new() } else { time_paths(&hot) };
 
         let run = |mode, strategy, scheme, obs| {
@@ -624,12 +623,12 @@ fn hot_paths(out_path: &str, smoke: bool) {
 fn time_paths(hot: &HotPaths) -> Vec<PathStat> {
     let (plan, s, pp) = (hot.plan, &hot.interior, &hot.pp);
     let (n, q, w) = (plan.dim(), plan.deps().cols(), plan.algorithm.width());
-    let (chain, kernel) = (plan.chain(s.rank), plan.algorithm.kernel.as_ref());
-    let (tpos, origin, tile) = (s.tpos, &s.origin[..], &s.tile[..]);
+    let (chain, kernel) = (plan.chain(), plan.algorithm.kernel.as_ref());
+    let (origin, tile) = (&s.origin[..], &s.tile[..]);
     let points = chain.tile_points;
 
     let mut state = (
-        s.lds(plan),
+        filled_lds(plan),
         Scratch::new(n, q, w),
         ComputeScratch::new(n, q, w),
     );
@@ -639,48 +638,46 @@ fn time_paths(hot: &HotPaths) -> Vec<PathStat> {
         &mut state,
         &mut [
             ("per_point", &mut |(lds, scr, _)| {
-                compute_tile_fast_per_point(pp, lds, tpos, origin, kernel, scr);
+                compute_tile_fast_per_point(pp, lds, origin, kernel, scr);
             }),
             ("reference", &mut |(lds, _, _)| {
-                reference_compute_tile(plan, lds, tpos, tile);
+                reference_compute_tile(plan, lds, tile);
             }),
         ],
         &mut |(lds, _, scr)| {
-            compute_tile_fast(chain, lds, tpos, origin, kernel, scr, &chain.walk, None);
+            compute_tile_fast(chain, lds, origin, kernel, scr, &chain.walk, None);
         },
     )];
 
-    let lds = s.lds(plan);
+    let lds = filled_lds(plan);
     if let Some((dm_idx, ds_idx)) = hot.region {
-        let count = plan.region_counts[dm_idx];
+        let count = chain.pack[dm_idx].points;
         paths.push(paired_stat(
             "pack",
             count,
             &mut vec![0.0f64; count * w],
             &mut [
                 ("per_point", &mut |p| {
-                    pack_region_per_index(pp, &lds, tpos, dm_idx, p)
+                    pack_region_per_index(pp, &lds, dm_idx, p)
                 }),
-                ("reference", &mut |p| {
-                    reference_pack(plan, &lds, tpos, dm_idx, p)
-                }),
+                ("reference", &mut |p| reference_pack(plan, &lds, dm_idx, p)),
             ],
-            &mut |p| pack_region(chain, &lds, tpos, dm_idx, p),
+            &mut |p| pack_region(chain, &lds, dm_idx, p),
         ));
         let payload = hot.unpack_payload(ds_idx);
         paths.push(paired_stat(
             "unpack",
             payload.len() / w,
-            &mut s.lds(plan),
+            &mut filled_lds(plan),
             &mut [
                 ("per_point", &mut |lds| {
-                    unpack_region_per_index(pp, lds, tpos, ds_idx, &payload).unwrap();
+                    unpack_region_per_index(pp, lds, ds_idx, &payload).unwrap();
                 }),
                 ("reference", &mut |lds| {
-                    reference_unpack(plan, lds, tpos, ds_idx, dm_idx, &payload);
+                    reference_unpack(plan, lds, ds_idx, dm_idx, &payload);
                 }),
             ],
-            &mut |lds| unpack_region(chain, lds, tpos, ds_idx, &payload).unwrap(),
+            &mut |lds| unpack_region(chain, lds, ds_idx, &payload).unwrap(),
         ));
     }
 
@@ -691,7 +688,7 @@ fn time_paths(hot: &HotPaths) -> Vec<PathStat> {
         &mut hot.data_space(),
         &mut [
             ("per_point", &mut |ds| {
-                gather_tile_per_cell(pp, &lds, tpos, origin, ds)
+                gather_tile_per_cell(pp, &lds, origin, ds)
             }),
             ("reference", &mut |ds| {
                 _ = reference_gather_tile(plan, &in_points, tile, ds)
@@ -701,8 +698,8 @@ fn time_paths(hot: &HotPaths) -> Vec<PathStat> {
     ));
 
     let b = &hot.boundary;
-    let (bchain, clamp) = (plan.chain(b.rank), plan.clamp.at(&b.origin));
-    let (rows, in_points) = b.outputs(plan, &b.lds(plan));
+    let clamp = plan.clamp.at(&b.origin);
+    let (rows, in_points) = b.outputs(plan, &filled_lds(plan));
     paths.push(paired_stat(
         "gather_boundary",
         plan.tiled.tile_iterations(&b.tile).count(),
@@ -710,7 +707,7 @@ fn time_paths(hot: &HotPaths) -> Vec<PathStat> {
         &mut [("reference", &mut |ds| {
             _ = reference_gather_tile(plan, &in_points, &b.tile, ds)
         })],
-        &mut |ds| _ = gather_tile(bchain, &rows, &b.origin, Some(&clamp), ds),
+        &mut |ds| _ = gather_tile(chain, &rows, &b.origin, Some(&clamp), ds),
     ));
     paths
 }

@@ -27,15 +27,14 @@ use tilecc_tiling::{insert_at, Lds, LdsGeometry};
 /// drops them, exactly as `Lds::set_all` does on the reference path.
 const SKIP: i64 = i64::MIN;
 
-/// Per-point tables of one chain length, in TTIS walk order, at
-/// `tpos = 0`: each point's owned cell (`dst`), iteration offset `P'·j'`
+/// Per-point tables of a tile over the LDS window, in TTIS walk order:
+/// each point's owned cell (`dst`), iteration offset `P'·j'`
 /// (`j_off`, `n` per point), read-source cells (`src_rel`, `q` per point)
 /// and `DataSpace` offset (`gather_rel`); the owned cells of each pack
 /// region and the halo cells (or `SKIP`) of each unpack region.
 pub struct PerPoint {
     n: usize,
     q: usize,
-    chain_step: i64,
     dst: Vec<i64>,
     j_off: Vec<i64>,
     src_rel: Vec<i64>,
@@ -45,12 +44,12 @@ pub struct PerPoint {
 }
 
 impl PerPoint {
-    /// The tables of `plan`'s chains of `num_tiles` tiles.
-    pub fn new(plan: &ParallelPlan, num_tiles: i64) -> Self {
+    /// The tables of `plan`'s tiles.
+    pub fn new(plan: &ParallelPlan) -> Self {
         let (comm, geo) = (&plan.comm, &plan.geo);
         let t = plan.tiled.transform();
         let (n, m, v) = (t.dim(), geo.m, t.v());
-        let extents = geo.extents(num_tiles);
+        let extents = geo.extents();
         let weights = LdsGeometry::weights(&extents);
         let q = comm.d_prime.cols();
         let (lo, hi) = plan.algorithm.nest.bounding_box();
@@ -83,8 +82,8 @@ impl PerPoint {
                 cells
             })
             .collect();
-        // The receiver addresses the sender's region points at `tpos = 0`
-        // as `g_k = jp_k − ds_k·v_k`.
+        // The receiver addresses the sender's region points as
+        // `g_k = jp_k − ds_k·v_k`.
         let unpack_rel = comm
             .tile_deps
             .iter()
@@ -110,7 +109,6 @@ impl PerPoint {
         PerPoint {
             n,
             q,
-            chain_step: (v[m] / geo.c[m]) * weights[m],
             dst,
             j_off,
             src_rel,
@@ -144,41 +142,32 @@ impl Scratch {
 pub fn compute_tile_fast_per_point(
     pp: &PerPoint,
     lds: &mut Lds,
-    tpos: i64,
     origin: &[i64],
     kernel: &dyn Kernel,
     scr: &mut Scratch,
 ) {
     let (n, q, w) = (pp.n, pp.q, lds.width());
-    let base = tpos * pp.chain_step;
     for i in 0..pp.dst.len() {
         for k in 0..n {
             scr.j[k] = origin[k] + pp.j_off[i * n + k];
         }
         let vals = lds.values();
         for dq in 0..q {
-            let cell = (base + pp.src_rel[i * q + dq]) as usize;
+            let cell = pp.src_rel[i * q + dq] as usize;
             scr.reads[dq * w..(dq + 1) * w].copy_from_slice(&vals[cell * w..(cell + 1) * w]);
         }
         kernel.compute(&scr.j[..n], &scr.reads[..q * w], &mut scr.out[..w]);
-        let cell = (base + pp.dst[i]) as usize;
+        let cell = pp.dst[i] as usize;
         lds.values_mut()[cell * w..(cell + 1) * w].copy_from_slice(&scr.out[..w]);
     }
 }
 
 /// The per-index pack loop.
-pub fn pack_region_per_index(
-    pp: &PerPoint,
-    lds: &Lds,
-    tpos: i64,
-    dm_idx: usize,
-    payload: &mut [f64],
-) {
+pub fn pack_region_per_index(pp: &PerPoint, lds: &Lds, dm_idx: usize, payload: &mut [f64]) {
     let w = lds.width();
-    let base = tpos * pp.chain_step;
     let vals = lds.values();
     for (idx, &rel) in pp.pack_rel[dm_idx].iter().enumerate() {
-        let cell = (base + rel) as usize;
+        let cell = rel as usize;
         payload[idx * w..(idx + 1) * w].copy_from_slice(&vals[cell * w..(cell + 1) * w]);
     }
 }
@@ -188,12 +177,10 @@ pub fn pack_region_per_index(
 pub fn unpack_region_per_index(
     pp: &PerPoint,
     lds: &mut Lds,
-    tpos: i64,
     ds_idx: usize,
     payload: &[f64],
 ) -> Result<(), PayloadSizeError> {
     let w = lds.width();
-    let base = tpos * pp.chain_step;
     let list = &pp.unpack_rel[ds_idx];
     if list.len() * w != payload.len() {
         return Err(PayloadSizeError {
@@ -207,36 +194,37 @@ pub fn unpack_region_per_index(
         if rel == SKIP {
             continue;
         }
-        let cell = (base + rel) as usize;
+        let cell = rel as usize;
         vals[cell * w..(cell + 1) * w].copy_from_slice(&payload[idx * w..(idx + 1) * w]);
     }
     Ok(())
 }
 
 /// The per-cell gather loop.
-pub fn gather_tile_per_cell(
-    pp: &PerPoint,
-    lds: &Lds,
-    tpos: i64,
-    origin: &[i64],
-    ds: &mut DataSpace,
-) {
+pub fn gather_tile_per_cell(pp: &PerPoint, lds: &Lds, origin: &[i64], ds: &mut DataSpace) {
     let w = lds.width();
     debug_assert_eq!(ds.width(), w);
-    let base = tpos * pp.chain_step;
     let gbase = ds.flat_cell_signed(origin);
     let vals = lds.values();
     for i in 0..pp.dst.len() {
-        let src = (base + pp.dst[i]) as usize;
+        let src = pp.dst[i] as usize;
         let cell = (gbase + pp.gather_rel[i]) as usize;
         ds.write_cell(cell, &vals[src * w..(src + 1) * w]);
     }
 }
 
-/// A tile at its rank's chain position.
+/// An LDS window with deterministic non-trivial contents, so reads do real
+/// work.
+pub fn filled_lds(plan: &ParallelPlan) -> Lds {
+    let mut lds = plan.lds();
+    for (i, x) in lds.values_mut().iter_mut().enumerate() {
+        *x = ((i % 977) as f64) / 977.0;
+    }
+    lds
+}
+
+/// A tile and its origin.
 pub struct TileSite {
-    pub rank: usize,
-    pub tpos: i64,
     pub tile: Vec<i64>,
     pub origin: Vec<i64>,
 }
@@ -249,23 +237,11 @@ impl TileSite {
             (lo_t..=hi_t).find_map(|t_abs| {
                 let tile = insert_at(&plan.dist.pids[rank], plan.m(), t_abs);
                 pick(&tile).then(|| TileSite {
-                    rank,
-                    tpos: t_abs - lo_t,
                     origin: plan.tiled.tile_origin(&tile),
                     tile,
                 })
             })
         })
-    }
-
-    /// The site rank's LDS with deterministic non-trivial contents, so
-    /// reads do real work.
-    pub fn lds(&self, plan: &ParallelPlan) -> Lds {
-        let mut lds = plan.rank_lds(self.rank);
-        for (i, x) in lds.values_mut().iter_mut().enumerate() {
-            *x = ((i % 977) as f64) / 977.0;
-        }
-        lds
     }
 
     /// The site's part of its rank's output read from `lds`: in owned-row
@@ -275,8 +251,8 @@ impl TileSite {
         let tc = plan.clamp.at(&self.origin);
         let clamp = (!tc.interior()).then_some(&tc);
         let (mut rows, mut points) = (Vec::new(), Vec::new());
-        read_owned_tile(plan.chain(self.rank), lds, self.tpos, clamp, &mut rows);
-        reference_read_tile(plan, lds, self.tpos, &self.tile, &mut points);
+        read_owned_tile(plan.chain(), lds, clamp, &mut rows);
+        reference_read_tile(plan, lds, &self.tile, &mut points);
         (rows, points)
     }
 }
@@ -289,7 +265,7 @@ pub struct HotPaths<'p> {
     pub interior: TileSite,
     /// The first valid tile that is not space-interior.
     pub boundary: TileSite,
-    /// The per-point tables of the interior tile's chain length.
+    /// The plan's per-point tables.
     pub pp: PerPoint,
     /// Processor dependence 0 and a tile dependence it carries, unless
     /// the plan sends nothing.
@@ -307,13 +283,12 @@ impl<'p> HotPaths<'p> {
             plan.tiled.tile_valid(t) && !plan.tiled.tile_is_interior(t)
         })
         .ok_or("no boundary tile")?;
-        let (lo_t, hi_t) = plan.dist.chains[interior.rank];
         let region = (!plan.comm.proc_deps.is_empty()).then(|| {
             let ds_idx = plan.comm.dm_of_ds.iter().position(|d| *d == Some(0));
             (0, ds_idx.expect("every proc dep comes from a tile dep"))
         });
         Ok(HotPaths {
-            pp: PerPoint::new(plan, hi_t - lo_t + 1),
+            pp: PerPoint::new(plan),
             plan,
             interior,
             boundary,
@@ -324,7 +299,7 @@ impl<'p> HotPaths<'p> {
     /// The payload the unpack paths read for tile dependence `ds_idx`.
     pub fn unpack_payload(&self, ds_idx: usize) -> Vec<f64> {
         let w = self.plan.algorithm.width();
-        let points = self.plan.chain(self.interior.rank).unpack[ds_idx].points;
+        let points = self.plan.chain().unpack[ds_idx].points;
         (0..points * w).map(|i| 1.0 + 0.5 * i as f64).collect()
     }
 
@@ -343,10 +318,10 @@ impl<'p> HotPaths<'p> {
     pub fn check(&self) -> Result<u64, String> {
         let (plan, s) = (self.plan, &self.interior);
         let (n, q, w) = (plan.dim(), plan.deps().cols(), plan.algorithm.width());
-        let (chain, kernel) = (plan.chain(s.rank), plan.algorithm.kernel.as_ref());
+        let (chain, kernel) = (plan.chain(), plan.algorithm.kernel.as_ref());
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let on_lds = |f: &mut dyn FnMut(&mut Lds)| {
-            let mut lds = s.lds(plan);
+            let mut lds = filled_lds(plan);
             f(&mut lds);
             bits(lds.values())
         };
@@ -354,23 +329,15 @@ impl<'p> HotPaths<'p> {
         let (mut scr, mut pscr) = (ComputeScratch::new(n, q, w), Scratch::new(n, q, w));
         let mut batched = 0;
         let got = on_lds(&mut |lds| {
-            let fast = compute_tile_fast(
-                chain,
-                lds,
-                s.tpos,
-                &s.origin,
-                kernel,
-                &mut scr,
-                &chain.walk,
-                None,
-            );
+            let fast =
+                compute_tile_fast(chain, lds, &s.origin, kernel, &mut scr, &chain.walk, None);
             batched = fast.1;
         });
         let per_point = on_lds(&mut |lds| {
-            compute_tile_fast_per_point(&self.pp, lds, s.tpos, &s.origin, kernel, &mut pscr);
+            compute_tile_fast_per_point(&self.pp, lds, &s.origin, kernel, &mut pscr);
         });
         let reference = on_lds(&mut |lds| {
-            reference_compute_tile(plan, lds, s.tpos, &s.tile);
+            reference_compute_tile(plan, lds, &s.tile);
         });
         agree(
             "compute",
@@ -379,15 +346,15 @@ impl<'p> HotPaths<'p> {
         )?;
 
         if let Some((dm_idx, ds_idx)) = self.region {
-            let lds = s.lds(plan);
+            let lds = filled_lds(plan);
             let pack = |f: &dyn Fn(&mut [f64])| {
-                let mut payload = vec![0.0; plan.region_counts[dm_idx] * w];
+                let mut payload = vec![0.0; chain.pack[dm_idx].points * w];
                 f(&mut payload);
                 bits(&payload)
             };
-            let got = pack(&|p| pack_region(chain, &lds, s.tpos, dm_idx, p));
-            let per_point = pack(&|p| pack_region_per_index(&self.pp, &lds, s.tpos, dm_idx, p));
-            let reference = pack(&|p| reference_pack(plan, &lds, s.tpos, dm_idx, p));
+            let got = pack(&|p| pack_region(chain, &lds, dm_idx, p));
+            let per_point = pack(&|p| pack_region_per_index(&self.pp, &lds, dm_idx, p));
+            let reference = pack(&|p| reference_pack(plan, &lds, dm_idx, p));
             agree(
                 "pack",
                 &got,
@@ -397,13 +364,13 @@ impl<'p> HotPaths<'p> {
             let payload = self.unpack_payload(ds_idx);
             let sized = "the payload is sized to the unpack region";
             let got = on_lds(&mut |lds| {
-                unpack_region(chain, lds, s.tpos, ds_idx, &payload).expect(sized);
+                unpack_region(chain, lds, ds_idx, &payload).expect(sized);
             });
             let per_point = on_lds(&mut |lds| {
-                unpack_region_per_index(&self.pp, lds, s.tpos, ds_idx, &payload).expect(sized);
+                unpack_region_per_index(&self.pp, lds, ds_idx, &payload).expect(sized);
             });
             let reference = on_lds(&mut |lds| {
-                reference_unpack(plan, lds, s.tpos, ds_idx, dm_idx, &payload);
+                reference_unpack(plan, lds, ds_idx, dm_idx, &payload);
             });
             agree(
                 "unpack",
@@ -412,21 +379,21 @@ impl<'p> HotPaths<'p> {
             )?;
         }
 
-        let gather = |site: &TileSite, f: &dyn Fn(&Lds, &mut DataSpace)| {
+        let gather = |f: &dyn Fn(&Lds, &mut DataSpace)| {
             let mut ds = self.data_space();
-            f(&site.lds(plan), &mut ds);
+            f(&filled_lds(plan), &mut ds);
             let cells = 0..ds.num_cells();
             cells
                 .map(|c| ds.written_cell(c).map(bits))
                 .collect::<Vec<_>>()
         };
-        let got = gather(s, &|lds, ds| {
+        let got = gather(&|lds, ds| {
             gather_tile(chain, &s.outputs(plan, lds).0, &s.origin, None, ds);
         });
-        let per_point = gather(s, &|lds, ds| {
-            gather_tile_per_cell(&self.pp, lds, s.tpos, &s.origin, ds);
+        let per_point = gather(&|lds, ds| {
+            gather_tile_per_cell(&self.pp, lds, &s.origin, ds);
         });
-        let reference = gather(s, &|lds, ds| {
+        let reference = gather(&|lds, ds| {
             reference_gather_tile(plan, &s.outputs(plan, lds).1, &s.tile, ds);
         });
         agree(
@@ -437,11 +404,11 @@ impl<'p> HotPaths<'p> {
 
         let b = &self.boundary;
         let clamp = plan.clamp.at(&b.origin);
-        let got = gather(b, &|lds, ds| {
+        let got = gather(&|lds, ds| {
             let rows = b.outputs(plan, lds).0;
-            gather_tile(plan.chain(b.rank), &rows, &b.origin, Some(&clamp), ds);
+            gather_tile(plan.chain(), &rows, &b.origin, Some(&clamp), ds);
         });
-        let reference = gather(b, &|lds, ds| {
+        let reference = gather(&|lds, ds| {
             reference_gather_tile(plan, &b.outputs(plan, lds).1, &b.tile, ds);
         });
         agree("boundary gather", &got, [("reference", reference)])?;

@@ -226,6 +226,8 @@ fn traced_verify_keeps_every_driver_span() {
     ] {
         assert!(!named(name).is_empty(), "no driver `{name}` span");
     }
+    // One chain table serves every chain length of the plan.
+    assert_eq!(named("compile-chain").len(), 1);
     let verify = named("verify")[0];
     let scan_end = wall(verify, "wall_start_ns") + wall(verify, "wall_dur_ns");
     for g in named("gather") {

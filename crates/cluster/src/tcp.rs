@@ -904,7 +904,7 @@ fn decode_comm_error(tag: i64, nominal: u64, aux: f64, text: &str) -> CommError 
 /// Magic prefix of a worker checkpoint file.
 const CKPT_MAGIC: [u8; 4] = *b"TCKP";
 /// Checkpoint file format version.
-const CKPT_VERSION: u16 = 4;
+const CKPT_VERSION: u16 = 5;
 
 fn push_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -1753,8 +1753,9 @@ mod tests {
         assert!(decode_ckpt(&bytes[..bytes.len() - 3]).is_err());
         assert!(decode_ckpt(b"TCKQ").is_err());
         // Files of older versions are refused by their version: 2 encoded
-        // the metrics as deltas, 3 carried a sixth gauge.
-        for version in [2u16, 3] {
+        // the metrics as deltas, 3 carried a sixth gauge, and 4's rank
+        // state held the rank's whole-chain LDS.
+        for version in [2u16, 3, 4] {
             let mut old = bytes.clone();
             old[4..6].copy_from_slice(&version.to_le_bytes());
             let e = decode_ckpt(&old)
@@ -1762,7 +1763,7 @@ mod tests {
                 .expect("an older file must be refused");
             assert!(
                 e.contains(&format!(
-                    "checkpoint version {version} (this build reads 4)"
+                    "checkpoint version {version} (this build reads 5)"
                 )),
                 "{e}"
             );

@@ -441,7 +441,7 @@ mod tests {
 
         // Rank 0's first tile, compared twice into one bitset; its values
         // open the rank's output.
-        let chain = plan.chain(0);
+        let chain = plan.chain();
         let tile = first_tile(plan);
         let origin = plan.tiled.tile_origin(&tile);
         let tc = plan.clamp.at(&origin);

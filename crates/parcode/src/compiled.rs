@@ -5,7 +5,7 @@
 //! rectangular LDS storage plus strided TTIS traversal lets the *generated*
 //! tile code run at array speed. Its strided loops take their strides `c_k`
 //! and offsets `a_kl` from the HNF of `H'` (§2.3); this module lowers each
-//! chain's tile work at plan time to the innermost of those loops — rows:
+//! plan's tile work at plan time to the innermost of those loops — rows:
 //!
 //! - A [`Row`] is one innermost lattice row of the tile box `[0, v)`
 //!   ([`tilecc_linalg::Lattice::rows_in_box`]). Along it `j'` steps by
@@ -13,8 +13,10 @@
 //!   exactly one LDS cell, and the iteration by the per-chain vector
 //!   `dj = P'·(0,…,0,c_{n−1})`: a row is start values, a length and a
 //!   batch width, and no table grows with the tile's points.
-//! - `c_m | v_m` (integral tile sides), so advancing one chain position
-//!   shifts every cell by `chain_step = (v_m / c_m) · weights_m`.
+//! - Every tile runs at chain position 0 of its rank's LDS window (see
+//!   [`tilecc_tiling::lds`]): the rank slides the window between tiles
+//!   ([`Lds::slide`]), so the cells of a row are the same for every tile
+//!   of every chain, and one table serves the plan.
 //! - Each tile places the plan's [`Clamp`] at its origin once; the
 //!   resulting [`TileClamp`] says whether the tile is compute-interior and,
 //!   when it is not, clips each row by the iteration space to its
@@ -57,8 +59,8 @@ use tilecc_tiling::{CommPlan, Lds, LdsGeometry, TiledSpace};
 pub use tilecc_loopnest::kernel::{CACHE_BLOCK, MIN_BATCH};
 
 /// One innermost TTIS row of the tile box: the `len` lattice points
-/// `jp + t·(0,…,0,c_{n−1})`, `0 ≤ t < len`. At `tpos = 0` point `t` owns
-/// cell `dst + t`, reads dependence `dq` from cell `src[dq] + t`
+/// `jp + t·(0,…,0,c_{n−1})`, `0 ≤ t < len`. Point `t` owns cell
+/// `dst + t`, reads dependence `dq` from cell `src[dq] + t`
 /// (`src = dst − flat(d')`), runs iteration `origin + j + t·dj` (`j = P'·jp`)
 /// and gathers into `DataSpace` cell `gbase + gather + t·gather_step`.
 /// `batch` is the safe chunk width for pre-gathered reads (0 = per point).
@@ -83,7 +85,7 @@ pub struct Span {
 }
 
 /// A unit-stride block copy of a region row: payload values `at..at + len`
-/// ↔ LDS cells `cell..cell + len` at `tpos = 0`.
+/// ↔ LDS cells `cell..cell + len`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Block {
     pub at: usize,
@@ -110,23 +112,16 @@ pub struct OverlapSplit {
     pub interior: Vec<Span>,
 }
 
-/// Plan-time lowering of one chain length's tile work to TTIS rows over
-/// flat LDS cells.
-///
-/// LDS extents — and therefore row-major weights — depend on the chain
-/// length, so a [`CompiledChain`] is built per distinct `num_tiles` (ranks
-/// sharing a chain length share the tables).
+/// Plan-time lowering of a tile's work to TTIS rows over the flat cells
+/// of the LDS window, one for the whole plan: every tile of every chain
+/// runs in the same window.
 pub struct CompiledChain {
-    /// Chain length this table was compiled for.
-    pub num_tiles: i64,
     /// TTIS lattice points per full tile.
     pub tile_points: usize,
     /// Number of dependence columns.
     pub q: usize,
     /// Loop-nest dimension.
     pub n: usize,
-    /// Flat-index shift per chain position (`(v_m / c_m) · weights_m`).
-    pub chain_step: i64,
     /// Iteration advance per row position, `P'·(0,…,0,c_{n−1})`.
     pub dj: Vec<i64>,
     /// `DataSpace` cell advance per row position, `Σ_k dj_k · ds_weights_k`.
@@ -217,7 +212,7 @@ fn close_down(set: &mut Vec<(i64, i64)>, shifts: &[i64], len: i64) {
 }
 
 impl CompiledChain {
-    /// Lower the per-tile work of a `num_tiles`-long chain. `ds_weights` are
+    /// Lower the per-tile work over the LDS window. `ds_weights` are
     /// the global data space's row-major cell weights (the gather target),
     /// and `clamp` the plan's boundary-tile clamp.
     pub fn new(
@@ -226,30 +221,27 @@ impl CompiledChain {
         geo: &LdsGeometry,
         ds_weights: &[i64],
         clamp: &Clamp,
-        num_tiles: i64,
     ) -> Self {
         let t = tiled.transform();
         let n = t.dim();
         let m = geo.m;
         let v = t.v();
+        // The window slides by whole cells (`LdsGeometry::slab`).
         assert_eq!(
             v[m] % geo.c[m],
             0,
             "integral tile sides guarantee c_m | v_m"
         );
-        let extents = geo.extents(num_tiles);
+        let extents = geo.extents();
         let weights = LdsGeometry::weights(&extents);
-        let total_cells: i64 = extents.iter().product();
-        let chain_step = (v[m] / geo.c[m]) * weights[m];
         let q = comm.d_prime.cols();
         let lat = t.lattice();
         let stride = geo.c[n - 1];
         let dot = |a: &[i64], b: &[i64]| -> i64 { a.iter().zip(b).map(|(&x, &w)| x * w).sum() };
 
-        // Checked cell at tpos = 0 of a row's first point: every dimension
-        // of its first and last points must be in range (dimension m is then
-        // in range for the whole chain because the decomposition is linear
-        // in tpos, and only dimension n−1 moves along the row).
+        // Checked cell of a row's first point: every dimension of its first
+        // and last points must be in range (only dimension n−1 moves along
+        // the row).
         let row_cell = |jp: &[i64], len: i64, what: &str| -> i64 {
             let mut cell = 0i64;
             for k in 0..n {
@@ -277,7 +269,6 @@ impl CompiledChain {
             .rows_in_box(&zero, v)
             .map(|(jp, len)| {
                 let dst = row_cell(&jp, len, "owned");
-                assert!(dst + len - 1 + (num_tiles - 1) * chain_step < total_cells);
                 let mut j = vec![0i64; n];
                 t.p_prime_mul_into(&jp, &mut j);
                 let src: Vec<i64> = (0..q)
@@ -340,10 +331,9 @@ impl CompiledChain {
             .collect();
 
         // Unpack: the receiver addresses the sender's region points as data
-        // of chain tile `tpos − ds_m` shifted by `−ds_k·v_k`; at `tpos = 0`
-        // that is uniformly `g_k = jp_k − ds_k·v_k`. Along a row only the
-        // address of dimension n−1 moves, by one per point, so the cells
-        // inside the allocation are one interval of the row.
+        // of tile `−ds` of its window, `g_k = jp_k − ds_k·v_k`. Along a row
+        // only the address of dimension n−1 moves, by one per point, so the
+        // cells inside the allocation are one interval of the row.
         let unpack = comm
             .tile_deps
             .iter()
@@ -378,11 +368,9 @@ impl CompiledChain {
         CompiledChain {
             slope: clamp.dots(&dj).collect(),
             row_res: rows.iter().flat_map(|r| clamp.dots(&r.j)).collect(),
-            num_tiles,
             tile_points: tiled.full_tile_volume(),
             q,
             n,
-            chain_step,
             gather_step: dot(&dj, ds_weights),
             dj,
             walk: (0..rows.len())
@@ -474,12 +462,6 @@ impl CompiledChain {
             }
         }
         OverlapSplit { boundary, interior }
-    }
-
-    /// Message length (in values) of each pack region — equals the lattice
-    /// point count of `[region_lo(dm), v)`.
-    pub fn pack_counts(&self) -> Vec<usize> {
-        self.pack.iter().map(|r| r.points).collect()
     }
 
     /// Write the iteration of position `t` of `row` in the tile at
@@ -584,7 +566,6 @@ impl ComputeScratch {
 pub fn compute_tile_fast<K: Kernel + ?Sized>(
     chain: &CompiledChain,
     lds: &mut Lds,
-    tpos: i64,
     origin: &[i64],
     kernel: &K,
     scr: &mut ComputeScratch,
@@ -609,7 +590,7 @@ pub fn compute_tile_fast<K: Kernel + ?Sized>(
         batched += if batch { (s1 - s0) as u64 } else { 0 };
         if batch && edges.is_none() {
             // The interior loop: every read from the LDS.
-            let (q, w, base) = (chain.q, width, tpos * chain.chain_step);
+            let (q, w) = (chain.q, width);
             let scr = &mut scr.stretch;
             let mut done = s0;
             while done < s1 {
@@ -618,13 +599,13 @@ pub fn compute_tile_fast<K: Kernel + ?Sized>(
                 chain.iteration_at(origin, row, t, &mut scr.j);
                 let cw = b * w;
                 for dq in 0..q {
-                    let cell = (base + row.src[dq] + t as i64) as usize;
+                    let cell = (row.src[dq] + t as i64) as usize;
                     scr.run_reads[dq * cw..dq * cw + cw]
                         .copy_from_slice(&vals[cell * w..cell * w + cw]);
                 }
                 let out = &mut scr.run_out[..cw];
                 kernel.compute_run(&scr.j, &chain.dj, b, &scr.run_reads[..q * cw], out);
-                let cell = (base + row.dst + t as i64) as usize;
+                let cell = (row.dst + t as i64) as usize;
                 vals[cell * w..cell * w + cw].copy_from_slice(out);
                 done += b;
             }
@@ -635,7 +616,7 @@ pub fn compute_tile_fast<K: Kernel + ?Sized>(
         }
         chain.iteration_at(origin, row, span.at, &mut scr.j0);
         let stretch = Stretch {
-            at: tpos * chain.chain_step + span.at as i64,
+            at: span.at as i64,
             dst: row.dst,
             src: &row.src,
             j0: &scr.j0,
@@ -664,20 +645,12 @@ pub fn count_tile(chain: &CompiledChain, clamp: Option<&TileClamp>, spans: &[Spa
     kept.map(|[a, b, ..]| (b - a + 1) as u64).sum()
 }
 
-/// Fill `payload` with the pack region of processor dependence `dm_idx` at
-/// chain position `tpos`, one block copy per region row.
-pub fn pack_region(
-    chain: &CompiledChain,
-    lds: &Lds,
-    tpos: i64,
-    dm_idx: usize,
-    payload: &mut [f64],
-) {
-    let w = lds.width();
-    let base = tpos * chain.chain_step;
-    let vals = lds.values();
+/// Fill `payload` with the pack region of processor dependence `dm_idx`,
+/// one block copy per region row.
+pub fn pack_region(chain: &CompiledChain, lds: &Lds, dm_idx: usize, payload: &mut [f64]) {
+    let (w, vals) = (lds.width(), lds.values());
     for b in &chain.pack[dm_idx].blocks {
-        let cell = (base + b.cell) as usize;
+        let cell = b.cell as usize;
         payload[b.at * w..(b.at + b.len) * w].copy_from_slice(&vals[cell * w..(cell + b.len) * w]);
     }
 }
@@ -709,18 +682,16 @@ impl std::fmt::Display for PayloadSizeError {
 impl std::error::Error for PayloadSizeError {}
 
 /// Scatter a received `payload` into the halo cells of tile dependence
-/// `ds_idx` at chain position `tpos`, one block copy per region row. The
+/// `ds_idx`, one block copy per region row. The
 /// blocks hold exactly the cells inside the allocation, so the rest of the
 /// payload is dropped by construction.
 pub fn unpack_region(
     chain: &CompiledChain,
     lds: &mut Lds,
-    tpos: i64,
     ds_idx: usize,
     payload: &[f64],
 ) -> Result<(), PayloadSizeError> {
     let w = lds.width();
-    let base = tpos * chain.chain_step;
     let region = &chain.unpack[ds_idx];
     if region.points * w != payload.len() {
         return Err(PayloadSizeError {
@@ -731,7 +702,7 @@ pub fn unpack_region(
     }
     let vals = lds.values_mut();
     for b in &region.blocks {
-        let cell = (base + b.cell) as usize;
+        let cell = b.cell as usize;
         vals[cell * w..(cell + b.len) * w].copy_from_slice(&payload[b.at * w..(b.at + b.len) * w]);
     }
     Ok(())
@@ -757,19 +728,17 @@ fn for_each_owned_row(
     })
 }
 
-/// Append a tile's owned cells at chain position `tpos` to `out` in
-/// owned-row order, one block copy per row: the tile's part of its rank's
-/// output.
+/// Append a tile's owned cells to `out` in owned-row order, one block copy
+/// per row: the tile's part of its rank's output.
 pub fn read_owned_tile(
     chain: &CompiledChain,
     lds: &Lds,
-    tpos: i64,
     clamp: Option<&TileClamp>,
     out: &mut Vec<f64>,
 ) {
-    let (w, vals, base) = (lds.width(), lds.values(), tpos * chain.chain_step);
+    let (w, vals) = (lds.width(), lds.values());
     for_each_owned_row(chain, clamp, |row, a, count| {
-        let cell = (base + row.dst + a) as usize;
+        let cell = (row.dst + a) as usize;
         out.extend_from_slice(&vals[cell * w..(cell + count) * w]);
         true
     });
@@ -986,95 +955,84 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
                 .map(|(i, jp)| (jp.as_slice(), i))
                 .collect();
 
-            let mut lens = std::collections::BTreeSet::new();
-            for rank in 0..plan.num_procs() {
-                let chain = plan.chain(rank);
-                if !lens.insert(chain.num_tiles) {
+            let chain = plan.chain();
+            assert_eq!(chain.tile_points, coords.len(), "case {case}");
+
+            // Partition: the split's sub-rows expand to points, each
+            // side in ascending walk order, union complete.
+            let mut side = vec![None; chain.tile_points];
+            let split = chain.split();
+            for (spans, tag) in [(&split.boundary, true), (&split.interior, false)] {
+                let mut last = None;
+                for s in spans.iter() {
+                    let row = &chain.rows[s.row];
+                    assert!(s.len >= 1 && s.at + s.len <= row.len, "case {case}: {s:?}");
+                    for t in s.at..s.at + s.len {
+                        let mut jp = row.jp.clone();
+                        jp[n - 1] += t as i64 * chain.stride;
+                        let i = index_of[jp.as_slice()];
+                        assert!(last < Some(i), "case {case}: sub-rows out of walk order");
+                        last = Some(i);
+                        assert!(
+                            side[i].replace(tag).is_none(),
+                            "case {case}: point {jp:?} on both sides"
+                        );
+                    }
+                }
+            }
+            assert!(
+                side.iter().all(Option::is_some),
+                "case {case}: split leaves a gap"
+            );
+
+            // Pack-region seeds are boundary points.
+            for dm in &plan.comm.proc_deps {
+                let lo = plan.comm.region_lo(dm, v);
+                for (i, jp) in coords.iter().enumerate() {
+                    if jp.iter().zip(&lo).all(|(&x, &l)| x >= l) {
+                        assert_eq!(
+                            side[i],
+                            Some(true),
+                            "case {case}: region point {jp:?} not in slab"
+                        );
+                    }
+                }
+            }
+
+            // Predecessor-closed: a slab point's intra-tile reads are
+            // slab points, so the interior never feeds a send.
+            let q = plan.comm.d_prime.cols();
+            let mut pred = vec![0i64; n];
+            for (i, jp) in coords.iter().enumerate() {
+                if side[i] != Some(true) {
                     continue;
                 }
-                assert_eq!(chain.tile_points, coords.len(), "case {case}");
-
-                // Partition: the split's sub-rows expand to points, each
-                // side in ascending walk order, union complete.
-                let mut side = vec![None; chain.tile_points];
-                let split = chain.split();
-                for (spans, tag) in [(&split.boundary, true), (&split.interior, false)] {
-                    let mut last = None;
-                    for s in spans.iter() {
-                        let row = &chain.rows[s.row];
-                        assert!(s.len >= 1 && s.at + s.len <= row.len, "case {case}: {s:?}");
-                        for t in s.at..s.at + s.len {
-                            let mut jp = row.jp.clone();
-                            jp[n - 1] += t as i64 * chain.stride;
-                            let i = index_of[jp.as_slice()];
-                            assert!(last < Some(i), "case {case}: sub-rows out of walk order");
-                            last = Some(i);
-                            assert!(
-                                side[i].replace(tag).is_none(),
-                                "case {case}: point {jp:?} on both sides"
-                            );
-                        }
+                for dq in 0..q {
+                    for k in 0..n {
+                        pred[k] = jp[k] - plan.comm.d_prime[(k, dq)];
+                    }
+                    if let Some(&p) = index_of.get(pred.as_slice()) {
+                        assert_eq!(
+                            side[p],
+                            Some(true),
+                            "case {case}: slab reads interior point {pred:?}"
+                        );
                     }
                 }
-                assert!(
-                    side.iter().all(Option::is_some),
-                    "case {case}: split leaves a gap"
-                );
-
-                // Pack-region seeds are boundary points.
-                for dm in &plan.comm.proc_deps {
-                    let lo = plan.comm.region_lo(dm, v);
-                    for (i, jp) in coords.iter().enumerate() {
-                        if jp.iter().zip(&lo).all(|(&x, &l)| x >= l) {
-                            assert_eq!(
-                                side[i],
-                                Some(true),
-                                "case {case}: region point {jp:?} not in slab"
-                            );
-                        }
-                    }
-                }
-
-                // Predecessor-closed: a slab point's intra-tile reads are
-                // slab points, so the interior never feeds a send.
-                let q = plan.comm.d_prime.cols();
-                let mut pred = vec![0i64; n];
-                for (i, jp) in coords.iter().enumerate() {
-                    if side[i] != Some(true) {
-                        continue;
-                    }
-                    for dq in 0..q {
-                        for k in 0..n {
-                            pred[k] = jp[k] - plan.comm.d_prime[(k, dq)];
-                        }
-                        if let Some(&p) = index_of.get(pred.as_slice()) {
-                            assert_eq!(
-                                side[p],
-                                Some(true),
-                                "case {case}: slab reads interior point {pred:?}"
-                            );
-                        }
-                    }
-                }
-                if !split.interior.is_empty() {
-                    with_interior += 1;
-                }
+            }
+            if !split.interior.is_empty() {
+                with_interior += 1;
             }
 
             // The two passes' in-space counts partition every tile's
             // iterations.
-            if plan.num_procs() > 0 {
-                // Per-tile counts are chain-length independent.
-                let chain = plan.chain(0);
-                let split = chain.split();
-                for tile in plan.tiled.tiles() {
-                    let origin = plan.tiled.tile_origin(&tile);
-                    let clamp = Some(plan.clamp.at(&origin));
-                    let b = super::count_tile(chain, clamp.as_ref(), &split.boundary);
-                    let i = super::count_tile(chain, clamp.as_ref(), &split.interior);
-                    let expect = plan.tiled.tile_iterations(&tile).count() as u64;
-                    assert_eq!(b + i, expect, "case {case}: tile {tile:?}");
-                }
+            for tile in plan.tiled.tiles() {
+                let origin = plan.tiled.tile_origin(&tile);
+                let clamp = Some(plan.clamp.at(&origin));
+                let b = super::count_tile(chain, clamp.as_ref(), &split.boundary);
+                let i = super::count_tile(chain, clamp.as_ref(), &split.interior);
+                let expect = plan.tiled.tile_iterations(&tile).count() as u64;
+                assert_eq!(b + i, expect, "case {case}: tile {tile:?}");
             }
         }
         assert!(valid >= 10, "only {valid} valid sampled tilings");
@@ -1118,62 +1076,56 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
         let deps = plan.deps();
         let (n, q) = (plan.dim(), deps.cols());
         let (space, clamp) = (plan.tiled.space(), &plan.clamp);
-        let mut lens = std::collections::BTreeSet::new();
         let (mut wide, mut j0, mut src) = (0usize, vec![0i64; n], vec![0i64; n]);
         let mut scr = super::ComputeScratch::new(n, q, 1);
-        for rank in 0..plan.num_procs() {
-            let chain = plan.chain(rank);
-            if !lens.insert(chain.num_tiles) {
-                continue;
-            }
-            let split = chain.split();
-            let spans: Vec<_> = chain
-                .walk
-                .iter()
-                .chain(&split.boundary)
-                .chain(&split.interior)
-                .collect();
-            for tile in plan.tiled.tiles() {
-                let origin = plan.tiled.tile_origin(&tile);
-                let tc = plan.clamp.at(&origin);
-                for s in spans.iter().step_by(stride) {
-                    let row = &chain.rows[s.row];
-                    chain.iteration_at(&origin, row, s.at, &mut j0);
-                    let last = s.len as i64 - 1;
-                    let got = chain.clip(s, Some(&tc), true);
-                    let k = chain.slope.len();
-                    let big = |t: usize| {
-                        (0..k).any(|kk| {
-                            chain.residual(&tc, s.row, t, kk).unsigned_abs() > i64::MAX as u128
-                        })
-                    };
-                    wide += usize::from(big(s.at) || big(s.at + s.len - 1));
-                    let slope: Vec<i128> = clamp.dots(&chain.dj).collect();
-                    let line = |k| (clamp.residual(k, &j0), slope[k]);
-                    let want = clamp.clip(0, last, true, line);
-                    assert_eq!(got, want, "{ctx}: tile {tile:?} {s:?}");
-                    let Some([s0, s1, w0, w1]) = want else {
-                        continue;
-                    };
-                    assert_eq!(chain.clip(s, Some(&tc), false), Some([s0, s1, s0, s1]));
-                    let (a, e) = (s0 as usize, s1 as usize + 1);
-                    chain.source_intervals(&tc, s, a, e, &mut scr);
-                    for (dq, &(t0, t1)) in scr.stretch.stored.iter().enumerate() {
-                        assert!(a <= t0 && t0 <= t1 && t1 <= e, "{ctx}: {s:?} {t0} {t1}");
-                        let near = [t0.wrapping_sub(1), t0, t1.wrapping_sub(1), t1];
-                        for t in positions(s.len, [s0, s1, w0, w1]).into_iter().chain(near) {
-                            if !(a..e).contains(&t) {
-                                continue;
-                            }
-                            for kk in 0..n {
-                                src[kk] = j0[kk] + t as i64 * chain.dj[kk] - deps[(kk, dq)];
-                            }
-                            assert_eq!(
-                                (t0..t1).contains(&t),
-                                space.contains(&src),
-                                "{ctx}: tile {tile:?} {s:?} position {t} source {dq}"
-                            );
+        let chain = plan.chain();
+        let split = chain.split();
+        let spans: Vec<_> = chain
+            .walk
+            .iter()
+            .chain(&split.boundary)
+            .chain(&split.interior)
+            .collect();
+        for tile in plan.tiled.tiles() {
+            let origin = plan.tiled.tile_origin(&tile);
+            let tc = plan.clamp.at(&origin);
+            for s in spans.iter().step_by(stride) {
+                let row = &chain.rows[s.row];
+                chain.iteration_at(&origin, row, s.at, &mut j0);
+                let last = s.len as i64 - 1;
+                let got = chain.clip(s, Some(&tc), true);
+                let k = chain.slope.len();
+                let big = |t: usize| {
+                    (0..k).any(|kk| {
+                        chain.residual(&tc, s.row, t, kk).unsigned_abs() > i64::MAX as u128
+                    })
+                };
+                wide += usize::from(big(s.at) || big(s.at + s.len - 1));
+                let slope: Vec<i128> = clamp.dots(&chain.dj).collect();
+                let line = |k| (clamp.residual(k, &j0), slope[k]);
+                let want = clamp.clip(0, last, true, line);
+                assert_eq!(got, want, "{ctx}: tile {tile:?} {s:?}");
+                let Some([s0, s1, w0, w1]) = want else {
+                    continue;
+                };
+                assert_eq!(chain.clip(s, Some(&tc), false), Some([s0, s1, s0, s1]));
+                let (a, e) = (s0 as usize, s1 as usize + 1);
+                chain.source_intervals(&tc, s, a, e, &mut scr);
+                for (dq, &(t0, t1)) in scr.stretch.stored.iter().enumerate() {
+                    assert!(a <= t0 && t0 <= t1 && t1 <= e, "{ctx}: {s:?} {t0} {t1}");
+                    let near = [t0.wrapping_sub(1), t0, t1.wrapping_sub(1), t1];
+                    for t in positions(s.len, [s0, s1, w0, w1]).into_iter().chain(near) {
+                        if !(a..e).contains(&t) {
+                            continue;
                         }
+                        for kk in 0..n {
+                            src[kk] = j0[kk] + t as i64 * chain.dj[kk] - deps[(kk, dq)];
+                        }
+                        assert_eq!(
+                            (t0..t1).contains(&t),
+                            space.contains(&src),
+                            "{ctx}: tile {tile:?} {s:?} position {t} source {dq}"
+                        );
                     }
                 }
             }
@@ -1350,18 +1302,18 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
         )
         .unwrap();
         let w = plan.algorithm.width();
-        let chain = plan.chain(0);
+        let chain = plan.chain();
         let ds_idx = chain
             .unpack
             .iter()
             .position(|r| r.points > 0)
             .expect("a tile dependence with an unpack region");
         let expected = chain.unpack[ds_idx].points * w;
-        let mut lds = plan.rank_lds(0);
+        let mut lds = plan.lds();
         let before: Vec<u64> = lds.values().iter().map(|v| v.to_bits()).collect();
         for bad in [expected - 1, expected + w] {
             let payload = vec![1.0f64; bad];
-            let err = super::unpack_region(chain, &mut lds, 0, ds_idx, &payload)
+            let err = super::unpack_region(chain, &mut lds, ds_idx, &payload)
                 .expect_err("wrong payload size must be rejected");
             assert_eq!(err.ds_idx, ds_idx);
             assert_eq!(err.expected, expected);
@@ -1373,8 +1325,8 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
     }
 
     /// The batched interior compute must be bitwise identical to a
-    /// per-point walk of the tile (`tile_iterations`, `Lds::unrolled`
-    /// addresses, as the reference strategy runs it) on a real plan, and
+    /// per-point walk of the tile (`tile_iterations`, each point at its
+    /// TTIS coordinate, as the reference strategy runs it) on a real plan, and
     /// must actually batch.
     #[test]
     fn batched_compute_matches_per_point_bitwise() {
@@ -1393,7 +1345,7 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
             let name = alg.name.clone();
             let plan = ParallelPlan::new(alg, h, Some(m)).unwrap();
             let w = plan.algorithm.width();
-            let chain = plan.chain(0);
+            let chain = plan.chain();
             let (n, q) = (chain.n, chain.q);
             let deps = plan.deps();
             let tile = plan
@@ -1408,12 +1360,11 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
                     *x = ((i % 977) as f64) / 977.0;
                 }
             };
-            let mut lds = plan.rank_lds(0);
+            let mut lds = plan.lds();
             fill(&mut lds);
             let kernel = plan.algorithm.kernel.as_ref();
             let (mut reads, mut out) = (vec![0.0f64; q * w], vec![0.0f64; w]);
-            for (jp, j) in plan.tiled.tile_iterations(&tile) {
-                let g = lds.unrolled(0, &jp);
+            for (g, j) in plan.tiled.tile_iterations(&tile) {
                 for dq in 0..q {
                     let gs: Vec<i64> = (0..n).map(|k| g[k] - plan.comm.d_prime[(k, dq)]).collect();
                     lds.get_into(&gs, &mut reads[dq * w..(dq + 1) * w]);
@@ -1426,7 +1377,6 @@ A[t,i,j] = 0.25*(A[t-1,i-1,j] + A[t-1,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1])
             let (_, batched) = super::compute_tile_fast(
                 chain,
                 &mut lds,
-                0,
                 &origin,
                 plan.algorithm.kernel.as_ref(),
                 &mut scr,

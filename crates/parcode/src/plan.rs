@@ -23,18 +23,12 @@ pub struct ParallelPlan {
     pub dist: Distribution,
     pub comm: CommPlan,
     pub geo: LdsGeometry,
-    /// Lattice-point count of each processor dependence's pack region
-    /// (message length in values; constant across tiles).
-    pub region_counts: Vec<usize>,
     /// The iteration space's clamp under the algorithm's dependences,
     /// placed at tile boxes: one [`Clamp::at`] per tile gives its interior
     /// flags and its boundary clip.
     pub clamp: Clamp,
-    /// Flat-index execution tables, one per distinct chain length (LDS
-    /// extents — hence cell weights — depend on the chain length).
-    compiled: Vec<CompiledChain>,
-    /// Per rank, the index of its chain's table in `compiled`.
-    chain_of: Vec<usize>,
+    /// The flat-index execution tables every rank runs.
+    chain: CompiledChain,
 }
 
 impl ParallelPlan {
@@ -90,41 +84,26 @@ impl ParallelPlan {
             LdsGeometry::weights(&extents)
         };
         let clamp = tiled.clamp_with(algorithm.nest.deps());
-        let mut compiled: Vec<CompiledChain> = Vec::new();
-        let mut chain_of = Vec::with_capacity(dist.chains.len());
-        for &(lo_t, hi_t) in &dist.chains {
-            let nt = hi_t - lo_t + 1;
-            let at = compiled.iter().position(|c| c.num_tiles == nt);
-            chain_of.push(at.unwrap_or_else(|| {
-                let t0 = obs.map(|r| r.now_ns());
-                let chain = CompiledChain::new(&tiled, &comm, &geo, &ds_weights, &clamp, nt);
-                if let (Some(reg), Some(t0)) = (obs, t0) {
-                    reg.driver_span(Phase::CompileChain, "compile-chain", t0, nt as u64);
-                }
-                compiled.push(chain);
-                compiled.len() - 1
-            }));
+        let t0 = obs.map(|r| r.now_ns());
+        let chain = CompiledChain::new(&tiled, &comm, &geo, &ds_weights, &clamp);
+        if let (Some(reg), Some(t0)) = (obs, t0) {
+            let rows = chain.rows.len() as u64;
+            reg.driver_span(Phase::CompileChain, "compile-chain", t0, rows);
         }
-        let region_counts = compiled
-            .first()
-            .expect("a distribution always has at least one chain")
-            .pack_counts();
         Ok(ParallelPlan {
             algorithm,
             tiled,
             dist,
             comm,
             geo,
-            region_counts,
             clamp,
-            compiled,
-            chain_of,
+            chain,
         })
     }
 
-    /// The flat-index execution table of `rank`'s chain.
-    pub fn chain(&self, rank: usize) -> &CompiledChain {
-        &self.compiled[self.chain_of[rank]]
+    /// The flat-index execution tables every rank runs.
+    pub fn chain(&self) -> &CompiledChain {
+        &self.chain
     }
 
     /// Loop-nest dimension `n`.
@@ -152,22 +131,20 @@ impl ParallelPlan {
         insert_at(&self.dist.pids[rank], self.dist.m, lo)
     }
 
-    /// A zeroed LDS for `rank`'s chain — the shape [`crate::run_rank`]
-    /// computes into and its checkpoints store.
-    pub fn rank_lds(&self, rank: usize) -> Lds {
-        let (lo, hi) = self.dist.chains[rank];
-        let w = self.algorithm.width();
-        Lds::with_width(self.geo.clone(), self.anchor(rank), hi - lo + 1, w)
+    /// A zeroed LDS window, the one shape every rank computes into, whatever
+    /// its chain length ([`crate::run_rank`] slides it along the chain).
+    pub fn lds(&self) -> Lds {
+        Lds::with_width(self.geo.clone(), self.algorithm.width())
     }
 
-    /// Call `visit(tpos, tile, origin, clamp)` on every valid tile of
-    /// `rank`'s chain in chain order, `clamp` being `None` inside the
-    /// iteration space. Stops after the first visit that returns `false`
-    /// and returns whether none did.
+    /// Call `visit(tile, origin, clamp)` on every valid tile of `rank`'s
+    /// chain in chain order, `clamp` being `None` inside the iteration
+    /// space. Stops after the first visit that returns `false` and returns
+    /// whether none did.
     pub fn for_each_tile(
         &self,
         rank: usize,
-        mut visit: impl FnMut(i64, &[i64], &[i64], Option<&TileClamp>) -> bool,
+        mut visit: impl FnMut(&[i64], &[i64], Option<&TileClamp>) -> bool,
     ) -> bool {
         let (pid, (lo_t, hi_t)) = (&self.dist.pids[rank], self.dist.chains[rank]);
         (lo_t..=hi_t).all(|t_abs| {
@@ -178,16 +155,16 @@ impl ParallelPlan {
             let origin = self.tiled.tile_origin(&tile);
             let tc = self.clamp.at(&origin);
             let clamp = (!tc.interior()).then_some(&tc);
-            visit(t_abs - lo_t, &tile, &origin, clamp)
+            visit(&tile, &origin, clamp)
         })
     }
 
     /// The iteration points `rank` owns, `w` values each in a full run's
     /// output ([`crate::RankOutput`]).
     pub fn owned_points(&self, rank: usize) -> usize {
-        let (chain, mut points) = (self.chain(rank), 0);
-        self.for_each_tile(rank, |_, _, _, clamp| {
-            points += count_tile(chain, clamp, &chain.walk) as usize;
+        let mut points = 0;
+        self.for_each_tile(rank, |_, _, clamp| {
+            points += count_tile(&self.chain, clamp, &self.chain.walk) as usize;
             true
         });
         points

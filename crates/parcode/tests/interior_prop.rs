@@ -133,8 +133,7 @@ fn volume_fast_matches_membership_tested_count() {
         cases += 1;
         let alg = Algorithm::new("p", LoopNest::new(space, deps), Arc::new(Unused));
         let plan = ParallelPlan::new(alg, t, None).unwrap();
-        // Per-tile counts do not depend on the chain length.
-        let chain = plan.chain(0);
+        let chain = plan.chain();
         for tile in plan.tiled.tiles() {
             let exact = plan.tiled.tile_iterations(&tile).count() as u64;
             let origin = plan.tiled.tile_origin(&tile);

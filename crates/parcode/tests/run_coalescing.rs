@@ -1,8 +1,8 @@
 //! Row-table soundness: the plan-time TTIS rows of a [`CompiledChain`] —
 //! compute, pack, unpack, gather and the overlapped split — checked against
 //! oracles that do not use the lowering: the tile walk
-//! (`TiledSpace::tile_iterations`) with `Lds::unrolled` addresses for the
-//! compute rows, `Lattice::points_in_box` for the region rows. Rows must
+//! (`TiledSpace::tile_iterations`) with each point at its TTIS coordinate
+//! in the LDS window for the compute rows, `Lattice::points_in_box` for the region rows. Rows must
 //! never claim a batch width the dependence lags don't permit. Checked on
 //! the paper's six workloads and on a seeded corpus of random convex (cut)
 //! spaces under random rectangular and tiling-cone non-rectangular tilings
@@ -16,7 +16,7 @@ use tilecc_loopnest::{Algorithm, DataSpace, Kernel, LoopNest};
 use tilecc_parcode::compiled::{gather_tile, read_owned_tile, Region, CACHE_BLOCK, MIN_BATCH};
 use tilecc_parcode::ParallelPlan;
 use tilecc_polytope::{Clamp, Constraint, Polyhedron};
-use tilecc_tiling::{insert_at, tiling_cone_rays, TilingTransform};
+use tilecc_tiling::{tiling_cone_rays, TilingTransform};
 
 /// xorshift64* — the fuzz harness's generator, for seed-reproducible cases.
 struct G(u64);
@@ -71,12 +71,12 @@ fn region_cells(r: &Region, ctx: &str) -> Vec<Option<i64>> {
     cells
 }
 
-/// Every table of every distinct chain of `plan` against the oracles.
+/// Every table of `plan` against the oracles.
 ///
-/// - Compute rows, on every valid tile of every rank: expanded (and, on a
-///   boundary tile, clipped by the space as the executor clips them), they
-///   list exactly the tile walk's iterations in order, owning
-///   `index_of(unrolled(tpos, j'))` and reading `index_of(unrolled − d')`
+/// - Compute rows, on every valid tile: expanded (and, on a boundary
+///   tile, clipped by the space as the executor clips them), they list
+///   exactly the tile walk's iterations in order, owning `index_of(j')`
+///   and reading `index_of(j' − d')`
 ///   wherever that cell is allocated. A row's batch width never exceeds a
 ///   positive lag or [`CACHE_BLOCK`], and is 0 or at least [`MIN_BATCH`].
 /// - Region rows: pack blocks copy exactly the owned cells of
@@ -87,146 +87,131 @@ fn region_cells(r: &Region, ctx: &str) -> Vec<Option<i64>> {
 /// Returns the number of unpack positions outside the allocation.
 fn check_plan(plan: &ParallelPlan, ctx: &str) -> usize {
     let t = plan.tiled.transform();
-    let (n, m, v, lat) = (plan.dim(), plan.m(), t.v(), t.lattice());
+    let (n, v, lat) = (plan.dim(), t.v(), t.lattice());
     let comm = &plan.comm;
     let q = comm.d_prime.cols();
     let mut dropped = 0usize;
-    let mut lens = std::collections::BTreeSet::new();
     let mut j = vec![0i64; n];
     let none = IMat::zeros(n, 0);
     let space = Clamp::new(plan.tiled.space(), &none, &none);
-    for rank in 0..plan.num_procs() {
-        let (lo_t, hi_t) = plan.dist.chains[rank];
-        let chain = plan.chain(rank);
-        let lds = plan.rank_lds(rank);
-        for t_abs in lo_t..=hi_t {
-            let tile = insert_at(&plan.dist.pids[rank], m, t_abs);
-            if !plan.tiled.tile_valid(&tile) {
-                continue;
-            }
-            let tpos = t_abs - lo_t;
-            let base = tpos * chain.chain_step;
-            let origin = plan.tiled.tile_origin(&tile);
-            let mut want = plan.tiled.tile_iterations(&tile);
-            for row in &chain.rows {
-                let (a, b) = if plan.tiled.tile_is_interior(&tile) {
-                    (0, row.len as i64 - 1)
-                } else {
-                    for k in 0..n {
-                        j[k] = origin[k] + row.j[k];
-                    }
-                    let slope: Vec<i128> = space.dots(&chain.dj).collect();
-                    let line = |k| (space.residual(k, &j), slope[k]);
-                    match space.clip(0, row.len as i64 - 1, false, line) {
-                        Some([a, b, ..]) => (a, b),
-                        None => continue,
-                    }
-                };
-                for t in a..=b {
-                    let (jp, jw) = want.next().expect("rows list more points than the walk");
-                    let it: Vec<i64> = (0..n)
-                        .map(|k| origin[k] + row.j[k] + t * chain.dj[k])
-                        .collect();
-                    assert_eq!(it, jw, "{ctx}: tile {tile:?} iteration of {jp:?}");
-                    let g = lds.unrolled(tpos, &jp);
-                    let own = lds.index_of(&g).expect("owned cell allocated") as i64;
-                    assert_eq!(base + row.dst + t, own, "{ctx}: owned cell of {jp:?}");
-                    for dq in 0..q {
-                        let gs: Vec<i64> = (0..n).map(|k| g[k] - comm.d_prime[(k, dq)]).collect();
-                        if let Some(cell) = lds.index_of(&gs) {
-                            let src = base + row.src[dq] + t;
-                            assert_eq!(src, cell as i64, "{ctx}: source {dq} of {jp:?}");
-                        }
-                    }
-                }
-            }
-            assert!(
-                want.next().is_none(),
-                "{ctx}: tile {tile:?}: rows miss walk points"
-            );
-        }
-        if !lens.insert(chain.num_tiles) {
-            continue;
-        }
-
+    let (chain, lds) = (plan.chain(), plan.lds());
+    for tile in plan.tiled.tiles() {
+        let origin = plan.tiled.tile_origin(&tile);
+        let mut want = plan.tiled.tile_iterations(&tile);
         for row in &chain.rows {
-            assert!(row.batch <= CACHE_BLOCK, "{ctx}: batch exceeds cache block");
-            assert!(
-                row.batch == 0 || row.batch >= MIN_BATCH as usize,
-                "{ctx}: batch below the dispatch floor"
-            );
-            for &s in &row.src {
-                let lag = row.dst - s;
-                assert!(lag >= 0, "{ctx}: negative dependence lag");
-                if lag >= 1 && row.batch > 0 {
-                    assert!(
-                        row.batch as i64 <= lag,
-                        "{ctx}: batch {} > lag {lag}",
-                        row.batch
-                    );
+            let (a, b) = if plan.tiled.tile_is_interior(&tile) {
+                (0, row.len as i64 - 1)
+            } else {
+                for k in 0..n {
+                    j[k] = origin[k] + row.j[k];
+                }
+                let slope: Vec<i128> = space.dots(&chain.dj).collect();
+                let line = |k| (space.residual(k, &j), slope[k]);
+                match space.clip(0, row.len as i64 - 1, false, line) {
+                    Some([a, b, ..]) => (a, b),
+                    None => continue,
+                }
+            };
+            for t in a..=b {
+                let (jp, jw) = want.next().expect("rows list more points than the walk");
+                let it: Vec<i64> = (0..n)
+                    .map(|k| origin[k] + row.j[k] + t * chain.dj[k])
+                    .collect();
+                assert_eq!(it, jw, "{ctx}: tile {tile:?} iteration of {jp:?}");
+                let own = lds.index_of(&jp).expect("owned cell allocated") as i64;
+                assert_eq!(row.dst + t, own, "{ctx}: owned cell of {jp:?}");
+                for dq in 0..q {
+                    let gs: Vec<i64> = (0..n).map(|k| jp[k] - comm.d_prime[(k, dq)]).collect();
+                    if let Some(cell) = lds.index_of(&gs) {
+                        let src = row.src[dq] + t;
+                        assert_eq!(src, cell as i64, "{ctx}: source {dq} of {jp:?}");
+                    }
                 }
             }
         }
-
-        for (dm_idx, dm) in comm.proc_deps.iter().enumerate() {
-            let want: Vec<Option<i64>> = lat
-                .points_in_box(&comm.region_lo(dm, v), v)
-                .map(|jp| Some(lds.index_of(&jp).expect("pack cell allocated") as i64))
-                .collect();
-            let got = region_cells(&chain.pack[dm_idx], ctx);
-            assert_eq!(got, want, "{ctx}: pack region {dm:?}");
-        }
-        for (ds_idx, ds) in comm.tile_deps.iter().enumerate() {
-            let Some(dm_idx) = comm.dm_of_ds[ds_idx] else {
-                assert_eq!(
-                    chain.unpack[ds_idx].points, 0,
-                    "{ctx}: intra-processor unpack"
-                );
-                continue;
-            };
-            let want: Vec<Option<i64>> = lat
-                .points_in_box(&comm.region_lo(&comm.proc_deps[dm_idx], v), v)
-                .map(|jp| {
-                    let g: Vec<i64> = (0..n).map(|k| jp[k] - ds[k] * v[k]).collect();
-                    lds.index_of(&g).map(|c| c as i64)
-                })
-                .collect();
-            dropped += want.iter().filter(|c| c.is_none()).count();
-            let got = region_cells(&chain.unpack[ds_idx], ctx);
-            assert_eq!(got, want, "{ctx}: unpack region {ds:?}");
-        }
-
-        let split = chain.split();
-        let mut pieces: Vec<(usize, usize, usize)> = split
-            .boundary
-            .iter()
-            .chain(&split.interior)
-            .map(|s| (s.row, s.at, s.len))
-            .collect();
-        pieces.sort_unstable();
-        let mut next = (0usize, 0usize);
-        for (row, at, len) in pieces {
-            if row != next.0 {
-                assert_eq!(
-                    next.1, chain.rows[next.0].len,
-                    "{ctx}: split leaves row {} open",
-                    next.0
-                );
-                assert_eq!(row, next.0 + 1, "{ctx}: split skips a row");
-                next = (row, 0);
-            }
-            assert!(
-                len >= 1 && at == next.1,
-                "{ctx}: split pieces of row {row} gap or overlap"
-            );
-            next.1 = at + len;
-        }
-        assert_eq!(
-            next,
-            (chain.rows.len() - 1, chain.rows.last().unwrap().len),
-            "{ctx}: split"
+        assert!(
+            want.next().is_none(),
+            "{ctx}: tile {tile:?}: rows miss walk points"
         );
     }
+
+    for row in &chain.rows {
+        assert!(row.batch <= CACHE_BLOCK, "{ctx}: batch exceeds cache block");
+        assert!(
+            row.batch == 0 || row.batch >= MIN_BATCH as usize,
+            "{ctx}: batch below the dispatch floor"
+        );
+        for &s in &row.src {
+            let lag = row.dst - s;
+            assert!(lag >= 0, "{ctx}: negative dependence lag");
+            if lag >= 1 && row.batch > 0 {
+                assert!(
+                    row.batch as i64 <= lag,
+                    "{ctx}: batch {} > lag {lag}",
+                    row.batch
+                );
+            }
+        }
+    }
+
+    for (dm_idx, dm) in comm.proc_deps.iter().enumerate() {
+        let want: Vec<Option<i64>> = lat
+            .points_in_box(&comm.region_lo(dm, v), v)
+            .map(|jp| Some(lds.index_of(&jp).expect("pack cell allocated") as i64))
+            .collect();
+        let got = region_cells(&chain.pack[dm_idx], ctx);
+        assert_eq!(got, want, "{ctx}: pack region {dm:?}");
+    }
+    for (ds_idx, ds) in comm.tile_deps.iter().enumerate() {
+        let Some(dm_idx) = comm.dm_of_ds[ds_idx] else {
+            assert_eq!(
+                chain.unpack[ds_idx].points, 0,
+                "{ctx}: intra-processor unpack"
+            );
+            continue;
+        };
+        let want: Vec<Option<i64>> = lat
+            .points_in_box(&comm.region_lo(&comm.proc_deps[dm_idx], v), v)
+            .map(|jp| {
+                let g: Vec<i64> = (0..n).map(|k| jp[k] - ds[k] * v[k]).collect();
+                lds.index_of(&g).map(|c| c as i64)
+            })
+            .collect();
+        dropped += want.iter().filter(|c| c.is_none()).count();
+        let got = region_cells(&chain.unpack[ds_idx], ctx);
+        assert_eq!(got, want, "{ctx}: unpack region {ds:?}");
+    }
+
+    let split = chain.split();
+    let mut pieces: Vec<(usize, usize, usize)> = split
+        .boundary
+        .iter()
+        .chain(&split.interior)
+        .map(|s| (s.row, s.at, s.len))
+        .collect();
+    pieces.sort_unstable();
+    let mut next = (0usize, 0usize);
+    for (row, at, len) in pieces {
+        if row != next.0 {
+            assert_eq!(
+                next.1, chain.rows[next.0].len,
+                "{ctx}: split leaves row {} open",
+                next.0
+            );
+            assert_eq!(row, next.0 + 1, "{ctx}: split skips a row");
+            next = (row, 0);
+        }
+        assert!(
+            len >= 1 && at == next.1,
+            "{ctx}: split pieces of row {row} gap or overlap"
+        );
+        next.1 = at + len;
+    }
+    assert_eq!(
+        next,
+        (chain.rows.len() - 1, chain.rows.last().unwrap().len),
+        "{ctx}: split"
+    );
     dropped
 }
 
@@ -241,54 +226,45 @@ fn check_gather(plan: &ParallelPlan, ctx: &str) -> usize {
     let w = plan.algorithm.width();
     let (lo, hi) = plan.algorithm.nest.bounding_box();
     let mut boundary = 0usize;
-    for rank in 0..plan.num_procs() {
-        let (lo_t, hi_t) = plan.dist.chains[rank];
-        let chain = plan.chain(rank);
-        let mut lds = plan.rank_lds(rank);
-        for (i, x) in lds.values_mut().iter_mut().enumerate() {
-            *x = 1.0 + i as f64 / 7.0;
+    let (chain, mut lds) = (plan.chain(), plan.lds());
+    for (i, x) in lds.values_mut().iter_mut().enumerate() {
+        *x = 1.0 + i as f64 / 7.0;
+    }
+    let mut vals = vec![0.0f64; w];
+    for tile in plan.tiled.tiles() {
+        let interior = plan.tiled.tile_is_interior(&tile);
+        boundary += usize::from(!interior);
+        let mut want = DataSpace::with_width(&lo, &hi, w);
+        let mut walked = Vec::new();
+        for (jp, j) in plan.tiled.tile_iterations(&tile) {
+            lds.get_into(&jp, &mut vals);
+            want.set_all(&j, &vals);
+            walked.extend_from_slice(&vals);
         }
-        let mut vals = vec![0.0f64; w];
-        for t_abs in lo_t..=hi_t {
-            let tile = insert_at(&plan.dist.pids[rank], plan.m(), t_abs);
-            if !plan.tiled.tile_valid(&tile) {
-                continue;
-            }
-            let tpos = t_abs - lo_t;
-            let interior = plan.tiled.tile_is_interior(&tile);
-            boundary += usize::from(!interior);
-            let mut want = DataSpace::with_width(&lo, &hi, w);
-            let mut walked = Vec::new();
-            for (jp, j) in plan.tiled.tile_iterations(&tile) {
-                lds.get_into(&lds.unrolled(tpos, &jp), &mut vals);
-                want.set_all(&j, &vals);
-                walked.extend_from_slice(&vals);
-            }
-            let origin = plan.tiled.tile_origin(&tile);
-            let clamp = (!interior).then(|| plan.clamp.at(&origin));
-            let mut owned = Vec::new();
-            read_owned_tile(chain, &lds, tpos, clamp.as_ref(), &mut owned);
-            assert!(
-                walked
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .eq(owned.iter().map(|x| x.to_bits())),
-                "{ctx}: rank {rank} tile {tile:?}: the owned-row stream differs from the walk"
-            );
-            let mut got = DataSpace::with_width(&lo, &hi, w);
-            let read = gather_tile(chain, &owned, &origin, clamp.as_ref(), &mut got);
-            assert_eq!(read * w, owned.len(), "{ctx}: tile {tile:?}");
-            assert_eq!(
-                want.diff(&got),
-                None,
-                "{ctx}: rank {rank} tile {tile:?}: clamped gather differs from the walk"
-            );
-            assert_eq!(
-                want.num_written(),
-                got.num_written(),
-                "{ctx}: tile {tile:?}"
-            );
-        }
+        let origin = plan.tiled.tile_origin(&tile);
+        let clamp = (!interior).then(|| plan.clamp.at(&origin));
+        let mut owned = Vec::new();
+        read_owned_tile(chain, &lds, clamp.as_ref(), &mut owned);
+        assert!(
+            walked
+                .iter()
+                .map(|x| x.to_bits())
+                .eq(owned.iter().map(|x| x.to_bits())),
+            "{ctx}: tile {tile:?}: the owned-row stream differs from the walk"
+        );
+        let mut got = DataSpace::with_width(&lo, &hi, w);
+        let read = gather_tile(chain, &owned, &origin, clamp.as_ref(), &mut got);
+        assert_eq!(read * w, owned.len(), "{ctx}: tile {tile:?}");
+        assert_eq!(
+            want.diff(&got),
+            None,
+            "{ctx}: tile {tile:?}: clamped gather differs from the walk"
+        );
+        assert_eq!(
+            want.num_written(),
+            got.num_written(),
+            "{ctx}: tile {tile:?}"
+        );
     }
     boundary
 }
@@ -372,7 +348,7 @@ fn paper_workload_runs_reconstruct_their_lists() {
     for (name, plan) in &plans {
         check_plan(plan, name);
         assert!(check_gather(plan, name) > 0, "{name}: no boundary tile");
-        let chain = plan.chain(0);
+        let chain = plan.chain();
         batched_rows += chain.rows.iter().filter(|r| r.batch > 0).count();
     }
     assert!(

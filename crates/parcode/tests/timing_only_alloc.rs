@@ -1,8 +1,8 @@
 //! A timing-only run never touches rank data, so it must not allocate the
 //! ranks' Local Data Spaces. A counting global allocator (std only) sums
 //! the bytes every thread allocates during one timing-only `execute` of a
-//! one-rank plan whose LDS holds 288,456 values, and the sum must stay
-//! below the size of that LDS.
+//! one-rank plan whose LDS window holds 82,416 values, and the sum must
+//! stay below the size of that window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,8 +46,8 @@ fn timing_only_execute_does_not_allocate_the_lds() {
     let rect = TilingTransform::rectangular(&[4, 100, 100]).unwrap();
     let plan = Arc::new(ParallelPlan::new(alg, rect, Some(0)).unwrap());
     assert_eq!(plan.num_procs(), 1);
-    let lds_bytes = plan.rank_lds(0).values().len() as u64 * 8;
-    assert_eq!(lds_bytes, 288_456 * 8);
+    let lds_bytes = plan.lds().values().len() as u64 * 8;
+    assert_eq!(lds_bytes, 82_416 * 8);
 
     let before = BYTES.load(Ordering::Relaxed);
     let res = execute(

@@ -160,7 +160,7 @@ fn predicted_comm_volume_matches_measurement_exactly() {
                     plan.tiled.tile_valid(&succ)
                 });
                 if has_succ {
-                    predicted += (plan.region_counts[dm_idx] * 8) as u64;
+                    predicted += (plan.chain().pack[dm_idx].points * 8) as u64;
                 }
             }
         }
