@@ -15,8 +15,8 @@ pub mod seqtiled;
 pub use compiled::CompiledChain;
 pub use emitter_full::{emit_c_program, KernelSource};
 pub use executor::{
-    compare_in_place, decode_rank_state, encode_rank_state, execute, gather, run_rank, run_ranks,
-    Backend, ExecMode, ExecStrategy, ExecutionResult, RankOutput,
+    compare_in_place, decode_rank_state, decode_result, encode_rank_state, execute, gather,
+    run_rank, run_ranks, Backend, ExecMode, ExecStrategy, ExecutionResult, RankOutput,
 };
 pub use plan::{unrolled_of, ParallelPlan};
 pub use seqtiled::execute_tiled_sequential;
