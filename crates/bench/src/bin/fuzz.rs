@@ -605,30 +605,56 @@ fn check_faults(c: Case, plan: &Arc<ParallelPlan>, seq: &DataSpace, rep_c: &ObsR
 }
 
 /// Recovery leg: crash the busiest rank of the fault-free run `res`
-/// halfway through its run and recover from checkpoints. The recovered run
-/// must reproduce the fault-free data bitwise, every rank's clock must
-/// equal the fault-free clock plus exactly its recovery debt, and with ≤ 8
-/// processors the TCP backend must recover identically. Returns whether a
-/// rank actually recovered.
+/// halfway through its run, checkpointing every 2 positions, and, when a
+/// rank's chain holds `L ≥ 4` tiles, crash the longest such chain at three
+/// quarters of its run, checkpointing every `L/2` positions: the crash
+/// lands about `L/4 ≥ 1` positions past the checkpoint at `L/2`, whose
+/// window has slid since, so a rank that restored its output but not its
+/// LDS window reads stale halo cells. Each
+/// recovered run must reproduce the fault-free data bitwise, every rank's
+/// clock must equal the fault-free clock plus exactly its recovery debt,
+/// and with ≤ 8 processors the TCP backend must recover identically.
+/// Returns whether a rank actually recovered.
 fn check_recovery(
     c: Case,
     plan: &Arc<ParallelPlan>,
     seq: &DataSpace,
     res: &ExecutionResult,
 ) -> bool {
-    let (crash_rank, peak) = res
-        .report
-        .local_times
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-        .map(|(r, t)| (r, *t))
-        .unwrap();
-    eprintln!("  crash: rank {crash_rank} at {}", peak * 0.5);
+    let clocks = &res.report.local_times;
+    let busiest = (0..clocks.len()).max_by(|&a, &b| clocks[a].total_cmp(&clocks[b]));
+    let chain = |r: usize| plan.dist.chains[r].1 - plan.dist.chains[r].0 + 1;
+    let longest = (0..clocks.len())
+        .filter(|&r| chain(r) >= 4)
+        .max_by_key(|&r| chain(r));
+    let crashes = [
+        busiest.map(|r| (r, 0.5, 2)),
+        longest.map(|r| (r, 0.75, chain(r) as u64 / 2)),
+    ];
+    let mut recovered = false;
+    for (crash_rank, share, interval) in crashes.into_iter().flatten() {
+        let at = clocks[crash_rank] * share;
+        eprintln!("  crash: rank {crash_rank} at {at}, a checkpoint every {interval}");
+        recovered |= check_crash(c, plan, seq, res, crash_rank, at, interval);
+    }
+    recovered
+}
+
+/// One crash of [`check_recovery`]: `crash_rank` at virtual time `at`,
+/// checkpointing every `interval` positions.
+fn check_crash(
+    c: Case,
+    plan: &Arc<ParallelPlan>,
+    seq: &DataSpace,
+    res: &ExecutionResult,
+    crash_rank: usize,
+    at: f64,
+    interval: u64,
+) -> bool {
     let crashed = || EngineOptions {
-        fault: Some(FaultPlan::lossy(0, 0.0).with_crash(crash_rank, peak * 0.5)),
+        fault: Some(FaultPlan::lossy(0, 0.0).with_crash(crash_rank, at)),
         recovery: Some(RecoveryOptions {
-            interval: 2,
+            interval,
             max_recoveries: 2,
         }),
         ..EngineOptions::default()

@@ -409,12 +409,10 @@ fn hot_paths(out_path: &str, smoke: bool) {
         let plan = Arc::new(plan);
         let hot = HotPaths::new(&plan).unwrap_or_else(|e| panic!("{name}: {e}"));
         let batched = hot.check().unwrap_or_else(|e| panic!("{name}: {e}"));
-        // SOR's skewed innermost dependence has lag 1, so its plan cannot
-        // batch (the analysis proves any chunk would read stale values);
-        // it must still win on the row-copy pack/unpack/gather paths.
-        let expect_batched = !name.starts_with("sor");
+        // Every workload batches: SOR's innermost dependence has lag 1, so
+        // its rows batch across the wavefront in lane groups.
         assert!(
-            !expect_batched || batched > 0,
+            batched > 0,
             "{name}: plan-time lag analysis produced no batched rows"
         );
         let points = plan.chain().tile_points;
@@ -467,7 +465,7 @@ fn hot_paths(out_path: &str, smoke: bool) {
         let e2e_vectorized = report.total(Counter::VectorizedPoints);
         let e2e_iterations = report.total(Counter::Iterations);
         assert!(
-            !expect_batched || e2e_vectorized > 0,
+            e2e_vectorized > 0,
             "{name}: end-to-end run reported no batched points"
         );
         let walls = (!smoke).then(|| {

@@ -987,6 +987,7 @@ fn tcp_driver(
     opts: &Options,
     reg: Option<&Arc<MetricsRegistry>>,
     mut out: String,
+    reference: Option<Result<Reference, CommError>>,
 ) -> Result<String, CliError> {
     let size = pipe.num_procs();
     if let Some(r) = opts.ranks {
@@ -998,10 +999,9 @@ fn tcp_driver(
         }
     }
     let (_, mode) = engine_setup(opts);
-    // The sequential reference scans on its own thread while the workers
-    // run; a failed run drops it without waiting.
-    let reference = (mode == ExecMode::Full)
-        .then(|| Reference::start(pipe.plan(), reg.cloned()))
+    // The sequential reference (started by a full run) scans on its own
+    // thread while the workers run; a failed run drops it without waiting.
+    let reference = reference
         .transpose()
         .map_err(|e| CliError(format!("tcp driver: {e}")))?;
 
@@ -1541,6 +1541,13 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                 let points = alg.nest.num_points().unwrap_or(0);
                 r.driver_span(Phase::Lower, "lower", t0, points);
             }
+            // The reference scan reads only the algorithm, so a verified run
+            // starts it now and it scans while the plan is built. An input
+            // refused below drops it, which stops the scan.
+            let full_run = cmd == "run"
+                && opts.worker_rank.is_none()
+                && engine_setup(&opts).1 == ExecMode::Full;
+            let reference = full_run.then(|| Reference::start(&alg, reg.clone()));
             let h = opts
                 .tile
                 .clone()
@@ -1590,7 +1597,8 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                         return err("--connect is only meaningful together with --worker-rank");
                     }
                     if opts.backend == Backend::Tcp {
-                        return tcp_driver(path, &args[rest..], &pipe, &opts, reg.as_ref(), out);
+                        let args = &args[rest..];
+                        return tcp_driver(path, args, &pipe, &opts, reg.as_ref(), out, reference);
                     }
                     if opts.ranks.is_some() {
                         return err("--ranks is only meaningful with --backend tcp");
@@ -1615,8 +1623,11 @@ pub fn run_cli(args: &[String]) -> Result<String, CliError> {
                     };
                     let (summary, data) = match mode {
                         ExecMode::Full => {
+                            let reference = reference
+                                .expect("a full run starts its reference")
+                                .map_err(|error| run_err(RunError::Comm { rank: 0, error }))?;
                             let (s, d) = pipe
-                                .run_verified(opts.model, opts.strategy, options)
+                                .run_against(reference, opts.model, opts.strategy, options)
                                 .map_err(run_err)?;
                             (s, Some(d))
                         }

@@ -4,10 +4,10 @@
 //! the chain; the run, and a run that crashes a long chain past its third
 //! tile and restores a slid window (in place on the threaded backend,
 //! from a respawned worker's checkpoint file on TCP), must equal the
-//! sequential execution bitwise. That file's data is a fixed point (every
-//! value stays 0.5), so each check also runs on its twin that carries
-//! varying data: the corpus SOR (`examples/kernels/sor.tk`,
-//! boundary-valued) over the same space.
+//! sequential execution bitwise. Each check runs on that file and on its
+//! twin, the corpus SOR (`examples/kernels/sor.tk`) over the same space;
+//! both carry varying, boundary-valued data (`array A = bnd()`), so cells
+//! mixed up between tiles or lanes change the result.
 
 use std::process::{Command, Output};
 use std::sync::Arc;

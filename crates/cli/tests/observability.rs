@@ -321,3 +321,69 @@ fn report_reads_a_metrics_file_with_the_retired_writer_queue_gauge() {
     run_cli(&args(&["report", old.to_str(), "--diff", current.to_str()]))
         .expect("the retired gauge is not a difference");
 }
+
+/// The perfbench `sor` shape (seed 1): its innermost dependence has lag 1,
+/// so its rows batch only in wavefront lane groups, and most of its points
+/// must take the batch entry. Its reference scan starts right after
+/// `lower`, before the plan is built.
+#[test]
+fn lag_one_sor_batches_in_lane_groups_and_scans_while_planning() {
+    let kernel = TempFile::new("sor.tk");
+    std::fs::write(
+        &kernel.0,
+        "kernel sor
+param M = 24
+param N = 62
+param L = 62
+iter t = 1 to M
+iter i = 1 to N
+iter j = 1 to L
+skew = [1,0,0; 1,1,0; 2,0,1]
+deps = (0,1,0), (0,0,1), (1,-1,0), (1,0,-1), (1,0,0)
+array A = bnd()
+A[t,i,j] = 1.1/4*(A[t,i-1,j] + A[t,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1]) + (1 - 1.1)*A[t-1,i,j]
+",
+    )
+    .unwrap();
+    let (trace, metrics) = (TempFile::new("trace.json"), TempFile::new("metrics.json"));
+    let out = run_cli(&args(&[
+        "run",
+        kernel.to_str(),
+        "--rect",
+        "6,30,30",
+        "--map",
+        "0",
+        "--verify",
+        "--trace-out",
+        trace.to_str(),
+        "--metrics-out",
+        metrics.to_str(),
+    ]))
+    .expect("sor run failed");
+    assert!(out.contains("verified   : true"), "{out}");
+    let metrics = json::parse(&std::fs::read_to_string(&metrics.0).unwrap()).unwrap();
+    let ranks = metrics.get("ranks").and_then(Json::as_arr).unwrap();
+    let total = |name: &str| -> u64 {
+        let counter = |r: &Json| r.get("counters")?.get(name)?.as_u64();
+        ranks.iter().filter_map(counter).sum()
+    };
+    assert_eq!(total("iterations"), 24 * 62 * 62);
+    let batched = total("vectorized_points");
+    assert!(
+        batched * 10 >= total("iterations") * 6,
+        "only {batched} of {} points batched",
+        total("iterations")
+    );
+    let trace = json::parse(&std::fs::read_to_string(&trace.0).unwrap()).unwrap();
+    let events = complete_events(&trace);
+    let start = |name: &str| {
+        let named = events
+            .iter()
+            .filter(|e| e.get("pid").and_then(Json::as_u64) == Some(0))
+            .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("no driver `{name}` span"));
+        let args = named.get("args").unwrap();
+        args.get("wall_start_ns").and_then(Json::as_u64).unwrap()
+    };
+    assert!(start("verify") <= start("tiled-space"));
+}

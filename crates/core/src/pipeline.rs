@@ -3,6 +3,7 @@
 //! results and simulated timings.
 
 use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use tilecc_cluster::{
@@ -147,8 +148,21 @@ impl Pipeline {
         strategy: ExecStrategy,
         options: EngineOptions,
     ) -> Result<(RunSummary, DataSpace), RunError> {
-        let reference = Reference::start(&self.plan, options.obs.clone())
+        let reference = Reference::start(&self.plan.algorithm, options.obs.clone())
             .map_err(|error| RunError::Comm { rank: 0, error })?;
+        self.run_against(reference, model, strategy, options)
+    }
+
+    /// [`Pipeline::run_verified`] against a `reference` started earlier,
+    /// such as right after the kernel was lowered, before this pipeline was
+    /// compiled.
+    pub fn run_against(
+        &self,
+        reference: Reference,
+        model: MachineModel,
+        strategy: ExecStrategy,
+        options: EngineOptions,
+    ) -> Result<(RunSummary, DataSpace), RunError> {
         let report = run_ranks(
             &self.plan,
             model,
@@ -203,46 +217,55 @@ impl RunSummary {
     }
 }
 
-/// The sequential reference of a parallel run: the plan's algorithm
-/// scanned on a thread of its own, named `reference-scan`, so the scan
-/// overlaps the parallel run instead of following it. Shared by in-process
-/// runs and the multi-process driver. The scan is the run-based
+/// The sequential reference of a parallel run: the algorithm scanned on a
+/// thread of its own, named `reference-scan`, so the scan overlaps the
+/// planning and the parallel run instead of following them. Shared by
+/// in-process runs and the multi-process driver. The scan is the run-based
 /// [`Algorithm::execute_scan`](tilecc_loopnest::Algorithm::execute_scan),
 /// which tests and the fuzzer hold bitwise equal to the per-point oracle
 /// `execute_sequential`.
 ///
-/// Start it only once the plan is built: its bounding-box [`DataSpace`] is
-/// then never allocated for a plan that fails. Dropping a `Reference`
-/// without [`Reference::check`] (the run failed) does not wait for the
-/// scan; the thread finishes on its own and its result is discarded.
+/// The scan reads only the algorithm, so it can start as soon as the
+/// kernel is lowered, before the plan is built. Dropping a `Reference`
+/// without [`Reference::check`] (the plan was refused or the run failed)
+/// does not wait for the scan: it sets the scan's cancel flag, the scan
+/// stops before its next row, and its data is discarded.
 pub struct Reference {
-    /// The scan's data space and its number of written cells.
-    scan: JoinHandle<(DataSpace, usize)>,
+    /// The scan's data space and its number of written cells; `None` once
+    /// [`Reference::check`] took it, or from a cancelled scan.
+    scan: Option<JoinHandle<Option<(DataSpace, usize)>>>,
+    cancel: Arc<AtomicBool>,
     obs: Option<Arc<MetricsRegistry>>,
 }
 
 impl Reference {
-    /// Start the scan of `plan`'s algorithm. With `obs`, the scan records a
-    /// `verify` driver span from this call to the scan's end; its start is
-    /// taken before the thread is spawned, so it precedes every span of a
-    /// run started afterwards. A thread the system refuses is a
+    /// Start the scan of `alg`. With `obs`, the scan records a `verify`
+    /// driver span from this call to the scan's end; its start is taken
+    /// before the thread is spawned, so it precedes every span recorded
+    /// afterwards. A thread the system refuses is a
     /// [`CommError::Transport`].
     pub fn start(
-        plan: &Arc<ParallelPlan>,
+        alg: &Algorithm,
         obs: Option<Arc<MetricsRegistry>>,
     ) -> Result<Reference, CommError> {
         let t0 = obs.as_ref().map(|r| r.now_ns());
-        let (plan, reg) = (plan.clone(), obs.clone());
+        let (alg, reg) = (alg.clone(), obs.clone());
+        let cancel = Arc::new(AtomicBool::new(false));
+        let stop = cancel.clone();
         let builder = std::thread::Builder::new().name("reference-scan".into());
         let scan = spawn(builder, "reference-scan", move || {
-            let ds = plan.algorithm.execute_scan();
+            let ds = alg.execute_scan_unless(&stop)?;
             let written = ds.num_written();
             if let (Some(reg), Some(t0)) = (reg, t0) {
                 reg.driver_span(Phase::Verify, "verify", t0, written as u64);
             }
-            (ds, written)
+            Some((ds, written))
         })?;
-        Ok(Reference { scan, obs })
+        Ok(Reference {
+            scan: Some(scan),
+            cancel,
+            obs,
+        })
     }
 
     /// Wait for the scan and compare the finished run's rank outputs
@@ -262,16 +285,21 @@ impl Reference {
     /// scan may still run. A panic in the scan is re-raised on the calling
     /// thread.
     pub fn check(
-        self,
+        mut self,
         plan: &ParallelPlan,
         results: &[RankOutput],
         strategy: ExecStrategy,
     ) -> (bool, DataSpace) {
-        let obs = self.obs.as_deref();
+        let obs = self.obs.clone();
+        let obs = obs.as_deref();
         let gathered =
             (strategy == ExecStrategy::Reference).then(|| gather(plan, results, strategy, obs));
         let t0 = obs.map(|r| r.now_ns());
-        let (reference, written) = self.scan.join().unwrap_or_else(|p| resume_unwind(p));
+        let scan = self.scan.take().expect("a reference is checked once");
+        let (reference, written) = scan
+            .join()
+            .unwrap_or_else(|p| resume_unwind(p))
+            .expect("only a dropped reference cancels its scan");
         let (verified, data) = match gathered {
             None if compare_in_place(plan, results, &reference, written, obs) => (true, reference),
             gathered => {
@@ -284,6 +312,15 @@ impl Reference {
             reg.driver_span(Phase::VerifyDiff, "verify-diff", t0, cells);
         }
         (verified, data)
+    }
+}
+
+impl Drop for Reference {
+    /// An unchecked reference stops its scan before the scan's next row.
+    fn drop(&mut self) {
+        if self.scan.is_some() {
+            self.cancel.store(true, Ordering::Relaxed);
+        }
     }
 }
 
@@ -368,7 +405,7 @@ mod tests {
     }
 
     fn check(pipe: &Pipeline, results: &[RankOutput], strategy: ExecStrategy) -> (bool, DataSpace) {
-        Reference::start(pipe.plan(), None)
+        Reference::start(&pipe.plan().algorithm, None)
             .unwrap()
             .check(pipe.plan(), results, strategy)
     }
@@ -463,7 +500,7 @@ mod tests {
     fn a_panicking_scan_re_raises_on_the_caller() {
         let pipe = sor_pipeline(|_| panic!("scan kernel fault"));
         let results = rank_outputs(&pipe);
-        let reference = Reference::start(pipe.plan(), None).unwrap();
+        let reference = Reference::start(&pipe.plan().algorithm, None).unwrap();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             reference.check(pipe.plan(), &results, ExecStrategy::Compiled)
         }))
@@ -482,7 +519,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
         });
-        let reference = Reference::start(pipe.plan(), None).unwrap();
+        let reference = Reference::start(&pipe.plan().algorithm, None).unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             drop(reference);
@@ -494,6 +531,49 @@ mod tests {
             dropped.is_ok(),
             "dropping the reference waited for its scan"
         );
+    }
+
+    #[test]
+    fn dropping_an_unchecked_reference_cancels_its_scan() {
+        use std::sync::atomic::AtomicUsize;
+        use std::time::Duration;
+        static RELEASE: AtomicBool = AtomicBool::new(false);
+        static POINTS: AtomicUsize = AtomicUsize::new(0);
+        // Counts the scan's points and blocks at the first until released.
+        struct Counting(Arc<dyn tilecc_loopnest::Kernel>);
+        impl tilecc_loopnest::Kernel for Counting {
+            fn width(&self) -> usize {
+                self.0.width()
+            }
+            fn compute(&self, j: &[i64], reads: &[f64], out: &mut [f64]) {
+                if POINTS.fetch_add(1, Ordering::SeqCst) == 0 {
+                    while !RELEASE.load(Ordering::Acquire) {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                self.0.compute(j, reads, out);
+            }
+            fn initial(&self, j: &[i64], out: &mut [f64]) {
+                self.0.initial(j, out);
+            }
+        }
+        let alg = compile_kernel_with(corpus::SOR, &[("M", 6), ("N", 8)]).unwrap();
+        let total = alg.nest.num_points().unwrap() as usize;
+        let kernel = Arc::new(Counting(alg.kernel.clone()));
+        let alg = Algorithm::new(alg.name, alg.nest, kernel);
+        drop(Reference::start(&alg, None).unwrap());
+        RELEASE.store(true, Ordering::Release);
+        // The scan ends the rows it began, then stops.
+        let mut seen = usize::MAX;
+        loop {
+            std::thread::sleep(Duration::from_millis(20));
+            let now = POINTS.load(Ordering::SeqCst);
+            if now == seen {
+                break;
+            }
+            seen = now;
+        }
+        assert!(seen < total, "a cancelled scan ran all {total} points");
     }
 
     #[test]

@@ -80,6 +80,89 @@ struct Tape {
     /// `Bnd`, `Mod`). A tape that does not computes the same value at
     /// every `j`, so it never needs `j` mapped back through the skew.
     reads_coords: bool,
+    /// The lane blocks of [`Tape::eval_run`]: the tape's distinct reads
+    /// (by `at`) first, its constants next, then one per instruction.
+    /// Every operand resolved to its block, so an instruction costs no
+    /// operand dispatch.
+    blocks: BlockForm,
+}
+
+/// The block indices of a tape's operands (see [`Tape::blocks`]).
+#[derive(Clone, Debug, Default)]
+struct BlockForm {
+    /// The `Arg::Read` of each read block, `(at, dep)`.
+    reads: Vec<(u32, u32)>,
+    /// The value of each constant block.
+    consts: Vec<f64>,
+    /// Each instruction's operand blocks (the second repeats the first
+    /// for a unary one; unused for one without operands).
+    operands: Vec<[u32; 2]>,
+    /// Each output's block.
+    outputs: Vec<u32>,
+}
+
+/// Where an operand's block lies before the reads and constants are all
+/// counted.
+#[derive(Clone, Copy)]
+enum Place {
+    Read(usize),
+    Const(usize),
+    Slot(u32),
+}
+
+impl BlockForm {
+    fn new(ins: &[Ins], outputs: &[Arg]) -> BlockForm {
+        let mut form = BlockForm::default();
+        let raw: Vec<[Place; 2]> = ins
+            .iter()
+            .map(|i| match *i {
+                Ins::Neg(a) => [form.place(a); 2],
+                Ins::Add(a, b) | Ins::Sub(a, b) | Ins::Mul(a, b) | Ins::Div(a, b) => {
+                    [form.place(a), form.place(b)]
+                }
+                Ins::Coord(_) | Ins::Bnd | Ins::Mod { .. } => [Place::Slot(0); 2],
+            })
+            .collect();
+        let outs: Vec<Place> = outputs.iter().map(|&a| form.place(a)).collect();
+        let (nr, nc) = (form.reads.len(), form.consts.len());
+        let index = |p: Place| -> u32 {
+            let i = match p {
+                Place::Read(r) => r,
+                Place::Const(c) => nr + c,
+                Place::Slot(s) => nr + nc + s as usize,
+            };
+            u32::try_from(i).expect("tape fits u32 blocks")
+        };
+        form.operands = raw.into_iter().map(|ab| ab.map(index)).collect();
+        form.outputs = outs.into_iter().map(index).collect();
+        form
+    }
+
+    /// The place of operand `a`: a read's block is shared by every use, a
+    /// constant gets one per use.
+    fn place(&mut self, a: Arg) -> Place {
+        match a {
+            Arg::Read { at, dep } => Place::Read(
+                self.reads
+                    .iter()
+                    .position(|r| r.0 == at)
+                    .unwrap_or_else(|| {
+                        self.reads.push((at, dep));
+                        self.reads.len() - 1
+                    }),
+            ),
+            Arg::Const(v) => {
+                self.consts.push(v);
+                Place::Const(self.consts.len() - 1)
+            }
+            Arg::Slot(s) => Place::Slot(s),
+        }
+    }
+
+    /// Blocks before the first instruction's.
+    fn base(&self) -> usize {
+        self.reads.len() + self.consts.len()
+    }
 }
 
 /// Slots a scalar evaluation keeps on the stack; a longer tape borrows
@@ -92,6 +175,7 @@ impl Tape {
             .iter()
             .any(|i| matches!(i, Ins::Coord(_) | Ins::Bnd | Ins::Mod { .. }));
         Tape {
+            blocks: BlockForm::new(&ins, &outputs),
             ins,
             outputs,
             width,
@@ -165,32 +249,41 @@ impl Tape {
         blocks: &mut Vec<Block>,
         out: &mut [f64],
     ) {
-        if blocks.len() < self.ins.len() {
-            blocks.resize(self.ins.len(), [0.0; LANES]);
+        let (form, w) = (&self.blocks, self.width);
+        let base = form.base();
+        if blocks.len() < base + self.ins.len() {
+            blocks.resize(base + self.ins.len(), [0.0; LANES]);
         }
-        let w = self.width;
+        let nr = form.reads.len();
+        for (b, &v) in blocks[nr..].iter_mut().zip(&form.consts) {
+            *b = [v; LANES];
+        }
         // `bnd()` hashes `j` affinely modulo 2⁶⁴, so its hash steps by a
         // constant along the run: no lane rebuilds its coordinates.
-        let (bnd0, bnd_step) = with_scratch(j0.len(), |zero| {
-            let origin = boundary_hash(zero);
-            (boundary_hash(j0), boundary_hash(dj).wrapping_sub(origin))
-        });
+        let (bnd0, bnd_step) = if self.reads_coords {
+            with_scratch(j0.len(), |zero| {
+                let origin = boundary_hash(zero);
+                (boundary_hash(j0), boundary_hash(dj).wrapping_sub(origin))
+            })
+        } else {
+            (0, 0)
+        };
         for p0 in (0..count).step_by(LANES) {
             // Spare lanes of a ragged last block repeat lane `last`'s read.
             let last = (count - 1 - p0).min(LANES - 1);
+            for (b, &(at, dep)) in blocks.iter_mut().zip(&form.reads) {
+                let r = &reads[at as usize + (dep as usize * (count - 1) + p0) * w..];
+                *b = if w == 1 && last == LANES - 1 {
+                    // A full block of one-value cells: one load.
+                    r[..LANES].try_into().expect("a full lane block")
+                } else {
+                    std::array::from_fn(|l| r[l.min(last) * w])
+                };
+            }
             let at = |k: usize, l: usize| j0[k] + (p0 + l) as i64 * dj[k];
-            let arg = |a: Arg, blocks: &[Block]| -> Block {
-                match a {
-                    Arg::Slot(s) => blocks[s as usize],
-                    Arg::Read { at, dep } => {
-                        let r = &reads[at as usize + (dep as usize * (count - 1) + p0) * w..];
-                        std::array::from_fn(|l| r[l.min(last) * w])
-                    }
-                    Arg::Const(v) => [v; LANES],
-                }
-            };
-            for (s, ins) in self.ins.iter().enumerate() {
-                blocks[s] = match *ins {
+            for (s, (ins, &[a, b])) in self.ins.iter().zip(&form.operands).enumerate() {
+                let (x, y) = (&blocks[a as usize], &blocks[b as usize]);
+                let v = match *ins {
                     Ins::Coord(k) => std::array::from_fn(|l| at(k, l) as f64),
                     Ins::Bnd => std::array::from_fn(|l| {
                         let p = (p0 + l) as i64;
@@ -219,16 +312,17 @@ impl Tape {
                             x
                         })
                     }
-                    Ins::Neg(a) => arg(a, blocks).map(|x| -x),
-                    Ins::Add(a, b) => zip(&arg(a, blocks), &arg(b, blocks), |x, y| x + y),
-                    Ins::Sub(a, b) => zip(&arg(a, blocks), &arg(b, blocks), |x, y| x - y),
-                    Ins::Mul(a, b) => zip(&arg(a, blocks), &arg(b, blocks), |x, y| x * y),
-                    Ins::Div(a, b) => zip(&arg(a, blocks), &arg(b, blocks), |x, y| x / y),
+                    Ins::Neg(_) => x.map(|x| -x),
+                    Ins::Add(..) => zip(x, y, |x, y| x + y),
+                    Ins::Sub(..) => zip(x, y, |x, y| x - y),
+                    Ins::Mul(..) => zip(x, y, |x, y| x * y),
+                    Ins::Div(..) => zip(x, y, |x, y| x / y),
                 };
+                blocks[base + s] = v;
             }
             let n = LANES.min(count - p0);
-            for (c, &a) in self.outputs.iter().enumerate() {
-                for (l, v) in arg(a, blocks)[..n].iter().enumerate() {
+            for (c, &o) in form.outputs.iter().enumerate() {
+                for (l, v) in blocks[o as usize][..n].iter().enumerate() {
                     out[(p0 + l) * w + c] = *v;
                 }
             }

@@ -32,16 +32,28 @@
 //!   reads before it writes: a read of point `p` is stale only if its
 //!   writer `p − off_i` lies in the same chunk, impossible for
 //!   `B ≤ off_i` — the compiled chain's lag argument with flat offsets in
-//!   place of LDS lags. Below [`MIN_BATCH`] it runs per point, its window
-//!   unchecked and only its edges staged. A range with edges, or one that
-//!   runs per point, is a [`Stretch`], the compiled chain's row loops.
+//!   place of LDS lags. A range with edges is a [`Stretch`], the compiled
+//!   chain's row loops.
+//! - Below [`MIN_BATCH`] (SOR's `(0,0,1)` has `off = 1`) no range batches
+//!   along itself. Up to [`LANES`] consecutive ranges along dimension
+//!   `n − 2` with one outer prefix then run as a [`Lanes`] group, the
+//!   compiled chain's too: lane `l` runs its point `s − l·δ` at step `s`,
+//!   and `δ` ([`lane_delta`], computed once at set-up from the
+//!   dependences `(0,…,0, e, u)`) makes every in-group read a cell written
+//!   at an earlier step. Each point keeps its reads and expression, so
+//!   the data stay bitwise the lexicographic order's. Fewer than
+//!   [`MIN_LANES`] ranges run one by one, per point.
+//! - The scan checks a cancel flag between ranges
+//!   ([`Algorithm::execute_scan_unless`]), so a run that is given up stops
+//!   its scan.
 //!
 //! [`LoopNestBounds::runs`]: tilecc_polytope::LoopNestBounds::runs
 //! [`Kernel::initial_run`]: crate::Kernel::initial_run
 
 use crate::data::DataSpace;
-use crate::kernel::{Algorithm, CACHE_BLOCK, MIN_BATCH};
-use crate::stretch::{Scratch, Stretch};
+use crate::kernel::{Algorithm, Kernel, CACHE_BLOCK, MIN_BATCH};
+use crate::stretch::{lane_delta, Lanes, Scratch, Stretch, LANES, MIN_LANES};
+use std::sync::atomic::{AtomicBool, Ordering};
 use tilecc_linalg::IMat;
 use tilecc_polytope::Clamp;
 
@@ -51,6 +63,14 @@ impl Algorithm {
     /// allocation and checks (see the module docs). No allocation per
     /// point or per run once the kernel's own scratch is warm.
     pub fn execute_scan(&self) -> DataSpace {
+        let never = AtomicBool::new(false);
+        self.execute_scan_unless(&never)
+            .expect("an unset flag never cancels the scan")
+    }
+
+    /// [`Algorithm::execute_scan`], stopped between two rows once `cancel`
+    /// is set: `None` then.
+    pub fn execute_scan_unless(&self, cancel: &AtomicBool) -> Option<DataSpace> {
         let n = self.nest.dim();
         let q = self.nest.num_deps();
         let w = self.width();
@@ -75,88 +95,250 @@ impl Algorithm {
         } else {
             0
         };
+        let last = n - 1;
+        // Rows that cannot batch run in lane groups along dimension
+        // `n − 2`: a dependence `(0,…,0, e, u)` has its source `e` rows up
+        // and `u` points back.
+        let lanes = batch == 0 && n >= 2;
+        let delta = if lanes {
+            let within = (0..q).filter(|&i| (0..last - 1).all(|k| d[i * n + k] == 0));
+            let span = hi[last] - lo[last] + 1;
+            lane_delta(
+                within.map(|i| (d[i * n + last - 1], d[i * n + last])),
+                LANES,
+                span,
+            )
+        } else {
+            0
+        };
         // The window: the `x` whose every source `j − d_i` is in the space.
         let window = Clamp::new(self.nest.space(), deps, &IMat::zeros(n, 0));
-        let mut res = vec![0; self.nest.space().constraints().len()];
-        let last = n - 1;
         let unit: Vec<i64> = (0..n).map(|k| i64::from(k == last)).collect();
         let slope: Vec<i128> = window.dots(&unit).collect();
-        let (mut j, mut scr) = (vec![0; n], Scratch::new(n, q, w));
         let (vals, written) = ds.cells_mut();
+        let mut scan = Scan {
+            kernel: &*self.kernel,
+            res: vec![0; slope.len()],
+            window,
+            slope,
+            dr: (0..n).map(|k| i64::from(k + 1 == last)).collect(),
+            unit,
+            src,
+            d,
+            lo,
+            pitch: if n >= 2 { weights[last - 1] } else { 0 },
+            weights,
+            width: w,
+            batch,
+            delta,
+            j: vec![0; n],
+            j0: vec![0; n],
+            outer: vec![0; last],
+            scr: Scratch::new(n, q, w),
+            vals,
+            written,
+        };
+        // A lane group: the outer coordinates of its first row and each
+        // row's range.
+        let (mut first, mut group) = (vec![0; last], Vec::with_capacity(LANES));
         let bounds = self.nest.bounds();
         let mut runs = bounds.runs();
         while let Some((outer, a, h)) = runs.next() {
-            // The range, in the space, is the line `(outer, 0) + x·e_{n−1}`.
-            j[..last].copy_from_slice(outer);
-            j[last] = 0;
-            for (k, r) in res.iter_mut().enumerate() {
-                *r = window.residual(k, &j);
+            if cancel.load(Ordering::Relaxed) {
+                return None;
             }
-            let line = |k: usize| (res[k], slope[k]);
-            let [_, _, wlo, whi] = window.clip(a, h, true, line).unwrap_or([a, h, h + 1, h]);
-            // Positions count from `x = a`; the window is `win`.
-            let (len, win) = (
-                (h + 1 - a) as usize,
-                (wlo - a) as usize..(whi + 1 - a) as usize,
-            );
-            let edges = win != (0..len);
-            if edges {
-                for (i, stored) in scr.stored.iter_mut().enumerate() {
-                    *stored = window
-                        .source_clip(a, h, i, line)
-                        .map_or((len, len), |[x0, x1]| {
-                            ((x0 - a) as usize, (x1 + 1 - a) as usize)
-                        });
-                }
+            if !lanes {
+                scan.row(outer, a, h);
+                continue;
             }
-            // Flat cell of (outer, x) is `row + x`.
-            let row = (0..last)
-                .map(|k| (outer[k] - lo[k]) * weights[k])
-                .sum::<i64>()
-                - lo[last];
-            let kernel = &*self.kernel;
-            let batch = if len >= MIN_BATCH as usize { batch } else { 0 };
-            if batch > 0 && !edges {
-                // The interior loop: every read from its cell.
-                let (cell0, mut x) = ((row + a) as usize, 0);
-                while x < len {
-                    let b = batch.min(len - x);
-                    let (cell, cw) = (cell0 + x, b * w);
-                    for (i, &rel) in src.iter().enumerate() {
-                        let s = (cell as i64 + rel) as usize;
-                        scr.run_reads[i * cw..(i + 1) * cw]
-                            .copy_from_slice(&vals[s * w..s * w + cw]);
-                    }
-                    j[last] = a + x as i64;
-                    let out = &mut scr.run_out[..cw];
-                    kernel.compute_run(&j, &unit, b, &scr.run_reads[..q * cw], out);
-                    vals[cell * w..cell * w + cw].copy_from_slice(out);
-                    x += b;
-                }
-            } else {
-                j[last] = a;
-                let stretch = Stretch {
-                    at: row + a,
-                    dst: 0,
-                    src: &src,
-                    j0: &j,
-                    dj: &unit,
-                    d: &d,
-                    width: w,
-                };
-                if batch > 0 {
-                    stretch.run(kernel, vals, 0..len, batch, &mut scr);
-                } else {
-                    // Per point: the window reads its cells alone, and only
-                    // the edges stage their initial values.
-                    stretch.run(kernel, vals, 0..win.start, 0, &mut scr);
-                    stretch.points(kernel, vals, win.clone(), &mut scr);
-                    stretch.run(kernel, vals, win.end..len, 0, &mut scr);
-                }
+            let rows = group.len();
+            let joins = rows > 0
+                && rows < LANES
+                && outer[..last - 1] == first[..last - 1]
+                && outer[last - 1] == first[last - 1] + rows as i64;
+            if !joins {
+                scan.group(&first, &group);
+                group.clear();
+                first.copy_from_slice(outer);
             }
-            written[(row + a) as usize..=(row + h) as usize].fill(true);
+            group.push((a, h));
         }
-        ds
+        scan.group(&first, &group);
+        Some(ds)
+    }
+}
+
+/// The state of one [`Algorithm::execute_scan`]: the nest's offsets and
+/// window, and the data space's cells.
+struct Scan<'a> {
+    kernel: &'a dyn Kernel,
+    window: Clamp,
+    /// Each window constraint's residual at `(outer, 0)` of the current
+    /// row, and its step per point.
+    res: Vec<i128>,
+    slope: Vec<i128>,
+    /// The iteration step along a row, and from one row to the next.
+    unit: Vec<i64>,
+    dr: Vec<i64>,
+    src: Vec<i64>,
+    d: Vec<i64>,
+    lo: Vec<i64>,
+    weights: Vec<i64>,
+    /// Cell advance from one row to the next of a lane group.
+    pitch: i64,
+    width: usize,
+    batch: usize,
+    delta: usize,
+    j: Vec<i64>,
+    j0: Vec<i64>,
+    outer: Vec<i64>,
+    scr: Scratch,
+    vals: &'a mut [f64],
+    written: &'a mut [bool],
+}
+
+impl Scan<'_> {
+    /// Flat cell of `(outer, 0)`.
+    fn row_cell(&self, outer: &[i64]) -> i64 {
+        let last = outer.len();
+        (0..last)
+            .map(|k| (outer[k] - self.lo[k]) * self.weights[k])
+            .sum::<i64>()
+            - self.lo[last]
+    }
+
+    /// Clip the range `[a, h]` of the row at `outer`: each dependence's
+    /// stored positions into `scr.stored`, counted from `x = a`. Returns
+    /// whether the row has edges.
+    fn clip(&mut self, outer: &[i64], a: i64, h: i64) -> bool {
+        // The range, in the space, is the line `(outer, 0) + x·e_{n−1}`.
+        let last = outer.len();
+        self.j[..last].copy_from_slice(outer);
+        self.j[last] = 0;
+        for (k, r) in self.res.iter_mut().enumerate() {
+            *r = self.window.residual(k, &self.j);
+        }
+        let (res, slope) = (&self.res, &self.slope);
+        let line = |k: usize| (res[k], slope[k]);
+        let [_, _, wlo, whi] = self
+            .window
+            .clip(a, h, true, line)
+            .unwrap_or([a, h, h + 1, h]);
+        let len = (h + 1 - a) as usize;
+        let edges = (wlo, whi) != (a, h);
+        for (i, stored) in self.scr.stored.iter_mut().enumerate() {
+            *stored = if edges {
+                self.window
+                    .source_clip(a, h, i, line)
+                    .map_or((len, len), |[x0, x1]| {
+                        ((x0 - a) as usize, (x1 + 1 - a) as usize)
+                    })
+            } else {
+                (0, len)
+            };
+        }
+        edges
+    }
+
+    /// One row on its own: the innermost range `[a, h]` at `outer`.
+    fn row(&mut self, outer: &[i64], a: i64, h: i64) {
+        let edges = self.clip(outer, a, h);
+        let len = (h + 1 - a) as usize;
+        // Flat cell of (outer, x) is `row + x`.
+        let row = self.row_cell(outer);
+        let (w, kernel, vals) = (self.width, self.kernel, &mut *self.vals);
+        let batch = if len >= MIN_BATCH as usize {
+            self.batch
+        } else {
+            0
+        };
+        let last = outer.len();
+        if batch > 0 && !edges {
+            // The interior loop: every read from its cell.
+            let (cell0, mut x, scr) = ((row + a) as usize, 0, &mut self.scr);
+            while x < len {
+                let b = batch.min(len - x);
+                let (cell, cw) = (cell0 + x, b * w);
+                for (i, &rel) in self.src.iter().enumerate() {
+                    let s = (cell as i64 + rel) as usize;
+                    scr.run_reads[i * cw..(i + 1) * cw].copy_from_slice(&vals[s * w..s * w + cw]);
+                }
+                self.j[last] = a + x as i64;
+                let out = &mut scr.run_out[..cw];
+                let q = self.src.len();
+                kernel.compute_run(&self.j, &self.unit, b, &scr.run_reads[..q * cw], out);
+                vals[cell * w..cell * w + cw].copy_from_slice(out);
+                x += b;
+            }
+        } else {
+            self.j[last] = a;
+            let stretch = Stretch {
+                at: row + a,
+                dst: 0,
+                src: &self.src,
+                j0: &self.j,
+                dj: &self.unit,
+                d: &self.d,
+                width: w,
+            };
+            if batch > 0 {
+                stretch.run(kernel, vals, 0..len, batch, &mut self.scr);
+            } else {
+                stretch.per_point(kernel, vals, 0..len, &mut self.scr);
+            }
+        }
+        self.written[(row + a) as usize..=(row + h) as usize].fill(true);
+    }
+
+    /// The rows `rows` (their ranges `[a, h]`) at `first` and the rows below
+    /// it along dimension `n − 2`: a [`Lanes`] group, or row by row when
+    /// there are fewer than [`MIN_LANES`].
+    fn group(&mut self, first: &[i64], rows: &[(i64, i64)]) {
+        let last = first.len();
+        let mut outer = std::mem::take(&mut self.outer);
+        outer.copy_from_slice(first);
+        if rows.len() < MIN_LANES {
+            for &(a, h) in rows {
+                self.row(&outer, a, h);
+                outer[last - 1] += 1;
+            }
+            self.outer = outer;
+            return;
+        }
+        // Positions count from the leftmost start `x0`.
+        let x0 = rows.iter().map(|r| r.0).min().unwrap_or(0);
+        let q = self.src.len();
+        for (l, &(a, h)) in rows.iter().enumerate() {
+            self.clip(&outer, a, h);
+            let off = (a - x0) as usize;
+            self.scr.lane_range[l] = (off, off + (h + 1 - a) as usize);
+            for (i, &(s0, s1)) in self.scr.stored.iter().enumerate() {
+                self.scr.lane_stored[l * q + i] = (s0 + off, s1 + off);
+            }
+            let row = self.row_cell(&outer);
+            self.written[(row + a) as usize..=(row + h) as usize].fill(true);
+            outer[last - 1] += 1;
+        }
+        outer.copy_from_slice(first);
+        let at = self.row_cell(&outer) + x0;
+        self.j0[..last].copy_from_slice(&outer);
+        self.j0[last] = x0;
+        self.outer = outer;
+        let lanes = Lanes {
+            row: Stretch {
+                at,
+                dst: 0,
+                src: &self.src,
+                j0: &self.j0,
+                dj: &self.unit,
+                d: &self.d,
+                width: self.width,
+            },
+            pitch: self.pitch,
+            dr: &self.dr,
+            delta: self.delta,
+        };
+        lanes.run(self.kernel, self.vals, rows.len(), &mut self.scr);
     }
 }
 

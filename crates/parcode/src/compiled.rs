@@ -32,11 +32,23 @@
 //!   [`Kernel::initial_run`] values elsewhere, and no point is tested.
 //!   Every span runs as one [`Stretch`], the row loop the sequential scan
 //!   shares.
+//! - A row whose lag is below [`MIN_BATCH`] (SOR's lag 1) cannot batch
+//!   along itself. At plan time [`CompiledChain::new`] gathers up to
+//!   [`LANES`] consecutive such rows of one outer prefix, at constant
+//!   cell, iteration and lag steps, into a [`LaneGroup`] and derives its
+//!   wavefront shift `δ` from the `d'` whose source lies in the group
+//!   ([`lane_delta`]). A tile runs the group's spans as one
+//!   [`Lanes`] group, the scan's loop too: lane `l` runs its position
+//!   `s − l·δ` at step `s`, so each step's lanes are one affine run for
+//!   `compute_run` and read cells written at earlier steps. Each point
+//!   keeps its reads and expression, so the LDS stays bitwise that of the
+//!   row walk.
 //!   [`count_tile`] counts the same intervals, and a rank's output
 //!   ([`read_owned_tile`]), [`gather_tile`] and [`compare_tile`] visit
 //!   them through one row visitor.
 //! - Pack and unpack regions are the rows of their region boxes, one
-//!   unit-stride block copy each ([`Block`]).
+//!   unit-stride block copy each ([`Block`]); a run of one-cell rows at
+//!   a constant cell step is one strided copy.
 //! - The overlapped split is built on first use ([`CompiledChain::split`])
 //!   as sub-rows ([`Span`]) of the same table.
 //!
@@ -49,7 +61,7 @@
 use std::sync::OnceLock;
 use tilecc_linalg::vecops::{div_ceil, div_floor};
 use tilecc_linalg::IMat;
-use tilecc_loopnest::stretch::{Scratch, Stretch};
+use tilecc_loopnest::stretch::{lane_delta, Lanes, Scratch, Stretch, LANES, MIN_LANES};
 use tilecc_loopnest::{DataSpace, Kernel};
 use tilecc_polytope::{Clamp, TileClamp};
 use tilecc_tiling::{CommPlan, Lds, LdsGeometry, TiledSpace};
@@ -63,7 +75,9 @@ pub use tilecc_loopnest::kernel::{CACHE_BLOCK, MIN_BATCH};
 /// `dst + t`, reads dependence `dq` from cell `src[dq] + t`
 /// (`src = dst − flat(d')`), runs iteration `origin + j + t·dj` (`j = P'·jp`)
 /// and gathers into `DataSpace` cell `gbase + gather + t·gather_step`.
-/// `batch` is the safe chunk width for pre-gathered reads (0 = per point).
+/// `batch` is the safe chunk width for pre-gathered reads (0 = per point),
+/// and a row that cannot batch may belong to lane group `group` of
+/// [`CompiledChain::groups`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Row {
     pub jp: Vec<i64>,
@@ -73,6 +87,18 @@ pub struct Row {
     pub gather: i64,
     pub len: usize,
     pub batch: usize,
+    pub group: Option<u32>,
+}
+
+/// Consecutive rows of one outer prefix that run as a [`Lanes`] group: a
+/// row's cells start `pitch` after its predecessor's, its iterations `dr`
+/// after, and it reads with the same lags.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LaneGroup {
+    pub pitch: i64,
+    pub dr: Vec<i64>,
+    /// The wavefront shift `δ` ([`lane_delta`]).
+    pub delta: usize,
 }
 
 /// Positions `at..at + len` of row `row` of [`CompiledChain::rows`]: a
@@ -84,13 +110,56 @@ pub struct Span {
     pub len: usize,
 }
 
-/// A unit-stride block copy of a region row: payload values `at..at + len`
-/// ↔ LDS cells `cell..cell + len`.
+/// A block copy of region cells: payload values `at + t` ↔ LDS cells
+/// `cell + t·stride`, `0 ≤ t < len`. A region row is one unit-stride block;
+/// a run of one-cell rows whose cells step by a constant is one strided
+/// block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Block {
     pub at: usize,
     pub cell: i64,
     pub len: usize,
+    pub stride: i64,
+}
+
+impl Block {
+    /// The first LDS value of the block's cell `t`, `w` values per cell.
+    #[inline]
+    fn lds_at(&self, t: usize, w: usize) -> usize {
+        (self.cell + t as i64 * self.stride) as usize * w
+    }
+
+    /// Copy the block's LDS cells into its payload values.
+    fn pack(&self, w: usize, lds: &[f64], payload: &mut [f64]) {
+        let to = &mut payload[self.at * w..(self.at + self.len) * w];
+        if self.stride == 1 {
+            to.copy_from_slice(&lds[self.lds_at(0, w)..][..self.len * w]);
+        } else if w == 1 {
+            for (t, x) in to.iter_mut().enumerate() {
+                *x = lds[self.lds_at(t, 1)];
+            }
+        } else {
+            for (t, x) in to.chunks_exact_mut(w).enumerate() {
+                x.copy_from_slice(&lds[self.lds_at(t, w)..][..w]);
+            }
+        }
+    }
+
+    /// Copy the block's payload values into its LDS cells.
+    fn unpack(&self, w: usize, payload: &[f64], lds: &mut [f64]) {
+        let from = &payload[self.at * w..(self.at + self.len) * w];
+        if self.stride == 1 {
+            lds[self.lds_at(0, w)..][..self.len * w].copy_from_slice(from);
+        } else if w == 1 {
+            for (t, &x) in from.iter().enumerate() {
+                lds[self.lds_at(t, 1)] = x;
+            }
+        } else {
+            for (t, x) in from.chunks_exact(w).enumerate() {
+                lds[self.lds_at(t, w)..][..w].copy_from_slice(x);
+            }
+        }
+    }
 }
 
 /// A pack or unpack region: the lattice points of its box
@@ -130,6 +199,8 @@ pub struct CompiledChain {
     pub rows: Vec<Row>,
     /// Every row whole, in walk order.
     pub walk: Vec<Span>,
+    /// The lane groups of the rows that cannot batch.
+    pub groups: Vec<LaneGroup>,
     /// Pack regions, one per processor dependence.
     pub pack: Vec<Region>,
     /// Unpack regions, one per *tile* dependence (aligned with
@@ -170,7 +241,26 @@ fn region(
     for (jp, row_len) in rows {
         if let Some((t0, cell, len)) = clip(&jp, row_len) {
             let (at, len) = (r.points + t0 as usize, len as usize);
-            r.blocks.push(Block { at, cell, len });
+            // A one-cell row right after the last block's payload joins it
+            // where its cell continues the block's stride.
+            match r.blocks.last_mut() {
+                Some(b)
+                    if len == 1
+                        && b.at + b.len == at
+                        && (b.len == 1 || cell == b.cell + b.len as i64 * b.stride) =>
+                {
+                    if b.len == 1 {
+                        b.stride = cell - b.cell;
+                    }
+                    b.len += 1;
+                }
+                _ => r.blocks.push(Block {
+                    at,
+                    cell,
+                    len,
+                    stride: 1,
+                }),
+            }
         }
         r.points += row_len as usize;
     }
@@ -209,6 +299,66 @@ fn close_down(set: &mut Vec<(i64, i64)>, shifts: &[i64], len: i64) {
         }
         *set = grown;
     }
+}
+
+/// Gather the rows that cannot batch into lane groups of up to [`LANES`]
+/// consecutive rows of one outer prefix (`jp` equal but in the last two
+/// dimensions) at constant jp, cell and iteration steps, reading with the
+/// same lags, and mark each row with its group. A dependence `d'` whose
+/// source lies in the group is `e` rows up and `u` positions back,
+/// `d' = e·Δjp + u·(0,…,0,c)`; the group's `δ` is [`lane_delta`] of those.
+fn lane_groups(rows: &mut [Row], d_prime: &IMat, stride: i64) -> Vec<LaneGroup> {
+    let n = d_prime.rows();
+    if n < 2 {
+        return Vec::new();
+    }
+    let diff = |a: &[i64], b: &[i64]| -> Vec<i64> { a.iter().zip(b).map(|(x, y)| x - y).collect() };
+    fn lags(r: &Row) -> impl Iterator<Item = i64> + '_ {
+        r.src.iter().map(|s| r.dst - s)
+    }
+    let mut groups = Vec::new();
+    let mut r = 0;
+    while r + 1 < rows.len() {
+        let (first, next) = (&rows[r], &rows[r + 1]);
+        let (djp, pitch) = (diff(&next.jp, &first.jp), next.dst - first.dst);
+        let dr = diff(&next.j, &first.j);
+        let mut end = r + 1;
+        while first.batch == 0 && end < rows.len() && end - r < LANES {
+            let (prev, row) = (&rows[end - 1], &rows[end]);
+            let joins = row.batch == 0
+                && diff(&row.jp, &prev.jp) == djp
+                && djp[..n - 2].iter().all(|&x| x == 0)
+                && row.dst - prev.dst == pitch
+                && diff(&row.j, &prev.j) == dr
+                && lags(row).eq(lags(first));
+            if !joins {
+                break;
+            }
+            end += 1;
+        }
+        if end - r < MIN_LANES {
+            r += 1;
+            continue;
+        }
+        let span = rows[r..end].iter().map(|x| x.len).max().unwrap_or(0) as i64;
+        let deps = (0..d_prime.cols()).filter_map(|i| {
+            let d = d_prime.col(i);
+            if d[..n - 2].iter().any(|&x| x != 0) || d[n - 2] % djp[n - 2] != 0 {
+                return None;
+            }
+            let e = d[n - 2] / djp[n - 2];
+            let u = d[n - 1] - e * djp[n - 1];
+            (u % stride == 0).then_some((e, u / stride))
+        });
+        let delta = lane_delta(deps.collect::<Vec<_>>(), end - r, span);
+        let id = Some(groups.len() as u32);
+        for row in &mut rows[r..end] {
+            row.group = id;
+        }
+        groups.push(LaneGroup { pitch, dr, delta });
+        r = end;
+    }
+    groups
 }
 
 impl CompiledChain {
@@ -265,7 +415,7 @@ impl CompiledChain {
         t.p_prime_mul_into(&unit, &mut dj);
         let mut g0 = vec![0i64; n];
         let zero = vec![0i64; n];
-        let rows: Vec<Row> = lat
+        let mut rows: Vec<Row> = lat
             .rows_in_box(&zero, v)
             .map(|(jp, len)| {
                 let dst = row_cell(&jp, len, "owned");
@@ -308,9 +458,11 @@ impl CompiledChain {
                     gather,
                     len,
                     batch,
+                    group: None,
                 }
             })
             .collect();
+        let groups = lane_groups(&mut rows, &comm.d_prime, stride);
         debug_assert_eq!(
             rows.iter().map(|r| r.len).sum::<usize>(),
             tiled.full_tile_volume()
@@ -377,6 +529,7 @@ impl CompiledChain {
                 .map(|row| span(row, 0, rows[row].len as i64))
                 .collect(),
             rows,
+            groups,
             pack,
             unpack,
             stride,
@@ -519,6 +672,40 @@ impl CompiledChain {
                 .map_or((s1, s1), |[a, e]| (a as usize, e as usize + 1));
         }
     }
+
+    /// The lane group that starts at `spans[0]`: the spans that follow it
+    /// on the next rows of its [`LaneGroup`], up to [`LANES`], each with
+    /// points in the tile of `clamp`. Fills each lane's row positions and
+    /// stored intervals into the scratch and returns the number of lanes
+    /// (0 for a row of no group).
+    fn lanes(&self, spans: &[Span], clamp: Option<&TileClamp>, scr: &mut ComputeScratch) -> usize {
+        let Some(group) = self.rows[spans[0].row].group else {
+            return 0;
+        };
+        let q = self.q;
+        let mut count = 0;
+        for (l, s) in spans.iter().enumerate().take(LANES) {
+            let joins = l == 0 || s.row == spans[l - 1].row + 1;
+            if !joins || self.rows[s.row].group != Some(group) {
+                break;
+            }
+            let Some([s0, s1, w0, w1]) = self.clip(s, clamp, true) else {
+                break;
+            };
+            let (s0, s1) = (s0 as usize, s1 as usize + 1);
+            match clamp.filter(|_| [w0 as usize, w1 as usize + 1] != [s0, s1]) {
+                Some(tc) => self.source_intervals(tc, s, s0, s1, scr),
+                None => scr.stretch.stored.fill((s0, s1)),
+            }
+            let lane = &mut scr.stretch;
+            lane.lane_range[l] = (s.at + s0, s.at + s1);
+            for (i, &(a, e)) in lane.stored.iter().enumerate() {
+                lane.lane_stored[l * q + i] = (s.at + a, s.at + e);
+            }
+            count += 1;
+        }
+        count
+    }
 }
 
 /// Reusable per-rank scratch of the compiled compute paths: the row
@@ -560,8 +747,10 @@ impl ComputeScratch {
 /// bulk-copied per dependence, one kernel dispatch per chunk, one bulk
 /// write-back), bitwise identical to the per-point order (see the lag
 /// analysis in [`CompiledChain::new`], which holds for any stretch of a
-/// row); the rest run per point. Returns the number of in-space points
-/// computed and how many of them went through the batch entry.
+/// row). Consecutive spans of a [`LaneGroup`]'s rows run as one [`Lanes`]
+/// group along the wavefront; the rest run per point. Returns the number
+/// of in-space points computed and how many of them went through the
+/// batch entry.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_tile_fast<K: Kernel + ?Sized>(
     chain: &CompiledChain,
@@ -576,17 +765,46 @@ pub fn compute_tile_fast<K: Kernel + ?Sized>(
     // Single split borrow of the LDS buffer, hoisted out of all loops.
     let vals = lds.values_mut();
     let (mut iters, mut batched) = (0u64, 0u64);
-    for span in spans {
+    let mut k = 0;
+    while k < spans.len() {
+        let lanes = chain.lanes(&spans[k..], clamp, scr);
+        if lanes >= MIN_LANES {
+            // Rows that cannot batch alone run as one lane group.
+            let first = &chain.rows[spans[k].row];
+            let group = &chain.groups[first.group.expect("a lane row has a group") as usize];
+            chain.iteration_at(origin, first, 0, &mut scr.j0);
+            let ranges = &scr.stretch.lane_range[..lanes];
+            iters += ranges.iter().map(|r| (r.1 - r.0) as u64).sum::<u64>();
+            let group = Lanes {
+                row: Stretch {
+                    at: 0,
+                    dst: first.dst,
+                    src: &first.src,
+                    j0: &scr.j0,
+                    dj: &chain.dj,
+                    d: &chain.d,
+                    width,
+                },
+                pitch: group.pitch,
+                dr: &group.dr,
+                delta: group.delta,
+            };
+            batched += group.run(kernel, vals, lanes, &mut scr.stretch);
+            k += lanes;
+            continue;
+        }
+        let span = &spans[k];
+        k += 1;
         // Span positions [s0, s1] are in the space; the window [w0, w1]
         // lies inside them.
         let Some([s0, s1, w0, w1]) = chain.clip(span, clamp, true) else {
             continue;
         };
-        let (s0, s1, w0, w1) = (s0 as usize, s1 as usize + 1, w0 as usize, w1 as usize + 1);
+        let (s0, s1) = (s0 as usize, s1 as usize + 1);
         iters += (s1 - s0) as u64;
         let row = &chain.rows[span.row];
         let batch = row.batch >= MIN_BATCH as usize && s1 - s0 >= MIN_BATCH as usize;
-        let edges = clamp.filter(|_| [w0, w1] != [s0, s1]);
+        let edges = clamp.filter(|_| [w0 as usize, w1 as usize + 1] != [s0, s1]);
         batched += if batch { (s1 - s0) as u64 } else { 0 };
         if batch && edges.is_none() {
             // The interior loop: every read from the LDS.
@@ -611,8 +829,9 @@ pub fn compute_tile_fast<K: Kernel + ?Sized>(
             }
             continue;
         }
-        if let Some(tc) = edges {
-            chain.source_intervals(tc, span, s0, s1, scr);
+        match edges {
+            Some(tc) => chain.source_intervals(tc, span, s0, s1, scr),
+            None => scr.stretch.stored.fill((s0, s1)),
         }
         chain.iteration_at(origin, row, span.at, &mut scr.j0);
         let stretch = Stretch {
@@ -628,11 +847,7 @@ pub fn compute_tile_fast<K: Kernel + ?Sized>(
         if batch {
             stretch.run(kernel, vals, s0..s1, row.batch, scr);
         } else {
-            // Per point: the window reads the LDS alone, and only the
-            // edges stage their initial values.
-            stretch.run(kernel, vals, s0..w0, 0, scr);
-            stretch.points(kernel, vals, w0..w1, scr);
-            stretch.run(kernel, vals, w1..s1, 0, scr);
+            stretch.per_point(kernel, vals, s0..s1, scr);
         }
     }
     (iters, batched)
@@ -650,8 +865,7 @@ pub fn count_tile(chain: &CompiledChain, clamp: Option<&TileClamp>, spans: &[Spa
 pub fn pack_region(chain: &CompiledChain, lds: &Lds, dm_idx: usize, payload: &mut [f64]) {
     let (w, vals) = (lds.width(), lds.values());
     for b in &chain.pack[dm_idx].blocks {
-        let cell = b.cell as usize;
-        payload[b.at * w..(b.at + b.len) * w].copy_from_slice(&vals[cell * w..(cell + b.len) * w]);
+        b.pack(w, vals, payload);
     }
 }
 
@@ -702,8 +916,7 @@ pub fn unpack_region(
     }
     let vals = lds.values_mut();
     for b in &region.blocks {
-        let cell = b.cell as usize;
-        vals[cell * w..(cell + b.len) * w].copy_from_slice(&payload[b.at * w..(b.at + b.len) * w]);
+        b.unpack(w, payload, vals);
     }
     Ok(())
 }

@@ -65,7 +65,7 @@ fn region_cells(r: &Region, ctx: &str) -> Vec<Option<i64>> {
         end = b.at + b.len;
         assert!(end <= r.points, "{ctx}: block past the region");
         for t in 0..b.len {
-            cells[b.at + t] = Some(b.cell + t as i64);
+            cells[b.at + t] = Some(b.cell + t as i64 * b.stride);
         }
     }
     cells
